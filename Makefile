@@ -8,19 +8,18 @@ COVER_MIN ?= 85
 # Per-target budget of the fuzz smoke in the check gate.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke vector-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures bench
+.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures bench
 
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
 # coverage floor on the core packages, survive a short fuzz smoke of the
-# parser and the wire codec, prove the binary codec agrees with gob on
-# the fixed message corpus, prove the vector Stage-1 evaluator is
-# byte-identical to the scalar one, prove multi-query batching is
-# answer- and cost-transparent, prove failover keeps answers
+# parser, the wire codec, the arena and the edit path, prove the binary
+# codec agrees with gob on the fixed message corpus, prove multi-query
+# batching is answer- and cost-transparent, prove failover keeps answers
 # byte-identical to centralized evaluation on a seeded fault schedule
 # over both transports, keep the documentation honest, and hold the
 # machine-checked invariants of tools/paxlint.
-check: build vet test test-race cover codec-smoke vector-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check lint
+check: build vet test test-race cover codec-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check lint
 
 build:
 	$(GO) build ./...
@@ -52,6 +51,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEnvelope -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run=^$$ -fuzz=FuzzArenaRoundTrip -fuzztime=$(FUZZTIME) ./internal/arena
+	$(GO) test -run=^$$ -fuzz=FuzzArenaSplice -fuzztime=$(FUZZTIME) ./internal/arena
+	$(GO) test -run=^$$ -fuzz=FuzzEditOps -fuzztime=$(FUZZTIME) ./internal/fragment
 
 # Codec agreement smoke: the hand-written binary codec and gob must
 # decode every fixed-corpus message to identical values, the binary codec
@@ -60,15 +61,6 @@ fuzz-smoke:
 codec-smoke:
 	$(GO) test -run='TestBinaryRoundTripMatchesGob|TestBinarySmallerThanGob' ./internal/pax
 	$(GO) test -run='TestCodecRoundTripAdvantage|TestCodecsShipIdenticalSemantics|TestFrameWritePathAllocs' ./internal/dist
-
-# Vector evaluator smoke: the bit-packed Stage-1 pass must reproduce the
-# scalar pass byte-for-byte on the short random/XMark corpus, the arena
-# round trip must be the identity, and the columnar kernels must run one
-# smoke iteration of the arena benchmarks (build + liveness, not timing).
-vector-smoke:
-	$(GO) test -short -run='TestVectorMatchesScalar|TestVectorSingleFragment|TestVectorDeepSpine' ./internal/parbox
-	$(GO) test -run='TestRoundTrip|TestStructuralJoins|TestBitsetWordBoundaries' ./internal/arena
-	$(GO) test -run=^$$ -bench='BenchmarkArena' -benchtime=1x ./internal/arena
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve

@@ -28,20 +28,13 @@
 // survived query checked byte-identical to centralized evaluation, within
 // the failover visit bound, with cost ledgers conserved:
 //
-//	paxbench -exp fault -load 50 -json BENCH_fault.json
+//	paxbench -exp fault -load 50
 //
 // The cache mode benchmarks the site-side Stage-1 memoization cache:
 // repeated qualified queries over a TCP deployment, with and without the
 // cache, reporting queries/sec and the hit/saved-compute counters:
 //
 //	paxbench -exp cache -json BENCH_cache.json
-//
-// The vector mode benchmarks the site-side Stage-1 evaluators against each
-// other: the per-node scalar pass vs the bit-packed columnar pass
-// (-vector-eval on the serving commands), on the same repeated qualified
-// queries, cold and site-cache-warm, reporting per-stage site compute:
-//
-//	paxbench -exp vector -json BENCH_vector.json
 //
 // The batch mode benchmarks coordinator-side multi-query stage batching:
 // 64–256 concurrent TCP clients repeating qualified queries, with the
@@ -67,7 +60,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries, diff, fault, concurrent, codec, cache, vector, batch, edit or all")
+	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries, diff, fault, concurrent, codec, cache, batch, edit or all")
 	scale := flag.Float64("scale", 0.02, "data scale relative to the paper's 100MB baseline")
 	runs := flag.Int("runs", 3, "runs per data point (median reported)")
 	steps := flag.Int("steps", 10, "experiment 2/3 iterations")
@@ -78,13 +71,12 @@ func main() {
 	workers := flag.Int("workers", 8, "concurrent mode: parallel query streams")
 	load := flag.Int("load", 25, "concurrent mode: queries per worker; diff mode: seeds")
 	sitePar := flag.Int("site-parallelism", 0, "concurrent mode: per-site fragment evaluation parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	vectorEval := flag.Bool("vector-eval", false, "concurrent mode: deploy sites with the bit-packed columnar Stage-1 evaluator")
 	batchWindow := flag.Duration("batch-window", 200*time.Microsecond, "batch mode: coalescing window for the batched variant")
 	maxBatch := flag.Int("max-batch", 16, "batch mode: max queries coalesced into one site envelope")
 	flag.Parse()
 
 	ctx := context.Background()
-	cfg := harness.Config{Scale: *scale, MaxFrags: *frags, Steps: *steps, Runs: *runs, Seed: *seed, VectorEval: *vectorEval}
+	cfg := harness.Config{Scale: *scale, MaxFrags: *frags, Steps: *steps, Runs: *runs, Seed: *seed}
 	writeJSON := func(v any) {
 		if *jsonPath == "" {
 			return
@@ -165,8 +157,7 @@ func main() {
 		// query, fragmentation) instances, over both transports, with
 		// parallel-vs-sequential site evaluation, both codec twins (gob,
 		// simplification disabled), the cached-vs-uncached site-cache
-		// twins, the vector-evaluator twins and the batched-transport
-		// twins cross-checked.
+		// twins and the batched-transport twins cross-checked.
 		type diffOut struct {
 			Transport string              `json:"transport"`
 			Result    *harness.DiffResult `json:"result"`
@@ -178,7 +169,6 @@ func main() {
 				CompareParallel: true,
 				CompareCodecs:   true,
 				CompareCache:    true,
-				CompareVector:   true,
 				CompareBatch:    true,
 			})
 			if res != nil {
@@ -241,14 +231,6 @@ func main() {
 		fmt.Println(rep)
 		writeJSON(rep)
 	}
-	runVector := func() {
-		rep, err := harness.VectorBench(ctx, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep)
-		writeJSON(rep)
-	}
 	runBatch := func() {
 		rep, err := harness.BatchBench(ctx, cfg, *batchWindow, *maxBatch, *load)
 		if err != nil {
@@ -297,8 +279,6 @@ func main() {
 		runCodec()
 	case "cache":
 		runCache()
-	case "vector":
-		runVector()
 	case "batch":
 		runBatch()
 	case "edit":

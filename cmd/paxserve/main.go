@@ -85,7 +85,6 @@ func main() {
 	siteParallel := flag.Int("site-parallelism", 0, "per-site fragment evaluation parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	codecName := flag.String("codec", "binary", "wire codec between coordinator and sites: binary or gob")
 	noSimplify := flag.Bool("no-simplify", false, "disable the residual-formula simplification pass at sites")
-	vectorEval := flag.Bool("vector-eval", false, "use the bit-packed columnar Stage-1 evaluator at sites")
 	cacheSize := flag.Int("cache-size", 0, "per-site Stage-1 memoization cache entries (0 = disabled)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of memoized Stage-1 results (0 = until evicted)")
 	batchWindow := flag.Duration("batch-window", 0, "coalescing window for multi-query stage batching (0 = disabled)")
@@ -140,7 +139,6 @@ func main() {
 		DisableSimplify:  *noSimplify,
 		SiteCacheSize:    *cacheSize,
 		SiteCacheTTL:     *cacheTTL,
-		SiteVectorEval:   *vectorEval,
 		BatchWindow:      *batchWindow,
 		MaxBatchSize:     *maxBatch,
 		Replicas:         *replicas,

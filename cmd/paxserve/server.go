@@ -142,9 +142,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // the fragment-local node IDs /query answers report.
 type editRequest struct {
 	Fragment int    `json:"fragment"`
-	Op       string `json:"op"`             // "insert", "delete" or "rename"
-	Node     int    `json:"node"`           // delete/rename target; insert parent
-	Pos      int    `json:"pos,omitempty"`  // insert slot among Node's children
+	Op       string `json:"op"`            // "insert", "delete" or "rename"
+	Node     int    `json:"node"`          // delete/rename target; insert parent
+	Pos      int    `json:"pos,omitempty"` // insert slot among Node's children
 	Label    string `json:"label,omitempty"`
 	// SubtreeXML is the insert payload, a single-rooted XML snippet.
 	SubtreeXML string `json:"subtree_xml,omitempty"`
@@ -156,8 +156,8 @@ type editResponse struct {
 }
 
 // handleEdit applies one fragment edit through the cluster: every replica
-// hosting the fragment moves to the new version, and only the cached
-// Stage-1 state the edit can affect is invalidated (watch
+// hosting the fragment moves to the new version, and cached Stage-1
+// state is patched through the edit instead of dropped (watch
 // sitecache_scoped_retained in /metrics move). In-flight queries keep
 // their consistent pre-edit view; queries arriving after the response see
 // the edit.

@@ -46,7 +46,6 @@ func main() {
 	noSimplify := flag.Bool("no-simplify", false, "disable the residual-formula simplification pass")
 	cacheSize := flag.Int("cache-size", 0, "Stage-1 memoization cache entries (0 = disabled)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of memoized Stage-1 results (0 = until evicted)")
-	vectorEval := flag.Bool("vector-eval", false, "use the bit-packed columnar Stage-1 evaluator")
 	flag.Parse()
 
 	codec, err := dist.ParseCodec(*codecName)
@@ -103,7 +102,6 @@ func main() {
 	}
 	site := pax.NewSite(dist.SiteID(*siteID), frags)
 	site.SetSimplify(!*noSimplify)
-	site.SetVectorEval(*vectorEval)
 	if *cacheSize > 0 {
 		site.EnableCache(*cacheSize, *cacheTTL)
 	}

@@ -21,10 +21,6 @@ func main() {
 		Sites:     3,
 		Transport: paxq.TransportTCP,
 		Seed:      11,
-		// The bit-packed columnar Stage-1 evaluator: answers, visit counts
-		// and the traffic table below are byte-identical to the default
-		// per-node evaluator — only site-side compute time differs.
-		SiteVectorEval: true,
 	})
 	if err != nil {
 		log.Fatal(err)

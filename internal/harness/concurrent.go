@@ -73,9 +73,6 @@ func ConcurrentLoadParallelism(ctx context.Context, cfg Config, workers, perWork
 	if siteParallelism > 0 {
 		siteOpts = append(siteOpts, pax.SiteParallelism(siteParallelism))
 	}
-	if cfg.VectorEval {
-		siteOpts = append(siteOpts, pax.WithSiteVectorEval(true))
-	}
 	tcp, _, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)
 	if err != nil {
 		return nil, err

@@ -68,14 +68,6 @@ type DiffOptions struct {
 	// by then other queries have run, so replays mix hits and re-misses)
 	// against a fresh uncached evaluation.
 	CompareCache bool
-	// CompareVector additionally evaluates every case on a vector-evaluator
-	// twin (WithSiteVectorEval) and on a vector+site-cache twin — the
-	// latter evaluated twice per case (miss-then-hit) and replayed once
-	// more after the whole batch (interleaved schedule) — and requires
-	// answers, visit counts AND byte totals identical to the scalar
-	// primary: the two Stage-1 evaluators must be indistinguishable from
-	// the wire, cold and cache-warm alike.
-	CompareVector bool
 	// CompareBatch additionally evaluates every case on a twin whose
 	// engine runs a multi-query batching window (WithBatchWindow). The
 	// serial per-case runs exercise the batch-of-one path, which must be
@@ -110,14 +102,12 @@ type DiffResult struct {
 	CacheCases     int // cached-twin evaluations compared against uncached
 	CacheDiffs     int // cached vs uncached disagreed (answers/visits/bytes)
 	CacheHits      int // Stage-1 cache hits observed across cached twins
-	VectorCases    int // vector-twin evaluations compared against scalar
-	VectorDiffs    int // vector vs scalar disagreed (answers/visits/bytes)
 	BatchCases     int // batching-twin evaluations (serial and concurrent)
 	BatchDiffs     int // batch twin diverged, or its ledgers failed to conserve
 	EditCases      int // mutation-phase evaluations (scoped and bump twins)
 	EditDiffs      int // post-edit divergence from the rebuilt oracle, twin disagreement, edit failure, or ledger violation
 	EditsApplied   int // fragment edits driven through the engines
-	EditRetained   int // cache entries surviving delta-scoped invalidation (remapped or patched)
+	EditRetained   int // cache entries an edit patched instead of dropping
 	MaxVisitsPaX3  int
 	MaxVisitsPaX2  int
 	FailureDetails []string // first few failures, for the test log
@@ -134,8 +124,6 @@ func (r *DiffResult) Merge(other *DiffResult) {
 	r.CacheCases += other.CacheCases
 	r.CacheDiffs += other.CacheDiffs
 	r.CacheHits += other.CacheHits
-	r.VectorCases += other.VectorCases
-	r.VectorDiffs += other.VectorDiffs
 	r.BatchCases += other.BatchCases
 	r.BatchDiffs += other.BatchDiffs
 	r.EditCases += other.EditCases
@@ -155,12 +143,12 @@ func (r *DiffResult) Merge(other *DiffResult) {
 
 // Ok reports whether every check of every merged run held.
 func (r *DiffResult) Ok() bool {
-	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.ParallelDiffs == 0 && r.CodecDiffs == 0 && r.CacheDiffs == 0 && r.VectorDiffs == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
+	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.ParallelDiffs == 0 && r.CodecDiffs == 0 && r.CacheDiffs == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d codec/simplify divergences, %d/%d cached-twin divergences (%d cache hits), %d/%d vector-twin divergences, %d/%d batch-twin divergences, %d/%d edit-twin divergences (%d edits applied, %d entries scope-retained) (max visits: PaX3 %d, PaX2 %d)",
-		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.CodecDiffs, r.CacheDiffs, r.CacheCases, r.CacheHits, r.VectorDiffs, r.VectorCases, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditRetained, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
+	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d codec/simplify divergences, %d/%d cached-twin divergences (%d cache hits), %d/%d batch-twin divergences, %d/%d edit-twin divergences (%d edits applied, %d entries scope-retained) (max visits: PaX3 %d, PaX2 %d)",
+		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.CodecDiffs, r.CacheDiffs, r.CacheCases, r.CacheHits, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditRetained, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 
 // xmarkLabels is the vocabulary random xmark-shaped queries draw from.
@@ -340,25 +328,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 		defer tshutdown()
 	}
-	// Vector twins: the bit-packed columnar Stage-1 evaluator, alone and
-	// combined with a warm site cache. Byte-identity of the vector pass
-	// means both must be indistinguishable from the scalar primary in
-	// answers, visit counts and wire bytes — cold and cache-served alike.
-	var vecEng, vecCacheEng *pax.Engine
-	if opts.CompareVector {
-		var vshutdown, vcshutdown func()
-		var err error
-		vecEng, _, _, vshutdown, err = buildEngine(nil, pax.SiteParallelism(4), pax.WithSiteVectorEval(true))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer vshutdown()
-		vecCacheEng, _, _, vcshutdown, err = buildEngine(nil, pax.SiteParallelism(4), pax.WithSiteVectorEval(true), pax.WithSiteCache(64))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer vcshutdown()
-	}
 	// Batch twin: the same deployment plus a coalescing window on the
 	// engine. The serial per-case runs flow through the batch-of-one fast
 	// path; the concurrent phase after the loop builds real multi-member
@@ -403,26 +372,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 				got.BytesSent, got.BytesRecv, len(want.Answers), len(got.Answers))
 		}
 	}
-	// cmpVector does the same for a vector-evaluator twin: byte identity of
-	// the vector Stage-1 pass means answers, visits and byte totals must
-	// match the scalar primary exactly.
-	cmpVector := func(name, query string, alg pax.Algorithm, ann bool, want *pax.Result, ve *pax.Engine) {
-		got, err := ve.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
-		res.VectorCases++
-		if err != nil {
-			res.VectorDiffs++
-			fail("seed %d %s %v(XA=%v) %q: %s twin failed: %v", seed, opts.Transport, alg, ann, query, name, err)
-			return
-		}
-		if !slices.Equal(want.Answers, got.Answers) || got.MaxVisits != want.MaxVisits ||
-			got.BytesSent != want.BytesSent || got.BytesRecv != want.BytesRecv {
-			res.VectorDiffs++
-			fail("seed %d %s %v(XA=%v) %q: %s twin diverged (visits %d vs %d, bytes %d/%d vs %d/%d, %d vs %d answers)",
-				seed, opts.Transport, alg, ann, query, name,
-				want.MaxVisits, got.MaxVisits, want.BytesSent, want.BytesRecv,
-				got.BytesSent, got.BytesRecv, len(want.Answers), len(got.Answers))
-		}
-	}
 	// The batch twin's ledger accumulator: every byte and nanosecond of
 	// compute its successful runs report, summed for the end-of-seed
 	// conservation check against the transport's lifetime counters.
@@ -461,7 +410,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		query string
 		want  *pax.Result
 	}
-	var replays, vecReplays []replayCase
+	var replays []replayCase
 	// batchReplays remembers each query with its centralized answer for the
 	// concurrent batching phase.
 	type batchCase struct {
@@ -549,17 +498,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 						batchReplays = append(batchReplays, batchCase{query: query, want: want})
 					}
 				}
-				if vecEng != nil {
-					cmpVector("vector", query, alg, ann, got, vecEng)
-					// Miss-then-hit: the repeat serves Stage 1 from the
-					// vector twin's cache and must still match the scalar,
-					// uncached primary byte-for-byte.
-					cmpVector("vector+cache", query, alg, ann, got, vecCacheEng)
-					cmpVector("vector+cache repeat", query, alg, ann, got, vecCacheEng)
-					if alg == pax.PaX3 && !ann {
-						vecReplays = append(vecReplays, replayCase{query: query, want: got})
-					}
-				}
 				for _, tw := range twins {
 					tr, err := tw.eng.RunContext(ctx, query, popts)
 					if err != nil {
@@ -594,13 +532,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 		for _, s := range tinySites {
 			res.CacheHits += int(s.CacheStats().Hits)
-		}
-	}
-	if vecCacheEng != nil {
-		// Interleaved-query replay on the warm vector+cache twin: cache-served
-		// vector results must still be byte-identical to the cold scalar runs.
-		for _, rp := range vecReplays {
-			cmpVector("vector interleaved-replay", rp.query, pax.PaX3, false, rp.want, vecCacheEng)
 		}
 	}
 	if batchEng != nil {

@@ -34,17 +34,6 @@ func requireCacheCorpus(t *testing.T, res *DiffResult) {
 	}
 }
 
-// requireVectorCorpus asserts the vector-vs-scalar twin comparison ran at
-// scale: at least 500 vector-twin evaluations (cold, cache-warm and
-// interleaved replays), every one identical to the scalar primary in
-// answers, visit counts and byte totals.
-func requireVectorCorpus(t *testing.T, res *DiffResult) {
-	t.Helper()
-	if res.VectorCases < 500 {
-		t.Errorf("vector-twin comparison covered %d cases, want >= 500", res.VectorCases)
-	}
-}
-
 // requireBatchCorpus asserts the batched-vs-unbatched twin comparison ran
 // at scale: at least 500 batch-twin evaluations (serial batch-of-one
 // byte-identity checks plus concurrent coalesced runs), every one matching
@@ -66,16 +55,13 @@ func requireBatchCorpus(t *testing.T, res *DiffResult) {
 // (answers and visit counts must match exactly; bytes must not shrink
 // relative to the binary+simplify primary), and every case replayed on
 // warm and eviction-pressure site-cache twins (answers, visit counts and
-// byte totals must match the uncached primary exactly), and every case
-// replayed on vector-evaluator twins — plain and site-cache-warm — which
-// must be indistinguishable from the scalar primary.
+// byte totals must match the uncached primary exactly).
 func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
 		Transport:       DiffLocal,
 		CompareParallel: true,
 		CompareCodecs:   true,
 		CompareCache:    true,
-		CompareVector:   true,
 		CompareBatch:    true,
 	})
 	if err != nil {
@@ -86,7 +72,6 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 		t.Errorf("corpus covered %d (tree, query, fragmentation) triples, want >= 100", res.Triples)
 	}
 	requireCacheCorpus(t, res)
-	requireVectorCorpus(t, res)
 	requireBatchCorpus(t, res)
 }
 
@@ -95,7 +80,7 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 // per-frame accounting are in the loop, with the gob, no-simplify and
 // site-cache twins deployed as their own TCP clusters.
 func TestDifferentialTCPSeedCorpus(t *testing.T) {
-	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareCodecs: true, CompareCache: true, CompareVector: true, CompareBatch: true})
+	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareCodecs: true, CompareCache: true, CompareBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +89,6 @@ func TestDifferentialTCPSeedCorpus(t *testing.T) {
 		t.Errorf("corpus covered %d (tree, query, fragmentation) triples, want >= 100", res.Triples)
 	}
 	requireCacheCorpus(t, res)
-	requireVectorCorpus(t, res)
 	requireBatchCorpus(t, res)
 }
 
@@ -119,7 +103,6 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 		CompareParallel: true,
 		CompareCodecs:   true,
 		CompareCache:    true,
-		CompareVector:   true,
 		CompareBatch:    true,
 		CompareEdits:    true,
 	})
@@ -128,7 +111,7 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	}
 	requireClean(t, res)
 
-	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareCodecs: true, CompareCache: true, CompareVector: true, CompareBatch: true, CompareEdits: true})
+	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareCodecs: true, CompareCache: true, CompareBatch: true, CompareEdits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

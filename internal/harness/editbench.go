@@ -19,24 +19,24 @@ import (
 type EditBenchResult struct {
 	// Scoped is true for delta-scoped invalidation; false for the
 	// bump-everything baseline that wipes every site cache after each edit.
-	Scoped        bool    `json:"scoped"`
-	Ops           int     `json:"ops"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	NsPerOp       int64   `json:"ns_per_op"`
-	Edits         int64   `json:"edits"`
-	Hits          int64   `json:"cache_hits"`
-	Misses        int64   `json:"cache_misses"`
-	ScopedRetained int64  `json:"scoped_retained"`
-	ScopedDropped  int64  `json:"scoped_invalidations"`
+	Scoped         bool    `json:"scoped"`
+	Ops            int     `json:"ops"`
+	OpsPerSec      float64 `json:"ops_per_sec"`
+	NsPerOp        int64   `json:"ns_per_op"`
+	Edits          int64   `json:"edits"`
+	Hits           int64   `json:"cache_hits"`
+	Misses         int64   `json:"cache_misses"`
+	ScopedRetained int64   `json:"scoped_retained"`
+	ScopedDropped  int64   `json:"scoped_invalidations"`
 }
 
 // EditBenchReport is the machine-readable baseline paxbench -exp edit
 // emits: a repeated-query workload with fragment edits landing every few
 // operations, run once under bump-everything invalidation and once under
-// delta-scoped invalidation. The edits' label footprint is disjoint from
-// the queries', so a scoped policy keeps every cached Stage-1 entry warm
-// while the bump baseline re-pays the qualifier sweep after every edit —
-// RetainedPerEdit reports how many entries each edit provably saved.
+// delta-scoped invalidation. The scoped policy patches every cached
+// Stage-1 entry through each edit and keeps it warm, while the bump
+// baseline re-pays the qualifier sweep after every edit — RetainedPerEdit
+// reports how many entries each edit saved.
 type EditBenchReport struct {
 	Scale           float64           `json:"scale"`
 	Fragments       int               `json:"fragments"`

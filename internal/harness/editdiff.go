@@ -31,18 +31,13 @@ import (
 //   - the scoped twin's summed per-query AND per-edit ledgers must equal
 //     its transport's lifetime totals exactly (cost conservation with
 //     mutations in the mix).
-//
-// Alternate seeds run the scoped/bump twins on the vector Stage-1
-// evaluator, whose cached mask state turns every invalidation offer into
-// an incremental patch — so both retention paths (label-disjoint remap and
-// vector patch) face the oracle.
 
 // randomEdit builds a valid edit for f: a small insert, a non-spine
 // delete that keeps the fragment from collapsing, or a rename, retrying
 // until the target passes the restrictions fragment.ApplyEdit enforces.
 // Inserted subtrees use labels outside both query vocabularies ("patch",
-// "v", "extra") so insert edits are usually label-disjoint from cached
-// queries; deletes and renames hit live labels and usually are not.
+// "v", "extra"), so inserts usually leave cached qualifier bits alone;
+// deletes and renames hit live labels and usually do not.
 func randomEdit(r *rand.Rand, f *fragment.Fragment) fragment.Edit {
 	av := f.Arena()
 	for {
@@ -88,9 +83,6 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 	topo := pax.RoundRobin(eft, 1+r.Intn(3))
 
 	siteOpts := []pax.SiteOption{pax.SiteParallelism(4), pax.WithSiteCache(64)}
-	if seed%2 == 0 {
-		siteOpts = append(siteOpts, pax.WithSiteVectorEval(true))
-	}
 	build := func() (*pax.Engine, []*pax.Site, dist.Transport, func(), error) {
 		if opts.Transport == DiffTCP {
 			tcp, sites, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)

@@ -8,7 +8,7 @@ import (
 // requireEditCorpus asserts the mutation differential actually ran at
 // scale and that delta-scoped invalidation measurably earned its keep: at
 // least 500 edit-phase evaluations, a real schedule of applied edits, and
-// at least one cache entry retained (remapped or patched) across an edit
+// at least one cache entry patched instead of dropped across an edit
 // — the acceptance signal that scoping beats bump-everything structurally,
 // not by timing.
 func requireEditCorpus(t *testing.T, res *DiffResult) {

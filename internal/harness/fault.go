@@ -2,11 +2,13 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"paxq/internal/centeval"
@@ -114,13 +116,25 @@ func (f *faultFleet) killTCP(site dist.SiteID) {
 }
 
 // restartTCP rebinds the site's address with its state wiped — sessions,
-// caches and compiled queries gone, like a restarted process.
+// caches and compiled queries gone, like a restarted process. The address
+// is the ephemeral port the kernel picked at first bind, so while the site
+// was down another test's listener or outgoing connection may have been
+// handed it: an address-in-use failure is retried for up to 0.6 s, any
+// other error fails at once.
 func (f *faultFleet) restartTCP(site dist.SiteID) error {
 	if !f.down[site] {
 		return nil
 	}
 	f.sites[site].Restart()
-	srv, err := dist.NewTCPServer(f.addrs[site], f.sites[site].Handler())
+	var srv *dist.TCPServer
+	var err error
+	for wait := 5 * time.Millisecond; ; wait *= 2 {
+		srv, err = dist.NewTCPServer(f.addrs[site], f.sites[site].Handler())
+		if !errors.Is(err, syscall.EADDRINUSE) || wait > 320*time.Millisecond {
+			break
+		}
+		time.Sleep(wait)
+	}
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,12 @@ package harness
 
 import (
 	"context"
+	"net"
 	"testing"
+	"time"
+
+	"paxq/internal/dist"
+	"paxq/internal/pax"
 )
 
 // requireFaultClean fails the test with the recorded details if any
@@ -88,5 +93,43 @@ func TestFaultSmoke(t *testing.T) {
 	}
 	if res.Survived == 0 || res.Kills == 0 {
 		t.Fatalf("fault smoke exercised nothing: %s", res)
+	}
+}
+
+// TestRestartTCPRidesOutStolenPort: a downed site's ephemeral port may be
+// handed to someone else before the restart. A squatter that lets go within
+// the retry budget must not fail the restart; any other listen error must
+// fail it at once, without the backoff.
+func TestRestartTCPRidesOutStolenPort(t *testing.T) {
+	site := pax.NewSite(0, nil)
+	srv, err := dist.NewTCPServer("127.0.0.1:0", site.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &faultFleet{
+		sites:   map[dist.SiteID]*pax.Site{0: site},
+		servers: map[dist.SiteID]*dist.TCPServer{0: srv},
+		addrs:   map[dist.SiteID]string{0: srv.Addr()},
+		down:    map[dist.SiteID]bool{},
+	}
+	f.killTCP(0)
+	squatter, err := net.Listen("tcp", f.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := time.AfterFunc(40*time.Millisecond, func() { squatter.Close() })
+	defer released.Stop()
+	if err := f.restartTCP(0); err != nil {
+		t.Fatalf("restart behind a briefly held port: %v", err)
+	}
+	f.killTCP(0)
+
+	f.addrs[0] = "127.0.0.1:99999" // no such port: fails for a reason other than EADDRINUSE
+	start := time.Now()
+	if err := f.restartTCP(0); err == nil {
+		t.Fatal("restart on an invalid address succeeded")
+	}
+	if d := time.Since(start); d > 300*time.Millisecond {
+		t.Errorf("non-EADDRINUSE failure took %v — it must not be retried", d)
 	}
 }

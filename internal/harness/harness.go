@@ -40,11 +40,6 @@ type Config struct {
 	// Runs per data point; the median is reported.
 	Runs int
 	Seed int64
-	// VectorEval deploys every site with the bit-packed columnar Stage-1
-	// evaluator (pax.WithSiteVectorEval) in the concurrent-load harness.
-	// Byte-identical results; only site-side compute changes. VectorBench
-	// ignores this — it always measures both evaluators.
-	VectorEval bool
 }
 
 // DefaultConfig returns the CI-sized configuration.

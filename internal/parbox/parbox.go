@@ -118,7 +118,9 @@ type FragQual struct {
 }
 
 // EvalQualFragment runs the bottom-up qualifier pass (extended ParBoX) over
-// one fragment.
+// one fragment, node by node. It is the reference recurrence: sites run the
+// bit-packed pass (NewVectorState + FragQual), which vector_test.go and
+// patch_test.go hold byte-identical to this one.
 func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *FragQual {
 	alg := FormulaAlg{}
 	nP := len(c.Preds)

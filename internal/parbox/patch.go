@@ -21,9 +21,7 @@ package parbox
 
 import (
 	"paxq/internal/arena"
-	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
-	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
 )
 
@@ -179,53 +177,4 @@ func (e *VectorState) maskAt(q xpath.QExpr, i int) bool {
 		//paxlint:allow nopanic(unreachable: the compiler produces only the QExpr kinds handled above)
 		panic("parbox: unknown QExpr")
 	}
-}
-
-// EvalQualSubtree computes the SelQual rows of the nodes in the arena
-// interval [lo, hi) of f, which must be one whole subtree containing no
-// virtual nodes — an inserted subtree always qualifies. This is the scalar
-// mini-pass the delta-scoped cache retention path uses to synthesize rows
-// for freshly inserted nodes when the rest of a cached entry is provably
-// unaffected. Returns nil when the query has no qualifiers (no SelQual
-// rows are kept then).
-func EvalQualSubtree(f *fragment.Fragment, c *xpath.Compiled, lo, hi int) map[xmltree.NodeID][]*boolexpr.Formula {
-	if !c.HasQualifiers() {
-		return nil
-	}
-	av := f.Arena()
-	nP := len(c.Preds)
-	e := &VectorState{f: f, c: c, at: av.Tree, av: av, n: av.Tree.Len()}
-	e.realElem = arena.NewBitset(e.n)
-	e.realElem.SetAndNot(av.Tree.Elements(), av.VirtualMask)
-	e.qvM = make([]arena.Bitset, nP)
-	e.qcvM = make([]arena.Bitset, nP)
-	e.sdvM = make([]arena.Bitset, nP)
-	for p := 0; p < nP; p++ {
-		e.qvM[p] = arena.NewBitset(e.n)
-		e.qcvM[p] = arena.NewBitset(e.n)
-		e.sdvM[p] = arena.NewBitset(e.n)
-	}
-	rows := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		rows = append(rows, i)
-	}
-	// The subtree is self-contained: children, descendants and anchored
-	// reads of rows in [lo, hi) stay within [lo, hi), so the blank mask
-	// entries outside the interval are never consulted.
-	e.recomputeRows(rows)
-	out := make(map[xmltree.NodeID][]*boolexpr.Formula, hi-lo)
-	for i := lo; i < hi; i++ {
-		if !e.realElem.Get(i) {
-			continue
-		}
-		sq := make([]*boolexpr.Formula, len(c.Sel))
-		for s := range c.Sel {
-			se := &c.Sel[s]
-			if se.Kind == xpath.SelStep && se.Qual != nil {
-				sq[s] = boolexpr.Const(e.maskAt(se.Qual, i))
-			}
-		}
-		out[xmltree.NodeID(i)] = sq
-	}
-	return out
 }

@@ -1,12 +1,10 @@
 package parbox
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
 	"paxq/internal/xmltree"
@@ -86,70 +84,6 @@ func TestPatchMatchesFresh(t *testing.T) {
 					cur = nf
 				}
 			}
-		}
-	}
-}
-
-// TestEvalQualSubtreeMatchesFull inserts subtrees and checks the mini-pass
-// rows against the full fresh evaluation at exactly the inserted interval.
-func TestEvalQualSubtreeMatchesFull(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		tree := testutil.RandomTree(seed+50, 80)
-		ft, err := fragment.Cut(tree, fragment.RandomCuts(tree, 3, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rand.New(rand.NewSource(seed))
-		query := testutil.RandomQuery(seed + 900)
-		c, err := xpath.Compile(query)
-		if err != nil {
-			t.Fatalf("compile %q: %v", query, err)
-		}
-		if !c.HasQualifiers() {
-			continue
-		}
-		vs := NewVarScheme(c, ft.Len())
-		f := ft.Frag(fragment.FragID(r.Intn(ft.Len())))
-		var target xmltree.NodeID = -1
-		for _, nd := range f.Tree.PreorderNodes() {
-			if nd.IsElement() && !f.IsVirtual(nd) {
-				target = nd.ID
-			}
-		}
-		sub := xmltree.El("q", xmltree.ElT("w", "3"), xmltree.El("q"))
-		nf, delta, err := f.ApplyEdit(fragment.Edit{Op: fragment.EditInsert, Node: target, Subtree: sub})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		lo, hi := int(delta.At), int(delta.At)+delta.NewLen
-		got := EvalQualSubtree(nf, c, lo, hi)
-		full := EvalQualFragmentVector(nf, c, vs)
-		count := 0
-		for i := lo; i < hi; i++ {
-			id := xmltree.NodeID(i)
-			wrow, inFull := full.SelQual[id]
-			grow, inMini := got[id]
-			if inFull != inMini {
-				t.Fatalf("seed %d node %d: full has row %v, mini %v", seed, id, inFull, inMini)
-			}
-			if !inFull {
-				continue
-			}
-			count++
-			for s := range wrow {
-				if (wrow[s] == nil) != (grow[s] == nil) {
-					t.Fatalf("seed %d node %d entry %d: nil-ness diverges", seed, id, s)
-				}
-				if wrow[s] == nil {
-					continue
-				}
-				if !bytes.Equal(boolexpr.Encode(wrow[s]), boolexpr.Encode(grow[s])) {
-					t.Fatalf("seed %d node %d entry %d: %v vs %v", seed, id, s, wrow[s], grow[s])
-				}
-			}
-		}
-		if count == 0 {
-			t.Fatalf("seed %d: inserted interval produced no element rows", seed)
 		}
 	}
 }

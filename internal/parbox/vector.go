@@ -167,14 +167,6 @@ func (e *VectorState) sweep() {
 	}
 }
 
-// EvalQualFragmentVector runs the bottom-up qualifier pass over the
-// fragment's arena layout, producing a FragQual byte-identical to
-// EvalQualFragment's (see the file comment for why). Selected by the
-// vector-evaluator Site option; default remains the scalar pass.
-func EvalQualFragmentVector(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *FragQual {
-	return NewVectorState(f, c, vs).FragQual()
-}
-
 // FragQual materializes the Stage-1 result from the state's masks: ground
 // SelQual rows straight from the masks, spine rows and root vectors from
 // the literal scalar recurrence.

@@ -88,7 +88,7 @@ func checkQuery(t *testing.T, ft *fragment.Fragmentation, query string) {
 	vs := NewVarScheme(c, ft.Len())
 	for _, f := range ft.Frags {
 		want := EvalQualFragment(f, c, vs)
-		got := EvalQualFragmentVector(f, c, vs)
+		got := NewVectorState(f, c, vs).FragQual()
 		requireIdentical(t, query, want, got)
 	}
 }

@@ -471,6 +471,7 @@ func (s *Site) handleBatch(req *BatchStageReq) (*BatchStageResp, error) {
 func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail func(int, error), finish func(int, dist.BinaryMessage, time.Duration)) {
 	type member struct {
 		idx  int
+		req  *QualStageReq
 		sess *session
 	}
 	type groupKey struct {
@@ -499,7 +500,7 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
-		groups[k] = append(groups[k], member{idx: i, sess: sess})
+		groups[k] = append(groups[k], member{idx: i, req: qr, sess: sess})
 	}
 	for _, k := range order {
 		ms := groups[k]
@@ -547,8 +548,15 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 			pr.seed(mb.sess)
 		}
 		if s.cache != nil {
-			s.cache.Put(key, newQualEntry(ms[0].sess, pr), pr.compute, k.gen)
+			s.cache.Put(key, newQualEntry(pr), pr.compute, k.gen)
 		}
 		deliver(pr.roots, stageCompute(start, pr.compute, pr.parWall).ComputeNanos)
+	}
+	for _, ms := range groups {
+		for _, mb := range ms {
+			if mb.req.Final {
+				s.dropSessionIfDone(mb.req.QID, mb.sess)
+			}
+		}
 	}
 }

@@ -53,7 +53,7 @@ func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Optio
 		vs := parbox.NewVarScheme(c, ft.Len())
 		qid := QueryID(e.qid.Add(1))
 		resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(dist.SiteID) any {
-			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len())}
+			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Final: true}
 		})
 		if err != nil {
 			return false, nil, err
@@ -89,8 +89,6 @@ func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Optio
 			return false, nil, fmt.Errorf("pax: root qualifier not ground after unification")
 		}
 		truth = val
-		// Sites have no further stages coming for this query; their
-		// sessions expire through the eviction cap.
 	}
 	res.Wall = time.Since(start)
 	retries, failovers := rt.counters()

@@ -59,16 +59,15 @@ type Options struct {
 type Result struct {
 	Answers []AnswerNode
 
-	Stages       int             // coordinator→sites stage rounds executed
-	StageWall    []time.Duration // wall time of each stage
-	StageBytes   []int64         // wire bytes (both directions) per stage
+	Stages     int             // coordinator→sites stage rounds executed
+	StageWall  []time.Duration // wall time of each stage
+	StageBytes []int64         // wire bytes (both directions) per stage
 	// StageCompute is the summed per-site computation time of each stage —
 	// the site-side cost of that stage alone, independent of coordinator
-	// wall time and transport latency. Stage 1 entries are where the
-	// scalar/vector evaluator choice (WithSiteVectorEval) shows up.
+	// wall time and transport latency.
 	StageCompute []time.Duration
-	Wall         time.Duration   // total wall time at the coordinator
-	TotalCompute time.Duration   // Σ per-site computation (total cost)
+	Wall         time.Duration // total wall time at the coordinator
+	TotalCompute time.Duration // Σ per-site computation (total cost)
 	// ParallelCompute is the paper's parallel computation cost: the sum
 	// over stages of the maximum per-site computation in that stage — the
 	// perceived evaluation time on a cluster with one machine per site.
@@ -525,8 +524,9 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	// live anywhere), skipped entirely for qualifier-free queries.
 	var env *boolexpr.Env
 	if hasQual {
-		resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(dist.SiteID) any {
-			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len())}
+		resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any {
+			// A site hosting only pruned fragments sees no later stage.
+			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Final: len(relBySite[site]) == 0}
 		})
 		if err != nil {
 			return nil, err

@@ -38,8 +38,10 @@
 // per-session worker pool (SetParallelism), with per-fragment computation
 // summed and self-reported through the response (StageCompute), so a
 // query's ledger is identical whether the site evaluated sequentially or
-// in parallel. Before shipping, residual formulas run a hash-consing
-// simplification pass (SetSimplify).
+// in parallel. Stage 1 is one evaluator, the bit-packed pass over the
+// fragment's arena view (parbox.NewVectorState + FragQual). Before
+// shipping, residual formulas run a hash-consing simplification pass
+// (SetSimplify).
 //
 // # Stage-1 memoization
 //
@@ -47,7 +49,9 @@
 // (EnableCache, WithSiteCache): the pass depends only on the compiled
 // query, the fragment count and the site's fragment contents, so repeated
 // queries replay the memoized wire vectors byte-identically with zero tree
-// traversal. Fragment mutations must call BumpCacheGeneration; the
+// traversal. A fragment edit (EditReq) patches every memoized entry's
+// vector state through the edit instead of dropping it; fragment mutations
+// made any other way must call BumpCacheGeneration. The
 // eviction/TTL/generation semantics live in package sitecache, the
 // integration in qualcache.go.
 //

@@ -54,9 +54,9 @@ type EditResult struct {
 	// earlier attempt's response was lost).
 	Sites    int
 	Replayed int
-	// Dropped/Retained/Patched sum the members' Stage-1 cache entry fates:
-	// dropped outright, retained by the label-disjointness remap, repaired
-	// by patching a retained vector state.
+	// Dropped/Patched sum the members' Stage-1 cache entry fates: dropped
+	// outright, or repaired by patching their vector state. Retained is
+	// always 0 (see EditResp).
 	Dropped  int64
 	Retained int64
 	Patched  int64

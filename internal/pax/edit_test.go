@@ -127,63 +127,13 @@ func TestEditScheduleMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEditScopedRetentionScalar pins the delta-scoping win under the
-// scalar evaluator: an edit whose labels are disjoint from the query's
-// qualifier footprint retains the cached Stage-1 entry (remap path), the
-// next repetition hits, and answers still match the centralized oracle.
-// An overlapping edit must drop the entry instead.
-func TestEditScopedRetentionScalar(t *testing.T) {
-	eng, ft, sites := cachedCluster(t, 2, 32, 0)
-	query := `//broker[//stock/code = "GOOG"]/name` // footprint {broker?, stock, code} — no "patch"/"v"
-	if _, err := eng.Run(query, Options{Algorithm: PaX3}); err != nil {
-		t.Fatal(err)
-	}
-	before := sumCacheStats(sites)
-
-	// Label-disjoint insert: provably cannot change any qualifier bit.
-	res := applyBoth(t, eng, ft, fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("patch", xmltree.ElT("v", "7"))})
-	if res.Retained < 1 || res.Dropped != 0 || res.Patched != 0 {
-		t.Fatalf("disjoint edit: result %+v, want >=1 retained and nothing dropped/patched", res)
-	}
-	s := sumCacheStats(sites)
-	if s.ScopedRetained < 1 || s.ScopedInvalidations != 0 {
-		t.Fatalf("cache stats after disjoint edit: %+v, want scoped retention only", s)
-	}
-
-	warm, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sumCacheStats(sites); got.Hits != before.Hits+int64(len(sites)) {
-		t.Errorf("warm run after disjoint edit: hits %d, want %d (retained entries must serve)",
-			got.Hits, before.Hits+int64(len(sites)))
-	}
-	if got, want := origIDs(ft, warm.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
-		t.Errorf("retained entry served wrong answers: %v, oracle %v", got, want)
-	}
-
-	// Overlapping insert: a "code" element lands inside the footprint.
-	res = applyBoth(t, eng, ft, fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("code")})
-	if res.Dropped < 1 || res.Retained != 0 {
-		t.Fatalf("overlapping edit: result %+v, want the entry dropped", res)
-	}
-	after, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := origIDs(ft, after.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
-		t.Errorf("answers after drop-and-recompute: %v, oracle %v", got, want)
-	}
-}
-
-// TestEditVectorPatchRetention: under the vector evaluator every cached
-// entry retains its mask state, so even a footprint-overlapping edit is
-// repaired in place by the incremental patch — nothing is dropped, the
-// next repetition hits, and the patched entry's answers match a fresh
-// centralized evaluation (parbox's patch-equivalence, observed end to
-// end).
+// TestEditVectorPatchRetention: every cached Stage-1 entry retains its mask
+// state, so any edit — inside or outside the query's qualifier label
+// footprint, insert, rename or delete — is repaired in place by the
+// incremental patch: nothing is dropped, the next repetition hits, and the
+// patched entry's answers AND shipped bytes match a twin cluster that never
+// cached and therefore re-evaluates from scratch (parbox's
+// patch-equivalence, observed end to end).
 func TestEditVectorPatchRetention(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 7))
@@ -191,37 +141,67 @@ func TestEditVectorPatchRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := RoundRobin(ft, 2)
-	local, sites := BuildLocalCluster(topo, WithSiteCache(32), WithSiteVectorEval(true))
+	local, sites := BuildLocalCluster(topo, WithSiteCache(32))
 	eng := NewEngine(topo, local)
+	freshLocal, _ := BuildLocalCluster(topo)
+	fresh := NewEngine(topo, freshLocal)
 
-	query := `//broker[//stock/code = "GOOG"]/name`
+	query := `//broker[//stock/code = "GOOG"]/name` // qualifier footprint {stock, code}
 	if _, err := eng.Run(query, Options{Algorithm: PaX3}); err != nil {
 		t.Fatal(err)
 	}
-	before := sumCacheStats(sites)
 
-	// The insert deliberately hits the qualifier footprint: a new stock
-	// with the matching code can change qualifier bits, and only the patch
-	// path may keep the entry through that.
-	res := applyBoth(t, eng, ft, fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0,
-			Subtree: xmltree.El("stock", xmltree.ElT("code", "GOOG"))})
-	if res.Patched < 1 || res.Dropped != 0 {
-		t.Fatalf("vector-backed edit: result %+v, want the entry patched", res)
+	root := xmltree.NodeID(0)
+	edits := []struct {
+		name string
+		ed   fragment.Edit
+	}{
+		// Inside the footprint: a new stock with the matching code can
+		// change qualifier bits.
+		{"overlapping insert", fragment.Edit{Op: fragment.EditInsert, Node: root, Pos: 0,
+			Subtree: xmltree.El("stock", xmltree.ElT("code", "GOOG"))}},
+		// Outside it: <patch> lands as node 1, its <v> child as node 2.
+		{"disjoint insert", fragment.Edit{Op: fragment.EditInsert, Node: root, Pos: 0,
+			Subtree: xmltree.El("patch", xmltree.ElT("v", "7"))}},
+		{"disjoint rename", fragment.Edit{Op: fragment.EditRename, Node: 2, Label: "w"}},
+		{"disjoint delete", fragment.Edit{Op: fragment.EditDelete, Node: 1}},
+		{"overlapping bare insert", fragment.Edit{Op: fragment.EditInsert, Node: root, Pos: 0,
+			Subtree: xmltree.El("code")}},
 	}
-	if s := sumCacheStats(sites); s.ScopedRetained < 1 {
-		t.Fatalf("cache stats after patch: %+v, want scoped retention", s)
-	}
+	for _, e := range edits {
+		before := sumCacheStats(sites)
+		// Both engines before the mirror: each seeds its version tracking
+		// from topo.FT on a fragment's first edit.
+		if _, err := fresh.ApplyEdit(context.Background(), fragment.RootFrag, e.ed); err != nil {
+			t.Fatalf("%s: uncached twin: %v", e.name, err)
+		}
+		res := applyBoth(t, eng, ft, fragment.RootFrag, e.ed)
+		if res.Patched < 1 || res.Dropped != 0 || res.Retained != 0 {
+			t.Fatalf("%s: result %+v, want the entry patched and nothing dropped", e.name, res)
+		}
+		if s := sumCacheStats(sites); s.ScopedRetained <= before.ScopedRetained || s.ScopedInvalidations != 0 {
+			t.Fatalf("%s: cache stats %+v, want scoped retention only", e.name, s)
+		}
 
-	warm, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sumCacheStats(sites); got.Hits != before.Hits+int64(len(sites)) {
-		t.Errorf("warm run after patch: hits %d, want %d", got.Hits, before.Hits+int64(len(sites)))
-	}
-	if got, want := origIDs(ft, warm.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
-		t.Errorf("patched entry served wrong answers: %v, oracle %v", got, want)
+		warm, err := eng.Run(query, Options{Algorithm: PaX3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sumCacheStats(sites); got.Hits != before.Hits+int64(len(sites)) {
+			t.Errorf("%s: warm run hits %d, want %d (patched entries must serve)", e.name, got.Hits, before.Hits+int64(len(sites)))
+		}
+		cold, err := fresh.Run(query, Options{Algorithm: PaX3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := origIDs(ft, warm.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
+			t.Errorf("%s: patched entry served wrong answers: %v, oracle %v", e.name, got, want)
+		}
+		if !reflect.DeepEqual(warm.Answers, cold.Answers) || !reflect.DeepEqual(warm.StageBytes, cold.StageBytes) ||
+			warm.BytesSent != cold.BytesSent || warm.BytesRecv != cold.BytesRecv {
+			t.Errorf("%s: patched entry diverged from a never-cached site: stage bytes %v vs %v, %d vs %d answers",
+				e.name, warm.StageBytes, cold.StageBytes, len(warm.Answers), len(cold.Answers))
+		}
 	}
 }
 
@@ -278,16 +258,20 @@ func TestEditVersionProtocol(t *testing.T) {
 // TestEditOneVersionAnswersAndStalePut: a session created before an edit
 // keeps answering from its fragment snapshot — byte-identical Stage-1
 // roots — and its recomputed result must NOT be re-cached (the Put was
-// evaluated against pre-edit fragments; the generation fence drops it).
+// evaluated against pre-edit fragments; the generation fence refuses it),
+// while the entry the edit patched answers post-edit queries
+// byte-identically to a fresh evaluation.
 func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sites := BuildLocalCluster(RoundRobin(ft, 1), WithSiteCache(8))
-	s := sites[0]
-	query := `//broker[//stock/code = "GOOG"]/name`
+	topo := RoundRobin(ft, 1)
+	_, sites := BuildLocalCluster(topo, WithSiteCache(8))
+	_, freshSites := BuildLocalCluster(topo)
+	s, fresh := sites[0], freshSites[0]
+	query := `//broker[//stock/code = "ZZZZ"]/name` // no such stock until the edit inserts one
 	n := int32(len(ft.Frags))
 
 	resp1, err := s.handleQual(&QualStageReq{QID: 1, Query: query, NumFrags: n})
@@ -298,24 +282,25 @@ func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 		t.Fatalf("cold qual pass cached %d entries, want 1", s.cache.Len())
 	}
 
-	// Footprint-overlapping edit: the cached entry must drop, and the
-	// generation advances.
+	// Footprint-overlapping edit: the generation advances and the cached
+	// entry is patched through it.
 	req, err := editReqOf(fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("code")})
+		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("stock", xmltree.ElT("code", "ZZZZ"))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.BaseVersion = ft.Frags[fragment.RootFrag].Version
-	if _, err := s.handleEdit(req); err != nil {
-		t.Fatal(err)
+	for _, site := range []*Site{s, fresh} {
+		if _, err := site.handleEdit(req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s.cache.Len() != 0 {
-		t.Fatalf("overlapping edit left %d cached entries, want 0", s.cache.Len())
-	}
+	misses := s.CacheStats().Misses
 
 	// The in-flight query re-asks for Stage 1 (as a replay after failover
-	// would): same session, so the pre-edit snapshot answers, and the
-	// shipped roots are byte-identical to the pre-edit response.
+	// would): same session, so the pre-edit snapshot answers — a miss, the
+	// patched entry belongs to the new generation — and the shipped roots
+	// are byte-identical to the pre-edit response.
 	resp2, err := s.handleQual(&QualStageReq{QID: 1, Query: query, NumFrags: n})
 	if err != nil {
 		t.Fatal(err)
@@ -323,16 +308,30 @@ func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	if !reflect.DeepEqual(resp1.Roots, resp2.Roots) {
 		t.Error("pre-edit session shipped different roots after the edit — snapshot isolation broken")
 	}
-	if s.cache.Len() != 0 {
-		t.Fatalf("stale Put landed: %d cached entries, want 0", s.cache.Len())
+	if got := s.CacheStats().Misses; got != misses+1 {
+		t.Fatalf("pre-edit session: %d new cache misses, want 1 (it must not read the post-edit entry)", got-misses)
 	}
 
-	// A fresh query caches the post-edit evaluation as usual.
-	if _, err := s.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n}); err != nil {
+	// A fresh query hits the surviving entry — had the stale Put landed it
+	// would serve the pre-edit roots here — and ships what a site that never
+	// cached computes from scratch.
+	hits := s.CacheStats().Hits
+	resp3, err := s.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cache.Len() != 1 {
-		t.Fatalf("post-edit qual pass cached %d entries, want 1", s.cache.Len())
+	if got := s.CacheStats().Hits; got != hits+1 {
+		t.Fatalf("post-edit query: %d new cache hits, want 1 (the patched entry must serve)", got-hits)
+	}
+	want, err := fresh.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp3.Roots, want.Roots) {
+		t.Error("surviving entry shipped roots different from a fresh post-edit evaluation")
+	}
+	if reflect.DeepEqual(want.Roots, resp1.Roots) {
+		t.Error("edit did not change the shipped roots — the stale-Put check proves nothing")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,9 @@ import (
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
+	"paxq/internal/xmark"
 	"paxq/internal/xmltree"
+	"paxq/internal/xpath"
 )
 
 // TestEvalFromDisk exercises the §1 secondary-storage application: save a
@@ -217,6 +220,86 @@ func TestSessionLimitRejectsExplicitly(t *testing.T) {
 	if _, err := h(&QualStageReq{QID: QueryID(maxSessions + 2), Query: query, NumFrags: int32(ft.Len())}); err != nil {
 		t.Fatalf("query after TTL sweep: %v", err)
 	}
+}
+
+// TestPrunedSitesReleaseSessions is the session-leak regression. Under
+// PaX3 with annotations a site hosting only pruned fragments is visited by
+// Stage 1 and by nothing after; before the Final flag its sessions dangled
+// until sessionTTL, and after maxSessions such queries the site refused
+// everything. More queries than the cap must all succeed, and every site's
+// session table must be empty once they are done — Boolean queries, whose
+// single stage is final everywhere, included. The flag must work solo,
+// inside batch envelopes and through the failover route.
+func TestPrunedSitesReleaseSessions(t *testing.T) {
+	const q3 = `/sites/site/people/person[profile/age > 20 and address/country = "US"]/creditcard`
+	tree := xmark.Generate(4, xmark.DefaultSite.Scale(0.02), 1)
+	ft, err := fragment.Cut(tree, fragment.RandomCuts(tree, 7, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := xpath.Compile(q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := AnalyzeRelevance(ft, c)
+	want := oracle(t, tree, q3)
+
+	run := func(t *testing.T, topo *Topology, eng *Engine, sites []*Site, workers int) {
+		if len(eng.relevantFragsBySite(rel)) == len(topo.Primaries()) {
+			t.Fatal("fixture has no site hosting only pruned fragments — the test would prove nothing")
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < (maxSessions+44)/workers; i++ {
+					res, err := eng.Run(q3, Options{Algorithm: PaX3, Annotations: true})
+					if err != nil {
+						t.Errorf("query %d: %v", i, err)
+						return
+					}
+					if i == 0 && !testutil.EqualIDs(origIDs(ft, res.Answers), want) {
+						t.Errorf("answers %v, oracle %v", origIDs(ft, res.Answers), want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if _, _, err := eng.RunBoolean(`[//person/profile/age > 20]`, Options{}); err != nil {
+			t.Error(err)
+		}
+		for _, s := range sites {
+			s.mu.Lock()
+			n := len(s.sessions)
+			s.mu.Unlock()
+			if n != 0 {
+				t.Errorf("site %d holds %d sessions at quiescence, want 0", s.ID(), n)
+			}
+		}
+	}
+	topo := RoundRobin(ft, 4)
+	t.Run("local", func(t *testing.T) {
+		local, sites := BuildLocalCluster(topo)
+		run(t, topo, NewEngine(topo, local), sites, 1)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		tcp, sites, shutdown, err := BuildTCPCluster(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdown()
+		run(t, topo, NewEngine(topo, tcp), sites, 1)
+	})
+	t.Run("batched", func(t *testing.T) {
+		local, sites := BuildLocalCluster(topo)
+		run(t, topo, NewEngine(topo, local, WithBatchWindow(time.Millisecond)), sites, 6)
+	})
+	t.Run("replicated", func(t *testing.T) {
+		rtopo := RoundRobinReplicated(ft, 4, 2)
+		local, sites := BuildLocalCluster(rtopo)
+		run(t, rtopo, NewEngine(rtopo, local), sites, 1)
+	})
 }
 
 // TestCollectWithoutSessionErrors verifies the site rejects a final-stage

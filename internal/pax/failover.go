@@ -242,10 +242,16 @@ func (rt *runRoute) attempt(ctx context.Context, primary, target dist.SiteID, re
 }
 
 // recordSuccess appends a session-stateful request to the group's
-// script. FetchReq is stateless (NaiveCentralized) and needs no replay.
+// script. FetchReq is stateless (NaiveCentralized) and a final qualifier
+// request leaves no session behind; neither needs a replay.
 func (rt *runRoute) recordSuccess(primary dist.SiteID, req any) {
-	if _, stateless := req.(*FetchReq); stateless {
+	switch r := req.(type) {
+	case *FetchReq:
 		return
+	case *QualStageReq:
+		if r.Final {
+			return
+		}
 	}
 	rt.mu.Lock()
 	rt.script[primary] = append(rt.script[primary], req)

@@ -73,11 +73,15 @@ type AnswerNode struct {
 }
 
 // QualStageReq asks a site to run the bottom-up qualifier pass (PaX3
-// Stage 1) over its fragments.
+// Stage 1) over its fragments. Final tells the site that no later stage of
+// this query will visit it — the coordinator knows the relevance set
+// before Stage 1 — so the site releases the query's session before it
+// replies instead of holding it until sessionTTL.
 type QualStageReq struct {
 	QID      QueryID
 	Query    string
 	NumFrags int32
+	Final    bool
 }
 
 // StageCompute carries a stage response's self-measured computation
@@ -213,10 +217,11 @@ type EditReq struct {
 }
 
 // EditResp reports an applied (or idempotently replayed) edit: the
-// fragment's new version and what the delta-scoped cache invalidation did
-// to the site's memoized Stage-1 entries — dropped, retained by the
-// label-disjointness remap, or repaired by patching a retained vector
-// state. A replayed edit reports zero counters.
+// fragment's new version and what the edit did to the site's memoized
+// Stage-1 entries — repaired by patching their vector state, or dropped. A
+// replayed edit reports zero counters. Retained is always 0: it counted a
+// second retention path that no longer exists, and its wire slot stays
+// because removing one is a codec version change.
 type EditResp struct {
 	StageCompute
 	NewVersion uint64

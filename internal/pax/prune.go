@@ -16,11 +16,6 @@ import (
 // prefix AND no ancestor of its root that might need qualifier data below
 // it is alive. Relevance is upward-closed along the fragment tree: a
 // relevant fragment's parent is always relevant.
-//
-// The analysis runs entirely on the coordinator, before any site work, so
-// it is independent of which stage1Evaluator (scalar or vector) the sites
-// run: pruning decisions, like every other downstream consumer, see
-// byte-identical Stage-1 results either way.
 type Relevance struct {
 	Relevant []bool   // indexed by FragID
 	Inits    [][]bool // exact init vectors; valid only when Exact

@@ -3,11 +3,9 @@ package pax
 import (
 	"time"
 
-	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
 	"paxq/internal/parbox"
 	"paxq/internal/sitecache"
-	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
 )
 
@@ -43,217 +41,71 @@ type compiledQuery struct {
 
 // qualEntry is the memoized Stage-1 result: the response the site shipped
 // and the per-fragment qualifier state the later stages consume. roots and
-// qual are immutable once cached and shared by every session that hits;
-// the remaining fields serve delta-scoped invalidation (see retainEntry) —
-// an edit never mutates a published entry, it builds a successor, so
-// in-flight readers of the old entry keep a consistent version. The one
-// exception is vec: the per-fragment vector states are owned by the edit
-// path alone (sessions never touch them) and are patched in place under
-// the cache lock.
+// qual are immutable once cached and shared by every session that hits. An
+// edit never mutates a published entry, it builds a successor (see
+// retainEntry), so in-flight readers of the old entry keep a consistent
+// version. The one exception is vec: the per-fragment vector states are
+// owned by the edit path alone (sessions never touch them) and are patched
+// in place under the cache lock.
 type qualEntry struct {
 	roots []WireRootVecs
 	qual  map[fragment.FragID]*parbox.FragQual
-	// c is the compiled query the entry was evaluated for; labels is the
-	// union of its non-wild qualifier-predicate test labels and wild
-	// reports whether any predicate test is a wildcard. Together they are
-	// the entry's label footprint: an edit whose label delta is disjoint
-	// from it provably cannot change any QV/QCV/QDV bit, so the entry
-	// survives the edit with only an ID remap.
-	c      *xpath.Compiled
-	labels map[string]bool
-	wild   bool
-	// frags pins the fragment versions the entry was computed against —
-	// the retention paths need the pre-edit arena to adjust the Work
-	// ledger and to keep patching from exactly the right base.
-	frags map[fragment.FragID]*fragment.Fragment
-	// vec holds the vector evaluator's retained mask state per fragment
-	// (nil entries/map under the scalar evaluator). Present, it makes ANY
-	// edit repairable by parbox's incremental Patch.
+	// vec holds the Stage-1 pass's retained mask state per fragment — what
+	// makes ANY edit repairable by parbox's incremental Patch.
 	vec map[fragment.FragID]*parbox.VectorState
 }
 
-// predLabels computes a compiled query's qualifier label footprint: the
-// set of non-wild predicate test labels, plus whether any predicate is
-// label-wild. Selection-step tests are deliberately excluded — cached
-// Stage-1 state contains only qualifier data (SelQual rows store the
-// step-qualifier formulas for every real element regardless of the step
-// test), so only predicate tests can make an entry edit-sensitive.
-func predLabels(c *xpath.Compiled) (labels map[string]bool, wild bool) {
-	labels = make(map[string]bool, len(c.Preds))
-	for i := range c.Preds {
-		if c.Preds[i].Test.Wild {
-			wild = true
-			continue
-		}
-		labels[c.Preds[i].Test.Label] = true
-	}
-	return labels, wild
-}
-
 // newQualEntry assembles the cache entry for a completed Stage-1 sweep: the
-// shipped roots and qualifier state, plus everything delta-scoped
-// invalidation needs later — the query's label footprint, the fragment
-// snapshot the sweep read (shared with the session, which never mutates
-// it), and the evaluator's retained vector states when it keeps any.
-func newQualEntry(sess *session, pr *qualPassResult) *qualEntry {
+// shipped roots and qualifier state, plus the per-fragment vector states an
+// edit patches later.
+func newQualEntry(pr *qualPassResult) *qualEntry {
 	e := &qualEntry{
 		roots: pr.roots,
 		qual:  make(map[fragment.FragID]*parbox.FragQual, len(pr.frags)),
-		c:     sess.c,
-		frags: sess.frags,
+		vec:   make(map[fragment.FragID]*parbox.VectorState, len(pr.frags)),
 	}
-	e.labels, e.wild = predLabels(sess.c)
 	for i, fid := range pr.frags {
 		e.qual[fid] = pr.quals[i]
-		if pr.states[i] != nil {
-			if e.vec == nil {
-				e.vec = make(map[fragment.FragID]*parbox.VectorState, len(pr.frags))
-			}
-			e.vec[fid] = pr.states[i]
-		}
+		e.vec[fid] = pr.states[i]
 	}
 	return e
 }
 
-// retainKind classifies what retainEntry did with a cached entry offered
-// to it during a delta-scoped invalidation.
-type retainKind int
-
-const (
-	// retainDrop: the edit could have changed the entry; it must go.
-	retainDrop retainKind = iota
-	// retainPatched: the entry's retained vector state was advanced through
-	// the edit by parbox's incremental Patch and the entry rebuilt from it.
-	retainPatched
-	// retainRemapped: the edit's label footprint is disjoint from the
-	// query's, so the entry survived with only a node-ID remap.
-	retainRemapped
-)
-
-// retainEntry decides the fate of one cached Stage-1 entry under an edit of
-// fragment fid (old fragment: old.frags[fid]; new fragment: nf; renumbering:
-// delta) and, when the entry survives, builds its successor. The successor
-// is always a NEW qualEntry — a published entry is never mutated, so
-// sessions holding it from a pre-edit hit keep a consistent version. Runs
-// under the cache lock, from the site's serialized edit path only.
-//
-// Decision tree:
-//
-//  1. The entry retains a vector state for fid → Patch it through the edit
-//     and rebuild the fragment's Stage-1 result from the patched masks.
-//     Patch repairs ANY edit (it recomputes exactly the dirty rows), so no
-//     footprint test is needed, and the rebuilt entry is byte-identical to
-//     a fresh sweep (parbox's patch equivalence).
-//
-//  2. No vector state, but the edit's label footprint is disjoint from the
-//     query's qualifier-predicate labels (and no predicate is label-wild) →
-//     retain by remapping. Disjointness makes every removed and inserted
-//     element fail every predicate's label test, so no surviving node's
-//     QV/QCV/SDV value changes (a node's bits depend only on its own
-//     label/values and its descendants'; the edited nodes contribute false
-//     before and after) and the root vectors — and hence the shipped bytes —
-//     are unchanged. A node's SelQual row never reads its own label, so
-//     surviving rows are reused verbatim: rows renumber through delta.MapID,
-//     rows of the deleted interval drop, and rows for inserted nodes are
-//     synthesized by the self-contained subtree mini-pass
-//     (parbox.EvalQualSubtree). The Work ledger adjusts by the real-element
-//     count change times the per-element charge, matching a fresh sweep.
-//
-//  3. Otherwise the edit may have changed the entry → drop.
-func (s *Site) retainEntry(old *qualEntry, fid fragment.FragID, nf *fragment.Fragment, delta fragment.EditDelta) (*qualEntry, retainKind) {
-	oldFrag, oldFq := old.frags[fid], old.qual[fid]
-	if oldFrag == nil || oldFq == nil {
-		return nil, retainDrop
+// retainEntry carries one cached Stage-1 entry through an edit of fragment
+// fid (new fragment: nf; renumbering: delta): the fragment's vector state
+// is advanced by parbox's incremental Patch — which repairs ANY edit by
+// recomputing exactly the dirty rows — and the fragment's Stage-1 result and
+// shipped root vectors are rebuilt from the patched masks, byte-identical to
+// a fresh sweep (parbox's patch equivalence). The result is always a NEW
+// qualEntry sharing everything else: a published entry is never mutated, so
+// sessions holding it from a pre-edit hit keep a consistent version. An
+// entry without state for fid returns nil and is dropped, which is always
+// safe. Runs under the cache lock, from the site's serialized edit path
+// only.
+func (s *Site) retainEntry(old *qualEntry, fid fragment.FragID, nf *fragment.Fragment, delta fragment.EditDelta) *qualEntry {
+	st := old.vec[fid]
+	if st == nil {
+		return nil
 	}
-	if st := old.vec[fid]; st != nil {
-		st.Patch(nf, delta)
-		return old.successor(s, fid, nf, st.FragQual(), true), retainPatched
-	}
-	if old.wild {
-		return nil, retainDrop
-	}
-	for _, l := range delta.Labels {
-		if old.labels[l] {
-			return nil, retainDrop
-		}
-	}
-	var fq *parbox.FragQual
-	if delta.OldLen == 1 && delta.NewLen == 1 {
-		// A rename (the only edit shape with OldLen == NewLen == 1): no node
-		// is renumbered, no row is added or removed, and with the footprint
-		// disjoint nothing the entry holds can change — reuse it whole.
-		fq = oldFq
-	} else {
-		lo, oldHi, newHi := int(delta.At), int(delta.At)+delta.OldLen, int(delta.At)+delta.NewLen
-		var sq map[xmltree.NodeID][]*boolexpr.Formula
-		if oldFq.SelQual != nil {
-			sq = make(map[xmltree.NodeID][]*boolexpr.Formula, len(oldFq.SelQual)+delta.NewLen)
-			for id, row := range oldFq.SelQual {
-				if int(id) >= lo && int(id) < oldHi {
-					continue
-				}
-				sq[delta.MapID(id)] = row
-			}
-			for id, row := range parbox.EvalQualSubtree(nf, old.c, lo, newHi) {
-				sq[id] = row
-			}
-		}
-		charge := int64(len(old.c.Preds) + len(old.c.Sel))
-		shift := int64(countElems(nf, lo, newHi) - countElems(oldFrag, lo, oldHi))
-		fq = &parbox.FragQual{Root: oldFq.Root, SelQual: sq, Work: oldFq.Work + shift*charge}
-	}
-	return old.successor(s, fid, nf, fq, false), retainRemapped
-}
-
-// successor builds the entry that replaces e after an edit of fragment fid:
-// e with fid's fragment and Stage-1 result swapped, everything else shared
-// (immutable). rebuildRoots re-ships fid's root vectors from fq — the
-// patched path, where root values may have changed; the remap path proved
-// them unchanged and shares the roots slice.
-func (e *qualEntry) successor(s *Site, fid fragment.FragID, nf *fragment.Fragment, fq *parbox.FragQual, rebuildRoots bool) *qualEntry {
+	st.Patch(nf, delta)
+	fq := st.FragQual()
 	ne := &qualEntry{
-		roots:  e.roots,
-		qual:   make(map[fragment.FragID]*parbox.FragQual, len(e.qual)),
-		c:      e.c,
-		labels: e.labels,
-		wild:   e.wild,
-		frags:  make(map[fragment.FragID]*fragment.Fragment, len(e.frags)),
-		vec:    e.vec,
+		roots: make([]WireRootVecs, len(old.roots)),
+		qual:  make(map[fragment.FragID]*parbox.FragQual, len(old.qual)),
+		vec:   old.vec,
 	}
-	for k, v := range e.qual {
+	for k, v := range old.qual {
 		ne.qual[k] = v
 	}
 	ne.qual[fid] = fq
-	for k, v := range e.frags {
-		ne.frags[k] = v
-	}
-	ne.frags[fid] = nf
-	if rebuildRoots {
-		ne.roots = make([]WireRootVecs, len(e.roots))
-		copy(ne.roots, e.roots)
-		for i := range ne.roots {
-			if ne.roots[i].Frag == fid {
-				ne.roots[i] = s.shipRootVecs(fid, nf, fq)
-				break
-			}
+	copy(ne.roots, old.roots)
+	for i := range ne.roots {
+		if ne.roots[i].Frag == fid {
+			ne.roots[i] = s.shipRootVecs(fid, nf, fq)
+			break
 		}
 	}
 	return ne
-}
-
-// countElems counts the element nodes in the arena interval [lo, hi) of f.
-// Edited intervals never contain virtual nodes (a virtual descendant would
-// make the subtree root spine, which edits reject), so this is exactly the
-// real-element count the Work ledger charges for.
-func countElems(f *fragment.Fragment, lo, hi int) int {
-	elems := f.Arena().Tree.Elements()
-	n := 0
-	for i := lo; i < hi; i++ {
-		if elems.Get(i) {
-			n++
-		}
-	}
-	return n
 }
 
 // EnableCache equips the site with a Stage-1 memoization cache of at most

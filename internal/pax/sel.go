@@ -8,47 +8,6 @@ import (
 	"paxq/internal/xpath"
 )
 
-// stage1Evaluator is the seam between the site's stage machinery and the
-// qualifier-pass implementation. Both implementations produce byte-identical
-// FragQual results (root vectors, SelQual rows and the Work ledger — see
-// parbox.EvalQualFragmentVector's equivalence argument), so everything
-// downstream — selection, pruning, the site cache, the wire — is oblivious
-// to which one ran. The vector form exists purely as a constant-factor
-// optimisation of the Stage-1 O(|F|·|Q|) bound (Theorem 4.1).
-type stage1Evaluator interface {
-	EvalQual(f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) *parbox.FragQual
-	// EvalQualKeep additionally returns the evaluator's retained per-fragment
-	// state when it has one worth keeping: the vector evaluator returns its
-	// bit-packed mask state, which the delta-scoped cache invalidation can
-	// Patch through a fragment edit instead of dropping the entry; the scalar
-	// evaluator returns nil state.
-	EvalQualKeep(f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) (*parbox.FragQual, *parbox.VectorState)
-}
-
-// scalarEvaluator runs the per-node recursive pass (parbox.EvalQualFragment).
-type scalarEvaluator struct{}
-
-func (scalarEvaluator) EvalQual(f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) *parbox.FragQual {
-	return parbox.EvalQualFragment(f, c, vs)
-}
-
-func (scalarEvaluator) EvalQualKeep(f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) (*parbox.FragQual, *parbox.VectorState) {
-	return parbox.EvalQualFragment(f, c, vs), nil
-}
-
-// vectorEvaluator runs the bit-packed columnar pass over the fragment's
-// arena view (parbox.EvalQualFragmentVector).
-type vectorEvaluator struct{}
-
-func (vectorEvaluator) EvalQual(f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) *parbox.FragQual {
-	return parbox.EvalQualFragmentVector(f, c, vs)
-}
-
-func (vectorEvaluator) EvalQualKeep(f *fragment.Fragment, c *xpath.Compiled, vs parbox.VarScheme) (*parbox.FragQual, *parbox.VectorState) {
-	st := parbox.NewVectorState(f, c, vs)
-	return st.FragQual(), st
-}
-
 // candidate is a node whose membership in the answer is still a residual
 // formula over cross-fragment variables.
 type candidate struct {

@@ -37,10 +37,6 @@ type Site struct {
 	compiled *lru[string, compiledQuery]
 	par      int
 	simplify bool
-	// eval is the Stage-1 qualifier evaluator — scalar by default, the
-	// bit-packed vector pass when SetVectorEval(true). Both produce
-	// byte-identical results, so the choice is invisible downstream.
-	eval stage1Evaluator
 	// cache, when enabled, memoizes Stage-1 (qualifier pass) results per
 	// compiled query so repeated queries skip the fragment traversal
 	// entirely — see qualcache.go and package sitecache. Nil = disabled.
@@ -124,7 +120,6 @@ func NewSite(id dist.SiteID, frags []*fragment.Fragment) *Site {
 		compiled: newLRU[string, compiledQuery](defaultSiteCompileCache),
 		par:      runtime.GOMAXPROCS(0),
 		simplify: true,
-		eval:     scalarEvaluator{},
 		sessions: make(map[QueryID]*session),
 	}
 	for _, f := range frags {
@@ -151,20 +146,6 @@ func (s *Site) SetParallelism(n int) {
 // starts serving.
 func (s *Site) SetSimplify(on bool) {
 	s.simplify = on
-}
-
-// SetVectorEval selects the Stage-1 qualifier evaluator: the bit-packed
-// columnar pass over per-fragment arenas when on, the per-node recursive
-// pass otherwise (the default). The two are byte-identical in every output
-// — residual vectors, visit counts, wire bytes, the Work ledger — so
-// toggling this never changes an answer or a cost; only site-side compute
-// time. Call before the site starts serving.
-func (s *Site) SetVectorEval(on bool) {
-	if on {
-		s.eval = vectorEvaluator{}
-	} else {
-		s.eval = scalarEvaluator{}
-	}
 }
 
 // shipSimplifier returns a fresh per-fragment Simplifier, or nil when the
@@ -394,13 +375,12 @@ func (s *Site) dropSessionIfDone(qid QueryID, sess *session) {
 // sweep's cost. roots and quals are immutable once built and may be shared
 // by any number of sessions (exactly like a cache entry).
 type qualPassResult struct {
-	frags   []fragment.FragID
-	roots   []WireRootVecs
-	quals   []*parbox.FragQual // frags order
-	// states holds the evaluator's retained per-fragment state in frags
-	// order — the vector evaluator's mask state, nil under the scalar
-	// evaluator. Cached alongside the entry so the delta-scoped
-	// invalidation can Patch instead of drop.
+	frags []fragment.FragID
+	roots []WireRootVecs
+	quals []*parbox.FragQual // frags order
+	// states holds the pass's bit-packed mask state per fragment, in frags
+	// order. Cached alongside the entry so an edit can Patch it instead of
+	// dropping the entry.
 	states  []*parbox.VectorState
 	compute time.Duration
 	parWall time.Duration
@@ -460,7 +440,8 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	frags := sess.fragIDs
 	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (qualOut, error) {
 		f := sess.frags[fid]
-		fq, st := s.eval.EvalQualKeep(f, sess.c, sess.vs)
+		st := parbox.NewVectorState(f, sess.c, sess.vs)
+		fq := st.FragQual()
 		return qualOut{rv: s.shipRootVecs(fid, f, fq), fq: fq, st: st}, nil
 	})
 	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
@@ -490,6 +471,11 @@ func (s *Site) handleQual(req *QualStageReq) (*QualStageResp, error) {
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
+	}
+	if req.Final {
+		// No later stage will visit, so the session holds no candidates and
+		// this always releases it.
+		defer s.dropSessionIfDone(req.QID, sess)
 	}
 	var key qualKey
 	if s.cache != nil {
@@ -525,7 +511,7 @@ func (s *Site) handleQual(req *QualStageReq) (*QualStageResp, error) {
 	if s.cache != nil {
 		// The entry's cost is the fragment-evaluation time this miss paid —
 		// what every future hit avoids.
-		s.cache.Put(key, newQualEntry(sess, pr), pr.compute, sess.gen)
+		s.cache.Put(key, newQualEntry(pr), pr.compute, sess.gen)
 	}
 	resp.StageCompute = stageCompute(start, pr.compute, pr.parWall)
 	return resp, nil
@@ -805,18 +791,14 @@ func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 	}
 	s.frags[req.Frag] = nf
 	if s.cache != nil {
-		// Delta-scoped invalidation: offer every cached Stage-1 entry the
-		// chance to survive the edit (see retainEntry). The generation
-		// advances regardless, so Puts computed against the pre-edit
-		// fragments can never land afterwards.
+		// Patch every cached Stage-1 entry through the edit (see
+		// retainEntry). The generation advances regardless, so Puts
+		// computed against the pre-edit fragments can never land afterwards.
 		s.cache.Invalidate(func(_ qualKey, old *qualEntry) (*qualEntry, bool) {
-			ne, kind := s.retainEntry(old, req.Frag, nf, delta)
-			switch kind {
-			case retainPatched:
+			ne := s.retainEntry(old, req.Frag, nf, delta)
+			if ne != nil {
 				resp.Patched++
-			case retainRemapped:
-				resp.Retained++
-			default:
+			} else {
 				resp.Dropped++
 			}
 			return ne, ne != nil

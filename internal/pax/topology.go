@@ -233,16 +233,6 @@ func SiteSimplify(on bool) SiteOption {
 	}
 }
 
-// WithSiteVectorEval selects the bit-packed columnar Stage-1 evaluator at
-// every site (see Site.SetVectorEval). Off by default. Answers, visit
-// counts and wire bytes are byte-identical either way; only site-side
-// compute time differs.
-func WithSiteVectorEval(on bool) SiteOption {
-	return func(c *clusterConfig) {
-		c.site = append(c.site, func(s *Site) { s.SetVectorEval(on) })
-	}
-}
-
 // ClusterCodec selects the wire codec for the cluster's transport —
 // dist.Binary by default, dist.Gob for differential cross-checks.
 func ClusterCodec(codec dist.Codec) SiteOption {

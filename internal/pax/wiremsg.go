@@ -493,7 +493,8 @@ func (m *QualStageReq) WireTag() dist.MsgTag { return tagQualStageReq }
 func (m *QualStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(m.QID))
 	dst = wirefmt.AppendString(dst, m.Query)
-	return wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags))), nil
+	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags)))
+	return wirefmt.AppendBool(dst, m.Final), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -502,6 +503,7 @@ func (m *QualStageReq) DecodeBinary(p []byte) error {
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
+	m.Final = r.bool()
 	return r.done()
 }
 

@@ -62,6 +62,7 @@ func messageCorpus(seed int64) []any {
 	}
 	return []any{
 		&QualStageReq{QID: 7, Query: "//person[age > 30]/name", NumFrags: 5},
+		&QualStageReq{QID: 9, Query: "[//a]", NumFrags: 2, Final: true},
 		&QualStageResp{Roots: []WireRootVecs{
 			{Frag: 0, QV: randVec(r, 3), QDV: randVec(r, 3), RootSelQual: randVec(r, 2)},
 			{Frag: 3, QV: randVec(r, 1), QDV: randVec(r, 1)},

@@ -34,11 +34,7 @@
 // Values must be immutable once inserted: a hit is shared by every request
 // that receives it, concurrently. In paxq the cached value is a set of
 // wire-encoded residual formula vectors plus the per-node qualifier
-// formulas (immutable DAGs), both safe to share. The key deliberately does
-// NOT include which Stage-1 evaluator produced the entry: the scalar and
-// the vectorized (arena-backed) evaluators are byte-identical in every
-// cached field, so entries are interchangeable between them — a site that
-// toggles pax.Site.SetVectorEval serves its existing entries unchanged.
+// formulas (immutable DAGs), both safe to share.
 //
 // # Cost accounting
 //
@@ -265,8 +261,8 @@ func (c *Cache[K, V]) BumpGeneration() {
 // new generation (counted in Stats.ScopedRetained); the rest are dropped
 // (counted in Stats.ScopedInvalidations). This is the delta-scoped hook an
 // update-aware site calls after a fragment edit — keep decides, per cached
-// query, whether the edit could have touched the entry, and may remap the
-// value's node IDs for the edit's renumbering before retaining it.
+// query, whether the entry survives, and may repair the value for the
+// edit before retaining it.
 //
 // The generation ALWAYS advances, even when every entry is retained: any
 // Put still in flight was computed against the pre-edit fragment and must

@@ -236,11 +236,6 @@ type ClusterOptions struct {
 	// means entries live until evicted or invalidated. Meaningful only
 	// with SiteCacheSize > 0.
 	SiteCacheTTL time.Duration
-	// SiteVectorEval switches every site's Stage-1 qualifier pass to the
-	// bit-packed columnar evaluator over per-fragment arenas. Answers,
-	// visit counts and wire bytes are byte-identical to the default
-	// per-node evaluator; only site-side compute time differs.
-	SiteVectorEval bool
 	// BatchWindow enables coordinator-side multi-query stage batching:
 	// stage requests from concurrent evaluations bound for the same site
 	// are held up to this long and coalesced into one batch envelope — one
@@ -360,9 +355,6 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	}
 	if opts.SiteCacheSize > 0 {
 		siteOpts = append(siteOpts, pax.WithSiteCache(opts.SiteCacheSize), pax.WithSiteCacheTTL(opts.SiteCacheTTL))
-	}
-	if opts.SiteVectorEval {
-		siteOpts = append(siteOpts, pax.WithSiteVectorEval(true))
 	}
 	engOpts := []pax.EngineOption{
 		pax.WithMaxInFlight(opts.MaxInFlight),
@@ -524,11 +516,10 @@ type SiteCacheStats struct {
 	Invalidations int64
 	// ScopedInvalidations and ScopedRetained split the fates of entries
 	// offered to delta-scoped invalidation after a fragment edit
-	// (Cluster.ApplyEdit): dropped because the edit's label footprint or
-	// subtree interval could affect them, versus carried into the new
-	// fragment version (remapped, or incrementally patched under the
-	// vector Stage-1 evaluator). A retained entry is a Stage-1 sweep the
-	// next query on that fragment does not pay for.
+	// (Cluster.ApplyEdit): dropped, versus carried into the new fragment
+	// version by incrementally patching their Stage-1 vector state. A
+	// retained entry is a Stage-1 sweep the next query on that fragment
+	// does not pay for.
 	ScopedInvalidations int64
 	ScopedRetained      int64
 	SavedCompute        time.Duration
@@ -756,12 +747,11 @@ type EditResult struct {
 	// delivery).
 	Sites    int
 	Replayed int
-	// Dropped, Retained and Patched sum the fates of the sites' cached
-	// Stage-1 entries for this fragment: invalidated because the edit
-	// could affect them, retained because the edit's label footprint and
-	// subtree interval provably cannot, or repaired in place by patching
-	// cached vector state. Also aggregated cluster-wide in
-	// TransportStats.SiteCache.
+	// Dropped and Patched sum the fates of the sites' cached Stage-1
+	// entries for this fragment: invalidated, or repaired in place by
+	// patching their cached vector state. Retained is always 0 (it counted
+	// a second retention path that no longer exists). Also aggregated
+	// cluster-wide in TransportStats.SiteCache.
 	Dropped  int
 	Retained int
 	Patched  int
