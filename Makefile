@@ -13,8 +13,8 @@ FUZZTIME ?= 10s
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
 # coverage floor on the core packages, survive a short fuzz smoke of the
-# parser, the wire codec, the arena and the edit path, prove the binary
-# codec agrees with gob on the fixed message corpus, prove multi-query
+# parser, the wire codec, the arena and the edit path, prove the wire
+# codec still writes and reads its golden bytes, prove multi-query
 # batching is answer- and cost-transparent, prove failover keeps answers
 # byte-identical to centralized evaluation on a seeded fault schedule
 # over both transports, keep the documentation honest, and hold the
@@ -50,17 +50,19 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) ./internal/xpath
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEnvelope -fuzztime=$(FUZZTIME) ./internal/dist
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeStageMessage -fuzztime=$(FUZZTIME) ./internal/pax
 	$(GO) test -run=^$$ -fuzz=FuzzArenaRoundTrip -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run=^$$ -fuzz=FuzzArenaSplice -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run=^$$ -fuzz=FuzzEditOps -fuzztime=$(FUZZTIME) ./internal/fragment
 
-# Codec agreement smoke: the hand-written binary codec and gob must
-# decode every fixed-corpus message to identical values, the binary codec
-# must hold its >=2x bytes and allocations advantage, and the frame write
-# path must stay within its allocation cap.
+# Codec smoke: every corpus message must encode to its golden bytes
+# (testdata/golden, regenerated only with -update) and decode back to the
+# value it came from in both envelope directions, every registered tag
+# must have a golden file, and the frame write path must stay within its
+# allocation cap.
 codec-smoke:
-	$(GO) test -run='TestBinaryRoundTripMatchesGob|TestBinarySmallerThanGob' ./internal/pax
-	$(GO) test -run='TestCodecRoundTripAdvantage|TestCodecsShipIdenticalSemantics|TestFrameWritePathAllocs' ./internal/dist
+	$(GO) test -run='TestGoldenBytes|TestEveryTagHasGoldenBytes|TestCorpusRoundTrip' ./internal/pax
+	$(GO) test -run='TestFrameWritePathAllocs' ./internal/dist
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve
@@ -113,10 +115,10 @@ lint:
 lint-fixtures:
 	$(GO) test ./tools/paxlint/... ./tools/docscheck
 
-# Codec / encode / simplify microbenchmarks with allocation profiles —
-# the numbers behind BENCH_codec.json — then a one-iteration smoke of
-# every other benchmark in the tree.
+# Encode / simplify microbenchmarks with allocation profiles, then a
+# one-iteration smoke of every other benchmark in the tree. End-to-end numbers (wire
+# bytes per query among them) come from bench/run.sh.
 bench:
-	$(GO) test -run=^$$ -bench='BenchmarkCodecRoundTrip|BenchmarkEncodeStageRequest' -benchmem ./internal/dist ./internal/pax
+	$(GO) test -run=^$$ -bench='BenchmarkEncodeStageRequest' -benchmem ./internal/pax
 	$(GO) test -run=^$$ -bench='BenchmarkFormulaSimplify|BenchmarkEncode$$' -benchmem ./internal/boolexpr
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...

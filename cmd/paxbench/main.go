@@ -15,11 +15,11 @@
 //
 //	paxbench -exp concurrent -workers 8 -load 25 -scale 0.05
 //
-// The codec mode benchmarks the wire layer itself — binary vs gob, with
-// and without formula simplification — and, with -json, writes the
-// machine-readable perf baseline the repo tracks over time:
+// The diff mode runs the differential harness — distributed against
+// centralized evaluation on randomized instances over both transports,
+// with the sequential-site, site-cache and batching twins — and, with
+// -json, writes the machine-readable result the repo tracks over time:
 //
-//	paxbench -exp codec -json BENCH_codec.json
 //	paxbench -exp diff -load 10 -json BENCH_diff.json
 //
 // The fault mode runs the fault-injection differential harness: -load
@@ -60,7 +60,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries, diff, fault, concurrent, codec, cache, batch, edit or all")
+	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries, diff, fault, concurrent, cache, batch, edit or all")
 	scale := flag.Float64("scale", 0.02, "data scale relative to the paper's 100MB baseline")
 	runs := flag.Int("runs", 3, "runs per data point (median reported)")
 	steps := flag.Int("steps", 10, "experiment 2/3 iterations")
@@ -70,7 +70,6 @@ func main() {
 	jsonPath := flag.String("json", "", "write the mode's machine-readable results (JSON) to this file")
 	workers := flag.Int("workers", 8, "concurrent mode: parallel query streams")
 	load := flag.Int("load", 25, "concurrent mode: queries per worker; diff mode: seeds")
-	sitePar := flag.Int("site-parallelism", 0, "concurrent mode: per-site fragment evaluation parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	batchWindow := flag.Duration("batch-window", 200*time.Microsecond, "batch mode: coalescing window for the batched variant")
 	maxBatch := flag.Int("max-batch", 16, "batch mode: max queries coalesced into one site envelope")
 	flag.Parse()
@@ -141,7 +140,7 @@ func main() {
 		fmt.Println()
 	}
 	runConcurrent := func() {
-		rep, err := harness.ConcurrentLoadParallelism(ctx, cfg, *workers, *load, *sitePar)
+		rep, err := harness.ConcurrentLoad(ctx, cfg, *workers, *load)
 		if rep != nil {
 			fmt.Println(rep)
 		}
@@ -155,9 +154,8 @@ func main() {
 	runDiff := func() {
 		// Differential mode: distributed vs centralized on random (tree,
 		// query, fragmentation) instances, over both transports, with
-		// parallel-vs-sequential site evaluation, both codec twins (gob,
-		// simplification disabled), the cached-vs-uncached site-cache
-		// twins and the batched-transport twins cross-checked.
+		// parallel-vs-sequential site evaluation, the cached-vs-uncached
+		// site-cache twins and the batched-transport twins cross-checked.
 		type diffOut struct {
 			Transport string              `json:"transport"`
 			Result    *harness.DiffResult `json:"result"`
@@ -167,7 +165,6 @@ func main() {
 			res, err := harness.DifferentialSweep(ctx, *seed, *load, harness.DiffOptions{
 				Transport:       tr,
 				CompareParallel: true,
-				CompareCodecs:   true,
 				CompareCache:    true,
 				CompareBatch:    true,
 			})
@@ -214,14 +211,6 @@ func main() {
 			}
 		}
 		writeJSON(out)
-	}
-	runCodec := func() {
-		rep, err := harness.CodecBench(ctx, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep)
-		writeJSON(rep)
 	}
 	runCache := func() {
 		rep, err := harness.CacheBench(ctx, cfg)
@@ -275,8 +264,6 @@ func main() {
 		runDiff()
 	case "fault":
 		runFault()
-	case "codec":
-		runCodec()
 	case "cache":
 		runCache()
 	case "batch":

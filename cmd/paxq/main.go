@@ -49,7 +49,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "fragmentation seed")
 	boolMode := flag.Bool("bool", false, "evaluate as a Boolean query (ParBoX)")
 	repl := flag.Bool("repl", false, "local mode: read queries interactively from stdin")
-	codecName := flag.String("codec", "binary", "remote mode: wire codec, binary or gob (must match the paxsite servers)")
 	flag.Parse()
 
 	if *query == "" && !*repl {
@@ -62,7 +61,7 @@ func main() {
 	case *file != "":
 		runLocal(*file, *query, *algo, *xa, *stats, *shipXML, *boolMode, *frags, cuts, *maxNodes, *sites, *seed)
 	case *manifest != "":
-		runRemote(*manifest, sitesFlags, *query, *algo, *xa, *stats, *shipXML, *codecName)
+		runRemote(*manifest, sitesFlags, *query, *algo, *xa, *stats, *shipXML)
 	default:
 		fmt.Fprintln(os.Stderr, "paxq: one of -file (local) or -manifest (remote) is required")
 		os.Exit(2)
@@ -181,11 +180,7 @@ func runLocal(file, query, algo string, xa, stats, shipXML, boolMode bool, frags
 	}
 }
 
-func runRemote(manifestPath string, siteFlags []string, query, algo string, xa, stats, shipXML bool, codecName string) {
-	codec, err := dist.ParseCodec(codecName)
-	if err != nil {
-		fatal(err)
-	}
+func runRemote(manifestPath string, siteFlags []string, query, algo string, xa, stats, shipXML bool) {
 	m, err := fragment.LoadManifest(manifestPath)
 	if err != nil {
 		fatal(err)
@@ -215,7 +210,7 @@ func runRemote(manifestPath string, siteFlags []string, query, algo string, xa, 
 	if err != nil {
 		fatal(err)
 	}
-	tcp := dist.NewTCP(addrs, dist.WithCodec(codec))
+	tcp := dist.NewTCP(addrs)
 	defer tcp.Close()
 	eng := pax.NewEngine(topo, tcp)
 

@@ -82,9 +82,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: how long a query may queue for a slot before shedding (0 = shed immediately)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline (0 = none)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
-	siteParallel := flag.Int("site-parallelism", 0, "per-site fragment evaluation parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	codecName := flag.String("codec", "binary", "wire codec between coordinator and sites: binary or gob")
-	noSimplify := flag.Bool("no-simplify", false, "disable the residual-formula simplification pass at sites")
 	cacheSize := flag.Int("cache-size", 0, "per-site Stage-1 memoization cache entries (0 = disabled)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of memoized Stage-1 results (0 = until evicted)")
 	batchWindow := flag.Duration("batch-window", 0, "coalescing window for multi-query stage batching (0 = disabled)")
@@ -95,11 +92,6 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff between stage-call retries (needs -retry-attempts)")
 	retryMaxBackoff := flag.Duration("retry-max-backoff", 0, "cap on the exponential retry backoff (needs -retry-attempts)")
 	flag.Parse()
-
-	codec, err := paxq.ParseCodec(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 
 	var doc *paxq.Document
 	switch {
@@ -134,9 +126,6 @@ func main() {
 		Seed:             *seed,
 		MaxInFlight:      *maxInflight,
 		QueueTimeout:     *queueTimeout,
-		SiteParallelism:  *siteParallel,
-		Codec:            codec,
-		DisableSimplify:  *noSimplify,
 		SiteCacheSize:    *cacheSize,
 		SiteCacheTTL:     *cacheTTL,
 		BatchWindow:      *batchWindow,

@@ -42,16 +42,9 @@ func main() {
 	registry := flag.String("registry", "", "site registry JSON: host the fragments registered for -site (overrides -frags; defaults -listen to the registered address)")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	siteID := flag.Int("site", 0, "site identifier: names this fleet member in the registry and in coordinator metrics")
-	codecName := flag.String("codec", "binary", "wire codec: binary or gob (must match the coordinator)")
-	noSimplify := flag.Bool("no-simplify", false, "disable the residual-formula simplification pass")
 	cacheSize := flag.Int("cache-size", 0, "Stage-1 memoization cache entries (0 = disabled)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of memoized Stage-1 results (0 = until evicted)")
 	flag.Parse()
-
-	codec, err := dist.ParseCodec(*codecName)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *dir == "" {
 		fmt.Fprintln(os.Stderr, "paxsite: -dir is required")
@@ -101,11 +94,10 @@ func main() {
 		frags = append(frags, f)
 	}
 	site := pax.NewSite(dist.SiteID(*siteID), frags)
-	site.SetSimplify(!*noSimplify)
 	if *cacheSize > 0 {
 		site.EnableCache(*cacheSize, *cacheTTL)
 	}
-	srv, err := dist.NewTCPServer(*listen, site.Handler(), dist.WithCodec(codec))
+	srv, err := dist.NewTCPServer(*listen, site.Handler())
 	if err != nil {
 		fatal(err)
 	}

@@ -1,7 +1,6 @@
 // Distributed: the same engine over real TCP servers. Every site runs a
 // genuine network server on the loopback interface; the coordinator talks
-// the hand-written binary wire format over TCP (gob remains available via
-// ClusterOptions.Codec as a cross-check). The example contrasts the
+// the hand-written binary wire format over TCP. The example contrasts the
 // partial-evaluation algorithms' traffic (bounded by query size and answer
 // size) against the naive ship-everything baseline (bounded only by the
 // data size) — the core economic argument of the paper.

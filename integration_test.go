@@ -174,9 +174,9 @@ func TestClusterConcurrentQueries(t *testing.T) {
 	opts := paxq.QueryOptions{Algorithm: "pax3", Annotations: true}
 
 	// Solo baselines: answer counts and the (deterministic) sent bytes.
-	// Exact BytesSent equality relies on every QueryID gob-encoding to the
-	// same width, which holds while total runs on this cluster stay under
-	// 64 (4 solo + 24 concurrent here); widen tolerance before scaling up.
+	// Exact BytesSent equality relies on every QueryID encoding to the
+	// same uvarint width, which holds while total runs on this cluster stay
+	// under 128 (4 solo + 24 concurrent here).
 	type base struct {
 		answers int
 		sent    int64

@@ -37,7 +37,9 @@
 // hash-consed (interned leaves, composite nodes keyed by operator + child
 // identities), so dedup/absorption/complement rules that match by pointer
 // identity fire across structurally equal subtrees built on different
-// traversal paths. Sites run it before shipping; it is
+// traversal paths. Sites run it on every formula before shipping, with no
+// switch: Stage-1 vectors already come out canonical, but the combined
+// stage's formulas (PaX2) ship up to 3× the bytes without it. It is
 // semantics-preserving and deterministic, which is also what makes cached
 // Stage-1 replays byte-identical to fresh evaluations.
 package boolexpr

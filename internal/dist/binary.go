@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
+	"time"
 
 	"paxq/internal/wirefmt"
 )
 
-// The Binary codec's envelope grammar (everything inside one frame):
+// The envelope grammar (everything inside one frame):
 //
 //	payload  := version kind rest
 //	version  := 0x01                     (binVersion)
@@ -21,11 +23,12 @@ import (
 //	status   := 0x00 ok  -> tag body     (tag 0x00: nil response)
 //	          | 0x01 err -> uvarint-length-prefixed error string
 //	tag      := uvarint                  (RegisterBinary)
-//	body     := the message's own MarshalBinary bytes
+//	body     := the message's own AppendBinary bytes
 //
-// The version byte leads every payload so a future format change (or a
-// gob peer dialed by mistake) fails loudly with ErrBadVersion instead of
-// desynchronizing the stream.
+// The version byte leads every payload so a future format change fails
+// loudly with ErrBadVersion instead of desynchronizing the stream. The
+// golden-bytes corpus of internal/pax pins the format: a change to any
+// byte of it is a binVersion bump.
 const (
 	binVersion byte = 0x01
 
@@ -51,23 +54,15 @@ var (
 	ErrBadEnvelope = errors.New("dist: malformed envelope")
 )
 
-// MsgTag is the numeric identity of a message type on the Binary wire —
-// the codec's replacement for gob's type-name strings. Tags are part of
-// the protocol: changing a type's tag is a wire-format break.
+// MsgTag is the numeric identity of a message type on the wire. Tags are
+// part of the protocol: changing a type's tag is a wire-format break.
 type MsgTag uint32
 
 // BinaryMessage is a request or response that encodes itself on the
-// Binary codec. AppendBinary appends the message body to dst (so the
-// transport encodes straight into a pooled frame buffer); DecodeBinary
-// decodes a body and must consume it exactly. Implementations may alias
-// sub-slices of the input — the transport never recycles a received
-// frame's buffer.
-//
-// The method names deliberately avoid encoding.BinaryMarshaler /
-// BinaryUnmarshaler (MarshalBinary/UnmarshalBinary): gob resolves those
-// interfaces by reflection and would silently route its own encoding
-// through them, turning the Gob codec into a disguised copy of this one —
-// worthless as a differential cross-check and asymmetric to decode.
+// wire. AppendBinary appends the message body to dst (so the transport
+// encodes straight into a pooled frame buffer); DecodeBinary decodes a
+// body and must consume it exactly. Implementations may alias sub-slices
+// of the input — the transport never recycles a received frame's buffer.
 type BinaryMessage interface {
 	WireTag() MsgTag
 	AppendBinary(dst []byte) ([]byte, error)
@@ -86,7 +81,7 @@ var binaryRegistry = struct {
 	typeOf:  make(map[MsgTag]reflect.Type),
 }
 
-// RegisterBinary makes a message type known to the Binary codec. The
+// RegisterBinary makes a message type known to the codec. The
 // factory must return a fresh, zero message; its WireTag names the type on
 // the wire. Registering the same concrete type again is a no-op;
 // registering a different type under an already-taken tag panics — tag
@@ -112,6 +107,19 @@ func RegisterBinary(factory func() BinaryMessage) {
 	binaryRegistry.typeOf[tag] = t
 }
 
+// RegisteredTags lists every registered tag in ascending order, so a
+// test can demand that each one has its bytes pinned.
+func RegisteredTags() []MsgTag {
+	binaryRegistry.RLock()
+	defer binaryRegistry.RUnlock()
+	tags := make([]MsgTag, 0, len(binaryRegistry.factory))
+	for tag := range binaryRegistry.factory {
+		tags = append(tags, tag)
+	}
+	slices.Sort(tags)
+	return tags
+}
+
 // newMessage instantiates the registered type for a tag.
 func newMessage(tag MsgTag) (BinaryMessage, error) {
 	binaryRegistry.RLock()
@@ -130,13 +138,12 @@ func appendMessage(dst []byte, msg any) ([]byte, error) {
 	}
 	bm, ok := msg.(BinaryMessage)
 	if !ok {
-		return nil, fmt.Errorf("dist: %T does not implement BinaryMessage; use WithCodec(Gob) or RegisterBinary", msg)
+		return nil, fmt.Errorf("dist: %T does not implement BinaryMessage", msg)
 	}
 	// A typed-nil response (a handler's `return resp, nil` with a nil
 	// *Resp) passes the interface nil check above but would panic inside
 	// AppendBinary — on the server's encode path, outside invokeHandler's
-	// recover, killing the whole site. Degrade it to an error envelope,
-	// exactly as gob does for nil pointers.
+	// recover, killing the whole site. Degrade it to an error envelope.
 	if v := reflect.ValueOf(msg); v.Kind() == reflect.Pointer && v.IsNil() {
 		return nil, fmt.Errorf("dist: cannot encode typed-nil %T", msg)
 	}
@@ -170,14 +177,14 @@ func consumeMessage(p []byte) (any, error) {
 	return m, nil
 }
 
-// appendBinaryRequest appends a request payload.
-func appendBinaryRequest(dst []byte, req any) ([]byte, error) {
+// appendRequest appends a request payload.
+func appendRequest(dst []byte, req any) ([]byte, error) {
 	dst = append(dst, binVersion, binKindReq)
 	return appendMessage(dst, req)
 }
 
-// decodeBinaryRequest decodes a request payload.
-func decodeBinaryRequest(p []byte) (any, error) {
+// decodeRequest decodes a request payload.
+func decodeRequest(p []byte) (any, error) {
 	rest, err := consumeEnvelopeHeader(p, binKindReq)
 	if err != nil {
 		return nil, err
@@ -185,11 +192,11 @@ func decodeBinaryRequest(p []byte) (any, error) {
 	return consumeMessage(rest)
 }
 
-// appendBinaryResponse appends a response payload.
-func appendBinaryResponse(dst []byte, env respEnvelope) ([]byte, error) {
+// appendResponse appends a response payload.
+func appendResponse(dst []byte, env respEnvelope) ([]byte, error) {
 	dst = append(dst, binVersion, binKindResp)
 	var compute [8]byte
-	binary.BigEndian.PutUint64(compute[:], uint64(env.ComputeNanos))
+	binary.BigEndian.PutUint64(compute[:], uint64(env.Compute))
 	dst = append(dst, compute[:]...)
 	if env.Err != "" {
 		dst = append(dst, binStatusErr)
@@ -199,8 +206,8 @@ func appendBinaryResponse(dst []byte, env respEnvelope) ([]byte, error) {
 	return appendMessage(dst, env.Resp)
 }
 
-// decodeBinaryResponse decodes a response payload.
-func decodeBinaryResponse(p []byte) (respEnvelope, error) {
+// decodeResponse decodes a response payload.
+func decodeResponse(p []byte) (respEnvelope, error) {
 	rest, err := consumeEnvelopeHeader(p, binKindResp)
 	if err != nil {
 		return respEnvelope{}, err
@@ -208,7 +215,7 @@ func decodeBinaryResponse(p []byte) (respEnvelope, error) {
 	if len(rest) < 9 {
 		return respEnvelope{}, fmt.Errorf("%w: response of %d bytes", ErrBadEnvelope, len(p))
 	}
-	env := respEnvelope{ComputeNanos: nanos(binary.BigEndian.Uint64(rest[:8]))}
+	env := respEnvelope{Compute: time.Duration(binary.BigEndian.Uint64(rest[:8]))}
 	status := rest[8]
 	rest = rest[9:]
 	switch status {

@@ -3,230 +3,67 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Codec selects the wire encoding of request and response envelopes. Both
-// ends of a transport must use the same codec.
-//
-//   - Binary (the default) is the hand-written, versioned binary format:
-//     messages implement BinaryMessage and travel as a numeric tag plus a
-//     hand-encoded body. No type descriptors, no reflection — the bytes on
-//     the wire track the paper's cost accounting (residual formulas ship
-//     in their boolexpr postfix encoding plus a few bytes of framing).
-//   - Gob is the reflection-driven encoding/gob envelope, kept purely as a
-//     differential cross-check: a fresh encoder per message retransmits
-//     full type descriptors every time, so it is strictly larger and
-//     slower, but any answer divergence between the two codecs flags a
-//     hand-encoding bug.
+// Codec names the wire encoding of request and response envelopes. It has
+// one value: Binary, the hand-written, versioned format in which messages
+// implement BinaryMessage and travel as a numeric tag plus a hand-encoded
+// body — no type descriptors, no reflection, so the bytes on the wire
+// track the paper's cost accounting (residual formulas ship in their
+// boolexpr postfix encoding plus a few bytes of framing). The type and
+// the Codec parameter of EncodeRequest and friends survive only because
+// the repository benchmark compiles against them.
 type Codec uint8
 
-// Available codecs.
-const (
-	Binary Codec = iota
-	Gob
-)
-
-func (c Codec) String() string {
-	if c == Gob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// ParseCodec maps a flag value to a Codec, case-insensitively: "binary"
-// (or empty, the default) and "gob". The single parser every command
-// shares, so flag behavior cannot drift between binaries.
-func ParseCodec(s string) (Codec, error) {
-	switch strings.ToLower(s) {
-	case "", "binary":
-		return Binary, nil
-	case "gob":
-		return Gob, nil
-	}
-	return Binary, fmt.Errorf("dist: unknown codec %q (want binary or gob)", s)
-}
-
-// Option configures a transport endpoint (Local, TCP, TCPServer).
-type Option func(*endpointOptions)
-
-type endpointOptions struct {
-	codec Codec
-}
-
-// WithCodec selects the wire codec. The default is Binary; pass Gob to run
-// the legacy gob envelopes (differential cross-checks, mixed deployments
-// mid-migration).
-func WithCodec(c Codec) Option {
-	return func(o *endpointOptions) { o.codec = c }
-}
-
-func applyOptions(opts []Option) endpointOptions {
-	var o endpointOptions
-	for _, f := range opts {
-		f(&o)
-	}
-	return o
-}
-
-// Register makes a concrete request or response type known to the Gob
-// codec. Every value passed through a Gob-codec transport must have its
-// type registered (gob interface encoding); registering the same type
-// again is a no-op, while registering a different type under an
-// already-taken name panics, exactly as encoding/gob does. The Binary
-// codec ignores this registry — see RegisterBinary.
-func Register(msg any) {
-	gob.Register(msg)
-}
-
-// reqEnvelope is the payload of a gob request frame.
-type reqEnvelope struct {
-	Req any
-}
-
-// nanos is a duration in nanoseconds with a fixed 8-byte encoding under
-// both codecs. A varint encoding would make a response's wire size depend
-// on the magnitude of the site's computation time, so byte totals would
-// jitter from run to run; with a fixed width, identical payloads produce
-// identical frame sizes regardless of timing. Writers must keep the value
-// strictly positive: gob omits zero-valued fields even for custom
-// encoders, which would reintroduce a size difference.
-type nanos int64
-
-// GobEncode encodes the value as 8 big-endian bytes.
-func (n nanos) GobEncode() ([]byte, error) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(n))
-	return b[:], nil
-}
-
-// GobDecode decodes the fixed 8-byte form.
-func (n *nanos) GobDecode(p []byte) error {
-	if len(p) != 8 {
-		return fmt.Errorf("dist: nanos field has %d bytes, want 8", len(p))
-	}
-	*n = nanos(binary.BigEndian.Uint64(p))
-	return nil
-}
-
-// clampNanos converts a measured duration to the wire field, keeping it
-// strictly positive so the fixed-width encoding is never gob-omitted.
-func clampNanos(d time.Duration) nanos {
-	if d <= 0 {
-		return 1
-	}
-	return nanos(d)
-}
+// Binary is the wire codec.
+const Binary Codec = 0
 
 // respEnvelope is the decoded form of a response frame. Exactly one of
-// Resp and Err is meaningful; ComputeNanos is the handler's computation
-// time at the site (self-reported via ComputeReporter when the site
-// evaluated in parallel, measured wall time otherwise).
+// Resp and Err is meaningful; Compute is the handler's computation time
+// at the site (self-reported via ComputeReporter when the site evaluated
+// in parallel, measured wall time otherwise). It travels as a fixed
+// 8 bytes: a varint would make a response's wire size depend on the
+// magnitude of the site's computation time, so byte totals would jitter
+// from run to run.
 type respEnvelope struct {
-	Resp         any
-	Err          string
-	ComputeNanos nanos
+	Resp    any
+	Err     string
+	Compute time.Duration
 }
 
-// appendRequest appends the request payload for codec c to dst.
-func (c Codec) appendRequest(dst []byte, req any) ([]byte, error) {
-	if c == Gob {
-		return appendGob(dst, reqEnvelope{Req: req})
-	}
-	return appendBinaryRequest(dst, req)
-}
-
-// decodeRequest decodes a request payload.
-func (c Codec) decodeRequest(p []byte) (any, error) {
-	if c == Gob {
-		var env reqEnvelope
-		if err := decodePayload(p, &env); err != nil {
-			return nil, err
-		}
-		return env.Req, nil
-	}
-	return decodeBinaryRequest(p)
-}
-
-// appendResponse appends the response payload for codec c to dst.
-func (c Codec) appendResponse(dst []byte, env respEnvelope) ([]byte, error) {
-	if c == Gob {
-		return appendGob(dst, env)
-	}
-	return appendBinaryResponse(dst, env)
-}
-
-// decodeResponse decodes a response payload.
-func (c Codec) decodeResponse(p []byte) (respEnvelope, error) {
-	if c == Gob {
-		var env respEnvelope
-		if err := decodePayload(p, &env); err != nil {
-			return respEnvelope{}, err
-		}
-		return env, nil
-	}
-	return decodeBinaryResponse(p)
-}
-
-// EncodeRequest encodes req as a request payload under c. Exported for
-// benchmarks and differential codec tests; transports use the pooled
-// append path internally.
-func EncodeRequest(c Codec, req any) ([]byte, error) {
-	return c.appendRequest(nil, req)
+// EncodeRequest encodes req as a request payload. Exported for benchmarks
+// and codec tests; transports use the pooled append path internally.
+func EncodeRequest(_ Codec, req any) ([]byte, error) {
+	return appendRequest(nil, req)
 }
 
 // DecodeRequest decodes a request payload produced by EncodeRequest (or
-// read off the wire) under c.
-func DecodeRequest(c Codec, payload []byte) (any, error) {
-	return c.decodeRequest(payload)
+// read off the wire).
+func DecodeRequest(_ Codec, payload []byte) (any, error) {
+	return decodeRequest(payload)
 }
 
-// EncodeResponse encodes a response payload under c: a successful resp, or
-// a handler error string, with the site's computation time. Exported for
-// benchmarks and differential codec tests.
-func EncodeResponse(c Codec, resp any, handlerErr string, compute time.Duration) ([]byte, error) {
-	return c.appendResponse(nil, respEnvelope{Resp: resp, Err: handlerErr, ComputeNanos: clampNanos(compute)})
+// EncodeResponse encodes a response payload: a successful resp, or a
+// handler error string, with the site's computation time. Exported for
+// benchmarks and codec tests.
+func EncodeResponse(_ Codec, resp any, handlerErr string, compute time.Duration) ([]byte, error) {
+	return appendResponse(nil, respEnvelope{Resp: resp, Err: handlerErr, Compute: compute})
 }
 
-// DecodeResponse decodes a response payload under c, returning the
-// response value, the handler error string (empty on success) and the
-// reported computation time.
-func DecodeResponse(c Codec, payload []byte) (resp any, handlerErr string, compute time.Duration, err error) {
-	env, err := c.decodeResponse(payload)
+// DecodeResponse decodes a response payload, returning the response
+// value, the handler error string (empty on success) and the reported
+// computation time.
+func DecodeResponse(_ Codec, payload []byte) (resp any, handlerErr string, compute time.Duration, err error) {
+	env, err := decodeResponse(payload)
 	if err != nil {
 		return nil, "", 0, err
 	}
-	return env.Resp, env.Err, time.Duration(env.ComputeNanos), nil
-}
-
-// appendGob gob-encodes v with a fresh encoder (self-contained payload)
-// and appends the result to dst. Gob's encoder writes to its own buffer,
-// so this path pays one copy — acceptable for the cross-check codec.
-func appendGob(dst []byte, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("dist: encode %T: %w", v, err)
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-// encodePayload gob-encodes v with a fresh encoder, so the resulting
-// payload is self-contained.
-func encodePayload(v any) ([]byte, error) {
-	return appendGob(nil, v)
-}
-
-// decodePayload decodes a self-contained gob payload into v.
-func decodePayload(p []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(v); err != nil {
-		return fmt.Errorf("dist: decode: %w", err)
-	}
-	return nil
+	return env.Resp, env.Err, env.Compute, nil
 }
 
 // frameHeader is the size of the length prefix preceding every payload.
@@ -235,6 +72,17 @@ const frameHeader = 4
 // maxFrame bounds a single message; larger frames indicate a corrupt or
 // hostile stream and abort the connection.
 const maxFrame = 1 << 30
+
+// ErrMessageTooLarge reports a frame over maxFrame, on either side: a
+// payload the sender refuses to ship, or a length prefix the receiver
+// refuses to read. It is permanent for the call — the same request
+// produces the same frame on every replica.
+var ErrMessageTooLarge = errors.New("dist: message too large")
+
+// errTooLarge is the ErrMessageTooLarge of an n-byte payload.
+func errTooLarge(n int64) error {
+	return fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte limit", ErrMessageTooLarge, n, maxFrame)
+}
 
 // framePool recycles whole-frame buffers (header + payload) across calls
 // and responses, so the steady-state frame write path allocates nothing.
@@ -274,7 +122,7 @@ func encodeFrame(fill func(dst []byte) ([]byte, error)) (*[]byte, []byte, error)
 	n := len(buf) - frameHeader
 	if n > maxFrame {
 		putFrame(bp)
-		return nil, nil, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
+		return nil, nil, errTooLarge(int64(n))
 	}
 	binary.BigEndian.PutUint32(buf, uint32(n))
 	*bp = buf // keep the grown capacity for reuse
@@ -321,7 +169,7 @@ func readFrame(r io.Reader) ([]byte, int64, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, 0, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
+		return nil, 0, errTooLarge(int64(n))
 	}
 	if n <= maxEagerAlloc {
 		payload := make([]byte, n)

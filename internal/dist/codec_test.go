@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -138,63 +141,6 @@ func TestTypedNilResponseBecomesError(t *testing.T) {
 	}
 }
 
-// TestGobCodecStillServes pins the cross-check codec end to end on both
-// transports.
-func TestGobCodecStillServes(t *testing.T) {
-	l := NewLocal(WithCodec(Gob))
-	defer l.Close()
-	l.AddSite(1, echoHandler(1))
-	resp, cost, err := l.Call(context.Background(), 1, &echoReq{Payload: "via gob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := resp.(*echoResp); r.Payload != "via gob" {
-		t.Errorf("resp = %#v", r)
-	}
-	if cost.Sent <= frameHeader || cost.Recv <= frameHeader {
-		t.Errorf("cost = %+v", cost)
-	}
-
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler(2), WithCodec(Gob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := NewTCP(map[SiteID]string{2: srv.Addr()}, WithCodec(Gob))
-	defer tr.Close()
-	resp, _, err = tr.Call(context.Background(), 2, &echoReq{Payload: "tcp gob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := resp.(*echoResp); r.Payload != "tcp gob" || r.Site != 2 {
-		t.Errorf("resp = %#v", r)
-	}
-}
-
-// TestCodecsShipIdenticalSemantics runs the same calls under both codecs
-// and requires identical responses and identical visit accounting; only
-// the byte totals may differ (and binary must be the smaller).
-func TestCodecsShipIdenticalSemantics(t *testing.T) {
-	run := func(codec Codec) (*echoResp, CallCost) {
-		l := NewLocal(WithCodec(codec))
-		defer l.Close()
-		l.AddSite(1, echoHandler(1))
-		resp, cost, err := l.Call(context.Background(), 1, &echoReq{Payload: "same answer"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.(*echoResp), cost
-	}
-	bResp, bCost := run(Binary)
-	gResp, gCost := run(Gob)
-	if *bResp != *gResp {
-		t.Errorf("codecs decoded different values: %#v vs %#v", bResp, gResp)
-	}
-	if bCost.Sent >= gCost.Sent || bCost.Recv >= gCost.Recv {
-		t.Errorf("binary bytes %d/%d not below gob %d/%d", bCost.Sent, bCost.Recv, gCost.Sent, gCost.Recv)
-	}
-}
-
 // TestFrameWritePathAllocs is the regression cap for the pooled frame
 // write: steady-state encoding and writing of a binary frame must cost at
 // most one allocation per call (pool churn), not one per byte region.
@@ -203,7 +149,7 @@ func TestFrameWritePathAllocs(t *testing.T) {
 	// Warm the pool.
 	for i := 0; i < 16; i++ {
 		bp, _, err := encodeFrame(func(dst []byte) ([]byte, error) {
-			return Binary.appendRequest(dst, req)
+			return appendRequest(dst, req)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +158,7 @@ func TestFrameWritePathAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		bp, frame, err := encodeFrame(func(dst []byte) ([]byte, error) {
-			return Binary.appendRequest(dst, req)
+			return appendRequest(dst, req)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -246,8 +192,60 @@ func TestLocalCallAllocsBounded(t *testing.T) {
 		}
 	})
 	// Handler response + decode copies + metrics; the budget guards
-	// against reintroducing per-call encoder state (gob: dozens).
+	// against reintroducing per-call encoder state.
 	if avg > 12 {
 		t.Errorf("Local.Call allocates %.1f/op, want <= 12", avg)
+	}
+}
+
+// TestOversizeFrameIsTyped pins the frame limit's error on both sides: a
+// length prefix announcing maxFrame+1 on the read side, and a payload of
+// maxFrame+1 bytes on the write side, both matchable as
+// ErrMessageTooLarge. The write-side payload is allocated but never
+// touched, so it costs address space only.
+func TestOversizeFrameIsTyped(t *testing.T) {
+	var hdr [frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
+	if _, _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrMessageTooLarge) {
+		t.Errorf("readFrame: err = %v, want ErrMessageTooLarge", err)
+	}
+	_, _, err := encodeFrame(func([]byte) ([]byte, error) {
+		return make([]byte, frameHeader+maxFrame+1), nil
+	})
+	if !errors.Is(err, ErrMessageTooLarge) {
+		t.Errorf("encodeFrame: err = %v, want ErrMessageTooLarge", err)
+	}
+}
+
+// TestTCPOversizeResponseNotRetriable: a site that answers with a frame
+// over the limit fails the call with ErrMessageTooLarge, and not
+// retriably — a replica would build the same response.
+func TestTCPOversizeResponseNotRetriable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := readFrame(conn); err != nil {
+			return
+		}
+		var hdr [frameHeader]byte
+		binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
+		conn.Write(hdr[:])
+	}()
+	tr := NewTCP(map[SiteID]string{1: ln.Addr().String()})
+	defer tr.Close()
+	_, cost, err := tr.Call(context.Background(), 1, &echoReq{Payload: "p"})
+	if !errors.Is(err, ErrMessageTooLarge) || Retriable(err) {
+		t.Errorf("err = %v (retriable %v), want non-retriable ErrMessageTooLarge", err, Retriable(err))
+	}
+	if !cost.zero() {
+		t.Errorf("cost = %+v, want zero (no response envelope arrived)", cost)
 	}
 }

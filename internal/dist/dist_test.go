@@ -12,10 +12,9 @@ import (
 	"paxq/internal/wirefmt"
 )
 
-// echoReq/echoResp are the round-trip test messages. They speak both
-// codecs: gob via Register, binary via hand-written bodies (tags chosen
-// clear of internal/pax's 1..N block, since external test packages link
-// pax into the same binary).
+// echoReq/echoResp are the round-trip test messages, with hand-written
+// bodies (tags chosen clear of internal/pax's 1..N block, since external
+// test packages link pax into the same binary).
 type echoReq struct {
 	Payload string
 }
@@ -65,15 +64,13 @@ func (r *echoResp) DecodeBinary(p []byte) error {
 	return nil
 }
 
-// unregistered implements neither BinaryMessage nor a gob registration;
-// sending it must fail cleanly under either codec.
+// unregistered does not implement BinaryMessage; sending it must fail
+// cleanly.
 type unregistered struct {
 	X int
 }
 
 func init() {
-	Register(&echoReq{})
-	Register(&echoResp{})
 	RegisterBinary(func() BinaryMessage { return new(echoReq) })
 	RegisterBinary(func() BinaryMessage { return new(echoResp) })
 }
@@ -103,10 +100,10 @@ func localCluster(sites ...SiteID) *Local {
 }
 
 func TestRegisterDuplicateIsNoop(t *testing.T) {
-	// Same type twice: gob treats it as a no-op; a panic here fails the
-	// test.
-	Register(&echoReq{})
-	Register(&echoReq{})
+	// The same type under its own tag again is a no-op; a panic here
+	// fails the test.
+	RegisterBinary(func() BinaryMessage { return new(echoReq) })
+	RegisterBinary(func() BinaryMessage { return new(echoReq) })
 }
 
 func TestLocalRoundTrip(t *testing.T) {

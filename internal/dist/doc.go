@@ -15,16 +15,15 @@
 // deadline instead of wedging it (the TCP client unblocks in-flight I/O
 // by poisoning the connection's deadline and discards the connection).
 // Both sides exchange ordinary Go values; every concrete request and
-// response type must be known to the codec in use — RegisterBinary for
-// the default Binary codec, Register (gob) for the Gob codec.
+// response type must be registered with the codec (RegisterBinary).
 //
 // Two implementations exist with identical semantics:
 //
 //   - Local: sites are handlers in the same process. Calls are direct
 //     function invocations, but requests and responses are still passed
 //     through the wire codec to meter their encoded size, so byte counts
-//     match what a TCP deployment with the same codec would ship. A
-//     FaultHook allows tests to inject per-call network faults.
+//     match what a TCP deployment would ship. A FaultHook allows tests to
+//     inject per-call network faults.
 //   - TCP: each site is a TCPServer; the TCP client dials the configured
 //     address map and keeps a pool of idle connections per site.
 //
@@ -32,12 +31,11 @@
 //
 // Every message is one frame: a 4-byte big-endian length n followed by n
 // bytes of payload. Frames are independent — no connection history is
-// needed to decode one. The payload format is set by the endpoint's Codec
-// (WithCodec); both ends of a connection must agree.
+// needed to decode one. There is one payload format, hand-written and
+// versioned:
 //
-// Binary (default) is the hand-written, versioned format:
-//
-//	frame    := length:4 payload          (big-endian length, <= 1 GiB)
+//	frame    := length:4 payload          (big-endian length, <= 1 GiB;
+//	                                       beyond it ErrMessageTooLarge)
 //	payload  := version kind rest
 //	version  := 0x01
 //	kind     := 0x00 request | 0x01 response
@@ -59,21 +57,18 @@
 // with ErrUnknownTag, and a structurally broken envelope with
 // ErrBadEnvelope — all matchable with errors.Is.
 //
-// Gob is the legacy payload: a self-contained gob stream (fresh encoder
-// per frame) carrying a request or response envelope. A fresh encoder
-// retransmits full type descriptors on every message, which is why it
-// lost its place on the hot path; it is kept behind WithCodec(Gob) as a
-// differential cross-check (internal/harness runs random workloads under
-// both codecs and demands identical answers and visit counts) and for
-// mixed deployments mid-migration.
+// The format is pinned by the golden-bytes corpus of internal/pax
+// (testdata/golden): every message's encoding is compared byte for byte
+// against a committed file, so an accidental change fails loudly and a
+// deliberate one is a reviewed diff next to a version bump.
 //
-// Under both codecs the handler computation time travels with a fixed
-// 8-byte width so a frame's size never depends on timing, and a handler
-// whose response implements ComputeReporter (a site that evaluated
-// fragments in parallel) supplies the summed per-fragment computation in
-// place of measured wall time — the field is consumed and zeroed before
-// encoding either way, keeping response payloads identical across
-// scheduling modes.
+// The handler computation time travels with a fixed 8-byte width so a
+// frame's size never depends on timing, and a handler whose response
+// implements ComputeReporter (a site that evaluated fragments in
+// parallel) supplies the summed per-fragment computation in place of
+// measured wall time — the field is consumed and zeroed before encoding
+// either way, keeping response payloads identical across scheduling
+// modes.
 //
 // # Buffer management
 //

@@ -18,8 +18,8 @@ import (
 // Errors that do NOT wrap ErrSiteUnavailable are permanent for the call:
 // handler errors (the site did the work and said no), context
 // cancellation/deadline (the caller's budget is spent — retrying against
-// a replica would just fail again), a closed transport, and an unknown
-// site ID.
+// a replica would just fail again), a frame over the size limit
+// (ErrMessageTooLarge), a closed transport, and an unknown site ID.
 var ErrSiteUnavailable = errors.New("site unavailable")
 
 // ErrTransportClosed is returned by calls on a transport after Close.

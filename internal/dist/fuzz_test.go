@@ -10,13 +10,7 @@ import (
 // the cap (a hostile 4-byte header must not pin a gigabyte), and on
 // success must account exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
-	// A well-formed frame around a gob payload.
-	if payload, err := encodePayload(reqEnvelope{Req: nil}); err == nil {
-		var buf bytes.Buffer
-		writeFrame(&buf, payload)
-		f.Add(buf.Bytes())
-	}
-	// Well-formed binary-codec frames: a request and an error response.
+	// Well-formed frames: a request and an error response.
 	if payload, err := EncodeRequest(Binary, &echoReq{Payload: "seed"}); err == nil {
 		var buf bytes.Buffer
 		writeFrame(&buf, payload)
@@ -47,17 +41,11 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzDecodeEnvelope feeds arbitrary bytes to the payload decoders of
-// both codecs and both envelope kinds — the exact path a hostile peer
-// controls after framing. Malformed input must error, never panic.
+// both envelope kinds — the exact path a hostile peer controls after
+// framing. Malformed input must error, never panic.
 func FuzzDecodeEnvelope(f *testing.F) {
-	if p, err := encodePayload(respEnvelope{Err: "boom", ComputeNanos: 1}); err == nil {
-		f.Add(p)
-	}
-	if p, err := encodePayload(reqEnvelope{Req: nil}); err == nil {
-		f.Add(p)
-	}
-	// Binary-codec seeds: request, ok-response, error-response, plus
-	// corrupted shapes (wrong version, unknown tag, truncated body).
+	// Seeds: request, ok-response, error-response, plus corrupted shapes
+	// (wrong version, unknown tag, truncated body).
 	if p, err := EncodeRequest(Binary, &echoReq{Payload: "seed request"}); err == nil {
 		f.Add(p)
 		f.Add(p[:len(p)-3])
@@ -75,9 +63,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0xff, 0x82})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range []Codec{Binary, Gob} {
-			_, _ = codec.decodeRequest(data)
-			_, _ = codec.decodeResponse(data)
-		}
+		_, _ = decodeRequest(data)
+		_, _ = decodeResponse(data)
 	})
 }

@@ -10,14 +10,12 @@ import (
 // Local is the in-process transport: every site is a Handler in the same
 // address space. Calls invoke the handler directly but still run request
 // and response through the wire codec so byte counts match a TCP
-// deployment of the same cluster with the same codec.
+// deployment of the same cluster.
 type Local struct {
 	// FaultHook, when set, runs before each call and can fail it —
 	// simulating an unreachable site or a dropped message. Set it only
 	// while no calls are in flight.
 	FaultHook func(to SiteID, req any) error
-
-	codec Codec
 
 	mu       sync.RWMutex
 	handlers map[SiteID]Handler
@@ -25,9 +23,8 @@ type Local struct {
 }
 
 // NewLocal creates an empty in-process cluster.
-func NewLocal(opts ...Option) *Local {
-	o := applyOptions(opts)
-	return &Local{codec: o.codec, handlers: make(map[SiteID]Handler), m: NewMetrics()}
+func NewLocal() *Local {
+	return &Local{handlers: make(map[SiteID]Handler), m: NewMetrics()}
 }
 
 // AddSite registers the handler serving a site, replacing any previous
@@ -63,7 +60,7 @@ func (l *Local) Call(ctx context.Context, to SiteID, req any) (any, CallCost, er
 	// the bytes a TCP deployment would ship.
 	bp := getFrame()
 	defer putFrame(bp)
-	buf, err := l.codec.appendRequest((*bp)[:0], req)
+	buf, err := appendRequest((*bp)[:0], req)
 	if err != nil {
 		return nil, CallCost{}, err
 	}
@@ -71,20 +68,20 @@ func (l *Local) Call(ctx context.Context, to SiteID, req any) (any, CallCost, er
 	start := time.Now()
 	resp, herr := invokeHandler(h, req)
 	compute := takeCompute(resp, time.Since(start))
-	env := respEnvelope{ComputeNanos: clampNanos(compute)}
+	env := respEnvelope{Compute: compute}
 	if herr != nil {
 		env.Err = herr.Error()
 	} else {
 		env.Resp = resp
 	}
-	buf, err = l.codec.appendResponse(buf[:0], env)
+	buf, err = appendResponse(buf[:0], env)
 	if err != nil {
 		// Mirror the TCP server: an unencodable response travels back as
 		// an error envelope — the handler did run, so the visit and its
 		// computation are still metered.
 		herr = err
-		env = respEnvelope{Err: err.Error(), ComputeNanos: env.ComputeNanos}
-		if buf, err = l.codec.appendResponse(buf[:0], env); err != nil {
+		env = respEnvelope{Err: err.Error(), Compute: compute}
+		if buf, err = appendResponse(buf[:0], env); err != nil {
 			return nil, CallCost{}, err
 		}
 	}

@@ -14,24 +14,21 @@ import (
 // connection. Handler errors (and panics) are propagated to the caller in
 // the response envelope; the connection stays usable.
 type TCPServer struct {
-	ln    net.Listener
-	h     Handler
-	codec Codec
+	ln net.Listener
+	h  Handler
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 }
 
-// NewTCPServer listens on addr (e.g. "127.0.0.1:0") and serves h. The
-// codec (WithCodec) must match the dialing client's.
-func NewTCPServer(addr string, h Handler, opts ...Option) (*TCPServer, error) {
-	o := applyOptions(opts)
+// NewTCPServer listens on addr (e.g. "127.0.0.1:0") and serves h.
+func NewTCPServer(addr string, h Handler) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{ln: ln, h: h, codec: o.codec, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{ln: ln, h: h, conns: make(map[net.Conn]struct{})}
 	go s.acceptLoop()
 	return s, nil
 }
@@ -99,12 +96,12 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			return // client went away, or Close severed us
 		}
 		env := respEnvelope{}
-		if req, err := s.codec.decodeRequest(payload); err != nil {
+		if req, err := decodeRequest(payload); err != nil {
 			env.Err = err.Error()
 		} else {
 			start := time.Now()
 			resp, herr := invokeHandler(s.h, req)
-			env.ComputeNanos = clampNanos(takeCompute(resp, time.Since(start)))
+			env.Compute = takeCompute(resp, time.Since(start))
 			if herr != nil {
 				env.Err = herr.Error()
 			} else {
@@ -114,14 +111,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		// Encode header and envelope into one pooled buffer; a single
 		// Write ships the whole frame.
 		bp, frame, err := encodeFrame(func(dst []byte) ([]byte, error) {
-			return s.codec.appendResponse(dst, env)
+			return appendResponse(dst, env)
 		})
 		if err != nil {
 			// The handler produced an unencodable response; report that
 			// instead of dropping the connection.
 			encErr := err.Error()
 			bp, frame, err = encodeFrame(func(dst []byte) ([]byte, error) {
-				return s.codec.appendResponse(dst, respEnvelope{Err: encErr, ComputeNanos: env.ComputeNanos})
+				return appendResponse(dst, respEnvelope{Err: encErr, Compute: env.Compute})
 			})
 			if err != nil {
 				return
@@ -145,7 +142,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // fresh dial; a connection that dies mid-call fails that call.
 type TCP struct {
 	addrs map[SiteID]string
-	codec Codec
 	m     *Metrics
 
 	mu     sync.Mutex
@@ -155,13 +151,10 @@ type TCP struct {
 }
 
 // NewTCP creates a client for a cluster of TCP sites. Connections are
-// dialed lazily on first use. The codec (WithCodec) must match the
-// servers'.
-func NewTCP(addrs map[SiteID]string, opts ...Option) *TCP {
-	o := applyOptions(opts)
+// dialed lazily on first use.
+func NewTCP(addrs map[SiteID]string) *TCP {
 	t := &TCP{
 		addrs:  make(map[SiteID]string, len(addrs)),
-		codec:  o.codec,
 		m:      NewMetrics(),
 		idle:   make(map[SiteID][]net.Conn),
 		active: make(map[net.Conn]struct{}),
@@ -323,7 +316,7 @@ func (t *TCP) Call(ctx context.Context, to SiteID, req any) (any, CallCost, erro
 	// whole frame ships with a single Write and the steady-state encode
 	// path allocates nothing.
 	bp, frame, err := encodeFrame(func(dst []byte) ([]byte, error) {
-		return t.codec.appendRequest(dst, req)
+		return appendRequest(dst, req)
 	})
 	if err != nil {
 		return nil, CallCost{}, err
@@ -339,12 +332,17 @@ func (t *TCP) Call(ctx context.Context, to SiteID, req any) (any, CallCost, erro
 	stop := context.AfterFunc(ctx, func() {
 		conn.SetDeadline(time.Unix(1, 0)) // the distant past: fail all I/O now
 	})
-	env, sent, recvd, err := roundTrip(conn, frame, t.codec)
+	env, sent, recvd, err := roundTrip(conn, frame)
 	canceled := !stop()
 	if err != nil {
 		t.dropConn(conn)
 		if ctxErr := ctx.Err(); canceled && ctxErr != nil {
 			return nil, CallCost{}, fmt.Errorf("dist: site %d: %w", to, ctxErr)
+		}
+		if errors.Is(err, ErrMessageTooLarge) {
+			// The site answered with a frame over the limit; a replica
+			// would build the same response, so this is not retriable.
+			return nil, CallCost{}, fmt.Errorf("dist: site %d: %w", to, err)
 		}
 		// The connection died mid-call (site killed, listener torn down):
 		// the site is unavailable, and since the response never arrived
@@ -358,7 +356,7 @@ func (t *TCP) Call(ctx context.Context, to SiteID, req any) (any, CallCost, erro
 	} else {
 		t.putConn(to, conn)
 	}
-	cost := CallCost{Sent: sent, Recv: recvd, Compute: time.Duration(env.ComputeNanos)}
+	cost := CallCost{Sent: sent, Recv: recvd, Compute: env.Compute}
 	t.m.Add(to, cost)
 	if env.Err != "" {
 		return nil, cost, errors.New(env.Err)
@@ -367,7 +365,7 @@ func (t *TCP) Call(ctx context.Context, to SiteID, req any) (any, CallCost, erro
 }
 
 // roundTrip writes one pre-framed request and reads the response frame.
-func roundTrip(conn net.Conn, frame []byte, c Codec) (env respEnvelope, sent, recvd int64, err error) {
+func roundTrip(conn net.Conn, frame []byte) (env respEnvelope, sent, recvd int64, err error) {
 	if _, err = conn.Write(frame); err != nil {
 		return env, 0, 0, err
 	}
@@ -376,7 +374,7 @@ func roundTrip(conn net.Conn, frame []byte, c Codec) (env respEnvelope, sent, re
 	if err != nil {
 		return env, 0, 0, err
 	}
-	if env, err = c.decodeResponse(respPayload); err != nil {
+	if env, err = decodeResponse(respPayload); err != nil {
 		return env, 0, 0, err
 	}
 	return env, sent, recvd, nil

@@ -44,17 +44,8 @@ func (r *LoadReport) String() string {
 // preserves under concurrency.
 //
 // Fragments are packed two per site so each stage request fans out over
-// several fragments, exercising site-side parallel fragment evaluation;
-// cfg.SiteParallelism (via ConcurrentLoadParallelism) bounds that
-// fan-out, letting paxbench compare parallel against sequential sites on
-// the same workload.
+// several fragments, exercising site-side parallel fragment evaluation.
 func ConcurrentLoad(ctx context.Context, cfg Config, workers, perWorker int) (*LoadReport, error) {
-	return ConcurrentLoadParallelism(ctx, cfg, workers, perWorker, 0)
-}
-
-// ConcurrentLoadParallelism is ConcurrentLoad with an explicit per-site
-// fragment-evaluation parallelism (0 = GOMAXPROCS, 1 = sequential).
-func ConcurrentLoadParallelism(ctx context.Context, cfg Config, workers, perWorker, siteParallelism int) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
 	if workers < 1 {
 		workers = 1
@@ -69,11 +60,7 @@ func ConcurrentLoadParallelism(ctx context.Context, cfg Config, workers, perWork
 	}
 	numSites := (ft.Len() + 1) / 2
 	topo := pax.RoundRobin(ft, numSites)
-	var siteOpts []pax.SiteOption
-	if siteParallelism > 0 {
-		siteOpts = append(siteOpts, pax.SiteParallelism(siteParallelism))
-	}
-	tcp, _, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)
+	tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
 	if err != nil {
 		return nil, err
 	}

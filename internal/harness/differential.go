@@ -52,12 +52,6 @@ type DiffOptions struct {
 	// sequential-site cluster of the same fragmentation and requires
 	// identical answers, visit counts and byte totals.
 	CompareParallel bool
-	// CompareCodecs additionally evaluates every case on a gob-codec twin
-	// and a simplification-disabled twin of the same cluster and requires
-	// identical answers and visit counts — plus the byte-bound sanity
-	// check that the binary codec with simplification never ships more
-	// than either twin.
-	CompareCodecs bool
 	// CompareCache additionally evaluates every case on two site-cache
 	// twins of the same cluster — one with a comfortably sized Stage-1
 	// cache (evaluated twice per case: a miss-then-hit schedule) and one
@@ -98,7 +92,6 @@ type DiffResult struct {
 	Mismatches     int // distributed answer != centralized answer
 	BoundExceeded  int // per-site visits above the algorithm's bound
 	ParallelDiffs  int // parallel vs sequential site evaluation disagreed
-	CodecDiffs     int // binary vs gob, or simplify vs raw, disagreed
 	CacheCases     int // cached-twin evaluations compared against uncached
 	CacheDiffs     int // cached vs uncached disagreed (answers/visits/bytes)
 	CacheHits      int // Stage-1 cache hits observed across cached twins
@@ -120,7 +113,6 @@ func (r *DiffResult) Merge(other *DiffResult) {
 	r.Mismatches += other.Mismatches
 	r.BoundExceeded += other.BoundExceeded
 	r.ParallelDiffs += other.ParallelDiffs
-	r.CodecDiffs += other.CodecDiffs
 	r.CacheCases += other.CacheCases
 	r.CacheDiffs += other.CacheDiffs
 	r.CacheHits += other.CacheHits
@@ -143,12 +135,12 @@ func (r *DiffResult) Merge(other *DiffResult) {
 
 // Ok reports whether every check of every merged run held.
 func (r *DiffResult) Ok() bool {
-	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.ParallelDiffs == 0 && r.CodecDiffs == 0 && r.CacheDiffs == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
+	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.ParallelDiffs == 0 && r.CacheDiffs == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d codec/simplify divergences, %d/%d cached-twin divergences (%d cache hits), %d/%d batch-twin divergences, %d/%d edit-twin divergences (%d edits applied, %d entries scope-retained) (max visits: PaX3 %d, PaX2 %d)",
-		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.CodecDiffs, r.CacheDiffs, r.CacheCases, r.CacheHits, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditRetained, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
+	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d cached-twin divergences (%d cache hits), %d/%d batch-twin divergences, %d/%d edit-twin divergences (%d edits applied, %d entries scope-retained) (max visits: PaX3 %d, PaX2 %d)",
+		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.CacheDiffs, r.CacheCases, r.CacheHits, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditRetained, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 
 // xmarkLabels is the vocabulary random xmark-shaped queries draw from.
@@ -278,34 +270,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 		defer shutdown()
 		seqEng = e
-	}
-	// Codec/simplify twins: same fragmentation and topology, differing
-	// only in wire codec or in the ship-time simplification pass. Answers
-	// and visit counts must be invariant across all of them.
-	type twin struct {
-		name string
-		eng  *pax.Engine
-		// bytesAtMost asserts the primary engine's byte totals never
-		// exceed this twin's (gob adds envelope overhead; disabling
-		// simplification can only grow formulas).
-		bytesAtMost bool
-	}
-	var twins []twin
-	if opts.CompareCodecs {
-		gobEng, _, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(4), pax.ClusterCodec(dist.Gob))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer shutdown()
-		rawEng, _, _, rshutdown, err := buildEngine(nil, pax.SiteParallelism(4), pax.SiteSimplify(false))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer rshutdown()
-		twins = []twin{
-			{name: "gob codec", eng: gobEng, bytesAtMost: true},
-			{name: "no-simplify", eng: rawEng, bytesAtMost: true},
-		}
 	}
 	// Cache twins: identical deployment plus a Stage-1 memoization cache.
 	// cacheEng's cache comfortably holds the seed's whole workload (warm
@@ -496,26 +460,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 					cmpBatch(query, alg, ann, got)
 					if alg == pax.PaX3 && !ann {
 						batchReplays = append(batchReplays, batchCase{query: query, want: want})
-					}
-				}
-				for _, tw := range twins {
-					tr, err := tw.eng.RunContext(ctx, query, popts)
-					if err != nil {
-						res.CodecDiffs++
-						fail("seed %d %s %v(XA=%v) %q: %s twin failed: %v", seed, opts.Transport, alg, ann, query, tw.name, err)
-						continue
-					}
-					if !slices.Equal(got.Answers, tr.Answers) || tr.MaxVisits != got.MaxVisits {
-						res.CodecDiffs++
-						fail("seed %d %s %v(XA=%v) %q: %s twin diverged (visits %d vs %d, %d vs %d answers)",
-							seed, opts.Transport, alg, ann, query, tw.name,
-							got.MaxVisits, tr.MaxVisits, len(got.Answers), len(tr.Answers))
-					}
-					if tw.bytesAtMost && (got.BytesSent > tr.BytesSent || got.BytesRecv > tr.BytesRecv) {
-						res.CodecDiffs++
-						fail("seed %d %s %v(XA=%v) %q: binary+simplify shipped %d/%d bytes, %s twin only %d/%d",
-							seed, opts.Transport, alg, ann, query,
-							got.BytesSent, got.BytesRecv, tw.name, tr.BytesSent, tr.BytesRecv)
 					}
 				}
 			}

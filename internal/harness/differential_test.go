@@ -51,16 +51,13 @@ func requireBatchCorpus(t *testing.T, res *DiffResult) {
 // the in-process transport, with the per-site visit bound asserted for
 // every single evaluation, parallel site evaluation cross-checked against
 // sequential (answers, visit counts and byte totals must match exactly),
-// every case replayed on gob-codec and simplification-disabled twins
-// (answers and visit counts must match exactly; bytes must not shrink
-// relative to the binary+simplify primary), and every case replayed on
-// warm and eviction-pressure site-cache twins (answers, visit counts and
-// byte totals must match the uncached primary exactly).
+// and every case replayed on warm and eviction-pressure site-cache twins
+// (answers, visit counts and byte totals must match the uncached primary
+// exactly).
 func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
 		Transport:       DiffLocal,
 		CompareParallel: true,
-		CompareCodecs:   true,
 		CompareCache:    true,
 		CompareBatch:    true,
 	})
@@ -77,10 +74,10 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 
 // TestDifferentialTCPSeedCorpus runs the same fixed corpus over real TCP
 // sites on loopback: the full wire codec, connection pooling and
-// per-frame accounting are in the loop, with the gob, no-simplify and
-// site-cache twins deployed as their own TCP clusters.
+// per-frame accounting are in the loop, with the site-cache and batch
+// twins deployed as their own TCP clusters.
 func TestDifferentialTCPSeedCorpus(t *testing.T) {
-	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareCodecs: true, CompareCache: true, CompareBatch: true})
+	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareCache: true, CompareBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +98,6 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1000, 100, DiffOptions{
 		Transport:       DiffLocal,
 		CompareParallel: true,
-		CompareCodecs:   true,
 		CompareCache:    true,
 		CompareBatch:    true,
 		CompareEdits:    true,
@@ -111,7 +107,7 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	}
 	requireClean(t, res)
 
-	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareCodecs: true, CompareCache: true, CompareBatch: true, CompareEdits: true})
+	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareCache: true, CompareBatch: true, CompareEdits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,18 +20,19 @@
 // observationally identical to the primary:
 //
 //   - a sequential-site twin (parallelism changes wall time only);
-//   - a gob-codec twin and a simplification-disabled twin (answers and
-//     visits identical; bytes never smaller than the binary+simplify
-//     primary);
 //   - Stage-1 cache twins — one warm, one single-entry for eviction
 //     pressure — evaluated on miss-then-hit and interleaved-replay
 //     schedules (answers, visits AND bytes identical to the uncached
-//     primary).
+//     primary);
+//   - a batching twin (batch-of-one wire-identical to the primary,
+//     concurrent batches centralized-equal with ledgers conserved) and,
+//     in the mutation phase, scoped-vs-wipe invalidation twins.
 //
 // # Serving benchmarks
 //
 // concurrent.go measures multi-query serving throughput over TCP with the
-// per-query visit bound asserted for every single evaluation; codecbench.go
-// and cachebench.go produce the machine-readable perf baselines the repo
-// commits (BENCH_codec.json, BENCH_cache.json).
+// per-query visit bound asserted for every single evaluation;
+// cachebench.go and batchbench.go produce the machine-readable baselines
+// the repo commits (BENCH_cache.json, BENCH_batch.json). The end-to-end
+// serving numbers, wire bytes per query among them, come from bench/.
 package harness

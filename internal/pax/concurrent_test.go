@@ -14,7 +14,9 @@ import (
 // baseline is a solo run's cost profile, the reference for asserting that
 // a concurrent run of the same query was accounted independently. Byte
 // totals are deterministic per (query, topology) as long as QueryIDs stay
-// in one gob width class (< 128 for these tests).
+// in one varint width class (< 128 for these tests): requests carry the
+// QID as a uvarint, and responses carry the site's compute time at a
+// fixed 8 bytes.
 type baseline struct {
 	sent, recv int64
 	visits     int
@@ -45,18 +47,9 @@ func checkAgainstBaseline(t *testing.T, ft *fragment.Fragmentation, query string
 	if res.MaxVisits != want.visits {
 		t.Errorf("%q: MaxVisits = %d, solo run had %d", query, res.MaxVisits, want.visits)
 	}
-	// Sent bytes are exactly deterministic per (query, topology). Received
-	// frames carry ComputeNanos, which gob encodes variable-length, so
-	// timing jitter moves the total by a few bytes per response — a leak
-	// of another query's traffic would be off by thousands.
-	const recvTolerance = 128
-	if res.BytesSent != want.sent {
-		t.Errorf("%q: BytesSent = %d, solo run had %d — cost leaked across queries",
-			query, res.BytesSent, want.sent)
-	}
-	if d := res.BytesRecv - want.recv; d < -recvTolerance || d > recvTolerance {
-		t.Errorf("%q: BytesRecv = %d, solo run had %d — cost leaked across queries",
-			query, res.BytesRecv, want.recv)
+	if res.BytesSent != want.sent || res.BytesRecv != want.recv {
+		t.Errorf("%q: bytes sent/received = %d/%d, solo run had %d/%d — cost leaked across queries",
+			query, res.BytesSent, res.BytesRecv, want.sent, want.recv)
 	}
 	if res.Stages != want.stages {
 		t.Errorf("%q: %d stages, solo run had %d", query, res.Stages, want.stages)

@@ -40,8 +40,8 @@
 // query's ledger is identical whether the site evaluated sequentially or
 // in parallel. Stage 1 is one evaluator, the bit-packed pass over the
 // fragment's arena view (parbox.NewVectorState + FragQual). Before
-// shipping, residual formulas run a hash-consing simplification pass
-// (SetSimplify).
+// shipping, every residual formula runs a hash-consing simplification
+// pass (boolexpr.Simplifier).
 //
 // # Stage-1 memoization
 //
@@ -57,8 +57,11 @@
 //
 // # Wire messages
 //
-// The stage messages (messages.go) hand-encode to the dist.Binary codec in
-// wiremsg.go; residual formulas travel in their boolexpr postfix encoding,
-// so the shipped bytes track the paper's O(|residual formulas|)
-// communication bound rather than serialization-library overhead.
+// The stage messages (messages.go) hand-encode their bodies in wiremsg.go;
+// residual formulas travel in their boolexpr postfix encoding, so the
+// shipped bytes track the paper's O(|residual formulas|) communication
+// bound rather than serialization-library overhead. testdata/golden
+// records every message's bytes; a deliberate format change regenerates
+// it (go test -run TestGoldenBytes -update) beside a bump of the dist
+// version byte.
 package pax

@@ -245,7 +245,7 @@ type WireFragment struct {
 	Root WireNode
 }
 
-// WireNode is a gob-friendly tree node; virtual nodes carry the
+// WireNode is a tree node in wire form; virtual nodes carry the
 // sub-fragment ID they stand for.
 type WireNode struct {
 	Kind     uint8
@@ -254,23 +254,6 @@ type WireNode struct {
 	Virtual  bool
 	Frag     fragment.FragID
 	Children []WireNode
-}
-
-func init() {
-	dist.Register(&QualStageReq{})
-	dist.Register(&QualStageResp{})
-	dist.Register(&SelStageReq{})
-	dist.Register(&SelStageResp{})
-	dist.Register(&CombinedStageReq{})
-	dist.Register(&CombinedStageResp{})
-	dist.Register(&AnsStageReq{})
-	dist.Register(&AnsStageResp{})
-	dist.Register(&FetchReq{})
-	dist.Register(&FetchResp{})
-	dist.Register(&BatchStageReq{})
-	dist.Register(&BatchStageResp{})
-	dist.Register(&EditReq{})
-	dist.Register(&EditResp{})
 }
 
 // subtreeToWire converts a plain (fragment-free) subtree to wire form —

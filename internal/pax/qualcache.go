@@ -101,7 +101,7 @@ func (s *Site) retainEntry(old *qualEntry, fid fragment.FragID, nf *fragment.Fra
 	copy(ne.roots, old.roots)
 	for i := range ne.roots {
 		if ne.roots[i].Frag == fid {
-			ne.roots[i] = s.shipRootVecs(fid, nf, fq)
+			ne.roots[i] = shipRootVecs(fid, nf, fq)
 			break
 		}
 	}

@@ -36,7 +36,6 @@ type Site struct {
 	frags    map[fragment.FragID]*fragment.Fragment
 	compiled *lru[string, compiledQuery]
 	par      int
-	simplify bool
 	// cache, when enabled, memoizes Stage-1 (qualifier pass) results per
 	// compiled query so repeated queries skip the fragment traversal
 	// entirely — see qualcache.go and package sitecache. Nil = disabled.
@@ -119,7 +118,6 @@ func NewSite(id dist.SiteID, frags []*fragment.Fragment) *Site {
 		frags:    make(map[fragment.FragID]*fragment.Fragment, len(frags)),
 		compiled: newLRU[string, compiledQuery](defaultSiteCompileCache),
 		par:      runtime.GOMAXPROCS(0),
-		simplify: true,
 		sessions: make(map[QueryID]*session),
 	}
 	for _, f := range frags {
@@ -138,40 +136,20 @@ func (s *Site) SetParallelism(n int) {
 	s.par = n
 }
 
-// SetSimplify toggles the simplification pass applied to residual
-// formulas before they ship (on by default): constant folding, flattening
-// and cross-pointer dedup via interning — semantics-preserving, so
-// answers and visit counts are identical either way, but shipped bytes
-// shrink whenever formulas repeat sub-structure. Call before the site
-// starts serving.
-func (s *Site) SetSimplify(on bool) {
-	s.simplify = on
-}
-
-// shipSimplifier returns a fresh per-fragment Simplifier, or nil when the
-// pass is disabled. Each fragment's formulas get their own interner —
-// deterministic output independent of the site's scheduling mode.
-func (s *Site) shipSimplifier() *boolexpr.Simplifier {
-	if !s.simplify {
-		return nil
-	}
-	return boolexpr.NewSimplifier()
-}
-
-// shipVec encodes a formula vector for the wire, simplified when enabled.
+// shipVec encodes a formula vector for the wire through sim, the
+// simplification pass every shipped formula takes: constant folding,
+// flattening and cross-pointer dedup via interning. Semantics-preserving;
+// Stage-1 vectors are already canonical, but the combined stage's
+// formulas ship up to 3× the bytes without it. Each fragment's formulas
+// get a fresh Simplifier, so the output is deterministic and independent
+// of the site's scheduling mode.
 func shipVec(sim *boolexpr.Simplifier, fs []*boolexpr.Formula) WireVec {
-	if sim != nil {
-		fs = sim.Vec(fs)
-	}
-	return boolexpr.EncodeVec(fs)
+	return boolexpr.EncodeVec(sim.Vec(fs))
 }
 
-// shipOne encodes a single formula for the wire, simplified when enabled.
+// shipOne encodes a single formula for the wire through sim.
 func shipOne(sim *boolexpr.Simplifier, f *boolexpr.Formula) []byte {
-	if sim != nil {
-		f = sim.Simplify(f)
-	}
-	return boolexpr.Encode(f)
+	return boolexpr.Encode(sim.Simplify(f))
 }
 
 // ID returns the site's identifier.
@@ -402,8 +380,8 @@ func (p *qualPassResult) work() int64 {
 // bytes the most. Both the fresh sweep and the patched-entry rebuild go
 // through here, so a patched cache entry ships bytes identical to a fresh
 // evaluation.
-func (s *Site) shipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbox.FragQual) WireRootVecs {
-	sim := s.shipSimplifier()
+func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbox.FragQual) WireRootVecs {
+	sim := boolexpr.NewSimplifier()
 	rv := WireRootVecs{
 		Frag: fid,
 		QV:   shipVec(sim, fq.Root.QV),
@@ -442,7 +420,7 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 		f := sess.frags[fid]
 		st := parbox.NewVectorState(f, sess.c, sess.vs)
 		fq := st.FragQual()
-		return qualOut{rv: s.shipRootVecs(fid, f, fq), fq: fq, st: st}, nil
+		return qualOut{rv: shipRootVecs(fid, f, fq), fq: fq, st: st}, nil
 	})
 	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
 	if err != nil {
@@ -600,7 +578,7 @@ func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 	resp := &SelStageResp{}
 	for i, fid := range req.Frags {
 		outc := outs[i]
-		sim := s.shipSimplifier()
+		sim := boolexpr.NewSimplifier()
 		for _, ctx := range outc.contexts {
 			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(sim, ctx.sv)})
 		}
@@ -645,7 +623,7 @@ func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error)
 	resp := &CombinedStageResp{}
 	for i, fid := range req.Frags {
 		outc := outs[i]
-		sim := s.shipSimplifier()
+		sim := boolexpr.NewSimplifier()
 		resp.Roots = append(resp.Roots, WireRootVecs{
 			Frag: fid,
 			QV:   shipVec(sim, outc.roots.QV),

@@ -191,14 +191,13 @@ func (t *Topology) FragsAt(site dist.SiteID) []fragment.FragID { return t.fragsA
 type SiteOption func(*clusterConfig)
 
 type clusterConfig struct {
-	site      []func(*Site)
-	codec     dist.Codec
+	par       int
 	cacheSize int
 	cacheTTL  time.Duration
 }
 
 func buildConfig(opts []SiteOption) clusterConfig {
-	var cfg clusterConfig // zero codec = dist.Binary, the default
+	var cfg clusterConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -210,33 +209,17 @@ func (c *clusterConfig) newSite(sid dist.SiteID, frags []*fragment.Fragment) *Si
 	if c.cacheSize > 0 {
 		site.EnableCache(c.cacheSize, c.cacheTTL)
 	}
-	for _, o := range c.site {
-		o(site)
+	if c.par > 0 {
+		site.SetParallelism(c.par)
 	}
 	return site
 }
 
 // SiteParallelism bounds fragment-evaluation concurrency within each
-// site's stage requests (see Site.SetParallelism).
+// site's stage requests (see Site.SetParallelism). Sites default to
+// GOMAXPROCS; the differential harness sets 1 for its sequential oracle.
 func SiteParallelism(n int) SiteOption {
-	return func(c *clusterConfig) {
-		c.site = append(c.site, func(s *Site) { s.SetParallelism(n) })
-	}
-}
-
-// SiteSimplify toggles the formula simplification pass sites run before
-// shipping residual formulas (see Site.SetSimplify). On by default; tests
-// disable it to cross-check that simplification never changes an answer.
-func SiteSimplify(on bool) SiteOption {
-	return func(c *clusterConfig) {
-		c.site = append(c.site, func(s *Site) { s.SetSimplify(on) })
-	}
-}
-
-// ClusterCodec selects the wire codec for the cluster's transport —
-// dist.Binary by default, dist.Gob for differential cross-checks.
-func ClusterCodec(codec dist.Codec) SiteOption {
-	return func(c *clusterConfig) { c.codec = codec }
+	return func(c *clusterConfig) { c.par = n }
 }
 
 // WithSiteCache equips every site with a Stage-1 memoization cache of at
@@ -258,7 +241,7 @@ func WithSiteCacheTTL(ttl time.Duration) SiteOption {
 // Site per SiteID, registered on a fresh Local transport.
 func BuildLocalCluster(t *Topology, opts ...SiteOption) (*dist.Local, []*Site) {
 	cfg := buildConfig(opts)
-	local := dist.NewLocal(dist.WithCodec(cfg.codec))
+	local := dist.NewLocal()
 	var sites []*Site
 	for _, sid := range t.sites {
 		var frags []*fragment.Fragment
@@ -292,7 +275,7 @@ func BuildTCPCluster(t *Topology, opts ...SiteOption) (*dist.TCP, []*Site, func(
 			frags = append(frags, t.FT.Frag(fid))
 		}
 		site := cfg.newSite(sid, frags)
-		srv, err := dist.NewTCPServer("127.0.0.1:0", site.Handler(), dist.WithCodec(cfg.codec))
+		srv, err := dist.NewTCPServer("127.0.0.1:0", site.Handler())
 		if err != nil {
 			shutdown()
 			return nil, nil, nil, err
@@ -301,6 +284,6 @@ func BuildTCPCluster(t *Topology, opts ...SiteOption) (*dist.TCP, []*Site, func(
 		sites = append(sites, site)
 		addrs[sid] = srv.Addr()
 	}
-	tcp := dist.NewTCP(addrs, dist.WithCodec(cfg.codec))
+	tcp := dist.NewTCP(addrs)
 	return tcp, sites, func() { tcp.Close(); shutdown() }, nil
 }

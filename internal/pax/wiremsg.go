@@ -11,9 +11,8 @@ import (
 	"paxq/internal/xmltree"
 )
 
-// Hand-written binary bodies for every stage message — the dist.Binary
-// codec's replacement for gob's reflection-driven encoding. Residual
-// formulas travel in their boolexpr postfix encoding (WireVec entries are
+// Hand-written binary bodies for every stage message. Residual formulas
+// travel in their boolexpr postfix encoding (WireVec entries are
 // already encoded bytes), so the dominant payload term is exactly the
 // O(|residual formulas|) quantity of the paper's communication bound; the
 // envelope adds a tag and a handful of varints, not type descriptors.
@@ -141,8 +140,8 @@ func eagerCap(n int) int {
 // int32 decodes a value the encoders ship via uint32 truncation
 // (fragment/node IDs, fragment counts). The full uint32 range
 // round-trips, so the negative sentinels (fragment.NoFrag, xmltree.NoID
-// — both -1) decode back to exactly what was encoded, matching gob's
-// pass-through semantics; only values a uint32 cannot hold are corrupt.
+// — both -1) decode back to exactly what was encoded; only values a
+// uint32 cannot hold are corrupt.
 func (r *reader) int32() int32 {
 	v := r.uvarint()
 	if r.err == nil && v > math.MaxUint32 {
@@ -329,8 +328,7 @@ func (r *reader) contexts() []WireContext {
 // length, not nil-ness: a query whose qualifiers compile to zero path
 // predicates ships a non-nil empty mask, which consumers cannot
 // distinguish from nil (no entry is ever consulted) — encoding it as
-// absent keeps the wire canonical and matches what gob does with empty
-// slices.
+// absent keeps the wire canonical.
 func appendBoolVals(dst []byte, v WireBoolVals) []byte {
 	dst = appendFragID(dst, v.Frag)
 	dst = wirefmt.AppendBools(dst, v.QV)

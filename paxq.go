@@ -31,7 +31,7 @@
 // one query are attributed to that query alone and the paper's per-query
 // guarantees (visit bound, traffic bound) can be asserted even under
 // concurrent load. Within one site, the fragments of a stage request are
-// themselves evaluated in parallel (ClusterOptions.SiteParallelism), with
+// themselves evaluated in parallel (GOMAXPROCS at a time), with
 // per-fragment computation summed into the ledger so the cost profile is
 // identical to sequential evaluation. Compiled query plans are cached and
 // shared between evaluations. Close must not be called while evaluations
@@ -160,30 +160,6 @@ const (
 	TransportTCP
 )
 
-// CodecKind selects the wire encoding between coordinator and sites.
-type CodecKind int
-
-// Codecs: the hand-written binary message format (default), or the legacy
-// reflection-driven gob envelopes kept as a differential cross-check.
-const (
-	CodecBinary CodecKind = iota
-	CodecGob
-)
-
-// ParseCodec maps a flag value ("binary" or "gob", case-insensitive) to
-// a CodecKind, delegating to the transport layer's parser so every
-// command accepts exactly the same spellings.
-func ParseCodec(s string) (CodecKind, error) {
-	c, err := dist.ParseCodec(s)
-	if err != nil {
-		return CodecBinary, fmt.Errorf("paxq: unknown codec %q (want binary or gob)", s)
-	}
-	if c == dist.Gob {
-		return CodecGob, nil
-	}
-	return CodecBinary, nil
-}
-
 // ClusterOptions configures fragmentation and deployment.
 type ClusterOptions struct {
 	// Fragments requests a random fragmentation with this many fragments
@@ -212,19 +188,6 @@ type ClusterOptions struct {
 	// up to this long for a slot before failing with ErrOverloaded.
 	// Meaningful only with MaxInFlight > 0.
 	QueueTimeout time.Duration
-	// SiteParallelism bounds per-site fragment-evaluation concurrency
-	// within one stage request (1 = sequential). 0 means GOMAXPROCS.
-	// Applies to in-process (TransportLocal) and loopback-TCP sites built
-	// by NewCluster.
-	SiteParallelism int
-	// Codec selects the wire encoding between coordinator and sites
-	// (default CodecBinary; CodecGob for differential cross-checks).
-	Codec CodecKind
-	// DisableSimplify turns off the formula simplification pass sites run
-	// before shipping residual formulas. Answers are identical either
-	// way; disabling it trades bytes on the wire for a little site CPU,
-	// and exists mainly so tests can cross-check the pass.
-	DisableSimplify bool
 	// SiteCacheSize equips every site with a Stage-1 (qualifier pass)
 	// memoization cache of at most this many entries: a repeated query
 	// answers its qualifier stage from cache with zero tree traversal,
@@ -344,15 +307,6 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	}
 	c := &Cluster{ft: ft, topo: topo}
 	var siteOpts []pax.SiteOption
-	if opts.SiteParallelism > 0 {
-		siteOpts = append(siteOpts, pax.SiteParallelism(opts.SiteParallelism))
-	}
-	if opts.Codec == CodecGob {
-		siteOpts = append(siteOpts, pax.ClusterCodec(dist.Gob))
-	}
-	if opts.DisableSimplify {
-		siteOpts = append(siteOpts, pax.SiteSimplify(false))
-	}
 	if opts.SiteCacheSize > 0 {
 		siteOpts = append(siteOpts, pax.WithSiteCache(opts.SiteCacheSize), pax.WithSiteCacheTTL(opts.SiteCacheTTL))
 	}

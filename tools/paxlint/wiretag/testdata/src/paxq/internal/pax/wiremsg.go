@@ -8,7 +8,6 @@ const (
 	tagDup
 	tagLonely
 	tagNoReg
-	tagNoGob
 	tagOrphan // want `wire tag constant tagOrphan is declared but returned by no WireTag method`
 )
 
@@ -43,30 +42,15 @@ func (m *NoReg) WireTag() dist.MsgTag                  { return tagNoReg } // wa
 func (m *NoReg) AppendBinary(b []byte) []byte          { return b }
 func (m *NoReg) DecodeBinary(b []byte) ([]byte, error) { return b, nil }
 
-type NoGob struct{}
-
-func (m *NoGob) WireTag() dist.MsgTag                  { return tagNoGob } // want `message NoGob is never registered with dist.Register in an init function: the gob-twin codec cannot decode it`
-func (m *NoGob) AppendBinary(b []byte) []byte          { return b }
-func (m *NoGob) DecodeBinary(b []byte) ([]byte, error) { return b, nil }
-
 type Tagless struct{}
 
 func (m *Tagless) AppendBinary(b []byte) []byte          { return b } // want `type Tagless has a binary encode/decode pair but no WireTag method: a tagless wire message cannot be dispatched`
 func (m *Tagless) DecodeBinary(b []byte) ([]byte, error) { return b, nil }
-
-type GobOnly struct{}
 
 func init() {
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(Good) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(DupA) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(DupB) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(Lonely) })
-	dist.RegisterBinary(func() dist.BinaryMessage { return new(NoGob) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(Tagless) })
-	dist.Register(&Good{})
-	dist.Register(&DupA{})
-	dist.Register(&DupB{})
-	dist.Register(&Lonely{})
-	dist.Register(&NoReg{})
-	dist.Register(&GobOnly{}) // want `type GobOnly is dist.Register-ed for the gob codec but declares no WireTag: the binary codec can never carry it`
 }

@@ -3,7 +3,7 @@ package sidechannel
 
 import (
 	"bytes"
-	"encoding/gob" // want `encoding/gob imported outside internal/dist`
+	"encoding/gob" // want `encoding/gob imported: all wire traffic must flow through the tagged binary codec`
 )
 
 func encode(v any) []byte {

@@ -11,15 +11,9 @@
 //     WireTag — a tagless message can be encoded but never dispatched;
 //   - every tagged message type is registered with dist.RegisterBinary in
 //     an init function, so the decode side can construct it;
-//   - every tagged message type is also registered with dist.Register in
-//     an init function — the gob-twin codec decodes through gob's type
-//     registry, so a message missing there rides the binary codec fine
-//     and then fails the moment a gob-codec deployment (or the
-//     differential gob twin) sees it — and, conversely, a gob-registered
-//     type with no WireTag is a message the binary codec can never carry;
-//   - encoding/gob is imported nowhere outside internal/dist: gob survives
-//     purely as the differential gob-twin codec, and a stray gob import is
-//     the first step of an untyped side channel around the tagged codec.
+//   - encoding/gob is imported nowhere: a reflection-driven encoding is
+//     the first step of an untyped side channel around the tagged codec,
+//     whose bytes are the unit of the paper's traffic guarantee.
 package wiretag
 
 import (
@@ -32,27 +26,19 @@ import (
 // Analyzer is the wiretag invariant suite.
 var Analyzer = &analysis.Analyzer{
 	Name: "wiretag",
-	Doc:  "check wire-message tag uniqueness, encode/decode pair sync, registration, and the gob import ban",
+	Doc:  "check wire-message tag uniqueness, encode/decode pair sync, registration, and the encoding/gob import ban",
 	Run:  run,
-}
-
-// distPkg reports whether pkgPath is the transport package, where gob is
-// legitimately used by the gob-twin codec.
-func distPkg(pkgPath string) bool {
-	return pkgPath == "internal/dist" || strings.HasSuffix(pkgPath, "/internal/dist")
 }
 
 // msgType accumulates what the package declares about one message type.
 type msgType struct {
-	wireTagPos    ast.Node // the WireTag method, if any
-	tag           string   // the tag expression WireTag returns
-	hasAppend     bool
-	hasDecode     bool
-	registered    bool     // dist.RegisterBinary
-	registeredGob bool     // dist.Register (gob type registry)
-	gobPos        ast.Node // the dist.Register call site
-	appendPos     ast.Node
-	decodePos     ast.Node
+	wireTagPos ast.Node // the WireTag method, if any
+	tag        string   // the tag expression WireTag returns
+	hasAppend  bool
+	hasDecode  bool
+	registered bool // dist.RegisterBinary
+	appendPos  ast.Node
+	decodePos  ast.Node
 }
 
 func run(pass *analysis.Pass) error {
@@ -84,17 +70,12 @@ func run(pass *analysis.Pass) error {
 					for _, name := range registeredTypes(d) {
 						get(name).registered = true
 					}
-					for _, reg := range gobRegisteredTypes(d) {
-						m := get(reg.name)
-						m.registeredGob = true
-						m.gobPos = reg.pos
-					}
 				}
 			}
 		}
 	}
 
-	// No wire-message declarations in this package: only the gob rule
+	// No wire-message declarations in this package: only the import ban
 	// applies (already checked above).
 	if len(types) == 0 && len(tagConsts) == 0 {
 		return nil
@@ -118,17 +99,12 @@ func run(pass *analysis.Pass) error {
 			if !m.registered {
 				pass.Reportf(m.wireTagPos.Pos(), "message %s is never registered with dist.RegisterBinary in an init function", name)
 			}
-			if !m.registeredGob {
-				pass.Reportf(m.wireTagPos.Pos(), "message %s is never registered with dist.Register in an init function: the gob-twin codec cannot decode it", name)
-			}
 		} else if m.hasAppend || m.hasDecode {
 			pos := m.appendPos
 			if pos == nil {
 				pos = m.decodePos
 			}
 			pass.Reportf(pos.Pos(), "type %s has a binary encode/decode pair but no WireTag method: a tagless wire message cannot be dispatched", name)
-		} else if m.registeredGob {
-			pass.Reportf(m.gobPos.Pos(), "type %s is dist.Register-ed for the gob codec but declares no WireTag: the binary codec can never carry it", name)
 		}
 	}
 
@@ -144,15 +120,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkGobImports flags encoding/gob imports outside internal/dist.
+// checkGobImports flags encoding/gob imports.
 func checkGobImports(pass *analysis.Pass) {
-	if distPkg(pass.PkgPath) {
-		return
-	}
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"encoding/gob"` {
-				pass.Reportf(imp.Pos(), "encoding/gob imported outside internal/dist: all wire traffic must flow through the tagged binary codec (gob lives only in the internal/dist gob-twin)")
+				pass.Reportf(imp.Pos(), "encoding/gob imported: all wire traffic must flow through the tagged binary codec")
 			}
 		}
 	}
@@ -253,42 +226,6 @@ func registeredTypes(d *ast.FuncDecl) []string {
 			}
 			return true
 		})
-		return true
-	})
-	return out
-}
-
-// gobRegistration is one dist.Register call in an init body.
-type gobRegistration struct {
-	name string
-	pos  ast.Node
-}
-
-// gobRegisteredTypes extracts the type names registered with the gob type
-// registry by dist.Register(&T{}) (or T{} / new(T)) calls in an init body.
-func gobRegisteredTypes(d *ast.FuncDecl) []gobRegistration {
-	var out []gobRegistration
-	ast.Inspect(d.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isSelector(call.Fun, "Register") || len(call.Args) != 1 {
-			return true
-		}
-		arg := call.Args[0]
-		if unary, ok := arg.(*ast.UnaryExpr); ok {
-			arg = unary.X
-		}
-		switch e := arg.(type) {
-		case *ast.CompositeLit: // &T{} / T{}
-			if t, ok := e.Type.(*ast.Ident); ok {
-				out = append(out, gobRegistration{name: t.Name, pos: call})
-			}
-		case *ast.CallExpr: // new(T)
-			if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "new" && len(e.Args) == 1 {
-				if t, ok := e.Args[0].(*ast.Ident); ok {
-					out = append(out, gobRegistration{name: t.Name, pos: call})
-				}
-			}
-		}
 		return true
 	})
 	return out

@@ -11,6 +11,5 @@ func TestWiretag(t *testing.T) {
 	analysistest.Run(t, "testdata", wiretag.Analyzer,
 		"paxq/internal/pax",
 		"paxq/internal/sidechannel",
-		"paxq/internal/dist",
 	)
 }
