@@ -8,7 +8,7 @@ COVER_MIN ?= 85
 # Per-target budget of the fuzz smoke in the check gate.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures bench
+.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures fmt-check
 
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
@@ -17,9 +17,9 @@ FUZZTIME ?= 10s
 # codec still writes and reads its golden bytes, prove multi-query
 # batching is answer- and cost-transparent, prove failover keeps answers
 # byte-identical to centralized evaluation on a seeded fault schedule
-# over both transports, keep the documentation honest, and hold the
-# machine-checked invariants of tools/paxlint.
-check: build vet test test-race cover codec-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check lint
+# over both transports, keep the documentation honest and gofmt-clean
+# source, and hold the machine-checked invariants of tools/paxlint.
+check: build vet test test-race cover codec-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check fmt-check lint
 
 build:
 	$(GO) build ./...
@@ -93,9 +93,10 @@ edit-smoke:
 
 # Documentation gate: vet plus tools/docscheck, which fails on exported
 # identifiers of the public paxq package missing doc comments, on cmd/*
-# flags absent from cmd/README.md / ARCHITECTURE.md, and on internal/cmd
-# packages missing from ARCHITECTURE.md's package map. Depends on the vet
-# target (rather than re-running go vet) so `make check` vets once.
+# flags absent from cmd/README.md / ARCHITECTURE.md, on cmd/README.md flag
+# rows a binary no longer defines, and on internal/cmd packages missing
+# from ARCHITECTURE.md's package map. Depends on the vet target (rather
+# than re-running go vet) so `make check` vets once.
 docs-check: vet
 	$(GO) run ./tools/docscheck
 
@@ -115,10 +116,7 @@ lint:
 lint-fixtures:
 	$(GO) test ./tools/paxlint/... ./tools/docscheck
 
-# Encode / simplify microbenchmarks with allocation profiles, then a
-# one-iteration smoke of every other benchmark in the tree. End-to-end numbers (wire
-# bytes per query among them) come from bench/run.sh.
-bench:
-	$(GO) test -run=^$$ -bench='BenchmarkEncodeStageRequest' -benchmem ./internal/pax
-	$(GO) test -run=^$$ -bench='BenchmarkFormulaSimplify|BenchmarkEncode$$' -benchmem ./internal/boolexpr
-	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
+# Formatting gate: fails when gofmt would rewrite any Go file in the tree
+# (bench/ included).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -9,18 +9,12 @@
 //	paxbench -exp 2 -scale 0.1 -runs 5 -csv
 //	paxbench -exp queries
 //
-// The concurrent mode benchmarks the multi-query serving layer: N workers
-// evaluate the paper's queries simultaneously over a TCP deployment, and
-// every single Result is checked against the per-query visit bound:
-//
-//	paxbench -exp concurrent -workers 8 -load 25 -scale 0.05
-//
 // The diff mode runs the differential harness — distributed against
 // centralized evaluation on randomized instances over both transports,
 // with the sequential-site, site-cache and batching twins — and, with
-// -json, writes the machine-readable result the repo tracks over time:
+// -json, writes the machine-readable result to a file:
 //
-//	paxbench -exp diff -load 10 -json BENCH_diff.json
+//	paxbench -exp diff -load 10 -json diff.json
 //
 // The fault mode runs the fault-injection differential harness: -load
 // randomized kill/restart schedules against replicated fleets on each
@@ -29,19 +23,6 @@
 // the failover visit bound, with cost ledgers conserved:
 //
 //	paxbench -exp fault -load 50
-//
-// The cache mode benchmarks the site-side Stage-1 memoization cache:
-// repeated qualified queries over a TCP deployment, with and without the
-// cache, reporting queries/sec and the hit/saved-compute counters:
-//
-//	paxbench -exp cache -json BENCH_cache.json
-//
-// The batch mode benchmarks coordinator-side multi-query stage batching:
-// 64–256 concurrent TCP clients repeating qualified queries, with the
-// coalescing window off and on, reporting queries/sec per cell and the
-// speedup batching buys:
-//
-//	paxbench -exp batch -batch-window 200us -max-batch 16 -json BENCH_batch.json
 //
 // -scale is the dataset size relative to the paper's 100 MB baseline
 // (0.05 → 5 MB cumulative).
@@ -54,13 +35,12 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"paxq/internal/harness"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries, diff, fault, concurrent, cache, batch, edit or all")
+	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries, diff, fault or all")
 	scale := flag.Float64("scale", 0.02, "data scale relative to the paper's 100MB baseline")
 	runs := flag.Int("runs", 3, "runs per data point (median reported)")
 	steps := flag.Int("steps", 10, "experiment 2/3 iterations")
@@ -68,10 +48,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	jsonPath := flag.String("json", "", "write the mode's machine-readable results (JSON) to this file")
-	workers := flag.Int("workers", 8, "concurrent mode: parallel query streams")
-	load := flag.Int("load", 25, "concurrent mode: queries per worker; diff mode: seeds")
-	batchWindow := flag.Duration("batch-window", 200*time.Microsecond, "batch mode: coalescing window for the batched variant")
-	maxBatch := flag.Int("max-batch", 16, "batch mode: max queries coalesced into one site envelope")
+	load := flag.Int("load", 25, "diff/fault mode: seeds")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -139,18 +116,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	runConcurrent := func() {
-		rep, err := harness.ConcurrentLoad(ctx, cfg, *workers, *load)
-		if rep != nil {
-			fmt.Println(rep)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if rep.Violations > 0 {
-			fatal(fmt.Errorf("%d queries exceeded the per-query visit bound", rep.Violations))
-		}
-	}
 	runDiff := func() {
 		// Differential mode: distributed vs centralized on random (tree,
 		// query, fragmentation) instances, over both transports, with
@@ -212,30 +177,6 @@ func main() {
 		}
 		writeJSON(out)
 	}
-	runCache := func() {
-		rep, err := harness.CacheBench(ctx, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep)
-		writeJSON(rep)
-	}
-	runBatch := func() {
-		rep, err := harness.BatchBench(ctx, cfg, *batchWindow, *maxBatch, *load)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep)
-		writeJSON(rep)
-	}
-	runEdit := func() {
-		rep, err := harness.EditBench(ctx, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep)
-		writeJSON(rep)
-	}
 	runQueries := func() {
 		fmt.Println("Fig. 7 — experiment queries:")
 		names := make([]string, 0, len(harness.PaperQueries))
@@ -258,18 +199,10 @@ func main() {
 		run23(false, true)
 	case "traffic":
 		runTraffic()
-	case "concurrent":
-		runConcurrent()
 	case "diff":
 		runDiff()
 	case "fault":
 		runFault()
-	case "cache":
-		runCache()
-	case "batch":
-		runBatch()
-	case "edit":
-		runEdit()
 	case "t2":
 		runT2()
 	case "queries":

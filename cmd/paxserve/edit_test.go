@@ -172,7 +172,7 @@ func TestServeEditRejections(t *testing.T) {
 	for _, req := range []editRequest{
 		{Fragment: 0, Op: "truncate", Node: 1},
 		{Fragment: 99, Op: "delete", Node: 1},
-		{Fragment: 0, Op: "delete", Node: 0},                            // fragment root
+		{Fragment: 0, Op: "delete", Node: 0},                           // fragment root
 		{Fragment: 0, Op: "insert", Node: 0, SubtreeXML: "<a><b></a>"}, // malformed subtree
 	} {
 		resp := postEdit(t, ts.URL, req)

@@ -67,7 +67,7 @@ func requireArenasEqual(t *testing.T, got, want *Tree) {
 	}
 	n := want.Len()
 	for _, col := range []struct {
-		name     string
+		name      string
 		got, want any
 	}{
 		{"Text", got.Text, want.Text},
@@ -163,8 +163,8 @@ func TestSpliceRename(t *testing.T) {
 	const doc = `<a><b>1</b><c><d/></c></a>`
 	tree, _ := xmltree.ParseString(doc)
 	for id := 0; id < tree.Size(); id++ {
-		checkSplice(t, doc, 2, id, 0, "z")  // fresh label
-		checkSplice(t, doc, 2, id, 0, "b")  // existing label
+		checkSplice(t, doc, 2, id, 0, "z") // fresh label
+		checkSplice(t, doc, 2, id, 0, "b") // existing label
 	}
 }
 

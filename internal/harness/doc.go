@@ -28,11 +28,6 @@
 //     concurrent batches centralized-equal with ledgers conserved) and,
 //     in the mutation phase, scoped-vs-wipe invalidation twins.
 //
-// # Serving benchmarks
-//
-// concurrent.go measures multi-query serving throughput over TCP with the
-// per-query visit bound asserted for every single evaluation;
-// cachebench.go and batchbench.go produce the machine-readable baselines
-// the repo commits (BENCH_cache.json, BENCH_batch.json). The end-to-end
-// serving numbers, wire bytes per query among them, come from bench/.
+// Serving performance is not measured here: bench/ is the one serving
+// benchmark.
 package harness

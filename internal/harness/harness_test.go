@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"paxq/internal/pax"
+	"paxq/internal/xmark"
 )
 
 // tinyConfig keeps harness tests fast: ~0.2 paper-MB and few iterations.
@@ -144,6 +147,49 @@ func TestTrafficExperimentShape(t *testing.T) {
 	}
 	if nvFirst < 3*paxFirst {
 		t.Errorf("naive traffic (%g) should dominate PaX traffic (%g)", nvFirst, paxFirst)
+	}
+}
+
+// TestFT1Deployment: one Experiment-1 sweep point — three equal fragments,
+// one site each — answers Q1.
+func TestFT1Deployment(t *testing.T) {
+	cfg := tinyConfig().withDefaults()
+	ft, err := ft1(cfg, 3, cfg.paperMB(100), xmark.Calibrate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engineFor(ft).RunContext(context.Background(), Q1, pax.Options{Algorithm: pax.PaX2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) == 0 {
+		t.Error("Q1 must select persons on FT1")
+	}
+	if res.TotalFrags != 3 {
+		t.Errorf("fragments = %d want 3", res.TotalFrags)
+	}
+}
+
+// TestFT2Deployment: the ten-fragment FT2 layout of Experiments 2/3
+// answers Q3, and annotations prune part of it.
+func TestFT2Deployment(t *testing.T) {
+	cfg := tinyConfig().withDefaults()
+	ft, err := buildFT2(cfg, 100, xmark.Calibrate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engineFor(ft).RunContext(context.Background(), Q3, pax.Options{Algorithm: pax.PaX2, Annotations: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalFrags != 10 {
+		t.Errorf("FT2 fragments = %d want 10", res.TotalFrags)
+	}
+	if res.RelevantFrags >= res.TotalFrags {
+		t.Errorf("Q3 with annotations should prune some of FT2, relevant=%d", res.RelevantFrags)
+	}
+	if len(res.Answers) == 0 {
+		t.Error("Q3 must select creditcards")
 	}
 }
 

@@ -15,7 +15,7 @@
 // per fragment root is (QV, QDV) only. QCV is derivable locally (a parent
 // aggregates its children's QV directly) and never needs to cross a
 // fragment boundary, so shipping it would only inflate the O(|Q|·|FT|)
-// communication term by a constant factor. DESIGN.md records this delta.
+// communication term by a constant factor.
 package parbox
 
 import (

@@ -12,8 +12,8 @@
 //	     date, quantity, annotation/…}
 //	site/regions/{africa|asia|australia|europe|namerica|samerica}/item/…
 //
-// The substitution for the original XMark binary is documented in
-// DESIGN.md: Q1–Q4 depend on element frequencies and on the distributions
+// This generator substitutes for the original XMark binary: Q1–Q4 depend
+// on element frequencies and on the distributions
 // of person/profile/age and person/address/country, which this generator
 // reproduces (ages uniform in [18,65), countries weighted toward "US").
 // Generation is deterministic in the seed.

@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind `make docs-check`.
-// It enforces three properties the repo's docs promise:
+// It enforces four properties the repo's docs promise:
 //
 //  1. Every exported identifier of the public paxq package (the repo
 //     root) carries a doc comment — the API reference cannot silently
@@ -7,7 +7,10 @@
 //  2. Every flag defined by the cmd/* binaries is mentioned (as "-name")
 //     in the cmd/README.md operations guide or in ARCHITECTURE.md — the
 //     guide cannot silently fall behind the binaries.
-//  3. ARCHITECTURE.md's package map names every internal/* and cmd/*
+//  3. Every flag row of a binary's section in cmd/README.md (a table row
+//     starting with "| `-name") names a flag that binary defines — a
+//     deleted flag cannot silently keep its documentation.
+//  4. ARCHITECTURE.md's package map names every internal/* and cmd/*
 //     package that exists — new subsystems must be mapped.
 //
 // Run from the repository root:
@@ -34,6 +37,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkPublicDocs()...)
 	problems = append(problems, checkFlagCoverage()...)
+	problems = append(problems, checkStaleFlagRows()...)
 	problems = append(problems, checkPackageMap()...)
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -103,6 +107,39 @@ func checkPublicDocs() []string {
 // flag.String/Bool/... calls and flag.Var registrations.
 var flagDef = regexp.MustCompile(`flag\.(?:String|Bool|Int64|Int|Float64|Duration)\(\s*"([^"]+)"|flag\.Var\([^,]+,\s*"([^"]+)"`)
 
+// binaryFlags maps each cmd/* binary to the flags its non-test sources
+// define, plus any problem reading them.
+func binaryFlags() (map[string]map[string]bool, []string) {
+	files, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		return nil, []string{err.Error()}
+	}
+	flags := map[string]map[string]bool{}
+	var out []string
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", f, err))
+			continue
+		}
+		binary := filepath.Base(filepath.Dir(f))
+		if flags[binary] == nil {
+			flags[binary] = map[string]bool{}
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			name := m[1]
+			if name == "" {
+				name = m[2]
+			}
+			flags[binary][name] = true
+		}
+	}
+	return flags, out
+}
+
 // checkFlagCoverage extracts every flag of every cmd/* binary and
 // requires "-name" to appear in cmd/README.md or ARCHITECTURE.md.
 func checkFlagCoverage() []string {
@@ -115,28 +152,54 @@ func checkFlagCoverage() []string {
 		return []string{fmt.Sprintf("ARCHITECTURE.md: %v", err)}
 	}
 	docs := string(guide) + string(arch)
-	files, err := filepath.Glob("cmd/*/*.go")
-	if err != nil {
-		return []string{err.Error()}
-	}
-	var out []string
-	for _, f := range files {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(f)
-		if err != nil {
-			out = append(out, fmt.Sprintf("%s: %v", f, err))
-			continue
-		}
-		binary := filepath.Base(filepath.Dir(f))
-		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
-			name := m[1]
-			if name == "" {
-				name = m[2]
-			}
+	flags, out := binaryFlags()
+	for binary, names := range flags {
+		for name := range names {
 			if !strings.Contains(docs, "-"+name) {
 				out = append(out, fmt.Sprintf("flag -%s of %s is not documented in cmd/README.md or ARCHITECTURE.md", name, binary))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sectionHead matches the heading of one binary's section in
+// cmd/README.md: "## paxserve — HTTP/JSON query serving".
+var sectionHead = regexp.MustCompile(`^## (\S+) —`)
+
+// flagRow captures the first cell of a table row documenting flags,
+// "| `-name ARG` | meaning |"; a pipe escaped as \| stays in the cell.
+var flagRow = regexp.MustCompile("^\\|\\s*(`-(?:[^|\\\\]|\\\\.)*)\\|")
+
+// flagName finds every flag a flag-row cell names.
+var flagName = regexp.MustCompile("`-([A-Za-z0-9][A-Za-z0-9-]*)")
+
+// checkStaleFlagRows is checkFlagCoverage in reverse: inside each
+// "## <binary> —" section of cmd/README.md, every flag row must name
+// flags that cmd/<binary> defines.
+func checkStaleFlagRows() []string {
+	guide, err := os.ReadFile("cmd/README.md")
+	if err != nil {
+		return []string{fmt.Sprintf("cmd/README.md: %v", err)}
+	}
+	flags, out := binaryFlags()
+	binary := ""
+	for _, line := range strings.Split(string(guide), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			binary = ""
+			if m := sectionHead.FindStringSubmatch(line); m != nil {
+				binary = m[1]
+			}
+			continue
+		}
+		m := flagRow.FindStringSubmatch(line)
+		if binary == "" || m == nil {
+			continue
+		}
+		for _, n := range flagName.FindAllStringSubmatch(m[1], -1) {
+			if !flags[binary][n[1]] {
+				out = append(out, fmt.Sprintf("cmd/README.md documents -%s under %s, which defines no such flag", n[1], binary))
 			}
 		}
 	}

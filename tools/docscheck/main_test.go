@@ -25,12 +25,13 @@ func none(t *testing.T, problems []string) {
 	}
 }
 
-// TestCleanFixturePasses: a tree that keeps all three documentation
+// TestCleanFixturePasses: a tree that keeps all four documentation
 // promises produces no findings from any check.
 func TestCleanFixturePasses(t *testing.T) {
 	t.Chdir("testdata/clean")
 	none(t, checkPublicDocs())
 	none(t, checkFlagCoverage())
+	none(t, checkStaleFlagRows())
 	none(t, checkPackageMap())
 }
 
@@ -55,6 +56,15 @@ func TestUndocumentedFlagFails(t *testing.T) {
 	one(t, checkFlagCoverage(), "flag -verbose of tool is not documented")
 }
 
+// TestStaleFlagRowFails: a flag row in a binary's cmd/README.md section
+// naming a flag that binary does not define is flagged, even when another
+// binary defines a flag of that name; a row outside any binary's section
+// and rows naming defined flags are not.
+func TestStaleFlagRowFails(t *testing.T) {
+	t.Chdir("testdata/staleflag")
+	one(t, checkStaleFlagRows(), "documents -verbose under tool")
+}
+
 // TestMissingPackageMapEntryFails: a package directory missing from
 // ARCHITECTURE.md's package map is flagged; the mapped one is not.
 func TestMissingPackageMapEntryFails(t *testing.T) {
@@ -62,11 +72,12 @@ func TestMissingPackageMapEntryFails(t *testing.T) {
 	one(t, checkPackageMap(), "package internal/orphan is missing from ARCHITECTURE.md's package map")
 }
 
-// TestRealTreeIsClean runs all three checks against the actual repository
+// TestRealTreeIsClean runs all four checks against the actual repository
 // root, mirroring what `make docs-check` gates.
 func TestRealTreeIsClean(t *testing.T) {
 	t.Chdir("../..")
 	none(t, checkPublicDocs())
 	none(t, checkFlagCoverage())
+	none(t, checkStaleFlagRows())
 	none(t, checkPackageMap())
 }

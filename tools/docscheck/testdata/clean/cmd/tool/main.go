@@ -1,5 +1,6 @@
-// Command tool is the fixture binary; its one flag is documented in
-// cmd/README.md, so checkFlagCoverage must report nothing.
+// Command tool is the fixture binary; its one flag has a row in its
+// cmd/README.md section, so neither checkFlagCoverage nor
+// checkStaleFlagRows may report anything.
 package main
 
 import "flag"
