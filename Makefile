@@ -8,18 +8,19 @@ COVER_MIN ?= 85
 # Per-target budget of the fuzz smoke in the check gate.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures fmt-check
+.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures fmt-check
 
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
 # coverage floor on the core packages, survive a short fuzz smoke of the
 # parser, the wire codec, the arena and the edit path, prove the wire
-# codec still writes and reads its golden bytes, prove multi-query
+# codec still writes and reads its golden bytes, hold every allocation
+# cap of the hot paths, prove multi-query
 # batching is answer- and cost-transparent, prove failover keeps answers
 # byte-identical to centralized evaluation on a seeded fault schedule
 # over both transports, keep the documentation honest and gofmt-clean
 # source, and hold the machine-checked invariants of tools/paxlint.
-check: build vet test test-race cover codec-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check fmt-check lint
+check: build vet test test-race cover codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check fmt-check lint
 
 build:
 	$(GO) build ./...
@@ -57,12 +58,22 @@ fuzz-smoke:
 
 # Codec smoke: every corpus message must encode to its golden bytes
 # (testdata/golden, regenerated only with -update) and decode back to the
-# value it came from in both envelope directions, every registered tag
-# must have a golden file, and the frame write path must stay within its
-# allocation cap.
+# value it came from in both envelope directions, and every registered tag
+# must have a golden file.
 codec-smoke:
 	$(GO) test -run='TestGoldenBytes|TestEveryTagHasGoldenBytes|TestCorpusRoundTrip' ./internal/pax
-	$(GO) test -run='TestFrameWritePathAllocs' ./internal/dist
+
+# Allocation smoke: every testing.AllocsPerRun cap, by name — the arena's
+# mask kernels and structural joins allocate nothing in steady state, the
+# frame write path and the metered Local round trip stay within their
+# per-call budgets, formula constructors that fold to an existing operand
+# allocate nothing, and a fragment visit of the site traversals allocates
+# per depth and per returned item, not per node.
+alloc-smoke:
+	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
+	$(GO) test -run='TestFrameWritePathAllocs|TestLocalCallAllocsBounded' ./internal/dist
+	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
+	$(GO) test -run='TestTraversalAllocsPerFragment' ./internal/pax
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve

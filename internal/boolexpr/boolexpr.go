@@ -146,14 +146,39 @@ func nary(op Op, fs []*Formula) *Formula {
 	if op == OpOr {
 		identity, absorber = fls, tru
 	}
-	out := make([]*Formula, 0, len(fs))
-	seen := make(map[*Formula]bool, len(fs))
-	var add func(f *Formula) bool // returns false if the result is absorbed
-	add = func(f *Formula) bool {
+	// Fold before allocating: most calls on the evaluation paths combine
+	// constants with at most one distinct symbolic operand, and the result
+	// is that operand. The slow path below would return it too, except for
+	// an op-node, which it flattens and rebuilds into a structurally equal
+	// copy; returning the node itself saves that copy (its kids are already
+	// folded, deduplicated and absorption-free, having come through here).
+	var only *Formula
+	fast := true
+	for _, f := range fs {
 		if f == nil {
 			//paxlint:allow nopanic(constructor misuse: operands come from constructors that never return nil)
 			panic("boolexpr: nil operand")
 		}
+		switch {
+		case f.op == absorber.op:
+			return absorber
+		case f.op == identity.op, f == only:
+		case only == nil:
+			only = f
+		default:
+			fast = false
+		}
+	}
+	if fast {
+		if only == nil {
+			return identity
+		}
+		return only
+	}
+	out := make([]*Formula, 0, len(fs))
+	seen := make(map[*Formula]bool, len(fs))
+	var add func(f *Formula) bool // returns false if the result is absorbed
+	add = func(f *Formula) bool {
 		if f == absorber || f.op == absorber.op {
 			return false
 		}

@@ -22,6 +22,23 @@
 // Stage-1 memoization cache (package sitecache), whose hits replay formula
 // DAGs built by an earlier evaluation.
 //
+// # Fold before allocating
+//
+// The evaluation recurrences call And/Or once per node and entry, and on
+// ground data almost every call combines constants with at most one
+// distinct symbolic operand. The constructors therefore make one pass over
+// the operands first: an absorber (false for And, true for Or) returns at
+// once, identities are skipped, and when at most one distinct operand
+// remains the result is the identity or that very operand — no slice, no
+// dedup map, no new node. Only a call with two or more distinct operands
+// reaches the general path that flattens, deduplicates and applies the
+// complement and absorption rules. The fast path returns what the general
+// path would (a lone same-operator operand is returned itself instead of
+// being rebuilt into an equal copy), so residual formulas and shipped
+// bytes are unchanged. Env.Resolve and Allocator.FreshV follow the same
+// discipline: constants and variables bound to constants resolve without
+// building a memo, and placeholder variables are carved from chunks.
+//
 // # Wire encoding
 //
 // Encode/Decode (wire.go) serialize formulas in a compact postfix

@@ -81,6 +81,19 @@ func (e *Env) Merge(other *Env) error {
 // symbolic. Resolve detects binding cycles and panics: the fragment tree is
 // acyclic, so a cycle indicates a bug in vector plumbing.
 func (e *Env) Resolve(f *Formula) *Formula {
+	// Constants, unbound variables and variables bound to constants are
+	// the common case on the evaluation paths; they resolve to a formula
+	// that already exists, with no memo to build.
+	switch f.op {
+	case OpTrue, OpFalse:
+		return f
+	case OpVar:
+		if b := e.m[f.v]; b == nil {
+			return f
+		} else if b.op == OpTrue || b.op == OpFalse {
+			return b
+		}
+	}
 	memo := make(map[*Formula]*Formula)
 	return e.resolve(f, memo, make(map[Var]bool))
 }
@@ -113,9 +126,12 @@ func (e *Env) resolve(f *Formula, memo map[*Formula]*Formula, onPath map[Var]boo
 	case OpNot:
 		out = Not(e.resolve(f.kids[0], memo, onPath))
 	case OpAnd, OpOr:
-		kids := make([]*Formula, len(f.kids))
-		for i, k := range f.kids {
-			kids[i] = e.resolve(k, memo, onPath)
+		// And/Or copy their operands, so short operand lists can live in a
+		// stack buffer.
+		var buf [8]*Formula
+		kids := buf[:0]
+		for _, k := range f.kids {
+			kids = append(kids, e.resolve(k, memo, onPath))
 		}
 		if f.op == OpAnd {
 			out = And(kids...)
@@ -153,7 +169,12 @@ func (e *Env) MustResolveConst(f *Formula) bool {
 // allocator through NewAllocator.
 type Allocator struct {
 	next Var
+	slab []Formula // unused tail of FreshV's current chunk
 }
+
+// freshVChunk is how many variable formulas FreshV carves from one
+// allocation.
+const freshVChunk = 32
 
 // NewAllocator returns an allocator whose first variable is 1.
 func NewAllocator() *Allocator { return &Allocator{next: 1} }
@@ -176,6 +197,22 @@ func (a *Allocator) Fresh() Var {
 	v := a.next
 	a.next++
 	return v
+}
+
+// FreshV returns a previously unused variable as a formula, equivalent to
+// V(a.Fresh()). The formulas are carved from chunks of one backing array,
+// so a traversal that introduces a placeholder at many nodes allocates per
+// chunk rather than per variable. A chunk stays reachable while any of its
+// formulas is, which suits variables that are resolved away before the
+// traversal's results leave it.
+func (a *Allocator) FreshV() *Formula {
+	if len(a.slab) == 0 {
+		a.slab = make([]Formula, freshVChunk)
+	}
+	f := &a.slab[0]
+	a.slab = a.slab[1:]
+	*f = Formula{op: OpVar, v: a.Fresh()}
+	return f
 }
 
 // FreshVec returns n previously unused variables as formulas, one per vector

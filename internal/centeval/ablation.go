@@ -37,7 +37,7 @@ func EvalVectorNoSummary(t *xmltree.Tree, c *xpath.Compiled) []xmltree.NodeID {
 			}
 			qcvAt := func(p int) bool { return qcvRow[p] }
 			sdvAt := func(p int) bool { return sdvRow[p] }
-			row := xpath.NodePredRow[bool](alg, c, n, qcvAt, sdvAt)
+			row := xpath.NodePredRow[bool](alg, c, n, qcvAt, sdvAt, nil)
 			qvals := make([]bool, len(c.Sel))
 			for i := range c.Sel {
 				e := &c.Sel[i]

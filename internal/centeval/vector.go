@@ -39,7 +39,7 @@ func EvalVector(t *xmltree.Tree, c *xpath.Compiled) []xmltree.NodeID {
 			}
 			qcvAt := func(p int) bool { return qcvRow[p] }
 			sdvAt := func(p int) bool { return sdvRow[p] }
-			row := xpath.NodePredRow[bool](alg, c, n, qcvAt, sdvAt)
+			row := xpath.NodePredRow[bool](alg, c, n, qcvAt, sdvAt, nil)
 			// Qualifier values for selection entries at this node.
 			qvals := make([]bool, len(c.Sel))
 			for i := range c.Sel {
@@ -65,7 +65,7 @@ func EvalVector(t *xmltree.Tree, c *xpath.Compiled) []xmltree.NodeID {
 			}
 			return qualVals[n.ID][entry]
 		}
-		sv := xpath.NodeSelVector[bool](alg, c, n.Label, parent, qualAt)
+		sv := xpath.NodeSelVector[bool](alg, c, n.Label, parent, qualAt, nil)
 		if sv[last] {
 			ans = append(ans, n.ID)
 		}

@@ -45,10 +45,10 @@ func (FormulaAlg) FromBool(b bool) *boolexpr.Formula { return boolexpr.Const(b) 
 func (FormulaAlg) Not(f *boolexpr.Formula) *boolexpr.Formula { return boolexpr.Not(f) }
 
 // And conjoins.
-func (FormulaAlg) And(fs ...*boolexpr.Formula) *boolexpr.Formula { return boolexpr.And(fs...) }
+func (FormulaAlg) And(a, b *boolexpr.Formula) *boolexpr.Formula { return boolexpr.And(a, b) }
 
 // Or disjoins.
-func (FormulaAlg) Or(fs ...*boolexpr.Formula) *boolexpr.Formula { return boolexpr.Or(fs...) }
+func (FormulaAlg) Or(a, b *boolexpr.Formula) *boolexpr.Formula { return boolexpr.Or(a, b) }
 
 // VarScheme deterministically names the Boolean variables a fragment
 // introduces for its virtual nodes, so that sites allocate variables
@@ -161,7 +161,7 @@ func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *Fr
 		}
 		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
 		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
-		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, n, qcvAt, sdvAt)
+		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, n, qcvAt, sdvAt, nil)
 		if needSel {
 			sq := make([]*boolexpr.Formula, len(c.Sel))
 			for i := range c.Sel {

@@ -259,7 +259,7 @@ func (e *VectorState) FragQual() *FragQual {
 		}
 		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
 		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
-		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, nd, qcvAt, sdvAt)
+		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, nd, qcvAt, sdvAt, nil)
 		if needSel {
 			sq := make([]*boolexpr.Formula, nSel)
 			for i := range c.Sel {

@@ -71,7 +71,7 @@ func AnalyzeRelevance(ft *fragment.Fragmentation, c *xpath.Compiled) *Relevance 
 	// Root fragment: its root element's vector from the document vector.
 	doc := xpath.DocSelVector[bool](alg, c)
 	r.Inits[fragment.RootFrag] = doc
-	rootVec[fragment.RootFrag] = xpath.NodeSelVector[bool](alg, c, ft.Root().Tree.Root.Label, doc, qualTrue)
+	rootVec[fragment.RootFrag] = xpath.NodeSelVector[bool](alg, c, ft.Root().Tree.Root.Label, doc, qualTrue, nil)
 	r.Relevant[fragment.RootFrag] = anyLive(rootVec[fragment.RootFrag])
 
 	// Fragments in ascending ID order: parents precede children.
@@ -86,7 +86,7 @@ func AnalyzeRelevance(ft *fragment.Fragmentation, c *xpath.Compiled) *Relevance 
 			if i == len(f.Annotation)-1 {
 				r.Inits[id] = vec // the parent vector of the fragment root
 			}
-			vec = xpath.NodeSelVector[bool](alg, c, label, vec, qualTrue)
+			vec = xpath.NodeSelVector[bool](alg, c, label, vec, qualTrue, nil)
 			if i < len(f.Annotation)-1 && liveQualAt(vec) {
 				ancestorQual = true
 			}

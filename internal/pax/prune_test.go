@@ -220,7 +220,7 @@ func TestQuickExactInitsMatchTruth(t *testing.T) {
 			}
 			vec := xpath.DocSelVector[bool](alg, c)
 			for _, n := range chain {
-				vec = xpath.NodeSelVector[bool](alg, c, n.Label, vec, func(int) bool { return true })
+				vec = xpath.NodeSelVector[bool](alg, c, n.Label, vec, func(int) bool { return true }, nil)
 			}
 			want := rel.Inits[fr.ID]
 			for i := range vec {

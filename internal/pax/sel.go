@@ -1,6 +1,8 @@
 package pax
 
 import (
+	"slices"
+
 	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
 	"paxq/internal/parbox"
@@ -61,6 +63,12 @@ func answerOf(f *fragment.Fragment, n *xmltree.Node, shipXML bool) AnswerNode {
 // value of selection entry e at node n — ground formulas in PaX3's Stage 2,
 // placeholders in PaX2. Virtual nodes contribute their parent's vector as
 // the context of the corresponding sub-fragment and are not descended into.
+//
+// Vectors live in a depth-indexed row stack grown once per fragment visit:
+// every node at depth d writes its vector into rows[d], which its children
+// read as their parent vector before the next node at depth d overwrites
+// it. A context recorded at a virtual child outlives the row, so it is the
+// one vector that is copied.
 func evalSelection(
 	f *fragment.Fragment,
 	c *xpath.Compiled,
@@ -71,10 +79,14 @@ func evalSelection(
 	alg := parbox.FormulaAlg{}
 	out := &selOutcome{}
 	last := c.AnswerEntry()
-	var walk func(n *xmltree.Node, parent []*boolexpr.Formula)
-	walk = func(n *xmltree.Node, parent []*boolexpr.Formula) {
+	var rows [][]*boolexpr.Formula
+	var walk func(n *xmltree.Node, depth int, parent []*boolexpr.Formula)
+	walk = func(n *xmltree.Node, depth int, parent []*boolexpr.Formula) {
+		if depth == len(rows) {
+			rows = append(rows, make([]*boolexpr.Formula, len(c.Sel)))
+		}
 		sv := xpath.NodeSelVector[*boolexpr.Formula](alg, c, n.Label, parent,
-			func(e int) *boolexpr.Formula { return qualAt(n, e) })
+			func(e int) *boolexpr.Formula { return qualAt(n, e) }, rows[depth])
 		switch {
 		case sv[last].IsTrue():
 			out.answers = append(out.answers, answerOf(f, n, shipXML))
@@ -88,13 +100,13 @@ func evalSelection(
 			if k, ok := f.VirtualAt(ch.ID); ok {
 				// The sub-fragment's stack must summarize the ancestors of
 				// its root, i.e. this node's vector.
-				out.contexts = append(out.contexts, fragContext{frag: k, sv: sv})
+				out.contexts = append(out.contexts, fragContext{frag: k, sv: slices.Clone(sv)})
 				continue
 			}
-			walk(ch, sv)
+			walk(ch, depth+1, sv)
 		}
 	}
-	walk(f.Tree.Root, init)
+	walk(f.Tree.Root, 0, init)
 	return out
 }
 
@@ -105,6 +117,15 @@ type combinedOutcome struct {
 	roots parbox.RootVecs
 }
 
+// combinedLevel holds the rows of one depth of evalCombined's traversal,
+// reused by every node at that depth: the selection vector, the QCV and
+// strict-QDV aggregates of the node's children, its QV row and QDV row,
+// and the qualifier placeholder of each selection entry (NoVar when none).
+type combinedLevel struct {
+	sv, qcv, sdv, row, qdv []*boolexpr.Formula
+	qz                     []boolexpr.Var
+}
+
 // evalCombined runs PaX2's single traversal (Procedure evalXPath, §4) over
 // one fragment. The pre-order half computes selection vectors, introducing
 // one fresh local variable per (node, qualified entry) whose value is not
@@ -112,6 +133,12 @@ type combinedOutcome struct {
 // binds each placeholder (Example 4.2). After the traversal every local
 // placeholder is eliminated by resolution, so shipped vectors mention only
 // cross-fragment variables, preserving the O(|Q|·|FT|) communication bound.
+//
+// Rows come from a depth-indexed stack of combinedLevels grown once per
+// fragment visit. A node's QV and QDV rows are folded into its parent's
+// aggregates before the next sibling overwrites them; the rows that outlive
+// their level — contexts recorded at virtual children and the root
+// vectors — are copied.
 func evalCombined(
 	f *fragment.Fragment,
 	c *xpath.Compiled,
@@ -121,6 +148,7 @@ func evalCombined(
 ) *combinedOutcome {
 	alg := parbox.FormulaAlg{}
 	nP := len(c.Preds)
+	nSel := len(c.Sel)
 	last := c.AnswerEntry()
 	alloc := boolexpr.NewAllocatorFrom(vs.LocalBase())
 	localEnv := boolexpr.NewEnv()
@@ -131,69 +159,76 @@ func evalCombined(
 		sv *boolexpr.Formula
 	}
 	var pendings []pending
-	var rawContexts []fragContext
+	var levels []*combinedLevel
 
-	var walk func(n *xmltree.Node, parent []*boolexpr.Formula) (qv, qdv []*boolexpr.Formula)
-	walk = func(n *xmltree.Node, parent []*boolexpr.Formula) ([]*boolexpr.Formula, []*boolexpr.Formula) {
+	var walk func(n *xmltree.Node, depth int, parent []*boolexpr.Formula) *combinedLevel
+	walk = func(n *xmltree.Node, depth int, parent []*boolexpr.Formula) *combinedLevel {
+		if depth == len(levels) {
+			levels = append(levels, &combinedLevel{
+				sv:  make([]*boolexpr.Formula, nSel),
+				qcv: make([]*boolexpr.Formula, nP),
+				sdv: make([]*boolexpr.Formula, nP),
+				row: make([]*boolexpr.Formula, nP),
+				qdv: make([]*boolexpr.Formula, nP),
+				qz:  make([]boolexpr.Var, nSel),
+			})
+		}
+		lv := levels[depth]
 		// Pre-order: selection vector with qualifier placeholders.
-		var qzVars map[int]boolexpr.Var
+		clear(lv.qz)
 		sv := xpath.NodeSelVector[*boolexpr.Formula](alg, c, n.Label, parent,
 			func(e int) *boolexpr.Formula {
-				if qzVars == nil {
-					qzVars = make(map[int]boolexpr.Var, 2)
-				}
-				v := alloc.Fresh()
-				qzVars[e] = v
-				return boolexpr.V(v)
-			})
+				z := alloc.FreshV()
+				lv.qz[e] = z.Variable()
+				return z
+			}, lv.sv)
 		if !sv[last].IsFalse() {
 			pendings = append(pendings, pending{n: n, sv: sv[last]})
 		}
 
 		// Children: recurse, aggregating qualifier rows; virtual children
 		// contribute their variables and record contexts.
-		qcvRow := make([]*boolexpr.Formula, nP)
-		sdvRow := make([]*boolexpr.Formula, nP)
 		for p := 0; p < nP; p++ {
-			qcvRow[p] = boolexpr.False()
-			sdvRow[p] = boolexpr.False()
+			lv.qcv[p] = boolexpr.False()
+			lv.sdv[p] = boolexpr.False()
 		}
 		for _, ch := range n.Children {
 			if ch.Kind != xmltree.Element {
 				continue
 			}
 			if k, ok := f.VirtualAt(ch.ID); ok {
-				rawContexts = append(rawContexts, fragContext{frag: k, sv: sv})
+				out.contexts = append(out.contexts, fragContext{frag: k, sv: slices.Clone(sv)})
 				for p := 0; p < nP; p++ {
-					qcvRow[p] = boolexpr.Or(qcvRow[p], boolexpr.V(vs.QV(k, p)))
-					sdvRow[p] = boolexpr.Or(sdvRow[p], boolexpr.V(vs.QDV(k, p)))
+					lv.qcv[p] = boolexpr.Or(lv.qcv[p], boolexpr.V(vs.QV(k, p)))
+					lv.sdv[p] = boolexpr.Or(lv.sdv[p], boolexpr.V(vs.QDV(k, p)))
 				}
 				continue
 			}
-			cqv, cqdv := walk(ch, sv)
+			cl := walk(ch, depth+1, sv)
 			for p := 0; p < nP; p++ {
-				qcvRow[p] = boolexpr.Or(qcvRow[p], cqv[p])
-				sdvRow[p] = boolexpr.Or(sdvRow[p], cqdv[p])
+				lv.qcv[p] = boolexpr.Or(lv.qcv[p], cl.row[p])
+				lv.sdv[p] = boolexpr.Or(lv.sdv[p], cl.qdv[p])
 			}
 		}
 
 		// Post-order: qualifier row, then bind this node's placeholders.
-		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
-		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
-		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, n, qcvAt, sdvAt)
-		for e, v := range qzVars {
-			// Placeholders are allocator-fresh per node: a conflict here is
-			// impossible by construction, not a data condition.
-			localEnv.MustBind(v, xpath.EvalQExpr[*boolexpr.Formula](alg, c.Sel[e].Qual, n, qcvAt, sdvAt))
+		qcvAt := func(p int) *boolexpr.Formula { return lv.qcv[p] }
+		sdvAt := func(p int) *boolexpr.Formula { return lv.sdv[p] }
+		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, n, qcvAt, sdvAt, lv.row)
+		for e, v := range lv.qz {
+			if v != boolexpr.NoVar {
+				// Placeholders are allocator-fresh per node: a conflict here
+				// is impossible by construction, not a data condition.
+				localEnv.MustBind(v, xpath.EvalQExpr[*boolexpr.Formula](alg, c.Sel[e].Qual, n, qcvAt, sdvAt))
+			}
 		}
-		qdvRow := make([]*boolexpr.Formula, nP)
 		for p := 0; p < nP; p++ {
-			qdvRow[p] = boolexpr.Or(row[p], sdvRow[p])
+			lv.qdv[p] = boolexpr.Or(row[p], lv.sdv[p])
 		}
-		return row, qdvRow
+		return lv
 	}
-	qv, qdv := walk(f.Tree.Root, init)
-	out.roots = parbox.RootVecs{QV: qv, QDV: qdv}
+	root := walk(f.Tree.Root, 0, init)
+	out.roots = parbox.RootVecs{QV: slices.Clone(root.row), QDV: slices.Clone(root.qdv)}
 
 	// Eliminate local placeholders: after the full traversal every
 	// placeholder is bound, so resolution leaves only cross-fragment
@@ -207,12 +242,10 @@ func evalCombined(
 			out.candidates = append(out.candidates, candidate{node: p.n.ID, f: r})
 		}
 	}
-	for _, ctx := range rawContexts {
-		resolved := make([]*boolexpr.Formula, len(ctx.sv))
+	for _, ctx := range out.contexts {
 		for i, fm := range ctx.sv {
-			resolved[i] = localEnv.Resolve(fm)
+			ctx.sv[i] = localEnv.Resolve(fm)
 		}
-		out.contexts = append(out.contexts, fragContext{frag: ctx.frag, sv: resolved})
 	}
 	return out
 }

@@ -109,6 +109,22 @@ func (n *Node) Value() string {
 	if n.Kind == Text {
 		return strings.TrimSpace(n.Data)
 	}
+	// A leaf element has at most one text child; its value is a substring
+	// of that child's data, with nothing to concatenate.
+	var only *Node
+	texts := 0
+	for _, c := range n.Children {
+		if c.Kind == Text {
+			only = c
+			texts++
+		}
+	}
+	switch texts {
+	case 0:
+		return ""
+	case 1:
+		return strings.TrimSpace(only.Data)
+	}
 	var b strings.Builder
 	for _, c := range n.Children {
 		if c.Kind == Text {

@@ -6,14 +6,17 @@ import "paxq/internal/xmltree"
 // evaluation instantiates it with plain booleans; the distributed
 // algorithms instantiate it with residual Boolean formulas (boolexpr), so
 // the very same recurrences implement both full and partial evaluation —
-// the essence of the partial-evaluation technique.
+// the essence of the partial-evaluation technique. The connectives are
+// binary: every recurrence combines exactly two values, and a variadic
+// signature would heap-allocate its operand slice on every call through
+// the interface.
 type Algebra[V any] interface {
 	True() V
 	False() V
 	FromBool(bool) V
 	Not(V) V
-	And(...V) V
-	Or(...V) V
+	And(a, b V) V
+	Or(a, b V) V
 }
 
 // BoolAlg is the concrete Boolean algebra used by centralized evaluation.
@@ -32,24 +35,10 @@ func (BoolAlg) FromBool(b bool) bool { return b }
 func (BoolAlg) Not(v bool) bool { return !v }
 
 // And conjoins.
-func (BoolAlg) And(vs ...bool) bool {
-	for _, v := range vs {
-		if !v {
-			return false
-		}
-	}
-	return true
-}
+func (BoolAlg) And(a, b bool) bool { return a && b }
 
 // Or disjoins.
-func (BoolAlg) Or(vs ...bool) bool {
-	for _, v := range vs {
-		if v {
-			return true
-		}
-	}
-	return false
-}
+func (BoolAlg) Or(a, b bool) bool { return a || b }
 
 // DocSelVector returns the SVect vector of the virtual document node: the
 // vector pushed at the bottom of the traversal stack when the traversal
@@ -77,8 +66,15 @@ func DocSelVector[V any](alg Algebra[V], c *Compiled) []V {
 // (Fig. 4(b)): a child step holds iff the previous prefix held at the
 // parent and the node passes the test and qualifier; a descendant carry
 // holds iff it held at the parent or the previous prefix holds here.
-func NodeSelVector[V any](alg Algebra[V], c *Compiled, label string, parent []V, qualAt func(entry int) V) []V {
-	sv := make([]V, len(c.Sel))
+//
+// The vector is written into dst, which is grown when shorter than c.Sel
+// and returned. The caller owns dst: traversals pass the row of the
+// current depth from a stack they reuse for every node at that depth, so
+// a row that must outlive its level (a context recorded for a
+// sub-fragment, say) has to be copied. Passing nil allocates a fresh row.
+// dst must not alias parent.
+func NodeSelVector[V any](alg Algebra[V], c *Compiled, label string, parent []V, qualAt func(entry int) V, dst []V) []V {
+	sv := growRow(dst, len(c.Sel))
 	for i := range c.Sel {
 		e := &c.Sel[i]
 		switch e.Kind {
@@ -106,8 +102,12 @@ func NodeSelVector[V any](alg Algebra[V], c *Compiled, label string, parent []V,
 // yield "some child of n starts a match of p" and sdv(p) "some strict
 // descendant of n starts a match of p" — the QCV and (strict) QDV values
 // the caller accumulates bottom-up from the children's rows.
-func NodePredRow[V any](alg Algebra[V], c *Compiled, n *xmltree.Node, qcv, sdv func(pred int) V) []V {
-	row := make([]V, len(c.Preds))
+//
+// As with NodeSelVector, the row is written into the caller-owned dst
+// (grown when short, nil allocates) and returned; a row that outlives the
+// caller's reuse of dst must be copied.
+func NodePredRow[V any](alg Algebra[V], c *Compiled, n *xmltree.Node, qcv, sdv func(pred int) V, dst []V) []V {
+	row := growRow(dst, len(c.Preds))
 	for i := range c.Preds {
 		p := &c.Preds[i]
 		if !p.MatchesNode(n) {
@@ -128,6 +128,15 @@ func NodePredRow[V any](alg Algebra[V], c *Compiled, n *xmltree.Node, qcv, sdv f
 		row[i] = v
 	}
 	return row
+}
+
+// growRow returns dst resliced to n entries, allocating only when dst is
+// too short.
+func growRow[V any](dst []V, n int) []V {
+	if cap(dst) < n {
+		return make([]V, n)
+	}
+	return dst[:n]
 }
 
 // EvalQExpr evaluates a compiled qualifier at element node n in the given

@@ -21,10 +21,10 @@ func TestBoolAlg(t *testing.T) {
 	if a.Not(true) || !a.Not(false) {
 		t.Fatal("Not")
 	}
-	if !a.And() || !a.And(true, true) || a.And(true, false) {
+	if !a.And(true, true) || a.And(true, false) || a.And(false, true) || a.And(false, false) {
 		t.Fatal("And")
 	}
-	if a.Or() || !a.Or(false, true) || a.Or(false, false) {
+	if !a.Or(true, true) || !a.Or(false, true) || !a.Or(true, false) || a.Or(false, false) {
 		t.Fatal("Or")
 	}
 }
@@ -58,23 +58,23 @@ func TestNodeSelVectorRecurrence(t *testing.T) {
 	noQual := func(int) bool { t.Fatal("no qualifiers expected"); return false }
 
 	// Root element labelled "a": prefix /a holds; carry becomes true.
-	va := NodeSelVector[bool](a, c, "a", doc, noQual)
+	va := NodeSelVector[bool](a, c, "a", doc, noQual, nil)
 	if va[0] || !va[1] || !va[2] || va[3] {
 		t.Errorf("vector at a = %v", va)
 	}
 	// Child labelled b: the answer entry holds.
-	vb := NodeSelVector[bool](a, c, "b", va, noQual)
+	vb := NodeSelVector[bool](a, c, "b", va, noQual, nil)
 	if !vb[3] {
 		t.Errorf("vector at b = %v", vb)
 	}
 	// Deeper b under b: carry persists through the b node.
-	vbb := NodeSelVector[bool](a, c, "b", vb, noQual)
+	vbb := NodeSelVector[bool](a, c, "b", vb, noQual, nil)
 	if !vbb[3] {
 		t.Errorf("vector at b/b = %v", vbb)
 	}
 	// A root not labelled a kills everything below.
-	vx := NodeSelVector[bool](a, c, "x", doc, noQual)
-	vunder := NodeSelVector[bool](a, c, "b", vx, noQual)
+	vx := NodeSelVector[bool](a, c, "x", doc, noQual, nil)
+	vunder := NodeSelVector[bool](a, c, "b", vx, noQual, nil)
 	if vunder[3] {
 		t.Errorf("match under wrong root: %v", vunder)
 	}
@@ -84,11 +84,56 @@ func TestNodeSelVectorQualifierGating(t *testing.T) {
 	var a BoolAlg
 	c := MustCompile("/a[b]")
 	doc := DocSelVector[bool](a, c)
-	if got := NodeSelVector[bool](a, c, "a", doc, func(int) bool { return true }); !got[1] {
+	if got := NodeSelVector[bool](a, c, "a", doc, func(int) bool { return true }, nil); !got[1] {
 		t.Errorf("qualifier true: %v", got)
 	}
-	if got := NodeSelVector[bool](a, c, "a", doc, func(int) bool { return false }); got[1] {
+	if got := NodeSelVector[bool](a, c, "a", doc, func(int) bool { return false }, nil); got[1] {
 		t.Errorf("qualifier false: %v", got)
+	}
+}
+
+// The row functions write into the caller's dst when it is long enough,
+// overwriting every entry, and allocate a row of the right length when it
+// is short.
+func TestRowsReuseCallerDst(t *testing.T) {
+	var a BoolAlg
+	c := MustCompile(`/a//b[c]`)
+	doc := DocSelVector[bool](a, c)
+	qual := func(int) bool { return true }
+	want := NodeSelVector[bool](a, c, "a", doc, qual, nil)
+
+	dst := make([]bool, len(c.Sel)+3)
+	for i := range dst {
+		dst[i] = true // stale values must be overwritten
+	}
+	got := NodeSelVector[bool](a, c, "a", doc, qual, dst)
+	if &got[0] != &dst[0] || len(got) != len(c.Sel) {
+		t.Fatalf("NodeSelVector did not reuse dst (len %d)", len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reused row = %v, want %v", got, want)
+		}
+	}
+	if short := NodeSelVector[bool](a, c, "a", doc, qual, dst[:0:1]); len(short) != len(c.Sel) {
+		t.Fatalf("short dst: len %d, want %d", len(short), len(c.Sel))
+	}
+
+	none := func(int) bool { return false }
+	n := xmltree.El("c")
+	wantRow := NodePredRow[bool](a, c, n, none, none, nil)
+	rowDst := make([]bool, len(c.Preds))
+	for i := range rowDst {
+		rowDst[i] = !wantRow[i]
+	}
+	gotRow := NodePredRow[bool](a, c, n, none, none, rowDst)
+	if &gotRow[0] != &rowDst[0] {
+		t.Fatal("NodePredRow did not reuse dst")
+	}
+	for i := range wantRow {
+		if gotRow[i] != wantRow[i] {
+			t.Fatalf("reused pred row = %v, want %v", gotRow, wantRow)
+		}
 	}
 }
 
@@ -110,20 +155,20 @@ func TestNodePredRowAndEvalQExpr(t *testing.T) {
 	}
 	// Node c with text "x": terminal pred matches.
 	nc := xmltree.ElT("c", "x")
-	row := NodePredRow[bool](alg, c, nc, func(int) bool { return false }, func(int) bool { return false })
+	row := NodePredRow[bool](alg, c, nc, func(int) bool { return false }, func(int) bool { return false }, nil)
 	if !row[cIdx] || row[bIdx] {
 		t.Errorf("row at c = %v", row)
 	}
 	// Node c with wrong text.
 	nc2 := xmltree.ElT("c", "y")
-	row = NodePredRow[bool](alg, c, nc2, func(int) bool { return false }, func(int) bool { return false })
+	row = NodePredRow[bool](alg, c, nc2, func(int) bool { return false }, func(int) bool { return false }, nil)
 	if row[cIdx] {
 		t.Errorf("row at c(y) = %v", row)
 	}
 	// Node b whose strict descendants contain a c-match: pred b holds.
 	nb := xmltree.El("b")
 	sdv := func(p int) bool { return p == cIdx }
-	row = NodePredRow[bool](alg, c, nb, func(int) bool { return false }, sdv)
+	row = NodePredRow[bool](alg, c, nb, func(int) bool { return false }, sdv, nil)
 	if !row[bIdx] {
 		t.Errorf("row at b = %v", row)
 	}
