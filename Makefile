@@ -13,7 +13,8 @@ FUZZTIME ?= 10s
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
 # coverage floor on the core packages, survive a short fuzz smoke of the
-# parser, the wire codec, the arena and the edit path, prove the wire
+# parser, the wire codec, the arena, the edit path and the XML escaper,
+# prove the wire
 # codec still writes and reads its golden bytes, hold every allocation
 # cap of the hot paths, prove multi-query
 # batching is answer- and cost-transparent, prove failover keeps answers
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzArenaRoundTrip -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run=^$$ -fuzz=FuzzArenaSplice -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run=^$$ -fuzz=FuzzEditOps -fuzztime=$(FUZZTIME) ./internal/fragment
+	$(GO) test -run=^$$ -fuzz=FuzzSerializeEscape -fuzztime=$(FUZZTIME) ./internal/xmltree
 
 # Codec smoke: every corpus message must encode to its golden bytes
 # (testdata/golden, regenerated only with -update) and decode back to the
@@ -67,13 +69,16 @@ codec-smoke:
 # mask kernels and structural joins allocate nothing in steady state, the
 # frame write path and the metered Local round trip stay within their
 # per-call budgets, formula constructors that fold to an existing operand
-# allocate nothing, and a fragment visit of the site traversals allocates
-# per depth and per returned item, not per node.
+# allocate nothing, a fragment visit of the site traversals allocates
+# per depth and per returned item, not per node, serializing a subtree
+# allocates exactly its output string, and decoding an answers section
+# costs the same few allocations (at most 3) for 1, 100 or 1 000 answers.
 alloc-smoke:
 	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
-	$(GO) test -run='TestTraversalAllocsPerFragment' ./internal/pax
+	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs' ./internal/pax
+	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve

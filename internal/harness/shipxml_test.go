@@ -1,0 +1,200 @@
+package harness
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"paxq/internal/centeval"
+	"paxq/internal/fragment"
+	"paxq/internal/pax"
+	"paxq/internal/testutil"
+	"paxq/internal/wirefmt"
+	"paxq/internal/xmltree"
+	"paxq/internal/xpath"
+)
+
+// shipXMLCheck runs query over eng with ShipXML on and compares every
+// answer's shipped XML with the serialization of its node in the original
+// tree. An answer whose subtree holds a virtual node — it crosses a
+// fragment boundary, and ships the virtual node in place of the
+// sub-fragment — is counted in crossing, not compared.
+func shipXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, eng *pax.Engine, query string, alg pax.Algorithm) (res *pax.Result, compared, crossing int) {
+	t.Helper()
+	res, err := eng.RunContext(context.Background(), query, pax.Options{Algorithm: alg, ShipXML: true})
+	if err != nil {
+		t.Fatalf("%v %q: %v", alg, query, err)
+	}
+	origIDs := origAnswerIDs(ft, res.Answers)
+	if want := centralIDs(t, tree, query); !testutil.EqualIDs(origIDs, want) {
+		t.Fatalf("%v %q: %d answers, centralized %d", alg, query, len(origIDs), len(want))
+	}
+	for _, a := range res.Answers {
+		f := ft.Frag(a.Frag)
+		if subtreeHasVirtual(f, f.Tree.Node(a.Node)) {
+			crossing++
+			continue
+		}
+		orig := tree.Node(f.Origin[a.Node])
+		if want := xmltree.SerializeString(orig); a.XML != want {
+			t.Fatalf("%v %q: answer %d/%d ships\n%q\nthe document's subtree is\n%q", alg, query, a.Frag, a.Node, a.XML, want)
+		}
+		compared++
+	}
+	return res, compared, crossing
+}
+
+func centralIDs(t *testing.T, tree *xmltree.Tree, query string) []xmltree.NodeID {
+	t.Helper()
+	c, err := xpath.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]xmltree.NodeID(nil), centeval.EvalVector(tree, c)...)
+	slices.Sort(want)
+	return want
+}
+
+func subtreeHasVirtual(f *fragment.Fragment, n *xmltree.Node) bool {
+	if f.IsVirtual(n) {
+		return true
+	}
+	for _, c := range n.Children {
+		if subtreeHasVirtual(f, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// shippedAnswerBytes is the size of the answers as the answers section
+// encodes them: IDs, length prefixes and the label, value and XML strings.
+func shippedAnswerBytes(answers []pax.AnswerNode) int64 {
+	var n int
+	for _, a := range answers {
+		n += wirefmt.UvarintLen(uint64(uint32(a.Frag))) + wirefmt.UvarintLen(uint64(uint32(a.Node)))
+		for _, s := range []string{a.Label, a.Value, a.XML} {
+			n += wirefmt.UvarintLen(uint64(len(s))) + len(s)
+		}
+	}
+	return int64(n)
+}
+
+// smallBibliography builds a DBLP-shaped document: a <dblp> root over
+// sections <bib> sections of article/inproceedings entries, with
+// attributes and with text that needs escaping.
+func smallBibliography(seed int64, sections, entries int) *xmltree.Tree {
+	r := rand.New(rand.NewSource(seed))
+	words := []string{"Distributed", "Query", "XPath", "Trees", "&", "<Joins>", `"Exact"`, "Users'", "Müller", "Streams"}
+	el, tx := xmltree.El, xmltree.ElT
+	root := el("dblp")
+	for s := 0; s < sections; s++ {
+		bib := el("bib")
+		for i := 0; i < entries; i++ {
+			tag, venue := "inproceedings", tx("booktitle", "SIGMOD & PODS")
+			if i%2 == 0 {
+				tag, venue = "article", tx("journal", "Proc. VLDB <Endow.>")
+			}
+			title := ""
+			for w := 3 + r.Intn(4); w > 0; w-- {
+				title += words[r.Intn(len(words))] + " "
+			}
+			e := el(tag,
+				tx("author", fmt.Sprintf("Author %d", r.Intn(50))),
+				tx("title", title),
+				tx("year", fmt.Sprint(1995+r.Intn(30))),
+				venue)
+			e.SetAttr("key", fmt.Sprintf("conf/x/%d-%d", s, i))
+			e.SetAttr("mdate", `2020-01-0"1`)
+			bib.Append(e)
+		}
+		root.Append(bib)
+	}
+	return xmltree.NewTree(root)
+}
+
+// TestShipXMLMatchesDocumentOverTCP is the end-to-end oracle for shipped
+// XML: over real TCP sites, every answer that does not cross a fragment
+// boundary ships exactly the serialization of its node in the original
+// document. It runs on a small bibliography cut at /dblp/bib, where it
+// also checks the paper's traffic bound with answers, and on the
+// differential's random trees, cuts and queries. Answers that cross a
+// boundary are only counted and logged.
+func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
+	algs := []pax.Algorithm{pax.PaX3, pax.PaX2}
+	var compared, crossing int
+
+	// The traffic bound: what the coordinator receives beyond the answers
+	// themselves is at most trafficC bytes per query entry per fragment.
+	const trafficC = 16
+	tree := smallBibliography(1, 4, 30)
+	var cuts []xmltree.NodeID
+	for _, bib := range tree.Root.Children {
+		cuts = append(cuts, bib.ID)
+	}
+	ft, err := fragment.Cut(tree, cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := pax.RoundRobin(ft, 2)
+	tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	eng := pax.NewEngine(topo, tcp)
+	for _, query := range []string{
+		`/dblp/bib/article`,
+		`/dblp/bib/inproceedings`,
+		`//title`,
+		`/dblp/bib/article[year > 2005]/title`,
+		`/dblp/bib`,
+		`/dblp`,
+	} {
+		c, err := xpath.Compile(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range algs {
+			res, cmp, cross := shipXMLCheck(t, tree, ft, eng, query, alg)
+			compared, crossing = compared+cmp, crossing+cross
+			ans := shippedAnswerBytes(res.Answers)
+			bound := ans + int64(trafficC*(len(c.Sel)+len(c.Preds))*ft.Len())
+			if res.BytesRecv > bound {
+				t.Errorf("%v %q: received %d bytes, bound %d (answers %d + %d·|Q|·|FT|)", alg, query, res.BytesRecv, bound, ans, trafficC)
+			}
+		}
+	}
+
+	for seed := int64(0); seed < 12; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tree, isXMark := diffTree(r, seed)
+		ft, err := fragment.Cut(tree, fragment.RandomCuts(tree, r.Intn(9), seed+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := pax.RoundRobin(ft, 1+r.Intn(4))
+		tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := pax.NewEngine(topo, tcp)
+		for q := 0; q < 4; q++ {
+			query := testutil.RandomQuery(seed*1000 + int64(q))
+			if isXMark {
+				query = randomXMarkQuery(r)
+			}
+			for _, alg := range algs {
+				_, cmp, cross := shipXMLCheck(t, tree, ft, eng, query, alg)
+				compared, crossing = compared+cmp, crossing+cross
+			}
+		}
+		shutdown()
+	}
+	t.Logf("%d shipped answers equal the document's subtree; %d cross a fragment boundary and were not compared", compared, crossing)
+	if compared == 0 {
+		t.Fatal("no answer was compared")
+	}
+}

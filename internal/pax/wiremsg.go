@@ -84,7 +84,7 @@ func newStageMessage(tag dist.MsgTag) dist.BinaryMessage {
 // reader is a sticky-error consumer over a message body. It keeps decode
 // code linear: check r.done() once at the end instead of after every
 // field. Byte-slice fields alias the input (the transport never recycles
-// received frames); strings and bool slices are fresh.
+// received frames); strings and bool slices never do.
 type reader struct {
 	p   []byte
 	err error
@@ -406,22 +406,45 @@ func appendAnswers(dst []byte, as []AnswerNode) []byte {
 	return dst
 }
 
+// answers decodes an answers section. Its strings are substrings of one
+// copy of the rest of the body, made once: a response's answers cost one
+// string allocation however many there are, never alias the body, and
+// stay alive together.
 func (r *reader) answers() []AnswerNode {
 	n := r.count()
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	sec := string(r.p)
 	out := make([]AnswerNode, 0, eagerCap(n))
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, AnswerNode{
 			Frag:  r.fragID(),
 			Node:  xmltree.NodeID(r.int32()),
-			Label: r.str(),
-			Value: r.str(),
-			XML:   r.str(),
+			Label: r.substr(sec),
+			Value: r.substr(sec),
+			XML:   r.substr(sec),
 		})
 	}
 	return out
+}
+
+// substr consumes a length-prefixed string, returned as a substring of
+// sec, a copy of the bytes r had left when sec was made. sec ends where the
+// body ends, so a length that runs past it is corrupt, not short: the
+// error is ErrMalformed.
+func (r *reader) substr(sec string) string {
+	if r.err != nil {
+		return ""
+	}
+	b, rest, err := wirefmt.Bytes(r.p)
+	if err != nil {
+		r.fail(fmt.Errorf("%w: answer string: %v", wirefmt.ErrMalformed, err))
+		return ""
+	}
+	r.p = rest
+	end := len(sec) - len(rest)
+	return sec[end-len(b) : end]
 }
 
 // maxNodeDepth bounds WireNode tree nesting on both the encode and the

@@ -260,6 +260,10 @@ func FuzzDecodeStageMessage(f *testing.F) {
 		}
 		f.Add(p[2], p[3:]) // past version and kind; corpus tags are one byte
 	}
+	// Multi-answer ShipXML responses: every answer string a substring of
+	// one decoded section.
+	f.Add(byte(tagAnsStageResp), mustBody(&AnsStageResp{Answers: shipXMLAnswers(3)}))
+	f.Add(byte(tagSelStageResp), mustBody(&SelStageResp{Answers: shipXMLAnswers(2), Candidates: []fragment.FragID{1}}))
 	f.Fuzz(func(t *testing.T, tag byte, body []byte) {
 		payload := append([]byte{0x01, 0x00, tag}, body...)
 		var before, after runtime.MemStats
@@ -284,6 +288,116 @@ func FuzzDecodeStageMessage(f *testing.F) {
 			t.Fatalf("tag %d: value changed across re-encoding:\n got %#v\nwant %#v", tag, back, msg)
 		}
 	})
+}
+
+// shipXMLAnswers builds n distinct answers as a ShipXML stage ships them,
+// each with its label, value and serialized subtree.
+func shipXMLAnswers(n int) []AnswerNode {
+	out := make([]AnswerNode, n)
+	for i := range out {
+		name := fmt.Sprintf("Ada %d", i)
+		el := xmltree.El("person", xmltree.ElT("name", name))
+		el.SetAttr("id", fmt.Sprintf("p%d", i))
+		out[i] = AnswerNode{Frag: fragment.FragID(i % 3), Node: xmltree.NodeID(i + 1), Label: "person", Value: name, XML: xmltree.SerializeString(el)}
+	}
+	return out
+}
+
+// answerResponses are the three responses that carry an answers section,
+// holding answers.
+func answerResponses(answers []AnswerNode) []dist.BinaryMessage {
+	return []dist.BinaryMessage{
+		&SelStageResp{Contexts: []WireContext{{Frag: 1}}, Answers: answers, Candidates: []fragment.FragID{2}},
+		&CombinedStageResp{Answers: answers, Candidates: []fragment.FragID{2}},
+		&AnsStageResp{Answers: answers},
+	}
+}
+
+// answersOf returns a decoded response's answers.
+func answersOf(m dist.BinaryMessage) []AnswerNode {
+	switch m := m.(type) {
+	case *SelStageResp:
+		return m.Answers
+	case *CombinedStageResp:
+		return m.Answers
+	case *AnsStageResp:
+		return m.Answers
+	}
+	return nil
+}
+
+// TestDecodedAnswersDoNotAliasInput decodes each response that carries
+// answers, then overwrites every byte it decoded from: the answers must not
+// change. Strings made from the body without a copy (unsafe.String) would.
+func TestDecodedAnswersDoNotAliasInput(t *testing.T) {
+	want := shipXMLAnswers(5)
+	for _, m := range answerResponses(want) {
+		body := mustBody(m)
+		back := newStageMessage(m.WireTag())
+		if err := back.DecodeBinary(body); err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		for i := range body {
+			body[i] = 0xA5
+		}
+		if got := answersOf(back); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: answers changed with the input bytes:\n got %q\nwant %q", m, got, want)
+		}
+	}
+}
+
+// TestCorruptAnswerStringLength cuts a string length inside the answers
+// section short, or announces more bytes than the body has, in each
+// response that carries answers: decoding must end in ErrMalformed, not a
+// panic or a short string.
+func TestCorruptAnswerStringLength(t *testing.T) {
+	// Everything in front of the answers section, all empty.
+	prefixes := map[dist.MsgTag][]byte{
+		tagSelStageResp:      {0, 0},    // ComputeNanos, Contexts
+		tagCombinedStageResp: {0, 0, 0}, // ComputeNanos, Roots, Contexts
+		tagAnsStageResp:      nil,
+	}
+	lengths := map[string][]byte{
+		"truncated varint":  {0x80},
+		"past the body":     append(wirefmt.AppendUvarint(nil, 100), "<person/>"...),
+		"over the size cap": wirefmt.AppendUvarint(nil, 1<<40),
+	}
+	for tag, prefix := range prefixes {
+		for name, length := range lengths {
+			body := append([]byte(nil), prefix...)
+			body = wirefmt.AppendUvarint(body, 1)       // one answer
+			body = append(body, 1, 7)                   // Frag, Node
+			body = wirefmt.AppendString(body, "person") // Label
+			body = wirefmt.AppendString(body, "Ada")    // Value
+			body = append(body, length...)              // XML
+			err := newStageMessage(tag).DecodeBinary(body)
+			if !errors.Is(err, wirefmt.ErrMalformed) {
+				t.Errorf("tag %d, XML length %s: err = %v, want ErrMalformed", tag, name, err)
+			}
+		}
+	}
+}
+
+// TestDecodeAnswersAllocs pins the decode of an answers section to a
+// number of allocations that does not grow with the answers: the message,
+// its answer slice and the one string all answers share.
+func TestDecodeAnswersAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{1, 100, 1000} {
+		body := mustBody(&AnsStageResp{Answers: shipXMLAnswers(n)})
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := new(AnsStageResp).DecodeBinary(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("decoding %d answers allocates %.1f times, want at most 3", n, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("allocations for 1, 100 and 1000 answers = %v, want equal", counts)
+	}
 }
 
 // TestKnownMaskSurvivesRoundTrip pins the nil-vs-present distinction the

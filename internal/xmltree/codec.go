@@ -1,11 +1,11 @@
 package xmltree
 
 import (
-	"bufio"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Parse reads an XML document from r into a Tree. Processing instructions,
@@ -160,59 +160,121 @@ func indexUnquoted(s string, c byte) int {
 func ParseString(s string) (*Tree, error) { return Parse(strings.NewReader(s)) }
 
 // Serialize writes the subtree rooted at n as XML to w, without declaration
-// or indentation. The output round-trips through Parse.
+// or indentation: the bytes of SerializeString(n), in one write. The output
+// round-trips through Parse.
 func Serialize(w io.Writer, n *Node) error {
-	bw := bufio.NewWriter(w)
-	if err := writeNode(bw, n); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := io.WriteString(w, SerializeString(n))
+	return err
 }
 
-func writeNode(w *bufio.Writer, n *Node) error {
-	if n.Kind == Text {
-		if err := xml.EscapeText(w, []byte(n.Data)); err != nil {
-			return err
-		}
-		return nil
+// SerializeString renders the subtree rooted at n as an XML string with one
+// allocation: a first pass over the subtree computes the exact output
+// length, a second writes into a buffer of that size. Labels and attribute
+// names are written as they are; text and attribute values are escaped
+// byte for byte as xml.EscapeText escapes them.
+func SerializeString(n *Node) string {
+	var size xmlWriter
+	size.node(n)
+	var b strings.Builder
+	b.Grow(size.n)
+	w := xmlWriter{b: &b}
+	w.node(n)
+	return b.String()
+}
+
+// xmlWriter is one pass of SerializeString. With b nil it only counts the
+// bytes it would write, so both passes share one walk and the counted
+// length is the written length by construction.
+type xmlWriter struct {
+	b *strings.Builder
+	n int
+}
+
+func (w *xmlWriter) str(s string) {
+	w.n += len(s)
+	if w.b != nil {
+		w.b.WriteString(s)
 	}
-	w.WriteByte('<')
-	w.WriteString(n.Label)
+}
+
+// escaped writes s escaped, copying the runs between escapes as
+// substrings of s.
+func (w *xmlWriter) escaped(s string) {
+	last := 0
+	for i, j, esc := nextEscape(s, 0); i < len(s); i, j, esc = nextEscape(s, j) {
+		w.str(s[last:i])
+		w.str(esc)
+		last = j
+	}
+	w.str(s[last:])
+}
+
+func (w *xmlWriter) node(n *Node) {
+	if n.Kind == Text {
+		w.escaped(n.Data)
+		return
+	}
+	w.str("<")
+	w.str(n.Label)
 	for _, a := range n.Attrs {
-		w.WriteByte(' ')
-		w.WriteString(a.Name)
-		w.WriteString(`="`)
-		if err := xml.EscapeText(w, []byte(a.Value)); err != nil {
-			return err
-		}
-		w.WriteByte('"')
+		w.str(" ")
+		w.str(a.Name)
+		w.str(`="`)
+		w.escaped(a.Value)
+		w.str(`"`)
 	}
 	if len(n.Children) == 0 {
-		w.WriteString("/>")
-		return nil
+		w.str("/>")
+		return
 	}
-	w.WriteByte('>')
+	w.str(">")
 	for _, c := range n.Children {
-		if err := writeNode(w, c); err != nil {
-			return err
-		}
+		w.node(c)
 	}
-	w.WriteString("</")
-	w.WriteString(n.Label)
-	w.WriteByte('>')
-	return nil
+	w.str("</")
+	w.str(n.Label)
+	w.str(">")
 }
 
-// SerializeString renders the subtree rooted at n as an XML string.
-func SerializeString(n *Node) string {
-	var b strings.Builder
-	bw := bufio.NewWriter(&b)
-	if err := writeNode(bw, n); err != nil {
-		// strings.Builder never errors; xml.EscapeText errors only on a
-		// failing writer, so this is unreachable.
-		//paxlint:allow nopanic(unreachable: strings.Builder writes cannot fail)
-		panic(err)
+// asciiEscapes holds xml.EscapeText's replacement for each ASCII byte, or
+// "" for a byte it copies: the five markup characters as references, tab,
+// LF and CR as character references, and every other control character,
+// being outside the XML character range, as U+FFFD.
+var asciiEscapes = func() (t [utf8.RuneSelf]string) {
+	for c := range byte(0x20) {
+		t[c] = "\uFFFD"
 	}
-	bw.Flush()
-	return b.String()
+	t['\t'], t['\n'], t['\r'] = "&#x9;", "&#xA;", "&#xD;"
+	t['"'], t['\''] = "&#34;", "&#39;"
+	t['&'], t['<'], t['>'] = "&amp;", "&lt;", "&gt;"
+	return t
+}()
+
+// nextEscape finds the first byte range [i, j) of s at or after from that
+// xml.EscapeText replaces, and its replacement. Past the last one it
+// returns i == len(s). Beyond ASCII, EscapeText replaces a byte that is
+// not valid UTF-8 and a rune outside the XML character range with U+FFFD.
+func nextEscape(s string, from int) (i, j int, esc string) {
+	for i = from; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if esc = asciiEscapes[c]; esc != "" {
+				return i, i + 1, esc
+			}
+			i++
+			continue
+		}
+		r, width := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && width == 1 || !inCharRange(r) {
+			return i, i + width, "\uFFFD"
+		}
+		i += width
+	}
+	return len(s), len(s), ""
+}
+
+// inCharRange reports whether a rune of two or more UTF-8 bytes is in the
+// XML character range (XML 1.0 production [2]); the ASCII cases are in
+// asciiEscapes.
+func inCharRange(r rune) bool {
+	return r <= 0xD7FF || r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= 0x10FFFF
 }

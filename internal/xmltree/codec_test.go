@@ -1,0 +1,164 @@
+package xmltree
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/xml"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// referenceSerialize is the serializer SerializeString replaced: a
+// bufio.Writer over the output and xml.EscapeText for text and attribute
+// values. SerializeString must produce its bytes exactly.
+func referenceSerialize(n *Node) string {
+	var out bytes.Buffer
+	w := bufio.NewWriter(&out)
+	var write func(n *Node)
+	write = func(n *Node) {
+		if n.Kind == Text {
+			xml.EscapeText(w, []byte(n.Data))
+			return
+		}
+		w.WriteByte('<')
+		w.WriteString(n.Label)
+		for _, a := range n.Attrs {
+			w.WriteByte(' ')
+			w.WriteString(a.Name)
+			w.WriteString(`="`)
+			xml.EscapeText(w, []byte(a.Value))
+			w.WriteByte('"')
+		}
+		if len(n.Children) == 0 {
+			w.WriteString("/>")
+			return
+		}
+		w.WriteByte('>')
+		for _, c := range n.Children {
+			write(c)
+		}
+		w.WriteString("</")
+		w.WriteString(n.Label)
+		w.WriteByte('>')
+	}
+	write(n)
+	w.Flush()
+	return out.String()
+}
+
+// hostileAlphabet is what the text and attribute values of hostileTree are
+// made of: every byte xml.EscapeText rewrites (markup characters, tab, LF,
+// CR, NUL and other control characters, an invalid byte, the UTF-8 bytes
+// of a lone surrogate) beside the runes it must keep or replace (a literal
+// U+FFFD, U+FFFE, 2- and 4-byte runes) and plain letters.
+var hostileAlphabet = []string{
+	"<", ">", "&", `"`, "'", "\t", "\n", "\r", "\x00", "\x1f", "\x7f",
+	"\xff", "\xed\xa0\x80", "\uFFFD", "\uFFFE", "ü", "𝄞", "a", "bc", " ",
+}
+
+// hostileString draws up to max pieces of hostileAlphabet.
+func hostileString(r *rand.Rand, max int) string {
+	var b strings.Builder
+	for i := r.Intn(max + 1); i > 0; i-- {
+		b.WriteString(hostileAlphabet[r.Intn(len(hostileAlphabet))])
+	}
+	return b.String()
+}
+
+// hostileTree builds a deterministic tree of about size elements whose
+// text and attribute values come from hostileAlphabet.
+func hostileTree(seed int64, size int) *Tree {
+	r := rand.New(rand.NewSource(seed))
+	labels := []string{"a", "b", "c", "d"}
+	budget := size
+	var node func() *Node
+	node = func() *Node {
+		n := NewElement(labels[r.Intn(len(labels))])
+		budget--
+		for i := r.Intn(3); i > 0; i-- {
+			n.SetAttr(labels[r.Intn(len(labels))], hostileString(r, 6))
+		}
+		if r.Intn(2) == 0 {
+			n.Append(NewText(hostileString(r, 12)))
+		}
+		for budget > 0 && r.Intn(3) != 0 {
+			n.Append(node())
+		}
+		return n
+	}
+	root := NewElement("root")
+	budget--
+	for budget > 0 {
+		root.Append(node())
+	}
+	return NewTree(root)
+}
+
+// TestSerializeMatchesReference holds SerializeString byte-identical to the
+// reference writer on random trees and on trees of hostile text, and its
+// first pass's length to the output's.
+func TestSerializeMatchesReference(t *testing.T) {
+	var trees []*Tree
+	for seed := int64(0); seed < 50; seed++ {
+		trees = append(trees, RandomTree(seed, 200), hostileTree(seed, 200))
+	}
+	for i, tr := range trees {
+		tr.Walk(func(n *Node) bool {
+			got, want := SerializeString(n), referenceSerialize(n)
+			if got != want {
+				t.Fatalf("tree %d node %d:\n got %q\nwant %q", i, n.ID, got, want)
+			}
+			var size xmlWriter
+			size.node(n)
+			if size.n != len(got) {
+				t.Fatalf("tree %d node %d: first pass counted %d bytes, wrote %d", i, n.ID, size.n, len(got))
+			}
+			return true
+		})
+		var viaWriter bytes.Buffer
+		if err := Serialize(&viaWriter, tr.Root); err != nil {
+			t.Fatal(err)
+		}
+		if viaWriter.String() != SerializeString(tr.Root) {
+			t.Fatalf("tree %d: Serialize and SerializeString differ", i)
+		}
+	}
+}
+
+// FuzzSerializeEscape compares the escaping writer, and its counting pass,
+// with xml.EscapeText on arbitrary bytes.
+func FuzzSerializeEscape(f *testing.F) {
+	for _, s := range hostileAlphabet {
+		f.Add(s)
+	}
+	f.Add("plain text")
+	f.Add("a<b>&\"c'\t\n\r\x00\xff\xed\xa0\x80\uFFFD\uFFFE\U0010FFFF\xf4\x90\x80\x80")
+	f.Fuzz(func(t *testing.T, s string) {
+		var want bytes.Buffer
+		xml.EscapeText(&want, []byte(s))
+		var b strings.Builder
+		w := xmlWriter{b: &b}
+		w.escaped(s)
+		if b.String() != want.String() {
+			t.Fatalf("escaped(%q) = %q, xml.EscapeText = %q", s, b.String(), want.String())
+		}
+		var size xmlWriter
+		size.escaped(s)
+		if size.n != want.Len() || w.n != want.Len() {
+			t.Fatalf("escaped(%q): counted %d and %d bytes, want %d", s, size.n, w.n, want.Len())
+		}
+	})
+}
+
+// TestSerializeStringAllocs pins SerializeString to one allocation per
+// call, the output string, on a 2 000-node tree full of escapes.
+func TestSerializeStringAllocs(t *testing.T) {
+	tr := hostileTree(1, 2000)
+	if s := SerializeString(tr.Root); !strings.Contains(s, "&amp;") || !strings.Contains(s, "\uFFFD") {
+		t.Fatal("test tree has no escapes")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { SerializeString(tr.Root) }); allocs != 1 {
+		t.Errorf("SerializeString allocates %.1f times per call, want 1", allocs)
+	}
+}
