@@ -98,20 +98,23 @@ fault-smoke:
 
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked
-# against a rebuilt centralized oracle, scoped-vs-bump twins compared),
-# plus the version-protocol and public-API edit regressions. The full
+# against a rebuilt centralized oracle, ledgers conserved), plus the
+# version-protocol, snapshot and batch-epoch regressions and the
+# public-API edit regressions. The full
 # >=500-case-per-transport corpus runs in `test`
 # (TestEditDifferentialLocalCorpus / TestEditDifferentialTCPCorpus).
 edit-smoke:
 	$(GO) test -run='TestEditSmoke' ./internal/harness
-	$(GO) test -run='TestEditVersionProtocol|TestEditOneVersionAnswersAndStalePut' ./internal/pax
+	$(GO) test -run='TestEditVersionProtocol|TestEditOneVersionAnswersAndStalePut|TestBatchQualsStraddlingEditDoNotShare' ./internal/pax
 	$(GO) test -run='TestApplyEdit' .
 
 # Documentation gate: vet plus tools/docscheck, which fails on exported
 # identifiers of the public paxq package missing doc comments, on cmd/*
 # flags absent from cmd/README.md / ARCHITECTURE.md, on cmd/README.md flag
-# rows a binary no longer defines, and on internal/cmd packages missing
-# from ARCHITECTURE.md's package map. Depends on the vet target (rather
+# rows a binary no longer defines, on internal/cmd packages missing from
+# ARCHITECTURE.md's package map, on package-map rows naming packages that
+# no longer exist, and on cmd/README.md metric rows a binary does not
+# emit. Depends on the vet target (rather
 # than re-running go vet) so `make check` vets once.
 docs-check: vet
 	$(GO) run ./tools/docscheck

@@ -11,7 +11,7 @@
 //
 // The diff mode runs the differential harness — distributed against
 // centralized evaluation on randomized instances over both transports,
-// with the sequential-site, site-cache and batching twins — and, with
+// with the sequential-site and batching twins — and, with
 // -json, writes the machine-readable result to a file:
 //
 //	paxbench -exp diff -load 10 -json diff.json
@@ -119,8 +119,8 @@ func main() {
 	runDiff := func() {
 		// Differential mode: distributed vs centralized on random (tree,
 		// query, fragmentation) instances, over both transports, with
-		// parallel-vs-sequential site evaluation, the cached-vs-uncached
-		// site-cache twins and the batched-transport twins cross-checked.
+		// parallel-vs-sequential site evaluation and the batched-transport
+		// twins cross-checked.
 		type diffOut struct {
 			Transport string              `json:"transport"`
 			Result    *harness.DiffResult `json:"result"`
@@ -130,7 +130,6 @@ func main() {
 			res, err := harness.DifferentialSweep(ctx, *seed, *load, harness.DiffOptions{
 				Transport:       tr,
 				CompareParallel: true,
-				CompareCache:    true,
 				CompareBatch:    true,
 			})
 			if res != nil {

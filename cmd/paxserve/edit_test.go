@@ -38,20 +38,19 @@ func queryAnswers(t *testing.T, url, query string) []paxq.Answer {
 // document visible through /query tracks every step and the edit counters
 // surface in /statsz and /metrics.
 func TestServeEditEndpoint(t *testing.T) {
-	ts := cacheTestServer(t)
+	ts := testServer(t, paxq.TransportLocal)
 
-	// Warm the Stage-1 cache with a qualifier query so the edit below has
-	// entries to retain.
-	warmQuery := `//broker[//stock/code = "GOOG"]/name`
-	body, err := json.Marshal(queryRequest{Query: warmQuery, Algorithm: "pax3"})
+	// A qualifier query whose labels the edits below do not touch.
+	qualQuery := `//broker[//stock/code = "GOOG"]/name`
+	body, err := json.Marshal(queryRequest{Query: qualQuery, Algorithm: "pax3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmResp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	qualResp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeQueryResponse(t, warmResp)
+	decodeQueryResponse(t, qualResp)
 
 	brokers := queryAnswers(t, ts.URL, `//broker[name = "Smith"]`)
 	if len(brokers) != 1 {
@@ -78,9 +77,6 @@ func TestServeEditEndpoint(t *testing.T) {
 	if er.Result == nil || er.Result.NewVersion == 0 {
 		t.Fatalf("edit response %+v, want an applied result", er)
 	}
-	if er.Result.Retained+er.Result.Patched == 0 {
-		t.Errorf("disjoint insert retained no cache entries: %+v", er.Result)
-	}
 
 	notes := queryAnswers(t, ts.URL, `//note/v`)
 	if len(notes) != 1 || notes[0].Value != "hello" {
@@ -106,11 +102,11 @@ func TestServeEditEndpoint(t *testing.T) {
 	if memos := queryAnswers(t, ts.URL, `//memo`); len(memos) != 0 {
 		t.Fatalf("//memo after delete = %+v", memos)
 	}
-	if got := queryAnswers(t, ts.URL, warmQuery); len(got) != 1 || got[0].Value != "Smith" {
+	if got := queryAnswers(t, ts.URL, qualQuery); len(got) != 1 || got[0].Value != "Smith" {
 		t.Fatalf("qualifier query after edit round trip = %+v", got)
 	}
 
-	// Counters: 3 applied edits in /statsz, scoped retention in /metrics.
+	// Counters: 3 applied edits in /statsz and /metrics.
 	sresp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -119,9 +115,6 @@ func TestServeEditEndpoint(t *testing.T) {
 	var statsz struct {
 		Edits      int64 `json:"edits"`
 		EditErrors int64 `json:"edit_errors"`
-		SiteCache  struct {
-			ScopedRetained int64 `json:"scoped_retained"`
-		} `json:"sitecache"`
 	}
 	if err := json.NewDecoder(sresp.Body).Decode(&statsz); err != nil {
 		t.Fatal(err)
@@ -129,19 +122,14 @@ func TestServeEditEndpoint(t *testing.T) {
 	if statsz.Edits != 3 || statsz.EditErrors != 0 {
 		t.Errorf("statsz edits = %d (errors %d), want 3 (0)", statsz.Edits, statsz.EditErrors)
 	}
-	if statsz.SiteCache.ScopedRetained == 0 {
-		t.Error("statsz sitecache.scoped_retained = 0 after a disjoint edit")
-	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
 	metrics, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{"paxserve_edits_total 3", "paxserve_sitecache_scoped_retained_total"} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	if !strings.Contains(string(metrics), "paxserve_edits_total 3") {
+		t.Error(`/metrics missing "paxserve_edits_total 3"`)
 	}
 }
 

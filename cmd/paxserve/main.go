@@ -28,10 +28,6 @@
 //   - -request-timeout bounds each evaluation end to end; a deadline hit
 //     returns HTTP 504. The deadline travels as a context down to the
 //     site transport, so a hung site cannot wedge an HTTP worker.
-//   - -cache-size equips every site with a Stage-1 memoization cache:
-//     repeated queries answer their qualifier stage from cache with zero
-//     tree traversal (hit/miss/eviction counters appear in /metrics and
-//     /statsz); -cache-ttl bounds entry lifetime.
 //   - -batch-window coalesces stage requests from concurrently served
 //     queries bound for the same site into one batch envelope (at most
 //     -max-batch members): one site visit serves them all, identical
@@ -47,7 +43,7 @@
 //   - SIGINT/SIGTERM trigger graceful shutdown: the listener stops, then
 //     in-flight requests get up to -shutdown-grace to finish before the
 //     cluster is torn down.
-//   - /metrics exposes serving, transport and site-cache lifetime counters
+//   - /metrics exposes serving, transport and failover lifetime counters
 //     in the Prometheus text format.
 package main
 
@@ -82,8 +78,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: how long a query may queue for a slot before shedding (0 = shed immediately)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline (0 = none)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
-	cacheSize := flag.Int("cache-size", 0, "per-site Stage-1 memoization cache entries (0 = disabled)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of memoized Stage-1 results (0 = until evicted)")
 	batchWindow := flag.Duration("batch-window", 0, "coalescing window for multi-query stage batching (0 = disabled)")
 	maxBatch := flag.Int("max-batch", 0, "max queries per batch envelope (0 = default 16; needs -batch-window)")
 	replicas := flag.Int("replicas", 1, "replica sites per fragment group; >1 deploys a replicated fleet with failover")
@@ -126,8 +120,6 @@ func main() {
 		Seed:             *seed,
 		MaxInFlight:      *maxInflight,
 		QueueTimeout:     *queueTimeout,
-		SiteCacheSize:    *cacheSize,
-		SiteCacheTTL:     *cacheTTL,
 		BatchWindow:      *batchWindow,
 		MaxBatchSize:     *maxBatch,
 		Replicas:         *replicas,

@@ -156,9 +156,7 @@ type editResponse struct {
 }
 
 // handleEdit applies one fragment edit through the cluster: every replica
-// hosting the fragment moves to the new version, and cached Stage-1
-// state is patched through the edit instead of dropped (watch
-// sitecache_scoped_retained in /metrics move). In-flight queries keep
+// hosting the fragment moves to the new version. In-flight queries keep
 // their consistent pre-edit view; queries arriving after the response see
 // the edit.
 func (s *server) handleEdit(w http.ResponseWriter, r *http.Request) {
@@ -252,7 +250,6 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		qps = float64(queries) / secs
 	}
 	ts := s.cluster.TransportStats()
-	cache := ts.SiteCache
 	writeJSON(w, http.StatusOK, map[string]any{
 		"queries":         queries,
 		"errors":          s.errors.Load(),
@@ -262,18 +259,6 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		"edit_errors":     s.editErrors.Load(),
 		"uptime_seconds":  uptime.Seconds(),
 		"queries_per_sec": qps,
-		"sitecache": map[string]any{
-			"hits":                  cache.Hits,
-			"misses":                cache.Misses,
-			"evictions":             cache.Evictions,
-			"expirations":           cache.Expirations,
-			"invalidations":         cache.Invalidations,
-			"scoped_invalidations":  cache.ScopedInvalidations,
-			"scoped_retained":       cache.ScopedRetained,
-			"entries":               cache.Entries,
-			"generation":            cache.Generation,
-			"saved_compute_seconds": cache.SavedCompute.Seconds(),
-		},
 		"failover": map[string]any{
 			"retries":                ts.Failover.Retries,
 			"failovers":              ts.Failover.Failovers,
@@ -302,20 +287,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("paxserve_transport_received_bytes_total", "Bytes received from sites.", ts.BytesReceived)
 	counter("paxserve_transport_site_visits_total", "Site calls completed.", ts.TotalVisits)
 	counter("paxserve_transport_compute_seconds_total", "Summed site computation time.", ts.TotalCompute.Seconds())
-	counter("paxserve_sitecache_hits_total", "Stage-1 cache hits across sites.", ts.SiteCache.Hits)
-	counter("paxserve_sitecache_misses_total", "Stage-1 cache misses across sites.", ts.SiteCache.Misses)
-	counter("paxserve_sitecache_evictions_total", "Stage-1 cache entries displaced by capacity.", ts.SiteCache.Evictions)
-	counter("paxserve_sitecache_expirations_total", "Stage-1 cache entries dropped by TTL.", ts.SiteCache.Expirations)
-	counter("paxserve_sitecache_invalidations_total", "Stage-1 cache entries dropped by generation bumps.", ts.SiteCache.Invalidations)
-	counter("paxserve_sitecache_scoped_invalidations_total", "Stage-1 cache entries a fragment edit had to drop.", ts.SiteCache.ScopedInvalidations)
-	counter("paxserve_sitecache_scoped_retained_total", "Stage-1 cache entries carried across a fragment edit.", ts.SiteCache.ScopedRetained)
-	counter("paxserve_sitecache_saved_compute_seconds_total", "Site computation avoided by cache hits.", ts.SiteCache.SavedCompute.Seconds())
 	counter("paxserve_failover_retries_total", "Stage calls retried after a retriable failure.", ts.Failover.Retries)
 	counter("paxserve_failovers_total", "Stage calls rotated to a replica site.", ts.Failover.Failovers)
 	counter("paxserve_failover_dead_sites_total", "Transport-level dead-site detections.", ts.Failover.DeadSiteDetections)
 	counter("paxserve_failover_reestablished_sessions_total", "Query sessions re-established on a replica by stage replay.", ts.Failover.ReestablishedSessions)
-	fmt.Fprintf(&b, "# HELP paxserve_sitecache_entries Live Stage-1 cache entries across sites.\n# TYPE paxserve_sitecache_entries gauge\npaxserve_sitecache_entries %d\n",
-		ts.SiteCache.Entries)
 	fmt.Fprintf(&b, "# HELP paxserve_uptime_seconds Seconds since start.\n# TYPE paxserve_uptime_seconds gauge\npaxserve_uptime_seconds %f\n",
 		time.Since(s.started).Seconds())
 	for site, visits := range ts.SiteVisits {

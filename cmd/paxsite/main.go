@@ -14,11 +14,6 @@
 // them:
 //
 //	paxsite -dir frags/ -registry fleet.json -site 3
-//
-// -cache-size enables Stage-1 (qualifier pass) memoization: repeated
-// queries are answered from cache with zero tree traversal. Fragments
-// loaded from -dir are immutable for the process lifetime, so entries
-// only ever leave the cache by eviction or -cache-ttl expiry.
 package main
 
 import (
@@ -42,8 +37,6 @@ func main() {
 	registry := flag.String("registry", "", "site registry JSON: host the fragments registered for -site (overrides -frags; defaults -listen to the registered address)")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	siteID := flag.Int("site", 0, "site identifier: names this fleet member in the registry and in coordinator metrics")
-	cacheSize := flag.Int("cache-size", 0, "Stage-1 memoization cache entries (0 = disabled)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "lifetime of memoized Stage-1 results (0 = until evicted)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -94,9 +87,6 @@ func main() {
 		frags = append(frags, f)
 	}
 	site := pax.NewSite(dist.SiteID(*siteID), frags)
-	if *cacheSize > 0 {
-		site.EnableCache(*cacheSize, *cacheTTL)
-	}
 	srv, err := dist.NewTCPServer(*listen, site.Handler())
 	if err != nil {
 		fatal(err)

@@ -13,9 +13,9 @@ import (
 // immutable, so every kernel returns a fresh Tree; the input is never
 // touched. The kernels renumber by pure index arithmetic — an old index j
 // maps to j when j < at and to j+delta when j >= at+oldLen, where delta is
-// the node-count change — which is what makes incremental Stage-1 mask
-// maintenance (internal/parbox) possible: the same mapping applied to a
-// bit-packed mask (SpliceBits) renumbers a whole qualifier vector at once.
+// the node-count change — so the same mapping applied to a bit-packed mask
+// (SpliceBits) renumbers a whole mask at once, which is how a fragment
+// edit carries its virtual and spine masks across.
 
 // DeleteSubtree returns a new tree with the whole subtree rooted at node
 // `at` removed. The root cannot be deleted.
@@ -297,9 +297,7 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 // SpliceBits returns src — a mask over oldN positions — with the bit
 // interval [at, at+oldLen) removed and newLen zero bits inserted in its
 // place. The result covers oldN-oldLen+newLen positions. This is the mask
-// twin of the node renumbering the splice kernels perform, and the
-// primitive incremental Stage-1 maintenance patches qualifier vectors
-// with.
+// twin of the node renumbering the splice kernels perform.
 func SpliceBits(src Bitset, at, oldLen, newLen, oldN int) Bitset {
 	n2 := oldN - oldLen + newLen
 	out := NewBitset(n2)

@@ -18,9 +18,8 @@
 // negation. This keeps residual functions small: their size is bounded by
 // the number of distinct variables they mention, which in paxq is bounded
 // by |Q| per virtual node. Immutability is what makes formulas safe to
-// share — across concurrent queries, across sessions, and across the
-// Stage-1 memoization cache (package sitecache), whose hits replay formula
-// DAGs built by an earlier evaluation.
+// share — across concurrent queries, and across the sessions of one
+// batched Stage-1 sweep, which all read the formula DAGs it built.
 //
 // # Fold before allocating
 //
@@ -57,6 +56,6 @@
 // traversal paths. Sites run it on every formula before shipping, with no
 // switch: Stage-1 vectors already come out canonical, but the combined
 // stage's formulas (PaX2) ship up to 3× the bytes without it. It is
-// semantics-preserving and deterministic, which is also what makes cached
-// Stage-1 replays byte-identical to fresh evaluations.
+// semantics-preserving and deterministic, so one query's shipped bytes do
+// not depend on the site's scheduling.
 package boolexpr

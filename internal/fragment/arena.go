@@ -22,9 +22,9 @@ type ArenaView struct {
 }
 
 // Arena returns the fragment's columnar view, built on first use and
-// cached. Fragments are immutable once a site serves them (the same
-// contract the Stage-1 cache relies on — see pax.BumpCacheGeneration), so
-// the cached view never goes stale; it is safe for concurrent readers.
+// cached. Fragments are immutable once a site serves them (an edit builds
+// a new Fragment, see ApplyEdit), so the cached view never goes stale; it
+// is safe for concurrent readers.
 func (f *Fragment) Arena() *ArenaView {
 	f.arenaOnce.Do(func() {
 		at := arena.FromTree(f.Tree)

@@ -25,8 +25,6 @@
 // fragment plus manifest.json with the fragment tree and its annotations.
 // cmd/paxfrag writes that layout, cmd/paxsite serves fragments from it,
 // and the cmd/paxq coordinator reads the fragment-tree skeleton from the
-// manifest alone (never the data). Fragments loaded this way are immutable
-// for the serving process's lifetime — the property the site-side Stage-1
-// memoization cache (package sitecache) relies on between generation
-// bumps.
+// manifest alone (never the data). Fragments loaded this way are never
+// mutated in place: an edit swaps in a copy-on-write successor (edit.go).
 package fragment

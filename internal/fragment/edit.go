@@ -2,7 +2,7 @@
 // document-order renumbering in both the pointer tree and the columnar
 // arena view. Edits are copy-on-write — ApplyEdit returns a fresh
 // *Fragment and never touches the receiver — so readers holding the old
-// fragment (in-flight queries, cache entries) keep a consistent version
+// fragment (in-flight queries) keep a consistent version
 // while the site swaps in the new one.
 //
 // Edits deliberately cannot change the fragmentation skeleton: virtual
@@ -59,32 +59,6 @@ type Edit struct {
 	Subtree *xmltree.Node
 }
 
-// EditDelta describes the renumbering an applied edit performed: the
-// preorder interval [At, At+OldLen) of the old tree was replaced by
-// [At, At+NewLen) in the new tree, so an old node ID j maps to j when
-// j < At and to j+NewLen-OldLen when j >= At+OldLen. Labels is the edit's
-// label footprint — the element labels removed and inserted (for a rename,
-// the old and new label) — which is what delta-scoped cache invalidation
-// intersects with a query's label set.
-type EditDelta struct {
-	At     xmltree.NodeID
-	OldLen int
-	NewLen int
-	Labels []string
-}
-
-// Shift returns delta's node-count change.
-func (d EditDelta) Shift() int { return d.NewLen - d.OldLen }
-
-// MapID renumbers an old-tree node ID through the delta. IDs inside the
-// replaced interval do not survive; callers must not pass them.
-func (d EditDelta) MapID(id xmltree.NodeID) xmltree.NodeID {
-	if id < d.At {
-		return id
-	}
-	return id + xmltree.NodeID(d.Shift())
-}
-
 // Typed edit validation errors, wrapped by ApplyEdit's returned errors and
 // classifiable with errors.Is.
 var (
@@ -100,76 +74,67 @@ var (
 
 // ApplyEdit validates e against the fragment and returns a new fragment
 // with the edit applied — fresh pointer tree with renumbered IDs, spliced
-// arena view, remapped virtual-node map, Version incremented — plus the
-// renumbering delta. The receiver is never modified. The new fragment's
-// Origin is nil (stale by construction); Fragmentation.RecomputeOrigins
-// restores origins when a caller needs them.
-func (f *Fragment) ApplyEdit(e Edit) (*Fragment, EditDelta, error) {
-	var zero EditDelta
+// arena view, remapped virtual-node map, Version incremented. The receiver
+// is never modified. The new fragment's Origin is nil (stale by
+// construction); Fragmentation.RecomputeOrigins restores origins when a
+// caller needs them.
+func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 	av := f.Arena()
 	n := f.Tree.Node(e.Node)
 	if n == nil {
-		return nil, zero, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrNoSuchNode)
+		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrNoSuchNode)
 	}
 	if _, virt := f.virtuals[e.Node]; virt {
-		return nil, zero, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditVirtual)
+		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditVirtual)
 	}
 	if !n.IsElement() {
-		return nil, zero, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrNotElement)
+		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrNotElement)
 	}
 
-	var delta EditDelta
+	// The edit replaces the preorder interval [at, at+oldLen) of the old
+	// tree with [at, at+newLen) in the new one.
+	var at, oldLen, newLen int
 	var sub *xmltree.Node // insert only: the clone that joins the new tree
 	switch e.Op {
 	case EditDelete, EditRename:
 		if e.Node == f.Tree.Root.ID {
-			return nil, zero, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditRoot)
+			return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditRoot)
 		}
 		if av.SpineMask.Get(int(e.Node)) {
-			return nil, zero, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditSpine)
+			return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditSpine)
 		}
+		at = int(e.Node)
 		if e.Op == EditDelete {
-			at := int(e.Node)
-			delta = EditDelta{At: e.Node, OldLen: int(av.Tree.SubtreeEnd[at]) - at}
-			for j := at; j < at+delta.OldLen; j++ {
-				if av.Tree.Elements().Get(j) {
-					delta.Labels = append(delta.Labels, av.Tree.LabelOf(j))
-				}
-			}
+			oldLen = int(av.Tree.SubtreeEnd[at]) - at
 		} else {
 			if err := checkLabel(e.Label); err != nil {
-				return nil, zero, fmt.Errorf("fragment %d: rename node %d: %w", f.ID, e.Node, err)
+				return nil, fmt.Errorf("fragment %d: rename node %d: %w", f.ID, e.Node, err)
 			}
-			delta = EditDelta{At: e.Node, OldLen: 1, NewLen: 1, Labels: []string{n.Label, e.Label}}
+			oldLen, newLen = 1, 1
 		}
 	case EditInsert:
 		if e.Pos < 0 || e.Pos > len(n.Children) {
-			return nil, zero, fmt.Errorf("fragment %d: insert at node %d slot %d of %d: %w", f.ID, e.Node, e.Pos, len(n.Children), ErrBadPos)
+			return nil, fmt.Errorf("fragment %d: insert at node %d slot %d of %d: %w", f.ID, e.Node, e.Pos, len(n.Children), ErrBadPos)
 		}
 		if err := checkSubtree(e.Subtree); err != nil {
-			return nil, zero, fmt.Errorf("fragment %d: insert at node %d: %w", f.ID, e.Node, err)
+			return nil, fmt.Errorf("fragment %d: insert at node %d: %w", f.ID, e.Node, err)
 		}
-		at := int(e.Node) + 1
+		at = int(e.Node) + 1
 		if e.Pos > 0 {
 			at = int(av.Tree.SubtreeEnd[n.Children[e.Pos-1].ID])
 		}
 		sub = e.Subtree.Clone()
-		delta = EditDelta{At: xmltree.NodeID(at)}
 		var count func(nd *xmltree.Node)
 		count = func(nd *xmltree.Node) {
-			delta.NewLen++
-			if nd.Kind == xmltree.Element {
-				delta.Labels = append(delta.Labels, nd.Label)
-			}
+			newLen++
 			for _, c := range nd.Children {
 				count(c)
 			}
 		}
 		count(sub)
 	default:
-		return nil, zero, fmt.Errorf("fragment %d: op %d: %w", f.ID, uint8(e.Op), ErrBadOp)
+		return nil, fmt.Errorf("fragment %d: op %d: %w", f.ID, uint8(e.Op), ErrBadOp)
 	}
-	delta.Labels = dedupe(delta.Labels)
 
 	// Apply to a structural clone of the pointer tree. The clone's Freeze
 	// assigns the same IDs as the original (identical structure), so the
@@ -205,12 +170,12 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, EditDelta, error) {
 		at2, err = av.Tree.InsertSubtree(int(e.Node), e.Pos, sub)
 	}
 	if err != nil {
-		return nil, zero, fmt.Errorf("fragment %d: %s: %w", f.ID, e.Op, err)
+		return nil, fmt.Errorf("fragment %d: %s: %w", f.ID, e.Op, err)
 	}
-	av2 := &ArenaView{Tree: at2, VirtualMask: av.VirtualMask, SpineMask: av.SpineMask}
-	if delta.Shift() != 0 || delta.OldLen > 0 {
-		av2.VirtualMask = arena.SpliceBits(av.VirtualMask, int(delta.At), delta.OldLen, delta.NewLen, f.Tree.Size())
-		av2.SpineMask = arena.SpliceBits(av.SpineMask, int(delta.At), delta.OldLen, delta.NewLen, f.Tree.Size())
+	av2 := &ArenaView{
+		Tree:        at2,
+		VirtualMask: arena.SpliceBits(av.VirtualMask, at, oldLen, newLen, f.Tree.Size()),
+		SpineMask:   arena.SpliceBits(av.SpineMask, at, oldLen, newLen, f.Tree.Size()),
 	}
 
 	nf := &Fragment{
@@ -222,11 +187,16 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, EditDelta, error) {
 		Version:       f.Version + 1,
 		virtuals:      make(map[xmltree.NodeID]FragID, len(f.virtuals)),
 	}
+	// Virtual nodes are never inside the replaced interval, so each one
+	// either precedes it or shifts by the edit's node-count change.
 	for vid, k := range f.virtuals {
-		nf.virtuals[delta.MapID(vid)] = k
+		if int(vid) >= at {
+			vid += xmltree.NodeID(newLen - oldLen)
+		}
+		nf.virtuals[vid] = k
 	}
 	nf.arenaOnce.Do(func() { nf.arena = av2 })
-	return nf, delta, nil
+	return nf, nil
 }
 
 // checkLabel rejects labels a real XML element cannot carry — reserved
@@ -265,38 +235,25 @@ func checkSubtree(s *xmltree.Node) error {
 	return walk(s)
 }
 
-func dedupe(labels []string) []string {
-	seen := make(map[string]bool, len(labels))
-	out := labels[:0]
-	for _, l := range labels {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // ApplyEdit applies an edit to fragment fid of the fragmentation in place:
 // the edited fragment is replaced by its copy-on-write successor and the
-// child fragments' ParentVirtual references are renumbered. Origins across
-// the fragmentation become stale; call RecomputeOrigins when needed. This
-// is the coordinator/oracle-side mirror of the per-site edit a cluster
-// performs.
-func (ft *Fragmentation) ApplyEdit(fid FragID, e Edit) (EditDelta, error) {
+// child fragments' ParentVirtual references follow the renumbered virtual
+// nodes. Origins across the fragmentation become stale; call
+// RecomputeOrigins when needed. This is the coordinator/oracle-side mirror
+// of the per-site edit a cluster performs.
+func (ft *Fragmentation) ApplyEdit(fid FragID, e Edit) error {
 	if int(fid) < 0 || int(fid) >= len(ft.Frags) {
-		return EditDelta{}, fmt.Errorf("fragment %d: %w", fid, ErrNoSuchNode)
+		return fmt.Errorf("fragment %d: %w", fid, ErrNoSuchNode)
 	}
-	nf, delta, err := ft.Frags[fid].ApplyEdit(e)
+	nf, err := ft.Frags[fid].ApplyEdit(e)
 	if err != nil {
-		return EditDelta{}, err
+		return err
 	}
 	ft.Frags[fid] = nf
-	for _, cid := range ft.children[fid] {
-		cf := ft.Frags[cid]
-		cf.ParentVirtual = delta.MapID(cf.ParentVirtual)
+	for vid, cid := range nf.virtuals {
+		ft.Frags[cid].ParentVirtual = vid
 	}
-	return delta, nil
+	return nil
 }
 
 // RecomputeOrigins rebuilds every fragment's Origin map by walking the

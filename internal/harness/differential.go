@@ -52,16 +52,6 @@ type DiffOptions struct {
 	// sequential-site cluster of the same fragmentation and requires
 	// identical answers, visit counts and byte totals.
 	CompareParallel bool
-	// CompareCache additionally evaluates every case on two site-cache
-	// twins of the same cluster — one with a comfortably sized Stage-1
-	// cache (evaluated twice per case: a miss-then-hit schedule) and one
-	// with a single-entry cache (eviction pressure on every query switch)
-	// — and requires answers, visit counts AND byte totals identical to
-	// the uncached primary. After the per-query loop every query is
-	// replayed once more on the warm twin (an interleaved-query schedule:
-	// by then other queries have run, so replays mix hits and re-misses)
-	// against a fresh uncached evaluation.
-	CompareCache bool
 	// CompareBatch additionally evaluates every case on a twin whose
 	// engine runs a multi-query batching window (WithBatchWindow). The
 	// serial per-case runs exercise the batch-of-one path, which must be
@@ -75,13 +65,11 @@ type DiffOptions struct {
 	CompareBatch bool
 	// CompareEdits additionally runs the mutation differential phase: a
 	// randomized schedule of fragment edits (insert/delete/rename)
-	// interleaved with queries on a dedicated pair of cached twins — one
-	// with delta-scoped invalidation, one that wipes every site cache
-	// after every edit — requiring every answer byte-identical to a
-	// centralized evaluator rebuilt from the freshly reassembled post-edit
-	// document, the two twins mutually indistinguishable (answers, visits,
-	// bytes), and the scoped twin's per-query + per-edit ledgers to equal
-	// its transport's lifetime totals. See editdiff.go.
+	// interleaved with queries on a dedicated cluster, requiring every
+	// answer byte-identical to a centralized evaluator rebuilt from the
+	// freshly reassembled post-edit document, and the cluster's per-query
+	// + per-edit ledgers to equal its transport's lifetime totals. See
+	// editdiff.go.
 	CompareEdits bool
 }
 
@@ -92,15 +80,11 @@ type DiffResult struct {
 	Mismatches     int // distributed answer != centralized answer
 	BoundExceeded  int // per-site visits above the algorithm's bound
 	ParallelDiffs  int // parallel vs sequential site evaluation disagreed
-	CacheCases     int // cached-twin evaluations compared against uncached
-	CacheDiffs     int // cached vs uncached disagreed (answers/visits/bytes)
-	CacheHits      int // Stage-1 cache hits observed across cached twins
 	BatchCases     int // batching-twin evaluations (serial and concurrent)
 	BatchDiffs     int // batch twin diverged, or its ledgers failed to conserve
-	EditCases      int // mutation-phase evaluations (scoped and bump twins)
-	EditDiffs      int // post-edit divergence from the rebuilt oracle, twin disagreement, edit failure, or ledger violation
-	EditsApplied   int // fragment edits driven through the engines
-	EditRetained   int // cache entries an edit patched instead of dropping
+	EditCases      int // mutation-phase evaluations
+	EditDiffs      int // post-edit divergence from the rebuilt oracle, edit failure, or ledger violation
+	EditsApplied   int // fragment edits driven through the engine
 	MaxVisitsPaX3  int
 	MaxVisitsPaX2  int
 	FailureDetails []string // first few failures, for the test log
@@ -113,15 +97,11 @@ func (r *DiffResult) Merge(other *DiffResult) {
 	r.Mismatches += other.Mismatches
 	r.BoundExceeded += other.BoundExceeded
 	r.ParallelDiffs += other.ParallelDiffs
-	r.CacheCases += other.CacheCases
-	r.CacheDiffs += other.CacheDiffs
-	r.CacheHits += other.CacheHits
 	r.BatchCases += other.BatchCases
 	r.BatchDiffs += other.BatchDiffs
 	r.EditCases += other.EditCases
 	r.EditDiffs += other.EditDiffs
 	r.EditsApplied += other.EditsApplied
-	r.EditRetained += other.EditRetained
 	if other.MaxVisitsPaX3 > r.MaxVisitsPaX3 {
 		r.MaxVisitsPaX3 = other.MaxVisitsPaX3
 	}
@@ -135,12 +115,12 @@ func (r *DiffResult) Merge(other *DiffResult) {
 
 // Ok reports whether every check of every merged run held.
 func (r *DiffResult) Ok() bool {
-	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.ParallelDiffs == 0 && r.CacheDiffs == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
+	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.ParallelDiffs == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d cached-twin divergences (%d cache hits), %d/%d batch-twin divergences, %d/%d edit-twin divergences (%d edits applied, %d entries scope-retained) (max visits: PaX3 %d, PaX2 %d)",
-		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.CacheDiffs, r.CacheCases, r.CacheHits, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditRetained, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
+	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied) (max visits: PaX3 %d, PaX2 %d)",
+		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 
 // xmarkLabels is the vocabulary random xmark-shaped queries draw from.
@@ -241,22 +221,21 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 	topo := pax.RoundRobin(ft, numSites)
 
 	// buildEngine deploys one twin of the cluster on the chosen transport,
-	// returning the in-process sites for cache-counter inspection and the
-	// transport for lifetime-ledger checks.
-	buildEngine := func(engOpts []pax.EngineOption, siteOpts ...pax.SiteOption) (*pax.Engine, []*pax.Site, dist.Transport, func(), error) {
+	// returning the transport for lifetime-ledger checks.
+	buildEngine := func(engOpts []pax.EngineOption, siteOpts ...pax.SiteOption) (*pax.Engine, dist.Transport, func(), error) {
 		if opts.Transport == DiffTCP {
-			tcp, sites, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)
+			tcp, _, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, nil, err
 			}
-			return pax.NewEngine(topo, tcp, engOpts...), sites, tcp, shutdown, nil
+			return pax.NewEngine(topo, tcp, engOpts...), tcp, shutdown, nil
 		}
-		local, sites := pax.BuildLocalCluster(topo, siteOpts...)
-		return pax.NewEngine(topo, local, engOpts...), sites, local, func() {}, nil
+		local, _ := pax.BuildLocalCluster(topo, siteOpts...)
+		return pax.NewEngine(topo, local, engOpts...), local, func() {}, nil
 	}
 	var eng, seqEng *pax.Engine
 	{
-		e, _, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(4))
+		e, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(4))
 		if err != nil {
 			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
 		}
@@ -264,33 +243,12 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		eng = e
 	}
 	if opts.CompareParallel {
-		e, _, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(1))
+		e, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(1))
 		if err != nil {
 			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
 		}
 		defer shutdown()
 		seqEng = e
-	}
-	// Cache twins: identical deployment plus a Stage-1 memoization cache.
-	// cacheEng's cache comfortably holds the seed's whole workload (warm
-	// hits); tinyEng's single-entry caches evict on nearly every query
-	// switch (eviction pressure). Both must be indistinguishable from the
-	// uncached primary in answers, visit counts and wire bytes.
-	var cacheEng, tinyEng *pax.Engine
-	var cacheSites, tinySites []*pax.Site
-	if opts.CompareCache {
-		var shutdown, tshutdown func()
-		var err error
-		cacheEng, cacheSites, _, shutdown, err = buildEngine(nil, pax.SiteParallelism(4), pax.WithSiteCache(64))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer shutdown()
-		tinyEng, tinySites, _, tshutdown, err = buildEngine(nil, pax.SiteParallelism(4), pax.WithSiteCache(1))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer tshutdown()
 	}
 	// Batch twin: the same deployment plus a coalescing window on the
 	// engine. The serial per-case runs flow through the batch-of-one fast
@@ -299,7 +257,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 	var batchEng *pax.Engine
 	var batchTr dist.Transport
 	if opts.CompareBatch {
-		e, _, btr, bshutdown, err := buildEngine(
+		e, btr, bshutdown, err := buildEngine(
 			[]pax.EngineOption{pax.WithBatchWindow(200 * time.Microsecond), pax.WithMaxBatchSize(8)},
 			pax.SiteParallelism(4))
 		if err != nil {
@@ -315,27 +273,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 	}
 
-	// cmpCached evaluates one case on a cached twin and demands the result
-	// be indistinguishable from the uncached primary's: identical answers,
-	// visit counts and byte totals — whether the twin's Stage 1 was a
-	// cache miss, a hit, or a post-eviction re-miss.
-	cmpCached := func(name, query string, alg pax.Algorithm, ann bool, want *pax.Result, ce *pax.Engine) {
-		got, err := ce.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
-		res.CacheCases++
-		if err != nil {
-			res.CacheDiffs++
-			fail("seed %d %s %v(XA=%v) %q: %s twin failed: %v", seed, opts.Transport, alg, ann, query, name, err)
-			return
-		}
-		if !slices.Equal(want.Answers, got.Answers) || got.MaxVisits != want.MaxVisits ||
-			got.BytesSent != want.BytesSent || got.BytesRecv != want.BytesRecv {
-			res.CacheDiffs++
-			fail("seed %d %s %v(XA=%v) %q: %s twin diverged (visits %d vs %d, bytes %d/%d vs %d/%d, %d vs %d answers)",
-				seed, opts.Transport, alg, ann, query, name,
-				want.MaxVisits, got.MaxVisits, want.BytesSent, want.BytesRecv,
-				got.BytesSent, got.BytesRecv, len(want.Answers), len(got.Answers))
-		}
-	}
 	// The batch twin's ledger accumulator: every byte and nanosecond of
 	// compute its successful runs report, summed for the end-of-seed
 	// conservation check against the transport's lifetime counters.
@@ -367,14 +304,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 	}
 
-	// replays remembers each query's PaX3 primary result so the whole
-	// batch can be replayed on the warm cache twin after every other query
-	// has run — the interleaved schedule.
-	type replayCase struct {
-		query string
-		want  *pax.Result
-	}
-	var replays []replayCase
 	// batchReplays remembers each query with its centralized answer for the
 	// concurrent batching phase.
 	type batchCase struct {
@@ -445,17 +374,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 							seq.MaxVisits, seq.BytesSent, seq.BytesRecv)
 					}
 				}
-				if cacheEng != nil {
-					// Miss-then-hit on the warm twin (the second run of a
-					// qualified PaX3 query serves Stage 1 from cache), plus
-					// the eviction-pressure twin.
-					cmpCached("warm-cache", query, alg, ann, got, cacheEng)
-					cmpCached("warm-cache repeat", query, alg, ann, got, cacheEng)
-					cmpCached("tiny-cache", query, alg, ann, got, tinyEng)
-					if alg == pax.PaX3 && !ann {
-						replays = append(replays, replayCase{query: query, want: got})
-					}
-				}
 				if batchEng != nil {
 					cmpBatch(query, alg, ann, got)
 					if alg == pax.PaX3 && !ann {
@@ -463,19 +381,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 					}
 				}
 			}
-		}
-	}
-	if cacheEng != nil {
-		// Interleaved-query replay: every query of the batch once more on
-		// the warm twin, after all the others have churned its caches.
-		for _, rp := range replays {
-			cmpCached("interleaved-replay", rp.query, pax.PaX3, false, rp.want, cacheEng)
-		}
-		for _, s := range cacheSites {
-			res.CacheHits += int(s.CacheStats().Hits)
-		}
-		for _, s := range tinySites {
-			res.CacheHits += int(s.CacheStats().Hits)
 		}
 	}
 	if batchEng != nil {

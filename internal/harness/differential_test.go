@@ -21,19 +21,6 @@ func requireClean(t *testing.T, res *DiffResult) {
 	}
 }
 
-// requireCacheCorpus asserts the cached-vs-uncached twin comparison
-// actually ran at scale: at least 500 cached-twin evaluations, every one
-// identical to the uncached primary, with real Stage-1 hits observed.
-func requireCacheCorpus(t *testing.T, res *DiffResult) {
-	t.Helper()
-	if res.CacheCases < 500 {
-		t.Errorf("cached-twin comparison covered %d cases, want >= 500", res.CacheCases)
-	}
-	if res.CacheHits == 0 {
-		t.Error("cached twins recorded no Stage-1 cache hits")
-	}
-}
-
 // requireBatchCorpus asserts the batched-vs-unbatched twin comparison ran
 // at scale: at least 500 batch-twin evaluations (serial batch-of-one
 // byte-identity checks plus concurrent coalesced runs), every one matching
@@ -51,14 +38,11 @@ func requireBatchCorpus(t *testing.T, res *DiffResult) {
 // the in-process transport, with the per-site visit bound asserted for
 // every single evaluation, parallel site evaluation cross-checked against
 // sequential (answers, visit counts and byte totals must match exactly),
-// and every case replayed on warm and eviction-pressure site-cache twins
-// (answers, visit counts and byte totals must match the uncached primary
-// exactly).
+// and every case replayed on a batching twin.
 func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
 		Transport:       DiffLocal,
 		CompareParallel: true,
-		CompareCache:    true,
 		CompareBatch:    true,
 	})
 	if err != nil {
@@ -68,16 +52,15 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	if res.Triples < 100 {
 		t.Errorf("corpus covered %d (tree, query, fragmentation) triples, want >= 100", res.Triples)
 	}
-	requireCacheCorpus(t, res)
 	requireBatchCorpus(t, res)
 }
 
 // TestDifferentialTCPSeedCorpus runs the same fixed corpus over real TCP
 // sites on loopback: the full wire codec, connection pooling and
-// per-frame accounting are in the loop, with the site-cache and batch
-// twins deployed as their own TCP clusters.
+// per-frame accounting are in the loop, with the batch twin deployed as
+// its own TCP cluster.
 func TestDifferentialTCPSeedCorpus(t *testing.T) {
-	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareCache: true, CompareBatch: true})
+	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +68,6 @@ func TestDifferentialTCPSeedCorpus(t *testing.T) {
 	if res.Triples < 100 {
 		t.Errorf("corpus covered %d (tree, query, fragmentation) triples, want >= 100", res.Triples)
 	}
-	requireCacheCorpus(t, res)
 	requireBatchCorpus(t, res)
 }
 
@@ -98,7 +80,6 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1000, 100, DiffOptions{
 		Transport:       DiffLocal,
 		CompareParallel: true,
-		CompareCache:    true,
 		CompareBatch:    true,
 		CompareEdits:    true,
 	})
@@ -107,7 +88,7 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	}
 	requireClean(t, res)
 
-	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareCache: true, CompareBatch: true, CompareEdits: true})
+	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareBatch: true, CompareEdits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

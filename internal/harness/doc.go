@@ -20,13 +20,13 @@
 // observationally identical to the primary:
 //
 //   - a sequential-site twin (parallelism changes wall time only);
-//   - Stage-1 cache twins — one warm, one single-entry for eviction
-//     pressure — evaluated on miss-then-hit and interleaved-replay
-//     schedules (answers, visits AND bytes identical to the uncached
-//     primary);
 //   - a batching twin (batch-of-one wire-identical to the primary,
-//     concurrent batches centralized-equal with ledgers conserved) and,
-//     in the mutation phase, scoped-vs-wipe invalidation twins.
+//     concurrent batches centralized-equal with ledgers conserved).
+//
+// The mutation phase (editdiff.go) interleaves random edit schedules with
+// queries on its own cluster, checking every answer against a
+// centralized oracle rebuilt after each edit and the per-query + per-edit
+// ledgers against the transport's totals.
 //
 // Serving performance is not measured here: bench/ is the one serving
 // benchmark.

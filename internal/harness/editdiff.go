@@ -24,20 +24,16 @@ import (
 //   - every distributed answer must be identical to a centralized
 //     evaluator rebuilt from the post-edit document (the harness maintains
 //     a mirror fragmentation, applies each edit to it and reassembles);
-//   - a delta-scoped-invalidation twin and a bump-everything twin (its
-//     caches wiped wholesale after every edit) must be indistinguishable —
-//     answers, visit counts AND wire bytes — so retaining cached Stage-1
-//     entries across an edit is proved cost- and answer-transparent;
-//   - the scoped twin's summed per-query AND per-edit ledgers must equal
-//     its transport's lifetime totals exactly (cost conservation with
+//   - the cluster's summed per-query AND per-edit ledgers must equal its
+//     transport's lifetime totals exactly (cost conservation with
 //     mutations in the mix).
 
 // randomEdit builds a valid edit for f: a small insert, a non-spine
 // delete that keeps the fragment from collapsing, or a rename, retrying
 // until the target passes the restrictions fragment.ApplyEdit enforces.
 // Inserted subtrees use labels outside both query vocabularies ("patch",
-// "v", "extra"), so inserts usually leave cached qualifier bits alone;
-// deletes and renames hit live labels and usually do not.
+// "v", "extra"), so inserts usually leave qualifier bits alone; deletes
+// and renames hit live labels and usually do not.
 func randomEdit(r *rand.Rand, f *fragment.Fragment) fragment.Edit {
 	av := f.Arena()
 	for {
@@ -72,7 +68,7 @@ func randomEdit(r *rand.Rand, f *fragment.Fragment) fragment.Edit {
 
 // runEditPhase executes one seed's mutation differential schedule. It owns
 // its own fragmentation (the mutable mirror doubles as the oracle source),
-// topology and twin clusters, so the immutable-tree phases of the seed are
+// topology and cluster, so the immutable-tree phases of the seed are
 // untouched. Environmental failures (fragmentation, transport setup,
 // invalid mirror edit) return an error; differential failures land in res.
 func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffResult, r *rand.Rand, tree *xmltree.Tree, isXMark bool, fail func(string, ...any)) error {
@@ -82,31 +78,22 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 	}
 	topo := pax.RoundRobin(eft, 1+r.Intn(3))
 
-	siteOpts := []pax.SiteOption{pax.SiteParallelism(4), pax.WithSiteCache(64)}
-	build := func() (*pax.Engine, []*pax.Site, dist.Transport, func(), error) {
-		if opts.Transport == DiffTCP {
-			tcp, sites, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			return pax.NewEngine(topo, tcp), sites, tcp, shutdown, nil
+	var eng *pax.Engine
+	var tr dist.Transport
+	if opts.Transport == DiffTCP {
+		tcp, _, shutdown, err := pax.BuildTCPCluster(topo, pax.SiteParallelism(4))
+		if err != nil {
+			return fmt.Errorf("harness: edit phase seed %d: %w", seed, err)
 		}
-		local, sites := pax.BuildLocalCluster(topo, siteOpts...)
-		return pax.NewEngine(topo, local), sites, local, func() {}, nil
+		defer shutdown()
+		eng, tr = pax.NewEngine(topo, tcp), tcp
+	} else {
+		local, _ := pax.BuildLocalCluster(topo, pax.SiteParallelism(4))
+		eng, tr = pax.NewEngine(topo, local), local
 	}
-	scopedEng, scopedSites, scopedTr, shutdown, err := build()
-	if err != nil {
-		return fmt.Errorf("harness: edit phase seed %d: %w", seed, err)
-	}
-	defer shutdown()
-	bumpEng, bumpSites, _, bshutdown, err := build()
-	if err != nil {
-		return fmt.Errorf("harness: edit phase seed %d: %w", seed, err)
-	}
-	defer bshutdown()
 
-	// The scoped twin's ledger accumulator: every successful run's and
-	// every edit's reported cost, for the end-of-phase conservation check.
+	// The ledger accumulator: every successful run's and every edit's
+	// reported cost, for the end-of-phase conservation check.
 	var ledSent, ledRecv int64
 	var ledCompute time.Duration
 	ledgerValid := true
@@ -130,24 +117,20 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		queries[i] = editQuery{query: q, c: c}
 	}
 
-	// runCase evaluates one query on one twin and checks it against the
-	// rebuilt centralized oracle. Scoped-twin runs feed the ledger.
-	runCase := func(name, query string, alg pax.Algorithm, ann bool, e *pax.Engine, scoped bool, want []xmltree.NodeID) *pax.Result {
-		got, err := e.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
+	// runCase evaluates one query and checks it against the rebuilt
+	// centralized oracle; successful runs feed the ledger.
+	runCase := func(name, query string, alg pax.Algorithm, ann bool, want []xmltree.NodeID) {
+		got, err := eng.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
 		res.EditCases++
 		if err != nil {
 			res.EditDiffs++
-			if scoped {
-				ledgerValid = false
-			}
+			ledgerValid = false
 			fail("seed %d %s edit %s %v(XA=%v) %q: %v", seed, opts.Transport, name, alg, ann, query, err)
-			return nil
+			return
 		}
-		if scoped {
-			ledSent += got.BytesSent
-			ledRecv += got.BytesRecv
-			ledCompute += got.TotalCompute
-		}
+		ledSent += got.BytesSent
+		ledRecv += got.BytesRecv
+		ledCompute += got.TotalCompute
 		if !testutil.EqualIDs(origAnswerIDs(eft, got.Answers), want) {
 			res.EditDiffs++
 			fail("seed %d %s edit %s %v(XA=%v) %q: %d answers, rebuilt centralized %d",
@@ -157,24 +140,6 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 			res.BoundExceeded++
 			fail("seed %d %s edit %s %v %q: %d visits > bound %d", seed, opts.Transport, name, alg, query, got.MaxVisits, visitBound(alg))
 		}
-		return got
-	}
-	// cmpTwins demands the scoped and bump twins be indistinguishable:
-	// a retained (or patched) Stage-1 entry must reproduce the freshly
-	// recomputed evaluation byte for byte.
-	cmpTwins := func(query string, alg pax.Algorithm, scoped, bump *pax.Result) {
-		if scoped == nil || bump == nil {
-			return
-		}
-		if !testutil.EqualIDs(origAnswerIDs(eft, scoped.Answers), origAnswerIDs(eft, bump.Answers)) ||
-			scoped.MaxVisits != bump.MaxVisits ||
-			scoped.BytesSent != bump.BytesSent || scoped.BytesRecv != bump.BytesRecv {
-			res.EditDiffs++
-			fail("seed %d %s edit %v %q: scoped twin (visits %d, bytes %d/%d) vs bump-everything twin (visits %d, bytes %d/%d)",
-				seed, opts.Transport, alg, query,
-				scoped.MaxVisits, scoped.BytesSent, scoped.BytesRecv,
-				bump.MaxVisits, bump.BytesSent, bump.BytesRecv)
-		}
 	}
 	oracleIDs := func(doc *xmltree.Tree, c *xpath.Compiled) []xmltree.NodeID {
 		want := append([]xmltree.NodeID(nil), centeval.EvalVector(doc, c)...)
@@ -182,13 +147,9 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		return want
 	}
 
-	// Warm both twins' caches so the edits below have entries to retain,
-	// patch or drop.
 	doc := eft.Reassemble()
 	for _, q := range queries {
-		want := oracleIDs(doc, q.c)
-		runCase("warmup/scoped", q.query, pax.PaX3, false, scopedEng, true, want)
-		runCase("warmup/bump", q.query, pax.PaX3, false, bumpEng, false, want)
+		runCase("pre-edit", q.query, pax.PaX3, false, oracleIDs(doc, q.c))
 	}
 
 	edits := 3 + r.Intn(3)
@@ -196,30 +157,19 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		fid := fragment.FragID(r.Intn(eft.Len()))
 		ed := randomEdit(r, eft.Frag(fid))
 
-		// Engines first: ApplyEdit seeds its version tracking from the
+		// Engine first: ApplyEdit seeds its version tracking from the
 		// topology fragmentation — the mirror — on a fragment's first edit,
 		// so the mirror must not get ahead.
-		sres, err := scopedEng.ApplyEdit(ctx, fid, ed)
+		eres, err := eng.ApplyEdit(ctx, fid, ed)
 		if err != nil {
 			res.EditDiffs++
-			ledgerValid = false
-			fail("seed %d %s edit %d: scoped ApplyEdit(frag %d, %v): %v", seed, opts.Transport, i, fid, ed.Op, err)
+			fail("seed %d %s edit %d: ApplyEdit(frag %d, %v): %v", seed, opts.Transport, i, fid, ed.Op, err)
 			return nil
 		}
-		ledSent += sres.BytesSent
-		ledRecv += sres.BytesRecv
-		ledCompute += sres.Compute
-		if _, err := bumpEng.ApplyEdit(ctx, fid, ed); err != nil {
-			res.EditDiffs++
-			fail("seed %d %s edit %d: bump ApplyEdit(frag %d, %v): %v", seed, opts.Transport, i, fid, ed.Op, err)
-			return nil
-		}
-		// The bump twin models the pre-scoping world: every edit wipes
-		// every site's whole Stage-1 cache.
-		for _, s := range bumpSites {
-			s.BumpCacheGeneration()
-		}
-		if _, err := eft.ApplyEdit(fid, ed); err != nil {
+		ledSent += eres.BytesSent
+		ledRecv += eres.BytesRecv
+		ledCompute += eres.Compute
+		if err := eft.ApplyEdit(fid, ed); err != nil {
 			return fmt.Errorf("harness: edit phase seed %d: mirror edit %d on fragment %d: %w", seed, i, fid, err)
 		}
 		eft.RecomputeOrigins()
@@ -228,32 +178,24 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		doc := eft.Reassemble()
 		for _, q := range queries {
 			want := oracleIDs(doc, q.c)
-			g1 := runCase("scoped", q.query, pax.PaX3, false, scopedEng, true, want)
-			runCase("scoped repeat", q.query, pax.PaX3, false, scopedEng, true, want)
-			b1 := runCase("bump", q.query, pax.PaX3, false, bumpEng, false, want)
-			cmpTwins(q.query, pax.PaX3, g1, b1)
-			g2 := runCase("scoped", q.query, pax.PaX2, true, scopedEng, true, want)
-			b2 := runCase("bump", q.query, pax.PaX2, true, bumpEng, false, want)
-			cmpTwins(q.query, pax.PaX2, g2, b2)
+			runCase("post-edit", q.query, pax.PaX3, false, want)
+			runCase("post-edit", q.query, pax.PaX2, true, want)
 		}
 	}
 
 	// Cost conservation over the whole mutable schedule: queries and edits
-	// together must account for every byte and nanosecond the scoped
-	// twin's transport recorded. Skipped if a run failed (a failed run's
-	// partial stage costs reach the transport but its Result is discarded).
+	// together must account for every byte and nanosecond the cluster's
+	// transport recorded. Skipped if a run failed (a failed run's partial
+	// stage costs reach the transport but its Result is discarded).
 	if ledgerValid {
 		//paxlint:allow ledger(edit cost-conservation check: the harness owns this transport's entire lifetime and compares, never resets)
-		m := scopedTr.Metrics()
+		m := tr.Metrics()
 		tSent, tRecv := m.Bytes()
 		if ledSent != tSent || ledRecv != tRecv || ledCompute != m.TotalCompute() {
 			res.EditDiffs++
 			fail("seed %d %s: edit ledger conservation violated: Σ per-query + per-edit %d/%d bytes, %v compute; transport %d/%d bytes, %v compute",
 				seed, opts.Transport, ledSent, ledRecv, ledCompute, tSent, tRecv, m.TotalCompute())
 		}
-	}
-	for _, s := range scopedSites {
-		res.EditRetained += int(s.CacheStats().ScopedRetained)
 	}
 	return nil
 }

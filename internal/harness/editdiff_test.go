@@ -6,11 +6,8 @@ import (
 )
 
 // requireEditCorpus asserts the mutation differential actually ran at
-// scale and that delta-scoped invalidation measurably earned its keep: at
-// least 500 edit-phase evaluations, a real schedule of applied edits, and
-// at least one cache entry patched instead of dropped across an edit
-// — the acceptance signal that scoping beats bump-everything structurally,
-// not by timing.
+// scale: at least 500 edit-phase evaluations and a real schedule of
+// applied edits.
 func requireEditCorpus(t *testing.T, res *DiffResult) {
 	t.Helper()
 	if res.EditCases < 500 {
@@ -19,19 +16,14 @@ func requireEditCorpus(t *testing.T, res *DiffResult) {
 	if res.EditsApplied == 0 {
 		t.Error("mutation differential applied no edits")
 	}
-	if res.EditRetained == 0 {
-		t.Error("delta-scoped invalidation retained no cache entries across the corpus")
-	}
 }
 
 // TestEditDifferentialLocalCorpus is the tier-1 mutation corpus on the
 // in-process transport: 25 seeds, each running a randomized
-// insert/delete/rename schedule interleaved with queries on a
-// delta-scoped twin and a bump-everything twin, every post-edit answer
-// compared byte-for-byte against a centralized evaluator rebuilt from the
-// freshly reassembled document, the twins required mutually identical,
-// and the scoped twin's per-query + per-edit ledgers conserved against
-// its transport's lifetime totals.
+// insert/delete/rename schedule interleaved with queries, every post-edit
+// answer compared byte-for-byte against a centralized evaluator rebuilt
+// from the freshly reassembled document, and the per-query + per-edit
+// ledgers conserved against the transport's lifetime totals.
 func TestEditDifferentialLocalCorpus(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
 		Transport:    DiffLocal,

@@ -32,12 +32,11 @@ import (
 	"paxq/internal/xpath"
 )
 
-// VectorState is the retained bit-packed state of one vectorized qualifier
-// pass over a fragment: the per-predicate QV/QCV/SDV masks plus the
+// VectorState is the bit-packed state of one vectorized qualifier pass
+// over a fragment: the per-predicate QV/QCV/SDV masks plus the
 // real-element base mask, pinned to the fragment they were computed
-// against. A fresh pass builds it with NewVectorState; a site that keeps
-// the state alongside its cached Stage-1 result can Patch it through a
-// fragment edit (see patch.go) instead of re-sweeping the fragment.
+// against. NewVectorState builds it and FragQual materializes the Stage-1
+// result from it; nothing keeps the state after that.
 type VectorState struct {
 	f  *fragment.Fragment
 	c  *xpath.Compiled
@@ -52,11 +51,8 @@ type VectorState struct {
 	sdvM     []arena.Bitset
 }
 
-// Fragment returns the fragment version the state currently describes.
-func (st *VectorState) Fragment() *fragment.Fragment { return st.f }
-
 // NewVectorState runs the mask-building half of the vectorized qualifier
-// pass and retains the result for later FragQual builds and Patch calls.
+// pass; call FragQual for the Stage-1 result.
 func NewVectorState(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *VectorState {
 	av := f.Arena()
 	st := &VectorState{f: f, c: c, vs: vs, at: av.Tree, av: av, n: av.Tree.Len()}

@@ -461,8 +461,8 @@ func (s *Site) handleBatch(req *BatchStageReq) (*BatchStageResp, error) {
 }
 
 // batchQuals serves every QualStageReq member of a batch, grouped by the
-// compiled query's normal-form fingerprint: members of one group share a
-// single Stage-1 sweep (or a single cache hit), and the group's measured
+// compiled query's normal-form fingerprint and the session's edit epoch:
+// members of one group share a single Stage-1 sweep, and the group's measured
 // compute is split among them proportional to each member's owned
 // qualifier-DAG work — identical DAGs within a group, so equal shares with
 // the remainder to the earliest member. This is the shared-evaluation half
@@ -477,11 +477,11 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 	type groupKey struct {
 		fp string
 		nf int32
-		// gen separates members whose sessions snapshotted different
-		// fragment generations (an edit landed between their session
+		// epoch separates members whose sessions snapshotted different
+		// fragment versions (an edit landed between their session
 		// creations): one group shares a single sweep over ONE snapshot, so
 		// members pinned to different snapshots must not coalesce.
-		gen uint64
+		epoch uint64
 	}
 	groups := make(map[groupKey][]member)
 	var order []groupKey
@@ -496,7 +496,7 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 			fail(i, err)
 			continue
 		}
-		k := groupKey{fp: sess.fp, nf: qr.NumFrags, gen: sess.gen}
+		k := groupKey{fp: sess.fp, nf: qr.NumFrags, epoch: sess.epoch}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
@@ -505,38 +505,14 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 	for _, k := range order {
 		ms := groups[k]
 		start := time.Now()
-		deliver := func(roots []WireRootVecs, total int64) {
-			// One fingerprint, identical owned work per member: the
-			// work-proportional rule degenerates to equal shares.
-			shares := splitShares(total, nil, len(ms))
-			for j, mb := range ms {
-				r := &QualStageResp{Roots: roots}
-				r.ComputeNanos = shares[j]
-				finish(mb.idx, r, 0)
-			}
-		}
-		var key qualKey
-		if s.cache != nil {
-			key = qualKey{fp: k.fp, numFrags: k.nf}
-			// Pin to the group's snapshot generation, exactly like the solo
-			// path (handleQual): a hit must be consistent with the members'
-			// fragment snapshots, and a Put an edit overtook must drop.
-			if e, ok := s.cache.GetAt(key, k.gen); ok {
-				for _, mb := range ms {
-					for fid, fq := range e.qual {
-						mb.sess.qual[fid] = fq
-					}
-				}
-				deliver(e.roots, int64(time.Since(start)))
-				continue
-			}
-		}
 		pr, err := s.qualPass(ms[0].sess)
+		// One fingerprint, identical owned work per member: the
+		// work-proportional rule degenerates to equal shares. A failed
+		// sweep's partial work is still the group's cost, shared the same
+		// way before every member fails individually.
+		total := stageCompute(start, pr.compute, pr.parWall).ComputeNanos
+		shares := splitShares(total, nil, len(ms))
 		if err != nil {
-			// The sweep's partial work is still the group's cost; members
-			// share it like a successful one, then fail individually.
-			total := stageCompute(start, pr.compute, pr.parWall).ComputeNanos
-			shares := splitShares(total, nil, len(ms))
 			werr := fmt.Errorf("pax: site %d: %w", s.id, err)
 			for j, mb := range ms {
 				resp.SubComputeNanos[mb.idx] = shares[j]
@@ -544,13 +520,12 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 			}
 			continue
 		}
-		for _, mb := range ms {
+		for j, mb := range ms {
 			pr.seed(mb.sess)
+			r := &QualStageResp{Roots: pr.roots}
+			r.ComputeNanos = shares[j]
+			finish(mb.idx, r, 0)
 		}
-		if s.cache != nil {
-			s.cache.Put(key, newQualEntry(pr), pr.compute, k.gen)
-		}
-		deliver(pr.roots, stageCompute(start, pr.compute, pr.parWall).ComputeNanos)
 	}
 	for _, ms := range groups {
 		for _, mb := range ms {

@@ -1,6 +1,7 @@
 package pax
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -202,53 +203,94 @@ func TestBatchOfOneMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestBatchSharedEvaluation: concurrent identical queries coalesced into
-// one envelope share a single Stage-1 sweep per site — the site's
-// qualPasses counter must come in strictly below one-per-query, and every
-// member must still get the right answer and its visit guarantee.
+// TestBatchSharedEvaluation: concurrent queries that compile to one
+// normal form, coalesced into one envelope, share a single Stage-1 sweep
+// per site — the site's qualPasses counter must come in strictly below
+// one-per-query, and every member must still get the right answer and its
+// visit guarantee. The second input spells one query two ways: members
+// group by the compiled fingerprint, not the text, so a two-member envelope
+// of both spellings costs one sweep.
 func TestBatchSharedEvaluation(t *testing.T) {
-	tr := testutil.PaperTree()
-	const concurrency = 6
-	// A generous window: all members are launched together and must land
-	// inside it even on a loaded race-detector host.
-	batched, _, _, bsites, ft := batchedClusters(t, tr, fragment.RandomCuts(tr, 4, 17), 3,
-		[]EngineOption{WithBatchWindow(150 * time.Millisecond), WithMaxBatchSize(concurrency)})
-	query := `//broker[//stock/code = "GOOG"]/name`
-	want := oracle(t, tr, query)
+	inputs := []struct {
+		name    string
+		queries []string // member i runs queries[i%len(queries)]
+	}{
+		{"one spelling", []string{`//broker[//stock/code = "GOOG"]/name`}},
+		{"two spellings", []string{
+			`client[country/text() = "US"][broker/market/name/text() = "NASDAQ"]/broker/name`,
+			`client[country/text() = "US" and broker/market/name/text() = "NASDAQ"]/broker/name`,
+		}},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			tr := testutil.PaperTree()
+			const concurrency = 6
+			// A generous window: all members are launched together and must
+			// land inside it even on a loaded race-detector host.
+			batched, _, _, bsites, ft := batchedClusters(t, tr, fragment.RandomCuts(tr, 4, 17), 3,
+				[]EngineOption{WithBatchWindow(150 * time.Millisecond), WithMaxBatchSize(concurrency)})
+			want := oracle(t, tr, in.queries[0])
 
-	start := make(chan struct{})
-	results := make([]*Result, concurrency)
-	errs := make([]error, concurrency)
-	var wg sync.WaitGroup
-	for i := 0; i < concurrency; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			results[i], errs[i] = batched.Run(query, Options{Algorithm: PaX3})
-		}(i)
-	}
-	close(start)
-	wg.Wait()
+			start := make(chan struct{})
+			results := make([]*Result, concurrency)
+			errs := make([]error, concurrency)
+			var wg sync.WaitGroup
+			for i := 0; i < concurrency; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					results[i], errs[i] = batched.Run(in.queries[i%len(in.queries)], Options{Algorithm: PaX3})
+				}(i)
+			}
+			close(start)
+			wg.Wait()
 
-	for i := 0; i < concurrency; i++ {
-		if errs[i] != nil {
-			t.Fatalf("member %d: %v", i, errs[i])
-		}
-		if got := origIDs(ft, results[i].Answers); !testutil.EqualIDs(got, want) {
-			t.Errorf("member %d: got %v want %v", i, got, want)
-		}
-		if results[i].MaxVisits > 3 {
-			t.Errorf("member %d: MaxVisits = %d > 3", i, results[i].MaxVisits)
-		}
-	}
-	var passes int64
-	for _, s := range bsites {
-		passes += s.qualPasses.Load()
-	}
-	// Unshared evaluation would run one sweep per member per site.
-	if unshared := int64(concurrency * len(bsites)); passes >= unshared {
-		t.Errorf("qualPasses = %d, want < %d (batch members must share Stage-1 sweeps)", passes, unshared)
+			for i := 0; i < concurrency; i++ {
+				if errs[i] != nil {
+					t.Fatalf("member %d: %v", i, errs[i])
+				}
+				if got := origIDs(ft, results[i].Answers); !testutil.EqualIDs(got, want) {
+					t.Errorf("member %d: got %v want %v", i, got, want)
+				}
+				if results[i].MaxVisits > 3 {
+					t.Errorf("member %d: MaxVisits = %d > 3", i, results[i].MaxVisits)
+				}
+			}
+			var passes int64
+			for _, s := range bsites {
+				passes += s.qualPasses.Load()
+			}
+			// Unshared evaluation would run one sweep per member per site.
+			if unshared := int64(concurrency * len(bsites)); passes >= unshared {
+				t.Errorf("qualPasses = %d, want < %d (batch members must share Stage-1 sweeps)", passes, unshared)
+			}
+
+			// One envelope carrying every spelling, straight to one site:
+			// exactly one sweep, and every member ships the same roots.
+			site := bsites[0]
+			var subs []BatchSub
+			for i, q := range in.queries {
+				b, err := (&QualStageReq{QID: QueryID(1000 + i), Query: q, NumFrags: int32(ft.Len()), Final: true}).AppendBinary(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subs = append(subs, BatchSub{Tag: tagQualStageReq, Body: b})
+			}
+			before := site.qualPasses.Load()
+			resp, err := site.handleBatch(&BatchStageReq{Subs: subs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := site.qualPasses.Load() - before; n != 1 {
+				t.Errorf("an envelope of %d spellings ran %d Stage-1 sweeps, want 1", len(in.queries), n)
+			}
+			for i, sub := range resp.Subs {
+				if sub.Tag != tagQualStageResp || !bytes.Equal(sub.Body, resp.Subs[0].Body) {
+					t.Errorf("member %d shipped a different Stage-1 response than member 0", i)
+				}
+			}
+		})
 	}
 }
 
@@ -260,8 +302,7 @@ func TestBatchCostConservation(t *testing.T) {
 	tr := testutil.RandomTree(6, 300)
 	const concurrency = 12
 	batched, _, btr, _, ft := batchedClusters(t, tr, fragment.RandomCuts(tr, 7, 5), 3,
-		[]EngineOption{WithBatchWindow(2 * time.Millisecond), WithMaxBatchSize(4)},
-		WithSiteCache(16))
+		[]EngineOption{WithBatchWindow(2 * time.Millisecond), WithMaxBatchSize(4)})
 	_ = ft
 	queries := []string{
 		`//a[b = "x"]/c`,
@@ -310,15 +351,14 @@ func TestBatchCostConservation(t *testing.T) {
 	}
 }
 
-// TestBatchInterleavedWithUnbatchedRace mixes batched, unbatched and
-// cache-warm traffic over one tree concurrently; run under -race in the
-// tier-1 suite. Every run must produce oracle answers.
+// TestBatchInterleavedWithUnbatchedRace mixes batched and unbatched
+// traffic over one tree concurrently; run under -race in the tier-1 suite.
+// Every run must produce oracle answers.
 func TestBatchInterleavedWithUnbatchedRace(t *testing.T) {
 	tr := testutil.PaperTree()
 	cuts := fragment.RandomCuts(tr, 3, 23)
 	batched, direct, _, _, ft := batchedClusters(t, tr, cuts, 2,
-		[]EngineOption{WithBatchWindow(500 * time.Microsecond), WithMaxBatchSize(4)},
-		WithSiteCache(8))
+		[]EngineOption{WithBatchWindow(500 * time.Microsecond), WithMaxBatchSize(4)})
 	queries := fig1Queries[:6]
 	oracles := make(map[string][]xmltree.NodeID, len(queries))
 	for _, q := range queries {

@@ -43,17 +43,10 @@
 // shipping, every residual formula runs a hash-consing simplification
 // pass (boolexpr.Simplifier).
 //
-// # Stage-1 memoization
-//
-// A site optionally memoizes its Stage-1 (qualifier pass) results
-// (EnableCache, WithSiteCache): the pass depends only on the compiled
-// query, the fragment count and the site's fragment contents, so repeated
-// queries replay the memoized wire vectors byte-identically with zero tree
-// traversal. A fragment edit (EditReq) patches every memoized entry's
-// vector state through the edit instead of dropping it; fragment mutations
-// made any other way must call BumpCacheGeneration. The
-// eviction/TTL/generation semantics live in package sitecache, the
-// integration in qualcache.go.
+// A site keeps no evaluation result across queries: like the paper's
+// sites, it runs Stage 1 once per query. Within one batch envelope,
+// qualifier-stage members that compile to the same normal form over the
+// same fragment snapshot share one sweep (batch.go).
 //
 // # Wire messages
 //

@@ -43,9 +43,9 @@ import (
 // time when a site is genuinely gone.
 var EditRetryPolicy = RetryPolicy{MaxAttempts: 25, Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 
-// EditResult reports one applied edit: the fragment's new version, what the
-// sites' delta-scoped cache invalidation did, and the edit's own transport
-// ledger (every completed call's measured cost, failed attempts included).
+// EditResult reports one applied edit: the fragment's new version and the
+// edit's own transport ledger (every completed call's measured cost, failed
+// attempts included).
 type EditResult struct {
 	Frag       fragment.FragID
 	NewVersion uint64
@@ -54,9 +54,9 @@ type EditResult struct {
 	// earlier attempt's response was lost).
 	Sites    int
 	Replayed int
-	// Dropped/Patched sum the members' Stage-1 cache entry fates: dropped
-	// outright, or repaired by patching their vector state. Retained is
-	// always 0 (see EditResp).
+	// Dropped, Retained and Patched are always 0. They counted the fates
+	// of a Stage-1 cache that no longer exists, and stay only because the
+	// benchmark module still reads them.
 	Dropped  int64
 	Retained int64
 	Patched  int64
@@ -158,11 +158,7 @@ func (e *Engine) editMember(ctx context.Context, member dist.SiteID, req *EditRe
 				return fmt.Errorf("pax: site %d: edit moved fragment %d to version %d, want %d",
 					member, req.Frag, er.NewVersion, req.BaseVersion+1)
 			}
-			if er.Applied {
-				res.Dropped += er.Dropped
-				res.Retained += er.Retained
-				res.Patched += er.Patched
-			} else {
+			if !er.Applied {
 				res.Replayed++
 			}
 			return nil

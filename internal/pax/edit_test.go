@@ -1,6 +1,7 @@
 package pax
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -61,7 +62,7 @@ func applyBoth(t *testing.T, eng *Engine, ft *fragment.Fragmentation, fid fragme
 	if err != nil {
 		t.Fatalf("ApplyEdit(frag %d, %v): %v", fid, ed.Op, err)
 	}
-	if _, err := ft.ApplyEdit(fid, ed); err != nil {
+	if err := ft.ApplyEdit(fid, ed); err != nil {
 		t.Fatalf("oracle mirror of edit on fragment %d: %v", fid, err)
 	}
 	ft.RecomputeOrigins()
@@ -72,7 +73,7 @@ func applyBoth(t *testing.T, eng *Engine, ft *fragment.Fragmentation, fid fragme
 }
 
 // TestEditScheduleMatchesOracle runs a random edit schedule through a
-// cache-enabled cluster, checking after every edit that distributed
+// cluster, checking after every edit that distributed
 // answers stay identical to a centralized evaluation of the edited
 // document — and that the edit and query ledgers together still equal the
 // transport's lifetime totals (cost conservation with mutations in the
@@ -84,7 +85,7 @@ func TestEditScheduleMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := RoundRobin(ft, 2)
-	local, _ := BuildLocalCluster(topo, WithSiteCache(32))
+	local, _ := BuildLocalCluster(topo)
 	eng := NewEngine(topo, local)
 	r := rand.New(rand.NewSource(11))
 	queries := []string{"//name", `//broker[//stock/code = "GOOG"]/name`}
@@ -127,94 +128,16 @@ func TestEditScheduleMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEditVectorPatchRetention: every cached Stage-1 entry retains its mask
-// state, so any edit — inside or outside the query's qualifier label
-// footprint, insert, rename or delete — is repaired in place by the
-// incremental patch: nothing is dropped, the next repetition hits, and the
-// patched entry's answers AND shipped bytes match a twin cluster that never
-// cached and therefore re-evaluates from scratch (parbox's
-// patch-equivalence, observed end to end).
-func TestEditVectorPatchRetention(t *testing.T) {
-	tr := testutil.PaperTree()
-	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := RoundRobin(ft, 2)
-	local, sites := BuildLocalCluster(topo, WithSiteCache(32))
-	eng := NewEngine(topo, local)
-	freshLocal, _ := BuildLocalCluster(topo)
-	fresh := NewEngine(topo, freshLocal)
-
-	query := `//broker[//stock/code = "GOOG"]/name` // qualifier footprint {stock, code}
-	if _, err := eng.Run(query, Options{Algorithm: PaX3}); err != nil {
-		t.Fatal(err)
-	}
-
-	root := xmltree.NodeID(0)
-	edits := []struct {
-		name string
-		ed   fragment.Edit
-	}{
-		// Inside the footprint: a new stock with the matching code can
-		// change qualifier bits.
-		{"overlapping insert", fragment.Edit{Op: fragment.EditInsert, Node: root, Pos: 0,
-			Subtree: xmltree.El("stock", xmltree.ElT("code", "GOOG"))}},
-		// Outside it: <patch> lands as node 1, its <v> child as node 2.
-		{"disjoint insert", fragment.Edit{Op: fragment.EditInsert, Node: root, Pos: 0,
-			Subtree: xmltree.El("patch", xmltree.ElT("v", "7"))}},
-		{"disjoint rename", fragment.Edit{Op: fragment.EditRename, Node: 2, Label: "w"}},
-		{"disjoint delete", fragment.Edit{Op: fragment.EditDelete, Node: 1}},
-		{"overlapping bare insert", fragment.Edit{Op: fragment.EditInsert, Node: root, Pos: 0,
-			Subtree: xmltree.El("code")}},
-	}
-	for _, e := range edits {
-		before := sumCacheStats(sites)
-		// Both engines before the mirror: each seeds its version tracking
-		// from topo.FT on a fragment's first edit.
-		if _, err := fresh.ApplyEdit(context.Background(), fragment.RootFrag, e.ed); err != nil {
-			t.Fatalf("%s: uncached twin: %v", e.name, err)
-		}
-		res := applyBoth(t, eng, ft, fragment.RootFrag, e.ed)
-		if res.Patched < 1 || res.Dropped != 0 || res.Retained != 0 {
-			t.Fatalf("%s: result %+v, want the entry patched and nothing dropped", e.name, res)
-		}
-		if s := sumCacheStats(sites); s.ScopedRetained <= before.ScopedRetained || s.ScopedInvalidations != 0 {
-			t.Fatalf("%s: cache stats %+v, want scoped retention only", e.name, s)
-		}
-
-		warm, err := eng.Run(query, Options{Algorithm: PaX3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sumCacheStats(sites); got.Hits != before.Hits+int64(len(sites)) {
-			t.Errorf("%s: warm run hits %d, want %d (patched entries must serve)", e.name, got.Hits, before.Hits+int64(len(sites)))
-		}
-		cold, err := fresh.Run(query, Options{Algorithm: PaX3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := origIDs(ft, warm.Answers), oracle(t, ft.Reassemble(), query); !testutil.EqualIDs(got, want) {
-			t.Errorf("%s: patched entry served wrong answers: %v, oracle %v", e.name, got, want)
-		}
-		if !reflect.DeepEqual(warm.Answers, cold.Answers) || !reflect.DeepEqual(warm.StageBytes, cold.StageBytes) ||
-			warm.BytesSent != cold.BytesSent || warm.BytesRecv != cold.BytesRecv {
-			t.Errorf("%s: patched entry diverged from a never-cached site: stage bytes %v vs %v, %d vs %d answers",
-				e.name, warm.StageBytes, cold.StageBytes, len(warm.Answers), len(cold.Answers))
-		}
-	}
-}
-
 // TestEditVersionProtocol exercises the site-side version switch directly:
-// apply at the base version, idempotent ack one version ahead (zero
-// counters — nothing was re-applied), conflict anywhere else.
+// apply at the base version, idempotent ack one version ahead (nothing is
+// re-applied), conflict anywhere else.
 func TestEditVersionProtocol(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sites := BuildLocalCluster(RoundRobin(ft, 1), WithSiteCache(8))
+	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
 	s := sites[0]
 	base := ft.Frags[fragment.RootFrag].Version
 
@@ -240,9 +163,6 @@ func TestEditVersionProtocol(t *testing.T) {
 	if err != nil || resp.Applied || resp.NewVersion != base+1 {
 		t.Fatalf("replay: resp %+v, err %v; want idempotent ack at version %d", resp, err, base+1)
 	}
-	if resp.Dropped != 0 || resp.Retained != 0 || resp.Patched != 0 {
-		t.Fatalf("replay reported cache work: %+v, want zero counters", resp)
-	}
 
 	if _, err := s.handleEdit(mkReq("b", base+1)); err != nil {
 		t.Fatalf("apply at base+1: %v", err)
@@ -256,21 +176,18 @@ func TestEditVersionProtocol(t *testing.T) {
 }
 
 // TestEditOneVersionAnswersAndStalePut: a session created before an edit
-// keeps answering from its fragment snapshot — byte-identical Stage-1
-// roots — and its recomputed result must NOT be re-cached (the Put was
-// evaluated against pre-edit fragments; the generation fence refuses it),
-// while the entry the edit patched answers post-edit queries
-// byte-identically to a fresh evaluation.
+// keeps answering from its fragment snapshot — a pre-edit session that
+// re-asks for Stage 1 (as a replay after failover would) ships its
+// pre-edit roots byte for byte, while a session created after the edit
+// ships different ones.
 func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := RoundRobin(ft, 1)
-	_, sites := BuildLocalCluster(topo, WithSiteCache(8))
-	_, freshSites := BuildLocalCluster(topo)
-	s, fresh := sites[0], freshSites[0]
+	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
+	s := sites[0]
 	query := `//broker[//stock/code = "ZZZZ"]/name` // no such stock until the edit inserts one
 	n := int32(len(ft.Frags))
 
@@ -278,29 +195,10 @@ func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cache.Len() != 1 {
-		t.Fatalf("cold qual pass cached %d entries, want 1", s.cache.Len())
-	}
-
-	// Footprint-overlapping edit: the generation advances and the cached
-	// entry is patched through it.
-	req, err := editReqOf(fragment.RootFrag,
-		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("stock", xmltree.ElT("code", "ZZZZ"))})
-	if err != nil {
+	if _, err := s.handleEdit(stockEdit(t, ft)); err != nil {
 		t.Fatal(err)
 	}
-	req.BaseVersion = ft.Frags[fragment.RootFrag].Version
-	for _, site := range []*Site{s, fresh} {
-		if _, err := site.handleEdit(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	misses := s.CacheStats().Misses
 
-	// The in-flight query re-asks for Stage 1 (as a replay after failover
-	// would): same session, so the pre-edit snapshot answers — a miss, the
-	// patched entry belongs to the new generation — and the shipped roots
-	// are byte-identical to the pre-edit response.
 	resp2, err := s.handleQual(&QualStageReq{QID: 1, Query: query, NumFrags: n})
 	if err != nil {
 		t.Fatal(err)
@@ -308,30 +206,92 @@ func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	if !reflect.DeepEqual(resp1.Roots, resp2.Roots) {
 		t.Error("pre-edit session shipped different roots after the edit — snapshot isolation broken")
 	}
-	if got := s.CacheStats().Misses; got != misses+1 {
-		t.Fatalf("pre-edit session: %d new cache misses, want 1 (it must not read the post-edit entry)", got-misses)
+	post, err := s.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(post.Roots, resp1.Roots) {
+		t.Error("edit did not change the shipped roots — the snapshot check proves nothing")
+	}
+}
+
+// stockEdit inserts <stock><code>ZZZZ</code></stock> under the root
+// fragment's root, at the fragment's current version.
+func stockEdit(t *testing.T, ft *fragment.Fragmentation) *EditReq {
+	t.Helper()
+	req, err := editReqOf(fragment.RootFrag,
+		fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("stock", xmltree.ElT("code", "ZZZZ"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.BaseVersion = ft.Frags[fragment.RootFrag].Version
+	return req
+}
+
+// TestBatchQualsStraddlingEditDoNotShare: batched Stage-1 members share one
+// sweep only when their sessions snapshotted the same fragment versions.
+// Session 1 is created before an edit and session 2 after it; one envelope
+// carrying both must ship each member the roots of its own snapshot.
+func TestBatchQualsStraddlingEditDoNotShare(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
+	s := sites[0]
+	query := `//broker[//stock/code = "ZZZZ"]/name`
+	n := int32(len(ft.Frags))
+	// qualBody is a solo Stage-1 response as a batch member body: compute
+	// moved out, the rest encoded.
+	qualBody := func(qid QueryID) []byte {
+		t.Helper()
+		resp, err := s.handleQual(&QualStageReq{QID: qid, Query: query, NumFrags: n, Final: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.TakeComputeCost()
+		b, err := resp.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 
-	// A fresh query hits the surviving entry — had the stale Put landed it
-	// would serve the pre-edit roots here — and ships what a site that never
-	// cached computes from scratch.
-	hits := s.CacheStats().Hits
-	resp3, err := s.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n})
+	pre := qualBody(10)
+	if _, err := s.getSession(1, query, n); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.handleEdit(stockEdit(t, ft)); err != nil {
+		t.Fatal(err)
+	}
+
+	var subs []BatchSub
+	for _, qid := range []QueryID{1, 2} {
+		b, err := (&QualStageReq{QID: qid, Query: query, NumFrags: n}).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, BatchSub{Tag: tagQualStageReq, Body: b})
+	}
+	resp, err := s.handleBatch(&BatchStageReq{Subs: subs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.CacheStats().Hits; got != hits+1 {
-		t.Fatalf("post-edit query: %d new cache hits, want 1 (the patched entry must serve)", got-hits)
+	post := qualBody(11)
+	for i, sub := range resp.Subs {
+		if sub.Tag != tagQualStageResp {
+			t.Fatalf("member %d failed: %s", i+1, sub.Body)
+		}
 	}
-	want, err := fresh.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n})
-	if err != nil {
-		t.Fatal(err)
+	if bytes.Equal(resp.Subs[0].Body, post) {
+		t.Fatal("pre-edit member shipped the post-edit roots — the check below proves nothing")
 	}
-	if !reflect.DeepEqual(resp3.Roots, want.Roots) {
-		t.Error("surviving entry shipped roots different from a fresh post-edit evaluation")
+	if !bytes.Equal(resp.Subs[0].Body, pre) {
+		t.Error("pre-edit member did not ship its snapshot's roots")
 	}
-	if reflect.DeepEqual(want.Roots, resp1.Roots) {
-		t.Error("edit did not change the shipped roots — the stale-Put check proves nothing")
+	if !bytes.Equal(resp.Subs[1].Body, post) {
+		t.Error("post-edit member shipped roots other than a fresh post-edit Stage 1 — it shared the pre-edit member's sweep")
 	}
 }
 
@@ -371,7 +331,7 @@ func TestEditReplicatedConvergence(t *testing.T) {
 				t.Errorf("site %d at version %d, want %d", m, v, res.NewVersion)
 			}
 		}
-		if _, err := ft.ApplyEdit(fid, ed); err != nil {
+		if err := ft.ApplyEdit(fid, ed); err != nil {
 			t.Fatal(err)
 		}
 		ft.RecomputeOrigins()
@@ -432,7 +392,14 @@ func TestEditReplicatedConvergence(t *testing.T) {
 // centralized oracle of the final document. Run under -race this also
 // pins the locking of the edit path against the query path.
 func TestConcurrentEditsAndQueries(t *testing.T) {
-	eng, ft, _ := cachedCluster(t, 2, 16, 0)
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := RoundRobin(ft, 2)
+	local, _ := BuildLocalCluster(topo)
+	eng := NewEngine(topo, local)
 	const edits = 6
 	query := "//name"
 	base := len(oracle(t, ft.Reassemble(), query))
@@ -469,7 +436,7 @@ func TestConcurrentEditsAndQueries(t *testing.T) {
 	}
 
 	for i := 0; i < edits; i++ {
-		if _, err := ft.ApplyEdit(fragment.RootFrag, mkEdit(i)); err != nil {
+		if err := ft.ApplyEdit(fragment.RootFrag, mkEdit(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -217,11 +217,10 @@ type EditReq struct {
 }
 
 // EditResp reports an applied (or idempotently replayed) edit: the
-// fragment's new version and what the edit did to the site's memoized
-// Stage-1 entries — repaired by patching their vector state, or dropped. A
-// replayed edit reports zero counters. Retained is always 0: it counted a
-// second retention path that no longer exists, and its wire slot stays
-// because removing one is a codec version change.
+// fragment's new version and whether this delivery applied it. Dropped,
+// Retained and Patched are dead wire slots that sites always send as 0:
+// they counted the fates of a Stage-1 cache that no longer exists, and
+// they stay only because removing a slot is a codec version change.
 type EditResp struct {
 	StageCompute
 	NewVersion uint64

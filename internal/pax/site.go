@@ -12,7 +12,6 @@ import (
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/parbox"
-	"paxq/internal/sitecache"
 	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
 )
@@ -36,14 +35,6 @@ type Site struct {
 	frags    map[fragment.FragID]*fragment.Fragment
 	compiled *lru[string, compiledQuery]
 	par      int
-	// cache, when enabled, memoizes Stage-1 (qualifier pass) results per
-	// compiled query so repeated queries skip the fragment traversal
-	// entirely — see qualcache.go and package sitecache. Nil = disabled.
-	// cacheSize/cacheTTL remember the configuration so Restart can
-	// re-create the cache the way a fresh process would start it.
-	cache     *sitecache.Cache[qualKey, *qualEntry]
-	cacheSize int
-	cacheTTL  time.Duration
 	// compiles counts compile-cache fills; qualPasses counts full Stage-1
 	// fragment sweeps. Test hooks for the single-compile and shared-batch
 	// evaluation guarantees.
@@ -52,13 +43,26 @@ type Site struct {
 
 	mu       sync.Mutex
 	sessions map[QueryID]*session
+	// epoch counts the edits this site has applied (guarded by mu). A
+	// session records it beside its fragment snapshot, so sessions with
+	// equal epochs evaluate the same fragment versions.
+	epoch uint64
+}
+
+// compiledQuery is what a site's compile cache holds: the immutable
+// compilation plus its normal-form fingerprint, rendered once per query
+// text. batchQuals groups batch members by the fingerprint, so textual
+// variants of one query share one Stage-1 sweep.
+type compiledQuery struct {
+	c  *xpath.Compiled
+	fp string
 }
 
 // session is the per-query state a site retains between visits.
 type session struct {
 	c *xpath.Compiled
-	// fp is the compiled query's normal-form fingerprint — the Stage-1
-	// cache key component, carried from the compile cache.
+	// fp is the compiled query's normal-form fingerprint, carried from
+	// the compile cache: batched Stage-1 members group by it.
 	fp string
 	vs parbox.VarScheme
 	// frags snapshots the site's fragment versions at session creation, and
@@ -69,14 +73,12 @@ type session struct {
 	// Immutable after creation.
 	frags   map[fragment.FragID]*fragment.Fragment
 	fragIDs []fragment.FragID
-	// gen is the Stage-1 cache generation observed at the same instant the
+	// epoch is the site's edit epoch observed at the same instant the
 	// snapshot was taken (both under Site.mu, which every edit holds while
-	// it swaps a fragment and advances the generation). Cache reads and
-	// writes for this session pin to it: GetAt(gen) can only hit while no
-	// edit has landed since the snapshot, so a hit is always consistent
-	// with sess.frags, and Put(gen) silently drops results that an edit
-	// overtook. Zero when caching is disabled (never consulted then).
-	gen uint64
+	// it swaps a fragment and advances the epoch): two sessions with equal
+	// epochs hold identical snapshots, so batched Stage-1 members may share
+	// one sweep only when their epochs match.
+	epoch uint64
 	// workers is the session's private worker pool: fragment evaluation
 	// within this query's stage requests is bounded by its capacity. Each
 	// session owns its pool so one query's fragment fan-out cannot starve
@@ -236,17 +238,13 @@ func (s *Site) getSession(qid QueryID, query string, numFrags int32) (*session, 
 	if err != nil {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
-	// Snapshot the fragment versions and the cache generation atomically
-	// (both under s.mu, the lock every edit holds while it swaps a fragment
-	// and invalidates): the query evaluates exactly this fragment state in
-	// every stage, whatever edits land meanwhile.
+	// Snapshot the fragment versions and the edit epoch atomically (both
+	// under s.mu, the lock every edit holds while it swaps a fragment): the
+	// query evaluates exactly this fragment state in every stage, whatever
+	// edits land meanwhile.
 	frags := make(map[fragment.FragID]*fragment.Fragment, len(s.frags))
 	for id, f := range s.frags {
 		frags[id] = f
-	}
-	var gen uint64
-	if s.cache != nil {
-		gen = s.cache.Generation()
 	}
 	sess := &session{
 		c:        cq.c,
@@ -254,7 +252,7 @@ func (s *Site) getSession(qid QueryID, query string, numFrags int32) (*session, 
 		vs:       parbox.NewVarScheme(cq.c, int(numFrags)),
 		frags:    frags,
 		fragIDs:  sortedFragIDs(frags),
-		gen:      gen,
+		epoch:    s.epoch,
 		workers:  make(chan struct{}, s.par),
 		lastUsed: now,
 		qual:     make(map[fragment.FragID]*parbox.FragQual),
@@ -351,35 +349,19 @@ func (s *Site) dropSessionIfDone(qid QueryID, sess *session) {
 // qualPassResult is one full Stage-1 sweep over the site's fragments: the
 // wire-ready root vectors and the per-fragment qualifier state, plus the
 // sweep's cost. roots and quals are immutable once built and may be shared
-// by any number of sessions (exactly like a cache entry).
+// by every session of one batch group.
 type qualPassResult struct {
-	frags []fragment.FragID
-	roots []WireRootVecs
-	quals []*parbox.FragQual // frags order
-	// states holds the pass's bit-packed mask state per fragment, in frags
-	// order. Cached alongside the entry so an edit can Patch it instead of
-	// dropping the entry.
-	states  []*parbox.VectorState
+	frags   []fragment.FragID
+	roots   []WireRootVecs
+	quals   []*parbox.FragQual // frags order
 	compute time.Duration
 	parWall time.Duration
-}
-
-// work sums the sweep's qualifier-DAG work ledger — the batch path's
-// attribution weight (each query's owned DAG nodes).
-func (p *qualPassResult) work() int64 {
-	var w int64
-	for _, fq := range p.quals {
-		w += fq.Work
-	}
-	return w
 }
 
 // shipRootVecs renders one fragment's Stage-1 result in wire form. One
 // simplifier across the fragment's root vectors: QV and QDV entries share
 // sub-structure heavily, so interning across the pair shrinks the shipped
-// bytes the most. Both the fresh sweep and the patched-entry rebuild go
-// through here, so a patched cache entry ships bytes identical to a fresh
-// evaluation.
+// bytes the most.
 func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbox.FragQual) WireRootVecs {
 	sim := boolexpr.NewSimplifier()
 	rv := WireRootVecs{
@@ -413,14 +395,12 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	type qualOut struct {
 		rv WireRootVecs
 		fq *parbox.FragQual
-		st *parbox.VectorState
 	}
 	frags := sess.fragIDs
 	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (qualOut, error) {
 		f := sess.frags[fid]
-		st := parbox.NewVectorState(f, sess.c, sess.vs)
-		fq := st.FragQual()
-		return qualOut{rv: shipRootVecs(fid, f, fq), fq: fq, st: st}, nil
+		fq := parbox.NewVectorState(f, sess.c, sess.vs).FragQual()
+		return qualOut{rv: shipRootVecs(fid, f, fq), fq: fq}, nil
 	})
 	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
 	if err != nil {
@@ -429,13 +409,12 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	for i := range frags {
 		res.roots = append(res.roots, outs[i].rv)
 		res.quals = append(res.quals, outs[i].fq)
-		res.states = append(res.states, outs[i].st)
 	}
 	return res, nil
 }
 
 // seed installs the sweep's per-fragment qualifier state into a session,
-// sharing the immutable FragQuals (the same mechanism a cache hit uses).
+// sharing the immutable FragQuals.
 func (p *qualPassResult) seed(sess *session) {
 	for i, fid := range p.frags {
 		sess.qual[fid] = p.quals[i]
@@ -455,30 +434,6 @@ func (s *Site) handleQual(req *QualStageReq) (*QualStageResp, error) {
 		// this always releases it.
 		defer s.dropSessionIfDone(req.QID, sess)
 	}
-	var key qualKey
-	if s.cache != nil {
-		key = qualKey{fp: sess.fp, numFrags: req.NumFrags}
-		// Cache reads and writes pin to the generation the session's
-		// fragment snapshot was taken under: GetAt refuses entries unless
-		// the generation is still current (so a hit is always consistent
-		// with sess.frags), and a Put whose evaluation an edit overtook is
-		// silently dropped instead of resurrecting pre-edit state.
-		if e, ok := s.cache.GetAt(key, sess.gen); ok {
-			// Replay the memoized pass: the shipped roots are byte-identical
-			// to a fresh evaluation (deterministic simplification), and the
-			// cached per-fragment qualifier state seeds this session for the
-			// selection stage. The entry's original compute is credited to
-			// the cache's SavedCompute counter by Get — never to this
-			// query's ledger, which reports only the (tiny) work actually
-			// done here, so cost conservation keeps holding.
-			for fid, fq := range e.qual {
-				sess.qual[fid] = fq
-			}
-			resp := &QualStageResp{Roots: e.roots}
-			resp.StageCompute = stageCompute(start, 0, 0)
-			return resp, nil
-		}
-	}
 	pr, err := s.qualPass(sess)
 	if err != nil {
 		return &QualStageResp{StageCompute: stageCompute(start, pr.compute, pr.parWall)},
@@ -486,11 +441,6 @@ func (s *Site) handleQual(req *QualStageReq) (*QualStageResp, error) {
 	}
 	pr.seed(sess)
 	resp := &QualStageResp{Roots: pr.roots}
-	if s.cache != nil {
-		// The entry's cost is the fragment-evaluation time this miss paid —
-		// what every future hit avoids.
-		s.cache.Put(key, newQualEntry(pr), pr.compute, sess.gen)
-	}
 	resp.StageCompute = stageCompute(start, pr.compute, pr.parWall)
 	return resp, nil
 }
@@ -690,20 +640,15 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 
 // Restart wipes every piece of state a process restart would lose: the
 // per-query sessions, and nothing else that affects answers — the
-// compiled-query cache and the Stage-1 memoization cache are
-// rebuildable, but a fresh process starts without them, so the Stage-1
-// cache is re-created empty at its configured size (generation back to
-// zero, like a new process). The fault harness calls this when a
-// simulated kill schedule "restarts" an in-process site; coordinators
-// mid-query at this site will find their sessions gone and must
-// re-establish (classifyStageError's in-place path).
+// compiled-query cache is rebuildable, but a fresh process starts without
+// it. The fault harness calls this when a simulated kill schedule
+// "restarts" an in-process site; coordinators mid-query at this site will
+// find their sessions gone and must re-establish (classifyStageError's
+// in-place path).
 func (s *Site) Restart() {
 	s.mu.Lock()
 	s.sessions = make(map[QueryID]*session)
 	s.mu.Unlock()
-	if s.cache != nil {
-		s.EnableCache(s.cacheSize, s.cacheTTL)
-	}
 	s.compiled = newLRU[string, compiledQuery](defaultSiteCompileCache)
 }
 
@@ -726,11 +671,10 @@ func (s *Site) handleFetch() (*FetchResp, error) {
 }
 
 // handleEdit applies one fragment edit to the site's hosted copy. The whole
-// operation — version check, copy-on-write apply, fragment swap, cache
-// invalidation — runs under s.mu, the same lock session creation snapshots
-// fragments and the cache generation under, so a query session observes
-// either the pre-edit world (fragments AND cache generation) or the
-// post-edit one, atomically. In-flight sessions keep evaluating their
+// operation — version check, copy-on-write apply, fragment swap, epoch
+// advance — runs under s.mu, the same lock session creation snapshots
+// fragments and the epoch under, so a query session observes either the
+// pre-edit world (fragments AND epoch) or the post-edit one, atomically. In-flight sessions keep evaluating their
 // snapshot's copy-on-write fragments untouched.
 //
 // Version semantics (see EditReq): a fragment at BaseVersion applies; one
@@ -763,25 +707,12 @@ func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 		return nil, fmt.Errorf("pax: site %d: fragment %d is at version %d, edit issued against base %d: %w",
 			s.id, req.Frag, f.Version, req.BaseVersion, ErrEditConflict)
 	}
-	nf, delta, err := f.ApplyEdit(e)
+	nf, err := f.ApplyEdit(e)
 	if err != nil {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
 	s.frags[req.Frag] = nf
-	if s.cache != nil {
-		// Patch every cached Stage-1 entry through the edit (see
-		// retainEntry). The generation advances regardless, so Puts
-		// computed against the pre-edit fragments can never land afterwards.
-		s.cache.Invalidate(func(_ qualKey, old *qualEntry) (*qualEntry, bool) {
-			ne := s.retainEntry(old, req.Frag, nf, delta)
-			if ne != nil {
-				resp.Patched++
-			} else {
-				resp.Dropped++
-			}
-			return ne, ne != nil
-		})
-	}
+	s.epoch++
 	resp.NewVersion = nf.Version
 	resp.Applied = true
 	resp.StageCompute = stageCompute(start, 0, 0)

@@ -3,7 +3,6 @@ package pax
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
@@ -191,9 +190,7 @@ func (t *Topology) FragsAt(site dist.SiteID) []fragment.FragID { return t.fragsA
 type SiteOption func(*clusterConfig)
 
 type clusterConfig struct {
-	par       int
-	cacheSize int
-	cacheTTL  time.Duration
+	par int
 }
 
 func buildConfig(opts []SiteOption) clusterConfig {
@@ -206,9 +203,6 @@ func buildConfig(opts []SiteOption) clusterConfig {
 
 func (c *clusterConfig) newSite(sid dist.SiteID, frags []*fragment.Fragment) *Site {
 	site := NewSite(sid, frags)
-	if c.cacheSize > 0 {
-		site.EnableCache(c.cacheSize, c.cacheTTL)
-	}
 	if c.par > 0 {
 		site.SetParallelism(c.par)
 	}
@@ -220,21 +214,6 @@ func (c *clusterConfig) newSite(sid dist.SiteID, frags []*fragment.Fragment) *Si
 // GOMAXPROCS; the differential harness sets 1 for its sequential oracle.
 func SiteParallelism(n int) SiteOption {
 	return func(c *clusterConfig) { c.par = n }
-}
-
-// WithSiteCache equips every site with a Stage-1 memoization cache of at
-// most size entries per site (see Site.EnableCache): repeated queries
-// answer the qualifier stage from cache with zero tree traversal. size <= 0
-// (the default) disables caching.
-func WithSiteCache(size int) SiteOption {
-	return func(c *clusterConfig) { c.cacheSize = size }
-}
-
-// WithSiteCacheTTL bounds the lifetime of memoized Stage-1 results;
-// entries older than ttl expire on access. 0 (the default) means entries
-// live until evicted or invalidated. Meaningful only with WithSiteCache.
-func WithSiteCacheTTL(ttl time.Duration) SiteOption {
-	return func(c *clusterConfig) { c.cacheTTL = ttl }
 }
 
 // BuildLocalCluster constructs the in-process cluster for a topology: one

@@ -58,7 +58,6 @@ import (
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/pax"
-	"paxq/internal/sitecache"
 	"paxq/internal/xmark"
 	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
@@ -188,17 +187,6 @@ type ClusterOptions struct {
 	// up to this long for a slot before failing with ErrOverloaded.
 	// Meaningful only with MaxInFlight > 0.
 	QueueTimeout time.Duration
-	// SiteCacheSize equips every site with a Stage-1 (qualifier pass)
-	// memoization cache of at most this many entries: a repeated query
-	// answers its qualifier stage from cache with zero tree traversal,
-	// shipping byte-identical residual formulas. 0 (the default) disables
-	// caching. Invalidate with BumpSiteCacheGeneration after mutating
-	// fragments; counters surface in TransportStats.SiteCache.
-	SiteCacheSize int
-	// SiteCacheTTL bounds the lifetime of memoized Stage-1 results; 0
-	// means entries live until evicted or invalidated. Meaningful only
-	// with SiteCacheSize > 0.
-	SiteCacheTTL time.Duration
 	// BatchWindow enables coordinator-side multi-query stage batching:
 	// stage requests from concurrent evaluations bound for the same site
 	// are held up to this long and coalesced into one batch envelope — one
@@ -306,10 +294,6 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 		topo = pax.RoundRobin(ft, sites)
 	}
 	c := &Cluster{ft: ft, topo: topo}
-	var siteOpts []pax.SiteOption
-	if opts.SiteCacheSize > 0 {
-		siteOpts = append(siteOpts, pax.WithSiteCache(opts.SiteCacheSize), pax.WithSiteCacheTTL(opts.SiteCacheTTL))
-	}
 	engOpts := []pax.EngineOption{
 		pax.WithMaxInFlight(opts.MaxInFlight),
 		pax.WithQueueTimeout(opts.QueueTimeout),
@@ -326,13 +310,13 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	}
 	switch opts.Transport {
 	case TransportLocal:
-		local, sites := pax.BuildLocalCluster(topo, siteOpts...)
+		local, sites := pax.BuildLocalCluster(topo)
 		c.engine = pax.NewEngine(topo, local, engOpts...)
 		c.tr = local
 		c.sites = sites
 		c.shutdown = func() {}
 	case TransportTCP:
-		tcp, sites, stop, err := pax.BuildTCPCluster(topo, siteOpts...)
+		tcp, sites, stop, err := pax.BuildTCPCluster(topo)
 		if err != nil {
 			return nil, fmt.Errorf("paxq: %w", err)
 		}
@@ -458,27 +442,14 @@ func (c *Cluster) EvaluateBoolContext(ctx context.Context, query string) (bool, 
 	return ok, err
 }
 
-// SiteCacheStats aggregates the Stage-1 memoization cache counters of
-// every site in the cluster (all zero when ClusterOptions.SiteCacheSize is
-// 0). SavedCompute is the site computation the cache avoided — reported
-// here, never in any query's Stats, so per-query cost conservation holds.
+// SiteCacheStats is always zero. It counted a site-side Stage-1 cache that
+// no longer exists; sites run Stage 1 once per query, as in the paper. The
+// type stays only because the benchmark module still reads these three
+// fields.
 type SiteCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Expirations   int64
-	Invalidations int64
-	// ScopedInvalidations and ScopedRetained split the fates of entries
-	// offered to delta-scoped invalidation after a fragment edit
-	// (Cluster.ApplyEdit): dropped, versus carried into the new fragment
-	// version by incrementally patching their Stage-1 vector state. A
-	// retained entry is a Stage-1 sweep the next query on that fragment
-	// does not pay for.
-	ScopedInvalidations int64
-	ScopedRetained      int64
-	SavedCompute        time.Duration
-	Entries             int
-	Generation          uint64
+	Hits      int64
+	Misses    int64
+	Evictions int64
 }
 
 // FailoverStats are the coordinator's lifetime failover counters (all zero
@@ -495,8 +466,7 @@ type FailoverStats struct {
 
 // TransportStats are the cluster transport's cumulative lifetime counters:
 // the sum of the cost of every site call ever made, across all queries —
-// plus the aggregated site-cache counters and the coordinator's failover
-// counters. Per-query accounting lives in Stats; these totals feed
+// plus the coordinator's failover counters. Per-query accounting lives in Stats; these totals feed
 // monitoring (e.g. paxserve's /metrics endpoint).
 type TransportStats struct {
 	BytesSent     int64
@@ -504,8 +474,9 @@ type TransportStats struct {
 	TotalCompute  time.Duration
 	TotalVisits   int
 	SiteVisits    map[int]int
-	SiteCache     SiteCacheStats
-	Failover      FailoverStats
+	// SiteCache is always zero (see SiteCacheStats).
+	SiteCache SiteCacheStats
+	Failover  FailoverStats
 }
 
 // TransportStats returns a snapshot of the transport's lifetime counters.
@@ -524,22 +495,6 @@ func (c *Cluster) TransportStats() TransportStats {
 	}
 	for _, d := range snap.Compute {
 		out.TotalCompute += d
-	}
-	var agg sitecache.Stats
-	for _, s := range c.sites {
-		agg.Merge(s.CacheStats())
-	}
-	out.SiteCache = SiteCacheStats{
-		Hits:                agg.Hits,
-		Misses:              agg.Misses,
-		Evictions:           agg.Evictions,
-		Expirations:         agg.Expirations,
-		Invalidations:       agg.Invalidations,
-		ScopedInvalidations: agg.ScopedInvalidations,
-		ScopedRetained:      agg.ScopedRetained,
-		SavedCompute:        agg.SavedCompute,
-		Entries:             agg.Entries,
-		Generation:          agg.Generation,
 	}
 	fs := c.engine.FailoverStats()
 	out.Failover = FailoverStats{
@@ -580,7 +535,7 @@ func (c *Cluster) SaveRegistry(path string) error {
 // exposed so a deployment can rehearse failover and watch its monitoring
 // move: the site's after-th upcoming call fails, the site stays
 // unreachable for the next down calls, and it then restarts with all
-// in-memory state (query sessions, Stage-1 cache, compiled queries)
+// in-memory state (query sessions, compiled queries)
 // wiped, exactly like a crashed and supervised process. On a replicated
 // cluster, or one with a retry policy, queries ride out the outage —
 // answers unchanged, the failover counters of TransportStats (and
@@ -613,16 +568,6 @@ func (c *Cluster) DrillSiteOutage(site, after, down int) error {
 	plan.OnRestart = func(dist.SiteID) { target.Restart() }
 	local.FaultHook = plan.Hook
 	return nil
-}
-
-// BumpSiteCacheGeneration advances the fragment generation of every site's
-// Stage-1 cache, invalidating all memoized results — call after mutating
-// the underlying fragments so stale partial answers are never replayed.
-// A no-op when caching is disabled.
-func (c *Cluster) BumpSiteCacheGeneration() {
-	for _, s := range c.sites {
-		s.BumpCacheGeneration()
-	}
 }
 
 // EditOp selects the kind of fragment edit Cluster.ApplyEdit performs.
@@ -685,9 +630,8 @@ func (e Edit) toFragment() (fragment.Edit, error) {
 	return ed, nil
 }
 
-// EditResult reports one applied edit: where the fragment's version moved,
-// what the sites' delta-scoped cache invalidation did with the entries it
-// held, and the edit's own transport ledger. Like a query's Stats, the
+// EditResult reports one applied edit: where the fragment's version moved
+// and the edit's own transport ledger. Like a query's Stats, the
 // ledger is private to this edit; summed with every query's Stats it
 // accounts for the transport's lifetime totals exactly.
 type EditResult struct {
@@ -701,11 +645,9 @@ type EditResult struct {
 	// delivery).
 	Sites    int
 	Replayed int
-	// Dropped and Patched sum the fates of the sites' cached Stage-1
-	// entries for this fragment: invalidated, or repaired in place by
-	// patching their cached vector state. Retained is always 0 (it counted
-	// a second retention path that no longer exists). Also aggregated
-	// cluster-wide in TransportStats.SiteCache.
+	// Dropped, Retained and Patched are always 0. They counted the fates
+	// of a site-side Stage-1 cache that no longer exists, and stay only
+	// because the benchmark module still reads them.
 	Dropped  int
 	Retained int
 	Patched  int
@@ -718,9 +660,7 @@ type EditResult struct {
 }
 
 // ApplyEdit applies one edit to the fragment's subtree on every replica
-// hosting it, invalidating only the cached Stage-1 state the edit can
-// actually affect (see SiteCacheStats.ScopedRetained for what survived).
-// Edits on a cluster serialize with each other; queries keep running
+// hosting it. Edits on a cluster serialize with each other; queries keep running
 // concurrently, and each in-flight query sees one consistent fragment
 // version end to end — either fully before or fully after the edit, never
 // a mix.
@@ -757,9 +697,6 @@ func (c *Cluster) ApplyEditContext(ctx context.Context, e Edit) (*EditResult, er
 		NewVersion:    res.NewVersion,
 		Sites:         res.Sites,
 		Replayed:      res.Replayed,
-		Dropped:       int(res.Dropped),
-		Retained:      int(res.Retained),
-		Patched:       int(res.Patched),
 		Retries:       res.Retries,
 		BytesSent:     res.BytesSent,
 		BytesReceived: res.BytesRecv,

@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind `make docs-check`.
-// It enforces four properties the repo's docs promise:
+// It enforces six properties the repo's docs promise:
 //
 //  1. Every exported identifier of the public paxq package (the repo
 //     root) carries a doc comment — the API reference cannot silently
@@ -12,6 +12,13 @@
 //     deleted flag cannot silently keep its documentation.
 //  4. ARCHITECTURE.md's package map names every internal/* and cmd/*
 //     package that exists — new subsystems must be mapped.
+//  5. Every package-map row of ARCHITECTURE.md (a table row starting with
+//     "| `internal/name`" or "| `cmd/name`") names a package that exists —
+//     a deleted package cannot silently keep its row.
+//  6. Every metric row of cmd/README.md (a table row starting with
+//     "| `<binary>_name", for a cmd/<binary> that exists) names a metric
+//     that binary's sources emit — a deleted metric cannot silently keep
+//     its documentation.
 //
 // Run from the repository root:
 //
@@ -39,6 +46,8 @@ func main() {
 	problems = append(problems, checkFlagCoverage()...)
 	problems = append(problems, checkStaleFlagRows()...)
 	problems = append(problems, checkPackageMap()...)
+	problems = append(problems, checkStalePackageRows()...)
+	problems = append(problems, checkStaleMetricRows()...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck: "+p)
@@ -107,14 +116,14 @@ func checkPublicDocs() []string {
 // flag.String/Bool/... calls and flag.Var registrations.
 var flagDef = regexp.MustCompile(`flag\.(?:String|Bool|Int64|Int|Float64|Duration)\(\s*"([^"]+)"|flag\.Var\([^,]+,\s*"([^"]+)"`)
 
-// binaryFlags maps each cmd/* binary to the flags its non-test sources
-// define, plus any problem reading them.
-func binaryFlags() (map[string]map[string]bool, []string) {
+// binarySources maps each cmd/* binary to the concatenated text of its
+// non-test sources, plus any problem reading them.
+func binarySources() (map[string]string, []string) {
 	files, err := filepath.Glob("cmd/*/*.go")
 	if err != nil {
 		return nil, []string{err.Error()}
 	}
-	flags := map[string]map[string]bool{}
+	srcs := map[string]string{}
 	var out []string
 	for _, f := range files {
 		if strings.HasSuffix(f, "_test.go") {
@@ -125,11 +134,19 @@ func binaryFlags() (map[string]map[string]bool, []string) {
 			out = append(out, fmt.Sprintf("%s: %v", f, err))
 			continue
 		}
-		binary := filepath.Base(filepath.Dir(f))
-		if flags[binary] == nil {
-			flags[binary] = map[string]bool{}
-		}
-		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+		srcs[filepath.Base(filepath.Dir(f))] += string(src)
+	}
+	return srcs, out
+}
+
+// binaryFlags maps each cmd/* binary to the flags its non-test sources
+// define, plus any problem reading them.
+func binaryFlags() (map[string]map[string]bool, []string) {
+	srcs, out := binarySources()
+	flags := map[string]map[string]bool{}
+	for binary, src := range srcs {
+		flags[binary] = map[string]bool{}
+		for _, m := range flagDef.FindAllStringSubmatch(src, -1) {
 			name := m[1]
 			if name == "" {
 				name = m[2]
@@ -229,6 +246,59 @@ func checkPackageMap() []string {
 			if !strings.Contains(string(arch), ref) && !strings.Contains(string(arch), "`"+e.Name()+"`") {
 				out = append(out, fmt.Sprintf("package %s is missing from ARCHITECTURE.md's package map", ref))
 			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// packageRow captures the package a table row of ARCHITECTURE.md's package
+// map names in its first cell: "| `internal/name` | role |".
+var packageRow = regexp.MustCompile("^\\|\\s*`((?:internal|cmd)/[^`/]+)`\\s*\\|")
+
+// checkStalePackageRows is checkPackageMap in reverse: every package-map
+// row must name a package directory that exists.
+func checkStalePackageRows() []string {
+	arch, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		return []string{fmt.Sprintf("ARCHITECTURE.md: %v", err)}
+	}
+	var out []string
+	for _, line := range strings.Split(string(arch), "\n") {
+		m := packageRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+			out = append(out, fmt.Sprintf("ARCHITECTURE.md's package map names %s, which does not exist", m[1]))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// metricRow captures the metric a table row of cmd/README.md names in its
+// first cell, "| `binary_name_total` | meaning |" or with a label set or
+// a "(gauge)" note after the name, and the binary its prefix names.
+var metricRow = regexp.MustCompile("^\\|\\s*`(([a-z][a-z0-9]*)_[a-z0-9_]+)")
+
+// checkStaleMetricRows requires every metric row of cmd/README.md whose
+// prefix names a cmd/* binary to name a metric that binary's non-test
+// sources contain.
+func checkStaleMetricRows() []string {
+	guide, err := os.ReadFile("cmd/README.md")
+	if err != nil {
+		return []string{fmt.Sprintf("cmd/README.md: %v", err)}
+	}
+	srcs, out := binarySources()
+	for _, line := range strings.Split(string(guide), "\n") {
+		m := metricRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		src, ok := srcs[m[2]]
+		if ok && !strings.Contains(src, m[1]) {
+			out = append(out, fmt.Sprintf("cmd/README.md documents metric %s, which cmd/%s does not emit", m[1], m[2]))
 		}
 	}
 	sort.Strings(out)

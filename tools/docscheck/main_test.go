@@ -25,7 +25,7 @@ func none(t *testing.T, problems []string) {
 	}
 }
 
-// TestCleanFixturePasses: a tree that keeps all four documentation
+// TestCleanFixturePasses: a tree that keeps all six documentation
 // promises produces no findings from any check.
 func TestCleanFixturePasses(t *testing.T) {
 	t.Chdir("testdata/clean")
@@ -33,6 +33,8 @@ func TestCleanFixturePasses(t *testing.T) {
 	none(t, checkFlagCoverage())
 	none(t, checkStaleFlagRows())
 	none(t, checkPackageMap())
+	none(t, checkStalePackageRows())
+	none(t, checkStaleMetricRows())
 }
 
 // TestMissingDocCommentFails: an exported function of the public package
@@ -72,7 +74,22 @@ func TestMissingPackageMapEntryFails(t *testing.T) {
 	one(t, checkPackageMap(), "package internal/orphan is missing from ARCHITECTURE.md's package map")
 }
 
-// TestRealTreeIsClean runs all four checks against the actual repository
+// TestStalePackageRowFails: a package-map row naming a package that does
+// not exist is flagged; the rows naming existing packages are not.
+func TestStalePackageRowFails(t *testing.T) {
+	t.Chdir("testdata/stalepkg")
+	one(t, checkStalePackageRows(), "package map names internal/gone, which does not exist")
+}
+
+// TestStaleMetricRowFails: a metric row naming a metric its binary does
+// not emit is flagged; emitted metrics (with or without a label set),
+// another binary's metrics and rows whose prefix names no binary are not.
+func TestStaleMetricRowFails(t *testing.T) {
+	t.Chdir("testdata/stalemetric")
+	one(t, checkStaleMetricRows(), "documents metric tool_cache_hits_total, which cmd/tool does not emit")
+}
+
+// TestRealTreeIsClean runs all six checks against the actual repository
 // root, mirroring what `make docs-check` gates.
 func TestRealTreeIsClean(t *testing.T) {
 	t.Chdir("../..")
@@ -80,4 +97,6 @@ func TestRealTreeIsClean(t *testing.T) {
 	none(t, checkFlagCoverage())
 	none(t, checkStaleFlagRows())
 	none(t, checkPackageMap())
+	none(t, checkStalePackageRows())
+	none(t, checkStaleMetricRows())
 }
