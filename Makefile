@@ -69,14 +69,17 @@ codec-smoke:
 # mask kernels and structural joins allocate nothing in steady state, the
 # frame write path and the metered Local round trip stay within their
 # per-call budgets, formula constructors that fold to an existing operand
-# allocate nothing, a fragment visit of the site traversals allocates
-# per depth and per returned item, not per node, serializing a subtree
+# allocate nothing, a Stage-1 pass allocates per predicate, spine node
+# and virtual node, not per node, a fragment visit of the site
+# traversals allocates per depth and per returned item, not per node,
+# serializing a subtree
 # allocates exactly its output string, and decoding an answers section
 # costs the same few allocations (at most 3) for 1, 100 or 1 000 answers.
 alloc-smoke:
 	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
+	$(GO) test -run='TestQualPassAllocsPerSpine' ./internal/parbox
 	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 

@@ -181,28 +181,17 @@ func (a *Tree) ParentScatter(src, dst Bitset) {
 	})
 }
 
-// RankLen returns the length of the scratch slice StrictDescendants needs.
-func (a *Tree) RankLen() int { return a.n + 1 }
-
 // StrictDescendants computes into dst the set of nodes with at least one
-// strict descendant in src — the QDV aggregation — as an interval scan
-// over the columnar indices: rank becomes the prefix-popcount of src
-// (rank[i] = members of src below i), and node i has a member in its
-// subtree iff rank counts any set bit inside (i, SubtreeEnd[i]). rank must
-// have RankLen() entries; dst is overwritten; src and dst must not alias.
-func (a *Tree) StrictDescendants(src Bitset, rank []int32, dst Bitset) {
-	r := int32(0)
-	for i := 0; i < a.n; i++ {
-		rank[i] = r
-		if src.Get(i) {
-			r++
-		}
-	}
-	rank[a.n] = r
+// strict descendant in src — the QDV aggregation — as one reverse-preorder
+// fold: a node joins dst when one of its children is in src or already in
+// dst. Every child's index exceeds its parent's (preorder, kept by Splice),
+// so a node's children are all folded before the node itself is read. dst
+// is overwritten; src and dst must not alias.
+func (a *Tree) StrictDescendants(src, dst Bitset) {
 	dst.Zero()
-	for i := 0; i < a.n; i++ {
-		if end := a.SubtreeEnd[i]; int(end) > i+1 && rank[end] > rank[i+1] {
-			dst.Set(i)
+	for i := a.n - 1; i > 0; i-- {
+		if src.Get(i) || dst.Get(i) {
+			dst.Set(int(a.Parent[i]))
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package arena
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"paxq/internal/testutil"
@@ -131,7 +133,7 @@ func TestStructuralJoins(t *testing.T) {
 	parents := NewBitset(a.Len())
 	a.ParentScatter(src, parents)
 	desc := NewBitset(a.Len())
-	a.StrictDescendants(src, make([]int32, a.RankLen()), desc)
+	a.StrictDescendants(src, desc)
 	for i := 0; i < a.Len(); i++ {
 		if !a.Elements().Get(i) {
 			continue
@@ -149,6 +151,98 @@ func TestStructuralJoins(t *testing.T) {
 		}
 		if desc.Get(i) != wantDesc {
 			t.Errorf("StrictDescendants: node %d (%s) = %v, want %v", i, a.LabelOf(i), desc.Get(i), wantDesc)
+		}
+	}
+}
+
+// joinOracle computes both structural joins of src by walking the pointer
+// tree: parents[i] when some child of i is in src, desc[i] when some strict
+// descendant of i is.
+func joinOracle(tree *xmltree.Tree, src Bitset) (parents, desc []bool) {
+	parents = make([]bool, tree.Size())
+	desc = make([]bool, tree.Size())
+	// walk reports whether nd or any of its descendants is in src.
+	var walk func(nd *xmltree.Node) bool
+	walk = func(nd *xmltree.Node) bool {
+		for _, ch := range nd.Children {
+			if src.Get(int(ch.ID)) {
+				parents[nd.ID] = true
+			}
+			if walk(ch) {
+				desc[nd.ID] = true
+			}
+		}
+		return desc[nd.ID] || src.Get(int(nd.ID))
+	}
+	walk(tree.Root)
+	return parents, desc
+}
+
+// requireJoins checks ParentScatter and StrictDescendants of a against the
+// pointer-walk oracle over tree, whose NodeIDs must be a's indices.
+func requireJoins(t *testing.T, tag string, a *Tree, tree *xmltree.Tree, src Bitset) {
+	t.Helper()
+	wantParents, wantDesc := joinOracle(tree, src)
+	parents, desc := NewBitset(a.Len()), NewBitset(a.Len())
+	a.ParentScatter(src, parents)
+	a.StrictDescendants(src, desc)
+	for i := 0; i < a.Len(); i++ {
+		if parents.Get(i) != wantParents[i] {
+			t.Fatalf("%s: ParentScatter at %d = %v, want %v", tag, i, parents.Get(i), wantParents[i])
+		}
+		if desc.Get(i) != wantDesc[i] {
+			t.Fatalf("%s: StrictDescendants at %d = %v, want %v", tag, i, desc.Get(i), wantDesc[i])
+		}
+	}
+}
+
+// randomMask returns a mask over n nodes with each bit set with
+// probability density.
+func randomMask(r *rand.Rand, n int, density float64) Bitset {
+	m := NewBitset(n)
+	for i := 0; i < n; i++ {
+		if r.Float64() < density {
+			m.Set(i)
+		}
+	}
+	return m
+}
+
+// TestStructuralJoinsRandom holds both joins to the pointer-walk oracle
+// over random trees and random source masks, then over arenas produced by
+// chains of Splice edits: the reverse-preorder fold of StrictDescendants
+// relies on every child's index exceeding its parent's, which an edit must
+// preserve.
+func TestStructuralJoinsRandom(t *testing.T) {
+	densities := []float64{0, 0.02, 0.2, 0.7, 1}
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tree := testutil.RandomTree(seed, 5+int(seed)*12)
+		a := FromTree(tree)
+		for _, d := range densities {
+			requireJoins(t, fmt.Sprintf("seed %d density %.2f", seed, d), a, tree, randomMask(r, a.Len(), d))
+		}
+		for step := 0; step < 6; step++ {
+			op := uint8(r.Intn(3))
+			target := r.Intn(a.Len())
+			pos := 0
+			if nd := tree.Node(xmltree.NodeID(target)); nd != nil && len(nd.Children) > 0 {
+				pos = r.Intn(len(nd.Children) + 1)
+			}
+			const sub = `<x><y>1</y>t<z><y/></z></x>`
+			next, ok := applyPointerEdit(tree, op, target, pos, sub)
+			if !ok {
+				continue
+			}
+			spliced, err := applyKernel(a, op, target, pos, sub)
+			if err != nil {
+				t.Fatalf("seed %d step %d: kernel rejected a valid edit: %v", seed, step, err)
+			}
+			tree, a = next, spliced
+			for _, d := range densities {
+				requireJoins(t, fmt.Sprintf("seed %d step %d op %d density %.2f", seed, step, op%3, d),
+					a, tree, randomMask(r, a.Len(), d))
+			}
 		}
 	}
 }

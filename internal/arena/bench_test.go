@@ -31,7 +31,6 @@ func BenchmarkArenaKernelSweep(b *testing.B) {
 	n := a.Len()
 	src, dst, tmp := NewBitset(n), NewBitset(n), NewBitset(n)
 	src.CopyFrom(a.Elements())
-	rank := make([]int32, a.RankLen())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,6 +39,6 @@ func BenchmarkArenaKernelSweep(b *testing.B) {
 		tmp.SetNot(tmp, n)
 		tmp.SetAndNot(src, tmp)
 		a.ParentScatter(src, dst)
-		a.StrictDescendants(src, rank, dst)
+		a.StrictDescendants(src, dst)
 	}
 }

@@ -122,7 +122,7 @@ func TestKernelSweepAllocs(t *testing.T) {
 }
 
 // TestJoinAllocs caps allocations of the structural joins with
-// caller-supplied scratch.
+// caller-supplied destination masks.
 func TestJoinAllocs(t *testing.T) {
 	tree := buildComb(300)
 	a := FromTree(tree)
@@ -131,10 +131,9 @@ func TestJoinAllocs(t *testing.T) {
 		src.Set(i)
 	}
 	dst := NewBitset(a.Len())
-	rank := make([]int32, a.RankLen())
 	allocs := testing.AllocsPerRun(50, func() {
 		a.ParentScatter(src, dst)
-		a.StrictDescendants(src, rank, dst)
+		a.StrictDescendants(src, dst)
 	})
 	if allocs != 0 {
 		t.Fatalf("structural joins allocate %.1f times per run, want 0", allocs)

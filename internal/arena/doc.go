@@ -17,8 +17,8 @@
 // set with allocation-free AND/OR/NOT kernels, and the two structural
 // joins the vectorized evaluator needs: ParentScatter (which children sets
 // propagate to their parents — the QCV aggregation) and StrictDescendants
-// (an interval scan over [i+1, SubtreeEnd(i)) via a prefix-popcount rank
-// array — the QDV aggregation). See internal/parbox's vector evaluator and
+// (one reverse-preorder fold up the parent column, with no scratch — the
+// QDV aggregation). See internal/parbox's vector evaluator and
 // ARCHITECTURE.md, "Columnar site storage & vectorized Stage 1".
 //
 // A Tree is immutable after FromTree and safe for concurrent readers;

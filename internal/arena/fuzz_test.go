@@ -8,7 +8,8 @@ import (
 
 // FuzzArenaRoundTrip feeds arbitrary XML through the parser and asserts
 // FromTree/ToTree is the identity on everything that parses, with the
-// columnar structure indices agreeing with the pointer structure.
+// columnar structure indices agreeing with the pointer structure and the
+// structural joins agreeing with a pointer walk.
 func FuzzArenaRoundTrip(f *testing.F) {
 	f.Add("<a/>")
 	f.Add("<a><b>text</b><c/></a>")
@@ -39,5 +40,14 @@ func FuzzArenaRoundTrip(f *testing.F) {
 				t.Fatalf("node %d: SubtreeEnd %d out of range", i, a.SubtreeEnd[i])
 			}
 		}
+		// The structural joins agree with the pointer-walk oracle on a
+		// source mask the input chooses.
+		src := NewBitset(a.Len())
+		for i := 0; i < a.Len(); i++ {
+			if xml[i%len(xml)]&1 == 1 {
+				src.Set(i)
+			}
+		}
+		requireJoins(t, xml, a, tree, src)
 	})
 }

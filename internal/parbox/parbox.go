@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sync"
 
+	"paxq/internal/arena"
 	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
 	"paxq/internal/xmltree"
@@ -105,83 +106,39 @@ type RootVecs struct {
 }
 
 // FragQual is the in-memory state a site keeps for one fragment between
-// the qualifier pass and the later stages.
+// the qualifier pass and the later stages: the root vectors it ships, and
+// the value of every selection entry's qualifier at every real element,
+// read through QualAt. Off the spine those values are ground, so they are
+// kept as the pass's bit masks; only spine nodes carry formula rows.
 type FragQual struct {
 	Root RootVecs
-	// SelQual maps each real element node to the value of the qualifier of
-	// every selection entry at that node (nil formula for entries without a
-	// qualifier). Nil map when the query has no qualifiers.
-	SelQual map[xmltree.NodeID][]*boolexpr.Formula
 	// Work counts node×entry operations, the unit of the paper's
 	// computation-cost analysis.
 	Work int64
+
+	// selMasks holds, per selection entry with a qualifier, the entry's
+	// qualifier value at every non-spine real element (nil for entries
+	// without a qualifier, and nil altogether when the query has none).
+	selMasks []arena.Bitset
+	// rows holds the residual qualifier formulas of every selection entry
+	// at the nodes the masks cannot represent: the spine.
+	rows map[xmltree.NodeID][]*boolexpr.Formula
 }
 
-// EvalQualFragment runs the bottom-up qualifier pass (extended ParBoX) over
-// one fragment, node by node. It is the reference recurrence: sites run the
-// bit-packed pass (NewVectorState + FragQual), which vector_test.go holds
-// byte-identical to this one.
-func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *FragQual {
-	alg := FormulaAlg{}
-	nP := len(c.Preds)
-	out := &FragQual{}
-	needSel := c.HasQualifiers()
-	if needSel {
-		out.SelQual = make(map[xmltree.NodeID][]*boolexpr.Formula, f.Size())
+// QualAt returns the qualifier of selection entry e at node id, as a
+// residual formula over the fragment's virtual-node variables, or nil for
+// an entry without a qualifier. id must be a real element of the fragment:
+// mask bits at spine and virtual positions are meaningless, so rows are
+// consulted first and virtual nodes are never asked about. QualAt does not
+// allocate.
+func (q *FragQual) QualAt(id xmltree.NodeID, e int) *boolexpr.Formula {
+	if row, ok := q.rows[id]; ok {
+		return row[e]
 	}
-
-	// walk returns the QV and QDV rows of n.
-	var walk func(n *xmltree.Node) (qv, qdv []*boolexpr.Formula)
-	walk = func(n *xmltree.Node) ([]*boolexpr.Formula, []*boolexpr.Formula) {
-		if k, ok := f.VirtualAt(n.ID); ok {
-			qv := make([]*boolexpr.Formula, nP)
-			qdv := make([]*boolexpr.Formula, nP)
-			for p := 0; p < nP; p++ {
-				qv[p] = boolexpr.V(vs.QV(k, p))
-				qdv[p] = boolexpr.V(vs.QDV(k, p))
-			}
-			out.Work += int64(nP)
-			return qv, qdv
-		}
-		qcvRow := make([]*boolexpr.Formula, nP)
-		sdvRow := make([]*boolexpr.Formula, nP)
-		for p := 0; p < nP; p++ {
-			qcvRow[p] = boolexpr.False()
-			sdvRow[p] = boolexpr.False()
-		}
-		for _, ch := range n.Children {
-			if ch.Kind != xmltree.Element {
-				continue
-			}
-			cqv, cqdv := walk(ch)
-			for p := 0; p < nP; p++ {
-				qcvRow[p] = boolexpr.Or(qcvRow[p], cqv[p])
-				sdvRow[p] = boolexpr.Or(sdvRow[p], cqdv[p])
-			}
-		}
-		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
-		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
-		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, n, qcvAt, sdvAt, nil)
-		if needSel {
-			sq := make([]*boolexpr.Formula, len(c.Sel))
-			for i := range c.Sel {
-				e := &c.Sel[i]
-				if e.Kind == xpath.SelStep && e.Qual != nil {
-					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](alg, e.Qual, n, qcvAt, sdvAt)
-				}
-			}
-			out.SelQual[n.ID] = sq
-		}
-		qdvRow := make([]*boolexpr.Formula, nP)
-		for p := 0; p < nP; p++ {
-			qdvRow[p] = boolexpr.Or(row[p], sdvRow[p])
-		}
-		out.Work += int64(nP + len(c.Sel))
-		return row, qdvRow
+	if e >= len(q.selMasks) || q.selMasks[e] == nil {
+		return nil
 	}
-	qv, qdv := walk(f.Tree.Root)
-	out.Root = RootVecs{QV: qv, QDV: qdv}
-	return out
+	return boolexpr.Const(q.selMasks[e].Get(int(id)))
 }
 
 // ResolveQualVars performs the bottom-up half of Procedure evalFT: given
@@ -233,7 +190,7 @@ func EvalBoolean(ft *fragment.Fragmentation, c *xpath.Compiled) (bool, error) {
 		wg.Add(1)
 		go func(i int, f *fragment.Fragment) {
 			defer wg.Done()
-			quals[i] = EvalQualFragment(f, c, vs)
+			quals[i] = NewVectorState(f, c, vs).FragQual()
 		}(i, f)
 	}
 	wg.Wait()
@@ -253,8 +210,7 @@ func EvalBoolean(ft *fragment.Fragmentation, c *xpath.Compiled) (bool, error) {
 		// the root.
 		return true, nil
 	}
-	sq := quals[0].SelQual[rootFrag.Tree.Root.ID]
-	f := sq[1]
+	f := quals[0].QualAt(rootFrag.Tree.Root.ID, 1)
 	if f == nil {
 		return true, nil
 	}

@@ -89,54 +89,6 @@ func TestEvalBooleanRejectsSelectingQuery(t *testing.T) {
 	}
 }
 
-func TestEvalQualFragmentLeafIsGround(t *testing.T) {
-	// Leaf fragments have no virtual nodes, so their root vectors must
-	// contain no variables (paper: "vectors of leaf fragments ... contain
-	// no variables").
-	ft := fig1Fragmentation(t, 4, 3)
-	c := xpath.MustCompile(`[//stock/code = "GOOG" and //market/name = "NYSE"]`)
-	vs := NewVarScheme(c, ft.Len())
-	for _, f := range ft.Frags {
-		q := EvalQualFragment(f, c, vs)
-		if !f.IsLeaf() {
-			continue
-		}
-		for p := range q.Root.QV {
-			if q.Root.QV[p].HasVars() || q.Root.QDV[p].HasVars() {
-				t.Errorf("leaf fragment %d has variables in root vectors", f.ID)
-			}
-		}
-	}
-}
-
-func TestEvalQualFragmentVirtualVars(t *testing.T) {
-	// A fragment's root vectors may only mention variables of its direct
-	// sub-fragments.
-	ft := fig1Fragmentation(t, 5, 11)
-	c := xpath.MustCompile(`[//a[b]/c = "x"]`)
-	vs := NewVarScheme(c, ft.Len())
-	for _, f := range ft.Frags {
-		q := EvalQualFragment(f, c, vs)
-		allowed := map[boolexpr.Var]bool{}
-		for _, child := range f.Virtuals() {
-			for p := 0; p < vs.NumPreds; p++ {
-				allowed[vs.QV(child, p)] = true
-				allowed[vs.QDV(child, p)] = true
-			}
-		}
-		var vars []boolexpr.Var
-		for p := range q.Root.QV {
-			vars = q.Root.QV[p].Vars(vars)
-			vars = q.Root.QDV[p].Vars(vars)
-		}
-		for _, v := range vars {
-			if !allowed[v] {
-				t.Errorf("fragment %d mentions foreign variable %d", f.ID, v)
-			}
-		}
-	}
-}
-
 func TestResolveQualVarsMissingFragment(t *testing.T) {
 	vs := VarScheme{NumPreds: 1, NumSel: 2, NumFrags: 2}
 	roots := map[fragment.FragID]RootVecs{
@@ -186,16 +138,5 @@ func TestQuickParBoXVsCentralized(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkEvalQualFragment(b *testing.B) {
-	tr := testutil.RandomTree(5, 10000)
-	ft := fragment.Whole(tr)
-	c := xpath.MustCompile(`[//a[b = "x"]/c]`)
-	vs := NewVarScheme(c, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = EvalQualFragment(ft.Root(), c, vs)
 	}
 }

@@ -1,26 +1,34 @@
 // Vectorized Stage-1 qualifier pass over the columnar arena layout.
 //
-// The scalar pass (EvalQualFragment) walks *xmltree.Node pointers bottom-up
-// and builds residual formulas at every node. But boolexpr's smart
+// The scalar recurrence (EvalQualFragment, kept in scalar_test.go as the
+// oracle of the identity tests) walks *xmltree.Node pointers bottom-up and
+// builds residual formulas at every node. But boolexpr's smart
 // constructors constant-fold totally: wherever no virtual node lies below,
 // every intermediate formula collapses to the shared True/False singleton —
 // the formulas are booleans in disguise. The vectorized pass exploits this:
 // it computes the QV/QCV/QDV bits of every predicate as bit-packed masks
-// with word-at-a-time sweeps and interval-scan structural joins, and falls
-// back to the literal scalar recurrence only on the spine (the proper
-// ancestors of virtual nodes), substituting Const singletons for ground
-// sub-results. Because the spine recomputation performs exactly the same
-// constructor calls on an isomorphic pointer graph, the resulting FragQual
-// — root vectors, SelQual rows, Work ledger — is byte-identical on the wire
-// to the scalar pass, which the differential harness and the identity tests
-// in vector_test.go enforce.
+// with word-at-a-time sweeps and two structural joins (a parent scatter and
+// a reverse-preorder fold), and falls back to the literal scalar
+// recurrence only on the spine (the proper ancestors of virtual nodes),
+// folding Const singletons read from the masks for ground children.
+// Because the spine recomputation performs exactly the same constructor
+// calls on an isomorphic pointer graph, the resulting FragQual — root
+// vectors, QualAt at every real element, Work ledger — is byte-identical
+// on the wire to the scalar pass, which the differential harness and the
+// identity tests in vector_test.go enforce.
+//
+// The result is the masks plus spine rows. Off the spine every
+// selection-entry qualifier is a constant, so FragQual keeps the entries'
+// qualifier masks instead of a formula row per element, and builds rows
+// only for spine nodes: the pass allocates per predicate, per spine node
+// and per virtual node, never per node.
 //
 // Mask entries at spine and virtual positions are garbage (the masks cannot
 // represent "unknown"), but they are never read: a non-spine node has no
 // spine or virtual node in its subtree — if it had one it would be spine
 // itself — so every mask read that feeds a ground output pulls only from
-// non-spine positions, and spine outputs come from the symbolic
-// recomputation alone.
+// non-spine positions, spine outputs come from the symbolic recomputation
+// alone, and QualAt consults the spine rows before the masks.
 
 package parbox
 
@@ -127,7 +135,6 @@ func (e *VectorState) sweep() {
 	// Predicate masks in ascending order: the compiler appends a
 	// continuation (and any anchored predicate) before the predicate that
 	// references it, so every Pred mentions only smaller indices.
-	rank := make([]int32, at.RankLen())
 	for p := 0; p < nP; p++ {
 		pr := &e.c.Preds[p]
 		m := arena.NewBitset(n)
@@ -155,73 +162,56 @@ func (e *VectorState) sweep() {
 		}
 		e.qvM[p] = m
 		// The structural joins: QCV by scattering to parents, strict QDV by
-		// an interval scan over the subtree ranges.
+		// a reverse-preorder fold up the parent column.
 		e.qcvM[p] = arena.NewBitset(n)
 		at.ParentScatter(m, e.qcvM[p])
 		e.sdvM[p] = arena.NewBitset(n)
-		at.StrictDescendants(m, rank, e.sdvM[p])
+		at.StrictDescendants(m, e.sdvM[p])
 	}
 }
 
-// FragQual materializes the Stage-1 result from the state's masks: ground
-// SelQual rows straight from the masks, spine rows and root vectors from
-// the literal scalar recurrence.
+// FragQual materializes the Stage-1 result from the state's masks: the
+// selection-entry qualifier masks are kept as they are, and only the spine
+// gets formula rows and root vectors, from the literal scalar recurrence.
 func (e *VectorState) FragQual() *FragQual {
 	f, c, vs := e.f, e.c, e.vs
-	av, n := e.av, e.n
+	av := e.av
 	nP := len(c.Preds)
 	nSel := len(c.Sel)
-	qvM := e.qvM
+	qvM, sdvM := e.qvM, e.sdvM
 
 	out := &FragQual{}
 	needSel := c.HasQualifiers()
-	if needSel {
-		out.SelQual = make(map[xmltree.NodeID][]*boolexpr.Formula, f.Size())
-	}
 	// The Work ledger is value-independent: the scalar pass charges nP per
 	// virtual node and nP+len(Sel) per real element, whatever the data.
 	nVirt := f.NumVirtuals()
 	out.Work = int64(nVirt)*int64(nP) + int64(e.realElem.OnesCount())*int64(nP+nSel)
 
-	// Ground SelQual rows for every non-spine real element, straight from
-	// the selection-entry qualifier masks. The scalar pass produces exactly
-	// Const singletons at these nodes (total constant folding), so the rows
-	// are pointer-identical to its output.
+	// Off the spine the scalar pass produces exactly Const singletons for
+	// every selection-entry qualifier (total constant folding), so the
+	// entry's mask is its whole answer there; QualAt returns the same
+	// singletons the scalar rows held.
 	if needSel {
-		selMasks := make([]arena.Bitset, nSel)
+		out.selMasks = make([]arena.Bitset, nSel)
 		for i := range c.Sel {
 			se := &c.Sel[i]
 			if se.Kind == xpath.SelStep && se.Qual != nil {
-				selMasks[i] = e.mask(se.Qual)
+				out.selMasks[i] = e.mask(se.Qual)
 			}
 		}
-		ground := arena.NewBitset(n)
-		ground.SetAndNot(e.realElem, av.SpineMask)
-		ground.ForEachSet(func(i int) {
-			sq := make([]*boolexpr.Formula, nSel)
-			for s, sm := range selMasks {
-				if sm != nil {
-					sq[s] = boolexpr.Const(sm.Get(i))
-				}
-			}
-			out.SelQual[xmltree.NodeID(i)] = sq
-		})
+		out.rows = make(map[xmltree.NodeID][]*boolexpr.Formula, av.SpineMask.OnesCount())
 	}
 
-	// Spine recomputation: the literal scalar recurrence, with Const
-	// singletons substituted for ground children and fresh variable rows
-	// for virtual children — the same constructor calls the scalar pass
-	// makes, hence structurally identical formulas.
+	// Spine recomputation: the literal scalar recurrence, folding Const
+	// singletons from the masks for ground children and fresh variables for
+	// virtual children — the same constructor calls the scalar pass makes,
+	// hence structurally identical formulas.
 	alg := FormulaAlg{}
-	groundRow := func(id xmltree.NodeID) (qv, qdv []*boolexpr.Formula) {
-		qv = make([]*boolexpr.Formula, nP)
-		qdv = make([]*boolexpr.Formula, nP)
-		for p := 0; p < nP; p++ {
-			qb := qvM[p].Get(int(id))
-			qv[p] = boolexpr.Const(qb)
-			qdv[p] = boolexpr.Const(qb || e.sdvM[p].Get(int(id)))
-		}
-		return qv, qdv
+	// ground returns predicate p's QV and QDV at non-spine node i: the
+	// Const singletons of its mask bits.
+	ground := func(p, i int) (qv, qdv *boolexpr.Formula) {
+		qb := qvM[p].Get(i)
+		return boolexpr.Const(qb), boolexpr.Const(qb || sdvM[p].Get(i))
 	}
 	var spineWalk func(nd *xmltree.Node) (qv, qdv []*boolexpr.Formula)
 	spineWalk = func(nd *xmltree.Node) ([]*boolexpr.Formula, []*boolexpr.Formula) {
@@ -235,22 +225,24 @@ func (e *VectorState) FragQual() *FragQual {
 			if ch.Kind != xmltree.Element {
 				continue
 			}
-			var cqv, cqdv []*boolexpr.Formula
+			i := int(ch.ID)
 			if k, ok := f.VirtualAt(ch.ID); ok {
-				cqv = make([]*boolexpr.Formula, nP)
-				cqdv = make([]*boolexpr.Formula, nP)
 				for p := 0; p < nP; p++ {
-					cqv[p] = boolexpr.V(vs.QV(k, p))
-					cqdv[p] = boolexpr.V(vs.QDV(k, p))
+					qcvRow[p] = boolexpr.Or(qcvRow[p], boolexpr.V(vs.QV(k, p)))
+					sdvRow[p] = boolexpr.Or(sdvRow[p], boolexpr.V(vs.QDV(k, p)))
 				}
-			} else if av.SpineMask.Get(int(ch.ID)) {
-				cqv, cqdv = spineWalk(ch)
+			} else if av.SpineMask.Get(i) {
+				cqv, cqdv := spineWalk(ch)
+				for p := 0; p < nP; p++ {
+					qcvRow[p] = boolexpr.Or(qcvRow[p], cqv[p])
+					sdvRow[p] = boolexpr.Or(sdvRow[p], cqdv[p])
+				}
 			} else {
-				cqv, cqdv = groundRow(ch.ID)
-			}
-			for p := 0; p < nP; p++ {
-				qcvRow[p] = boolexpr.Or(qcvRow[p], cqv[p])
-				sdvRow[p] = boolexpr.Or(sdvRow[p], cqdv[p])
+				for p := 0; p < nP; p++ {
+					gqv, gqdv := ground(p, i)
+					qcvRow[p] = boolexpr.Or(qcvRow[p], gqv)
+					sdvRow[p] = boolexpr.Or(sdvRow[p], gqdv)
+				}
 			}
 		}
 		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
@@ -264,7 +256,7 @@ func (e *VectorState) FragQual() *FragQual {
 					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](alg, se.Qual, nd, qcvAt, sdvAt)
 				}
 			}
-			out.SelQual[nd.ID] = sq
+			out.rows[nd.ID] = sq
 		}
 		qdvRow := make([]*boolexpr.Formula, nP)
 		for p := 0; p < nP; p++ {
@@ -277,12 +269,17 @@ func (e *VectorState) FragQual() *FragQual {
 	if av.SpineMask.Get(int(root.ID)) {
 		qv, qdv := spineWalk(root)
 		out.Root = RootVecs{QV: qv, QDV: qdv}
-	} else {
-		// No virtual below the root (the root cannot itself be virtual:
-		// virtuals only stand in for sub-fragments inside a parent
-		// fragment's tree) — the whole fragment is ground.
-		qv, qdv := groundRow(root.ID)
-		out.Root = RootVecs{QV: qv, QDV: qdv}
+		return out
 	}
+	// No virtual below the root (the root cannot itself be virtual:
+	// virtuals only stand in for sub-fragments inside a parent fragment's
+	// tree) — the whole fragment is ground, and its root rows come
+	// straight from the masks.
+	qv := make([]*boolexpr.Formula, nP)
+	qdv := make([]*boolexpr.Formula, nP)
+	for p := 0; p < nP; p++ {
+		qv[p], qdv[p] = ground(p, int(root.ID))
+	}
+	out.Root = RootVecs{QV: qv, QDV: qdv}
 	return out
 }

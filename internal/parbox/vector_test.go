@@ -34,9 +34,11 @@ func shipBytes(rv RootVecs, simplify bool) [][]byte {
 }
 
 // requireIdentical asserts the vector pass reproduced the scalar pass
-// byte-for-byte: root vectors (raw and simplified encodings), SelQual rows
-// and the Work ledger.
-func requireIdentical(t *testing.T, tag string, want, got *FragQual) {
+// byte-for-byte: root vectors (raw and simplified encodings), the
+// qualifier of every selection entry at every real element read through
+// QualAt, and the Work ledger. It also holds the vector pass to its shape:
+// formula rows on the spine only.
+func requireIdentical(t *testing.T, tag string, f *fragment.Fragment, c *xpath.Compiled, want, got *FragQual) {
 	t.Helper()
 	if got.Work != want.Work {
 		t.Fatalf("%s: Work = %d, scalar %d", tag, got.Work, want.Work)
@@ -51,32 +53,28 @@ func requireIdentical(t *testing.T, tag string, want, got *FragQual) {
 			}
 		}
 	}
-	if (want.SelQual == nil) != (got.SelQual == nil) {
-		t.Fatalf("%s: SelQual nil-ness: scalar %v, vector %v", tag, want.SelQual == nil, got.SelQual == nil)
+	wantRows := 0
+	if c.HasQualifiers() {
+		wantRows = f.Arena().SpineMask.OnesCount()
 	}
-	if len(got.SelQual) != len(want.SelQual) {
-		t.Fatalf("%s: SelQual has %d rows, scalar %d", tag, len(got.SelQual), len(want.SelQual))
+	if len(got.rows) != wantRows {
+		t.Fatalf("%s: vector pass keeps %d formula rows, want %d (one per spine node)", tag, len(got.rows), wantRows)
 	}
-	for id, wrow := range want.SelQual {
-		grow, ok := got.SelQual[id]
-		if !ok {
-			t.Fatalf("%s: SelQual missing node %d", tag, id)
+	f.Tree.Walk(func(n *xmltree.Node) bool {
+		if _, virtual := f.VirtualAt(n.ID); n.Kind != xmltree.Element || virtual {
+			return true
 		}
-		if len(grow) != len(wrow) {
-			t.Fatalf("%s: SelQual[%d] has %d entries, scalar %d", tag, id, len(grow), len(wrow))
-		}
-		for e := range wrow {
-			if (wrow[e] == nil) != (grow[e] == nil) {
-				t.Fatalf("%s: SelQual[%d][%d] nil-ness diverges", tag, id, e)
+		for e := range c.Sel {
+			wq, gq := want.QualAt(n.ID, e), got.QualAt(n.ID, e)
+			if (wq == nil) != (gq == nil) {
+				t.Fatalf("%s: QualAt(%d, %d) nil-ness: scalar %v, vector %v", tag, n.ID, e, wq == nil, gq == nil)
 			}
-			if wrow[e] == nil {
-				continue
-			}
-			if !bytes.Equal(boolexpr.Encode(wrow[e]), boolexpr.Encode(grow[e])) {
-				t.Fatalf("%s: SelQual[%d][%d] diverges: scalar %v, vector %v", tag, id, e, wrow[e], grow[e])
+			if wq != nil && !bytes.Equal(boolexpr.Encode(wq), boolexpr.Encode(gq)) {
+				t.Fatalf("%s: QualAt(%d, %d) diverges: scalar %v, vector %v", tag, n.ID, e, wq, gq)
 			}
 		}
-	}
+		return true
+	})
 }
 
 func checkQuery(t *testing.T, ft *fragment.Fragmentation, query string) {
@@ -89,7 +87,7 @@ func checkQuery(t *testing.T, ft *fragment.Fragmentation, query string) {
 	for _, f := range ft.Frags {
 		want := EvalQualFragment(f, c, vs)
 		got := NewVectorState(f, c, vs).FragQual()
-		requireIdentical(t, query, want, got)
+		requireIdentical(t, query, f, c, want, got)
 	}
 }
 
@@ -179,4 +177,56 @@ func TestVectorDeepSpine(t *testing.T) {
 	checkQuery(t, ft, "//a[b[a > 3]]")
 	checkQuery(t, ft, "//b[not(a)]")
 	checkQuery(t, ft, `//a[. = "7"]`)
+}
+
+// TestQualPassAllocsPerSpine is the counted property of the Stage-1 pass:
+// NewVectorState + FragQual allocates per predicate mask, per spine node
+// and per virtual node, never per node. Three XMark documents up to forty
+// times apart, each cut at every people and open_auctions into nine
+// fragments, must all stay under allocs ≤ a·|Q|·(spine + virtuals) + b·|Q|;
+// a pass that keeps a row per element breaks the bound on the larger
+// documents by orders of magnitude.
+func TestQualPassAllocsPerSpine(t *testing.T) {
+	const (
+		perSpine = 2 // a: rows, variables and Or nodes per entry per spine or virtual node
+		perEntry = 8 // b: masks per entry
+	)
+	queries := []string{
+		`/sites/site/people/person[profile/age > 20 and address/country = "US"]/creditcard`,
+		`/sites//people/person[profile/age > 20 and address/country = "US"]/creditcard`,
+		`//open_auction[bidder]//date`,
+		`//item/name`,
+	}
+	cal := xmark.Calibrate()
+	for _, mb := range []float64{0.05, 0.5, 2} {
+		tr := xmark.Generate(4, cal.SpecForBytes(int(mb*1e6/4)), 1)
+		var cuts []xmltree.NodeID
+		tr.Walk(func(n *xmltree.Node) bool {
+			if n.Label == "people" || n.Label == "open_auctions" {
+				cuts = append(cuts, n.ID)
+			}
+			return true
+		})
+		ft, err := fragment.Cut(tr, cuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range queries {
+			c := xpath.MustCompile(query)
+			q := len(c.Sel) + len(c.Preds)
+			vs := NewVarScheme(c, ft.Len())
+			for _, f := range ft.Frags {
+				f.Arena() // built once per fragment, outside the counted pass
+				spine := f.Arena().SpineMask.OnesCount()
+				bound := float64(perSpine*q*(spine+f.NumVirtuals()) + perEntry*q)
+				allocs := testing.AllocsPerRun(3, func() {
+					NewVectorState(f, c, vs).FragQual()
+				})
+				if allocs > bound {
+					t.Errorf("%.2f MB frag %d (%d nodes, spine %d, virtuals %d) %s: %.0f allocs, bound %.0f",
+						mb, f.ID, f.Size(), spine, f.NumVirtuals(), query, allocs, bound)
+				}
+			}
+		}
+	}
 }

@@ -90,7 +90,7 @@ func TestTraversalAllocsPerFragment(t *testing.T) {
 				fq := parbox.NewVectorState(f, c, vs).FragQual()
 				env := boolexpr.NewEnv()
 				qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula {
-					return env.Resolve(fq.SelQual[n.ID][entry])
+					return env.Resolve(fq.QualAt(n.ID, entry))
 				}
 				var sel *selOutcome
 				allocs := testing.AllocsPerRun(3, func() {

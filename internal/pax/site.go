@@ -362,7 +362,7 @@ type qualPassResult struct {
 // simplifier across the fragment's root vectors: QV and QDV entries share
 // sub-structure heavily, so interning across the pair shrinks the shipped
 // bytes the most.
-func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbox.FragQual) WireRootVecs {
+func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, c *xpath.Compiled, fq *parbox.FragQual) WireRootVecs {
 	sim := boolexpr.NewSimplifier()
 	rv := WireRootVecs{
 		Frag: fid,
@@ -372,10 +372,10 @@ func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, fq *parbox.FragQual
 	// The root fragment also reports its root node's selection-entry
 	// qualifier values, enabling the one-visit ParBoX protocol for
 	// Boolean queries.
-	if fid == fragment.RootFrag && fq.SelQual != nil {
-		sq := fq.SelQual[f.Tree.Root.ID]
-		enc := make(WireVec, len(sq))
-		for i, fm := range sq {
+	if fid == fragment.RootFrag && c.HasQualifiers() {
+		enc := make(WireVec, len(c.Sel))
+		for i := range enc {
+			fm := fq.QualAt(f.Tree.Root.ID, i)
 			if fm == nil {
 				fm = boolexpr.True()
 			}
@@ -400,7 +400,7 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (qualOut, error) {
 		f := sess.frags[fid]
 		fq := parbox.NewVectorState(f, sess.c, sess.vs).FragQual()
-		return qualOut{rv: shipRootVecs(fid, f, fq), fq: fq}, nil
+		return qualOut{rv: shipRootVecs(fid, f, sess.c, fq), fq: fq}, nil
 	})
 	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
 	if err != nil {
@@ -518,7 +518,7 @@ func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 			return nil, fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, req.QID)
 		}
 		qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula {
-			return env.Resolve(fq.SelQual[n.ID][entry])
+			return env.Resolve(fq.QualAt(n.ID, entry))
 		}
 		return evalSelection(f, sess.c, init, req.ShipXML, qualAt), nil
 	})
