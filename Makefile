@@ -70,7 +70,9 @@ codec-smoke:
 # frame write path and the metered Local round trip stay within their
 # per-call budgets, formula constructors that fold to an existing operand
 # allocate nothing, a Stage-1 pass allocates per predicate, spine node
-# and virtual node, not per node, a fragment visit of the site
+# and virtual node, not per node, and builds each predicate's QV, QCV
+# and QDV masks in one allocation without copying anchored operands, a
+# fragment visit of the site
 # traversals allocates per depth and per returned item, not per node,
 # serializing a subtree
 # allocates exactly its output string, and decoding an answers section
@@ -79,7 +81,7 @@ alloc-smoke:
 	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
-	$(GO) test -run='TestQualPassAllocsPerSpine' ./internal/parbox
+	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs' ./internal/parbox
 	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 

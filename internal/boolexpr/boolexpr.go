@@ -11,7 +11,7 @@ import (
 // Var identifies a Boolean variable. Variable identity is global within a
 // query evaluation; the mapping from a Var to its meaning (which fragment,
 // which vector, which entry) is maintained by the caller, typically through
-// an Allocator.
+// a deterministic naming scheme such as parbox.VarScheme.
 type Var int32
 
 // NoVar is the zero Var and is never allocated.

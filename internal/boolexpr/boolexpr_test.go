@@ -194,21 +194,6 @@ func TestEnvRebindConflictError(t *testing.T) {
 	}
 }
 
-func TestMustBindPanicsOnConflict(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("MustBind on a conflict must panic")
-		}
-		if err, ok := r.(error); !ok || !errors.Is(err, ErrInconsistent) {
-			t.Fatalf("panic value = %v, want an ErrInconsistent-wrapping error", r)
-		}
-	}()
-	e := NewEnv()
-	e.MustBind(1, True())
-	e.MustBind(1, False())
-}
-
 func TestEnvCycleDetection(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -246,33 +231,6 @@ func TestMustResolveConstPanicsOnOpen(t *testing.T) {
 		}
 	}()
 	NewEnv().MustResolveConst(V(7))
-}
-
-func TestAllocator(t *testing.T) {
-	a := NewAllocator()
-	v1, v2 := a.Fresh(), a.Fresh()
-	if v1 == v2 || v1 == NoVar || v2 == NoVar {
-		t.Fatalf("fresh vars not distinct: %d %d", v1, v2)
-	}
-	vec := a.FreshVec(5)
-	if len(vec) != 5 {
-		t.Fatal("FreshVec length")
-	}
-	seen := map[Var]bool{v1: true, v2: true}
-	for _, f := range vec {
-		v := f.Variable()
-		if seen[v] {
-			t.Fatal("duplicate fresh var")
-		}
-		seen[v] = true
-	}
-	if a.Count() != 7 {
-		t.Fatalf("Count = %d", a.Count())
-	}
-	var zero Allocator
-	if zero.Fresh() == NoVar {
-		t.Fatal("zero allocator must still produce valid vars")
-	}
 }
 
 func TestSize(t *testing.T) {

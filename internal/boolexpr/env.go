@@ -44,16 +44,6 @@ func (e *Env) Bind(v Var, f *Formula) error {
 	return nil
 }
 
-// MustBind is Bind for call sites whose variables are fresh by
-// construction (allocator-issued, never previously bound), where a
-// conflict is a programming error and not a data condition: it panics on
-// the error Bind would return.
-func (e *Env) MustBind(v Var, f *Formula) {
-	if err := e.Bind(v, f); err != nil {
-		panic(err)
-	}
-}
-
 // BindConst binds v to the constant b, with Bind's conflict semantics.
 func (e *Env) BindConst(v Var, b bool) error { return e.Bind(v, Const(b)) }
 
@@ -161,74 +151,4 @@ func (e *Env) MustResolveConst(f *Formula) bool {
 		panic(fmt.Errorf("%w: formula not ground after resolution: %v", ErrInconsistent, r))
 	}
 	return val
-}
-
-// Allocator hands out fresh variables. It is used once per distributed query
-// evaluation so that variables introduced by different fragments never
-// collide. The zero value is ready to use but callers normally share one
-// allocator through NewAllocator.
-type Allocator struct {
-	next Var
-	slab []Formula // unused tail of FreshV's current chunk
-}
-
-// freshVChunk is how many variable formulas FreshV carves from one
-// allocation.
-const freshVChunk = 32
-
-// NewAllocator returns an allocator whose first variable is 1.
-func NewAllocator() *Allocator { return &Allocator{next: 1} }
-
-// NewAllocatorFrom returns an allocator whose first variable is start.
-// Used to carve private variable ranges disjoint from a deterministic
-// naming scheme (e.g. PaX2's locally-bound qualifier placeholders).
-func NewAllocatorFrom(start Var) *Allocator {
-	if start <= 0 {
-		start = 1
-	}
-	return &Allocator{next: start}
-}
-
-// Fresh returns a previously unused variable.
-func (a *Allocator) Fresh() Var {
-	if a.next == 0 {
-		a.next = 1
-	}
-	v := a.next
-	a.next++
-	return v
-}
-
-// FreshV returns a previously unused variable as a formula, equivalent to
-// V(a.Fresh()). The formulas are carved from chunks of one backing array,
-// so a traversal that introduces a placeholder at many nodes allocates per
-// chunk rather than per variable. A chunk stays reachable while any of its
-// formulas is, which suits variables that are resolved away before the
-// traversal's results leave it.
-func (a *Allocator) FreshV() *Formula {
-	if len(a.slab) == 0 {
-		a.slab = make([]Formula, freshVChunk)
-	}
-	f := &a.slab[0]
-	a.slab = a.slab[1:]
-	*f = Formula{op: OpVar, v: a.Fresh()}
-	return f
-}
-
-// FreshVec returns n previously unused variables as formulas, one per vector
-// entry of a virtual node.
-func (a *Allocator) FreshVec(n int) []*Formula {
-	out := make([]*Formula, n)
-	for i := range out {
-		out[i] = V(a.Fresh())
-	}
-	return out
-}
-
-// Count returns how many variables have been allocated.
-func (a *Allocator) Count() int {
-	if a.next == 0 {
-		return 0
-	}
-	return int(a.next) - 1
 }

@@ -88,6 +88,27 @@ type DiffResult struct {
 	MaxVisitsPaX3  int
 	MaxVisitsPaX2  int
 	FailureDetails []string // first few failures, for the test log
+	// Wire sums the primary runs' shipped bytes per variant, so a test can
+	// pin the corpus's traffic exactly.
+	Wire map[Variant]WireBytes
+}
+
+// Variant is the (algorithm, annotations) combination a case runs under.
+type Variant struct {
+	Alg pax.Algorithm
+	XA  bool
+}
+
+// WireBytes is a byte total in each direction of the transport.
+type WireBytes struct{ Sent, Recv int64 }
+
+// addWire adds one run's bytes to v's total.
+func (r *DiffResult) addWire(v Variant, sent, recv int64) {
+	if r.Wire == nil {
+		r.Wire = make(map[Variant]WireBytes)
+	}
+	w := r.Wire[v]
+	r.Wire[v] = WireBytes{Sent: w.Sent + sent, Recv: w.Recv + recv}
 }
 
 // Merge folds other into r.
@@ -107,6 +128,9 @@ func (r *DiffResult) Merge(other *DiffResult) {
 	}
 	if other.MaxVisitsPaX2 > r.MaxVisitsPaX2 {
 		r.MaxVisitsPaX2 = other.MaxVisitsPaX2
+	}
+	for v, w := range other.Wire {
+		r.addWire(v, w.Sent, w.Recv)
 	}
 	if len(r.FailureDetails) < 10 {
 		r.FailureDetails = append(r.FailureDetails, other.FailureDetails...)
@@ -339,6 +363,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 					continue
 				}
 				res.Cases++
+				res.addWire(Variant{Alg: alg, XA: ann}, got.BytesSent, got.BytesRecv)
 				if !testutil.EqualIDs(origAnswerIDs(ft, got.Answers), want) {
 					res.Mismatches++
 					fail("seed %d %s %v(XA=%v) %q: %d answers, centralized %d", seed, opts.Transport, alg, ann, query, len(got.Answers), len(want))

@@ -2,7 +2,10 @@ package harness
 
 import (
 	"context"
+	"maps"
 	"testing"
+
+	"paxq/internal/pax"
 )
 
 // requireClean fails the test with the first recorded failure details if
@@ -38,7 +41,8 @@ func requireBatchCorpus(t *testing.T, res *DiffResult) {
 // the in-process transport, with the per-site visit bound asserted for
 // every single evaluation, parallel site evaluation cross-checked against
 // sequential (answers, visit counts and byte totals must match exactly),
-// and every case replayed on a batching twin.
+// every case replayed on a batching twin, and the bytes shipped per
+// (algorithm, annotations) variant pinned.
 func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
 		Transport:       DiffLocal,
@@ -53,6 +57,17 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 		t.Errorf("corpus covered %d (tree, query, fragmentation) triples, want >= 100", res.Triples)
 	}
 	requireBatchCorpus(t, res)
+	// A change to how sites build or ship formulas moves these totals, and
+	// must move them here on purpose.
+	wantWire := map[Variant]WireBytes{
+		{Alg: pax.PaX3}:           {Sent: 20438, Recv: 29010},
+		{Alg: pax.PaX3, XA: true}: {Sent: 16613, Recv: 24467},
+		{Alg: pax.PaX2}:           {Sent: 12192, Recv: 27638},
+		{Alg: pax.PaX2, XA: true}: {Sent: 9355, Recv: 21310},
+	}
+	if !maps.Equal(res.Wire, wantWire) {
+		t.Errorf("shipped bytes per variant = %v, want %v", res.Wire, wantWire)
+	}
 }
 
 // TestDifferentialTCPSeedCorpus runs the same fixed corpus over real TCP

@@ -90,13 +90,6 @@ func (s VarScheme) SV(k fragment.FragID, entry int) boolexpr.Var {
 	return boolexpr.Var(1 + int(k)*s.stride() + 2*s.NumPreds + entry)
 }
 
-// LocalBase returns the first variable beyond every fragment block; local
-// (never shipped) variables, such as PaX2's lazily-bound qualifier
-// placeholders, are allocated from here up.
-func (s VarScheme) LocalBase() boolexpr.Var {
-	return boolexpr.Var(1 + s.NumFrags*s.stride())
-}
-
 // RootVecs is the partial answer a fragment reports after its bottom-up
 // qualifier pass: the QV and QDV rows of its root, as residual formulas
 // over the variables of its own virtual nodes.

@@ -81,8 +81,9 @@ func termHolds(at *arena.Tree, i int, term xpath.TermKind, op xpath.CmpOp, str s
 }
 
 // mask computes the node mask of a compiled qualifier — EvalQExpr with
-// bit-parallel AND/OR/NOT in place of formula constructors. Entries outside
-// realElem may be garbage; callers read ground positions only.
+// bit-parallel AND/OR/NOT in place of formula constructors — into a fresh
+// bitset. Entries outside realElem may be garbage; callers read ground
+// positions only.
 func (e *VectorState) mask(q xpath.QExpr) arena.Bitset {
 	m := arena.NewBitset(e.n)
 	switch q := q.(type) {
@@ -95,27 +96,41 @@ func (e *VectorState) mask(q xpath.QExpr) arena.Bitset {
 			}
 		})
 	case *xpath.QAnchor:
-		if q.Axis == xpath.AxisChild {
-			m.CopyFrom(e.qcvM[q.Pred])
-		} else {
-			m.CopyFrom(e.sdvM[q.Pred])
-		}
+		m.CopyFrom(e.anchor(q))
 	case *xpath.QNot:
-		m.SetNot(e.mask(q.X), e.n)
+		m.SetNot(e.operand(q.X), e.n)
 	case *xpath.QAnd:
 		m.Fill(e.n)
 		for _, x := range q.Xs {
-			m.SetAnd(m, e.mask(x))
+			m.SetAnd(m, e.operand(x))
 		}
 	case *xpath.QOr:
 		for _, x := range q.Xs {
-			m.SetOr(m, e.mask(x))
+			m.SetOr(m, e.operand(x))
 		}
 	default:
 		//paxlint:allow nopanic(unreachable: the compiler produces only the QExpr kinds handled above)
 		panic("parbox: unknown QExpr")
 	}
 	return m
+}
+
+// anchor returns the mask an anchored qualifier reads: the QCV or strict
+// QDV mask of its predicate, which the caller must not modify.
+func (e *VectorState) anchor(q *xpath.QAnchor) arena.Bitset {
+	if q.Axis == xpath.AxisChild {
+		return e.qcvM[q.Pred]
+	}
+	return e.sdvM[q.Pred]
+}
+
+// operand is q's mask as a read-only operand: an anchor's mask itself, so
+// combining it costs no copy, or a fresh mask for any other qualifier.
+func (e *VectorState) operand(q xpath.QExpr) arena.Bitset {
+	if a, ok := q.(*xpath.QAnchor); ok {
+		return e.anchor(a)
+	}
+	return e.mask(q)
 }
 
 // sweep computes every predicate mask from scratch — the mask-building
@@ -132,12 +147,18 @@ func (e *VectorState) sweep() {
 	// base mask therefore starts from real elements only.
 	e.realElem.SetAndNot(at.Elements(), e.av.VirtualMask)
 
+	w := len(e.realElem) // words per mask
 	// Predicate masks in ascending order: the compiler appends a
 	// continuation (and any anchored predicate) before the predicate that
 	// references it, so every Pred mentions only smaller indices.
 	for p := 0; p < nP; p++ {
 		pr := &e.c.Preds[p]
-		m := arena.NewBitset(n)
+		// One allocation per predicate, carved into its QV, QCV and
+		// strict-QDV masks.
+		buf := make(arena.Bitset, 3*w)
+		m := buf[:w:w]
+		e.qcvM[p] = buf[w : 2*w : 2*w]
+		e.sdvM[p] = buf[2*w:]
 		if pr.Test.Wild {
 			m.CopyFrom(e.realElem)
 		} else {
@@ -151,7 +172,7 @@ func (e *VectorState) sweep() {
 			})
 		}
 		if pr.Qual != nil {
-			m.SetAnd(m, e.mask(pr.Qual))
+			m.SetAnd(m, e.operand(pr.Qual))
 		}
 		if pr.HasNext() {
 			if pr.NextAxis == xpath.AxisChild {
@@ -163,9 +184,7 @@ func (e *VectorState) sweep() {
 		e.qvM[p] = m
 		// The structural joins: QCV by scattering to parents, strict QDV by
 		// a reverse-preorder fold up the parent column.
-		e.qcvM[p] = arena.NewBitset(n)
 		at.ParentScatter(m, e.qcvM[p])
-		e.sdvM[p] = arena.NewBitset(n)
 		at.StrictDescendants(m, e.sdvM[p])
 	}
 }

@@ -2,6 +2,7 @@ package parbox
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"paxq/internal/boolexpr"
@@ -179,18 +180,12 @@ func TestVectorDeepSpine(t *testing.T) {
 	checkQuery(t, ft, `//a[. = "7"]`)
 }
 
-// TestQualPassAllocsPerSpine is the counted property of the Stage-1 pass:
-// NewVectorState + FragQual allocates per predicate mask, per spine node
-// and per virtual node, never per node. Three XMark documents up to forty
+// passAllocs measures one NewVectorState + FragQual per fragment and
+// query over the allocation ladder: three XMark documents up to forty
 // times apart, each cut at every people and open_auctions into nine
-// fragments, must all stay under allocs ≤ a·|Q|·(spine + virtuals) + b·|Q|;
-// a pass that keeps a row per element breaks the bound on the larger
-// documents by orders of magnitude.
-func TestQualPassAllocsPerSpine(t *testing.T) {
-	const (
-		perSpine = 2 // a: rows, variables and Or nodes per entry per spine or virtual node
-		perEntry = 8 // b: masks per entry
-	)
+// fragments. check receives each measurement.
+func passAllocs(t *testing.T, check func(tag string, f *fragment.Fragment, c *xpath.Compiled, allocs float64)) {
+	t.Helper()
 	queries := []string{
 		`/sites/site/people/person[profile/age > 20 and address/country = "US"]/creditcard`,
 		`/sites//people/person[profile/age > 20 and address/country = "US"]/creditcard`,
@@ -213,20 +208,68 @@ func TestQualPassAllocsPerSpine(t *testing.T) {
 		}
 		for _, query := range queries {
 			c := xpath.MustCompile(query)
-			q := len(c.Sel) + len(c.Preds)
 			vs := NewVarScheme(c, ft.Len())
 			for _, f := range ft.Frags {
 				f.Arena() // built once per fragment, outside the counted pass
-				spine := f.Arena().SpineMask.OnesCount()
-				bound := float64(perSpine*q*(spine+f.NumVirtuals()) + perEntry*q)
 				allocs := testing.AllocsPerRun(3, func() {
 					NewVectorState(f, c, vs).FragQual()
 				})
-				if allocs > bound {
-					t.Errorf("%.2f MB frag %d (%d nodes, spine %d, virtuals %d) %s: %.0f allocs, bound %.0f",
-						mb, f.ID, f.Size(), spine, f.NumVirtuals(), query, allocs, bound)
-				}
+				tag := fmt.Sprintf("%.2f MB frag %d (%d nodes, spine %d, virtuals %d) %s",
+					mb, f.ID, f.Size(), f.Arena().SpineMask.OnesCount(), f.NumVirtuals(), query)
+				check(tag, f, c, allocs)
 			}
 		}
 	}
+}
+
+// TestQualPassAllocsPerSpine is the counted property of the Stage-1 pass:
+// NewVectorState + FragQual allocates per predicate mask, per spine node
+// and per virtual node, never per node. Every fragment of the ladder must
+// stay under allocs ≤ a·|Q|·(spine + virtuals) + b·|Q|; a pass that keeps
+// a row per element breaks the bound on the larger documents by orders of
+// magnitude.
+func TestQualPassAllocsPerSpine(t *testing.T) {
+	const (
+		perSpine = 2 // a: rows, variables and Or nodes per entry per spine or virtual node
+		perEntry = 8 // b: masks per entry
+	)
+	passAllocs(t, func(tag string, f *fragment.Fragment, c *xpath.Compiled, allocs float64) {
+		q := len(c.Sel) + len(c.Preds)
+		spine := f.Arena().SpineMask.OnesCount()
+		if bound := float64(perSpine*q*(spine+f.NumVirtuals()) + perEntry*q); allocs > bound {
+			t.Errorf("%s: %.0f allocs, bound %.0f", tag, allocs, bound)
+		}
+	})
+}
+
+// TestMaskPassAllocs counts the mask half of the Stage-1 pass exactly
+// enough to see a mask allocated twice: each predicate's QV, QCV and
+// strict-QDV masks share one allocation, an anchored operand is combined
+// in place instead of copied, and only a selection entry's qualifier mask,
+// which a session keeps, is a mask of its own. Every fragment of the
+// ladder must stay under
+// allocs ≤ a·|Preds| + b·|qualified Sel| + c·(|Preds|+1)·(spine + virtuals) + d.
+// The fragments without virtuals have no spine term, so there a pass that
+// allocates three masks per predicate, or copies an anchor, breaks the
+// bound.
+func TestMaskPassAllocs(t *testing.T) {
+	const (
+		perPred  = 2 // a: the predicate's mask triple, and its qualifier's mask when compound
+		perSel   = 2 // b: the entry's qualifier mask, and one nested compound mask
+		perSpine = 4 // c: rows and formula nodes per predicate per spine or virtual node
+		fixed    = 9 // d: the state, base mask and result, the mask tables and the root vectors
+	)
+	passAllocs(t, func(tag string, f *fragment.Fragment, c *xpath.Compiled, allocs float64) {
+		qualified := 0
+		for _, se := range c.Sel {
+			if se.Kind == xpath.SelStep && se.Qual != nil {
+				qualified++
+			}
+		}
+		spine := f.Arena().SpineMask.OnesCount()
+		bound := float64(perPred*len(c.Preds) + perSel*qualified + perSpine*(len(c.Preds)+1)*(spine+f.NumVirtuals()) + fixed)
+		if allocs > bound {
+			t.Errorf("%s: %.0f allocs, bound %.0f", tag, allocs, bound)
+		}
+	})
 }

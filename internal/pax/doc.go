@@ -5,8 +5,7 @@
 //     selection-path evaluation, candidate resolution — visiting each site
 //     at most three times.
 //   - PaX2 (§4): qualifier and selection evaluation combined into a single
-//     traversal per fragment with lazily-bound qualifier variables,
-//     visiting each site at most twice.
+//     visit per fragment, visiting each site at most twice.
 //   - The §5 optimization: XPath-annotated fragment trees used to prune
 //     irrelevant fragments and, for qualifier-free queries, to seed
 //     traversal stacks with concrete values so the final visit is skipped.
@@ -41,7 +40,11 @@
 // in parallel. Stage 1 is one evaluator, the bit-packed pass over the
 // fragment's arena view (parbox.NewVectorState + FragQual); a fragment's
 // Stage-1 state is its qualifier masks plus formula rows for its spine,
-// and the selection stage reads it through FragQual.QualAt. Before
+// and the selection stage reads it through FragQual.QualAt. PaX2's
+// combined visit is the same two evaluators in one request: the mask pass,
+// then the selection traversal reading its qualifier values unresolved,
+// over sub-fragment variables; handleSel and handleCombined share that
+// fan-out (selectFrags). Before
 // shipping, every residual formula runs a hash-consing simplification
 // pass (boolexpr.Simplifier).
 //

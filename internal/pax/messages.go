@@ -131,8 +131,10 @@ type SelStageResp struct {
 	Candidates []fragment.FragID
 }
 
-// CombinedStageReq asks a site to run PaX2's single combined traversal
-// (Fig. 5 Stage 1) over the listed fragments.
+// CombinedStageReq asks a site to run PaX2's combined visit (Fig. 5
+// Stage 1) over the listed fragments: per fragment, the Stage-1 qualifier
+// pass and the selection traversal, with qualifier values left symbolic in
+// the sub-fragment variables.
 type CombinedStageReq struct {
 	QID      QueryID
 	Query    string

@@ -141,8 +141,9 @@ func (s *Site) SetParallelism(n int) {
 // shipVec encodes a formula vector for the wire through sim, the
 // simplification pass every shipped formula takes: constant folding,
 // flattening and cross-pointer dedup via interning. Semantics-preserving;
-// Stage-1 vectors are already canonical, but the combined stage's
-// formulas ship up to 3× the bytes without it. Each fragment's formulas
+// Stage-1 root vectors are already canonical, but selection contexts and
+// candidates built on separate traversal paths ship up to 2.78× the bytes
+// without it (boolexpr's package doc). Each fragment's formulas
 // get a fresh Simplifier, so the output is deterministic and independent
 // of the site's scheduling mode.
 func shipVec(sim *boolexpr.Simplifier, fs []*boolexpr.Formula) WireVec {
@@ -486,9 +487,74 @@ func initFor(sess *session, fid fragment.FragID, inits []WireInit) ([]*boolexpr.
 	return zInit(sess.vs, fid, sess.c), nil
 }
 
-// handleSel runs PaX3 Stage 2 over the requested fragments, fragments in
-// parallel. The unification environment is built once and only read by the
-// workers (Env.Resolve is safe for concurrent reads).
+// selectFrags is the one selection path of both algorithms — PaX3 Stage 2
+// and PaX2 Stage 1. It runs the selection traversal over frags, fragments
+// in parallel, and folds the outcomes into response sections in frags
+// order, keeping each fragment's candidates in the session for the final
+// stage. With env, the traversal reads the Stage-1 state the session kept
+// from PaX3 Stage 1, grounded under env, and releases it. With env nil it
+// is PaX2's combined visit: each fragment's Stage-1 mask pass runs here,
+// its qualifier values stay symbolic in the sub-fragment variables, and its
+// root vectors ship beside its contexts. env is only read by the workers
+// (Env.Resolve is safe for concurrent reads). The sections come back in a
+// CombinedStageResp, whose Roots only PaX2 ships; its StageCompute holds
+// the stage's cost since start, on error too.
+func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []fragment.FragID, inits []WireInit, shipXML bool, env *boolexpr.Env) (*CombinedStageResp, error) {
+	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (combinedOutcome, error) {
+		f, ok := sess.frags[fid]
+		if !ok {
+			return combinedOutcome{}, fmt.Errorf("pax: site %d does not host fragment %d", s.id, fid)
+		}
+		init, err := initFor(sess, fid, inits)
+		if err != nil {
+			return combinedOutcome{}, err
+		}
+		if env == nil {
+			return *evalCombined(f, sess.c, sess.vs, init, shipXML), nil
+		}
+		fq := sess.qual[fid]
+		if fq == nil && sess.c.HasQualifiers() {
+			// The selection stage consumes Stage-1 state; a qualified query
+			// whose qualifier stage never ran here (or already ran its
+			// selection stage) is a protocol violation by the coordinator —
+			// an error for this request, never a site crash.
+			return combinedOutcome{}, fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, qid)
+		}
+		qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula {
+			return env.Resolve(fq.QualAt(n.ID, entry))
+		}
+		return combinedOutcome{selOutcome: evalSelection(f, sess.c, init, shipXML, qualAt)}, nil
+	})
+	resp := &CombinedStageResp{}
+	if err != nil {
+		resp.StageCompute = stageCompute(start, compute, parWall)
+		return resp, err
+	}
+	for i, fid := range frags {
+		outc := outs[i]
+		sim := boolexpr.NewSimplifier()
+		if env == nil {
+			resp.Roots = append(resp.Roots, WireRootVecs{
+				Frag: fid,
+				QV:   shipVec(sim, outc.roots.QV),
+				QDV:  shipVec(sim, outc.roots.QDV),
+			})
+		}
+		for _, ctx := range outc.contexts {
+			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(sim, ctx.sv)})
+		}
+		resp.Answers = append(resp.Answers, outc.answers...)
+		if len(outc.candidates) > 0 {
+			sess.cands[fid] = outc.candidates
+			resp.Candidates = append(resp.Candidates, fid)
+		}
+		delete(sess.qual, fid) // Stage-1 state is no longer needed
+	}
+	resp.StageCompute = stageCompute(start, compute, parWall)
+	return resp, nil
+}
+
+// handleSel runs PaX3 Stage 2 over the requested fragments.
 func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 	start := time.Now()
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
@@ -500,55 +566,17 @@ func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs, compute, parWall, err := evalFrags(sess, req.Frags, func(fid fragment.FragID) (*selOutcome, error) {
-		f, ok := sess.frags[fid]
-		if !ok {
-			return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, fid)
-		}
-		init, err := initFor(sess, fid, req.Inits)
-		if err != nil {
-			return nil, err
-		}
-		fq := sess.qual[fid]
-		if fq == nil && sess.c.HasQualifiers() {
-			// The selection stage consumes Stage-1 state; a qualified query
-			// whose qualifier stage never ran here (or already ran its
-			// selection stage) is a protocol violation by the coordinator —
-			// an error for this request, never a site crash.
-			return nil, fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, req.QID)
-		}
-		qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula {
-			return env.Resolve(fq.QualAt(n.ID, entry))
-		}
-		return evalSelection(f, sess.c, init, req.ShipXML, qualAt), nil
-	})
+	cr, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, env)
 	if err != nil {
-		return &SelStageResp{StageCompute: stageCompute(start, compute, parWall)}, err
-	}
-	resp := &SelStageResp{}
-	for i, fid := range req.Frags {
-		outc := outs[i]
-		sim := boolexpr.NewSimplifier()
-		for _, ctx := range outc.contexts {
-			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(sim, ctx.sv)})
-		}
-		resp.Answers = append(resp.Answers, outc.answers...)
-		if len(outc.candidates) > 0 {
-			sess.cands[fid] = outc.candidates
-			resp.Candidates = append(resp.Candidates, fid)
-		}
-		delete(sess.qual, fid) // Stage-1 state is no longer needed
+		return &SelStageResp{StageCompute: cr.StageCompute}, err
 	}
 	s.dropSessionIfDone(req.QID, sess)
-	resp.StageCompute = stageCompute(start, compute, parWall)
-	return resp, nil
+	return &SelStageResp{StageCompute: cr.StageCompute, Contexts: cr.Contexts, Answers: cr.Answers, Candidates: cr.Candidates}, nil
 }
 
-// handleCombined runs PaX2 Stage 1 over the requested fragments, fragments
-// in parallel. Each fragment's combined traversal allocates its local
-// qualifier placeholders from a private allocator and eliminates them
-// before returning, so concurrent traversals never observe each other's
-// variables.
+// handleCombined runs PaX2 Stage 1 over the requested fragments: per
+// fragment, the Stage-1 mask pass and the selection traversal in one
+// visit.
 func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error) {
 	start := time.Now()
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
@@ -556,41 +584,11 @@ func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error)
 		return nil, err
 	}
 	sess.shipXML = req.ShipXML
-	outs, compute, parWall, err := evalFrags(sess, req.Frags, func(fid fragment.FragID) (*combinedOutcome, error) {
-		f, ok := sess.frags[fid]
-		if !ok {
-			return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, fid)
-		}
-		init, err := initFor(sess, fid, req.Inits)
-		if err != nil {
-			return nil, err
-		}
-		return evalCombined(f, sess.c, sess.vs, init, req.ShipXML), nil
-	})
-	if err != nil {
-		return &CombinedStageResp{StageCompute: stageCompute(start, compute, parWall)}, err
+	resp, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, nil)
+	if err == nil {
+		s.dropSessionIfDone(req.QID, sess)
 	}
-	resp := &CombinedStageResp{}
-	for i, fid := range req.Frags {
-		outc := outs[i]
-		sim := boolexpr.NewSimplifier()
-		resp.Roots = append(resp.Roots, WireRootVecs{
-			Frag: fid,
-			QV:   shipVec(sim, outc.roots.QV),
-			QDV:  shipVec(sim, outc.roots.QDV),
-		})
-		for _, ctx := range outc.contexts {
-			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(sim, ctx.sv)})
-		}
-		resp.Answers = append(resp.Answers, outc.answers...)
-		if len(outc.candidates) > 0 {
-			sess.cands[fid] = outc.candidates
-			resp.Candidates = append(resp.Candidates, fid)
-		}
-	}
-	s.dropSessionIfDone(req.QID, sess)
-	resp.StageCompute = stageCompute(start, compute, parWall)
-	return resp, nil
+	return resp, err
 }
 
 // handleCollect runs PaX3 Stage 3 / PaX2 Stage 2: resolve retained

@@ -13,7 +13,8 @@ import (
 // EvalFromDisk is the paper's §1 secondary-storage application of partial
 // evaluation: when a tree is too large for main memory, fragment it and
 // load one fragment at a time, evaluating the query with PaX2's combined
-// traversal and keeping only the residual partial answers between loads.
+// visit (evalCombined: the Stage-1 mask pass, then the selection
+// traversal) and keeping only the residual partial answers between loads.
 // Peak memory is the largest fragment plus O(|Q|·|FT|) vectors —
 // independent of |T|.
 //
