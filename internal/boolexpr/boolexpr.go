@@ -141,19 +141,34 @@ func And(fs ...*Formula) *Formula { return nary(OpAnd, fs) }
 func Or(fs ...*Formula) *Formula { return nary(OpOr, fs) }
 
 func nary(op Op, fs []*Formula) *Formula {
-	// Identity and absorbing elements for the operation.
-	identity, absorber := tru, fls
-	if op == OpOr {
-		identity, absorber = fls, tru
+	if r := fold(op, fs); r != nil {
+		return r
 	}
-	// Fold before allocating: most calls on the evaluation paths combine
-	// constants with at most one distinct symbolic operand, and the result
-	// is that operand. The slow path below would return it too, except for
-	// an op-node, which it flattens and rebuilds into a structurally equal
-	// copy; returning the node itself saves that copy (its kids are already
-	// folded, deduplicated and absorption-free, having come through here).
+	r, kids := merge(op, fs, make([]*Formula, 0, len(fs)))
+	if r == nil {
+		r = &Formula{op: op, kids: kids}
+	}
+	return r
+}
+
+// units returns the identity and absorbing elements of op.
+func units(op Op) (identity, absorber *Formula) {
+	if op == OpOr {
+		return fls, tru
+	}
+	return tru, fls
+}
+
+// fold is nary's pass before allocating: most calls on the evaluation
+// paths combine constants with at most one distinct symbolic operand, and
+// the result is that operand. merge would return it too, except for an
+// op-node, which it flattens and rebuilds into a structurally equal copy;
+// returning the node itself saves that copy (its kids are already folded,
+// deduplicated and absorption-free, having come through here). fold
+// returns nil when two or more distinct symbolic operands remain.
+func fold(op Op, fs []*Formula) *Formula {
+	identity, absorber := units(op)
 	var only *Formula
-	fast := true
 	for _, f := range fs {
 		if f == nil {
 			//paxlint:allow nopanic(constructor misuse: operands come from constructors that never return nil)
@@ -166,16 +181,21 @@ func nary(op Op, fs []*Formula) *Formula {
 		case only == nil:
 			only = f
 		default:
-			fast = false
+			return nil
 		}
 	}
-	if fast {
-		if only == nil {
-			return identity
-		}
-		return only
+	if only == nil {
+		return identity
 	}
-	out := make([]*Formula, 0, len(fs))
+	return only
+}
+
+// merge is nary's general path. It appends the operands of the op-node
+// over fs to out — flattened, deduplicated, with complementary pairs and
+// absorption applied — and returns them, or returns the result itself
+// when that is a constant or a single operand.
+func merge(op Op, fs []*Formula, out []*Formula) (*Formula, []*Formula) {
+	identity, absorber := units(op)
 	seen := make(map[*Formula]bool, len(fs))
 	var add func(f *Formula) bool // returns false if the result is absorbed
 	add = func(f *Formula) bool {
@@ -202,7 +222,7 @@ func nary(op Op, fs []*Formula) *Formula {
 	}
 	for _, f := range fs {
 		if !add(f) {
-			return absorber
+			return absorber, out
 		}
 	}
 	// Complementary-pair detection on variables and pointer-identical
@@ -211,7 +231,7 @@ func nary(op Op, fs []*Formula) *Formula {
 		if f.op == OpNot {
 			inner := f.kids[0]
 			if seen[inner] {
-				return absorber
+				return absorber, out
 			}
 		}
 	}
@@ -238,14 +258,13 @@ func nary(op Op, fs []*Formula) *Formula {
 			kept = append(kept, f)
 		}
 	}
-	out = kept
-	switch len(out) {
+	switch len(kept) {
 	case 0:
-		return identity
+		return identity, kept
 	case 1:
-		return out[0]
+		return kept[0], kept
 	}
-	return &Formula{op: op, kids: out}
+	return nil, kept
 }
 
 // Implies returns ¬a ∨ b.

@@ -46,20 +46,28 @@
 // query are dominated by these encodings: they ARE the paper's
 // O(|residual formulas|) communication bound.
 //
-// # Simplification
+// # Canonical by construction
 //
-// Simplifier (simplify.go) rebuilds formulas bottom-up with every subterm
-// hash-consed (interned leaves, composite nodes keyed by operator + child
-// identities), so dedup/absorption/complement rules that match by pointer
-// identity fire across structurally equal subtrees built on different
-// traversal paths. Sites run it on every formula before shipping, with no
-// switch. Both algorithms build their formulas with the same mask pass and
-// selection traversal, and the pass still pays for itself: skipped on the
-// differential corpus (seeds 1–25, 1000–1099, 2000–2019 and 5000–5399,
-// five queries each, with and without annotations), 31 of 5 450 PaX2
-// cases and 4 of 5 450 PaX3 cases ship more bytes, the worst 2.78× (683 →
-// 1 900 B), and none ships fewer. Removing it therefore needs construction
-// that hash-conses as it builds. It is semantics-preserving and
-// deterministic, so one query's shipped bytes do not depend on the site's
-// scheduling.
+// The constructors' non-constant rules (dedup, complementary pairs,
+// absorption) match sub-formulas by pointer identity, so they miss two
+// structurally equal subterms built on separate traversal paths. A
+// Builder (builder.go) closes that gap as it builds: it interns every
+// variable leaf, and keys every composite node by its operator and the
+// identities of its already-canonical children, so structural equality is
+// pointer equality and every rule fires. A lookup of a node it holds
+// allocates nothing, and its tables are allocated on first insert.
+//
+// Sites build every formula they ship with a Builder, one per (query,
+// fragment) visit and confined to that visit's goroutine: PaX3's Stage 1
+// builds a fragment's FragQual with one and does not keep it, its Stage 2
+// starts a fresh one per fragment, and PaX2's combined visit passes one
+// through the mask pass's spine walk, the initial vector and the selection
+// walk. Formulas then ship as built, with no pass that rebuilds them.
+// Without the interning, 31 of 5 450 PaX2 and 4 of 5 450 PaX3 cases of
+// the differential corpus (seeds 1–25, 1000–1099, 2000–2019 and
+// 5000–5399, five queries each, with and without annotations) ship more
+// bytes, up to 2.78× (683 → 1 900 B). A Builder per visit keeps one
+// query's shipped bytes independent of the site's scheduling. The
+// package-level constructors remain for Decode and Env.Resolve, whose
+// formulas never ship.
 package boolexpr

@@ -79,10 +79,17 @@ func refNary(op Op, fs []*Formula) (*Formula, int) {
 }
 
 // TestNaryFoldAllocs pins the fast path: folding constants into at most
-// one distinct operand allocates nothing.
+// one distinct operand allocates nothing, through the package constructors
+// and through a Builder, and a warmed Builder finds a node it already holds
+// without allocating.
 func TestNaryFoldAllocs(t *testing.T) {
 	x, y := V(1), V(2)
 	or, and := Or(x, y), And(x, y)
+	b := &Builder{}
+	bx, by, bz := b.V(1), b.V(2), b.V(3)
+	bor, band, bnot := b.Or(bx, by), b.And(bx, by), b.Not(bx)
+	band3 := b.And(band, bz)
+	bmid := b.And(b.And(bx, b.V(4)), bz) // shares band3's key, so lives in more
 	cases := []struct {
 		name string
 		fn   func() *Formula
@@ -96,6 +103,14 @@ func TestNaryFoldAllocs(t *testing.T) {
 		{"Or(x|y,False)", func() *Formula { return Or(or, False()) }, or},
 		{"And(x&y,x&y)", func() *Formula { return And(and, and) }, and},
 		{"And(x,False)", func() *Formula { return And(x, False()) }, False()},
+		{"Builder.Or(x,False)", func() *Formula { return b.Or(bx, b.False()) }, bx},
+		{"Builder.And(x&y,x&y)", func() *Formula { return b.And(band, band) }, band},
+		{"Builder.Not(!x)", func() *Formula { return b.Not(bnot) }, bx},
+		{"Builder.V(1)", func() *Formula { return b.V(1) }, bx},
+		{"Builder.Or(x,y)", func() *Formula { return b.Or(bx, by) }, bor},
+		{"Builder.Not(x)", func() *Formula { return b.Not(bx) }, bnot},
+		{"Builder.And(x,y&z)", func() *Formula { return b.And(bx, b.And(by, bz)) }, band3},
+		{"Builder.And(x&w,z)", func() *Formula { return b.And(b.And(bx, b.V(4)), bz) }, bmid},
 	}
 	for _, c := range cases {
 		if got := c.fn(); got != c.want {

@@ -1,6 +1,7 @@
 package boolexpr
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,5 +97,68 @@ func TestQuickWireSizeLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// deepChain builds an alternating ¬/∧ chain of the given depth — the shape
+// the smart constructors cannot flatten, so depth survives construction.
+func deepChain(depth int) *Formula {
+	f := V(1)
+	for i := 0; i < depth; i++ {
+		f = Not(And(f, V(Var(2+i%3))))
+	}
+	return f
+}
+
+// TestEncodeDeepChainNoOverflow is the regression for the recursive
+// encoder: a fuzz-found deep chain must encode and decode on the heap, not
+// the goroutine stack.
+func TestEncodeDeepChainNoOverflow(t *testing.T) {
+	f := deepChain(200_000)
+	enc := Encode(f)
+	if len(enc) != EncodedSize(f) {
+		t.Fatalf("EncodedSize = %d, Encode produced %d bytes", EncodedSize(f), len(enc))
+	}
+	back, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(f, back) {
+		t.Error("deep chain did not round-trip structurally")
+	}
+}
+
+func TestEncodePreSized(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		f := randomFormula(r, 6, 8)
+		enc := Encode(f)
+		if len(enc) != EncodedSize(f) {
+			t.Fatalf("%v: EncodedSize = %d, len(Encode) = %d", f, EncodedSize(f), len(enc))
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("%v: Encode over-allocated: cap %d for %d bytes", f, cap(enc), len(enc))
+		}
+	}
+}
+
+func TestDecodeErrorsAreTyped(t *testing.T) {
+	for _, data := range [][]byte{{wNot}, {wVar}, {wVar, 0}, {0xFF}, {wTrue, wTrue}} {
+		if _, err := Decode(data); !errors.Is(err, ErrDecode) {
+			t.Errorf("Decode(%v) = %v, want ErrDecode", data, err)
+		}
+	}
+}
+
+func BenchmarkEncode(b *testing.B) {
+	r := rand.New(rand.NewSource(42))
+	corpus := make([]*Formula, 64)
+	for i := range corpus {
+		corpus[i] = randomFormula(r, 6, 8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Encode(corpus[i%len(corpus)])
 	}
 }

@@ -87,7 +87,8 @@ func TestDifferentialTCPSeedCorpus(t *testing.T) {
 }
 
 // TestDifferentialExtendedSweep is the randomized long-haul sweep: many
-// more seeds, skipped under -short.
+// more seeds, skipped under -short, with the bytes shipped per variant
+// pinned for both its local and its TCP part.
 func TestDifferentialExtendedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extended differential sweep skipped with -short")
@@ -102,10 +103,30 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireClean(t, res)
+	// Seeds 1023, 1033, 1049 and 1073 ship more bytes when formulas are
+	// not hash-consed as they are built, which seeds 1–25 cannot show.
+	wantWire := map[Variant]WireBytes{
+		{Alg: pax.PaX3}:           {Sent: 89411, Recv: 152251},
+		{Alg: pax.PaX3, XA: true}: {Sent: 67843, Recv: 128567},
+		{Alg: pax.PaX2}:           {Sent: 55655, Recv: 149193},
+		{Alg: pax.PaX2, XA: true}: {Sent: 38559, Recv: 115591},
+	}
+	if !maps.Equal(res.Wire, wantWire) {
+		t.Errorf("local shipped bytes per variant = %v, want %v", res.Wire, wantWire)
+	}
 
 	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareBatch: true, CompareEdits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireClean(t, tcpRes)
+	wantTCPWire := map[Variant]WireBytes{
+		{Alg: pax.PaX3}:           {Sent: 17890, Recv: 42893},
+		{Alg: pax.PaX3, XA: true}: {Sent: 14872, Recv: 39318},
+		{Alg: pax.PaX2}:           {Sent: 10610, Recv: 41828},
+		{Alg: pax.PaX2, XA: true}: {Sent: 8481, Recv: 37858},
+	}
+	if !maps.Equal(tcpRes.Wire, wantTCPWire) {
+		t.Errorf("TCP shipped bytes per variant = %v, want %v", tcpRes.Wire, wantTCPWire)
+	}
 }

@@ -29,28 +29,6 @@ import (
 	"paxq/internal/xpath"
 )
 
-// FormulaAlg instantiates the evaluation recurrences over residual Boolean
-// formulas: partial evaluation, where unknown inputs are variables.
-type FormulaAlg struct{}
-
-// True returns the true formula.
-func (FormulaAlg) True() *boolexpr.Formula { return boolexpr.True() }
-
-// False returns the false formula.
-func (FormulaAlg) False() *boolexpr.Formula { return boolexpr.False() }
-
-// FromBool lifts a constant.
-func (FormulaAlg) FromBool(b bool) *boolexpr.Formula { return boolexpr.Const(b) }
-
-// Not negates.
-func (FormulaAlg) Not(f *boolexpr.Formula) *boolexpr.Formula { return boolexpr.Not(f) }
-
-// And conjoins.
-func (FormulaAlg) And(a, b *boolexpr.Formula) *boolexpr.Formula { return boolexpr.And(a, b) }
-
-// Or disjoins.
-func (FormulaAlg) Or(a, b *boolexpr.Formula) *boolexpr.Formula { return boolexpr.Or(a, b) }
-
 // VarScheme deterministically names the Boolean variables a fragment
 // introduces for its virtual nodes, so that sites allocate variables
 // independently without coordination and the coordinator can decode them.
@@ -183,7 +161,7 @@ func EvalBoolean(ft *fragment.Fragmentation, c *xpath.Compiled) (bool, error) {
 		wg.Add(1)
 		go func(i int, f *fragment.Fragment) {
 			defer wg.Done()
-			quals[i] = NewVectorState(f, c, vs).FragQual()
+			quals[i] = NewVectorState(f, c, vs).FragQual(&boolexpr.Builder{})
 		}(i, f)
 	}
 	wg.Wait()

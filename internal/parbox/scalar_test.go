@@ -14,9 +14,9 @@ import (
 // one fragment, node by node: the paper's recurrence, literally. It is the
 // oracle of the identity tests in vector_test.go, which hold the bit-packed
 // pass (NewVectorState + FragQual) byte-identical to it. It keeps a formula
-// row at every real element, read through the same QualAt.
-func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *FragQual {
-	alg := FormulaAlg{}
+// row at every real element, read through the same QualAt, and builds its
+// formulas with b.
+func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme, b *boolexpr.Builder) *FragQual {
 	nP := len(c.Preds)
 	out := &FragQual{}
 	needSel := c.HasQualifiers()
@@ -31,8 +31,8 @@ func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *Fr
 			qv := make([]*boolexpr.Formula, nP)
 			qdv := make([]*boolexpr.Formula, nP)
 			for p := 0; p < nP; p++ {
-				qv[p] = boolexpr.V(vs.QV(k, p))
-				qdv[p] = boolexpr.V(vs.QDV(k, p))
+				qv[p] = b.V(vs.QV(k, p))
+				qdv[p] = b.V(vs.QDV(k, p))
 			}
 			out.Work += int64(nP)
 			return qv, qdv
@@ -49,26 +49,26 @@ func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *Fr
 			}
 			cqv, cqdv := walk(ch)
 			for p := 0; p < nP; p++ {
-				qcvRow[p] = boolexpr.Or(qcvRow[p], cqv[p])
-				sdvRow[p] = boolexpr.Or(sdvRow[p], cqdv[p])
+				qcvRow[p] = b.Or(qcvRow[p], cqv[p])
+				sdvRow[p] = b.Or(sdvRow[p], cqdv[p])
 			}
 		}
 		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
 		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
-		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, n, qcvAt, sdvAt, nil)
+		row := xpath.NodePredRow[*boolexpr.Formula](b, c, n, qcvAt, sdvAt, nil)
 		if needSel {
 			sq := make([]*boolexpr.Formula, len(c.Sel))
 			for i := range c.Sel {
 				e := &c.Sel[i]
 				if e.Kind == xpath.SelStep && e.Qual != nil {
-					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](alg, e.Qual, n, qcvAt, sdvAt)
+					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](b, e.Qual, n, qcvAt, sdvAt)
 				}
 			}
 			out.rows[n.ID] = sq
 		}
 		qdvRow := make([]*boolexpr.Formula, nP)
 		for p := 0; p < nP; p++ {
-			qdvRow[p] = boolexpr.Or(row[p], sdvRow[p])
+			qdvRow[p] = b.Or(row[p], sdvRow[p])
 		}
 		out.Work += int64(nP + len(c.Sel))
 		return row, qdvRow
@@ -86,7 +86,7 @@ func TestEvalQualFragmentLeafIsGround(t *testing.T) {
 	c := xpath.MustCompile(`[//stock/code = "GOOG" and //market/name = "NYSE"]`)
 	vs := NewVarScheme(c, ft.Len())
 	for _, f := range ft.Frags {
-		q := EvalQualFragment(f, c, vs)
+		q := EvalQualFragment(f, c, vs, &boolexpr.Builder{})
 		if !f.IsLeaf() {
 			continue
 		}
@@ -105,7 +105,7 @@ func TestEvalQualFragmentVirtualVars(t *testing.T) {
 	c := xpath.MustCompile(`[//a[b]/c = "x"]`)
 	vs := NewVarScheme(c, ft.Len())
 	for _, f := range ft.Frags {
-		q := EvalQualFragment(f, c, vs)
+		q := EvalQualFragment(f, c, vs, &boolexpr.Builder{})
 		allowed := map[boolexpr.Var]bool{}
 		for _, child := range f.Virtuals() {
 			for p := 0; p < vs.NumPreds; p++ {
@@ -133,6 +133,6 @@ func BenchmarkEvalQualFragment(b *testing.B) {
 	vs := NewVarScheme(c, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = EvalQualFragment(ft.Root(), c, vs)
+		_ = EvalQualFragment(ft.Root(), c, vs, &boolexpr.Builder{})
 	}
 }

@@ -11,11 +11,12 @@
 // a reverse-preorder fold), and falls back to the literal scalar
 // recurrence only on the spine (the proper ancestors of virtual nodes),
 // folding Const singletons read from the masks for ground children.
-// Because the spine recomputation performs exactly the same constructor
-// calls on an isomorphic pointer graph, the resulting FragQual — root
-// vectors, QualAt at every real element, Work ledger — is byte-identical
-// on the wire to the scalar pass, which the differential harness and the
-// identity tests in vector_test.go enforce.
+// Because the spine recomputation performs exactly the same Builder calls
+// on an isomorphic pointer graph, the resulting FragQual — root vectors,
+// QualAt at every real element, Work ledger — is byte-identical on the
+// wire to the scalar pass, which the differential harness and the identity
+// tests in vector_test.go enforce. The Builder hash-conses as it builds, so
+// the spine formulas are canonical by construction and ship as built.
 //
 // The result is the masks plus spine rows. Off the spine every
 // selection-entry qualifier is a constant, so FragQual keeps the entries'
@@ -191,8 +192,9 @@ func (e *VectorState) sweep() {
 
 // FragQual materializes the Stage-1 result from the state's masks: the
 // selection-entry qualifier masks are kept as they are, and only the spine
-// gets formula rows and root vectors, from the literal scalar recurrence.
-func (e *VectorState) FragQual() *FragQual {
+// gets formula rows and root vectors, from the literal scalar recurrence
+// built with b. The result does not keep b.
+func (e *VectorState) FragQual(b *boolexpr.Builder) *FragQual {
 	f, c, vs := e.f, e.c, e.vs
 	av := e.av
 	nP := len(c.Preds)
@@ -222,10 +224,9 @@ func (e *VectorState) FragQual() *FragQual {
 	}
 
 	// Spine recomputation: the literal scalar recurrence, folding Const
-	// singletons from the masks for ground children and fresh variables for
-	// virtual children — the same constructor calls the scalar pass makes,
-	// hence structurally identical formulas.
-	alg := FormulaAlg{}
+	// singletons from the masks for ground children and the variables of
+	// virtual children — the same Builder calls the scalar pass makes,
+	// hence identical formulas, canonical as they are built.
 	// ground returns predicate p's QV and QDV at non-spine node i: the
 	// Const singletons of its mask bits.
 	ground := func(p, i int) (qv, qdv *boolexpr.Formula) {
@@ -247,39 +248,39 @@ func (e *VectorState) FragQual() *FragQual {
 			i := int(ch.ID)
 			if k, ok := f.VirtualAt(ch.ID); ok {
 				for p := 0; p < nP; p++ {
-					qcvRow[p] = boolexpr.Or(qcvRow[p], boolexpr.V(vs.QV(k, p)))
-					sdvRow[p] = boolexpr.Or(sdvRow[p], boolexpr.V(vs.QDV(k, p)))
+					qcvRow[p] = b.Or(qcvRow[p], b.V(vs.QV(k, p)))
+					sdvRow[p] = b.Or(sdvRow[p], b.V(vs.QDV(k, p)))
 				}
 			} else if av.SpineMask.Get(i) {
 				cqv, cqdv := spineWalk(ch)
 				for p := 0; p < nP; p++ {
-					qcvRow[p] = boolexpr.Or(qcvRow[p], cqv[p])
-					sdvRow[p] = boolexpr.Or(sdvRow[p], cqdv[p])
+					qcvRow[p] = b.Or(qcvRow[p], cqv[p])
+					sdvRow[p] = b.Or(sdvRow[p], cqdv[p])
 				}
 			} else {
 				for p := 0; p < nP; p++ {
 					gqv, gqdv := ground(p, i)
-					qcvRow[p] = boolexpr.Or(qcvRow[p], gqv)
-					sdvRow[p] = boolexpr.Or(sdvRow[p], gqdv)
+					qcvRow[p] = b.Or(qcvRow[p], gqv)
+					sdvRow[p] = b.Or(sdvRow[p], gqdv)
 				}
 			}
 		}
 		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
 		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
-		row := xpath.NodePredRow[*boolexpr.Formula](alg, c, nd, qcvAt, sdvAt, nil)
+		row := xpath.NodePredRow[*boolexpr.Formula](b, c, nd, qcvAt, sdvAt, nil)
 		if needSel {
 			sq := make([]*boolexpr.Formula, nSel)
 			for i := range c.Sel {
 				se := &c.Sel[i]
 				if se.Kind == xpath.SelStep && se.Qual != nil {
-					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](alg, se.Qual, nd, qcvAt, sdvAt)
+					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](b, se.Qual, nd, qcvAt, sdvAt)
 				}
 			}
 			out.rows[nd.ID] = sq
 		}
 		qdvRow := make([]*boolexpr.Formula, nP)
 		for p := 0; p < nP; p++ {
-			qdvRow[p] = boolexpr.Or(row[p], sdvRow[p])
+			qdvRow[p] = b.Or(row[p], sdvRow[p])
 		}
 		return row, qdvRow
 	}

@@ -13,18 +13,11 @@ import (
 	"paxq/internal/xpath"
 )
 
-// shipBytes mirrors the site's shipping path: one simplifier across the
-// fragment's QV and QDV vectors, then the postfix wire encoding. Byte
-// identity here is exactly byte identity on the wire.
-func shipBytes(rv RootVecs, simplify bool) [][]byte {
-	var sim *boolexpr.Simplifier
-	if simplify {
-		sim = boolexpr.NewSimplifier()
-	}
+// shipBytes mirrors the site's shipping path: the postfix wire encoding
+// of the fragment's QV and QDV vectors, as built. Byte identity here is
+// exactly byte identity on the wire.
+func shipBytes(rv RootVecs) [][]byte {
 	ship := func(fs []*boolexpr.Formula) []byte {
-		if sim != nil {
-			fs = sim.Vec(fs)
-		}
 		var out []byte
 		for _, b := range boolexpr.EncodeVec(fs) {
 			out = append(out, b...)
@@ -35,7 +28,7 @@ func shipBytes(rv RootVecs, simplify bool) [][]byte {
 }
 
 // requireIdentical asserts the vector pass reproduced the scalar pass
-// byte-for-byte: root vectors (raw and simplified encodings), the
+// byte-for-byte, each built with its own Builder: root vectors, the
 // qualifier of every selection entry at every real element read through
 // QualAt, and the Work ledger. It also holds the vector pass to its shape:
 // formula rows on the spine only.
@@ -44,14 +37,10 @@ func requireIdentical(t *testing.T, tag string, f *fragment.Fragment, c *xpath.C
 	if got.Work != want.Work {
 		t.Fatalf("%s: Work = %d, scalar %d", tag, got.Work, want.Work)
 	}
-	for _, simplify := range []bool{false, true} {
-		w := shipBytes(want.Root, simplify)
-		g := shipBytes(got.Root, simplify)
-		for i, name := range []string{"QV", "QDV"} {
-			if !bytes.Equal(w[i], g[i]) {
-				t.Fatalf("%s: root %s bytes diverge (simplify=%v):\n scalar %x\n vector %x",
-					tag, name, simplify, w[i], g[i])
-			}
+	w, g := shipBytes(want.Root), shipBytes(got.Root)
+	for i, name := range []string{"QV", "QDV"} {
+		if !bytes.Equal(w[i], g[i]) {
+			t.Fatalf("%s: root %s bytes diverge:\n scalar %x\n vector %x", tag, name, w[i], g[i])
 		}
 	}
 	wantRows := 0
@@ -86,8 +75,8 @@ func checkQuery(t *testing.T, ft *fragment.Fragmentation, query string) {
 	}
 	vs := NewVarScheme(c, ft.Len())
 	for _, f := range ft.Frags {
-		want := EvalQualFragment(f, c, vs)
-		got := NewVectorState(f, c, vs).FragQual()
+		want := EvalQualFragment(f, c, vs, &boolexpr.Builder{})
+		got := NewVectorState(f, c, vs).FragQual(&boolexpr.Builder{})
 		requireIdentical(t, query, f, c, want, got)
 	}
 }
@@ -212,7 +201,7 @@ func passAllocs(t *testing.T, check func(tag string, f *fragment.Fragment, c *xp
 			for _, f := range ft.Frags {
 				f.Arena() // built once per fragment, outside the counted pass
 				allocs := testing.AllocsPerRun(3, func() {
-					NewVectorState(f, c, vs).FragQual()
+					NewVectorState(f, c, vs).FragQual(&boolexpr.Builder{})
 				})
 				tag := fmt.Sprintf("%.2f MB frag %d (%d nodes, spine %d, virtuals %d) %s",
 					mb, f.ID, f.Size(), f.Arena().SpineMask.OnesCount(), f.NumVirtuals(), query)

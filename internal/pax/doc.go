@@ -44,9 +44,9 @@
 // combined visit is the same two evaluators in one request: the mask pass,
 // then the selection traversal reading its qualifier values unresolved,
 // over sub-fragment variables; handleSel and handleCombined share that
-// fan-out (selectFrags). Before
-// shipping, every residual formula runs a hash-consing simplification
-// pass (boolexpr.Simplifier).
+// fan-out (selectFrags). Each (query, fragment) visit builds its formulas
+// with one boolexpr.Builder, which hash-conses as it builds, so formulas
+// are canonical by construction and ship as built.
 //
 // A site keeps no evaluation result across queries: like the paper's
 // sites, it runs Stage 1 once per query. Within one batch envelope,

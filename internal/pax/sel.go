@@ -29,12 +29,12 @@ type fragContext struct {
 	sv   []*boolexpr.Formula
 }
 
-// zInit builds the symbolic stack-initialization vector of fragment id: one
-// fresh z variable per selection entry (Example 3.4).
-func zInit(vs parbox.VarScheme, id fragment.FragID, c *xpath.Compiled) []*boolexpr.Formula {
+// zInit builds the symbolic stack-initialization vector of fragment id
+// with b: one z variable per selection entry (Example 3.4).
+func zInit(b *boolexpr.Builder, vs parbox.VarScheme, id fragment.FragID, c *xpath.Compiled) []*boolexpr.Formula {
 	out := make([]*boolexpr.Formula, len(c.Sel))
 	for i := range out {
-		out[i] = boolexpr.V(vs.SV(id, i))
+		out[i] = b.V(vs.SV(id, i))
 	}
 	return out
 }
@@ -59,11 +59,11 @@ func answerOf(f *fragment.Fragment, n *xmltree.Node, shipXML bool) AnswerNode {
 
 // evalSelection runs Procedure topDown (Fig. 4(b)) over one fragment:
 // a top-down traversal computing the SVect vector of every node from its
-// parent's vector (the summarizing stack top). qualAt yields the qualifier
-// value of selection entry e at node n — ground formulas in PaX3's Stage 2,
-// formulas over sub-fragment variables in PaX2. Virtual nodes contribute
-// their parent's vector as the context of the corresponding sub-fragment
-// and are not descended into.
+// parent's vector (the summarizing stack top), built with b. qualAt yields
+// the qualifier value of selection entry e at node n — ground formulas in
+// PaX3's Stage 2, formulas over sub-fragment variables in PaX2. Virtual
+// nodes contribute their parent's vector as the context of the
+// corresponding sub-fragment and are not descended into.
 //
 // Vectors live in a depth-indexed row stack grown once per fragment visit:
 // every node at depth d writes its vector into rows[d], which its children
@@ -71,13 +71,13 @@ func answerOf(f *fragment.Fragment, n *xmltree.Node, shipXML bool) AnswerNode {
 // it. A context recorded at a virtual child outlives the row, so it is the
 // one vector that is copied.
 func evalSelection(
+	b *boolexpr.Builder,
 	f *fragment.Fragment,
 	c *xpath.Compiled,
 	init []*boolexpr.Formula,
 	shipXML bool,
 	qualAt func(n *xmltree.Node, entry int) *boolexpr.Formula,
 ) *selOutcome {
-	alg := parbox.FormulaAlg{}
 	out := &selOutcome{}
 	last := c.AnswerEntry()
 	var rows [][]*boolexpr.Formula
@@ -86,7 +86,7 @@ func evalSelection(
 		if depth == len(rows) {
 			rows = append(rows, make([]*boolexpr.Formula, len(c.Sel)))
 		}
-		sv := xpath.NodeSelVector[*boolexpr.Formula](alg, c, n.Label, parent,
+		sv := xpath.NodeSelVector[*boolexpr.Formula](b, c, n.Label, parent,
 			func(e int) *boolexpr.Formula { return qualAt(n, e) }, rows[depth])
 		switch {
 		case sv[last].IsTrue():
@@ -120,18 +120,20 @@ type combinedOutcome struct {
 
 // evalCombined runs PaX2's single visit (Procedure evalXPath, §4) over one
 // fragment: the Stage-1 mask pass, then the selection traversal reading
-// each qualifier value from it. A qualifier value that depends on a
-// sub-fragment stays symbolic in that sub-fragment's QV/QDV variables, so
-// every shipped vector mentions only cross-fragment variables, preserving
-// the O(|Q|·|FT|) communication bound.
+// each qualifier value from it, both built with b, which init must share.
+// A qualifier value that depends on a sub-fragment stays symbolic in that
+// sub-fragment's QV/QDV variables, so every shipped vector mentions only
+// cross-fragment variables, preserving the O(|Q|·|FT|) communication
+// bound.
 func evalCombined(
+	b *boolexpr.Builder,
 	f *fragment.Fragment,
 	c *xpath.Compiled,
 	vs parbox.VarScheme,
 	init []*boolexpr.Formula,
 	shipXML bool,
 ) *combinedOutcome {
-	fq := parbox.NewVectorState(f, c, vs).FragQual()
+	fq := parbox.NewVectorState(f, c, vs).FragQual(b)
 	qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula { return fq.QualAt(n.ID, entry) }
-	return &combinedOutcome{selOutcome: evalSelection(f, c, init, shipXML, qualAt), roots: fq.Root}
+	return &combinedOutcome{selOutcome: evalSelection(b, f, c, init, shipXML, qualAt), roots: fq.Root}
 }

@@ -78,23 +78,23 @@ func TestTraversalAllocsPerFragment(t *testing.T) {
 			for _, f := range ft.Frags {
 				var init []*boolexpr.Formula
 				if f.ID == fragment.RootFrag {
-					init = xpath.DocSelVector[*boolexpr.Formula](parbox.FormulaAlg{}, c)
+					init = xpath.DocSelVector[*boolexpr.Formula](&boolexpr.Builder{}, c)
 				} else {
-					init = zInit(vs, f.ID, c)
+					init = zInit(&boolexpr.Builder{}, vs, f.ID, c)
 				}
 				bound := func(returned int) float64 {
 					return float64(perEntry*q*(fragDepth(f)+returned) + fixed)
 				}
 				name := fmt.Sprintf("%.2fMB frag %d (%d nodes) %s", mb, f.ID, f.Size(), query)
 
-				fq := parbox.NewVectorState(f, c, vs).FragQual()
+				fq := parbox.NewVectorState(f, c, vs).FragQual(&boolexpr.Builder{})
 				env := boolexpr.NewEnv()
 				qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula {
 					return env.Resolve(fq.QualAt(n.ID, entry))
 				}
 				var sel *selOutcome
 				allocs := testing.AllocsPerRun(3, func() {
-					sel = evalSelection(f, c, init, false, qualAt)
+					sel = evalSelection(&boolexpr.Builder{}, f, c, init, false, qualAt)
 				})
 				if got := len(sel.answers) + len(sel.candidates) + len(sel.contexts); allocs > bound(got) {
 					t.Errorf("%s: evalSelection %.0f allocs, bound %.0f (returned %d)", name, allocs, bound(got), got)
@@ -102,7 +102,7 @@ func TestTraversalAllocsPerFragment(t *testing.T) {
 
 				var comb *combinedOutcome
 				allocs = testing.AllocsPerRun(3, func() {
-					comb = evalCombined(f, c, vs, init, false)
+					comb = evalCombined(&boolexpr.Builder{}, f, c, vs, init, false)
 				})
 				if got := len(comb.answers) + len(comb.candidates) + len(comb.contexts); allocs > bound(got) {
 					t.Errorf("%s: evalCombined %.0f allocs, bound %.0f (returned %d)", name, allocs, bound(got), got)

@@ -138,21 +138,16 @@ func (s *Site) SetParallelism(n int) {
 	s.par = n
 }
 
-// shipVec encodes a formula vector for the wire through sim, the
-// simplification pass every shipped formula takes: constant folding,
-// flattening and cross-pointer dedup via interning. Semantics-preserving;
-// Stage-1 root vectors are already canonical, but selection contexts and
-// candidates built on separate traversal paths ship up to 2.78× the bytes
-// without it (boolexpr's package doc). Each fragment's formulas
-// get a fresh Simplifier, so the output is deterministic and independent
-// of the site's scheduling mode.
-func shipVec(sim *boolexpr.Simplifier, fs []*boolexpr.Formula) WireVec {
-	return boolexpr.EncodeVec(sim.Vec(fs))
-}
-
-// shipOne encodes a single formula for the wire through sim.
-func shipOne(sim *boolexpr.Simplifier, f *boolexpr.Formula) []byte {
-	return boolexpr.Encode(sim.Simplify(f))
+// shipVec encodes a formula vector for the wire as it was built. Every
+// formula a site ships comes from the one boolexpr.Builder of its (query,
+// fragment) visit, which hash-conses as it builds, so the vectors are
+// canonical by construction: the constructors' dedup, complement and
+// absorption rules have already fired across every subtree the visit
+// built twice, and no pass rebuilds them before shipping. A Builder per
+// visit also keeps the output deterministic and independent of the site's
+// scheduling mode.
+func shipVec(fs []*boolexpr.Formula) WireVec {
+	return boolexpr.EncodeVec(fs)
 }
 
 // ID returns the site's identifier.
@@ -359,30 +354,20 @@ type qualPassResult struct {
 	parWall time.Duration
 }
 
-// shipRootVecs renders one fragment's Stage-1 result in wire form. One
-// simplifier across the fragment's root vectors: QV and QDV entries share
-// sub-structure heavily, so interning across the pair shrinks the shipped
-// bytes the most.
+// shipRootVecs renders one fragment's Stage-1 result in wire form.
 func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, c *xpath.Compiled, fq *parbox.FragQual) WireRootVecs {
-	sim := boolexpr.NewSimplifier()
-	rv := WireRootVecs{
-		Frag: fid,
-		QV:   shipVec(sim, fq.Root.QV),
-		QDV:  shipVec(sim, fq.Root.QDV),
-	}
+	rv := WireRootVecs{Frag: fid, QV: shipVec(fq.Root.QV), QDV: shipVec(fq.Root.QDV)}
 	// The root fragment also reports its root node's selection-entry
 	// qualifier values, enabling the one-visit ParBoX protocol for
 	// Boolean queries.
 	if fid == fragment.RootFrag && c.HasQualifiers() {
-		enc := make(WireVec, len(c.Sel))
-		for i := range enc {
-			fm := fq.QualAt(f.Tree.Root.ID, i)
-			if fm == nil {
-				fm = boolexpr.True()
+		sel := make([]*boolexpr.Formula, len(c.Sel))
+		for i := range sel {
+			if sel[i] = fq.QualAt(f.Tree.Root.ID, i); sel[i] == nil {
+				sel[i] = boolexpr.True()
 			}
-			enc[i] = shipOne(sim, fm)
 		}
-		rv.RootSelQual = enc
+		rv.RootSelQual = shipVec(sel)
 	}
 	return rv
 }
@@ -400,7 +385,7 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	frags := sess.fragIDs
 	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (qualOut, error) {
 		f := sess.frags[fid]
-		fq := parbox.NewVectorState(f, sess.c, sess.vs).FragQual()
+		fq := parbox.NewVectorState(f, sess.c, sess.vs).FragQual(&boolexpr.Builder{})
 		return qualOut{rv: shipRootVecs(fid, f, sess.c, fq), fq: fq}, nil
 	})
 	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
@@ -469,10 +454,10 @@ func virtualEnv(vs parbox.VarScheme, vals []WireBoolVals) (*boolexpr.Env, error)
 	return env, nil
 }
 
-// initFor selects the stack-initialization vector for fragment fid: a
-// concrete XA vector when supplied, the document vector for the root
-// fragment, z variables otherwise.
-func initFor(sess *session, fid fragment.FragID, inits []WireInit) ([]*boolexpr.Formula, error) {
+// initFor selects the stack-initialization vector for fragment fid, built
+// with b: a concrete XA vector when supplied, the document vector for the
+// root fragment, z variables otherwise.
+func initFor(b *boolexpr.Builder, sess *session, fid fragment.FragID, inits []WireInit) ([]*boolexpr.Formula, error) {
 	for _, in := range inits {
 		if in.Frag == fid {
 			if len(in.SV) != len(sess.c.Sel) {
@@ -482,9 +467,9 @@ func initFor(sess *session, fid fragment.FragID, inits []WireInit) ([]*boolexpr.
 		}
 	}
 	if fid == fragment.RootFrag {
-		return xpath.DocSelVector[*boolexpr.Formula](parbox.FormulaAlg{}, sess.c), nil
+		return xpath.DocSelVector[*boolexpr.Formula](b, sess.c), nil
 	}
-	return zInit(sess.vs, fid, sess.c), nil
+	return zInit(b, sess.vs, fid, sess.c), nil
 }
 
 // selectFrags is the one selection path of both algorithms — PaX3 Stage 2
@@ -505,12 +490,14 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 		if !ok {
 			return combinedOutcome{}, fmt.Errorf("pax: site %d does not host fragment %d", s.id, fid)
 		}
-		init, err := initFor(sess, fid, inits)
+		// One Builder per (query, fragment) visit, confined to this worker.
+		b := &boolexpr.Builder{}
+		init, err := initFor(b, sess, fid, inits)
 		if err != nil {
 			return combinedOutcome{}, err
 		}
 		if env == nil {
-			return *evalCombined(f, sess.c, sess.vs, init, shipXML), nil
+			return *evalCombined(b, f, sess.c, sess.vs, init, shipXML), nil
 		}
 		fq := sess.qual[fid]
 		if fq == nil && sess.c.HasQualifiers() {
@@ -523,7 +510,7 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 		qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula {
 			return env.Resolve(fq.QualAt(n.ID, entry))
 		}
-		return combinedOutcome{selOutcome: evalSelection(f, sess.c, init, shipXML, qualAt)}, nil
+		return combinedOutcome{selOutcome: evalSelection(b, f, sess.c, init, shipXML, qualAt)}, nil
 	})
 	resp := &CombinedStageResp{}
 	if err != nil {
@@ -532,16 +519,11 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 	}
 	for i, fid := range frags {
 		outc := outs[i]
-		sim := boolexpr.NewSimplifier()
 		if env == nil {
-			resp.Roots = append(resp.Roots, WireRootVecs{
-				Frag: fid,
-				QV:   shipVec(sim, outc.roots.QV),
-				QDV:  shipVec(sim, outc.roots.QDV),
-			})
+			resp.Roots = append(resp.Roots, WireRootVecs{Frag: fid, QV: shipVec(outc.roots.QV), QDV: shipVec(outc.roots.QDV)})
 		}
 		for _, ctx := range outc.contexts {
-			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(sim, ctx.sv)})
+			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(ctx.sv)})
 		}
 		resp.Answers = append(resp.Answers, outc.answers...)
 		if len(outc.candidates) > 0 {

@@ -31,7 +31,6 @@ func EvalFromDisk(dir, query string) ([]AnswerNode, error) {
 		return nil, err
 	}
 	vs := parbox.NewVarScheme(c, m.Len())
-	var alg parbox.FormulaAlg
 
 	// Pass over fragments one at a time, retaining only vectors, contexts
 	// and candidates. Candidate nodes are re-materialized in a second
@@ -44,13 +43,14 @@ func EvalFromDisk(dir, query string) ([]AnswerNode, error) {
 		if err != nil {
 			return nil, err
 		}
+		b := &boolexpr.Builder{}
 		var init []*boolexpr.Formula
 		if f.ID == fragment.RootFrag {
-			init = xpath.DocSelVector[*boolexpr.Formula](alg, c)
+			init = xpath.DocSelVector[*boolexpr.Formula](b, c)
 		} else {
-			init = zInit(vs, f.ID, c)
+			init = zInit(b, vs, f.ID, c)
 		}
-		outc := evalCombined(f, c, vs, init, false)
+		outc := evalCombined(b, f, c, vs, init, false)
 		roots[f.ID] = outc.roots
 		for _, ctx := range outc.contexts {
 			contexts = append(contexts, WireContext{Frag: ctx.frag, SV: boolexpr.EncodeVec(ctx.sv)})

@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind `make docs-check`.
-// It enforces six properties the repo's docs promise:
+// It enforces seven properties the repo's docs promise:
 //
 //  1. Every exported identifier of the public paxq package (the repo
 //     root) carries a doc comment — the API reference cannot silently
@@ -19,6 +19,12 @@
 //     "| `<binary>_name", for a cmd/<binary> that exists) names a metric
 //     that binary's sources emit — a deleted metric cannot silently keep
 //     its documentation.
+//  7. Every backticked `pkg.Ident` or `pkg.Type.Member` in README.md,
+//     ARCHITECTURE.md, cmd/README.md or tools/README.md whose pkg is an
+//     internal/* or cmd/* package or the root package paxq, and whose
+//     Ident is exported, names a declaration of that package (and Member
+//     a method or field of Type) — a deleted or renamed identifier cannot
+//     silently keep its citation.
 //
 // Run from the repository root:
 //
@@ -48,6 +54,7 @@ func main() {
 	problems = append(problems, checkPackageMap()...)
 	problems = append(problems, checkStalePackageRows()...)
 	problems = append(problems, checkStaleMetricRows()...)
+	problems = append(problems, checkStaleIdents()...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck: "+p)
@@ -299,6 +306,164 @@ func checkStaleMetricRows() []string {
 		src, ok := srcs[m[2]]
 		if ok && !strings.Contains(src, m[1]) {
 			out = append(out, fmt.Sprintf("cmd/README.md documents metric %s, which cmd/%s does not emit", m[1], m[2]))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// identDocs are the documents whose identifier citations rule 7 checks.
+var identDocs = []string{"README.md", "ARCHITECTURE.md", "cmd/README.md", "tools/README.md"}
+
+// identRef matches a backticked citation "`pkg.Ident`" or
+// "`pkg.Type.Member`", optionally followed by a call's arguments.
+var identRef = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:\\([^`]*\\))?`")
+
+// pkgDecls is what one package declares: its top-level names, and the
+// methods and fields of each of its types.
+type pkgDecls struct {
+	names   map[string]bool
+	members map[string]map[string]bool
+}
+
+// declsOf parses every Go file of dir, tests included.
+func declsOf(dir string) (*pkgDecls, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	d := &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}}
+	member := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil {
+						d.names[decl.Name.Name] = true
+						continue
+					}
+					if typ := recvType(decl.Recv.List[0].Type); typ != "" {
+						member(typ, decl.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								d.names[n.Name] = true
+							}
+						case *ast.TypeSpec:
+							d.names[spec.Name.Name] = true
+							for _, n := range fieldNames(spec.Type) {
+								member(spec.Name.Name, n)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return d, nil
+}
+
+// recvType is the base type name of a method receiver.
+func recvType(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return recvType(e.X)
+	case *ast.IndexExpr:
+		return recvType(e.X)
+	case *ast.IndexListExpr:
+		return recvType(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
+}
+
+// fieldNames lists the fields of a struct type or the methods of an
+// interface type, embedded ones by their type name.
+func fieldNames(e ast.Expr) []string {
+	var list *ast.FieldList
+	switch e := e.(type) {
+	case *ast.StructType:
+		list = e.Fields
+	case *ast.InterfaceType:
+		list = e.Methods
+	default:
+		return nil
+	}
+	var out []string
+	for _, f := range list.List {
+		for _, n := range f.Names {
+			out = append(out, n.Name)
+		}
+		if len(f.Names) == 0 {
+			if typ := recvType(f.Type); typ != "" {
+				out = append(out, typ)
+			} else if sel, ok := f.Type.(*ast.SelectorExpr); ok {
+				out = append(out, sel.Sel.Name)
+			}
+		}
+	}
+	return out
+}
+
+// checkStaleIdents requires every backticked identifier citation of a repo
+// package in the docs to name a declaration of that package. Citations of
+// other packages (the standard library's, say) are not checked.
+func checkStaleIdents() []string {
+	dirs := map[string]string{}
+	for _, root := range []string{"internal", "cmd"} {
+		entries, _ := os.ReadDir(root) // a missing root declares no packages
+		for _, e := range entries {
+			if e.IsDir() {
+				dirs[e.Name()] = filepath.Join(root, e.Name())
+			}
+		}
+	}
+	dirs["paxq"] = "." // the root package, not cmd/paxq's main
+
+	decls := map[string]*pkgDecls{}
+	var out []string
+	for _, name := range identDocs {
+		text, err := os.ReadFile(name)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", name, err))
+			continue
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range identRef.FindAllStringSubmatch(line, -1) {
+				pkg, ident, mem := m[1], m[2], m[3]
+				dir, ok := dirs[pkg]
+				if !ok {
+					continue
+				}
+				d := decls[pkg]
+				if d == nil {
+					if d, err = declsOf(dir); err != nil {
+						out = append(out, fmt.Sprintf("parse %s: %v", dir, err))
+						d = &pkgDecls{}
+					}
+					decls[pkg] = d
+				}
+				ref := pkg + "." + ident
+				switch {
+				case !d.names[ident]:
+					out = append(out, fmt.Sprintf("%s:%d cites %s, which %s does not declare", name, i+1, ref, dir))
+				case mem != "" && d.members[ident] != nil && !d.members[ident][mem]:
+					out = append(out, fmt.Sprintf("%s:%d cites %s.%s, but %s has no method or field %s", name, i+1, ref, mem, ref, mem))
+				}
+			}
 		}
 	}
 	sort.Strings(out)

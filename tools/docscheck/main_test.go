@@ -25,7 +25,7 @@ func none(t *testing.T, problems []string) {
 	}
 }
 
-// TestCleanFixturePasses: a tree that keeps all six documentation
+// TestCleanFixturePasses: a tree that keeps all seven documentation
 // promises produces no findings from any check.
 func TestCleanFixturePasses(t *testing.T) {
 	t.Chdir("testdata/clean")
@@ -35,6 +35,7 @@ func TestCleanFixturePasses(t *testing.T) {
 	none(t, checkPackageMap())
 	none(t, checkStalePackageRows())
 	none(t, checkStaleMetricRows())
+	none(t, checkStaleIdents())
 }
 
 // TestMissingDocCommentFails: an exported function of the public package
@@ -89,7 +90,21 @@ func TestStaleMetricRowFails(t *testing.T) {
 	one(t, checkStaleMetricRows(), "documents metric tool_cache_hits_total, which cmd/tool does not emit")
 }
 
-// TestRealTreeIsClean runs all six checks against the actual repository
+// TestStaleIdentFails: a backticked citation of a repo package's
+// identifier that the package does not declare is flagged with its file
+// and line, as is a member its type does not have; declared identifiers,
+// fields and methods, other packages' identifiers and file names are not.
+func TestStaleIdentFails(t *testing.T) {
+	t.Chdir("testdata/staleident")
+	problems := checkStaleIdents()
+	if len(problems) != 2 ||
+		!strings.Contains(problems[0], "README.md:6 cites core.Gone, which internal/core does not declare") ||
+		!strings.Contains(problems[1], "tools/README.md:3 cites core.Thing.Missing, but core.Thing has no method or field Missing") {
+		t.Fatalf("got problems %q, want the stale core.Gone and core.Thing.Missing citations", problems)
+	}
+}
+
+// TestRealTreeIsClean runs all seven checks against the actual repository
 // root, mirroring what `make docs-check` gates.
 func TestRealTreeIsClean(t *testing.T) {
 	t.Chdir("../..")
@@ -99,4 +114,5 @@ func TestRealTreeIsClean(t *testing.T) {
 	none(t, checkPackageMap())
 	none(t, checkStalePackageRows())
 	none(t, checkStaleMetricRows())
+	none(t, checkStaleIdents())
 }
