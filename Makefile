@@ -73,10 +73,12 @@ codec-smoke:
 # node it already holds, a Stage-1 pass allocates per predicate, spine
 # node and virtual node, not per node, and builds each predicate's QV,
 # QCV and QDV masks in one allocation without copying anchored operands,
-# a fragment visit of the site traversals allocates per depth and per
-# returned item, not per node, serializing a subtree allocates exactly
-# its output string, and decoding an answers section costs the same few
-# allocations (at most 3) for 1, 100 or 1 000 answers.
+# a fragment visit of the selection sweep (alone or in PaX2's combined
+# visit) allocates per returned item, not per node, its row and
+# subtree-end stacks living on the goroutine's stack, serializing a
+# subtree allocates exactly its output string, and decoding an answers
+# section costs the same few allocations (at most 3) for 1, 100 or 1 000
+# answers.
 alloc-smoke:
 	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestLocalCallAllocsBounded' ./internal/dist

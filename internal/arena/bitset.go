@@ -121,6 +121,25 @@ func (b Bitset) AnyInRange(lo, hi int) bool {
 	return b[hw]&hiMask != 0
 }
 
+// NextSet returns the least member in [lo, hi), or hi when there is
+// none; it reads only the words the range covers. A caller walks the
+// members of [lo, hi) in ascending order with
+// for j := b.NextSet(lo, hi); j < hi; j = b.NextSet(j+1, hi).
+func (b Bitset) NextSet(lo, hi int) int {
+	if lo >= hi {
+		return hi
+	}
+	wi, hw := lo>>6, (hi-1)>>6
+	w := b[wi] &^ (1<<(uint(lo)&63) - 1)
+	for w == 0 {
+		if wi++; wi > hw {
+			return hi
+		}
+		w = b[wi]
+	}
+	return min(wi<<6+bits.TrailingZeros64(w), hi)
+}
+
 // ForEachSet calls fn for every member, ascending.
 func (b Bitset) ForEachSet(fn func(i int)) {
 	for wi, w := range b {

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"slices"
 	"testing"
 
 	"paxq/internal/xmltree"
@@ -161,5 +162,37 @@ func TestAnyInRange(t *testing.T) {
 	empty := NewBitset(100)
 	if empty.AnyInRange(0, 100) {
 		t.Error("empty set reported a member")
+	}
+}
+
+func TestNextSet(t *testing.T) {
+	b := NewBitset(200)
+	members := []int{0, 63, 64, 130, 199}
+	for _, i := range members {
+		b.Set(i)
+	}
+	for lo := 0; lo <= 200; lo++ {
+		for hi := lo; hi <= 200; hi++ {
+			want := hi
+			for _, m := range members {
+				if m >= lo && m < hi {
+					want = m
+					break
+				}
+			}
+			if got := b.NextSet(lo, hi); got != want {
+				t.Fatalf("NextSet(%d, %d) = %d, want %d", lo, hi, got, want)
+			}
+		}
+	}
+	var got []int
+	for j := b.NextSet(1, 199); j < 199; j = b.NextSet(j+1, 199) {
+		got = append(got, j)
+	}
+	if want := []int{63, 64, 130}; !slices.Equal(got, want) {
+		t.Errorf("members of [1, 199) = %v, want %v", got, want)
+	}
+	if got := NewBitset(100).NextSet(0, 100); got != 100 {
+		t.Errorf("empty set: NextSet(0, 100) = %d, want 100", got)
 	}
 }

@@ -121,7 +121,7 @@ func smallBibliography(seed int64, sections, entries int) *xmltree.Tree {
 // document. It runs on a small bibliography cut at /dblp/bib, where it
 // also checks the paper's traffic bound with answers, and on the
 // differential's random trees, cuts and queries. Answers that cross a
-// boundary are only counted and logged.
+// boundary are only counted; both counts are pinned.
 func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 	algs := []pax.Algorithm{pax.PaX3, pax.PaX2}
 	var compared, crossing int
@@ -194,7 +194,11 @@ func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 		shutdown()
 	}
 	t.Logf("%d shipped answers equal the document's subtree; %d cross a fragment boundary and were not compared", compared, crossing)
-	if compared == 0 {
-		t.Fatal("no answer was compared")
+	// Both counts are pinned: a change to how sites build answers must move
+	// neither. Crossing answers ship <#fragment/> in place of the
+	// sub-fragment's body (ROADMAP item 1a); the fix that stitches the
+	// bodies in turns crossing to 0 and compares all 1 066 answers.
+	if compared != 880 || crossing != 186 {
+		t.Fatalf("compared %d and crossing %d answers, pinned at 880 and 186 (ROADMAP 1a: crossing answers ship <#fragment/>)", compared, crossing)
 	}
 }

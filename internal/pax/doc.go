@@ -40,9 +40,11 @@
 // in parallel. Stage 1 is one evaluator, the bit-packed pass over the
 // fragment's arena view (parbox.NewVectorState + FragQual); a fragment's
 // Stage-1 state is its qualifier masks plus formula rows for its spine,
-// and the selection stage reads it through FragQual.QualAt. PaX2's
+// and the selection stage reads it through FragQual.QualAt. The selection
+// traversal is a pre-order sweep over the same arena columns that jumps
+// over every subtree in which no node can select anything. PaX2's
 // combined visit is the same two evaluators in one request: the mask pass,
-// then the selection traversal reading its qualifier values unresolved,
+// then the selection sweep reading its qualifier values unresolved,
 // over sub-fragment variables; handleSel and handleCombined share that
 // fan-out (selectFrags). Each (query, fragment) visit builds its formulas
 // with one boolexpr.Builder, which hash-conses as it builds, so formulas

@@ -3,6 +3,7 @@ package pax
 import (
 	"slices"
 
+	"paxq/internal/arena"
 	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
 	"paxq/internal/parbox"
@@ -18,10 +19,12 @@ type candidate struct {
 }
 
 // selOutcome is the result of one fragment's top-down selection traversal.
+// visited counts the vectors the traversal computed; only tests read it.
 type selOutcome struct {
 	contexts   []fragContext
 	answers    []AnswerNode
 	candidates []candidate
+	visited    int
 }
 
 type fragContext struct {
@@ -48,67 +51,183 @@ func constInit(vals []bool) []*boolexpr.Formula {
 	return out
 }
 
-// answerOf materializes an answer node for shipping.
-func answerOf(f *fragment.Fragment, n *xmltree.Node, shipXML bool) AnswerNode {
-	a := AnswerNode{Frag: f.ID, Node: n.ID, Label: n.Label, Value: n.Value()}
+// answerOf materializes answer node id of f for shipping, reading its
+// label and value from the arena columns.
+func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode {
+	at := f.Arena().Tree
+	a := AnswerNode{Frag: f.ID, Node: id, Label: at.LabelOf(int(id)), Value: at.Value[id]}
 	if shipXML {
-		a.XML = xmltree.SerializeString(n)
+		a.XML = xmltree.SerializeString(f.Tree.Node(id))
 	}
 	return a
 }
 
-// evalSelection runs Procedure topDown (Fig. 4(b)) over one fragment:
-// a top-down traversal computing the SVect vector of every node from its
-// parent's vector (the summarizing stack top), built with b. qualAt yields
-// the qualifier value of selection entry e at node n — ground formulas in
-// PaX3's Stage 2, formulas over sub-fragment variables in PaX2. Virtual
-// nodes contribute their parent's vector as the context of the
-// corresponding sub-fragment and are not descended into.
+// evalSelection runs Procedure topDown (Fig. 4(b)) over one fragment: it
+// computes the SVect vector of every node from its parent's vector (the
+// summarizing stack top), built with b. qualAt yields the qualifier value
+// of selection entry e at node id — ground formulas in PaX3's Stage 2,
+// formulas over sub-fragment variables in PaX2. A virtual node contributes
+// its parent's vector as the context of the sub-fragment it stands for.
 //
-// Vectors live in a depth-indexed row stack grown once per fragment visit:
-// every node at depth d writes its vector into rows[d], which its children
-// read as their parent vector before the next node at depth d overwrites
-// it. A context recorded at a virtual child outlives the row, so it is the
-// one vector that is copied.
+// The traversal is a pre-order sweep over the fragment's arena columns. It
+// keeps a depth-indexed row stack and the stack of the open ancestors'
+// SubtreeEnds: a node at depth d writes its vector into row d, which its
+// descendants read until the sweep passes the node's SubtreeEnd. A context
+// outlives its row, so it is the one vector that is copied.
+//
+// Two rules jump over the subtree of node i to SubtreeEnd[i], because no
+// descendant can select anything there:
+//   - (a) i's vector is all False: then so is every descendant's;
+//   - (b) no step label of the query occurs in i's subtree, no step is a
+//     wildcard and the answer entry is a step: then every descendant's
+//     vector is i's "//" carry entries with every other entry False.
+//
+// The virtual nodes in a skipped range still report their contexts, in
+// pre-order: i's vector for a child of i, and its projection onto the
+// carry entries for a deeper one, which under (a) is all False too. Both
+// reuse formulas i's vector holds and the False singleton, which the
+// recurrence would have rebuilt from them by folding Or(x, False) to x and
+// And(False, x) to False, so the outcome equals a full walk's.
 func evalSelection(
 	b *boolexpr.Builder,
 	f *fragment.Fragment,
 	c *xpath.Compiled,
 	init []*boolexpr.Formula,
 	shipXML bool,
-	qualAt func(n *xmltree.Node, entry int) *boolexpr.Formula,
+	qualAt func(id xmltree.NodeID, entry int) *boolexpr.Formula,
 ) *selOutcome {
-	out := &selOutcome{}
+	av := f.Arena()
+	at := av.Tree
+	w := len(c.Sel)
 	last := c.AnswerEntry()
-	var rows [][]*boolexpr.Formula
-	var walk func(n *xmltree.Node, depth int, parent []*boolexpr.Formula)
-	walk = func(n *xmltree.Node, depth int, parent []*boolexpr.Formula) {
-		if depth == len(rows) {
-			rows = append(rows, make([]*boolexpr.Formula, len(c.Sel)))
+
+	// Rule (b) reads the label mask of every step.
+	var stepBuf [8]stepCursor
+	steps := stepBuf[:0]
+	narrow := c.Sel[last].Kind == xpath.SelStep
+	for _, e := range c.Sel {
+		if e.Kind != xpath.SelStep {
+			continue
 		}
-		sv := xpath.NodeSelVector[*boolexpr.Formula](b, c, n.Label, parent,
-			func(e int) *boolexpr.Formula { return qualAt(n, e) }, rows[depth])
+		if e.Test.Wild {
+			narrow = false
+			break
+		}
+		steps = append(steps, stepCursor{mask: at.LabelMask(e.Test.Label), next: -1})
+	}
+
+	out := &selOutcome{}
+	// The vector at depth d is rows[d*w : (d+1)*w]. Both stacks start in
+	// arrays on the goroutine's stack, which hold a 16-entry query 6 levels
+	// deep; a deeper sweep grows them onto the heap.
+	var rowBuf [96]*boolexpr.Formula
+	rows := rowBuf[:]
+	var endBuf [16]int32
+	ends := endBuf[:0]
+	var node xmltree.NodeID
+	qual := func(e int) *boolexpr.Formula { return qualAt(node, e) }
+	for i, n := 0, at.Len(); i < n; {
+		for len(ends) > 0 && int32(i) >= ends[len(ends)-1] {
+			ends = ends[:len(ends)-1]
+		}
+		if at.LabelID[i] < 0 {
+			i++ // text
+			continue
+		}
+		d := len(ends)
+		if (d+1)*w > len(rows) {
+			rows = append(rows, make([]*boolexpr.Formula, len(rows))...)
+		}
+		parent := init
+		if d > 0 {
+			parent = rows[(d-1)*w : d*w]
+		}
+		if av.VirtualMask.Get(i) {
+			out.addContext(f, i, parent)
+			i++
+			continue
+		}
+		node = xmltree.NodeID(i)
+		sv := xpath.NodeSelVector[*boolexpr.Formula](b, c, at.LabelOf(i), parent, qual, rows[d*w:(d+1)*w])
+		out.visited++
 		switch {
 		case sv[last].IsTrue():
-			out.answers = append(out.answers, answerOf(f, n, shipXML))
+			out.answers = append(out.answers, answerOf(f, node, shipXML))
 		case !sv[last].IsFalse():
-			out.candidates = append(out.candidates, candidate{node: n.ID, f: sv[last]})
+			out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
 		}
-		for _, ch := range n.Children {
-			if ch.Kind != xmltree.Element {
-				continue
+		end := int(at.SubtreeEnd[i])
+		if allFalse(sv) || narrow && !anyStepIn(steps, i+1, end) {
+			out.skip(f, c, i, end, sv)
+			i = end
+			continue
+		}
+		ends = append(ends, int32(end))
+		i++
+	}
+	return out
+}
+
+// addContext records vector sv as the context of the sub-fragment that
+// virtual node v of f stands for: its stack must summarize the ancestors
+// of its root. It returns the recorded copy.
+func (o *selOutcome) addContext(f *fragment.Fragment, v int, sv []*boolexpr.Formula) []*boolexpr.Formula {
+	k, _ := f.VirtualAt(xmltree.NodeID(v))
+	ctx := slices.Clone(sv)
+	o.contexts = append(o.contexts, fragContext{frag: k, sv: ctx})
+	return ctx
+}
+
+// skip records the contexts of the virtual nodes in (i, end), the subtree
+// of node i that a skip rule jumps over: sv, i's vector, for a child of i,
+// and for a deeper one sv's "//" carry entries with every other entry
+// False.
+func (o *selOutcome) skip(f *fragment.Fragment, c *xpath.Compiled, i, end int, sv []*boolexpr.Formula) {
+	av := f.Arena()
+	for v := av.VirtualMask.NextSet(i+1, end); v < end; v = av.VirtualMask.NextSet(v+1, end) {
+		ctx := o.addContext(f, v, sv)
+		if int(av.Tree.Parent[v]) == i {
+			continue
+		}
+		for k := range ctx {
+			if c.Sel[k].Kind != xpath.SelDesc {
+				ctx[k] = boolexpr.False()
 			}
-			if k, ok := f.VirtualAt(ch.ID); ok {
-				// The sub-fragment's stack must summarize the ancestors of
-				// its root, i.e. this node's vector.
-				out.contexts = append(out.contexts, fragContext{frag: k, sv: slices.Clone(sv)})
-				continue
-			}
-			walk(ch, depth+1, sv)
 		}
 	}
-	walk(f.Tree.Root, 0, init)
-	return out
+}
+
+// allFalse reports whether every entry of sv is False.
+func allFalse(sv []*boolexpr.Formula) bool {
+	for _, x := range sv {
+		if !x.IsFalse() {
+			return false
+		}
+	}
+	return true
+}
+
+// stepCursor is one step's label mask with the least member at or after
+// a position the sweep has passed, -1 before the first look.
+type stepCursor struct {
+	mask arena.Bitset
+	next int
+}
+
+// anyStepIn reports whether some step's label occurs in [lo, hi). The
+// sweep's lo never decreases, so each cursor only moves forward and one
+// visit reads every mask word about once, however many nodes ask.
+func anyStepIn(steps []stepCursor, lo, hi int) bool {
+	for k := range steps {
+		s := &steps[k]
+		if s.next < lo {
+			s.next = s.mask.NextSet(lo, len(s.mask)<<6)
+		}
+		if s.next < hi {
+			return true
+		}
+	}
+	return false
 }
 
 // combinedOutcome extends selOutcome with the qualifier root vectors that
@@ -134,6 +253,5 @@ func evalCombined(
 	shipXML bool,
 ) *combinedOutcome {
 	fq := parbox.NewVectorState(f, c, vs).FragQual(b)
-	qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula { return fq.QualAt(n.ID, entry) }
-	return &combinedOutcome{selOutcome: evalSelection(b, f, c, init, shipXML, qualAt), roots: fq.Root}
+	return &combinedOutcome{selOutcome: evalSelection(b, f, c, init, shipXML, fq.QualAt), roots: fq.Root}
 }

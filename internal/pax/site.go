@@ -507,8 +507,8 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 			// an error for this request, never a site crash.
 			return combinedOutcome{}, fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, qid)
 		}
-		qualAt := func(n *xmltree.Node, entry int) *boolexpr.Formula {
-			return env.Resolve(fq.QualAt(n.ID, entry))
+		qualAt := func(id xmltree.NodeID, entry int) *boolexpr.Formula {
+			return env.Resolve(fq.QualAt(id, entry))
 		}
 		return combinedOutcome{selOutcome: evalSelection(b, f, sess.c, init, shipXML, qualAt)}, nil
 	})
@@ -609,7 +609,7 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 				return nil, fmt.Errorf("pax: site %d: candidate in fragment %d not ground under the supplied values", s.id, in.Frag)
 			}
 			if val {
-				resp.Answers = append(resp.Answers, answerOf(f, f.Tree.Node(cand.node), sess.shipXML))
+				resp.Answers = append(resp.Answers, answerOf(f, cand.node, sess.shipXML))
 			}
 		}
 		delete(sess.cands, in.Frag)

@@ -96,12 +96,12 @@ func EvalFromDisk(dir, query string) ([]AnswerNode, error) {
 		if err != nil {
 			return nil, err
 		}
+		at := f.Arena().Tree
 		for _, cd := range winners {
-			n := f.Tree.Node(cd.node)
-			if n == nil {
+			if int(cd.node) >= at.Len() || at.LabelID[cd.node] < 0 {
 				return nil, fmt.Errorf("pax: fragment %d lost node %d between passes", fid, cd.node)
 			}
-			answers = append(answers, answerOf(f, n, false))
+			answers = append(answers, answerOf(f, cd.node, false))
 		}
 	}
 	sortAnswers(answers)

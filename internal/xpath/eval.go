@@ -67,6 +67,11 @@ func DocSelVector[V any](alg Algebra[V], c *Compiled) []V {
 // parent and the node passes the test and qualifier; a descendant carry
 // holds iff it held at the parent or the previous prefix holds here.
 //
+// It has three callers: the site's selection sweep (pax.evalSelection),
+// the centralized vector evaluator (centeval), which the distributed
+// answers are checked against, and the §5 relevance analysis (pax's
+// prune.go).
+//
 // The vector is written into dst, which is grown when shorter than c.Sel
 // and returned. The caller owns dst: traversals pass the row of the
 // current depth from a stack they reuse for every node at that depth, so
