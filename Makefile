@@ -76,16 +76,19 @@ codec-smoke:
 # a fragment visit of the selection sweep (alone or in PaX2's combined
 # visit) allocates per returned item, not per node, its row and
 # subtree-end stacks living on the goroutine's stack, serializing a
-# subtree allocates exactly its output string, and decoding an answers
-# section costs the same few allocations (at most 3) for 1, 100 or 1 000
-# answers.
+# subtree (from a pointer tree or from arena columns) allocates exactly
+# its output string, decoding an answers section costs the same few
+# allocations (at most 3) for 1, 100 or 1 000 answers, and a site's
+# fragment edit allocates at most 200 times, within 10 of the same edit
+# on a fragment 30 times smaller.
 alloc-smoke:
-	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
+	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs|TestArenaSerializeStringAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs' ./internal/parbox
 	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
+	$(GO) test -run='TestApplyEditAllocsIndependentOfSize' ./internal/fragment
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve
@@ -106,13 +109,18 @@ fault-smoke:
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked
 # against a rebuilt centralized oracle, ledgers conserved), plus the
-# version-protocol, snapshot and batch-epoch regressions and the
-# public-API edit regressions. The full
+# version-protocol, snapshot and batch-epoch regressions, two concurrent
+# deliveries of one edit applying once, the public-API edit regressions,
+# and the oracles of the site's columns-only path: column-only edit chains
+# equal to the pointer-edit mirror, typed errors alike, and the arena
+# serializer byte-identical to the pointer one. The full
 # >=500-case-per-transport corpus runs in `test`
 # (TestEditDifferentialLocalCorpus / TestEditDifferentialTCPCorpus).
 edit-smoke:
 	$(GO) test -run='TestEditSmoke' ./internal/harness
-	$(GO) test -run='TestEditVersionProtocol|TestEditOneVersionAnswersAndStalePut|TestBatchQualsStraddlingEditDoNotShare' ./internal/pax
+	$(GO) test -run='TestEditVersionProtocol|TestEditConcurrentDeliveriesApplyOnce|TestEditOneVersionAnswersAndStalePut|TestBatchQualsStraddlingEditDoNotShare' ./internal/pax
+	$(GO) test -run='TestApplyEditMatchesOracleAndSplicedArena|TestEditTypedErrors' ./internal/fragment
+	$(GO) test -run='TestArenaSerializeMatchesPointer' ./internal/harness
 	$(GO) test -run='TestApplyEdit' .
 
 # Documentation gate: vet plus tools/docscheck, which fails on exported

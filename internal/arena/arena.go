@@ -133,6 +133,50 @@ func (a *Tree) LabelOf(i int) string { return a.labels[a.LabelID[i]] }
 // returned slice.
 func (a *Tree) Attrs(i int) []xmltree.Attr { return a.attrs[a.attrOff[i]:a.attrOff[i+1]] }
 
+// Elem is element node I of arena T, read through the accessor the
+// xpath row evaluator takes (xpath.Elem): label, string value and numeric
+// value, straight from the columns.
+type Elem struct {
+	T *Tree
+	I int
+}
+
+// Tag returns the element's label.
+func (e Elem) Tag() string { return e.T.LabelOf(e.I) }
+
+// Value returns the element's string value.
+func (e Elem) Value() string { return e.T.Value[e.I] }
+
+// NumValue returns the element's numeric value and whether it has one.
+func (e Elem) NumValue() (float64, bool) { return e.T.NumVal[e.I], e.T.NumOK.Get(e.I) }
+
+// SerializeString renders the subtree rooted at node i as an XML string,
+// byte-identical to xmltree.SerializeString of the same subtree in pointer
+// form, with one allocation.
+func (a *Tree) SerializeString(i int) string {
+	var w xmltree.Writer
+	a.writeXML(&w, i)
+	w.Alloc()
+	a.writeXML(&w, i)
+	return w.String()
+}
+
+func (a *Tree) writeXML(w *xmltree.Writer, i int) {
+	if a.LabelID[i] < 0 {
+		w.Text(a.Text[i])
+		return
+	}
+	label, first := a.LabelOf(i), a.FirstChild[i]
+	w.Open(label, a.Attrs(i), first < 0)
+	if first < 0 {
+		return
+	}
+	for c := first; c >= 0; c = a.NextSibling[c] {
+		a.writeXML(w, int(c))
+	}
+	w.Close(label)
+}
+
 // Elements returns the mask of element nodes. Callers must not mutate it.
 func (a *Tree) Elements() Bitset { return a.elements }
 

@@ -2,20 +2,24 @@ package arena
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
 	"paxq/internal/xmltree"
 )
 
-// This file holds the document-order splice kernels: the columnar twins of
-// the pointer-tree edit operations in internal/fragment. A Tree is
-// immutable, so every kernel returns a fresh Tree; the input is never
-// touched. The kernels renumber by pure index arithmetic — an old index j
-// maps to j when j < at and to j+delta when j >= at+oldLen, where delta is
-// the node-count change — so the same mapping applied to a bit-packed mask
-// (SpliceBits) renumbers a whole mask at once, which is how a fragment
-// edit carries its virtual and spine masks across.
+// This file holds the document-order splice kernels, which are the whole
+// of a site's fragment edit (fragment.Fragment.ApplyEdit); the pointer-tree
+// edit of the oracle mirror (fragment.Fragmentation.ApplyEdit) is their
+// reference. A Tree is immutable, so every kernel returns a fresh Tree;
+// the input is never touched. The kernels renumber by pure index
+// arithmetic — an old index j maps to j when j < at and to j+delta when
+// j >= at+oldLen, where delta is the node-count change — so the same
+// mapping applied to a bit-packed mask (SpliceBits) renumbers a whole
+// mask at once, which is how a fragment edit carries its virtual and
+// spine masks across.
 
 // DeleteSubtree returns a new tree with the whole subtree rooted at node
 // `at` removed. The root cannot be deleted.
@@ -44,20 +48,36 @@ func (a *Tree) InsertSubtree(parent, pos int, repl *xmltree.Node) (*Tree, error)
 	if repl == nil {
 		return nil, fmt.Errorf("arena: nil insert subtree")
 	}
-	// Walk the child chain to the insertion slot.
-	prev := int32(-1)
-	next := a.FirstChild[parent]
+	at, prev, next, ok := a.slot(parent, pos)
+	if !ok {
+		return nil, fmt.Errorf("arena: insert position %d beyond the children of node %d", pos, parent)
+	}
+	return a.splice(at, 0, int32(parent), prev, next, repl)
+}
+
+// ChildSlot returns the preorder index at which a subtree inserted as
+// child number pos (element and text children alike) of node parent
+// starts, or ok=false when parent has fewer than pos children.
+func (a *Tree) ChildSlot(parent, pos int) (at int, ok bool) {
+	at, _, _, ok = a.slot(parent, pos)
+	return at, ok
+}
+
+// slot is ChildSlot plus the children before and after the slot (-1 when
+// absent), found by walking parent's child chain.
+func (a *Tree) slot(parent, pos int) (at int, prev, next int32, ok bool) {
+	prev, next = -1, a.FirstChild[parent]
 	for i := 0; i < pos; i++ {
 		if next < 0 {
-			return nil, fmt.Errorf("arena: insert position %d beyond %d children of node %d", pos, i, parent)
+			return 0, -1, -1, false
 		}
 		prev, next = next, a.NextSibling[next]
 	}
-	at := parent + 1
+	at = parent + 1
 	if prev >= 0 {
 		at = int(a.SubtreeEnd[prev])
 	}
-	return a.splice(at, 0, int32(parent), prev, next, repl)
+	return at, prev, next, true
 }
 
 // Relabel returns a new tree with element node `node` relabelled. All
@@ -67,32 +87,41 @@ func (a *Tree) Relabel(node int, label string) (*Tree, error) {
 		return nil, fmt.Errorf("arena: relabel target %d is not an element (n=%d)", node, a.n)
 	}
 	b := *a // share every immutable column
-	b.LabelID = append([]int32(nil), a.LabelID...)
-	b.labels = append([]string(nil), a.labels...)
-	b.labelIDs = make(map[string]int32, len(a.labelIDs)+1)
-	for l, id := range a.labelIDs {
-		b.labelIDs[l] = id
-	}
-	b.labelMasks = append([]Bitset(nil), a.labelMasks...)
+	b.LabelID = slices.Clone(a.LabelID)
+	id := b.intern(a, label)
+	b.labelMasks = make([]Bitset, len(b.labels))
+	copy(b.labelMasks, a.labelMasks)
 	old := a.LabelID[node]
 	oldMask := NewBitset(a.n)
 	oldMask.CopyFrom(a.labelMasks[old])
 	oldMask.Clear(node)
 	b.labelMasks[old] = oldMask
-	id, ok := b.labelIDs[label]
-	if !ok {
-		id = int32(len(b.labels))
-		b.labelIDs[label] = id
-		b.labels = append(b.labels, label)
-		b.labelMasks = append(b.labelMasks, NewBitset(a.n))
-	} else {
-		m := NewBitset(a.n)
+	m := NewBitset(a.n)
+	if int(id) < len(a.labelMasks) {
 		m.CopyFrom(b.labelMasks[id])
-		b.labelMasks[id] = m
 	}
-	b.labelMasks[id].Set(node)
+	m.Set(node)
+	b.labelMasks[id] = m
 	b.LabelID[node] = id
 	return &b, nil
+}
+
+// intern returns label's id in b's vocabulary, adding it when new. b's
+// vocabulary starts out shared with a's, the tree b is edited from: the
+// first new label copies it, so an edit that brings no new label
+// allocates nothing for it.
+func (b *Tree) intern(a *Tree, label string) int32 {
+	if id, ok := b.labelIDs[label]; ok {
+		return id
+	}
+	if len(b.labels) == len(a.labels) {
+		b.labelIDs = maps.Clone(a.labelIDs)
+		b.labels = slices.Clip(a.labels)
+	}
+	id := int32(len(b.labels))
+	b.labelIDs[label] = id
+	b.labels = append(b.labels, label)
+	return id
 }
 
 // splice replaces the preorder interval [at, at+oldLen) — a whole subtree
@@ -100,171 +129,86 @@ func (a *Tree) Relabel(node int, label string) (*Tree, error) {
 // deletion). parent is the element receiving the splice, prev its child
 // preceding the interval (-1 when the interval is/becomes the first
 // child), next the child following it (-1 at the end of the child list).
+//
+// Every column is copied in bulk around the interval. Renumbering is then
+// one pass over the link columns: an old index j keeps its value when
+// j < at and becomes j+delta when j >= at+oldLen.
 func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.Node) (*Tree, error) {
 	if oldLen > 0 && int(a.SubtreeEnd[at]) != at+oldLen {
 		return nil, fmt.Errorf("arena: splice interval [%d,%d) is not a whole subtree", at, at+oldLen)
 	}
-	// Flatten the replacement subtree in preorder.
-	var flat []*xmltree.Node
-	var relParent []int32
-	var children [][]int32
-	var walk func(nd *xmltree.Node, p int32)
-	walk = func(nd *xmltree.Node, p int32) {
-		idx := int32(len(flat))
-		flat = append(flat, nd)
-		relParent = append(relParent, p)
-		children = append(children, nil)
-		if p >= 0 {
-			children[p] = append(children[p], idx)
-		}
-		for _, c := range nd.Children {
-			walk(c, idx)
-		}
-	}
+	b := &Tree{labels: a.labels, labelIDs: a.labelIDs}
+	newLen, newAttrs := 0, 0
 	if repl != nil {
-		walk(repl, -1)
+		newLen, newAttrs = b.scan(a, repl)
 	}
-	newLen := len(flat)
+	end := at + oldLen
 	delta := newLen - oldLen
 	n2 := a.n + delta
+	b.n = n2
 
-	// Ancestor set of the splice parent (parent included): the survivors
-	// whose SubtreeEnd grows/shrinks even when it lands exactly on `at`.
-	anc := make(map[int32]bool)
-	for p := parent; p >= 0; p = a.Parent[p] {
-		anc[p] = true
-	}
-	mapIdx := func(v int32) int32 {
-		if v < 0 || int(v) < at {
-			return v
+	b.LabelID = spliceCol(a.LabelID, at, oldLen, newLen)
+	b.Text = spliceCol(a.Text, at, oldLen, newLen)
+	b.Value = spliceCol(a.Value, at, oldLen, newLen)
+	b.NumVal = spliceCol(a.NumVal, at, oldLen, newLen)
+	b.Parent = spliceLinks(a.Parent, at, oldLen, newLen)
+	b.FirstChild = spliceLinks(a.FirstChild, at, oldLen, newLen)
+	b.NextSibling = spliceLinks(a.NextSibling, at, oldLen, newLen)
+	// A subtree end past the interval shifts. One landing exactly on `at`
+	// shifts only for the splice parent and its ancestors, whose subtrees
+	// hold the interval — exactly the nodes j <= parent, since at > parent —
+	// and not for a preceding sibling's subtree ending at the same place.
+	b.SubtreeEnd = spliceCol(a.SubtreeEnd, at, oldLen, newLen)
+	d := int32(delta)
+	for j, q := range b.SubtreeEnd[:at] {
+		if int(q) > at || int(q) == at && j <= int(parent) {
+			b.SubtreeEnd[j] = q + d
 		}
-		return v + int32(delta)
 	}
-	// Position mapping for SubtreeEnd values q in (0, n]: positions strictly
-	// past the removed interval shift; a position landing exactly on `at`
-	// shifts only for the splice parent's ancestors (their subtree contains
-	// the spliced interval; a preceding sibling's, ending at the same
-	// position, does not).
-	mapEnd := func(j int, q int32) int32 {
-		if int(q) > at || (int(q) == at && anc[int32(j)]) {
-			return q + int32(delta)
+	for j := at + newLen; j < n2; j++ {
+		b.SubtreeEnd[j] += d
+	}
+
+	b.NumOK = SpliceBits(a.NumOK, at, oldLen, newLen, a.n)
+	b.elements = SpliceBits(a.elements, at, oldLen, newLen, a.n)
+	// Every label's mask, plus the empty one, in one allocation.
+	words := (n2 + 63) / 64
+	slab := make(Bitset, (len(b.labels)+1)*words)
+	b.labelMasks = make([]Bitset, len(b.labels))
+	for id := range b.labelMasks {
+		m := slab[id*words : (id+1)*words : (id+1)*words]
+		if id < len(a.labelMasks) {
+			spliceBitsInto(m, a.labelMasks[id], at, oldLen, newLen, a.n)
 		}
-		return q
+		b.labelMasks[id] = m
 	}
+	b.emptyMask = slab[len(b.labels)*words:]
 
-	b := &Tree{
-		n:           n2,
-		LabelID:     make([]int32, n2),
-		Text:        make([]string, n2),
-		Parent:      make([]int32, n2),
-		FirstChild:  make([]int32, n2),
-		NextSibling: make([]int32, n2),
-		SubtreeEnd:  make([]int32, n2),
-		Value:       make([]string, n2),
-		NumVal:      make([]float64, n2),
-		NumOK:       SpliceBits(a.NumOK, at, oldLen, newLen, a.n),
-		attrOff:     make([]int32, n2+1),
-		labels:      append([]string(nil), a.labels...),
-		labelIDs:    make(map[string]int32, len(a.labelIDs)),
-		elements:    SpliceBits(a.elements, at, oldLen, newLen, a.n),
-		emptyMask:   NewBitset(n2),
-	}
-	for l, id := range a.labelIDs {
-		b.labelIDs[l] = id
-	}
-	b.labelMasks = make([]Bitset, len(a.labelMasks), len(a.labelMasks)+4)
-	for i, m := range a.labelMasks {
-		b.labelMasks[i] = SpliceBits(m, at, oldLen, newLen, a.n)
-	}
-
-	// Attribute storage: cut the removed interval's flat attrs, make room
-	// for the inserted ones.
-	cutStart, cutEnd := a.attrOff[at], a.attrOff[at+oldLen]
-	attrShift := int32(0) // applied to attrOff entries past the interval, set below
-
-	copyCols := func(oldJ, newJ int) {
-		b.LabelID[newJ] = a.LabelID[oldJ]
-		b.Text[newJ] = a.Text[oldJ]
-		b.Parent[newJ] = mapIdx(a.Parent[oldJ])
-		b.FirstChild[newJ] = mapIdx(a.FirstChild[oldJ])
-		b.NextSibling[newJ] = mapIdx(a.NextSibling[oldJ])
-		b.SubtreeEnd[newJ] = mapEnd(oldJ, a.SubtreeEnd[oldJ])
-		b.Value[newJ] = a.Value[oldJ]
-		b.NumVal[newJ] = a.NumVal[oldJ]
-	}
-	for j := 0; j < at; j++ {
-		copyCols(j, j)
-		b.attrOff[j] = a.attrOff[j]
+	// Attribute storage: cut the removed interval's flat attrs, write the
+	// inserted ones in its place.
+	cutStart, cutEnd := a.attrOff[at], a.attrOff[end]
+	if c := len(a.attrs) - int(cutEnd-cutStart) + newAttrs; c > 0 {
+		b.attrs = make([]xmltree.Attr, 0, c)
 	}
 	b.attrs = append(b.attrs, a.attrs[:cutStart]...)
-
-	// The inserted interval.
-	sizes := make([]int32, newLen) // subtree sizes, computed leaf-up
-	for k := newLen - 1; k >= 0; k-- {
-		sizes[k] = 1
-		for _, c := range children[k] {
-			sizes[k] += sizes[c]
-		}
+	b.attrOff = make([]int32, n2+1)
+	copy(b.attrOff, a.attrOff[:at])
+	if repl != nil {
+		b.fill(repl, at, parent)
 	}
-	for k := 0; k < newLen; k++ {
-		b.FirstChild[at+k] = -1
-		b.NextSibling[at+k] = -1
-	}
-	for k := 0; k < newLen; k++ {
-		j := at + k
-		nd := flat[k]
-		b.attrOff[j] = int32(len(b.attrs))
-		if relParent[k] >= 0 {
-			b.Parent[j] = int32(at) + relParent[k]
-		} else {
-			b.Parent[j] = parent
-		}
-		if kids := children[k]; len(kids) > 0 {
-			b.FirstChild[j] = int32(at) + kids[0]
-			for ci := 0; ci+1 < len(kids); ci++ {
-				b.NextSibling[int32(at)+kids[ci]] = int32(at) + kids[ci+1]
-			}
-		}
-		b.SubtreeEnd[j] = int32(at+k) + sizes[k]
-		if nd.Kind == xmltree.Element {
-			b.elements.Set(j)
-			id, ok := b.labelIDs[nd.Label]
-			if !ok {
-				id = int32(len(b.labels))
-				b.labelIDs[nd.Label] = id
-				b.labels = append(b.labels, nd.Label)
-				b.labelMasks = append(b.labelMasks, NewBitset(n2))
-			}
-			b.LabelID[j] = id
-			b.labelMasks[id].Set(j)
-			b.attrs = append(b.attrs, nd.Attrs...)
-			v := nd.Value()
-			b.Value[j] = v
-			if f, err := strconv.ParseFloat(v, 64); err == nil {
-				b.NumVal[j] = f
-				b.NumOK.Set(j)
-			}
-		} else {
-			b.LabelID[j] = -1
-			b.Text[j] = nd.Data
-		}
-	}
-	attrShift = int32(len(b.attrs)) - cutEnd
-
-	for j := at + oldLen; j < a.n; j++ {
-		copyCols(j, j+delta)
+	attrShift := int32(len(b.attrs)) - cutEnd
+	for j := end; j <= a.n; j++ {
 		b.attrOff[j+delta] = a.attrOff[j] + attrShift
 	}
 	b.attrs = append(b.attrs, a.attrs[cutEnd:]...)
-	b.attrOff[n2] = int32(len(b.attrs))
 
 	// Rewire the child list around the splice point. Pure deletion: the
 	// interval leaves the chain. Insertion: the new root enters it.
 	if repl == nil {
 		if prev >= 0 {
-			b.NextSibling[prev] = mapIdx(next)
+			b.NextSibling[prev] = mapIdx(next, at, delta)
 		} else {
-			b.FirstChild[parent] = mapIdx(next)
+			b.FirstChild[parent] = mapIdx(next, at, delta)
 		}
 	} else {
 		if prev >= 0 {
@@ -272,7 +216,7 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 		} else {
 			b.FirstChild[parent] = int32(at)
 		}
-		b.NextSibling[at] = mapIdx(next) // the inserted root precedes the old occupant of the slot
+		b.NextSibling[at] = mapIdx(next, at, delta) // the inserted root precedes the old occupant of the slot
 	}
 	// The splice parent's string value depends on its immediate text
 	// children, which the edit may have changed; recompute it from the
@@ -283,15 +227,100 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 			sb.WriteString(b.Text[c])
 		}
 	}
-	v := strings.TrimSpace(sb.String())
-	b.Value[parent] = v
-	b.NumVal[parent] = 0
-	b.NumOK.Clear(int(parent))
-	if f, err := strconv.ParseFloat(v, 64); err == nil {
-		b.NumVal[parent] = f
-		b.NumOK.Set(int(parent))
-	}
+	b.setValue(int(parent), strings.TrimSpace(sb.String()))
 	return b, nil
+}
+
+// scan counts the nodes and attributes of an inserted subtree and interns
+// its labels, so the spliced label masks can be sized before it is
+// written.
+func (b *Tree) scan(a *Tree, nd *xmltree.Node) (nodes, attrs int) {
+	nodes = 1
+	if nd.Kind == xmltree.Element {
+		b.intern(a, nd.Label)
+		attrs = len(nd.Attrs)
+	}
+	for _, c := range nd.Children {
+		cn, ca := b.scan(a, c)
+		nodes += cn
+		attrs += ca
+	}
+	return nodes, attrs
+}
+
+// fill writes the inserted subtree rooted at nd into the columns at
+// preorder index j under parent, and returns the index past its subtree.
+// The links out of the subtree's root are the caller's to set.
+func (b *Tree) fill(nd *xmltree.Node, j int, parent int32) int {
+	b.Parent[j] = parent
+	b.FirstChild[j] = -1
+	b.NextSibling[j] = -1
+	b.attrOff[j] = int32(len(b.attrs))
+	if nd.Kind == xmltree.Element {
+		b.elements.Set(j)
+		id := b.labelIDs[nd.Label]
+		b.LabelID[j] = id
+		b.labelMasks[id].Set(j)
+		b.attrs = append(b.attrs, nd.Attrs...)
+		b.setValue(j, nd.Value())
+	} else {
+		b.LabelID[j] = -1
+		b.Text[j] = nd.Data
+	}
+	k, last := j+1, int32(-1)
+	for _, c := range nd.Children {
+		if last < 0 {
+			b.FirstChild[j] = int32(k)
+		} else {
+			b.NextSibling[last] = int32(k)
+		}
+		last = int32(k)
+		k = b.fill(c, k, int32(j))
+	}
+	b.SubtreeEnd[j] = int32(k)
+	return k
+}
+
+// setValue sets element i's string value and the numeric value parsed
+// from it.
+func (b *Tree) setValue(i int, v string) {
+	b.Value[i] = v
+	b.NumVal[i] = 0
+	b.NumOK.Clear(i)
+	if f, err := strconv.ParseFloat(v, 64); err == nil {
+		b.NumVal[i] = f
+		b.NumOK.Set(i)
+	}
+}
+
+// mapIdx renumbers an old node index across a splice at `at` that changes
+// the node count by delta; -1 stays -1.
+func mapIdx(v int32, at, delta int) int32 {
+	if v < 0 || int(v) < at {
+		return v
+	}
+	return v + int32(delta)
+}
+
+// spliceCol returns src with the entries [at, at+oldLen) replaced by
+// newLen zero entries.
+func spliceCol[T any](src []T, at, oldLen, newLen int) []T {
+	dst := make([]T, len(src)-oldLen+newLen)
+	copy(dst, src[:at])
+	copy(dst[at+newLen:], src[at+oldLen:])
+	return dst
+}
+
+// spliceLinks is spliceCol over a column of node indices, renumbering the
+// indices it keeps.
+func spliceLinks(src []int32, at, oldLen, newLen int) []int32 {
+	dst := spliceCol(src, at, oldLen, newLen)
+	for _, part := range [2][]int32{dst[:at], dst[at+newLen:]} {
+		for k, v := range part {
+			part[k] = mapIdx(v, at, newLen-oldLen)
+		}
+	}
+	return dst
 }
 
 // SpliceBits returns src — a mask over oldN positions — with the bit
@@ -299,11 +328,16 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 // place. The result covers oldN-oldLen+newLen positions. This is the mask
 // twin of the node renumbering the splice kernels perform.
 func SpliceBits(src Bitset, at, oldLen, newLen, oldN int) Bitset {
-	n2 := oldN - oldLen + newLen
-	out := NewBitset(n2)
+	out := NewBitset(oldN - oldLen + newLen)
+	spliceBitsInto(out, src, at, oldLen, newLen, oldN)
+	return out
+}
+
+// spliceBitsInto is SpliceBits writing into out, which must be zero and
+// sized for oldN-oldLen+newLen positions.
+func spliceBitsInto(out, src Bitset, at, oldLen, newLen, oldN int) {
 	copyBits(out, 0, src, 0, at)
 	copyBits(out, at+newLen, src, at+oldLen, oldN-at-oldLen)
-	return out
 }
 
 // copyBits copies count bits from src starting at srcOff into dst starting

@@ -1,9 +1,17 @@
 // Fragment edit operations: insert/delete/rename a subtree with
-// document-order renumbering in both the pointer tree and the columnar
-// arena view. Edits are copy-on-write — ApplyEdit returns a fresh
-// *Fragment and never touches the receiver — so readers holding the old
-// fragment (in-flight queries) keep a consistent version
-// while the site swaps in the new one.
+// document-order renumbering. Edits are copy-on-write — ApplyEdit returns
+// a fresh *Fragment and never touches the receiver — so readers holding
+// the old fragment (in-flight queries) keep a consistent version while the
+// site swaps in the new one.
+//
+// A site's edit touches arena columns only: Fragment.ApplyEdit validates
+// the edit against the columns, splices the ArenaView and returns a
+// fragment without a pointer tree, so an edit costs the column copies and
+// a few allocations, whatever the fragment's size. The pointer-tree edit
+// (clone, mutate, re-freeze) lives only in Fragmentation.ApplyEdit, the
+// oracle mirror, which fills the mirrored fragment's Tree with it so that
+// Reassemble, RecomputeOrigins and the centralized evaluator keep a
+// reference independent of the splice.
 //
 // Edits deliberately cannot change the fragmentation skeleton: virtual
 // nodes, fragment roots and the spine (the ancestors of virtual nodes,
@@ -17,6 +25,7 @@ package fragment
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"paxq/internal/arena"
@@ -72,128 +81,96 @@ var (
 	ErrBadOp       = errors.New("unknown edit operation")
 )
 
-// ApplyEdit validates e against the fragment and returns a new fragment
-// with the edit applied — fresh pointer tree with renumbered IDs, spliced
-// arena view, remapped virtual-node map, Version incremented. The receiver
-// is never modified. The new fragment's Origin is nil (stale by
-// construction); Fragmentation.RecomputeOrigins restores origins when a
-// caller needs them.
+// ApplyEdit validates e against the fragment's arena columns and returns
+// a new fragment with the edit applied: spliced arena view with
+// renumbered nodes, remapped virtual-node map, Version incremented. The
+// receiver is never modified. The new fragment has no pointer tree (Tree
+// is nil) and no Origin; Fragmentation.ApplyEdit, the oracle mirror,
+// fills in Tree, and RecomputeOrigins restores origins.
 func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 	av := f.Arena()
-	n := f.Tree.Node(e.Node)
-	if n == nil {
-		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrNoSuchNode)
+	at := av.Tree
+	id := int(e.Node)
+	fail := func(err error) (*Fragment, error) {
+		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, err)
 	}
-	if _, virt := f.virtuals[e.Node]; virt {
-		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditVirtual)
+	if id < 0 || id >= at.Len() {
+		return fail(ErrNoSuchNode)
 	}
-	if !n.IsElement() {
-		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrNotElement)
+	if av.VirtualMask.Get(id) {
+		return fail(ErrEditVirtual)
 	}
-
-	// The edit replaces the preorder interval [at, at+oldLen) of the old
-	// tree with [at, at+newLen) in the new one.
-	var at, oldLen, newLen int
-	var sub *xmltree.Node // insert only: the clone that joins the new tree
-	switch e.Op {
-	case EditDelete, EditRename:
-		if e.Node == f.Tree.Root.ID {
-			return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditRoot)
-		}
-		if av.SpineMask.Get(int(e.Node)) {
-			return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, ErrEditSpine)
-		}
-		at = int(e.Node)
-		if e.Op == EditDelete {
-			oldLen = int(av.Tree.SubtreeEnd[at]) - at
-		} else {
-			if err := checkLabel(e.Label); err != nil {
-				return nil, fmt.Errorf("fragment %d: rename node %d: %w", f.ID, e.Node, err)
-			}
-			oldLen, newLen = 1, 1
-		}
-	case EditInsert:
-		if e.Pos < 0 || e.Pos > len(n.Children) {
-			return nil, fmt.Errorf("fragment %d: insert at node %d slot %d of %d: %w", f.ID, e.Node, e.Pos, len(n.Children), ErrBadPos)
-		}
-		if err := checkSubtree(e.Subtree); err != nil {
-			return nil, fmt.Errorf("fragment %d: insert at node %d: %w", f.ID, e.Node, err)
-		}
-		at = int(e.Node) + 1
-		if e.Pos > 0 {
-			at = int(av.Tree.SubtreeEnd[n.Children[e.Pos-1].ID])
-		}
-		sub = e.Subtree.Clone()
-		var count func(nd *xmltree.Node)
-		count = func(nd *xmltree.Node) {
-			newLen++
-			for _, c := range nd.Children {
-				count(c)
-			}
-		}
-		count(sub)
-	default:
-		return nil, fmt.Errorf("fragment %d: op %d: %w", f.ID, uint8(e.Op), ErrBadOp)
+	if at.LabelID[id] < 0 {
+		return fail(ErrNotElement)
 	}
 
-	// Apply to a structural clone of the pointer tree. The clone's Freeze
-	// assigns the same IDs as the original (identical structure), so the
-	// old target ID addresses the cloned target.
-	t2 := xmltree.NewTree(f.Tree.Root.Clone())
-	target := t2.Node(e.Node)
-	switch e.Op {
-	case EditDelete:
-		p := target.Parent
-		for i, c := range p.Children {
-			if c == target {
-				p.Children = append(p.Children[:i], p.Children[i+1:]...)
-				break
-			}
-		}
-	case EditRename:
-		target.Label = e.Label
-	case EditInsert:
-		sub.Parent = target
-		target.Children = append(target.Children[:e.Pos], append([]*xmltree.Node{sub}, target.Children[e.Pos:]...)...)
-	}
-	t2.Freeze()
-
-	// Splice the columnar view rather than rebuilding it.
+	// The edit replaces the preorder interval [start, start+oldLen) of the
+	// old fragment with [start, start+newLen) in the new one.
+	var start, oldLen, newLen int
 	var at2 *arena.Tree
 	var err error
 	switch e.Op {
-	case EditDelete:
-		at2, err = av.Tree.DeleteSubtree(int(e.Node))
-	case EditRename:
-		at2, err = av.Tree.Relabel(int(e.Node), e.Label)
+	case EditDelete, EditRename:
+		if e.Node == RootNode {
+			return fail(ErrEditRoot)
+		}
+		if av.SpineMask.Get(id) {
+			return fail(ErrEditSpine)
+		}
+		start = id
+		if e.Op == EditDelete {
+			oldLen = int(at.SubtreeEnd[id]) - id
+			at2, err = at.DeleteSubtree(id)
+		} else {
+			if err := checkLabel(e.Label); err != nil {
+				return fail(err)
+			}
+			oldLen, newLen = 1, 1
+			at2, err = at.Relabel(id, e.Label)
+		}
 	case EditInsert:
-		at2, err = av.Tree.InsertSubtree(int(e.Node), e.Pos, sub)
+		var ok bool
+		if start, ok = at.ChildSlot(id, e.Pos); !ok || e.Pos < 0 {
+			return nil, fmt.Errorf("fragment %d: insert at node %d slot %d: %w", f.ID, e.Node, e.Pos, ErrBadPos)
+		}
+		if err := checkSubtree(e.Subtree); err != nil {
+			return fail(err)
+		}
+		at2, err = at.InsertSubtree(id, e.Pos, e.Subtree)
+		if err == nil {
+			newLen = at2.Len() - at.Len()
+		}
+	default:
+		return nil, fmt.Errorf("fragment %d: op %d: %w", f.ID, uint8(e.Op), ErrBadOp)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fragment %d: %s: %w", f.ID, e.Op, err)
 	}
-	av2 := &ArenaView{
-		Tree:        at2,
-		VirtualMask: arena.SpliceBits(av.VirtualMask, at, oldLen, newLen, f.Tree.Size()),
-		SpineMask:   arena.SpliceBits(av.SpineMask, at, oldLen, newLen, f.Tree.Size()),
-	}
 
 	nf := &Fragment{
 		ID:            f.ID,
-		Tree:          t2,
 		Parent:        f.Parent,
 		ParentVirtual: f.ParentVirtual,
 		Annotation:    f.Annotation,
 		Version:       f.Version + 1,
-		virtuals:      make(map[xmltree.NodeID]FragID, len(f.virtuals)),
+		virtuals:      f.virtuals,
 	}
 	// Virtual nodes are never inside the replaced interval, so each one
-	// either precedes it or shifts by the edit's node-count change.
-	for vid, k := range f.virtuals {
-		if int(vid) >= at {
-			vid += xmltree.NodeID(newLen - oldLen)
+	// either precedes it or shifts by the edit's node-count change; the
+	// map is shared when none shifts.
+	if d := xmltree.NodeID(newLen - oldLen); d != 0 && av.VirtualMask.AnyInRange(start, at.Len()) {
+		nf.virtuals = make(map[xmltree.NodeID]FragID, len(f.virtuals))
+		for vid, k := range f.virtuals {
+			if int(vid) >= start {
+				vid += d
+			}
+			nf.virtuals[vid] = k
 		}
-		nf.virtuals[vid] = k
+	}
+	av2 := &ArenaView{
+		Tree:        at2,
+		VirtualMask: arena.SpliceBits(av.VirtualMask, start, oldLen, newLen, at.Len()),
+		SpineMask:   arena.SpliceBits(av.SpineMask, start, oldLen, newLen, at.Len()),
 	}
 	nf.arenaOnce.Do(func() { nf.arena = av2 })
 	return nf, nil
@@ -240,20 +217,46 @@ func checkSubtree(s *xmltree.Node) error {
 // child fragments' ParentVirtual references follow the renumbered virtual
 // nodes. Origins across the fragmentation become stale; call
 // RecomputeOrigins when needed. This is the coordinator/oracle-side mirror
-// of the per-site edit a cluster performs.
+// of the per-site edit a cluster performs: the successor is the one
+// Fragment.ApplyEdit splices, plus a pointer tree edited independently of
+// the splice, so every reader of Tree sees the edited document.
 func (ft *Fragmentation) ApplyEdit(fid FragID, e Edit) error {
 	if int(fid) < 0 || int(fid) >= len(ft.Frags) {
 		return fmt.Errorf("fragment %d: %w", fid, ErrNoSuchNode)
 	}
-	nf, err := ft.Frags[fid].ApplyEdit(e)
+	f := ft.Frags[fid]
+	nf, err := f.ApplyEdit(e)
 	if err != nil {
 		return err
 	}
+	nf.Tree = editTree(f.Tree, e)
 	ft.Frags[fid] = nf
 	for vid, cid := range nf.virtuals {
 		ft.Frags[cid].ParentVirtual = vid
 	}
 	return nil
+}
+
+// editTree applies a validated edit to a structural clone of t and
+// returns the re-frozen clone. The clone's Freeze assigns the same IDs as
+// the original (identical structure), so the edit's node ID addresses the
+// cloned target.
+func editTree(t *xmltree.Tree, e Edit) *xmltree.Tree {
+	t2 := xmltree.NewTree(t.Root.Clone())
+	target := t2.Node(e.Node)
+	switch e.Op {
+	case EditDelete:
+		p := target.Parent
+		p.Children = slices.DeleteFunc(p.Children, func(c *xmltree.Node) bool { return c == target })
+	case EditRename:
+		target.Label = e.Label
+	case EditInsert:
+		sub := e.Subtree.Clone()
+		sub.Parent = target
+		target.Children = slices.Insert(target.Children, e.Pos, sub)
+	}
+	t2.Freeze()
+	return t2
 }
 
 // RecomputeOrigins rebuilds every fragment's Origin map by walking the

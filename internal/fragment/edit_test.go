@@ -3,6 +3,7 @@ package fragment
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -57,13 +58,98 @@ func applyOracle(t *testing.T, ft *Fragmentation, fid FragID, e Edit) *xmltree.T
 	return orig
 }
 
+// columnsOnly returns f as a site holds it once it has been edited: the
+// same arena view and virtual map, and no pointer tree.
+func columnsOnly(f *Fragment) *Fragment {
+	c := &Fragment{ID: f.ID, Parent: f.Parent, ParentVirtual: f.ParentVirtual,
+		Annotation: f.Annotation, Version: f.Version, virtuals: f.virtuals}
+	av := f.Arena()
+	c.arenaOnce.Do(func() { c.arena = av })
+	return c
+}
+
+// columnChain replays edits through Fragment.ApplyEdit on column-only
+// fragments, beside the mirror fragmentation that ApplyEdit's pointer
+// edit keeps.
+type columnChain []*Fragment
+
+func newColumnChain(ft *Fragmentation) columnChain {
+	c := make(columnChain, ft.Len())
+	for i, f := range ft.Frags {
+		c[i] = columnsOnly(f)
+	}
+	return c
+}
+
+// typedEditErrors are the errors every rejected edit wraps one of.
+var typedEditErrors = []error{ErrNoSuchNode, ErrNotElement, ErrEditRoot, ErrEditVirtual,
+	ErrEditSpine, ErrBadSubtree, ErrBadPos, ErrBadOp}
+
+// typedError returns the typed edit error err wraps, nil for nil, and
+// fails the test on an untyped error.
+func typedError(t *testing.T, err error) error {
+	t.Helper()
+	if err == nil {
+		return nil
+	}
+	for _, te := range typedEditErrors {
+		if errors.Is(err, te) {
+			return te
+		}
+	}
+	t.Fatalf("untyped edit error: %v", err)
+	return nil
+}
+
+// apply applies e to the chain's copy of fragment fid and requires the
+// outcome to match mirrorErr, the mirror's outcome for the same edit: the
+// same typed error, or success with the same columns, masks and virtual
+// map as the mirror's fragment, whose Tree is the pointer-edit reference.
+func (c columnChain) apply(t *testing.T, ft *Fragmentation, fid FragID, e Edit, mirrorErr error) {
+	t.Helper()
+	nf, err := c[fid].ApplyEdit(e)
+	if got, want := typedError(t, err), typedError(t, mirrorErr); got != want {
+		t.Fatalf("%v on frag %d: column-only edit error %v, mirror error %v", e.Op, fid, err, mirrorErr)
+	}
+	if err != nil {
+		return
+	}
+	c[fid] = nf
+	ref := ft.Frag(fid)
+	if nf.Tree != nil {
+		t.Fatal("Fragment.ApplyEdit returned a pointer tree")
+	}
+	if nf.Version != ref.Version || nf.Size() != ref.Tree.Size() {
+		t.Fatalf("column-only fragment at version %d with %d nodes, mirror at %d with %d",
+			nf.Version, nf.Size(), ref.Version, ref.Tree.Size())
+	}
+	if !arena.Equal(nf.Arena().Tree, arena.FromTree(ref.Tree)) {
+		t.Fatalf("%v on frag %d: column-only arena differs from the mirror's rebuilt one", e.Op, fid)
+	}
+	if !maps.Equal(nf.Virtuals(), ref.Virtuals()) {
+		t.Fatalf("%v on frag %d: virtual maps differ", e.Op, fid)
+	}
+	checkMasks(t, nf, ref.Tree)
+}
+
 func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		_, ft := cutFixture(t, 3, seed)
+		chain := newColumnChain(ft)
 		r := rand.New(rand.NewSource(seed))
 		for step := 0; step < 30; step++ {
 			fid := FragID(r.Intn(ft.Len()))
 			f := ft.Frag(fid)
+			if step%5 == 4 {
+				// An insert one slot past the last child fails alike on
+				// both sides and changes nothing.
+				bad := Edit{Op: EditInsert, Node: 0, Pos: len(f.Tree.Root.Children) + 1, Subtree: xmltree.El("x")}
+				err := ft.ApplyEdit(fid, bad)
+				if !errors.Is(err, ErrBadPos) {
+					t.Fatalf("seed %d step %d: insert past the last slot: %v, want ErrBadPos", seed, step, err)
+				}
+				chain.apply(t, ft, fid, bad, err)
+			}
 			e := randomEdit(r, f)
 			want := applyOracle(t, ft, fid, e) // computed lazily only when valid
 			old := f
@@ -73,6 +159,7 @@ func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 				// so an error here is a bug.
 				t.Fatalf("seed %d step %d: valid edit rejected: %v", seed, step, err)
 			}
+			chain.apply(t, ft, fid, e, nil)
 			nf := ft.Frag(fid)
 			if old.Version+1 != nf.Version {
 				t.Fatalf("version %d -> %d", old.Version, nf.Version)
@@ -88,7 +175,7 @@ func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 			if !arena.Equal(nf.Arena().Tree, fresh) {
 				t.Fatalf("seed %d step %d: spliced arena differs from rebuild", seed, step)
 			}
-			checkMasks(t, nf)
+			checkMasks(t, nf, nf.Tree)
 			// Origins must be recomputable and bijective into the oracle.
 			ft.RecomputeOrigins()
 			checkOrigins(t, ft, want)
@@ -96,8 +183,9 @@ func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 	}
 }
 
-// checkMasks verifies the spliced virtual/spine masks against a fresh walk.
-func checkMasks(t *testing.T, f *Fragment) {
+// checkMasks verifies f's spliced virtual/spine masks against a fresh walk
+// of ref, the pointer tree f must equal.
+func checkMasks(t *testing.T, f *Fragment, ref *xmltree.Tree) {
 	t.Helper()
 	av := f.Arena()
 	n := f.Size()
@@ -105,7 +193,7 @@ func checkMasks(t *testing.T, f *Fragment) {
 	wantSpine := arena.NewBitset(n)
 	for vid := range f.Virtuals() {
 		wantVirt.Set(int(vid))
-		for p := f.Tree.Node(vid).Parent; p != nil; p = p.Parent {
+		for p := ref.Node(vid).Parent; p != nil; p = p.Parent {
 			wantSpine.Set(int(p.ID))
 		}
 	}
@@ -274,7 +362,9 @@ func TestManifestRoundTripsVersion(t *testing.T) {
 // FuzzEditOps drives arbitrary edit sequences against a fragmentation:
 // whatever the inputs, ApplyEdit either applies cleanly (reassembly stays
 // a well-formed tree, spliced arena equals a rebuild) or fails with one of
-// the typed edit errors — never a panic.
+// the typed edit errors — never a panic. Every edit is replayed on a
+// chain of column-only fragments, which must fail with the same typed
+// error or end up equal to the mirror.
 func FuzzEditOps(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 1, 0})
 	f.Add(int64(2), []byte{1, 5, 0, 2, 2, 7, 0, 1})
@@ -288,8 +378,7 @@ func FuzzEditOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		typed := []error{ErrNoSuchNode, ErrNotElement, ErrEditRoot, ErrEditVirtual,
-			ErrEditSpine, ErrBadSubtree, ErrBadPos, ErrBadOp}
+		chain := newColumnChain(ft)
 		for i := 0; i+3 < len(script); i += 4 {
 			op, node, pos, aux := script[i], script[i+1], script[i+2], script[i+3]
 			fid := FragID(int(aux) % ft.Len())
@@ -300,17 +389,9 @@ func FuzzEditOps(f *testing.F) {
 			case EditRename:
 				e.Label = fmt.Sprintf("l%d", aux%7)
 			}
-			if err := ft.ApplyEdit(fid, e); err != nil {
-				ok := false
-				for _, te := range typed {
-					if errors.Is(err, te) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("untyped edit error: %v", err)
-				}
+			err := ft.ApplyEdit(fid, e)
+			chain.apply(t, ft, fid, e, err)
+			if err != nil {
 				continue
 			}
 			nf := ft.Frag(fid)

@@ -18,6 +18,10 @@ type FragID int32
 // RootFrag is the ID of the root fragment.
 const RootFrag FragID = 0
 
+// RootNode is the node ID of every fragment's root: node IDs are dense
+// preorder ranks.
+const RootNode xmltree.NodeID = 0
+
 // NoFrag marks the absent parent of the root fragment.
 const NoFrag FragID = -1
 
@@ -28,7 +32,10 @@ const VirtualLabel = "#fragment"
 
 // Fragment is one piece of the decomposed tree.
 type Fragment struct {
-	ID     FragID
+	ID FragID
+	// Tree is the fragment's pointer tree: set by Cut, Load and
+	// Fragmentation.ApplyEdit, nil on fragments Fragment.ApplyEdit
+	// returns, like Origin. A site reads its fragments through Arena only.
 	Tree   *xmltree.Tree
 	Parent FragID // NoFrag for the root fragment
 
@@ -84,7 +91,7 @@ func (f *Fragment) NumVirtuals() int { return len(f.virtuals) }
 func (f *Fragment) IsLeaf() bool { return len(f.virtuals) == 0 }
 
 // Size returns the node count of the fragment (virtual nodes included).
-func (f *Fragment) Size() int { return f.Tree.Size() }
+func (f *Fragment) Size() int { return f.Arena().Tree.Len() }
 
 // Fragmentation is a complete decomposition of one tree.
 type Fragmentation struct {

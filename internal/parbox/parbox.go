@@ -175,13 +175,12 @@ func EvalBoolean(ft *fragment.Fragmentation, c *xpath.Compiled) (bool, error) {
 	}
 	// The Boolean answer is the qualifier of the synthesized root step
 	// (selection entry 1) at the root of the root fragment.
-	rootFrag := ft.Root()
 	if !c.HasQualifiers() {
 		// A qualifier-free Boolean query (e.g. "[.]") is vacuously true at
 		// the root.
 		return true, nil
 	}
-	f := quals[0].QualAt(rootFrag.Tree.Root.ID, 1)
+	f := quals[0].QualAt(fragment.RootNode, 1)
 	if f == nil {
 		return true, nil
 	}

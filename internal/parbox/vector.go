@@ -11,12 +11,14 @@
 // a reverse-preorder fold), and falls back to the literal scalar
 // recurrence only on the spine (the proper ancestors of virtual nodes),
 // folding Const singletons read from the masks for ground children.
-// Because the spine recomputation performs exactly the same Builder calls
-// on an isomorphic pointer graph, the resulting FragQual — root vectors,
-// QualAt at every real element, Work ledger — is byte-identical on the
-// wire to the scalar pass, which the differential harness and the identity
-// tests in vector_test.go enforce. The Builder hash-conses as it builds, so
-// the spine formulas are canonical by construction and ship as built.
+// The spine recomputation walks the arena's child links and reads each
+// element through xpath.Elem, so it makes exactly the Builder calls the
+// scalar pass makes over the pointer tree, in the same order; the
+// resulting FragQual — root vectors, QualAt at every real element, Work
+// ledger — is byte-identical on the wire to the scalar pass, which the
+// differential harness and the identity tests in vector_test.go enforce.
+// The Builder hash-conses as it builds, so the spine formulas are
+// canonical by construction and ship as built.
 //
 // The result is the masks plus spine rows. Off the spine every
 // selection-entry qualifier is a constant, so FragQual keeps the entries'
@@ -233,26 +235,27 @@ func (e *VectorState) FragQual(b *boolexpr.Builder) *FragQual {
 		qb := qvM[p].Get(i)
 		return boolexpr.Const(qb), boolexpr.Const(qb || sdvM[p].Get(i))
 	}
-	var spineWalk func(nd *xmltree.Node) (qv, qdv []*boolexpr.Formula)
-	spineWalk = func(nd *xmltree.Node) ([]*boolexpr.Formula, []*boolexpr.Formula) {
+	at := e.at
+	var spineWalk func(nd int) (qv, qdv []*boolexpr.Formula)
+	spineWalk = func(nd int) ([]*boolexpr.Formula, []*boolexpr.Formula) {
 		qcvRow := make([]*boolexpr.Formula, nP)
 		sdvRow := make([]*boolexpr.Formula, nP)
 		for p := 0; p < nP; p++ {
 			qcvRow[p] = boolexpr.False()
 			sdvRow[p] = boolexpr.False()
 		}
-		for _, ch := range nd.Children {
-			if ch.Kind != xmltree.Element {
+		for ch := at.FirstChild[nd]; ch >= 0; ch = at.NextSibling[ch] {
+			i := int(ch)
+			if at.LabelID[i] < 0 {
 				continue
 			}
-			i := int(ch.ID)
-			if k, ok := f.VirtualAt(ch.ID); ok {
+			if k, ok := f.VirtualAt(xmltree.NodeID(i)); ok {
 				for p := 0; p < nP; p++ {
 					qcvRow[p] = b.Or(qcvRow[p], b.V(vs.QV(k, p)))
 					sdvRow[p] = b.Or(sdvRow[p], b.V(vs.QDV(k, p)))
 				}
 			} else if av.SpineMask.Get(i) {
-				cqv, cqdv := spineWalk(ch)
+				cqv, cqdv := spineWalk(i)
 				for p := 0; p < nP; p++ {
 					qcvRow[p] = b.Or(qcvRow[p], cqv[p])
 					sdvRow[p] = b.Or(sdvRow[p], cqdv[p])
@@ -267,16 +270,17 @@ func (e *VectorState) FragQual(b *boolexpr.Builder) *FragQual {
 		}
 		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
 		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
-		row := xpath.NodePredRow[*boolexpr.Formula](b, c, nd, qcvAt, sdvAt, nil)
+		el := arena.Elem{T: at, I: nd}
+		row := xpath.NodePredRow[*boolexpr.Formula](b, c, el, qcvAt, sdvAt, nil)
 		if needSel {
 			sq := make([]*boolexpr.Formula, nSel)
 			for i := range c.Sel {
 				se := &c.Sel[i]
 				if se.Kind == xpath.SelStep && se.Qual != nil {
-					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](b, se.Qual, nd, qcvAt, sdvAt)
+					sq[i] = xpath.EvalQExpr[*boolexpr.Formula](b, se.Qual, el, qcvAt, sdvAt)
 				}
 			}
-			out.rows[nd.ID] = sq
+			out.rows[xmltree.NodeID(nd)] = sq
 		}
 		qdvRow := make([]*boolexpr.Formula, nP)
 		for p := 0; p < nP; p++ {
@@ -285,20 +289,20 @@ func (e *VectorState) FragQual(b *boolexpr.Builder) *FragQual {
 		return row, qdvRow
 	}
 
-	root := f.Tree.Root
-	if av.SpineMask.Get(int(root.ID)) {
+	// The root cannot itself be virtual: virtuals only stand in for
+	// sub-fragments inside a parent fragment's tree.
+	const root = int(fragment.RootNode)
+	if av.SpineMask.Get(root) {
 		qv, qdv := spineWalk(root)
 		out.Root = RootVecs{QV: qv, QDV: qdv}
 		return out
 	}
-	// No virtual below the root (the root cannot itself be virtual:
-	// virtuals only stand in for sub-fragments inside a parent fragment's
-	// tree) — the whole fragment is ground, and its root rows come
-	// straight from the masks.
+	// No virtual below the root: the whole fragment is ground, and its
+	// root rows come straight from the masks.
 	qv := make([]*boolexpr.Formula, nP)
 	qdv := make([]*boolexpr.Formula, nP)
 	for p := 0; p < nP; p++ {
-		qv[p], qdv[p] = ground(p, int(root.ID))
+		qv[p], qdv[p] = ground(p, root)
 	}
 	out.Root = RootVecs{QV: qv, QDV: qdv}
 	return out

@@ -50,6 +50,14 @@
 // with one boolexpr.Builder, which hash-conses as it builds, so formulas
 // are canonical by construction and ship as built.
 //
+// A site reads its fragments through their arena columns only — Stage 1,
+// the selection sweep, answer labels, values and ShipXML serialization
+// (arena.Tree.SerializeString), and NaiveCentralized's fetch — and an
+// edit splices those columns (fragment.Fragment.ApplyEdit), so a fragment
+// a site has edited carries no pointer tree. handleEdit builds the new
+// fragment outside the site lock and swaps it in under it, together with
+// the edit epoch.
+//
 // A site keeps no evaluation result across queries: like the paper's
 // sites, it runs Stage 1 once per query. Within one batch envelope,
 // qualifier-stage members that compile to the same normal form over the

@@ -175,6 +175,67 @@ func TestEditVersionProtocol(t *testing.T) {
 	}
 }
 
+// TestEditConcurrentDeliveriesApplyOnce delivers one EditReq to one site
+// twice at once, round after round: handleEdit applies outside the site
+// lock, so both deliveries may apply, but exactly one swaps its fragment
+// in (Applied) and the other acks at the new version, and the fragment's
+// version and the site's epoch advance once per round.
+func TestEditConcurrentDeliveriesApplyOnce(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
+	s := sites[0]
+	state := func() (uint64, uint64) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.frags[fragment.RootFrag].Version, s.epoch
+	}
+	for round := 0; round < 50; round++ {
+		version, epoch := state()
+		req, err := editReqOf(fragment.RootFrag,
+			fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("patch", xmltree.ElT("v", "1"))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.BaseVersion = version
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		resps := make([]*EditResp, 2)
+		errs := make([]error, 2)
+		for i := range resps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				resps[i], errs[i] = s.handleEdit(req)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		applied := 0
+		for i, resp := range resps {
+			if errs[i] != nil {
+				t.Fatalf("round %d: delivery %d: %v", round, i, errs[i])
+			}
+			if resp.NewVersion != version+1 {
+				t.Fatalf("round %d: delivery %d reports version %d, want %d", round, i, resp.NewVersion, version+1)
+			}
+			if resp.Applied {
+				applied++
+			}
+		}
+		if applied != 1 {
+			t.Fatalf("round %d: %d deliveries applied, want exactly 1", round, applied)
+		}
+		if v, e := state(); v != version+1 || e != epoch+1 {
+			t.Fatalf("round %d: version %d -> %d and epoch %d -> %d, want one step each", round, version, v, epoch, e)
+		}
+	}
+}
+
 // TestEditOneVersionAnswersAndStalePut: a session created before an edit
 // keeps answering from its fragment snapshot — a pre-edit session that
 // re-asks for Stage 1 (as a replay after failover would) ships its

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"paxq/internal/arena"
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/xmltree"
@@ -305,17 +306,18 @@ func (m *EditReq) toEdit() (fragment.Edit, error) {
 	return e, nil
 }
 
-// toWireNode converts a fragment subtree to wire form.
-func toWireNode(f *fragment.Fragment, n *xmltree.Node) WireNode {
-	w := WireNode{Kind: uint8(n.Kind), Label: n.Label, Data: n.Data}
-	if k, ok := f.VirtualAt(n.ID); ok {
-		w.Virtual = true
-		w.Frag = k
-		w.Label = ""
-		return w
+// toWireNode converts the subtree of fragment f rooted at node i to wire
+// form, reading f's arena columns at.
+func toWireNode(f *fragment.Fragment, at *arena.Tree, i int) WireNode {
+	if at.LabelID[i] < 0 {
+		return WireNode{Kind: uint8(xmltree.Text), Data: at.Text[i]}
 	}
-	for _, c := range n.Children {
-		w.Children = append(w.Children, toWireNode(f, c))
+	if k, ok := f.VirtualAt(xmltree.NodeID(i)); ok {
+		return WireNode{Kind: uint8(xmltree.Element), Virtual: true, Frag: k}
+	}
+	w := WireNode{Kind: uint8(xmltree.Element), Label: at.LabelOf(i)}
+	for c := at.FirstChild[i]; c >= 0; c = at.NextSibling[c] {
+		w.Children = append(w.Children, toWireNode(f, at, int(c)))
 	}
 	return w
 }

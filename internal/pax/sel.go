@@ -52,12 +52,13 @@ func constInit(vals []bool) []*boolexpr.Formula {
 }
 
 // answerOf materializes answer node id of f for shipping, reading its
-// label and value from the arena columns.
+// label, value and (with shipXML) serialized subtree from the arena
+// columns.
 func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode {
 	at := f.Arena().Tree
 	a := AnswerNode{Frag: f.ID, Node: id, Label: at.LabelOf(int(id)), Value: at.Value[id]}
 	if shipXML {
-		a.XML = xmltree.SerializeString(f.Tree.Node(id))
+		a.XML = at.SerializeString(int(id))
 	}
 	return a
 }

@@ -363,7 +363,7 @@ func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, c *xpath.Compiled, 
 	if fid == fragment.RootFrag && c.HasQualifiers() {
 		sel := make([]*boolexpr.Formula, len(c.Sel))
 		for i := range sel {
-			if sel[i] = fq.QualAt(f.Tree.Root.ID, i); sel[i] == nil {
+			if sel[i] = fq.QualAt(fragment.RootNode, i); sel[i] == nil {
 				sel[i] = boolexpr.True()
 			}
 		}
@@ -645,24 +645,28 @@ func (s *Site) handleFetch() (*FetchResp, error) {
 	resp := &FetchResp{}
 	for _, fid := range sortedFragIDs(frags) {
 		f := frags[fid]
-		resp.Frags = append(resp.Frags, WireFragment{ID: fid, Root: toWireNode(f, f.Tree.Root)})
+		resp.Frags = append(resp.Frags, WireFragment{ID: fid, Root: toWireNode(f, f.Arena().Tree, int(fragment.RootNode))})
 	}
 	return resp, nil
 }
 
-// handleEdit applies one fragment edit to the site's hosted copy. The whole
-// operation — version check, copy-on-write apply, fragment swap, epoch
-// advance — runs under s.mu, the same lock session creation snapshots
-// fragments and the epoch under, so a query session observes either the
-// pre-edit world (fragments AND epoch) or the post-edit one, atomically. In-flight sessions keep evaluating their
-// snapshot's copy-on-write fragments untouched.
+// handleEdit applies one fragment edit to the site's hosted copy. The
+// fragment swap and the epoch advance happen together under s.mu, the
+// lock session creation snapshots fragments and the epoch under, so a
+// query session observes either the pre-edit world (fragments AND epoch)
+// or the post-edit one, atomically. The copy-on-write apply itself runs
+// outside the lock, so new sessions never wait behind it; in-flight
+// sessions keep evaluating their snapshot's fragments untouched.
 //
 // Version semantics (see EditReq): a fragment at BaseVersion applies; one
 // already at BaseVersion+1 reports success without re-applying — the
 // idempotent-retry case, safe because the engine serializes edits, so the
 // only edit that can have moved the fragment to BaseVersion+1 is this very
 // one, delivered by an earlier attempt whose response was lost; any other
-// version is a conflict.
+// version is a conflict. The switch runs on the fragment read under the
+// lock before the apply and, when the fragment was swapped while the
+// apply ran (a concurrent delivery of the same edit won), again on the
+// one that replaced it.
 func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 	start := time.Now()
 	e, err := req.toEdit()
@@ -670,31 +674,36 @@ func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	f, ok := s.frags[req.Frag]
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, req.Frag)
 	}
-	resp := &EditResp{}
-	switch f.Version {
-	case req.BaseVersion:
-		// Fall through and apply.
-	case req.BaseVersion + 1:
-		resp.NewVersion = f.Version
-		resp.StageCompute = stageCompute(start, 0, 0)
-		return resp, nil
-	default:
-		return nil, fmt.Errorf("pax: site %d: fragment %d is at version %d, edit issued against base %d: %w",
-			s.id, req.Frag, f.Version, req.BaseVersion, ErrEditConflict)
+	if f.Version != req.BaseVersion {
+		return s.editNotApplied(start, req, f)
 	}
 	nf, err := f.ApplyEdit(e)
 	if err != nil {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
+	s.mu.Lock()
+	if cur := s.frags[req.Frag]; cur != f {
+		s.mu.Unlock()
+		return s.editNotApplied(start, req, cur)
+	}
 	s.frags[req.Frag] = nf
 	s.epoch++
-	resp.NewVersion = nf.Version
-	resp.Applied = true
-	resp.StageCompute = stageCompute(start, 0, 0)
-	return resp, nil
+	s.mu.Unlock()
+	return &EditResp{NewVersion: nf.Version, Applied: true, StageCompute: stageCompute(start, 0, 0)}, nil
+}
+
+// editNotApplied answers an edit that found fragment f at a version other
+// than its BaseVersion: the idempotent ack when f is at BaseVersion+1,
+// ErrEditConflict otherwise.
+func (s *Site) editNotApplied(start time.Time, req *EditReq, f *fragment.Fragment) (*EditResp, error) {
+	if f.Version != req.BaseVersion+1 {
+		return nil, fmt.Errorf("pax: site %d: fragment %d is at version %d, edit issued against base %d: %w",
+			s.id, req.Frag, f.Version, req.BaseVersion, ErrEditConflict)
+	}
+	return &EditResp{NewVersion: f.Version, StageCompute: stageCompute(start, 0, 0)}, nil
 }

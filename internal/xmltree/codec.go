@@ -173,33 +173,45 @@ func Serialize(w io.Writer, n *Node) error {
 // names are written as they are; text and attribute values are escaped
 // byte for byte as xml.EscapeText escapes them.
 func SerializeString(n *Node) string {
-	var size xmlWriter
-	size.node(n)
-	var b strings.Builder
-	b.Grow(size.n)
-	w := xmlWriter{b: &b}
+	var w Writer
 	w.node(n)
-	return b.String()
+	w.Alloc()
+	w.node(n)
+	return w.String()
 }
 
-// xmlWriter is one pass of SerializeString. With b nil it only counts the
-// bytes it would write, so both passes share one walk and the counted
-// length is the written length by construction.
-type xmlWriter struct {
-	b *strings.Builder
-	n int
+// Writer is one pass of a two-pass XML serializer. A zero Writer only
+// counts the bytes it would write; Alloc then sizes its buffer to exactly
+// that count, and the same walk run again writes them. SerializeString
+// and arena.Tree.SerializeString both drive it, so the two share the
+// markup and the escaping, the counted length is the written length by
+// construction, and the output costs one allocation.
+type Writer struct {
+	b     strings.Builder
+	n     int
+	write bool
 }
 
-func (w *xmlWriter) str(s string) {
+// Alloc ends the counting pass: it sizes the buffer to the bytes counted
+// and switches the Writer to writing.
+func (w *Writer) Alloc() {
+	w.b.Grow(w.n)
+	w.n, w.write = 0, true
+}
+
+// String returns what the writing pass wrote.
+func (w *Writer) String() string { return w.b.String() }
+
+func (w *Writer) str(s string) {
 	w.n += len(s)
-	if w.b != nil {
+	if w.write {
 		w.b.WriteString(s)
 	}
 }
 
-// escaped writes s escaped, copying the runs between escapes as
+// Text writes character data, escaped. Runs between escapes are copied as
 // substrings of s.
-func (w *xmlWriter) escaped(s string) {
+func (w *Writer) Text(s string) {
 	last := 0
 	for i, j, esc := nextEscape(s, 0); i < len(s); i, j, esc = nextEscape(s, j) {
 		w.str(s[last:i])
@@ -209,31 +221,46 @@ func (w *xmlWriter) escaped(s string) {
 	w.str(s[last:])
 }
 
-func (w *xmlWriter) node(n *Node) {
-	if n.Kind == Text {
-		w.escaped(n.Data)
-		return
-	}
+// Open writes the start tag of an element with its attributes, values
+// escaped; an empty element (no children) gets a self-closing tag and no
+// Close.
+func (w *Writer) Open(label string, attrs []Attr, empty bool) {
 	w.str("<")
-	w.str(n.Label)
-	for _, a := range n.Attrs {
+	w.str(label)
+	for _, a := range attrs {
 		w.str(" ")
 		w.str(a.Name)
 		w.str(`="`)
-		w.escaped(a.Value)
+		w.Text(a.Value)
 		w.str(`"`)
 	}
-	if len(n.Children) == 0 {
+	if empty {
 		w.str("/>")
 		return
 	}
 	w.str(">")
+}
+
+// Close writes the end tag of a non-empty element.
+func (w *Writer) Close(label string) {
+	w.str("</")
+	w.str(label)
+	w.str(">")
+}
+
+func (w *Writer) node(n *Node) {
+	if n.Kind == Text {
+		w.Text(n.Data)
+		return
+	}
+	w.Open(n.Label, n.Attrs, len(n.Children) == 0)
+	if len(n.Children) == 0 {
+		return
+	}
 	for _, c := range n.Children {
 		w.node(c)
 	}
-	w.str("</")
-	w.str(n.Label)
-	w.str(">")
+	w.Close(n.Label)
 }
 
 // asciiEscapes holds xml.EscapeText's replacement for each ASCII byte, or

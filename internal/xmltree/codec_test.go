@@ -109,7 +109,7 @@ func TestSerializeMatchesReference(t *testing.T) {
 			if got != want {
 				t.Fatalf("tree %d node %d:\n got %q\nwant %q", i, n.ID, got, want)
 			}
-			var size xmlWriter
+			var size Writer
 			size.node(n)
 			if size.n != len(got) {
 				t.Fatalf("tree %d node %d: first pass counted %d bytes, wrote %d", i, n.ID, size.n, len(got))
@@ -137,16 +137,16 @@ func FuzzSerializeEscape(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		var want bytes.Buffer
 		xml.EscapeText(&want, []byte(s))
-		var b strings.Builder
-		w := xmlWriter{b: &b}
-		w.escaped(s)
-		if b.String() != want.String() {
-			t.Fatalf("escaped(%q) = %q, xml.EscapeText = %q", s, b.String(), want.String())
+		var w Writer
+		w.Text(s)
+		size := w.n
+		w.Alloc()
+		w.Text(s)
+		if w.String() != want.String() {
+			t.Fatalf("Text(%q) = %q, xml.EscapeText = %q", s, w.String(), want.String())
 		}
-		var size xmlWriter
-		size.escaped(s)
-		if size.n != want.Len() || w.n != want.Len() {
-			t.Fatalf("escaped(%q): counted %d and %d bytes, want %d", s, size.n, w.n, want.Len())
+		if size != want.Len() || w.n != want.Len() {
+			t.Fatalf("Text(%q): counted %d and %d bytes, want %d", s, size, w.n, want.Len())
 		}
 	})
 }

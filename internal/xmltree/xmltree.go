@@ -98,6 +98,10 @@ func (n *Node) SetAttr(name, value string) *Node {
 	return n
 }
 
+// Tag returns the node's label; with Value and NumValue it is the
+// element view the xpath row evaluator reads.
+func (n *Node) Tag() string { return n.Label }
+
 // IsElement reports whether n is an element node.
 func (n *Node) IsElement() bool { return n != nil && n.Kind == Element }
 

@@ -1,10 +1,6 @@
 package xpath
 
-import (
-	"fmt"
-
-	"paxq/internal/xmltree"
-)
+import "fmt"
 
 // Compiled is the vector form of a query used by every evaluation algorithm.
 //
@@ -61,10 +57,21 @@ type Pred struct {
 // HasNext reports whether the predicate has a continuation step.
 func (p *Pred) HasNext() bool { return p.NextAxis != AxisSelf }
 
-// MatchesNode evaluates the node test and value test of p at n, ignoring
-// the nested qualifier and continuation. n must be an element node.
-func (p *Pred) MatchesNode(n *xmltree.Node) bool {
-	if !p.Test.Matches(n.Label) {
+// Elem is what the row evaluator reads of an element node: its label, its
+// string value and its numeric value (xmltree.Node.Value / NumValue
+// semantics). *xmltree.Node satisfies it, and so does arena.Elem, a
+// position in a fragment's columns, so the centralized oracle and the
+// site's spine walk share one evaluator.
+type Elem interface {
+	Tag() string
+	Value() string
+	NumValue() (float64, bool)
+}
+
+// matchesElem evaluates the node test and value test of p at element n,
+// ignoring the nested qualifier and continuation.
+func matchesElem[E Elem](p *Pred, n E) bool {
+	if !p.Test.Matches(n.Tag()) {
 		return false
 	}
 	return EvalTermAt(n, p.Term, p.Op, p.Str, p.Num)
@@ -72,7 +79,7 @@ func (p *Pred) MatchesNode(n *xmltree.Node) bool {
 
 // EvalTermAt evaluates a text()/val() comparison at element n. TermNone is
 // vacuously true.
-func EvalTermAt(n *xmltree.Node, term TermKind, op CmpOp, str string, num float64) bool {
+func EvalTermAt[E Elem](n E, term TermKind, op CmpOp, str string, num float64) bool {
 	switch term {
 	case TermNone:
 		return true
@@ -98,11 +105,6 @@ type QTerm struct {
 	Op   CmpOp
 	Str  string
 	Num  float64
-}
-
-// Eval evaluates the term test at element n.
-func (q *QTerm) Eval(n *xmltree.Node) bool {
-	return EvalTermAt(n, q.Term, q.Op, q.Str, q.Num)
 }
 
 // QAnchor asserts the existence of a node matching predicate Pred among the

@@ -1,7 +1,5 @@
 package xpath
 
-import "paxq/internal/xmltree"
-
 // Algebra abstracts the value domain of vector evaluation. Centralized
 // evaluation instantiates it with plain booleans; the distributed
 // algorithms instantiate it with residual Boolean formulas (boolexpr), so
@@ -111,11 +109,11 @@ func NodeSelVector[V any](alg Algebra[V], c *Compiled, label string, parent []V,
 // As with NodeSelVector, the row is written into the caller-owned dst
 // (grown when short, nil allocates) and returned; a row that outlives the
 // caller's reuse of dst must be copied.
-func NodePredRow[V any](alg Algebra[V], c *Compiled, n *xmltree.Node, qcv, sdv func(pred int) V, dst []V) []V {
+func NodePredRow[V any, E Elem](alg Algebra[V], c *Compiled, n E, qcv, sdv func(pred int) V, dst []V) []V {
 	row := growRow(dst, len(c.Preds))
 	for i := range c.Preds {
 		p := &c.Preds[i]
-		if !p.MatchesNode(n) {
+		if !matchesElem(p, n) {
 			row[i] = alg.False()
 			continue
 		}
@@ -147,12 +145,12 @@ func growRow[V any](dst []V, n int) []V {
 // EvalQExpr evaluates a compiled qualifier at element node n in the given
 // algebra, with qcv/sdv supplying the child/strict-descendant existence
 // values for anchor predicates.
-func EvalQExpr[V any](alg Algebra[V], q QExpr, n *xmltree.Node, qcv, sdv func(pred int) V) V {
+func EvalQExpr[V any, E Elem](alg Algebra[V], q QExpr, n E, qcv, sdv func(pred int) V) V {
 	switch q := q.(type) {
 	case QTrue:
 		return alg.True()
 	case *QTerm:
-		return alg.FromBool(q.Eval(n))
+		return alg.FromBool(EvalTermAt(n, q.Term, q.Op, q.Str, q.Num))
 	case *QAnchor:
 		if q.Axis == AxisChild {
 			return qcv(q.Pred)

@@ -260,13 +260,13 @@ func TestPredHasNextAndMatchesNode(t *testing.T) {
 	if !pa.HasNext() || pb.HasNext() {
 		t.Fatalf("continuations: a=%v b=%v", pa.HasNext(), pb.HasNext())
 	}
-	if !pb.MatchesNode(xmltree.ElT("b", "v")) {
+	if !matchesElem(pb, xmltree.ElT("b", "v")) {
 		t.Error("b should match with right text")
 	}
-	if pb.MatchesNode(xmltree.ElT("b", "w")) {
+	if matchesElem(pb, xmltree.ElT("b", "w")) {
 		t.Error("b must not match wrong text")
 	}
-	if pb.MatchesNode(xmltree.ElT("c", "v")) {
+	if matchesElem(pb, xmltree.ElT("c", "v")) {
 		t.Error("label mismatch must fail")
 	}
 }
