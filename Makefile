@@ -13,7 +13,8 @@ FUZZTIME ?= 10s
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
 # coverage floor on the core packages, survive a short fuzz smoke of the
-# parser, the wire codec, the arena, the edit path and the XML escaper,
+# query parser, the wire codec, the arena, the edit path, the XML escaper
+# and the XML parser,
 # prove the wire
 # codec still writes and reads its golden bytes, hold every allocation
 # cap of the hot paths, prove multi-query
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzArenaSplice -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run=^$$ -fuzz=FuzzEditOps -fuzztime=$(FUZZTIME) ./internal/fragment
 	$(GO) test -run=^$$ -fuzz=FuzzSerializeEscape -fuzztime=$(FUZZTIME) ./internal/xmltree
+	$(GO) test -run=^$$ -fuzz=FuzzParseRoundTrip -fuzztime=$(FUZZTIME) ./internal/xmltree
 
 # Codec smoke: every corpus message must encode to its golden bytes
 # (testdata/golden, regenerated only with -update) and decode back to the

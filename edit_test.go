@@ -88,6 +88,120 @@ func TestApplyEditLifecycle(t *testing.T) {
 	}
 }
 
+// TestApplyEditInsertKeepsAttributes inserts a subtree whose attribute
+// value needs escaping and asks for it back with ShipXML, under every
+// algorithm and over both transports: the shipped XML is the inserted
+// subtree's serialization, attribute included.
+func TestApplyEditInsertKeepsAttributes(t *testing.T) {
+	const inserted = `<note a="x&quot;y"><v>hello</v></note>`
+	const want = `<note a="x&#34;y"><v>hello</v></note>`
+	for _, tr := range []TransportKind{TransportLocal, TransportTCP} {
+		c := demoCluster(t, ClusterOptions{Fragments: 4, Sites: 2, Transport: tr})
+		target := findOne(t, c, `//broker[name = "CIBC"]`)
+		if _, err := c.ApplyEdit(Edit{Fragment: target.Fragment, Op: EditInsert, Node: target.Node, SubtreeXML: inserted}); err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []string{"pax2", "pax3", "naive"} {
+			ans, _, err := c.Query(`//note`, QueryOptions{Algorithm: alg, ShipXML: true})
+			if err != nil {
+				t.Fatalf("transport %d, %s: %v", tr, alg, err)
+			}
+			if len(ans) != 1 || ans[0].XML != want {
+				t.Errorf("transport %d, %s: //note ships %+v, want one answer with XML %s", tr, alg, ans, want)
+			}
+		}
+	}
+}
+
+// nodeIDs returns each answer's fragment-local address and label, sorted.
+func nodeIDs(ans []Answer) []string {
+	out := make([]string, len(ans))
+	for i, a := range ans {
+		out[i] = fmt.Sprintf("%d/%d/%s", a.Fragment, a.Node, a.Label)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// requireNaiveMatchesPax2 runs query under pax2 and naive and requires the
+// same answers, with the same (Fragment, Node) addresses, which naive takes
+// from the fragments it fetches as XML text. It returns naive's answers,
+// sorted by address, with ShipXML set.
+func requireNaiveMatchesPax2(t *testing.T, c *Cluster, query string) []Answer {
+	t.Helper()
+	var runs [2][]Answer
+	for i, alg := range []string{"pax2", "naive"} {
+		ans, _, err := c.Query(query, QueryOptions{Algorithm: alg, ShipXML: alg == "naive"})
+		if err != nil {
+			t.Fatalf("%s %s: %v", alg, query, err)
+		}
+		sort.Slice(ans, func(i, j int) bool {
+			return ans[i].Fragment < ans[j].Fragment || ans[i].Fragment == ans[j].Fragment && ans[i].Node < ans[j].Node
+		})
+		runs[i] = ans
+	}
+	if len(runs[0]) != len(runs[1]) {
+		t.Fatalf("%s: pax2 %d answers, naive %d", query, len(runs[0]), len(runs[1]))
+	}
+	for i, a := range runs[0] {
+		if b := runs[1][i]; a.Fragment != b.Fragment || a.Node != b.Node || a.Label != b.Label || a.Value != b.Value {
+			t.Fatalf("%s: answer %d: pax2 %+v, naive %+v", query, i, a, b)
+		}
+	}
+	return runs[1]
+}
+
+// TestNaiveKeepsAdjacentText checks that naive's fetched fragments number
+// their nodes as the sites do when an element has two text children in a
+// row: parsed from text split by a comment, or left by deleting the
+// element between them. An edit addressed by a naive answer then edits
+// the node the answer names.
+func TestNaiveKeepsAdjacentText(t *testing.T) {
+	for _, tr := range []TransportKind{TransportLocal, TransportTCP} {
+		doc, err := ParseDocumentString(`<r><a>x<!--c-->y<b/></a><d>x<e/>y<f/></d></r>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCluster(doc, ClusterOptions{CutPaths: []string{"//d"}, Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		if ans := requireNaiveMatchesPax2(t, c, `//a`); ans[0].XML != `<a>x<!---->y<b/></a>` {
+			t.Errorf("//a ships %s", ans[0].XML)
+		}
+		requireNaiveMatchesPax2(t, c, `//*`)
+
+		e := findOne(t, c, `//e`)
+		if _, err := c.ApplyEdit(Edit{Fragment: e.Fragment, Op: EditDelete, Node: e.Node}); err != nil {
+			t.Fatal(err)
+		}
+		if ans := requireNaiveMatchesPax2(t, c, `//d`); ans[0].XML != `<d>x<!---->y<f/></d>` {
+			t.Errorf("//d after delete ships %s", ans[0].XML)
+		}
+		f := requireNaiveMatchesPax2(t, c, `//f`)[0]
+		if _, err := c.ApplyEdit(Edit{Fragment: f.Fragment, Op: EditRename, Node: f.Node, Label: "g"}); err != nil {
+			t.Fatal(err)
+		}
+		requireNaiveMatchesPax2(t, c, `//g`)
+		if ans, err := c.Evaluate(`//f`); err != nil || len(ans) != 0 {
+			t.Errorf("//f after renaming naive's answer: %d answers, err %v", len(ans), err)
+		}
+	}
+}
+
+// TestNewClusterRejectsRefLabel checks a document cannot use the element
+// name that stands for a fragment boundary in the fragments' XML form.
+func TestNewClusterRejectsRefLabel(t *testing.T) {
+	doc, err := ParseDocumentString(`<r><fragment-ref ref="0"/><a/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCluster(doc, ClusterOptions{Fragments: 2}); err == nil || !strings.Contains(err.Error(), "fragment-ref") {
+		t.Errorf("NewCluster err = %v, want a reserved-name error", err)
+	}
+}
+
 // TestApplyEditRejectsInvalid checks the documented failure modes fail
 // cleanly, without mutating anything.
 func TestApplyEditRejectsInvalid(t *testing.T) {
@@ -104,6 +218,14 @@ func TestApplyEditRejectsInvalid(t *testing.T) {
 		{"delete fragment root", Edit{Fragment: 0, Op: EditDelete, Node: 0}},
 		{"rename fragment root", Edit{Fragment: 0, Op: EditRename, Node: 0, Label: "x"}},
 	}
+	// Labels the fragments' XML form cannot carry, on an editable leaf.
+	name := findOne(t, c, `//broker[name = "CIBC"]/name`)
+	for _, label := range []string{"a b", "1x", "a>", "x:y", "#x", ""} {
+		cases = append(cases, struct {
+			name string
+			e    Edit
+		}{"rename to " + label, Edit{Fragment: name.Fragment, Op: EditRename, Node: name.Node, Label: label}})
+	}
 	for _, tc := range cases {
 		if _, err := c.ApplyEdit(tc.e); err == nil {
 			t.Errorf("%s: ApplyEdit accepted %+v", tc.name, tc.e)
@@ -113,6 +235,7 @@ func TestApplyEditRejectsInvalid(t *testing.T) {
 	if err != nil || len(ans) != 2 {
 		t.Fatalf("document changed after rejected edits: %d answers, err %v", len(ans), err)
 	}
+	requireNaiveMatchesPax2(t, c, `//*`)
 }
 
 // TestApplyEditConcurrentWithQueries hammers a cluster with queries while

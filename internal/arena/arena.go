@@ -153,15 +153,26 @@ func (e Elem) NumValue() (float64, bool) { return e.T.NumVal[e.I], e.T.NumOK.Get
 // SerializeString renders the subtree rooted at node i as an XML string,
 // byte-identical to xmltree.SerializeString of the same subtree in pointer
 // form, with one allocation.
-func (a *Tree) SerializeString(i int) string {
+func (a *Tree) SerializeString(i int) string { return a.SerializeStubbed(i, nil) }
+
+// SerializeStubbed is SerializeString, except that a node j for which
+// stub(j) reports ok is written as an empty element, label with attrs, in
+// place of its subtree. stub runs for every node of both passes.
+func (a *Tree) SerializeStubbed(i int, stub func(j int) (label string, attrs []xmltree.Attr, ok bool)) string {
 	var w xmltree.Writer
-	a.writeXML(&w, i)
+	a.writeXML(&w, i, stub)
 	w.Alloc()
-	a.writeXML(&w, i)
+	a.writeXML(&w, i, stub)
 	return w.String()
 }
 
-func (a *Tree) writeXML(w *xmltree.Writer, i int) {
+func (a *Tree) writeXML(w *xmltree.Writer, i int, stub func(int) (string, []xmltree.Attr, bool)) {
+	if stub != nil {
+		if label, attrs, ok := stub(i); ok {
+			w.Open(label, attrs, true)
+			return
+		}
+	}
 	if a.LabelID[i] < 0 {
 		w.Text(a.Text[i])
 		return
@@ -172,7 +183,7 @@ func (a *Tree) writeXML(w *xmltree.Writer, i int) {
 		return
 	}
 	for c := first; c >= 0; c = a.NextSibling[c] {
-		a.writeXML(w, int(c))
+		a.writeXML(w, int(c), stub)
 	}
 	w.Close(label)
 }

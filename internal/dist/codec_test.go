@@ -33,9 +33,9 @@ func TestBinaryBadVersionByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp[0] = 0x02
+	rp[0] = binVersion + 1
 	if _, _, _, err := DecodeResponse(Binary, rp); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("response version 0x02: err = %v, want ErrBadVersion", err)
+		t.Errorf("response version 0x%02x: err = %v, want ErrBadVersion", rp[0], err)
 	}
 }
 

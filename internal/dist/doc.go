@@ -37,7 +37,7 @@
 //	frame    := length:4 payload          (big-endian length, <= 1 GiB;
 //	                                       beyond it ErrMessageTooLarge)
 //	payload  := version kind rest
-//	version  := 0x01
+//	version  := 0x02
 //	kind     := 0x00 request | 0x01 response
 //	request  := tag body                  (tag 0: nil request, no body)
 //	response := compute:8 status rest     (compute: handler nanoseconds,

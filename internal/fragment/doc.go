@@ -25,6 +25,8 @@
 // fragment plus manifest.json with the fragment tree and its annotations.
 // cmd/paxfrag writes that layout, cmd/paxsite serves fragments from it,
 // and the cmd/paxq coordinator reads the fragment-tree skeleton from the
-// manifest alone (never the data). Fragments loaded this way are never
+// manifest alone (never the data). A fragment file holds the fragment's
+// file form (Fragment.XML, read back by ReadFragment), which is also what
+// a site ships to a NaiveCentralized fetch. Fragments loaded this way are never
 // mutated in place: an edit swaps in a copy-on-write successor (edit.go).
 package fragment

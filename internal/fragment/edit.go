@@ -16,7 +16,7 @@
 // Edits deliberately cannot change the fragmentation skeleton: virtual
 // nodes, fragment roots and the spine (the ancestors of virtual nodes,
 // whose labels are the §5 annotations) are off-limits, and inserted
-// subtrees cannot contain reserved '#'-labels. That keeps every
+// subtrees cannot contain reserved '#'-labels or RefLabel. That keeps every
 // coordinator-side plan — relevance analysis, variable schemes, fragment
 // counts — valid across edits: only fragment contents move.
 
@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 
 	"paxq/internal/arena"
 	"paxq/internal/xmltree"
@@ -64,7 +63,9 @@ type Edit struct {
 	// Label is the new label for a rename.
 	Label string
 	// Subtree is the root of the inserted subtree for an insert. It is
-	// cloned; the caller keeps ownership of the original.
+	// cloned; the caller keeps ownership of the original. It travels to
+	// sites as XML text, so it must be a tree xmltree.Parse can return
+	// (see xmltree.CheckRoundTrip).
 	Subtree *xmltree.Node
 }
 
@@ -176,18 +177,20 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 	return nf, nil
 }
 
-// checkLabel rejects labels a real XML element cannot carry — reserved
-// '#'-names would collide with virtual nodes — and empty labels.
+// checkLabel rejects labels the fragment's file form (Save, a naive
+// fetch) cannot carry: anything but an XML name without a colon — which
+// also keeps out the reserved '#'-names of virtual nodes — and RefLabel,
+// which the file form would read back as a virtual node.
 func checkLabel(label string) error {
-	if label == "" || strings.HasPrefix(label, "#") {
+	if !xmltree.IsName(label) || label == RefLabel {
 		return fmt.Errorf("label %q: %w", label, ErrBadSubtree)
 	}
 	return nil
 }
 
 // checkSubtree validates an inserted subtree: element-rooted (so the
-// parent's string value cannot change), no reserved labels, text nodes
-// only as non-roots.
+// parent's string value cannot change), one that crosses to the sites as
+// XML text node for node (xmltree.CheckRoundTrip), and free of RefLabel.
 func checkSubtree(s *xmltree.Node) error {
 	if s == nil {
 		return fmt.Errorf("nil subtree: %w", ErrBadSubtree)
@@ -195,21 +198,17 @@ func checkSubtree(s *xmltree.Node) error {
 	if s.Kind != xmltree.Element {
 		return fmt.Errorf("subtree root must be an element: %w", ErrBadSubtree)
 	}
-	var walk func(n *xmltree.Node) error
-	walk = func(n *xmltree.Node) error {
-		if n.Kind == xmltree.Element {
-			if err := checkLabel(n.Label); err != nil {
-				return err
-			}
-		}
-		for _, c := range n.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := xmltree.CheckRoundTrip(s); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSubtree, err)
 	}
-	return walk(s)
+	var hasRef func(n *xmltree.Node) bool
+	hasRef = func(n *xmltree.Node) bool {
+		return n.Label == RefLabel || slices.ContainsFunc(n.Children, hasRef)
+	}
+	if hasRef(s) {
+		return fmt.Errorf("label %q: %w", RefLabel, ErrBadSubtree)
+	}
+	return nil
 }
 
 // ApplyEdit applies an edit to fragment fid of the fragmentation in place:
@@ -265,7 +264,7 @@ func editTree(t *xmltree.Tree, e Edit) *xmltree.Tree {
 // sub-fragment they stand for, exactly as Cut's origins do.
 func (ft *Fragmentation) RecomputeOrigins() {
 	for _, f := range ft.Frags {
-		f.Origin = make([]xmltree.NodeID, f.Size())
+		f.Origin = make([]xmltree.NodeID, f.Tree.Size())
 	}
 	ctr := xmltree.NodeID(0)
 	var walk func(f *Fragment, n *xmltree.Node)

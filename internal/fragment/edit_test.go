@@ -297,10 +297,22 @@ func TestEditTypedErrors(t *testing.T) {
 		{"delete spine", Edit{Op: EditDelete, Node: spineID}, ErrEditSpine},
 		{"rename spine", Edit{Op: EditRename, Node: spineID, Label: "x"}, ErrEditSpine},
 		{"rename reserved", Edit{Op: EditRename, Node: lastLeafElement(f), Label: "#x"}, ErrBadSubtree},
+		{"rename to ref label", Edit{Op: EditRename, Node: lastLeafElement(f), Label: RefLabel}, ErrBadSubtree},
 		{"insert bad pos", Edit{Op: EditInsert, Node: 0, Pos: 99, Subtree: xmltree.El("x")}, ErrBadPos},
 		{"insert nil subtree", Edit{Op: EditInsert, Node: 0, Pos: 0}, ErrBadSubtree},
 		{"insert text root", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.Tx("t")}, ErrBadSubtree},
 		{"insert reserved label", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("a", xmltree.El("#fragment"))}, ErrBadSubtree},
+		{"insert ref label", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("a", xmltree.El(RefLabel))}, ErrBadSubtree},
+		{"rename to spaced label", Edit{Op: EditRename, Node: lastLeafElement(f), Label: "a b"}, ErrBadSubtree},
+		{"rename to digit label", Edit{Op: EditRename, Node: lastLeafElement(f), Label: "1x"}, ErrBadSubtree},
+		{"rename to markup label", Edit{Op: EditRename, Node: lastLeafElement(f), Label: "a>"}, ErrBadSubtree},
+		{"rename to prefixed label", Edit{Op: EditRename, Node: lastLeafElement(f), Label: "x:y"}, ErrBadSubtree},
+		{"rename to empty label", Edit{Op: EditRename, Node: lastLeafElement(f), Label: ""}, ErrBadSubtree},
+		{"insert spaced label", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("a", xmltree.El("a b"))}, ErrBadSubtree},
+		{"insert prefixed root", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("x:y")}, ErrBadSubtree},
+		{"insert bad attribute name", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("a").SetAttr("k v", "1")}, ErrBadSubtree},
+		{"insert whitespace text", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("a", xmltree.Tx(" "))}, ErrBadSubtree},
+		{"insert control character", Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("a", xmltree.Tx("x\x00"))}, ErrBadSubtree},
 		{"bad op", Edit{Op: EditOp(9), Node: 0}, ErrBadOp},
 	}
 	for _, c := range cases {

@@ -143,7 +143,13 @@ func (ft *Fragmentation) AnnotationFromRoot(id FragID) []string {
 // Cut nodes must be distinct non-root element nodes of t. Fragment IDs are
 // assigned in document order of the fragment roots, so the root fragment is
 // always 0 and a parent fragment always has a smaller ID than its children.
+// No element of t may be labelled RefLabel (ErrReservedLabel).
 func Cut(t *xmltree.Tree, cuts []xmltree.NodeID) (*Fragmentation, error) {
+	for _, n := range t.PreorderNodes() {
+		if n.Kind == xmltree.Element && n.Label == RefLabel {
+			return nil, fmt.Errorf("fragment: node %d: %w", n.ID, ErrReservedLabel)
+		}
+	}
 	cutSet := make(map[xmltree.NodeID]bool, len(cuts))
 	for _, id := range cuts {
 		n := t.Node(id)

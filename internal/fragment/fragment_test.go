@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,6 +123,12 @@ func TestCutValidation(t *testing.T) {
 	})
 	if _, err := Cut(tr, []xmltree.NodeID{textID}); err == nil {
 		t.Error("cutting at a text node must fail")
+	}
+	// A real RefLabel element would read back from the file form as a
+	// virtual node.
+	ref := xmltree.NewTree(xmltree.El("a", xmltree.El("b"), xmltree.El(RefLabel).SetAttr("ref", "0")))
+	if _, err := Cut(ref, nil); !errors.Is(err, ErrReservedLabel) {
+		t.Errorf("document with a %s element: err = %v, want ErrReservedLabel", RefLabel, err)
 	}
 }
 

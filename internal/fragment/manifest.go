@@ -2,7 +2,9 @@ package fragment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,11 +13,16 @@ import (
 	"paxq/internal/xmltree"
 )
 
-// RefLabel is the element name used to stand for virtual nodes in fragment
-// files on disk: `<fragment-ref ref="K"/>`. The name is reserved; a
-// document that uses it as a real element cannot be round-tripped through
-// Save/Load.
+// RefLabel is the element name that stands for a virtual node in a
+// fragment's file form (see Fragment.XML), `<fragment-ref ref="K"/>`, on
+// disk and on the wire alike. The name is reserved: Cut rejects a
+// document that uses it as a real element, and an edit cannot insert or
+// rename to it.
 const RefLabel = "fragment-ref"
+
+// ErrReservedLabel is returned by Cut for a document with a RefLabel
+// element.
+var ErrReservedLabel = errors.New(RefLabel + " is a reserved element name")
 
 // ManifestEntry describes one fragment in a saved fragmentation.
 type ManifestEntry struct {
@@ -40,8 +47,8 @@ type Manifest struct {
 // ManifestName is the file name of the manifest within a save directory.
 const ManifestName = "manifest.json"
 
-// Save writes every fragment as an XML file plus a manifest.json into dir,
-// which is created if needed.
+// Save writes every fragment in its file form (Fragment.XML) plus a
+// manifest.json into dir, which is created if needed.
 func (ft *Fragmentation) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fragment: save: %w", err)
@@ -49,22 +56,14 @@ func (ft *Fragmentation) Save(dir string) error {
 	var m Manifest
 	for _, f := range ft.Frags {
 		file := fmt.Sprintf("fragment-%d.xml", f.ID)
-		out, err := os.Create(filepath.Join(dir, file))
-		if err != nil {
-			return fmt.Errorf("fragment: save: %w", err)
-		}
-		err = xmltree.Serialize(out, exportTree(f))
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(f.XML()), 0o644); err != nil {
 			return fmt.Errorf("fragment: save fragment %d: %w", f.ID, err)
 		}
 		m.Entries = append(m.Entries, ManifestEntry{
 			ID:         f.ID,
 			Parent:     f.Parent,
 			File:       file,
-			RootLabel:  f.Tree.Root.Label,
+			RootLabel:  f.Arena().Tree.LabelOf(int(RootNode)),
 			Annotation: f.Annotation,
 			Children:   append([]FragID(nil), ft.Children(f.ID)...),
 			Version:    f.Version,
@@ -77,26 +76,52 @@ func (ft *Fragmentation) Save(dir string) error {
 	return os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644)
 }
 
-// exportTree clones a fragment's tree with virtual nodes replaced by
-// fragment-ref elements.
-func exportTree(f *Fragment) *xmltree.Node {
-	var clone func(n *xmltree.Node) *xmltree.Node
-	clone = func(n *xmltree.Node) *xmltree.Node {
-		if k, ok := f.VirtualAt(n.ID); ok {
-			ref := xmltree.NewElement(RefLabel)
-			ref.SetAttr("ref", strconv.Itoa(int(k)))
-			return ref
+// XML renders the fragment in its file form, the one Save writes and a
+// site ships to a NaiveCentralized fetch: the fragment's XML with each
+// virtual node written as <fragment-ref ref="K"/>, K the sub-fragment it
+// stands for. It reads the arena columns only, so a fragment a site has
+// edited renders too. ReadFragment reads the form back.
+func (f *Fragment) XML() string {
+	av := f.Arena()
+	return av.Tree.SerializeStubbed(int(RootNode), func(j int) (string, []xmltree.Attr, bool) {
+		if !av.VirtualMask.Get(j) {
+			return "", nil, false
 		}
-		c := &xmltree.Node{Kind: n.Kind, Label: n.Label, Data: n.Data, ID: xmltree.NoID}
-		if len(n.Attrs) > 0 {
-			c.Attrs = append([]xmltree.Attr(nil), n.Attrs...)
-		}
-		for _, ch := range n.Children {
-			c.Append(clone(ch))
-		}
-		return c
+		return RefLabel, []xmltree.Attr{{Name: "ref", Value: strconv.Itoa(int(f.virtuals[xmltree.NodeID(j)]))}}, true
+	})
+}
+
+// ReadFragment reads fragment id, one of the n fragments of a
+// fragmentation, in its file form (see Fragment.XML). Each
+// <fragment-ref ref="K"/> becomes a virtual node standing for
+// sub-fragment K; it must be an empty non-root element with 0 <= K < n.
+// The caller fills in Parent, Annotation and Version, and Assemble checks
+// the references against them.
+func ReadFragment(r io.Reader, id FragID, n int) (*Fragment, error) {
+	tree, err := xmltree.Parse(r)
+	if err != nil {
+		return nil, err
 	}
-	return clone(f.Tree.Root)
+	f := &Fragment{ID: id, Tree: tree, virtuals: make(map[xmltree.NodeID]FragID)}
+	for _, nd := range tree.PreorderNodes() {
+		if nd.Kind != xmltree.Element || nd.Label != RefLabel {
+			continue
+		}
+		ref := -1
+		for _, a := range nd.Attrs {
+			if a.Name == "ref" {
+				if ref, err = strconv.Atoi(a.Value); err != nil {
+					ref = -1
+				}
+			}
+		}
+		if ref < 0 || ref >= n || nd.Parent == nil || len(nd.Children) > 0 {
+			return nil, fmt.Errorf("fragment %d: bad %s element %v", id, RefLabel, nd.Attrs)
+		}
+		nd.Label, nd.Attrs = VirtualLabel, nil
+		f.virtuals[nd.ID] = FragID(ref)
+	}
+	return f, nil
 }
 
 // LoadManifest reads a manifest.json.
@@ -138,8 +163,7 @@ func (m *Manifest) validate() error {
 // Len returns the number of fragments in the manifest.
 func (m *Manifest) Len() int { return len(m.Entries) }
 
-// LoadFragment loads one fragment's tree from dir, converting fragment-ref
-// elements back to virtual nodes.
+// LoadFragment loads one fragment's tree from dir (see ReadFragment).
 func (m *Manifest) LoadFragment(dir string, id FragID) (*Fragment, error) {
 	if int(id) >= len(m.Entries) || id < 0 {
 		return nil, fmt.Errorf("fragment: no fragment %d in manifest", id)
@@ -150,42 +174,11 @@ func (m *Manifest) LoadFragment(dir string, id FragID) (*Fragment, error) {
 		return nil, fmt.Errorf("fragment: %w", err)
 	}
 	defer in.Close()
-	tree, err := xmltree.Parse(in)
+	f, err := ReadFragment(in, id, len(m.Entries))
 	if err != nil {
-		return nil, fmt.Errorf("fragment: parse %s: %w", e.File, err)
+		return nil, fmt.Errorf("fragment: %s: %w", e.File, err)
 	}
-	f := &Fragment{ID: id, Parent: e.Parent, Annotation: e.Annotation, Version: e.Version, virtuals: make(map[xmltree.NodeID]FragID)}
-	var convert func(n *xmltree.Node) error
-	convert = func(n *xmltree.Node) error {
-		if n.Kind == xmltree.Element && n.Label == RefLabel {
-			ref := -1
-			for _, a := range n.Attrs {
-				if a.Name == "ref" {
-					ref, err = strconv.Atoi(a.Value)
-					if err != nil {
-						return fmt.Errorf("fragment: %s: bad ref %q", e.File, a.Value)
-					}
-				}
-			}
-			if ref < 0 || ref >= len(m.Entries) {
-				return fmt.Errorf("fragment: %s: fragment-ref to unknown fragment %d", e.File, ref)
-			}
-			n.Label = VirtualLabel
-			n.Attrs = nil
-			f.virtuals[n.ID] = FragID(ref)
-			return nil
-		}
-		for _, c := range n.Children {
-			if err := convert(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := convert(tree.Root); err != nil {
-		return nil, err
-	}
-	f.Tree = tree
+	f.Parent, f.Annotation, f.Version = e.Parent, e.Annotation, e.Version
 	return f, nil
 }
 
@@ -203,7 +196,7 @@ func Load(dir string) (*Fragmentation, error) {
 		}
 		frags[i] = f
 	}
-	return assemble(frags)
+	return Assemble(frags)
 }
 
 // Skeleton builds a coordinator-side Fragmentation from the manifest alone:
@@ -224,13 +217,22 @@ func (m *Manifest) Skeleton() (*Fragmentation, error) {
 		}
 		frags[i] = f
 	}
-	return assemble(frags)
+	return Assemble(frags)
 }
 
-// assemble wires a Fragmentation from loaded fragments, recomputing the
-// children index and validating parent/virtual consistency.
-func assemble(frags []*Fragment) (*Fragmentation, error) {
+// Assemble wires a Fragmentation from fragments read back (Load, a
+// NaiveCentralized fetch), recomputing the children index and checking
+// that the pieces form one tree: frags[i] is fragment i, and every
+// non-root fragment is referenced by exactly one virtual node, in its
+// parent.
+func Assemble(frags []*Fragment) (*Fragmentation, error) {
 	ft := &Fragmentation{Frags: frags, children: make([][]FragID, len(frags))}
+	for i, f := range frags {
+		if f == nil || int(f.ID) != i {
+			return nil, fmt.Errorf("fragment: fragment %d missing", i)
+		}
+	}
+	refs := make([]int, len(frags))
 	for _, f := range frags {
 		for vid, child := range f.virtuals {
 			if int(child) >= len(frags) || child <= f.ID {
@@ -242,21 +244,13 @@ func assemble(frags []*Fragment) (*Fragmentation, error) {
 			}
 			cf.ParentVirtual = vid
 			ft.children[f.ID] = append(ft.children[f.ID], child)
+			refs[child]++
 		}
 	}
-	for id := range frags {
-		sort.Slice(ft.children[id], func(i, j int) bool { return ft.children[id][i] < ft.children[id][j] })
-	}
-	// Every non-root fragment must be referenced exactly once.
-	for _, f := range frags[1:] {
-		found := false
-		for _, c := range ft.children[f.Parent] {
-			if c == f.ID {
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("fragment: fragment %d not referenced by its parent %d", f.ID, f.Parent)
+	for _, f := range frags {
+		sort.Slice(ft.children[f.ID], func(i, j int) bool { return ft.children[f.ID][i] < ft.children[f.ID][j] })
+		if f.ID != RootFrag && refs[f.ID] != 1 {
+			return nil, fmt.Errorf("fragment: fragment %d referenced %d times by its parent %d, want once", f.ID, refs[f.ID], f.Parent)
 		}
 	}
 	return ft, nil

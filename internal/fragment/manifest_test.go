@@ -1,8 +1,10 @@
 package fragment
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"paxq/internal/testutil"
@@ -93,6 +95,46 @@ func TestLoadFragmentSelective(t *testing.T) {
 	}
 	if _, err := m.LoadFragment(dir, FragID(m.Len())); err == nil {
 		t.Error("out-of-range fragment must fail")
+	}
+}
+
+// TestLoadRejectsForgedRefs edits one saved fragment file so that its
+// fragment-ref elements describe a different fragment tree: Load must
+// refuse each forgery rather than reassemble the wrong document.
+func TestLoadRejectsForgedRefs(t *testing.T) {
+	dir, ft, _ := savedFixture(t)
+	var parent *Fragment
+	for _, f := range ft.Frags {
+		if f.NumVirtuals() > 0 {
+			parent = f
+			break
+		}
+	}
+	if parent == nil {
+		t.Fatal("fixture has no virtual node")
+	}
+	path := filepath.Join(dir, fmt.Sprintf("fragment-%d.xml", parent.ID))
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fmt.Sprintf(`<fragment-ref ref="%d"/>`, ft.Children(parent.ID)[0])
+	if !strings.Contains(string(saved), ref) {
+		t.Fatalf("%s does not hold %s", path, ref)
+	}
+	for name, forged := range map[string]string{
+		"referenced twice": strings.Replace(string(saved), ref, ref+ref, 1),
+		"unknown fragment": strings.Replace(string(saved), ref, `<fragment-ref ref="99"/>`, 1),
+		"non-numeric ref":  strings.Replace(string(saved), ref, `<fragment-ref ref="x"/>`, 1),
+		"ref with content": strings.Replace(string(saved), ref, strings.TrimSuffix(ref, "/>")+"><a/></fragment-ref>", 1),
+		"ref as root":      ref,
+	} {
+		if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil {
+			t.Errorf("%s: Load accepted %q", name, forged)
+		}
 	}
 }
 

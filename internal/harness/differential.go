@@ -75,19 +75,24 @@ type DiffOptions struct {
 
 // DiffResult aggregates the checks of one or more differential runs.
 type DiffResult struct {
-	Cases          int // (tree, query, fragmentation, variant) evaluations
-	Triples        int // distinct (tree, query, fragmentation) triples
-	Mismatches     int // distributed answer != centralized answer
-	BoundExceeded  int // per-site visits above the algorithm's bound
-	ParallelDiffs  int // parallel vs sequential site evaluation disagreed
-	BatchCases     int // batching-twin evaluations (serial and concurrent)
-	BatchDiffs     int // batch twin diverged, or its ledgers failed to conserve
-	EditCases      int // mutation-phase evaluations
-	EditDiffs      int // post-edit divergence from the rebuilt oracle, edit failure, or ledger violation
-	EditsApplied   int // fragment edits driven through the engine
-	MaxVisitsPaX3  int
-	MaxVisitsPaX2  int
-	FailureDetails []string // first few failures, for the test log
+	Cases         int // (tree, query, fragmentation, variant) evaluations
+	Triples       int // distinct (tree, query, fragmentation) triples
+	Mismatches    int // distributed answer != centralized answer
+	BoundExceeded int // per-site visits above the algorithm's bound
+	ParallelDiffs int // parallel vs sequential site evaluation disagreed
+	BatchCases    int // batching-twin evaluations (serial and concurrent)
+	BatchDiffs    int // batch twin diverged, or its ledgers failed to conserve
+	EditCases     int // mutation-phase evaluations
+	EditDiffs     int // post-edit divergence from the rebuilt oracle, edit failure, or ledger violation
+	EditsApplied  int // fragment edits driven through the engine
+	// EditXMLCompared counts post-edit answers whose shipped XML was
+	// compared with the edited document; EditXMLCrossing those skipped
+	// because their subtree crosses a fragment boundary (ROADMAP 1a).
+	EditXMLCompared int
+	EditXMLCrossing int
+	MaxVisitsPaX3   int
+	MaxVisitsPaX2   int
+	FailureDetails  []string // first few failures, for the test log
 	// Wire sums the primary runs' shipped bytes per variant, so a test can
 	// pin the corpus's traffic exactly.
 	Wire map[Variant]WireBytes
@@ -123,6 +128,8 @@ func (r *DiffResult) Merge(other *DiffResult) {
 	r.EditCases += other.EditCases
 	r.EditDiffs += other.EditDiffs
 	r.EditsApplied += other.EditsApplied
+	r.EditXMLCompared += other.EditXMLCompared
+	r.EditXMLCrossing += other.EditXMLCrossing
 	if other.MaxVisitsPaX3 > r.MaxVisitsPaX3 {
 		r.MaxVisitsPaX3 = other.MaxVisitsPaX3
 	}
@@ -143,8 +150,8 @@ func (r *DiffResult) Ok() bool {
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied) (max visits: PaX3 %d, PaX2 %d)",
-		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
+	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied; %d shipped XML answers compared, %d crossing skipped) (max visits: PaX3 %d, PaX2 %d)",
+		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditXMLCompared, r.EditXMLCrossing, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 
 // xmarkLabels is the vocabulary random xmark-shaped queries draw from.

@@ -33,7 +33,9 @@ import (
 // until the target passes the restrictions fragment.ApplyEdit enforces.
 // Inserted subtrees use labels outside both query vocabularies ("patch",
 // "v", "extra"), so inserts usually leave qualifier bits alone; deletes
-// and renames hit live labels and usually do not.
+// and renames hit live labels and usually do not. Their roots carry an
+// attribute whose value needs escaping, derived from values already drawn
+// so the random stream is the one schedules have always used.
 func randomEdit(r *rand.Rand, f *fragment.Fragment) fragment.Edit {
 	av := f.Arena()
 	for {
@@ -44,10 +46,12 @@ func randomEdit(r *rand.Rand, f *fragment.Fragment) fragment.Edit {
 			if !n.IsElement() || f.IsVirtual(n) {
 				continue
 			}
-			sub := xmltree.El("patch", xmltree.ElT("v", fmt.Sprint(r.Intn(100))))
+			v := r.Intn(100)
+			sub := xmltree.El("patch", xmltree.ElT("v", fmt.Sprint(v)))
 			if r.Intn(2) == 0 {
 				sub = xmltree.El("extra")
 			}
+			sub.SetAttr("k", fmt.Sprintf(`%d"<&%d`, id, v))
 			return fragment.Edit{Op: fragment.EditInsert, Node: id, Pos: r.Intn(len(n.Children) + 1), Subtree: sub}
 		case 1: // delete
 			if !n.IsElement() || n.Parent == nil || f.IsVirtual(n) || av.SpineMask.Get(int(id)) {
@@ -118,9 +122,11 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 	}
 
 	// runCase evaluates one query and checks it against the rebuilt
-	// centralized oracle; successful runs feed the ledger.
-	runCase := func(name, query string, alg pax.Algorithm, ann bool, want []xmltree.NodeID) {
-		got, err := eng.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
+	// centralized oracle; successful runs feed the ledger. With doc set,
+	// the run ships XML, and every answer's XML must be its node's
+	// serialization in doc.
+	runCase := func(name, query string, alg pax.Algorithm, ann bool, want []xmltree.NodeID, doc *xmltree.Tree) {
+		got, err := eng.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann, ShipXML: doc != nil})
 		res.EditCases++
 		if err != nil {
 			res.EditDiffs++
@@ -140,6 +146,22 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 			res.BoundExceeded++
 			fail("seed %d %s edit %s %v %q: %d visits > bound %d", seed, opts.Transport, name, alg, query, got.MaxVisits, visitBound(alg))
 		}
+		for i := 0; doc != nil && i < len(got.Answers); i++ {
+			a := got.Answers[i]
+			f := eft.Frag(a.Frag)
+			if av := f.Arena(); av.VirtualMask.AnyInRange(int(a.Node), int(av.Tree.SubtreeEnd[a.Node])) {
+				// The answer crosses a fragment boundary and ships the
+				// virtual node in place of the sub-fragment (ROADMAP 1a).
+				res.EditXMLCrossing++
+				continue
+			}
+			res.EditXMLCompared++
+			if xml := xmltree.SerializeString(doc.Node(f.Origin[a.Node])); a.XML != xml {
+				res.EditDiffs++
+				fail("seed %d %s edit %s %v(XA=%v) %q: answer %d/%d ships\n%q\nthe edited document's subtree is\n%q\n(answers crossing a fragment boundary are skipped until ROADMAP 1a; this one does not cross)",
+					seed, opts.Transport, name, alg, ann, query, a.Frag, a.Node, a.XML, xml)
+			}
+		}
 	}
 	oracleIDs := func(doc *xmltree.Tree, c *xpath.Compiled) []xmltree.NodeID {
 		want := append([]xmltree.NodeID(nil), centeval.EvalVector(doc, c)...)
@@ -149,7 +171,7 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 
 	doc := eft.Reassemble()
 	for _, q := range queries {
-		runCase("pre-edit", q.query, pax.PaX3, false, oracleIDs(doc, q.c))
+		runCase("pre-edit", q.query, pax.PaX3, false, oracleIDs(doc, q.c), nil)
 	}
 
 	edits := 3 + r.Intn(3)
@@ -178,8 +200,8 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		doc := eft.Reassemble()
 		for _, q := range queries {
 			want := oracleIDs(doc, q.c)
-			runCase("post-edit", q.query, pax.PaX3, false, want)
-			runCase("post-edit", q.query, pax.PaX2, true, want)
+			runCase("post-edit", q.query, pax.PaX3, false, want, doc)
+			runCase("post-edit", q.query, pax.PaX2, true, want, doc)
 		}
 	}
 

@@ -16,6 +16,9 @@ func requireEditCorpus(t *testing.T, res *DiffResult) {
 	if res.EditsApplied == 0 {
 		t.Error("mutation differential applied no edits")
 	}
+	if res.EditXMLCompared == 0 {
+		t.Error("mutation differential compared no shipped XML")
+	}
 }
 
 // TestEditDifferentialLocalCorpus is the tier-1 mutation corpus on the

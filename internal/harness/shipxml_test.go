@@ -46,6 +46,27 @@ func shipXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, 
 	return res, compared, crossing
 }
 
+// naiveXMLCheck runs query over eng with NaiveCentralized and ShipXML on.
+// Naive serializes each answer from the document it reassembles, so every
+// answer, crossing ones included, must ship its node's serialization in
+// the original tree. It returns the number of answers compared.
+func naiveXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, eng *pax.Engine, query string) int {
+	t.Helper()
+	res, err := eng.RunContext(context.Background(), query, pax.Options{Algorithm: pax.Naive, ShipXML: true})
+	if err != nil {
+		t.Fatalf("naive %q: %v", query, err)
+	}
+	if got, want := origAnswerIDs(ft, res.Answers), centralIDs(t, tree, query); !testutil.EqualIDs(got, want) {
+		t.Fatalf("naive %q: %d answers, centralized %d", query, len(got), len(want))
+	}
+	for _, a := range res.Answers {
+		if want := xmltree.SerializeString(tree.Node(ft.Frag(a.Frag).Origin[a.Node])); a.XML != want {
+			t.Fatalf("naive %q: answer %d/%d ships\n%q\nthe document's subtree is\n%q", query, a.Frag, a.Node, a.XML, want)
+		}
+	}
+	return len(res.Answers)
+}
+
 func centralIDs(t *testing.T, tree *xmltree.Tree, query string) []xmltree.NodeID {
 	t.Helper()
 	c, err := xpath.Compile(query)
@@ -124,7 +145,7 @@ func smallBibliography(seed int64, sections, entries int) *xmltree.Tree {
 // boundary are only counted; both counts are pinned.
 func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 	algs := []pax.Algorithm{pax.PaX3, pax.PaX2}
-	var compared, crossing int
+	var compared, crossing, naive int
 
 	// The traffic bound: what the coordinator receives beyond the answers
 	// themselves is at most trafficC bytes per query entry per fragment.
@@ -157,6 +178,7 @@ func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		naive += naiveXMLCheck(t, tree, ft, eng, query)
 		for _, alg := range algs {
 			res, cmp, cross := shipXMLCheck(t, tree, ft, eng, query, alg)
 			compared, crossing = compared+cmp, crossing+cross
@@ -186,6 +208,7 @@ func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 			if isXMark {
 				query = randomXMarkQuery(r)
 			}
+			naive += naiveXMLCheck(t, tree, ft, eng, query)
 			for _, alg := range algs {
 				_, cmp, cross := shipXMLCheck(t, tree, ft, eng, query, alg)
 				compared, crossing = compared+cmp, crossing+cross
@@ -193,12 +216,15 @@ func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 		}
 		shutdown()
 	}
-	t.Logf("%d shipped answers equal the document's subtree; %d cross a fragment boundary and were not compared", compared, crossing)
+	t.Logf("%d shipped answers equal the document's subtree; %d cross a fragment boundary and were not compared; naive ships all %d of its answers right", compared, crossing, naive)
 	// Both counts are pinned: a change to how sites build answers must move
 	// neither. Crossing answers ship <#fragment/> in place of the
 	// sub-fragment's body (ROADMAP item 1a); the fix that stitches the
 	// bodies in turns crossing to 0 and compares all 1 066 answers.
 	if compared != 880 || crossing != 186 {
 		t.Fatalf("compared %d and crossing %d answers, pinned at 880 and 186 (ROADMAP 1a: crossing answers ship <#fragment/>)", compared, crossing)
+	}
+	if naive != 533 {
+		t.Fatalf("naive compared %d answers, pinned at 533, one algorithm's share of the 1 066", naive)
 	}
 }

@@ -52,9 +52,11 @@
 //
 // A site reads its fragments through their arena columns only — Stage 1,
 // the selection sweep, answer labels, values and ShipXML serialization
-// (arena.Tree.SerializeString), and NaiveCentralized's fetch — and an
-// edit splices those columns (fragment.Fragment.ApplyEdit), so a fragment
-// a site has edited carries no pointer tree. handleEdit builds the new
+// (arena.Tree.SerializeString), and NaiveCentralized's fetch, which ships
+// each fragment as XML in its file form (fragment.Fragment.XML, what Save
+// writes) — and an edit splices those columns (fragment.Fragment.ApplyEdit),
+// so a fragment a site has edited carries no pointer tree. An insert's
+// subtree arrives as XML text too; handleEdit parses it, builds the new
 // fragment outside the site lock and swaps it in under it, together with
 // the edit epoch.
 //

@@ -34,6 +34,7 @@ import (
 
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
+	"paxq/internal/xmltree"
 )
 
 // EditRetryPolicy bounds ApplyEdit's per-member retry loop. Sized to
@@ -83,8 +84,12 @@ func editReqOf(fid fragment.FragID, ed fragment.Edit) (*EditReq, error) {
 		if ed.Subtree == nil {
 			return nil, fmt.Errorf("pax: insert edit for fragment %d carries no subtree: %w", fid, fragment.ErrBadSubtree)
 		}
-		req.HasSubtree = true
-		req.Subtree = subtreeToWire(ed.Subtree)
+		// The sites apply the subtree they parse, so it must be the one
+		// the caller built.
+		if err := xmltree.CheckRoundTrip(ed.Subtree); err != nil {
+			return nil, fmt.Errorf("pax: insert edit for fragment %d: %w: %w", fid, fragment.ErrBadSubtree, err)
+		}
+		req.SubtreeXML = xmltree.SerializeString(ed.Subtree)
 	case fragment.EditDelete, fragment.EditRename:
 		// No payload beyond the target (and the rename label).
 	default:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,6 +173,96 @@ func TestEditVersionProtocol(t *testing.T) {
 	// neither the current version nor its predecessor.
 	if _, err := s.handleEdit(mkReq("c", base)); !errors.Is(err, ErrEditConflict) {
 		t.Fatalf("stale base: err %v, want ErrEditConflict", err)
+	}
+	// The version check runs before the subtree is parsed.
+	bad := mkReq("c", base)
+	bad.SubtreeXML = "<c"
+	if _, err := s.handleEdit(bad); !errors.Is(err, ErrEditConflict) {
+		t.Fatalf("stale base, unparsable subtree: err %v, want ErrEditConflict", err)
+	}
+}
+
+// TestEditTooDeepSubtree sends a site an EditReq whose SubtreeXML nests
+// one level past xmltree.MaxDepth, over both transports. The site refuses
+// it with xmltree.ErrTooDeep — matched with errors.Is in process, by its
+// text over TCP, where handler errors travel as strings — and keeps
+// serving: queries run, and the next edit applies at the version the
+// refused one left. The engine refuses the same subtree built in memory
+// before sending anything.
+func TestEditTooDeepSubtree(t *testing.T) {
+	deepXML := strings.Repeat("<d>", xmltree.MaxDepth+1) + strings.Repeat("</d>", xmltree.MaxDepth+1)
+	deep := xmltree.El("d")
+	for n, depth := deep, 1; depth <= xmltree.MaxDepth; depth++ {
+		c := xmltree.El("d")
+		n.Append(c)
+		n = c
+	}
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := RoundRobin(ft, 2)
+	ctx := context.Background()
+	for _, overTCP := range []bool{false, true} {
+		var eng *Engine
+		if overTCP {
+			tcp, _, shutdown, err := BuildTCPCluster(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown()
+			eng = NewEngine(topo, tcp)
+		} else {
+			local, _ := BuildLocalCluster(topo)
+			eng = NewEngine(topo, local)
+		}
+		_, err := eng.ApplyEdit(ctx, fragment.RootFrag, fragment.Edit{Op: fragment.EditInsert, Node: 0, Subtree: deep})
+		if !errors.Is(err, xmltree.ErrTooDeep) || !errors.Is(err, fragment.ErrBadSubtree) {
+			t.Fatalf("TCP %v: engine sent a too-deep insert: err %v", overTCP, err)
+		}
+		req := &EditReq{Frag: fragment.RootFrag, BaseVersion: ft.Frags[fragment.RootFrag].Version, Op: uint8(fragment.EditInsert), SubtreeXML: deepXML}
+		_, _, err = eng.tr.Call(ctx, topo.SiteOf[fragment.RootFrag], req)
+		typed := errors.Is(err, xmltree.ErrTooDeep) && errors.Is(err, fragment.ErrBadSubtree)
+		if overTCP {
+			typed = err != nil && strings.Contains(err.Error(), xmltree.ErrTooDeep.Error())
+		}
+		if !typed {
+			t.Fatalf("TCP %v: too-deep EditReq: err %v, want ErrTooDeep", overTCP, err)
+		}
+		if _, err := eng.Run(`//broker/name`, Options{Algorithm: PaX2}); err != nil {
+			t.Fatalf("TCP %v: query after the refused edit: %v", overTCP, err)
+		}
+		res, err := eng.ApplyEdit(ctx, fragment.RootFrag, fragment.Edit{Op: fragment.EditInsert, Node: 0, Subtree: xmltree.El("ok")})
+		if err != nil || res.NewVersion != ft.Frags[fragment.RootFrag].Version+1 {
+			t.Fatalf("TCP %v: edit after the refused one: %+v, err %v", overTCP, res, err)
+		}
+	}
+}
+
+// TestEditRejectsSubtreeXMLCannotCarry checks the engine refuses, before
+// sending anything, an in-memory subtree the sites would parse back as a
+// different tree: the sites would apply that tree while the caller's
+// mirror of the edit holds the original.
+func TestEditRejectsSubtreeXMLCannotCarry(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := RoundRobin(ft, 2)
+	local, _ := BuildLocalCluster(topo)
+	eng := NewEngine(topo, local)
+	for _, sub := range []*xmltree.Node{
+		xmltree.El("a", xmltree.Tx(" ")),
+		xmltree.El("a", xmltree.Tx("x\x01")),
+		xmltree.El("x:y"),
+		xmltree.El("a").SetAttr("k v", "1"),
+	} {
+		res, err := eng.ApplyEdit(context.Background(), fragment.RootFrag, fragment.Edit{Op: fragment.EditInsert, Node: 0, Subtree: sub})
+		if !errors.Is(err, fragment.ErrBadSubtree) || res != nil {
+			t.Errorf("insert %q: res %+v, err %v, want ErrBadSubtree before sending", xmltree.SerializeString(sub), res, err)
+		}
 	}
 }
 

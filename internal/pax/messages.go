@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"paxq/internal/arena"
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/xmltree"
@@ -205,9 +204,10 @@ type BatchStageResp struct {
 // applies and moves to BaseVersion+1, a site already at BaseVersion+1
 // reports success without re-applying (the idempotent-retry case — the
 // engine serializes edits, so version BaseVersion+1 can only be this very
-// edit), and any other version is a conflict error. Subtree travels in
-// WireNode form for inserts (HasSubtree marks presence); edit subtrees
-// never contain virtual nodes.
+// edit), and any other version is a conflict error. SubtreeXML carries an
+// insert's subtree as XML text (xmltree.SerializeString), which the site
+// parses only once the version check says the edit applies; it is empty
+// for deletes and renames.
 type EditReq struct {
 	Frag        fragment.FragID
 	BaseVersion uint64
@@ -215,22 +215,15 @@ type EditReq struct {
 	Node        xmltree.NodeID
 	Pos         int32
 	Label       string
-	HasSubtree  bool
-	Subtree     WireNode
+	SubtreeXML  string
 }
 
 // EditResp reports an applied (or idempotently replayed) edit: the
-// fragment's new version and whether this delivery applied it. Dropped,
-// Retained and Patched are dead wire slots that sites always send as 0:
-// they counted the fates of a Stage-1 cache that no longer exists, and
-// they stay only because removing a slot is a codec version change.
+// fragment's new version and whether this delivery applied it.
 type EditResp struct {
 	StageCompute
 	NewVersion uint64
 	Applied    bool
-	Dropped    int64
-	Retained   int64
-	Patched    int64
 }
 
 // FetchReq asks a site to ship its fragments wholesale (NaiveCentralized).
@@ -241,54 +234,17 @@ type FetchResp struct {
 	Frags []WireFragment
 }
 
-// WireFragment is a whole fragment in wire form.
+// WireFragment is a whole fragment in its file form (fragment.Fragment.XML,
+// what Save writes), virtual nodes as <fragment-ref ref="K"/> elements.
 type WireFragment struct {
-	ID   fragment.FragID
-	Root WireNode
+	ID  fragment.FragID
+	XML string
 }
 
-// WireNode is a tree node in wire form; virtual nodes carry the
-// sub-fragment ID they stand for.
-type WireNode struct {
-	Kind     uint8
-	Label    string
-	Data     string
-	Virtual  bool
-	Frag     fragment.FragID
-	Children []WireNode
-}
-
-// subtreeToWire converts a plain (fragment-free) subtree to wire form —
-// the EditReq payload. Edit subtrees carry no virtual nodes by
-// construction.
-func subtreeToWire(n *xmltree.Node) WireNode {
-	w := WireNode{Kind: uint8(n.Kind), Label: n.Label, Data: n.Data}
-	for _, c := range n.Children {
-		w.Children = append(w.Children, subtreeToWire(c))
-	}
-	return w
-}
-
-// wireToSubtree rebuilds an edit subtree from wire form. Virtual nodes are
-// rejected: an edit cannot introduce fragmentation structure, and
-// fragment.ApplyEdit's own '#'-label check would only catch the label,
-// not the flag.
-func wireToSubtree(w *WireNode) (*xmltree.Node, error) {
-	if w.Virtual {
-		return nil, fmt.Errorf("pax: edit subtree contains a virtual node")
-	}
-	n := &xmltree.Node{Kind: xmltree.NodeKind(w.Kind), Label: w.Label, Data: w.Data, ID: xmltree.NoID}
-	for i := range w.Children {
-		c, err := wireToSubtree(&w.Children[i])
-		if err != nil {
-			return nil, err
-		}
-		n.Append(c)
-	}
-	return n, nil
-}
-
-// toEdit converts the request's wire payload to a fragment.Edit.
+// toEdit converts the request's wire payload to a fragment.Edit, parsing
+// an insert's subtree. A payload that does not parse is ErrBadSubtree,
+// wrapping the parser's error (xmltree.ErrTooDeep for one nested past
+// xmltree.MaxDepth).
 func (m *EditReq) toEdit() (fragment.Edit, error) {
 	e := fragment.Edit{
 		Op:    fragment.EditOp(m.Op),
@@ -296,28 +252,12 @@ func (m *EditReq) toEdit() (fragment.Edit, error) {
 		Pos:   int(m.Pos),
 		Label: m.Label,
 	}
-	if m.HasSubtree {
-		sub, err := wireToSubtree(&m.Subtree)
+	if e.Op == fragment.EditInsert {
+		t, err := xmltree.ParseString(m.SubtreeXML)
 		if err != nil {
-			return fragment.Edit{}, err
+			return fragment.Edit{}, fmt.Errorf("%w: %w", fragment.ErrBadSubtree, err)
 		}
-		e.Subtree = sub
+		e.Subtree = t.Root
 	}
 	return e, nil
-}
-
-// toWireNode converts the subtree of fragment f rooted at node i to wire
-// form, reading f's arena columns at.
-func toWireNode(f *fragment.Fragment, at *arena.Tree, i int) WireNode {
-	if at.LabelID[i] < 0 {
-		return WireNode{Kind: uint8(xmltree.Text), Data: at.Text[i]}
-	}
-	if k, ok := f.VirtualAt(xmltree.NodeID(i)); ok {
-		return WireNode{Kind: uint8(xmltree.Element), Virtual: true, Frag: k}
-	}
-	w := WireNode{Kind: uint8(xmltree.Element), Label: at.LabelOf(i)}
-	for c := at.FirstChild[i]; c >= 0; c = at.NextSibling[c] {
-		w.Children = append(w.Children, toWireNode(f, at, int(c)))
-	}
-	return w
 }

@@ -3,6 +3,7 @@ package pax
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"paxq/internal/centeval"
 	"paxq/internal/dist"
@@ -17,71 +18,57 @@ import (
 // evaluation algorithms exist to avoid — and is visible directly in the
 // Result's byte counters.
 func (e *Engine) runNaive(ctx context.Context, c *xpath.Compiled, opts Options, usage *dist.Metrics, rt *runRoute) (*Result, error) {
-	res := &Result{RelevantFrags: e.topo.FT.Len()}
+	n := e.topo.FT.Len()
+	res := &Result{RelevantFrags: n}
 	resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(dist.SiteID) any { return &FetchReq{} })
 	if err != nil {
 		return nil, err
 	}
-	frags := make(map[fragment.FragID]*WireFragment)
+	frags := make([]*fragment.Fragment, n)
 	for site, r := range resps {
 		fr, err := respAs[*FetchResp](site, r, "fetch")
 		if err != nil {
 			return nil, err
 		}
-		for i := range fr.Frags {
-			frags[fr.Frags[i].ID] = &fr.Frags[i]
+		for _, wf := range fr.Frags {
+			if wf.ID < 0 || int(wf.ID) >= n {
+				return nil, fmt.Errorf("pax: naive fetch returned unknown fragment %d", wf.ID)
+			}
+			f, err := fragment.ReadFragment(strings.NewReader(wf.XML), wf.ID, n)
+			if err != nil {
+				return nil, fmt.Errorf("pax: naive fetch from site %d: %w", site, err)
+			}
+			f.Parent = e.topo.FT.Frags[wf.ID].Parent
+			frags[wf.ID] = f
 		}
 	}
-	if len(frags) != e.topo.FT.Len() {
-		return nil, fmt.Errorf("pax: naive fetch returned %d fragments, want %d", len(frags), e.topo.FT.Len())
+	ft, err := fragment.Assemble(frags)
+	if err != nil {
+		return nil, fmt.Errorf("pax: naive fetch: %w", err)
 	}
-	root, ok := frags[fragment.RootFrag]
-	if !ok {
-		return nil, fmt.Errorf("pax: naive fetch missing root fragment")
-	}
-	// Reassemble, tracking which fragment and local node each spliced node
-	// came from so answers carry the same identities as PaX answers.
+	tree := ft.Reassemble()
+	// Answers carry the fragment and local node each document node came
+	// from, the identities PaX answers carry.
+	ft.RecomputeOrigins()
 	type origin struct {
 		frag fragment.FragID
 		node xmltree.NodeID
 	}
-	var origins []origin
-	var splice func(fid fragment.FragID, w *WireNode, local *xmltree.NodeID) (*xmltree.Node, error)
-	splice = func(fid fragment.FragID, w *WireNode, local *xmltree.NodeID) (*xmltree.Node, error) {
-		if w.Virtual {
-			*local++ // the virtual node occupies one local ID
-			child, ok := frags[w.Frag]
-			if !ok {
-				return nil, fmt.Errorf("pax: naive fetch missing fragment %d", w.Frag)
+	origins := make([]origin, tree.Size())
+	for _, f := range ft.Frags {
+		for local, g := range f.Origin {
+			if _, virtual := f.VirtualAt(xmltree.NodeID(local)); !virtual {
+				origins[g] = origin{f.ID, xmltree.NodeID(local)}
 			}
-			var childLocal xmltree.NodeID
-			return splice(w.Frag, &child.Root, &childLocal)
 		}
-		n := &xmltree.Node{Kind: xmltree.NodeKind(w.Kind), Label: w.Label, Data: w.Data, ID: xmltree.NoID}
-		origins = append(origins, origin{frag: fid, node: *local})
-		*local++
-		for i := range w.Children {
-			c, err := splice(fid, &w.Children[i], local)
-			if err != nil {
-				return nil, err
-			}
-			n.Append(c)
-		}
-		return n, nil
-	}
-	var rootLocal xmltree.NodeID
-	rootNode, err := splice(fragment.RootFrag, &root.Root, &rootLocal)
-	if err != nil {
-		return nil, err
-	}
-	tree := xmltree.NewTree(rootNode)
-	if len(origins) != tree.Size() {
-		return nil, fmt.Errorf("pax: naive reassembly inconsistent: %d origins for %d nodes", len(origins), tree.Size())
 	}
 	for _, id := range centeval.EvalVector(tree, c) {
-		n := tree.Node(id)
-		o := origins[id]
-		res.Answers = append(res.Answers, AnswerNode{Frag: o.frag, Node: o.node, Label: n.Label, Value: n.Value()})
+		nd, o := tree.Node(id), origins[id]
+		a := AnswerNode{Frag: o.frag, Node: o.node, Label: nd.Label, Value: nd.Value()}
+		if opts.ShipXML {
+			a.XML = xmltree.SerializeString(nd)
+		}
+		res.Answers = append(res.Answers, a)
 	}
 	return res, nil
 }

@@ -644,8 +644,7 @@ func (s *Site) handleFetch() (*FetchResp, error) {
 	s.mu.Unlock()
 	resp := &FetchResp{}
 	for _, fid := range sortedFragIDs(frags) {
-		f := frags[fid]
-		resp.Frags = append(resp.Frags, WireFragment{ID: fid, Root: toWireNode(f, f.Arena().Tree, int(fragment.RootNode))})
+		resp.Frags = append(resp.Frags, WireFragment{ID: fid, XML: frags[fid].XML()})
 	}
 	return resp, nil
 }
@@ -654,9 +653,10 @@ func (s *Site) handleFetch() (*FetchResp, error) {
 // fragment swap and the epoch advance happen together under s.mu, the
 // lock session creation snapshots fragments and the epoch under, so a
 // query session observes either the pre-edit world (fragments AND epoch)
-// or the post-edit one, atomically. The copy-on-write apply itself runs
-// outside the lock, so new sessions never wait behind it; in-flight
-// sessions keep evaluating their snapshot's fragments untouched.
+// or the post-edit one, atomically. The copy-on-write apply itself, and
+// the parse of an inserted subtree, run outside the lock, so new sessions
+// never wait behind them; in-flight sessions keep evaluating their
+// snapshot's fragments untouched.
 //
 // Version semantics (see EditReq): a fragment at BaseVersion applies; one
 // already at BaseVersion+1 reports success without re-applying — the
@@ -669,10 +669,6 @@ func (s *Site) handleFetch() (*FetchResp, error) {
 // one that replaced it.
 func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 	start := time.Now()
-	e, err := req.toEdit()
-	if err != nil {
-		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
-	}
 	s.mu.Lock()
 	f, ok := s.frags[req.Frag]
 	s.mu.Unlock()
@@ -681,6 +677,10 @@ func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 	}
 	if f.Version != req.BaseVersion {
 		return s.editNotApplied(start, req, f)
+	}
+	e, err := req.toEdit()
+	if err != nil {
+		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
 	nf, err := f.ApplyEdit(e)
 	if err != nil {

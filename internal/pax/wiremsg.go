@@ -447,64 +447,6 @@ func (r *reader) substr(sec string) string {
 	return sec[end-len(b) : end]
 }
 
-// maxNodeDepth bounds WireNode tree nesting on both the encode and the
-// decode side, so the recursion is depth-safe symmetrically: a tree that
-// encodes also decodes. Unreachable for legitimate documents —
-// encoding/xml (which xmltree.Parse builds on) caps element nesting at
-// 10k — so hitting it means a corrupt payload or a hand-built tree.
-const maxNodeDepth = 1 << 16
-
-func appendWireNode(dst []byte, n *WireNode, depth int) ([]byte, error) {
-	if depth > maxNodeDepth {
-		return nil, fmt.Errorf("%w: fragment tree deeper than %d", wirefmt.ErrMalformed, maxNodeDepth)
-	}
-	dst = append(dst, n.Kind)
-	dst = wirefmt.AppendString(dst, n.Label)
-	dst = wirefmt.AppendString(dst, n.Data)
-	dst = wirefmt.AppendBool(dst, n.Virtual)
-	dst = appendFragID(dst, n.Frag)
-	dst = wirefmt.AppendUvarint(dst, uint64(len(n.Children)))
-	var err error
-	for i := range n.Children {
-		if dst, err = appendWireNode(dst, &n.Children[i], depth+1); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-func (r *reader) wireNode(n *WireNode, depth int) {
-	// Depth guard: the decoder recurses over the announced tree, so a
-	// crafted deeply-nested payload must fail, not exhaust the stack.
-	if r.err != nil {
-		return
-	}
-	if depth > maxNodeDepth {
-		r.fail(fmt.Errorf("%w: fragment tree deeper than %d", wirefmt.ErrMalformed, maxNodeDepth))
-		return
-	}
-	if len(r.p) == 0 {
-		r.fail(fmt.Errorf("%w: missing node kind", wirefmt.ErrTruncated))
-		return
-	}
-	n.Kind = r.p[0]
-	r.p = r.p[1:]
-	n.Label = r.str()
-	n.Data = r.str()
-	n.Virtual = r.bool()
-	n.Frag = r.fragID()
-	kids := r.count()
-	if r.err != nil || kids == 0 {
-		return
-	}
-	n.Children = make([]WireNode, 0, eagerCap(kids))
-	for i := 0; i < kids && r.err == nil; i++ {
-		var c WireNode
-		r.wireNode(&c, depth+1)
-		n.Children = append(n.Children, c)
-	}
-}
-
 // --- message bodies -------------------------------------------------------
 
 // WireTag implements dist.BinaryMessage.
@@ -693,12 +635,9 @@ func (m *FetchResp) WireTag() dist.MsgTag { return tagFetchResp }
 // AppendBinary implements dist.BinaryMessage.
 func (m *FetchResp) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(len(m.Frags)))
-	var err error
-	for i := range m.Frags {
-		dst = appendFragID(dst, m.Frags[i].ID)
-		if dst, err = appendWireNode(dst, &m.Frags[i].Root, 0); err != nil {
-			return nil, err
-		}
+	for _, f := range m.Frags {
+		dst = appendFragID(dst, f.ID)
+		dst = wirefmt.AppendString(dst, f.XML)
 	}
 	return dst, nil
 }
@@ -710,10 +649,7 @@ func (m *FetchResp) DecodeBinary(p []byte) error {
 	if r.err == nil && n > 0 {
 		m.Frags = make([]WireFragment, 0, eagerCap(n))
 		for i := 0; i < n && r.err == nil; i++ {
-			var f WireFragment
-			f.ID = r.fragID()
-			r.wireNode(&f.Root, 0)
-			m.Frags = append(m.Frags, f)
+			m.Frags = append(m.Frags, WireFragment{ID: r.fragID(), XML: r.str()})
 		}
 	}
 	return r.done()
@@ -821,11 +757,7 @@ func (m *EditReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.Node)))
 	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.Pos)))
 	dst = wirefmt.AppendString(dst, m.Label)
-	dst = wirefmt.AppendBool(dst, m.HasSubtree)
-	if m.HasSubtree {
-		return appendWireNode(dst, &m.Subtree, 0)
-	}
-	return dst, nil
+	return wirefmt.AppendString(dst, m.SubtreeXML), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -844,10 +776,7 @@ func (m *EditReq) DecodeBinary(p []byte) error {
 	m.Node = xmltree.NodeID(r.int32())
 	m.Pos = r.int32()
 	m.Label = r.str()
-	m.HasSubtree = r.bool()
-	if m.HasSubtree {
-		r.wireNode(&m.Subtree, 0)
-	}
+	m.SubtreeXML = r.str()
 	return r.done()
 }
 
@@ -858,10 +787,7 @@ func (m *EditResp) WireTag() dist.MsgTag { return tagEditResp }
 func (m *EditResp) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(m.ComputeNanos))
 	dst = wirefmt.AppendUvarint(dst, m.NewVersion)
-	dst = wirefmt.AppendBool(dst, m.Applied)
-	dst = wirefmt.AppendUvarint(dst, uint64(m.Dropped))
-	dst = wirefmt.AppendUvarint(dst, uint64(m.Retained))
-	return wirefmt.AppendUvarint(dst, uint64(m.Patched)), nil
+	return wirefmt.AppendBool(dst, m.Applied), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -870,8 +796,5 @@ func (m *EditResp) DecodeBinary(p []byte) error {
 	m.ComputeNanos = r.int64()
 	m.NewVersion = r.uvarint()
 	m.Applied = r.bool()
-	m.Dropped = r.int64()
-	m.Retained = r.int64()
-	m.Patched = r.int64()
 	return r.done()
 }

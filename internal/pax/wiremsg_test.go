@@ -66,6 +66,15 @@ func mustBody(m dist.BinaryMessage) []byte {
 	return b
 }
 
+// wireVersion is the codec's version byte, which leads every payload.
+func wireVersion() byte {
+	p, err := dist.EncodeRequest(dist.Binary, &FetchReq{})
+	if err != nil {
+		panic(err)
+	}
+	return p[0]
+}
+
 // messageCorpus is a deterministic set of one-of-everything stage
 // messages: every field populated, plus the nil/empty edge shapes.
 func messageCorpus(seed int64) []corpusCase {
@@ -112,13 +121,10 @@ func messageCorpus(seed int64) []corpusCase {
 		{"quals", &AnsStageReq{QID: 10, Inits: []WireInit{{Frag: 1, SV: randBools(r, 2)}}, Quals: []WireBoolVals{boolVals(true)}}},
 		{"answers", &AnsStageResp{Answers: answers}},
 		{"empty", &FetchReq{}},
-		{"tree", &FetchResp{Frags: []WireFragment{{
-			ID: 0,
-			Root: WireNode{Kind: 1, Label: "site", Children: []WireNode{
-				{Kind: 1, Label: "person", Children: []WireNode{{Kind: 3, Data: "Ada"}}},
-				{Kind: 1, Virtual: true, Frag: 2, Data: "v"},
-			}},
-		}}}},
+		{"tree", &FetchResp{Frags: []WireFragment{
+			{ID: 0, XML: `<site><person id="p&#34;1">Ada</person><fragment-ref ref="2"/></site>`},
+			{ID: 2, XML: `<people/>`},
+		}}},
 		{"members", &BatchStageReq{Subs: []BatchSub{
 			{Tag: tagQualStageReq, Body: mustBody(qualReq)},
 			{Tag: tagSelStageReq, Body: mustBody(selReq)},
@@ -131,15 +137,11 @@ func messageCorpus(seed int64) []corpusCase {
 			SubComputeNanos: []int64{41, 1},
 		}},
 		{"insert", &EditReq{
-			Frag: 2, BaseVersion: 7, Op: 1, Node: 14, Pos: 1, Label: "",
-			HasSubtree: true,
-			Subtree: WireNode{Kind: 1, Label: "person", Children: []WireNode{
-				{Kind: 1, Label: "name", Children: []WireNode{{Kind: 3, Data: "Ada"}}},
-				{Kind: 2, Label: "id", Data: "7"},
-			}},
+			Frag: 2, BaseVersion: 7, Op: 0, Node: 14, Pos: 1,
+			SubtreeXML: `<person id="7&quot;x"><name>Ada</name></person>`,
 		}},
 		{"rename", &EditReq{Frag: 0, BaseVersion: 1, Op: 3, Node: 5, Label: "renamed"}},
-		{"applied", &EditResp{StageCompute: StageCompute{ComputeNanos: 12345}, NewVersion: 8, Applied: true, Dropped: 2, Retained: 3, Patched: 1}},
+		{"applied", &EditResp{StageCompute: StageCompute{ComputeNanos: 12345}, NewVersion: 8, Applied: true}},
 		{"replayed", &EditResp{NewVersion: 9}},
 	}
 }
@@ -264,8 +266,9 @@ func FuzzDecodeStageMessage(f *testing.F) {
 	// one decoded section.
 	f.Add(byte(tagAnsStageResp), mustBody(&AnsStageResp{Answers: shipXMLAnswers(3)}))
 	f.Add(byte(tagSelStageResp), mustBody(&SelStageResp{Answers: shipXMLAnswers(2), Candidates: []fragment.FragID{1}}))
+	version := wireVersion()
 	f.Fuzz(func(t *testing.T, tag byte, body []byte) {
-		payload := append([]byte{0x01, 0x00, tag}, body...)
+		payload := append([]byte{version, 0x00, tag}, body...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		msg, err := dist.DecodeRequest(dist.Binary, payload)
@@ -464,7 +467,7 @@ func TestHostileCountDoesNotAmplify(t *testing.T) {
 	body = wirefmt.AppendUvarint(body, 1<<20)
 	body = append(body, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // fragID > MaxInt32
 	body = append(body, make([]byte, 2<<20)...)
-	payload := append([]byte{0x01, 0x01 /* ver, resp */}, 0, 0, 0, 0, 0, 0, 0, 1, 0x00 /* compute, ok */)
+	payload := append([]byte{wireVersion(), 0x01 /* resp */}, 0, 0, 0, 0, 0, 0, 0, 1, 0x00 /* compute, ok */)
 	payload = wirefmt.AppendUvarint(payload, 2) // tag: QualStageResp
 	payload = append(payload, body...)
 

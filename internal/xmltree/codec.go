@@ -2,11 +2,23 @@ package xmltree
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"unicode/utf8"
 )
+
+// MaxDepth bounds element nesting in a parsed document. Parse itself is
+// iterative, but the walkers behind it — Freeze, the arena writer, the
+// edit validator — recurse once per level, and sites and the coordinator
+// parse XML that arrives off the wire, so a document must not choose
+// their stack depth. No real document comes near the bound.
+const MaxDepth = 1 << 16
+
+// ErrTooDeep is returned by Parse for a document whose elements nest more
+// than MaxDepth deep.
+var ErrTooDeep = errors.New("xmltree: elements nested deeper than MaxDepth")
 
 // Parse reads an XML document from r into a Tree. Processing instructions,
 // comments and directives are skipped, except that the <!ENTITY name
@@ -14,9 +26,15 @@ import (
 // the document may reference; the document must have exactly one
 // top-level element. Character data consisting entirely of whitespace
 // between elements is dropped (it is markup formatting, not content),
-// matching how the paper's datasets are interpreted.
+// matching how the paper's datasets are interpreted. A malformed document
+// fails with an *xml.SyntaxError, one nested past MaxDepth with
+// ErrTooDeep.
 func Parse(r io.Reader) (*Tree, error) {
 	dec := xml.NewDecoder(r)
+	syntaxErr := func(msg string) error {
+		line, _ := dec.InputPos()
+		return fmt.Errorf("xmltree: parse: %w", &xml.SyntaxError{Msg: msg, Line: line})
+	}
 	var root *Node
 	var stack []*Node
 	for {
@@ -29,13 +47,22 @@ func Parse(r io.Reader) (*Tree, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if len(stack) == MaxDepth {
+				return nil, fmt.Errorf("xmltree: parse: %w (%d)", ErrTooDeep, MaxDepth)
+			}
+			if !localName(t.Name) {
+				return nil, syntaxErr("element name " + t.Name.Local + " is not a valid local name")
+			}
 			n := NewElement(t.Name.Local)
 			for _, a := range t.Attr {
+				if !localName(a.Name) {
+					return nil, syntaxErr("attribute name " + a.Name.Local + " is not a valid local name")
+				}
 				n.SetAttr(a.Name.Local, a.Value)
 			}
 			if len(stack) == 0 {
 				if root != nil {
-					return nil, fmt.Errorf("xmltree: parse: multiple root elements")
+					return nil, syntaxErr("multiple root elements")
 				}
 				root = n
 			} else {
@@ -43,9 +70,7 @@ func Parse(r io.Reader) (*Tree, error) {
 			}
 			stack = append(stack, n)
 		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
-			}
+			// The decoder matches end elements to start elements.
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
 			if len(stack) == 0 {
@@ -58,17 +83,83 @@ func Parse(r io.Reader) (*Tree, error) {
 			stack[len(stack)-1].Append(NewText(s))
 		case xml.Directive:
 			if err := declareEntities(dec, t); err != nil {
-				return nil, fmt.Errorf("xmltree: parse: %w", err)
+				return nil, syntaxErr(err.Error())
 			}
 		}
 	}
 	if root == nil {
-		return nil, fmt.Errorf("xmltree: parse: no root element")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: parse: unterminated element %q", stack[len(stack)-1].Label)
+		return nil, syntaxErr("no root element")
 	}
 	return NewTree(root), nil
+}
+
+// localName reports whether the local part of a name is an XML name
+// without a colon, as Namespaces in XML requires (an NCName): the decoder
+// checks the qualified name only, and Parse keeps the local part alone, so
+// `p:0` would otherwise come out as the name `0`, and `:a` or `a:b:c` as a
+// name with a colon.
+func localName(n xml.Name) bool {
+	return !strings.Contains(n.Local, ":") && (n.Space == "" || IsName(n.Local))
+}
+
+// IsName reports whether s is an XML name without a colon (an NCName),
+// the only kind of label and attribute name Parse returns. ASCII names are
+// checked here; a name with other characters is judged by the decoder.
+func IsName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			tok, err := xml.NewDecoder(strings.NewReader("<" + s + "/>")).RawToken()
+			start, ok := tok.(xml.StartElement)
+			return err == nil && ok && start.Name == xml.Name{Local: s} && len(start.Attr) == 0
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_':
+		case i > 0 && ('0' <= c && c <= '9' || c == '-' || c == '.'):
+		default:
+			return false
+		}
+	}
+	return s != ""
+}
+
+// CheckRoundTrip returns an error if the subtree rooted at n is not one
+// Parse can return, and so would not come back node for node through
+// Serialize and Parse: elements nested past MaxDepth (ErrTooDeep), a label
+// or attribute name that is not an IsName, whitespace-only text, or text
+// or an attribute value with a character XML cannot carry.
+func CheckRoundTrip(n *Node) error { return checkRoundTrip(n, 1) }
+
+func checkRoundTrip(n *Node, depth int) error {
+	ok := strings.TrimSpace(n.Data) != "" && carries(n.Data)
+	if n.Kind == Element {
+		if depth > MaxDepth {
+			return ErrTooDeep
+		}
+		ok = IsName(n.Label)
+		for _, a := range n.Attrs {
+			ok = ok && IsName(a.Name) && carries(a.Value)
+		}
+	}
+	if !ok {
+		return fmt.Errorf("xmltree: %s node %q%q cannot round-trip", n.Kind, n.Label, n.Data)
+	}
+	for _, c := range n.Children {
+		if err := checkRoundTrip(c, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// carries reports whether XML can carry every character of s, that is,
+// whether Writer.Text writes none of them as U+FFFD.
+func carries(s string) bool {
+	for i, j, esc := nextEscape(s, 0); i < len(s); i, j, esc = nextEscape(s, j) {
+		if esc == "\uFFFD" {
+			return false
+		}
+	}
+	return true
 }
 
 // declareEntities adds the internal general entities declared in a DOCTYPE
@@ -160,8 +251,8 @@ func indexUnquoted(s string, c byte) int {
 func ParseString(s string) (*Tree, error) { return Parse(strings.NewReader(s)) }
 
 // Serialize writes the subtree rooted at n as XML to w, without declaration
-// or indentation: the bytes of SerializeString(n), in one write. The output
-// round-trips through Parse.
+// or indentation: the bytes of SerializeString(n), in one write. Parse
+// reads the output back node for node if CheckRoundTrip(n) accepts it.
 func Serialize(w io.Writer, n *Node) error {
 	_, err := io.WriteString(w, SerializeString(n))
 	return err
@@ -186,17 +277,22 @@ func SerializeString(n *Node) string {
 // and arena.Tree.SerializeString both drive it, so the two share the
 // markup and the escaping, the counted length is the written length by
 // construction, and the output costs one allocation.
+//
+// Two text nodes in a row are written with an empty comment between them,
+// which Parse skips while keeping the texts apart, so the output parses
+// back into the same nodes.
 type Writer struct {
 	b     strings.Builder
 	n     int
 	write bool
+	text  bool // the last thing written was a text node
 }
 
 // Alloc ends the counting pass: it sizes the buffer to the bytes counted
 // and switches the Writer to writing.
 func (w *Writer) Alloc() {
 	w.b.Grow(w.n)
-	w.n, w.write = 0, true
+	w.n, w.write, w.text = 0, true, false
 }
 
 // String returns what the writing pass wrote.
@@ -209,9 +305,18 @@ func (w *Writer) str(s string) {
 	}
 }
 
-// Text writes character data, escaped. Runs between escapes are copied as
-// substrings of s.
+// Text writes a text node, escaped.
 func (w *Writer) Text(s string) {
+	if w.text {
+		w.str("<!---->")
+	}
+	w.escaped(s)
+	w.text = true
+}
+
+// escaped writes s escaped. Runs between escapes are copied as substrings
+// of s.
+func (w *Writer) escaped(s string) {
 	last := 0
 	for i, j, esc := nextEscape(s, 0); i < len(s); i, j, esc = nextEscape(s, j) {
 		w.str(s[last:i])
@@ -225,13 +330,14 @@ func (w *Writer) Text(s string) {
 // escaped; an empty element (no children) gets a self-closing tag and no
 // Close.
 func (w *Writer) Open(label string, attrs []Attr, empty bool) {
+	w.text = false
 	w.str("<")
 	w.str(label)
 	for _, a := range attrs {
 		w.str(" ")
 		w.str(a.Name)
 		w.str(`="`)
-		w.Text(a.Value)
+		w.escaped(a.Value)
 		w.str(`"`)
 	}
 	if empty {
@@ -243,6 +349,7 @@ func (w *Writer) Open(label string, attrs []Attr, empty bool) {
 
 // Close writes the end tag of a non-empty element.
 func (w *Writer) Close(label string) {
+	w.text = false
 	w.str("</")
 	w.str(label)
 	w.str(">")

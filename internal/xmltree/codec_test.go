@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -149,6 +150,122 @@ func FuzzSerializeEscape(f *testing.F) {
 			t.Fatalf("Text(%q): counted %d and %d bytes, want %d", s, size, w.n, want.Len())
 		}
 	})
+}
+
+// FuzzParseRoundTrip feeds arbitrary bytes to Parse, the parser sites and
+// the coordinator run on XML from the wire. Every input either fails with
+// a typed error (*xml.SyntaxError or ErrTooDeep) or serializes to a fixed
+// point: parsing the serialization and serializing again gives the same
+// bytes.
+func FuzzParseRoundTrip(f *testing.F) {
+	f.Add(`<a x="1&quot;2"><b>t &amp; u</b><c/></a>`)
+	f.Add(`<site><person>Ada</person><fragment-ref ref="2"/></site>`)
+	f.Add(`<?xml version="1.0"?><!DOCTYPE d [<!ENTITY e "v">]><d>&e;<![CDATA[<x>]]><!-- c --></d>`)
+	f.Add(`<p:a xmlns:p="u" p:k="v">` + "\r\n\t" + `x</p:a>`)
+	f.Add(`<a><b></a>`)
+	f.Add(`<a>x<!--c-->y<![CDATA[z]]><b/></a>`)
+	f.Add(`<a><:b/><c:d:e/></a>`)
+	f.Fuzz(func(t *testing.T, doc string) {
+		tr, err := ParseString(doc)
+		if err != nil {
+			var syntax *xml.SyntaxError
+			if !errors.As(err, &syntax) && !errors.Is(err, ErrTooDeep) {
+				t.Fatalf("Parse(%q): untyped error %v", doc, err)
+			}
+			return
+		}
+		if err := CheckRoundTrip(tr.Root); err != nil {
+			t.Fatalf("Parse(%q) returned a tree CheckRoundTrip rejects: %v", doc, err)
+		}
+		once := SerializeString(tr.Root)
+		back, err := ParseString(once)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %q, which does not parse: %v", doc, once, err)
+		}
+		if !DeepEqual(back.Root, tr.Root) {
+			t.Fatalf("Parse(%q): %q parses back to other nodes", doc, once)
+		}
+		if twice := SerializeString(back.Root); twice != once {
+			t.Fatalf("Parse(%q): serialization is not a fixed point:\n once %q\ntwice %q", doc, once, twice)
+		}
+	})
+}
+
+// TestSerializeKeepsAdjacentText checks two text nodes in a row, which
+// Parse makes of text split by a comment or CDATA section, come back from
+// Parse as two nodes, not merged into one.
+func TestSerializeKeepsAdjacentText(t *testing.T) {
+	tr, err := ParseString(`<a>x<!--c-->y<![CDATA[z]]><b/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Size() != 5 {
+		t.Fatalf("parsed %d nodes, want a, three texts and b", tr.Size())
+	}
+	s := SerializeString(tr.Root)
+	if want := `<a>x<!---->y<!---->z<b/></a>`; s != want {
+		t.Fatalf("SerializeString = %q, want %q", s, want)
+	}
+	if back, err := ParseString(s); err != nil || !DeepEqual(back.Root, tr.Root) {
+		t.Fatalf("%q parses back to %v (err %v)", s, back, err)
+	}
+}
+
+func TestIsName(t *testing.T) {
+	for _, s := range []string{"a", "_x", "A1", "a-b.c", "été", "名前"} {
+		if !IsName(s) {
+			t.Errorf("IsName(%q) = false", s)
+		}
+	}
+	for _, s := range []string{"", "a b", "1x", "-a", ".a", "a>", "x:y", ":a", "#virtual", "a\x00", "é é", "é>", "é:x", "\xff"} {
+		if IsName(s) {
+			t.Errorf("IsName(%q) = true", s)
+		}
+	}
+}
+
+// TestCheckRoundTrip checks CheckRoundTrip rejects each kind of tree Parse
+// cannot return, and that every tree it accepts comes back from Parse
+// node for node.
+func TestCheckRoundTrip(t *testing.T) {
+	deep := NewElement("d")
+	for range MaxDepth {
+		deep = El("d", deep)
+	}
+	bad := map[string]*Node{
+		"bad label":       El("a", El("a b")),
+		"colon label":     El("x:y"),
+		"bad attr name":   El("a").SetAttr("1k", "v"),
+		"attr control":    El("a").SetAttr("k", "v\x01"),
+		"whitespace text": El("a", Tx(" \n")),
+		"empty text":      El("a", Tx("")),
+		"text bad utf8":   El("a", Tx("x\xff")),
+		"too deep":        deep,
+	}
+	for name, n := range bad {
+		if err := CheckRoundTrip(n); err == nil {
+			t.Errorf("%s: CheckRoundTrip accepted %s", name, SerializeString(n))
+		}
+	}
+	if err := CheckRoundTrip(deep.Children[0]); err != nil {
+		t.Errorf("MaxDepth elements deep: %v", err)
+	}
+	accepted := 0
+	for seed := int64(0); seed < 50; seed++ {
+		for _, tr := range []*Tree{RandomTree(seed, 200), hostileTree(seed, 200)} {
+			if CheckRoundTrip(tr.Root) != nil {
+				continue
+			}
+			accepted++
+			back, err := ParseString(SerializeString(tr.Root))
+			if err != nil || !DeepEqual(back.Root, tr.Root) {
+				t.Fatalf("seed %d: accepted tree does not round-trip (err %v)", seed, err)
+			}
+		}
+	}
+	if accepted < 50 {
+		t.Errorf("only %d random trees accepted", accepted)
+	}
 }
 
 // TestSerializeStringAllocs pins SerializeString to one allocation per

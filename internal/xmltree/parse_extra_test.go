@@ -1,6 +1,10 @@
 package xmltree
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+)
 
 func TestParseSkipsCommentsAndPIs(t *testing.T) {
 	tr, err := ParseString(`<?xml version="1.0"?><!-- header --><a><!-- inner --><b>x</b><?pi data?></a>`)
@@ -38,6 +42,24 @@ func TestParseDeepNesting(t *testing.T) {
 	}
 	if s := tr.ComputeStats(); s.Depth != depth+1 {
 		t.Errorf("depth = %d want %d", s.Depth, depth+1)
+	}
+}
+
+// TestParseDepthBound pins MaxDepth: a document nesting exactly MaxDepth
+// elements parses, and one level deeper fails with ErrTooDeep.
+func TestParseDepthBound(t *testing.T) {
+	nested := func(depth int) string {
+		return strings.Repeat("<a>", depth) + "x" + strings.Repeat("</a>", depth)
+	}
+	tr, err := ParseString(nested(MaxDepth))
+	if err != nil {
+		t.Fatalf("document at the bound: %v", err)
+	}
+	if s := tr.ComputeStats(); s.Depth != MaxDepth+1 {
+		t.Errorf("depth = %d want %d", s.Depth, MaxDepth+1)
+	}
+	if _, err := ParseString(nested(MaxDepth + 1)); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("document one level past the bound: err %v, want ErrTooDeep", err)
 	}
 }
 

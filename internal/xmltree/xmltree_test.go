@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"encoding/xml"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -211,9 +213,13 @@ func TestParseErrors(t *testing.T) {
 		"<a><b></a></b>",
 		"<a></a><b></b>",
 		"<a>",
+		"<:a/>",
+		"<a:b:c/>",
+		`<a :k="v"/>`,
 	} {
-		if _, err := ParseString(bad); err == nil {
-			t.Errorf("ParseString(%q) succeeded, want error", bad)
+		var syntax *xml.SyntaxError
+		if _, err := ParseString(bad); !errors.As(err, &syntax) {
+			t.Errorf("ParseString(%q): err %v, want an *xml.SyntaxError", bad, err)
 		}
 	}
 }

@@ -243,7 +243,9 @@ type Cluster struct {
 	shutdown func()
 }
 
-// NewCluster fragments doc and deploys the fragments over sites.
+// NewCluster fragments doc and deploys the fragments over sites. The
+// element name fragment-ref is reserved: it marks fragment boundaries in
+// the fragments' XML form, and a document using it is rejected.
 func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	var cuts []xmltree.NodeID
 	switch {
@@ -601,7 +603,8 @@ type Edit struct {
 	// Pos is the insert slot among Node's children (text children
 	// counted), 0..len(children); ignored for delete and rename.
 	Pos int
-	// Label is the rename's new label; ignored otherwise.
+	// Label is the rename's new label, an XML name without a colon and
+	// not fragment-ref; ignored otherwise.
 	Label string
 	// SubtreeXML is the insert's payload, a single-rooted XML snippet
 	// such as "<broker><name>Ada</name></broker>"; ignored otherwise.
