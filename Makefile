@@ -62,15 +62,17 @@ fuzz-smoke:
 
 # Codec smoke: every corpus message must encode to its golden bytes
 # (testdata/golden, regenerated only with -update) and decode back to the
-# value it came from in both envelope directions, and every registered tag
-# must have a golden file.
+# value it came from in both envelope directions, every registered tag
+# must have a golden file, and no decoded message may alias the frame it
+# came from (the transport pools incoming frames): overwriting the frame
+# after decoding must not change the message's re-encoding.
 codec-smoke:
-	$(GO) test -run='TestGoldenBytes|TestEveryTagHasGoldenBytes|TestCorpusRoundTrip' ./internal/pax
+	$(GO) test -run='TestGoldenBytes|TestEveryTagHasGoldenBytes|TestCorpusRoundTrip|TestDecodedMessagesDoNotAliasFrame' ./internal/pax
 
 # Allocation smoke: every testing.AllocsPerRun cap, by name — the arena's
 # mask kernels and structural joins allocate nothing in steady state, the
-# frame write path and the metered Local round trip stay within their
-# per-call budgets, formula constructors that fold to an existing operand
+# pooled frame write and read paths and the metered Local round trip stay
+# within their per-call budgets, formula constructors that fold to an existing operand
 # allocate nothing, and neither does a warmed boolexpr.Builder asked for a
 # node it already holds, a Stage-1 pass allocates per predicate, spine
 # node and virtual node, not per node, and builds each predicate's QV,
@@ -78,19 +80,21 @@ codec-smoke:
 # a fragment visit of the selection sweep (alone or in PaX2's combined
 # visit) allocates per returned item, not per node, its row and
 # subtree-end stacks living on the goroutine's stack, serializing a
-# subtree (from a pointer tree or from arena columns) allocates exactly
-# its output string, decoding an answers section costs the same few
+# pointer subtree allocates exactly its output string, building a
+# fragment's file form allocates its text and one offsets array, a second
+# ShipXML answer from a fragment allocates nothing for its XML (a slice of
+# the file form), decoding an answers section costs the same few
 # allocations (at most 3) for 1, 100 or 1 000 answers, and a site's
 # fragment edit allocates at most 200 times, within 10 of the same edit
 # on a fragment 30 times smaller.
 alloc-smoke:
-	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs|TestArenaSerializeStringAllocs' ./internal/arena
-	$(GO) test -run='TestFrameWritePathAllocs|TestLocalCallAllocsBounded' ./internal/dist
+	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
+	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs' ./internal/parbox
-	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs' ./internal/pax
+	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
-	$(GO) test -run='TestApplyEditAllocsIndependentOfSize' ./internal/fragment
+	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestFileFormAllocs' ./internal/fragment
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve
@@ -114,8 +118,10 @@ fault-smoke:
 # version-protocol, snapshot and batch-epoch regressions, two concurrent
 # deliveries of one edit applying once, the public-API edit regressions,
 # and the oracles of the site's columns-only path: column-only edit chains
-# equal to the pointer-edit mirror, typed errors alike, and the arena
-# serializer byte-identical to the pointer one. The full
+# equal to the pointer-edit mirror, typed errors alike, and the file form
+# sites write from arena columns byte-identical to the pointer serializer.
+# Post-edit answers' shipped XML is compared with the edited document,
+# answers crossing a fragment boundary included. The full
 # >=500-case-per-transport corpus runs in `test`
 # (TestEditDifferentialLocalCorpus / TestEditDifferentialTCPCorpus).
 edit-smoke:

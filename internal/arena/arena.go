@@ -150,44 +150,6 @@ func (e Elem) Value() string { return e.T.Value[e.I] }
 // NumValue returns the element's numeric value and whether it has one.
 func (e Elem) NumValue() (float64, bool) { return e.T.NumVal[e.I], e.T.NumOK.Get(e.I) }
 
-// SerializeString renders the subtree rooted at node i as an XML string,
-// byte-identical to xmltree.SerializeString of the same subtree in pointer
-// form, with one allocation.
-func (a *Tree) SerializeString(i int) string { return a.SerializeStubbed(i, nil) }
-
-// SerializeStubbed is SerializeString, except that a node j for which
-// stub(j) reports ok is written as an empty element, label with attrs, in
-// place of its subtree. stub runs for every node of both passes.
-func (a *Tree) SerializeStubbed(i int, stub func(j int) (label string, attrs []xmltree.Attr, ok bool)) string {
-	var w xmltree.Writer
-	a.writeXML(&w, i, stub)
-	w.Alloc()
-	a.writeXML(&w, i, stub)
-	return w.String()
-}
-
-func (a *Tree) writeXML(w *xmltree.Writer, i int, stub func(int) (string, []xmltree.Attr, bool)) {
-	if stub != nil {
-		if label, attrs, ok := stub(i); ok {
-			w.Open(label, attrs, true)
-			return
-		}
-	}
-	if a.LabelID[i] < 0 {
-		w.Text(a.Text[i])
-		return
-	}
-	label, first := a.LabelOf(i), a.FirstChild[i]
-	w.Open(label, a.Attrs(i), first < 0)
-	if first < 0 {
-		return
-	}
-	for c := first; c >= 0; c = a.NextSibling[c] {
-		a.writeXML(w, int(c), stub)
-	}
-	w.Close(label)
-}
-
 // Elements returns the mask of element nodes. Callers must not mutate it.
 func (a *Tree) Elements() Bitset { return a.elements }
 

@@ -253,20 +253,3 @@ func TestLabelMaskUnknown(t *testing.T) {
 		t.Fatal("unknown label produced a non-empty mask")
 	}
 }
-
-// TestArenaSerializeStringAllocs pins the arena serializer to one
-// allocation per call, the output string, as TestSerializeStringAllocs
-// pins xmltree.SerializeString: each ShipXML answer costs its own bytes.
-func TestArenaSerializeStringAllocs(t *testing.T) {
-	tree, err := xmltree.ParseString(`<r a="&amp;&lt;&#x9;"><x>1 &amp; 2</x><y k="&quot;'">&lt;tag&gt;&#xD;</y><z/></r>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := FromTree(tree)
-	if got, want := a.SerializeString(0), xmltree.SerializeString(tree.Root); got != want {
-		t.Fatalf("SerializeString = %q, want %q", got, want)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { a.SerializeString(0) }); allocs != 1 {
-		t.Errorf("SerializeString allocates %.1f times per call, want 1", allocs)
-	}
-}

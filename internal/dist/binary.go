@@ -15,7 +15,7 @@ import (
 // The envelope grammar (everything inside one frame):
 //
 //	payload  := version kind rest
-//	version  := 0x02                     (binVersion)
+//	version  := 0x03                     (binVersion)
 //	kind     := 0x00 request | 0x01 response
 //	request  := tag body                 (tag 0x00: nil request, no body)
 //	response := compute status rest
@@ -30,7 +30,7 @@ import (
 // golden-bytes corpus of internal/pax pins the format: a change to any
 // byte of it is a binVersion bump.
 const (
-	binVersion byte = 0x02
+	binVersion byte = 0x03
 
 	binKindReq  byte = 0x00
 	binKindResp byte = 0x01
@@ -61,8 +61,9 @@ type MsgTag uint32
 // BinaryMessage is a request or response that encodes itself on the
 // wire. AppendBinary appends the message body to dst (so the transport
 // encodes straight into a pooled frame buffer); DecodeBinary decodes a
-// body and must consume it exactly. Implementations may alias sub-slices
-// of the input — the transport never recycles a received frame's buffer.
+// body and must consume it exactly. The decoded message must not alias
+// the input: the transport returns a received frame's buffer to its pool
+// once the frame is decoded.
 type BinaryMessage interface {
 	WireTag() MsgTag
 	AppendBinary(dst []byte) ([]byte, error)

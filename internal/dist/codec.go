@@ -1,11 +1,11 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -93,15 +93,18 @@ var framePool = sync.Pool{
 	},
 }
 
-// maxPooledFrame caps the capacity a buffer may retain in the pool; the
-// occasional giant frame (a NaiveCentralized fetch) must not pin its
-// buffer forever.
-const maxPooledFrame = 1 << 20
+// frameChunk is the one bound on frame buffers: the capacity a buffer may
+// retain in the pool, so the occasional giant frame (a NaiveCentralized
+// fetch) does not pin its buffer forever, and the most readFrame grows a
+// buffer ahead of the bytes that have arrived, so a corrupt or hostile
+// length prefix announcing up to maxFrame (1 GiB) cannot commit a large
+// allocation with a 4-byte header.
+const frameChunk = 1 << 20
 
 func getFrame() *[]byte { return framePool.Get().(*[]byte) }
 
 func putFrame(bp *[]byte) {
-	if cap(*bp) <= maxPooledFrame {
+	if cap(*bp) <= frameChunk {
 		framePool.Put(bp)
 	}
 }
@@ -151,40 +154,31 @@ func writeFrame(w io.Writer, payload []byte) (int64, error) {
 	return int64(len(frame)), nil
 }
 
-// maxEagerAlloc caps the buffer allocated up front for an incoming frame.
-// A corrupt or hostile length prefix may announce up to maxFrame (1 GiB);
-// committing that allocation before any payload bytes arrive would let a
-// 4-byte header pin a gigabyte per connection. Larger frames grow the
-// buffer as the bytes actually stream in.
-const maxEagerAlloc = 1 << 20
-
-// readFrame reads one length-prefixed payload and the total bytes taken
-// off the wire. The returned buffer is freshly allocated and owned by the
-// caller: binary decoding aliases sub-slices of it (zero-copy formula
-// payloads), so frames read here are never pooled.
-func readFrame(r io.Reader) ([]byte, int64, error) {
+// readFrame reads one length-prefixed payload into buf, reusing its
+// capacity (pass a pooled frame buffer), and returns the payload and the
+// total bytes taken off the wire. The buffer grows at most frameChunk
+// bytes ahead of the bytes read. Decoded messages never alias the payload
+// (see BinaryMessage), so the caller returns the buffer to the pool once
+// it has decoded the frame.
+func readFrame(r io.Reader, buf []byte) ([]byte, int64, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
+		return buf, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrame {
-		return nil, 0, errTooLarge(int64(n))
+		return buf, 0, errTooLarge(int64(n))
 	}
-	if n <= maxEagerAlloc {
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, 0, err
+	buf = buf[:0]
+	for len(buf) < n {
+		have := len(buf)
+		buf = slices.Grow(buf, min(n-have, frameChunk))[:min(n, have+frameChunk)]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, 0, err
 		}
-		return payload, frameHeader + int64(n), nil
 	}
-	var buf bytes.Buffer
-	buf.Grow(maxEagerAlloc)
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 0, err
-	}
-	return buf.Bytes(), frameHeader + int64(n), nil
+	return buf, frameHeader + int64(n), nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -173,6 +174,51 @@ func TestFrameWritePathAllocs(t *testing.T) {
 	}
 }
 
+// TestFrameReadPathAllocs is the read side's cap: reading a frame into a
+// pooled buffer and returning the buffer costs at most one allocation per
+// call (pool churn) in steady state, for a frame far larger than a fresh
+// pool buffer.
+func TestFrameReadPathAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops a random share of Puts under -race, so pool churn is not steady state")
+	}
+	var wire bytes.Buffer
+	if _, err := writeFrame(&wire, bytes.Repeat([]byte("x"), 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(wire.Bytes())
+	read := func() {
+		r.Reset(wire.Bytes())
+		bp := getFrame()
+		payload, _, err := readFrame(r, *bp)
+		*bp = payload
+		if err != nil || len(payload) != 64<<10 {
+			t.Fatalf("readFrame: %d bytes, %v", len(payload), err)
+		}
+		putFrame(bp)
+	}
+	for i := 0; i < 16; i++ {
+		read() // warm the pool
+	}
+	if avg := testing.AllocsPerRun(200, read); avg > 1 {
+		t.Errorf("frame read path allocates %.1f/op, want <= 1", avg)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
 // TestLocalCallAllocsBounded caps the whole metered Local round trip
 // under the binary codec — the hot path concurrent queries share.
 func TestLocalCallAllocsBounded(t *testing.T) {
@@ -206,7 +252,7 @@ func TestLocalCallAllocsBounded(t *testing.T) {
 func TestOversizeFrameIsTyped(t *testing.T) {
 	var hdr [frameHeader]byte
 	binary.BigEndian.PutUint32(hdr[:], maxFrame+1)
-	if _, _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrMessageTooLarge) {
+	if _, _, err := readFrame(bytes.NewReader(hdr[:]), nil); !errors.Is(err, ErrMessageTooLarge) {
 		t.Errorf("readFrame: err = %v, want ErrMessageTooLarge", err)
 	}
 	_, _, err := encodeFrame(func([]byte) ([]byte, error) {
@@ -232,7 +278,7 @@ func TestTCPOversizeResponseNotRetriable(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, _, err := readFrame(conn); err != nil {
+		if _, _, err := readFrame(conn, nil); err != nil {
 			return
 		}
 		var hdr [frameHeader]byte

@@ -37,7 +37,7 @@
 //	frame    := length:4 payload          (big-endian length, <= 1 GiB;
 //	                                       beyond it ErrMessageTooLarge)
 //	payload  := version kind rest
-//	version  := 0x02
+//	version  := 0x03
 //	kind     := 0x00 request | 0x01 response
 //	request  := tag body                  (tag 0: nil request, no body)
 //	response := compute:8 status rest     (compute: handler nanoseconds,
@@ -76,9 +76,15 @@
 // header space, the envelope appended in place, the header patched in,
 // one Write for the whole frame. The steady-state frame write path
 // allocates nothing and never flushes a bare header as its own TCP
-// segment. Incoming frames are read into fresh buffers, never pooled,
-// because binary decoding aliases sub-slices (zero-copy formula payloads)
-// that may outlive the call that read them.
+// segment. Incoming frames are read into pooled buffers too — the TCP
+// client reads a response into the buffer its request was framed in, the
+// server reads each request into one — and go back to the pool as soon
+// as the frame is decoded. That is sound because a decoded message never
+// aliases its frame (BinaryMessage): a message whose fields keep bytes
+// (formula payloads, answer and fragment text) copies the rest of its
+// body once and slices that copy. One constant, frameChunk, bounds both
+// the capacity a pooled buffer may keep and how far a read grows a buffer
+// ahead of the bytes that have arrived.
 //
 // # Cost accounting
 //

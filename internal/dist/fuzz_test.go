@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzReadFrame drives the frame reader with arbitrary byte streams: it
-// must never panic, never allocate the announced length eagerly beyond
-// the cap (a hostile 4-byte header must not pin a gigabyte), and on
-// success must account exactly the bytes it consumed.
+// must never panic, never grow its buffer more than frameChunk ahead of
+// the bytes that arrived (a hostile 4-byte header must not pin a
+// gigabyte), and on success must account exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
 	// Well-formed frames: a request and an error response.
 	if payload, err := EncodeRequest(Binary, &echoReq{Payload: "seed"}); err == nil {
@@ -27,7 +27,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 1, 2}) // huge announced, tiny actual
 	f.Add([]byte{0, 0, 0, 5, 'a', 'b'})         // truncated payload
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, n, err := readFrame(bytes.NewReader(data))
+		payload, n, err := readFrame(bytes.NewReader(data), nil)
+		if c := cap(payload); c > 2*(len(data)+frameChunk) {
+			t.Fatalf("grew the buffer to %d bytes for a %d-byte stream", c, len(data))
+		}
 		if err != nil {
 			return
 		}

@@ -91,12 +91,17 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	for {
-		payload, _, err := readFrame(conn)
+		bp := getFrame()
+		payload, _, err := readFrame(conn, *bp)
+		*bp = payload
 		if err != nil {
+			putFrame(bp)
 			return // client went away, or Close severed us
 		}
 		env := respEnvelope{}
-		if req, err := decodeRequest(payload); err != nil {
+		req, err := decodeRequest(payload)
+		putFrame(bp) // the request does not alias its frame
+		if err != nil {
 			env.Err = err.Error()
 		} else {
 			start := time.Now()
@@ -332,7 +337,7 @@ func (t *TCP) Call(ctx context.Context, to SiteID, req any) (any, CallCost, erro
 	stop := context.AfterFunc(ctx, func() {
 		conn.SetDeadline(time.Unix(1, 0)) // the distant past: fail all I/O now
 	})
-	env, sent, recvd, err := roundTrip(conn, frame)
+	env, sent, recvd, err := roundTrip(conn, bp, frame)
 	canceled := !stop()
 	if err != nil {
 		t.dropConn(conn)
@@ -364,13 +369,16 @@ func (t *TCP) Call(ctx context.Context, to SiteID, req any) (any, CallCost, erro
 	return env.Resp, cost, nil
 }
 
-// roundTrip writes one pre-framed request and reads the response frame.
-func roundTrip(conn net.Conn, frame []byte) (env respEnvelope, sent, recvd int64, err error) {
+// roundTrip writes one pre-framed request, held in the pooled buffer bp,
+// and reads the response frame into the same buffer: the request's bytes
+// are spent once written, and the decoded response does not alias them.
+func roundTrip(conn net.Conn, bp *[]byte, frame []byte) (env respEnvelope, sent, recvd int64, err error) {
 	if _, err = conn.Write(frame); err != nil {
 		return env, 0, 0, err
 	}
 	sent = int64(len(frame))
-	respPayload, recvd, err := readFrame(conn)
+	respPayload, recvd, err := readFrame(conn, *bp)
+	*bp = respPayload
 	if err != nil {
 		return env, 0, 0, err
 	}

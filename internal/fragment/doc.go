@@ -27,6 +27,8 @@
 // and the cmd/paxq coordinator reads the fragment-tree skeleton from the
 // manifest alone (never the data). A fragment file holds the fragment's
 // file form (Fragment.XML, read back by ReadFragment), which is also what
-// a site ships to a NaiveCentralized fetch. Fragments loaded this way are never
+// a site ships to a NaiveCentralized fetch and slices ShipXML answers from
+// (fileform.go: built once per fragment version, with every node's byte
+// range). Fragments loaded this way are never
 // mutated in place: an edit swaps in a copy-on-write successor (edit.go).
 package fragment

@@ -66,6 +66,12 @@ type Fragment struct {
 	// arenaOnce/arena lazily cache the columnar view (see Arena).
 	arenaOnce sync.Once
 	arena     *ArenaView
+
+	// xmlOnce guards the lazily built file form: its text, and where each
+	// node's serialization starts and ends in it (see XML, SubtreeXML).
+	xmlOnce          sync.Once
+	xml              string
+	xmlStart, xmlEnd []int32
 }
 
 // VirtualAt reports the sub-fragment a virtual node stands for.

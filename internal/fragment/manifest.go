@@ -76,21 +76,6 @@ func (ft *Fragmentation) Save(dir string) error {
 	return os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644)
 }
 
-// XML renders the fragment in its file form, the one Save writes and a
-// site ships to a NaiveCentralized fetch: the fragment's XML with each
-// virtual node written as <fragment-ref ref="K"/>, K the sub-fragment it
-// stands for. It reads the arena columns only, so a fragment a site has
-// edited renders too. ReadFragment reads the form back.
-func (f *Fragment) XML() string {
-	av := f.Arena()
-	return av.Tree.SerializeStubbed(int(RootNode), func(j int) (string, []xmltree.Attr, bool) {
-		if !av.VirtualMask.Get(j) {
-			return "", nil, false
-		}
-		return RefLabel, []xmltree.Attr{{Name: "ref", Value: strconv.Itoa(int(f.virtuals[xmltree.NodeID(j)]))}}, true
-	})
-}
-
 // ReadFragment reads fragment id, one of the n fragments of a
 // fragmentation, in its file form (see Fragment.XML). Each
 // <fragment-ref ref="K"/> becomes a virtual node standing for

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"paxq/internal/fragment"
@@ -36,10 +38,31 @@ func hostileRandomTree(seed int64, size int) *xmltree.Tree {
 	return tr
 }
 
-// TestArenaSerializeMatchesPointer holds the arena serializer byte-identical
-// to xmltree.SerializeString at every node of every fragment — virtual
-// nodes included — of the benchmark's pinned XMark cut, of the
-// bibliography corpus cut at /dblp/bib, and of hostile random trees cut at
+// stubbedCopy copies the subtree of n, a node of f's pointer tree, with
+// every virtual node written as the file form's stub for its
+// sub-fragment.
+func stubbedCopy(f *fragment.Fragment, n *xmltree.Node) *xmltree.Node {
+	if k, ok := f.VirtualAt(n.ID); ok {
+		return xmltree.El(fragment.RefLabel).SetAttr("ref", strconv.Itoa(int(k)))
+	}
+	if n.Kind == xmltree.Text {
+		return xmltree.NewText(n.Data)
+	}
+	cp := xmltree.NewElement(n.Label)
+	cp.Attrs = slices.Clone(n.Attrs)
+	for _, ch := range n.Children {
+		cp.Append(stubbedCopy(f, ch))
+	}
+	return cp
+}
+
+// TestArenaSerializeMatchesPointer holds the fragment file form, which
+// sites write from arena columns, to the pointer serializer: at every
+// element of every fragment — virtual nodes included — the element's
+// slice of the file form (Fragment.SubtreeXML) is xmltree.SerializeString
+// of its pointer subtree with virtual nodes as stubs, and the whole file
+// form is the root's. It runs on the benchmark's pinned XMark cut, the
+// bibliography corpus cut at /dblp/bib, and hostile random trees cut at
 // random elements.
 func TestArenaSerializeMatchesPointer(t *testing.T) {
 	type corpus struct {
@@ -69,10 +92,15 @@ func TestArenaSerializeMatchesPointer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range ft.Frags {
-			at := f.Arena().Tree
 			virtuals += f.NumVirtuals()
+			if got, want := f.XML(), xmltree.SerializeString(stubbedCopy(f, f.Tree.Root)); got != want {
+				t.Fatalf("%s fragment %d file form:\n got %q\nwant %q", c.name, f.ID, got, want)
+			}
 			for _, n := range f.Tree.PreorderNodes() {
-				got, want := at.SerializeString(int(n.ID)), xmltree.SerializeString(n)
+				if !n.IsElement() {
+					continue
+				}
+				got, want := f.SubtreeXML(n.ID), xmltree.SerializeString(stubbedCopy(f, n))
 				if got != want {
 					t.Fatalf("%s fragment %d node %d:\n got %q\nwant %q", c.name, f.ID, n.ID, got, want)
 				}

@@ -86,8 +86,9 @@ type DiffResult struct {
 	EditDiffs     int // post-edit divergence from the rebuilt oracle, edit failure, or ledger violation
 	EditsApplied  int // fragment edits driven through the engine
 	// EditXMLCompared counts post-edit answers whose shipped XML was
-	// compared with the edited document; EditXMLCrossing those skipped
-	// because their subtree crosses a fragment boundary (ROADMAP 1a).
+	// compared with the edited document; EditXMLCrossing those among them
+	// whose subtree crosses a fragment boundary, stitched from
+	// sub-fragment bodies.
 	EditXMLCompared int
 	EditXMLCrossing int
 	MaxVisitsPaX3   int
@@ -150,7 +151,7 @@ func (r *DiffResult) Ok() bool {
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied; %d shipped XML answers compared, %d crossing skipped) (max visits: PaX3 %d, PaX2 %d)",
+	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied; %d shipped XML answers compared, %d of them crossing) (max visits: PaX3 %d, PaX2 %d)",
 		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditXMLCompared, r.EditXMLCrossing, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 

@@ -150,15 +150,12 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 			a := got.Answers[i]
 			f := eft.Frag(a.Frag)
 			if av := f.Arena(); av.VirtualMask.AnyInRange(int(a.Node), int(av.Tree.SubtreeEnd[a.Node])) {
-				// The answer crosses a fragment boundary and ships the
-				// virtual node in place of the sub-fragment (ROADMAP 1a).
 				res.EditXMLCrossing++
-				continue
 			}
 			res.EditXMLCompared++
 			if xml := xmltree.SerializeString(doc.Node(f.Origin[a.Node])); a.XML != xml {
 				res.EditDiffs++
-				fail("seed %d %s edit %s %v(XA=%v) %q: answer %d/%d ships\n%q\nthe edited document's subtree is\n%q\n(answers crossing a fragment boundary are skipped until ROADMAP 1a; this one does not cross)",
+				fail("seed %d %s edit %s %v(XA=%v) %q: answer %d/%d ships\n%q\nthe edited document's subtree is\n%q",
 					seed, opts.Transport, name, alg, ann, query, a.Frag, a.Node, a.XML, xml)
 			}
 		}

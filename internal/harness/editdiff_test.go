@@ -16,8 +16,8 @@ func requireEditCorpus(t *testing.T, res *DiffResult) {
 	if res.EditsApplied == 0 {
 		t.Error("mutation differential applied no edits")
 	}
-	if res.EditXMLCompared == 0 {
-		t.Error("mutation differential compared no shipped XML")
+	if res.EditXMLCompared == 0 || res.EditXMLCrossing == 0 {
+		t.Errorf("mutation differential compared %d shipped answers, %d of them crossing a fragment boundary; want some of each", res.EditXMLCompared, res.EditXMLCrossing)
 	}
 }
 
@@ -70,5 +70,17 @@ func TestEditSmoke(t *testing.T) {
 	requireClean(t, tcpRes)
 	if res.EditsApplied == 0 || tcpRes.EditsApplied == 0 {
 		t.Error("edit smoke applied no edits")
+	}
+	// Seeds 16 and 17 cut below post-edit answers, so shipped XML that
+	// crosses a fragment boundary is compared on both transports.
+	for _, tr := range []DiffTransport{DiffLocal, DiffTCP} {
+		res, err := DifferentialSweep(context.Background(), 16, 2, DiffOptions{Transport: tr, CompareEdits: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireClean(t, res)
+		if res.EditXMLCrossing == 0 {
+			t.Errorf("%s: edit smoke compared no shipped answer crossing a fragment boundary", tr)
+		}
 	}
 }

@@ -26,7 +26,9 @@ import (
 // replicated fleet, injects a randomized kill/restart schedule — hook
 // faults on the in-process transport, real server kills and restarts on
 // TCP — and demands that every surviving query answers byte-identically
-// to the centralized evaluator, that per-site visits stay within the
+// to the centralized evaluator, every answer shipping its document
+// subtree as XML (stitched across fragment boundaries, bodies fetched
+// in failover replays too), that per-site visits stay within the
 // documented failover bound MaxVisits <= B*(1+Retries), and that the sum
 // of the per-query ledgers still equals the transport's lifetime totals
 // (the aborted-call attribution rule) whenever no query aborted.
@@ -274,7 +276,7 @@ func RunFaultInjection(ctx context.Context, seed int64, opts FaultOptions) (*Fau
 		}
 		ann := r.Intn(2) == 0
 		res.Queries++
-		out, err := fleet.eng.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
+		out, err := fleet.eng.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann, ShipXML: true})
 		if err != nil {
 			// The fleet may legitimately have been injured beyond the retry
 			// budget; the query aborts, its partial calls stay charged to the
@@ -293,6 +295,14 @@ func RunFaultInjection(ctx context.Context, seed int64, opts FaultOptions) (*Fau
 			res.Mismatches++
 			fail("fault seed %d %s q%d %v(XA=%v) %q: answers diverged under faults: %d vs %d nodes",
 				seed, opts.Transport, q, alg, ann, query, len(got), len(want))
+		}
+		for _, a := range out.Answers {
+			if xml := xmltree.SerializeString(tree.Node(ft.Frag(a.Frag).Origin[a.Node])); a.XML != xml {
+				res.Mismatches++
+				fail("fault seed %d %s q%d %v(XA=%v) %q: answer %d/%d ships %q under faults, the document's subtree is %q",
+					seed, opts.Transport, q, alg, ann, query, a.Frag, a.Node, a.XML, xml)
+				break
+			}
 		}
 		if bound := visitBound(alg) * (1 + out.Retries); out.MaxVisits > bound {
 			res.BoundExceeded++

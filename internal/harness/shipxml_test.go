@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"paxq/internal/centeval"
@@ -12,15 +13,16 @@ import (
 	"paxq/internal/pax"
 	"paxq/internal/testutil"
 	"paxq/internal/wirefmt"
+	"paxq/internal/xmark"
 	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
 )
 
 // shipXMLCheck runs query over eng with ShipXML on and compares every
 // answer's shipped XML with the serialization of its node in the original
-// tree. An answer whose subtree holds a virtual node — it crosses a
-// fragment boundary, and ships the virtual node in place of the
-// sub-fragment — is counted in crossing, not compared.
+// tree. It returns the answers compared and, among them, those whose
+// subtree holds a virtual node: they cross a fragment boundary, and ship
+// the sub-fragments' bodies stitched in.
 func shipXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, eng *pax.Engine, query string, alg pax.Algorithm) (res *pax.Result, compared, crossing int) {
 	t.Helper()
 	res, err := eng.RunContext(context.Background(), query, pax.Options{Algorithm: alg, ShipXML: true})
@@ -31,11 +33,13 @@ func shipXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, 
 	if want := centralIDs(t, tree, query); !testutil.EqualIDs(origIDs, want) {
 		t.Fatalf("%v %q: %d answers, centralized %d", alg, query, len(origIDs), len(want))
 	}
+	if bound := visitBound(alg); res.MaxVisits > bound {
+		t.Fatalf("%v %q: %d visits to one site, bound %d", alg, query, res.MaxVisits, bound)
+	}
 	for _, a := range res.Answers {
 		f := ft.Frag(a.Frag)
 		if subtreeHasVirtual(f, f.Tree.Node(a.Node)) {
 			crossing++
-			continue
 		}
 		orig := tree.Node(f.Origin[a.Node])
 		if want := xmltree.SerializeString(orig); a.XML != want {
@@ -103,6 +107,23 @@ func shippedAnswerBytes(answers []pax.AnswerNode) int64 {
 	return int64(n)
 }
 
+// stubBytes is the size of the stubs the answers ship in place of the
+// sub-fragments below them: one <fragment-ref ref="K"/> per virtual node in
+// each answer's subtree.
+func stubBytes(ft *fragment.Fragmentation, answers []pax.AnswerNode) int64 {
+	var n int
+	for _, a := range answers {
+		f := ft.Frag(a.Frag)
+		av := f.Arena()
+		end := int(av.Tree.SubtreeEnd[a.Node])
+		for v := av.VirtualMask.NextSet(int(a.Node), end); v < end; v = av.VirtualMask.NextSet(v+1, end) {
+			k, _ := f.VirtualAt(xmltree.NodeID(v))
+			n += len(fmt.Sprintf(`<%s ref="%d"/>`, fragment.RefLabel, k))
+		}
+	}
+	return int64(n)
+}
+
 // smallBibliography builds a DBLP-shaped document: a <dblp> root over
 // sections <bib> sections of article/inproceedings entries, with
 // attributes and with text that needs escaping.
@@ -137,18 +158,22 @@ func smallBibliography(seed int64, sections, entries int) *xmltree.Tree {
 }
 
 // TestShipXMLMatchesDocumentOverTCP is the end-to-end oracle for shipped
-// XML: over real TCP sites, every answer that does not cross a fragment
-// boundary ships exactly the serialization of its node in the original
-// document. It runs on a small bibliography cut at /dblp/bib, where it
-// also checks the paper's traffic bound with answers, and on the
-// differential's random trees, cuts and queries. Answers that cross a
-// boundary are only counted; both counts are pinned.
+// XML: over real TCP sites, every answer ships exactly the serialization
+// of its node in the original document, answers that cross a fragment
+// boundary included, within the paper's visit bounds. It runs on a small
+// bibliography cut at /dblp/bib, where it also checks the paper's traffic
+// bound with answers, and on the differential's random trees, cuts and
+// queries.
 func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 	algs := []pax.Algorithm{pax.PaX3, pax.PaX2}
 	var compared, crossing, naive int
 
 	// The traffic bound: what the coordinator receives beyond the answers
-	// themselves is at most trafficC bytes per query entry per fragment.
+	// themselves, as shipped, is at most trafficC bytes per query entry per
+	// fragment. An answer crossing a fragment boundary ships with a stub
+	// per sub-fragment below it, which the coordinator fills with the
+	// sub-fragment's body, so the answers as shipped are the stitched
+	// answers plus those stubs.
 	const trafficC = 16
 	tree := smallBibliography(1, 4, 30)
 	var cuts []xmltree.NodeID
@@ -182,10 +207,10 @@ func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 		for _, alg := range algs {
 			res, cmp, cross := shipXMLCheck(t, tree, ft, eng, query, alg)
 			compared, crossing = compared+cmp, crossing+cross
-			ans := shippedAnswerBytes(res.Answers)
+			ans := shippedAnswerBytes(res.Answers) + stubBytes(ft, res.Answers)
 			bound := ans + int64(trafficC*(len(c.Sel)+len(c.Preds))*ft.Len())
 			if res.BytesRecv > bound {
-				t.Errorf("%v %q: received %d bytes, bound %d (answers %d + %d·|Q|·|FT|)", alg, query, res.BytesRecv, bound, ans, trafficC)
+				t.Errorf("%v %q: received %d bytes, bound %d (answers with stubs %d + %d·|Q|·|FT|)", alg, query, res.BytesRecv, bound, ans, trafficC)
 			}
 		}
 	}
@@ -216,15 +241,46 @@ func TestShipXMLMatchesDocumentOverTCP(t *testing.T) {
 		}
 		shutdown()
 	}
-	t.Logf("%d shipped answers equal the document's subtree; %d cross a fragment boundary and were not compared; naive ships all %d of its answers right", compared, crossing, naive)
-	// Both counts are pinned: a change to how sites build answers must move
-	// neither. Crossing answers ship <#fragment/> in place of the
-	// sub-fragment's body (ROADMAP item 1a); the fix that stitches the
-	// bodies in turns crossing to 0 and compares all 1 066 answers.
-	if compared != 880 || crossing != 186 {
-		t.Fatalf("compared %d and crossing %d answers, pinned at 880 and 186 (ROADMAP 1a: crossing answers ship <#fragment/>)", compared, crossing)
+	t.Logf("all %d shipped answers equal the document's subtree, %d of them crossing a fragment boundary; naive ships all %d of its answers right", compared, crossing, naive)
+	// Both counts are pinned: every answer is compared, and the answers
+	// that cross a boundary, stitched from sub-fragment bodies, are all
+	// among them.
+	if compared != 1066 || crossing != 186 {
+		t.Fatalf("compared %d answers, %d of them crossing, pinned at 1 066 and 186", compared, crossing)
 	}
 	if naive != 533 {
 		t.Fatalf("naive compared %d answers, pinned at 533, one algorithm's share of the 1 066", naive)
+	}
+}
+
+// TestShipXMLCrossingAnswersRegression is the regression test for
+// answers that cross fragment boundaries, which once shipped each
+// sub-fragment below them as an empty virtual node: on XMark 0.5 MB cut
+// into 128 fragments, 36 of the answers of /sites/site/people/person
+// cross a boundary, and under both algorithms over TCP every one of them
+// ships its document subtree, with no virtual node and no stub left in it.
+func TestShipXMLCrossingAnswersRegression(t *testing.T) {
+	tree := xmark.Generate(1, xmark.Calibrate().SpecForBytes(500_000), 0)
+	ft, err := fragment.Cut(tree, fragment.RandomCuts(tree, 127, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := pax.RoundRobin(ft, 4)
+	tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	eng := pax.NewEngine(topo, tcp)
+	for _, alg := range []pax.Algorithm{pax.PaX3, pax.PaX2} {
+		res, _, crossing := shipXMLCheck(t, tree, ft, eng, Q1, alg)
+		if crossing != 36 {
+			t.Errorf("%v: %d answers cross a fragment boundary, want 36", alg, crossing)
+		}
+		for _, a := range res.Answers {
+			if strings.Contains(a.XML, fragment.VirtualLabel) || strings.Contains(a.XML, fragment.RefLabel) {
+				t.Fatalf("%v: answer %d/%d ships %q", alg, a.Frag, a.Node, a.XML)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -179,7 +180,9 @@ func TestBatchOfOneMatchesDirect(t *testing.T) {
 	batched, direct, _, _, ft := batchedClusters(t, tr, fragment.RandomCuts(tr, 4, 17), 3,
 		[]EngineOption{WithBatchWindow(200 * time.Microsecond), WithMaxBatchSize(8)})
 	for _, query := range fig1Queries {
-		for _, opts := range allOptions {
+		for i := range 2 * len(allOptions) {
+			opts := allOptions[i/2]
+			opts.ShipXML = i%2 == 1
 			want, err := direct.Run(query, opts)
 			if err != nil {
 				t.Fatalf("%s %q direct: %v", opts.Algorithm, query, err)
@@ -188,9 +191,12 @@ func TestBatchOfOneMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %q batched: %v", opts.Algorithm, query, err)
 			}
-			label := fmt.Sprintf("%s(XA=%v) %q", opts.Algorithm, opts.Annotations, query)
+			label := fmt.Sprintf("%s(XA=%v, ShipXML=%v) %q", opts.Algorithm, opts.Annotations, opts.ShipXML, query)
 			if !testutil.EqualIDs(origIDs(ft, got.Answers), origIDs(ft, want.Answers)) {
 				t.Errorf("%s: answers diverge between batched and direct", label)
+			}
+			if !slices.EqualFunc(got.Answers, want.Answers, func(a, b AnswerNode) bool { return a.XML == b.XML }) {
+				t.Errorf("%s: shipped XML diverges between batched and direct", label)
 			}
 			if got.MaxVisits != want.MaxVisits {
 				t.Errorf("%s: MaxVisits %d (batched) vs %d (direct)", label, got.MaxVisits, want.MaxVisits)
@@ -323,7 +329,7 @@ func TestBatchCostConservation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			opts := Options{Algorithm: []Algorithm{PaX3, PaX2}[i%2], Annotations: i%3 == 0}
+			opts := Options{Algorithm: []Algorithm{PaX3, PaX2}[i%2], Annotations: i%3 == 0, ShipXML: i%4 < 2}
 			results[i], errs[i] = batched.Run(queries[i%len(queries)], opts)
 		}(i)
 	}

@@ -76,8 +76,13 @@ type Result struct {
 	MaxVisits       int   // max per-site visits (≤3 PaX3, ≤2 PaX2; see the failover bound below)
 	BytesSent       int64 // coordinator → sites
 	BytesRecv       int64 // sites → coordinator
-	RelevantFrags   int   // fragments that participated
-	TotalFrags      int
+	// SpeculativeBytes is the part of BytesRecv that shipped fragment
+	// bodies no answer used: under ShipXML the final stage fetches the
+	// bodies below candidates before they resolve, and those below
+	// candidates that resolve false are not stitched into any answer.
+	SpeculativeBytes int64
+	RelevantFrags    int // fragments that participated
+	TotalFrags       int
 	// Retries counts stage calls of this query that the failover layer
 	// attempted again after a retriable failure; Failovers counts how many
 	// of those rotated to a different replica. Both are 0 on a fault-free
@@ -586,6 +591,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 		return nil, err
 	}
 	var contexts []WireContext
+	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
 	for site, r := range resps {
 		sr, err := respAs[*SelStageResp](site, r, "selection")
@@ -594,12 +600,16 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 		}
 		res.Answers = append(res.Answers, sr.Answers...)
 		contexts = append(contexts, sr.Contexts...)
+		below = append(below, sr.Below...)
 		for _, fid := range sr.Candidates {
 			candFrags[fid] = true
 		}
 	}
+	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
-		return res, nil // Stage 3 unnecessary (e.g. XA with no qualifiers)
+		// No candidate to resolve (e.g. XA with no qualifiers): Stage 3
+		// only fetches the bodies below answers, if any.
+		return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
 	}
 
 	// evalFT, top-down half: ground the z variables.
@@ -608,11 +618,11 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 		return nil, err
 	}
 
-	// Stage 3: resolve candidates where they live. A candidate can only
-	// exist in a fragment seeded with z variables, whose parent necessarily
-	// reported a context — a candidate without one is a malformed site
-	// response and fails the query up front.
-	ansReqs := make(map[dist.SiteID]any)
+	// Stage 3: resolve candidates where they live, and fetch the bodies
+	// below answers and candidates. A candidate can only exist in a
+	// fragment seeded with z variables, whose parent necessarily reported
+	// a context — a candidate without one is a malformed site response and
+	// fails the query up front.
 	for _, site := range e.topo.Sites() {
 		var req *AnsStageReq
 		for _, fid := range relBySite[site] {
@@ -632,18 +642,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 			ansReqs[site] = req
 		}
 	}
-	resps, err = e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any { return ansReqs[site] })
-	if err != nil {
-		return nil, err
-	}
-	for site, r := range resps {
-		ar, err := respAs[*AnsStageResp](site, r, "answer")
-		if err != nil {
-			return nil, err
-		}
-		res.Answers = append(res.Answers, ar.Answers...)
-	}
-	return res, nil
+	return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
 }
 
 // runPaX2 is Procedure PaX2 of Fig. 5.
@@ -689,6 +688,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 	}
 	roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
 	var contexts []WireContext
+	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
 	for site, r := range resps {
 		cr, err := respAs[*CombinedStageResp](site, r, "combined")
@@ -700,12 +700,15 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		}
 		res.Answers = append(res.Answers, cr.Answers...)
 		contexts = append(contexts, cr.Contexts...)
+		below = append(below, cr.Below...)
 		for _, fid := range cr.Candidates {
 			candFrags[fid] = true
 		}
 	}
+	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
-		return res, nil
+		// Stage 2 only fetches the bodies below answers, if any.
+		return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
 	}
 
 	// evalFT: bottom-up qualifier unification over the fragments that
@@ -732,14 +735,14 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		return nil, err
 	}
 
-	// Stage 2: resolve candidates; PaX2 candidates may mention both z and
-	// sub-fragment qualifier variables. The root fragment ran with the
-	// concrete document vector, so its candidates (which arise from
-	// qualifiers awaiting sub-fragment data) get that vector as their
-	// init. Any other candidate without a ground context is a malformed
-	// site response and fails the query before the stage is issued.
+	// Stage 2: resolve candidates, and fetch the bodies below answers and
+	// candidates; PaX2 candidates may mention both z and sub-fragment
+	// qualifier variables. The root fragment ran with the concrete
+	// document vector, so its candidates (which arise from qualifiers
+	// awaiting sub-fragment data) get that vector as their init. Any
+	// other candidate without a ground context is a malformed site
+	// response and fails the query before the stage is issued.
 	docBools := xpath.DocSelVector[bool](xpath.BoolAlg{}, c)
-	ansReqs := make(map[dist.SiteID]any)
 	for _, site := range e.topo.Sites() {
 		var req *AnsStageReq
 		var frags []fragment.FragID
@@ -768,18 +771,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		}
 		ansReqs[site] = req
 	}
-	resps, err = e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any { return ansReqs[site] })
-	if err != nil {
-		return nil, err
-	}
-	for site, r := range resps {
-		ar, err := respAs[*AnsStageResp](site, r, "answer")
-		if err != nil {
-			return nil, err
-		}
-		res.Answers = append(res.Answers, ar.Answers...)
-	}
-	return res, nil
+	return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
 }
 
 // groundQualsForPresent is groundQualsFor restricted to sub-fragments that

@@ -51,10 +51,13 @@
 // are canonical by construction and ship as built.
 //
 // A site reads its fragments through their arena columns only — Stage 1,
-// the selection sweep, answer labels, values and ShipXML serialization
-// (arena.Tree.SerializeString), and NaiveCentralized's fetch, which ships
-// each fragment as XML in its file form (fragment.Fragment.XML, what Save
-// writes) — and an edit splices those columns (fragment.Fragment.ApplyEdit),
+// the selection sweep, answer labels and values, and the fragment's file
+// form (fragment.Fragment.XML, what Save writes), built once from the
+// columns and cached: a ShipXML answer is a slice of it
+// (Fragment.SubtreeXML), with each sub-fragment below the answer as a
+// stub, and NaiveCentralized's fetch and the final stage's body fetch
+// ship it whole. The coordinator fills the stubs with the bodies
+// (stitch.go). An edit splices the columns (fragment.Fragment.ApplyEdit),
 // so a fragment a site has edited carries no pointer tree. An insert's
 // subtree arrives as XML text too; handleEdit parses it, builds the new
 // fragment outside the site lock and swaps it in under it, together with

@@ -123,12 +123,15 @@ type SelStageReq struct {
 
 // SelStageResp returns per-virtual-node contexts, the answers already known
 // to be definite, and the fragments that retained candidate answers and
-// therefore need Stage 3.
+// therefore need Stage 3. Under ShipXML, Below lists the sub-fragments
+// whose virtual nodes lie in the subtree of an answer or a candidate: the
+// stubs in the answers' XML whose bodies the final stage fetches.
 type SelStageResp struct {
 	StageCompute
 	Contexts   []WireContext
 	Answers    []AnswerNode
 	Candidates []fragment.FragID
+	Below      []fragment.FragID
 }
 
 // CombinedStageReq asks a site to run PaX2's combined visit (Fig. 5
@@ -145,27 +148,35 @@ type CombinedStageReq struct {
 }
 
 // CombinedStageResp returns the qualifier root vectors and selection
-// contexts together, plus definite answers and candidate-bearing fragments.
+// contexts together, plus definite answers, candidate-bearing fragments
+// and, under ShipXML, the sub-fragments below them (see SelStageResp).
 type CombinedStageResp struct {
 	StageCompute
 	Roots      []WireRootVecs
 	Contexts   []WireContext
 	Answers    []AnswerNode
 	Candidates []fragment.FragID
+	Below      []fragment.FragID
 }
 
-// AnsStageReq resolves retained candidates (PaX3 Stage 3 / PaX2 Stage 2):
-// Inits grounds the z variables, Quals the sub-fragment qualifier variables
-// that PaX2 candidates may still mention.
+// AnsStageReq is a query's final stage (PaX3 Stage 3 / PaX2 Stage 2). It
+// resolves retained candidates: Inits grounds the z variables, Quals the
+// sub-fragment qualifier variables that PaX2 candidates may still
+// mention. Under ShipXML, Bodies lists the hosted fragments whose file
+// forms the coordinator stitches into answers; a request may carry
+// Bodies alone.
 type AnsStageReq struct {
-	QID   QueryID
-	Inits []WireInit
-	Quals []WireBoolVals
+	QID    QueryID
+	Inits  []WireInit
+	Quals  []WireBoolVals
+	Bodies []fragment.FragID
 }
 
-// AnsStageResp returns the remaining answers.
+// AnsStageResp returns the remaining answers and the requested fragment
+// bodies.
 type AnsStageResp struct {
 	Answers []AnswerNode
+	Bodies  []WireFragment
 }
 
 // BatchSub is one member of a batch envelope: a complete stage message in
@@ -235,7 +246,8 @@ type FetchResp struct {
 }
 
 // WireFragment is a whole fragment in its file form (fragment.Fragment.XML,
-// what Save writes), virtual nodes as <fragment-ref ref="K"/> elements.
+// what Save writes), virtual nodes as <fragment-ref ref="K"/> elements: a
+// NaiveCentralized fetch, or a body for ShipXML answers.
 type WireFragment struct {
 	ID  fragment.FragID
 	XML string

@@ -19,11 +19,15 @@ type candidate struct {
 }
 
 // selOutcome is the result of one fragment's top-down selection traversal.
+// Under ShipXML, below lists the sub-fragments whose virtual nodes lie in
+// the subtree of an answer or a candidate, in pre-order: the stubs in the
+// answers' XML that the coordinator fills with the sub-fragments' bodies.
 // visited counts the vectors the traversal computed; only tests read it.
 type selOutcome struct {
 	contexts   []fragContext
 	answers    []AnswerNode
 	candidates []candidate
+	below      []fragment.FragID
 	visited    int
 }
 
@@ -52,13 +56,14 @@ func constInit(vals []bool) []*boolexpr.Formula {
 }
 
 // answerOf materializes answer node id of f for shipping, reading its
-// label, value and (with shipXML) serialized subtree from the arena
-// columns.
+// label and value from the arena columns and (with shipXML) its subtree's
+// XML as a slice of the fragment's cached file form, virtual nodes as
+// stubs.
 func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode {
 	at := f.Arena().Tree
 	a := AnswerNode{Frag: f.ID, Node: id, Label: at.LabelOf(int(id)), Value: at.Value[id]}
 	if shipXML {
-		a.XML = at.SerializeString(int(id))
+		a.XML = f.SubtreeXML(id)
 	}
 	return a
 }
@@ -127,6 +132,7 @@ func evalSelection(
 	ends := endBuf[:0]
 	var node xmltree.NodeID
 	qual := func(e int) *boolexpr.Formula { return qualAt(node, e) }
+	stubbed := 0 // below covers the virtual nodes before this index
 	for i, n := 0, at.Len(); i < n; {
 		for len(ends) > 0 && int32(i) >= ends[len(ends)-1] {
 			ends = ends[:len(ends)-1]
@@ -151,13 +157,15 @@ func evalSelection(
 		node = xmltree.NodeID(i)
 		sv := xpath.NodeSelVector[*boolexpr.Formula](b, c, at.LabelOf(i), parent, qual, rows[d*w:(d+1)*w])
 		out.visited++
+		end := int(at.SubtreeEnd[i])
 		switch {
 		case sv[last].IsTrue():
 			out.answers = append(out.answers, answerOf(f, node, shipXML))
+			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		case !sv[last].IsFalse():
 			out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
+			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		}
-		end := int(at.SubtreeEnd[i])
 		if allFalse(sv) || narrow && !anyStepIn(steps, i+1, end) {
 			out.skip(f, c, i, end, sv)
 			i = end
@@ -177,6 +185,22 @@ func (o *selOutcome) addContext(f *fragment.Fragment, v int, sv []*boolexpr.Form
 	ctx := slices.Clone(sv)
 	o.contexts = append(o.contexts, fragContext{frag: k, sv: ctx})
 	return ctx
+}
+
+// addBelow records, under shipXML, the sub-fragments of the virtual nodes
+// in [lo, end), the part of an answer's or candidate's subtree that no
+// earlier one covered: answers and candidates arrive in pre-order, so a
+// nested one records nothing twice. It returns how far below now covers.
+func (o *selOutcome) addBelow(f *fragment.Fragment, shipXML bool, lo, end int) int {
+	if !shipXML {
+		return 0
+	}
+	vm := f.Arena().VirtualMask
+	for v := vm.NextSet(lo, end); v < end; v = vm.NextSet(v+1, end) {
+		k, _ := f.VirtualAt(xmltree.NodeID(v))
+		o.below = append(o.below, k)
+	}
+	return max(lo, end)
 }
 
 // skip records the contexts of the virtual nodes in (i, end), the subtree

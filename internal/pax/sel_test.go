@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"paxq/internal/boolexpr"
@@ -132,6 +133,17 @@ func evalSelectionWalk(
 ) *selOutcome {
 	out := &selOutcome{}
 	last := c.AnswerEntry()
+	stubbed := make(map[fragment.FragID]bool)
+	var below func(n *xmltree.Node)
+	below = func(n *xmltree.Node) {
+		if k, ok := f.VirtualAt(n.ID); ok && !stubbed[k] {
+			stubbed[k] = true
+			out.below = append(out.below, k)
+		}
+		for _, ch := range n.Children {
+			below(ch)
+		}
+	}
 	var walk func(n *xmltree.Node, parent []*boolexpr.Formula)
 	walk = func(n *xmltree.Node, parent []*boolexpr.Formula) {
 		sv := xpath.NodeSelVector[*boolexpr.Formula](b, c, n.Label, parent,
@@ -141,11 +153,15 @@ func evalSelectionWalk(
 		case sv[last].IsTrue():
 			a := AnswerNode{Frag: f.ID, Node: n.ID, Label: n.Label, Value: n.Value()}
 			if shipXML {
-				a.XML = xmltree.SerializeString(n)
+				a.XML = xmltree.SerializeString(stubbedCopy(f, n))
+				below(n)
 			}
 			out.answers = append(out.answers, a)
 		case !sv[last].IsFalse():
 			out.candidates = append(out.candidates, candidate{node: n.ID, f: sv[last]})
+			if shipXML {
+				below(n)
+			}
 		}
 		for _, ch := range n.Children {
 			if ch.Kind != xmltree.Element {
@@ -160,6 +176,24 @@ func evalSelectionWalk(
 	}
 	walk(f.Tree.Root, init)
 	return out
+}
+
+// stubbedCopy copies the subtree of n, a node of f's pointer tree, with
+// every virtual node written as the file form's stub for its
+// sub-fragment.
+func stubbedCopy(f *fragment.Fragment, n *xmltree.Node) *xmltree.Node {
+	if k, ok := f.VirtualAt(n.ID); ok {
+		return xmltree.El(fragment.RefLabel).SetAttr("ref", strconv.Itoa(int(k)))
+	}
+	if n.Kind == xmltree.Text {
+		return xmltree.NewText(n.Data)
+	}
+	cp := xmltree.NewElement(n.Label)
+	cp.Attrs = slices.Clone(n.Attrs)
+	for _, ch := range n.Children {
+		cp.Append(stubbedCopy(f, ch))
+	}
+	return cp
 }
 
 // pax3Inputs is what PaX3's Stage 2 hands the selection traversal of every
@@ -254,6 +288,9 @@ func sameOutcome(got, want *selOutcome) error {
 		if g.frag != w.frag || !slices.EqualFunc(boolexpr.EncodeVec(g.sv), boolexpr.EncodeVec(w.sv), bytes.Equal) {
 			return fmt.Errorf("context %d: fragment %d %v, walk fragment %d %v", i, g.frag, g.sv, w.frag, w.sv)
 		}
+	}
+	if !slices.Equal(got.below, want.below) {
+		return fmt.Errorf("below %v, walk %v", got.below, want.below)
 	}
 	if got.visited > want.visited {
 		return fmt.Errorf("computed %d vectors, walk %d", got.visited, want.visited)
@@ -442,5 +479,28 @@ func BenchmarkSelectionVisit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestAnswerXMLAllocs pins a ShipXML answer's XML to a slice of its
+// fragment's cached file form: once the fragment's first answer has built
+// the file form, a second answer from it allocates nothing for its XML.
+func TestAnswerXMLAllocs(t *testing.T) {
+	tree := xmark.Generate(2, xmark.Calibrate().SpecForBytes(20_000), 1)
+	ft, err := fragment.Cut(tree, fragment.RandomCuts(tree, 3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := ft.Root()
+	first, second := xmltree.NodeID(1), xmltree.NodeID(2)
+	if a := answerOf(f, first, true); a.XML != f.SubtreeXML(first) || a.XML == "" {
+		t.Fatalf("answer %d ships %q", first, a.XML)
+	}
+	var a AnswerNode
+	if allocs := testing.AllocsPerRun(20, func() { a = answerOf(f, second, true) }); allocs != 0 {
+		t.Errorf("a second answer from the fragment allocates %.1f times, want 0", allocs)
+	}
+	if a.XML != f.SubtreeXML(second) {
+		t.Errorf("answer %d ships %q, want its slice of the file form", second, a.XML)
 	}
 }

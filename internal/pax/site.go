@@ -526,6 +526,7 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(ctx.sv)})
 		}
 		resp.Answers = append(resp.Answers, outc.answers...)
+		resp.Below = append(resp.Below, outc.below...)
 		if len(outc.candidates) > 0 {
 			sess.cands[fid] = outc.candidates
 			resp.Candidates = append(resp.Candidates, fid)
@@ -553,7 +554,7 @@ func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 		return &SelStageResp{StageCompute: cr.StageCompute}, err
 	}
 	s.dropSessionIfDone(req.QID, sess)
-	return &SelStageResp{StageCompute: cr.StageCompute, Contexts: cr.Contexts, Answers: cr.Answers, Candidates: cr.Candidates}, nil
+	return &SelStageResp{StageCompute: cr.StageCompute, Contexts: cr.Contexts, Answers: cr.Answers, Candidates: cr.Candidates, Below: cr.Below}, nil
 }
 
 // handleCombined runs PaX2 Stage 1 over the requested fragments: per
@@ -574,8 +575,26 @@ func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error)
 }
 
 // handleCollect runs PaX3 Stage 3 / PaX2 Stage 2: resolve retained
-// candidates against the ground z and qualifier values.
+// candidates against the ground z and qualifier values, and ship the
+// requested fragment bodies in their cached file form. A request with
+// Bodies alone needs no session: it reads the query's snapshot when the
+// site still holds one, the live fragments otherwise.
 func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
+	if len(req.Inits) == 0 && len(req.Bodies) > 0 {
+		s.mu.Lock()
+		src := s.frags
+		if sess, ok := s.sessions[req.QID]; ok {
+			src = sess.frags
+		}
+		frags := make(map[fragment.FragID]*fragment.Fragment, len(req.Bodies))
+		for _, id := range req.Bodies {
+			if f, ok := src[id]; ok {
+				frags[id] = f
+			}
+		}
+		s.mu.Unlock()
+		return s.shipBodies(&AnsStageResp{}, frags, req.Bodies)
+	}
 	sess, err := s.getSession(req.QID, "", 0)
 	if err != nil {
 		return nil, err
@@ -594,7 +613,13 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 			}
 		}
 	}
-	resp := &AnsStageResp{}
+	// Size the answers for every candidate resolving true: one allocation
+	// instead of the doubling appends of thousands of answers.
+	n := 0
+	for _, in := range req.Inits {
+		n += len(sess.cands[in.Frag])
+	}
+	resp := &AnsStageResp{Answers: make([]AnswerNode, 0, n)}
 	for _, in := range req.Inits {
 		f, ok := sess.frags[in.Frag]
 		if !ok {
@@ -615,6 +640,19 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 		delete(sess.cands, in.Frag)
 	}
 	s.dropSessionIfDone(req.QID, sess)
+	return s.shipBodies(resp, sess.frags, req.Bodies)
+}
+
+// shipBodies adds the file forms of the fragments ids, read from frags,
+// to resp.
+func (s *Site) shipBodies(resp *AnsStageResp, frags map[fragment.FragID]*fragment.Fragment, ids []fragment.FragID) (*AnsStageResp, error) {
+	for _, id := range ids {
+		f, ok := frags[id]
+		if !ok {
+			return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, id)
+		}
+		resp.Bodies = append(resp.Bodies, WireFragment{ID: id, XML: f.XML()})
+	}
 	return resp, nil
 }
 

@@ -1,9 +1,11 @@
 package pax
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
@@ -83,11 +85,56 @@ func newStageMessage(tag dist.MsgTag) dist.BinaryMessage {
 
 // reader is a sticky-error consumer over a message body. It keeps decode
 // code linear: check r.done() once at the end instead of after every
-// field. Byte-slice fields alias the input (the transport never recycles
-// received frames); strings and bool slices never do.
+// field. A decoded message never aliases its input, which the transport
+// recycles once the message is decoded: the first field whose bytes the
+// message keeps (formula bytes, batch member bodies, answer and fragment
+// strings) copies the rest of the body once, and that field and every
+// later one slice the copy. Scalar fields, bool slices and the few short
+// strings read with str are decoded into fresh values.
 type reader struct {
 	p   []byte
 	err error
+	// kept is the message's copy of its body from the first kept field
+	// on, made by keepFrom and never written afterwards, so strings share
+	// its memory.
+	kept []byte
+}
+
+// keepFrom makes the message's one copy of its body, from r's position
+// on, unless an earlier field made it already. Callers have counted at
+// least one element left, so the copy is never empty.
+func (r *reader) keepFrom() {
+	if r.kept == nil && r.err == nil {
+		r.kept = bytes.Clone(r.p)
+	}
+}
+
+// keep consumes a length-prefixed byte string and returns it as a slice
+// of the copy keepFrom made, capped so that an append cannot reach the
+// next field. The copy ends where the body ends, so a length that runs
+// past it is corrupt, not short: the error is ErrMalformed.
+func (r *reader) keep() []byte {
+	if r.err != nil {
+		return nil
+	}
+	b, rest, err := wirefmt.Bytes(r.p)
+	if err != nil {
+		r.fail(fmt.Errorf("%w: %v", wirefmt.ErrMalformed, err))
+		return nil
+	}
+	r.p = rest
+	end := len(r.kept) - len(rest)
+	return r.kept[end-len(b) : end : end]
+}
+
+// keepStr is keep for a string field: the string shares the copy's
+// memory, which nothing writes once it is made.
+func (r *reader) keepStr() string {
+	b := r.keep()
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 func (r *reader) fail(err error) {
@@ -188,19 +235,6 @@ func (r *reader) str() string {
 	return v
 }
 
-func (r *reader) bytes() []byte {
-	if r.err != nil {
-		return nil
-	}
-	v, rest, err := wirefmt.Bytes(r.p)
-	if err != nil {
-		r.fail(err)
-		return nil
-	}
-	r.p = rest
-	return v
-}
-
 func (r *reader) bools() []bool {
 	if r.err != nil {
 		return nil
@@ -263,9 +297,10 @@ func (r *reader) wireVec() WireVec {
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	r.keepFrom()
 	out := make(WireVec, 0, eagerCap(n))
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.bytes())
+		out = append(out, r.keep())
 	}
 	return out
 }
@@ -406,45 +441,50 @@ func appendAnswers(dst []byte, as []AnswerNode) []byte {
 	return dst
 }
 
-// answers decodes an answers section. Its strings are substrings of one
-// copy of the rest of the body, made once: a response's answers cost one
-// string allocation however many there are, never alias the body, and
-// stay alive together.
+// answers decodes an answers section. Its strings slice the message's one
+// copy of its body: a response's answers cost no allocation per answer,
+// never alias the body, and stay alive together.
 func (r *reader) answers() []AnswerNode {
 	n := r.count()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	sec := string(r.p)
+	r.keepFrom()
 	out := make([]AnswerNode, 0, eagerCap(n))
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, AnswerNode{
 			Frag:  r.fragID(),
 			Node:  xmltree.NodeID(r.int32()),
-			Label: r.substr(sec),
-			Value: r.substr(sec),
-			XML:   r.substr(sec),
+			Label: r.keepStr(),
+			Value: r.keepStr(),
+			XML:   r.keepStr(),
 		})
 	}
 	return out
 }
 
-// substr consumes a length-prefixed string, returned as a substring of
-// sec, a copy of the bytes r had left when sec was made. sec ends where the
-// body ends, so a length that runs past it is corrupt, not short: the
-// error is ErrMalformed.
-func (r *reader) substr(sec string) string {
-	if r.err != nil {
-		return ""
+func appendWireFragments(dst []byte, fs []WireFragment) []byte {
+	dst = wirefmt.AppendUvarint(dst, uint64(len(fs)))
+	for _, f := range fs {
+		dst = appendFragID(dst, f.ID)
+		dst = wirefmt.AppendString(dst, f.XML)
 	}
-	b, rest, err := wirefmt.Bytes(r.p)
-	if err != nil {
-		r.fail(fmt.Errorf("%w: answer string: %v", wirefmt.ErrMalformed, err))
-		return ""
+	return dst
+}
+
+// wireFragments decodes a list of fragment file forms, their text slicing
+// the message's copy of its body like answers' strings.
+func (r *reader) wireFragments() []WireFragment {
+	n := r.count()
+	if r.err != nil || n == 0 {
+		return nil
 	}
-	r.p = rest
-	end := len(sec) - len(rest)
-	return sec[end-len(b) : end]
+	r.keepFrom()
+	out := make([]WireFragment, 0, eagerCap(n))
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, WireFragment{ID: r.fragID(), XML: r.keepStr()})
+	}
+	return out
 }
 
 // --- message bodies -------------------------------------------------------
@@ -522,7 +562,8 @@ func (m *SelStageResp) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(m.ComputeNanos))
 	dst = appendContexts(dst, m.Contexts)
 	dst = appendAnswers(dst, m.Answers)
-	return appendFragIDs(dst, m.Candidates), nil
+	dst = appendFragIDs(dst, m.Candidates)
+	return appendFragIDs(dst, m.Below), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -532,6 +573,7 @@ func (m *SelStageResp) DecodeBinary(p []byte) error {
 	m.Contexts = r.contexts()
 	m.Answers = r.answers()
 	m.Candidates = r.fragIDs()
+	m.Below = r.fragIDs()
 	return r.done()
 }
 
@@ -569,7 +611,8 @@ func (m *CombinedStageResp) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendRootVecsSlice(dst, m.Roots)
 	dst = appendContexts(dst, m.Contexts)
 	dst = appendAnswers(dst, m.Answers)
-	return appendFragIDs(dst, m.Candidates), nil
+	dst = appendFragIDs(dst, m.Candidates)
+	return appendFragIDs(dst, m.Below), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -580,6 +623,7 @@ func (m *CombinedStageResp) DecodeBinary(p []byte) error {
 	m.Contexts = r.contexts()
 	m.Answers = r.answers()
 	m.Candidates = r.fragIDs()
+	m.Below = r.fragIDs()
 	return r.done()
 }
 
@@ -590,7 +634,8 @@ func (m *AnsStageReq) WireTag() dist.MsgTag { return tagAnsStageReq }
 func (m *AnsStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(m.QID))
 	dst = appendInits(dst, m.Inits)
-	return appendBoolValsSlice(dst, m.Quals), nil
+	dst = appendBoolValsSlice(dst, m.Quals)
+	return appendFragIDs(dst, m.Bodies), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -599,6 +644,7 @@ func (m *AnsStageReq) DecodeBinary(p []byte) error {
 	m.QID = QueryID(r.uvarint())
 	m.Inits = r.inits()
 	m.Quals = r.boolValsSlice()
+	m.Bodies = r.fragIDs()
 	return r.done()
 }
 
@@ -607,13 +653,15 @@ func (m *AnsStageResp) WireTag() dist.MsgTag { return tagAnsStageResp }
 
 // AppendBinary implements dist.BinaryMessage.
 func (m *AnsStageResp) AppendBinary(dst []byte) ([]byte, error) {
-	return appendAnswers(dst, m.Answers), nil
+	dst = appendAnswers(dst, m.Answers)
+	return appendWireFragments(dst, m.Bodies), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
 func (m *AnsStageResp) DecodeBinary(p []byte) error {
 	r := reader{p: p}
 	m.Answers = r.answers()
+	m.Bodies = r.wireFragments()
 	return r.done()
 }
 
@@ -634,24 +682,13 @@ func (m *FetchResp) WireTag() dist.MsgTag { return tagFetchResp }
 
 // AppendBinary implements dist.BinaryMessage.
 func (m *FetchResp) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirefmt.AppendUvarint(dst, uint64(len(m.Frags)))
-	for _, f := range m.Frags {
-		dst = appendFragID(dst, f.ID)
-		dst = wirefmt.AppendString(dst, f.XML)
-	}
-	return dst, nil
+	return appendWireFragments(dst, m.Frags), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
 func (m *FetchResp) DecodeBinary(p []byte) error {
 	r := reader{p: p}
-	n := r.count()
-	if r.err == nil && n > 0 {
-		m.Frags = make([]WireFragment, 0, eagerCap(n))
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Frags = append(m.Frags, WireFragment{ID: r.fragID(), XML: r.str()})
-		}
-	}
+	m.Frags = r.wireFragments()
 	return r.done()
 }
 
@@ -685,6 +722,7 @@ func (r *reader) subs() []BatchSub {
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	r.keepFrom()
 	out := make([]BatchSub, 0, eagerCap(n))
 	for i := 0; i < n && r.err == nil; i++ {
 		tag := r.uvarint()
@@ -692,7 +730,7 @@ func (r *reader) subs() []BatchSub {
 			r.fail(fmt.Errorf("%w: sub tag %d overflows uint32", wirefmt.ErrMalformed, tag))
 			break
 		}
-		out = append(out, BatchSub{Tag: dist.MsgTag(tag), Body: r.bytes()})
+		out = append(out, BatchSub{Tag: dist.MsgTag(tag), Body: r.keep()})
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"paxq/internal/boolexpr"
@@ -112,14 +113,19 @@ func messageCorpus(seed int64) []corpusCase {
 			Contexts:   []WireContext{{Frag: 1, SV: randVec(r, 2)}},
 			Answers:    answers,
 			Candidates: []fragment.FragID{2},
+			Below:      []fragment.FragID{3, 4},
 		}},
 		{"plain", &CombinedStageReq{QID: 9, Query: "//x", NumFrags: 3, Frags: []fragment.FragID{0}}},
 		{"roots", &CombinedStageResp{
 			Roots:    []WireRootVecs{{Frag: 0, QV: randVec(r, 2), QDV: randVec(r, 2)}},
 			Contexts: []WireContext{{Frag: 2, SV: randVec(r, 1)}},
+			Below:    []fragment.FragID{2},
 		}},
-		{"quals", &AnsStageReq{QID: 10, Inits: []WireInit{{Frag: 1, SV: randBools(r, 2)}}, Quals: []WireBoolVals{boolVals(true)}}},
-		{"answers", &AnsStageResp{Answers: answers}},
+		{"quals", &AnsStageReq{QID: 10, Inits: []WireInit{{Frag: 1, SV: randBools(r, 2)}}, Quals: []WireBoolVals{boolVals(true)}, Bodies: []fragment.FragID{2, 4}}},
+		{"answers", &AnsStageResp{Answers: answers, Bodies: []WireFragment{
+			{ID: 2, XML: `<people><fragment-ref ref="4"/></people>`},
+			{ID: 4, XML: `<person id="p&#34;2"/>`},
+		}}},
 		{"empty", &FetchReq{}},
 		{"tree", &FetchResp{Frags: []WireFragment{
 			{ID: 0, XML: `<site><person id="p&#34;1">Ada</person><fragment-ref ref="2"/></site>`},
@@ -349,6 +355,36 @@ func TestDecodedAnswersDoNotAliasInput(t *testing.T) {
 	}
 }
 
+// TestDecodedMessagesDoNotAliasFrame decodes every golden message from a
+// buffer, overwrites the buffer with 0xFF, as the transport's frame pool
+// reuses it, and re-encodes: the golden bytes must come back. A field that
+// aliased its frame (formula bytes, batch member bodies, answer or
+// fragment text) would re-encode the overwritten bytes.
+func TestDecodedMessagesDoNotAliasFrame(t *testing.T) {
+	for _, c := range messageCorpus(1) {
+		path := goldenPath(c)
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := slices.Clone(golden)
+		msg, err := dist.DecodeRequest(dist.Binary, frame)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for i := range frame {
+			frame[i] = 0xFF
+		}
+		again, err := dist.EncodeRequest(dist.Binary, msg)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", path, err)
+		}
+		if !bytes.Equal(again, golden) {
+			t.Errorf("%s: the decoded message changed with its frame:\n got %x\nwant %x", path, again, golden)
+		}
+	}
+}
+
 // TestCorruptAnswerStringLength cuts a string length inside the answers
 // section short, or announces more bytes than the body has, in each
 // response that carries answers: decoding must end in ErrMalformed, not a
@@ -383,7 +419,7 @@ func TestCorruptAnswerStringLength(t *testing.T) {
 
 // TestDecodeAnswersAllocs pins the decode of an answers section to a
 // number of allocations that does not grow with the answers: the message,
-// its answer slice and the one string all answers share.
+// its answer slice and the one copy of the body all answers share.
 func TestDecodeAnswersAllocs(t *testing.T) {
 	var counts []float64
 	for _, n := range []int{1, 100, 1000} {

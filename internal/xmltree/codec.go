@@ -274,9 +274,9 @@ func SerializeString(n *Node) string {
 // Writer is one pass of a two-pass XML serializer. A zero Writer only
 // counts the bytes it would write; Alloc then sizes its buffer to exactly
 // that count, and the same walk run again writes them. SerializeString
-// and arena.Tree.SerializeString both drive it, so the two share the
-// markup and the escaping, the counted length is the written length by
-// construction, and the output costs one allocation.
+// and the fragment file form (fragment.Fragment.XML) both drive it, so the
+// two share the markup and the escaping, the counted length is the written
+// length by construction, and the output costs one allocation.
 //
 // Two text nodes in a row are written with an empty comment between them,
 // which Parse skips while keeping the texts apart, so the output parses
@@ -298,6 +298,10 @@ func (w *Writer) Alloc() {
 // String returns what the writing pass wrote.
 func (w *Writer) String() string { return w.b.String() }
 
+// Len returns the bytes the current pass has written, or counted: the
+// offset at which the next write starts.
+func (w *Writer) Len() int { return w.n }
+
 func (w *Writer) str(s string) {
 	w.n += len(s)
 	if w.write {
@@ -305,13 +309,17 @@ func (w *Writer) str(s string) {
 	}
 }
 
-// Text writes a text node, escaped.
-func (w *Writer) Text(s string) {
+// Text writes a text node, escaped, and returns the offset at which the
+// node's own bytes start: after the empty comment that separates it from
+// a text node written just before.
+func (w *Writer) Text(s string) int {
 	if w.text {
 		w.str("<!---->")
 	}
+	start := w.n
 	w.escaped(s)
 	w.text = true
+	return start
 }
 
 // escaped writes s escaped. Runs between escapes are copied as substrings

@@ -709,7 +709,8 @@ func (c *Cluster) ApplyEditContext(ctx context.Context, e Edit) (*EditResult, er
 
 // EvaluateCentralized evaluates query over the unfragmented document with
 // the efficient O(|T|·|Q|) centralized algorithm — the single-site
-// baseline. Returns the matched elements' labels and values.
+// baseline. Returns the matched elements' labels, values and serialized
+// subtrees: the oracle for what a ShipXML query ships, whatever the cut.
 func EvaluateCentralized(doc *Document, query string) ([]Answer, error) {
 	c, err := xpath.Compile(query)
 	if err != nil {
@@ -717,7 +718,7 @@ func EvaluateCentralized(doc *Document, query string) ([]Answer, error) {
 	}
 	var out []Answer
 	for _, n := range centeval.EvalVectorNodes(doc.tree, c) {
-		out = append(out, Answer{Fragment: 0, Node: int(n.ID), Label: n.Label, Value: n.Value()})
+		out = append(out, Answer{Fragment: 0, Node: int(n.ID), Label: n.Label, Value: n.Value(), XML: xmltree.SerializeString(n)})
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package paxq
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -198,11 +199,56 @@ func TestEvaluateCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans) != 1 || ans[0].Value != "Anna" {
+	if len(ans) != 1 || ans[0].Value != "Anna" || ans[0].XML != "<name>Anna</name>" {
 		t.Errorf("answers = %+v", ans)
 	}
 	if _, err := EvaluateCentralized(doc, "]["); err == nil {
 		t.Error("bad query must fail")
+	}
+}
+
+// TestShipXMLCrossingMatchesCentralized holds every ShipXML answer of
+// Cluster.Query to the centralized oracle's XML on a cut where many
+// answers cross fragment boundaries (XMark 0.5 MB in 128 fragments), for
+// both algorithms, with and without annotations, over both transports.
+func TestShipXMLCrossingMatchesCentralized(t *testing.T) {
+	doc := GenerateXMark(1, 0.5, 0)
+	const query = "/sites/site/people/person"
+	want, err := EvaluateCentralized(doc, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xmls := func(ans []Answer) []string {
+		out := make([]string, len(ans))
+		for i, a := range ans {
+			out[i] = a.XML
+		}
+		slices.Sort(out)
+		return out
+	}
+	wantXML := xmls(want)
+	for _, tr := range []TransportKind{TransportLocal, TransportTCP} {
+		c, err := NewCluster(doc, ClusterOptions{Fragments: 128, Sites: 4, Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []QueryOptions{
+			{Algorithm: "pax3", ShipXML: true},
+			{Algorithm: "pax2", ShipXML: true},
+			{Algorithm: "pax2", Annotations: true, ShipXML: true},
+		} {
+			got, st, err := c.Query(query, opts)
+			if err != nil {
+				t.Fatalf("%v %+v: %v", tr, opts, err)
+			}
+			if !slices.Equal(xmls(got), wantXML) {
+				t.Errorf("%v %+v: %d answers ship XML other than the oracle's %d", tr, opts, len(got), len(want))
+			}
+			if bound := map[string]int{"pax3": 3, "pax2": 2}[opts.Algorithm]; st.MaxSiteVisits > bound {
+				t.Errorf("%v %+v: %d visits to one site, bound %d", tr, opts, st.MaxSiteVisits, bound)
+			}
+		}
+		c.Close()
 	}
 }
 
