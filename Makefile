@@ -84,7 +84,8 @@ codec-smoke:
 # fragment's file form allocates its text and one offsets array, a second
 # ShipXML answer from a fragment allocates nothing for its XML (a slice of
 # the file form), decoding an answers section costs the same few
-# allocations (at most 3) for 1, 100 or 1 000 answers, and a site's
+# allocations (at most 3) for 1, 100 or 1 000 answers, and inside a batch
+# envelope (at most 4: the member reuses the envelope's one copy), and a site's
 # fragment edit allocates at most 200 times, within 10 of the same edit
 # on a fragment 30 times smaller.
 alloc-smoke:

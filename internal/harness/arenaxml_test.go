@@ -2,12 +2,11 @@ package harness
 
 import (
 	"math/rand"
-	"slices"
-	"strconv"
 	"testing"
 
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
+	"paxq/internal/testutil/fragtest"
 	"paxq/internal/xmark"
 	"paxq/internal/xmltree"
 )
@@ -36,24 +35,6 @@ func hostileRandomTree(seed int64, size int) *xmltree.Tree {
 		return true
 	})
 	return tr
-}
-
-// stubbedCopy copies the subtree of n, a node of f's pointer tree, with
-// every virtual node written as the file form's stub for its
-// sub-fragment.
-func stubbedCopy(f *fragment.Fragment, n *xmltree.Node) *xmltree.Node {
-	if k, ok := f.VirtualAt(n.ID); ok {
-		return xmltree.El(fragment.RefLabel).SetAttr("ref", strconv.Itoa(int(k)))
-	}
-	if n.Kind == xmltree.Text {
-		return xmltree.NewText(n.Data)
-	}
-	cp := xmltree.NewElement(n.Label)
-	cp.Attrs = slices.Clone(n.Attrs)
-	for _, ch := range n.Children {
-		cp.Append(stubbedCopy(f, ch))
-	}
-	return cp
 }
 
 // TestArenaSerializeMatchesPointer holds the fragment file form, which
@@ -93,14 +74,14 @@ func TestArenaSerializeMatchesPointer(t *testing.T) {
 		}
 		for _, f := range ft.Frags {
 			virtuals += f.NumVirtuals()
-			if got, want := f.XML(), xmltree.SerializeString(stubbedCopy(f, f.Tree.Root)); got != want {
+			if got, want := f.XML(), xmltree.SerializeString(fragtest.StubbedCopy(f, f.Tree.Root)); got != want {
 				t.Fatalf("%s fragment %d file form:\n got %q\nwant %q", c.name, f.ID, got, want)
 			}
 			for _, n := range f.Tree.PreorderNodes() {
 				if !n.IsElement() {
 					continue
 				}
-				got, want := f.SubtreeXML(n.ID), xmltree.SerializeString(stubbedCopy(f, n))
+				got, want := f.SubtreeXML(n.ID), xmltree.SerializeString(fragtest.StubbedCopy(f, n))
 				if got != want {
 					t.Fatalf("%s fragment %d node %d:\n got %q\nwant %q", c.name, f.ID, n.ID, got, want)
 				}

@@ -233,7 +233,7 @@ func (b *batcher) send(site dist.SiteID, g *batchGroup) {
 			w.err = fmt.Errorf("pax: site %d: unknown tag %d in batch response", site, sub.Tag)
 			continue
 		}
-		if err := m.DecodeBinary(sub.Body); err != nil {
+		if err := decodeMember(m, sub.Body); err != nil {
 			w.err = fmt.Errorf("pax: site %d: batch member response: %w", site, err)
 			continue
 		}
@@ -418,7 +418,7 @@ func (s *Site) handleBatch(req *BatchStageReq) (*BatchStageResp, error) {
 			handled[i] = true
 			continue
 		}
-		if err := m.DecodeBinary(sub.Body); err != nil {
+		if err := decodeMember(m, sub.Body); err != nil {
 			fail(i, fmt.Errorf("pax: site %d: batch member %d: %w", s.id, i, err))
 			handled[i] = true
 			continue

@@ -72,7 +72,7 @@ func TestPlanCacheCoalescesConcurrentMisses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if _, err := eng.plan(`//broker[//stock/code = "GOOG" and not(//stock/code = "YHOO")]/name`, true); err != nil {
+			if _, err := eng.plan(`//broker[//stock/code = "GOOG" and not(//stock/code = "YHOO")]/name`, true, false); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -29,7 +29,7 @@ func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Optio
 		return false, nil, aerr
 	}
 	defer release()
-	p, perr := e.plan(query, false)
+	p, perr := e.plan(query, false, false)
 	if perr != nil {
 		return false, nil, perr
 	}

@@ -132,14 +132,19 @@ func (c *lru[K, V]) len() int {
 type plan struct {
 	c   *xpath.Compiled
 	rel *Relevance
+	// stitch is set on a ShipXML plan whose answers may hold stubs
+	// (Relevance.Crossing): the sites keep the query's session until its
+	// final stage, which fetches the sub-fragment bodies from it.
+	stitch bool
 }
 
 // planKey identifies a plan: relevance analysis depends on the Annotations
-// option, so the same query text compiles to distinct plans with and
-// without it.
+// option and the stitch analysis on ShipXML, so the same query text
+// compiles to distinct plans under each.
 type planKey struct {
 	query       string
 	annotations bool
+	shipXML     bool
 }
 
 // defaultPlanCache bounds the coordinator's plan cache. Sized for a

@@ -67,18 +67,18 @@ func TestPlanCacheSharesCompiledPlans(t *testing.T) {
 	eng := NewEngine(topo, local)
 
 	query := `//broker[//stock/code = "GOOG"]/name`
-	p1, err := eng.plan(query, true)
+	p1, err := eng.plan(query, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := eng.plan(query, true)
+	p2, err := eng.plan(query, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
 		t.Error("second plan lookup did not hit the cache")
 	}
-	pNA, err := eng.plan(query, false)
+	pNA, err := eng.plan(query, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPlanCacheSharesCompiledPlans(t *testing.T) {
 	}
 
 	// Distinct queries get distinct plans.
-	pOther, err := eng.plan("//name", true)
+	pOther, err := eng.plan("//name", true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

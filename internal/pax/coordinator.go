@@ -228,8 +228,8 @@ func (e *Engine) admit(ctx context.Context) (func(), error) {
 // plan returns the cached compiled plan for (query, annotations),
 // compiling and analyzing on a miss. Concurrent first-time misses of one
 // key compile once and share the result (lru.do).
-func (e *Engine) plan(query string, annotations bool) (*plan, error) {
-	key := planKey{query: query, annotations: annotations}
+func (e *Engine) plan(query string, annotations, shipXML bool) (*plan, error) {
+	key := planKey{query: query, annotations: annotations, shipXML: shipXML}
 	return e.plans.do(key, func() (*plan, error) {
 		e.planCompiles.Add(1)
 		c, err := xpath.Compile(query)
@@ -241,6 +241,13 @@ func (e *Engine) plan(query string, annotations bool) (*plan, error) {
 			p.rel = AnalyzeRelevance(e.topo.FT, c)
 		} else {
 			p.rel = allRelevant(e.topo.FT)
+		}
+		if shipXML {
+			rel := p.rel
+			if !annotations {
+				rel = AnalyzeRelevance(e.topo.FT, c)
+			}
+			p.stitch = rel.Crossing
 		}
 		return p, nil
 	})
@@ -263,7 +270,7 @@ func (e *Engine) RunContext(ctx context.Context, query string, opts Options) (re
 		return nil, aerr
 	}
 	defer release()
-	p, perr := e.plan(query, opts.Annotations)
+	p, perr := e.plan(query, opts.Annotations, opts.ShipXML)
 	if perr != nil {
 		return nil, perr
 	}
@@ -530,8 +537,10 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	var env *boolexpr.Env
 	if hasQual {
 		resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any {
-			// A site hosting only pruned fragments sees no later stage.
-			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Final: len(relBySite[site]) == 0}
+			// A site hosting only pruned fragments sees no later stage,
+			// unless the query stitches: then every site it visits keeps
+			// its snapshot until the final stage.
+			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Final: len(relBySite[site]) == 0 && !p.stitch}
 		})
 		if err != nil {
 			return nil, err
@@ -571,7 +580,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 		if len(frags) == 0 {
 			continue
 		}
-		req := &SelStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Frags: frags, ShipXML: opts.ShipXML}
+		req := &SelStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Frags: frags, ShipXML: opts.ShipXML, Stitch: p.stitch}
 		if hasQual {
 			vq, err := groundQualsFor(env, vs, ft, frags)
 			if err != nil {
@@ -605,11 +614,17 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 			candFrags[fid] = true
 		}
 	}
+	// Under stitch, every site visited so far holds a session until the
+	// final stage: all of them after a qualifier stage.
+	var held func(dist.SiteID) bool
+	if p.stitch {
+		held = func(site dist.SiteID) bool { return hasQual || len(relBySite[site]) > 0 }
+	}
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
 		// No candidate to resolve (e.g. XA with no qualifiers): Stage 3
 		// only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
+		return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
 	}
 
 	// evalFT, top-down half: ground the z variables.
@@ -642,7 +657,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 			ansReqs[site] = req
 		}
 	}
-	return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
+	return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
 }
 
 // runPaX2 is Procedure PaX2 of Fig. 5.
@@ -675,7 +690,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		if len(frags) == 0 {
 			return nil
 		}
-		req := &CombinedStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Frags: frags, ShipXML: opts.ShipXML}
+		req := &CombinedStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Frags: frags, ShipXML: opts.ShipXML, Stitch: p.stitch}
 		for _, in := range inits {
 			if e.topo.SiteOf[in.Frag] == site {
 				req.Inits = append(req.Inits, in)
@@ -705,10 +720,14 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 			candFrags[fid] = true
 		}
 	}
+	var held func(dist.SiteID) bool
+	if p.stitch {
+		held = func(site dist.SiteID) bool { return len(relBySite[site]) > 0 }
+	}
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
 		// Stage 2 only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
+		return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
 	}
 
 	// evalFT: bottom-up qualifier unification over the fragments that
@@ -771,7 +790,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		}
 		ansReqs[site] = req
 	}
-	return e.finalStage(ctx, res, usage, opts, rt, qid, ansReqs, below)
+	return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
 }
 
 // groundQualsForPresent is groundQualsFor restricted to sub-fragments that

@@ -56,8 +56,10 @@
 // columns and cached: a ShipXML answer is a slice of it
 // (Fragment.SubtreeXML), with each sub-fragment below the answer as a
 // stub, and NaiveCentralized's fetch and the final stage's body fetch
-// ship it whole. The coordinator fills the stubs with the bodies
-// (stitch.go). An edit splices the columns (fragment.Fragment.ApplyEdit),
+// ship it whole, from the query's session snapshot: a query whose answers
+// may hold stubs (Relevance.Crossing) keeps its sessions until the final
+// stage. The coordinator fills the stubs with the bodies (stitch.go). An
+// edit splices the columns (fragment.Fragment.ApplyEdit),
 // so a fragment a site has edited carries no pointer tree. An insert's
 // subtree arrives as XML text too; handleEdit parses it, builds the new
 // fragment outside the site lock and swaps it in under it, together with

@@ -110,7 +110,10 @@ type QualStageResp struct {
 // Stage 2) over the listed fragments. VirtualQuals grounds the qualifier
 // variables of the fragments' virtual nodes; Inits, when present, supplies
 // concrete stack vectors (XA optimization) — otherwise non-root fragments
-// seed their stacks with z variables.
+// seed their stacks with z variables. Stitch, set only with ShipXML, says
+// the query's answers may hold stubs: the site reports the sub-fragments
+// below its answers and candidates, and keeps the query's session — its
+// fragment snapshot — until the final stage, which always visits it.
 type SelStageReq struct {
 	QID          QueryID
 	Query        string
@@ -119,11 +122,12 @@ type SelStageReq struct {
 	VirtualQuals []WireBoolVals
 	Inits        []WireInit
 	ShipXML      bool
+	Stitch       bool
 }
 
 // SelStageResp returns per-virtual-node contexts, the answers already known
 // to be definite, and the fragments that retained candidate answers and
-// therefore need Stage 3. Under ShipXML, Below lists the sub-fragments
+// therefore need Stage 3. Under Stitch, Below lists the sub-fragments
 // whose virtual nodes lie in the subtree of an answer or a candidate: the
 // stubs in the answers' XML whose bodies the final stage fetches.
 type SelStageResp struct {
@@ -137,7 +141,7 @@ type SelStageResp struct {
 // CombinedStageReq asks a site to run PaX2's combined visit (Fig. 5
 // Stage 1) over the listed fragments: per fragment, the Stage-1 qualifier
 // pass and the selection traversal, with qualifier values left symbolic in
-// the sub-fragment variables.
+// the sub-fragment variables. Stitch is SelStageReq's.
 type CombinedStageReq struct {
 	QID      QueryID
 	Query    string
@@ -145,11 +149,12 @@ type CombinedStageReq struct {
 	Frags    []fragment.FragID
 	Inits    []WireInit
 	ShipXML  bool
+	Stitch   bool
 }
 
 // CombinedStageResp returns the qualifier root vectors and selection
 // contexts together, plus definite answers, candidate-bearing fragments
-// and, under ShipXML, the sub-fragments below them (see SelStageResp).
+// and, under Stitch, the sub-fragments below them (see SelStageResp).
 type CombinedStageResp struct {
 	StageCompute
 	Roots      []WireRootVecs
@@ -162,14 +167,18 @@ type CombinedStageResp struct {
 // AnsStageReq is a query's final stage (PaX3 Stage 3 / PaX2 Stage 2). It
 // resolves retained candidates: Inits grounds the z variables, Quals the
 // sub-fragment qualifier variables that PaX2 candidates may still
-// mention. Under ShipXML, Bodies lists the hosted fragments whose file
-// forms the coordinator stitches into answers; a request may carry
-// Bodies alone.
+// mention. Under Stitch, Bodies lists the hosted fragments whose file
+// forms the coordinator stitches into answers, read from the query's
+// session. A site the query has not visited before holds no session: its
+// request carries Query and NumFrags, and the site opens the session —
+// snapshots its fragments — on arrival.
 type AnsStageReq struct {
-	QID    QueryID
-	Inits  []WireInit
-	Quals  []WireBoolVals
-	Bodies []fragment.FragID
+	QID      QueryID
+	Query    string
+	NumFrags int32
+	Inits    []WireInit
+	Quals    []WireBoolVals
+	Bodies   []fragment.FragID
 }
 
 // AnsStageResp returns the remaining answers and the requested fragment

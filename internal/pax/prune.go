@@ -20,6 +20,10 @@ type Relevance struct {
 	Relevant []bool   // indexed by FragID
 	Inits    [][]bool // exact init vectors; valid only when Exact
 	Exact    bool     // true when the query has no qualifiers
+	// Crossing reports whether an answer may hold a virtual node: some
+	// strict ancestor of a sub-fragment's root may be an answer. Only
+	// then can a ShipXML answer carry stubs to stitch.
+	Crossing bool
 }
 
 // NumRelevant counts relevant fragments.
@@ -47,9 +51,11 @@ func AnalyzeRelevance(ft *fragment.Fragmentation, c *xpath.Compiled) *Relevance 
 
 	// rootVec[k] is the may-vector at fragment k's root; anc[k] reports
 	// whether any strict ancestor of k's root carries a live qualified
-	// step entry.
+	// step entry, and ans[k] whether one may be an answer.
 	rootVec := make([][]bool, ft.Len())
 	anc := make([]bool, ft.Len())
+	ans := make([]bool, ft.Len())
+	last := c.AnswerEntry()
 
 	liveQualAt := func(vec []bool) bool {
 		for i := range c.Sel {
@@ -80,6 +86,7 @@ func AnalyzeRelevance(ft *fragment.Fragmentation, c *xpath.Compiled) *Relevance 
 		parent := f.Parent
 		vec := rootVec[parent]
 		ancestorQual := anc[parent] || liveQualAt(vec)
+		ancestorAns := ans[parent] || vec[last]
 		// Apply the annotation labels; all but the last node are strict
 		// ancestors of this fragment's root.
 		for i, label := range f.Annotation {
@@ -87,12 +94,15 @@ func AnalyzeRelevance(ft *fragment.Fragmentation, c *xpath.Compiled) *Relevance 
 				r.Inits[id] = vec // the parent vector of the fragment root
 			}
 			vec = xpath.NodeSelVector[bool](alg, c, label, vec, qualTrue, nil)
-			if i < len(f.Annotation)-1 && liveQualAt(vec) {
-				ancestorQual = true
+			if i < len(f.Annotation)-1 {
+				ancestorQual = ancestorQual || liveQualAt(vec)
+				ancestorAns = ancestorAns || vec[last]
 			}
 		}
 		rootVec[id] = vec
 		anc[id] = ancestorQual
+		ans[id] = ancestorAns
+		r.Crossing = r.Crossing || ancestorAns
 		r.Relevant[id] = anyLive(vec) || ancestorQual
 	}
 	return r

@@ -236,3 +236,65 @@ func TestQuickExactInitsMatchTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickCrossingSound: soundness of the stitch analysis — when an
+// answer node is a strict ancestor of some fragment's root, so that its
+// ShipXML form holds a stub, Crossing is set. Verified against the oracle
+// on the original tree.
+func TestQuickCrossingSound(t *testing.T) {
+	crossed := 0
+	f := func(treeSeed, cutSeed, querySeed int64) bool {
+		tr := testutil.RandomTree(treeSeed, 70)
+		ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 7, cutSeed))
+		if err != nil {
+			return false
+		}
+		query := testutil.RandomQuery(querySeed)
+		c, err := xpath.Compile(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer := make(map[xmltree.NodeID]bool)
+		for _, id := range oracle(t, tr, query) {
+			answer[id] = true
+		}
+		for _, fr := range ft.Frags[1:] {
+			for n := tr.Node(fr.Origin[0]).Parent; n != nil; n = n.Parent {
+				if answer[n.ID] {
+					crossed++
+					if !AnalyzeRelevance(ft, c).Crossing {
+						t.Logf("%q: answer %d holds fragment %d, Crossing unset", query, n.ID, fr.ID)
+						return false
+					}
+					return true
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if crossed == 0 {
+		t.Error("no generated case had a crossing answer; the check proved nothing")
+	}
+}
+
+// TestCrossingExample: an answer crosses only where it may be a strict
+// ancestor of a fragment root — not at the root itself, nor beside it.
+func TestCrossingExample(t *testing.T) {
+	b := xmltree.El("b")
+	tr := xmltree.NewTree(xmltree.El("r", xmltree.El("a", b), xmltree.El("c")))
+	ft, err := fragment.Cut(tr, []xmltree.NodeID{b.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]bool{
+		"/r": true, "/r/a": true, "//*": true, "/r/a[x]": true, "//a[. = 'z']": true,
+		"/r/a/b": false, "/r/c": false, "//c": false, "/r/x": false,
+	} {
+		if got := AnalyzeRelevance(ft, xpath.MustCompile(q)).Crossing; got != want {
+			t.Errorf("%s: Crossing = %v, want %v", q, got, want)
+		}
+	}
+}

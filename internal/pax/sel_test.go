@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
 	"testing"
 
 	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
 	"paxq/internal/parbox"
 	"paxq/internal/testutil"
+	"paxq/internal/testutil/fragtest"
 	"paxq/internal/xmark"
 	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
@@ -153,7 +153,7 @@ func evalSelectionWalk(
 		case sv[last].IsTrue():
 			a := AnswerNode{Frag: f.ID, Node: n.ID, Label: n.Label, Value: n.Value()}
 			if shipXML {
-				a.XML = xmltree.SerializeString(stubbedCopy(f, n))
+				a.XML = xmltree.SerializeString(fragtest.StubbedCopy(f, n))
 				below(n)
 			}
 			out.answers = append(out.answers, a)
@@ -176,24 +176,6 @@ func evalSelectionWalk(
 	}
 	walk(f.Tree.Root, init)
 	return out
-}
-
-// stubbedCopy copies the subtree of n, a node of f's pointer tree, with
-// every virtual node written as the file form's stub for its
-// sub-fragment.
-func stubbedCopy(f *fragment.Fragment, n *xmltree.Node) *xmltree.Node {
-	if k, ok := f.VirtualAt(n.ID); ok {
-		return xmltree.El(fragment.RefLabel).SetAttr("ref", strconv.Itoa(int(k)))
-	}
-	if n.Kind == xmltree.Text {
-		return xmltree.NewText(n.Data)
-	}
-	cp := xmltree.NewElement(n.Label)
-	cp.Attrs = slices.Clone(n.Attrs)
-	for _, ch := range n.Children {
-		cp.Append(stubbedCopy(f, ch))
-	}
-	return cp
 }
 
 // pax3Inputs is what PaX3's Stage 2 hands the selection traversal of every

@@ -483,8 +483,9 @@ func initFor(b *boolexpr.Builder, sess *session, fid fragment.FragID, inits []Wi
 // root vectors ship beside its contexts. env is only read by the workers
 // (Env.Resolve is safe for concurrent reads). The sections come back in a
 // CombinedStageResp, whose Roots only PaX2 ships; its StageCompute holds
-// the stage's cost since start, on error too.
-func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []fragment.FragID, inits []WireInit, shipXML bool, env *boolexpr.Env) (*CombinedStageResp, error) {
+// the stage's cost since start, on error too. Under stitch it lists the
+// sub-fragments below answers and candidates in Below.
+func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []fragment.FragID, inits []WireInit, shipXML, stitch bool, env *boolexpr.Env) (*CombinedStageResp, error) {
 	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (combinedOutcome, error) {
 		f, ok := sess.frags[fid]
 		if !ok {
@@ -526,7 +527,9 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(ctx.sv)})
 		}
 		resp.Answers = append(resp.Answers, outc.answers...)
-		resp.Below = append(resp.Below, outc.below...)
+		if stitch {
+			resp.Below = append(resp.Below, outc.below...)
+		}
 		if len(outc.candidates) > 0 {
 			sess.cands[fid] = outc.candidates
 			resp.Candidates = append(resp.Candidates, fid)
@@ -537,7 +540,9 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 	return resp, nil
 }
 
-// handleSel runs PaX3 Stage 2 over the requested fragments.
+// handleSel runs PaX3 Stage 2 over the requested fragments. The session
+// outlives the stage if a candidate needs Stage 3 or, under Stitch, the
+// final stage may ask for bodies from its snapshot.
 func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 	start := time.Now()
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
@@ -549,17 +554,19 @@ func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	cr, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, env)
+	cr, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, req.Stitch, env)
 	if err != nil {
 		return &SelStageResp{StageCompute: cr.StageCompute}, err
 	}
-	s.dropSessionIfDone(req.QID, sess)
+	if !req.Stitch {
+		s.dropSessionIfDone(req.QID, sess)
+	}
 	return &SelStageResp{StageCompute: cr.StageCompute, Contexts: cr.Contexts, Answers: cr.Answers, Candidates: cr.Candidates, Below: cr.Below}, nil
 }
 
 // handleCombined runs PaX2 Stage 1 over the requested fragments: per
 // fragment, the Stage-1 mask pass and the selection traversal in one
-// visit.
+// visit. The session outlives it as handleSel's does.
 func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error) {
 	start := time.Now()
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
@@ -567,8 +574,8 @@ func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error)
 		return nil, err
 	}
 	sess.shipXML = req.ShipXML
-	resp, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, nil)
-	if err == nil {
+	resp, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, req.Stitch, nil)
+	if err == nil && !req.Stitch {
 		s.dropSessionIfDone(req.QID, sess)
 	}
 	return resp, err
@@ -576,26 +583,11 @@ func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error)
 
 // handleCollect runs PaX3 Stage 3 / PaX2 Stage 2: resolve retained
 // candidates against the ground z and qualifier values, and ship the
-// requested fragment bodies in their cached file form. A request with
-// Bodies alone needs no session: it reads the query's snapshot when the
-// site still holds one, the live fragments otherwise.
+// requested fragment bodies in their cached file form, read from the
+// query's snapshot. It is the query's last visit, so it releases the
+// session.
 func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
-	if len(req.Inits) == 0 && len(req.Bodies) > 0 {
-		s.mu.Lock()
-		src := s.frags
-		if sess, ok := s.sessions[req.QID]; ok {
-			src = sess.frags
-		}
-		frags := make(map[fragment.FragID]*fragment.Fragment, len(req.Bodies))
-		for _, id := range req.Bodies {
-			if f, ok := src[id]; ok {
-				frags[id] = f
-			}
-		}
-		s.mu.Unlock()
-		return s.shipBodies(&AnsStageResp{}, frags, req.Bodies)
-	}
-	sess, err := s.getSession(req.QID, "", 0)
+	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
 	}
@@ -639,20 +631,14 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 		}
 		delete(sess.cands, in.Frag)
 	}
-	s.dropSessionIfDone(req.QID, sess)
-	return s.shipBodies(resp, sess.frags, req.Bodies)
-}
-
-// shipBodies adds the file forms of the fragments ids, read from frags,
-// to resp.
-func (s *Site) shipBodies(resp *AnsStageResp, frags map[fragment.FragID]*fragment.Fragment, ids []fragment.FragID) (*AnsStageResp, error) {
-	for _, id := range ids {
-		f, ok := frags[id]
+	for _, id := range req.Bodies {
+		f, ok := sess.frags[id]
 		if !ok {
 			return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, id)
 		}
 		resp.Bodies = append(resp.Bodies, WireFragment{ID: id, XML: f.XML()})
 	}
+	s.dropSessionIfDone(req.QID, sess)
 	return resp, nil
 }
 

@@ -53,23 +53,34 @@ func closeBelow(ft *fragment.Fragmentation, below []fragment.FragID) ([]fragment
 }
 
 // finalStage runs a query's final stage: the candidate resolutions in
-// reqs (keyed by site, possibly none) and, under ShipXML, the fetch of the
-// bodies of the sub-fragments below answers and candidates, each from the
-// site hosting it. A site gets one request carrying both, so a query that
-// needs bodies but ran no final stage spends one added visit, within the
-// algorithm's bound. The answers then have their stubs filled; bodies no
-// answer used — those below candidates that resolved false — are counted
-// in Result.SpeculativeBytes. It returns res, completed.
-func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metrics, opts Options, rt *runRoute, qid QueryID, reqs map[dist.SiteID]any, below []fragment.FragID) (*Result, error) {
+// reqs (keyed by site, possibly none) and, when the query stitches, the
+// fetch of the bodies of the sub-fragments below answers and candidates,
+// each from the site hosting it. held is nil unless the query stitches;
+// then it reports the sites that keep the query's session for this stage,
+// and each gets a request, so it serves bodies from the snapshot its
+// earlier stages evaluated and then releases the session. A body site the
+// query never visited opens its session with the request. No site is
+// visited more than the algorithm's bound: the stage is the last one for
+// every site it reaches. The answers then have their stubs filled; bodies
+// no answer used — those below candidates that resolved false — are
+// counted in Result.SpeculativeBytes. It returns res, completed.
+func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metrics, opts Options, rt *runRoute, query string, qid QueryID, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool) (*Result, error) {
 	need, err := closeBelow(e.topo.FT, below)
 	if err != nil {
 		return nil, err
+	}
+	if held != nil {
+		for _, site := range e.topo.Primaries() {
+			if reqs[site] == nil && held(site) {
+				reqs[site] = &AnsStageReq{QID: qid}
+			}
+		}
 	}
 	for _, k := range need {
 		site := e.topo.SiteOf[k]
 		req, _ := reqs[site].(*AnsStageReq)
 		if req == nil {
-			req = &AnsStageReq{QID: qid}
+			req = &AnsStageReq{QID: qid, Query: query, NumFrags: int32(e.topo.FT.Len())}
 			reqs[site] = req
 		}
 		req.Bodies = append(req.Bodies, k)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/xmltree"
 )
@@ -15,22 +16,24 @@ import (
 func TestSpeculativeBodies(t *testing.T) {
 	// /r/b: the b below x is a candidate in its own fragment (its parent's
 	// context is a z variable until Stage 3) and resolves false; c, cut
-	// below it, is fetched for nothing. The b below r is an answer.
+	// below it, is fetched for nothing. The b below r is an answer, and y,
+	// cut below it, is stitched in.
 	c := xmltree.El("c")
 	bx := xmltree.El("b", c)
-	tree := xmltree.NewTree(xmltree.El("r", xmltree.El("x", bx), xmltree.El("b", xmltree.ElT("v", "1"))))
-	ft, err := fragment.Cut(tree, []xmltree.NodeID{bx.ID, c.ID})
+	y := xmltree.El("y")
+	tree := xmltree.NewTree(xmltree.El("r", xmltree.El("x", bx), xmltree.El("b", xmltree.ElT("v", "1"), y)))
+	ft, err := fragment.Cut(tree, []xmltree.NodeID{bx.ID, c.ID, y.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo := RoundRobin(ft, 2)
-	local, _ := BuildLocalCluster(topo)
+	local, sites := BuildLocalCluster(topo)
 	eng := NewEngine(topo, local)
 	res, err := eng.Run("/r/b", Options{Algorithm: PaX3, ShipXML: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Answers) != 1 || res.Answers[0].XML != "<b><v>1</v></b>" {
+	if len(res.Answers) != 1 || res.Answers[0].XML != "<b><v>1</v><y/></b>" {
 		t.Fatalf("answers = %+v, want the one <b> below r", res.Answers)
 	}
 	// The body of fragment 2, "<c/>": its ID, its length and its 4 bytes.
@@ -42,6 +45,93 @@ func TestSpeculativeBodies(t *testing.T) {
 	}
 	if res.MaxVisits > 3 {
 		t.Errorf("MaxVisits = %d, bound 3", res.MaxVisits)
+	}
+	checkNoSessions(t, sites)
+}
+
+// checkNoSessions fails the test if a site still holds a query session:
+// every query's last stage must release what its earlier ones kept.
+func checkNoSessions(t *testing.T, sites []*Site) {
+	t.Helper()
+	for _, s := range sites {
+		s.mu.Lock()
+		n := len(s.sessions)
+		s.mu.Unlock()
+		if n != 0 {
+			t.Errorf("site %d holds %d sessions after the query", s.ID(), n)
+		}
+	}
+}
+
+// TestStitchReadsQuerySnapshot: an edit to a sub-fragment that lands
+// between the selection stage and the final stage must not reach the
+// stitched answer. The qualifier was decided on the fragment's old
+// version, so the body the final stage ships must be that version too:
+// the answer equals the pre-edit document, whatever the algorithm.
+func TestStitchReadsQuerySnapshot(t *testing.T) {
+	y := xmltree.El("y", xmltree.ElT("name", "n"))
+	bx := xmltree.El("b")
+	tree := xmltree.NewTree(xmltree.El("r", xmltree.El("x", bx), xmltree.El("b", xmltree.ElT("v", "1"), y)))
+	const query = "/r/b[y/name]"
+	const want = "<b><v>1</v><y><name>n</name></y></b>"
+	for _, alg := range []Algorithm{PaX3, PaX2} {
+		t.Run(alg.String(), func(t *testing.T) {
+			ft, err := fragment.Cut(tree, []xmltree.NodeID{bx.ID, y.ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			yFrag := fragment.FragID(2)
+			if ft.Frag(yFrag).Arena().Tree.LabelOf(int(fragment.RootNode)) != "y" {
+				t.Fatalf("fragment %d is not the cut at y", yFrag)
+			}
+			// One fragment a site: y's site holds no candidate, so only
+			// the stitch keeps its session.
+			topo := RoundRobin(ft, ft.Len())
+			local, sites := BuildLocalCluster(topo)
+			eng := NewEngine(topo, local)
+			var ySite *Site
+			for _, s := range sites {
+				if s.ID() == topo.SiteOf[yFrag] {
+					ySite = s
+				}
+			}
+			edit, err := editReqOf(yFrag, fragment.Edit{Op: fragment.EditDelete, Node: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit.BaseVersion = ft.Frag(yFrag).Version
+			edited := false
+			local.FaultHook = func(to dist.SiteID, req any) error {
+				if _, ok := req.(*AnsStageReq); ok && !edited {
+					edited = true
+					if _, err := ySite.handleEdit(edit); err != nil {
+						t.Errorf("edit: %v", err)
+					}
+				}
+				return nil
+			}
+			opts := Options{Algorithm: alg, ShipXML: true, Sequential: true}
+			res, err := eng.Run(query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !edited {
+				t.Fatal("the query ran no final stage; the edit never landed between stages")
+			}
+			if len(res.Answers) != 1 || res.Answers[0].XML != want {
+				t.Fatalf("answers = %+v, want one %s", res.Answers, want)
+			}
+			checkNoSessions(t, sites)
+			local.FaultHook = nil
+			// The edit did land: a query after it selects nothing.
+			res, err = eng.Run(query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Answers) != 0 {
+				t.Errorf("after the edit: answers = %+v, want none", res.Answers)
+			}
+		})
 	}
 }
 

@@ -54,10 +54,26 @@ func init() {
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(EditResp) })
 }
 
+// stageMessage is a message that can travel as a batch member. decode
+// reads its body from r; see decodeMember for a body the message may
+// keep.
+type stageMessage interface {
+	dist.BinaryMessage
+	decode(r reader) error
+}
+
+// decodeMember decodes a batch member from its body, a slice of the
+// envelope's own copy of its frame: the member keeps that memory instead
+// of copying it again, so a batched message costs one copy, as a lone one
+// does.
+func decodeMember(m stageMessage, body []byte) error {
+	return m.decode(reader{p: body, kept: body})
+}
+
 // newStageMessage constructs the empty message for an inner batch tag. Batch
 // tags themselves are excluded — envelopes never nest — so a nested batch
 // is rejected at decode like any unknown tag.
-func newStageMessage(tag dist.MsgTag) dist.BinaryMessage {
+func newStageMessage(tag dist.MsgTag) stageMessage {
 	switch tag {
 	case tagQualStageReq:
 		return new(QualStageReq)
@@ -96,7 +112,8 @@ type reader struct {
 	err error
 	// kept is the message's copy of its body from the first kept field
 	// on, made by keepFrom and never written afterwards, so strings share
-	// its memory.
+	// its memory. A reader over a body that is already private starts
+	// with kept set to the whole body, so keepFrom copies nothing.
 	kept []byte
 }
 
@@ -220,6 +237,37 @@ func (r *reader) bool() bool {
 	}
 	r.p = rest
 	return v
+}
+
+// appendShipMode writes a selection request's ShipXML and Stitch flags
+// in one byte: bit 0 is ShipXML, bit 1 Stitch.
+func appendShipMode(dst []byte, shipXML, stitch bool) []byte {
+	var b byte
+	if shipXML {
+		b |= 1
+	}
+	if stitch {
+		b |= 2
+	}
+	return append(dst, b)
+}
+
+// shipMode reads appendShipMode's byte; a bit above bit 1 is malformed.
+func (r *reader) shipMode() (shipXML, stitch bool) {
+	if r.err != nil {
+		return false, false
+	}
+	if len(r.p) < 1 {
+		r.fail(fmt.Errorf("%w: missing ship mode", wirefmt.ErrTruncated))
+		return false, false
+	}
+	b := r.p[0]
+	if b > 3 {
+		r.fail(fmt.Errorf("%w: ship mode byte %d", wirefmt.ErrMalformed, b))
+		return false, false
+	}
+	r.p = r.p[1:]
+	return b&1 != 0, b&2 != 0
 }
 
 func (r *reader) str() string {
@@ -501,8 +549,9 @@ func (m *QualStageReq) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *QualStageReq) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *QualStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *QualStageReq) decode(r reader) error {
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
@@ -520,8 +569,9 @@ func (m *QualStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *QualStageResp) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *QualStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *QualStageResp) decode(r reader) error {
 	m.ComputeNanos = r.int64()
 	m.Roots = r.rootVecsSlice()
 	return r.done()
@@ -538,19 +588,20 @@ func (m *SelStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendFragIDs(dst, m.Frags)
 	dst = appendBoolValsSlice(dst, m.VirtualQuals)
 	dst = appendInits(dst, m.Inits)
-	return wirefmt.AppendBool(dst, m.ShipXML), nil
+	return appendShipMode(dst, m.ShipXML, m.Stitch), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *SelStageReq) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *SelStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *SelStageReq) decode(r reader) error {
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
 	m.Frags = r.fragIDs()
 	m.VirtualQuals = r.boolValsSlice()
 	m.Inits = r.inits()
-	m.ShipXML = r.bool()
+	m.ShipXML, m.Stitch = r.shipMode()
 	return r.done()
 }
 
@@ -567,8 +618,9 @@ func (m *SelStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *SelStageResp) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *SelStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *SelStageResp) decode(r reader) error {
 	m.ComputeNanos = r.int64()
 	m.Contexts = r.contexts()
 	m.Answers = r.answers()
@@ -587,18 +639,19 @@ func (m *CombinedStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags)))
 	dst = appendFragIDs(dst, m.Frags)
 	dst = appendInits(dst, m.Inits)
-	return wirefmt.AppendBool(dst, m.ShipXML), nil
+	return appendShipMode(dst, m.ShipXML, m.Stitch), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *CombinedStageReq) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *CombinedStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *CombinedStageReq) decode(r reader) error {
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
 	m.Frags = r.fragIDs()
 	m.Inits = r.inits()
-	m.ShipXML = r.bool()
+	m.ShipXML, m.Stitch = r.shipMode()
 	return r.done()
 }
 
@@ -616,8 +669,9 @@ func (m *CombinedStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *CombinedStageResp) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *CombinedStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *CombinedStageResp) decode(r reader) error {
 	m.ComputeNanos = r.int64()
 	m.Roots = r.rootVecsSlice()
 	m.Contexts = r.contexts()
@@ -633,15 +687,20 @@ func (m *AnsStageReq) WireTag() dist.MsgTag { return tagAnsStageReq }
 // AppendBinary implements dist.BinaryMessage.
 func (m *AnsStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(m.QID))
+	dst = wirefmt.AppendString(dst, m.Query)
+	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags)))
 	dst = appendInits(dst, m.Inits)
 	dst = appendBoolValsSlice(dst, m.Quals)
 	return appendFragIDs(dst, m.Bodies), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *AnsStageReq) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *AnsStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *AnsStageReq) decode(r reader) error {
 	m.QID = QueryID(r.uvarint())
+	m.Query = r.str()
+	m.NumFrags = r.int32()
 	m.Inits = r.inits()
 	m.Quals = r.boolValsSlice()
 	m.Bodies = r.fragIDs()
@@ -658,8 +717,9 @@ func (m *AnsStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *AnsStageResp) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *AnsStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *AnsStageResp) decode(r reader) error {
 	m.Answers = r.answers()
 	m.Bodies = r.wireFragments()
 	return r.done()
@@ -672,8 +732,9 @@ func (m *FetchReq) WireTag() dist.MsgTag { return tagFetchReq }
 func (m *FetchReq) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *FetchReq) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *FetchReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *FetchReq) decode(r reader) error {
 	return r.done()
 }
 
@@ -686,8 +747,9 @@ func (m *FetchResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *FetchResp) DecodeBinary(p []byte) error {
-	r := reader{p: p}
+func (m *FetchResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
+
+func (m *FetchResp) decode(r reader) error {
 	m.Frags = r.wireFragments()
 	return r.done()
 }

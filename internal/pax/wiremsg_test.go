@@ -103,6 +103,7 @@ func messageCorpus(seed int64) []corpusCase {
 		// Nine bits: a bit-packed vector that spills into a second byte.
 		Inits:   []WireInit{{Frag: 2, SV: randBools(r, 9)}},
 		ShipXML: true,
+		Stitch:  true,
 	}
 	return []corpusCase{
 		{"plain", qualReq},
@@ -116,12 +117,14 @@ func messageCorpus(seed int64) []corpusCase {
 			Below:      []fragment.FragID{3, 4},
 		}},
 		{"plain", &CombinedStageReq{QID: 9, Query: "//x", NumFrags: 3, Frags: []fragment.FragID{0}}},
+		{"shipxml", &CombinedStageReq{QID: 9, Query: "//x", NumFrags: 3, Frags: []fragment.FragID{0}, ShipXML: true}},
 		{"roots", &CombinedStageResp{
 			Roots:    []WireRootVecs{{Frag: 0, QV: randVec(r, 2), QDV: randVec(r, 2)}},
 			Contexts: []WireContext{{Frag: 2, SV: randVec(r, 1)}},
 			Below:    []fragment.FragID{2},
 		}},
 		{"quals", &AnsStageReq{QID: 10, Inits: []WireInit{{Frag: 1, SV: randBools(r, 2)}}, Quals: []WireBoolVals{boolVals(true)}, Bodies: []fragment.FragID{2, 4}}},
+		{"open", &AnsStageReq{QID: 11, Query: "//a", NumFrags: 5, Bodies: []fragment.FragID{3}}},
 		{"answers", &AnsStageResp{Answers: answers, Bodies: []WireFragment{
 			{ID: 2, XML: `<people><fragment-ref ref="4"/></people>`},
 			{ID: 4, XML: `<person id="p&#34;2"/>`},
@@ -436,6 +439,33 @@ func TestDecodeAnswersAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[1] != counts[2] {
 		t.Errorf("allocations for 1, 100 and 1000 answers = %v, want equal", counts)
+	}
+
+	// Batched: the envelope copies its body once, and the member decodes
+	// from that copy, adding its answer slice but no copy of its own — a
+	// second copy would make it 5.
+	counts = counts[:0]
+	for _, n := range []int{1, 100, 1000} {
+		env := mustBody(&BatchStageResp{
+			Subs:            []BatchSub{{Tag: tagAnsStageResp, Body: mustBody(&AnsStageResp{Answers: shipXMLAnswers(n)})}},
+			SubComputeNanos: []int64{1},
+		})
+		allocs := testing.AllocsPerRun(20, func() {
+			br := new(BatchStageResp)
+			if err := br.DecodeBinary(env); err != nil {
+				t.Fatal(err)
+			}
+			if err := decodeMember(new(AnsStageResp), br.Subs[0].Body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("decoding a batch of %d answers allocates %.1f times, want at most 4", n, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("allocations for batches of 1, 100 and 1000 answers = %v, want equal", counts)
 	}
 }
 
