@@ -2,10 +2,12 @@ package pax
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
+	"paxq/internal/testutil"
 	"paxq/internal/xmltree"
 )
 
@@ -170,5 +172,64 @@ func TestStitchRejectsCorruptBodies(t *testing.T) {
 	}
 	if res.SpeculativeBytes != 6 {
 		t.Errorf("SpeculativeBytes = %d, want 6 (fragment 3's unused body)", res.SpeculativeBytes)
+	}
+}
+
+// TestStitchReleasesEverySession: stitching queries hold sessions past
+// the selection stage, so every one of them must end in a final stage
+// that releases what each site kept — under both algorithms, with and
+// without annotations, run concurrently on one cluster. A leaked session
+// would fill the site's session table. Each answer's XML must be its
+// node's serialization in the document, and the visit bounds hold.
+func TestStitchReleasesEverySession(t *testing.T) {
+	crossing := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		tr := testutil.RandomTree(seed, 60)
+		ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 6, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo := RoundRobin(ft, 3)
+		local, sites := BuildLocalCluster(topo)
+		eng := NewEngine(topo, local)
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for q := 0; q < 6; q++ {
+					query := testutil.RandomQuery(seed*100 + int64(g*6+q))
+					opts := Options{Algorithm: PaX3, Annotations: q%2 == 0, ShipXML: true}
+					if g%2 == 1 {
+						opts.Algorithm = PaX2
+					}
+					res, err := eng.Run(query, opts)
+					if err != nil {
+						t.Errorf("seed %d %q: %v", seed, query, err)
+						return
+					}
+					if bound := map[Algorithm]int{PaX3: 3, PaX2: 2}[opts.Algorithm]; res.MaxVisits > bound {
+						t.Errorf("seed %d %q %v: MaxVisits %d, bound %d", seed, query, opts.Algorithm, res.MaxVisits, bound)
+					}
+					for _, a := range res.Answers {
+						want := xmltree.SerializeString(tr.Node(ft.Frag(a.Frag).Origin[a.Node]))
+						if a.XML != want {
+							t.Errorf("seed %d %q: answer ships %q, document has %q", seed, query, a.XML, want)
+						}
+						if a.XML != ft.Frag(a.Frag).SubtreeXML(a.Node) {
+							mu.Lock()
+							crossing++
+							mu.Unlock()
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		checkNoSessions(t, sites)
+	}
+	if crossing == 0 {
+		t.Error("no answer crossed a fragment boundary; the test stitched nothing")
 	}
 }

@@ -517,6 +517,22 @@ func TestTruncatedBodiesReturnTypedErrors(t *testing.T) {
 	}
 }
 
+// TestShipModeRejectsUnknownBits: a selection request's ShipXML/Stitch
+// byte decodes its four values and fails typed on any other.
+func TestShipModeRejectsUnknownBits(t *testing.T) {
+	for _, m := range []*SelStageReq{{}, {ShipXML: true}, {Stitch: true}, {ShipXML: true, Stitch: true}} {
+		back := new(SelStageReq)
+		if err := back.DecodeBinary(mustBody(m)); err != nil || back.ShipXML != m.ShipXML || back.Stitch != m.Stitch {
+			t.Errorf("%+v decoded as %+v, %v", m, back, err)
+		}
+	}
+	body := mustBody(&CombinedStageReq{})
+	body[len(body)-1] = 4
+	if err := new(CombinedStageReq).DecodeBinary(body); !errors.Is(err, wirefmt.ErrMalformed) {
+		t.Errorf("ship mode byte 4: err = %v, want ErrMalformed", err)
+	}
+}
+
 // TestHostileCountDoesNotAmplify pins the decoder's allocation bound: a
 // frame announcing a huge element count backed by filler bytes must fail
 // with a typed error after allocating memory proportional to the bytes
