@@ -214,16 +214,9 @@ func runRemote(manifestPath string, siteFlags []string, query, algo string, xa, 
 	defer tcp.Close()
 	eng := pax.NewEngine(topo, tcp)
 
-	var alg pax.Algorithm
-	switch strings.ToLower(algo) {
-	case "pax2":
-		alg = pax.PaX2
-	case "pax3":
-		alg = pax.PaX3
-	case "naive":
-		alg = pax.Naive
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", algo))
+	alg, err := pax.ParseAlgorithm(algo)
+	if err != nil {
+		fatal(err)
 	}
 	res, err := eng.RunContext(context.Background(), query, pax.Options{Algorithm: alg, Annotations: xa, ShipXML: shipXML})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"paxq"
+	"paxq/internal/pax"
 )
 
 // server wires a Cluster to HTTP. The Cluster is safe for concurrent
@@ -97,10 +98,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing query"})
 		return
 	}
-	switch strings.ToLower(req.Algorithm) {
-	case "", "pax2", "pax3", "naive":
-	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown algorithm %q (want pax2, pax3 or naive)", req.Algorithm)})
+	if _, err := pax.ParseAlgorithm(req.Algorithm); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	annotations := true

@@ -291,7 +291,7 @@ func TestTCPOversizeResponseNotRetriable(t *testing.T) {
 	if !errors.Is(err, ErrMessageTooLarge) || Retriable(err) {
 		t.Errorf("err = %v (retriable %v), want non-retriable ErrMessageTooLarge", err, Retriable(err))
 	}
-	if !cost.zero() {
+	if cost != (CallCost{}) {
 		t.Errorf("cost = %+v, want zero (no response envelope arrived)", cost)
 	}
 }

@@ -41,7 +41,7 @@ func TestTCPCallDeadlineUnblocksHungSite(t *testing.T) {
 	if waited := time.Since(start); waited > 2*time.Second {
 		t.Fatalf("call blocked %v past its 30ms deadline", waited)
 	}
-	if !cost.zero() {
+	if cost != (CallCost{}) {
 		t.Errorf("cost = %+v for an aborted round trip, want zero", cost)
 	}
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -28,9 +27,6 @@ type CallCost struct {
 	Recv    int64
 	Compute time.Duration
 }
-
-// zero reports whether the round trip never completed.
-func (c CallCost) zero() bool { return c == CallCost{} }
 
 // ComputeReporter lets a handler response carry a self-measured
 // computation cost. When a site evaluates a request's fragments in
@@ -61,7 +57,7 @@ func takeCompute(resp any, wall time.Duration) time.Duration {
 // cumulative lifetime counters.
 //
 // Implementations are safe for concurrent use: many goroutines — a
-// Broadcast's fan-out, or independent queries in flight at once — may Call
+// stage's fan-out, or independent queries in flight at once — may Call
 // concurrently. Each caller receives its own CallCost, so concurrent users
 // never need to share or reset counters to attribute costs.
 type Transport interface {
@@ -94,62 +90,4 @@ func invokeHandler(h Handler, req any) (resp any, err error) {
 		}
 	}()
 	return h(req)
-}
-
-// Broadcast issues one Call per site concurrently and collects the
-// responses and per-call costs by site. The request maker mk runs
-// sequentially over sites in the given order before any call is issued; a
-// nil request skips the site. When any call fails, the error is a
-// *BroadcastError aggregating every failing site in the broadcast's site
-// order — deterministic regardless of goroutine scheduling — each failure
-// tagged with whether it is retriable on a replica (Retriable). Errors
-// are preserved as Call produced them: transport errors already identify
-// the site, pax handler errors identify it themselves, and errors.Is/As
-// traverse the aggregate into every member.
-//
-// The cost map holds an entry for every call whose round trip completed,
-// including calls that returned a handler error — even on a failed
-// broadcast the caller can account the work the sites actually did.
-func Broadcast(ctx context.Context, tr Transport, sites []SiteID, mk func(SiteID) any) (map[SiteID]any, map[SiteID]CallCost, error) {
-	type call struct {
-		site SiteID
-		req  any
-	}
-	calls := make([]call, 0, len(sites))
-	for _, id := range sites {
-		if req := mk(id); req != nil {
-			calls = append(calls, call{id, req})
-		}
-	}
-	resps := make([]any, len(calls))
-	costs := make([]CallCost, len(calls))
-	errs := make([]error, len(calls))
-	var wg sync.WaitGroup
-	for i, c := range calls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resps[i], costs[i], errs[i] = tr.Call(ctx, c.site, c.req)
-		}()
-	}
-	wg.Wait()
-	costOut := make(map[SiteID]CallCost, len(calls))
-	for i, c := range calls {
-		if !costs[i].zero() {
-			costOut[c.site] = costs[i]
-		}
-	}
-	var failed []SiteError
-	out := make(map[SiteID]any, len(calls))
-	for i, c := range calls {
-		if errs[i] != nil {
-			failed = append(failed, SiteError{Site: c.site, Err: errs[i], Retriable: Retriable(errs[i])})
-			continue
-		}
-		out[c.site] = resps[i]
-	}
-	if len(failed) > 0 {
-		return nil, costOut, &BroadcastError{Failures: failed}
-	}
-	return out, costOut, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -236,91 +235,5 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	if m.MaxVisits() != 0 || m.TotalCompute() != 0 || m.ComputeAt(1) != 0 {
 		t.Error("Reset did not clear per-site counters")
-	}
-}
-
-func TestBroadcastFanOut(t *testing.T) {
-	sites := []SiteID{3, 1, 2}
-	l := localCluster(sites...)
-	defer l.Close()
-
-	// mk runs sequentially over sites in the given order.
-	var mkOrder []SiteID
-	resps, _, err := Broadcast(context.Background(), l, sites, func(id SiteID) any {
-		mkOrder = append(mkOrder, id)
-		if id == 1 {
-			return nil // skipped site
-		}
-		return &echoReq{Payload: fmt.Sprintf("to-%d", id)}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(mkOrder) != fmt.Sprint(sites) {
-		t.Errorf("mk order %v, want %v", mkOrder, sites)
-	}
-	if len(resps) != 2 {
-		t.Fatalf("got %d responses, want 2: %v", len(resps), resps)
-	}
-	if _, ok := resps[1]; ok {
-		t.Error("skipped site produced a response")
-	}
-	for _, id := range []SiteID{2, 3} {
-		r, ok := resps[id].(*echoResp)
-		if !ok || r.Site != id || r.Payload != fmt.Sprintf("to-%d", id) {
-			t.Errorf("site %d: %#v", id, resps[id])
-		}
-	}
-}
-
-func TestBroadcastFirstErrorPropagation(t *testing.T) {
-	sites := []SiteID{4, 2, 7}
-	l := localCluster(sites...)
-	defer l.Close()
-	// Sites 2 and 7 both fail; slice order is 4, 2, 7, so the reported
-	// error must deterministically be site 2's.
-	_, _, err := Broadcast(context.Background(), l, sites, func(id SiteID) any {
-		if id == 2 || id == 7 {
-			return &echoReq{Payload: fmt.Sprintf("fail:site %d down", id)}
-		}
-		return &echoReq{Payload: "ok"}
-	})
-	if err == nil {
-		t.Fatal("broadcast with failing sites must error")
-	}
-	if !strings.Contains(err.Error(), "site 2 down") {
-		t.Errorf("err = %v, want the first failing site in slice order (2)", err)
-	}
-}
-
-func TestBroadcastConcurrent(t *testing.T) {
-	// All calls must be in flight at once: each handler blocks until every
-	// site has been reached, so a sequential Broadcast would deadlock.
-	const n = 8
-	l := NewLocal()
-	defer l.Close()
-	var wg sync.WaitGroup
-	wg.Add(n)
-	sites := make([]SiteID, n)
-	for i := range sites {
-		sites[i] = SiteID(i)
-		l.AddSite(SiteID(i), func(req any) (any, error) {
-			wg.Done()
-			wg.Wait()
-			return &echoResp{}, nil
-		})
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := Broadcast(context.Background(), l, sites, func(SiteID) any { return &echoReq{} })
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("broadcast not concurrent: calls deadlocked waiting for each other")
 	}
 }

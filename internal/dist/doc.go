@@ -9,8 +9,9 @@
 // A site is addressed by a SiteID and served by a Handler — a function
 // taking one request value and returning one response value or an error.
 // The coordinator holds a Transport and issues Call(ctx, site, req) round
-// trips; Broadcast fans a stage out over many sites concurrently. The
-// context bounds the whole round trip — dialing, writing, site
+// trips; it fans a stage out over many sites itself (pax's fanOut) and
+// reports a failed stage as a BroadcastError listing every failing site.
+// The context bounds the whole round trip — dialing, writing, site
 // computation, reading — so a hung site fails the call at the caller's
 // deadline instead of wedging it (the TCP client unblocks in-flight I/O
 // by poisoning the connection's deadline and discards the connection).
@@ -95,14 +96,13 @@
 // cost is summed into the transport's cumulative lifetime Metrics. A
 // caller that needs work attributed to a bounded unit — the pax engine
 // attributes it per query — aggregates the CallCosts of its own calls into
-// a private Metrics ledger (NewMetrics + Add). Broadcast returns the costs
-// of a whole stage keyed by site for the same purpose. A CallCost is valid
+// a private Metrics ledger (NewMetrics + Add). A CallCost is valid
 // even when the call returned a handler error (the site did the work); it
 // is zero only when the round trip never completed.
 //
 // # Concurrency
 //
-// Transports are safe for concurrent use: a Broadcast's fan-out and any
+// Transports are safe for concurrent use: a stage's fan-out and any
 // number of independent queries may Call at the same time. The TCP client
 // grows its per-site connection pool under concurrent load and shrinks it
 // as connections go idle or stale. Because costs travel with each call,

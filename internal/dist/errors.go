@@ -42,12 +42,11 @@ func siteUnavailable(to SiteID, err error) error {
 	return fmt.Errorf("dist: site %d %w: %w", to, ErrSiteUnavailable, err)
 }
 
-// SiteError is one site's failure inside a BroadcastError, tagged with
-// whether the failover layer may retry it on a replica.
+// SiteError is one site's failure inside a BroadcastError. Whether a
+// replica could repair it is Retriable(Err).
 type SiteError struct {
-	Site      SiteID
-	Err       error
-	Retriable bool
+	Site SiteID
+	Err  error
 }
 
 func (e SiteError) Error() string { return e.Err.Error() }
@@ -55,11 +54,11 @@ func (e SiteError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying call error to errors.Is/As.
 func (e SiteError) Unwrap() error { return e.Err }
 
-// BroadcastError aggregates the per-site failures of one Broadcast.
-// Failures are ordered by the broadcast's site order — deterministic
-// regardless of goroutine scheduling — and the Error text leads with the
-// first failing site so existing first-error expectations keep reading
-// the same. errors.Is/As traverse into every member failure via Unwrap,
+// BroadcastError aggregates the per-site failures of one stage round —
+// a coordinator fan-out that calls many sites at once. Failures are
+// ordered by the round's site order — deterministic regardless of
+// goroutine scheduling — and the Error text leads with the first failing
+// site. errors.Is/As traverse into every member failure via Unwrap,
 // so sentinel checks (context.DeadlineExceeded, ErrSiteUnavailable,
 // ErrOverloaded surfaced by a handler) keep working unchanged on the
 // aggregate.
@@ -93,25 +92,4 @@ func (e *BroadcastError) Unwrap() []error {
 		errs[i] = f
 	}
 	return errs
-}
-
-// AllRetriable reports whether every failed site could be retried on a
-// replica — the condition for the failover layer to keep the query
-// alive.
-func (e *BroadcastError) AllRetriable() bool {
-	for _, f := range e.Failures {
-		if !f.Retriable {
-			return false
-		}
-	}
-	return len(e.Failures) > 0
-}
-
-// FailedSites lists the failing sites in broadcast order.
-func (e *BroadcastError) FailedSites() []SiteID {
-	out := make([]SiteID, len(e.Failures))
-	for i, f := range e.Failures {
-		out[i] = f.Site
-	}
-	return out
 }

@@ -68,7 +68,7 @@ type FaultStats struct {
 // FaultPlan is a deterministic failure schedule for Local.FaultHook:
 // faults fire by per-site call count, never by wall clock, so the same
 // plan over the same query sequence injects the same failures every run
-// regardless of scheduling. Safe for concurrent calls (a Broadcast's
+// regardless of scheduling. Safe for concurrent calls (a stage's
 // fan-out hits the hook from many goroutines).
 type FaultPlan struct {
 	// OnRestart, when set, runs synchronously inside the first call

@@ -38,82 +38,6 @@ func TestRetriableClassification(t *testing.T) {
 	}
 }
 
-func TestBroadcastErrorAggregate(t *testing.T) {
-	l := localCluster(1, 2, 3)
-	// Sites 1 and 3 are made unavailable by a fault hook; site 2 serves.
-	l.FaultHook = func(to SiteID, req any) error {
-		if to == 1 || to == 3 {
-			return siteUnavailable(to, errors.New("injected"))
-		}
-		return nil
-	}
-	_, _, err := Broadcast(context.Background(), l, []SiteID{1, 2, 3}, func(id SiteID) any {
-		return &echoReq{Payload: "ping"}
-	})
-	var be *BroadcastError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %T %v, want *BroadcastError", err, err)
-	}
-	if got := be.FailedSites(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("FailedSites = %v, want [1 3]", got)
-	}
-	if !be.AllRetriable() {
-		t.Fatal("AllRetriable = false, want true (both failures are unavailability)")
-	}
-	// errors.Is traverses into the member failures.
-	if !errors.Is(err, ErrSiteUnavailable) {
-		t.Fatal("errors.Is(err, ErrSiteUnavailable) = false on the aggregate")
-	}
-	// The message leads with the first failing site and counts the rest.
-	if msg := err.Error(); !strings.Contains(msg, "site 1") || !strings.Contains(msg, "1 more failed site") {
-		t.Fatalf("Error() = %q", msg)
-	}
-}
-
-func TestBroadcastErrorMixedRetriability(t *testing.T) {
-	l := localCluster(1, 2)
-	l.FaultHook = func(to SiteID, req any) error {
-		if to == 1 {
-			return siteUnavailable(to, errors.New("injected"))
-		}
-		return nil
-	}
-	// Site 2's handler fails permanently (a handler error, site reachable).
-	_, _, err := Broadcast(context.Background(), l, []SiteID{1, 2}, func(id SiteID) any {
-		if id == 2 {
-			return &echoReq{Payload: "fail:bad request"}
-		}
-		return &echoReq{Payload: "ping"}
-	})
-	var be *BroadcastError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %T, want *BroadcastError", err)
-	}
-	if be.AllRetriable() {
-		t.Fatal("AllRetriable = true with a permanent handler failure in the mix")
-	}
-	if len(be.Failures) != 2 || !be.Failures[0].Retriable || be.Failures[1].Retriable {
-		t.Fatalf("failures = %+v, want site 1 retriable, site 2 permanent", be.Failures)
-	}
-}
-
-func TestBroadcastSingleFailureKeepsPlainMessage(t *testing.T) {
-	l := localCluster(1, 2)
-	_, costs, err := Broadcast(context.Background(), l, []SiteID{1, 2}, func(id SiteID) any {
-		if id == 2 {
-			return &echoReq{Payload: "fail:no such fragment"}
-		}
-		return &echoReq{Payload: "ping"}
-	})
-	if err == nil || err.Error() != "no such fragment" {
-		t.Fatalf("Error() = %v, want the bare handler message", err)
-	}
-	// The failed call completed at the site: its cost is still reported.
-	if _, ok := costs[2]; !ok {
-		t.Fatal("cost map lacks the failed-but-completed call on site 2")
-	}
-}
-
 func TestFaultPlanDeterministicSchedule(t *testing.T) {
 	run := func() (errs []string, stats FaultStats) {
 		plan := NewFaultPlan(
@@ -272,7 +196,7 @@ func TestTCPDeadSiteReportsRetriable(t *testing.T) {
 	if !Retriable(err) {
 		t.Fatalf("err = %v, want retriable", err)
 	}
-	if !cost.zero() {
+	if cost != (CallCost{}) {
 		t.Fatalf("cost = %+v, want zero (nothing reached the site)", cost)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // Metrics accumulates cost counters: wire bytes in both directions,
 // per-site handler computation time, and per-site visit counts. All
-// methods are safe for concurrent use; a Broadcast updates the counters
+// methods are safe for concurrent use; a stage's fan-out updates the counters
 // from many goroutines at once.
 //
 // Metrics plays two roles. Each transport owns one as its cumulative

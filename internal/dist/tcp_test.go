@@ -242,30 +242,44 @@ func TestTCPClientCloseFailsCalls(t *testing.T) {
 	}
 }
 
+// callRound calls every site concurrently with req — the shape of one
+// coordinator stage round — and returns responses, costs and errors
+// indexed like sites.
+func callRound(tr Transport, sites []SiteID, req any) ([]any, []CallCost, []error) {
+	resps := make([]any, len(sites))
+	costs := make([]CallCost, len(sites))
+	errs := make([]error, len(sites))
+	var wg sync.WaitGroup
+	for i, id := range sites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], costs[i], errs[i] = tr.Call(context.Background(), id, req)
+		}()
+	}
+	wg.Wait()
+	return resps, costs, errs
+}
+
 func TestTCPBroadcast(t *testing.T) {
 	sites := []SiteID{0, 1, 2}
 	tr, _ := tcpCluster(t, sites...)
-	resps, _, err := Broadcast(context.Background(), tr, sites, func(id SiteID) any {
-		return &echoReq{Payload: "stage"}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps) != len(sites) {
-		t.Fatalf("%d responses, want %d", len(resps), len(sites))
-	}
-	for _, id := range sites {
-		if r := resps[id].(*echoResp); r.Site != id {
+	resps, _, errs := callRound(tr, sites, &echoReq{Payload: "stage"})
+	for i, id := range sites {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if r := resps[i].(*echoResp); r.Site != id {
 			t.Errorf("site %d answered as %d", id, r.Site)
 		}
 	}
 }
 
-// TestTCPConcurrentBroadcasts drives overlapping Broadcasts — the shape of
-// many queries in flight on one serving engine — through one pooled TCP
-// client, each tagged with a distinct payload standing in for a QueryID.
-// Every broadcast must get its own responses and a complete per-site cost
-// map, and the per-broadcast costs must sum exactly to the transport's
+// TestTCPConcurrentBroadcasts drives overlapping stage rounds — the shape
+// of many queries in flight on one serving engine — through one pooled
+// TCP client, each tagged with a distinct payload standing in for a
+// QueryID. Every round must get its own responses and a complete per-site
+// cost, and the per-round costs must sum exactly to the transport's
 // lifetime counters (run with -race to catch pool races).
 func TestTCPConcurrentBroadcasts(t *testing.T) {
 	sites := []SiteID{0, 1, 2}
@@ -287,24 +301,18 @@ func TestTCPConcurrentBroadcasts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				tag := fmt.Sprintf("query-%d-round-%d", w, i)
-				resps, costs, err := Broadcast(context.Background(), tr, sites, func(id SiteID) any {
-					return &echoReq{Payload: tag}
-				})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if len(resps) != len(sites) || len(costs) != len(sites) {
-					errs[w] = fmt.Errorf("%s: %d responses, %d costs, want %d each", tag, len(resps), len(costs), len(sites))
-					return
-				}
-				for _, id := range sites {
-					r, ok := resps[id].(*echoResp)
-					if !ok || r.Payload != tag || r.Site != id {
-						errs[w] = fmt.Errorf("%s: site %d answered %#v", tag, id, resps[id])
+				resps, costs, callErrs := callRound(tr, sites, &echoReq{Payload: tag})
+				for j, id := range sites {
+					if callErrs[j] != nil {
+						errs[w] = callErrs[j]
 						return
 					}
-					c := costs[id]
+					r, ok := resps[j].(*echoResp)
+					if !ok || r.Payload != tag || r.Site != id {
+						errs[w] = fmt.Errorf("%s: site %d answered %#v", tag, id, resps[j])
+						return
+					}
+					c := costs[j]
 					if c.Sent <= frameHeader || c.Recv <= frameHeader {
 						errs[w] = fmt.Errorf("%s: site %d cost %+v", tag, id, c)
 						return

@@ -268,48 +268,6 @@ func flushContext(ws []*batchWaiter) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// broadcast is the batching twin of dist.Broadcast: identical request
-// construction, response collection, error selection and cost-charging
-// semantics, with each call routed through the coalescing window.
-func (b *batcher) broadcast(ctx context.Context, sites []dist.SiteID, mk func(dist.SiteID) any) (map[dist.SiteID]any, map[dist.SiteID]dist.CallCost, error) {
-	type call struct {
-		site dist.SiteID
-		req  any
-	}
-	calls := make([]call, 0, len(sites))
-	for _, id := range sites {
-		if req := mk(id); req != nil {
-			calls = append(calls, call{id, req})
-		}
-	}
-	resps := make([]any, len(calls))
-	costs := make([]dist.CallCost, len(calls))
-	errs := make([]error, len(calls))
-	var wg sync.WaitGroup
-	for i, c := range calls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resps[i], costs[i], errs[i] = b.call(ctx, c.site, c.req)
-		}()
-	}
-	wg.Wait()
-	costOut := make(map[dist.SiteID]dist.CallCost, len(calls))
-	for i, c := range calls {
-		if costs[i] != (dist.CallCost{}) {
-			costOut[c.site] = costs[i]
-		}
-	}
-	out := make(map[dist.SiteID]any, len(calls))
-	for i, c := range calls {
-		if errs[i] != nil {
-			return nil, costOut, errs[i]
-		}
-		out[c.site] = resps[i]
-	}
-	return out, costOut, nil
-}
-
 // splitShares splits total into len(weights) non-negative shares summing
 // exactly to total: proportional to the weights when they carry signal,
 // equal otherwise, with each floor share's remainder going one unit at a

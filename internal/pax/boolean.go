@@ -44,6 +44,7 @@ func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Optio
 	}()
 	usage := dist.NewMetrics()
 	rt := e.newRoute()
+	call := e.siteCallFor(rt, opts.Sequential)
 	start := time.Now()
 
 	res = &Result{RelevantFrags: e.topo.FT.Len(), TotalFrags: e.topo.FT.Len()}
@@ -52,7 +53,7 @@ func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Optio
 		ft := e.topo.FT
 		vs := parbox.NewVarScheme(c, ft.Len())
 		qid := QueryID(e.qid.Add(1))
-		resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(dist.SiteID) any {
+		resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(dist.SiteID) any {
 			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Final: true}
 		})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,22 @@ func (a Algorithm) String() string {
 		return "NaiveCentralized"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// ParseAlgorithm maps an algorithm name to its Algorithm: "pax2" (also
+// the empty name, the default), "pax3" or "naive", in any case. It is the
+// one parse behind the library's QueryOptions and the binaries' flags and
+// requests.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch strings.ToLower(name) {
+	case "", "pax2":
+		return PaX2, nil
+	case "pax3":
+		return PaX3, nil
+	case "naive":
+		return Naive, nil
+	}
+	return 0, fmt.Errorf("pax: unknown algorithm %q (want pax2, pax3 or naive)", name)
 }
 
 // Options tune an evaluation.
@@ -284,14 +301,15 @@ func (e *Engine) RunContext(ctx context.Context, query string, opts Options) (re
 	}()
 	usage := dist.NewMetrics()
 	rt := e.newRoute()
+	call := e.siteCallFor(rt, opts.Sequential)
 	start := time.Now()
 	switch opts.Algorithm {
 	case PaX3:
-		res, err = e.runPaX3(ctx, query, p, opts, usage, rt)
+		res, err = e.runPaX3(ctx, query, p, opts, usage, call)
 	case PaX2:
-		res, err = e.runPaX2(ctx, query, p, opts, usage, rt)
+		res, err = e.runPaX2(ctx, query, p, opts, usage, call)
 	case Naive:
-		res, err = e.runNaive(ctx, p.c, opts, usage, rt)
+		res, err = e.runNaive(ctx, p.c, opts, usage, call)
 	default:
 		return nil, fmt.Errorf("pax: unknown algorithm %v", opts.Algorithm)
 	}
@@ -337,61 +355,115 @@ func (e *Engine) relevantFragsBySite(rel *Relevance) map[dist.SiteID][]fragment.
 	return out
 }
 
-// stage runs one round against the sites with non-nil requests — in
-// parallel normally, one at a time in Sequential mode — charging every
-// completed call to the run's private usage ledger and recording the
-// stage's wall time, wire bytes and parallel computation cost (the
-// maximum per-site computation, §3.4) in res.
-//
-// With a non-nil route the round fans out over the topology's primaries
-// through the failover layer: each logical call may retry against the
-// group's replicas, and every completed physical call — replays and
-// failed attempts included — is charged to the query's ledger. That is
-// the ledger attribution rule for aborted calls: an aborted call's bytes
-// and compute belong to the query that caused them, so Σ per-query stays
-// equal to the transport lifetime totals even when queries fail over
-// (paxlint's ledger analyzer keeps shared-counter reads out of this
-// path, and the fault harness checks the sum exactly).
-func (e *Engine) stage(ctx context.Context, res *Result, usage *dist.Metrics, seq bool, rt *runRoute, mk func(dist.SiteID) any) (map[dist.SiteID]any, error) {
-	sites := e.topo.Sites()
-	t0 := time.Now()
-	var resps map[dist.SiteID]any
-	var charged []attrCost
-	var err error
-	if rt != nil {
-		resps, charged, err = rt.broadcast(ctx, seq, mk)
-	} else if seq {
-		resps = make(map[dist.SiteID]any)
-		for _, id := range sites {
-			req := mk(id)
-			if req == nil {
-				continue
-			}
-			r, cost, cerr := e.tr.Call(ctx, id, req)
-			if cost != (dist.CallCost{}) {
-				charged = append(charged, attrCost{site: id, cost: cost})
-			}
-			if cerr != nil {
-				err = fmt.Errorf("pax: site %d: %w", id, cerr)
-				break
-			}
-			resps[id] = r
+// attrCost is one completed physical call's cost, attributed to the site
+// that did the work. One logical stage call may complete several physical
+// calls — failover replays and failed-but-completed attempts — and every
+// one of them is charged to the query's ledger, which is what keeps
+// Σ per-query = transport lifetime totals holding under faults.
+type attrCost struct {
+	site dist.SiteID
+	cost dist.CallCost
+}
+
+// siteCall is one logical stage call to a primary: the response plus the
+// cost of every physical call it completed.
+type siteCall func(ctx context.Context, primary dist.SiteID, req any) (any, []attrCost, error)
+
+// direct makes a siteCall of a single round trip — the transport's Call or
+// the batcher's. A round trip that never completed costs nothing.
+func direct(call func(context.Context, dist.SiteID, any) (any, dist.CallCost, error)) siteCall {
+	return func(ctx context.Context, site dist.SiteID, req any) (any, []attrCost, error) {
+		resp, cost, err := call(ctx, site, req)
+		if cost == (dist.CallCost{}) {
+			return resp, nil, err
 		}
-	} else {
-		var costs map[dist.SiteID]dist.CallCost
-		if e.batch != nil {
-			// Batching engines route concurrent stage rounds through the
-			// per-site coalescing window; semantics (request construction,
-			// error selection, cost charging) mirror dist.Broadcast exactly.
-			resps, costs, err = e.batch.broadcast(ctx, sites, mk)
-		} else {
-			resps, costs, err = dist.Broadcast(ctx, e.tr, sites, mk)
-		}
-		for site, c := range costs {
-			charged = append(charged, attrCost{site: site, cost: c})
+		return resp, []attrCost{{site: site, cost: cost}}, err
+	}
+}
+
+// siteCallFor picks a run's per-site call once: a replicated engine (or
+// one with a retry policy) goes through the failover route, a Sequential
+// run bypasses batching, and a batching engine coalesces everything else.
+func (e *Engine) siteCallFor(rt *runRoute, seq bool) siteCall {
+	switch {
+	case rt != nil:
+		return rt.call
+	case e.batch != nil && !seq:
+		return direct(e.batch.call)
+	}
+	return direct(e.tr.Call)
+}
+
+// fanOut is one stage round — the paper's unit of visits and parallel
+// cost (§3.4): every primary with a non-nil request gets exactly one
+// logical call. mk runs over the primaries in order before any call is
+// issued. The calls run concurrently, or one at a time under seq, which
+// stops at the first failure. Responses are keyed by primary; costs list
+// every completed physical call, failed ones included. On failure the
+// error is a *dist.BroadcastError naming the failing primaries in primary
+// order, deterministic regardless of scheduling.
+func fanOut(ctx context.Context, primaries []dist.SiteID, mk func(dist.SiteID) any, seq bool, call siteCall) (map[dist.SiteID]any, []attrCost, error) {
+	type slot struct {
+		site  dist.SiteID
+		req   any
+		resp  any
+		costs []attrCost
+		err   error
+	}
+	slots := make([]slot, 0, len(primaries))
+	for _, p := range primaries {
+		if req := mk(p); req != nil {
+			slots = append(slots, slot{site: p, req: req})
 		}
 	}
-	// Even a failed stage's completed calls are this query's cost.
+	if seq {
+		for i := range slots {
+			s := &slots[i]
+			if s.resp, s.costs, s.err = call(ctx, s.site, s.req); s.err != nil {
+				break
+			}
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i := range slots {
+			s := &slots[i]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.resp, s.costs, s.err = call(ctx, s.site, s.req)
+			}()
+		}
+		wg.Wait()
+	}
+	costs := make([]attrCost, 0, len(slots))
+	var failed []dist.SiteError
+	resps := make(map[dist.SiteID]any, len(slots))
+	for _, s := range slots {
+		costs = append(costs, s.costs...)
+		if s.err != nil {
+			failed = append(failed, dist.SiteError{Site: s.site, Err: s.err})
+			continue
+		}
+		resps[s.site] = s.resp
+	}
+	if failed != nil {
+		return nil, costs, &dist.BroadcastError{Failures: failed}
+	}
+	return resps, costs, nil
+}
+
+// stage runs one round (fanOut) over the topology's primaries, charging
+// every completed call to the run's private usage ledger and recording the
+// stage's wall time, wire bytes and parallel computation cost (the
+// maximum per-site computation, §3.4) in res. Even a failed stage's
+// completed calls are charged: an aborted call's bytes and compute belong
+// to the query that caused them, so Σ per-query stays equal to the
+// transport lifetime totals even when queries fail over (paxlint's ledger
+// analyzer keeps shared-counter reads out of this path, and the fault
+// harness checks the sum exactly).
+func (e *Engine) stage(ctx context.Context, res *Result, usage *dist.Metrics, seq bool, call siteCall, mk func(dist.SiteID) any) (map[dist.SiteID]any, error) {
+	t0 := time.Now()
+	resps, charged, err := fanOut(ctx, e.topo.Primaries(), mk, seq, call)
 	var maxCompute, sumCompute time.Duration
 	var stageBytes int64
 	for _, ac := range charged {
@@ -518,7 +590,7 @@ func respAs[T any](site dist.SiteID, r any, stage string) (T, error) {
 }
 
 // runPaX3 is Procedure PaX3 of Fig. 4(a).
-func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Options, usage *dist.Metrics, rt *runRoute) (*Result, error) {
+func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Options, usage *dist.Metrics, call siteCall) (*Result, error) {
 	res := &Result{}
 	c := p.c
 	ft := e.topo.FT
@@ -536,7 +608,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	// live anywhere), skipped entirely for qualifier-free queries.
 	var env *boolexpr.Env
 	if hasQual {
-		resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any {
+		resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any {
 			// A site hosting only pruned fragments sees no later stage,
 			// unless the query stitches: then every site it visits keeps
 			// its snapshot until the final stage.
@@ -595,7 +667,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 		}
 		selReqs[site] = req
 	}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any { return selReqs[site] })
+	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any { return selReqs[site] })
 	if err != nil {
 		return nil, err
 	}
@@ -624,7 +696,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	if len(candFrags) == 0 {
 		// No candidate to resolve (e.g. XA with no qualifiers): Stage 3
 		// only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
+		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
 	}
 
 	// evalFT, top-down half: ground the z variables.
@@ -657,11 +729,11 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 			ansReqs[site] = req
 		}
 	}
-	return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
+	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
 }
 
 // runPaX2 is Procedure PaX2 of Fig. 5.
-func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Options, usage *dist.Metrics, rt *runRoute) (*Result, error) {
+func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Options, usage *dist.Metrics, call siteCall) (*Result, error) {
 	res := &Result{}
 	c := p.c
 	ft := e.topo.FT
@@ -685,7 +757,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 			}
 		}
 	}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any {
+	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any {
 		frags := relBySite[site]
 		if len(frags) == 0 {
 			return nil
@@ -727,7 +799,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
 		// Stage 2 only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
+		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
 	}
 
 	// evalFT: bottom-up qualifier unification over the fragments that
@@ -790,7 +862,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		}
 		ansReqs[site] = req
 	}
-	return e.finalStage(ctx, res, usage, opts, rt, query, qid, ansReqs, below, held)
+	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
 }
 
 // groundQualsForPresent is groundQualsFor restricted to sub-fragments that

@@ -29,6 +29,14 @@
 // WithQueueTimeout add admission control: overload sheds or queues with a
 // typed ErrOverloaded, deterministically.
 //
+// Every stage is one round of fanOut: each primary with a request gets
+// one logical call, concurrently or, under Options.Sequential, one at a
+// time. The per-site call is chosen once per run — the failover route on
+// a replicated engine, the batcher on a batching engine outside
+// Sequential runs, the transport's Call otherwise — so every engine kind
+// charges the same ledger entries and fails a stage the same way: a
+// *dist.BroadcastError naming the failing primaries in primary order.
+//
 // # Sites
 //
 // Site hosts fragments and serves stage requests. Per-query state lives in

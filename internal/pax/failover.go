@@ -50,10 +50,9 @@ func (p RetryPolicy) wait(n int) time.Duration {
 // retries then rotate back to the lone site, which repairs restarts-
 // with-session-loss but not a site that stays dead.
 //
-// The failover fan-out bypasses multi-query batching (WithBatchWindow):
-// an engine configured with both serves batched stage rounds only for
-// queries outside the failover path, i.e. the two features are mutually
-// exclusive per engine today.
+// The failover route bypasses multi-query batching (WithBatchWindow):
+// an engine with a failover layer calls its sites through the route, so
+// the two features are mutually exclusive per engine today.
 func WithRetryPolicy(p RetryPolicy) EngineOption {
 	return func(e *Engine) { e.retry = p }
 }
@@ -85,17 +84,6 @@ func (e *Engine) FailoverStats() FailoverStats {
 	}
 }
 
-// attrCost is one completed call's cost, attributed to the physical site
-// that did the work. The failover path reports these instead of a
-// per-site map because one logical stage call may complete several
-// physical calls (replays, failed-but-completed attempts) — every one of
-// them is charged to the query's ledger, which is what keeps
-// Σ per-query = transport lifetime totals holding under faults.
-type attrCost struct {
-	site dist.SiteID
-	cost dist.CallCost
-}
-
 // runRoute is one query's routing state through a replicated fleet:
 // which replica currently serves each group, the script of session-
 // establishing requests already served per group, and which physical
@@ -121,8 +109,8 @@ type runRoute struct {
 
 // newRoute returns the failover routing state for one run, or nil when
 // the engine runs without a failover layer (unreplicated topology and
-// single-attempt policy) — the nil route selects the direct fan-out in
-// stage().
+// single-attempt policy) — the nil route selects a direct per-site call
+// (siteCallFor).
 func (e *Engine) newRoute() *runRoute {
 	if e.retry.MaxAttempts <= 1 && !e.topo.Replicated() {
 		return nil
@@ -274,63 +262,4 @@ func (rt *runRoute) setEstablished(site dist.SiteID, ok bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.established[site] = ok
-}
-
-// broadcast is the failover fan-out: dist.Broadcast's contract — mk run
-// sequentially over primaries before any call, concurrent calls (serial
-// in seq mode), responses keyed by primary, failures aggregated into a
-// deterministic *dist.BroadcastError in primary order — with each
-// physical call routed through the retry/failover loop.
-func (rt *runRoute) broadcast(ctx context.Context, seq bool, mk func(dist.SiteID) any) (map[dist.SiteID]any, []attrCost, error) {
-	primaries := rt.e.topo.Primaries()
-	type call struct {
-		primary dist.SiteID
-		req     any
-	}
-	calls := make([]call, 0, len(primaries))
-	for _, p := range primaries {
-		if req := mk(p); req != nil {
-			calls = append(calls, call{p, req})
-		}
-	}
-	resps := make([]any, len(calls))
-	costs := make([][]attrCost, len(calls))
-	errs := make([]error, len(calls))
-	if seq {
-		for i, c := range calls {
-			resps[i], costs[i], errs[i] = rt.call(ctx, c.primary, c.req)
-			if errs[i] != nil {
-				break // sequential mode stops at the first failure, like stage()'s serial loop
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, c := range calls {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resps[i], costs[i], errs[i] = rt.call(ctx, c.primary, c.req)
-			}()
-		}
-		wg.Wait()
-	}
-	var all []attrCost
-	for _, cs := range costs {
-		all = append(all, cs...)
-	}
-	var failed []dist.SiteError
-	out := make(map[dist.SiteID]any, len(calls))
-	for i, c := range calls {
-		if errs[i] != nil {
-			failed = append(failed, dist.SiteError{Site: c.primary, Err: errs[i], Retriable: dist.Retriable(errs[i])})
-			continue
-		}
-		if resps[i] != nil {
-			out[c.primary] = resps[i]
-		}
-	}
-	if len(failed) > 0 {
-		return nil, all, &dist.BroadcastError{Failures: failed}
-	}
-	return out, all, nil
 }

@@ -17,10 +17,10 @@ import (
 // Its network traffic is proportional to |T| — the cost the partial
 // evaluation algorithms exist to avoid — and is visible directly in the
 // Result's byte counters.
-func (e *Engine) runNaive(ctx context.Context, c *xpath.Compiled, opts Options, usage *dist.Metrics, rt *runRoute) (*Result, error) {
+func (e *Engine) runNaive(ctx context.Context, c *xpath.Compiled, opts Options, usage *dist.Metrics, call siteCall) (*Result, error) {
 	n := e.topo.FT.Len()
 	res := &Result{RelevantFrags: n}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(dist.SiteID) any { return &FetchReq{} })
+	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(dist.SiteID) any { return &FetchReq{} })
 	if err != nil {
 		return nil, err
 	}

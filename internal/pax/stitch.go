@@ -64,7 +64,7 @@ func closeBelow(ft *fragment.Fragmentation, below []fragment.FragID) ([]fragment
 // every site it reaches. The answers then have their stubs filled; bodies
 // no answer used — those below candidates that resolved false — are
 // counted in Result.SpeculativeBytes. It returns res, completed.
-func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metrics, opts Options, rt *runRoute, query string, qid QueryID, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool) (*Result, error) {
+func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metrics, opts Options, call siteCall, query string, qid QueryID, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool) (*Result, error) {
 	need, err := closeBelow(e.topo.FT, below)
 	if err != nil {
 		return nil, err
@@ -88,7 +88,7 @@ func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metric
 	if len(reqs) == 0 {
 		return res, nil
 	}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, rt, func(site dist.SiteID) any { return reqs[site] })
+	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any { return reqs[site] })
 	if err != nil {
 		return nil, err
 	}

@@ -357,18 +357,8 @@ type QueryOptions struct {
 }
 
 func (o QueryOptions) toPax() (pax.Options, error) {
-	out := pax.Options{Annotations: o.Annotations, ShipXML: o.ShipXML}
-	switch strings.ToLower(o.Algorithm) {
-	case "", "pax2":
-		out.Algorithm = pax.PaX2
-	case "pax3":
-		out.Algorithm = pax.PaX3
-	case "naive":
-		out.Algorithm = pax.Naive
-	default:
-		return out, fmt.Errorf("paxq: unknown algorithm %q (want pax2, pax3 or naive)", o.Algorithm)
-	}
-	return out, nil
+	alg, err := pax.ParseAlgorithm(o.Algorithm)
+	return pax.Options{Algorithm: alg, Annotations: o.Annotations, ShipXML: o.ShipXML}, err
 }
 
 // Query evaluates an XPath query with explicit options and returns the

@@ -9,10 +9,10 @@
 //     tests fabricate contexts freely, so both are exempt. The public
 //     blocking convenience wrappers that deliberately start a root
 //     context carry reviewed allow markers.
-//   - a Transport.Call / Broadcast invocation must pass a flowed-in
-//     context: handing them a context.Background()/TODO() call expression
-//     directly defeats the transport's deadline poisoning even in code
-//     where a root context is otherwise legitimate.
+//   - a Transport.Call or stage fan-out (pax's fanOut) invocation must
+//     pass a flowed-in context: handing them a context.Background()/TODO()
+//     call expression directly defeats the transport's deadline poisoning
+//     even in code where a root context is otherwise legitimate.
 package ctxflow
 
 import (
@@ -24,7 +24,7 @@ import (
 // Analyzer is the context-propagation invariant suite.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "forbid context.Background()/TODO() in library code and require flowed contexts into Transport.Call/Broadcast",
+	Doc:  "forbid context.Background()/TODO() in library code and require flowed contexts into Transport.Call and the stage fan-out",
 	Run:  run,
 }
 
@@ -68,23 +68,26 @@ func rootContextCall(call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// checkTransportCall flags Call/Broadcast invocations whose context
+// checkTransportCall flags Call/fanOut invocations whose context
 // argument is a direct root-context call expression. Transport.Call has
-// the shape Call(ctx, site, req); dist.Broadcast is
-// Broadcast(ctx, tr, sites, mk).
+// the shape Call(ctx, site, req); the stage fan-out is
+// fanOut(ctx, primaries, mk, seq, call).
 func checkTransportCall(pass *analysis.Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
+	var name string
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		name = fn.Name
+	case *ast.SelectorExpr:
+		name = fn.Sel.Name
 	}
-	isCall := sel.Sel.Name == "Call" && len(call.Args) == 3
-	isBroadcast := sel.Sel.Name == "Broadcast" && len(call.Args) >= 3
-	if !isCall && !isBroadcast {
+	isCall := name == "Call" && len(call.Args) == 3
+	isFanOut := name == "fanOut" && len(call.Args) >= 1
+	if !isCall && !isFanOut {
 		return
 	}
 	if arg, ok := call.Args[0].(*ast.CallExpr); ok {
-		if name, ok := rootContextCall(arg); ok {
-			pass.Reportf(arg.Pos(), "context.%s() passed directly into %s: transport calls must receive the flowed-in context", name, sel.Sel.Name)
+		if root, ok := rootContextCall(arg); ok {
+			pass.Reportf(arg.Pos(), "context.%s() passed directly into %s: transport calls must receive the flowed-in context", root, name)
 		}
 	}
 }

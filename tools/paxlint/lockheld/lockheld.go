@@ -11,7 +11,8 @@
 // in straight-line code (a deferred Unlock holds to function end). While
 // any lock is held, calls matching the I/O shapes below are flagged:
 //
-//   - Transport round trips: a 3-argument .Call(...) or any .Broadcast(...)
+//   - Transport round trips: a 3-argument .Call(...) or a stage fan-out,
+//     fanOut(...)
 //   - Dialing and listening: .DialContext(...), net.Dial*/net.Listen*
 //   - HTTP round trips: http.Get/Post/Head and client .Do(...)
 //   - File-system mutation/reads: os.Open/Create/ReadFile/WriteFile/...
@@ -218,6 +219,9 @@ func lockOp(e ast.Expr) (key string, locked, ok bool) {
 // bannedCall classifies call as a transport round trip or network/file
 // I/O, returning a human-readable description.
 func bannedCall(call *ast.CallExpr) (string, bool) {
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "fanOut" {
+		return "stage fan-out", true
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -226,8 +230,6 @@ func bannedCall(call *ast.CallExpr) (string, bool) {
 	switch {
 	case name == "Call" && len(call.Args) == 3:
 		return "transport Call", true
-	case name == "Broadcast":
-		return "transport Broadcast", true
 	case name == "DialContext":
 		return "network dial", true
 	case name == "Do" && len(call.Args) == 1:

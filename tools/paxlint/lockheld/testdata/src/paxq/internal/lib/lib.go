@@ -14,9 +14,8 @@ type transport interface {
 	Call(ctx context.Context, to int, req any) (any, error)
 }
 
-type broadcaster interface {
-	Broadcast(ctx context.Context, sites []int, req any) error
-}
+// fanOut stands in for pax's stage fan-out: one round trip per site.
+func fanOut(ctx context.Context, sites []int, mk func(int) any) error { return nil }
 
 type server struct {
 	mu    sync.Mutex
@@ -67,10 +66,17 @@ func (s *server) goroutineScope(ctx context.Context, tr transport) {
 	}()
 }
 
-func broadcastUnderRead(ctx context.Context, mu *sync.RWMutex, b broadcaster) {
+func fanOutUnderRead(ctx context.Context, mu *sync.RWMutex) {
 	mu.RLock()
-	_ = b.Broadcast(ctx, nil, nil) // want `transport Broadcast while holding mu`
+	_ = fanOut(ctx, nil, nil) // want `stage fan-out while holding mu`
 	mu.RUnlock()
+}
+
+func (s *server) fanOutAfterRelease(ctx context.Context) {
+	s.mu.Lock()
+	sites := []int{s.state[1]}
+	s.mu.Unlock()
+	_ = fanOut(ctx, sites, nil)
 }
 
 type pair interface {
