@@ -175,7 +175,13 @@ func (rt *runRoute) call(ctx context.Context, primary dist.SiteID, req any) (res
 		}
 		if !retriable || ctx.Err() != nil || attempt >= e.retry.MaxAttempts {
 			if retriable && attempt >= e.retry.MaxAttempts && e.retry.MaxAttempts > 1 {
-				err = fmt.Errorf("pax: site %d: %d attempts exhausted: %w", primary, attempt, err)
+				// A retriable error names the site it came from; name the
+				// primary only when that was another replica.
+				if target == primary {
+					err = fmt.Errorf("pax: %d attempts exhausted: %w", attempt, err)
+				} else {
+					err = fmt.Errorf("pax: site %d: %d attempts exhausted: %w", primary, attempt, err)
+				}
 			}
 			return nil, costs, err
 		}
