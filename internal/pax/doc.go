@@ -32,10 +32,11 @@
 // Every stage is one round of fanOut: each primary with a request gets
 // one logical call, concurrently or, under Options.Sequential, one at a
 // time. The per-site call is chosen once per run — the failover route on
-// a replicated engine, the batcher on a batching engine outside
-// Sequential runs, the transport's Call otherwise — so every engine kind
-// charges the same ledger entries and fails a stage the same way: a
-// *dist.BroadcastError naming the failing primaries in primary order.
+// a replicated engine or one with a retry policy, the batcher on a
+// batching engine outside Sequential runs, the transport's Call
+// otherwise — so every engine kind charges the same ledger entries and
+// fails a stage the same way: a *dist.BroadcastError naming the failing
+// primaries in primary order.
 //
 // # Sites
 //
