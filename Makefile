@@ -75,8 +75,9 @@ codec-smoke:
 # within their per-call budgets, formula constructors that fold to an existing operand
 # allocate nothing, and neither does a warmed boolexpr.Builder asked for a
 # node it already holds, a Stage-1 pass allocates per predicate, spine
-# node and virtual node, not per node, and builds each predicate's QV,
-# QCV and QDV masks in one allocation without copying anchored operands,
+# node and virtual node, not per node, and takes its predicate masks and
+# operand temporaries from a slab pooled per visit, allocating only the
+# selection-entry masks a session keeps, which no later pass overwrites,
 # a fragment visit of the selection sweep (alone or in PaX2's combined
 # visit) allocates per returned item, not per node, its row and
 # subtree-end stacks living on the goroutine's stack, serializing a
@@ -92,7 +93,7 @@ alloc-smoke:
 	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
-	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs' ./internal/parbox
+	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs|TestPooledMasksDoNotLeak' ./internal/parbox
 	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestFileFormAllocs' ./internal/fragment

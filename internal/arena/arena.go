@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"math/bits"
 	"strconv"
 
 	"paxq/internal/xmltree"
@@ -199,16 +200,20 @@ func (a *Tree) ParentScatter(src, dst Bitset) {
 }
 
 // StrictDescendants computes into dst the set of nodes with at least one
-// strict descendant in src — the QDV aggregation — as one reverse-preorder
-// fold: a node joins dst when one of its children is in src or already in
-// dst. Every child's index exceeds its parent's (preorder, kept by Splice),
-// so a node's children are all folded before the node itself is read. dst
-// is overwritten; src and dst must not alias.
+// strict descendant in src — the QDV aggregation — as the ancestor closure
+// of src's members: from each member it climbs the parent column, setting
+// bits, and stops at the first node already in dst. dst stays closed under
+// "parent of", so every node is set once and the join costs
+// O(|src| + |dst| + n/64), not O(n). dst is overwritten; src and dst must
+// not alias.
 func (a *Tree) StrictDescendants(src, dst Bitset) {
 	dst.Zero()
-	for i := a.n - 1; i > 0; i-- {
-		if src.Get(i) || dst.Get(i) {
-			dst.Set(int(a.Parent[i]))
+	par := a.Parent // a local header: the writes to dst cannot reload it
+	for wi, w := range src {
+		for ; w != 0; w &= w - 1 {
+			for p := par[wi<<6+bits.TrailingZeros64(w)]; p >= 0 && !dst.Get(int(p)); p = par[p] {
+				dst.Set(int(p))
+			}
 		}
 	}
 }

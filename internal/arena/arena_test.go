@@ -196,6 +196,65 @@ func requireJoins(t *testing.T, tag string, a *Tree, tree *xmltree.Tree, src Bit
 	}
 }
 
+// TestStrictDescendantsClosure holds the ancestor closure to its
+// definition — node i is in dst iff some strict descendant of i is in src,
+// read off the pointer tree — on the shapes that stress it: an empty
+// source, the root alone (no proper ancestors), the deepest leaf of a
+// 2 000-deep chain (one climb across every level), every leaf of a comb
+// (climbs that meet the closed set after one step) and selective label
+// masks of an XMark tree. dst must also be closed under "parent of", the
+// invariant that lets every climb stop at the first node already set.
+func TestStrictDescendantsClosure(t *testing.T) {
+	type source struct {
+		name string
+		tree *xmltree.Tree
+		src  func(a *Tree) Bitset
+	}
+	only := func(i func(a *Tree) int) func(a *Tree) Bitset {
+		return func(a *Tree) Bitset {
+			m := NewBitset(a.Len())
+			m.Set(i(a))
+			return m
+		}
+	}
+	leaves := func(a *Tree) Bitset {
+		m := NewBitset(a.Len())
+		for i := 0; i < a.Len(); i++ {
+			if a.FirstChild[i] < 0 {
+				m.Set(i)
+			}
+		}
+		return m
+	}
+	xm := xmark.Generate(2, xmark.DefaultSite.Scale(0.2), 5)
+	cases := []source{
+		{"empty", xm, func(a *Tree) Bitset { return NewBitset(a.Len()) }},
+		{"root only", xm, only(func(*Tree) int { return 0 })},
+		{"chain deepest leaf", buildChain(2000), only(func(a *Tree) int { return a.Len() - 1 })},
+		{"comb leaves", buildComb(300), leaves},
+		{"xmark leaves", xm, leaves},
+	}
+	for _, label := range []string{"listitem", "person", "bidder", "site"} {
+		cases = append(cases, source{"xmark " + label, xm, func(a *Tree) Bitset { return a.LabelMask(label) }})
+	}
+	for _, tc := range cases {
+		a := FromTree(tc.tree)
+		src := tc.src(a)
+		_, want := joinOracle(tc.tree, src)
+		dst := NewBitset(a.Len())
+		dst.Fill(a.Len()) // stale contents must not survive
+		a.StrictDescendants(src, dst)
+		for i := 0; i < a.Len(); i++ {
+			if dst.Get(i) != want[i] {
+				t.Fatalf("%s: node %d in dst = %v, want %v", tc.name, i, dst.Get(i), want[i])
+			}
+			if p := a.Parent[i]; dst.Get(i) && p >= 0 && !dst.Get(int(p)) {
+				t.Fatalf("%s: node %d is in dst but its parent %d is not", tc.name, i, p)
+			}
+		}
+	}
+}
+
 // randomMask returns a mask over n nodes with each bit set with
 // probability density.
 func randomMask(r *rand.Rand, n int, density float64) Bitset {
@@ -210,9 +269,8 @@ func randomMask(r *rand.Rand, n int, density float64) Bitset {
 
 // TestStructuralJoinsRandom holds both joins to the pointer-walk oracle
 // over random trees and random source masks, then over arenas produced by
-// chains of Splice edits: the reverse-preorder fold of StrictDescendants
-// relies on every child's index exceeding its parent's, which an edit must
-// preserve.
+// chains of Splice edits: both joins read the parent column, which an
+// edit must keep consistent with the tree.
 func TestStructuralJoinsRandom(t *testing.T) {
 	densities := []float64{0, 0.02, 0.2, 0.7, 1}
 	for seed := int64(0); seed < 40; seed++ {

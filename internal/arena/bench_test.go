@@ -42,3 +42,36 @@ func BenchmarkArenaKernelSweep(b *testing.B) {
 		a.StrictDescendants(src, dst)
 	}
 }
+
+// BenchmarkArenaJoins measures each structural join alone on the
+// all-elements source of BenchmarkArenaKernelSweep and on two selective
+// label-mask sources, the shape of most qualifier predicates: listitem,
+// the deepest repeated element of the generator (XMark's keywords sit
+// inside it), and person. Both joins cost the source's set bits and the
+// bits they set, so the selective sources run far below the elements.
+func BenchmarkArenaJoins(b *testing.B) {
+	a := FromTree(benchTree(b))
+	dst := NewBitset(a.Len())
+	sources := []struct {
+		name string
+		src  Bitset
+	}{
+		{"elements", a.Elements()},
+		{"listitem", a.LabelMask("listitem")},
+		{"person", a.LabelMask("person")},
+	}
+	for _, s := range sources {
+		b.Run(s.name+"/ParentScatter", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.ParentScatter(s.src, dst)
+			}
+		})
+		b.Run(s.name+"/StrictDescendants", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.StrictDescendants(s.src, dst)
+			}
+		})
+	}
+}

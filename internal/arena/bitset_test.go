@@ -21,6 +21,19 @@ func buildComb(n int) *xmltree.Tree {
 	return xmltree.NewTree(root)
 }
 
+// buildChain makes a chain of n nested elements — the deepest tree of n
+// nodes, where a join's climb from the leaf crosses every level.
+func buildChain(n int) *xmltree.Tree {
+	root := xmltree.NewElement("c")
+	cur := root
+	for i := 1; i < n; i++ {
+		next := xmltree.NewElement("c")
+		cur.Append(next)
+		cur = next
+	}
+	return xmltree.NewTree(root)
+}
+
 // TestBitsetWordBoundaries exercises the kernels at 63/64/65 nodes — the
 // sizes where the tail-masking invariant can silently break.
 func TestBitsetWordBoundaries(t *testing.T) {

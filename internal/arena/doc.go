@@ -17,8 +17,9 @@
 // set with allocation-free AND/OR/NOT kernels, and the two structural
 // joins the vectorized evaluator needs: ParentScatter (which children sets
 // propagate to their parents — the QCV aggregation) and StrictDescendants
-// (one reverse-preorder fold up the parent column, with no scratch — the
-// QDV aggregation). See internal/parbox's vector evaluator and
+// (the ancestor closure of the set bits up the parent column, setting each
+// result bit once — the QDV aggregation). Both cost the bits they read and
+// set, not the node count. See internal/parbox's vector evaluator and
 // ARCHITECTURE.md, "Columnar site storage & vectorized Stage 1".
 //
 // A Tree is immutable after FromTree and safe for concurrent readers;

@@ -35,13 +35,8 @@ func (f *Fragment) Arena() *ArenaView {
 		}
 		for vid := range f.virtuals {
 			av.VirtualMask.Set(int(vid))
-			for p := at.Parent[vid]; p >= 0; p = at.Parent[p] {
-				if av.SpineMask.Get(int(p)) {
-					break // ancestors above are already marked
-				}
-				av.SpineMask.Set(int(p))
-			}
 		}
+		at.StrictDescendants(av.VirtualMask, av.SpineMask)
 		f.arena = av
 	})
 	return f.arena

@@ -161,7 +161,7 @@ func EvalBoolean(ft *fragment.Fragmentation, c *xpath.Compiled) (bool, error) {
 		wg.Add(1)
 		go func(i int, f *fragment.Fragment) {
 			defer wg.Done()
-			quals[i] = NewVectorState(f, c, vs).FragQual(&boolexpr.Builder{})
+			quals[i] = Qualify(f, c, vs, &boolexpr.Builder{})
 		}(i, f)
 	}
 	wg.Wait()

@@ -13,7 +13,7 @@ import (
 // EvalQualFragment runs the bottom-up qualifier pass (extended ParBoX) over
 // one fragment, node by node: the paper's recurrence, literally. It is the
 // oracle of the identity tests in vector_test.go, which hold the bit-packed
-// pass (NewVectorState + FragQual) byte-identical to it. It keeps a formula
+// pass (Qualify) byte-identical to it. It keeps a formula
 // row at every real element, read through the same QualAt, and builds its
 // formulas with b.
 func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme, b *boolexpr.Builder) *FragQual {

@@ -8,8 +8,9 @@
 // the formulas are booleans in disguise. The vectorized pass exploits this:
 // it computes the QV/QCV/QDV bits of every predicate as bit-packed masks
 // with word-at-a-time sweeps and two structural joins (a parent scatter and
-// a reverse-preorder fold), and falls back to the literal scalar
-// recurrence only on the spine (the proper ancestors of virtual nodes),
+// an ancestor closure, each costing the bits it reads and sets), and falls
+// back to the literal scalar recurrence only on the spine (the proper
+// ancestors of virtual nodes),
 // folding Const singletons read from the masks for ground children.
 // The spine recomputation walks the arena's child links and reads each
 // element through xpath.Elem, so it makes exactly the Builder calls the
@@ -23,8 +24,11 @@
 // The result is the masks plus spine rows. Off the spine every
 // selection-entry qualifier is a constant, so FragQual keeps the entries'
 // qualifier masks instead of a formula row per element, and builds rows
-// only for spine nodes: the pass allocates per predicate, per spine node
-// and per virtual node, never per node.
+// only for spine nodes. Every other mask — the base mask, each predicate's
+// QV/QCV/QDV triple and every operand temporary — is carved from one slab
+// sized up front from the query, taken from a pool for the visit and
+// returned when Qualify ends: the pass allocates per qualified selection
+// entry, per spine node and per virtual node, never per node.
 //
 // Mask entries at spine and virtual positions are garbage (the masks cannot
 // represent "unknown"), but they are never read: a non-spine node has no
@@ -36,6 +40,8 @@
 package parbox
 
 import (
+	"sync"
+
 	"paxq/internal/arena"
 	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
@@ -43,12 +49,12 @@ import (
 	"paxq/internal/xpath"
 )
 
-// VectorState is the bit-packed state of one vectorized qualifier pass
+// vectorState is the bit-packed state of one vectorized qualifier pass
 // over a fragment: the per-predicate QV/QCV/SDV masks plus the
 // real-element base mask, pinned to the fragment they were computed
-// against. NewVectorState builds it and FragQual materializes the Stage-1
-// result from it; nothing keeps the state after that.
-type VectorState struct {
+// against. All of them live in the visit's pooled slab, so nothing may
+// keep the state once Qualify returns.
+type vectorState struct {
 	f  *fragment.Fragment
 	c  *xpath.Compiled
 	vs VarScheme
@@ -56,19 +62,92 @@ type VectorState struct {
 	at       *arena.Tree
 	av       *fragment.ArenaView
 	n        int
+	slab     []uint64     // the slab's words not yet carved into masks
 	realElem arena.Bitset // element nodes that are not virtual
 	qvM      []arena.Bitset
 	qcvM     []arena.Bitset
 	sdvM     []arena.Bitset
 }
 
-// NewVectorState runs the mask-building half of the vectorized qualifier
-// pass; call FragQual for the Stage-1 result.
-func NewVectorState(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme) *VectorState {
+// slabPool recycles the mask slabs of Stage-1 visits, so a steady-state
+// pass allocates none of the masks it drops.
+var slabPool = sync.Pool{
+	New: func() any { return new([]uint64) },
+}
+
+// maxSlabWords is the capacity a slab may retain in the pool (1 MiB, the
+// frame pool's bound), so one visit to a giant fragment does not pin its
+// slab forever.
+const maxSlabWords = 1 << 17
+
+// Qualify runs the vectorized Stage-1 qualifier pass of c over fragment f:
+// the masks are swept into a pooled slab, and the result keeps only the
+// selection-entry qualifier masks, allocated on their own, plus the spine's
+// formula rows and root vectors built with b. The result does not keep b,
+// and the slab goes back to the pool before Qualify returns.
+func Qualify(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme, b *boolexpr.Builder) *FragQual {
 	av := f.Arena()
-	st := &VectorState{f: f, c: c, vs: vs, at: av.Tree, av: av, n: av.Tree.Len()}
-	st.sweep()
-	return st
+	e := &vectorState{f: f, c: c, vs: vs, at: av.Tree, av: av, n: av.Tree.Len()}
+	bp := slabPool.Get().(*[]uint64)
+	if words := slabMasks(c) * len(av.VirtualMask); cap(*bp) < words {
+		*bp = make([]uint64, words)
+	}
+	e.slab = (*bp)[:cap(*bp)]
+	e.sweep()
+	fq := e.fragQual(b)
+	if cap(*bp) <= maxSlabWords {
+		slabPool.Put(bp)
+	}
+	return fq
+}
+
+// slabMasks counts the masks a pass of c carves from its slab: the base
+// mask, each predicate's QV/QCV/QDV triple and the operand temporaries of
+// every compound qualifier. A selection entry's own qualifier mask is kept
+// by the result and is not carved; its operands are.
+func slabMasks(c *xpath.Compiled) int {
+	masks := 1 + 3*len(c.Preds)
+	for p := range c.Preds {
+		if q := c.Preds[p].Qual; q != nil {
+			masks += operandMasks(q)
+		}
+	}
+	for i := range c.Sel {
+		if se := &c.Sel[i]; se.Kind == xpath.SelStep && se.Qual != nil {
+			masks += max(operandMasks(se.Qual)-1, 0)
+		}
+	}
+	return masks
+}
+
+// operandMasks counts the masks operand(q) carves: none for an anchor,
+// which is read in place, else q's own mask and its operands'.
+func operandMasks(q xpath.QExpr) int {
+	n := 1
+	switch q := q.(type) {
+	case *xpath.QAnchor:
+		return 0
+	case *xpath.QNot:
+		n += operandMasks(q.X)
+	case *xpath.QAnd:
+		for _, x := range q.Xs {
+			n += operandMasks(x)
+		}
+	case *xpath.QOr:
+		for _, x := range q.Xs {
+			n += operandMasks(x)
+		}
+	}
+	return n
+}
+
+// take carves the next mask from the visit's slab. Its contents are
+// whatever an earlier visit left there.
+func (e *vectorState) take() arena.Bitset {
+	w := len(e.av.VirtualMask)
+	m := e.slab[:w:w]
+	e.slab = e.slab[w:]
+	return m
 }
 
 // termHolds evaluates a text()/val() comparison at arena node i from the
@@ -83,16 +162,16 @@ func termHolds(at *arena.Tree, i int, term xpath.TermKind, op xpath.CmpOp, str s
 	return false
 }
 
-// mask computes the node mask of a compiled qualifier — EvalQExpr with
-// bit-parallel AND/OR/NOT in place of formula constructors — into a fresh
-// bitset. Entries outside realElem may be garbage; callers read ground
-// positions only.
-func (e *VectorState) mask(q xpath.QExpr) arena.Bitset {
-	m := arena.NewBitset(e.n)
+// maskInto computes the node mask of a compiled qualifier — EvalQExpr
+// with bit-parallel AND/OR/NOT in place of formula constructors — into m,
+// overwriting whatever m held, and returns m. Entries outside realElem may
+// be garbage; callers read ground positions only.
+func (e *vectorState) maskInto(q xpath.QExpr, m arena.Bitset) arena.Bitset {
 	switch q := q.(type) {
 	case xpath.QTrue:
 		m.Fill(e.n)
 	case *xpath.QTerm:
+		m.Zero()
 		e.realElem.ForEachSet(func(i int) {
 			if termHolds(e.at, i, q.Term, q.Op, q.Str, q.Num) {
 				m.Set(i)
@@ -108,6 +187,7 @@ func (e *VectorState) mask(q xpath.QExpr) arena.Bitset {
 			m.SetAnd(m, e.operand(x))
 		}
 	case *xpath.QOr:
+		m.Zero()
 		for _, x := range q.Xs {
 			m.SetOr(m, e.operand(x))
 		}
@@ -120,7 +200,7 @@ func (e *VectorState) mask(q xpath.QExpr) arena.Bitset {
 
 // anchor returns the mask an anchored qualifier reads: the QCV or strict
 // QDV mask of its predicate, which the caller must not modify.
-func (e *VectorState) anchor(q *xpath.QAnchor) arena.Bitset {
+func (e *vectorState) anchor(q *xpath.QAnchor) arena.Bitset {
 	if q.Axis == xpath.AxisChild {
 		return e.qcvM[q.Pred]
 	}
@@ -128,40 +208,34 @@ func (e *VectorState) anchor(q *xpath.QAnchor) arena.Bitset {
 }
 
 // operand is q's mask as a read-only operand: an anchor's mask itself, so
-// combining it costs no copy, or a fresh mask for any other qualifier.
-func (e *VectorState) operand(q xpath.QExpr) arena.Bitset {
+// combining it costs no copy, or a mask carved from the slab for any other
+// qualifier.
+func (e *vectorState) operand(q xpath.QExpr) arena.Bitset {
 	if a, ok := q.(*xpath.QAnchor); ok {
 		return e.anchor(a)
 	}
-	return e.mask(q)
+	return e.maskInto(q, e.take())
 }
 
 // sweep computes every predicate mask from scratch — the mask-building
 // half of the vectorized pass.
-func (e *VectorState) sweep() {
-	at, n := e.at, e.n
+func (e *vectorState) sweep() {
+	at := e.at
 	nP := len(e.c.Preds)
-	e.realElem = arena.NewBitset(n)
-	e.qvM = make([]arena.Bitset, nP)
-	e.qcvM = make([]arena.Bitset, nP)
-	e.sdvM = make([]arena.Bitset, nP)
+	e.realElem = e.take()
+	tables := make([]arena.Bitset, 3*nP)
+	e.qvM, e.qcvM, e.sdvM = tables[:nP:nP], tables[nP:2*nP:2*nP], tables[2*nP:]
 	// Virtual nodes carry the reserved "#fragment" label, which no query
 	// label can collide with, but a wildcard test would match them — the
 	// base mask therefore starts from real elements only.
 	e.realElem.SetAndNot(at.Elements(), e.av.VirtualMask)
 
-	w := len(e.realElem) // words per mask
 	// Predicate masks in ascending order: the compiler appends a
 	// continuation (and any anchored predicate) before the predicate that
 	// references it, so every Pred mentions only smaller indices.
 	for p := 0; p < nP; p++ {
 		pr := &e.c.Preds[p]
-		// One allocation per predicate, carved into its QV, QCV and
-		// strict-QDV masks.
-		buf := make(arena.Bitset, 3*w)
-		m := buf[:w:w]
-		e.qcvM[p] = buf[w : 2*w : 2*w]
-		e.sdvM[p] = buf[2*w:]
+		m, qcv, sdv := e.take(), e.take(), e.take()
 		if pr.Test.Wild {
 			m.CopyFrom(e.realElem)
 		} else {
@@ -184,19 +258,21 @@ func (e *VectorState) sweep() {
 				m.SetAnd(m, e.sdvM[pr.Next])
 			}
 		}
-		e.qvM[p] = m
+		e.qvM[p], e.qcvM[p], e.sdvM[p] = m, qcv, sdv
 		// The structural joins: QCV by scattering to parents, strict QDV by
-		// a reverse-preorder fold up the parent column.
-		at.ParentScatter(m, e.qcvM[p])
-		at.StrictDescendants(m, e.sdvM[p])
+		// the ancestor closure of the set bits; both cost |m| + their output,
+		// not the node count.
+		at.ParentScatter(m, qcv)
+		at.StrictDescendants(m, sdv)
 	}
 }
 
-// FragQual materializes the Stage-1 result from the state's masks: the
-// selection-entry qualifier masks are kept as they are, and only the spine
-// gets formula rows and root vectors, from the literal scalar recurrence
-// built with b. The result does not keep b.
-func (e *VectorState) FragQual(b *boolexpr.Builder) *FragQual {
+// fragQual materializes the Stage-1 result from the state's masks: the
+// selection-entry qualifier masks are computed into masks of their own,
+// which the result keeps, and only the spine gets formula rows and root
+// vectors, from the literal scalar recurrence built with b. The result
+// reads no slab mask.
+func (e *vectorState) fragQual(b *boolexpr.Builder) *FragQual {
 	f, c, vs := e.f, e.c, e.vs
 	av := e.av
 	nP := len(c.Preds)
@@ -219,7 +295,7 @@ func (e *VectorState) FragQual(b *boolexpr.Builder) *FragQual {
 		for i := range c.Sel {
 			se := &c.Sel[i]
 			if se.Kind == xpath.SelStep && se.Qual != nil {
-				out.selMasks[i] = e.mask(se.Qual)
+				out.selMasks[i] = e.maskInto(se.Qual, arena.NewBitset(e.n))
 			}
 		}
 		out.rows = make(map[xmltree.NodeID][]*boolexpr.Formula, av.SpineMask.OnesCount())

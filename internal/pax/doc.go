@@ -47,7 +47,7 @@
 // summed and self-reported through the response (StageCompute), so a
 // query's ledger is identical whether the site evaluated sequentially or
 // in parallel. Stage 1 is one evaluator, the bit-packed pass over the
-// fragment's arena view (parbox.NewVectorState + FragQual); a fragment's
+// fragment's arena view (parbox.Qualify); a fragment's
 // Stage-1 state is its qualifier masks plus formula rows for its spine,
 // and the selection stage reads it through FragQual.QualAt. The selection
 // traversal is a pre-order sweep over the same arena columns that jumps

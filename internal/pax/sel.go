@@ -277,6 +277,6 @@ func evalCombined(
 	init []*boolexpr.Formula,
 	shipXML bool,
 ) *combinedOutcome {
-	fq := parbox.NewVectorState(f, c, vs).FragQual(b)
+	fq := parbox.Qualify(f, c, vs, b)
 	return &combinedOutcome{selOutcome: evalSelection(b, f, c, init, shipXML, fq.QualAt), roots: fq.Root}
 }

@@ -92,7 +92,7 @@ func TestTraversalAllocsPerFragment(t *testing.T) {
 				}
 				name := fmt.Sprintf("%.2fMB frag %d (%d nodes) %s", mb, f.ID, f.Size(), query)
 
-				fq := parbox.NewVectorState(f, c, vs).FragQual(&boolexpr.Builder{})
+				fq := parbox.Qualify(f, c, vs, &boolexpr.Builder{})
 				env := boolexpr.NewEnv()
 				qualAt := func(id xmltree.NodeID, entry int) *boolexpr.Formula {
 					return env.Resolve(fq.QualAt(id, entry))
@@ -193,7 +193,7 @@ func newPAX3Inputs(t testing.TB, ft *fragment.Fragmentation, c *xpath.Compiled) 
 	roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
 	fqs := make([]*parbox.FragQual, ft.Len())
 	for _, f := range ft.Frags {
-		fqs[f.ID] = parbox.NewVectorState(f, c, vs).FragQual(&boolexpr.Builder{})
+		fqs[f.ID] = parbox.Qualify(f, c, vs, &boolexpr.Builder{})
 		roots[f.ID] = fqs[f.ID].Root
 	}
 	env, err := parbox.ResolveQualVars(roots, vs)
@@ -236,7 +236,7 @@ func runPAX2(ft *fragment.Fragmentation, c *xpath.Compiled, shipXML bool, sel se
 	outs := make([]*selOutcome, ft.Len())
 	for _, f := range ft.Frags {
 		b := &boolexpr.Builder{}
-		fq := parbox.NewVectorState(f, c, vs).FragQual(b)
+		fq := parbox.Qualify(f, c, vs, b)
 		init := zInit(b, vs, f.ID, c)
 		if f.ID == fragment.RootFrag {
 			init = xpath.DocSelVector[*boolexpr.Formula](b, c)

@@ -385,7 +385,7 @@ func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	frags := sess.fragIDs
 	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (qualOut, error) {
 		f := sess.frags[fid]
-		fq := parbox.NewVectorState(f, sess.c, sess.vs).FragQual(&boolexpr.Builder{})
+		fq := parbox.Qualify(f, sess.c, sess.vs, &boolexpr.Builder{})
 		return qualOut{rv: shipRootVecs(fid, f, sess.c, fq), fq: fq}, nil
 	})
 	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
