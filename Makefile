@@ -80,7 +80,8 @@ codec-smoke:
 # selection-entry masks a session keeps, which no later pass overwrites,
 # a fragment visit of the selection sweep (alone or in PaX2's combined
 # visit) allocates per returned item, not per node, its row and
-# subtree-end stacks living on the goroutine's stack, serializing a
+# subtree-end stacks living on the goroutine's stack and its masks in a
+# slab pooled per visit, which no kept outcome reads, serializing a
 # pointer subtree allocates exactly its output string, building a
 # fragment's file form allocates its text and one offsets array, a second
 # ShipXML answer from a fragment allocates nothing for its XML (a slice of
@@ -94,7 +95,7 @@ alloc-smoke:
 	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs|TestPooledMasksDoNotLeak' ./internal/parbox
-	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs' ./internal/pax
+	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs|TestPooledSelectionMasksDoNotLeak' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestFileFormAllocs' ./internal/fragment
 

@@ -188,15 +188,51 @@ func (a *Tree) ToTree() *xmltree.Tree {
 }
 
 // ParentScatter computes into dst the set of nodes with at least one child
-// in src — the QCV aggregation, "some child starts a match". dst is
+// in src — the QCV aggregation, "some child starts a match". It scans
+// src's set bits a word at a time, so it costs O(|src| + n/64). dst is
 // overwritten; src and dst must not alias.
 func (a *Tree) ParentScatter(src, dst Bitset) {
 	dst.Zero()
-	src.ForEachSet(func(i int) {
-		if p := a.Parent[i]; p >= 0 {
-			dst.Set(int(p))
+	par := a.Parent // a local header: the writes to dst cannot reload it
+	for wi, w := range src {
+		for ; w != 0; w &= w - 1 {
+			if p := par[wi<<6+bits.TrailingZeros64(w)]; p >= 0 {
+				dst.Set(int(p))
+			}
 		}
-	})
+	}
+}
+
+// ParentIn computes into dst the members of cand whose parent is in src —
+// the child-step join, "a cand node one step below src". It scans cand's
+// set bits a word at a time, so it costs O(|cand| + n/64), not O(n). dst
+// is overwritten; it must alias neither cand nor src.
+func (a *Tree) ParentIn(cand, src, dst Bitset) {
+	dst.Zero()
+	par := a.Parent
+	for wi, w := range cand {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			if p := par[i]; p >= 0 && src.Get(int(p)) {
+				dst.Set(i)
+			}
+		}
+	}
+}
+
+// DescendantsOrSelf computes into dst the set of nodes with an
+// ancestor-or-self in src — the descendant-step join. From each member i
+// it fills [i, SubtreeEnd[i]) a word at a time and resumes the scan at
+// SubtreeEnd[i], so members inside a filled subtree are never read. dst
+// is overwritten; src and dst must not alias.
+func (a *Tree) DescendantsOrSelf(src, dst Bitset) {
+	dst.Zero()
+	end := a.SubtreeEnd
+	for i := src.NextSet(0, a.n); i < a.n; {
+		e := int(end[i])
+		dst.fillRange(i, e)
+		i = src.NextSet(e, a.n)
+	}
 }
 
 // StrictDescendants computes into dst the set of nodes with at least one

@@ -196,20 +196,20 @@ func requireJoins(t *testing.T, tag string, a *Tree, tree *xmltree.Tree, src Bit
 	}
 }
 
-// TestStrictDescendantsClosure holds the ancestor closure to its
-// definition — node i is in dst iff some strict descendant of i is in src,
-// read off the pointer tree — on the shapes that stress it: an empty
+// joinSource is a named source mask over a tree, for the join tests.
+type joinSource struct {
+	name string
+	tree *xmltree.Tree
+	src  func(a *Tree) Bitset
+}
+
+// joinSources are the sources that stress the structural joins: an empty
 // source, the root alone (no proper ancestors), the deepest leaf of a
 // 2 000-deep chain (one climb across every level), every leaf of a comb
-// (climbs that meet the closed set after one step) and selective label
-// masks of an XMark tree. dst must also be closed under "parent of", the
-// invariant that lets every climb stop at the first node already set.
-func TestStrictDescendantsClosure(t *testing.T) {
-	type source struct {
-		name string
-		tree *xmltree.Tree
-		src  func(a *Tree) Bitset
-	}
+// (climbs that meet the closed set after one step), every XMark leaf,
+// selective XMark label masks, and single subtrees that start and end
+// mid-word, one spanning several words and one inside a single word.
+func joinSources() []joinSource {
 	only := func(i func(a *Tree) int) func(a *Tree) Bitset {
 		return func(a *Tree) Bitset {
 			m := NewBitset(a.Len())
@@ -226,18 +226,44 @@ func TestStrictDescendantsClosure(t *testing.T) {
 		}
 		return m
 	}
+	// midWord is the first node whose subtree starts and ends mid-word and
+	// either covers a whole word between its ends (wide) or lies inside
+	// one word.
+	midWord := func(wide bool) func(a *Tree) int {
+		return func(a *Tree) int {
+			for i := 0; i < a.Len(); i++ {
+				end := int(a.SubtreeEnd[i])
+				inWord := i>>6 == (end-1)>>6 && end-i > 2
+				if i&63 != 0 && end&63 != 0 && (wide && end-i > 128 || !wide && inWord) {
+					return i
+				}
+			}
+			panic("no mid-word subtree")
+		}
+	}
 	xm := xmark.Generate(2, xmark.DefaultSite.Scale(0.2), 5)
-	cases := []source{
+	cases := []joinSource{
 		{"empty", xm, func(a *Tree) Bitset { return NewBitset(a.Len()) }},
 		{"root only", xm, only(func(*Tree) int { return 0 })},
 		{"chain deepest leaf", buildChain(2000), only(func(a *Tree) int { return a.Len() - 1 })},
 		{"comb leaves", buildComb(300), leaves},
 		{"xmark leaves", xm, leaves},
+		{"mid-word subtree", xm, only(midWord(true))},
+		{"in-word subtree", xm, only(midWord(false))},
 	}
 	for _, label := range []string{"listitem", "person", "bidder", "site"} {
-		cases = append(cases, source{"xmark " + label, xm, func(a *Tree) Bitset { return a.LabelMask(label) }})
+		cases = append(cases, joinSource{"xmark " + label, xm, func(a *Tree) Bitset { return a.LabelMask(label) }})
 	}
-	for _, tc := range cases {
+	return cases
+}
+
+// TestStrictDescendantsClosure holds the ancestor closure to its
+// definition — node i is in dst iff some strict descendant of i is in src,
+// read off the pointer tree — on joinSources. dst must also be closed
+// under "parent of", the invariant that lets every climb stop at the first
+// node already set.
+func TestStrictDescendantsClosure(t *testing.T) {
+	for _, tc := range joinSources() {
 		a := FromTree(tc.tree)
 		src := tc.src(a)
 		_, want := joinOracle(tc.tree, src)
@@ -251,6 +277,68 @@ func TestStrictDescendantsClosure(t *testing.T) {
 			if p := a.Parent[i]; dst.Get(i) && p >= 0 && !dst.Get(int(p)) {
 				t.Fatalf("%s: node %d is in dst but its parent %d is not", tc.name, i, p)
 			}
+		}
+	}
+}
+
+// stepOracle computes the two selection-step joins of src by walking the
+// pointer tree: child[i] when i is in cand and its parent is in src,
+// self[i] when i or one of its ancestors is in src.
+func stepOracle(tree *xmltree.Tree, cand, src Bitset) (child, self []bool) {
+	child = make([]bool, tree.Size())
+	self = make([]bool, tree.Size())
+	var walk func(nd *xmltree.Node, below bool)
+	walk = func(nd *xmltree.Node, below bool) {
+		in := src.Get(int(nd.ID))
+		self[nd.ID] = below || in
+		for _, ch := range nd.Children {
+			child[ch.ID] = in && cand.Get(int(ch.ID))
+			walk(ch, self[nd.ID])
+		}
+	}
+	walk(tree.Root, false)
+	return child, self
+}
+
+// TestStepJoins holds ParentIn and DescendantsOrSelf to their pointer-walk
+// definitions on joinSources, with every node and then the elements of the
+// last element's label as ParentIn's candidates, and on random trees and
+// masks.
+func TestStepJoins(t *testing.T) {
+	check := func(tag string, a *Tree, tree *xmltree.Tree, cand, src Bitset) {
+		t.Helper()
+		wantChild, wantSelf := stepOracle(tree, cand, src)
+		child, self := NewBitset(a.Len()), NewBitset(a.Len())
+		child.Fill(a.Len()) // stale contents must not survive
+		self.Fill(a.Len())
+		a.ParentIn(cand, src, child)
+		a.DescendantsOrSelf(src, self)
+		for i := 0; i < a.Len(); i++ {
+			if child.Get(i) != wantChild[i] {
+				t.Fatalf("%s: ParentIn at %d = %v, want %v", tag, i, child.Get(i), wantChild[i])
+			}
+			if self.Get(i) != wantSelf[i] {
+				t.Fatalf("%s: DescendantsOrSelf at %d = %v, want %v", tag, i, self.Get(i), wantSelf[i])
+			}
+		}
+	}
+	for _, tc := range joinSources() {
+		a := FromTree(tc.tree)
+		all := NewBitset(a.Len())
+		all.Fill(a.Len())
+		check(tc.name+" all", a, tc.tree, all, tc.src(a))
+		last := a.Len() - 1 // the last element's label: a leaf's in every tree here
+		for a.LabelID[last] < 0 {
+			last--
+		}
+		check(tc.name+" "+a.LabelOf(last), a, tc.tree, a.LabelMask(a.LabelOf(last)), tc.src(a))
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tree := testutil.RandomTree(seed, 5+int(seed)*12)
+		a := FromTree(tree)
+		for _, d := range []float64{0, 0.02, 0.2, 0.7, 1} {
+			check(fmt.Sprintf("seed %d density %.2f", seed, d), a, tree, randomMask(r, a.Len(), 0.5), randomMask(r, a.Len(), d))
 		}
 	}
 }

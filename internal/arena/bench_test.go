@@ -45,10 +45,12 @@ func BenchmarkArenaKernelSweep(b *testing.B) {
 
 // BenchmarkArenaJoins measures each structural join alone on the
 // all-elements source of BenchmarkArenaKernelSweep and on two selective
-// label-mask sources, the shape of most qualifier predicates: listitem,
-// the deepest repeated element of the generator (XMark's keywords sit
-// inside it), and person. Both joins cost the source's set bits and the
-// bits they set, so the selective sources run far below the elements.
+// label-mask sources, the shape of most qualifier predicates and steps:
+// listitem, the deepest repeated element of the generator (XMark's
+// keywords sit inside it), and person. ParentIn takes the source as its
+// candidates and every element as the parents. Every join costs the bits
+// it reads and sets plus a pass over the words, so the selective sources
+// run far below the elements.
 func BenchmarkArenaJoins(b *testing.B) {
 	a := FromTree(benchTree(b))
 	dst := NewBitset(a.Len())
@@ -71,6 +73,18 @@ func BenchmarkArenaJoins(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				a.StrictDescendants(s.src, dst)
+			}
+		})
+		b.Run(s.name+"/ParentIn", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.ParentIn(s.src, a.Elements(), dst)
+			}
+		})
+		b.Run(s.name+"/DescendantsOrSelf", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.DescendantsOrSelf(s.src, dst)
 			}
 		})
 	}

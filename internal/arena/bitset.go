@@ -1,6 +1,9 @@
 package arena
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Bitset is a packed set over node indices [0, n). Bit i of word i/64 is
 // set iff node i is in the set.
@@ -70,6 +73,25 @@ func (b Bitset) SetNot(x Bitset, n int) {
 		b[i] = ^x[i]
 	}
 	b.maskTail(n)
+}
+
+// fillRange adds the nodes [lo, hi) to the set, a word at a time.
+func (b Bitset) fillRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	lw, hw := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << (uint(lo) & 63)
+	hiMask := ^uint64(0) >> (63 - (uint(hi-1) & 63))
+	if lw == hw {
+		b[lw] |= loMask & hiMask
+		return
+	}
+	b[lw] |= loMask
+	for w := lw + 1; w < hw; w++ {
+		b[w] = ^uint64(0)
+	}
+	b[hw] |= hiMask
 }
 
 // maskTail zeroes the bits at positions >= n in the last word.
@@ -147,5 +169,34 @@ func (b Bitset) ForEachSet(fn func(i int)) {
 			fn(wi<<6 + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
+	}
+}
+
+// slabPool recycles the slabs evaluator visits carve their masks from.
+var slabPool = sync.Pool{
+	New: func() any { return new([]uint64) },
+}
+
+// maxSlabWords is the capacity a slab may retain in the pool (1 MiB, the
+// frame pool's bound), so one visit to a giant fragment does not pin its
+// slab forever.
+const maxSlabWords = 1 << 17
+
+// TakeSlab returns a pooled slab of at least words words for one visit to
+// carve its masks from; its contents are whatever an earlier visit left
+// there. The visit hands it back with PutSlab once no mask carved from it
+// is read again, so a steady-state visit allocates none of its masks.
+func TakeSlab(words int) *[]uint64 {
+	bp := slabPool.Get().(*[]uint64)
+	if cap(*bp) < words {
+		*bp = make([]uint64, words)
+	}
+	return bp
+}
+
+// PutSlab returns a slab TakeSlab gave out to the pool.
+func PutSlab(bp *[]uint64) {
+	if cap(*bp) <= maxSlabWords {
+		slabPool.Put(bp)
 	}
 }

@@ -148,9 +148,31 @@ func TestJoinAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		a.ParentScatter(src, dst)
 		a.StrictDescendants(src, dst)
+		a.ParentIn(a.Elements(), src, dst)
+		a.DescendantsOrSelf(src, dst)
 	})
 	if allocs != 0 {
 		t.Fatalf("structural joins allocate %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestFillRange holds fillRange to a bit-by-bit fill on every range of a
+// 200-node set, whose ends fall at, before and after word boundaries.
+func TestFillRange(t *testing.T) {
+	const n = 200
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo - 1; hi <= n; hi++ {
+			got, want := NewBitset(n), NewBitset(n)
+			got.Set(0) // members outside the range stay
+			want.Set(0)
+			got.fillRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				want.Set(i)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("fillRange(%d, %d) = %x, want %x", lo, hi, got, want)
+			}
+		}
 	}
 }
 

@@ -14,12 +14,18 @@
 // and child order are all preserved).
 //
 // On top of the layout the package offers Bitset, a packed []uint64 node
-// set with allocation-free AND/OR/NOT kernels, and the two structural
-// joins the vectorized evaluator needs: ParentScatter (which children sets
-// propagate to their parents — the QCV aggregation) and StrictDescendants
-// (the ancestor closure of the set bits up the parent column, setting each
-// result bit once — the QDV aggregation). Both cost the bits they read and
-// set, not the node count. See internal/parbox's vector evaluator and
+// set with allocation-free AND/OR/NOT kernels, and the structural joins
+// the vectorized evaluators need. Stage 1 takes ParentScatter (which
+// children sets propagate to their parents — the QCV aggregation) and
+// StrictDescendants (the ancestor closure of the set bits up the parent
+// column, setting each result bit once — the QDV aggregation); the
+// selection stage's masks take ParentIn (the members of a candidate set
+// whose parent is in a set — a child step) and DescendantsOrSelf (each set
+// bit's subtree, filled a word at a time — a "//" step). Each costs the
+// bits it reads and sets plus a pass over the words, not the node count.
+// TakeSlab and PutSlab pool the word slabs from which both evaluators
+// carve a visit's masks.
+// See internal/parbox's vector evaluator, internal/pax's evalSelection and
 // ARCHITECTURE.md, "Columnar site storage & vectorized Stage 1".
 //
 // A Tree is immutable after FromTree and safe for concurrent readers;

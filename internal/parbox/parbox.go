@@ -106,10 +106,22 @@ func (q *FragQual) QualAt(id xmltree.NodeID, e int) *boolexpr.Formula {
 	if row, ok := q.rows[id]; ok {
 		return row[e]
 	}
-	if e >= len(q.selMasks) || q.selMasks[e] == nil {
+	m := q.SelMask(e)
+	if m == nil {
 		return nil
 	}
-	return boolexpr.Const(q.selMasks[e].Get(int(id)))
+	return boolexpr.Const(m.Get(int(id)))
+}
+
+// SelMask returns the qualifier mask of selection entry e — its value at
+// every real element off the spine — or nil for an entry without a
+// qualifier. Bits at spine and virtual positions are meaningless. Callers
+// must not mutate the mask.
+func (q *FragQual) SelMask(e int) arena.Bitset {
+	if e >= len(q.selMasks) {
+		return nil
+	}
+	return q.selMasks[e]
 }
 
 // ResolveQualVars performs the bottom-up half of Procedure evalFT: given

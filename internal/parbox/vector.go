@@ -40,8 +40,6 @@
 package parbox
 
 import (
-	"sync"
-
 	"paxq/internal/arena"
 	"paxq/internal/boolexpr"
 	"paxq/internal/fragment"
@@ -69,17 +67,6 @@ type vectorState struct {
 	sdvM     []arena.Bitset
 }
 
-// slabPool recycles the mask slabs of Stage-1 visits, so a steady-state
-// pass allocates none of the masks it drops.
-var slabPool = sync.Pool{
-	New: func() any { return new([]uint64) },
-}
-
-// maxSlabWords is the capacity a slab may retain in the pool (1 MiB, the
-// frame pool's bound), so one visit to a giant fragment does not pin its
-// slab forever.
-const maxSlabWords = 1 << 17
-
 // Qualify runs the vectorized Stage-1 qualifier pass of c over fragment f:
 // the masks are swept into a pooled slab, and the result keeps only the
 // selection-entry qualifier masks, allocated on their own, plus the spine's
@@ -88,16 +75,11 @@ const maxSlabWords = 1 << 17
 func Qualify(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme, b *boolexpr.Builder) *FragQual {
 	av := f.Arena()
 	e := &vectorState{f: f, c: c, vs: vs, at: av.Tree, av: av, n: av.Tree.Len()}
-	bp := slabPool.Get().(*[]uint64)
-	if words := slabMasks(c) * len(av.VirtualMask); cap(*bp) < words {
-		*bp = make([]uint64, words)
-	}
+	bp := arena.TakeSlab(slabMasks(c) * len(av.VirtualMask))
 	e.slab = (*bp)[:cap(*bp)]
 	e.sweep()
 	fq := e.fragQual(b)
-	if cap(*bp) <= maxSlabWords {
-		slabPool.Put(bp)
-	}
+	arena.PutSlab(bp)
 	return fq
 }
 

@@ -50,8 +50,8 @@
 // fragment's arena view (parbox.Qualify); a fragment's
 // Stage-1 state is its qualifier masks plus formula rows for its spine,
 // and the selection stage reads it through FragQual.QualAt. The selection
-// traversal is a pre-order sweep over the same arena columns that jumps
-// over every subtree in which no node can select anything. PaX2's
+// traversal is a pre-order sweep over the same arena columns that computes
+// vectors only on the paths to what it can ship, chosen by masks. PaX2's
 // combined visit is the same two evaluators in one request: the mask pass,
 // then the selection sweep reading its qualifier values unresolved,
 // over sub-fragment variables; handleSel and handleCombined share that

@@ -69,58 +69,36 @@ func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode 
 }
 
 // evalSelection runs Procedure topDown (Fig. 4(b)) over one fragment: it
-// computes the SVect vector of every node from its parent's vector (the
-// summarizing stack top), built with b. qualAt yields the qualifier value
-// of selection entry e at node id — ground formulas in PaX3's Stage 2,
-// formulas over sub-fragment variables in PaX2. A virtual node contributes
-// its parent's vector as the context of the sub-fragment it stands for.
+// computes a node's SVect vector from its parent's (the summarizing stack
+// top), built with b. Entry e's qualifier at node id is fq.QualAt(id, e),
+// resolved under env in PaX3's Stage 2 and left symbolic in PaX2 (env
+// nil); fq may be nil for a query without qualifiers. A virtual node
+// contributes its parent's vector as its sub-fragment's context.
 //
-// The traversal is a pre-order sweep over the fragment's arena columns. It
-// keeps a depth-indexed row stack and the stack of the open ancestors'
-// SubtreeEnds: a node at depth d writes its vector into row d, which its
-// descendants read until the sweep passes the node's SubtreeEnd. A context
+// Vectors are computed only on the paths to what ships: the sweep visits,
+// in pre-order, the walk set selWalk picks. It keeps a depth-indexed row
+// stack and the stack of the open ancestors' SubtreeEnds: a node at depth
+// d writes its vector into row d, which its descendants read until the
+// sweep passes the node's SubtreeEnd. The walk set holds every ancestor of
+// its members, so each vector is the one a full walk builds, by the same
+// Builder calls, and it holds every node a full walk would ship. A context
 // outlives its row, so it is the one vector that is copied.
-//
-// Two rules jump over the subtree of node i to SubtreeEnd[i], because no
-// descendant can select anything there:
-//   - (a) i's vector is all False: then so is every descendant's;
-//   - (b) no step label of the query occurs in i's subtree, no step is a
-//     wildcard and the answer entry is a step: then every descendant's
-//     vector is i's "//" carry entries with every other entry False.
-//
-// The virtual nodes in a skipped range still report their contexts, in
-// pre-order: i's vector for a child of i, and its projection onto the
-// carry entries for a deeper one, which under (a) is all False too. Both
-// reuse formulas i's vector holds and the False singleton, which the
-// recurrence would have rebuilt from them by folding Or(x, False) to x and
-// And(False, x) to False, so the outcome equals a full walk's.
 func evalSelection(
 	b *boolexpr.Builder,
 	f *fragment.Fragment,
 	c *xpath.Compiled,
 	init []*boolexpr.Formula,
 	shipXML bool,
-	qualAt func(id xmltree.NodeID, entry int) *boolexpr.Formula,
+	fq *parbox.FragQual,
+	env *boolexpr.Env,
 ) *selOutcome {
 	av := f.Arena()
 	at := av.Tree
 	w := len(c.Sel)
 	last := c.AnswerEntry()
 
-	// Rule (b) reads the label mask of every step.
-	var stepBuf [8]stepCursor
-	steps := stepBuf[:0]
-	narrow := c.Sel[last].Kind == xpath.SelStep
-	for _, e := range c.Sel {
-		if e.Kind != xpath.SelStep {
-			continue
-		}
-		if e.Test.Wild {
-			narrow = false
-			break
-		}
-		steps = append(steps, stepCursor{mask: at.LabelMask(e.Test.Label), next: -1})
-	}
+	bp := arena.TakeSlab(4 * len(av.VirtualMask)) // selWalk's masks
+	walk := selWalk(av, c, init, fq, *bp)
 
 	out := &selOutcome{}
 	// The vector at depth d is rows[d*w : (d+1)*w]. Both stacks start in
@@ -131,15 +109,17 @@ func evalSelection(
 	var endBuf [16]int32
 	ends := endBuf[:0]
 	var node xmltree.NodeID
-	qual := func(e int) *boolexpr.Formula { return qualAt(node, e) }
+	qual := func(e int) *boolexpr.Formula {
+		if env == nil {
+			return fq.QualAt(node, e)
+		}
+		return env.Resolve(fq.QualAt(node, e))
+	}
 	stubbed := 0 // below covers the virtual nodes before this index
-	for i, n := 0, at.Len(); i < n; {
+	n := at.Len()
+	for i := walk.NextSet(0, n); i < n; i = walk.NextSet(i+1, n) {
 		for len(ends) > 0 && int32(i) >= ends[len(ends)-1] {
 			ends = ends[:len(ends)-1]
-		}
-		if at.LabelID[i] < 0 {
-			i++ // text
-			continue
 		}
 		d := len(ends)
 		if (d+1)*w > len(rows) {
@@ -151,7 +131,6 @@ func evalSelection(
 		}
 		if av.VirtualMask.Get(i) {
 			out.addContext(f, i, parent)
-			i++
 			continue
 		}
 		node = xmltree.NodeID(i)
@@ -166,25 +145,74 @@ func evalSelection(
 			out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		}
-		if allFalse(sv) || narrow && !anyStepIn(steps, i+1, end) {
-			out.skip(f, c, i, end, sv)
-			i = end
-			continue
-		}
 		ends = append(ends, int32(end))
-		i++
 	}
+	arena.PutSlab(bp)
 	return out
+}
+
+// selWalk computes, in four masks carved from slab, the walk set: the
+// answer entry's mask and the virtual nodes, with all their ancestors —
+// elements only, as the answer entry is a step. An
+// entry's mask holds the nodes where the entry may not be False, by the
+// recurrence over masks:
+//   - a root entry: empty;
+//   - a step: the candidates — real elements passing the test whose
+//     qualifier mask bit is set or which lie on the spine, where the
+//     qualifier is a formula — whose parent is in the previous mask, and
+//     the fragment root if it is a candidate and init's previous entry is
+//     not False;
+//   - a "//" entry: every node if init's entry is not False, else the
+//     descendants-or-self of the previous mask.
+func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual, slab []uint64) arena.Bitset {
+	at := av.Tree
+	nw := len(av.VirtualMask)
+	take := func() arena.Bitset {
+		m := slab[:nw:nw]
+		slab = slab[nw:]
+		return m
+	}
+	prev, cur, cand, walk := take(), take(), take(), take()
+	const root = int(fragment.RootNode)
+	for k := range c.Sel {
+		switch e := &c.Sel[k]; e.Kind {
+		case xpath.SelRoot:
+			cur.Zero()
+		case xpath.SelDesc:
+			if init[k].IsFalse() {
+				at.DescendantsOrSelf(prev, cur)
+			} else {
+				cur.Fill(at.Len())
+			}
+		case xpath.SelStep:
+			test := at.Elements()
+			if !e.Test.Wild {
+				test = at.LabelMask(e.Test.Label)
+			}
+			cand.SetAndNot(test, av.VirtualMask)
+			if e.Qual != nil {
+				walk.SetOr(fq.SelMask(k), av.SpineMask) // walk is scratch until the end
+				cand.SetAnd(cand, walk)
+			}
+			at.ParentIn(cand, prev, cur)
+			if cand.Get(root) && !init[k-1].IsFalse() {
+				cur.Set(root)
+			}
+		}
+		prev, cur = cur, prev
+	}
+	prev.SetOr(prev, av.VirtualMask)
+	at.StrictDescendants(prev, walk)
+	walk.SetOr(walk, prev)
+	return walk
 }
 
 // addContext records vector sv as the context of the sub-fragment that
 // virtual node v of f stands for: its stack must summarize the ancestors
-// of its root. It returns the recorded copy.
-func (o *selOutcome) addContext(f *fragment.Fragment, v int, sv []*boolexpr.Formula) []*boolexpr.Formula {
+// of its root.
+func (o *selOutcome) addContext(f *fragment.Fragment, v int, sv []*boolexpr.Formula) {
 	k, _ := f.VirtualAt(xmltree.NodeID(v))
-	ctx := slices.Clone(sv)
-	o.contexts = append(o.contexts, fragContext{frag: k, sv: ctx})
-	return ctx
+	o.contexts = append(o.contexts, fragContext{frag: k, sv: slices.Clone(sv)})
 }
 
 // addBelow records, under shipXML, the sub-fragments of the virtual nodes
@@ -201,58 +229,6 @@ func (o *selOutcome) addBelow(f *fragment.Fragment, shipXML bool, lo, end int) i
 		o.below = append(o.below, k)
 	}
 	return max(lo, end)
-}
-
-// skip records the contexts of the virtual nodes in (i, end), the subtree
-// of node i that a skip rule jumps over: sv, i's vector, for a child of i,
-// and for a deeper one sv's "//" carry entries with every other entry
-// False.
-func (o *selOutcome) skip(f *fragment.Fragment, c *xpath.Compiled, i, end int, sv []*boolexpr.Formula) {
-	av := f.Arena()
-	for v := av.VirtualMask.NextSet(i+1, end); v < end; v = av.VirtualMask.NextSet(v+1, end) {
-		ctx := o.addContext(f, v, sv)
-		if int(av.Tree.Parent[v]) == i {
-			continue
-		}
-		for k := range ctx {
-			if c.Sel[k].Kind != xpath.SelDesc {
-				ctx[k] = boolexpr.False()
-			}
-		}
-	}
-}
-
-// allFalse reports whether every entry of sv is False.
-func allFalse(sv []*boolexpr.Formula) bool {
-	for _, x := range sv {
-		if !x.IsFalse() {
-			return false
-		}
-	}
-	return true
-}
-
-// stepCursor is one step's label mask with the least member at or after
-// a position the sweep has passed, -1 before the first look.
-type stepCursor struct {
-	mask arena.Bitset
-	next int
-}
-
-// anyStepIn reports whether some step's label occurs in [lo, hi). The
-// sweep's lo never decreases, so each cursor only moves forward and one
-// visit reads every mask word about once, however many nodes ask.
-func anyStepIn(steps []stepCursor, lo, hi int) bool {
-	for k := range steps {
-		s := &steps[k]
-		if s.next < lo {
-			s.next = s.mask.NextSet(lo, len(s.mask)<<6)
-		}
-		if s.next < hi {
-			return true
-		}
-	}
-	return false
 }
 
 // combinedOutcome extends selOutcome with the qualifier root vectors that
@@ -278,5 +254,5 @@ func evalCombined(
 	shipXML bool,
 ) *combinedOutcome {
 	fq := parbox.Qualify(f, c, vs, b)
-	return &combinedOutcome{selOutcome: evalSelection(b, f, c, init, shipXML, fq.QualAt), roots: fq.Root}
+	return &combinedOutcome{selOutcome: evalSelection(b, f, c, init, shipXML, fq, nil), roots: fq.Root}
 }

@@ -94,12 +94,9 @@ func TestTraversalAllocsPerFragment(t *testing.T) {
 
 				fq := parbox.Qualify(f, c, vs, &boolexpr.Builder{})
 				env := boolexpr.NewEnv()
-				qualAt := func(id xmltree.NodeID, entry int) *boolexpr.Formula {
-					return env.Resolve(fq.QualAt(id, entry))
-				}
 				var sel *selOutcome
 				allocs := testing.AllocsPerRun(3, func() {
-					sel = evalSelection(&boolexpr.Builder{}, f, c, init, false, qualAt)
+					sel = evalSelection(&boolexpr.Builder{}, f, c, init, false, fq, env)
 				})
 				if got := len(sel.answers) + len(sel.candidates) + len(sel.contexts); allocs > bound(got) {
 					t.Errorf("%s: evalSelection %.0f allocs, bound %.0f (returned %d)", name, allocs, bound(got), got)
@@ -118,7 +115,7 @@ func TestTraversalAllocsPerFragment(t *testing.T) {
 }
 
 // selFunc is the signature evalSelection and its oracle share.
-type selFunc func(*boolexpr.Builder, *fragment.Fragment, *xpath.Compiled, []*boolexpr.Formula, bool, func(xmltree.NodeID, int) *boolexpr.Formula) *selOutcome
+type selFunc func(*boolexpr.Builder, *fragment.Fragment, *xpath.Compiled, []*boolexpr.Formula, bool, *parbox.FragQual, *boolexpr.Env) *selOutcome
 
 // evalSelectionWalk is the recursive pointer walk evalSelection replaced,
 // kept as its oracle: it computes the vector of every element of f, reads
@@ -129,8 +126,15 @@ func evalSelectionWalk(
 	c *xpath.Compiled,
 	init []*boolexpr.Formula,
 	shipXML bool,
-	qualAt func(id xmltree.NodeID, entry int) *boolexpr.Formula,
+	fq *parbox.FragQual,
+	env *boolexpr.Env,
 ) *selOutcome {
+	qualAt := func(id xmltree.NodeID, e int) *boolexpr.Formula {
+		if env == nil {
+			return fq.QualAt(id, e)
+		}
+		return env.Resolve(fq.QualAt(id, e))
+	}
 	out := &selOutcome{}
 	last := c.AnswerEntry()
 	stubbed := make(map[fragment.FragID]bool)
@@ -179,12 +183,13 @@ func evalSelectionWalk(
 }
 
 // pax3Inputs is what PaX3's Stage 2 hands the selection traversal of every
-// fragment of ft: qualifier values grounded under the environment Stage
-// 1's root vectors resolve to, and the ground context the parent fragment
-// reported as the initial vector.
+// fragment of ft: each fragment's Stage-1 state, the environment Stage 1's
+// root vectors resolve to, which grounds its qualifier values, and the
+// ground context the parent fragment reported as the initial vector.
 type pax3Inputs struct {
-	qualAt []func(xmltree.NodeID, int) *boolexpr.Formula
-	inits  [][]*boolexpr.Formula
+	fqs   []*parbox.FragQual
+	env   *boolexpr.Env
+	inits [][]*boolexpr.Formula
 }
 
 func newPAX3Inputs(t testing.TB, ft *fragment.Fragmentation, c *xpath.Compiled) *pax3Inputs {
@@ -200,17 +205,12 @@ func newPAX3Inputs(t testing.TB, ft *fragment.Fragmentation, c *xpath.Compiled) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := &pax3Inputs{
-		qualAt: make([]func(xmltree.NodeID, int) *boolexpr.Formula, ft.Len()),
-		inits:  make([][]*boolexpr.Formula, ft.Len()),
-	}
+	in := &pax3Inputs{fqs: fqs, env: env, inits: make([][]*boolexpr.Formula, ft.Len())}
 	in.inits[fragment.RootFrag] = xpath.DocSelVector[*boolexpr.Formula](&boolexpr.Builder{}, c)
 	// A parent fragment's ID is below its sub-fragments', so ID order
 	// grounds every init before its fragment runs.
 	for _, f := range ft.Frags {
-		fq := fqs[f.ID]
-		in.qualAt[f.ID] = func(id xmltree.NodeID, e int) *boolexpr.Formula { return env.Resolve(fq.QualAt(id, e)) }
-		for _, ctx := range evalSelectionWalk(&boolexpr.Builder{}, f, c, in.inits[f.ID], false, in.qualAt[f.ID]).contexts {
+		for _, ctx := range evalSelectionWalk(&boolexpr.Builder{}, f, c, in.inits[f.ID], false, fqs[f.ID], env).contexts {
 			in.inits[ctx.frag] = ctx.sv
 		}
 	}
@@ -222,7 +222,7 @@ func newPAX3Inputs(t testing.TB, ft *fragment.Fragmentation, c *xpath.Compiled) 
 func (in *pax3Inputs) run(ft *fragment.Fragmentation, c *xpath.Compiled, shipXML bool, sel selFunc) []*selOutcome {
 	outs := make([]*selOutcome, ft.Len())
 	for _, f := range ft.Frags {
-		outs[f.ID] = sel(&boolexpr.Builder{}, f, c, in.inits[f.ID], shipXML, in.qualAt[f.ID])
+		outs[f.ID] = sel(&boolexpr.Builder{}, f, c, in.inits[f.ID], shipXML, in.fqs[f.ID], in.env)
 	}
 	return outs
 }
@@ -241,7 +241,7 @@ func runPAX2(ft *fragment.Fragmentation, c *xpath.Compiled, shipXML bool, sel se
 		if f.ID == fragment.RootFrag {
 			init = xpath.DocSelVector[*boolexpr.Formula](b, c)
 		}
-		outs[f.ID] = sel(b, f, c, init, shipXML, fq.QualAt)
+		outs[f.ID] = sel(b, f, c, init, shipXML, fq, nil)
 	}
 	return outs
 }
@@ -307,16 +307,24 @@ func checkSweepMatchesWalk(t *testing.T, name string, ft *fragment.Fragmentation
 }
 
 // TestSelectionSweepMatchesWalk holds the arena sweep to the pointer walk
-// it replaced: on a fixture built to reach both skip rules with virtual
-// nodes in the skipped ranges, and on the differential harness's random
-// trees, XMark documents, cuts and queries, the two return the same
-// answers, candidates and contexts in the same order.
+// it replaced: on a fixture built to reach each case where a mask bit must
+// mean "may", with virtual nodes below and beside the pruned nodes, and on
+// the differential harness's random trees, XMark documents, cuts and
+// queries, the two return the same answers, candidates and contexts in the
+// same order.
 func TestSelectionSweepMatchesWalk(t *testing.T) {
 	// The cut nodes x, y and z become virtual nodes of the root fragment:
-	// x is a child of a, y is below a's child b and z below e's child f.
-	// For /r/a, rule (b) skips a's subtree (no r or a below it) and rule
-	// (a) skips e's (its vector is all False); for //a, rule (b) skips
-	// both, and y and z take the projection of a's and e's vectors.
+	// x is a child of a, y is below a's child b and z below e's child f, so
+	// r, the first a, b, e and f form the spine. For /r/a the masks pick
+	// out r and its a children, and for //a every a, so the sweep computes
+	// no vector at the c leaves the walk visits. The other queries reach
+	// the "may" cases:
+	//   - /r/a[.//zzz]/b: the first a is a spine node whose qualifier is a
+	//     formula over x's and y's variables; PaX3 resolves it to False,
+	//     while PaX2 ships b as a candidate with a non-ground formula;
+	//   - /r/e//b and //a//b: a "//" entry of the sub-fragments x, y and z,
+	//     whose init is symbolic in PaX2 and ground in PaX3;
+	//   - /r/*[.//c]/b and //*[b]/c: wildcard steps with a qualifier.
 	el := xmltree.El
 	sub := func(label string) *xmltree.Node { return el(label, el("a", el("c")), el("b")) }
 	fixture := xmltree.NewTree(el("r",
@@ -335,13 +343,27 @@ func TestSelectionSweepMatchesWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, query := range []string{`/r/a`, `//a`, `/r//c`, `//a/zzz`, `/r/a[b]/c`, `//*`, `/r//*[c]`} {
+	for _, query := range []string{
+		`/r/a`, `//a`, `/r//c`, `//a/zzz`, `/r/a[b]/c`, `//*`, `/r//*[c]`,
+		`/r/a[.//zzz]/b`, `/r/e//b`, `//a//b`, `/r/*[.//c]/b`, `//*[b]/c`,
+	} {
 		swept, walked := checkSweepMatchesWalk(t, "fixture", ft, query)
 		if query == `/r/a` || query == `//a` {
 			if swept >= walked {
-				t.Errorf("fixture %q: the sweep computed %d vectors, the walk %d; a skip rule did not fire", query, swept, walked)
+				t.Errorf("fixture %q: the sweep computed %d vectors, the walk %d; the masks pruned nothing", query, swept, walked)
 			}
 		}
+	}
+	// The spine case holds only if the first a's qualifier really is a
+	// formula: PaX2 must ship b as a non-ground candidate, PaX3 nothing.
+	c := xpath.MustCompile(`/r/a[.//zzz]/b`)
+	root := runPAX2(ft, c, false, evalSelection)[fragment.RootFrag]
+	if len(root.candidates) != 1 || !root.candidates[0].f.HasVars() {
+		t.Errorf("PaX2 /r/a[.//zzz]/b: root fragment candidates %v, want b with a non-ground formula", root.candidates)
+	}
+	root = newPAX3Inputs(t, ft, c).run(ft, c, false, evalSelection)[fragment.RootFrag]
+	if len(root.answers)+len(root.candidates) != 0 {
+		t.Errorf("PaX3 /r/a[.//zzz]/b: root fragment answers %v candidates %v, want none", root.answers, root.candidates)
 	}
 
 	fixed := []string{`//*`, `//a//*[b]`, `//zzz`, `/*/a/zzz`, `//a[c]//zzz`, `//b[d]`, `/*//a/b`}
@@ -383,14 +405,16 @@ func visitCut(tb testing.TB) *fragment.Fragmentation {
 }
 
 const (
-	visitQ3 = `/sites/site/people/person[profile/age > 20 and address/country = "US"]/creditcard`
-	visitQ4 = `/sites//people/person[profile/age > 20 and address/country = "US"]/creditcard`
+	visitQ3       = `/sites/site/people/person[profile/age > 20 and address/country = "US"]/creditcard`
+	visitQ4       = `/sites//people/person[profile/age > 20 and address/country = "US"]/creditcard`
+	visitWildName = `/sites//*[name]`
 )
 
-// TestSelectionVisitsLiveNodes is the counted property of the sweep's skip
-// rules: on the pinned XMark cut, Q3 and Q4 compute a vector at a few
-// percent of the elements, in both algorithms, while //*, which can select
-// everywhere, still computes every element's vector.
+// TestSelectionVisitsLiveNodes is the counted property of the sweep's
+// masks: on the pinned XMark cut, Q3, Q4 and /sites//*[name] compute a
+// vector only on the paths to their answers and to the virtual nodes, a
+// few hundred of the 18 078 elements, in both algorithms, while //*, which
+// can select everywhere, still computes every element's vector.
 func TestSelectionVisitsLiveNodes(t *testing.T) {
 	ft := visitCut(t)
 	elements := 0
@@ -404,8 +428,9 @@ func TestSelectionVisitsLiveNodes(t *testing.T) {
 		query string
 		most  int
 	}{
-		{visitQ3, 1_100},
-		{visitQ4, 2_300},
+		{visitQ3, 261},
+		{visitQ4, 261},
+		{visitWildName, 910},
 		{`//*`, 18_071},
 	} {
 		c := xpath.MustCompile(tc.query)
@@ -435,10 +460,14 @@ func TestSelectionVisitsLiveNodes(t *testing.T) {
 // BenchmarkSelectionVisit is the in-package ruler of the selection
 // traversal: one op is one pass over the 8 fragments of the pinned XMark
 // cut, as PaX3's Stage 2 (evalSelection under an env) or as PaX2's
-// combined visit (evalCombined, the Stage-1 mask pass included).
+// combined visit (evalCombined, the Stage-1 mask pass included). Beside
+// Q3 and Q4 it times //* ("all"), which computes every element's vector,
+// and /sites//*[name] ("wild-name"), a wildcard step with a qualifier.
 func BenchmarkSelectionVisit(b *testing.B) {
 	ft := visitCut(b)
-	for _, q := range []struct{ name, query string }{{"Q3", visitQ3}, {"Q4", visitQ4}} {
+	for _, q := range []struct{ name, query string }{
+		{"Q3", visitQ3}, {"Q4", visitQ4}, {"all", `//*`}, {"wild-name", visitWildName},
+	} {
 		c := xpath.MustCompile(q.query)
 		in := newPAX3Inputs(b, ft, c)
 		b.Run(q.name+"/pax3-selection", func(b *testing.B) {
@@ -484,5 +513,62 @@ func TestAnswerXMLAllocs(t *testing.T) {
 	}
 	if a.XML != f.SubtreeXML(second) {
 		t.Errorf("answer %d ships %q, want its slice of the file form", second, a.XML)
+	}
+}
+
+// TestPooledSelectionMasksDoNotLeak holds the selection slab's lifetime to
+// the visit: a PaX2 visit of fragment A keeps its outcome, then visits of
+// a different query over fragment B, no smaller than A, reuse A's pooled
+// slab and overwrite every word A's visit carved from it. A's answers,
+// candidates and contexts must encode exactly as before — an outcome that
+// kept a mask carved from the slab would have changed with B's masks.
+func TestPooledSelectionMasksDoNotLeak(t *testing.T) {
+	ft := visitCut(t)
+	fA := ft.Root() // its virtual nodes report contexts
+	fB := fA
+	for _, f := range ft.Frags {
+		if len(f.Arena().VirtualMask) > len(fB.Arena().VirtualMask) {
+			fB = f
+		}
+	}
+	// A's query answers the elements with a name child and, through .//zzz,
+	// leaves a formula over sub-fragment variables at the spine: candidates.
+	cA, cB := xpath.MustCompile(`//*[name or .//zzz]`), xpath.MustCompile(`//*`)
+	visit := func(f *fragment.Fragment, c *xpath.Compiled) *selOutcome {
+		b := &boolexpr.Builder{}
+		vs := parbox.NewVarScheme(c, ft.Len())
+		init := zInit(b, vs, f.ID, c)
+		if f.ID == fragment.RootFrag {
+			init = xpath.DocSelVector[*boolexpr.Formula](b, c)
+		}
+		return evalCombined(b, f, c, vs, init, true).selOutcome
+	}
+	// encode records an outcome: its answers, then every candidate's node
+	// and formula, then every context's fragment and vector.
+	encode := func(o *selOutcome) []string {
+		var out []string
+		for _, a := range o.answers {
+			out = append(out, fmt.Sprint(a))
+		}
+		for _, c := range o.candidates {
+			out = append(out, fmt.Sprint(c.node, boolexpr.Encode(c.f)))
+		}
+		for _, ctx := range o.contexts {
+			out = append(out, fmt.Sprint(ctx.frag, boolexpr.EncodeVec(ctx.sv)))
+		}
+		return out
+	}
+	visit(fB, cB) // leaves a slab large enough for both visits in the pool
+	kept := visit(fA, cA)
+	if len(kept.answers) == 0 || len(kept.candidates) == 0 || len(kept.contexts) == 0 {
+		t.Fatalf("A's visit returned %d answers, %d candidates, %d contexts; want some of each",
+			len(kept.answers), len(kept.candidates), len(kept.contexts))
+	}
+	want := encode(kept)
+	for i := 0; i < 4; i++ {
+		visit(fB, cB)
+	}
+	if got := encode(kept); !slices.Equal(got, want) {
+		t.Fatalf("A's outcome changed with B's visits:\n got %v\nwant %v", got, want)
 	}
 }

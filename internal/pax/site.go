@@ -12,7 +12,6 @@ import (
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/parbox"
-	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
 )
 
@@ -508,10 +507,7 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 			// an error for this request, never a site crash.
 			return combinedOutcome{}, fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, qid)
 		}
-		qualAt := func(id xmltree.NodeID, entry int) *boolexpr.Formula {
-			return env.Resolve(fq.QualAt(id, entry))
-		}
-		return combinedOutcome{selOutcome: evalSelection(b, f, sess.c, init, shipXML, qualAt)}, nil
+		return combinedOutcome{selOutcome: evalSelection(b, f, sess.c, init, shipXML, fq, env)}, nil
 	})
 	resp := &CombinedStageResp{}
 	if err != nil {

@@ -609,6 +609,43 @@ func TestEmptyKnownMaskRoundTrips(t *testing.T) {
 	}
 }
 
+// TestQIDVarintGrowsOneByte checks why a faster benchmark run reads more
+// wire bytes per query with unchanged messages: a query ID travels as a
+// uvarint, so every stage request of a query numbered 2¹⁴ or later is one
+// byte longer than the same request numbered 2¹⁴−1, and the responses,
+// which carry no query ID, do not grow at all.
+func TestQIDVarintGrowsOneByte(t *testing.T) {
+	const below, at = 1<<14 - 1, 1 << 14
+	kinds := map[reflect.Type]bool{}
+	for _, c := range messageCorpus(1) {
+		v := reflect.ValueOf(c.msg).Elem()
+		qid := v.FieldByName("QID")
+		if !qid.IsValid() {
+			continue
+		}
+		kinds[v.Type()] = true
+		size := func(id uint64) int {
+			qid.SetUint(id)
+			p, err := dist.EncodeRequest(dist.Binary, c.msg)
+			if err != nil {
+				t.Fatalf("%T %s: %v", c.msg, c.name, err)
+			}
+			return len(p)
+		}
+		if lo, hi := size(below), size(at); hi != lo+1 {
+			t.Errorf("%T %s: %d bytes at QID %d, %d at QID %d; want one more", c.msg, c.name, lo, below, hi, at)
+		}
+	}
+	if len(kinds) != 4 {
+		t.Errorf("the corpus holds %d request kinds with a QID, want the 4 stage requests", len(kinds))
+	}
+	for _, m := range []dist.BinaryMessage{&QualStageResp{}, &SelStageResp{}, &CombinedStageResp{}, &AnsStageResp{}} {
+		if _, ok := reflect.TypeOf(m).Elem().FieldByName("QID"); ok {
+			t.Errorf("%T carries a QID, so its size too grows with the query count", m)
+		}
+	}
+}
+
 // TestSelfQualifierOverTCP is the end-to-end regression for the same
 // edge: self-only qualifiers ([. = "..."]) report HasQualifiers() with
 // zero path predicates, so every Quals entry ships an empty Known mask.
