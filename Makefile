@@ -8,7 +8,7 @@ COVER_MIN ?= 85
 # Per-target budget of the fuzz smoke in the check gate.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test test-race cover fuzz-smoke codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures fmt-check
+.PHONY: check build vet bench-vet test test-race cover fuzz-smoke codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures fmt-check
 
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
@@ -22,13 +22,19 @@ FUZZTIME ?= 10s
 # byte-identical to centralized evaluation on a seeded fault schedule
 # over both transports, keep the documentation honest and gofmt-clean
 # source, and hold the machine-checked invariants of tools/paxlint.
-check: build vet test test-race cover codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check fmt-check lint
+check: build vet bench-vet test test-race cover codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check fmt-check lint
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark lives in its own module (bench/), which `go build ./...`
+# never compiles: vet it separately, so a product API change that breaks
+# the benchmark's build fails the gate.
+bench-vet:
+	$(GO) vet -C bench ./...
 
 test:
 	$(GO) test ./...
@@ -118,8 +124,9 @@ fault-smoke:
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked
 # against a rebuilt centralized oracle, ledgers conserved), plus the
-# version-protocol, snapshot and batch-epoch regressions, two concurrent
-# deliveries of one edit applying once, the public-API edit regressions,
+# version-protocol, snapshot and batch-snapshot regressions, two concurrent
+# deliveries of one edit applying once and swapping the fragment set once,
+# sessions sharing one fragment set exactly when no edit lies between them, the public-API edit regressions,
 # and the oracles of the site's columns-only path: column-only edit chains
 # equal to the pointer-edit mirror, typed errors alike, and the file form
 # sites write from arena columns byte-identical to the pointer serializer.
@@ -129,7 +136,7 @@ fault-smoke:
 # (TestEditDifferentialLocalCorpus / TestEditDifferentialTCPCorpus).
 edit-smoke:
 	$(GO) test -run='TestEditSmoke' ./internal/harness
-	$(GO) test -run='TestEditVersionProtocol|TestEditConcurrentDeliveriesApplyOnce|TestEditOneVersionAnswersAndStalePut|TestBatchQualsStraddlingEditDoNotShare' ./internal/pax
+	$(GO) test -run='TestEditVersionProtocol|TestEditConcurrentDeliveriesApplyOnce|TestEditSnapshotIdentity|TestEditOneVersionAnswersAndStalePut|TestBatchQualsStraddlingEditDoNotShare' ./internal/pax
 	$(GO) test -run='TestApplyEditMatchesOracleAndSplicedArena|TestEditTypedErrors' ./internal/fragment
 	$(GO) test -run='TestArenaSerializeMatchesPointer' ./internal/harness
 	$(GO) test -run='TestApplyEdit' .

@@ -11,8 +11,7 @@
 //
 // The diff mode runs the differential harness — distributed against
 // centralized evaluation on randomized instances over both transports,
-// with the sequential-site and batching twins — and, with
-// -json, writes the machine-readable result to a file:
+// with the batching twin — and, with -json, writes the machine-readable result to a file:
 //
 //	paxbench -exp diff -load 10 -json diff.json
 //
@@ -118,9 +117,8 @@ func main() {
 	}
 	runDiff := func() {
 		// Differential mode: distributed vs centralized on random (tree,
-		// query, fragmentation) instances, over both transports, with
-		// parallel-vs-sequential site evaluation and the batched-transport
-		// twins cross-checked.
+		// query, fragmentation) instances, over both transports, with the
+		// batched-transport twins cross-checked.
 		type diffOut struct {
 			Transport string              `json:"transport"`
 			Result    *harness.DiffResult `json:"result"`
@@ -128,9 +126,8 @@ func main() {
 		var out []diffOut
 		for _, tr := range []harness.DiffTransport{harness.DiffLocal, harness.DiffTCP} {
 			res, err := harness.DifferentialSweep(ctx, *seed, *load, harness.DiffOptions{
-				Transport:       tr,
-				CompareParallel: true,
-				CompareBatch:    true,
+				Transport:    tr,
+				CompareBatch: true,
 			})
 			if res != nil {
 				fmt.Printf("%s %s\n", tr, res)

@@ -15,7 +15,7 @@ import (
 // The envelope grammar (everything inside one frame):
 //
 //	payload  := version kind rest
-//	version  := 0x03                     (binVersion)
+//	version  := 0x04                     (binVersion)
 //	kind     := 0x00 request | 0x01 response
 //	request  := tag body                 (tag 0x00: nil request, no body)
 //	response := compute status rest
@@ -30,7 +30,7 @@ import (
 // golden-bytes corpus of internal/pax pins the format: a change to any
 // byte of it is a binVersion bump.
 const (
-	binVersion byte = 0x03
+	binVersion byte = 0x04
 
 	binKindReq  byte = 0x00
 	binKindResp byte = 0x01

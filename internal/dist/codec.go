@@ -25,11 +25,10 @@ const Binary Codec = 0
 
 // respEnvelope is the decoded form of a response frame. Exactly one of
 // Resp and Err is meaningful; Compute is the handler's computation time
-// at the site (self-reported via ComputeReporter when the site evaluated
-// in parallel, measured wall time otherwise). It travels as a fixed
-// 8 bytes: a varint would make a response's wire size depend on the
-// magnitude of the site's computation time, so byte totals would jitter
-// from run to run.
+// at the site, measured by the transport around the handler call. It
+// travels as a fixed 8 bytes: a varint would make a response's wire size
+// depend on the magnitude of the site's computation time, so byte totals
+// would jitter from run to run.
 type respEnvelope struct {
 	Resp    any
 	Err     string

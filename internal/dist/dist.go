@@ -28,30 +28,6 @@ type CallCost struct {
 	Compute time.Duration
 }
 
-// ComputeReporter lets a handler response carry a self-measured
-// computation cost. When a site evaluates a request's fragments in
-// parallel, the handler's wall time under-reports the work actually done;
-// a response implementing ComputeReporter supplies the summed per-fragment
-// computation instead, and the transport uses it as CallCost.Compute.
-//
-// TakeComputeCost returns the reported cost and zeroes it in place, so the
-// field never reaches the wire: response payload bytes stay identical
-// whether the site evaluated sequentially or in parallel.
-type ComputeReporter interface {
-	TakeComputeCost() time.Duration
-}
-
-// takeCompute extracts a handler-reported compute cost from the response,
-// falling back to the measured wall time.
-func takeCompute(resp any, wall time.Duration) time.Duration {
-	if cr, ok := resp.(ComputeReporter); ok {
-		if d := cr.TakeComputeCost(); d > 0 {
-			return d
-		}
-	}
-	return wall
-}
-
 // Transport is the coordinator's view of the cluster: synchronous
 // request/response calls to sites with per-call cost reporting, plus
 // cumulative lifetime counters.

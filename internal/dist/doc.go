@@ -63,13 +63,10 @@
 // against a committed file, so an accidental change fails loudly and a
 // deliberate one is a reviewed diff next to a version bump.
 //
-// The handler computation time travels with a fixed 8-byte width so a
-// frame's size never depends on timing, and a handler whose response
-// implements ComputeReporter (a site that evaluated fragments in
-// parallel) supplies the summed per-fragment computation in place of
-// measured wall time — the field is consumed and zeroed before encoding
-// either way, keeping response payloads identical across scheduling
-// modes.
+// The handler computation time — the transport's own measurement of the
+// handler call, the only site-compute figure a response carries — travels
+// in the envelope with a fixed 8-byte width, so a frame's size never
+// depends on timing.
 //
 // # Buffer management
 //

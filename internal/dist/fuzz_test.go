@@ -64,7 +64,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	}
 	f.Add([]byte{binVersion, binKindReq, 0xBD, 0x01}) // unknown tag 189
 	f.Add([]byte{})
-	f.Add([]byte{0x03, 0xff, 0x82})
+	f.Add([]byte{binVersion, 0xff, 0x82}) // unknown kind
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = decodeRequest(data)
 		_, _ = decodeResponse(data)

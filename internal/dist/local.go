@@ -67,7 +67,7 @@ func (l *Local) Call(ctx context.Context, to SiteID, req any) (any, CallCost, er
 	reqBytes := int64(len(buf))
 	start := time.Now()
 	resp, herr := invokeHandler(h, req)
-	compute := takeCompute(resp, time.Since(start))
+	compute := time.Since(start)
 	env := respEnvelope{Compute: compute}
 	if herr != nil {
 		env.Err = herr.Error()

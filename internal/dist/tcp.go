@@ -106,7 +106,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		} else {
 			start := time.Now()
 			resp, herr := invokeHandler(s.h, req)
-			env.Compute = takeCompute(resp, time.Since(start))
+			env.Compute = time.Since(start)
 			if herr != nil {
 				env.Err = herr.Error()
 			} else {

@@ -48,10 +48,6 @@ type DiffOptions struct {
 	Transport DiffTransport
 	// Queries is how many random queries to evaluate per seed (default 5).
 	Queries int
-	// CompareParallel additionally evaluates every case on a second,
-	// sequential-site cluster of the same fragmentation and requires
-	// identical answers, visit counts and byte totals.
-	CompareParallel bool
 	// CompareBatch additionally evaluates every case on a twin whose
 	// engine runs a multi-query batching window (WithBatchWindow). The
 	// serial per-case runs exercise the batch-of-one path, which must be
@@ -79,7 +75,6 @@ type DiffResult struct {
 	Triples       int // distinct (tree, query, fragmentation) triples
 	Mismatches    int // distributed answer != centralized answer
 	BoundExceeded int // per-site visits above the algorithm's bound
-	ParallelDiffs int // parallel vs sequential site evaluation disagreed
 	BatchCases    int // batching-twin evaluations (serial and concurrent)
 	BatchDiffs    int // batch twin diverged, or its ledgers failed to conserve
 	EditCases     int // mutation-phase evaluations
@@ -123,7 +118,6 @@ func (r *DiffResult) Merge(other *DiffResult) {
 	r.Triples += other.Triples
 	r.Mismatches += other.Mismatches
 	r.BoundExceeded += other.BoundExceeded
-	r.ParallelDiffs += other.ParallelDiffs
 	r.BatchCases += other.BatchCases
 	r.BatchDiffs += other.BatchDiffs
 	r.EditCases += other.EditCases
@@ -147,12 +141,12 @@ func (r *DiffResult) Merge(other *DiffResult) {
 
 // Ok reports whether every check of every merged run held.
 func (r *DiffResult) Ok() bool {
-	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.ParallelDiffs == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
+	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d parallel/sequential divergences, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied; %d shipped XML answers compared, %d of them crossing) (max visits: PaX3 %d, PaX2 %d)",
-		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.ParallelDiffs, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditXMLCompared, r.EditXMLCrossing, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
+	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied; %d shipped XML answers compared, %d of them crossing) (max visits: PaX3 %d, PaX2 %d)",
+		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditXMLCompared, r.EditXMLCrossing, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 
 // xmarkLabels is the vocabulary random xmark-shaped queries draw from.
@@ -254,34 +248,22 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 
 	// buildEngine deploys one twin of the cluster on the chosen transport,
 	// returning the transport for lifetime-ledger checks.
-	buildEngine := func(engOpts []pax.EngineOption, siteOpts ...pax.SiteOption) (*pax.Engine, dist.Transport, func(), error) {
+	buildEngine := func(engOpts ...pax.EngineOption) (*pax.Engine, dist.Transport, func(), error) {
 		if opts.Transport == DiffTCP {
-			tcp, _, shutdown, err := pax.BuildTCPCluster(topo, siteOpts...)
+			tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			return pax.NewEngine(topo, tcp, engOpts...), tcp, shutdown, nil
 		}
-		local, _ := pax.BuildLocalCluster(topo, siteOpts...)
+		local, _ := pax.BuildLocalCluster(topo)
 		return pax.NewEngine(topo, local, engOpts...), local, func() {}, nil
 	}
-	var eng, seqEng *pax.Engine
-	{
-		e, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(4))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer shutdown()
-		eng = e
+	eng, _, shutdown, err := buildEngine()
+	if err != nil {
+		return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
 	}
-	if opts.CompareParallel {
-		e, _, shutdown, err := buildEngine(nil, pax.SiteParallelism(1))
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-		}
-		defer shutdown()
-		seqEng = e
-	}
+	defer shutdown()
 	// Batch twin: the same deployment plus a coalescing window on the
 	// engine. The serial per-case runs flow through the batch-of-one fast
 	// path; the concurrent phase after the loop builds real multi-member
@@ -289,9 +271,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 	var batchEng *pax.Engine
 	var batchTr dist.Transport
 	if opts.CompareBatch {
-		e, btr, bshutdown, err := buildEngine(
-			[]pax.EngineOption{pax.WithBatchWindow(200 * time.Microsecond), pax.WithMaxBatchSize(8)},
-			pax.SiteParallelism(4))
+		e, btr, bshutdown, err := buildEngine(pax.WithBatchWindow(200*time.Microsecond), pax.WithMaxBatchSize(8))
 		if err != nil {
 			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
 		}
@@ -388,23 +368,6 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 				case pax.PaX2:
 					if got.MaxVisits > res.MaxVisitsPaX2 {
 						res.MaxVisitsPaX2 = got.MaxVisits
-					}
-				}
-				if seqEng != nil {
-					seq, err := seqEng.RunContext(ctx, query, popts)
-					if err != nil {
-						res.ParallelDiffs++
-						fail("seed %d %s %v(XA=%v) %q: sequential twin failed: %v", seed, opts.Transport, alg, ann, query, err)
-						continue
-					}
-					if !testutil.EqualIDs(origAnswerIDs(ft, seq.Answers), origAnswerIDs(ft, got.Answers)) ||
-						seq.MaxVisits != got.MaxVisits ||
-						seq.BytesSent != got.BytesSent || seq.BytesRecv != got.BytesRecv {
-						res.ParallelDiffs++
-						fail("seed %d %s %v(XA=%v) %q: parallel (visits %d, bytes %d/%d) vs sequential (visits %d, bytes %d/%d)",
-							seed, opts.Transport, alg, ann, query,
-							got.MaxVisits, got.BytesSent, got.BytesRecv,
-							seq.MaxVisits, seq.BytesSent, seq.BytesRecv)
 					}
 				}
 				if batchEng != nil {

@@ -39,15 +39,12 @@ func requireBatchCorpus(t *testing.T, res *DiffResult) {
 // TestDifferentialLocalSeedCorpus is the tier-1 fixed corpus: 25 seeds × 5
 // queries × {PaX3, PaX2} × {NA, XA} against the centralized evaluator on
 // the in-process transport, with the per-site visit bound asserted for
-// every single evaluation, parallel site evaluation cross-checked against
-// sequential (answers, visit counts and byte totals must match exactly),
-// every case replayed on a batching twin, and the bytes shipped per
-// (algorithm, annotations) variant pinned.
+// every single evaluation, every case replayed on a batching twin, and the
+// bytes shipped per (algorithm, annotations) variant pinned.
 func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
-		Transport:       DiffLocal,
-		CompareParallel: true,
-		CompareBatch:    true,
+		Transport:    DiffLocal,
+		CompareBatch: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +57,10 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	// A change to how sites build or ship formulas moves these totals, and
 	// must move them here on purpose.
 	wantWire := map[Variant]WireBytes{
-		{Alg: pax.PaX3}:           {Sent: 20588, Recv: 29280},
-		{Alg: pax.PaX3, XA: true}: {Sent: 16685, Recv: 24653},
-		{Alg: pax.PaX2}:           {Sent: 12381, Recv: 27921},
-		{Alg: pax.PaX2, XA: true}: {Sent: 9454, Recv: 21505},
+		{Alg: pax.PaX3}:           {Sent: 20588, Recv: 28927},
+		{Alg: pax.PaX3, XA: true}: {Sent: 16685, Recv: 24379},
+		{Alg: pax.PaX2}:           {Sent: 12381, Recv: 27701},
+		{Alg: pax.PaX2, XA: true}: {Sent: 9454, Recv: 21343},
 	}
 	if !maps.Equal(res.Wire, wantWire) {
 		t.Errorf("shipped bytes per variant = %v, want %v", res.Wire, wantWire)
@@ -94,10 +91,9 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 		t.Skip("extended differential sweep skipped with -short")
 	}
 	res, err := DifferentialSweep(context.Background(), 1000, 100, DiffOptions{
-		Transport:       DiffLocal,
-		CompareParallel: true,
-		CompareBatch:    true,
-		CompareEdits:    true,
+		Transport:    DiffLocal,
+		CompareBatch: true,
+		CompareEdits: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,25 +102,25 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	// Seeds 1023, 1033, 1049 and 1073 ship more bytes when formulas are
 	// not hash-consed as they are built, which seeds 1–25 cannot show.
 	wantWire := map[Variant]WireBytes{
-		{Alg: pax.PaX3}:           {Sent: 90212, Recv: 153638},
-		{Alg: pax.PaX3, XA: true}: {Sent: 68023, Recv: 129393},
-		{Alg: pax.PaX2}:           {Sent: 56573, Recv: 150619},
-		{Alg: pax.PaX2, XA: true}: {Sent: 38835, Recv: 116449},
+		{Alg: pax.PaX3}:           {Sent: 90212, Recv: 152005},
+		{Alg: pax.PaX3, XA: true}: {Sent: 68023, Recv: 128191},
+		{Alg: pax.PaX2}:           {Sent: 56573, Recv: 149499},
+		{Alg: pax.PaX2, XA: true}: {Sent: 38835, Recv: 115683},
 	}
 	if !maps.Equal(res.Wire, wantWire) {
 		t.Errorf("local shipped bytes per variant = %v, want %v", res.Wire, wantWire)
 	}
 
-	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareParallel: true, CompareBatch: true, CompareEdits: true})
+	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareBatch: true, CompareEdits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireClean(t, tcpRes)
 	wantTCPWire := map[Variant]WireBytes{
-		{Alg: pax.PaX3}:           {Sent: 18052, Recv: 43162},
-		{Alg: pax.PaX3, XA: true}: {Sent: 14917, Recv: 39500},
-		{Alg: pax.PaX2}:           {Sent: 10790, Recv: 42103},
-		{Alg: pax.PaX2, XA: true}: {Sent: 8544, Recv: 38046},
+		{Alg: pax.PaX3}:           {Sent: 18052, Recv: 42833},
+		{Alg: pax.PaX3, XA: true}: {Sent: 14917, Recv: 39234},
+		{Alg: pax.PaX2}:           {Sent: 10790, Recv: 41888},
+		{Alg: pax.PaX2, XA: true}: {Sent: 8544, Recv: 37879},
 	}
 	if !maps.Equal(tcpRes.Wire, wantTCPWire) {
 		t.Errorf("TCP shipped bytes per variant = %v, want %v", tcpRes.Wire, wantTCPWire)

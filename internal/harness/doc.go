@@ -16,12 +16,10 @@
 // randomized (tree, query, fragmentation) instances over the real
 // transports: distributed evaluation must compute exactly the centralized
 // answer while visiting each site within the algorithm's bound. Every
-// case is optionally replayed on twins of the same cluster that must be
-// observationally identical to the primary:
-//
-//   - a sequential-site twin (parallelism changes wall time only);
-//   - a batching twin (batch-of-one wire-identical to the primary,
-//     concurrent batches centralized-equal with ledgers conserved).
+// case is optionally replayed on a batching twin of the same cluster,
+// which must be observationally identical to the primary: a batch of one
+// wire-identical to the primary, concurrent batches centralized-equal
+// with ledgers conserved.
 //
 // The mutation phase (editdiff.go) interleaves random edit schedules with
 // queries on its own cluster, checking every answer against a

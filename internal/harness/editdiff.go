@@ -85,14 +85,14 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 	var eng *pax.Engine
 	var tr dist.Transport
 	if opts.Transport == DiffTCP {
-		tcp, _, shutdown, err := pax.BuildTCPCluster(topo, pax.SiteParallelism(4))
+		tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
 		if err != nil {
 			return fmt.Errorf("harness: edit phase seed %d: %w", seed, err)
 		}
 		defer shutdown()
 		eng, tr = pax.NewEngine(topo, tcp), tcp
 	} else {
-		local, _ := pax.BuildLocalCluster(topo, pax.SiteParallelism(4))
+		local, _ := pax.BuildLocalCluster(topo)
 		eng, tr = pax.NewEngine(topo, local), local
 	}
 

@@ -294,10 +294,25 @@ func (e *vectorState) fragQual(b *boolexpr.Builder) *FragQual {
 		return boolexpr.Const(qb), boolexpr.Const(qb || sdvM[p].Get(i))
 	}
 	at := e.at
-	var spineWalk func(nd int) (qv, qdv []*boolexpr.Formula)
-	spineWalk = func(nd int) ([]*boolexpr.Formula, []*boolexpr.Formula) {
-		qcvRow := make([]*boolexpr.Formula, nP)
-		sdvRow := make([]*boolexpr.Formula, nP)
+	// The walk's temporaries come from one buffer per visit, a level per
+	// depth: a node's QCV/SDV accumulators and its QV/QDV rows, which its
+	// parent folds in right after the node returns, before a sibling
+	// reuses the level. Only the root uses level 0, so the root vectors
+	// the result keeps are that level's rows. The row readers are created
+	// once and read the accumulators of the node being finished.
+	type spineLevel struct{ qcv, sdv, qv, qdv []*boolexpr.Formula }
+	var levels []spineLevel
+	var qcvCur, sdvCur []*boolexpr.Formula
+	qcvAt := func(p int) *boolexpr.Formula { return qcvCur[p] }
+	sdvAt := func(p int) *boolexpr.Formula { return sdvCur[p] }
+	var spineWalk func(nd, depth int) (qv, qdv []*boolexpr.Formula)
+	spineWalk = func(nd, depth int) ([]*boolexpr.Formula, []*boolexpr.Formula) {
+		if depth == len(levels) {
+			buf := make([]*boolexpr.Formula, 4*nP)
+			levels = append(levels, spineLevel{buf[:nP:nP], buf[nP : 2*nP : 2*nP], buf[2*nP : 3*nP : 3*nP], buf[3*nP:]})
+		}
+		lv := levels[depth]
+		qcvRow, sdvRow := lv.qcv, lv.sdv
 		for p := 0; p < nP; p++ {
 			qcvRow[p] = boolexpr.False()
 			sdvRow[p] = boolexpr.False()
@@ -313,7 +328,7 @@ func (e *vectorState) fragQual(b *boolexpr.Builder) *FragQual {
 					sdvRow[p] = b.Or(sdvRow[p], b.V(vs.QDV(k, p)))
 				}
 			} else if av.SpineMask.Get(i) {
-				cqv, cqdv := spineWalk(i)
+				cqv, cqdv := spineWalk(i, depth+1)
 				for p := 0; p < nP; p++ {
 					qcvRow[p] = b.Or(qcvRow[p], cqv[p])
 					sdvRow[p] = b.Or(sdvRow[p], cqdv[p])
@@ -326,10 +341,9 @@ func (e *vectorState) fragQual(b *boolexpr.Builder) *FragQual {
 				}
 			}
 		}
-		qcvAt := func(p int) *boolexpr.Formula { return qcvRow[p] }
-		sdvAt := func(p int) *boolexpr.Formula { return sdvRow[p] }
+		qcvCur, sdvCur = qcvRow, sdvRow
 		el := arena.Elem{T: at, I: nd}
-		row := xpath.NodePredRow[*boolexpr.Formula](b, c, el, qcvAt, sdvAt, nil)
+		row := xpath.NodePredRow[*boolexpr.Formula](b, c, el, qcvAt, sdvAt, lv.qv)
 		if needSel {
 			sq := make([]*boolexpr.Formula, nSel)
 			for i := range c.Sel {
@@ -340,7 +354,7 @@ func (e *vectorState) fragQual(b *boolexpr.Builder) *FragQual {
 			}
 			out.rows[xmltree.NodeID(nd)] = sq
 		}
-		qdvRow := make([]*boolexpr.Formula, nP)
+		qdvRow := lv.qdv
 		for p := 0; p < nP; p++ {
 			qdvRow[p] = b.Or(row[p], sdvRow[p])
 		}
@@ -351,7 +365,7 @@ func (e *vectorState) fragQual(b *boolexpr.Builder) *FragQual {
 	// sub-fragments inside a parent fragment's tree.
 	const root = int(fragment.RootNode)
 	if av.SpineMask.Get(root) {
-		qv, qdv := spineWalk(root)
+		qv, qdv := spineWalk(root, 0)
 		out.Root = RootVecs{QV: qv, QDV: qdv}
 		return out
 	}

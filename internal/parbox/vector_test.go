@@ -248,7 +248,7 @@ func TestMaskPassAllocs(t *testing.T) {
 	}
 	const (
 		perSel   = 1 // b: the entry's qualifier mask
-		perSpine = 4 // c: rows and formula nodes per predicate per spine or virtual node
+		perSpine = 3 // c: the kept selection row and formula nodes per predicate per spine or virtual node
 		fixed    = 7 // d: the Builder, the result, the mask tables, the selection-mask table, the spine-row map and the root vectors
 	)
 	passAllocs(t, func(tag string, f *fragment.Fragment, c *xpath.Compiled, allocs float64) {

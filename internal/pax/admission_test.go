@@ -160,66 +160,56 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestParallelSiteMatchesSequentialExactly evaluates the same queries over
-// two clusters of the same fragmentation — sites sequential vs 4-way
-// parallel fragment evaluation — and requires identical answers, visit
-// counts and byte totals: parallelism must change wall time only, never
-// the protocol or the ledger.
-func TestParallelSiteMatchesSequentialExactly(t *testing.T) {
+// TestStageComputeConservedOnBothTransports: the transport's measured
+// handler time is the only site-compute figure, so every stage of a PaX3
+// or PaX2 run charges a positive compute, the stages sum to the run's
+// TotalCompute, and the runs' TotalComputes sum exactly to the transport's
+// lifetime compute — on the in-process and on the TCP transport.
+func TestStageComputeConservedOnBothTransports(t *testing.T) {
 	tr := testutil.RandomTree(7, 400)
-	cuts := fragment.RandomCuts(tr, 9, 3)
-	build := func(par int) (*Engine, *fragment.Fragmentation) {
-		ft, err := fragment.Cut(tr, cuts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topo := RoundRobin(ft, 3) // 3 fragments per site: real fan-out
-		local := dist.NewLocal()
-		for _, sid := range topo.Sites() {
-			var frags []*fragment.Fragment
-			for _, fid := range topo.FragsAt(sid) {
-				frags = append(frags, ft.Frag(fid))
-			}
-			site := NewSite(sid, frags)
-			site.SetParallelism(par)
-			local.AddSite(sid, site.Handler())
-		}
-		return NewEngine(topo, local), ft
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 9, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	seqEng, ft := build(1)
-	parEng, _ := build(4)
-
+	topo := RoundRobin(ft, 3) // 3 fragments per site
+	local, _ := BuildLocalCluster(topo)
+	tcp, _, shutdown, err := BuildTCPCluster(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
 	queries := []string{
 		`//a[b = "x"]/c`,
 		`/root//d`,
 		`//*[not(b) and c/val() >= 10]`,
 		`a/b//c[d or e]`,
 	}
-	for _, query := range queries {
-		for _, alg := range []Algorithm{PaX3, PaX2} {
-			opts := Options{Algorithm: alg}
-			seq, err := seqEng.Run(query, opts)
-			if err != nil {
-				t.Fatalf("%v %q sequential: %v", alg, query, err)
+	for _, transport := range []dist.Transport{local, tcp} {
+		eng := NewEngine(topo, transport)
+		compute0 := transport.Metrics().TotalCompute()
+		var sum time.Duration
+		for _, query := range queries {
+			for _, alg := range []Algorithm{PaX3, PaX2} {
+				res, err := eng.Run(query, Options{Algorithm: alg})
+				if err != nil {
+					t.Fatalf("%T %v %q: %v", transport, alg, query, err)
+				}
+				label := fmt.Sprintf("%T %v %q", transport, alg, query)
+				var stages time.Duration
+				for i, c := range res.StageCompute {
+					if c <= 0 {
+						t.Errorf("%s: stage %d compute = %v, want > 0", label, i+1, c)
+					}
+					stages += c
+				}
+				if res.TotalCompute <= 0 || stages != res.TotalCompute {
+					t.Errorf("%s: stages sum to %v, TotalCompute = %v, want equal and > 0", label, stages, res.TotalCompute)
+				}
+				sum += res.TotalCompute
 			}
-			par, err := parEng.Run(query, opts)
-			if err != nil {
-				t.Fatalf("%v %q parallel: %v", alg, query, err)
-			}
-			label := fmt.Sprintf("%v %q", alg, query)
-			if !testutil.EqualIDs(origIDs(ft, seq.Answers), origIDs(ft, par.Answers)) {
-				t.Errorf("%s: answers differ between sequential and parallel sites", label)
-			}
-			if seq.MaxVisits != par.MaxVisits {
-				t.Errorf("%s: MaxVisits %d (seq) vs %d (par)", label, seq.MaxVisits, par.MaxVisits)
-			}
-			if seq.BytesSent != par.BytesSent || seq.BytesRecv != par.BytesRecv {
-				t.Errorf("%s: bytes %d/%d (seq) vs %d/%d (par)", label,
-					seq.BytesSent, seq.BytesRecv, par.BytesSent, par.BytesRecv)
-			}
-			if par.TotalCompute <= 0 {
-				t.Errorf("%s: parallel TotalCompute = %v, want > 0 (per-fragment costs must be reported)", label, par.TotalCompute)
-			}
+		}
+		if got := transport.Metrics().TotalCompute() - compute0; got != sum {
+			t.Errorf("%T: per-query compute sums to %v, transport saw %v", transport, sum, got)
 		}
 	}
 }

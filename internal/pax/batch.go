@@ -14,11 +14,10 @@
 //   - The transport-measured cost of a batch round trip is split among the
 //     members deterministically: Sent proportional to member request body
 //     bytes, Recv proportional to member response body bytes, Compute
-//     proportional to the members' self-reported computation (which the
-//     site derived by splitting each shared sweep's time by the members'
-//     owned qualifier-DAG work). Shares are integer floors with the
-//     remainder going to the earliest members, so they sum EXACTLY to the
-//     measured totals — the cost-conservation invariant (Σ per-query
+//     proportional to the time the site spent on each member (a shared
+//     sweep's time split equally among the members it served). Shares are
+//     integer floors with the remainder going to the earliest members, so
+//     they sum EXACTLY to the measured totals — the cost-conservation invariant (Σ per-query
 //     ledgers == transport lifetime totals) holds on every batch path.
 //   - A batch of one collapses to a direct transport call carrying the
 //     original message under the caller's own context: wire bytes, visit
@@ -317,9 +316,9 @@ func splitShares(total int64, weights []int64, n int) []int64 {
 }
 
 // splitCosts splits one measured CallCost among n batch members: Sent by
-// request body bytes, Recv by response body bytes, Compute by the members'
-// self-reported computation. Nil weight slices mean no signal (equal
-// split). Each dimension's shares sum exactly to the measured value.
+// request body bytes, Recv by response body bytes, Compute by the site's
+// per-member times. Nil weight slices mean no signal (equal split). Each
+// dimension's shares sum exactly to the measured value.
 func splitCosts(c dist.CallCost, sentW, recvW, compW []int64) []dist.CallCost {
 	n := len(sentW)
 	sent := splitShares(c.Sent, sentW, n)
@@ -337,33 +336,22 @@ func splitCosts(c dist.CallCost, sentW, recvW, compW []int64) []dist.CallCost {
 // handleBatch serves a batch envelope: decode the members, serve every
 // qualifier-stage member through one shared Stage-1 sweep per distinct
 // compiled fingerprint, dispatch the rest through the solo handlers, and
-// return index-aligned member responses. A failed member becomes a Tag-0
-// sub carrying its error text; it never fails the envelope.
+// return index-aligned member responses, each with the time the site spent
+// on it. A failed member becomes a Tag-0 sub carrying its error text; it
+// never fails the envelope.
 func (s *Site) handleBatch(req *BatchStageReq) (*BatchStageResp, error) {
 	n := len(req.Subs)
 	resp := &BatchStageResp{Subs: make([]BatchSub, n), SubComputeNanos: make([]int64, n)}
 	fail := func(i int, err error) {
 		resp.Subs[i] = BatchSub{Tag: 0, Body: []byte(err.Error())}
 	}
-	// finish encodes member i's response, moving its self-reported compute
-	// into the SubComputeNanos array first — the exact move the transport
-	// performs on a solo response (including the fall-back to wall time
-	// when nothing was reported), so member bodies stay byte-identical to
-	// solo responses and member compute attribution matches solo calls.
-	finish := func(i int, m dist.BinaryMessage, wall time.Duration) {
-		var c int64
-		if cr, ok := any(m).(dist.ComputeReporter); ok {
-			c = int64(cr.TakeComputeCost())
-		}
-		if c <= 0 {
-			c = int64(wall)
-		}
+	// finish encodes member i's response exactly as a solo response.
+	finish := func(i int, m dist.BinaryMessage) {
 		body, err := m.AppendBinary(nil)
 		if err != nil {
 			fail(i, err)
 			return
 		}
-		resp.SubComputeNanos[i] = c
 		resp.Subs[i] = BatchSub{Tag: m.WireTag(), Body: body}
 	}
 
@@ -387,18 +375,16 @@ func (s *Site) handleBatch(req *BatchStageReq) (*BatchStageResp, error) {
 	s.batchQuals(msgs, handled, resp, fail, finish)
 
 	// Non-qualifier members run through the solo handlers, in member
-	// order. Their compute attribution mirrors a solo call: the reported
-	// StageCompute when present, the member's wall time otherwise
-	// (including the error path, where solo responses are discarded and
-	// the transport charges wall).
+	// order, each timed as the transport times a solo call, failures
+	// included.
 	for i, m := range msgs {
 		if handled[i] {
 			continue
 		}
 		start := time.Now()
 		r, err := s.handle(m)
+		resp.SubComputeNanos[i] = int64(time.Since(start))
 		if err != nil {
-			resp.SubComputeNanos[i] = int64(time.Since(start))
 			fail(i, err)
 			continue
 		}
@@ -407,26 +393,18 @@ func (s *Site) handleBatch(req *BatchStageReq) (*BatchStageResp, error) {
 			fail(i, fmt.Errorf("pax: site %d: response %T cannot join a batch", s.id, r))
 			continue
 		}
-		finish(i, bm, time.Since(start))
+		finish(i, bm)
 	}
-
-	var total int64
-	for _, c := range resp.SubComputeNanos {
-		total += c
-	}
-	resp.ComputeNanos = total
 	return resp, nil
 }
 
 // batchQuals serves every QualStageReq member of a batch, grouped by the
-// compiled query's normal-form fingerprint and the session's edit epoch:
-// members of one group share a single Stage-1 sweep, and the group's measured
-// compute is split among them proportional to each member's owned
-// qualifier-DAG work — identical DAGs within a group, so equal shares with
-// the remainder to the earliest member. This is the shared-evaluation half
-// of the batching design: N concurrent identical queries cost one
-// traversal, not N.
-func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail func(int, error), finish func(int, dist.BinaryMessage, time.Duration)) {
+// compiled query's normal-form fingerprint and the session's fragment set:
+// members of one group share a single Stage-1 sweep, and the sweep's time
+// is split equally among them, the remainder to the earliest member. This
+// is the shared-evaluation half of the batching design: N concurrent
+// identical queries cost one traversal, not N.
+func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail func(int, error), finish func(int, dist.BinaryMessage)) {
 	type member struct {
 		idx  int
 		req  *QualStageReq
@@ -435,11 +413,11 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 	type groupKey struct {
 		fp string
 		nf int32
-		// epoch separates members whose sessions snapshotted different
-		// fragment versions (an edit landed between their session
-		// creations): one group shares a single sweep over ONE snapshot, so
-		// members pinned to different snapshots must not coalesce.
-		epoch uint64
+		// frags separates members whose sessions hold different fragment
+		// sets (an edit landed between their session creations): one group
+		// shares a single sweep over ONE set, so members pinned to
+		// different sets must not coalesce.
+		frags *fragSet
 	}
 	groups := make(map[groupKey][]member)
 	var order []groupKey
@@ -454,7 +432,7 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 			fail(i, err)
 			continue
 		}
-		k := groupKey{fp: sess.fp, nf: qr.NumFrags, epoch: sess.epoch}
+		k := groupKey{fp: sess.fp, nf: qr.NumFrags, frags: sess.frags}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
@@ -464,25 +442,22 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 		ms := groups[k]
 		start := time.Now()
 		pr, err := s.qualPass(ms[0].sess)
-		// One fingerprint, identical owned work per member: the
-		// work-proportional rule degenerates to equal shares. A failed
-		// sweep's partial work is still the group's cost, shared the same
-		// way before every member fails individually.
-		total := stageCompute(start, pr.compute, pr.parWall).ComputeNanos
-		shares := splitShares(total, nil, len(ms))
+		// A failed sweep's partial work is still the group's cost, shared
+		// the same way before every member fails individually.
+		shares := splitShares(int64(time.Since(start)), nil, len(ms))
+		for j, mb := range ms {
+			resp.SubComputeNanos[mb.idx] = shares[j]
+		}
 		if err != nil {
 			werr := fmt.Errorf("pax: site %d: %w", s.id, err)
-			for j, mb := range ms {
-				resp.SubComputeNanos[mb.idx] = shares[j]
+			for _, mb := range ms {
 				fail(mb.idx, werr)
 			}
 			continue
 		}
-		for j, mb := range ms {
+		for _, mb := range ms {
 			pr.seed(mb.sess)
-			r := &QualStageResp{Roots: pr.roots}
-			r.ComputeNanos = shares[j]
-			finish(mb.idx, r, 0)
+			finish(mb.idx, &QualStageResp{Roots: pr.roots})
 		}
 	}
 	for _, ms := range groups {

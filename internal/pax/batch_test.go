@@ -151,14 +151,14 @@ func TestShedQueryNeverCompiles(t *testing.T) {
 // batchedClusters builds two engines over identical fragmentations of one
 // tree — one with a batching window, one without — plus the batched
 // cluster's transport and sites for ledger and counter assertions.
-func batchedClusters(t *testing.T, tr *xmltree.Tree, cuts []xmltree.NodeID, numSites int, engOpts []EngineOption, siteOpts ...SiteOption) (batched, direct *Engine, btr *dist.Local, bsites []*Site, ft *fragment.Fragmentation) {
+func batchedClusters(t *testing.T, tr *xmltree.Tree, cuts []xmltree.NodeID, numSites int, engOpts []EngineOption) (batched, direct *Engine, btr *dist.Local, bsites []*Site, ft *fragment.Fragmentation) {
 	t.Helper()
 	ft, err := fragment.Cut(tr, cuts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	topo := RoundRobin(ft, numSites)
-	btr, bsites = BuildLocalCluster(topo, siteOpts...)
+	btr, bsites = BuildLocalCluster(topo)
 	batched = NewEngine(topo, btr, engOpts...)
 
 	ft2, err := fragment.Cut(tr, cuts)
@@ -166,7 +166,7 @@ func batchedClusters(t *testing.T, tr *xmltree.Tree, cuts []xmltree.NodeID, numS
 		t.Fatal(err)
 	}
 	topo2 := RoundRobin(ft2, numSites)
-	local2, _ := BuildLocalCluster(topo2, siteOpts...)
+	local2, _ := BuildLocalCluster(topo2)
 	direct = NewEngine(topo2, local2)
 	return batched, direct, btr, bsites, ft
 }
@@ -422,7 +422,6 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 	}
 
 	resp := &BatchStageResp{
-		StageCompute:    StageCompute{ComputeNanos: 42},
 		Subs:            []BatchSub{{Tag: tagQualStageResp, Body: []byte{9}}, {Tag: 0, Body: []byte("boom")}},
 		SubComputeNanos: []int64{41, 1},
 	}

@@ -42,11 +42,10 @@
 //
 // Site hosts fragments and serves stage requests. Per-query state lives in
 // sessions keyed by QueryID; compiled queries are cached and shared across
-// sessions. Within one stage request, fragments evaluate concurrently on a
-// per-session worker pool (SetParallelism), with per-fragment computation
-// summed and self-reported through the response (StageCompute), so a
-// query's ledger is identical whether the site evaluated sequentially or
-// in parallel. Stage 1 is one evaluator, the bit-packed pass over the
+// sessions. One stage request evaluates its fragments one after another,
+// in the handler's goroutine: the site is the unit of parallelism, and the
+// transport's measured handler time is the request's computation cost.
+// Stage 1 is one evaluator, the bit-packed pass over the
 // fragment's arena view (parbox.Qualify); a fragment's
 // Stage-1 state is its qualifier masks plus formula rows for its spine,
 // and the selection stage reads it through FragQual.QualAt. The selection
@@ -55,9 +54,9 @@
 // combined visit is the same two evaluators in one request: the mask pass,
 // then the selection sweep reading its qualifier values unresolved,
 // over sub-fragment variables; handleSel and handleCombined share that
-// fan-out (selectFrags). Each (query, fragment) visit builds its formulas
-// with one boolexpr.Builder, which hash-conses as it builds, so formulas
-// are canonical by construction and ship as built.
+// fragment walk (selectFrags). Each (query, fragment) visit builds its
+// formulas with one boolexpr.Builder, which hash-conses as it builds, so
+// formulas are canonical by construction and ship as built.
 //
 // A site reads its fragments through their arena columns only — Stage 1,
 // the selection sweep, answer labels and values, and the fragment's file
@@ -71,8 +70,9 @@
 // edit splices the columns (fragment.Fragment.ApplyEdit),
 // so a fragment a site has edited carries no pointer tree. An insert's
 // subtree arrives as XML text too; handleEdit parses it, builds the new
-// fragment outside the site lock and swaps it in under it, together with
-// the edit epoch.
+// fragment outside the site lock and, under it, swaps in a new immutable
+// fragment set holding it. A session keeps the set current at its
+// creation, so every stage of a query reads one version of each fragment.
 //
 // A site keeps no evaluation result across queries: like the paper's
 // sites, it runs Stage 1 once per query. Within one batch envelope,

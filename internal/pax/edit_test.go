@@ -269,8 +269,9 @@ func TestEditRejectsSubtreeXMLCannotCarry(t *testing.T) {
 // TestEditConcurrentDeliveriesApplyOnce delivers one EditReq to one site
 // twice at once, round after round: handleEdit applies outside the site
 // lock, so both deliveries may apply, but exactly one swaps its fragment
-// in (Applied) and the other acks at the new version, and the fragment's
-// version and the site's epoch advance once per round.
+// in (Applied) and the other acks at the new version, the fragment's
+// version advances once per round, and the site swaps its fragment set
+// once: a new set, with the set it replaced left as it was.
 func TestEditConcurrentDeliveriesApplyOnce(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
@@ -279,13 +280,9 @@ func TestEditConcurrentDeliveriesApplyOnce(t *testing.T) {
 	}
 	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
 	s := sites[0]
-	state := func() (uint64, uint64) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.frags[fragment.RootFrag].Version, s.epoch
-	}
 	for round := 0; round < 50; round++ {
-		version, epoch := state()
+		before := s.snapshot()
+		version := before.byID[fragment.RootFrag].Version
 		req, err := editReqOf(fragment.RootFrag,
 			fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("patch", xmltree.ElT("v", "1"))})
 		if err != nil {
@@ -321,9 +318,57 @@ func TestEditConcurrentDeliveriesApplyOnce(t *testing.T) {
 		if applied != 1 {
 			t.Fatalf("round %d: %d deliveries applied, want exactly 1", round, applied)
 		}
-		if v, e := state(); v != version+1 || e != epoch+1 {
-			t.Fatalf("round %d: version %d -> %d and epoch %d -> %d, want one step each", round, version, v, epoch, e)
+		after := s.snapshot()
+		if after == before {
+			t.Fatalf("round %d: the fragment set was not swapped", round)
 		}
+		if v := after.byID[fragment.RootFrag].Version; v != version+1 {
+			t.Fatalf("round %d: version %d -> %d, want one step", round, version, v)
+		}
+		if v := before.byID[fragment.RootFrag].Version; v != version {
+			t.Fatalf("round %d: the replaced set moved from version %d to %d", round, version, v)
+		}
+	}
+}
+
+// TestEditSnapshotIdentity: a session holds the site's fragment set as it
+// was when the session opened. Two sessions opened with no edit between
+// them share one set — which is what lets batched Stage-1 members share a
+// sweep — and an edit between them gives each its own.
+func TestEditSnapshotIdentity(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
+	s := sites[0]
+	query := `//broker[//stock/code = "GOOG"]/name`
+	n := int32(len(ft.Frags))
+	open := func(qid QueryID) *fragSet {
+		t.Helper()
+		sess, err := s.getSession(qid, query, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.frags
+	}
+	a, b := open(1), open(2)
+	if a != b {
+		t.Fatal("sessions opened with no edit between them hold different fragment sets")
+	}
+	if _, err := s.handleEdit(stockEdit(t, ft)); err != nil {
+		t.Fatal(err)
+	}
+	c := open(3)
+	if c == a {
+		t.Fatal("a session opened after an edit shares the pre-edit fragment set")
+	}
+	if a.byID[fragment.RootFrag] == c.byID[fragment.RootFrag] {
+		t.Fatal("the edit changed no fragment between the two sets")
+	}
+	if open(1) != a {
+		t.Fatal("an open session's fragment set changed with the edit")
 	}
 }
 
@@ -394,15 +439,13 @@ func TestBatchQualsStraddlingEditDoNotShare(t *testing.T) {
 	s := sites[0]
 	query := `//broker[//stock/code = "ZZZZ"]/name`
 	n := int32(len(ft.Frags))
-	// qualBody is a solo Stage-1 response as a batch member body: compute
-	// moved out, the rest encoded.
+	// qualBody is a solo Stage-1 response as a batch member body.
 	qualBody := func(qid QueryID) []byte {
 		t.Helper()
 		resp, err := s.handleQual(&QualStageReq{QID: qid, Query: query, NumFrags: n, Final: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.TakeComputeCost()
 		b, err := resp.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -479,7 +522,7 @@ func TestEditReplicatedConvergence(t *testing.T) {
 			t.Errorf("fault stats %+v, want exactly one restart", st)
 		}
 		for _, m := range group {
-			if v := siteByID(sites, m).frags[fid].Version; v != res.NewVersion {
+			if v := siteByID(sites, m).snapshot().byID[fid].Version; v != res.NewVersion {
 				t.Errorf("site %d at version %d, want %d", m, v, res.NewVersion)
 			}
 		}
@@ -504,7 +547,7 @@ func TestEditReplicatedConvergence(t *testing.T) {
 
 		eng, _, _, local, sites := replicatedCluster(t, 2, 2)
 		group := eng.topo.ReplicasOf(eng.topo.SiteOf[fid])
-		base := siteByID(sites, group[0]).frags[fid].Version
+		base := siteByID(sites, group[0]).snapshot().byID[fid].Version
 		plan := dist.NewFaultPlan(dist.SiteFault{Site: group[1], Call: 1, Action: dist.FaultKill, Down: 2})
 		plan.OnRestart = func(id dist.SiteID) { siteByID(sites, id).Restart() }
 		local.FaultHook = plan.Hook
@@ -529,7 +572,7 @@ func TestEditReplicatedConvergence(t *testing.T) {
 			t.Errorf("re-issue result %+v, want one idempotent ack and version %d", res, base+1)
 		}
 		for _, m := range group {
-			if v := siteByID(sites, m).frags[fid].Version; v != base+1 {
+			if v := siteByID(sites, m).snapshot().byID[fid].Version; v != base+1 {
 				t.Errorf("site %d at version %d, want %d", m, v, base+1)
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // replication factor, returning the engine, the source tree, the
 // fragmentation, the transport (for FaultHook installation) and the
 // physical Site instances in Topology.Sites() order.
-func replicatedCluster(t *testing.T, numGroups, replication int, opts ...SiteOption) (*Engine, *xmltree.Tree, *fragment.Fragmentation, *dist.Local, []*Site) {
+func replicatedCluster(t *testing.T, numGroups, replication int) (*Engine, *xmltree.Tree, *fragment.Fragmentation, *dist.Local, []*Site) {
 	t.Helper()
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 31))
@@ -26,7 +26,7 @@ func replicatedCluster(t *testing.T, numGroups, replication int, opts ...SiteOpt
 		t.Fatal(err)
 	}
 	topo := RoundRobinReplicated(ft, numGroups, replication)
-	local, sites := BuildLocalCluster(topo, opts...)
+	local, sites := BuildLocalCluster(topo)
 	return NewEngine(topo, local), tr, ft, local, sites
 }
 

@@ -6,7 +6,6 @@ package pax
 
 import (
 	"fmt"
-	"time"
 
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
@@ -84,25 +83,8 @@ type QualStageReq struct {
 	Final    bool
 }
 
-// StageCompute carries a stage response's self-measured computation
-// (summed over fragments evaluated in parallel). The transport consumes
-// and zeroes it via TakeComputeCost before the response reaches the wire,
-// so it never affects payload bytes. Embedded by every response type
-// whose handler evaluates fragments.
-type StageCompute struct {
-	ComputeNanos int64
-}
-
-// TakeComputeCost implements dist.ComputeReporter.
-func (c *StageCompute) TakeComputeCost() time.Duration {
-	d := time.Duration(c.ComputeNanos)
-	c.ComputeNanos = 0
-	return d
-}
-
 // QualStageResp returns one root-vector pair per hosted fragment.
 type QualStageResp struct {
-	StageCompute
 	Roots []WireRootVecs
 }
 
@@ -131,7 +113,6 @@ type SelStageReq struct {
 // whose virtual nodes lie in the subtree of an answer or a candidate: the
 // stubs in the answers' XML whose bodies the final stage fetches.
 type SelStageResp struct {
-	StageCompute
 	Contexts   []WireContext
 	Answers    []AnswerNode
 	Candidates []fragment.FragID
@@ -156,7 +137,6 @@ type CombinedStageReq struct {
 // contexts together, plus definite answers, candidate-bearing fragments
 // and, under Stitch, the sub-fragments below them (see SelStageResp).
 type CombinedStageResp struct {
-	StageCompute
 	Roots      []WireRootVecs
 	Contexts   []WireContext
 	Answers    []AnswerNode
@@ -206,14 +186,11 @@ type BatchStageReq struct {
 }
 
 // BatchStageResp carries the per-member responses, index-aligned with the
-// request's Subs. SubComputeNanos[i] is member i's self-reported
-// computation, taken out of the member body before it was encoded (exactly
-// as the transport does for a solo response, so member bodies stay
-// byte-identical to solo responses); the coordinator uses it to attribute
-// the batch call's measured compute to its members. The embedded
-// StageCompute reports the members' sum to the transport.
+// request's Subs. SubComputeNanos[i] is the time the site spent on member
+// i — the transport measures only the whole envelope — and the coordinator
+// uses it to attribute the batch call's measured compute to its members.
+// Member bodies are byte-identical to solo responses.
 type BatchStageResp struct {
-	StageCompute
 	Subs            []BatchSub
 	SubComputeNanos []int64
 }
@@ -241,7 +218,6 @@ type EditReq struct {
 // EditResp reports an applied (or idempotently replayed) edit: the
 // fragment's new version and whether this delivery applied it.
 type EditResp struct {
-	StageCompute
 	NewVersion uint64
 	Applied    bool
 }

@@ -411,3 +411,24 @@ func TestUnknownAlgorithm(t *testing.T) {
 		t.Fatal("bad query must error")
 	}
 }
+
+// TestEvalFragsPanicIsFragmentError: a panic while a site evaluates one
+// fragment fails the walk with an error naming that fragment — what lets a
+// panic fail only its request, or only its member of a batch envelope —
+// after the fragments before it ran and before any after it does.
+func TestEvalFragsPanicIsFragmentError(t *testing.T) {
+	var ran []fragment.FragID
+	err := evalFrags([]fragment.FragID{1, 4, 6}, func(i int, fid fragment.FragID) error {
+		ran = append(ran, fid)
+		if fid == 4 {
+			panic("corrupt fragment")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "pax: fragment 4: panic: corrupt fragment" {
+		t.Fatalf("err = %v, want the panic of fragment 4", err)
+	}
+	if len(ran) != 2 {
+		t.Fatalf("ran fragments %v, want [1 4]", ran)
+	}
+}

@@ -2,8 +2,8 @@ package pax
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,18 +22,15 @@ import (
 //
 // A Site serves any number of concurrent queries: per-query state lives in
 // sessions keyed by QueryID, and compiled queries are cached and shared
-// across sessions. Within one stage request, independent fragments are
-// evaluated concurrently by a per-session worker pool (see
-// SetParallelism); the per-fragment computation times are summed and
-// reported through the response, so a query's cost ledger is identical
-// whether the site evaluated sequentially or in parallel. A malformed or
-// out-of-order stage request fails that request with an error through the
-// transport; it never takes the site down.
+// across sessions. One stage request evaluates its fragments one after
+// another, in the handler's own goroutine: the site is the unit of
+// parallelism, and the transport's measured handler time is the request's
+// computation cost. A malformed or out-of-order stage request fails that
+// request with an error through the transport; it never takes the site
+// down.
 type Site struct {
 	id       dist.SiteID
-	frags    map[fragment.FragID]*fragment.Fragment
 	compiled *lru[string, compiledQuery]
-	par      int
 	// compiles counts compile-cache fills; qualPasses counts full Stage-1
 	// fragment sweeps. Test hooks for the single-compile and shared-batch
 	// evaluation guarantees.
@@ -42,10 +39,26 @@ type Site struct {
 
 	mu       sync.Mutex
 	sessions map[QueryID]*session
-	// epoch counts the edits this site has applied (guarded by mu). A
-	// session records it beside its fragment snapshot, so sessions with
-	// equal epochs evaluate the same fragment versions.
-	epoch uint64
+	// frags is the site's current fragment set (guarded by mu). It is
+	// immutable: an edit swaps in a new set, so a reader holding the
+	// pointer keeps one consistent snapshot.
+	frags *fragSet
+}
+
+// fragSet is one immutable snapshot of a site's hosted fragments: the
+// fragments by ID and their IDs ascending. Two holders of the same pointer
+// see the same fragment versions.
+type fragSet struct {
+	byID map[fragment.FragID]*fragment.Fragment
+	ids  []fragment.FragID
+}
+
+// with returns a copy of fs in which nf replaces the fragment of its ID.
+// The ID set is unchanged, so the copy shares fs's ID slice.
+func (fs *fragSet) with(nf *fragment.Fragment) *fragSet {
+	byID := maps.Clone(fs.byID)
+	byID[nf.ID] = nf
+	return &fragSet{byID: byID, ids: fs.ids}
 }
 
 // compiledQuery is what a site's compile cache holds: the immutable
@@ -64,25 +77,13 @@ type session struct {
 	// the compile cache: batched Stage-1 members group by it.
 	fp string
 	vs parbox.VarScheme
-	// frags snapshots the site's fragment versions at session creation, and
-	// fragIDs their IDs ascending. Every stage of the query evaluates this
-	// snapshot, so a fragment edit landing between stages can never mix
-	// versions within one query's answer — the site swaps its live map, the
-	// session keeps reading the copy-on-write fragments it started with.
-	// Immutable after creation.
-	frags   map[fragment.FragID]*fragment.Fragment
-	fragIDs []fragment.FragID
-	// epoch is the site's edit epoch observed at the same instant the
-	// snapshot was taken (both under Site.mu, which every edit holds while
-	// it swaps a fragment and advances the epoch): two sessions with equal
-	// epochs hold identical snapshots, so batched Stage-1 members may share
-	// one sweep only when their epochs match.
-	epoch uint64
-	// workers is the session's private worker pool: fragment evaluation
-	// within this query's stage requests is bounded by its capacity. Each
-	// session owns its pool so one query's fragment fan-out cannot starve
-	// the fragment workers of a concurrently served query.
-	workers chan struct{}
+	// frags is the site's fragment set at session creation. Every stage of
+	// the query evaluates it, so a fragment edit landing between stages can
+	// never mix versions within one query's answer: the edit swaps the
+	// site's set, the session keeps the one it started with. Sessions
+	// holding the same set evaluate the same fragment versions, so batched
+	// Stage-1 members may share one sweep only when their sets match.
+	frags *fragSet
 	// lastUsed (guarded by Site.mu) drives expiry of sessions abandoned by
 	// their coordinator.
 	lastUsed time.Time
@@ -111,30 +112,26 @@ const maxSessions = 256
 // exercise the sweep without waiting minutes.
 var sessionTTL = 2 * time.Minute
 
-// NewSite creates a site hosting the given fragments. Fragment evaluation
-// within a stage request defaults to GOMAXPROCS-way parallelism.
+// NewSite creates a site hosting the given fragments.
 func NewSite(id dist.SiteID, frags []*fragment.Fragment) *Site {
-	s := &Site{
-		id:       id,
-		frags:    make(map[fragment.FragID]*fragment.Fragment, len(frags)),
-		compiled: newLRU[string, compiledQuery](defaultSiteCompileCache),
-		par:      runtime.GOMAXPROCS(0),
-		sessions: make(map[QueryID]*session),
-	}
+	fs := &fragSet{byID: make(map[fragment.FragID]*fragment.Fragment, len(frags))}
 	for _, f := range frags {
-		s.frags[f.ID] = f
+		fs.byID[f.ID] = f
 	}
-	return s
+	fs.ids = slices.Sorted(maps.Keys(fs.byID))
+	return &Site{
+		id:       id,
+		compiled: newLRU[string, compiledQuery](defaultSiteCompileCache),
+		sessions: make(map[QueryID]*session),
+		frags:    fs,
+	}
 }
 
-// SetParallelism bounds the per-session fragment worker pool: n fragments
-// of one stage request evaluate concurrently (1 = sequential). Call before
-// the site starts serving; existing sessions keep their pool size.
-func (s *Site) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.par = n
+// snapshot returns the site's current fragment set.
+func (s *Site) snapshot() *fragSet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.frags
 }
 
 // shipVec encodes a formula vector for the wire as it was built. Every
@@ -143,8 +140,7 @@ func (s *Site) SetParallelism(n int) {
 // canonical by construction: the constructors' dedup, complement and
 // absorption rules have already fired across every subtree the visit
 // built twice, and no pass rebuilds them before shipping. A Builder per
-// visit also keeps the output deterministic and independent of the site's
-// scheduling mode.
+// visit also keeps the output deterministic.
 func shipVec(fs []*boolexpr.Formula) WireVec {
 	return boolexpr.EncodeVec(fs)
 }
@@ -154,18 +150,7 @@ func (s *Site) ID() dist.SiteID { return s.id }
 
 // FragIDs returns the IDs of the hosted fragments, ascending.
 func (s *Site) FragIDs() []fragment.FragID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedFragIDs(s.frags)
-}
-
-func sortedFragIDs(frags map[fragment.FragID]*fragment.Fragment) []fragment.FragID {
-	out := make([]fragment.FragID, 0, len(frags))
-	for id := range frags {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(s.snapshot().ids)
 }
 
 // Handler returns the dist.Handler serving this site.
@@ -233,22 +218,14 @@ func (s *Site) getSession(qid QueryID, query string, numFrags int32) (*session, 
 	if err != nil {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
-	// Snapshot the fragment versions and the edit epoch atomically (both
-	// under s.mu, the lock every edit holds while it swaps a fragment): the
-	// query evaluates exactly this fragment state in every stage, whatever
+	// The query evaluates exactly the fragment set current now (read under
+	// s.mu, the lock every edit swaps it under) in every stage, whatever
 	// edits land meanwhile.
-	frags := make(map[fragment.FragID]*fragment.Fragment, len(s.frags))
-	for id, f := range s.frags {
-		frags[id] = f
-	}
 	sess := &session{
 		c:        cq.c,
 		fp:       cq.fp,
 		vs:       parbox.NewVarScheme(cq.c, int(numFrags)),
-		frags:    frags,
-		fragIDs:  sortedFragIDs(frags),
-		epoch:    s.epoch,
-		workers:  make(chan struct{}, s.par),
+		frags:    s.frags,
 		lastUsed: now,
 		qual:     make(map[fragment.FragID]*parbox.FragQual),
 		cands:    make(map[fragment.FragID][]candidate),
@@ -257,65 +234,25 @@ func (s *Site) getSession(qid QueryID, query string, numFrags int32) (*session, 
 	return sess, nil
 }
 
-// stageCompute folds a fragment fan-out's cost back into handler terms:
-// the serial portion's wall time plus the summed per-fragment
-// computation. The same formula applies to failed stages — the fragments
-// already evaluated did their work, and the transport charges whatever a
-// returned response reports even alongside an error — so the ledger a
-// query accumulates never depends on the site's scheduling mode.
-func stageCompute(start time.Time, compute, parWall time.Duration) StageCompute {
-	return StageCompute{ComputeNanos: int64(time.Since(start) - parWall + compute)}
-}
-
-// evalFrags runs fn over frags — concurrently, bounded by the session's
-// worker pool — and returns the per-fragment results in frags order, the
-// summed per-fragment computation time, and the wall time of the whole
-// fan-out. A panic inside fn degrades to that fragment's error, exactly as
-// a handler panic degrades to a failed call at the transport; when several
-// fragments fail, the error reported is the one earliest in frags,
-// independent of goroutine scheduling. The compute sum is returned even on
-// error: the work was done and must be chargeable to the query.
-func evalFrags[T any](sess *session, frags []fragment.FragID, fn func(fragment.FragID) (T, error)) (out []T, compute, wall time.Duration, err error) {
-	out = make([]T, len(frags))
-	durs := make([]time.Duration, len(frags))
-	errs := make([]error, len(frags))
-	run := func(i int, fid fragment.FragID) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("pax: fragment %d: panic: %v", fid, r)
-			}
-		}()
-		start := time.Now()
-		out[i], errs[i] = fn(fid)
-		durs[i] = time.Since(start)
-	}
-	start := time.Now()
-	if len(frags) <= 1 || cap(sess.workers) <= 1 {
-		for i, fid := range frags {
-			run(i, fid)
+// evalFrags runs fn over frags one after another, in the caller's
+// goroutine, passing each fragment's index in frags. The first failing
+// fragment stops the walk. A panic inside fn degrades to that fragment's
+// error, exactly as a handler panic degrades to a failed call at the
+// transport, so inside a batch envelope it fails only its member.
+func evalFrags(frags []fragment.FragID, fn func(i int, fid fragment.FragID) error) (err error) {
+	var cur fragment.FragID
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pax: fragment %d: panic: %v", cur, r)
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i, fid := range frags {
-			sess.workers <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer func() { <-sess.workers; wg.Done() }()
-				run(i, fid)
-			}()
-		}
-		wg.Wait()
-	}
-	wall = time.Since(start)
-	for _, d := range durs {
-		compute += d
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, compute, wall, e
+	}()
+	for i, fid := range frags {
+		cur = fid
+		if err := fn(i, fid); err != nil {
+			return err
 		}
 	}
-	return out, compute, wall, nil
+	return nil
 }
 
 // compile returns the site's cached compilation of query — the immutable
@@ -342,15 +279,13 @@ func (s *Site) dropSessionIfDone(qid QueryID, sess *session) {
 }
 
 // qualPassResult is one full Stage-1 sweep over the site's fragments: the
-// wire-ready root vectors and the per-fragment qualifier state, plus the
-// sweep's cost. roots and quals are immutable once built and may be shared
-// by every session of one batch group.
+// wire-ready root vectors and the per-fragment qualifier state. roots and
+// quals are immutable once built and may be shared by every session of one
+// batch group.
 type qualPassResult struct {
-	frags   []fragment.FragID
-	roots   []WireRootVecs
-	quals   []*parbox.FragQual // frags order
-	compute time.Duration
-	parWall time.Duration
+	frags []fragment.FragID
+	roots []WireRootVecs
+	quals []*parbox.FragQual // frags order
 }
 
 // shipRootVecs renders one fragment's Stage-1 result in wire form.
@@ -372,28 +307,23 @@ func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, c *xpath.Compiled, 
 }
 
 // qualPass runs the Stage-1 qualifier sweep over every fragment of the
-// session's snapshot, fragments in parallel. On error the cost fields of
-// the partial result are still valid — the fragments already evaluated did
-// their work.
+// session's snapshot.
 func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
 	s.qualPasses.Add(1)
-	type qualOut struct {
-		rv WireRootVecs
-		fq *parbox.FragQual
+	fs := sess.frags
+	res := &qualPassResult{
+		frags: fs.ids,
+		roots: make([]WireRootVecs, len(fs.ids)),
+		quals: make([]*parbox.FragQual, len(fs.ids)),
 	}
-	frags := sess.fragIDs
-	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (qualOut, error) {
-		f := sess.frags[fid]
+	err := evalFrags(fs.ids, func(i int, fid fragment.FragID) error {
+		f := fs.byID[fid]
 		fq := parbox.Qualify(f, sess.c, sess.vs, &boolexpr.Builder{})
-		return qualOut{rv: shipRootVecs(fid, f, sess.c, fq), fq: fq}, nil
+		res.roots[i], res.quals[i] = shipRootVecs(fid, f, sess.c, fq), fq
+		return nil
 	})
-	res := &qualPassResult{frags: frags, compute: compute, parWall: parWall}
 	if err != nil {
-		return res, err
-	}
-	for i := range frags {
-		res.roots = append(res.roots, outs[i].rv)
-		res.quals = append(res.quals, outs[i].fq)
+		return nil, err
 	}
 	return res, nil
 }
@@ -406,10 +336,8 @@ func (p *qualPassResult) seed(sess *session) {
 	}
 }
 
-// handleQual runs PaX3 Stage 1 over every hosted fragment, fragments in
-// parallel.
+// handleQual runs PaX3 Stage 1 over every hosted fragment.
 func (s *Site) handleQual(req *QualStageReq) (*QualStageResp, error) {
-	start := time.Now()
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
@@ -421,13 +349,10 @@ func (s *Site) handleQual(req *QualStageReq) (*QualStageResp, error) {
 	}
 	pr, err := s.qualPass(sess)
 	if err != nil {
-		return &QualStageResp{StageCompute: stageCompute(start, pr.compute, pr.parWall)},
-			fmt.Errorf("pax: site %d: %w", s.id, err)
+		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
 	pr.seed(sess)
-	resp := &QualStageResp{Roots: pr.roots}
-	resp.StageCompute = stageCompute(start, pr.compute, pr.parWall)
-	return resp, nil
+	return &QualStageResp{Roots: pr.roots}, nil
 }
 
 // virtualEnv grounds the sub-fragment qualifier variables from the wire.
@@ -472,32 +397,32 @@ func initFor(b *boolexpr.Builder, sess *session, fid fragment.FragID, inits []Wi
 }
 
 // selectFrags is the one selection path of both algorithms — PaX3 Stage 2
-// and PaX2 Stage 1. It runs the selection traversal over frags, fragments
-// in parallel, and folds the outcomes into response sections in frags
-// order, keeping each fragment's candidates in the session for the final
+// and PaX2 Stage 1. It runs the selection traversal over frags and, once
+// every fragment succeeded, folds the outcomes into response sections in
+// frags order, keeping each fragment's candidates in the session for the final
 // stage. With env, the traversal reads the Stage-1 state the session kept
 // from PaX3 Stage 1, grounded under env, and releases it. With env nil it
 // is PaX2's combined visit: each fragment's Stage-1 mask pass runs here,
 // its qualifier values stay symbolic in the sub-fragment variables, and its
-// root vectors ship beside its contexts. env is only read by the workers
-// (Env.Resolve is safe for concurrent reads). The sections come back in a
-// CombinedStageResp, whose Roots only PaX2 ships; its StageCompute holds
-// the stage's cost since start, on error too. Under stitch it lists the
-// sub-fragments below answers and candidates in Below.
-func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []fragment.FragID, inits []WireInit, shipXML, stitch bool, env *boolexpr.Env) (*CombinedStageResp, error) {
-	outs, compute, parWall, err := evalFrags(sess, frags, func(fid fragment.FragID) (combinedOutcome, error) {
-		f, ok := sess.frags[fid]
+// root vectors ship beside its contexts. The sections come back in a
+// CombinedStageResp, whose Roots only PaX2 ships. Under stitch it lists
+// the sub-fragments below answers and candidates in Below.
+func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, inits []WireInit, shipXML, stitch bool, env *boolexpr.Env) (*CombinedStageResp, error) {
+	outs := make([]combinedOutcome, len(frags))
+	err := evalFrags(frags, func(i int, fid fragment.FragID) error {
+		f, ok := sess.frags.byID[fid]
 		if !ok {
-			return combinedOutcome{}, fmt.Errorf("pax: site %d does not host fragment %d", s.id, fid)
+			return fmt.Errorf("pax: site %d does not host fragment %d", s.id, fid)
 		}
-		// One Builder per (query, fragment) visit, confined to this worker.
+		// One Builder per (query, fragment) visit.
 		b := &boolexpr.Builder{}
 		init, err := initFor(b, sess, fid, inits)
 		if err != nil {
-			return combinedOutcome{}, err
+			return err
 		}
 		if env == nil {
-			return *evalCombined(b, f, sess.c, sess.vs, init, shipXML), nil
+			outs[i] = *evalCombined(b, f, sess.c, sess.vs, init, shipXML)
+			return nil
 		}
 		fq := sess.qual[fid]
 		if fq == nil && sess.c.HasQualifiers() {
@@ -505,15 +430,15 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 			// whose qualifier stage never ran here (or already ran its
 			// selection stage) is a protocol violation by the coordinator —
 			// an error for this request, never a site crash.
-			return combinedOutcome{}, fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, qid)
+			return fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, qid)
 		}
-		return combinedOutcome{selOutcome: evalSelection(b, f, sess.c, init, shipXML, fq, env)}, nil
+		outs[i] = combinedOutcome{selOutcome: evalSelection(b, f, sess.c, init, shipXML, fq, env)}
+		return nil
 	})
-	resp := &CombinedStageResp{}
 	if err != nil {
-		resp.StageCompute = stageCompute(start, compute, parWall)
-		return resp, err
+		return nil, err
 	}
+	resp := &CombinedStageResp{}
 	for i, fid := range frags {
 		outc := outs[i]
 		if env == nil {
@@ -532,7 +457,6 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 		}
 		delete(sess.qual, fid) // Stage-1 state is no longer needed
 	}
-	resp.StageCompute = stageCompute(start, compute, parWall)
 	return resp, nil
 }
 
@@ -540,7 +464,6 @@ func (s *Site) selectFrags(start time.Time, qid QueryID, sess *session, frags []
 // outlives the stage if a candidate needs Stage 3 or, under Stitch, the
 // final stage may ask for bodies from its snapshot.
 func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
-	start := time.Now()
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
@@ -550,31 +473,33 @@ func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	cr, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, req.Stitch, env)
+	cr, err := s.selectFrags(req.QID, sess, req.Frags, req.Inits, req.ShipXML, req.Stitch, env)
 	if err != nil {
-		return &SelStageResp{StageCompute: cr.StageCompute}, err
+		return nil, err
 	}
 	if !req.Stitch {
 		s.dropSessionIfDone(req.QID, sess)
 	}
-	return &SelStageResp{StageCompute: cr.StageCompute, Contexts: cr.Contexts, Answers: cr.Answers, Candidates: cr.Candidates, Below: cr.Below}, nil
+	return &SelStageResp{Contexts: cr.Contexts, Answers: cr.Answers, Candidates: cr.Candidates, Below: cr.Below}, nil
 }
 
 // handleCombined runs PaX2 Stage 1 over the requested fragments: per
 // fragment, the Stage-1 mask pass and the selection traversal in one
 // visit. The session outlives it as handleSel's does.
 func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error) {
-	start := time.Now()
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
 	}
 	sess.shipXML = req.ShipXML
-	resp, err := s.selectFrags(start, req.QID, sess, req.Frags, req.Inits, req.ShipXML, req.Stitch, nil)
-	if err == nil && !req.Stitch {
+	resp, err := s.selectFrags(req.QID, sess, req.Frags, req.Inits, req.ShipXML, req.Stitch, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !req.Stitch {
 		s.dropSessionIfDone(req.QID, sess)
 	}
-	return resp, err
+	return resp, nil
 }
 
 // handleCollect runs PaX3 Stage 3 / PaX2 Stage 2: resolve retained
@@ -609,7 +534,7 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 	}
 	resp := &AnsStageResp{Answers: make([]AnswerNode, 0, n)}
 	for _, in := range req.Inits {
-		f, ok := sess.frags[in.Frag]
+		f, ok := sess.frags.byID[in.Frag]
 		if !ok {
 			return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, in.Frag)
 		}
@@ -628,7 +553,7 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 		delete(sess.cands, in.Frag)
 	}
 	for _, id := range req.Bodies {
-		f, ok := sess.frags[id]
+		f, ok := sess.frags.byID[id]
 		if !ok {
 			return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, id)
 		}
@@ -652,29 +577,23 @@ func (s *Site) Restart() {
 	s.compiled = newLRU[string, compiledQuery](defaultSiteCompileCache)
 }
 
-// handleFetch ships entire fragments (NaiveCentralized). The fragment set
-// is snapshotted under the lock, so a concurrent edit yields either the
-// pre- or the post-edit version of every fragment — never a torn read.
+// handleFetch ships entire fragments (NaiveCentralized) from one fragment
+// set, so a concurrent edit yields either the pre- or the post-edit version
+// of every fragment — never a torn read.
 func (s *Site) handleFetch() (*FetchResp, error) {
-	s.mu.Lock()
-	frags := make(map[fragment.FragID]*fragment.Fragment, len(s.frags))
-	for id, f := range s.frags {
-		frags[id] = f
-	}
-	s.mu.Unlock()
+	fs := s.snapshot()
 	resp := &FetchResp{}
-	for _, fid := range sortedFragIDs(frags) {
-		resp.Frags = append(resp.Frags, WireFragment{ID: fid, XML: frags[fid].XML()})
+	for _, fid := range fs.ids {
+		resp.Frags = append(resp.Frags, WireFragment{ID: fid, XML: fs.byID[fid].XML()})
 	}
 	return resp, nil
 }
 
-// handleEdit applies one fragment edit to the site's hosted copy. The
-// fragment swap and the epoch advance happen together under s.mu, the
-// lock session creation snapshots fragments and the epoch under, so a
-// query session observes either the pre-edit world (fragments AND epoch)
-// or the post-edit one, atomically. The copy-on-write apply itself, and
-// the parse of an inserted subtree, run outside the lock, so new sessions
+// handleEdit applies one fragment edit to the site's hosted copy. The new
+// fragment set is swapped in under s.mu, the lock session creation reads
+// the set under, so a query session observes either the pre-edit set or
+// the post-edit one, atomically. The copy-on-write apply itself, and the
+// parse of an inserted subtree, run outside the lock, so new sessions
 // never wait behind them; in-flight sessions keep evaluating their
 // snapshot's fragments untouched.
 //
@@ -683,20 +602,17 @@ func (s *Site) handleFetch() (*FetchResp, error) {
 // idempotent-retry case, safe because the engine serializes edits, so the
 // only edit that can have moved the fragment to BaseVersion+1 is this very
 // one, delivered by an earlier attempt whose response was lost; any other
-// version is a conflict. The switch runs on the fragment read under the
-// lock before the apply and, when the fragment was swapped while the
-// apply ran (a concurrent delivery of the same edit won), again on the
-// one that replaced it.
+// version is a conflict. The switch runs on the fragment read before the
+// apply and, when the fragment was swapped while the apply ran (a
+// concurrent delivery of the same edit won), again on the one that
+// replaced it.
 func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
-	start := time.Now()
-	s.mu.Lock()
-	f, ok := s.frags[req.Frag]
-	s.mu.Unlock()
+	f, ok := s.snapshot().byID[req.Frag]
 	if !ok {
 		return nil, fmt.Errorf("pax: site %d does not host fragment %d", s.id, req.Frag)
 	}
 	if f.Version != req.BaseVersion {
-		return s.editNotApplied(start, req, f)
+		return s.editNotApplied(req, f)
 	}
 	e, err := req.toEdit()
 	if err != nil {
@@ -707,23 +623,22 @@ func (s *Site) handleEdit(req *EditReq) (*EditResp, error) {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
 	s.mu.Lock()
-	if cur := s.frags[req.Frag]; cur != f {
+	if cur := s.frags.byID[req.Frag]; cur != f {
 		s.mu.Unlock()
-		return s.editNotApplied(start, req, cur)
+		return s.editNotApplied(req, cur)
 	}
-	s.frags[req.Frag] = nf
-	s.epoch++
+	s.frags = s.frags.with(nf)
 	s.mu.Unlock()
-	return &EditResp{NewVersion: nf.Version, Applied: true, StageCompute: stageCompute(start, 0, 0)}, nil
+	return &EditResp{NewVersion: nf.Version, Applied: true}, nil
 }
 
 // editNotApplied answers an edit that found fragment f at a version other
 // than its BaseVersion: the idempotent ack when f is at BaseVersion+1,
 // ErrEditConflict otherwise.
-func (s *Site) editNotApplied(start time.Time, req *EditReq, f *fragment.Fragment) (*EditResp, error) {
+func (s *Site) editNotApplied(req *EditReq, f *fragment.Fragment) (*EditResp, error) {
 	if f.Version != req.BaseVersion+1 {
 		return nil, fmt.Errorf("pax: site %d: fragment %d is at version %d, edit issued against base %d: %w",
 			s.id, req.Frag, f.Version, req.BaseVersion, ErrEditConflict)
 	}
-	return &EditResp{NewVersion: f.Version, StageCompute: stageCompute(start, 0, 0)}, nil
+	return &EditResp{NewVersion: f.Version}, nil
 }

@@ -185,41 +185,9 @@ func (t *Topology) Sites() []dist.SiteID { return t.sites }
 // FragsAt returns the fragments hosted at a site, ascending.
 func (t *Topology) FragsAt(site dist.SiteID) []fragment.FragID { return t.fragsAt[site] }
 
-// SiteOption configures the sites and the transport a cluster builder
-// constructs.
-type SiteOption func(*clusterConfig)
-
-type clusterConfig struct {
-	par int
-}
-
-func buildConfig(opts []SiteOption) clusterConfig {
-	var cfg clusterConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-func (c *clusterConfig) newSite(sid dist.SiteID, frags []*fragment.Fragment) *Site {
-	site := NewSite(sid, frags)
-	if c.par > 0 {
-		site.SetParallelism(c.par)
-	}
-	return site
-}
-
-// SiteParallelism bounds fragment-evaluation concurrency within each
-// site's stage requests (see Site.SetParallelism). Sites default to
-// GOMAXPROCS; the differential harness sets 1 for its sequential oracle.
-func SiteParallelism(n int) SiteOption {
-	return func(c *clusterConfig) { c.par = n }
-}
-
 // BuildLocalCluster constructs the in-process cluster for a topology: one
 // Site per SiteID, registered on a fresh Local transport.
-func BuildLocalCluster(t *Topology, opts ...SiteOption) (*dist.Local, []*Site) {
-	cfg := buildConfig(opts)
+func BuildLocalCluster(t *Topology) (*dist.Local, []*Site) {
 	local := dist.NewLocal()
 	var sites []*Site
 	for _, sid := range t.sites {
@@ -227,7 +195,7 @@ func BuildLocalCluster(t *Topology, opts ...SiteOption) (*dist.Local, []*Site) {
 		for _, fid := range t.fragsAt[sid] {
 			frags = append(frags, t.FT.Frag(fid))
 		}
-		site := cfg.newSite(sid, frags)
+		site := NewSite(sid, frags)
 		local.AddSite(sid, site.Handler())
 		sites = append(sites, site)
 	}
@@ -238,8 +206,7 @@ func BuildLocalCluster(t *Topology, opts ...SiteOption) (*dist.Local, []*Site) {
 // and returns the connected transport, the in-process Site instances
 // backing the servers (for cache/stats introspection), and a shutdown
 // function.
-func BuildTCPCluster(t *Topology, opts ...SiteOption) (*dist.TCP, []*Site, func(), error) {
-	cfg := buildConfig(opts)
+func BuildTCPCluster(t *Topology) (*dist.TCP, []*Site, func(), error) {
 	addrs := make(map[dist.SiteID]string, len(t.sites))
 	var servers []*dist.TCPServer
 	var sites []*Site
@@ -253,7 +220,7 @@ func BuildTCPCluster(t *Topology, opts ...SiteOption) (*dist.TCP, []*Site, func(
 		for _, fid := range t.fragsAt[sid] {
 			frags = append(frags, t.FT.Frag(fid))
 		}
-		site := cfg.newSite(sid, frags)
+		site := NewSite(sid, frags)
 		srv, err := dist.NewTCPServer("127.0.0.1:0", site.Handler())
 		if err != nil {
 			shutdown()

@@ -215,15 +215,6 @@ func (r *reader) int32() int32 {
 	return int32(uint32(v))
 }
 
-func (r *reader) int64() int64 {
-	v := r.uvarint()
-	if r.err == nil && v > math.MaxInt64 {
-		r.fail(fmt.Errorf("%w: value %d overflows int64", wirefmt.ErrMalformed, v))
-		return 0
-	}
-	return int64(v)
-}
-
 func (r *reader) fragID() fragment.FragID { return fragment.FragID(r.int32()) }
 
 func (r *reader) bool() bool {
@@ -564,7 +555,6 @@ func (m *QualStageResp) WireTag() dist.MsgTag { return tagQualStageResp }
 
 // AppendBinary implements dist.BinaryMessage.
 func (m *QualStageResp) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirefmt.AppendUvarint(dst, uint64(m.ComputeNanos))
 	return appendRootVecsSlice(dst, m.Roots), nil
 }
 
@@ -572,7 +562,6 @@ func (m *QualStageResp) AppendBinary(dst []byte) ([]byte, error) {
 func (m *QualStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
 
 func (m *QualStageResp) decode(r reader) error {
-	m.ComputeNanos = r.int64()
 	m.Roots = r.rootVecsSlice()
 	return r.done()
 }
@@ -610,7 +599,6 @@ func (m *SelStageResp) WireTag() dist.MsgTag { return tagSelStageResp }
 
 // AppendBinary implements dist.BinaryMessage.
 func (m *SelStageResp) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirefmt.AppendUvarint(dst, uint64(m.ComputeNanos))
 	dst = appendContexts(dst, m.Contexts)
 	dst = appendAnswers(dst, m.Answers)
 	dst = appendFragIDs(dst, m.Candidates)
@@ -621,7 +609,6 @@ func (m *SelStageResp) AppendBinary(dst []byte) ([]byte, error) {
 func (m *SelStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
 
 func (m *SelStageResp) decode(r reader) error {
-	m.ComputeNanos = r.int64()
 	m.Contexts = r.contexts()
 	m.Answers = r.answers()
 	m.Candidates = r.fragIDs()
@@ -660,7 +647,6 @@ func (m *CombinedStageResp) WireTag() dist.MsgTag { return tagCombinedStageResp 
 
 // AppendBinary implements dist.BinaryMessage.
 func (m *CombinedStageResp) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirefmt.AppendUvarint(dst, uint64(m.ComputeNanos))
 	dst = appendRootVecsSlice(dst, m.Roots)
 	dst = appendContexts(dst, m.Contexts)
 	dst = appendAnswers(dst, m.Answers)
@@ -672,7 +658,6 @@ func (m *CombinedStageResp) AppendBinary(dst []byte) ([]byte, error) {
 func (m *CombinedStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
 
 func (m *CombinedStageResp) decode(r reader) error {
-	m.ComputeNanos = r.int64()
 	m.Roots = r.rootVecsSlice()
 	m.Contexts = r.contexts()
 	m.Answers = r.answers()
@@ -821,7 +806,6 @@ func (m *BatchStageResp) AppendBinary(dst []byte) ([]byte, error) {
 	if len(m.SubComputeNanos) != len(m.Subs) {
 		return nil, fmt.Errorf("pax: batch response has %d compute entries for %d subs", len(m.SubComputeNanos), len(m.Subs))
 	}
-	dst = wirefmt.AppendUvarint(dst, uint64(m.ComputeNanos))
 	dst = appendSubs(dst, m.Subs)
 	for _, c := range m.SubComputeNanos {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(c))
@@ -832,7 +816,6 @@ func (m *BatchStageResp) AppendBinary(dst []byte) ([]byte, error) {
 // DecodeBinary implements dist.BinaryMessage.
 func (m *BatchStageResp) DecodeBinary(p []byte) error {
 	r := reader{p: p}
-	m.ComputeNanos = r.int64()
 	m.Subs = r.subs()
 	if len(m.Subs) > 0 {
 		m.SubComputeNanos = make([]int64, len(m.Subs))
@@ -885,7 +868,6 @@ func (m *EditResp) WireTag() dist.MsgTag { return tagEditResp }
 
 // AppendBinary implements dist.BinaryMessage.
 func (m *EditResp) AppendBinary(dst []byte) ([]byte, error) {
-	dst = wirefmt.AppendUvarint(dst, uint64(m.ComputeNanos))
 	dst = wirefmt.AppendUvarint(dst, m.NewVersion)
 	return wirefmt.AppendBool(dst, m.Applied), nil
 }
@@ -893,7 +875,6 @@ func (m *EditResp) AppendBinary(dst []byte) ([]byte, error) {
 // DecodeBinary implements dist.BinaryMessage.
 func (m *EditResp) DecodeBinary(p []byte) error {
 	r := reader{p: p}
-	m.ComputeNanos = r.int64()
 	m.NewVersion = r.uvarint()
 	m.Applied = r.bool()
 	return r.done()

@@ -141,7 +141,6 @@ func messageCorpus(seed int64) []corpusCase {
 		// One member answered, one failed: a Tag-0 member carries the
 		// handler's error text.
 		{"error-member", &BatchStageResp{
-			StageCompute:    StageCompute{ComputeNanos: 42},
 			Subs:            []BatchSub{{Tag: tagQualStageResp, Body: mustBody(qualResp)}, {Tag: 0, Body: []byte("site 3: stage out of order")}},
 			SubComputeNanos: []int64{41, 1},
 		}},
@@ -150,7 +149,7 @@ func messageCorpus(seed int64) []corpusCase {
 			SubtreeXML: `<person id="7&quot;x"><name>Ada</name></person>`,
 		}},
 		{"rename", &EditReq{Frag: 0, BaseVersion: 1, Op: 3, Node: 5, Label: "renamed"}},
-		{"applied", &EditResp{StageCompute: StageCompute{ComputeNanos: 12345}, NewVersion: 8, Applied: true}},
+		{"applied", &EditResp{NewVersion: 8, Applied: true}},
 		{"replayed", &EditResp{NewVersion: 9}},
 	}
 }
@@ -395,8 +394,8 @@ func TestDecodedMessagesDoNotAliasFrame(t *testing.T) {
 func TestCorruptAnswerStringLength(t *testing.T) {
 	// Everything in front of the answers section, all empty.
 	prefixes := map[dist.MsgTag][]byte{
-		tagSelStageResp:      {0, 0},    // ComputeNanos, Contexts
-		tagCombinedStageResp: {0, 0, 0}, // ComputeNanos, Roots, Contexts
+		tagSelStageResp:      {0},    // Contexts
+		tagCombinedStageResp: {0, 0}, // Roots, Contexts
 		tagAnsStageResp:      nil,
 	}
 	lengths := map[string][]byte{
@@ -545,8 +544,7 @@ func TestHostileCountDoesNotAmplify(t *testing.T) {
 	// 2^20 * sizeof(WireRootVecs) ≈ 80 MB before reading a single
 	// element; now the eager capacity is capped and the first element's
 	// failure stops the loop.
-	body := wirefmt.AppendUvarint(nil, 1) // ComputeNanos
-	body = wirefmt.AppendUvarint(body, 1<<20)
+	body := wirefmt.AppendUvarint(nil, 1<<20)
 	body = append(body, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // fragID > MaxInt32
 	body = append(body, make([]byte, 2<<20)...)
 	payload := append([]byte{wireVersion(), 0x01 /* resp */}, 0, 0, 0, 0, 0, 0, 0, 1, 0x00 /* compute, ok */)

@@ -30,10 +30,10 @@
 // private cost ledger fed by per-call transport costs, so the Stats of
 // one query are attributed to that query alone and the paper's per-query
 // guarantees (visit bound, traffic bound) can be asserted even under
-// concurrent load. Within one site, the fragments of a stage request are
-// themselves evaluated in parallel (GOMAXPROCS at a time), with
-// per-fragment computation summed into the ledger so the cost profile is
-// identical to sequential evaluation. Compiled query plans are cached and
+// concurrent load. Sites evaluate queries concurrently, but one stage
+// request's fragments one after another: the site is the unit of
+// parallelism, and a visit's computation cost is its handler time as the
+// transport measures it. Compiled query plans are cached and
 // shared between evaluations. Close must not be called while evaluations
 // are in flight; in-flight queries then fail with transport errors.
 //
