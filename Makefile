@@ -117,9 +117,13 @@ batch-smoke:
 # mid-deployment must keep answering byte-identically to centralized
 # evaluation, within the failover visit bound, with the per-query cost
 # ledgers conserved. The full 200-schedule-per-transport corpus runs in
-# `test` (TestFaultInjectionLocal / TestFaultInjectionTCP).
+# `test` (TestFaultInjectionLocal / TestFaultInjectionTCP). A refused dial
+# costs exactly one attempt and fails at once (TestTCPDialCount counts the
+# dials); the failover route owns every wait, and replication or a retry
+# policy is what survives a restart (TestRefusedSiteContract counts the
+# calls on both transports).
 fault-smoke:
-	$(GO) test -run='TestFaultSmoke' ./internal/harness
+	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract' ./internal/harness ./internal/dist ./internal/pax
 
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked

@@ -26,7 +26,9 @@
 //     match what a TCP deployment would ship. A FaultHook allows tests to
 //     inject per-call network faults.
 //   - TCP: each site is a TCPServer; the TCP client dials the configured
-//     address map and keeps a pool of idle connections per site.
+//     address map and keeps a pool of idle connections per site. A call
+//     dials at most once, and a refused dial fails it at once with a
+//     Retriable error: neither transport retries or waits on its own.
 //
 // # Wire format
 //
@@ -37,16 +39,10 @@
 //
 //	frame    := length:4 payload          (big-endian length, <= 1 GiB;
 //	                                       beyond it ErrMessageTooLarge)
-//	payload  := version kind rest
-//	version  := 0x03
-//	kind     := 0x00 request | 0x01 response
-//	request  := tag body                  (tag 0: nil request, no body)
-//	response := compute:8 status rest     (compute: handler nanoseconds,
-//	                                       big-endian, fixed width)
-//	status   := 0x00 ok  -> tag body      (tag 0: nil response)
-//	          | 0x01 err -> uvarint-length-prefixed error string
-//	tag      := uvarint                   (numeric type id, RegisterBinary)
-//	body     := the message's own hand-written encoding (BinaryMessage)
+//
+// The payload grammar — version byte, kind, envelope, tag, body — is kept
+// once, next to binVersion in binary.go, so a format change and its
+// version bump edit the same block.
 //
 // Message bodies are built from the primitives of internal/wirefmt
 // (varints, length-prefixed strings/bytes, bit-packed bool vectors);

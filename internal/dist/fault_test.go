@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -115,24 +116,55 @@ func TestFaultPlanKillAndRestart(t *testing.T) {
 	}
 }
 
-// TestTCPSiteRestartBetweenQueries is the pooled-connection regression:
-// after a site process dies and restarts on the same address, the next
-// call must discard the dead pooled connection and redial instead of
-// failing every subsequent call on that site.
-func TestTCPSiteRestartBetweenQueries(t *testing.T) {
+// countDials makes tr count its dials, refusing each one instead of
+// dialing when refuse is set.
+func countDials(tr *TCP, refuse bool) *atomic.Int32 {
+	var n atomic.Int32
+	next := tr.dial
+	tr.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		n.Add(1)
+		if refuse {
+			return nil, errors.New("connection refused")
+		}
+		return next(ctx, network, addr)
+	}
+	return &n
+}
+
+// TestTCPDialCount pins the transport's one-dial contract by counting
+// dials, never by timing: a refused dial fails the call at once with a
+// retriable error and a zero cost. It is also the pooled-connection
+// regression: after a site process dies and restarts on the same
+// address, the next call discards the dead pooled connection and
+// succeeds on exactly one fresh dial.
+func TestTCPDialCount(t *testing.T) {
 	srv, err := NewTCPServer("127.0.0.1:0", echoHandler(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
+
+	refused := NewTCP(map[SiteID]string{1: addr})
+	defer refused.Close()
+	dials := countDials(refused, true)
+	_, cost, err := refused.Call(context.Background(), 1, &echoReq{Payload: "p"})
+	if !Retriable(err) {
+		t.Fatalf("refused dial: err = %v, want retriable", err)
+	}
+	if cost != (CallCost{}) {
+		t.Fatalf("refused dial: cost = %+v, want zero", cost)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("refused call dialed %d times, want exactly 1", n)
+	}
+
 	tr := NewTCP(map[SiteID]string{1: addr})
 	defer tr.Close()
+	dials = countDials(tr, false)
 	if _, _, err := tr.Call(context.Background(), 1, &echoReq{Payload: "q1"}); err != nil {
-		t.Fatalf("first query: %v", err)
+		t.Fatalf("first call: %v", err)
 	}
-	// Kill the site: the pooled connection is now dead on the floor.
-	srv.Close()
-	// Restart it on the same address, as a supervisor would.
+	srv.Close() // the pooled connection goes stale
 	srv2, err := NewTCPServer(addr, echoHandler(1))
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
@@ -140,44 +172,13 @@ func TestTCPSiteRestartBetweenQueries(t *testing.T) {
 	defer srv2.Close()
 	resp, _, err := tr.Call(context.Background(), 1, &echoReq{Payload: "q2"})
 	if err != nil {
-		t.Fatalf("second query after site restart: %v", err)
+		t.Fatalf("call over a stale pooled connection: %v", err)
 	}
 	if r, ok := resp.(*echoResp); !ok || r.Payload != "q2" {
 		t.Fatalf("resp = %#v", resp)
 	}
-}
-
-// TestTCPDialBackoffSurvivesRestartWindow verifies the redial backoff: a
-// call issued while the site's listener is briefly down succeeds once
-// the listener is back within the backoff schedule.
-func TestTCPDialBackoffSurvivesRestartWindow(t *testing.T) {
-	srv, err := NewTCPServer("127.0.0.1:0", echoHandler(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-	tr := NewTCP(map[SiteID]string{1: addr})
-	defer tr.Close()
-	srv.Close() // down before the first call: no pooled conns at all
-	restarted := make(chan *TCPServer, 1)
-	go func() {
-		time.Sleep(15 * time.Millisecond) // inside the 5+20+80ms schedule
-		s, err := NewTCPServer(addr, echoHandler(1))
-		if err == nil {
-			restarted <- s
-		}
-	}()
-	resp, _, err := tr.Call(context.Background(), 1, &echoReq{Payload: "hello"})
-	select {
-	case s := <-restarted:
-		defer s.Close()
-	default:
-	}
-	if err != nil {
-		t.Fatalf("call during restart window: %v", err)
-	}
-	if r, ok := resp.(*echoResp); !ok || r.Payload != "hello" {
-		t.Fatalf("resp = %#v", resp)
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("two calls across a restart dialed %d times, want 2 (one each)", n)
 	}
 }
 

@@ -145,9 +145,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // that the site dropped while idle (site restart) is detected with a
 // non-blocking probe before the request is written and replaced by a
 // fresh dial; a connection that dies mid-call fails that call.
+//
+// The transport does not retry: a call dials at most once, and a refused
+// dial fails the call at once with a Retriable error and a zero cost.
+// Waiting for a site to come back belongs to the caller's retry policy.
 type TCP struct {
 	addrs map[SiteID]string
 	m     *Metrics
+	dial  func(ctx context.Context, network, addr string) (net.Conn, error) // net.Dialer's; tests count through it
 
 	mu     sync.Mutex
 	idle   map[SiteID][]net.Conn
@@ -161,6 +166,7 @@ func NewTCP(addrs map[SiteID]string) *TCP {
 	t := &TCP{
 		addrs:  make(map[SiteID]string, len(addrs)),
 		m:      NewMetrics(),
+		dial:   new(net.Dialer).DialContext,
 		idle:   make(map[SiteID][]net.Conn),
 		active: make(map[net.Conn]struct{}),
 	}
@@ -220,18 +226,12 @@ func (t *TCP) popIdle(to SiteID) (net.Conn, error) {
 	return conn, nil
 }
 
-// dialBackoffs are the waits between dial attempts in getConn: a site
-// that is restarting (its listener briefly down) is reached on a later
-// attempt instead of failing the call. The schedule is short — a site
-// that stays unreachable past ~100ms is treated as dead and handed to
-// the failover layer, which owns the longer replica-rotation backoff.
-var dialBackoffs = []time.Duration{5 * time.Millisecond, 20 * time.Millisecond, 80 * time.Millisecond}
-
-// getConn returns a healthy connection for the site: a pooled one that
-// passes the staleness probe, else a fresh dial bounded by ctx. Dial
-// failures are retried on the dialBackoffs schedule before the site is
-// reported unavailable, so a peer restart between two queries costs a
-// redial, not a failed call.
+// getConn returns a connection for the site: a pooled one that passes
+// the staleness probe, else one fresh dial bounded by ctx. A stale pooled
+// connection is dropped, so a peer restart between two queries costs one
+// dial, not a failed call. A refused or failed dial reports the site
+// unavailable at once: the transport never waits to redial, and riding
+// out a restart is the caller's retry policy (pax's failover route).
 func (t *TCP) getConn(ctx context.Context, to SiteID) (net.Conn, error) {
 	for {
 		conn, err := t.popIdle(to)
@@ -257,22 +257,9 @@ func (t *TCP) getConn(ctx context.Context, to SiteID) (net.Conn, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("dist: unknown site %d", to)
 	}
-	var d net.Dialer
-	var conn net.Conn
-	var err error
-	for attempt := 0; ; attempt++ {
-		conn, err = d.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			break
-		}
-		if ctx.Err() != nil || attempt >= len(dialBackoffs) {
-			return nil, siteUnavailable(to, fmt.Errorf("dial %s: %w", addr, err))
-		}
-		select {
-		case <-ctx.Done():
-			return nil, siteUnavailable(to, fmt.Errorf("dial %s: %w", addr, err))
-		case <-time.After(dialBackoffs[attempt]):
-		}
+	conn, err := t.dial(ctx, "tcp", addr)
+	if err != nil {
+		return nil, siteUnavailable(to, fmt.Errorf("dial %s: %w", addr, err))
 	}
 	t.mu.Lock()
 	if t.closed {

@@ -61,8 +61,8 @@ func TestFaultInjectionLocal(t *testing.T) {
 // real TCP servers on loopback: server processes are torn down
 // mid-deployment (pooled connections die, later dials are refused) and
 // restarted with their state wiped, exercising the stale-connection
-// probe, the dial backoff, dead-site failover and session
-// re-establishment end to end.
+// probe, refused dials failing over at once, dead-site failover and
+// session re-establishment end to end.
 func TestFaultInjectionTCP(t *testing.T) {
 	res, err := FaultSweep(context.Background(), 5000, 200, FaultOptions{Transport: DiffTCP})
 	if err != nil {

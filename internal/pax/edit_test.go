@@ -541,9 +541,9 @@ func TestEditReplicatedConvergence(t *testing.T) {
 	})
 
 	t.Run("reissue after retry budget", func(t *testing.T) {
-		saved := EditRetryPolicy
-		EditRetryPolicy = RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, MaxBackoff: time.Millisecond}
-		defer func() { EditRetryPolicy = saved }()
+		saved := editRetryPolicy
+		editRetryPolicy = RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, MaxBackoff: time.Millisecond}
+		defer func() { editRetryPolicy = saved }()
 
 		eng, _, _, local, sites := replicatedCluster(t, 2, 2)
 		group := eng.topo.ReplicasOf(eng.topo.SiteOf[fid])

@@ -30,25 +30,32 @@ type RetryPolicy struct {
 // group plus two more for transient faults, starting at 2ms.
 var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 
-// wait returns the backoff before attempt n (n = 1 is the wait between
-// the first and second try).
-func (p RetryPolicy) wait(n int) time.Duration {
+// sleep waits the backoff before attempt n+1 (n = 1 is the wait between
+// the first and second try), or returns ctx's error if the context dies
+// first. It is the one wait between retries: the failover route and
+// editMember both call it, and the transports never wait.
+func (p RetryPolicy) sleep(ctx context.Context, n int) error {
 	if p.Backoff <= 0 || n < 1 {
-		return 0
+		return nil
 	}
 	d := p.Backoff << (n - 1)
 	if d <= 0 || (p.MaxBackoff > 0 && d > p.MaxBackoff) {
 		d = p.MaxBackoff
 	}
-	return d
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d):
+		return nil
+	}
 }
 
 // WithRetryPolicy sets the engine's failover retry policy. Without it, a
 // replicated topology runs DefaultRetryPolicy and an unreplicated one
 // runs single-attempt (errors surface exactly as without a failover
 // layer). Setting MaxAttempts > 1 on an unreplicated topology is valid:
-// retries then rotate back to the lone site, which repairs restarts-
-// with-session-loss but not a site that stays dead.
+// retries then rotate back to the lone site after the backoff, which
+// rides out a restart but not a site that stays dead.
 //
 // The failover route bypasses multi-query batching (WithBatchWindow):
 // an engine with a failover layer calls its sites through the route, so
@@ -197,12 +204,8 @@ func (rt *runRoute) call(ctx context.Context, primary dist.SiteID, req any) (res
 			rt.rotate(primary)
 			e.failovers.Add(1)
 		}
-		if wait := e.retry.wait(attempt); wait > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, costs, fmt.Errorf("pax: site %d: %w", primary, ctx.Err())
-			case <-time.After(wait):
-			}
+		if err := e.retry.sleep(ctx, attempt); err != nil {
+			return nil, costs, fmt.Errorf("pax: site %d: %w", primary, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -430,5 +431,181 @@ func TestClassifyStageError(t *testing.T) {
 		if r != c.retriable || p != c.inPlace {
 			t.Errorf("%s: classify = (%v,%v), want (%v,%v)", c.name, r, p, c.retriable, c.inPlace)
 		}
+	}
+}
+
+// outageCluster serves a topology on one transport and takes sites down
+// the way a killed process is down: every call fails at the transport
+// with a retriable error (on TCP the listener is closed, so the dial is
+// refused). It counts calls per site, and a site marked in revive comes
+// back right after its first refused call, so a restart lands between
+// two attempts by count, never by timer.
+type outageCluster struct {
+	dist.Transport
+	down, up func(dist.SiteID)
+
+	mu     sync.Mutex
+	calls  map[dist.SiteID]int
+	revive map[dist.SiteID]bool
+}
+
+func (c *outageCluster) Call(ctx context.Context, to dist.SiteID, req any) (any, dist.CallCost, error) {
+	resp, cost, err := c.Transport.Call(ctx, to, req)
+	c.mu.Lock()
+	c.calls[to]++
+	revive := c.revive[to] && dist.Retriable(err)
+	delete(c.revive, to)
+	c.mu.Unlock()
+	if revive {
+		c.up(to)
+	}
+	return resp, cost, err
+}
+
+func (c *outageCluster) callsTo(site dist.SiteID) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls[site]
+}
+
+func newOutageCluster(t *testing.T, topo *Topology, overTCP bool) *outageCluster {
+	t.Helper()
+	c := &outageCluster{calls: make(map[dist.SiteID]int), revive: make(map[dist.SiteID]bool)}
+	var mu sync.Mutex
+	if !overTCP {
+		local, _ := BuildLocalCluster(topo)
+		down := make(map[dist.SiteID]bool)
+		local.FaultHook = func(to dist.SiteID, _ any) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if down[to] {
+				return fmt.Errorf("site %d %w: connection refused", to, dist.ErrSiteUnavailable)
+			}
+			return nil
+		}
+		c.Transport = local
+		c.down = func(id dist.SiteID) { mu.Lock(); down[id] = true; mu.Unlock() }
+		c.up = func(id dist.SiteID) { mu.Lock(); delete(down, id); mu.Unlock() }
+		return c
+	}
+	addrs := make(map[dist.SiteID]string)
+	handlers := make(map[dist.SiteID]dist.Handler)
+	servers := make(map[dist.SiteID]*dist.TCPServer)
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, s := range servers {
+			s.Close()
+		}
+	})
+	for _, sid := range topo.Sites() {
+		var frags []*fragment.Fragment
+		for _, fid := range topo.FragsAt(sid) {
+			frags = append(frags, topo.FT.Frag(fid))
+		}
+		handlers[sid] = NewSite(sid, frags).Handler()
+		srv, err := dist.NewTCPServer("127.0.0.1:0", handlers[sid])
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[sid], addrs[sid] = srv, srv.Addr()
+	}
+	tcp := dist.NewTCP(addrs)
+	t.Cleanup(func() { tcp.Close() })
+	c.Transport = tcp
+	c.down = func(id dist.SiteID) { mu.Lock(); servers[id].Close(); mu.Unlock() }
+	c.up = func(id dist.SiteID) {
+		srv, err := dist.NewTCPServer(addrs[id], handlers[id])
+		if err != nil {
+			t.Errorf("restart site %d on %s: %v", id, addrs[id], err)
+			return
+		}
+		mu.Lock()
+		servers[id] = srv
+		mu.Unlock()
+	}
+	return c
+}
+
+// TestRefusedSiteContract pins, on both transports and by call counts
+// only, how a query meets a site that refuses: replication or a retry
+// policy is what survives a restart. Without either, the query fails at
+// once with a retriable error after one call to the down site; with a
+// retry policy it rides out the outage with one retry; and a replicated
+// group whose primary refuses costs one call to the primary, after which
+// the replica serves every stage call the primary would have.
+func TestRefusedSiteContract(t *testing.T) {
+	query := `//broker[//stock/code = "GOOG"]/name`
+	opts := Options{Algorithm: PaX3}
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracle(t, tr, query)
+	for _, overTCP := range []bool{false, true} {
+		t.Run(map[bool]string{false: "local", true: "tcp"}[overTCP], func(t *testing.T) {
+			// stageCalls counts the calls a healthy run makes to the site.
+			stageCalls := func(topo *Topology, site dist.SiteID) int {
+				c := newOutageCluster(t, topo, overTCP)
+				if _, err := NewEngine(topo, c).Run(query, opts); err != nil {
+					t.Fatalf("healthy run: %v", err)
+				}
+				if c.callsTo(site) == 0 {
+					t.Fatalf("healthy run never calls site %d", site)
+				}
+				return c.callsTo(site)
+			}
+			check := func(what string, res *Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if got := origIDs(ft, res.Answers); !testutil.EqualIDs(got, want) {
+					t.Errorf("%s: got %v want %v", what, got, want)
+				}
+			}
+
+			plain := RoundRobin(ft, 2)
+			site := plain.Primaries()[0]
+			healthy := stageCalls(plain, site)
+
+			c := newOutageCluster(t, plain, overTCP)
+			c.down(site)
+			_, err := NewEngine(plain, c).Run(query, opts)
+			if !dist.Retriable(err) {
+				t.Errorf("unreplicated, no policy: err = %v, want retriable", err)
+			}
+			if n := c.callsTo(site); n != 1 {
+				t.Errorf("unreplicated, no policy: %d calls to the down site, want 1", n)
+			}
+
+			c = newOutageCluster(t, plain, overTCP)
+			c.down(site)
+			c.revive[site] = true
+			res, err := NewEngine(plain, c, WithRetryPolicy(RetryPolicy{MaxAttempts: 3})).Run(query, opts)
+			check("unreplicated with a retry policy", res, err)
+			if err == nil && res.Retries != 1 {
+				t.Errorf("unreplicated with a retry policy: %d retries, want 1", res.Retries)
+			}
+			if n := c.callsTo(site); n != healthy+1 {
+				t.Errorf("unreplicated with a retry policy: %d calls to the site, want %d", n, healthy+1)
+			}
+
+			repl := RoundRobinReplicated(ft, 2, 2)
+			primary := repl.Primaries()[0]
+			replica := repl.ReplicasOf(primary)[1]
+			healthy = stageCalls(repl, primary)
+			c = newOutageCluster(t, repl, overTCP)
+			c.down(primary)
+			res, err = NewEngine(repl, c).Run(query, opts)
+			check("replicated, primary down", res, err)
+			if err == nil && (res.Retries != 1 || res.Failovers != 1) {
+				t.Errorf("replicated, primary down: %d retries / %d failovers, want 1 / 1", res.Retries, res.Failovers)
+			}
+			if p, r := c.callsTo(primary), c.callsTo(replica); p != 1 || r != healthy {
+				t.Errorf("replicated, primary down: %d calls to the primary and %d to the replica, want 1 and %d", p, r, healthy)
+			}
+		})
 	}
 }

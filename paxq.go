@@ -49,6 +49,7 @@ package paxq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -220,14 +221,19 @@ type ClusterOptions struct {
 	Registry string
 	// RetryMaxAttempts bounds how many attempts one stage call gets across
 	// a replica group before the query fails (first try included). 0 picks
-	// the default: 4 when replicated, 1 (no retrying) otherwise.
+	// the default: 4 when replicated, 1 (no retrying) otherwise; negative
+	// is an error. Replication or a retry policy is how a query survives a
+	// site restart: the transport never waits to redial, so on an
+	// unreplicated cluster without RetryMaxAttempts > 1 a call to a
+	// restarting site fails at once with a retriable error.
 	RetryMaxAttempts int
 	// RetryBackoff is the wait before the second attempt of a failed stage
-	// call; each further attempt doubles it. 0 with RetryMaxAttempts == 0
-	// keeps the default policy's 2ms.
+	// call; each further attempt doubles it. It needs RetryMaxAttempts > 0
+	// (NewCluster rejects it otherwise, and any negative retry option); the
+	// default policy waits 2ms.
 	RetryBackoff time.Duration
-	// RetryMaxBackoff caps the exponential backoff schedule. 0 with
-	// RetryMaxAttempts == 0 keeps the default policy's 50ms.
+	// RetryMaxBackoff caps the exponential backoff schedule. It needs
+	// RetryMaxAttempts > 0, like RetryBackoff; the default caps at 50ms.
 	RetryMaxBackoff time.Duration
 }
 
@@ -247,6 +253,13 @@ type Cluster struct {
 // element name fragment-ref is reserved: it marks fragment boundaries in
 // the fragments' XML form, and a document using it is rejected.
 func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
+	if opts.RetryMaxAttempts < 0 || opts.RetryBackoff < 0 || opts.RetryMaxBackoff < 0 {
+		return nil, fmt.Errorf("paxq: negative retry option (RetryMaxAttempts %d, RetryBackoff %v, RetryMaxBackoff %v)",
+			opts.RetryMaxAttempts, opts.RetryBackoff, opts.RetryMaxBackoff)
+	}
+	if opts.RetryMaxAttempts == 0 && (opts.RetryBackoff != 0 || opts.RetryMaxBackoff != 0) {
+		return nil, errors.New("paxq: RetryBackoff and RetryMaxBackoff need RetryMaxAttempts > 0")
+	}
 	var cuts []xmltree.NodeID
 	switch {
 	case len(opts.CutPaths) > 0:

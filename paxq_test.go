@@ -400,3 +400,25 @@ func TestRetryPolicyOnUnreplicatedCluster(t *testing.T) {
 		t.Errorf("answers=%d retries=%d", len(ans), stats.Retries)
 	}
 }
+
+// TestRetryOptionsNeedAttempts: a retry option that would be ignored is an
+// error, not silently dropped — a backoff without RetryMaxAttempts, or a
+// negative attempt count or backoff.
+func TestRetryOptionsNeedAttempts(t *testing.T) {
+	doc := mustDoc(t)
+	for _, opts := range []ClusterOptions{
+		{Fragments: 4, RetryBackoff: 5 * time.Millisecond},
+		{Fragments: 4, RetryMaxBackoff: time.Second},
+		{Fragments: 4, Replicas: 2, RetryBackoff: time.Millisecond, RetryMaxBackoff: time.Second},
+		{Fragments: 4, RetryMaxAttempts: -1},
+		{Fragments: 4, RetryMaxAttempts: 3, RetryBackoff: -time.Millisecond},
+		{Fragments: 4, RetryMaxAttempts: 3, RetryMaxBackoff: -time.Second},
+	} {
+		if c, err := NewCluster(doc, opts); err == nil {
+			c.Close()
+			t.Errorf("NewCluster(%+v) accepted a retry option it would ignore", opts)
+		} else if !strings.Contains(err.Error(), "RetryMaxAttempts") {
+			t.Errorf("NewCluster(%+v): err = %v, want it to name RetryMaxAttempts", opts, err)
+		}
+	}
+}
