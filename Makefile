@@ -95,7 +95,8 @@ codec-smoke:
 # allocations (at most 3) for 1, 100 or 1 000 answers, and inside a batch
 # envelope (at most 4: the member reuses the envelope's one copy), and a site's
 # fragment edit allocates at most 200 times, within 10 of the same edit
-# on a fragment 30 times smaller.
+# on a fragment 30 times smaller, and at most 32 bytes per node of the
+# fragment (it copies pointer-free index columns and masks only).
 alloc-smoke:
 	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
@@ -103,7 +104,7 @@ alloc-smoke:
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs|TestPooledMasksDoNotLeak' ./internal/parbox
 	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs|TestPooledSelectionMasksDoNotLeak' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
-	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestFileFormAllocs' ./internal/fragment
+	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestApplyEditBytesPerNode|TestFileFormAllocs' ./internal/fragment
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve
@@ -132,8 +133,11 @@ fault-smoke:
 # deliveries of one edit applying once and swapping the fragment set once,
 # sessions sharing one fragment set exactly when no edit lies between them, the public-API edit regressions,
 # and the oracles of the site's columns-only path: column-only edit chains
-# equal to the pointer-edit mirror, typed errors alike, and the file form
-# sites write from arena columns byte-identical to the pointer serializer.
+# equal to the pointer-edit mirror, typed errors alike, long splice chains
+# with concurrent forks equal to their edited pointer trees at every step
+# while the shared value pool stays within twice the live nodes, and the
+# file form sites write from arena columns byte-identical to the pointer
+# serializer.
 # Post-edit answers' shipped XML is compared with the edited document,
 # answers crossing a fragment boundary included. The full
 # >=500-case-per-transport corpus runs in `test`
@@ -142,6 +146,7 @@ edit-smoke:
 	$(GO) test -run='TestEditSmoke' ./internal/harness
 	$(GO) test -run='TestEditVersionProtocol|TestEditConcurrentDeliveriesApplyOnce|TestEditSnapshotIdentity|TestEditOneVersionAnswersAndStalePut|TestBatchQualsStraddlingEditDoNotShare' ./internal/pax
 	$(GO) test -run='TestApplyEditMatchesOracleAndSplicedArena|TestEditTypedErrors' ./internal/fragment
+	$(GO) test -run='TestSpliceChains' ./internal/arena
 	$(GO) test -run='TestArenaSerializeMatchesPointer' ./internal/harness
 	$(GO) test -run='TestApplyEdit' .
 

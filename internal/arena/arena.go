@@ -2,41 +2,33 @@ package arena
 
 import (
 	"math/bits"
-	"strconv"
 
 	"paxq/internal/xmltree"
 )
 
 // Tree is the columnar form of a frozen xmltree.Tree. Node i of the arena
 // is the node with xmltree.NodeID i (Freeze assigns dense preorder IDs, so
-// preorder rank and NodeID coincide). All slices have one entry per node;
-// -1 marks an absent index. A Tree is immutable after FromTree — callers
-// must not mutate any column — and therefore safe for concurrent readers.
+// preorder rank and NodeID coincide). All columns have one entry per node;
+// -1 marks an absent index. None of them holds a pointer, so an edit's
+// successor copies them in bulk and the collector never scans them. A
+// Tree is immutable after FromTree — callers must not mutate any column —
+// and therefore safe for concurrent readers.
 type Tree struct {
 	n int
 
 	// LabelID is the interned label per element node, -1 for text nodes.
 	LabelID []int32
-	// Text is the character data per text node, "" for element nodes.
-	Text []string
-	// Parent, FirstChild and NextSibling encode the tree structure.
-	Parent      []int32
-	FirstChild  []int32
-	NextSibling []int32
+	// Parent encodes the tree structure; FirstChild and NextSibling are
+	// derived from it and SubtreeEnd.
+	Parent []int32
 	// SubtreeEnd is the exclusive preorder end of node i's subtree: the
 	// descendants of i are exactly the indices in (i, SubtreeEnd[i]).
 	SubtreeEnd []int32
-	// Value and NumVal are the precomputed string and numeric values of
-	// every element node (xmltree.Node.Value / NumValue semantics); NumOK
-	// marks the elements whose value parses as a number.
-	Value  []string
-	NumVal []float64
-	NumOK  Bitset
-
-	// attrOff/attrs store element attributes flat: node i's attributes are
-	// attrs[attrOff[i]:attrOff[i+1]].
-	attrOff []int32
-	attrs   []xmltree.Attr
+	// slot is node i's entry in vals: a text node's character data, or an
+	// element's precomputed string and numeric values (xmltree.Node.Value
+	// / NumValue semantics) and its attributes.
+	slot []int32
+	vals pool
 
 	labels     []string         // label id -> label
 	labelIDs   map[string]int32 // label -> label id
@@ -51,42 +43,26 @@ func FromTree(t *xmltree.Tree) *Tree {
 	nodes := t.PreorderNodes()
 	n := len(nodes)
 	a := &Tree{
-		n:           n,
-		LabelID:     make([]int32, n),
-		Text:        make([]string, n),
-		Parent:      make([]int32, n),
-		FirstChild:  make([]int32, n),
-		NextSibling: make([]int32, n),
-		SubtreeEnd:  make([]int32, n),
-		Value:       make([]string, n),
-		NumVal:      make([]float64, n),
-		NumOK:       NewBitset(n),
-		attrOff:     make([]int32, n+1),
-		labelIDs:    make(map[string]int32),
-		elements:    NewBitset(n),
-		emptyMask:   NewBitset(n),
+		n:          n,
+		LabelID:    make([]int32, n),
+		Parent:     make([]int32, n),
+		SubtreeEnd: make([]int32, n),
+		slot:       make([]int32, n),
+		vals:       newPool(n),
+		labelIDs:   make(map[string]int32),
+		elements:   NewBitset(n),
+		emptyMask:  NewBitset(n),
 	}
-	// Indices default to "absent" before the links are wired: a parent is
-	// visited before its children, so sibling links written while visiting
-	// it must survive the children's own iterations.
-	for i := range a.Parent {
-		a.Parent[i] = -1
-		a.FirstChild[i] = -1
-		a.NextSibling[i] = -1
+	nattrs := 0
+	for _, nd := range nodes {
+		nattrs += len(nd.Attrs)
 	}
+	attrs := make([]xmltree.Attr, 0, nattrs) // every entry's attributes, in one array
 	for i, nd := range nodes {
+		a.Parent[i] = -1
 		if nd.Parent != nil {
 			a.Parent[i] = int32(nd.Parent.ID)
 		}
-		for ci, c := range nd.Children {
-			if ci == 0 {
-				a.FirstChild[i] = int32(c.ID)
-			}
-			if ci+1 < len(nd.Children) {
-				a.NextSibling[c.ID] = int32(nd.Children[ci+1].ID)
-			}
-		}
-		a.attrOff[i] = int32(len(a.attrs))
 		if nd.Kind == xmltree.Element {
 			a.elements.Set(i)
 			id, ok := a.labelIDs[nd.Label]
@@ -98,19 +74,13 @@ func FromTree(t *xmltree.Tree) *Tree {
 			}
 			a.LabelID[i] = id
 			a.labelMasks[id].Set(i)
-			a.attrs = append(a.attrs, nd.Attrs...)
-			v := nd.Value()
-			a.Value[i] = v
-			if f, err := strconv.ParseFloat(v, 64); err == nil {
-				a.NumVal[i] = f
-				a.NumOK.Set(i)
-			}
+			a.slot[i] = a.vals.pushElem(nd.Value(), carveAttrs(&attrs, nd.Attrs))
 		} else {
 			a.LabelID[i] = -1
-			a.Text[i] = nd.Data
+			a.slot[i] = a.vals.pushText(nd.Data)
 		}
 	}
-	a.attrOff[n] = int32(len(a.attrs))
+	a.vals.claimed.Store(int64(n))
 	// SubtreeEnd in reverse preorder: a leaf's subtree ends right after it;
 	// an inner node's subtree ends where its last child's does.
 	for i := n - 1; i >= 0; i-- {
@@ -130,9 +100,40 @@ func (a *Tree) Len() int { return a.n }
 // LabelOf returns the label of element node i.
 func (a *Tree) LabelOf(i int) string { return a.labels[a.LabelID[i]] }
 
+// FirstChild returns node i's first child, or -1 when it has none: the
+// node right after it in preorder, when that lies inside its subtree.
+func (a *Tree) FirstChild(i int) int {
+	if int(a.SubtreeEnd[i]) > i+1 {
+		return i + 1
+	}
+	return -1
+}
+
+// NextSibling returns node i's next sibling, or -1 when it has none: the
+// node right after its subtree, when that lies inside its parent's.
+func (a *Tree) NextSibling(i int) int {
+	p := a.Parent[i]
+	if e := a.SubtreeEnd[i]; p >= 0 && e < a.SubtreeEnd[p] {
+		return int(e)
+	}
+	return -1
+}
+
+// Text returns text node i's character data.
+func (a *Tree) Text(i int) string { return a.vals.str[a.slot[i]] }
+
+// Value returns element node i's string value.
+func (a *Tree) Value(i int) string { return a.vals.str[a.slot[i]] }
+
+// NumValue returns element node i's numeric value and whether it has one.
+func (a *Tree) NumValue(i int) (float64, bool) {
+	s := a.slot[i]
+	return a.vals.num[s], a.vals.numOK[s]
+}
+
 // Attrs returns element node i's attributes. Callers must not mutate the
 // returned slice.
-func (a *Tree) Attrs(i int) []xmltree.Attr { return a.attrs[a.attrOff[i]:a.attrOff[i+1]] }
+func (a *Tree) Attrs(i int) []xmltree.Attr { return a.vals.attrs[a.slot[i]] }
 
 // Elem is element node I of arena T, read through the accessor the
 // xpath row evaluator takes (xpath.Elem): label, string value and numeric
@@ -146,10 +147,10 @@ type Elem struct {
 func (e Elem) Tag() string { return e.T.LabelOf(e.I) }
 
 // Value returns the element's string value.
-func (e Elem) Value() string { return e.T.Value[e.I] }
+func (e Elem) Value() string { return e.T.Value(e.I) }
 
 // NumValue returns the element's numeric value and whether it has one.
-func (e Elem) NumValue() (float64, bool) { return e.T.NumVal[e.I], e.T.NumOK.Get(e.I) }
+func (e Elem) NumValue() (float64, bool) { return e.T.NumValue(e.I) }
 
 // Elements returns the mask of element nodes. Callers must not mutate it.
 func (a *Tree) Elements() Bitset { return a.elements }
@@ -175,7 +176,7 @@ func (a *Tree) ToTree() *xmltree.Tree {
 				nd.Attrs = append([]xmltree.Attr(nil), attrs...)
 			}
 		} else {
-			nd = xmltree.NewText(a.Text[i])
+			nd = xmltree.NewText(a.Text(i))
 		}
 		built[i] = nd
 		// Preorder guarantees a parent precedes its children and siblings

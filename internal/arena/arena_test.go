@@ -40,14 +40,14 @@ func requireRoundTrip(t *testing.T, tag string, tree *xmltree.Tree) {
 			if !a.LabelMask(nd.Label).Get(i) {
 				t.Fatalf("%s: node %d: missing from label mask %q", tag, i, nd.Label)
 			}
-			if a.Value[i] != nd.Value() {
-				t.Fatalf("%s: node %d: Value = %q, want %q", tag, i, a.Value[i], nd.Value())
+			if a.Value(i) != nd.Value() {
+				t.Fatalf("%s: node %d: Value = %q, want %q", tag, i, a.Value(i), nd.Value())
 			}
 			nv, ok := nd.NumValue()
-			if ok != a.NumOK.Get(i) || (ok && nv != a.NumVal[i]) {
+			if av, aok := a.NumValue(i); ok != aok || (ok && nv != av) {
 				t.Fatalf("%s: node %d: numeric column mismatch", tag, i)
 			}
-		} else if a.Elements().Get(i) || a.Text[i] != nd.Data {
+		} else if a.Elements().Get(i) || a.Text(i) != nd.Data {
 			t.Fatalf("%s: node %d: text column mismatch", tag, i)
 		}
 		// Subtree interval = preorder descendants.
@@ -57,15 +57,15 @@ func requireRoundTrip(t *testing.T, tag string, tree *xmltree.Tree) {
 			t.Fatalf("%s: node %d: subtree size %d via SubtreeEnd, want %d", tag, i, got, size)
 		}
 		// First-child / next-sibling chain reproduces Children.
-		var kids []int32
-		for c := a.FirstChild[i]; c >= 0; c = a.NextSibling[c] {
+		var kids []int
+		for c := a.FirstChild(i); c >= 0; c = a.NextSibling(c) {
 			kids = append(kids, c)
 		}
 		if len(kids) != len(nd.Children) {
 			t.Fatalf("%s: node %d: %d chain children, want %d", tag, i, len(kids), len(nd.Children))
 		}
 		for ci, c := range nd.Children {
-			if kids[ci] != int32(c.ID) {
+			if kids[ci] != int(c.ID) {
 				t.Fatalf("%s: node %d: child %d is %d, want %d", tag, i, ci, kids[ci], c.ID)
 			}
 		}
@@ -220,7 +220,7 @@ func joinSources() []joinSource {
 	leaves := func(a *Tree) Bitset {
 		m := NewBitset(a.Len())
 		for i := 0; i < a.Len(); i++ {
-			if a.FirstChild[i] < 0 {
+			if a.FirstChild(i) < 0 {
 				m.Set(i)
 			}
 		}

@@ -4,10 +4,12 @@
 // word-at-a-time sweeps over bit-packed masks instead of a pointer chase
 // over *xmltree.Node structs.
 //
-// A Tree stores, per node: the interned label id (elements), the character
-// data (text nodes), and the parent / first-child / next-sibling /
-// subtree-end indices that make both structural axes of the paper's XPath
-// fragment X answerable by index arithmetic. Because xmltree.Tree.Freeze
+// A Tree stores, per node and in pointer-free columns: the interned label
+// id (elements), the parent and subtree-end indices that make both
+// structural axes of the paper's XPath fragment X answerable by index
+// arithmetic (first child and next sibling derive from them), and a slot
+// into a value pool holding the character data of text nodes and the
+// string and numeric values and attributes of elements. Because xmltree.Tree.Freeze
 // assigns dense preorder IDs, the arena index of a node IS its
 // xmltree.NodeID — the two representations address nodes identically, and
 // FromTree/ToTree round-trip losslessly (kinds, labels, data, attributes
@@ -29,7 +31,11 @@
 // ARCHITECTURE.md, "Columnar site storage & vectorized Stage 1".
 //
 // A Tree is immutable after FromTree and safe for concurrent readers;
-// value columns (string and numeric values of every element) and per-label
+// values (string and numeric values of every element) and per-label
 // element masks are precomputed at construction so query evaluation takes
-// no locks and performs no per-query string work beyond comparisons.
+// no locks and performs no per-query string work beyond comparisons. The
+// splice kernels (splice.go) build an edited successor by copying only the
+// pointer-free columns and masks: every version of a fragment shares one
+// append-only value pool (pool.go), to which a successor appends the
+// values of the nodes it inserts.
 package arena

@@ -3,8 +3,8 @@ package arena
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
-	"strconv"
 	"strings"
 
 	"paxq/internal/xmltree"
@@ -27,14 +27,7 @@ func (a *Tree) DeleteSubtree(at int) (*Tree, error) {
 	if at <= 0 || at >= a.n {
 		return nil, fmt.Errorf("arena: delete target %d out of range (n=%d, root undeletable)", at, a.n)
 	}
-	oldLen := int(a.SubtreeEnd[at]) - at
-	parent := a.Parent[at]
-	// Previous sibling: the child of parent whose NextSibling is at.
-	prev := int32(-1)
-	for c := a.FirstChild[parent]; c >= 0 && c != int32(at); c = a.NextSibling[c] {
-		prev = c
-	}
-	return a.splice(at, oldLen, parent, prev, a.NextSibling[at], nil)
+	return a.splice(at, int(a.SubtreeEnd[at])-at, int(a.Parent[at]), nil), nil
 }
 
 // InsertSubtree returns a new tree with the subtree rooted at repl
@@ -48,36 +41,25 @@ func (a *Tree) InsertSubtree(parent, pos int, repl *xmltree.Node) (*Tree, error)
 	if repl == nil {
 		return nil, fmt.Errorf("arena: nil insert subtree")
 	}
-	at, prev, next, ok := a.slot(parent, pos)
+	at, ok := a.ChildSlot(parent, pos)
 	if !ok {
 		return nil, fmt.Errorf("arena: insert position %d beyond the children of node %d", pos, parent)
 	}
-	return a.splice(at, 0, int32(parent), prev, next, repl)
+	return a.splice(at, 0, parent, repl), nil
 }
 
 // ChildSlot returns the preorder index at which a subtree inserted as
 // child number pos (element and text children alike) of node parent
 // starts, or ok=false when parent has fewer than pos children.
 func (a *Tree) ChildSlot(parent, pos int) (at int, ok bool) {
-	at, _, _, ok = a.slot(parent, pos)
-	return at, ok
-}
-
-// slot is ChildSlot plus the children before and after the slot (-1 when
-// absent), found by walking parent's child chain.
-func (a *Tree) slot(parent, pos int) (at int, prev, next int32, ok bool) {
-	prev, next = -1, a.FirstChild[parent]
-	for i := 0; i < pos; i++ {
-		if next < 0 {
-			return 0, -1, -1, false
+	at, end := parent+1, int(a.SubtreeEnd[parent])
+	for ; pos > 0; pos-- {
+		if at >= end {
+			return 0, false
 		}
-		prev, next = next, a.NextSibling[next]
+		at = int(a.SubtreeEnd[at])
 	}
-	at = parent + 1
-	if prev >= 0 {
-		at = int(a.SubtreeEnd[prev])
-	}
-	return at, prev, next, true
+	return at, true
 }
 
 // Relabel returns a new tree with element node `node` relabelled. All
@@ -125,51 +107,46 @@ func (b *Tree) intern(a *Tree, label string) int32 {
 }
 
 // splice replaces the preorder interval [at, at+oldLen) — a whole subtree
-// when oldLen > 0 — with the subtree rooted at repl (nil for a pure
-// deletion). parent is the element receiving the splice, prev its child
-// preceding the interval (-1 when the interval is/becomes the first
-// child), next the child following it (-1 at the end of the child list).
+// of parent when oldLen > 0 — with the subtree rooted at repl (nil for a
+// pure deletion).
 //
-// Every column is copied in bulk around the interval. Renumbering is then
-// one pass over the link columns: an old index j keeps its value when
-// j < at and becomes j+delta when j >= at+oldLen.
-func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.Node) (*Tree, error) {
-	if oldLen > 0 && int(a.SubtreeEnd[at]) != at+oldLen {
-		return nil, fmt.Errorf("arena: splice interval [%d,%d) is not a whole subtree", at, at+oldLen)
-	}
+// Only the pointer-free columns and masks are copied, in bulk around the
+// interval; renumbering touches the part after it and the splice parent's
+// ancestor chain. The inserted nodes' values go to the end of the value
+// pool the receiver shares with its other versions, or, when the tail
+// cannot be claimed or the dead entries would outnumber the live ones,
+// the live entries move to a fresh pool.
+func (a *Tree) splice(at, oldLen, parent int, repl *xmltree.Node) *Tree {
 	b := &Tree{labels: a.labels, labelIDs: a.labelIDs}
 	newLen, newAttrs := 0, 0
 	if repl != nil {
 		newLen, newAttrs = b.scan(a, repl)
 	}
-	end := at + oldLen
 	delta := newLen - oldLen
 	n2 := a.n + delta
+	d := int32(delta)
 	b.n = n2
 
 	b.LabelID = spliceCol(a.LabelID, at, oldLen, newLen)
-	b.Text = spliceCol(a.Text, at, oldLen, newLen)
-	b.Value = spliceCol(a.Value, at, oldLen, newLen)
-	b.NumVal = spliceCol(a.NumVal, at, oldLen, newLen)
-	b.Parent = spliceLinks(a.Parent, at, oldLen, newLen)
-	b.FirstChild = spliceLinks(a.FirstChild, at, oldLen, newLen)
-	b.NextSibling = spliceLinks(a.NextSibling, at, oldLen, newLen)
-	// A subtree end past the interval shifts. One landing exactly on `at`
-	// shifts only for the splice parent and its ancestors, whose subtrees
-	// hold the interval — exactly the nodes j <= parent, since at > parent —
-	// and not for a preceding sibling's subtree ending at the same place.
-	b.SubtreeEnd = spliceCol(a.SubtreeEnd, at, oldLen, newLen)
-	d := int32(delta)
-	for j, q := range b.SubtreeEnd[:at] {
-		if int(q) > at || int(q) == at && j <= int(parent) {
-			b.SubtreeEnd[j] = q + d
+	b.slot = spliceCol(a.slot, at, oldLen, newLen)
+	// A parent past the interval is past it too, so shifts with it; one
+	// before it is unchanged, as is every index before the interval.
+	b.Parent = spliceCol(a.Parent, at, oldLen, newLen)
+	for j, p := range b.Parent[at+newLen:] {
+		if int(p) >= at {
+			b.Parent[at+newLen+j] = p + d
 		}
 	}
+	// Subtree ends past the interval shift, and so do the ends of the
+	// subtrees that hold it: the splice parent's and its ancestors'.
+	b.SubtreeEnd = spliceCol(a.SubtreeEnd, at, oldLen, newLen)
 	for j := at + newLen; j < n2; j++ {
 		b.SubtreeEnd[j] += d
 	}
+	for p := int32(parent); p >= 0; p = b.Parent[p] {
+		b.SubtreeEnd[p] += d
+	}
 
-	b.NumOK = SpliceBits(a.NumOK, at, oldLen, newLen, a.n)
 	b.elements = SpliceBits(a.elements, at, oldLen, newLen, a.n)
 	// Every label's mask, plus the empty one, in one allocation.
 	words := (n2 + 63) / 64
@@ -184,51 +161,40 @@ func (a *Tree) splice(at, oldLen int, parent, prev, next int32, repl *xmltree.No
 	}
 	b.emptyMask = slab[len(b.labels)*words:]
 
-	// Attribute storage: cut the removed interval's flat attrs, write the
-	// inserted ones in its place.
-	cutStart, cutEnd := a.attrOff[at], a.attrOff[end]
-	if c := len(a.attrs) - int(cutEnd-cutStart) + newAttrs; c > 0 {
-		b.attrs = make([]xmltree.Attr, 0, c)
+	// The splice parent's string value is read from its immediate text
+	// children, so it changes only when the interval is a text node; it
+	// then takes a fresh entry, as the old one may be shared.
+	textEdit := repl != nil && repl.Kind != xmltree.Element || repl == nil && a.LabelID[at] < 0
+	k := newLen
+	if textEdit {
+		k++
 	}
-	b.attrs = append(b.attrs, a.attrs[:cutStart]...)
-	b.attrOff = make([]int32, n2+1)
-	copy(b.attrOff, a.attrOff[:at])
+	var ok bool
+	if b.vals, ok = a.vals.extend(k, n2); !ok {
+		// Room for as many entries again, so that appends run in place
+		// until dead entries would outnumber live ones.
+		b.vals = newPool(2*n2 + 64)
+		b.vals.claimed.Store(int64(n2 - newLen + k))
+		for j, s := range b.slot {
+			if j < at || j >= at+newLen {
+				b.slot[j] = b.vals.copyEntry(&a.vals, s)
+			}
+		}
+	}
 	if repl != nil {
-		b.fill(repl, at, parent)
+		attrs := make([]xmltree.Attr, 0, newAttrs)
+		b.fill(repl, at, int32(parent), &attrs)
 	}
-	attrShift := int32(len(b.attrs)) - cutEnd
-	for j := end; j <= a.n; j++ {
-		b.attrOff[j+delta] = a.attrOff[j] + attrShift
-	}
-	b.attrs = append(b.attrs, a.attrs[cutEnd:]...)
-
-	// Rewire the child list around the splice point. Pure deletion: the
-	// interval leaves the chain. Insertion: the new root enters it.
-	if repl == nil {
-		if prev >= 0 {
-			b.NextSibling[prev] = mapIdx(next, at, delta)
-		} else {
-			b.FirstChild[parent] = mapIdx(next, at, delta)
+	if textEdit {
+		var sb strings.Builder
+		for c := b.FirstChild(parent); c >= 0; c = b.NextSibling(c) {
+			if b.LabelID[c] < 0 {
+				sb.WriteString(b.Text(c))
+			}
 		}
-	} else {
-		if prev >= 0 {
-			b.NextSibling[prev] = int32(at)
-		} else {
-			b.FirstChild[parent] = int32(at)
-		}
-		b.NextSibling[at] = mapIdx(next, at, delta) // the inserted root precedes the old occupant of the slot
+		b.slot[parent] = b.vals.pushElem(strings.TrimSpace(sb.String()), b.Attrs(parent))
 	}
-	// The splice parent's string value depends on its immediate text
-	// children, which the edit may have changed; recompute it from the
-	// rewired child chain.
-	var sb strings.Builder
-	for c := b.FirstChild[parent]; c >= 0; c = b.NextSibling[c] {
-		if !b.elements.Get(int(c)) {
-			sb.WriteString(b.Text[c])
-		}
-	}
-	b.setValue(int(parent), strings.TrimSpace(sb.String()))
-	return b, nil
+	return b
 }
 
 // scan counts the nodes and attributes of an inserted subtree and interns
@@ -249,77 +215,34 @@ func (b *Tree) scan(a *Tree, nd *xmltree.Node) (nodes, attrs int) {
 }
 
 // fill writes the inserted subtree rooted at nd into the columns at
-// preorder index j under parent, and returns the index past its subtree.
-// The links out of the subtree's root are the caller's to set.
-func (b *Tree) fill(nd *xmltree.Node, j int, parent int32) int {
+// preorder index j under parent and its values into the pool, carving
+// its attributes from attrs, and returns the index past its subtree.
+func (b *Tree) fill(nd *xmltree.Node, j int, parent int32, attrs *[]xmltree.Attr) int {
 	b.Parent[j] = parent
-	b.FirstChild[j] = -1
-	b.NextSibling[j] = -1
-	b.attrOff[j] = int32(len(b.attrs))
 	if nd.Kind == xmltree.Element {
 		b.elements.Set(j)
 		id := b.labelIDs[nd.Label]
 		b.LabelID[j] = id
 		b.labelMasks[id].Set(j)
-		b.attrs = append(b.attrs, nd.Attrs...)
-		b.setValue(j, nd.Value())
+		b.slot[j] = b.vals.pushElem(nd.Value(), carveAttrs(attrs, nd.Attrs))
 	} else {
 		b.LabelID[j] = -1
-		b.Text[j] = nd.Data
+		b.slot[j] = b.vals.pushText(nd.Data)
 	}
-	k, last := j+1, int32(-1)
+	k := j + 1
 	for _, c := range nd.Children {
-		if last < 0 {
-			b.FirstChild[j] = int32(k)
-		} else {
-			b.NextSibling[last] = int32(k)
-		}
-		last = int32(k)
-		k = b.fill(c, k, int32(j))
+		k = b.fill(c, k, int32(j), attrs)
 	}
 	b.SubtreeEnd[j] = int32(k)
 	return k
 }
 
-// setValue sets element i's string value and the numeric value parsed
-// from it.
-func (b *Tree) setValue(i int, v string) {
-	b.Value[i] = v
-	b.NumVal[i] = 0
-	b.NumOK.Clear(i)
-	if f, err := strconv.ParseFloat(v, 64); err == nil {
-		b.NumVal[i] = f
-		b.NumOK.Set(i)
-	}
-}
-
-// mapIdx renumbers an old node index across a splice at `at` that changes
-// the node count by delta; -1 stays -1.
-func mapIdx(v int32, at, delta int) int32 {
-	if v < 0 || int(v) < at {
-		return v
-	}
-	return v + int32(delta)
-}
-
 // spliceCol returns src with the entries [at, at+oldLen) replaced by
 // newLen zero entries.
-func spliceCol[T any](src []T, at, oldLen, newLen int) []T {
-	dst := make([]T, len(src)-oldLen+newLen)
+func spliceCol(src []int32, at, oldLen, newLen int) []int32 {
+	dst := make([]int32, len(src)-oldLen+newLen)
 	copy(dst, src[:at])
 	copy(dst[at+newLen:], src[at+oldLen:])
-	return dst
-}
-
-// spliceLinks is spliceCol over a column of node indices, renumbering the
-// indices it keeps.
-func spliceLinks(src []int32, at, oldLen, newLen int) []int32 {
-	dst := spliceCol(src, at, oldLen, newLen)
-	for _, part := range [2][]int32{dst[:at], dst[at+newLen:]} {
-		for k, v := range part {
-			part[k] = mapIdx(v, at, newLen-oldLen)
-		}
-	}
 	return dst
 }
 
@@ -336,72 +259,73 @@ func SpliceBits(src Bitset, at, oldLen, newLen, oldN int) Bitset {
 // spliceBitsInto is SpliceBits writing into out, which must be zero and
 // sized for oldN-oldLen+newLen positions.
 func spliceBitsInto(out, src Bitset, at, oldLen, newLen, oldN int) {
-	copyBits(out, 0, src, 0, at)
+	copy(out[:at>>6], src)
+	if r := at & 63; r != 0 {
+		out[at>>6] = src[at>>6] & (1<<uint(r) - 1)
+	}
 	copyBits(out, at+newLen, src, at+oldLen, oldN-at-oldLen)
 }
 
-// copyBits copies count bits from src starting at srcOff into dst starting
-// at dstOff. Word-at-a-time: each iteration moves up to the rest of the
-// current destination word.
+// copyBits ORs count bits of src starting at srcOff into dst starting at
+// dstOff, whose bits there must be zero. After at most one partial word it
+// writes whole destination words, each the join of two source words at a
+// fixed shift.
 func copyBits(dst Bitset, dstOff int, src Bitset, srcOff, count int) {
-	for count > 0 {
-		c := 64 - (dstOff & 63)
-		if c > count {
-			c = count
+	if count <= 0 {
+		return
+	}
+	if r := dstOff & 63; r != 0 {
+		c := min(64-r, count)
+		dst[dstOff>>6] |= readBits(src, srcOff, c) << uint(r)
+		dstOff, srcOff, count = dstOff+c, srcOff+c, count-c
+	}
+	full := count >> 6
+	d := dst[dstOff>>6:][:full]
+	if sh := uint(srcOff & 63); sh == 0 {
+		copy(d, src[srcOff>>6:])
+	} else {
+		// The last bit the whole words read, srcOff+64*full-1, lies below
+		// the source's length, in word srcOff>>6+full.
+		s := src[srcOff>>6:][:full+1]
+		for k := range d {
+			d[k] = s[k]>>sh | s[k+1]<<(64-sh)
 		}
-		w := readBits(src, srcOff, c)
-		wi, sh := dstOff>>6, uint(dstOff&63)
-		var mask uint64
-		if c == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = (uint64(1)<<uint(c) - 1) << sh
-		}
-		dst[wi] = dst[wi]&^mask | (w<<sh)&mask
-		srcOff += c
-		dstOff += c
-		count -= c
+	}
+	if rem := count & 63; rem != 0 {
+		dst[dstOff>>6+full] = readBits(src, srcOff+full<<6, rem)
 	}
 }
 
 // Equal reports whether two arenas describe the same document: every
-// column, label assignment and attribute list agrees. Label IDs may differ
-// (interning order is history-dependent after splices); labels are
-// compared by name.
+// column, value, label assignment and attribute list agrees. Label IDs
+// and value-pool slots may differ (both are history-dependent after
+// splices); labels and values are compared by content.
 func Equal(a, b *Tree) bool {
 	if a.n != b.n {
 		return false
 	}
 	for i := 0; i < a.n; i++ {
-		if a.Parent[i] != b.Parent[i] || a.FirstChild[i] != b.FirstChild[i] ||
-			a.NextSibling[i] != b.NextSibling[i] || a.SubtreeEnd[i] != b.SubtreeEnd[i] ||
-			a.Text[i] != b.Text[i] || a.Value[i] != b.Value[i] || a.NumVal[i] != b.NumVal[i] ||
-			a.NumOK.Get(i) != b.NumOK.Get(i) || a.elements.Get(i) != b.elements.Get(i) {
+		if a.Parent[i] != b.Parent[i] || a.SubtreeEnd[i] != b.SubtreeEnd[i] ||
+			a.elements.Get(i) != b.elements.Get(i) || a.Text(i) != b.Text(i) {
 			return false
 		}
 		if a.elements.Get(i) {
 			if a.LabelOf(i) != b.LabelOf(i) {
 				return false
 			}
-			ax, bx := a.Attrs(i), b.Attrs(i)
-			if len(ax) != len(bx) {
+			af, aok := a.NumValue(i)
+			bf, bok := b.NumValue(i)
+			if aok != bok || math.Float64bits(af) != math.Float64bits(bf) || !slices.Equal(a.Attrs(i), b.Attrs(i)) {
 				return false
-			}
-			for j := range ax {
-				if ax[j] != bx[j] {
-					return false
-				}
 			}
 		}
 	}
 	// Masks must agree for both vocabularies (a label absent from one side
-	// must have an empty mask on the other).
-	for _, l := range append(append([]string(nil), a.labels...), b.labels...) {
-		am, bm := a.LabelMask(l), b.LabelMask(l)
-		for i := 0; i < a.n; i++ {
-			if am.Get(i) != bm.Get(i) {
-				return false
-			}
+	// must have an empty mask on the other). Both cover n positions and
+	// keep their tail bits zero, so they agree word for word.
+	for _, l := range append(slices.Clip(a.labels), b.labels...) {
+		if !slices.Equal(a.LabelMask(l), b.LabelMask(l)) {
+			return false
 		}
 	}
 	return true

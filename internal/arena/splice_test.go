@@ -1,9 +1,16 @@
 package arena
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"paxq/internal/testutil"
+	"paxq/internal/xmark"
 	"paxq/internal/xmltree"
 )
 
@@ -59,7 +66,8 @@ func applyKernel(a *Tree, op uint8, target, pos int, arg string) (*Tree, error) 
 	}
 }
 
-// requireArenasEqual compares every column and derived mask of two arenas.
+// requireArenasEqual compares every column, value and derived mask of two
+// arenas.
 func requireArenasEqual(t *testing.T, got, want *Tree) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -70,28 +78,31 @@ func requireArenasEqual(t *testing.T, got, want *Tree) {
 		name      string
 		got, want any
 	}{
-		{"Text", got.Text, want.Text},
 		{"Parent", got.Parent, want.Parent},
-		{"FirstChild", got.FirstChild, want.FirstChild},
-		{"NextSibling", got.NextSibling, want.NextSibling},
 		{"SubtreeEnd", got.SubtreeEnd, want.SubtreeEnd},
-		{"Value", got.Value, want.Value},
-		{"NumVal", got.NumVal, want.NumVal},
 	} {
 		if !reflect.DeepEqual(col.got, col.want) {
 			t.Fatalf("column %s differs:\n got %v\nwant %v", col.name, col.got, col.want)
 		}
 	}
 	for i := 0; i < n; i++ {
+		if got.FirstChild(i) != want.FirstChild(i) || got.NextSibling(i) != want.NextSibling(i) {
+			t.Fatalf("child links differ at %d", i)
+		}
 		if got.Elements().Get(i) != want.Elements().Get(i) {
 			t.Fatalf("element mask differs at %d", i)
 		}
-		if got.NumOK.Get(i) != want.NumOK.Get(i) {
-			t.Fatalf("NumOK differs at %d", i)
+		if got.Text(i) != want.Text(i) {
+			t.Fatalf("value at %d: %q, want %q", i, got.Text(i), want.Text(i))
 		}
 		if want.Elements().Get(i) {
 			if got.LabelOf(i) != want.LabelOf(i) {
 				t.Fatalf("label at %d: %q, want %q", i, got.LabelOf(i), want.LabelOf(i))
+			}
+			gv, gok := got.NumValue(i)
+			wv, wok := want.NumValue(i)
+			if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
+				t.Fatalf("numeric value at %d: %v %v, want %v %v", i, gv, gok, wv, wok)
 			}
 			if !reflect.DeepEqual(got.Attrs(i), want.Attrs(i)) {
 				t.Fatalf("attrs at %d differ", i)
@@ -106,6 +117,9 @@ func requireArenasEqual(t *testing.T, got, want *Tree) {
 				t.Fatalf("label mask %q differs at %d", l, i)
 			}
 		}
+	}
+	if !Equal(got, want) {
+		t.Fatal("Equal reports the arenas differ")
 	}
 	if !xmltree.DeepEqual(got.ToTree().Root, want.ToTree().Root) {
 		t.Fatal("ToTree round trips differ")
@@ -227,4 +241,194 @@ func FuzzArenaSplice(f *testing.F) {
 	f.Fuzz(func(t *testing.T, xml string, op uint8, target uint16, pos uint8, arg string) {
 		checkSplice(t, xml, op, int(target), int(pos%8), arg)
 	})
+}
+
+// chainEdit is one random edit of a splice chain: a delete, insert or
+// rename of node, with the insert's slot and subtree or the new label.
+type chainEdit struct {
+	op    uint8 // 0 delete, 1 insert, 2 rename
+	node  int
+	pos   int
+	label string
+	sub   *xmltree.Node
+}
+
+// apply runs the edit through the splice kernels.
+func (e chainEdit) apply(a *Tree) (*Tree, error) {
+	switch e.op {
+	case 0:
+		return a.DeleteSubtree(e.node)
+	case 1:
+		return a.InsertSubtree(e.node, e.pos, e.sub)
+	}
+	return a.Relabel(e.node, e.label)
+}
+
+// mirror applies the edit to a clone of t and returns the re-frozen clone.
+func (e chainEdit) mirror(t *xmltree.Tree) *xmltree.Tree {
+	t2 := xmltree.NewTree(t.Root.Clone())
+	nd := t2.Node(xmltree.NodeID(e.node))
+	switch e.op {
+	case 0:
+		p := nd.Parent
+		p.Children = slices.DeleteFunc(p.Children, func(c *xmltree.Node) bool { return c == nd })
+	case 1:
+		c := e.sub.Clone()
+		c.Parent = nd
+		nd.Children = slices.Insert(nd.Children, e.pos, c)
+	case 2:
+		nd.Label = e.label
+	}
+	t2.Freeze()
+	return t2
+}
+
+// randomChainEdit draws an edit of t: inserts of small subtrees with
+// attributes, numeric and text values (now and then a bare text node, which
+// changes its parent's string value), deletes of small subtrees (text nodes
+// included), and renames to old and new labels. A delete below t's initial
+// size becomes an insert and an insert above it a delete, so the chain
+// keeps its size while dead pool entries pile up.
+func randomChainEdit(r *rand.Rand, t *xmltree.Tree, size0 int, insertOnly bool) chainEdit {
+	nodes := t.PreorderNodes()
+	op := uint8(r.Intn(3))
+	switch {
+	case insertOnly || op == 0 && len(nodes) < size0:
+		op = 1
+	case op == 1 && len(nodes) > size0:
+		op = 0
+	}
+	for {
+		nd := nodes[r.Intn(len(nodes))]
+		size := 0
+		walkCount(nd, &size)
+		switch {
+		case op == 0 && nd.Parent != nil && size <= 12:
+			return chainEdit{op: 0, node: int(nd.ID)}
+		case op == 1 && nd.Kind == xmltree.Element:
+			sub := xmltree.NewText(fmt.Sprintf(" t%d ", r.Intn(5)))
+			if r.Intn(6) != 0 {
+				sub = randomSubtree(r, 3)
+			}
+			return chainEdit{op: 1, node: int(nd.ID), pos: r.Intn(len(nd.Children) + 1), sub: sub}
+		case op == 2 && nd.Kind == xmltree.Element:
+			return chainEdit{op: 2, node: int(nd.ID), label: fmt.Sprintf("l%d", r.Intn(40))}
+		}
+	}
+}
+
+// randomSubtree builds a small random element subtree.
+func randomSubtree(r *rand.Rand, depth int) *xmltree.Node {
+	n := xmltree.NewElement(fmt.Sprintf("l%d", r.Intn(40)))
+	if r.Intn(2) == 0 {
+		n.SetAttr("k", fmt.Sprint(r.Intn(9)))
+	}
+	switch r.Intn(3) {
+	case 0:
+		n.Append(xmltree.NewText(fmt.Sprint(r.Intn(100))))
+	case 1:
+		n.Append(xmltree.NewText(fmt.Sprintf("w%d", r.Intn(9))))
+	}
+	for depth > 0 && r.Intn(3) == 0 {
+		n.Append(randomSubtree(r, depth-1))
+	}
+	return n
+}
+
+// TestSpliceChains runs long random chains of deletes, inserts and renames
+// through the splice kernels, each edit applied to the latest version, and
+// forks the chain now and then: two successors of one version built
+// concurrently, so the value pool's tail is claimed in place by at most
+// one while the other compacts into a copy. After every step each tree
+// built must equal the arena of its edited pointer tree, the forked
+// version must still equal its own, and the value pool must hold at most
+// two entries per live node. The chain goes on from either successor in
+// its first quarter and from the one that claimed the tail after that, so
+// dead entries pile up until they trigger compaction; each run must see a
+// tail claimed in place, a compaction, and a fork that took both paths.
+func TestSpliceChains(t *testing.T) {
+	const steps = 2000
+	trees := map[string]*xmltree.Tree{
+		"xmark":    xmark.Generate(2, xmark.DefaultSite.Scale(0.05), 11),
+		"random-1": testutil.RandomTree(1, 150),
+		"random-2": testutil.RandomTree(2, 400),
+	}
+	for name, tree := range trees {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(len(name)) + int64(tree.Size())))
+			size0 := tree.Size()
+			cur, curTree := FromTree(tree), tree
+			check := func(step int, a *Tree, want *xmltree.Tree) {
+				t.Helper()
+				if !Equal(a, FromTree(want)) {
+					requireArenasEqual(t, a, FromTree(want))
+					t.Fatalf("step %d: arena differs from its pointer tree", step)
+				}
+				if live, l := a.Len(), a.vals.Len(); l > 2*live {
+					t.Fatalf("step %d: value pool holds %d entries for %d live nodes", step, l, live)
+				}
+			}
+			var inPlace, compactions, forks int
+			for step := 0; step < steps; step++ {
+				if step%25 != 24 {
+					e := randomChainEdit(r, curTree, size0, false)
+					next, err := e.apply(cur)
+					if err != nil {
+						t.Fatalf("step %d: %+v: %v", step, e, err)
+					}
+					if next.vals.claimed == cur.vals.claimed && next.vals.Len() > cur.vals.Len() {
+						inPlace++
+					}
+					if next.vals.Len() < cur.vals.Len() {
+						compactions++
+					}
+					cur, curTree = next, e.mirror(curTree)
+					check(step, cur, curTree)
+					continue
+				}
+				// A fork: two inserts into one version, concurrently.
+				var es [2]chainEdit
+				var succ [2]*Tree
+				var errs [2]error
+				var wg sync.WaitGroup
+				for k := range es {
+					es[k] = randomChainEdit(r, curTree, size0, true)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						succ[k], errs[k] = es[k].apply(cur)
+					}()
+				}
+				wg.Wait()
+				shared, k := 0, r.Intn(2)
+				for j := range succ {
+					if errs[j] != nil {
+						t.Fatalf("step %d: fork %d: %+v: %v", step, j, es[j], errs[j])
+					}
+					if succ[j].vals.claimed == cur.vals.claimed {
+						shared++
+						if step >= steps/4 {
+							k = j // dead entries pile up along the claimed tail
+						}
+					}
+				}
+				if shared > 1 {
+					t.Fatalf("step %d: both successors claimed the pool's tail", step)
+				}
+				if shared == 1 {
+					forks++
+				}
+				check(step, cur, curTree)
+				for j := range succ {
+					check(step, succ[j], es[j].mirror(curTree))
+				}
+				cur, curTree = succ[k], es[k].mirror(curTree)
+			}
+			t.Logf("%d nodes at the start, %d at the end: %d tails claimed in place, %d compactions, %d forks taking both paths",
+				size0, cur.Len(), inPlace, compactions, forks)
+			if inPlace == 0 || compactions == 0 || forks == 0 {
+				t.Fatalf("chain saw %d in-place claims, %d compactions, %d two-path forks; want each at least once", inPlace, compactions, forks)
+			}
+		})
+	}
 }

@@ -6,8 +6,12 @@
 //
 // A site's edit touches arena columns only: Fragment.ApplyEdit validates
 // the edit against the columns, splices the ArenaView and returns a
-// fragment without a pointer tree, so an edit costs the column copies and
-// a few allocations, whatever the fragment's size. The pointer-tree edit
+// fragment without a pointer tree. The splice copies only the
+// pointer-free index columns and masks; values stay in the value pool
+// every version of the fragment shares, to which the edit appends its
+// inserted nodes' values (arena.Tree's splice kernels). An edit costs
+// those copies, about 25 bytes per node, and a few dozen allocations,
+// whatever the fragment's size. The pointer-tree edit
 // (clone, mutate, re-freeze) lives only in Fragmentation.ApplyEdit, the
 // oracle mirror, which fills the mirrored fragment's Tree with it so that
 // Reassemble, RecomputeOrigins and the centralized evaluator keep a

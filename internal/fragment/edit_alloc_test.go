@@ -1,6 +1,9 @@
 package fragment
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"paxq/internal/xmark"
@@ -29,21 +32,61 @@ func patchEdits() (ins, del Edit) {
 	return Edit{Op: EditInsert, Node: 0, Pos: 0, Subtree: patch}, Edit{Op: EditDelete, Node: 1}
 }
 
-// BenchmarkApplyEdit times one insert/delete pair on the 31 380-node root
-// fragment of the pinned XMark cut.
+// BenchmarkApplyEdit times the benchmark's edits on the 31 380-node and
+// the 1 046-node root fragments of the pinned XMark cut, so that any
+// dependence of an edit's cost on the fragment's size shows. Each edit
+// applies to the latest version, as a site's do: pair is one insert and
+// the delete undoing it; insert, delete and rename time one edit each,
+// with the edit restoring the fragment's shape applied outside the timer.
 func BenchmarkApplyEdit(b *testing.B) {
-	f := xmarkFrag0(b, 4, 125_000)
-	f.Arena()
 	ins, del := patchEdits()
-	b.ReportAllocs()
-	for b.Loop() {
-		mid, err := f.ApplyEdit(ins)
-		if err != nil {
-			b.Fatal(err)
+	for _, size := range []struct {
+		nodes, sites, bytes int
+	}{{31_380, 4, 125_000}, {1_046, 1, 16_000}} {
+		apply := func(b *testing.B, f *Fragment, e Edit) *Fragment {
+			nf, err := f.ApplyEdit(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return nf
 		}
-		if _, err := mid.ApplyEdit(del); err != nil {
-			b.Fatal(err)
+		f := xmarkFrag0(b, size.sites, size.bytes)
+		if n := f.Arena().Tree.Len(); n != size.nodes {
+			b.Fatalf("root fragment has %d nodes, want %d", n, size.nodes)
 		}
+		prefix := fmt.Sprintf("nodes=%d/", size.nodes)
+		b.Run(prefix+"pair", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				f = apply(b, apply(b, f, ins), del)
+			}
+		})
+		b.Run(prefix+"insert", func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				f = apply(b, f, ins)
+				b.StopTimer()
+				f = apply(b, f, del)
+				b.StartTimer()
+			}
+		})
+		b.Run(prefix+"delete", func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				f = apply(b, f, ins)
+				b.StartTimer()
+				f = apply(b, f, del)
+			}
+		})
+		b.Run(prefix+"rename", func(b *testing.B) {
+			f := apply(b, f, ins)
+			labels := [2]string{"fix", "patch"}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				f = apply(b, f, Edit{Op: EditRename, Node: 1, Label: labels[i&1]})
+			}
+		})
 	}
 }
 
@@ -77,4 +120,66 @@ func TestApplyEditAllocsIndependentOfSize(t *testing.T) {
 			t.Errorf("%s allocations differ by %.0f between fragment sizes, want at most 10", c.op, d)
 		}
 	}
+}
+
+// TestApplyEditBytesPerNode pins what a site edit copies to the
+// pointer-free index columns and masks: on the 31 380-node fragment an
+// insert and a delete, each applied to the latest version as a site's
+// are, allocate at most 32 bytes per node of the fragment. The values
+// stay in the pool the versions share.
+func TestApplyEditBytesPerNode(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's shadow memory makes heap measurements meaningless")
+	}
+	f := xmarkFrag0(t, 4, 125_000)
+	n := f.Arena().Tree.Len()
+	ins, del := patchEdits()
+	apply := func(f *Fragment, e Edit) *Fragment {
+		nf, err := f.ApplyEdit(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nf
+	}
+	// The first edit moves the arena's values into a pool with room to
+	// append; the measured ones append to it.
+	f = apply(apply(f, ins), del)
+	const runs = 10
+	var insBytes, delBytes uint64
+	var ms runtime.MemStats
+	for range runs {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		mid := apply(f, ins)
+		runtime.ReadMemStats(&ms)
+		between := ms.TotalAlloc
+		f = apply(mid, del)
+		runtime.ReadMemStats(&ms)
+		insBytes += between - before
+		delBytes += ms.TotalAlloc - between
+	}
+	perNode := func(b uint64) float64 { return float64(b) / runs / float64(n) }
+	t.Logf("%d nodes: insert %.1f B/node, delete %.1f B/node", n, perNode(insBytes), perNode(delBytes))
+	for _, c := range []struct {
+		op    string
+		bytes uint64
+	}{{"insert", insBytes}, {"delete", delBytes}} {
+		if b := perNode(c.bytes); b > 32 {
+			t.Errorf("%s allocates %.1f bytes per node, want at most 32", c.op, b)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

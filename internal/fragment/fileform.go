@@ -65,13 +65,13 @@ func (f *Fragment) writeNode(w *xmltree.Writer, i int, start, end []int32) {
 		ref := strconv.Itoa(int(f.virtuals[xmltree.NodeID(i)]))
 		w.Open(RefLabel, []xmltree.Attr{{Name: "ref", Value: ref}}, true)
 	case at.LabelID[i] < 0:
-		from = w.Text(at.Text[i])
+		from = w.Text(at.Text(i))
 	default:
-		label, first := at.LabelOf(i), at.FirstChild[i]
+		label, first := at.LabelOf(i), at.FirstChild(i)
 		w.Open(label, at.Attrs(i), first < 0)
 		if first >= 0 {
-			for c := first; c >= 0; c = at.NextSibling[c] {
-				f.writeNode(w, int(c), start, end)
+			for c := first; c >= 0; c = at.NextSibling(c) {
+				f.writeNode(w, c, start, end)
 			}
 			w.Close(label)
 		}

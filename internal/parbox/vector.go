@@ -137,9 +137,10 @@ func (e *vectorState) take() arena.Bitset {
 func termHolds(at *arena.Tree, i int, term xpath.TermKind, op xpath.CmpOp, str string, num float64) bool {
 	switch term {
 	case xpath.TermText:
-		return op.CompareStr(at.Value[i], str)
+		return op.CompareStr(at.Value(i), str)
 	case xpath.TermVal:
-		return at.NumOK.Get(i) && op.CompareNum(at.NumVal[i], num)
+		v, ok := at.NumValue(i)
+		return ok && op.CompareNum(v, num)
 	}
 	return false
 }
@@ -317,8 +318,7 @@ func (e *vectorState) fragQual(b *boolexpr.Builder) *FragQual {
 			qcvRow[p] = boolexpr.False()
 			sdvRow[p] = boolexpr.False()
 		}
-		for ch := at.FirstChild[nd]; ch >= 0; ch = at.NextSibling[ch] {
-			i := int(ch)
+		for i := at.FirstChild(nd); i >= 0; i = at.NextSibling(i) {
 			if at.LabelID[i] < 0 {
 				continue
 			}

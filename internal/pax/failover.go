@@ -149,15 +149,18 @@ func (rt *runRoute) replica(primary dist.SiteID) dist.SiteID {
 	return group[rt.cur[primary]%len(group)]
 }
 
-// rotate advances the group to its next replica and reports the new
-// serving site.
-func (rt *runRoute) rotate(primary dist.SiteID) dist.SiteID {
+// rotate advances the group to its next replica and counts a failover
+// when that is a different site: a group of one rotates back to its lone
+// member, which is a retry, not a failover.
+func (rt *runRoute) rotate(primary dist.SiteID) {
 	group := rt.e.topo.ReplicasOf(primary)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.cur[primary] = (rt.cur[primary] + 1) % len(group)
-	rt.failovers++
-	return group[rt.cur[primary]]
+	if len(group) > 1 {
+		rt.failovers++
+		rt.e.failovers.Add(1)
+	}
 }
 
 // call performs one logical stage call against the primary's replica
@@ -202,7 +205,6 @@ func (rt *runRoute) call(ctx context.Context, primary dist.SiteID, req any) (res
 		} else {
 			rt.setEstablished(target, false)
 			rt.rotate(primary)
-			e.failovers.Add(1)
 		}
 		if err := e.retry.sleep(ctx, attempt); err != nil {
 			return nil, costs, fmt.Errorf("pax: site %d: %w", primary, err)

@@ -585,8 +585,8 @@ func TestRefusedSiteContract(t *testing.T) {
 			c.revive[site] = true
 			res, err := NewEngine(plain, c, WithRetryPolicy(RetryPolicy{MaxAttempts: 3})).Run(query, opts)
 			check("unreplicated with a retry policy", res, err)
-			if err == nil && res.Retries != 1 {
-				t.Errorf("unreplicated with a retry policy: %d retries, want 1", res.Retries)
+			if err == nil && (res.Retries != 1 || res.Failovers != 0) {
+				t.Errorf("unreplicated with a retry policy: %d retries / %d failovers, want 1 / 0", res.Retries, res.Failovers)
 			}
 			if n := c.callsTo(site); n != healthy+1 {
 				t.Errorf("unreplicated with a retry policy: %d calls to the site, want %d", n, healthy+1)

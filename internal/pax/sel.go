@@ -61,7 +61,7 @@ func constInit(vals []bool) []*boolexpr.Formula {
 // stubs.
 func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode {
 	at := f.Arena().Tree
-	a := AnswerNode{Frag: f.ID, Node: id, Label: at.LabelOf(int(id)), Value: at.Value[id]}
+	a := AnswerNode{Frag: f.ID, Node: id, Label: at.LabelOf(int(id)), Value: at.Value(int(id))}
 	if shipXML {
 		a.XML = f.SubtreeXML(id)
 	}
