@@ -238,12 +238,23 @@ func (b *Tree) fill(nd *xmltree.Node, j int, parent int32, attrs *[]xmltree.Attr
 }
 
 // spliceCol returns src with the entries [at, at+oldLen) replaced by
-// newLen zero entries.
+// newLen entries of no particular value, for the caller to fill.
+//
+// It appends to a prefix of src whose capacity is under half the result's
+// length, so append allocates exactly the result and zeroes none of it:
+// every entry is copied from src. The appended run reads src at the
+// suffix's shift, standing in for the new entries, and the part of the
+// prefix it covers is copied back. An insert longer than that prefix has
+// no such run; it appends the new entries, then the suffix.
 func spliceCol(src []int32, at, oldLen, newLen int) []int32 {
-	dst := make([]int32, len(src)-oldLen+newLen)
-	copy(dst, src[:at])
-	copy(dst[at+newLen:], src[at+oldLen:])
-	return dst
+	total := len(src) - oldLen + newLen
+	k := min(at, (total-1)/2)
+	if j := k + oldLen - newLen; j >= 0 {
+		dst := append(src[:k:k], src[j:]...)
+		copy(dst[k:at], src[k:at])
+		return dst
+	}
+	return append(append(src[:at:at], make([]int32, newLen)...), src[at+oldLen:]...)
 }
 
 // SpliceBits returns src — a mask over oldN positions — with the bit

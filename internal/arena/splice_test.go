@@ -182,6 +182,43 @@ func TestSpliceRename(t *testing.T) {
 	}
 }
 
+// TestSpliceCol: a spliced column keeps the prefix and the suffix, leaves
+// its source alone, and, whenever the column grows by no more than the
+// prefix it can append to, takes the one allocation a column of its
+// length takes, with no spare capacity from append's growth.
+func TestSpliceCol(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 300, 5000} {
+		src := make([]int32, n)
+		for i := range src {
+			src[i] = int32(i + 1)
+		}
+		for _, at := range []int{0, 1, 2, n / 3, n / 2, n - 1, n} {
+			for _, oldLen := range []int{0, 1, 3, n / 4, n - at} {
+				for _, newLen := range []int{0, 1, 3, 40, n} {
+					if oldLen < 0 || at+oldLen > n || n-oldLen+newLen < 1 {
+						continue
+					}
+					total := n - oldLen + newLen
+					got := spliceCol(src, at, oldLen, newLen)
+					name := fmt.Sprintf("n=%d at=%d old=%d new=%d", n, at, oldLen, newLen)
+					if len(got) != total || !slices.Equal(got[:at], src[:at]) || !slices.Equal(got[at+newLen:], src[at+oldLen:]) {
+						t.Fatalf("%s: got %v", name, got)
+					}
+					for i, v := range src {
+						if v != int32(i+1) {
+							t.Fatalf("%s: source changed at %d", name, i)
+						}
+					}
+					exact := cap(append([]int32(nil), make([]int32, total)...))
+					if newLen-oldLen <= min(at, (total-1)/2) && cap(got) != exact {
+						t.Errorf("%s: capacity %d, want %d", name, cap(got), exact)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSpliceBits(t *testing.T) {
 	for _, n := range []int{1, 5, 63, 64, 65, 130, 200} {
 		src := NewBitset(n)

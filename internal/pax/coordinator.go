@@ -1,9 +1,10 @@
 package pax
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,8 @@ type Options struct {
 // concurrent evaluations on the same engine never bleed into each other's
 // Results.
 type Result struct {
+	// Answers are ordered by fragment, then by node within a fragment,
+	// which is the fragment-local pre-order.
 	Answers []AnswerNode
 
 	Stages     int             // coordinator→sites stage rounds executed
@@ -320,7 +323,6 @@ func (e *Engine) RunContext(ctx context.Context, query string, opts Options) (re
 	retries, failovers := rt.counters()
 	res.Retries, res.Failovers = int(retries), int(failovers)
 	e.finishResult(res, usage)
-	sortAnswers(res.Answers)
 	return res, nil
 }
 
@@ -332,13 +334,61 @@ func (e *Engine) finishResult(res *Result, usage *dist.Metrics) {
 	res.TotalFrags = e.topo.FT.Len()
 }
 
-func sortAnswers(ans []AnswerNode) {
-	sort.Slice(ans, func(i, j int) bool {
-		if ans[i].Frag != ans[j].Frag {
-			return ans[i].Frag < ans[j].Frag
+// mergeAnswers places the answers of runs in one slice of their total
+// size, ordered by fragment and then by node: it counts each of the nfrags
+// fragments' answers, copies each run's stretches of one fragment into
+// that fragment's range, and sorts each range by node. A site emits a
+// fragment's answers in pre-order, which is node order, so a range filled
+// from one run is already in order and its sort moves nothing; a fragment
+// whose answers arrive in two runs (the definite answers of the selection
+// stage and the candidates the final stage resolves) is merged there. An
+// answer naming a fragment outside the fragmentation is an inconsistent
+// site response and fails the query.
+func mergeAnswers(nfrags int, runs ...[]AnswerNode) ([]AnswerNode, error) {
+	// next[f] counts fragment f's answers, then is where its next one goes.
+	var buf [64]int
+	var next []int
+	if nfrags <= len(buf) {
+		next = buf[:nfrags]
+	} else {
+		next = make([]int, nfrags)
+	}
+	total := 0
+	for _, run := range runs {
+		for _, a := range run {
+			if a.Frag < 0 || int(a.Frag) >= nfrags {
+				return nil, fmt.Errorf("pax: inconsistent site response: an answer in fragment %d, which is not one of the %d fragments", a.Frag, nfrags)
+			}
+			next[a.Frag]++
 		}
-		return ans[i].Node < ans[j].Node
-	})
+		total += len(run)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	at := 0
+	for f, n := range next {
+		next[f], at = at, at+n
+	}
+	out := make([]AnswerNode, total)
+	for _, run := range runs {
+		for i := 0; i < len(run); {
+			f := run[i].Frag
+			j := i + 1
+			for j < len(run) && run[j].Frag == f {
+				j++
+			}
+			next[f] += copy(out[next[f]:], run[i:j])
+			i = j
+		}
+	}
+	// Each next[f] is now the end of fragment f's range.
+	lo := 0
+	for _, hi := range next {
+		slices.SortFunc(out[lo:hi], func(a, b AnswerNode) int { return cmp.Compare(a.Node, b.Node) })
+		lo = hi
+	}
+	return out, nil
 }
 
 // relevantFragsBySite groups the relevant fragments by hosting site.
@@ -546,7 +596,7 @@ func resolveContexts(env *boolexpr.Env, vs parbox.VarScheme, contexts []WireCont
 	for fid := range decoded {
 		order = append(order, fid)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	out := make(map[fragment.FragID][]bool, len(order))
 	for _, fid := range order {
 		sv := decoded[fid]
@@ -674,12 +724,15 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	var contexts []WireContext
 	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
+	// One answer run per response; finalStage places them in the result.
+	var runBuf [8][]AnswerNode
+	runs := runBuf[:0]
 	for site, r := range resps {
 		sr, err := respAs[*SelStageResp](site, r, "selection")
 		if err != nil {
 			return nil, err
 		}
-		res.Answers = append(res.Answers, sr.Answers...)
+		runs = append(runs, sr.Answers)
 		contexts = append(contexts, sr.Contexts...)
 		below = append(below, sr.Below...)
 		for _, fid := range sr.Candidates {
@@ -696,7 +749,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	if len(candFrags) == 0 {
 		// No candidate to resolve (e.g. XA with no qualifiers): Stage 3
 		// only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
+		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
 	}
 
 	// evalFT, top-down half: ground the z variables.
@@ -729,7 +782,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 			ansReqs[site] = req
 		}
 	}
-	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
+	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
 }
 
 // runPaX2 is Procedure PaX2 of Fig. 5.
@@ -777,6 +830,8 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 	var contexts []WireContext
 	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
+	var runBuf [8][]AnswerNode
+	runs := runBuf[:0]
 	for site, r := range resps {
 		cr, err := respAs[*CombinedStageResp](site, r, "combined")
 		if err != nil {
@@ -785,7 +840,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		if err := decodeRoots(cr.Roots, roots); err != nil {
 			return nil, err
 		}
-		res.Answers = append(res.Answers, cr.Answers...)
+		runs = append(runs, cr.Answers)
 		contexts = append(contexts, cr.Contexts...)
 		below = append(below, cr.Below...)
 		for _, fid := range cr.Candidates {
@@ -799,7 +854,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
 		// Stage 2 only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
+		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
 	}
 
 	// evalFT: bottom-up qualifier unification over the fragments that
@@ -862,7 +917,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		}
 		ansReqs[site] = req
 	}
-	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held)
+	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
 }
 
 // groundQualsForPresent is groundQualsFor restricted to sub-fragments that

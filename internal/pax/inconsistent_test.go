@@ -3,6 +3,7 @@ package pax
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"paxq/internal/boolexpr"
@@ -140,6 +141,75 @@ func TestInconsistentSiteDataSurfacesTypedError(t *testing.T) {
 		}
 		if !errors.Is(err, boolexpr.ErrInconsistent) {
 			t.Fatalf("err = %v, want errors.Is(err, boolexpr.ErrInconsistent)", err)
+		}
+	})
+
+	t.Run("answer in a bogus fragment", func(t *testing.T) {
+		// A site names a fragment the fragmentation does not hold in an
+		// answer of any stage: the coordinator's placement of answers by
+		// fragment must fail the query with an error of its own, not
+		// index out of range (which the recover boundary would report as
+		// inconsistent unification data), over both transports.
+		bogus := func(h dist.Handler, nfrags int) dist.Handler {
+			return func(req any) (any, error) {
+				resp, err := h(req)
+				var ans []AnswerNode
+				switch r := resp.(type) {
+				case *CombinedStageResp:
+					ans = r.Answers
+				case *SelStageResp:
+					ans = r.Answers
+				case *AnsStageResp:
+					ans = r.Answers
+				}
+				if len(ans) > 0 {
+					ans[len(ans)-1].Frag = fragment.FragID(nfrags + 3)
+				}
+				return resp, err
+			}
+		}
+		for _, overTCP := range []bool{false, true} {
+			ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 31))
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo := RoundRobin(ft, 3)
+			var transport dist.Transport
+			if overTCP {
+				addrs := make(map[dist.SiteID]string)
+				for _, sid := range topo.Sites() {
+					var frags []*fragment.Fragment
+					for _, fid := range topo.FragsAt(sid) {
+						frags = append(frags, ft.Frag(fid))
+					}
+					srv, err := dist.NewTCPServer("127.0.0.1:0", bogus(NewSite(sid, frags).Handler(), ft.Len()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { srv.Close() })
+					addrs[sid] = srv.Addr()
+				}
+				tcp := dist.NewTCP(addrs)
+				t.Cleanup(func() { tcp.Close() })
+				transport = tcp
+			} else {
+				local, sites := BuildLocalCluster(topo)
+				for _, st := range sites {
+					local.AddSite(st.ID(), bogus(st.Handler(), ft.Len()))
+				}
+				transport = local
+			}
+			eng := NewEngine(topo, transport)
+			// //name ships answers from the first stage that selects,
+			// the qualified query from its final stage.
+			for _, q := range []string{"//name", query} {
+				for _, alg := range []Algorithm{PaX3, PaX2} {
+					_, err := eng.Run(q, Options{Algorithm: alg})
+					if err == nil || !strings.Contains(err.Error(), "not one of the") {
+						t.Errorf("TCP=%v %v %q: err = %v, want the inconsistent-response error", overTCP, alg, q, err)
+					}
+				}
+			}
 		}
 	})
 

@@ -62,13 +62,17 @@ func (e *Engine) runNaive(ctx context.Context, c *xpath.Compiled, opts Options, 
 			}
 		}
 	}
-	for _, id := range centeval.EvalVector(tree, c) {
+	ids := centeval.EvalVector(tree, c)
+	answers := make([]AnswerNode, len(ids))
+	for i, id := range ids {
 		nd, o := tree.Node(id), origins[id]
-		a := AnswerNode{Frag: o.frag, Node: o.node, Label: nd.Label, Value: nd.Value()}
+		answers[i] = AnswerNode{Frag: o.frag, Node: o.node, Label: nd.Label, Value: nd.Value()}
 		if opts.ShipXML {
-			a.XML = xmltree.SerializeString(nd)
+			answers[i].XML = xmltree.SerializeString(nd)
 		}
-		res.Answers = append(res.Answers, a)
+	}
+	if res.Answers, err = mergeAnswers(n, answers); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -98,7 +98,13 @@ func evalSelection(
 	last := c.AnswerEntry()
 
 	bp := arena.TakeSlab(4 * len(av.VirtualMask)) // selWalk's masks
-	walk := selWalk(av, c, init, fq, *bp)
+	walk, reach := selWalk(av, c, init, fq, *bp)
+	// Every answer and candidate is among the reach nodes. Without
+	// qualifiers the answer entry's mask is exact, so the first answer
+	// sizes the answers, and the first candidate the candidates, for all
+	// the reach nodes the other list does not already hold: one
+	// allocation each, exact when one of the lists holds them all.
+	sized := !c.HasQualifiers()
 
 	out := &selOutcome{}
 	// The vector at depth d is rows[d*w : (d+1)*w]. Both stacks start in
@@ -139,9 +145,15 @@ func evalSelection(
 		end := int(at.SubtreeEnd[i])
 		switch {
 		case sv[last].IsTrue():
+			if sized && out.answers == nil {
+				out.answers = make([]AnswerNode, 0, reach-len(out.candidates))
+			}
 			out.answers = append(out.answers, answerOf(f, node, shipXML))
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		case !sv[last].IsFalse():
+			if sized && out.candidates == nil {
+				out.candidates = make([]candidate, 0, reach-len(out.answers))
+			}
 			out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		}
@@ -153,7 +165,8 @@ func evalSelection(
 
 // selWalk computes, in four masks carved from slab, the walk set: the
 // answer entry's mask and the virtual nodes, with all their ancestors —
-// elements only, as the answer entry is a step. An
+// elements only, as the answer entry is a step — and the number of nodes
+// in the answer entry's mask, which holds every answer and candidate. An
 // entry's mask holds the nodes where the entry may not be False, by the
 // recurrence over masks:
 //   - a root entry: empty;
@@ -164,7 +177,7 @@ func evalSelection(
 //     not False;
 //   - a "//" entry: every node if init's entry is not False, else the
 //     descendants-or-self of the previous mask.
-func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual, slab []uint64) arena.Bitset {
+func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual, slab []uint64) (walk arena.Bitset, reach int) {
 	at := av.Tree
 	nw := len(av.VirtualMask)
 	take := func() arena.Bitset {
@@ -172,7 +185,8 @@ func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula
 		slab = slab[nw:]
 		return m
 	}
-	prev, cur, cand, walk := take(), take(), take(), take()
+	prev, cur, cand := take(), take(), take()
+	walk = take()
 	const root = int(fragment.RootNode)
 	for k := range c.Sel {
 		switch e := &c.Sel[k]; e.Kind {
@@ -201,10 +215,11 @@ func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula
 		}
 		prev, cur = cur, prev
 	}
+	reach = prev.OnesCount()
 	prev.SetOr(prev, av.VirtualMask)
 	at.StrictDescendants(prev, walk)
 	walk.SetOr(walk, prev)
-	return walk
+	return walk, reach
 }
 
 // addContext records vector sv as the context of the sub-fragment that

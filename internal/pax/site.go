@@ -439,6 +439,13 @@ func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, 
 		return nil, err
 	}
 	resp := &CombinedStageResp{}
+	n := 0
+	for i := range outs {
+		n += len(outs[i].answers)
+	}
+	if n > 0 {
+		resp.Answers = make([]AnswerNode, 0, n)
+	}
 	for i, fid := range frags {
 		outc := outs[i]
 		if env == nil {

@@ -61,10 +61,13 @@ func closeBelow(ft *fragment.Fragmentation, below []fragment.FragID) ([]fragment
 // earlier stages evaluated and then releases the session. A body site the
 // query never visited opens its session with the request. No site is
 // visited more than the algorithm's bound: the stage is the last one for
-// every site it reaches. The answers then have their stubs filled; bodies
-// no answer used — those below candidates that resolved false — are
-// counted in Result.SpeculativeBytes. It returns res, completed.
-func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metrics, opts Options, call siteCall, query string, qid QueryID, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool) (*Result, error) {
+// every site it reaches. runs holds the answers of the earlier stages, one
+// run per response, and the stage adds one per response of its own; the
+// answers then have their stubs filled, and mergeAnswers places them all
+// in res.Answers. Bodies no answer used — those below candidates that
+// resolved false — are counted in Result.SpeculativeBytes. It returns
+// res, completed.
+func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metrics, opts Options, call siteCall, query string, qid QueryID, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool, runs [][]AnswerNode) (*Result, error) {
 	need, err := closeBelow(e.topo.FT, below)
 	if err != nil {
 		return nil, err
@@ -85,55 +88,52 @@ func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metric
 		}
 		req.Bodies = append(req.Bodies, k)
 	}
-	if len(reqs) == 0 {
-		return res, nil
-	}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any { return reqs[site] })
-	if err != nil {
-		return nil, err
-	}
-	var bodies map[fragment.FragID]string
-	if len(need) > 0 {
-		bodies = make(map[fragment.FragID]string, len(need))
-	}
-	n := len(res.Answers)
-	for _, r := range resps {
-		if ar, ok := r.(*AnsStageResp); ok {
-			n += len(ar.Answers)
-		}
-	}
-	res.Answers = slices.Grow(res.Answers, n-len(res.Answers))
-	for site, r := range resps {
-		ar, err := respAs[*AnsStageResp](site, r, "answer")
+	if len(reqs) > 0 {
+		resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any { return reqs[site] })
 		if err != nil {
 			return nil, err
 		}
-		res.Answers = append(res.Answers, ar.Answers...)
-		for _, b := range ar.Bodies {
-			if bodies != nil {
-				bodies[b.ID] = b.XML
+		var bodies map[fragment.FragID]string
+		if len(need) > 0 {
+			bodies = make(map[fragment.FragID]string, len(need))
+		}
+		for site, r := range resps {
+			ar, err := respAs[*AnsStageResp](site, r, "answer")
+			if err != nil {
+				return nil, err
+			}
+			runs = append(runs, ar.Answers)
+			for _, b := range ar.Bodies {
+				if bodies != nil {
+					bodies[b.ID] = b.XML
+				}
+			}
+		}
+		if len(need) > 0 {
+			if err := stitch(res, runs, bodies); err != nil {
+				return nil, err
 			}
 		}
 	}
-	if len(need) == 0 {
-		return res, nil
-	}
-	if err := stitch(res, bodies); err != nil {
+	if res.Answers, err = mergeAnswers(e.topo.FT.Len(), runs...); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// stitch fills the stubs of every answer's XML with the bodies shipped,
-// recursively, and counts the bodies no answer used as speculative bytes.
-func stitch(res *Result, bodies map[fragment.FragID]string) error {
+// stitch fills the stubs of every answer's XML in runs with the bodies
+// shipped, recursively, and counts the bodies no answer used as
+// speculative bytes.
+func stitch(res *Result, runs [][]AnswerNode, bodies map[fragment.FragID]string) error {
 	st := &stitcher{raw: bodies, filled: make(map[fragment.FragID]string, len(bodies))}
-	for i := range res.Answers {
-		xml, err := st.fill(res.Answers[i].XML)
-		if err != nil {
-			return err
+	for _, run := range runs {
+		for i := range run {
+			xml, err := st.fill(run[i].XML)
+			if err != nil {
+				return err
+			}
+			run[i].XML = xml
 		}
-		res.Answers[i].XML = xml
 	}
 	for k, xml := range st.raw {
 		res.SpeculativeBytes += int64(wirefmt.UvarintLen(uint64(uint32(k))) + wirefmt.UvarintLen(uint64(len(xml))) + len(xml))

@@ -152,22 +152,20 @@ func TestStitchRejectsCorruptBodies(t *testing.T) {
 		{"unterminated", `<a><fragment-ref ref="1"</a>`, map[fragment.FragID]string{1: `<b/>`}, "unterminated"},
 		{"bad ref", `<a><fragment-ref ref="x"/></a>`, map[fragment.FragID]string{1: `<b/>`}, "ref"},
 	} {
-		res := &Result{Answers: []AnswerNode{{XML: c.answer}}}
-		if err := stitch(res, c.bodies); err == nil || !strings.Contains(err.Error(), c.want) {
+		run := []AnswerNode{{XML: c.answer}}
+		if err := stitch(&Result{}, [][]AnswerNode{run}, c.bodies); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.want)
 		}
 	}
-	// Nested stubs fill recursively, and a body two answers share is
-	// filled once and used by both.
-	res := &Result{Answers: []AnswerNode{
-		{XML: `<a><fragment-ref ref="1"/></a>`},
-		{XML: `<fragment-ref ref="1"/>`},
-	}}
+	// Nested stubs fill recursively, in place in every run, and a body
+	// two answers of different runs share is filled once and used by both.
+	res := &Result{}
+	runs := [][]AnswerNode{{{XML: `<a><fragment-ref ref="1"/></a>`}}, nil, {{XML: `<fragment-ref ref="1"/>`}}}
 	bodies := map[fragment.FragID]string{1: `<b><fragment-ref ref="2"/>t</b>`, 2: `<c/>`, 3: `<d/>`}
-	if err := stitch(res, bodies); err != nil {
+	if err := stitch(res, runs, bodies); err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Answers[0].XML + " " + res.Answers[1].XML; got != `<a><b><c/>t</b></a> <b><c/>t</b>` {
+	if got := runs[0][0].XML + " " + runs[2][0].XML; got != `<a><b><c/>t</b></a> <b><c/>t</b>` {
 		t.Errorf("stitched %q", got)
 	}
 	if res.SpeculativeBytes != 6 {

@@ -104,6 +104,5 @@ func EvalFromDisk(dir, query string) ([]AnswerNode, error) {
 			answers = append(answers, answerOf(f, cd.node, false))
 		}
 	}
-	sortAnswers(answers)
-	return answers, nil
+	return mergeAnswers(m.Len(), answers)
 }

@@ -114,7 +114,9 @@ func GenerateXMark(sites int, mb float64, seed int64) *Document {
 	return &Document{tree: xmark.Generate(sites, spec, seed)}
 }
 
-// Answer is one element of a query answer.
+// Answer is one element of a query answer. A query's answers come
+// ordered by Fragment, then by Node, which within a fragment is document
+// order.
 type Answer struct {
 	// Fragment and Node identify the element within the fragmented tree.
 	Fragment int
@@ -387,7 +389,8 @@ func (c *Cluster) Query(query string, opts QueryOptions) ([]Answer, *Stats, erro
 // is propagated through the transport so a slow or unreachable site fails
 // the query instead of wedging the caller. Under admission control
 // (ClusterOptions.MaxInFlight), a full cluster sheds or queues; both
-// surface as ErrOverloaded.
+// surface as ErrOverloaded. The answers come ordered by fragment, then by
+// node within a fragment, which is document order there.
 func (c *Cluster) QueryContext(ctx context.Context, query string, opts QueryOptions) ([]Answer, *Stats, error) {
 	po, err := opts.toPax()
 	if err != nil {
