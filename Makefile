@@ -98,7 +98,9 @@ codec-smoke:
 # answer list is made once at its final size), and a site's
 # fragment edit allocates at most 200 times, within 10 of the same edit
 # on a fragment 30 times smaller, and at most 32 bytes per node of the
-# fragment (it copies pointer-free index columns and masks only).
+# fragment (it copies pointer-free index columns and masks only), and a
+# cut fragmentation of the XMark document holds at most 96 bytes of heap
+# per node (its columns, masks, values and origins; no pointer tree).
 alloc-smoke:
 	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
@@ -106,7 +108,7 @@ alloc-smoke:
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs|TestPooledMasksDoNotLeak' ./internal/parbox
 	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs|TestPooledSelectionMasksDoNotLeak|TestShipAnswersAllocsIndependentOfCount' ./internal/pax
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
-	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestApplyEditBytesPerNode|TestFileFormAllocs' ./internal/fragment
+	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestApplyEditBytesPerNode|TestFileFormAllocs|TestCutBytesPerNode' ./internal/fragment
 
 # Batching smoke: a batch of one must be byte-identical to the unbatched
 # path on the full fixed query corpus, coalesced batches must conserve
@@ -134,8 +136,9 @@ fault-smoke:
 # version-protocol, snapshot and batch-snapshot regressions, two concurrent
 # deliveries of one edit applying once and swapping the fragment set once,
 # sessions sharing one fragment set exactly when no edit lies between them, the public-API edit regressions,
-# and the oracles of the site's columns-only path: column-only edit chains
-# equal to the pointer-edit mirror, typed errors alike, long splice chains
+# and the oracles of the site's columns-only path: the mirror's check of
+# every spliced successor against the pointer-tree edit of the old
+# version, rejected edits failing with typed errors, long splice chains
 # with concurrent forks equal to their edited pointer trees at every step
 # while the shared value pool stays within twice the live nodes, and the
 # file form sites write from arena columns byte-identical to the pointer

@@ -2,17 +2,19 @@ package arena
 
 import (
 	"math/bits"
+	"strings"
 
 	"paxq/internal/xmltree"
 )
 
-// Tree is the columnar form of a frozen xmltree.Tree. Node i of the arena
-// is the node with xmltree.NodeID i (Freeze assigns dense preorder IDs, so
-// preorder rank and NodeID coincide). All columns have one entry per node;
-// -1 marks an absent index. None of them holds a pointer, so an edit's
-// successor copies them in bulk and the collector never scans them. A
-// Tree is immutable after FromTree — callers must not mutate any column —
-// and therefore safe for concurrent readers.
+// Tree is the columnar form of a document. Node i of the arena is the
+// node of preorder rank i, which for a frozen xmltree.Tree is the node
+// with xmltree.NodeID i (Freeze assigns dense preorder IDs). All columns
+// have one entry per node; -1 marks an absent index. None of them holds a
+// pointer, so an edit's successor copies them in bulk and the collector
+// never scans them. A Tree is immutable once built (Builder.Tree) —
+// callers must not mutate any column — and therefore safe for concurrent
+// readers.
 type Tree struct {
 	n int
 
@@ -35,63 +37,6 @@ type Tree struct {
 	labelMasks []Bitset         // label id -> element mask
 	elements   Bitset
 	emptyMask  Bitset // all-zero; returned for labels the document lacks
-}
-
-// FromTree builds the columnar layout of t. The arena index of every node
-// equals its xmltree.NodeID.
-func FromTree(t *xmltree.Tree) *Tree {
-	nodes := t.PreorderNodes()
-	n := len(nodes)
-	a := &Tree{
-		n:          n,
-		LabelID:    make([]int32, n),
-		Parent:     make([]int32, n),
-		SubtreeEnd: make([]int32, n),
-		slot:       make([]int32, n),
-		vals:       newPool(n),
-		labelIDs:   make(map[string]int32),
-		elements:   NewBitset(n),
-		emptyMask:  NewBitset(n),
-	}
-	nattrs := 0
-	for _, nd := range nodes {
-		nattrs += len(nd.Attrs)
-	}
-	attrs := make([]xmltree.Attr, 0, nattrs) // every entry's attributes, in one array
-	for i, nd := range nodes {
-		a.Parent[i] = -1
-		if nd.Parent != nil {
-			a.Parent[i] = int32(nd.Parent.ID)
-		}
-		if nd.Kind == xmltree.Element {
-			a.elements.Set(i)
-			id, ok := a.labelIDs[nd.Label]
-			if !ok {
-				id = int32(len(a.labels))
-				a.labelIDs[nd.Label] = id
-				a.labels = append(a.labels, nd.Label)
-				a.labelMasks = append(a.labelMasks, NewBitset(n))
-			}
-			a.LabelID[i] = id
-			a.labelMasks[id].Set(i)
-			a.slot[i] = a.vals.pushElem(nd.Value(), carveAttrs(&attrs, nd.Attrs))
-		} else {
-			a.LabelID[i] = -1
-			a.slot[i] = a.vals.pushText(nd.Data)
-		}
-	}
-	a.vals.claimed.Store(int64(n))
-	// SubtreeEnd in reverse preorder: a leaf's subtree ends right after it;
-	// an inner node's subtree ends where its last child's does.
-	for i := n - 1; i >= 0; i-- {
-		last := nodes[i].Children
-		if len(last) == 0 {
-			a.SubtreeEnd[i] = int32(i) + 1
-		} else {
-			a.SubtreeEnd[i] = a.SubtreeEnd[last[len(last)-1].ID]
-		}
-	}
-	return a
 }
 
 // Len returns the number of nodes.
@@ -124,6 +69,30 @@ func (a *Tree) Text(i int) string { return a.vals.str[a.slot[i]] }
 
 // Value returns element node i's string value.
 func (a *Tree) Value(i int) string { return a.vals.str[a.slot[i]] }
+
+// childText returns element node i's string value (xmltree.Node.Value):
+// its immediate text children's data, concatenated and whitespace-trimmed.
+// With at most one text child it is a substring of that child's data.
+func (a *Tree) childText(i int) string {
+	var only string
+	texts := 0
+	for c := a.FirstChild(i); c >= 0; c = a.NextSibling(c) {
+		if a.LabelID[c] < 0 {
+			only = a.Text(c)
+			texts++
+		}
+	}
+	if texts <= 1 {
+		return strings.TrimSpace(only)
+	}
+	var sb strings.Builder
+	for c := a.FirstChild(i); c >= 0; c = a.NextSibling(c) {
+		if a.LabelID[c] < 0 {
+			sb.WriteString(a.Text(c))
+		}
+	}
+	return strings.TrimSpace(sb.String())
+}
 
 // NumValue returns element node i's numeric value and whether it has one.
 func (a *Tree) NumValue(i int) (float64, bool) {

@@ -11,7 +11,8 @@ import (
 )
 
 // requireRoundTrip asserts FromTree/ToTree is the identity on t's
-// structure and that the columnar indices are mutually consistent.
+// structure, that FromTree of the arena equals it, and that the columnar
+// indices are mutually consistent.
 func requireRoundTrip(t *testing.T, tag string, tree *xmltree.Tree) {
 	t.Helper()
 	a := FromTree(tree)
@@ -21,6 +22,9 @@ func requireRoundTrip(t *testing.T, tag string, tree *xmltree.Tree) {
 	back := a.ToTree()
 	if !xmltree.DeepEqual(tree.Root, back.Root) {
 		t.Fatalf("%s: round trip is not the identity", tag)
+	}
+	if !Equal(FromTree(a), a) {
+		t.Fatalf("%s: FromTree of the arena differs from it", tag)
 	}
 	// The arena index must be the NodeID, and the index columns must agree
 	// with the pointer structure.

@@ -15,6 +15,13 @@
 // FromTree/ToTree round-trip losslessly (kinds, labels, data, attributes
 // and child order are all preserved).
 //
+// Builder (build.go) is the one way columns are written from scratch: one
+// preorder pass of Open, Text and Close calls, an element's values set
+// when it closes. FromTree drives it over a pointer tree (given an arena,
+// over its ToTree form), and fragment.Cut over a document's nodes, so a
+// fragment's columns come straight from the document with no pointer
+// clone in between; the columns share the source's strings.
+//
 // On top of the layout the package offers Bitset, a packed []uint64 node
 // set with allocation-free AND/OR/NOT kernels, and the structural joins
 // the vectorized evaluators need. Stage 1 takes ParentScatter (which
@@ -30,7 +37,7 @@
 // See internal/parbox's vector evaluator, internal/pax's evalSelection and
 // ARCHITECTURE.md, "Columnar site storage & vectorized Stage 1".
 //
-// A Tree is immutable after FromTree and safe for concurrent readers;
+// A Tree is immutable once built and safe for concurrent readers;
 // values (string and numeric values of every element) and per-label
 // element masks are precomputed at construction so query evaluation takes
 // no locks and performs no per-query string work beyond comparisons. The

@@ -63,19 +63,47 @@ func (p *pool) pushText(data string) int32 { return p.push(data, 0, false, nil) 
 // pushElem appends an element's entry: its string value, the numeric
 // value parsed from it, and its attributes.
 func (p *pool) pushElem(v string, attrs []xmltree.Attr) int32 {
+	f, ok := numOf(v)
+	return p.push(v, f, ok, attrs)
+}
+
+// setValue sets entry s's string value and the numeric value parsed from
+// it.
+func (p *pool) setValue(s int32, v string) {
+	p.str[s] = v
+	p.num[s], p.numOK[s] = numOf(v)
+}
+
+// numOf parses v as xmltree.Node.NumValue does. A string that cannot
+// begin a float (strconv.ParseFloat's syntax: a sign, a digit, a point,
+// or the first letter of "inf" or "nan") is rejected before the parse,
+// whose syntax error would copy it.
+func numOf(v string) (float64, bool) {
+	if v == "" {
+		return 0, false
+	}
+	switch c := v[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return 0, false
+	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		f = 0
+		return 0, false
 	}
-	return p.push(v, f, err == nil, attrs)
+	return f, true
 }
 
 // carveAttrs appends attrs to buf and returns them as a slice of their
-// own, nil when there are none. buf's capacity must hold every attribute
-// carved from it, so it never moves and earlier slices stay valid.
+// own, nil when there are none. When buf lacks the room it is replaced by
+// a fresh chunk of at least attrChunk attributes, so the backing array
+// of a carved slice never moves and earlier slices stay valid.
 func carveAttrs(buf *[]xmltree.Attr, attrs []xmltree.Attr) []xmltree.Attr {
 	if len(attrs) == 0 {
 		return nil
+	}
+	if len(*buf)+len(attrs) > cap(*buf) {
+		*buf = make([]xmltree.Attr, 0, max(len(attrs), attrChunk))
 	}
 	k := len(*buf)
 	*buf = append(*buf, attrs...)

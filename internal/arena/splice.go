@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"strings"
 
 	"paxq/internal/xmltree"
 )
@@ -186,13 +185,7 @@ func (a *Tree) splice(at, oldLen, parent int, repl *xmltree.Node) *Tree {
 		b.fill(repl, at, int32(parent), &attrs)
 	}
 	if textEdit {
-		var sb strings.Builder
-		for c := b.FirstChild(parent); c >= 0; c = b.NextSibling(c) {
-			if b.LabelID[c] < 0 {
-				sb.WriteString(b.Text(c))
-			}
-		}
-		b.slot[parent] = b.vals.pushElem(strings.TrimSpace(sb.String()), b.Attrs(parent))
+		b.slot[parent] = b.vals.pushElem(b.childText(parent), b.Attrs(parent))
 	}
 	return b
 }

@@ -19,6 +19,17 @@
 // tree's node ID, which is how distributed answers are compared against a
 // centralized oracle.
 //
+// # Representation
+//
+// A fragment is its columns: it embeds its ArenaView (the arena.Tree of
+// its nodes plus its virtual and spine masks, arena.go) and holds no
+// pointer tree. Cut writes every fragment's columns in one preorder pass
+// over the document's own nodes (arena.Builder), sharing the document's
+// strings; ReadFragment builds them from the parsed file, Skeleton from
+// the manifest, and ApplyEdit splices them. Node IDs are arena indices,
+// dense in preorder. Reassemble and the tests derive a pointer form with
+// Tree.ToTree when they need one.
+//
 // # Persistence
 //
 // manifest.go serializes a fragmentation to a directory — one XML file per

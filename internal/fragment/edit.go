@@ -4,18 +4,23 @@
 // the old fragment (in-flight queries) keep a consistent version while the
 // site swaps in the new one.
 //
-// A site's edit touches arena columns only: Fragment.ApplyEdit validates
-// the edit against the columns, splices the ArenaView and returns a
-// fragment without a pointer tree. The splice copies only the
-// pointer-free index columns and masks; values stay in the value pool
-// every version of the fragment shares, to which the edit appends its
-// inserted nodes' values (arena.Tree's splice kernels). An edit costs
+// An edit touches arena columns only: Fragment.ApplyEdit validates the
+// edit against the columns and splices the ArenaView. The splice copies
+// only the pointer-free index columns and masks; values stay in the value
+// pool every version of the fragment shares, to which the edit appends
+// its inserted nodes' values (arena.Tree's splice kernels). An edit costs
 // those copies, about 25 bytes per node, and a few dozen allocations,
-// whatever the fragment's size. The pointer-tree edit
-// (clone, mutate, re-freeze) lives only in Fragmentation.ApplyEdit, the
-// oracle mirror, which fills the mirrored fragment's Tree with it so that
-// Reassemble, RecomputeOrigins and the centralized evaluator keep a
-// reference independent of the splice.
+// whatever the fragment's size.
+//
+// Fragmentation.ApplyEdit, the oracle mirror, stores the same spliced
+// successor, and checks it first against a reference independent of the
+// splice: the pointer-tree edit (editTree) applied to the old version's
+// pointer form (Tree.ToTree), rebuilt into columns. The check fails the
+// edit unless the two agree column for column (arena.Equal), in their
+// virtual maps (the pointer edit's read off its renumbered virtual
+// nodes) and in their virtual and spine masks, so every test and
+// differential that mirrors edits compares the splice with the pointer
+// edit at every step.
 //
 // Edits deliberately cannot change the fragmentation skeleton: virtual
 // nodes, fragment roots and the spine (the ancestors of virtual nodes,
@@ -29,6 +34,7 @@ package fragment
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"paxq/internal/arena"
@@ -89,12 +95,10 @@ var (
 // ApplyEdit validates e against the fragment's arena columns and returns
 // a new fragment with the edit applied: spliced arena view with
 // renumbered nodes, remapped virtual-node map, Version incremented. The
-// receiver is never modified. The new fragment has no pointer tree (Tree
-// is nil) and no Origin; Fragmentation.ApplyEdit, the oracle mirror,
-// fills in Tree, and RecomputeOrigins restores origins.
+// receiver is never modified. The new fragment has no Origin;
+// RecomputeOrigins restores origins.
 func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
-	av := f.Arena()
-	at := av.Tree
+	at := f.Tree
 	id := int(e.Node)
 	fail := func(err error) (*Fragment, error) {
 		return nil, fmt.Errorf("fragment %d: %s node %d: %w", f.ID, e.Op, e.Node, err)
@@ -102,7 +106,7 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 	if id < 0 || id >= at.Len() {
 		return fail(ErrNoSuchNode)
 	}
-	if av.VirtualMask.Get(id) {
+	if f.VirtualMask.Get(id) {
 		return fail(ErrEditVirtual)
 	}
 	if at.LabelID[id] < 0 {
@@ -119,7 +123,7 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 		if e.Node == RootNode {
 			return fail(ErrEditRoot)
 		}
-		if av.SpineMask.Get(id) {
+		if f.SpineMask.Get(id) {
 			return fail(ErrEditSpine)
 		}
 		start = id
@@ -163,7 +167,7 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 	// Virtual nodes are never inside the replaced interval, so each one
 	// either precedes it or shifts by the edit's node-count change; the
 	// map is shared when none shifts.
-	if d := xmltree.NodeID(newLen - oldLen); d != 0 && av.VirtualMask.AnyInRange(start, at.Len()) {
+	if d := xmltree.NodeID(newLen - oldLen); d != 0 && f.VirtualMask.AnyInRange(start, at.Len()) {
 		nf.virtuals = make(map[xmltree.NodeID]FragID, len(f.virtuals))
 		for vid, k := range f.virtuals {
 			if int(vid) >= start {
@@ -172,12 +176,11 @@ func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 			nf.virtuals[vid] = k
 		}
 	}
-	av2 := &ArenaView{
+	nf.ArenaView = ArenaView{
 		Tree:        at2,
-		VirtualMask: arena.SpliceBits(av.VirtualMask, start, oldLen, newLen, at.Len()),
-		SpineMask:   arena.SpliceBits(av.SpineMask, start, oldLen, newLen, at.Len()),
+		VirtualMask: arena.SpliceBits(f.VirtualMask, start, oldLen, newLen, at.Len()),
+		SpineMask:   arena.SpliceBits(f.SpineMask, start, oldLen, newLen, at.Len()),
 	}
-	nf.arenaOnce.Do(func() { nf.arena = av2 })
 	return nf, nil
 }
 
@@ -221,8 +224,8 @@ func checkSubtree(s *xmltree.Node) error {
 // nodes. Origins across the fragmentation become stale; call
 // RecomputeOrigins when needed. This is the coordinator/oracle-side mirror
 // of the per-site edit a cluster performs: the successor is the one
-// Fragment.ApplyEdit splices, plus a pointer tree edited independently of
-// the splice, so every reader of Tree sees the edited document.
+// Fragment.ApplyEdit splices, stored only after it has been checked
+// against the pointer-tree edit of the old version (see the file comment).
 func (ft *Fragmentation) ApplyEdit(fid FragID, e Edit) error {
 	if int(fid) < 0 || int(fid) >= len(ft.Frags) {
 		return fmt.Errorf("fragment %d: %w", fid, ErrNoSuchNode)
@@ -232,7 +235,26 @@ func (ft *Fragmentation) ApplyEdit(fid FragID, e Edit) error {
 	if err != nil {
 		return err
 	}
-	nf.Tree = editTree(f.Tree, e)
+	// The pointer edit renumbers the virtual nodes it keeps, so their new
+	// IDs are read off the nodes after it.
+	t := f.Tree.ToTree()
+	vnodes := make(map[*xmltree.Node]FragID, len(f.virtuals))
+	for vid, k := range f.virtuals {
+		vnodes[t.Node(vid)] = k
+	}
+	ref := arena.FromTree(editTree(t, e))
+	virtuals := make(map[xmltree.NodeID]FragID, len(vnodes))
+	for nd, k := range vnodes {
+		virtuals[nd.ID] = k
+	}
+	if !arena.Equal(nf.Tree, ref) || !maps.Equal(nf.virtuals, virtuals) {
+		return fmt.Errorf("fragment %d: %s node %d: spliced columns differ from the pointer-tree edit", fid, e.Op, e.Node)
+	}
+	want := newArenaView(ref, virtuals)
+	if !slices.Equal(nf.VirtualMask, want.VirtualMask) || !slices.Equal(nf.SpineMask, want.SpineMask) ||
+		!slices.Equal(want.VirtualMask, ref.LabelMask(VirtualLabel)) {
+		return fmt.Errorf("fragment %d: %s node %d: spliced masks differ from the pointer-tree edit", fid, e.Op, e.Node)
+	}
 	ft.Frags[fid] = nf
 	for vid, cid := range nf.virtuals {
 		ft.Frags[cid].ParentVirtual = vid
@@ -240,13 +262,11 @@ func (ft *Fragmentation) ApplyEdit(fid FragID, e Edit) error {
 	return nil
 }
 
-// editTree applies a validated edit to a structural clone of t and
-// returns the re-frozen clone. The clone's Freeze assigns the same IDs as
-// the original (identical structure), so the edit's node ID addresses the
-// cloned target.
+// editTree applies a validated edit to t, a fresh tree, and returns it
+// re-frozen. The edit's node ID addresses t's node, as t's IDs are the
+// fragment's.
 func editTree(t *xmltree.Tree, e Edit) *xmltree.Tree {
-	t2 := xmltree.NewTree(t.Root.Clone())
-	target := t2.Node(e.Node)
+	target := t.Node(e.Node)
 	switch e.Op {
 	case EditDelete:
 		p := target.Parent
@@ -258,32 +278,29 @@ func editTree(t *xmltree.Tree, e Edit) *xmltree.Tree {
 		sub.Parent = target
 		target.Children = slices.Insert(target.Children, e.Pos, sub)
 	}
-	t2.Freeze()
-	return t2
+	t.Freeze()
+	return t
 }
 
-// RecomputeOrigins rebuilds every fragment's Origin map by walking the
-// reassembled document in preorder — the same ID assignment Reassemble's
-// NewTree performs. Virtual nodes map to the original root of the
-// sub-fragment they stand for, exactly as Cut's origins do.
+// RecomputeOrigins rebuilds every fragment's Origin map from the columns,
+// numbering the nodes in the reassembled document's preorder — the ID
+// assignment Reassemble's tree carries: a fragment's nodes in order, each
+// sub-fragment's in place of its virtual node. Virtual nodes map to the
+// original root of the sub-fragment they stand for, exactly as Cut's
+// origins do.
 func (ft *Fragmentation) RecomputeOrigins() {
-	for _, f := range ft.Frags {
-		f.Origin = make([]xmltree.NodeID, f.Tree.Size())
-	}
 	ctr := xmltree.NodeID(0)
-	var walk func(f *Fragment, n *xmltree.Node)
-	walk = func(f *Fragment, n *xmltree.Node) {
-		if child, ok := f.VirtualAt(n.ID); ok {
-			f.Origin[n.ID] = ctr // the sub-fragment root's upcoming ID
-			cf := ft.Frags[child]
-			walk(cf, cf.Tree.Root)
-			return
-		}
-		f.Origin[n.ID] = ctr
-		ctr++
-		for _, c := range n.Children {
-			walk(f, c)
+	var walk func(f *Fragment)
+	walk = func(f *Fragment) {
+		f.Origin = make([]xmltree.NodeID, f.Size())
+		for i := range f.Origin {
+			f.Origin[i] = ctr // for a virtual node, the sub-fragment root's upcoming ID
+			if f.VirtualMask.Get(i) {
+				walk(ft.Frags[f.virtuals[xmltree.NodeID(i)]])
+				continue
+			}
+			ctr++
 		}
 	}
-	walk(ft.Root(), ft.Root().Tree.Root)
+	walk(ft.Root())
 }

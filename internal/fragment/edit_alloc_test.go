@@ -51,7 +51,7 @@ func BenchmarkApplyEdit(b *testing.B) {
 			return nf
 		}
 		f := xmarkFrag0(b, size.sites, size.bytes)
-		if n := f.Arena().Tree.Len(); n != size.nodes {
+		if n := f.Tree.Len(); n != size.nodes {
 			b.Fatalf("root fragment has %d nodes, want %d", n, size.nodes)
 		}
 		prefix := fmt.Sprintf("nodes=%d/", size.nodes)
@@ -97,7 +97,6 @@ func BenchmarkApplyEdit(b *testing.B) {
 func TestApplyEditAllocsIndependentOfSize(t *testing.T) {
 	ins, del := patchEdits()
 	count := func(f *Fragment) (insAllocs, delAllocs float64) {
-		f.Arena()
 		mid, err := f.ApplyEdit(ins)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +131,7 @@ func TestApplyEditBytesPerNode(t *testing.T) {
 		t.Skip("the race detector's shadow memory makes heap measurements meaningless")
 	}
 	f := xmarkFrag0(t, 4, 125_000)
-	n := f.Arena().Tree.Len()
+	n := f.Tree.Len()
 	ins, del := patchEdits()
 	apply := func(f *Fragment, e Edit) *Fragment {
 		nf, err := f.ApplyEdit(e)

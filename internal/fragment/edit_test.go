@@ -3,7 +3,6 @@ package fragment
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"testing"
 
@@ -58,29 +57,6 @@ func applyOracle(t *testing.T, ft *Fragmentation, fid FragID, e Edit) *xmltree.T
 	return orig
 }
 
-// columnsOnly returns f as a site holds it once it has been edited: the
-// same arena view and virtual map, and no pointer tree.
-func columnsOnly(f *Fragment) *Fragment {
-	c := &Fragment{ID: f.ID, Parent: f.Parent, ParentVirtual: f.ParentVirtual,
-		Annotation: f.Annotation, Version: f.Version, virtuals: f.virtuals}
-	av := f.Arena()
-	c.arenaOnce.Do(func() { c.arena = av })
-	return c
-}
-
-// columnChain replays edits through Fragment.ApplyEdit on column-only
-// fragments, beside the mirror fragmentation that ApplyEdit's pointer
-// edit keeps.
-type columnChain []*Fragment
-
-func newColumnChain(ft *Fragmentation) columnChain {
-	c := make(columnChain, ft.Len())
-	for i, f := range ft.Frags {
-		c[i] = columnsOnly(f)
-	}
-	return c
-}
-
 // typedEditErrors are the errors every rejected edit wraps one of.
 var typedEditErrors = []error{ErrNoSuchNode, ErrNotElement, ErrEditRoot, ErrEditVirtual,
 	ErrEditSpine, ErrBadSubtree, ErrBadPos, ErrBadOp}
@@ -101,41 +77,19 @@ func typedError(t *testing.T, err error) error {
 	return nil
 }
 
-// apply applies e to the chain's copy of fragment fid and requires the
-// outcome to match mirrorErr, the mirror's outcome for the same edit: the
-// same typed error, or success with the same columns, masks and virtual
-// map as the mirror's fragment, whose Tree is the pointer-edit reference.
-func (c columnChain) apply(t *testing.T, ft *Fragmentation, fid FragID, e Edit, mirrorErr error) {
-	t.Helper()
-	nf, err := c[fid].ApplyEdit(e)
-	if got, want := typedError(t, err), typedError(t, mirrorErr); got != want {
-		t.Fatalf("%v on frag %d: column-only edit error %v, mirror error %v", e.Op, fid, err, mirrorErr)
+// numChildren returns the number of children (text children counted) of
+// node i of at.
+func numChildren(at *arena.Tree, i int) int {
+	k := 0
+	for c := at.FirstChild(i); c >= 0; c = at.NextSibling(c) {
+		k++
 	}
-	if err != nil {
-		return
-	}
-	c[fid] = nf
-	ref := ft.Frag(fid)
-	if nf.Tree != nil {
-		t.Fatal("Fragment.ApplyEdit returned a pointer tree")
-	}
-	if nf.Version != ref.Version || nf.Size() != ref.Tree.Size() {
-		t.Fatalf("column-only fragment at version %d with %d nodes, mirror at %d with %d",
-			nf.Version, nf.Size(), ref.Version, ref.Tree.Size())
-	}
-	if !arena.Equal(nf.Arena().Tree, arena.FromTree(ref.Tree)) {
-		t.Fatalf("%v on frag %d: column-only arena differs from the mirror's rebuilt one", e.Op, fid)
-	}
-	if !maps.Equal(nf.Virtuals(), ref.Virtuals()) {
-		t.Fatalf("%v on frag %d: virtual maps differ", e.Op, fid)
-	}
-	checkMasks(t, nf, ref.Tree)
+	return k
 }
 
 func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		_, ft := cutFixture(t, 3, seed)
-		chain := newColumnChain(ft)
 		r := rand.New(rand.NewSource(seed))
 		for step := 0; step < 30; step++ {
 			fid := FragID(r.Intn(ft.Len()))
@@ -143,12 +97,13 @@ func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 			if step%5 == 4 {
 				// An insert one slot past the last child fails alike on
 				// both sides and changes nothing.
-				bad := Edit{Op: EditInsert, Node: 0, Pos: len(f.Tree.Root.Children) + 1, Subtree: xmltree.El("x")}
-				err := ft.ApplyEdit(fid, bad)
-				if !errors.Is(err, ErrBadPos) {
+				bad := Edit{Op: EditInsert, Node: 0, Pos: numChildren(f.Tree, 0) + 1, Subtree: xmltree.El("x")}
+				if err := ft.ApplyEdit(fid, bad); !errors.Is(err, ErrBadPos) {
 					t.Fatalf("seed %d step %d: insert past the last slot: %v, want ErrBadPos", seed, step, err)
 				}
-				chain.apply(t, ft, fid, bad, err)
+				if ft.Frag(fid) != f {
+					t.Fatalf("seed %d step %d: a rejected edit replaced the fragment", seed, step)
+				}
 			}
 			e := randomEdit(r, f)
 			want := applyOracle(t, ft, fid, e) // computed lazily only when valid
@@ -159,7 +114,6 @@ func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 				// so an error here is a bug.
 				t.Fatalf("seed %d step %d: valid edit rejected: %v", seed, step, err)
 			}
-			chain.apply(t, ft, fid, e, nil)
 			nf := ft.Frag(fid)
 			if old.Version+1 != nf.Version {
 				t.Fatalf("version %d -> %d", old.Version, nf.Version)
@@ -170,12 +124,11 @@ func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 			if got := ft.Reassemble(); !xmltree.DeepEqual(got.Root, want.Root) {
 				t.Fatalf("seed %d step %d (%v frag %d): reassembly diverged", seed, step, e.Op, fid)
 			}
-			// The spliced arena must equal a rebuild from the new tree.
-			fresh := arena.FromTree(nf.Tree)
-			if !arena.Equal(nf.Arena().Tree, fresh) {
+			// The spliced arena must equal a rebuild from its pointer form.
+			if !arena.Equal(nf.Tree, arena.FromTree(nf.Tree.ToTree())) {
 				t.Fatalf("seed %d step %d: spliced arena differs from rebuild", seed, step)
 			}
-			checkMasks(t, nf, nf.Tree)
+			checkMasks(t, nf, nf.Tree.ToTree())
 			// Origins must be recomputable and bijective into the oracle.
 			ft.RecomputeOrigins()
 			checkOrigins(t, ft, want)
@@ -187,7 +140,6 @@ func TestApplyEditMatchesOracleAndSplicedArena(t *testing.T) {
 // of ref, the pointer tree f must equal.
 func checkMasks(t *testing.T, f *Fragment, ref *xmltree.Tree) {
 	t.Helper()
-	av := f.Arena()
 	n := f.Size()
 	wantVirt := arena.NewBitset(n)
 	wantSpine := arena.NewBitset(n)
@@ -198,10 +150,10 @@ func checkMasks(t *testing.T, f *Fragment, ref *xmltree.Tree) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if av.VirtualMask.Get(i) != wantVirt.Get(i) {
+		if f.VirtualMask.Get(i) != wantVirt.Get(i) {
 			t.Fatalf("virtual mask differs at %d", i)
 		}
-		if av.SpineMask.Get(i) != wantSpine.Get(i) {
+		if f.SpineMask.Get(i) != wantSpine.Get(i) {
 			t.Fatalf("spine mask differs at %d", i)
 		}
 	}
@@ -213,7 +165,7 @@ func checkOrigins(t *testing.T, ft *Fragmentation, orig *xmltree.Tree) {
 		if len(f.Origin) != f.Size() {
 			t.Fatalf("fragment %d: origin len %d, size %d", f.ID, len(f.Origin), f.Size())
 		}
-		for _, nd := range f.Tree.PreorderNodes() {
+		for _, nd := range f.Tree.ToTree().PreorderNodes() {
 			o := orig.Node(f.Origin[nd.ID])
 			if o == nil {
 				t.Fatalf("fragment %d node %d: origin %d out of range", f.ID, nd.ID, f.Origin[nd.ID])
@@ -231,38 +183,40 @@ func checkOrigins(t *testing.T, ft *Fragmentation, orig *xmltree.Tree) {
 // randomEdit builds a valid edit for f, retrying until the target passes
 // the same restrictions ApplyEdit enforces.
 func randomEdit(r *rand.Rand, f *Fragment) Edit {
-	av := f.Arena()
+	at := f.Tree
+	// editable reports whether node id may be deleted or renamed: an
+	// element that is neither the root, a virtual node nor on the spine.
+	editable := func(id int) bool {
+		return at.LabelID[id] >= 0 && id != int(RootNode) && !f.VirtualMask.Get(id) && !f.SpineMask.Get(id)
+	}
 	for {
 		switch r.Intn(3) {
 		case 0: // insert
-			id := xmltree.NodeID(r.Intn(f.Size()))
-			n := f.Tree.Node(id)
-			if !n.IsElement() || f.IsVirtual(n) {
+			id := r.Intn(f.Size())
+			if at.LabelID[id] < 0 || f.VirtualMask.Get(id) {
 				continue
 			}
 			sub := xmltree.El("patch", xmltree.ElT("v", fmt.Sprint(r.Intn(100))))
 			if r.Intn(2) == 0 {
 				sub = xmltree.El("extra")
 			}
-			return Edit{Op: EditInsert, Node: id, Pos: r.Intn(len(n.Children) + 1), Subtree: sub}
+			return Edit{Op: EditInsert, Node: xmltree.NodeID(id), Pos: r.Intn(numChildren(at, id) + 1), Subtree: sub}
 		case 1: // delete
-			id := xmltree.NodeID(r.Intn(f.Size()))
-			n := f.Tree.Node(id)
-			if !n.IsElement() || n.Parent == nil || f.IsVirtual(n) || av.SpineMask.Get(int(id)) {
+			id := r.Intn(f.Size())
+			if !editable(id) {
 				continue
 			}
 			// Keep fragments from shrinking to nothing over long schedules.
-			if f.Size()-(int(av.Tree.SubtreeEnd[id])-int(id)) < 3 {
+			if f.Size()-(int(at.SubtreeEnd[id])-id) < 3 {
 				continue
 			}
-			return Edit{Op: EditDelete, Node: id}
+			return Edit{Op: EditDelete, Node: xmltree.NodeID(id)}
 		default: // rename
-			id := xmltree.NodeID(r.Intn(f.Size()))
-			n := f.Tree.Node(id)
-			if !n.IsElement() || n.Parent == nil || f.IsVirtual(n) || av.SpineMask.Get(int(id)) {
+			id := r.Intn(f.Size())
+			if !editable(id) {
 				continue
 			}
-			return Edit{Op: EditRename, Node: id, Label: fmt.Sprintf("l%d", r.Intn(5))}
+			return Edit{Op: EditRename, Node: xmltree.NodeID(id), Label: fmt.Sprintf("l%d", r.Intn(5))}
 		}
 	}
 }
@@ -270,13 +224,12 @@ func randomEdit(r *rand.Rand, f *Fragment) Edit {
 func TestEditTypedErrors(t *testing.T) {
 	_, ft := cutFixture(t, 2, 7)
 	f := ft.Root()
-	av := f.Arena()
 	var virtID, spineID xmltree.NodeID = -1, -1
 	for vid := range f.Virtuals() {
 		virtID = vid
 	}
 	for i := 0; i < f.Size(); i++ {
-		if av.SpineMask.Get(i) {
+		if f.SpineMask.Get(i) {
 			spineID = xmltree.NodeID(i)
 		}
 	}
@@ -321,9 +274,9 @@ func TestEditTypedErrors(t *testing.T) {
 		}
 	}
 	// A text node is not an element target.
-	for _, nd := range f.Tree.PreorderNodes() {
-		if nd.Kind == xmltree.Text {
-			if _, err := f.ApplyEdit(Edit{Op: EditDelete, Node: nd.ID}); !errors.Is(err, ErrNotElement) {
+	for i := 0; i < f.Size(); i++ {
+		if f.Tree.LabelID[i] < 0 {
+			if _, err := f.ApplyEdit(Edit{Op: EditDelete, Node: xmltree.NodeID(i)}); !errors.Is(err, ErrNotElement) {
 				t.Errorf("delete text: err = %v, want ErrNotElement", err)
 			}
 			break
@@ -332,10 +285,8 @@ func TestEditTypedErrors(t *testing.T) {
 }
 
 func lastLeafElement(f *Fragment) xmltree.NodeID {
-	av := f.Arena()
 	for i := f.Size() - 1; i > 0; i-- {
-		n := f.Tree.Node(xmltree.NodeID(i))
-		if n.IsElement() && !f.IsVirtual(n) && !av.SpineMask.Get(i) {
+		if f.Tree.LabelID[i] >= 0 && !f.VirtualMask.Get(i) && !f.SpineMask.Get(i) {
 			return xmltree.NodeID(i)
 		}
 	}
@@ -373,10 +324,9 @@ func TestManifestRoundTripsVersion(t *testing.T) {
 
 // FuzzEditOps drives arbitrary edit sequences against a fragmentation:
 // whatever the inputs, ApplyEdit either applies cleanly (reassembly stays
-// a well-formed tree, spliced arena equals a rebuild) or fails with one of
-// the typed edit errors — never a panic. Every edit is replayed on a
-// chain of column-only fragments, which must fail with the same typed
-// error or end up equal to the mirror.
+// a well-formed tree, and the mirror's check holds: the spliced columns
+// equal the pointer-tree edit's) or fails with one of the typed edit
+// errors — never a panic, and never the mirror's untyped mismatch.
 func FuzzEditOps(f *testing.F) {
 	f.Add(int64(1), []byte{0, 3, 1, 0})
 	f.Add(int64(2), []byte{1, 5, 0, 2, 2, 7, 0, 1})
@@ -390,7 +340,6 @@ func FuzzEditOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain := newColumnChain(ft)
 		for i := 0; i+3 < len(script); i += 4 {
 			op, node, pos, aux := script[i], script[i+1], script[i+2], script[i+3]
 			fid := FragID(int(aux) % ft.Len())
@@ -401,15 +350,7 @@ func FuzzEditOps(f *testing.F) {
 			case EditRename:
 				e.Label = fmt.Sprintf("l%d", aux%7)
 			}
-			err := ft.ApplyEdit(fid, e)
-			chain.apply(t, ft, fid, e, err)
-			if err != nil {
-				continue
-			}
-			nf := ft.Frag(fid)
-			if !arena.Equal(nf.Arena().Tree, arena.FromTree(nf.Tree)) {
-				t.Fatal("spliced arena differs from rebuild")
-			}
+			typedError(t, ft.ApplyEdit(fid, e))
 		}
 		ft.RecomputeOrigins()
 		if got := ft.Reassemble(); got.Size() != ft.TotalNodes() {

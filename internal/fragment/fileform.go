@@ -44,7 +44,7 @@ func (f *Fragment) fileForm() {
 // serialization starts and ends. It allocates the text and one array
 // holding both offset columns.
 func (f *Fragment) buildFileForm() (text string, start, end []int32) {
-	n := f.Arena().Tree.Len()
+	n := f.Tree.Len()
 	cols := make([]int32, 2*n)
 	start, end = cols[:n:n], cols[n:]
 	var w xmltree.Writer
@@ -57,11 +57,10 @@ func (f *Fragment) buildFileForm() (text string, start, end []int32) {
 // writeNode writes node i's subtree, recording its offsets in start and
 // end when they are non-nil.
 func (f *Fragment) writeNode(w *xmltree.Writer, i int, start, end []int32) {
-	av := f.Arena()
-	at := av.Tree
+	at := f.Tree
 	from := w.Len()
 	switch {
-	case av.VirtualMask.Get(i):
+	case f.VirtualMask.Get(i):
 		ref := strconv.Itoa(int(f.virtuals[xmltree.NodeID(i)]))
 		w.Open(RefLabel, []xmltree.Attr{{Name: "ref", Value: ref}}, true)
 	case at.LabelID[i] < 0:

@@ -5,9 +5,11 @@ package fragment
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
+	"paxq/internal/arena"
 	"paxq/internal/xmltree"
 )
 
@@ -30,13 +32,15 @@ const NoFrag FragID = -1
 // with it.
 const VirtualLabel = "#fragment"
 
-// Fragment is one piece of the decomposed tree.
+// Fragment is one piece of the decomposed tree. A fragment is its
+// columns: the embedded ArenaView is the only form of its tree it holds,
+// built by every constructor (Cut, Whole, ReadFragment, Skeleton,
+// ApplyEdit). A reader that needs a pointer form derives one with
+// Tree.ToTree.
 type Fragment struct {
-	ID FragID
-	// Tree is the fragment's pointer tree: set by Cut, Load and
-	// Fragmentation.ApplyEdit, nil on fragments Fragment.ApplyEdit
-	// returns, like Origin. A site reads its fragments through Arena only.
-	Tree   *xmltree.Tree
+	ArenaView
+
+	ID     FragID
 	Parent FragID // NoFrag for the root fragment
 
 	// ParentVirtual is the ID, within the parent fragment's tree, of the
@@ -53,7 +57,8 @@ type Fragment struct {
 	// corresponding node in the original tree; a virtual node maps to the
 	// original root of the sub-fragment it stands for. Used by tests and
 	// by answer reporting; the evaluation algorithms never consult it.
-	// Nil after an edit (ApplyEdit) until RecomputeOrigins runs.
+	// Set by Cut; nil on fragments read back or edited (ApplyEdit) until
+	// RecomputeOrigins runs.
 	Origin []xmltree.NodeID
 
 	// Version counts the edits applied to this fragment since it was cut
@@ -62,10 +67,6 @@ type Fragment struct {
 	Version uint64
 
 	virtuals map[xmltree.NodeID]FragID
-
-	// arenaOnce/arena lazily cache the columnar view (see Arena).
-	arenaOnce sync.Once
-	arena     *ArenaView
 
 	// xmlOnce guards the lazily built file form: its text, and where each
 	// node's serialization starts and ends in it (see XML, SubtreeXML).
@@ -80,12 +81,6 @@ func (f *Fragment) VirtualAt(id xmltree.NodeID) (FragID, bool) {
 	return k, ok
 }
 
-// IsVirtual reports whether n is a virtual node of this fragment.
-func (f *Fragment) IsVirtual(n *xmltree.Node) bool {
-	_, ok := f.virtuals[n.ID]
-	return ok
-}
-
 // Virtuals returns the virtual-node map (node ID → sub-fragment). Callers
 // must not mutate it.
 func (f *Fragment) Virtuals() map[xmltree.NodeID]FragID { return f.virtuals }
@@ -97,7 +92,7 @@ func (f *Fragment) NumVirtuals() int { return len(f.virtuals) }
 func (f *Fragment) IsLeaf() bool { return len(f.virtuals) == 0 }
 
 // Size returns the node count of the fragment (virtual nodes included).
-func (f *Fragment) Size() int { return f.Arena().Tree.Len() }
+func (f *Fragment) Size() int { return f.Tree.Len() }
 
 // Fragmentation is a complete decomposition of one tree.
 type Fragmentation struct {
@@ -150,108 +145,128 @@ func (ft *Fragmentation) AnnotationFromRoot(id FragID) []string {
 // assigned in document order of the fragment roots, so the root fragment is
 // always 0 and a parent fragment always has a smaller ID than its children.
 // No element of t may be labelled RefLabel (ErrReservedLabel).
+//
+// Cut writes every fragment's columns in one preorder pass over t's nodes
+// (see cutter), sharing t's strings; it builds no pointer node.
 func Cut(t *xmltree.Tree, cuts []xmltree.NodeID) (*Fragmentation, error) {
-	for _, n := range t.PreorderNodes() {
-		if n.Kind == xmltree.Element && n.Label == RefLabel {
-			return nil, fmt.Errorf("fragment: node %d: %w", n.ID, ErrReservedLabel)
-		}
-	}
-	cutSet := make(map[xmltree.NodeID]bool, len(cuts))
-	for _, id := range cuts {
+	roots := make([]xmltree.NodeID, 0, len(cuts)+1)
+	roots = append(append(roots, t.Root.ID), cuts...)
+	slices.Sort(roots[1:])
+	for i, id := range roots[1:] {
 		n := t.Node(id)
-		if n == nil {
+		switch {
+		case n == nil:
 			return nil, fmt.Errorf("fragment: cut node %d out of range", id)
-		}
-		if !n.IsElement() {
+		case !n.IsElement():
 			return nil, fmt.Errorf("fragment: cut node %d is not an element", id)
-		}
-		if n.Parent == nil {
+		case n.Parent == nil:
 			return nil, fmt.Errorf("fragment: cannot cut at the root")
-		}
-		if cutSet[id] {
+		case roots[i] == id:
 			return nil, fmt.Errorf("fragment: duplicate cut node %d", id)
 		}
-		cutSet[id] = true
 	}
-	// Fragment roots in document order.
-	roots := []xmltree.NodeID{t.Root.ID}
-	for id := range cutSet {
-		roots = append(roots, id)
+	c := &cutter{
+		ft:    &Fragmentation{Frags: make([]*Fragment, len(roots)), children: make([][]FragID, len(roots))},
+		roots: roots,
+		sizes: fragmentSizes(t, roots),
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	fragOf := make(map[xmltree.NodeID]FragID, len(roots))
-	for i, id := range roots {
-		fragOf[id] = FragID(i)
+	c.fragment(t.Root)
+	if c.reserved != nil {
+		return nil, fmt.Errorf("fragment: node %d: %w", c.reserved.ID, ErrReservedLabel)
 	}
-
-	ft := &Fragmentation{
-		Frags:    make([]*Fragment, len(roots)),
-		children: make([][]FragID, len(roots)),
-	}
-	for i, rootID := range roots {
-		id := FragID(i)
-		f := &Fragment{ID: id, Parent: NoFrag, virtuals: make(map[xmltree.NodeID]FragID)}
-		orig := t.Node(rootID)
-		var virtualNodes []*xmltree.Node
-		var virtualFor []FragID
-		var origin []xmltree.NodeID
-		var build func(n *xmltree.Node) *xmltree.Node
-		build = func(n *xmltree.Node) *xmltree.Node {
-			clone := &xmltree.Node{Kind: n.Kind, Label: n.Label, Data: n.Data, ID: xmltree.NoID}
-			if len(n.Attrs) > 0 {
-				clone.Attrs = append([]xmltree.Attr(nil), n.Attrs...)
-			}
-			origin = append(origin, n.ID)
-			for _, c := range n.Children {
-				if c.Kind == xmltree.Element && cutSet[c.ID] {
-					v := xmltree.NewElement(VirtualLabel)
-					origin = append(origin, c.ID)
-					virtualNodes = append(virtualNodes, v)
-					virtualFor = append(virtualFor, fragOf[c.ID])
-					clone.Append(v)
-					continue
-				}
-				clone.Append(build(c))
-			}
-			return clone
-		}
-		f.Tree = xmltree.NewTree(build(orig))
-		f.Origin = origin
-		for j, v := range virtualNodes {
-			f.virtuals[v.ID] = virtualFor[j]
-		}
-		ft.Frags[id] = f
-	}
-	// Wire parents, virtual back-references and annotations.
-	for _, f := range ft.Frags {
-		for vid, child := range f.virtuals {
-			cf := ft.Frags[child]
-			cf.Parent = f.ID
-			cf.ParentVirtual = vid
-			ft.children[f.ID] = append(ft.children[f.ID], child)
-		}
-	}
-	for _, f := range ft.Frags {
-		sort.Slice(ft.children[f.ID], func(i, j int) bool {
-			return ft.children[f.ID][i] < ft.children[f.ID][j]
-		})
-	}
-	for i := 1; i < len(roots); i++ {
-		f := ft.Frags[i]
-		if f.Parent == NoFrag {
-			return nil, fmt.Errorf("fragment: internal error: fragment %d has no parent", i)
-		}
-		parentRootOrig := t.Node(roots[f.Parent])
+	for _, f := range c.ft.Frags[1:] {
+		// The labels from the parent fragment's root (exclusive) down to
+		// this fragment's root.
+		top := t.Node(roots[f.Parent])
 		var labels []string
-		for n := t.Node(roots[i]); n != parentRootOrig; n = n.Parent {
+		for n := t.Node(roots[f.ID]); n != top; n = n.Parent {
 			labels = append(labels, n.Label)
 		}
-		for l, r := 0, len(labels)-1; l < r; l, r = l+1, r-1 {
-			labels[l], labels[r] = labels[r], labels[l]
-		}
+		slices.Reverse(labels)
 		f.Annotation = labels
 	}
-	return ft, nil
+	return c.ft, nil
+}
+
+// cutter is Cut's pass. It walks the document in preorder, writing each
+// node into the columns of the fragment that holds it; at a cut node it
+// writes a virtual leaf into the current fragment and walks the cut
+// subtree into a new fragment before resuming. The walk thus meets the
+// fragment roots in document order, which is the order of roots.
+type cutter struct {
+	ft       *Fragmentation
+	roots    []xmltree.NodeID // fragment roots in document order
+	sizes    []int            // node count of each fragment, virtual nodes included
+	next     int              // the fragment the walk starts next
+	reserved *xmltree.Node    // the first RefLabel element met
+}
+
+// fragment writes the fragment rooted at root, and every fragment below
+// it, and returns it.
+func (c *cutter) fragment(root *xmltree.Node) *Fragment {
+	id := FragID(c.next)
+	c.next++
+	n := c.sizes[id]
+	f := &Fragment{ID: id, Parent: NoFrag, Origin: make([]xmltree.NodeID, 0, n), virtuals: make(map[xmltree.NodeID]FragID)}
+	c.ft.Frags[id] = f
+	b := arena.NewBuilder(n)
+	c.walk(f, b, root)
+	f.ArenaView = newArenaView(b.Tree(), f.virtuals)
+	return f
+}
+
+// walk writes the subtree of n into f's columns.
+func (c *cutter) walk(f *Fragment, b *arena.Builder, n *xmltree.Node) {
+	f.Origin = append(f.Origin, n.ID)
+	if n.Kind != xmltree.Element {
+		b.Text(n.Data)
+		return
+	}
+	if n.Label == RefLabel && c.reserved == nil {
+		c.reserved = n
+	}
+	b.Open(n.Label, n.Attrs)
+	for _, ch := range n.Children {
+		if c.next == len(c.roots) || ch.ID != c.roots[c.next] {
+			c.walk(f, b, ch)
+			continue
+		}
+		v := xmltree.NodeID(b.Open(VirtualLabel, nil))
+		b.Close()
+		f.Origin = append(f.Origin, ch.ID)
+		cf := c.fragment(ch)
+		cf.Parent, cf.ParentVirtual = f.ID, v
+		f.virtuals[v] = cf.ID
+		c.ft.children[f.ID] = append(c.ft.children[f.ID], cf.ID)
+	}
+	b.Close()
+}
+
+// fragmentSizes returns the node count of the fragment rooted at each of
+// roots (sorted, in document order), virtual nodes included: its root's
+// subtree, less the subtree of each fragment directly below it, plus that
+// fragment's virtual node. It reads only the roots and the last-child
+// chains below them.
+func fragmentSizes(t *xmltree.Tree, roots []xmltree.NodeID) []int {
+	sizes := make([]int, len(roots))
+	ends := make([]xmltree.NodeID, len(roots))
+	var open []int // the fragments whose subtrees hold the current root
+	for i, r := range roots {
+		n := t.Node(r)
+		for len(n.Children) > 0 {
+			n = n.Children[len(n.Children)-1]
+		}
+		ends[i] = n.ID + 1
+		sizes[i] = int(ends[i] - r)
+		for len(open) > 0 && r >= ends[open[len(open)-1]] {
+			open = open[:len(open)-1]
+		}
+		if len(open) > 0 {
+			sizes[open[len(open)-1]] -= sizes[i] - 1
+		}
+		open = append(open, i)
+	}
+	return sizes
 }
 
 // Whole wraps an unfragmented tree as a single-fragment fragmentation.
@@ -264,26 +279,23 @@ func Whole(t *xmltree.Tree) *Fragmentation {
 	return ft
 }
 
-// Reassemble reconstructs the original tree from the fragments, splicing
-// every sub-fragment in place of its virtual node. The result is a fresh
-// tree; the fragmentation is unchanged.
+// Reassemble reconstructs the original tree from the fragments: the
+// pointer form of each fragment (Tree.ToTree), with every sub-fragment's
+// grafted in place of its virtual node. The result is a fresh tree; the
+// fragmentation is unchanged.
 func (ft *Fragmentation) Reassemble() *xmltree.Tree {
-	var build func(f *Fragment, n *xmltree.Node) *xmltree.Node
-	build = func(f *Fragment, n *xmltree.Node) *xmltree.Node {
-		if child, ok := f.VirtualAt(n.ID); ok {
-			cf := ft.Frags[child]
-			return build(cf, cf.Tree.Root)
+	var build func(f *Fragment) *xmltree.Node
+	build = func(f *Fragment) *xmltree.Node {
+		t := f.Tree.ToTree()
+		for vid, k := range f.virtuals {
+			v := t.Node(vid)
+			sub := build(ft.Frags[k])
+			sub.Parent = v.Parent
+			v.Parent.Children[slices.Index(v.Parent.Children, v)] = sub
 		}
-		clone := &xmltree.Node{Kind: n.Kind, Label: n.Label, Data: n.Data, ID: xmltree.NoID}
-		if len(n.Attrs) > 0 {
-			clone.Attrs = append([]xmltree.Attr(nil), n.Attrs...)
-		}
-		for _, c := range n.Children {
-			clone.Append(build(f, c))
-		}
-		return clone
+		return t.Root
 	}
-	return xmltree.NewTree(build(ft.Root(), ft.Root().Tree.Root))
+	return xmltree.NewTree(build(ft.Root()))
 }
 
 // RandomCuts picks up to k distinct random non-root element nodes of t,

@@ -64,7 +64,7 @@ func TestCutFigure1(t *testing.T) {
 		t.Fatalf("fragments = %d want 5", ft.Len())
 	}
 	root := ft.Root()
-	if root.ID != RootFrag || root.Parent != NoFrag || root.Tree.Root.Label != "clientele" {
+	if root.ID != RootFrag || root.Parent != NoFrag || root.Tree.LabelOf(0) != "clientele" {
 		t.Fatalf("root fragment wrong: %+v", root)
 	}
 	// The root fragment has three virtual nodes (F1, F3', F4' in paper
@@ -75,15 +75,15 @@ func TestCutFigure1(t *testing.T) {
 	}
 	// The broker fragment nests the NASDAQ market fragment.
 	broker := ft.Frag(1)
-	if broker.Tree.Root.Label != "broker" || broker.NumVirtuals() != 1 {
-		t.Errorf("broker fragment: %v virtuals=%d", broker.Tree.Root, broker.NumVirtuals())
+	if broker.Tree.LabelOf(0) != "broker" || broker.NumVirtuals() != 1 {
+		t.Errorf("broker fragment: %v virtuals=%d", broker.Tree.LabelOf(0), broker.NumVirtuals())
 	}
-	if got := ft.Children(1); len(got) != 1 || ft.Frag(got[0]).Tree.Root.Label != "market" {
+	if got := ft.Children(1); len(got) != 1 || ft.Frag(got[0]).Tree.LabelOf(0) != "market" {
 		t.Errorf("broker children = %v", got)
 	}
 	// Every non-root fragment's annotation ends with its own root label.
 	for _, f := range ft.Frags[1:] {
-		if len(f.Annotation) == 0 || f.Annotation[len(f.Annotation)-1] != f.Tree.Root.Label {
+		if len(f.Annotation) == 0 || f.Annotation[len(f.Annotation)-1] != f.Tree.LabelOf(0) {
 			t.Errorf("fragment %d annotation %v", f.ID, f.Annotation)
 		}
 	}
@@ -138,7 +138,7 @@ func TestWhole(t *testing.T) {
 	if ft.Len() != 1 || !ft.Root().IsLeaf() {
 		t.Fatalf("whole fragmentation wrong: %d frags", ft.Len())
 	}
-	if !xmltree.DeepEqual(ft.Root().Tree.Root, tr.Root) {
+	if !xmltree.DeepEqual(ft.Root().Tree.ToTree().Root, tr.Root) {
 		t.Error("whole fragment differs from source")
 	}
 }
@@ -168,16 +168,16 @@ func TestOriginMapping(t *testing.T) {
 		if len(f.Origin) != f.Size() {
 			t.Fatalf("fragment %d: origin len %d size %d", f.ID, len(f.Origin), f.Size())
 		}
-		f.Tree.Walk(func(n *xmltree.Node) bool {
+		f.Tree.ToTree().Walk(func(n *xmltree.Node) bool {
 			orig := tr.Node(f.Origin[n.ID])
 			if orig == nil {
 				t.Fatalf("fragment %d node %d: bad origin", f.ID, n.ID)
 			}
-			if f.IsVirtual(n) {
+			if f.VirtualMask.Get(int(n.ID)) {
 				// A virtual node's origin is the sub-fragment's root.
 				child, _ := f.VirtualAt(n.ID)
-				if ft.Frag(child).Tree.Root.Label != orig.Label {
-					t.Fatalf("virtual origin mismatch: %v vs %v", orig, ft.Frag(child).Tree.Root)
+				if ft.Frag(child).Tree.LabelOf(0) != orig.Label {
+					t.Fatalf("virtual origin mismatch: %v vs %v", orig, ft.Frag(child).Tree.LabelOf(0))
 				}
 			} else if orig.Label != n.Label || orig.Data != n.Data {
 				t.Fatalf("origin mismatch at fragment %d node %d: %v vs %v", f.ID, n.ID, n, orig)
@@ -201,7 +201,7 @@ func TestTopLevelCuts(t *testing.T) {
 		t.Errorf("fragments = %d", ft.Len())
 	}
 	for _, id := range ft.Children(RootFrag) {
-		if got := ft.Frag(id).Tree.Root.Label; got != "client" {
+		if got := ft.Frag(id).Tree.LabelOf(0); got != "client" {
 			t.Errorf("top-level fragment root = %q", got)
 		}
 	}
@@ -299,16 +299,5 @@ func TestQuickAnnotationPaths(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkCut(b *testing.B) {
-	tr := testutil.RandomTree(1, 20000)
-	cuts := RandomCuts(tr, 10, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Cut(tr, cuts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 
+	"paxq/internal/arena"
 	"paxq/internal/xmltree"
 )
 
@@ -63,7 +64,7 @@ func (ft *Fragmentation) Save(dir string) error {
 			ID:         f.ID,
 			Parent:     f.Parent,
 			File:       file,
-			RootLabel:  f.Arena().Tree.LabelOf(int(RootNode)),
+			RootLabel:  f.Tree.LabelOf(int(RootNode)),
 			Annotation: f.Annotation,
 			Children:   append([]FragID(nil), ft.Children(f.ID)...),
 			Version:    f.Version,
@@ -87,7 +88,7 @@ func ReadFragment(r io.Reader, id FragID, n int) (*Fragment, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fragment{ID: id, Tree: tree, virtuals: make(map[xmltree.NodeID]FragID)}
+	f := &Fragment{ID: id, virtuals: make(map[xmltree.NodeID]FragID)}
 	for _, nd := range tree.PreorderNodes() {
 		if nd.Kind != xmltree.Element || nd.Label != RefLabel {
 			continue
@@ -106,6 +107,7 @@ func ReadFragment(r io.Reader, id FragID, n int) (*Fragment, error) {
 		nd.Label, nd.Attrs = VirtualLabel, nil
 		f.virtuals[nd.ID] = FragID(ref)
 	}
+	f.ArenaView = newArenaView(arena.FromTree(tree), f.virtuals)
 	return f, nil
 }
 
@@ -191,15 +193,14 @@ func Load(dir string) (*Fragmentation, error) {
 func (m *Manifest) Skeleton() (*Fragmentation, error) {
 	frags := make([]*Fragment, m.Len())
 	for i, e := range m.Entries {
-		root := xmltree.NewElement(e.RootLabel)
-		for range e.Children {
-			root.Append(xmltree.NewElement(VirtualLabel))
+		f := &Fragment{ID: e.ID, Parent: e.Parent, Annotation: e.Annotation, Version: e.Version, virtuals: make(map[xmltree.NodeID]FragID)}
+		b := arena.NewBuilder(1 + len(e.Children))
+		b.Open(e.RootLabel, nil)
+		for _, child := range e.Children {
+			f.virtuals[xmltree.NodeID(b.Open(VirtualLabel, nil))] = child
+			b.Close()
 		}
-		tree := xmltree.NewTree(root)
-		f := &Fragment{ID: e.ID, Parent: e.Parent, Annotation: e.Annotation, Version: e.Version, Tree: tree, virtuals: make(map[xmltree.NodeID]FragID)}
-		for j, child := range e.Children {
-			f.virtuals[root.Children[j].ID] = child
-		}
+		f.ArenaView = newArenaView(b.Tree(), f.virtuals)
 		frags[i] = f
 	}
 	return Assemble(frags)

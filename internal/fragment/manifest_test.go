@@ -39,7 +39,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if f.Parent != orig.Parent || len(f.Virtuals()) != len(orig.Virtuals()) {
 			t.Errorf("fragment %d structure mismatch", i)
 		}
-		if got, want := f.Tree.Root.Label, orig.Tree.Root.Label; got != want {
+		if got, want := f.Tree.LabelOf(0), orig.Tree.LabelOf(0); got != want {
 			t.Errorf("fragment %d root %q want %q", i, got, want)
 		}
 		for j := range f.Annotation {
@@ -68,8 +68,8 @@ func TestSkeletonStructure(t *testing.T) {
 	}
 	for i, f := range sk.Frags {
 		orig := ft.Frags[i]
-		if f.Tree.Root.Label != orig.Tree.Root.Label {
-			t.Errorf("fragment %d root label %q", i, f.Tree.Root.Label)
+		if f.Tree.LabelOf(0) != orig.Tree.LabelOf(0) {
+			t.Errorf("fragment %d root label %q", i, f.Tree.LabelOf(0))
 		}
 		if f.NumVirtuals() != orig.NumVirtuals() {
 			t.Errorf("fragment %d virtuals = %d want %d", i, f.NumVirtuals(), orig.NumVirtuals())
@@ -90,7 +90,7 @@ func TestLoadFragmentSelective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID != 1 || f.Tree.Root.Label != ft.Frags[1].Tree.Root.Label {
+	if f.ID != 1 || f.Tree.LabelOf(0) != ft.Frags[1].Tree.LabelOf(0) {
 		t.Errorf("fragment 1 = %+v", f)
 	}
 	if _, err := m.LoadFragment(dir, FragID(m.Len())); err == nil {
@@ -171,7 +171,7 @@ func TestSaveLoadSingleFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 1 || !xmltree.DeepEqual(back.Root().Tree.Root, tr.Root) {
+	if back.Len() != 1 || !xmltree.DeepEqual(back.Root().Tree.ToTree().Root, tr.Root) {
 		t.Error("single-fragment round trip failed")
 	}
 }

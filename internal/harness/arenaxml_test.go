@@ -74,10 +74,11 @@ func TestArenaSerializeMatchesPointer(t *testing.T) {
 		}
 		for _, f := range ft.Frags {
 			virtuals += f.NumVirtuals()
-			if got, want := f.XML(), xmltree.SerializeString(fragtest.StubbedCopy(f, f.Tree.Root)); got != want {
+			pt := f.Tree.ToTree()
+			if got, want := f.XML(), xmltree.SerializeString(fragtest.StubbedCopy(f, pt.Root)); got != want {
 				t.Fatalf("%s fragment %d file form:\n got %q\nwant %q", c.name, f.ID, got, want)
 			}
-			for _, n := range f.Tree.PreorderNodes() {
+			for _, n := range pt.PreorderNodes() {
 				if !n.IsElement() {
 					continue
 				}

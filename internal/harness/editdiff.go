@@ -12,6 +12,7 @@ import (
 	"paxq/internal/fragment"
 	"paxq/internal/pax"
 	"paxq/internal/testutil"
+	"paxq/internal/testutil/fragtest"
 	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
 )
@@ -27,48 +28,6 @@ import (
 //   - the cluster's summed per-query AND per-edit ledgers must equal its
 //     transport's lifetime totals exactly (cost conservation with
 //     mutations in the mix).
-
-// randomEdit builds a valid edit for f: a small insert, a non-spine
-// delete that keeps the fragment from collapsing, or a rename, retrying
-// until the target passes the restrictions fragment.ApplyEdit enforces.
-// Inserted subtrees use labels outside both query vocabularies ("patch",
-// "v", "extra"), so inserts usually leave qualifier bits alone; deletes
-// and renames hit live labels and usually do not. Their roots carry an
-// attribute whose value needs escaping, derived from values already drawn
-// so the random stream is the one schedules have always used.
-func randomEdit(r *rand.Rand, f *fragment.Fragment) fragment.Edit {
-	av := f.Arena()
-	for {
-		id := xmltree.NodeID(r.Intn(f.Size()))
-		n := f.Tree.Node(id)
-		switch r.Intn(3) {
-		case 0: // insert
-			if !n.IsElement() || f.IsVirtual(n) {
-				continue
-			}
-			v := r.Intn(100)
-			sub := xmltree.El("patch", xmltree.ElT("v", fmt.Sprint(v)))
-			if r.Intn(2) == 0 {
-				sub = xmltree.El("extra")
-			}
-			sub.SetAttr("k", fmt.Sprintf(`%d"<&%d`, id, v))
-			return fragment.Edit{Op: fragment.EditInsert, Node: id, Pos: r.Intn(len(n.Children) + 1), Subtree: sub}
-		case 1: // delete
-			if !n.IsElement() || n.Parent == nil || f.IsVirtual(n) || av.SpineMask.Get(int(id)) {
-				continue
-			}
-			if f.Size()-(int(av.Tree.SubtreeEnd[id])-int(id)) < 3 {
-				continue
-			}
-			return fragment.Edit{Op: fragment.EditDelete, Node: id}
-		default: // rename
-			if !n.IsElement() || n.Parent == nil || f.IsVirtual(n) || av.SpineMask.Get(int(id)) {
-				continue
-			}
-			return fragment.Edit{Op: fragment.EditRename, Node: id, Label: fmt.Sprintf("l%d", r.Intn(5))}
-		}
-	}
-}
 
 // runEditPhase executes one seed's mutation differential schedule. It owns
 // its own fragmentation (the mutable mirror doubles as the oracle source),
@@ -149,7 +108,7 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		for i := 0; doc != nil && i < len(got.Answers); i++ {
 			a := got.Answers[i]
 			f := eft.Frag(a.Frag)
-			if av := f.Arena(); av.VirtualMask.AnyInRange(int(a.Node), int(av.Tree.SubtreeEnd[a.Node])) {
+			if f.VirtualMask.AnyInRange(int(a.Node), int(f.Tree.SubtreeEnd[a.Node])) {
 				res.EditXMLCrossing++
 			}
 			res.EditXMLCompared++
@@ -174,7 +133,7 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 	edits := 3 + r.Intn(3)
 	for i := 0; i < edits; i++ {
 		fid := fragment.FragID(r.Intn(eft.Len()))
-		ed := randomEdit(r, eft.Frag(fid))
+		ed := fragtest.RandomEdit(r, eft.Frag(fid))
 
 		// Engine first: ApplyEdit seeds its version tracking from the
 		// topology fragmentation — the mirror — on a fragment's first edit,

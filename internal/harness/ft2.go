@@ -123,7 +123,7 @@ func FT2Sizes(cfg Config) ([]int, error) {
 	}
 	out := make([]int, ft.Len())
 	for i, f := range ft.Frags {
-		out[i] = f.Tree.ComputeStats().Bytes
+		out[i] = f.Tree.ToTree().ComputeStats().Bytes
 	}
 	return out, nil
 }

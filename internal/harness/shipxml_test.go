@@ -38,7 +38,7 @@ func shipXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, 
 	}
 	for _, a := range res.Answers {
 		f := ft.Frag(a.Frag)
-		if subtreeHasVirtual(f, f.Tree.Node(a.Node)) {
+		if f.VirtualMask.AnyInRange(int(a.Node), int(f.Tree.SubtreeEnd[a.Node])) {
 			crossing++
 		}
 		orig := tree.Node(f.Origin[a.Node])
@@ -82,18 +82,6 @@ func centralIDs(t *testing.T, tree *xmltree.Tree, query string) []xmltree.NodeID
 	return want
 }
 
-func subtreeHasVirtual(f *fragment.Fragment, n *xmltree.Node) bool {
-	if f.IsVirtual(n) {
-		return true
-	}
-	for _, c := range n.Children {
-		if subtreeHasVirtual(f, c) {
-			return true
-		}
-	}
-	return false
-}
-
 // shippedAnswerBytes is the size of the answers as the answers section
 // encodes them: IDs, length prefixes and the label, value and XML strings.
 func shippedAnswerBytes(answers []pax.AnswerNode) int64 {
@@ -114,9 +102,8 @@ func stubBytes(ft *fragment.Fragmentation, answers []pax.AnswerNode) int64 {
 	var n int
 	for _, a := range answers {
 		f := ft.Frag(a.Frag)
-		av := f.Arena()
-		end := int(av.Tree.SubtreeEnd[a.Node])
-		for v := av.VirtualMask.NextSet(int(a.Node), end); v < end; v = av.VirtualMask.NextSet(v+1, end) {
+		end := int(f.Tree.SubtreeEnd[a.Node])
+		for v := f.VirtualMask.NextSet(int(a.Node), end); v < end; v = f.VirtualMask.NextSet(v+1, end) {
 			k, _ := f.VirtualAt(xmltree.NodeID(v))
 			n += len(fmt.Sprintf(`<%s ref="%d"/>`, fragment.RefLabel, k))
 		}

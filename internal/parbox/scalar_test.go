@@ -73,7 +73,7 @@ func EvalQualFragment(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme, b *
 		out.Work += int64(nP + len(c.Sel))
 		return row, qdvRow
 	}
-	qv, qdv := walk(f.Tree.Root)
+	qv, qdv := walk(f.Tree.ToTree().Root)
 	out.Root = RootVecs{QV: qv, QDV: qdv}
 	return out
 }

@@ -73,7 +73,7 @@ type vectorState struct {
 // formula rows and root vectors built with b. The result does not keep b,
 // and the slab goes back to the pool before Qualify returns.
 func Qualify(f *fragment.Fragment, c *xpath.Compiled, vs VarScheme, b *boolexpr.Builder) *FragQual {
-	av := f.Arena()
+	av := &f.ArenaView
 	e := &vectorState{f: f, c: c, vs: vs, at: av.Tree, av: av, n: av.Tree.Len()}
 	bp := arena.TakeSlab(slabMasks(c) * len(av.VirtualMask))
 	e.slab = (*bp)[:cap(*bp)]

@@ -46,12 +46,12 @@ func requireIdentical(t *testing.T, tag string, f *fragment.Fragment, c *xpath.C
 	}
 	wantRows := 0
 	if c.HasQualifiers() {
-		wantRows = f.Arena().SpineMask.OnesCount()
+		wantRows = f.SpineMask.OnesCount()
 	}
 	if len(got.rows) != wantRows {
 		t.Fatalf("%s: vector pass keeps %d formula rows, want %d (one per spine node)", tag, len(got.rows), wantRows)
 	}
-	f.Tree.Walk(func(n *xmltree.Node) bool {
+	f.Tree.ToTree().Walk(func(n *xmltree.Node) bool {
 		if _, virtual := f.VirtualAt(n.ID); n.Kind != xmltree.Element || virtual {
 			return true
 		}
@@ -200,12 +200,11 @@ func passAllocs(t *testing.T, check func(tag string, f *fragment.Fragment, c *xp
 			c := xpath.MustCompile(query)
 			vs := NewVarScheme(c, ft.Len())
 			for _, f := range ft.Frags {
-				f.Arena() // built once per fragment, outside the counted pass
 				allocs := testing.AllocsPerRun(3, func() {
 					Qualify(f, c, vs, &boolexpr.Builder{})
 				})
 				tag := fmt.Sprintf("%.2f MB frag %d (%d nodes, spine %d, virtuals %d) %s",
-					mb, f.ID, f.Size(), f.Arena().SpineMask.OnesCount(), f.NumVirtuals(), query)
+					mb, f.ID, f.Size(), f.SpineMask.OnesCount(), f.NumVirtuals(), query)
 				check(tag, f, c, allocs)
 			}
 		}
@@ -224,7 +223,7 @@ func TestQualPassAllocsPerSpine(t *testing.T) {
 	)
 	passAllocs(t, func(tag string, f *fragment.Fragment, c *xpath.Compiled, allocs float64) {
 		q := len(c.Sel) + len(c.Preds)
-		spine := f.Arena().SpineMask.OnesCount()
+		spine := f.SpineMask.OnesCount()
 		if bound := float64(perSpine*q*(spine+f.NumVirtuals()) + perEntry*q); allocs > bound {
 			t.Errorf("%s: %.0f allocs, bound %.0f", tag, allocs, bound)
 		}
@@ -258,7 +257,7 @@ func TestMaskPassAllocs(t *testing.T) {
 				qualified++
 			}
 		}
-		spine := f.Arena().SpineMask.OnesCount()
+		spine := f.SpineMask.OnesCount()
 		bound := float64(perSel*qualified + perSpine*(len(c.Preds)+1)*(spine+f.NumVirtuals()) + fixed)
 		if allocs > bound {
 			t.Errorf("%s: %.0f allocs, bound %.0f", tag, allocs, bound)
@@ -285,14 +284,14 @@ func TestPooledMasksDoNotLeak(t *testing.T) {
 	// B's pass must fit the slab B's first pass leaves in the pool and
 	// cover every word A's pass carves from it.
 	if need := func(f *fragment.Fragment, c *xpath.Compiled) int {
-		return slabMasks(c) * len(f.Arena().VirtualMask)
+		return slabMasks(c) * len(f.VirtualMask)
 	}; need(fB, cB) < need(fA, cA) {
 		t.Fatalf("B's pass carves %d words, fewer than A's %d", need(fB, cB), need(fA, cA))
 	}
 	// encode records A's result: its root vectors and every QualAt.
 	encode := func(fq *FragQual) [][]byte {
 		out := shipBytes(fq.Root)
-		fA.Tree.Walk(func(n *xmltree.Node) bool {
+		fA.Tree.ToTree().Walk(func(n *xmltree.Node) bool {
 			if _, virtual := fA.VirtualAt(n.ID); n.Kind != xmltree.Element || virtual {
 				return true
 			}

@@ -67,8 +67,8 @@
 // ship it whole, from the query's session snapshot: a query whose answers
 // may hold stubs (Relevance.Crossing) keeps its sessions until the final
 // stage. The coordinator fills the stubs with the bodies (stitch.go). An
-// edit splices the columns (fragment.Fragment.ApplyEdit),
-// so a fragment a site has edited carries no pointer tree. An insert's
+// edit splices the columns (fragment.Fragment.ApplyEdit); no fragment
+// carries a pointer tree, edited or not. An insert's
 // subtree arrives as XML text too; handleEdit parses it, builds the new
 // fragment outside the site lock and, under it, swaps in a new immutable
 // fragment set holding it. A session keeps the set current at its

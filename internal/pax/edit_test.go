@@ -15,43 +15,9 @@ import (
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
+	"paxq/internal/testutil/fragtest"
 	"paxq/internal/xmltree"
 )
-
-// randomFragEdit builds a valid edit for f, mirroring the restrictions
-// fragment.ApplyEdit enforces (element targets, no root/virtual/spine
-// delete or rename).
-func randomFragEdit(r *rand.Rand, f *fragment.Fragment) fragment.Edit {
-	av := f.Arena()
-	for {
-		id := xmltree.NodeID(r.Intn(f.Size()))
-		n := f.Tree.Node(id)
-		switch r.Intn(3) {
-		case 0: // insert
-			if !n.IsElement() || f.IsVirtual(n) {
-				continue
-			}
-			sub := xmltree.El("patch", xmltree.ElT("v", fmt.Sprint(r.Intn(100))))
-			if r.Intn(2) == 0 {
-				sub = xmltree.El("extra")
-			}
-			return fragment.Edit{Op: fragment.EditInsert, Node: id, Pos: r.Intn(len(n.Children) + 1), Subtree: sub}
-		case 1: // delete
-			if !n.IsElement() || n.Parent == nil || f.IsVirtual(n) || av.SpineMask.Get(int(id)) {
-				continue
-			}
-			if f.Size()-(int(av.Tree.SubtreeEnd[id])-int(id)) < 3 {
-				continue
-			}
-			return fragment.Edit{Op: fragment.EditDelete, Node: id}
-		default: // rename
-			if !n.IsElement() || n.Parent == nil || f.IsVirtual(n) || av.SpineMask.Get(int(id)) {
-				continue
-			}
-			return fragment.Edit{Op: fragment.EditRename, Node: id, Label: fmt.Sprintf("l%d", r.Intn(5))}
-		}
-	}
-}
 
 // applyBoth drives one edit through the engine, then mirrors it onto the
 // oracle fragmentation. Engine first: ApplyEdit seeds its version tracking
@@ -95,7 +61,7 @@ func TestEditScheduleMatchesOracle(t *testing.T) {
 	var sumCompute time.Duration
 	for i := 0; i < 12; i++ {
 		fid := fragment.FragID(r.Intn(len(ft.Frags)))
-		res := applyBoth(t, eng, ft, fid, randomFragEdit(r, ft.Frags[fid]))
+		res := applyBoth(t, eng, ft, fid, fragtest.RandomEdit(r, ft.Frags[fid]))
 		sumSent += res.BytesSent
 		sumRecv += res.BytesRecv
 		sumCompute += res.Compute

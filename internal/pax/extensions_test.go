@@ -329,7 +329,7 @@ func TestAnswersIdentityStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range res.Answers {
-		n := ft.Frag(a.Frag).Tree.Node(a.Node)
+		n := tr.Node(ft.Frag(a.Frag).Origin[a.Node])
 		if n == nil || n.Label != a.Label || n.Value() != a.Value {
 			t.Errorf("answer %+v does not match fragment node %v", a, n)
 		}

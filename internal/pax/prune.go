@@ -77,7 +77,7 @@ func AnalyzeRelevance(ft *fragment.Fragmentation, c *xpath.Compiled) *Relevance 
 	// Root fragment: its root element's vector from the document vector.
 	doc := xpath.DocSelVector[bool](alg, c)
 	r.Inits[fragment.RootFrag] = doc
-	rootVec[fragment.RootFrag] = xpath.NodeSelVector[bool](alg, c, ft.Root().Arena().Tree.LabelOf(int(fragment.RootNode)), doc, qualTrue, nil)
+	rootVec[fragment.RootFrag] = xpath.NodeSelVector[bool](alg, c, ft.Root().Tree.LabelOf(int(fragment.RootNode)), doc, qualTrue, nil)
 	r.Relevant[fragment.RootFrag] = anyLive(rootVec[fragment.RootFrag])
 
 	// Fragments in ascending ID order: parents precede children.

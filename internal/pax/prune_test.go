@@ -39,7 +39,7 @@ func example51Fragmentation(t *testing.T) (*fragment.Fragmentation, map[string]f
 	}
 	names := map[string]fragment.FragID{}
 	for _, f := range ft.Frags[1:] {
-		switch f.Tree.Root.Label {
+		switch f.Tree.LabelOf(int(fragment.RootNode)) {
 		case "broker":
 			names["F1"] = f.ID
 		case "client":

@@ -60,7 +60,7 @@ func constInit(vals []bool) []*boolexpr.Formula {
 // XML as a slice of the fragment's cached file form, virtual nodes as
 // stubs.
 func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode {
-	at := f.Arena().Tree
+	at := f.Tree
 	a := AnswerNode{Frag: f.ID, Node: id, Label: at.LabelOf(int(id)), Value: at.Value(int(id))}
 	if shipXML {
 		a.XML = f.SubtreeXML(id)
@@ -92,7 +92,7 @@ func evalSelection(
 	fq *parbox.FragQual,
 	env *boolexpr.Env,
 ) *selOutcome {
-	av := f.Arena()
+	av := &f.ArenaView
 	at := av.Tree
 	w := len(c.Sel)
 	last := c.AnswerEntry()
@@ -238,7 +238,7 @@ func (o *selOutcome) addBelow(f *fragment.Fragment, shipXML bool, lo, end int) i
 	if !shipXML {
 		return 0
 	}
-	vm := f.Arena().VirtualMask
+	vm := f.VirtualMask
 	for v := vm.NextSet(lo, end); v < end; v = vm.NextSet(v+1, end) {
 		k, _ := f.VirtualAt(xmltree.NodeID(v))
 		o.below = append(o.below, k)

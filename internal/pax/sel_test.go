@@ -34,7 +34,7 @@ func fragDepth(f *fragment.Fragment) int {
 		}
 		return d + 1
 	}
-	return walk(f.Tree.Root)
+	return walk(f.Tree.ToTree().Root)
 }
 
 // TestTraversalAllocsPerFragment is the counted property of the site
@@ -178,7 +178,7 @@ func evalSelectionWalk(
 			walk(ch, sv)
 		}
 	}
-	walk(f.Tree.Root, init)
+	walk(f.Tree.ToTree().Root, init)
 	return out
 }
 
@@ -419,7 +419,7 @@ func TestSelectionVisitsLiveNodes(t *testing.T) {
 	ft := visitCut(t)
 	elements := 0
 	for _, f := range ft.Frags {
-		elements += f.Arena().Tree.Elements().OnesCount()
+		elements += f.Tree.Elements().OnesCount()
 	}
 	if elements != 18_078 {
 		t.Fatalf("the pinned cut has %d elements, want 18 078", elements)
@@ -527,7 +527,7 @@ func TestPooledSelectionMasksDoNotLeak(t *testing.T) {
 	fA := ft.Root() // its virtual nodes report contexts
 	fB := fA
 	for _, f := range ft.Frags {
-		if len(f.Arena().VirtualMask) > len(fB.Arena().VirtualMask) {
+		if len(f.VirtualMask) > len(fB.VirtualMask) {
 			fB = f
 		}
 	}

@@ -83,7 +83,7 @@ func TestStitchReadsQuerySnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			yFrag := fragment.FragID(2)
-			if ft.Frag(yFrag).Arena().Tree.LabelOf(int(fragment.RootNode)) != "y" {
+			if ft.Frag(yFrag).Tree.LabelOf(int(fragment.RootNode)) != "y" {
 				t.Fatalf("fragment %d is not the cut at y", yFrag)
 			}
 			// One fragment a site: y's site holds no candidate, so only

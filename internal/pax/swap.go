@@ -96,7 +96,7 @@ func EvalFromDisk(dir, query string) ([]AnswerNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		at := f.Arena().Tree
+		at := f.Tree
 		for _, cd := range winners {
 			if int(cd.node) >= at.Len() || at.LabelID[cd.node] < 0 {
 				return nil, fmt.Errorf("pax: fragment %d lost node %d between passes", fid, cd.node)
