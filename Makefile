@@ -100,9 +100,12 @@ codec-smoke:
 # on a fragment 30 times smaller, and at most 32 bytes per node of the
 # fragment (it copies pointer-free index columns and masks only), and a
 # cut fragmentation of the XMark document holds at most 96 bytes of heap
-# per node (its columns, masks, values and origins; no pointer tree).
+# per node (its columns, masks, values and origins; no pointer tree), and
+# a value with a sign inside it (a page range, a date) is rejected as a
+# number without the allocating float parse, which accepts exactly what
+# strconv.ParseFloat does.
 alloc-smoke:
-	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs' ./internal/arena
+	$(GO) test -run='TestKernelSweepAllocs|TestJoinAllocs|TestNumOfNearNumberAllocs|TestNumOfMatchesParseFloat' ./internal/arena
 	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs|TestPooledMasksDoNotLeak' ./internal/parbox
@@ -121,14 +124,16 @@ batch-smoke:
 # kill/restart schedules on both transports — replicated fleets injured
 # mid-deployment must keep answering byte-identically to centralized
 # evaluation, within the failover visit bound, with the per-query cost
-# ledgers conserved. The full 200-schedule-per-transport corpus runs in
+# ledgers conserved. A failed query runs again, whole, on the next replica
+# of each failed group. The full 200-schedule-per-transport corpus runs in
 # `test` (TestFaultInjectionLocal / TestFaultInjectionTCP). A refused dial
 # costs exactly one attempt and fails at once (TestTCPDialCount counts the
-# dials); the failover route owns every wait, and replication or a retry
+# dials); the query retry loop owns every wait, and replication or a retry
 # policy is what survives a restart (TestRefusedSiteContract counts the
-# calls on both transports).
+# calls on both transports). A group whose members hold a fragment at
+# two versions still answers at one of them (TestFailoverVersionSkew).
 fault-smoke:
-	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract' ./internal/harness ./internal/dist ./internal/pax
+	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew' ./internal/harness ./internal/dist ./internal/pax
 
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked

@@ -64,8 +64,7 @@ func TestFailoverCountersScrape(t *testing.T) {
 		t.Fatalf("outage query stats = retries %d, failovers %d; want both > 0", qr.Stats.Retries, qr.Stats.Failovers)
 	}
 
-	// /metrics: the four failover counters are exposed, retries and
-	// failovers non-zero.
+	// /metrics: the three failover counters are exposed and non-zero.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,6 @@ func TestFailoverCountersScrape(t *testing.T) {
 		"paxserve_failover_retries_total",
 		"paxserve_failovers_total",
 		"paxserve_failover_dead_sites_total",
-		"paxserve_failover_reestablished_sessions_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+name+" counter") {
 			t.Errorf("/metrics missing %s", name)
@@ -96,10 +94,9 @@ func TestFailoverCountersScrape(t *testing.T) {
 	}
 	var statsz struct {
 		Failover struct {
-			Retries               int64 `json:"retries"`
-			Failovers             int64 `json:"failovers"`
-			DeadSiteDetections    int64 `json:"dead_site_detections"`
-			ReestablishedSessions int64 `json:"reestablished_sessions"`
+			Retries            int64 `json:"retries"`
+			Failovers          int64 `json:"failovers"`
+			DeadSiteDetections int64 `json:"dead_site_detections"`
 		} `json:"failover"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&statsz)

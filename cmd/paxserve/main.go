@@ -82,8 +82,8 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max queries per batch envelope (0 = default 16; needs -batch-window)")
 	replicas := flag.Int("replicas", 1, "replica sites per fragment group; >1 deploys a replicated fleet with failover")
 	registry := flag.String("registry", "", "site registry JSON mapping fragments to replica groups (overrides -sites and -replicas)")
-	retryAttempts := flag.Int("retry-attempts", 0, "max attempts per stage call before a query aborts (0 = policy default)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff between stage-call retries (needs -retry-attempts)")
+	retryAttempts := flag.Int("retry-attempts", 0, "max runs of one query before it aborts (0 = policy default)")
+	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff between runs of a query (needs -retry-attempts)")
 	retryMaxBackoff := flag.Duration("retry-max-backoff", 0, "cap on the exponential retry backoff (needs -retry-attempts)")
 	flag.Parse()
 

@@ -259,10 +259,9 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds":  uptime.Seconds(),
 		"queries_per_sec": qps,
 		"failover": map[string]any{
-			"retries":                ts.Failover.Retries,
-			"failovers":              ts.Failover.Failovers,
-			"dead_site_detections":   ts.Failover.DeadSiteDetections,
-			"reestablished_sessions": ts.Failover.ReestablishedSessions,
+			"retries":              ts.Failover.Retries,
+			"failovers":            ts.Failover.Failovers,
+			"dead_site_detections": ts.Failover.DeadSiteDetections,
 		},
 	})
 }
@@ -286,10 +285,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("paxserve_transport_received_bytes_total", "Bytes received from sites.", ts.BytesReceived)
 	counter("paxserve_transport_site_visits_total", "Site calls completed.", ts.TotalVisits)
 	counter("paxserve_transport_compute_seconds_total", "Summed site computation time.", ts.TotalCompute.Seconds())
-	counter("paxserve_failover_retries_total", "Stage calls retried after a retriable failure.", ts.Failover.Retries)
-	counter("paxserve_failovers_total", "Stage calls rotated to a replica site.", ts.Failover.Failovers)
+	counter("paxserve_failover_retries_total", "Queries run again after a retriable stage failure.", ts.Failover.Retries)
+	counter("paxserve_failovers_total", "Replica groups rotated to another member.", ts.Failover.Failovers)
 	counter("paxserve_failover_dead_sites_total", "Transport-level dead-site detections.", ts.Failover.DeadSiteDetections)
-	counter("paxserve_failover_reestablished_sessions_total", "Query sessions re-established on a replica by stage replay.", ts.Failover.ReestablishedSessions)
 	fmt.Fprintf(&b, "# HELP paxserve_uptime_seconds Seconds since start.\n# TYPE paxserve_uptime_seconds gauge\npaxserve_uptime_seconds %f\n",
 		time.Since(s.started).Seconds())
 	for site, visits := range ts.SiteVisits {

@@ -76,8 +76,10 @@ func (p *pool) setValue(s int32, v string) {
 
 // numOf parses v as xmltree.Node.NumValue does. A string that cannot
 // begin a float (strconv.ParseFloat's syntax: a sign, a digit, a point,
-// or the first letter of "inf" or "nan") is rejected before the parse,
-// whose syntax error would copy it.
+// or the first letter of "inf" or "nan"), or that holds a sign neither
+// leading it nor following an exponent mark (e, E, p or P) — a range
+// such as "12-330" or a date such as "2001-12-04" — is rejected before
+// the parse, whose syntax error would allocate.
 func numOf(v string) (float64, bool) {
 	if v == "" {
 		return 0, false
@@ -86,6 +88,15 @@ func numOf(v string) (float64, bool) {
 	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
 	default:
 		return 0, false
+	}
+	for i := 1; i < len(v); i++ {
+		if c := v[i]; c == '+' || c == '-' {
+			switch v[i-1] {
+			case 'e', 'E', 'p', 'P':
+			default:
+				return 0, false
+			}
+		}
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {

@@ -231,7 +231,7 @@ func (t *TCP) popIdle(to SiteID) (net.Conn, error) {
 // connection is dropped, so a peer restart between two queries costs one
 // dial, not a failed call. A refused or failed dial reports the site
 // unavailable at once: the transport never waits to redial, and riding
-// out a restart is the caller's retry policy (pax's failover route).
+// out a restart is the caller's retry policy (pax's query retry loop).
 func (t *TCP) getConn(ctx context.Context, to SiteID) (net.Conn, error) {
 	for {
 		conn, err := t.popIdle(to)

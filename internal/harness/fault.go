@@ -28,7 +28,7 @@ import (
 // TCP — and demands that every surviving query answers byte-identically
 // to the centralized evaluator, every answer shipping its document
 // subtree as XML (stitched across fragment boundaries, bodies fetched
-// in failover replays too), that per-site visits stay within the
+// in failed-over re-runs too), that per-site visits stay within the
 // documented failover bound MaxVisits <= B*(1+Retries), and that the sum
 // of the per-query ledgers still equals the transport's lifetime totals
 // (the aborted-call attribution rule) whenever no query aborted.
@@ -317,7 +317,7 @@ func RunFaultInjection(ctx context.Context, seed int64, opts FaultOptions) (*Fau
 	}
 
 	// The aborted-call attribution rule: every completed physical call —
-	// replays, failed-but-completed attempts — was charged to its query's
+	// those of failed runs, failed-but-completed calls — was charged to its query's
 	// ledger, so with no aborted queries the per-query sums equal the
 	// transport's lifetime totals exactly, faults and failovers included.
 	if res.Aborted == 0 {

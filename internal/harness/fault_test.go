@@ -62,7 +62,7 @@ func TestFaultInjectionLocal(t *testing.T) {
 // mid-deployment (pooled connections die, later dials are refused) and
 // restarted with their state wiped, exercising the stale-connection
 // probe, refused dials failing over at once, dead-site failover and
-// session re-establishment end to end.
+// query re-runs end to end.
 func TestFaultInjectionTCP(t *testing.T) {
 	res, err := FaultSweep(context.Background(), 5000, 200, FaultOptions{Transport: DiffTCP})
 	if err != nil {

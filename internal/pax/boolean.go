@@ -38,62 +38,67 @@ func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Optio
 		return false, nil, fmt.Errorf("pax: %q is not a Boolean query; use a bare qualifier like %q", query, "[//a/b = 'x']")
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			truth, res, err = false, nil, inconsistentError(query, r)
+		if rec := recover(); rec != nil {
+			truth, res, err = false, nil, inconsistentError(query, rec)
 		}
 	}()
-	usage := dist.NewMetrics()
-	rt := e.newRoute()
-	call := e.siteCallFor(rt, opts.Sequential)
+	r := e.newRun(opts.Sequential)
 	start := time.Now()
+	err = r.retry(ctx, func() (err error) {
+		truth, res, err = e.runBoolean(ctx, r, query, c)
+		return err
+	})
+	if err != nil {
+		return false, nil, err
+	}
+	r.finish(res, start)
+	return truth, res, nil
+}
 
-	res = &Result{RelevantFrags: e.topo.FT.Len(), TotalFrags: e.topo.FT.Len()}
-	truth = true
-	if c.HasQualifiers() {
-		ft := e.topo.FT
-		vs := parbox.NewVarScheme(c, ft.Len())
-		qid := QueryID(e.qid.Add(1))
-		resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(dist.SiteID) any {
-			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Final: true}
-		})
+// runBoolean is one run of a Boolean query: the qualifier pass over every
+// site, then unification to the root's truth value.
+func (e *Engine) runBoolean(ctx context.Context, r *run, query string, c *xpath.Compiled) (bool, *Result, error) {
+	res := &Result{RelevantFrags: e.topo.FT.Len()}
+	if !c.HasQualifiers() {
+		return true, res, nil
+	}
+	ft := e.topo.FT
+	vs := parbox.NewVarScheme(c, ft.Len())
+	resps, err := r.stage(ctx, res, func(dist.SiteID) any {
+		return &QualStageReq{QID: r.qid, Query: query, NumFrags: int32(ft.Len()), Final: true}
+	})
+	if err != nil {
+		return false, nil, err
+	}
+	roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
+	var rootSelQual []*boolexpr.Formula
+	for site, resp := range resps {
+		qr, err := respAs[*QualStageResp](site, resp, "qualifier")
 		if err != nil {
 			return false, nil, err
 		}
-		roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
-		var rootSelQual []*boolexpr.Formula
-		for site, r := range resps {
-			qr, err := respAs[*QualStageResp](site, r, "qualifier")
-			if err != nil {
-				return false, nil, err
-			}
-			if err := decodeRoots(qr.Roots, roots); err != nil {
-				return false, nil, err
-			}
-			for _, rv := range qr.Roots {
-				if rv.Frag == fragment.RootFrag && rv.RootSelQual != nil {
-					rootSelQual, err = boolexpr.DecodeVec(rv.RootSelQual)
-					if err != nil {
-						return false, nil, err
-					}
+		if err := decodeRoots(qr.Roots, roots); err != nil {
+			return false, nil, err
+		}
+		for _, rv := range qr.Roots {
+			if rv.Frag == fragment.RootFrag && rv.RootSelQual != nil {
+				rootSelQual, err = boolexpr.DecodeVec(rv.RootSelQual)
+				if err != nil {
+					return false, nil, err
 				}
 			}
 		}
-		if len(rootSelQual) < 2 {
-			return false, nil, fmt.Errorf("pax: root fragment did not report its qualifier value")
-		}
-		env, err := parbox.ResolveQualVars(roots, vs)
-		if err != nil {
-			return false, nil, err
-		}
-		val, ok := env.Resolve(rootSelQual[1]).IsConst()
-		if !ok {
-			return false, nil, fmt.Errorf("pax: root qualifier not ground after unification")
-		}
-		truth = val
 	}
-	res.Wall = time.Since(start)
-	retries, failovers := rt.counters()
-	res.Retries, res.Failovers = int(retries), int(failovers)
-	e.finishResult(res, usage)
+	if len(rootSelQual) < 2 {
+		return false, nil, fmt.Errorf("pax: root fragment did not report its qualifier value")
+	}
+	env, err := parbox.ResolveQualVars(roots, vs)
+	if err != nil {
+		return false, nil, err
+	}
+	truth, ok := env.Resolve(rootSelQual[1]).IsConst()
+	if !ok {
+		return false, nil, fmt.Errorf("pax: root qualifier not ground after unification")
+	}
 	return truth, res, nil
 }

@@ -103,14 +103,16 @@ type Result struct {
 	SpeculativeBytes int64
 	RelevantFrags    int // fragments that participated
 	TotalFrags       int
-	// Retries counts stage calls of this query that the failover layer
-	// attempted again after a retriable failure; Failovers counts how many
-	// of those rotated to a different replica. Both are 0 on a fault-free
-	// run, where MaxVisits obeys the paper's exact bound B (3 for PaX3, 2
-	// for PaX2, 1 for Boolean/Naive). Each retry re-establishes at most
-	// one site by replaying at most B-1 prior stages plus the retried
-	// call, so under faults MaxVisits ≤ B·(1 + Retries) — the documented
-	// replica visit bound the fault harness asserts.
+	// Retries counts the times the failover layer ran this query again
+	// after a retriable stage failure; Failovers counts the replica groups
+	// those re-runs rotated to a different member. Both are 0 on a
+	// fault-free run, where MaxVisits obeys the paper's exact bound B (3
+	// for PaX3, 2 for PaX2, 1 for Boolean/Naive). Each run visits a site
+	// at most B times, so under faults MaxVisits ≤ B·(1 + Retries) — the
+	// documented replica visit bound the fault harness asserts. The other
+	// cost fields count every run's calls; the per-stage fields (Stages,
+	// StageWall, StageBytes, StageCompute, ParallelCompute) describe the
+	// run that answered.
 	Retries   int
 	Failovers int
 }
@@ -150,11 +152,10 @@ type Engine struct {
 
 	// retry is the failover policy (WithRetryPolicy); the lifetime
 	// counters below feed FailoverStats.
-	retry         RetryPolicy
-	retries       atomic.Int64
-	failovers     atomic.Int64
-	deadSites     atomic.Int64
-	reestablished atomic.Int64
+	retry     RetryPolicy
+	retries   atomic.Int64
+	failovers atomic.Int64
+	deadSites atomic.Int64
 
 	// editMu serializes ApplyEdit calls engine-wide — the version protocol
 	// (BaseVersion applies, BaseVersion+1 acks idempotently) is only sound
@@ -206,7 +207,8 @@ func NewEngine(topo *Topology, tr dist.Transport, opts ...EngineOption) *Engine 
 			e.retry = RetryPolicy{MaxAttempts: 1}
 		}
 	}
-	if e.batchWindow > 0 {
+	// A failover engine (replicated, or retrying) does not batch.
+	if e.batchWindow > 0 && e.retry.MaxAttempts <= 1 && !topo.Replicated() {
 		e.batch = newBatcher(tr, e.batchWindow, e.maxBatch)
 	}
 	return e
@@ -298,40 +300,41 @@ func (e *Engine) RunContext(ctx context.Context, query string, opts Options) (re
 	// data can produce (cyclic binding chains). A serving coordinator must
 	// degrade them to a failed query, not die.
 	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, inconsistentError(query, r)
+		if rec := recover(); rec != nil {
+			res, err = nil, inconsistentError(query, rec)
 		}
 	}()
-	usage := dist.NewMetrics()
-	rt := e.newRoute()
-	call := e.siteCallFor(rt, opts.Sequential)
+	r := e.newRun(opts.Sequential)
 	start := time.Now()
-	switch opts.Algorithm {
-	case PaX3:
-		res, err = e.runPaX3(ctx, query, p, opts, usage, call)
-	case PaX2:
-		res, err = e.runPaX2(ctx, query, p, opts, usage, call)
-	case Naive:
-		res, err = e.runNaive(ctx, p.c, opts, usage, call)
-	default:
-		return nil, fmt.Errorf("pax: unknown algorithm %v", opts.Algorithm)
-	}
+	err = r.retry(ctx, func() (err error) {
+		switch opts.Algorithm {
+		case PaX3:
+			res, err = e.runPaX3(ctx, r, query, p, opts)
+		case PaX2:
+			res, err = e.runPaX2(ctx, r, query, p, opts)
+		case Naive:
+			res, err = e.runNaive(ctx, r, p.c, opts)
+		default:
+			err = fmt.Errorf("pax: unknown algorithm %v", opts.Algorithm)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Wall = time.Since(start)
-	retries, failovers := rt.counters()
-	res.Retries, res.Failovers = int(retries), int(failovers)
-	e.finishResult(res, usage)
+	r.finish(res, start)
 	return res, nil
 }
 
-// finishResult folds the run's private ledger into its Result.
-func (e *Engine) finishResult(res *Result, usage *dist.Metrics) {
-	res.TotalCompute = usage.TotalCompute()
-	res.MaxVisits = usage.MaxVisits()
-	res.BytesSent, res.BytesRecv = usage.Bytes()
-	res.TotalFrags = e.topo.FT.Len()
+// finish folds the query's private ledger and retry counts into the
+// Result of its answering run.
+func (r *run) finish(res *Result, start time.Time) {
+	res.Wall = time.Since(start)
+	res.Retries, res.Failovers = r.retries, r.failovers
+	res.TotalCompute = r.usage.TotalCompute()
+	res.MaxVisits = r.usage.MaxVisits()
+	res.BytesSent, res.BytesRecv = r.usage.Bytes()
+	res.TotalFrags = r.e.topo.FT.Len()
 }
 
 // mergeAnswers places the answers of runs in one slice of their total
@@ -405,71 +408,35 @@ func (e *Engine) relevantFragsBySite(rel *Relevance) map[dist.SiteID][]fragment.
 	return out
 }
 
-// attrCost is one completed physical call's cost, attributed to the site
-// that did the work. One logical stage call may complete several physical
-// calls — failover replays and failed-but-completed attempts — and every
-// one of them is charged to the query's ledger, which is what keeps
-// Σ per-query = transport lifetime totals holding under faults.
-type attrCost struct {
-	site dist.SiteID
-	cost dist.CallCost
-}
-
-// siteCall is one logical stage call to a primary: the response plus the
-// cost of every physical call it completed.
-type siteCall func(ctx context.Context, primary dist.SiteID, req any) (any, []attrCost, error)
-
-// direct makes a siteCall of a single round trip — the transport's Call or
-// the batcher's. A round trip that never completed costs nothing.
-func direct(call func(context.Context, dist.SiteID, any) (any, dist.CallCost, error)) siteCall {
-	return func(ctx context.Context, site dist.SiteID, req any) (any, []attrCost, error) {
-		resp, cost, err := call(ctx, site, req)
-		if cost == (dist.CallCost{}) {
-			return resp, nil, err
-		}
-		return resp, []attrCost{{site: site, cost: cost}}, err
-	}
-}
-
-// siteCallFor picks a run's per-site call once: a replicated engine (or
-// one with a retry policy) goes through the failover route, a Sequential
-// run bypasses batching, and a batching engine coalesces everything else.
-func (e *Engine) siteCallFor(rt *runRoute, seq bool) siteCall {
-	switch {
-	case rt != nil:
-		return rt.call
-	case e.batch != nil && !seq:
-		return direct(e.batch.call)
-	}
-	return direct(e.tr.Call)
-}
-
 // fanOut is one stage round — the paper's unit of visits and parallel
 // cost (§3.4): every primary with a non-nil request gets exactly one
-// logical call. mk runs over the primaries in order before any call is
-// issued. The calls run concurrently, or one at a time under seq, which
-// stops at the first failure. Responses are keyed by primary; costs list
-// every completed physical call, failed ones included. On failure the
-// error is a *dist.BroadcastError naming the failing primaries in primary
-// order, deterministic regardless of scheduling.
-func fanOut(ctx context.Context, primaries []dist.SiteID, mk func(dist.SiteID) any, seq bool, call siteCall) (map[dist.SiteID]any, []attrCost, error) {
+// call, to the replica the route names for its group. mk runs over the
+// primaries in order before any call is issued. The calls run
+// concurrently, or one at a time under r.seq, which stops at the first
+// failure. Every call that reached a site, failed ones included, is
+// charged to r.usage at the site that served it, and its cost is listed
+// in costs. Responses are keyed by primary, and those of the calls that
+// succeeded are returned when others failed too; then the error is a
+// *dist.BroadcastError naming the failing primaries in primary order,
+// deterministic regardless of scheduling.
+func (r *run) fanOut(ctx context.Context, primaries []dist.SiteID, mk func(dist.SiteID) any) (resps map[dist.SiteID]any, costs []dist.CallCost, err error) {
 	type slot struct {
-		site  dist.SiteID
-		req   any
-		resp  any
-		costs []attrCost
-		err   error
+		primary, site dist.SiteID
+		req, resp     any
+		cost          dist.CallCost
+		err           error
 	}
 	slots := make([]slot, 0, len(primaries))
 	for _, p := range primaries {
 		if req := mk(p); req != nil {
-			slots = append(slots, slot{site: p, req: req})
+			slots = append(slots, slot{primary: p, site: r.replica(p), req: req})
 		}
 	}
-	if seq {
+	if r.seq {
 		for i := range slots {
 			s := &slots[i]
-			if s.resp, s.costs, s.err = call(ctx, s.site, s.req); s.err != nil {
+			if s.resp, s.cost, s.err = r.call(ctx, s.site, s.req); s.err != nil {
+				slots = slots[:i+1]
 				break
 			}
 		}
@@ -480,52 +447,76 @@ func fanOut(ctx context.Context, primaries []dist.SiteID, mk func(dist.SiteID) a
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s.resp, s.costs, s.err = call(ctx, s.site, s.req)
+				s.resp, s.cost, s.err = r.call(ctx, s.site, s.req)
 			}()
 		}
 		wg.Wait()
 	}
-	costs := make([]attrCost, 0, len(slots))
+	costs = make([]dist.CallCost, 0, len(slots))
 	var failed []dist.SiteError
-	resps := make(map[dist.SiteID]any, len(slots))
+	resps = make(map[dist.SiteID]any, len(slots))
 	for _, s := range slots {
-		costs = append(costs, s.costs...)
+		// A call that never reached a site costs nothing.
+		if s.cost != (dist.CallCost{}) {
+			r.usage.Add(s.site, s.cost)
+			costs = append(costs, s.cost)
+		}
 		if s.err != nil {
-			failed = append(failed, dist.SiteError{Site: s.site, Err: s.err})
+			failed = append(failed, dist.SiteError{Site: s.primary, Err: s.err})
 			continue
 		}
-		resps[s.site] = s.resp
+		resps[s.primary] = s.resp
 	}
 	if failed != nil {
-		return nil, costs, &dist.BroadcastError{Failures: failed}
+		return resps, costs, &dist.BroadcastError{Failures: failed}
 	}
 	return resps, costs, nil
 }
 
-// stage runs one round (fanOut) over the topology's primaries, charging
-// every completed call to the run's private usage ledger and recording the
-// stage's wall time, wire bytes and parallel computation cost (the
-// maximum per-site computation, §3.4) in res. Even a failed stage's
-// completed calls are charged: an aborted call's bytes and compute belong
-// to the query that caused them, so Σ per-query stays equal to the
-// transport lifetime totals even when queries fail over (paxlint's ledger
-// analyzer keeps shared-counter reads out of this path, and the fault
-// harness checks the sum exactly).
-func (e *Engine) stage(ctx context.Context, res *Result, usage *dist.Metrics, seq bool, call siteCall, mk func(dist.SiteID) any) (map[dist.SiteID]any, error) {
-	t0 := time.Now()
-	resps, charged, err := fanOut(ctx, e.topo.Primaries(), mk, seq, call)
-	var maxCompute, sumCompute time.Duration
-	var stageBytes int64
-	for _, ac := range charged {
-		usage.Add(ac.site, ac.cost)
-		if ac.cost.Compute > maxCompute {
-			maxCompute = ac.cost.Compute
+// stage runs one round (fanOut) over the topology's primaries and records
+// the stage's wall time, wire bytes and parallel computation cost (the
+// maximum per-site computation, §3.4) in res. fanOut charges even a failed
+// stage's completed calls: an aborted call's bytes and compute belong to
+// the query that caused them, so Σ per-query stays equal to the transport
+// lifetime totals even when queries fail over (paxlint's ledger analyzer
+// keeps shared-counter reads out of this path, and the fault harness
+// checks the sum exactly).
+//
+// The first stage of an attempt is its opening stage. When it fails, the
+// groups that answered hold freshly opened sessions that no later stage
+// has touched, so the next attempt keeps their responses and calls only
+// the groups that failed.
+func (r *run) stage(ctx context.Context, res *Result, mk func(dist.SiteID) any) (map[dist.SiteID]any, error) {
+	opening := res.Stages == 0
+	if opening && r.opened != nil {
+		mkAll := mk
+		mk = func(p dist.SiteID) any {
+			if _, ok := r.opened[p]; ok {
+				return nil
+			}
+			return mkAll(p)
 		}
-		sumCompute += ac.cost.Compute
-		stageBytes += ac.cost.Sent + ac.cost.Recv
+	}
+	t0 := time.Now()
+	resps, costs, err := r.fanOut(ctx, r.e.topo.Primaries(), mk)
+	if opening {
+		for p, resp := range r.opened {
+			resps[p] = resp
+		}
+		r.opened = nil
+		if err != nil {
+			r.opened = resps
+		}
 	}
 	if err != nil {
 		return nil, err
+	}
+	var maxCompute, sumCompute time.Duration
+	var stageBytes int64
+	for _, c := range costs {
+		maxCompute = max(maxCompute, c.Compute)
+		sumCompute += c.Compute
+		stageBytes += c.Sent + c.Recv
 	}
 	res.ParallelCompute += maxCompute
 	res.Stages++
@@ -640,7 +631,7 @@ func respAs[T any](site dist.SiteID, r any, stage string) (T, error) {
 }
 
 // runPaX3 is Procedure PaX3 of Fig. 4(a).
-func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Options, usage *dist.Metrics, call siteCall) (*Result, error) {
+func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opts Options) (*Result, error) {
 	res := &Result{}
 	c := p.c
 	ft := e.topo.FT
@@ -652,13 +643,13 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	}
 	relBySite := e.relevantFragsBySite(rel)
 	hasQual := c.HasQualifiers()
-	qid := QueryID(e.qid.Add(1))
+	qid := r.qid
 
 	// Stage 1: qualifier evaluation over ALL fragments (qualifier data may
 	// live anywhere), skipped entirely for qualifier-free queries.
 	var env *boolexpr.Env
 	if hasQual {
-		resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any {
+		resps, err := r.stage(ctx, res, func(site dist.SiteID) any {
 			// A site hosting only pruned fragments sees no later stage,
 			// unless the query stitches: then every site it visits keeps
 			// its snapshot until the final stage.
@@ -668,8 +659,8 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 			return nil, err
 		}
 		roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
-		for site, r := range resps {
-			qr, err := respAs[*QualStageResp](site, r, "qualifier")
+		for site, resp := range resps {
+			qr, err := respAs[*QualStageResp](site, resp, "qualifier")
 			if err != nil {
 				return nil, err
 			}
@@ -717,7 +708,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 		}
 		selReqs[site] = req
 	}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any { return selReqs[site] })
+	resps, err := r.stage(ctx, res, func(site dist.SiteID) any { return selReqs[site] })
 	if err != nil {
 		return nil, err
 	}
@@ -727,8 +718,8 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	// One answer run per response; finalStage places them in the result.
 	var runBuf [8][]AnswerNode
 	runs := runBuf[:0]
-	for site, r := range resps {
-		sr, err := respAs[*SelStageResp](site, r, "selection")
+	for site, resp := range resps {
+		sr, err := respAs[*SelStageResp](site, resp, "selection")
 		if err != nil {
 			return nil, err
 		}
@@ -749,7 +740,7 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 	if len(candFrags) == 0 {
 		// No candidate to resolve (e.g. XA with no qualifiers): Stage 3
 		// only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
+		return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
 	}
 
 	// evalFT, top-down half: ground the z variables.
@@ -782,11 +773,11 @@ func (e *Engine) runPaX3(ctx context.Context, query string, p *plan, opts Option
 			ansReqs[site] = req
 		}
 	}
-	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
+	return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
 }
 
 // runPaX2 is Procedure PaX2 of Fig. 5.
-func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Options, usage *dist.Metrics, call siteCall) (*Result, error) {
+func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opts Options) (*Result, error) {
 	res := &Result{}
 	c := p.c
 	ft := e.topo.FT
@@ -798,7 +789,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 	}
 	relBySite := e.relevantFragsBySite(rel)
 	hasQual := c.HasQualifiers()
-	qid := QueryID(e.qid.Add(1))
+	qid := r.qid
 
 	// Stage 1: combined traversal over the relevant fragments only (§5:
 	// PaX2 uses the annotations to decide where the combined pass runs).
@@ -810,7 +801,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 			}
 		}
 	}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any {
+	resps, err := r.stage(ctx, res, func(site dist.SiteID) any {
 		frags := relBySite[site]
 		if len(frags) == 0 {
 			return nil
@@ -832,8 +823,8 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 	candFrags := make(map[fragment.FragID]bool)
 	var runBuf [8][]AnswerNode
 	runs := runBuf[:0]
-	for site, r := range resps {
-		cr, err := respAs[*CombinedStageResp](site, r, "combined")
+	for site, resp := range resps {
+		cr, err := respAs[*CombinedStageResp](site, resp, "combined")
 		if err != nil {
 			return nil, err
 		}
@@ -854,7 +845,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
 		// Stage 2 only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
+		return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
 	}
 
 	// evalFT: bottom-up qualifier unification over the fragments that
@@ -917,7 +908,7 @@ func (e *Engine) runPaX2(ctx context.Context, query string, p *plan, opts Option
 		}
 		ansReqs[site] = req
 	}
-	return e.finalStage(ctx, res, usage, opts, call, query, qid, ansReqs, below, held, runs)
+	return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
 }
 
 // groundQualsForPresent is groundQualsFor restricted to sub-fragments that

@@ -30,13 +30,17 @@
 // typed ErrOverloaded, deterministically.
 //
 // Every stage is one round of fanOut: each primary with a request gets
-// one logical call, concurrently or, under Options.Sequential, one at a
-// time. The per-site call is chosen once per run — the failover route on
-// a replicated engine or one with a retry policy, the batcher on a
-// batching engine outside Sequential runs, the transport's Call
-// otherwise — so every engine kind charges the same ledger entries and
-// fails a stage the same way: a *dist.BroadcastError naming the failing
-// primaries in primary order.
+// one call, to the replica the query's route names for its group,
+// concurrently or, under Options.Sequential, one at a time. The round trip
+// is chosen once per query — the batcher on a batching engine outside
+// Sequential runs, the transport's Call otherwise — so every engine kind
+// charges the same ledger entries and fails a stage the same way: a
+// *dist.BroadcastError naming the failing primaries in primary order. A
+// replicated engine, or one with a retry policy, answers a stage failure
+// that another run could repair by running the whole query again under
+// the same QID, each failed group rotated to its next replica (run.retry):
+// one retry loop per query, and every run reads one snapshot of each
+// fragment.
 //
 // # Sites
 //

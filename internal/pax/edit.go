@@ -19,7 +19,7 @@
 // members ack idempotently, the rest apply.
 //
 // Edits never ride batch envelopes (they are not stage messages) and never
-// route through the query failover layer (there is no session to replay);
+// run through the query retry loop (an edit is one call per member);
 // each call goes straight to the transport, so its measured cost lands in
 // the transport's lifetime totals and is mirrored, call for call, in the
 // returned EditResult — the edit-side half of the cost-conservation

@@ -340,7 +340,7 @@ func TestEditSnapshotIdentity(t *testing.T) {
 
 // TestEditOneVersionAnswersAndStalePut: a session created before an edit
 // keeps answering from its fragment snapshot — a pre-edit session that
-// re-asks for Stage 1 (as a replay after failover would) ships its
+// re-asks for Stage 1 (as the opening stage of a re-run does) ships its
 // pre-edit roots byte for byte, while a session created after the edit
 // ships different ones.
 func TestEditOneVersionAnswersAndStalePut(t *testing.T) {

@@ -40,39 +40,29 @@ var ErrEditConflict = errors.New("pax: edit version conflict")
 const (
 	noSessionMsg    = "no session for query"
 	sessionLimitMsg = "site session limit reached"
-	// outOfOrderMsg is handleSel's complaint when its Stage-1 state is
-	// missing. Stage requests carry the query text, so a restarted site
-	// re-creates the session silently and the first symptom of the lost
-	// state is the selection stage finding no qualifier data.
+	// outOfOrderMsg is the selection stage's complaint when a qualified
+	// query's session holds no Stage-1 state: the site lost the session
+	// its qualifier stage opened (it restarted between stages), and the
+	// selection request opened a fresh one.
 	outOfOrderMsg = "arrived out of order (no qualifier state)"
 )
 
-// classifyStageError decides how the failover layer treats one failed
-// stage call:
-//
-//   - retriable=false: permanent. Handler rejections, context expiry, a
-//     closed transport — retrying against a replica would not help (or is
-//     not allowed to: the caller's deadline is the caller's budget).
-//   - retriable=true, inPlace=false: the site is unreachable (wraps
-//     dist.ErrSiteUnavailable) or cannot admit the session
-//     (ErrSessionLimit). Rotate to the next replica of the group.
-//   - retriable=true, inPlace=true: the site answered but its session for
-//     this query is gone — it restarted (or swept the session) between
-//     stages. The site is alive; replay the query's prior stages there to
-//     re-establish the session, no rotation needed.
-func classifyStageError(err error) (retriable, inPlace bool) {
+// classifyStageError reports whether the failover layer may run the query
+// again after err failed one of its stage calls, with the failed group
+// rotated to its next replica. That holds when the site is unreachable
+// (wraps dist.ErrSiteUnavailable), cannot admit the session
+// (ErrSessionLimit), or answered but holds no session for the query, or
+// not the one this run opened (it restarted, or swept the session,
+// between stages). Everything else — handler rejections, context expiry,
+// a closed transport — is permanent: retrying would not help, or is not
+// allowed to (the caller's deadline is the caller's budget).
+func classifyStageError(err error) bool {
 	if err == nil {
-		return false, false
+		return false
 	}
-	if dist.Retriable(err) {
-		return true, false
+	if dist.Retriable(err) || errors.Is(err, ErrSessionLimit) {
+		return true
 	}
 	msg := err.Error()
-	if errors.Is(err, ErrSessionLimit) || strings.Contains(msg, sessionLimitMsg) {
-		return true, false
-	}
-	if strings.Contains(msg, noSessionMsg) || strings.Contains(msg, outOfOrderMsg) {
-		return true, true
-	}
-	return false, false
+	return strings.Contains(msg, sessionLimitMsg) || strings.Contains(msg, noSessionMsg) || strings.Contains(msg, outOfOrderMsg)
 }

@@ -229,7 +229,7 @@ func TestSessionLimitRejectsExplicitly(t *testing.T) {
 // everything. More queries than the cap must all succeed, and every site's
 // session table must be empty once they are done — Boolean queries, whose
 // single stage is final everywhere, included. The flag must work solo,
-// inside batch envelopes and through the failover route.
+// inside batch envelopes and on a failover engine.
 func TestPrunedSitesReleaseSessions(t *testing.T) {
 	const q3 = `/sites/site/people/person[profile/age > 20 and address/country = "US"]/creditcard`
 	tree := xmark.Generate(4, xmark.DefaultSite.Scale(0.02), 1)

@@ -237,12 +237,14 @@ func TestFailoverLedgerConservation(t *testing.T) {
 	}
 }
 
-// TestSessionLossReestablishesInPlace: a site restart between stages (no
+// TestSessionLossRerunsQuery: a site restart between stages (no
 // unavailability — the site answers, it just lost the session) must be
-// classified retriable and repaired by replaying the prior stages on the
+// classified retriable and repaired by running the query again on the
 // same site. Exercised on an unreplicated topology with retries enabled,
-// where rotation has nowhere to go.
-func TestSessionLossReestablishesInPlace(t *testing.T) {
+// where rotation has nowhere to go. The re-run's opening stage replaces
+// what the failed run left at the other site, and the answered query
+// leaves no session behind.
+func TestSessionLossRerunsQuery(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 31))
 	if err != nil {
@@ -270,16 +272,21 @@ func TestSessionLossReestablishesInPlace(t *testing.T) {
 		t.Fatalf("session loss not repaired: %v", err)
 	}
 	if got := origIDs(ft, res.Answers); !testutil.EqualIDs(got, want) {
-		t.Errorf("answers diverged after in-place re-establishment: got %v want %v", got, want)
+		t.Errorf("answers diverged after the re-run: got %v want %v", got, want)
 	}
 	if res.Retries < 1 {
 		t.Errorf("Result.Retries = %d, want >= 1", res.Retries)
 	}
 	if res.Failovers != 0 {
-		t.Errorf("Result.Failovers = %d, want 0 (repair happens in place)", res.Failovers)
+		t.Errorf("Result.Failovers = %d, want 0 (the re-run goes back to the same site)", res.Failovers)
 	}
-	if fs := eng.FailoverStats(); fs.Reestablished < 1 {
-		t.Errorf("engine stats %+v, want a re-established session", fs)
+	for _, s := range sites {
+		s.mu.Lock()
+		n := len(s.sessions)
+		s.mu.Unlock()
+		if n != 0 {
+			t.Errorf("site %d holds %d sessions after the query answered, want 0", s.ID(), n)
+		}
 	}
 }
 
@@ -415,21 +422,19 @@ func TestClassifyStageError(t *testing.T) {
 		name      string
 		err       error
 		retriable bool
-		inPlace   bool
 	}{
-		{"nil", nil, false, false},
-		{"unavailable", fmt.Errorf("wrap: %w", dist.ErrSiteUnavailable), true, false},
-		{"session limit typed", fmt.Errorf("pax: site 3: %w (256 queries in flight)", ErrSessionLimit), true, false},
-		{"session limit wire string", errors.New("pax: site 3: pax: site session limit reached (256 queries in flight)"), true, false},
-		{"no session wire string", errors.New("pax: site 2: no session for query 17"), true, true},
-		{"out of order wire string", errors.New("pax: site 1: selection stage for fragment 3 of query 9 arrived out of order (no qualifier state)"), true, true},
-		{"handler rejection", errors.New("pax: site 4: unknown request type"), false, false},
-		{"context deadline", context.DeadlineExceeded, false, false},
+		{"nil", nil, false},
+		{"unavailable", fmt.Errorf("wrap: %w", dist.ErrSiteUnavailable), true},
+		{"session limit typed", fmt.Errorf("pax: site 3: %w (256 queries in flight)", ErrSessionLimit), true},
+		{"session limit wire string", errors.New("pax: site 3: pax: site session limit reached (256 queries in flight)"), true},
+		{"no session wire string", errors.New("pax: site 2: no session for query 17"), true},
+		{"out of order wire string", errors.New("pax: site 1: selection stage for fragment 3 of query 9 arrived out of order (no qualifier state)"), true},
+		{"handler rejection", errors.New("pax: site 4: unknown request type"), false},
+		{"context deadline", context.DeadlineExceeded, false},
 	}
 	for _, c := range cases {
-		r, p := classifyStageError(c.err)
-		if r != c.retriable || p != c.inPlace {
-			t.Errorf("%s: classify = (%v,%v), want (%v,%v)", c.name, r, p, c.retriable, c.inPlace)
+		if r := classifyStageError(c.err); r != c.retriable {
+			t.Errorf("%s: classify = %v, want %v", c.name, r, c.retriable)
 		}
 	}
 }
@@ -607,5 +612,97 @@ func TestRefusedSiteContract(t *testing.T) {
 				t.Errorf("replicated, primary down: %d calls to the primary and %d to the replica, want 1 and %d", p, r, healthy)
 			}
 		})
+	}
+}
+
+// TestFailoverVersionSkew: a replica group whose members hold fragment 1
+// at different versions — the state an edit broadcast leaves while it is
+// under way, or after it failed part-way — must still answer at one
+// version. The group's first member holds V+1 (an inserted <k/>), the
+// second V; the first member dies at its second call. The answer must be
+// the centralized answer of the document at V or at V+1, never a mix of
+// Stage 1 at one version and a later stage at the other.
+func TestFailoverVersionSkew(t *testing.T) {
+	const doc = `<r><p><n>1</n><c><p><n>2</n><d/></p></c></p></r>`
+	const query = `//p[.//k]/n`
+	tr, err := xmltree.ParseString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut, inner xmltree.NodeID = -1, -1
+	tr.Walk(func(n *xmltree.Node) bool {
+		switch {
+		case n.Label == "c":
+			cut = n.ID
+		case n.Label == "p" && cut >= 0:
+			inner = n.ID
+		}
+		return true
+	})
+	// values is the centralized answer of a document, as answer values.
+	values := func(doc string) []string {
+		t.Helper()
+		tr, err := xmltree.ParseString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, id := range oracle(t, tr, query) {
+			out = append(out, tr.Node(id).Value())
+		}
+		return out
+	}
+	atV := values(doc)
+	atV1 := values(`<r><p><n>1</n><c><p><k/><n>2</n><d/></p></c></p></r>`)
+	if fmt.Sprint(atV) == fmt.Sprint(atV1) {
+		t.Fatalf("the edit does not change the answer (%v): the test proves nothing", atV)
+	}
+	for _, alg := range []Algorithm{PaX3, PaX2} {
+		ft, err := fragment.Cut(tr, []xmltree.NodeID{cut})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const skewed = fragment.FragID(1)
+		local := ft.Frag(skewed).Origin
+		node := xmltree.NodeID(-1)
+		for l, g := range local {
+			if g == inner {
+				node = xmltree.NodeID(l)
+			}
+		}
+		topo := RoundRobinReplicated(ft, 2, 2)
+		tport, sites := BuildLocalCluster(topo)
+		eng := NewEngine(topo, tport)
+		group := topo.ReplicasOf(topo.SiteOf[skewed])
+		req, err := editReqOf(skewed, fragment.Edit{Op: fragment.EditInsert, Node: node, Subtree: xmltree.El("k")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.BaseVersion = 0
+		if _, err := siteByID(sites, group[0]).Handler()(req); err != nil {
+			t.Fatalf("edit on the first member: %v", err)
+		}
+		tport.FaultHook = dist.NewFaultPlan(dist.SiteFault{Site: group[0], Call: 2, Action: dist.FaultKill, Down: 1 << 20}).Hook
+		res, err := eng.Run(query, Options{Algorithm: alg})
+		if err != nil {
+			t.Errorf("%s: %v", alg, err)
+			continue
+		}
+		var got []string
+		for _, a := range res.Answers {
+			got = append(got, a.Value)
+		}
+		if g := fmt.Sprint(got); g != fmt.Sprint(atV) && g != fmt.Sprint(atV1) {
+			t.Errorf("%s: answer %v holds at no version of fragment %d: %v at V, %v at V+1", alg, got, skewed, atV, atV1)
+		}
+		// The re-run visited every live site, and left no session behind.
+		for _, s := range sites {
+			s.mu.Lock()
+			n := len(s.sessions)
+			s.mu.Unlock()
+			if s.ID() != group[0] && n != 0 {
+				t.Errorf("%s: live site %d holds %d sessions after the query answered, want 0", alg, s.ID(), n)
+			}
+		}
 	}
 }

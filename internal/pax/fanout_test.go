@@ -32,25 +32,31 @@ func fetchSites(fail map[dist.SiteID]string, sites ...dist.SiteID) *dist.Local {
 	return l
 }
 
-// echoCall is a transport-free siteCall answering each site with its own
-// id, charging one unit of compute per call.
-func echoCall(ctx context.Context, site dist.SiteID, req any) (any, []attrCost, error) {
+// echoCall is a transport-free round trip answering each site with its
+// own id, charging one unit of compute per call.
+func echoCall(ctx context.Context, site dist.SiteID, req any) (any, dist.CallCost, error) {
 	if msg, ok := req.(string); ok && strings.HasPrefix(msg, "fail:") {
-		return nil, nil, errors.New(strings.TrimPrefix(msg, "fail:"))
+		return nil, dist.CallCost{}, errors.New(strings.TrimPrefix(msg, "fail:"))
 	}
-	return site, []attrCost{{site: site, cost: dist.CallCost{Compute: 1}}}, nil
+	return site, dist.CallCost{Compute: 1}, nil
+}
+
+// testRun is a run outside any engine whose calls take the round trip
+// call, every group routed to its primary.
+func testRun(seq bool, call func(context.Context, dist.SiteID, any) (any, dist.CallCost, error)) *run {
+	return &run{seq: seq, call: call, usage: dist.NewMetrics()}
 }
 
 func TestFanOutRequests(t *testing.T) {
 	primaries := []dist.SiteID{3, 1, 2}
 	var mkOrder []dist.SiteID
-	resps, costs, err := fanOut(context.Background(), primaries, func(id dist.SiteID) any {
+	resps, costs, err := testRun(false, echoCall).fanOut(context.Background(), primaries, func(id dist.SiteID) any {
 		mkOrder = append(mkOrder, id)
 		if id == 1 {
 			return nil // skipped site
 		}
 		return fmt.Sprintf("to-%d", id)
-	}, false, echoCall)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +80,12 @@ func TestFanOutFirstErrorInPrimaryOrder(t *testing.T) {
 	for _, seq := range []bool{false, true} {
 		// Sites 2 and 7 both fail; primary order is 4, 2, 7, so the
 		// reported error must deterministically be site 2's.
-		_, _, err := fanOut(context.Background(), []dist.SiteID{4, 2, 7}, func(id dist.SiteID) any {
+		_, _, err := testRun(seq, echoCall).fanOut(context.Background(), []dist.SiteID{4, 2, 7}, func(id dist.SiteID) any {
 			if id == 2 || id == 7 {
 				return fmt.Sprintf("fail:site %d down", id)
 			}
 			return "ok"
-		}, seq, echoCall)
+		})
 		if err == nil || !strings.Contains(err.Error(), "site 2 down") {
 			t.Errorf("seq=%v: err = %v, want the first failing site in primary order (2)", seq, err)
 		}
@@ -119,12 +125,11 @@ func TestFanOutConcurrent(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := fanOut(context.Background(), primaries, func(dist.SiteID) any { return "ok" }, false,
-			func(ctx context.Context, site dist.SiteID, req any) (any, []attrCost, error) {
-				wg.Done()
-				wg.Wait()
-				return site, nil, nil
-			})
+		_, _, err := testRun(false, func(ctx context.Context, site dist.SiteID, req any) (any, dist.CallCost, error) {
+			wg.Done()
+			wg.Wait()
+			return site, dist.CallCost{}, nil
+		}).fanOut(context.Background(), primaries, func(dist.SiteID) any { return "ok" })
 		done <- err
 	}()
 	select {
@@ -140,15 +145,14 @@ func TestFanOutConcurrent(t *testing.T) {
 func TestFanOutSequentialIsSerial(t *testing.T) {
 	var inFlight atomic.Int32
 	var overlapped atomic.Bool
-	_, _, err := fanOut(context.Background(), []dist.SiteID{0, 1, 2, 3}, func(dist.SiteID) any { return "ok" }, true,
-		func(ctx context.Context, site dist.SiteID, req any) (any, []attrCost, error) {
-			if inFlight.Add(1) != 1 {
-				overlapped.Store(true)
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			return site, nil, nil
-		})
+	_, _, err := testRun(true, func(ctx context.Context, site dist.SiteID, req any) (any, dist.CallCost, error) {
+		if inFlight.Add(1) != 1 {
+			overlapped.Store(true)
+		}
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return site, dist.CallCost{}, nil
+	}).fanOut(context.Background(), []dist.SiteID{0, 1, 2, 3}, func(dist.SiteID) any { return "ok" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +171,8 @@ func TestFanOutErrorAggregate(t *testing.T) {
 		}
 		return nil
 	}
-	_, costs, err := fanOut(context.Background(), []dist.SiteID{1, 2, 3}, func(dist.SiteID) any { return &FetchReq{} }, false, direct(l.Call))
+	r := testRun(false, l.Call)
+	_, costs, err := r.fanOut(context.Background(), []dist.SiteID{1, 2, 3}, func(dist.SiteID) any { return &FetchReq{} })
 	var be *dist.BroadcastError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %T %v, want *dist.BroadcastError", err, err)
@@ -189,8 +194,8 @@ func TestFanOutErrorAggregate(t *testing.T) {
 		t.Fatalf("Error() = %q", msg)
 	}
 	// Only site 2's call reached a site; the hook-failed calls cost nothing.
-	if len(costs) != 1 || costs[0].site != 2 {
-		t.Fatalf("costs = %+v, want site 2's completed call only", costs)
+	if v := r.usage.Snapshot().Visits; len(costs) != 1 || len(v) != 1 || v[2] != 1 {
+		t.Fatalf("costs = %+v charged to %v, want site 2's completed call only", costs, v)
 	}
 }
 
@@ -204,7 +209,7 @@ func TestFanOutErrorMixedRetriability(t *testing.T) {
 		}
 		return nil
 	}
-	_, _, err := fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &FetchReq{} }, false, direct(l.Call))
+	_, _, err := testRun(false, l.Call).fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &FetchReq{} })
 	var be *dist.BroadcastError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %T, want *dist.BroadcastError", err)
@@ -217,17 +222,14 @@ func TestFanOutErrorMixedRetriability(t *testing.T) {
 func TestFanOutSingleFailureKeepsPlainMessage(t *testing.T) {
 	l := fetchSites(map[dist.SiteID]string{2: "no such fragment"}, 1, 2)
 	defer l.Close()
-	_, costs, err := fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &FetchReq{} }, false, direct(l.Call))
+	r := testRun(false, l.Call)
+	_, costs, err := r.fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &FetchReq{} })
 	if err == nil || err.Error() != "no such fragment" {
 		t.Fatalf("Error() = %v, want the bare handler message", err)
 	}
-	// The failed call completed at the site: its cost is still reported.
-	charged := map[dist.SiteID]bool{}
-	for _, c := range costs {
-		charged[c.site] = true
-	}
-	if !charged[1] || !charged[2] || len(costs) != 2 {
-		t.Fatalf("costs = %+v, want one entry per completed call, the failed one on site 2 included", costs)
+	// The failed call completed at the site: its cost is still charged.
+	if v := r.usage.Snapshot().Visits; v[1] != 1 || v[2] != 1 || len(costs) != 2 {
+		t.Fatalf("costs = %+v charged to %v, want one entry per completed call, the failed one on site 2 included", costs, v)
 	}
 }
 

@@ -17,16 +17,16 @@ import (
 // Its network traffic is proportional to |T| — the cost the partial
 // evaluation algorithms exist to avoid — and is visible directly in the
 // Result's byte counters.
-func (e *Engine) runNaive(ctx context.Context, c *xpath.Compiled, opts Options, usage *dist.Metrics, call siteCall) (*Result, error) {
+func (e *Engine) runNaive(ctx context.Context, r *run, c *xpath.Compiled, opts Options) (*Result, error) {
 	n := e.topo.FT.Len()
 	res := &Result{RelevantFrags: n}
-	resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(dist.SiteID) any { return &FetchReq{} })
+	resps, err := r.stage(ctx, res, func(dist.SiteID) any { return &FetchReq{} })
 	if err != nil {
 		return nil, err
 	}
 	frags := make([]*fragment.Fragment, n)
-	for site, r := range resps {
-		fr, err := respAs[*FetchResp](site, r, "fetch")
+	for site, resp := range resps {
+		fr, err := respAs[*FetchResp](site, resp, "fetch")
 		if err != nil {
 			return nil, err
 		}

@@ -187,12 +187,24 @@ func (s *Site) handle(req any) (any, error) {
 	return nil, fmt.Errorf("pax: site %d: unknown request type %T", s.id, req)
 }
 
+// getSession returns the session of query qid. A request carrying the
+// query text — every stage request but the final one, which carries it
+// only to a site asked for bodies alone — opens the session or, when the
+// site still holds one because the coordinator is running the query
+// again, restarts it: the session keeps its fragment snapshot, so every
+// stage at this site reads one version of each fragment, and drops the
+// candidates an earlier run's stages left, so no run reads another's
+// results. A request without the query text resumes the session, and
+// fails with noSessionMsg when there is none.
 func (s *Site) getSession(qid QueryID, query string, numFrags int32) (*session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
 	if sess, ok := s.sessions[qid]; ok {
 		sess.lastUsed = now
+		if query != "" {
+			clear(sess.cands)
+		}
 		return sess, nil
 	}
 	if query == "" {
@@ -574,9 +586,9 @@ func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
 // per-query sessions, and nothing else that affects answers — the
 // compiled-query cache is rebuildable, but a fresh process starts without
 // it. The fault harness calls this when a simulated kill schedule
-// "restarts" an in-process site; coordinators mid-query at this site will
-// find their sessions gone and must re-establish (classifyStageError's
-// in-place path).
+// "restarts" an in-process site; a query mid-way at this site finds its
+// session gone ("no session for query"), and its coordinator runs it
+// again from the opening stage.
 func (s *Site) Restart() {
 	s.mu.Lock()
 	s.sessions = make(map[QueryID]*session)

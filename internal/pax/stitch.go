@@ -67,7 +67,7 @@ func closeBelow(ft *fragment.Fragmentation, below []fragment.FragID) ([]fragment
 // in res.Answers. Bodies no answer used — those below candidates that
 // resolved false — are counted in Result.SpeculativeBytes. It returns
 // res, completed.
-func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metrics, opts Options, call siteCall, query string, qid QueryID, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool, runs [][]AnswerNode) (*Result, error) {
+func (e *Engine) finalStage(ctx context.Context, r *run, res *Result, query string, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool, runs [][]AnswerNode) (*Result, error) {
 	need, err := closeBelow(e.topo.FT, below)
 	if err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metric
 	if held != nil {
 		for _, site := range e.topo.Primaries() {
 			if reqs[site] == nil && held(site) {
-				reqs[site] = &AnsStageReq{QID: qid}
+				reqs[site] = &AnsStageReq{QID: r.qid}
 			}
 		}
 	}
@@ -83,13 +83,13 @@ func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metric
 		site := e.topo.SiteOf[k]
 		req, _ := reqs[site].(*AnsStageReq)
 		if req == nil {
-			req = &AnsStageReq{QID: qid, Query: query, NumFrags: int32(e.topo.FT.Len())}
+			req = &AnsStageReq{QID: r.qid, Query: query, NumFrags: int32(e.topo.FT.Len())}
 			reqs[site] = req
 		}
 		req.Bodies = append(req.Bodies, k)
 	}
 	if len(reqs) > 0 {
-		resps, err := e.stage(ctx, res, usage, opts.Sequential, call, func(site dist.SiteID) any { return reqs[site] })
+		resps, err := r.stage(ctx, res, func(site dist.SiteID) any { return reqs[site] })
 		if err != nil {
 			return nil, err
 		}
@@ -97,8 +97,8 @@ func (e *Engine) finalStage(ctx context.Context, res *Result, usage *dist.Metric
 		if len(need) > 0 {
 			bodies = make(map[fragment.FragID]string, len(need))
 		}
-		for site, r := range resps {
-			ar, err := respAs[*AnsStageResp](site, r, "answer")
+		for site, resp := range resps {
+			ar, err := respAs[*AnsStageResp](site, resp, "answer")
 			if err != nil {
 				return nil, err
 			}

@@ -144,11 +144,12 @@ type Stats struct {
 	ParallelCompute time.Duration
 	RelevantFrags   int
 	TotalFrags      int
-	// Retries counts stage calls of this query the failover layer attempted
-	// again after a retriable failure; Failovers counts how many of those
-	// rotated to a different replica. Both 0 on a fault-free run, where
-	// MaxSiteVisits obeys the paper's exact bound; under faults
-	// MaxSiteVisits <= bound * (1 + Retries).
+	// Retries counts the times the failover layer ran this query again
+	// after a retriable stage failure; Failovers counts the replica groups
+	// those re-runs rotated to a different member. Both 0 on a fault-free
+	// run, where MaxSiteVisits obeys the paper's exact bound; each run
+	// visits a site at most that often, so under faults MaxSiteVisits <=
+	// bound * (1 + Retries).
 	Retries   int
 	Failovers int
 }
@@ -206,11 +207,11 @@ type ClusterOptions struct {
 
 	// Replicas deploys every site as a replica group of this many members
 	// hosting identical fragment copies: the coordinator addresses the
-	// group's primary and fails over to the next replica when a site dies
-	// mid-query (re-establishing the query's session there), so answers
-	// survive site failures unchanged. 0 or 1 means no replication.
-	// Replication and BatchWindow are mutually exclusive per cluster: the
-	// failover fan-out bypasses the batcher.
+	// group's primary and, when a site dies mid-query, runs the query
+	// again on the next replica of its group, so answers survive site
+	// failures unchanged. 0 or 1 means no replication.
+	// Replication and BatchWindow are mutually exclusive per cluster: a
+	// replicated engine builds no batcher.
 	Replicas int
 	// Registry, when non-empty, is the path of a site-registry JSON file
 	// (see pax.Registry) describing which replica sites host each fragment.
@@ -221,16 +222,17 @@ type ClusterOptions struct {
 	// itself (in-process or loopback TCP); the registry's address list is
 	// a deployment artifact for cmd/paxsite fleets and is not dialed here.
 	Registry string
-	// RetryMaxAttempts bounds how many attempts one stage call gets across
-	// a replica group before the query fails (first try included). 0 picks
+	// RetryMaxAttempts bounds how many times one query runs before it
+	// fails (first run included); each re-run follows a retriable stage
+	// failure and rotates the failed replica groups. 0 picks
 	// the default: 4 when replicated, 1 (no retrying) otherwise; negative
 	// is an error. Replication or a retry policy is how a query survives a
 	// site restart: the transport never waits to redial, so on an
 	// unreplicated cluster without RetryMaxAttempts > 1 a call to a
 	// restarting site fails at once with a retriable error.
 	RetryMaxAttempts int
-	// RetryBackoff is the wait before the second attempt of a failed stage
-	// call; each further attempt doubles it. It needs RetryMaxAttempts > 0
+	// RetryBackoff is the wait before a query's second run; each further
+	// run doubles it. It needs RetryMaxAttempts > 0
 	// (NewCluster rejects it otherwise, and any negative retry option); the
 	// default policy waits 2ms.
 	RetryBackoff time.Duration
@@ -461,15 +463,14 @@ type SiteCacheStats struct {
 }
 
 // FailoverStats are the coordinator's lifetime failover counters (all zero
-// without replication or retries): how often stage calls were retried,
-// rotated to a replica, how many transport-level dead-site detections were
-// observed, and how many query sessions were re-established by replaying
-// prior stages. Surfaced in TransportStats and paxserve's /metrics.
+// without replication or retries): how often a query was run again after
+// a retriable stage failure, how often a replica group rotated to another
+// member, and how many transport-level dead-site detections were
+// observed. Surfaced in TransportStats and paxserve's /metrics.
 type FailoverStats struct {
-	Retries               int64
-	Failovers             int64
-	DeadSiteDetections    int64
-	ReestablishedSessions int64
+	Retries            int64
+	Failovers          int64
+	DeadSiteDetections int64
 }
 
 // TransportStats are the cluster transport's cumulative lifetime counters:
@@ -506,10 +507,9 @@ func (c *Cluster) TransportStats() TransportStats {
 	}
 	fs := c.engine.FailoverStats()
 	out.Failover = FailoverStats{
-		Retries:               fs.Retries,
-		Failovers:             fs.Failovers,
-		DeadSiteDetections:    fs.DeadSites,
-		ReestablishedSessions: fs.Reestablished,
+		Retries:            fs.Retries,
+		Failovers:          fs.Failovers,
+		DeadSiteDetections: fs.DeadSites,
 	}
 	return out
 }
@@ -545,10 +545,11 @@ func (c *Cluster) SaveRegistry(path string) error {
 // unreachable for the next down calls, and it then restarts with all
 // in-memory state (query sessions, compiled queries)
 // wiped, exactly like a crashed and supervised process. On a replicated
-// cluster, or one with a retry policy, queries ride out the outage —
-// answers unchanged, the failover counters of TransportStats (and
-// paxserve's /metrics and /statsz) advancing — while an unprotected
-// cluster sees the affected query fail. Scheduling a drill replaces any
+// cluster, or one with a retry policy, a query that meets the outage runs
+// again, on the next replica of the dead site's group — answers
+// unchanged, the failover counters of TransportStats (and paxserve's
+// /metrics and /statsz) advancing — while an unprotected cluster sees the
+// affected query fail. Scheduling a drill replaces any
 // previous one; schedule only while no queries are in flight. TCP
 // clusters drill for real — kill the site's process — so an error is
 // returned for them and for unknown sites.
