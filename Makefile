@@ -95,7 +95,10 @@ codec-smoke:
 # allocations (at most 3) for 1, 100 or 1 000 answers, and inside a batch
 # envelope (at most 4: the member reuses the envelope's one copy), a
 # ShipXML query allocates as often for 1 000 answers as for 100 (±1: each
-# answer list is made once at its final size), and a site's
+# answer list is made once at its final size), a ShipXML answer is stored
+# once per side — an extra answer costs at most two answer records through
+# Engine.Run, and a site record plus one paxq.Answer through
+# Cluster.Query, beside PaX3's candidate — and a site's
 # fragment edit allocates at most 200 times, within 10 of the same edit
 # on a fragment 30 times smaller, and at most 32 bytes per node of the
 # fragment (it copies pointer-free index columns and masks only), and a
@@ -109,7 +112,8 @@ alloc-smoke:
 	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs|TestPooledMasksDoNotLeak' ./internal/parbox
-	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs|TestPooledSelectionMasksDoNotLeak|TestShipAnswersAllocsIndependentOfCount' ./internal/pax
+	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs|TestPooledSelectionMasksDoNotLeak|TestShipAnswersAllocsIndependentOfCount|TestShipAnswerBytesPerAnswer' ./internal/pax
+	$(GO) test -run='TestShipAnswerBytesPerAnswer' .
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestApplyEditBytesPerNode|TestFileFormAllocs|TestCutBytesPerNode' ./internal/fragment
 
@@ -131,9 +135,11 @@ batch-smoke:
 # dials); the query retry loop owns every wait, and replication or a retry
 # policy is what survives a restart (TestRefusedSiteContract counts the
 # calls on both transports). A group whose members hold a fragment at
-# two versions still answers at one of them (TestFailoverVersionSkew).
+# two versions still answers at one of them (TestFailoverVersionSkew). A
+# stage request that fails at a site leaves no session behind there
+# (TestFailedStageReleasesSession).
 fault-smoke:
-	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew' ./internal/harness ./internal/dist ./internal/pax
+	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew|TestFailedStageReleasesSession' ./internal/harness ./internal/dist ./internal/pax
 
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked

@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -218,13 +219,13 @@ func runRemote(manifestPath string, siteFlags []string, query, algo string, xa, 
 	if err != nil {
 		fatal(err)
 	}
-	res, err := eng.RunContext(context.Background(), query, pax.Options{Algorithm: alg, Annotations: xa, ShipXML: shipXML})
+	res, answers, err := pax.RunAs(context.Background(), eng, query, pax.Options{Algorithm: alg, Annotations: xa, ShipXML: shipXML},
+		func(a *pax.AnswerNode) paxq.Answer {
+			return paxq.Answer{Fragment: int(a.Frag), Node: int(a.Node), Label: a.Label, Value: a.Value, XML: a.XML}
+		},
+		func(a, b paxq.Answer) int { return cmp.Compare(a.Node, b.Node) })
 	if err != nil {
 		fatal(err)
-	}
-	answers := make([]paxq.Answer, len(res.Answers))
-	for i, a := range res.Answers {
-		answers[i] = paxq.Answer{Fragment: int(a.Frag), Node: int(a.Node), Label: a.Label, Value: a.Value, XML: a.XML}
 	}
 	printAnswers(answers, shipXML)
 	if stats {

@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
+
+	"paxq/internal/pax"
+	"paxq/internal/testutil"
 )
 
 // raceEnabled reports whether the test binary was built with -race, whose
@@ -107,5 +111,57 @@ func TestDistinctQueriesRetainBoundedHeap(t *testing.T) {
 	if growth > maxGrowth {
 		t.Errorf("live heap grew by %.1f MB over %d distinct queries, want <= %d MB",
 			float64(growth)/(1<<20), queries, maxGrowth>>20)
+	}
+}
+
+// TestShipAnswerBytesPerAnswer: through Cluster.Query a ShipXML answer is
+// stored twice, once in the response of the site that selects it and once
+// as the Answer the query returns; the coordinator copies no record in
+// between. The pin is the slope of the bytes a query allocates, its
+// sites' and its coordinator's together, between a bibliography of 4
+// sections of 25 articles and one of 4 of 250, over Local, where no
+// response is encoded. PaX3's answers are candidates first, so its sites
+// also keep a candidate, a node and a formula pointer, per answer between
+// its selection and final stages.
+func TestShipAnswerBytesPerAnswer(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const candidate = 16
+	records := float64(unsafe.Sizeof(pax.AnswerNode{}) + unsafe.Sizeof(Answer{}))
+	for _, q := range []struct {
+		name, query string
+		opts        QueryOptions
+	}{
+		{"pax2+xa", "/dblp/bib/article", QueryOptions{Algorithm: "pax2", Annotations: true, ShipXML: true}},
+		{"pax3", "//article", QueryOptions{Algorithm: "pax3", ShipXML: true}},
+	} {
+		limit := records + 8
+		if q.opts.Algorithm == "pax3" {
+			limit += candidate
+		}
+		var bytes [2]float64
+		for i, per := range []int{25, 250} {
+			c, err := NewCluster(&Document{tree: testutil.BibTree(4, per)}, ClusterOptions{CutPaths: []string{"/dblp/bib"}, Sites: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes[i] = testutil.BytesPerRun(20, func() {
+				ans, _, err := c.Query(q.query, q.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ans) != 4*per {
+					t.Fatalf("%s: %d answers, want %d", q.name, len(ans), 4*per)
+				}
+			})
+			c.Close()
+		}
+		got := (bytes[1] - bytes[0]) / (4*250 - 4*25)
+		t.Logf("%s: %.1f bytes per extra answer, limit %.0f", q.name, got, limit)
+		if got > limit {
+			t.Errorf("%s: %.1f bytes per extra answer, want at most %.0f (a %d-byte site record and a %d-byte Answer)",
+				q.name, got, limit, unsafe.Sizeof(pax.AnswerNode{}), unsafe.Sizeof(Answer{}))
+		}
 	}
 }

@@ -76,8 +76,13 @@ type Options struct {
 // Results.
 type Result struct {
 	// Answers are ordered by fragment, then by node within a fragment,
-	// which is the fragment-local pre-order.
+	// which is the fragment-local pre-order. RunContext places each
+	// answer here once, from the record its site response carried; RunAs
+	// places them in the caller's own slice instead and leaves this nil.
 	Answers []AnswerNode
+	// runs holds the answers as the responses carried them, one run per
+	// response, until they are placed.
+	runs [][]AnswerNode
 
 	Stages     int             // coordinator→sites stage rounds executed
 	StageWall  []time.Duration // wall time of each stage
@@ -283,7 +288,36 @@ func (e *Engine) plan(query string, annotations, shipXML bool) (*plan, error) {
 // alone. Malformed or inconsistent site responses surface as errors, never
 // as coordinator panics. Under admission control, a full engine sheds or
 // queues per configuration; both outcomes surface as ErrOverloaded.
-func (e *Engine) RunContext(ctx context.Context, query string, opts Options) (res *Result, err error) {
+func (e *Engine) RunContext(ctx context.Context, query string, opts Options) (*Result, error) {
+	res, answers, err := RunAs(ctx, e, query, opts, answerNode, byNode)
+	if err != nil {
+		return nil, err
+	}
+	res.Answers = answers
+	return res, nil
+}
+
+// RunAs is RunContext for a caller that keeps its answers as its own
+// element type T. It places each answer once, built by as, straight into
+// the slice it returns, in the order RunContext gives Result.Answers,
+// which it leaves nil; cmpNode compares two answers of one fragment by
+// node.
+func RunAs[T any](ctx context.Context, e *Engine, query string, opts Options, as func(*AnswerNode) T, cmpNode func(a, b T) int) (*Result, []T, error) {
+	res, err := e.evaluate(ctx, query, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	answers, err := placeAnswers(e.topo.FT.Len(), res.runs, as, cmpNode)
+	res.runs = nil
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, answers, nil
+}
+
+// evaluate runs the query to completion and returns its Result with the
+// answers unplaced, in res.runs.
+func (e *Engine) evaluate(ctx context.Context, query string, opts Options) (res *Result, err error) {
 	// Admission strictly precedes planning: a query the overload controller
 	// sheds must cost nothing — no compilation, no relevance analysis, no
 	// plan-cache churn — under exactly the load admission control exists for.
@@ -337,32 +371,46 @@ func (r *run) finish(res *Result, start time.Time) {
 	res.TotalFrags = r.e.topo.FT.Len()
 }
 
-// mergeAnswers places the answers of runs in one slice of their total
-// size, ordered by fragment and then by node: it counts each of the nfrags
-// fragments' answers, copies each run's stretches of one fragment into
-// that fragment's range, and sorts each range by node. A site emits a
-// fragment's answers in pre-order, which is node order, so a range filled
-// from one run is already in order and its sort moves nothing; a fragment
-// whose answers arrive in two runs (the definite answers of the selection
-// stage and the candidates the final stage resolves) is merged there. An
-// answer naming a fragment outside the fragmentation is an inconsistent
-// site response and fails the query.
-func mergeAnswers(nfrags int, runs ...[]AnswerNode) ([]AnswerNode, error) {
-	// next[f] counts fragment f's answers, then is where its next one goes.
+// answerNode and byNode place answers as the package's own AnswerNode.
+func answerNode(a *AnswerNode) AnswerNode { return *a }
+
+func byNode(a, b AnswerNode) int { return cmp.Compare(a.Node, b.Node) }
+
+// placeAnswers is the one placement of a query's answers: it places the
+// answers of runs, each built once by as, in one slice of their total
+// size, ordered by fragment and then by node. It counts each of the
+// nfrags fragments' answers, writes every answer into the next slot of
+// its fragment's range, and sorts by node, with cmpNode, the ranges that
+// need it. A site emits a fragment's answers in pre-order, which is node
+// order, so a range filled from one ordered stretch of one run is in
+// order already; a fragment whose answers arrive in two runs (the
+// definite answers of the selection stage and the candidates the final
+// stage resolves), or out of order, is sorted there. An answer naming a
+// fragment outside the fragmentation is an inconsistent site response and
+// fails the query.
+func placeAnswers[T any](nfrags int, runs [][]AnswerNode, as func(*AnswerNode) T, cmpNode func(a, b T) int) ([]T, error) {
+	// next[f] counts fragment f's answers, then is where its next one
+	// goes; unsorted[f] marks a range to sort.
 	var buf [64]int
+	var sortBuf [64]bool
 	var next []int
+	var unsorted []bool
 	if nfrags <= len(buf) {
-		next = buf[:nfrags]
+		next, unsorted = buf[:nfrags], sortBuf[:nfrags]
 	} else {
-		next = make([]int, nfrags)
+		next, unsorted = make([]int, nfrags), make([]bool, nfrags)
 	}
 	total := 0
 	for _, run := range runs {
-		for _, a := range run {
-			if a.Frag < 0 || int(a.Frag) >= nfrags {
-				return nil, fmt.Errorf("pax: inconsistent site response: an answer in fragment %d, which is not one of the %d fragments", a.Frag, nfrags)
+		for i := range run {
+			f := run[i].Frag
+			if f < 0 || int(f) >= nfrags {
+				return nil, fmt.Errorf("pax: inconsistent site response: an answer in fragment %d, which is not one of the %d fragments", f, nfrags)
 			}
-			next[a.Frag]++
+			if next[f] > 0 && (i == 0 || run[i-1].Frag != f || run[i-1].Node > run[i].Node) {
+				unsorted[f] = true
+			}
+			next[f]++
 		}
 		total += len(run)
 	}
@@ -373,22 +421,20 @@ func mergeAnswers(nfrags int, runs ...[]AnswerNode) ([]AnswerNode, error) {
 	for f, n := range next {
 		next[f], at = at, at+n
 	}
-	out := make([]AnswerNode, total)
+	out := make([]T, total)
 	for _, run := range runs {
-		for i := 0; i < len(run); {
+		for i := range run {
 			f := run[i].Frag
-			j := i + 1
-			for j < len(run) && run[j].Frag == f {
-				j++
-			}
-			next[f] += copy(out[next[f]:], run[i:j])
-			i = j
+			out[next[f]] = as(&run[i])
+			next[f]++
 		}
 	}
 	// Each next[f] is now the end of fragment f's range.
 	lo := 0
-	for _, hi := range next {
-		slices.SortFunc(out[lo:hi], func(a, b AnswerNode) int { return cmp.Compare(a.Node, b.Node) })
+	for f, hi := range next {
+		if unsorted[f] {
+			slices.SortFunc(out[lo:hi], cmpNode)
+		}
 		lo = hi
 	}
 	return out, nil
@@ -715,9 +761,9 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 	var contexts []WireContext
 	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
-	// One answer run per response; finalStage places them in the result.
-	var runBuf [8][]AnswerNode
-	runs := runBuf[:0]
+	// One answer run per response; finalStage leaves them in the result,
+	// for RunAs to place.
+	runs := make([][]AnswerNode, 0, 2*len(resps))
 	for site, resp := range resps {
 		sr, err := respAs[*SelStageResp](site, resp, "selection")
 		if err != nil {
@@ -821,8 +867,7 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 	var contexts []WireContext
 	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
-	var runBuf [8][]AnswerNode
-	runs := runBuf[:0]
+	runs := make([][]AnswerNode, 0, 2*len(resps))
 	for site, resp := range resps {
 		cr, err := respAs[*CombinedStageResp](site, resp, "combined")
 		if err != nil {

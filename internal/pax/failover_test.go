@@ -290,6 +290,48 @@ func TestSessionLossRerunsQuery(t *testing.T) {
 	}
 }
 
+// TestFailedStageReleasesSession: a stage request that fails at a site
+// leaves no session behind there. A primary restarted before its second
+// call gets PaX3's selection request for a query it no longer knows: the
+// request carries the query text, so the site opens a session, then fails
+// the stage for want of qualifier state. The query re-runs on the
+// replica and answers; the failed primary must not keep the session it
+// opened until sessionTTL.
+func TestFailedStageReleasesSession(t *testing.T) {
+	eng, tr, ft, local, sites := replicatedCluster(t, 2, 2)
+	primary := eng.topo.Primaries()[0]
+	query := `//broker[//stock/code = "GOOG"]/name`
+	want := oracle(t, tr, query)
+	calls := 0
+	local.FaultHook = func(to dist.SiteID, req any) error {
+		if to == primary {
+			calls++
+			if calls == 2 {
+				siteByID(sites, primary).Restart()
+			}
+		}
+		return nil
+	}
+	res, err := eng.Run(query, Options{Algorithm: PaX3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := origIDs(ft, res.Answers); !testutil.EqualIDs(got, want) {
+		t.Errorf("answers = %v, want %v", got, want)
+	}
+	if res.Retries < 1 {
+		t.Errorf("Result.Retries = %d, want >= 1: the restart did not fail a stage", res.Retries)
+	}
+	for _, s := range sites {
+		s.mu.Lock()
+		n := len(s.sessions)
+		s.mu.Unlock()
+		if n != 0 {
+			t.Errorf("site %d holds %d sessions after the query answered, want 0", s.ID(), n)
+		}
+	}
+}
+
 // TestSessionLimitRotatesToReplica: a primary at its session cap rejects
 // the new query with ErrSessionLimit; the failover layer must treat that
 // as retriable and serve the query from the replica.

@@ -71,8 +71,6 @@ func (e *Engine) runNaive(ctx context.Context, r *run, c *xpath.Compiled, opts O
 			answers[i].XML = xmltree.SerializeString(nd)
 		}
 	}
-	if res.Answers, err = mergeAnswers(n, answers); err != nil {
-		return nil, err
-	}
+	res.runs = [][]AnswerNode{answers}
 	return res, nil
 }

@@ -19,10 +19,12 @@ type candidate struct {
 }
 
 // selOutcome is the result of one fragment's top-down selection traversal.
-// Under ShipXML, below lists the sub-fragments whose virtual nodes lie in
-// the subtree of an answer or a candidate, in pre-order: the stubs in the
-// answers' XML that the coordinator fills with the sub-fragments' bodies.
-// visited counts the vectors the traversal computed; only tests read it.
+// answers is the slice the sweep appended the fragment's answers to, after
+// the ones already there. Under ShipXML, below lists the sub-fragments
+// whose virtual nodes lie in the subtree of an answer or a candidate, in
+// pre-order: the stubs in the answers' XML that the coordinator fills with
+// the sub-fragments' bodies. visited counts the vectors the traversal
+// computed; only tests read it.
 type selOutcome struct {
 	contexts   []fragContext
 	answers    []AnswerNode
@@ -73,16 +75,9 @@ func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode 
 // top), built with b. Entry e's qualifier at node id is fq.QualAt(id, e),
 // resolved under env in PaX3's Stage 2 and left symbolic in PaX2 (env
 // nil); fq may be nil for a query without qualifiers. A virtual node
-// contributes its parent's vector as its sub-fragment's context.
-//
-// Vectors are computed only on the paths to what ships: the sweep visits,
-// in pre-order, the walk set selWalk picks. It keeps a depth-indexed row
-// stack and the stack of the open ancestors' SubtreeEnds: a node at depth
-// d writes its vector into row d, which its descendants read until the
-// sweep passes the node's SubtreeEnd. The walk set holds every ancestor of
-// its members, so each vector is the one a full walk builds, by the same
-// Builder calls, and it holds every node a full walk would ship. A context
-// outlives its row, so it is the one vector that is copied.
+// contributes its parent's vector as its sub-fragment's context. It is
+// startSelection's walk set followed by its sweep, which makes the
+// fragment's answers a list of their own.
 func evalSelection(
 	b *boolexpr.Builder,
 	f *fragment.Fragment,
@@ -92,21 +87,90 @@ func evalSelection(
 	fq *parbox.FragQual,
 	env *boolexpr.Env,
 ) *selOutcome {
+	v := startSelection(b, f, c, init, fq)
+	return v.sweep(c, shipXML, env, nil)
+}
+
+// selVisit is one fragment's selection traversal between its walk set and
+// its sweep. A site computes the walk sets of all the fragments of a
+// request first, so it can size the response's answers from their reach
+// before any sweep writes one.
+type selVisit struct {
+	out   selOutcome // what the sweep found
+	b     *boolexpr.Builder
+	f     *fragment.Fragment
+	init  []*boolexpr.Formula
+	fq    *parbox.FragQual
+	slab  *[]uint64 // selWalk's masks, taken from the pool until the sweep
+	walk  arena.Bitset
+	reach int
+}
+
+// startSelection computes f's walk set (selWalk) for the traversal with
+// init, fq and b.
+func startSelection(b *boolexpr.Builder, f *fragment.Fragment, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual) selVisit {
+	bp := arena.TakeSlab(4 * len(f.VirtualMask))
+	walk, reach := selWalk(&f.ArenaView, c, init, fq, *bp)
+	return selVisit{b: b, f: f, init: init, fq: fq, slab: bp, walk: walk, reach: reach}
+}
+
+// definite returns how many answers the sweep will write, exactly for a
+// query without qualifiers, and 0 for one with them. Without qualifiers
+// a vector holds only constants and ORs of init's entries: from a ground
+// init every reach node is an answer, and from z variables none is (a
+// disjunction of variables is never True), so all are candidates.
+func (v *selVisit) definite(c *xpath.Compiled) int {
+	if c.HasQualifiers() {
+		return 0
+	}
+	for _, e := range v.init {
+		if _, ok := e.IsConst(); !ok {
+			return 0
+		}
+	}
+	return v.reach
+}
+
+// release returns the walk set's masks to the pool, once.
+func (v *selVisit) release() {
+	if v.slab != nil {
+		arena.PutSlab(v.slab)
+		v.slab = nil
+	}
+}
+
+// sweep runs the traversal over the walk set into v.out, which it
+// returns, and appends the fragment's answers to answers, which the
+// outcome's answers then hold, the earlier ones first: a site passes
+// every fragment of a request the one response slice, so each answer is
+// written once, into it.
+//
+// Vectors are computed only on the paths to what ships: the sweep visits,
+// in pre-order, the walk set selWalk picked. It keeps a depth-indexed row
+// stack and the stack of the open ancestors' SubtreeEnds: a node at depth
+// d writes its vector into row d, which its descendants read until the
+// sweep passes the node's SubtreeEnd. The walk set holds every ancestor of
+// its members, so each vector is the one a full walk builds, by the same
+// Builder calls, and it holds every node a full walk would ship. A context
+// outlives its row, so it is the one vector that is copied.
+func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, answers []AnswerNode) *selOutcome {
+	defer v.release()
+	b, f, fq, init, walk, reach := v.b, v.f, v.fq, v.init, v.walk, v.reach
 	av := &f.ArenaView
 	at := av.Tree
 	w := len(c.Sel)
 	last := c.AnswerEntry()
-
-	bp := arena.TakeSlab(4 * len(av.VirtualMask)) // selWalk's masks
-	walk, reach := selWalk(av, c, init, fq, *bp)
 	// Every answer and candidate is among the reach nodes. Without
 	// qualifiers the answer entry's mask is exact, so the first answer
 	// sizes the answers, and the first candidate the candidates, for all
 	// the reach nodes the other list does not already hold: one
-	// allocation each, exact when one of the lists holds them all.
+	// allocation each, exact when one of the lists holds them all, and
+	// none for answers already sized by the caller.
 	sized := !c.HasQualifiers()
+	start := len(answers)
 
-	out := &selOutcome{}
+	out := &v.out
+	out.answers = answers
 	// The vector at depth d is rows[d*w : (d+1)*w]. Both stacks start in
 	// arrays on the goroutine's stack, which hold a 16-entry query 6 levels
 	// deep; a deeper sweep grows them onto the heap.
@@ -145,21 +209,20 @@ func evalSelection(
 		end := int(at.SubtreeEnd[i])
 		switch {
 		case sv[last].IsTrue():
-			if sized && out.answers == nil {
-				out.answers = make([]AnswerNode, 0, reach-len(out.candidates))
+			if sized && len(out.answers) == start {
+				out.answers = slices.Grow(out.answers, reach-len(out.candidates))
 			}
 			out.answers = append(out.answers, answerOf(f, node, shipXML))
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		case !sv[last].IsFalse():
 			if sized && out.candidates == nil {
-				out.candidates = make([]candidate, 0, reach-len(out.answers))
+				out.candidates = make([]candidate, 0, reach-(len(out.answers)-start))
 			}
 			out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		}
 		ends = append(ends, int32(end))
 	}
-	arena.PutSlab(bp)
 	return out
 }
 

@@ -290,6 +290,20 @@ func (s *Site) dropSessionIfDone(qid QueryID, sess *session) {
 	}
 }
 
+// dropSessionOnError drops the session of query qid when the stage
+// request that resumed, opened or restarted it failed: the coordinator
+// runs a failed query again from its opening stage, which opens a session
+// anew, so nothing reads this one again, and kept it would count against
+// maxSessions until sessionTTL.
+func (s *Site) dropSessionOnError(qid QueryID, err *error) {
+	if *err == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.sessions, qid)
+}
+
 // qualPassResult is one full Stage-1 sweep over the site's fragments: the
 // wire-ready root vectors and the per-fragment qualifier state. roots and
 // quals are immutable once built and may be shared by every session of one
@@ -409,18 +423,29 @@ func initFor(b *boolexpr.Builder, sess *session, fid fragment.FragID, inits []Wi
 }
 
 // selectFrags is the one selection path of both algorithms — PaX3 Stage 2
-// and PaX2 Stage 1. It runs the selection traversal over frags and, once
-// every fragment succeeded, folds the outcomes into response sections in
-// frags order, keeping each fragment's candidates in the session for the final
-// stage. With env, the traversal reads the Stage-1 state the session kept
-// from PaX3 Stage 1, grounded under env, and releases it. With env nil it
-// is PaX2's combined visit: each fragment's Stage-1 mask pass runs here,
-// its qualifier values stay symbolic in the sub-fragment variables, and its
-// root vectors ship beside its contexts. The sections come back in a
-// CombinedStageResp, whose Roots only PaX2 ships. Under stitch it lists
-// the sub-fragments below answers and candidates in Below.
+// and PaX2 Stage 1. It runs the selection traversal over frags in two
+// passes: the first computes every fragment's walk set, the second sweeps
+// them in frags order, writing every answer straight into the response's
+// one answers slice, sized beforehand from the walk sets' reach (exactly,
+// for a query without qualifiers). Once every fragment succeeded it folds
+// the other outcomes into response sections in frags order, keeping each
+// fragment's candidates in the session for the final stage. With env, the
+// traversal reads the Stage-1 state the session kept from PaX3 Stage 1,
+// grounded under env, and releases it. With env nil it is PaX2's combined
+// visit: each fragment's Stage-1 mask pass runs here, its qualifier values
+// stay symbolic in the sub-fragment variables, and its root vectors ship
+// beside its contexts. The sections come back in a CombinedStageResp,
+// whose Roots only PaX2 ships. Under stitch it lists the sub-fragments
+// below answers and candidates in Below.
 func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, inits []WireInit, shipXML, stitch bool, env *boolexpr.Env) (*CombinedStageResp, error) {
-	outs := make([]combinedOutcome, len(frags))
+	resp := &CombinedStageResp{}
+	visits := make([]selVisit, len(frags))
+	defer func() {
+		for i := range visits {
+			visits[i].release()
+		}
+	}()
+	n := 0
 	err := evalFrags(frags, func(i int, fid fragment.FragID) error {
 		f, ok := sess.frags.byID[fid]
 		if !ok {
@@ -432,41 +457,39 @@ func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, 
 		if err != nil {
 			return err
 		}
-		if env == nil {
-			outs[i] = *evalCombined(b, f, sess.c, sess.vs, init, shipXML)
-			return nil
-		}
 		fq := sess.qual[fid]
-		if fq == nil && sess.c.HasQualifiers() {
+		if env == nil {
+			fq = parbox.Qualify(f, sess.c, sess.vs, b)
+			resp.Roots = append(resp.Roots, WireRootVecs{Frag: fid, QV: shipVec(fq.Root.QV), QDV: shipVec(fq.Root.QDV)})
+		} else if fq == nil && sess.c.HasQualifiers() {
 			// The selection stage consumes Stage-1 state; a qualified query
 			// whose qualifier stage never ran here (or already ran its
 			// selection stage) is a protocol violation by the coordinator —
 			// an error for this request, never a site crash.
 			return fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, qid)
 		}
-		outs[i] = combinedOutcome{selOutcome: evalSelection(b, f, sess.c, init, shipXML, fq, env)}
+		visits[i] = startSelection(b, f, sess.c, init, fq)
+		n += visits[i].definite(sess.c)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	resp := &CombinedStageResp{}
-	n := 0
-	for i := range outs {
-		n += len(outs[i].answers)
-	}
 	if n > 0 {
 		resp.Answers = make([]AnswerNode, 0, n)
 	}
+	err = evalFrags(frags, func(i int, _ fragment.FragID) error {
+		resp.Answers = visits[i].sweep(sess.c, shipXML, env, resp.Answers).answers
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	for i, fid := range frags {
-		outc := outs[i]
-		if env == nil {
-			resp.Roots = append(resp.Roots, WireRootVecs{Frag: fid, QV: shipVec(outc.roots.QV), QDV: shipVec(outc.roots.QDV)})
-		}
+		outc := &visits[i].out
 		for _, ctx := range outc.contexts {
 			resp.Contexts = append(resp.Contexts, WireContext{Frag: ctx.frag, SV: shipVec(ctx.sv)})
 		}
-		resp.Answers = append(resp.Answers, outc.answers...)
 		if stitch {
 			resp.Below = append(resp.Below, outc.below...)
 		}
@@ -482,11 +505,12 @@ func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, 
 // handleSel runs PaX3 Stage 2 over the requested fragments. The session
 // outlives the stage if a candidate needs Stage 3 or, under Stitch, the
 // final stage may ask for bodies from its snapshot.
-func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
+func (s *Site) handleSel(req *SelStageReq) (_ *SelStageResp, err error) {
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
 	}
+	defer s.dropSessionOnError(req.QID, &err)
 	sess.shipXML = req.ShipXML
 	env, err := virtualEnv(sess.vs, req.VirtualQuals)
 	if err != nil {
@@ -505,11 +529,12 @@ func (s *Site) handleSel(req *SelStageReq) (*SelStageResp, error) {
 // handleCombined runs PaX2 Stage 1 over the requested fragments: per
 // fragment, the Stage-1 mask pass and the selection traversal in one
 // visit. The session outlives it as handleSel's does.
-func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error) {
+func (s *Site) handleCombined(req *CombinedStageReq) (_ *CombinedStageResp, err error) {
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
 	}
+	defer s.dropSessionOnError(req.QID, &err)
 	sess.shipXML = req.ShipXML
 	resp, err := s.selectFrags(req.QID, sess, req.Frags, req.Inits, req.ShipXML, req.Stitch, nil)
 	if err != nil {
@@ -526,11 +551,12 @@ func (s *Site) handleCombined(req *CombinedStageReq) (*CombinedStageResp, error)
 // requested fragment bodies in their cached file form, read from the
 // query's snapshot. It is the query's last visit, so it releases the
 // session.
-func (s *Site) handleCollect(req *AnsStageReq) (*AnsStageResp, error) {
+func (s *Site) handleCollect(req *AnsStageReq) (_ *AnsStageResp, err error) {
 	sess, err := s.getSession(req.QID, req.Query, req.NumFrags)
 	if err != nil {
 		return nil, err
 	}
+	defer s.dropSessionOnError(req.QID, &err)
 	env, err := virtualEnv(sess.vs, req.Quals)
 	if err != nil {
 		return nil, err

@@ -63,8 +63,8 @@ func closeBelow(ft *fragment.Fragmentation, below []fragment.FragID) ([]fragment
 // visited more than the algorithm's bound: the stage is the last one for
 // every site it reaches. runs holds the answers of the earlier stages, one
 // run per response, and the stage adds one per response of its own; the
-// answers then have their stubs filled, and mergeAnswers places them all
-// in res.Answers. Bodies no answer used — those below candidates that
+// answers then have their stubs filled in place, and res.runs keeps them
+// all for RunAs to place. Bodies no answer used — those below candidates that
 // resolved false — are counted in Result.SpeculativeBytes. It returns
 // res, completed.
 func (e *Engine) finalStage(ctx context.Context, r *run, res *Result, query string, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool, runs [][]AnswerNode) (*Result, error) {
@@ -115,9 +115,7 @@ func (e *Engine) finalStage(ctx context.Context, r *run, res *Result, query stri
 			}
 		}
 	}
-	if res.Answers, err = mergeAnswers(e.topo.FT.Len(), runs...); err != nil {
-		return nil, err
-	}
+	res.runs = runs
 	return res, nil
 }
 

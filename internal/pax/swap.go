@@ -104,5 +104,5 @@ func EvalFromDisk(dir, query string) ([]AnswerNode, error) {
 			answers = append(answers, answerOf(f, cd.node, false))
 		}
 	}
-	return mergeAnswers(m.Len(), answers)
+	return placeAnswers(m.Len(), [][]AnswerNode{answers}, answerNode, byNode)
 }

@@ -1,11 +1,15 @@
 // Package testutil provides deterministic random generators of trees,
 // queries and fragmentations shared by the test suites of the evaluation
-// engines, plus the running-example tree of the paper (Fig. 1).
+// engines, the running-example tree of the paper (Fig. 1), a
+// bibliography-shaped tree, and a heap-byte ruler.
 package testutil
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 
 	"paxq/internal/xmltree"
 	"paxq/internal/xpath"
@@ -191,3 +195,50 @@ func EqualIDs(a, b []xmltree.NodeID) bool {
 
 // MustCompile compiles src, panicking on error (test helper).
 func MustCompile(src string) *xpath.Compiled { return xpath.MustCompile(src) }
+
+// BibTree builds a bibliography-shaped document: a <dblp> root over
+// sections <bib> sections, each holding perSection <article> entries
+// followed by as many <inproceedings>, every entry with a key attribute,
+// an author, a title and a year.
+func BibTree(sections, perSection int) *xmltree.Tree {
+	root := xmltree.El("dblp")
+	for s := 0; s < sections; s++ {
+		bib := xmltree.El("bib")
+		for _, kind := range []string{"article", "inproceedings"} {
+			for i := 0; i < perSection; i++ {
+				e := xmltree.El(kind,
+					xmltree.ElT("author", fmt.Sprintf("Author %d", i%17)),
+					xmltree.ElT("title", fmt.Sprintf("Distributed Query Evaluation %d.%d", s, i)),
+					xmltree.ElT("year", fmt.Sprint(1990+i%30)))
+				e.SetAttr("key", fmt.Sprintf("%s/%d/%d", kind, s, i))
+				bib.Append(e)
+			}
+		}
+		root.Append(bib)
+	}
+	return xmltree.NewTree(root)
+}
+
+// BytesPerRun returns the heap bytes one call of f allocates: the least
+// of five rounds' averages over runs calls each, after runs calls to warm
+// caches and pools. The collector is off while it measures, so no
+// collection empties the sync.Pools f draws from, and the least round
+// leaves out the odd pool miss of a call that found another goroutine
+// holding a buffer.
+func BytesPerRun(runs int, f func()) float64 {
+	for range runs {
+		f()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := math.Inf(1)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return least
+}

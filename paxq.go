@@ -48,6 +48,7 @@
 package paxq
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -116,7 +117,9 @@ func GenerateXMark(sites int, mb float64, seed int64) *Document {
 
 // Answer is one element of a query answer. A query's answers come
 // ordered by Fragment, then by Node, which within a fragment is document
-// order.
+// order. The coordinator places each answer straight from its site
+// response into the Answer slice a query returns, with no intermediate
+// copy.
 type Answer struct {
 	// Fragment and Node identify the element within the fragmented tree.
 	Fragment int
@@ -398,19 +401,9 @@ func (c *Cluster) QueryContext(ctx context.Context, query string, opts QueryOpti
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := c.engine.RunContext(ctx, query, po)
+	res, answers, err := pax.RunAs(ctx, c.engine, query, po, newAnswer, byNode)
 	if err != nil {
 		return nil, nil, err
-	}
-	answers := make([]Answer, len(res.Answers))
-	for i, a := range res.Answers {
-		answers[i] = Answer{
-			Fragment: int(a.Frag),
-			Node:     int(a.Node),
-			Label:    a.Label,
-			Value:    a.Value,
-			XML:      a.XML,
-		}
 	}
 	stats := &Stats{
 		Algorithm:       po.Algorithm.String(),
@@ -428,6 +421,14 @@ func (c *Cluster) QueryContext(ctx context.Context, query string, opts QueryOpti
 	}
 	return answers, stats, nil
 }
+
+// newAnswer builds the Answer of a site's answer record.
+func newAnswer(a *pax.AnswerNode) Answer {
+	return Answer{Fragment: int(a.Frag), Node: int(a.Node), Label: a.Label, Value: a.Value, XML: a.XML}
+}
+
+// byNode orders two answers of one fragment.
+func byNode(a, b Answer) int { return cmp.Compare(a.Node, b.Node) }
 
 // Evaluate runs the query with the best default configuration: PaX2 with
 // XPath annotations.
