@@ -98,7 +98,10 @@ codec-smoke:
 # answer list is made once at its final size), a ShipXML answer is stored
 # once per side — an extra answer costs at most two answer records through
 # Engine.Run, and a site record plus one paxq.Answer through
-# Cluster.Query, beside PaX3's candidate — and a site's
+# Cluster.Query, beside PaX3's candidate, and a qualified query's answer,
+# sized from the same walk, no more than PaX3's — a warm Stage 1, read
+# from the site's memo, allocates the same on a fragment 30 times larger
+# and runs no qualifier pass, so it takes no mask, and a site's
 # fragment edit allocates at most 200 times, within 10 of the same edit
 # on a fragment 30 times smaller, and at most 32 bytes per node of the
 # fragment (it copies pointer-free index columns and masks only), and a
@@ -112,7 +115,7 @@ alloc-smoke:
 	$(GO) test -run='TestFrameWritePathAllocs|TestFrameReadPathAllocs|TestLocalCallAllocsBounded' ./internal/dist
 	$(GO) test -run='TestNaryFoldAllocs' ./internal/boolexpr
 	$(GO) test -run='TestQualPassAllocsPerSpine|TestMaskPassAllocs|TestPooledMasksDoNotLeak' ./internal/parbox
-	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs|TestPooledSelectionMasksDoNotLeak|TestShipAnswersAllocsIndependentOfCount|TestShipAnswerBytesPerAnswer' ./internal/pax
+	$(GO) test -run='TestTraversalAllocsPerFragment|TestDecodeAnswersAllocs|TestAnswerXMLAllocs|TestPooledSelectionMasksDoNotLeak|TestShipAnswersAllocsIndependentOfCount|TestShipAnswerBytesPerAnswer|TestStage1HitAllocs' ./internal/pax
 	$(GO) test -run='TestShipAnswerBytesPerAnswer' .
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestApplyEditBytesPerNode|TestFileFormAllocs|TestCutBytesPerNode' ./internal/fragment
@@ -135,11 +138,14 @@ batch-smoke:
 # dials); the query retry loop owns every wait, and replication or a retry
 # policy is what survives a restart (TestRefusedSiteContract counts the
 # calls on both transports). A group whose members hold a fragment at
-# two versions still answers at one of them (TestFailoverVersionSkew). A
+# two versions still answers at one of them (TestFailoverVersionSkew), and
+# with a hot query memoized on both members each member answers from its
+# own version: the edited member's Stage-1 memo entry stops matching, the
+# lagging member's still matches (TestStage1MemoLaggingReplica). A
 # stage request that fails at a site leaves no session behind there
 # (TestFailedStageReleasesSession).
 fault-smoke:
-	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew|TestFailedStageReleasesSession' ./internal/harness ./internal/dist ./internal/pax
+	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew|TestStage1MemoLaggingReplica|TestFailedStageReleasesSession' ./internal/harness ./internal/dist ./internal/pax
 
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked

@@ -215,7 +215,9 @@ func TestBatchOfOneMatchesDirect(t *testing.T) {
 // one-per-query, and every member must still get the right answer and its
 // visit guarantee. The second input spells one query two ways: members
 // group by the compiled fingerprint, not the text, so a two-member envelope
-// of both spellings costs one sweep.
+// of both spellings costs one sweep. The envelope goes to a restarted
+// site, whose Stage-1 memo holds nothing for those texts: the one sweep is
+// the group's own, not a memo hit.
 func TestBatchSharedEvaluation(t *testing.T) {
 	inputs := []struct {
 		name    string
@@ -275,6 +277,7 @@ func TestBatchSharedEvaluation(t *testing.T) {
 			// One envelope carrying every spelling, straight to one site:
 			// exactly one sweep, and every member ships the same roots.
 			site := bsites[0]
+			site.Restart()
 			var subs []BatchSub
 			for i, q := range in.queries {
 				b, err := (&QualStageReq{QID: QueryID(1000 + i), Query: q, NumFrags: int32(ft.Len()), Final: true}).AppendBinary(nil)

@@ -78,10 +78,14 @@
 // fragment set holding it. A session keeps the set current at its
 // creation, so every stage of a query reads one version of each fragment.
 //
-// A site keeps no evaluation result across queries: like the paper's
-// sites, it runs Stage 1 once per query. Within one batch envelope,
-// qualifier-stage members that compile to the same normal form over the
-// same fragment snapshot share one sweep (batch.go).
+// Stage 1 runs once per fragment version: beside a repeated query's
+// compiled form, in its compile-cache entry, a site keeps the query's
+// Stage-1 result per hosted fragment, valid only for the fragment object
+// it was computed from, so an edit's new version misses and replaces it
+// (site.go, compiledQuery). A text stores results only from its second
+// session at the site on. Within one batch envelope, qualifier-stage
+// members that compile to the same normal form over the same fragment
+// snapshot share one pass (batch.go).
 //
 // # Wire messages
 //

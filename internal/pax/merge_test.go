@@ -12,6 +12,7 @@ import (
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
 	"paxq/internal/xmltree"
+	"paxq/internal/xpath"
 )
 
 // ans is an answer carrying only its identity, for the merge tests.
@@ -166,13 +167,16 @@ func bibCluster(tb testing.TB, sections, perSection, sites int) *Engine {
 
 // shipQueries are bib_ship's two shapes of ShipXML query: PaX2 with the
 // annotations, whose answers are definite where they are selected, and
-// PaX3 without, whose answers are candidates its final stage resolves.
+// PaX3 without, whose answers are candidates its final stage resolves;
+// and each again with a qualifier every article passes.
 var shipQueries = []struct {
 	name, query string
 	opts        Options
 }{
 	{"pax2+xa", "/dblp/bib/article", Options{Algorithm: PaX2, Annotations: true, ShipXML: true}},
 	{"pax3", "//article", Options{Algorithm: PaX3, ShipXML: true}},
+	{"pax2+xa qualified", "/dblp/bib/article[year > 1989]", Options{Algorithm: PaX2, Annotations: true, ShipXML: true}},
+	{"pax3 qualified", "//article[year > 1989]", Options{Algorithm: PaX3, ShipXML: true}},
 }
 
 // TestShipAnswersAllocsIndependentOfCount: a ShipXML query's allocations,
@@ -264,7 +268,10 @@ func raceEnabled() bool {
 // coordinator's together, between 4 sections of 25 articles and 4 of 250,
 // over Local, where no response is encoded. PaX3's answers are
 // candidates first, so its sites also keep a candidate per answer between
-// its selection and final stages.
+// its selection and final stages. A qualified query's answers are sized
+// from the walk sets' reach, like an unqualified one's, and are held to
+// the PaX3 limit: its site lists may make room for a candidate as well as
+// an answer.
 func TestShipAnswerBytesPerAnswer(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -272,7 +279,7 @@ func TestShipAnswerBytesPerAnswer(t *testing.T) {
 	record := float64(unsafe.Sizeof(AnswerNode{}))
 	for _, q := range shipQueries {
 		limit := 2*record + 8
-		if q.opts.Algorithm == PaX3 {
+		if q.opts.Algorithm == PaX3 || xpath.MustCompile(q.query).HasQualifiers() {
 			limit += float64(unsafe.Sizeof(candidate{}))
 		}
 		var bytes [2]float64

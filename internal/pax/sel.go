@@ -114,19 +114,25 @@ func startSelection(b *boolexpr.Builder, f *fragment.Fragment, c *xpath.Compiled
 	return selVisit{b: b, f: f, init: init, fq: fq, slab: bp, walk: walk, reach: reach}
 }
 
-// definite returns how many answers the sweep will write, exactly for a
-// query without qualifiers, and 0 for one with them. Without qualifiers
-// a vector holds only constants and ORs of init's entries: from a ground
-// init every reach node is an answer, and from z variables none is (a
-// disjunction of variables is never True), so all are candidates.
-func (v *selVisit) definite(c *xpath.Compiled) int {
-	if c.HasQualifiers() {
+// symbolic reports whether init holds a z variable. initFor's vectors are
+// ground throughout or symbolic throughout.
+func (v *selVisit) symbolic() bool {
+	return slices.ContainsFunc(v.init, func(e *boolexpr.Formula) bool {
+		_, ok := e.IsConst()
+		return !ok
+	})
+}
+
+// maxAnswers bounds how many answers the sweep writes, with or without
+// qualifiers. Every answer and candidate is a reach node, so from a
+// ground init there are at most reach answers. From a symbolic init there
+// are none: every vector entry is False when every z variable is —
+// entries start as z variables or False, a step conjoins its parent's
+// entry and a "//" entry disjoins two such entries — whatever the
+// qualifiers, so no entry is the constant True.
+func (v *selVisit) maxAnswers() int {
+	if v.symbolic() {
 		return 0
-	}
-	for _, e := range v.init {
-		if _, ok := e.IsConst(); !ok {
-			return 0
-		}
 	}
 	return v.reach
 }
@@ -160,13 +166,13 @@ func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, ans
 	at := av.Tree
 	w := len(c.Sel)
 	last := c.AnswerEntry()
-	// Every answer and candidate is among the reach nodes. Without
-	// qualifiers the answer entry's mask is exact, so the first answer
-	// sizes the answers, and the first candidate the candidates, for all
-	// the reach nodes the other list does not already hold: one
-	// allocation each, exact when one of the lists holds them all, and
-	// none for answers already sized by the caller.
-	sized := !c.HasQualifiers()
+	// Every answer and candidate is among the reach nodes (maxAnswers).
+	// From a ground init the first answer sizes the answers at reach,
+	// which allocates nothing when the caller sized them already; from a
+	// symbolic init there is no answer, and the first candidate sizes the
+	// candidates at reach. A ground init's candidates, which only a
+	// symbolic qualifier on the spine makes, grow by appending.
+	symbolic := v.symbolic()
 	start := len(answers)
 
 	out := &v.out
@@ -209,14 +215,14 @@ func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, ans
 		end := int(at.SubtreeEnd[i])
 		switch {
 		case sv[last].IsTrue():
-			if sized && len(out.answers) == start {
-				out.answers = slices.Grow(out.answers, reach-len(out.candidates))
+			if len(out.answers) == start {
+				out.answers = slices.Grow(out.answers, reach)
 			}
 			out.answers = append(out.answers, answerOf(f, node, shipXML))
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		case !sv[last].IsFalse():
-			if sized && out.candidates == nil {
-				out.candidates = make([]candidate, 0, reach-(len(out.answers)-start))
+			if symbolic && out.candidates == nil {
+				out.candidates = make([]candidate, 0, reach)
 			}
 			out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)

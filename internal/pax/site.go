@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"paxq/internal/boolexpr"
 	"paxq/internal/dist"
@@ -30,12 +31,19 @@ import (
 // down.
 type Site struct {
 	id       dist.SiteID
-	compiled *lru[string, compiledQuery]
-	// compiles counts compile-cache fills; qualPasses counts full Stage-1
-	// fragment sweeps. Test hooks for the single-compile and shared-batch
+	compiled *lru[string, *compiledQuery]
+	// compiles counts compile-cache fills; qualPasses counts Stage-1 passes
+	// over the site's fragments that ran the qualifier sweep on at least one
+	// fragment. Test hooks for the single-compile and shared-batch
 	// evaluation guarantees.
 	compiles   atomic.Int64
 	qualPasses atomic.Int64
+	// memoHits and memoMisses count the Stage-1 memo's lookups, one per
+	// fragment a Stage-1 pass or a PaX2 combined visit evaluates;
+	// memoReplaced counts the entries a miss overwrote because they held
+	// another version of their fragment. Lifetime counters: Restart keeps
+	// them.
+	memoHits, memoMisses, memoReplaced atomic.Int64
 
 	mu       sync.Mutex
 	sessions map[QueryID]*session
@@ -63,19 +71,48 @@ func (fs *fragSet) with(nf *fragment.Fragment) *fragSet {
 
 // compiledQuery is what a site's compile cache holds: the immutable
 // compilation plus its normal-form fingerprint, rendered once per query
-// text. batchQuals groups batch members by the fingerprint, so textual
-// variants of one query share one Stage-1 sweep.
+// text, and the text's Stage-1 memo. batchQuals groups batch members by
+// the fingerprint, so textual variants of one query share one Stage-1
+// sweep.
+//
+// The memo holds, per hosted fragment, the Stage-1 result of the query: a
+// pure function of the compilation, the fragment count (which names the
+// variables) and the fragment version. An entry is valid only for the
+// exact *fragment.Fragment it was computed from; an edit swaps in a new
+// fragment object, so the edited fragment's entry stops matching and the
+// next miss overwrites it. The entry holds that object weakly, so it
+// never keeps an edited-away version alive. Admission is on second use: a
+// text stores entries only once it has opened a second session at the
+// site, so a text seen once keeps nothing. The memo lives and dies with
+// its cache entry, which bounds it by the compile cache's 256 texts per
+// site.
 type compiledQuery struct {
 	c  *xpath.Compiled
 	fp string
+	// opens counts the sessions this entry has opened.
+	opens atomic.Int32
+	mu    sync.Mutex
+	memo  map[fragment.FragID]stage1Result // guarded by mu
+}
+
+// stage1Result is one fragment's Stage-1 result, immutable once built and
+// shared by every session that reads it: the qualifier state the selection
+// stage reads and the root vectors in wire form (with the root fragment's
+// RootSelQual, which only PaX3 ships). f and numFrags are what it was
+// computed for.
+type stage1Result struct {
+	f        weak.Pointer[fragment.Fragment]
+	numFrags int
+	fq       *parbox.FragQual
+	rv       WireRootVecs
 }
 
 // session is the per-query state a site retains between visits.
 type session struct {
-	c *xpath.Compiled
-	// fp is the compiled query's normal-form fingerprint, carried from
-	// the compile cache: batched Stage-1 members group by it.
-	fp string
+	// compiledQuery is the query's compile-cache entry: the compilation,
+	// the fingerprint batched Stage-1 members group by, and the Stage-1
+	// memo.
+	*compiledQuery
 	vs parbox.VarScheme
 	// frags is the site's fragment set at session creation. Every stage of
 	// the query evaluates it, so a fragment edit landing between stages can
@@ -121,7 +158,7 @@ func NewSite(id dist.SiteID, frags []*fragment.Fragment) *Site {
 	fs.ids = slices.Sorted(maps.Keys(fs.byID))
 	return &Site{
 		id:       id,
-		compiled: newLRU[string, compiledQuery](defaultSiteCompileCache),
+		compiled: newLRU[string, *compiledQuery](defaultSiteCompileCache),
 		sessions: make(map[QueryID]*session),
 		frags:    fs,
 	}
@@ -135,18 +172,32 @@ func (s *Site) snapshot() *fragSet {
 }
 
 // shipVec encodes a formula vector for the wire as it was built. Every
-// formula a site ships comes from the one boolexpr.Builder of its (query,
-// fragment) visit, which hash-conses as it builds, so the vectors are
-// canonical by construction: the constructors' dedup, complement and
-// absorption rules have already fired across every subtree the visit
-// built twice, and no pass rebuilds them before shipping. A Builder per
-// visit also keeps the output deterministic.
+// formula a site ships comes from the one boolexpr.Builder of the pass
+// that built it — a fragment's Stage-1 sweep or its selection visit —
+// which hash-conses as it builds, so the vectors are canonical by
+// construction: the constructors' dedup, complement and absorption rules
+// have already fired across every subtree the pass built twice, and no
+// pass rebuilds them before shipping. A Builder per pass also keeps the
+// output deterministic. A Stage-1 result always has a Builder of its own,
+// so a memoized one ships the bytes a fresh pass does.
 func shipVec(fs []*boolexpr.Formula) WireVec {
 	return boolexpr.EncodeVec(fs)
 }
 
 // ID returns the site's identifier.
 func (s *Site) ID() dist.SiteID { return s.id }
+
+// MemoStats are a site's lifetime Stage-1 memo counters: lookups that
+// found a result for the fragment version asked about, lookups that did
+// not, and entries a miss overwrote because they held another version.
+type MemoStats struct {
+	Hits, Misses, Replaced int64
+}
+
+// MemoStats returns the site's Stage-1 memo counters.
+func (s *Site) MemoStats() MemoStats {
+	return MemoStats{Hits: s.memoHits.Load(), Misses: s.memoMisses.Load(), Replaced: s.memoReplaced.Load()}
+}
 
 // FragIDs returns the IDs of the hosted fragments, ascending.
 func (s *Site) FragIDs() []fragment.FragID {
@@ -230,17 +281,17 @@ func (s *Site) getSession(qid QueryID, query string, numFrags int32) (*session, 
 	if err != nil {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
+	cq.opens.Add(1)
 	// The query evaluates exactly the fragment set current now (read under
 	// s.mu, the lock every edit swaps it under) in every stage, whatever
 	// edits land meanwhile.
 	sess := &session{
-		c:        cq.c,
-		fp:       cq.fp,
-		vs:       parbox.NewVarScheme(cq.c, int(numFrags)),
-		frags:    s.frags,
-		lastUsed: now,
-		qual:     make(map[fragment.FragID]*parbox.FragQual),
-		cands:    make(map[fragment.FragID][]candidate),
+		compiledQuery: cq,
+		vs:            parbox.NewVarScheme(cq.c, int(numFrags)),
+		frags:         s.frags,
+		lastUsed:      now,
+		qual:          make(map[fragment.FragID]*parbox.FragQual),
+		cands:         make(map[fragment.FragID][]candidate),
 	}
 	s.sessions[qid] = sess
 	return sess, nil
@@ -267,18 +318,18 @@ func evalFrags(frags []fragment.FragID, fn func(i int, fid fragment.FragID) erro
 	return nil
 }
 
-// compile returns the site's cached compilation of query — the immutable
-// Compiled plus its normal-form fingerprint, both shared by every session
-// evaluating the same query text. Concurrent first-time misses of one
-// query compile once and share the result (lru.do).
-func (s *Site) compile(query string) (compiledQuery, error) {
-	return s.compiled.do(query, func() (compiledQuery, error) {
+// compile returns the site's cache entry for query — the immutable
+// Compiled, its normal-form fingerprint and its Stage-1 memo, shared by
+// every session evaluating the same query text. Concurrent first-time
+// misses of one query compile once and share the result (lru.do).
+func (s *Site) compile(query string) (*compiledQuery, error) {
+	return s.compiled.do(query, func() (*compiledQuery, error) {
 		s.compiles.Add(1)
 		c, err := xpath.Compile(query)
 		if err != nil {
-			return compiledQuery{}, err
+			return nil, err
 		}
-		return compiledQuery{c: c, fp: xpath.NormalForm(c.Query)}, nil
+		return &compiledQuery{c: c, fp: xpath.NormalForm(c.Query)}, nil
 	})
 }
 
@@ -315,7 +366,7 @@ type qualPassResult struct {
 }
 
 // shipRootVecs renders one fragment's Stage-1 result in wire form.
-func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, c *xpath.Compiled, fq *parbox.FragQual) WireRootVecs {
+func shipRootVecs(fid fragment.FragID, c *xpath.Compiled, fq *parbox.FragQual) WireRootVecs {
 	rv := WireRootVecs{Frag: fid, QV: shipVec(fq.Root.QV), QDV: shipVec(fq.Root.QDV)}
 	// The root fragment also reports its root node's selection-entry
 	// qualifier values, enabling the one-visit ParBoX protocol for
@@ -332,22 +383,61 @@ func shipRootVecs(fid fragment.FragID, f *fragment.Fragment, c *xpath.Compiled, 
 	return rv
 }
 
-// qualPass runs the Stage-1 qualifier sweep over every fragment of the
-// session's snapshot.
+// stage1 returns fragment f's Stage-1 result for the session's query, and
+// whether it ran the qualifier sweep for it: the memoized result when the
+// query's memo holds one for exactly f and the session's fragment count,
+// else a fresh sweep with a Builder of its own, which it memoizes once the
+// query text has opened a second session here. Each lookup counts as a
+// memo hit or miss.
+func (s *Site) stage1(sess *session, f *fragment.Fragment) (stage1Result, bool) {
+	q := sess.compiledQuery
+	q.mu.Lock()
+	r, ok := q.memo[f.ID]
+	q.mu.Unlock()
+	// Comparing handles reads no weak pointer: Value may park until the
+	// collector's mark termination, and every lookup would risk it.
+	id := weak.Make(f)
+	if ok && r.f == id && r.numFrags == sess.vs.NumFrags {
+		s.memoHits.Add(1)
+		return r, false
+	}
+	s.memoMisses.Add(1)
+	fq := parbox.Qualify(f, sess.c, sess.vs, &boolexpr.Builder{})
+	r = stage1Result{f: id, numFrags: sess.vs.NumFrags, fq: fq, rv: shipRootVecs(f.ID, sess.c, fq)}
+	if q.opens.Load() < 2 {
+		return r, true
+	}
+	q.mu.Lock()
+	if old, ok := q.memo[f.ID]; ok && (old.f != r.f || old.numFrags != r.numFrags) {
+		s.memoReplaced.Add(1)
+	}
+	if q.memo == nil {
+		q.memo = make(map[fragment.FragID]stage1Result)
+	}
+	q.memo[f.ID] = r
+	q.mu.Unlock()
+	return r, true
+}
+
+// qualPass runs Stage 1 over every fragment of the session's snapshot,
+// reading each fragment's result from the query's memo where it holds one.
 func (s *Site) qualPass(sess *session) (*qualPassResult, error) {
-	s.qualPasses.Add(1)
 	fs := sess.frags
 	res := &qualPassResult{
 		frags: fs.ids,
 		roots: make([]WireRootVecs, len(fs.ids)),
 		quals: make([]*parbox.FragQual, len(fs.ids)),
 	}
+	swept := false
 	err := evalFrags(fs.ids, func(i int, fid fragment.FragID) error {
-		f := fs.byID[fid]
-		fq := parbox.Qualify(f, sess.c, sess.vs, &boolexpr.Builder{})
-		res.roots[i], res.quals[i] = shipRootVecs(fid, f, sess.c, fq), fq
+		r, ran := s.stage1(sess, fs.byID[fid])
+		res.roots[i], res.quals[i] = r.rv, r.fq
+		swept = swept || ran
 		return nil
 	})
+	if swept {
+		s.qualPasses.Add(1)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -426,15 +516,16 @@ func initFor(b *boolexpr.Builder, sess *session, fid fragment.FragID, inits []Wi
 // and PaX2 Stage 1. It runs the selection traversal over frags in two
 // passes: the first computes every fragment's walk set, the second sweeps
 // them in frags order, writing every answer straight into the response's
-// one answers slice, sized beforehand from the walk sets' reach (exactly,
-// for a query without qualifiers). Once every fragment succeeded it folds
-// the other outcomes into response sections in frags order, keeping each
-// fragment's candidates in the session for the final stage. With env, the
-// traversal reads the Stage-1 state the session kept from PaX3 Stage 1,
-// grounded under env, and releases it. With env nil it is PaX2's combined
-// visit: each fragment's Stage-1 mask pass runs here, its qualifier values
-// stay symbolic in the sub-fragment variables, and its root vectors ship
-// beside its contexts. The sections come back in a CombinedStageResp,
+// one answers slice, sized beforehand from the walk sets' reach (at most
+// reach answers from a ground init, none from a symbolic one). Once every
+// fragment succeeded it folds the other outcomes into response sections in
+// frags order, keeping each fragment's candidates in the session for the
+// final stage. With env, the traversal reads the Stage-1 state the
+// session kept from PaX3 Stage 1, grounded under env, and releases it.
+// With env nil it is PaX2's combined visit: each fragment's Stage-1 result
+// comes from stage1 (memoized or swept here), its qualifier values stay
+// symbolic in the sub-fragment variables, and its root vectors ship beside
+// its contexts. The sections come back in a CombinedStageResp,
 // whose Roots only PaX2 ships. Under stitch it lists the sub-fragments
 // below answers and candidates in Below.
 func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, inits []WireInit, shipXML, stitch bool, env *boolexpr.Env) (*CombinedStageResp, error) {
@@ -451,7 +542,7 @@ func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, 
 		if !ok {
 			return fmt.Errorf("pax: site %d does not host fragment %d", s.id, fid)
 		}
-		// One Builder per (query, fragment) visit.
+		// One Builder per (query, fragment) selection visit.
 		b := &boolexpr.Builder{}
 		init, err := initFor(b, sess, fid, inits)
 		if err != nil {
@@ -459,8 +550,11 @@ func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, 
 		}
 		fq := sess.qual[fid]
 		if env == nil {
-			fq = parbox.Qualify(f, sess.c, sess.vs, b)
-			resp.Roots = append(resp.Roots, WireRootVecs{Frag: fid, QV: shipVec(fq.Root.QV), QDV: shipVec(fq.Root.QDV)})
+			r, _ := s.stage1(sess, f)
+			fq = r.fq
+			// PaX2 ships the root vectors alone: its coordinator never
+			// reads the root's selection qualifiers.
+			resp.Roots = append(resp.Roots, WireRootVecs{Frag: fid, QV: r.rv.QV, QDV: r.rv.QDV})
 		} else if fq == nil && sess.c.HasQualifiers() {
 			// The selection stage consumes Stage-1 state; a qualified query
 			// whose qualifier stage never ran here (or already ran its
@@ -469,7 +563,7 @@ func (s *Site) selectFrags(qid QueryID, sess *session, frags []fragment.FragID, 
 			return fmt.Errorf("pax: site %d: selection stage for fragment %d of query %d arrived out of order (no qualifier state)", s.id, fid, qid)
 		}
 		visits[i] = startSelection(b, f, sess.c, init, fq)
-		n += visits[i].definite(sess.c)
+		n += visits[i].maxAnswers()
 		return nil
 	})
 	if err != nil {
@@ -610,8 +704,8 @@ func (s *Site) handleCollect(req *AnsStageReq) (_ *AnsStageResp, err error) {
 
 // Restart wipes every piece of state a process restart would lose: the
 // per-query sessions, and nothing else that affects answers — the
-// compiled-query cache is rebuildable, but a fresh process starts without
-// it. The fault harness calls this when a simulated kill schedule
+// compiled-query cache, Stage-1 memos included, is rebuildable, but a
+// fresh process starts without it. The fault harness calls this when a simulated kill schedule
 // "restarts" an in-process site; a query mid-way at this site finds its
 // session gone ("no session for query"), and its coordinator runs it
 // again from the opening stage.
@@ -619,7 +713,7 @@ func (s *Site) Restart() {
 	s.mu.Lock()
 	s.sessions = make(map[QueryID]*session)
 	s.mu.Unlock()
-	s.compiled = newLRU[string, compiledQuery](defaultSiteCompileCache)
+	s.compiled = newLRU[string, *compiledQuery](defaultSiteCompileCache)
 }
 
 // handleFetch ships entire fragments (NaiveCentralized) from one fragment

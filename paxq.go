@@ -453,10 +453,13 @@ func (c *Cluster) EvaluateBoolContext(ctx context.Context, query string) (bool, 
 	return ok, err
 }
 
-// SiteCacheStats is always zero. It counted a site-side Stage-1 cache that
-// no longer exists; sites run Stage 1 once per query, as in the paper. The
-// type stays only because the benchmark module still reads these three
-// fields.
+// SiteCacheStats are the sites' Stage-1 memo counters, summed over the
+// cluster's sites. Each site keeps, beside a repeated query's compiled
+// form, the query's Stage-1 result per hosted fragment version, and looks
+// it up once per fragment a qualifier stage or a PaX2 combined visit
+// evaluates: Hits found the result for the fragment version asked about,
+// Misses ran the qualifier pass, and Evictions counts results a miss
+// replaced because an edit had moved their fragment to another version.
 type SiteCacheStats struct {
 	Hits      int64
 	Misses    int64
@@ -484,7 +487,8 @@ type TransportStats struct {
 	TotalCompute  time.Duration
 	TotalVisits   int
 	SiteVisits    map[int]int
-	// SiteCache is always zero (see SiteCacheStats).
+	// SiteCache counts the sites' Stage-1 memo lookups (see
+	// SiteCacheStats).
 	SiteCache SiteCacheStats
 	Failover  FailoverStats
 }
@@ -505,6 +509,12 @@ func (c *Cluster) TransportStats() TransportStats {
 	}
 	for _, d := range snap.Compute {
 		out.TotalCompute += d
+	}
+	for _, s := range c.sites {
+		ms := s.MemoStats()
+		out.SiteCache.Hits += ms.Hits
+		out.SiteCache.Misses += ms.Misses
+		out.SiteCache.Evictions += ms.Replaced
 	}
 	fs := c.engine.FailoverStats()
 	out.Failover = FailoverStats{

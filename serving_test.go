@@ -3,6 +3,7 @@ package paxq_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,43 @@ func TestTransportStatsAccumulate(t *testing.T) {
 	}
 	if len(after.SiteVisits) == 0 {
 		t.Error("no per-site visit counts")
+	}
+}
+
+// TestTransportStatsCountStage1Memo: SiteCache counts the sites' Stage-1
+// memo lookups. Queries seen for the first time never hit (a site keeps a
+// text's results only from its second session on), while a query
+// repeated on the same cluster does, over both transports.
+func TestTransportStatsCountStage1Memo(t *testing.T) {
+	for _, tk := range []paxq.TransportKind{paxq.TransportLocal, paxq.TransportTCP} {
+		doc := paxq.GenerateXMark(2, 0.05, 1)
+		cluster, err := paxq.NewCluster(doc, paxq.ClusterOptions{Fragments: 6, Sites: 3, Transport: tk, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, opts := range []paxq.QueryOptions{{Algorithm: "pax3"}, {Algorithm: "pax2"}, {Algorithm: "pax2", Annotations: true}} {
+			q := fmt.Sprintf(`/sites/site/people/person[profile/age > %d]/name`, 20+i)
+			if _, _, err := cluster.Query(q, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := cluster.TransportStats().SiteCache
+		if first.Hits != 0 || first.Misses == 0 {
+			t.Errorf("transport %v: three first-sighting queries counted %+v, want misses and no hits", tk, first)
+		}
+		for _, opts := range []paxq.QueryOptions{{Algorithm: "pax3"}, {Algorithm: "pax2"}, {Algorithm: "pax3"}} {
+			if _, _, err := cluster.Query(`//person[address/country = "US"]/name`, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		repeated := cluster.TransportStats().SiteCache
+		if repeated.Hits == 0 {
+			t.Errorf("transport %v: a query run three times counted %+v, want hits", tk, repeated)
+		}
+		if repeated.Evictions != 0 {
+			t.Errorf("transport %v: %d memo entries replaced without an edit", tk, repeated.Evictions)
+		}
+		cluster.Close()
 	}
 }
 
