@@ -83,7 +83,8 @@ codec-smoke:
 # node it already holds, a Stage-1 pass allocates per predicate, spine
 # node and virtual node, not per node, and takes its predicate masks and
 # operand temporaries from a slab pooled per visit, allocating only the
-# selection-entry masks a session keeps, which no later pass overwrites,
+# selection-entry masks a memoized result keeps, which no later pass
+# overwrites,
 # a fragment visit of the selection sweep (alone or in PaX2's combined
 # visit) allocates per returned item, not per node, its row and
 # subtree-end stacks living on the goroutine's stack and its masks in a
@@ -98,8 +99,8 @@ codec-smoke:
 # answer list is made once at its final size), a ShipXML answer is stored
 # once per side — an extra answer costs at most two answer records through
 # Engine.Run, and a site record plus one paxq.Answer through
-# Cluster.Query, beside PaX3's candidate, and a qualified query's answer,
-# sized from the same walk, no more than PaX3's — a warm Stage 1, read
+# Cluster.Query, for every shape: no site keeps a candidate between
+# stages — a warm Stage 1, read
 # from the site's memo, allocates the same on a fragment 30 times larger
 # and runs no qualifier pass, so it takes no mask, and a site's
 # fragment edit allocates at most 200 times, within 10 of the same edit
@@ -141,18 +142,22 @@ batch-smoke:
 # two versions still answers at one of them (TestFailoverVersionSkew), and
 # with a hot query memoized on both members each member answers from its
 # own version: the edited member's Stage-1 memo entry stops matching, the
-# lagging member's still matches (TestStage1MemoLaggingReplica). A
-# stage request that fails at a site leaves no session behind there
-# (TestFailedStageReleasesSession).
+# lagging member's still matches (TestStage1MemoLaggingReplica). Two
+# edits landing between a query's Stage 1 and Stage 2 leave the site
+# without the version Stage 1 read: it answers ErrVersionSkew, and the
+# query runs again once, on an unreplicated engine without a retry
+# policy, over both transports (TestVersionSkewRerunsQuery).
 fault-smoke:
-	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew|TestStage1MemoLaggingReplica|TestFailedStageReleasesSession' ./internal/harness ./internal/dist ./internal/pax
+	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew|TestStage1MemoLaggingReplica|TestVersionSkewRerunsQuery' ./internal/harness ./internal/dist ./internal/pax
 
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked
 # against a rebuilt centralized oracle, ledgers conserved), plus the
 # version-protocol, snapshot and batch-snapshot regressions, two concurrent
 # deliveries of one edit applying once and swapping the fragment set once,
-# sessions sharing one fragment set exactly when no edit lies between them, the public-API edit regressions,
+# requests sharing one fragment set exactly when no edit lies between them,
+# a later stage reading the version the first one read after one edit and
+# failing with ErrVersionSkew after two, the public-API edit regressions,
 # and the oracles of the site's columns-only path: the mirror's check of
 # every spliced successor against the pointer-tree edit of the old
 # version, rejected edits failing with typed errors, long splice chains

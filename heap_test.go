@@ -59,9 +59,9 @@ func liveHeap() uint64 {
 
 // TestDistinctQueriesRetainBoundedHeap: a stream of distinct qualified
 // queries must not grow the live heap beyond the bounded plan and compile
-// caches. Sites keep no per-query result after a query's selection stage,
-// and keep a text's Stage-1 results only from its second session on, so
-// 300 distinct queries over XMark 0.5 MB (8 fragments on 4 sites) may
+// caches. Sites keep no per-query state, and keep a text's Stage-1
+// results from its first use on, in the bounded compile cache, so 300
+// distinct queries over XMark 0.5 MB (8 fragments on 4 sites) may
 // leave at most 16 MB behind. Any cache of Stage-1 results must pass this
 // too: one that keeps per-node formula maps grows by about 0.85 MB per
 // query here.
@@ -137,30 +137,25 @@ func retainedHeap(t *testing.T, runs int) {
 // between. The pin is the slope of the bytes a query allocates, its
 // sites' and its coordinator's together, between a bibliography of 4
 // sections of 25 articles and one of 4 of 250, over Local, where no
-// response is encoded. PaX3's answers are candidates first, so its sites
-// also keep a candidate, a node and a formula pointer, per answer between
-// its selection and final stages. The qualified rows, which every article
-// passes, are held to the PaX3 limit.
+// response is encoded. PaX3's answers are candidates first, and its sites
+// keep none between the selection and the final stage, which walks the
+// fragment again; the qualified rows, which every article passes, are
+// held to the same limit.
 func TestShipAnswerBytesPerAnswer(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const candidate = 16
 	records := float64(unsafe.Sizeof(pax.AnswerNode{}) + unsafe.Sizeof(Answer{}))
 	for _, q := range []struct {
 		name, query string
 		opts        QueryOptions
-		qualified   bool
 	}{
-		{"pax2+xa", "/dblp/bib/article", QueryOptions{Algorithm: "pax2", Annotations: true, ShipXML: true}, false},
-		{"pax3", "//article", QueryOptions{Algorithm: "pax3", ShipXML: true}, false},
-		{"pax2+xa qualified", "/dblp/bib/article[year > 1989]", QueryOptions{Algorithm: "pax2", Annotations: true, ShipXML: true}, true},
-		{"pax3 qualified", "//article[year > 1989]", QueryOptions{Algorithm: "pax3", ShipXML: true}, true},
+		{"pax2+xa", "/dblp/bib/article", QueryOptions{Algorithm: "pax2", Annotations: true, ShipXML: true}},
+		{"pax3", "//article", QueryOptions{Algorithm: "pax3", ShipXML: true}},
+		{"pax2+xa qualified", "/dblp/bib/article[year > 1989]", QueryOptions{Algorithm: "pax2", Annotations: true, ShipXML: true}},
+		{"pax3 qualified", "//article[year > 1989]", QueryOptions{Algorithm: "pax3", ShipXML: true}},
 	} {
 		limit := records + 8
-		if q.opts.Algorithm == "pax3" || q.qualified {
-			limit += candidate
-		}
 		var bytes [2]float64
 		for i, per := range []int{25, 250} {
 			c, err := NewCluster(&Document{tree: testutil.BibTree(4, per)}, ClusterOptions{CutPaths: []string{"/dblp/bib"}, Sites: 2})

@@ -18,7 +18,7 @@
 // negation. This keeps residual functions small: their size is bounded by
 // the number of distinct variables they mention, which in paxq is bounded
 // by |Q| per virtual node. Immutability is what makes formulas safe to
-// share — across concurrent queries, and across the sessions of one
+// share — across concurrent queries, and across the members of one
 // batched Stage-1 sweep, which all read the formula DAGs it built.
 //
 // # Fold before allocating

@@ -22,7 +22,8 @@ const (
 	// FaultKill takes the site down: the faulted call and the next Down
 	// calls fail with ErrSiteUnavailable, then the site "restarts" —
 	// OnRestart fires once (the harness wires it to wipe the site's
-	// sessions and caches, as a real process restart would) and calls
+	// caches and previous fragment versions, as a real process restart
+	// would) and calls
 	// flow again.
 	FaultKill
 )
@@ -74,7 +75,7 @@ type FaultPlan struct {
 	// OnRestart, when set, runs synchronously inside the first call
 	// after a killed site's down window ends, before that call is let
 	// through — the moment the "restarted process" is back. The harness
-	// uses it to wipe the site's sessions, as a real restart would. Set
+	// uses it to wipe the site's caches, as a real restart would. Set
 	// it before installing the plan.
 	OnRestart func(SiteID)
 

@@ -55,12 +55,14 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	}
 	requireBatchCorpus(t, res)
 	// A change to how sites build or ship formulas moves these totals, and
-	// must move them here on purpose.
+	// must move them here on purpose. Every final-stage request that walks
+	// candidates carries the query text, since sites keep no per-query
+	// state, and every later request names the fragment versions it reads.
 	wantWire := map[Variant]WireBytes{
-		{Alg: pax.PaX3}:           {Sent: 20588, Recv: 28927},
-		{Alg: pax.PaX3, XA: true}: {Sent: 16685, Recv: 24379},
-		{Alg: pax.PaX2}:           {Sent: 12381, Recv: 27701},
-		{Alg: pax.PaX2, XA: true}: {Sent: 9454, Recv: 21343},
+		{Alg: pax.PaX3}:           {Sent: 23120, Recv: 30014},
+		{Alg: pax.PaX3, XA: true}: {Sent: 18419, Recv: 25114},
+		{Alg: pax.PaX2}:           {Sent: 14391, Recv: 28311},
+		{Alg: pax.PaX2, XA: true}: {Sent: 10913, Recv: 21707},
 	}
 	if !maps.Equal(res.Wire, wantWire) {
 		t.Errorf("shipped bytes per variant = %v, want %v", res.Wire, wantWire)
@@ -102,10 +104,10 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	// Seeds 1023, 1033, 1049 and 1073 ship more bytes when formulas are
 	// not hash-consed as they are built, which seeds 1–25 cannot show.
 	wantWire := map[Variant]WireBytes{
-		{Alg: pax.PaX3}:           {Sent: 90212, Recv: 152005},
-		{Alg: pax.PaX3, XA: true}: {Sent: 68023, Recv: 128191},
-		{Alg: pax.PaX2}:           {Sent: 56573, Recv: 149499},
-		{Alg: pax.PaX2, XA: true}: {Sent: 38835, Recv: 115683},
+		{Alg: pax.PaX3}:           {Sent: 100524, Recv: 157215},
+		{Alg: pax.PaX3, XA: true}: {Sent: 72790, Recv: 131687},
+		{Alg: pax.PaX2}:           {Sent: 65477, Recv: 152194},
+		{Alg: pax.PaX2, XA: true}: {Sent: 43460, Recv: 117273},
 	}
 	if !maps.Equal(res.Wire, wantWire) {
 		t.Errorf("local shipped bytes per variant = %v, want %v", res.Wire, wantWire)
@@ -117,10 +119,10 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	}
 	requireClean(t, tcpRes)
 	wantTCPWire := map[Variant]WireBytes{
-		{Alg: pax.PaX3}:           {Sent: 18052, Recv: 42833},
-		{Alg: pax.PaX3, XA: true}: {Sent: 14917, Recv: 39234},
-		{Alg: pax.PaX2}:           {Sent: 10790, Recv: 41888},
-		{Alg: pax.PaX2, XA: true}: {Sent: 8544, Recv: 37879},
+		{Alg: pax.PaX3}:           {Sent: 20252, Recv: 43778},
+		{Alg: pax.PaX3, XA: true}: {Sent: 16289, Recv: 39980},
+		{Alg: pax.PaX2}:           {Sent: 12598, Recv: 42378},
+		{Alg: pax.PaX2, XA: true}: {Sent: 9705, Recv: 38257},
 	}
 	if !maps.Equal(tcpRes.Wire, wantTCPWire) {
 		t.Errorf("TCP shipped bytes per variant = %v, want %v", tcpRes.Wire, wantTCPWire)

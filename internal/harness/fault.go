@@ -117,8 +117,9 @@ func (f *faultFleet) killTCP(site dist.SiteID) {
 	}
 }
 
-// restartTCP rebinds the site's address with its state wiped — sessions,
-// caches and compiled queries gone, like a restarted process. The address
+// restartTCP rebinds the site's address with its state wiped — caches,
+// compiled queries and previous fragment versions gone, like a restarted
+// process. The address
 // is the ephemeral port the kernel picked at first bind, so while the site
 // was down another test's listener or outgoing connection may have been
 // handed it: an address-in-use failure is retried for up to 0.6 s, any

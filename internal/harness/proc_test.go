@@ -79,7 +79,7 @@ func startPaxsite(t *testing.T, bin, fragDir string, sid dist.SiteID, frags []fr
 // under a replicated coordinator: the same failover machinery that the
 // in-harness TCP schedules exercise against in-test servers must hold
 // against actual site processes — SIGKILLed mid-deployment, then
-// restarted on the same address with all session state gone — with the
+// restarted on the same address with all in-memory state gone — with the
 // answers byte-identical to the centralized evaluator throughout.
 func TestProcessKillFailover(t *testing.T) {
 	gobin, err := exec.LookPath("go")
@@ -166,7 +166,7 @@ func TestProcessKillFailover(t *testing.T) {
 	}
 
 	// Restart the dead site as a fresh process on the same address — all
-	// session and cache state gone — and query again: the fleet is whole,
+	// cache state gone — and query again: the fleet is whole,
 	// the answers unchanged.
 	procs[victim] = startPaxsite(t, bin, fragDir, victim, topo.FragsAt(victim), addrs[victim])
 	run(fmt.Sprintf("after restarting site %d's process", victim))

@@ -234,7 +234,7 @@ func TestQualPassAllocsPerSpine(t *testing.T) {
 // enough to see one mask allocated: the base mask, every predicate's QV,
 // QCV and strict-QDV masks and every operand temporary are carved from the
 // visit's pooled slab, and only a selection entry's qualifier mask, which a
-// session keeps, is a mask of its own. Every fragment of the ladder must
+// memoized result keeps, is a mask of its own. Every fragment of the ladder must
 // stay under
 // allocs ≤ b·|qualified Sel| + c·(|Preds|+1)·(spine + virtuals) + d,
 // with no per-predicate term. The fragments without virtuals have no

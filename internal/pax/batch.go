@@ -398,27 +398,23 @@ func (s *Site) handleBatch(req *BatchStageReq) (*BatchStageResp, error) {
 	return resp, nil
 }
 
-// batchQuals serves every QualStageReq member of a batch, grouped by the
-// compiled query's normal-form fingerprint and the session's fragment set:
-// members of one group share a single Stage-1 sweep, and the sweep's time
-// is split equally among them, the remainder to the earliest member. This
-// is the shared-evaluation half of the batching design: N concurrent
-// identical queries cost one traversal, not N.
+// batchQuals serves every QualStageReq member of a batch over the
+// fragment set current at the envelope's arrival, grouped by the compiled
+// query's normal-form fingerprint and the fragment count: members of one
+// group share a single Stage-1 sweep, and the sweep's time is split
+// equally among them, the remainder to the earliest member. This is the
+// shared-evaluation half of the batching design: N concurrent identical
+// queries cost one traversal, not N.
 func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail func(int, error), finish func(int, dist.BinaryMessage)) {
 	type member struct {
-		idx  int
-		req  *QualStageReq
-		sess *session
+		idx int
+		q   stageQuery
 	}
 	type groupKey struct {
 		fp string
 		nf int32
-		// frags separates members whose sessions hold different fragment
-		// sets (an edit landed between their session creations): one group
-		// shares a single sweep over ONE set, so members pinned to
-		// different sets must not coalesce.
-		frags *fragSet
 	}
+	fs := s.snapshot()
 	groups := make(map[groupKey][]member)
 	var order []groupKey
 	for i, m := range msgs {
@@ -427,44 +423,33 @@ func (s *Site) batchQuals(msgs []any, handled []bool, resp *BatchStageResp, fail
 			continue
 		}
 		handled[i] = true
-		sess, err := s.getSession(qr.QID, qr.Query, qr.NumFrags)
+		q, err := s.query(qr.Query, qr.NumFrags)
 		if err != nil {
 			fail(i, err)
 			continue
 		}
-		k := groupKey{fp: sess.fp, nf: qr.NumFrags, frags: sess.frags}
+		k := groupKey{fp: q.fp, nf: qr.NumFrags}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
-		groups[k] = append(groups[k], member{idx: i, req: qr, sess: sess})
+		groups[k] = append(groups[k], member{idx: i, q: q})
 	}
 	for _, k := range order {
 		ms := groups[k]
 		start := time.Now()
-		pr, err := s.qualPass(ms[0].sess)
+		roots, err := s.qualPass(ms[0].q, fs)
 		// A failed sweep's partial work is still the group's cost, shared
 		// the same way before every member fails individually.
 		shares := splitShares(int64(time.Since(start)), nil, len(ms))
 		for j, mb := range ms {
 			resp.SubComputeNanos[mb.idx] = shares[j]
 		}
-		if err != nil {
-			werr := fmt.Errorf("pax: site %d: %w", s.id, err)
-			for _, mb := range ms {
-				fail(mb.idx, werr)
-			}
-			continue
-		}
 		for _, mb := range ms {
-			pr.seed(mb.sess)
-			finish(mb.idx, &QualStageResp{Roots: pr.roots})
-		}
-	}
-	for _, ms := range groups {
-		for _, mb := range ms {
-			if mb.req.Final {
-				s.dropSessionIfDone(mb.req.QID, mb.sess)
+			if err != nil {
+				fail(mb.idx, err)
+				continue
 			}
+			finish(mb.idx, &QualStageResp{Roots: roots})
 		}
 	}
 }

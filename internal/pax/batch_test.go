@@ -85,7 +85,7 @@ func TestPlanCacheCoalescesConcurrentMisses(t *testing.T) {
 }
 
 // TestSiteCompileCacheCoalescesConcurrentMisses is the site-side twin: one
-// compilation per query text no matter how many sessions miss at once.
+// compilation per query text no matter how many requests miss at once.
 func TestSiteCompileCacheCoalescesConcurrentMisses(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 2, 3))
@@ -280,7 +280,7 @@ func TestBatchSharedEvaluation(t *testing.T) {
 			site.Restart()
 			var subs []BatchSub
 			for i, q := range in.queries {
-				b, err := (&QualStageReq{QID: QueryID(1000 + i), Query: q, NumFrags: int32(ft.Len()), Final: true}).AppendBinary(nil)
+				b, err := (&QualStageReq{QID: QueryID(1000 + i), Query: q, NumFrags: int32(ft.Len())}).AppendBinary(nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -65,7 +65,7 @@ func (e *Engine) runBoolean(ctx context.Context, r *run, query string, c *xpath.
 	ft := e.topo.FT
 	vs := parbox.NewVarScheme(c, ft.Len())
 	resps, err := r.stage(ctx, res, func(dist.SiteID) any {
-		return &QualStageReq{QID: r.qid, Query: query, NumFrags: int32(ft.Len()), Final: true}
+		return &QualStageReq{QID: r.qid, Query: query, NumFrags: int32(ft.Len())}
 	})
 	if err != nil {
 		return false, nil, err

@@ -133,8 +133,8 @@ type plan struct {
 	c   *xpath.Compiled
 	rel *Relevance
 	// stitch is set on a ShipXML plan whose answers may hold stubs
-	// (Relevance.Crossing): the sites keep the query's session until its
-	// final stage, which fetches the sub-fragment bodies from it.
+	// (Relevance.Crossing): its selection stage reports the sub-fragments
+	// below answers and candidates, whose bodies the final stage fetches.
 	stitch bool
 }
 

@@ -1,6 +1,7 @@
 package pax
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -242,9 +243,11 @@ func TestConcurrentQueriesOverTCP(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSiteRejectsOutOfOrderStage: a selection-stage request for a
-// qualified query whose qualifier stage never ran at the site must come
-// back as a protocol error through the transport, not kill the site.
+// TestSiteRejectsOutOfOrderStage: a later stage of a query naming a
+// fragment version that no earlier stage could have read at the site must
+// come back as a typed error through the transport, not kill the site. A
+// selection stage naming no version is a query's first read, and is
+// served.
 func TestSiteRejectsOutOfOrderStage(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 7))
@@ -257,19 +260,20 @@ func TestSiteRejectsOutOfOrderStage(t *testing.T) {
 
 	query := `//broker[//stock/code = "GOOG"]/name`
 	frags := topo.FragsAt(sites[0].ID())
-	_, err = h(&SelStageReq{QID: 777, Query: query, NumFrags: int32(ft.Len()), Frags: frags})
-	if err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("out-of-order selection stage: err = %v, want protocol error", err)
+	_, err = h(&SelStageReq{QID: 777, Query: query, NumFrags: int32(ft.Len()), Frags: frags, Versions: []WireVersion{{Frag: frags[0], Version: 5}}})
+	if !errors.Is(err, ErrVersionSkew) {
+		t.Fatalf("selection stage at a version never held: err = %v, want ErrVersionSkew", err)
+	}
+	init := WireInit{Frag: frags[0], SV: make([]bool, 4)}
+	_, err = h(&AnsStageReq{QID: 778, Query: query, NumFrags: int32(ft.Len()), Inits: []WireInit{init},
+		Versions: []WireVersion{{Frag: frags[0], Version: 5}}})
+	if !errors.Is(err, ErrVersionSkew) {
+		t.Fatalf("answer stage at a version never held: err = %v, want ErrVersionSkew", err)
 	}
 
-	// The final stage without any prior stage has no session at all.
-	_, err = h(&AnsStageReq{QID: 778, Inits: []WireInit{{Frag: frags[0]}}})
-	if err == nil || !strings.Contains(err.Error(), "no session") {
-		t.Fatalf("answer stage without session: err = %v, want no-session error", err)
-	}
-
-	// The site remains fully functional afterwards.
-	if _, err := h(&QualStageReq{QID: 779, Query: query, NumFrags: int32(ft.Len())}); err != nil {
+	// The site remains fully functional afterwards, and a first read
+	// names no version.
+	if _, err := h(&SelStageReq{QID: 779, Query: query, NumFrags: int32(ft.Len()), Frags: frags}); err != nil {
 		t.Fatalf("site unusable after protocol errors: %v", err)
 	}
 }

@@ -169,6 +169,9 @@ type Engine struct {
 	// topology's fragmentation; both are guarded by editMu.
 	editMu       sync.Mutex
 	editVersions map[fragment.FragID]uint64
+	// gate holds each edit back until the queries that may name the
+	// version it makes sites drop are done.
+	gate queryGate
 }
 
 // EngineOption configures an Engine at construction.
@@ -199,6 +202,7 @@ func WithQueueTimeout(d time.Duration) EngineOption {
 // NewEngine creates a coordinator over a topology and a transport.
 func NewEngine(topo *Topology, tr dist.Transport, opts ...EngineOption) *Engine {
 	e := &Engine{topo: topo, tr: tr, plans: newLRU[planKey, *plan](defaultPlanCache)}
+	e.gate.left.L = &e.gate.mu
 	for _, o := range opts {
 		o(e)
 	}
@@ -338,6 +342,7 @@ func (e *Engine) evaluate(ctx context.Context, query string, opts Options) (res 
 			res, err = nil, inconsistentError(query, rec)
 		}
 	}()
+	defer e.gate.leave(e.gate.enter())
 	r := e.newRun(opts.Sequential)
 	start := time.Now()
 	err = r.retry(ctx, func() (err error) {
@@ -529,9 +534,8 @@ func (r *run) fanOut(ctx context.Context, primaries []dist.SiteID, mk func(dist.
 // checks the sum exactly).
 //
 // The first stage of an attempt is its opening stage. When it fails, the
-// groups that answered hold freshly opened sessions that no later stage
-// has touched, so the next attempt keeps their responses and calls only
-// the groups that failed.
+// next attempt keeps the responses of the groups that answered, and the
+// versions they report, and calls only the groups that failed.
 func (r *run) stage(ctx context.Context, res *Result, mk func(dist.SiteID) any) (map[dist.SiteID]any, error) {
 	opening := res.Stages == 0
 	if opening && r.opened != nil {
@@ -676,6 +680,37 @@ func respAs[T any](site dist.SiteID, r any, stage string) (T, error) {
 	return v, nil
 }
 
+// versions are the fragment versions a query's stages have read: the
+// first stage that reads a fragment reports the version it read, and every
+// later request of the query that reads the fragment names it, so the
+// query answers at one version of each fragment.
+type versions map[fragment.FragID]uint64
+
+// record notes the versions a response reports.
+func (vs versions) record(read []WireVersion) {
+	for _, p := range read {
+		vs[p.Frag] = p.Version
+	}
+}
+
+// recordRoots notes the versions Stage-1 root vectors were computed on.
+func (vs versions) recordRoots(roots []WireRootVecs) {
+	for _, rv := range roots {
+		vs[rv.Frag] = rv.Version
+	}
+}
+
+// pin appends to pins the version of each fragment of frags that an
+// earlier stage read.
+func (vs versions) pin(pins []WireVersion, frags ...fragment.FragID) []WireVersion {
+	for _, fid := range frags {
+		if v, ok := vs[fid]; ok {
+			pins = append(pins, WireVersion{Frag: fid, Version: v})
+		}
+	}
+	return pins
+}
+
 // runPaX3 is Procedure PaX3 of Fig. 4(a).
 func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opts Options) (*Result, error) {
 	res := &Result{}
@@ -690,16 +725,14 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 	relBySite := e.relevantFragsBySite(rel)
 	hasQual := c.HasQualifiers()
 	qid := r.qid
+	vers := make(versions, ft.Len())
 
 	// Stage 1: qualifier evaluation over ALL fragments (qualifier data may
 	// live anywhere), skipped entirely for qualifier-free queries.
 	var env *boolexpr.Env
 	if hasQual {
 		resps, err := r.stage(ctx, res, func(site dist.SiteID) any {
-			// A site hosting only pruned fragments sees no later stage,
-			// unless the query stitches: then every site it visits keeps
-			// its snapshot until the final stage.
-			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Final: len(relBySite[site]) == 0 && !p.stitch}
+			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len())}
 		})
 		if err != nil {
 			return nil, err
@@ -713,6 +746,7 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 			if err := decodeRoots(qr.Roots, roots); err != nil {
 				return nil, err
 			}
+			vers.recordRoots(qr.Roots)
 		}
 		env, err = parbox.ResolveQualVars(roots, vs)
 		if err != nil {
@@ -722,9 +756,10 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 		env = boolexpr.NewEnv()
 	}
 
-	// Stage 2: selection-path evaluation over the relevant fragments. The
-	// requests are built up front so malformed Stage-1 data fails the
-	// query before any site is visited again.
+	// Stage 2: selection-path evaluation over the relevant fragments, at
+	// the versions Stage 1 read. The requests are built up front so
+	// malformed Stage-1 data fails the query before any site is visited
+	// again.
 	var inits []WireInit
 	if rel.Exact && opts.Annotations {
 		for i, ok := range rel.Relevant {
@@ -741,6 +776,7 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 		}
 		req := &SelStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Frags: frags, ShipXML: opts.ShipXML, Stitch: p.stitch}
 		if hasQual {
+			req.Versions = vers.pin(make([]WireVersion, 0, len(frags)), frags...)
 			vq, err := groundQualsFor(env, vs, ft, frags)
 			if err != nil {
 				return nil, err
@@ -769,6 +805,7 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 		if err != nil {
 			return nil, err
 		}
+		vers.record(sr.Versions)
 		runs = append(runs, sr.Answers)
 		contexts = append(contexts, sr.Contexts...)
 		below = append(below, sr.Below...)
@@ -776,17 +813,11 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 			candFrags[fid] = true
 		}
 	}
-	// Under stitch, every site visited so far holds a session until the
-	// final stage: all of them after a qualifier stage.
-	var held func(dist.SiteID) bool
-	if p.stitch {
-		held = func(site dist.SiteID) bool { return hasQual || len(relBySite[site]) > 0 }
-	}
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
 		// No candidate to resolve (e.g. XA with no qualifiers): Stage 3
 		// only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
+		return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
 	}
 
 	// evalFT, top-down half: ground the z variables.
@@ -795,13 +826,15 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 		return nil, err
 	}
 
-	// Stage 3: resolve candidates where they live, and fetch the bodies
-	// below answers and candidates. A candidate can only exist in a
-	// fragment seeded with z variables, whose parent necessarily reported
-	// a context — a candidate without one is a malformed site response and
-	// fails the query up front.
+	// Stage 3: walk the candidate-bearing fragments again under ground
+	// inits and qualifier values, and fetch the bodies below answers and
+	// candidates. A candidate can only exist in a fragment seeded with z
+	// variables, whose parent necessarily reported a context — a candidate
+	// without one is a malformed site response and fails the query up
+	// front.
 	for _, site := range e.topo.Sites() {
 		var req *AnsStageReq
+		var frags []fragment.FragID
 		for _, fid := range relBySite[site] {
 			if !candFrags[fid] {
 				continue
@@ -811,15 +844,25 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 				return nil, fmt.Errorf("pax: site %d reported candidate fragment %d without a ground context", site, fid)
 			}
 			if req == nil {
-				req = &AnsStageReq{QID: qid}
+				req = &AnsStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), ShipXML: opts.ShipXML}
 			}
 			req.Inits = append(req.Inits, WireInit{Frag: fid, SV: sv})
+			frags = append(frags, fid)
 		}
-		if req != nil {
-			ansReqs[site] = req
+		if req == nil {
+			continue
 		}
+		req.Versions = vers.pin(make([]WireVersion, 0, len(frags)), frags...)
+		if hasQual {
+			vq, err := groundQualsFor(env, vs, ft, frags)
+			if err != nil {
+				return nil, err
+			}
+			req.Quals = vq
+		}
+		ansReqs[site] = req
 	}
-	return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
+	return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
 }
 
 // runPaX2 is Procedure PaX2 of Fig. 5.
@@ -864,6 +907,7 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 		return nil, err
 	}
 	roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
+	vers := make(versions, ft.Len())
 	var contexts []WireContext
 	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
@@ -876,6 +920,7 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 		if err := decodeRoots(cr.Roots, roots); err != nil {
 			return nil, err
 		}
+		vers.recordRoots(cr.Roots)
 		runs = append(runs, cr.Answers)
 		contexts = append(contexts, cr.Contexts...)
 		below = append(below, cr.Below...)
@@ -883,14 +928,10 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 			candFrags[fid] = true
 		}
 	}
-	var held func(dist.SiteID) bool
-	if p.stitch {
-		held = func(site dist.SiteID) bool { return len(relBySite[site]) > 0 }
-	}
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
 		// Stage 2 only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
+		return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
 	}
 
 	// evalFT: bottom-up qualifier unification over the fragments that
@@ -917,7 +958,8 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 		return nil, err
 	}
 
-	// Stage 2: resolve candidates, and fetch the bodies below answers and
+	// Stage 2: walk the candidate-bearing fragments again under ground
+	// inits and qualifier values, and fetch the bodies below answers and
 	// candidates; PaX2 candidates may mention both z and sub-fragment
 	// qualifier variables. The root fragment ran with the concrete
 	// document vector, so its candidates (which arise from qualifiers
@@ -940,7 +982,7 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 				sv = docBools
 			}
 			if req == nil {
-				req = &AnsStageReq{QID: qid}
+				req = &AnsStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), ShipXML: opts.ShipXML}
 			}
 			req.Inits = append(req.Inits, WireInit{Frag: fid, SV: sv})
 			frags = append(frags, fid)
@@ -948,12 +990,13 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 		if req == nil {
 			continue
 		}
+		req.Versions = vers.pin(make([]WireVersion, 0, len(frags)), frags...)
 		if hasQual {
 			req.Quals = groundQualsForPresent(env, vs, ft, frags, roots)
 		}
 		ansReqs[site] = req
 	}
-	return e.finalStage(ctx, r, res, query, ansReqs, below, held, runs)
+	return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
 }
 
 // groundQualsForPresent is groundQualsFor restricted to sub-fragments that

@@ -39,14 +39,21 @@
 // replicated engine, or one with a retry policy, answers a stage failure
 // that another run could repair by running the whole query again under
 // the same QID, each failed group rotated to its next replica (run.retry):
-// one retry loop per query, and every run reads one snapshot of each
-// fragment.
+// one retry loop per query. The first stage that reads a fragment reports
+// the version it read, and every later request of the query names it, so
+// every run reads one version of each fragment; a site that no longer
+// holds the version answers ErrVersionSkew, and the query runs again.
+// An engine holds each edit back until its own queries that may still
+// name the version the edit makes sites drop are done (queryGate).
 //
 // # Sites
 //
-// Site hosts fragments and serves stage requests. Per-query state lives in
-// sessions keyed by QueryID; compiled queries are cached and shared across
-// sessions. One stage request evaluates its fragments one after another,
+// Site hosts fragments and serves stage requests. It keeps no per-query
+// state: each stage request is self-contained, and a site keeps the
+// current and the previous version of each fragment, and compiled queries
+// with their Stage-1 results, cached and shared across queries. The final
+// stage walks its candidate-bearing fragments again under ground inits
+// and qualifier values. One stage request evaluates its fragments one after another,
 // in the handler's goroutine: the site is the unit of parallelism, and the
 // transport's measured handler time is the request's computation cost.
 // Stage 1 is one evaluator, the bit-packed pass over the
@@ -68,24 +75,24 @@
 // columns and cached: a ShipXML answer is a slice of it
 // (Fragment.SubtreeXML), with each sub-fragment below the answer as a
 // stub, and NaiveCentralized's fetch and the final stage's body fetch
-// ship it whole, from the query's session snapshot: a query whose answers
-// may hold stubs (Relevance.Crossing) keeps its sessions until the final
-// stage. The coordinator fills the stubs with the bodies (stitch.go). An
+// ship it whole, at the version the query's earlier stages read. The
+// coordinator fills the stubs with the bodies (stitch.go). An
 // edit splices the columns (fragment.Fragment.ApplyEdit); no fragment
 // carries a pointer tree, edited or not. An insert's
 // subtree arrives as XML text too; handleEdit parses it, builds the new
 // fragment outside the site lock and, under it, swaps in a new immutable
-// fragment set holding it. A session keeps the set current at its
-// creation, so every stage of a query reads one version of each fragment.
+// fragment set holding it, with the edited-away version as the fragment's
+// previous one.
 //
 // Stage 1 runs once per fragment version: beside a repeated query's
 // compiled form, in its compile-cache entry, a site keeps the query's
 // Stage-1 result per hosted fragment, valid only for the fragment object
 // it was computed from, so an edit's new version misses and replaces it
-// (site.go, compiledQuery). A text stores results only from its second
-// session at the site on. Within one batch envelope, qualifier-stage
-// members that compile to the same normal form over the same fragment
-// snapshot share one pass (batch.go).
+// (site.go, compiledQuery). A text stores results from its first use on,
+// so a PaX3 query's later stages read what its qualifier stage stored.
+// Within one batch envelope, qualifier-stage members that compile to the
+// same normal form share one pass over the fragment set current at the
+// envelope's arrival (batch.go).
 //
 // # Wire messages
 //

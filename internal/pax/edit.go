@@ -18,6 +18,12 @@
 // version — re-issuing the same edit is then safe and exact: already-edited
 // members ack idempotently, the rest apply.
 //
+// A site keeps the current and the previous version of each fragment, so
+// an edit makes sites drop the version that was current before the
+// fragment's previous edit. Only queries begun before that edit completed
+// can have read it, and the edit waits until they are done (queryGate):
+// this engine's edits never make its own queries fail with ErrVersionSkew.
+//
 // Edits never ride batch envelopes (they are not stage messages) and never
 // run through the query retry loop (an edit is one call per member);
 // each call goes straight to the transport, so its measured cost lands in
@@ -30,6 +36,7 @@ package pax
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"paxq/internal/dist"
@@ -123,6 +130,10 @@ func (e *Engine) ApplyEdit(ctx context.Context, fid fragment.FragID, ed fragment
 
 	e.editMu.Lock()
 	defer e.editMu.Unlock()
+	if err := e.gate.wait(ctx, fid); err != nil {
+		return nil, err
+	}
+	defer e.gate.edited(fid)
 	if e.editVersions == nil {
 		e.editVersions = make(map[fragment.FragID]uint64)
 	}
@@ -178,4 +189,75 @@ func (e *Engine) editMember(ctx context.Context, member dist.SiteID, req *EditRe
 			return fmt.Errorf("pax: edit of fragment %d at site %d: %w", req.Frag, member, err)
 		}
 	}
+}
+
+// queryGate orders an engine's edits after the queries that may still
+// name a version the edit makes sites drop. Each query holds a ticket: the
+// number of edits the engine had completed when it began. An edit of
+// fragment f waits until no query holds a ticket older than f's previous
+// edit, since only such a query can have read the version current before
+// it.
+type queryGate struct {
+	mu       sync.Mutex
+	left     sync.Cond // on mu, broadcast when a query leaves
+	edits    uint64
+	lastEdit map[fragment.FragID]uint64 // edits completed after f's last edit
+	inflight map[uint64]int             // queries in flight per ticket
+}
+
+// enter admits a query and returns its ticket, which leave takes back.
+func (g *queryGate) enter() uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.inflight == nil {
+		g.inflight = make(map[uint64]int)
+	}
+	g.inflight[g.edits]++
+	return g.edits
+}
+
+func (g *queryGate) leave(ticket uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.inflight[ticket]--; g.inflight[ticket] == 0 {
+		delete(g.inflight, ticket)
+	}
+	g.left.Broadcast()
+}
+
+// wait blocks until no query that began before fragment fid's previous
+// edit completed is in flight, or ctx is done.
+func (g *queryGate) wait(ctx context.Context, fid fragment.FragID) error {
+	stop := context.AfterFunc(ctx, func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		g.left.Broadcast()
+	})
+	defer stop()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for {
+		older := false
+		for t := range g.inflight {
+			older = older || t < g.lastEdit[fid]
+		}
+		if !older {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		g.left.Wait()
+	}
+}
+
+// edited records an edit of fragment fid as completed.
+func (g *queryGate) edited(fid fragment.FragID) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.lastEdit == nil {
+		g.lastEdit = make(map[fragment.FragID]uint64)
+	}
+	g.edits++
+	g.lastEdit[fid] = g.edits
 }

@@ -297,10 +297,12 @@ func TestEditConcurrentDeliveriesApplyOnce(t *testing.T) {
 	}
 }
 
-// TestEditSnapshotIdentity: a session holds the site's fragment set as it
-// was when the session opened. Two sessions opened with no edit between
-// them share one set — which is what lets batched Stage-1 members share a
-// sweep — and an edit between them gives each its own.
+// TestEditSnapshotIdentity: a request reads the site's fragment set as
+// it is when the request arrives. Two reads with no edit between them
+// share one set — which is what lets batched Stage-1 members share a
+// sweep — and an edit between them gives the later one a new set, which
+// keeps the edited-away version as the fragment's previous one, while the
+// earlier set is left as it was.
 func TestEditSnapshotIdentity(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
@@ -309,40 +311,35 @@ func TestEditSnapshotIdentity(t *testing.T) {
 	}
 	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
 	s := sites[0]
-	query := `//broker[//stock/code = "GOOG"]/name`
-	n := int32(len(ft.Frags))
-	open := func(qid QueryID) *fragSet {
-		t.Helper()
-		sess, err := s.getSession(qid, query, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess.frags
-	}
-	a, b := open(1), open(2)
+	a, b := s.snapshot(), s.snapshot()
 	if a != b {
-		t.Fatal("sessions opened with no edit between them hold different fragment sets")
+		t.Fatal("reads with no edit between them see different fragment sets")
 	}
 	if _, err := s.handleEdit(stockEdit(t, ft)); err != nil {
 		t.Fatal(err)
 	}
-	c := open(3)
+	c := s.snapshot()
 	if c == a {
-		t.Fatal("a session opened after an edit shares the pre-edit fragment set")
+		t.Fatal("a read after an edit sees the pre-edit fragment set")
 	}
-	if a.byID[fragment.RootFrag] == c.byID[fragment.RootFrag] {
+	old := a.byID[fragment.RootFrag]
+	if old == c.byID[fragment.RootFrag] {
 		t.Fatal("the edit changed no fragment between the two sets")
 	}
-	if open(1) != a {
-		t.Fatal("an open session's fragment set changed with the edit")
+	if c.prev[fragment.RootFrag] != old {
+		t.Fatal("the post-edit set does not keep the edited-away version as the previous one")
+	}
+	if a.prev[fragment.RootFrag] != nil {
+		t.Fatal("the pre-edit set changed with the edit")
 	}
 }
 
-// TestEditOneVersionAnswersAndStalePut: a session created before an edit
-// keeps answering from its fragment snapshot — a pre-edit session that
-// re-asks for Stage 1 (as the opening stage of a re-run does) ships its
-// pre-edit roots byte for byte, while a session created after the edit
-// ships different ones.
+// TestEditOneVersionAnswersAndStalePut: a later stage of a query reads a
+// fragment at the version its first stage read. After one edit, a request
+// naming the pre-edit version is served the pre-edit fragment byte for
+// byte, and one naming the new version the new one; after a second edit
+// the pre-edit version is gone, and naming it fails with ErrVersionSkew,
+// as does naming a version the site never held.
 func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 9))
@@ -353,28 +350,54 @@ func TestEditOneVersionAnswersAndStalePut(t *testing.T) {
 	s := sites[0]
 	query := `//broker[//stock/code = "ZZZZ"]/name` // no such stock until the edit inserts one
 	n := int32(len(ft.Frags))
+	body := func(v uint64) (string, error) {
+		resp, err := s.handleCollect(&AnsStageReq{QID: 1, Bodies: []fragment.FragID{fragment.RootFrag},
+			Versions: []WireVersion{{Frag: fragment.RootFrag, Version: v}}})
+		if err != nil {
+			return "", err
+		}
+		return resp.Bodies[0].XML, nil
+	}
 
-	resp1, err := s.handleQual(&QualStageReq{QID: 1, Query: query, NumFrags: n})
+	pre, err := s.handleQual(&QualStageReq{QID: 1, Query: query, NumFrags: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := pre.Roots[0].Version
+	preXML, err := body(v0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.handleEdit(stockEdit(t, ft)); err != nil {
 		t.Fatal(err)
 	}
-
-	resp2, err := s.handleQual(&QualStageReq{QID: 1, Query: query, NumFrags: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resp1.Roots, resp2.Roots) {
-		t.Error("pre-edit session shipped different roots after the edit — snapshot isolation broken")
-	}
 	post, err := s.handleQual(&QualStageReq{QID: 2, Query: query, NumFrags: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(post.Roots, resp1.Roots) {
-		t.Error("edit did not change the shipped roots — the snapshot check proves nothing")
+	if post.Roots[0].Version != v0+1 || reflect.DeepEqual(post.Roots, pre.Roots) {
+		t.Fatalf("post-edit Stage 1 reports version %d and the same roots: %v; want version %d and new roots", post.Roots[0].Version, reflect.DeepEqual(post.Roots, pre.Roots), v0+1)
+	}
+	if got, err := body(v0); err != nil || got != preXML {
+		t.Fatalf("body at the pre-edit version after one edit: err %v, same bytes %v", err, got == preXML)
+	}
+	postXML, err := body(v0 + 1)
+	if err != nil || postXML == preXML {
+		t.Fatalf("body at the post-edit version: err %v, same bytes as pre-edit %v", err, postXML == preXML)
+	}
+
+	req := stockEdit(t, ft)
+	req.BaseVersion = v0 + 1
+	if _, err := s.handleEdit(req); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{v0, v0 + 7} {
+		if _, err := body(v); !errors.Is(err, ErrVersionSkew) {
+			t.Errorf("body at version %d, two edits on: err = %v, want ErrVersionSkew", v, err)
+		}
+	}
+	if got, err := body(v0 + 1); err != nil || got != postXML {
+		t.Fatalf("body at the previous version after the second edit: err %v, same bytes %v", err, got == postXML)
 	}
 }
 
@@ -391,10 +414,11 @@ func stockEdit(t *testing.T, ft *fragment.Fragmentation) *EditReq {
 	return req
 }
 
-// TestBatchQualsStraddlingEditDoNotShare: batched Stage-1 members share one
-// sweep only when their sessions snapshotted the same fragment versions.
-// Session 1 is created before an edit and session 2 after it; one envelope
-// carrying both must ship each member the roots of its own snapshot.
+// TestBatchQualsStraddlingEditDoNotShare: batched Stage-1 members share
+// one sweep over the fragment set current when their envelope arrives.
+// An edit between two envelopes makes the second one's members ship the
+// post-edit roots, with the new version, equal to a solo post-edit
+// Stage 1, never the memoized pre-edit sweep.
 func TestBatchQualsStraddlingEditDoNotShare(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 9))
@@ -408,7 +432,7 @@ func TestBatchQualsStraddlingEditDoNotShare(t *testing.T) {
 	// qualBody is a solo Stage-1 response as a batch member body.
 	qualBody := func(qid QueryID) []byte {
 		t.Helper()
-		resp, err := s.handleQual(&QualStageReq{QID: qid, Query: query, NumFrags: n, Final: true})
+		resp, err := s.handleQual(&QualStageReq{QID: qid, Query: query, NumFrags: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,41 +442,48 @@ func TestBatchQualsStraddlingEditDoNotShare(t *testing.T) {
 		}
 		return b
 	}
+	// envelope serves two Stage-1 members in one batch envelope.
+	envelope := func(qids ...QueryID) [][]byte {
+		t.Helper()
+		var subs []BatchSub
+		for _, qid := range qids {
+			b, err := (&QualStageReq{QID: qid, Query: query, NumFrags: n}).AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs = append(subs, BatchSub{Tag: tagQualStageReq, Body: b})
+		}
+		resp, err := s.handleBatch(&BatchStageReq{Subs: subs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for i, sub := range resp.Subs {
+			if sub.Tag != tagQualStageResp {
+				t.Fatalf("member %d failed: %s", i+1, sub.Body)
+			}
+			out = append(out, sub.Body)
+		}
+		return out
+	}
 
 	pre := qualBody(10)
-	if _, err := s.getSession(1, query, n); err != nil {
-		t.Fatal(err)
+	for i, b := range envelope(1, 2) {
+		if !bytes.Equal(b, pre) {
+			t.Errorf("pre-edit member %d shipped roots other than a solo pre-edit Stage 1", i+1)
+		}
 	}
 	if _, err := s.handleEdit(stockEdit(t, ft)); err != nil {
 		t.Fatal(err)
 	}
-
-	var subs []BatchSub
-	for _, qid := range []QueryID{1, 2} {
-		b, err := (&QualStageReq{QID: qid, Query: query, NumFrags: n}).AppendBinary(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, BatchSub{Tag: tagQualStageReq, Body: b})
-	}
-	resp, err := s.handleBatch(&BatchStageReq{Subs: subs})
-	if err != nil {
-		t.Fatal(err)
-	}
 	post := qualBody(11)
-	for i, sub := range resp.Subs {
-		if sub.Tag != tagQualStageResp {
-			t.Fatalf("member %d failed: %s", i+1, sub.Body)
+	if bytes.Equal(pre, post) {
+		t.Fatal("the edit changed no shipped byte — the check below proves nothing")
+	}
+	for i, b := range envelope(3, 4) {
+		if !bytes.Equal(b, post) {
+			t.Errorf("post-edit member %d shipped roots other than a solo post-edit Stage 1 — it read the pre-edit sweep", i+1)
 		}
-	}
-	if bytes.Equal(resp.Subs[0].Body, post) {
-		t.Fatal("pre-edit member shipped the post-edit roots — the check below proves nothing")
-	}
-	if !bytes.Equal(resp.Subs[0].Body, pre) {
-		t.Error("pre-edit member did not ship its snapshot's roots")
-	}
-	if !bytes.Equal(resp.Subs[1].Body, post) {
-		t.Error("post-edit member shipped roots other than a fresh post-edit Stage 1 — it shared the pre-edit member's sweep")
 	}
 }
 
@@ -472,7 +503,7 @@ func TestEditReplicatedConvergence(t *testing.T) {
 			t.Fatalf("replica group %v, want 2 members", group)
 		}
 		// The replica's first call (this edit) kills it; it stays down for
-		// two more calls, then restarts (sessions wiped, fragments kept).
+		// two more calls, then restarts (caches wiped, fragments kept).
 		plan := dist.NewFaultPlan(dist.SiteFault{Site: group[1], Call: 1, Action: dist.FaultKill, Down: 2})
 		plan.OnRestart = func(id dist.SiteID) { siteByID(sites, id).Restart() }
 		local.FaultHook = plan.Hook

@@ -4,18 +4,14 @@ import (
 	"errors"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
-	"paxq/internal/xmark"
 	"paxq/internal/xmltree"
-	"paxq/internal/xpath"
 )
 
 // TestEvalFromDisk exercises the §1 secondary-storage application: save a
@@ -115,7 +111,7 @@ func TestBooleanQueriesThroughEngines(t *testing.T) {
 
 // TestEngineSurvivesTransportFault injects a network fault mid-query and
 // verifies the engine reports the error and that a subsequent evaluation
-// (fresh query ID, fresh sessions) succeeds.
+// (fresh query ID) succeeds.
 func TestEngineSurvivesTransportFault(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 23))
@@ -176,143 +172,42 @@ func TestSequentialModeMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestSessionLimitRejectsExplicitly floods a site with abandoned stage-1
-// sessions and verifies the regression fix for the old silent-eviction
-// behavior: a site at its session cap rejects the NEW query with
-// ErrSessionLimit instead of discarding the oldest query's state (which
-// made an unrelated in-flight query fail a later stage). Once the dangling
-// sessions pass their TTL, the sweep reclaims them and admission resumes.
-func TestSessionLimitRejectsExplicitly(t *testing.T) {
+// TestHostileStageRequestsFailTyped: a stage request naming a fragment
+// version the site never held, or a fragment the site does not host,
+// fails with a typed error, never a panic, and so does a request of an
+// unknown type.
+func TestHostileStageRequestsFailTyped(t *testing.T) {
 	tr := testutil.PaperTree()
-	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 2, 7))
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frags := make([]*fragment.Fragment, ft.Len())
-	copy(frags, ft.Frags)
-	site := NewSite(1, frags)
+	site := NewSite(1, ft.Frags[:2])
 	h := site.Handler()
-	query := `[//code = "GOOG"]`
-	for i := 0; i < maxSessions; i++ {
-		// Qualifier stage only: sessions are left dangling on purpose.
-		if _, err := h(&QualStageReq{QID: QueryID(i + 1), Query: query, NumFrags: int32(ft.Len())}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The site is full: the next NEW query is rejected, typed.
-	_, err = h(&QualStageReq{QID: QueryID(maxSessions + 1), Query: query, NumFrags: int32(ft.Len())})
-	if !errors.Is(err, ErrSessionLimit) {
-		t.Fatalf("query beyond the session cap: err = %v, want ErrSessionLimit", err)
-	}
-	// No state was discarded to make room: every admitted query can still
-	// proceed (session 1 — the one the old code would have evicted first —
-	// included).
-	site.mu.Lock()
-	n := len(site.sessions)
-	_, first := site.sessions[1]
-	site.mu.Unlock()
-	if n != maxSessions || !first {
-		t.Fatalf("sessions = %d (first retained = %v), want all %d admitted sessions intact", n, first, maxSessions)
-	}
-	// After the TTL the dangling sessions are swept and admission resumes.
-	defer func(old time.Duration) { sessionTTL = old }(sessionTTL)
-	sessionTTL = 0
-	if _, err := h(&QualStageReq{QID: QueryID(maxSessions + 2), Query: query, NumFrags: int32(ft.Len())}); err != nil {
-		t.Fatalf("query after TTL sweep: %v", err)
-	}
-}
-
-// TestPrunedSitesReleaseSessions is the session-leak regression. Under
-// PaX3 with annotations a site hosting only pruned fragments is visited by
-// Stage 1 and by nothing after; before the Final flag its sessions dangled
-// until sessionTTL, and after maxSessions such queries the site refused
-// everything. More queries than the cap must all succeed, and every site's
-// session table must be empty once they are done — Boolean queries, whose
-// single stage is final everywhere, included. The flag must work solo,
-// inside batch envelopes and on a failover engine.
-func TestPrunedSitesReleaseSessions(t *testing.T) {
-	const q3 = `/sites/site/people/person[profile/age > 20 and address/country = "US"]/creditcard`
-	tree := xmark.Generate(4, xmark.DefaultSite.Scale(0.02), 1)
-	ft, err := fragment.Cut(tree, fragment.RandomCuts(tree, 7, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := xpath.Compile(q3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := AnalyzeRelevance(ft, c)
-	want := oracle(t, tree, q3)
-
-	run := func(t *testing.T, topo *Topology, eng *Engine, sites []*Site, workers int) {
-		if len(eng.relevantFragsBySite(rel)) == len(topo.Primaries()) {
-			t.Fatal("fixture has no site hosting only pruned fragments — the test would prove nothing")
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < (maxSessions+44)/workers; i++ {
-					res, err := eng.Run(q3, Options{Algorithm: PaX3, Annotations: true})
-					if err != nil {
-						t.Errorf("query %d: %v", i, err)
-						return
-					}
-					if i == 0 && !testutil.EqualIDs(origIDs(ft, res.Answers), want) {
-						t.Errorf("answers %v, oracle %v", origIDs(ft, res.Answers), want)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if _, _, err := eng.RunBoolean(`[//person/profile/age > 20]`, Options{}); err != nil {
-			t.Error(err)
-		}
-		for _, s := range sites {
-			s.mu.Lock()
-			n := len(s.sessions)
-			s.mu.Unlock()
-			if n != 0 {
-				t.Errorf("site %d holds %d sessions at quiescence, want 0", s.ID(), n)
+	query := `//broker[//stock/code = "GOOG"]/name`
+	n := int32(ft.Len())
+	init := WireInit{Frag: 1, SV: make([]bool, 4)}
+	for _, tc := range []struct {
+		name string
+		req  any
+		want error
+	}{
+		{"selection at a version never held", &SelStageReq{QID: 1, Query: query, NumFrags: n, Frags: []fragment.FragID{0, 1},
+			Versions: []WireVersion{{Frag: 0, Version: 0}, {Frag: 1, Version: 9}}}, ErrVersionSkew},
+		{"selection of a fragment not hosted", &SelStageReq{QID: 2, Query: query, NumFrags: n, Frags: []fragment.FragID{2}}, ErrBadStageRequest},
+		{"selection naming the version of a fragment not hosted", &SelStageReq{QID: 3, Query: query, NumFrags: n, Frags: []fragment.FragID{3},
+			Versions: []WireVersion{{Frag: 3, Version: 0}}}, ErrBadStageRequest},
+		{"final walk at a version never held", &AnsStageReq{QID: 5, Query: query, NumFrags: n, Inits: []WireInit{init}, Versions: []WireVersion{{Frag: 1, Version: 3}}}, ErrVersionSkew},
+		{"final walk of a fragment not hosted", &AnsStageReq{QID: 6, Query: query, NumFrags: n, Inits: []WireInit{{Frag: 2, SV: init.SV}}}, ErrBadStageRequest},
+		{"body at a version never held", &AnsStageReq{QID: 7, Bodies: []fragment.FragID{0}, Versions: []WireVersion{{Frag: 0, Version: 1}}}, ErrVersionSkew},
+		{"body of a fragment not hosted", &AnsStageReq{QID: 8, Bodies: []fragment.FragID{5}, Versions: []WireVersion{{Frag: 5, Version: 0}}}, ErrBadStageRequest},
+		{"unknown request type", &struct{ X int }{}, ErrBadStageRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := h(tc.req); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
-		}
-	}
-	topo := RoundRobin(ft, 4)
-	t.Run("local", func(t *testing.T) {
-		local, sites := BuildLocalCluster(topo)
-		run(t, topo, NewEngine(topo, local), sites, 1)
-	})
-	t.Run("tcp", func(t *testing.T) {
-		tcp, sites, shutdown, err := BuildTCPCluster(topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer shutdown()
-		run(t, topo, NewEngine(topo, tcp), sites, 1)
-	})
-	t.Run("batched", func(t *testing.T) {
-		local, sites := BuildLocalCluster(topo)
-		run(t, topo, NewEngine(topo, local, WithBatchWindow(time.Millisecond)), sites, 6)
-	})
-	t.Run("replicated", func(t *testing.T) {
-		rtopo := RoundRobinReplicated(ft, 4, 2)
-		local, sites := BuildLocalCluster(rtopo)
-		run(t, rtopo, NewEngine(rtopo, local), sites, 1)
-	})
-}
-
-// TestCollectWithoutSessionErrors verifies the site rejects a final-stage
-// request for an unknown query instead of panicking.
-func TestCollectWithoutSessionErrors(t *testing.T) {
-	tr := testutil.PaperTree()
-	ft, _ := fragment.Cut(tr, nil)
-	site := NewSite(1, []*fragment.Fragment{ft.Root()})
-	if _, err := site.Handler()(&AnsStageReq{QID: 999}); err == nil {
-		t.Error("collect without session must fail")
-	}
-	if _, err := site.Handler()(&struct{ X int }{}); err == nil {
-		t.Error("unknown request type must fail")
+		})
 	}
 }
 

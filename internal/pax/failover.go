@@ -105,8 +105,9 @@ type run struct {
 	cur map[dist.SiteID]int
 	// opened holds, after an attempt that failed in its opening stage, the
 	// opening responses of the groups that answered (see stage).
-	opened             map[dist.SiteID]any
-	retries, failovers int
+	opened map[dist.SiteID]any
+	// skews counts the re-runs spent on version skew alone.
+	retries, failovers, skews int
 }
 
 // newRun starts a query: a fresh QID and ledger, every group routed to
@@ -144,6 +145,13 @@ func (r *run) rotate(primary dist.SiteID) {
 	}
 }
 
+// maxSkewReruns bounds the re-runs one query spends on version skew
+// alone. The engine's own edits never skew its queries (queryGate), so a
+// skew comes from another coordinator's edits or a site restart, and a
+// re-run, which reads the versions current at its start, skews again only
+// if that happens again while it runs.
+const maxSkewReruns = 3
+
 // retry runs attempt — one evaluation of the query, talking to one
 // replica per group — until it succeeds or fails for good. An attempt
 // fails for good on an error that is not a stage failure
@@ -151,9 +159,11 @@ func (r *run) rotate(primary dist.SiteID) {
 // (classifyStageError), once ctx is done, or when a failed group has
 // spent the policy's MaxAttempts. Otherwise every failed primary's group
 // rotates to its next replica and, after the policy's backoff, the query
-// runs again under the same QID. Its opening stage restarts any session a
-// site holds for that QID (getSession), so no attempt reads another's
-// results, and each attempt visits a site at most B times:
+// runs again under the same QID. A stage failure that is version skew
+// alone (ErrVersionSkew at every failed group) says nothing about the
+// members' health: the query runs again at once on the same members, up
+// to maxSkewReruns times, whatever the policy. No attempt reads another's
+// results, and each visits a site at most B times:
 // MaxVisits <= B·(1+Retries).
 func (r *run) retry(ctx context.Context, attempt func() error) error {
 	e := r.e
@@ -164,16 +174,24 @@ func (r *run) retry(ctx context.Context, attempt func() error) error {
 			return err
 		}
 		retriable := ctx.Err() == nil
+		skew := true
 		n := 0 // the attempts spent by the failed group that spent most
 		for _, f := range be.Failures {
 			if dist.Retriable(f.Err) {
 				e.deadSites.Add(1)
 			}
 			retriable = retriable && classifyStageError(f.Err)
+			skew = skew && !dist.Retriable(f.Err)
 			n = max(n, r.cur[f.Site]+1)
 		}
 		if !retriable {
 			return err
+		}
+		if skew && r.skews < maxSkewReruns {
+			r.skews++
+			r.retries++
+			e.retries.Add(1)
+			continue
 		}
 		if n >= e.retry.MaxAttempts {
 			if n > 1 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -237,132 +238,177 @@ func TestFailoverLedgerConservation(t *testing.T) {
 	}
 }
 
-// TestSessionLossRerunsQuery: a site restart between stages (no
-// unavailability — the site answers, it just lost the session) must be
-// classified retriable and repaired by running the query again on the
-// same site. Exercised on an unreplicated topology with retries enabled,
-// where rotation has nowhere to go. The re-run's opening stage replaces
-// what the failed run left at the other site, and the answered query
-// leaves no session behind.
+// TestSessionLossRerunsQuery: a site restart between stages costs a query
+// at most one re-run, even on an unreplicated engine without a retry
+// policy. A restarted site keeps its current fragments and loses the
+// rest: with no edit between the stages the later stage still finds the
+// version it names and the query answers without a re-run; with an edit
+// between them the restart lost the version the first stage read, the
+// site answers ErrVersionSkew, and the query runs again once, on the same
+// site, at the new version.
 func TestSessionLossRerunsQuery(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := RoundRobin(ft, 2)
-	local, sites := BuildLocalCluster(topo)
-	eng := NewEngine(topo, local, WithRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}))
 	query := `//broker[//stock/code = "GOOG"]/name`
-	want := oracle(t, tr, query)
-	// Restart site 0 just before its second call: the call itself goes
-	// through to a site that no longer remembers the query.
-	calls := 0
-	local.FaultHook = func(to dist.SiteID, req any) error {
-		if to == 0 {
-			calls++
-			if calls == 2 {
-				sites[0].Restart()
+	want := oracleValues(t, tr, query)
+	for _, edit := range []bool{false, true} {
+		topo := RoundRobin(ft, 2)
+		local, sites := BuildLocalCluster(topo)
+		eng := NewEngine(topo, local)
+		fid := siteByID(sites, 0).FragIDs()[0]
+		// Restart site 0 just before its second call, after an
+		// answer-neutral edit of one of its fragments when edit is set.
+		calls := 0
+		local.FaultHook = func(to dist.SiteID, req any) error {
+			if to == 0 {
+				calls++
+				if calls == 2 {
+					if edit {
+						landEdits(t, siteByID(sites, 0), fid, 1)
+					}
+					sites[0].Restart()
+				}
 			}
+			return nil
 		}
-		return nil
-	}
-	res, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatalf("session loss not repaired: %v", err)
-	}
-	if got := origIDs(ft, res.Answers); !testutil.EqualIDs(got, want) {
-		t.Errorf("answers diverged after the re-run: got %v want %v", got, want)
-	}
-	if res.Retries < 1 {
-		t.Errorf("Result.Retries = %d, want >= 1", res.Retries)
-	}
-	if res.Failovers != 0 {
-		t.Errorf("Result.Failovers = %d, want 0 (the re-run goes back to the same site)", res.Failovers)
-	}
-	for _, s := range sites {
-		s.mu.Lock()
-		n := len(s.sessions)
-		s.mu.Unlock()
-		if n != 0 {
-			t.Errorf("site %d holds %d sessions after the query answered, want 0", s.ID(), n)
+		res, err := eng.Run(query, Options{Algorithm: PaX3})
+		if err != nil {
+			t.Fatalf("edit=%v: restart not repaired: %v", edit, err)
+		}
+		if got := answerValues(res); got != want {
+			t.Errorf("edit=%v: answers diverged after the restart: got %v want %v", edit, got, want)
+		}
+		if wantRetries := map[bool]int{false: 0, true: 1}[edit]; res.Retries != wantRetries || res.Failovers != 0 {
+			t.Errorf("edit=%v: Retries = %d, Failovers = %d, want %d and 0", edit, res.Retries, res.Failovers, wantRetries)
 		}
 	}
 }
 
-// TestFailedStageReleasesSession: a stage request that fails at a site
-// leaves no session behind there. A primary restarted before its second
-// call gets PaX3's selection request for a query it no longer knows: the
-// request carries the query text, so the site opens a session, then fails
-// the stage for want of qualifier state. The query re-runs on the
-// replica and answers; the failed primary must not keep the session it
-// opened until sessionTTL.
-func TestFailedStageReleasesSession(t *testing.T) {
-	eng, tr, ft, local, sites := replicatedCluster(t, 2, 2)
-	primary := eng.topo.Primaries()[0]
-	query := `//broker[//stock/code = "GOOG"]/name`
-	want := oracle(t, tr, query)
-	calls := 0
-	local.FaultHook = func(to dist.SiteID, req any) error {
-		if to == primary {
-			calls++
-			if calls == 2 {
-				siteByID(sites, primary).Restart()
-			}
-		}
-		return nil
+// oracleValues is the centralized answer of query over tr, as the sorted
+// values of its nodes.
+func oracleValues(t *testing.T, tr *xmltree.Tree, query string) string {
+	t.Helper()
+	var vals []string
+	for _, id := range oracle(t, tr, query) {
+		vals = append(vals, tr.Node(id).Value())
 	}
-	res, err := eng.Run(query, Options{Algorithm: PaX3})
+	slices.Sort(vals)
+	return fmt.Sprint(vals)
+}
+
+// answerValues is res's answer, as the sorted values of its nodes.
+func answerValues(res *Result) string {
+	var vals []string
+	for _, a := range res.Answers {
+		vals = append(vals, a.Value)
+	}
+	slices.Sort(vals)
+	return fmt.Sprint(vals)
+}
+
+// landEdits applies n answer-neutral edits to fragment fid at site s: each
+// inserts an empty <patch/> under the fragment's root.
+func landEdits(t *testing.T, s *Site, fid fragment.FragID, n int) {
+	t.Helper()
+	for range n {
+		req, err := editReqOf(fid, fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0, Subtree: xmltree.El("patch")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.BaseVersion = s.snapshot().byID[fid].Version
+		if _, err := s.handleEdit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// hookTransport runs hook before every call of the transport it wraps.
+type hookTransport struct {
+	dist.Transport
+	hook func(to dist.SiteID, req any)
+}
+
+func (h hookTransport) Call(ctx context.Context, to dist.SiteID, req any) (any, dist.CallCost, error) {
+	h.hook(to, req)
+	return h.Transport.Call(ctx, to, req)
+}
+
+// TestVersionSkewRerunsQuery: two edits of one fragment landing between a
+// PaX3 query's Stage 1 and Stage 2 leave the site without the version
+// Stage 1 read. On an unreplicated engine without a retry policy, over
+// both transports, the site answers ErrVersionSkew, the query runs again
+// once, and answers as the centralized oracle of the edited document.
+func TestVersionSkewRerunsQuery(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := origIDs(ft, res.Answers); !testutil.EqualIDs(got, want) {
-		t.Errorf("answers = %v, want %v", got, want)
-	}
-	if res.Retries < 1 {
-		t.Errorf("Result.Retries = %d, want >= 1: the restart did not fail a stage", res.Retries)
-	}
-	for _, s := range sites {
-		s.mu.Lock()
-		n := len(s.sessions)
-		s.mu.Unlock()
-		if n != 0 {
-			t.Errorf("site %d holds %d sessions after the query answered, want 0", s.ID(), n)
-		}
-	}
-}
-
-// TestSessionLimitRotatesToReplica: a primary at its session cap rejects
-// the new query with ErrSessionLimit; the failover layer must treat that
-// as retriable and serve the query from the replica.
-func TestSessionLimitRotatesToReplica(t *testing.T) {
-	eng, _, ft, _, sites := replicatedCluster(t, 1, 2)
-	primary := eng.topo.Primaries()[0]
-	ps := siteByID(sites, primary)
-	// Fill the primary to its cap with synthetic sessions that are too
-	// fresh to sweep.
-	h := ps.Handler()
-	for i := 0; i < maxSessions; i++ {
-		if _, err := h(&QualStageReq{QID: QueryID(1_000_000 + i), Query: "//name", NumFrags: int32(ft.Len())}); err != nil {
-			t.Fatalf("synthetic session %d: %v", i, err)
-		}
-	}
 	query := `//broker[//stock/code = "GOOG"]/name`
-	want := oracle(t, ft.Reassemble(), query)
-	res, err := eng.Run(query, Options{Algorithm: PaX3})
-	if err != nil {
-		t.Fatalf("query died at a full primary despite a replica: %v", err)
-	}
-	if got := origIDs(ft, res.Answers); !testutil.EqualIDs(got, want) {
-		t.Errorf("answers diverged: got %v want %v", got, want)
-	}
-	if res.Failovers < 1 {
-		t.Errorf("Result.Failovers = %d, want >= 1 (rotation away from the full site)", res.Failovers)
+	const fid = fragment.RootFrag
+	// The second edit inserts a broker trading GOOG under the root
+	// fragment's root, which the answer must then name.
+	edited := ft.Reassemble()
+	edited.Root.Children = append([]*xmltree.Node{xmltree.El("broker", xmltree.ElT("name", "new"),
+		xmltree.El("stock", xmltree.ElT("code", "GOOG")))}, edited.Root.Children...)
+	want := oracleValues(t, xmltree.NewTree(edited.Root), query)
+	for _, transport := range []string{"local", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			topo := RoundRobin(ft, 2)
+			var tport dist.Transport
+			var sites []*Site
+			if transport == "local" {
+				tport, sites = BuildLocalCluster(topo)
+			} else {
+				tcp, ss, shutdown, err := BuildTCPCluster(topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer shutdown()
+				tport, sites = tcp, ss
+			}
+			s := siteByID(sites, topo.SiteOf[fid])
+			landed := false
+			eng := NewEngine(topo, hookTransport{Transport: tport, hook: func(to dist.SiteID, req any) {
+				if _, ok := req.(*SelStageReq); ok && !landed {
+					landed = true
+					landEdits(t, s, fid, 1)
+					req, err := editReqOf(fid, fragment.Edit{Op: fragment.EditInsert, Node: 0, Pos: 0,
+						Subtree: xmltree.El("broker", xmltree.ElT("name", "new"), xmltree.El("stock", xmltree.ElT("code", "GOOG")))})
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.BaseVersion = s.snapshot().byID[fid].Version
+					if _, err := s.handleEdit(req); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}}, WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+			res, err := eng.Run(query, Options{Algorithm: PaX3, Sequential: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !landed {
+				t.Fatal("the query ran no selection stage; the edits never landed between stages")
+			}
+			if got := answerValues(res); got != want {
+				t.Errorf("answers %v, oracle of the edited document %v", got, want)
+			}
+			if res.Retries != 1 || res.Failovers != 0 {
+				t.Errorf("Retries = %d, Failovers = %d, want 1 and 0", res.Retries, res.Failovers)
+			}
+			if res.MaxVisits > 3*(1+res.Retries) {
+				t.Errorf("MaxVisits = %d, bound %d", res.MaxVisits, 3*(1+res.Retries))
+			}
+		})
 	}
 }
 
 // TestWarmReplicaStaysByteIdentical: a replica that has already served the
-// query for another session must serve a failed-over query
+// query for another run must serve a failed-over query
 // byte-identically to the fault-free answer.
 func TestWarmReplicaStaysByteIdentical(t *testing.T) {
 	eng, tr, ft, local, sites := replicatedCluster(t, 2, 2)
@@ -373,7 +419,7 @@ func TestWarmReplicaStaysByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm every replica: an unrelated query session compiles the query
+	// Warm every replica: an unrelated run of the query compiles it
 	// and runs its Stage 1 there.
 	for _, p := range eng.topo.Primaries() {
 		for _, r := range eng.topo.ReplicasOf(p)[1:] {
@@ -467,11 +513,10 @@ func TestClassifyStageError(t *testing.T) {
 	}{
 		{"nil", nil, false},
 		{"unavailable", fmt.Errorf("wrap: %w", dist.ErrSiteUnavailable), true},
-		{"session limit typed", fmt.Errorf("pax: site 3: %w (256 queries in flight)", ErrSessionLimit), true},
-		{"session limit wire string", errors.New("pax: site 3: pax: site session limit reached (256 queries in flight)"), true},
-		{"no session wire string", errors.New("pax: site 2: no session for query 17"), true},
-		{"out of order wire string", errors.New("pax: site 1: selection stage for fragment 3 of query 9 arrived out of order (no qualifier state)"), true},
-		{"handler rejection", errors.New("pax: site 4: unknown request type"), false},
+		{"version skew typed", fmt.Errorf("pax: site 3: fragment 2 is at version 7, not 5: %w", ErrVersionSkew), true},
+		{"version skew wire string", errors.New("pax: site 3: fragment 2 is at version 7, not 5: pax: fragment version skew"), true},
+		{"handler rejection", fmt.Errorf("pax: site 4: unknown request type: %w", ErrBadStageRequest), false},
+		{"handler rejection wire string", errors.New("pax: site 4: does not host fragment 9: pax: bad stage request"), false},
 		{"context deadline", context.DeadlineExceeded, false},
 	}
 	for _, c := range cases {
@@ -736,15 +781,6 @@ func TestFailoverVersionSkew(t *testing.T) {
 		}
 		if g := fmt.Sprint(got); g != fmt.Sprint(atV) && g != fmt.Sprint(atV1) {
 			t.Errorf("%s: answer %v holds at no version of fragment %d: %v at V, %v at V+1", alg, got, skewed, atV, atV1)
-		}
-		// The re-run visited every live site, and left no session behind.
-		for _, s := range sites {
-			s.mu.Lock()
-			n := len(s.sessions)
-			s.mu.Unlock()
-			if s.ID() != group[0] && n != 0 {
-				t.Errorf("%s: live site %d holds %d sessions after the query answered, want 0", alg, s.ID(), n)
-			}
 		}
 	}
 }

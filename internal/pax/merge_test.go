@@ -12,7 +12,6 @@ import (
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
 	"paxq/internal/xmltree"
-	"paxq/internal/xpath"
 )
 
 // ans is an answer carrying only its identity, for the merge tests.
@@ -167,7 +166,7 @@ func bibCluster(tb testing.TB, sections, perSection, sites int) *Engine {
 
 // shipQueries are bib_ship's two shapes of ShipXML query: PaX2 with the
 // annotations, whose answers are definite where they are selected, and
-// PaX3 without, whose answers are candidates its final stage resolves;
+// PaX3 without, whose answers are candidates its final stage walks again;
 // and each again with a qualifier every article passes.
 var shipQueries = []struct {
 	name, query string
@@ -267,11 +266,10 @@ func raceEnabled() bool {
 // pin is the slope of the bytes a query allocates, its sites' and its
 // coordinator's together, between 4 sections of 25 articles and 4 of 250,
 // over Local, where no response is encoded. PaX3's answers are
-// candidates first, so its sites also keep a candidate per answer between
-// its selection and final stages. A qualified query's answers are sized
-// from the walk sets' reach, like an unqualified one's, and are held to
-// the PaX3 limit: its site lists may make room for a candidate as well as
-// an answer.
+// candidates first, and its sites keep none between the selection and the
+// final stage: the final stage walks the fragment again. A qualified
+// query's answers are sized from the walk sets' reach, like an unqualified
+// one's, and are held to the same limit.
 func TestShipAnswerBytesPerAnswer(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -279,9 +277,6 @@ func TestShipAnswerBytesPerAnswer(t *testing.T) {
 	record := float64(unsafe.Sizeof(AnswerNode{}))
 	for _, q := range shipQueries {
 		limit := 2*record + 8
-		if q.opts.Algorithm == PaX3 || xpath.MustCompile(q.query).HasQualifiers() {
-			limit += float64(unsafe.Sizeof(candidate{}))
-		}
 		var bytes [2]float64
 		for i, per := range []int{25, 250} {
 			eng := bibCluster(t, 4, per, 2)

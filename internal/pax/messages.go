@@ -19,15 +19,25 @@ type QueryID uint64
 type WireVec [][]byte
 
 // WireRootVecs carries the qualifier partial answer of one fragment: the
-// QV/QDV rows of its root (the triplet of §3.1, with QCV kept local).
-// RootSelQual additionally carries the root node's per-selection-entry
-// qualifier values; the coordinator consumes it for the root fragment when
-// answering Boolean queries with the one-visit ParBoX protocol.
+// QV/QDV rows of its root (the triplet of §3.1, with QCV kept local), and
+// the fragment version they were computed on, which every later request
+// of the query that reads the fragment names. RootSelQual additionally
+// carries the root node's per-selection-entry qualifier values; the
+// coordinator consumes it for the root fragment when answering Boolean
+// queries with the one-visit ParBoX protocol.
 type WireRootVecs struct {
 	Frag        fragment.FragID
+	Version     uint64
 	QV          WireVec
 	QDV         WireVec
 	RootSelQual WireVec
+}
+
+// WireVersion names the version of a fragment that a stage of the query
+// read.
+type WireVersion struct {
+	Frag    fragment.FragID
+	Version uint64
 }
 
 // WireContext carries the SVect context computed for one virtual node: the
@@ -72,35 +82,34 @@ type AnswerNode struct {
 }
 
 // QualStageReq asks a site to run the bottom-up qualifier pass (PaX3
-// Stage 1) over its fragments. Final tells the site that no later stage of
-// this query will visit it — the coordinator knows the relevance set
-// before Stage 1 — so the site releases the query's session before it
-// replies instead of holding it until sessionTTL.
+// Stage 1) over the current version of each of its fragments.
 type QualStageReq struct {
 	QID      QueryID
 	Query    string
 	NumFrags int32
-	Final    bool
 }
 
-// QualStageResp returns one root-vector pair per hosted fragment.
+// QualStageResp returns one root-vector pair per hosted fragment, each
+// with the fragment version it read.
 type QualStageResp struct {
 	Roots []WireRootVecs
 }
 
 // SelStageReq asks a site to run the top-down selection pass (PaX3
-// Stage 2) over the listed fragments. VirtualQuals grounds the qualifier
-// variables of the fragments' virtual nodes; Inits, when present, supplies
-// concrete stack vectors (XA optimization) — otherwise non-root fragments
-// seed their stacks with z variables. Stitch, set only with ShipXML, says
-// the query's answers may hold stubs: the site reports the sub-fragments
-// below its answers and candidates, and keeps the query's session — its
-// fragment snapshot — until the final stage, which always visits it.
+// Stage 2) over the listed fragments. Versions names the version of each
+// fragment the qualifier stage read; the site reads a fragment it does
+// not name at its current version. VirtualQuals grounds the qualifier variables of the fragments' virtual
+// nodes; Inits, when present, supplies concrete stack vectors (XA
+// optimization) — otherwise non-root fragments seed their stacks with z
+// variables. Stitch, set only with ShipXML, says the query's answers may
+// hold stubs: the site reports the sub-fragments below its answers and
+// candidates.
 type SelStageReq struct {
 	QID          QueryID
 	Query        string
 	NumFrags     int32
 	Frags        []fragment.FragID
+	Versions     []WireVersion
 	VirtualQuals []WireBoolVals
 	Inits        []WireInit
 	ShipXML      bool
@@ -108,21 +117,24 @@ type SelStageReq struct {
 }
 
 // SelStageResp returns per-virtual-node contexts, the answers already known
-// to be definite, and the fragments that retained candidate answers and
+// to be definite, and the fragments that hold candidate answers and
 // therefore need Stage 3. Under Stitch, Below lists the sub-fragments
 // whose virtual nodes lie in the subtree of an answer or a candidate: the
-// stubs in the answers' XML whose bodies the final stage fetches.
+// stubs in the answers' XML whose bodies the final stage fetches. When
+// the request named no version, Versions reports the ones read.
 type SelStageResp struct {
 	Contexts   []WireContext
 	Answers    []AnswerNode
 	Candidates []fragment.FragID
 	Below      []fragment.FragID
+	Versions   []WireVersion
 }
 
 // CombinedStageReq asks a site to run PaX2's combined visit (Fig. 5
-// Stage 1) over the listed fragments: per fragment, the Stage-1 qualifier
-// pass and the selection traversal, with qualifier values left symbolic in
-// the sub-fragment variables. Stitch is SelStageReq's.
+// Stage 1) over the current version of each listed fragment: per
+// fragment, the Stage-1 qualifier pass and the selection traversal, with
+// qualifier values left symbolic in the sub-fragment variables. Stitch is
+// SelStageReq's.
 type CombinedStageReq struct {
 	QID      QueryID
 	Query    string
@@ -133,9 +145,11 @@ type CombinedStageReq struct {
 	Stitch   bool
 }
 
-// CombinedStageResp returns the qualifier root vectors and selection
-// contexts together, plus definite answers, candidate-bearing fragments
-// and, under Stitch, the sub-fragments below them (see SelStageResp).
+// CombinedStageResp returns the qualifier root vectors, with the versions
+// read, and selection contexts together, plus definite answers,
+// candidate-bearing fragments and, under Stitch, the sub-fragments below
+// them (see SelStageResp). A fragment that holds a candidate ships no
+// answers here: the final stage ships all of them.
 type CombinedStageResp struct {
 	Roots      []WireRootVecs
 	Contexts   []WireContext
@@ -145,20 +159,23 @@ type CombinedStageResp struct {
 }
 
 // AnsStageReq is a query's final stage (PaX3 Stage 3 / PaX2 Stage 2). It
-// resolves retained candidates: Inits grounds the z variables, Quals the
-// sub-fragment qualifier variables that PaX2 candidates may still
-// mention. Under Stitch, Bodies lists the hosted fragments whose file
-// forms the coordinator stitches into answers, read from the query's
-// session. A site the query has not visited before holds no session: its
-// request carries Query and NumFrags, and the site opens the session —
-// snapshots its fragments — on arrival.
+// walks the candidate-bearing fragments of Inits again, under their
+// ground init vectors and the ground qualifier values of their
+// sub-fragments in Quals, and ships their answers, with their XML under
+// ShipXML. Under Stitch, Bodies
+// lists the hosted fragments whose file forms the coordinator stitches
+// into answers. Versions names the version of every fragment of Inits
+// and Bodies that an earlier stage of the query read; the site reads a
+// fragment it does not name at its current version.
 type AnsStageReq struct {
 	QID      QueryID
 	Query    string
 	NumFrags int32
 	Inits    []WireInit
 	Quals    []WireBoolVals
+	ShipXML  bool
 	Bodies   []fragment.FragID
+	Versions []WireVersion
 }
 
 // AnsStageResp returns the remaining answers and the requested fragment

@@ -418,9 +418,10 @@ func TestUnknownAlgorithm(t *testing.T) {
 // after the fragments before it ran and before any after it does.
 func TestEvalFragsPanicIsFragmentError(t *testing.T) {
 	var ran []fragment.FragID
-	err := evalFrags([]fragment.FragID{1, 4, 6}, func(i int, fid fragment.FragID) error {
-		ran = append(ran, fid)
-		if fid == 4 {
+	frags := []*fragment.Fragment{{ID: 1}, {ID: 4}, {ID: 6}}
+	err := evalFrags(frags, func(i int, f *fragment.Fragment) error {
+		ran = append(ran, f.ID)
+		if f.ID == 4 {
 			panic("corrupt fragment")
 		}
 		return nil

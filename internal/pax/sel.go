@@ -23,12 +23,14 @@ type candidate struct {
 // the ones already there. Under ShipXML, below lists the sub-fragments
 // whose virtual nodes lie in the subtree of an answer or a candidate, in
 // pre-order: the stubs in the answers' XML that the coordinator fills with
-// the sub-fragments' bodies. visited counts the vectors the traversal
-// computed; only tests read it.
+// the sub-fragments' bodies. met counts the candidates the sweep met,
+// which a lean visit does not keep. visited counts the vectors the
+// traversal computed; only tests read it.
 type selOutcome struct {
 	contexts   []fragContext
 	answers    []AnswerNode
 	candidates []candidate
+	met        int
 	below      []fragment.FragID
 	visited    int
 }
@@ -87,7 +89,7 @@ func evalSelection(
 	fq *parbox.FragQual,
 	env *boolexpr.Env,
 ) *selOutcome {
-	v := startSelection(b, f, c, init, fq)
+	v := startSelection(b, f, c, init, fq, false)
 	return v.sweep(c, shipXML, env, nil)
 }
 
@@ -104,14 +106,30 @@ type selVisit struct {
 	slab  *[]uint64 // selWalk's masks, taken from the pool until the sweep
 	walk  arena.Bitset
 	reach int
+	// lean marks a site's visit, which ships whether the fragment holds a
+	// candidate but no candidate formula: the final stage walks the
+	// fragment again under ground values instead. Its sweep counts the
+	// candidates it meets and keeps none. skipReach marks a lean visit
+	// from a symbolic init without qualifiers, where every reach node is
+	// a candidate: its walk set leaves out the reach nodes that are not
+	// ancestors of a virtual node.
+	lean, skipReach bool
 }
 
 // startSelection computes f's walk set (selWalk) for the traversal with
-// init, fq and b.
-func startSelection(b *boolexpr.Builder, f *fragment.Fragment, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual) selVisit {
-	bp := arena.TakeSlab(4 * len(f.VirtualMask))
-	walk, reach := selWalk(&f.ArenaView, c, init, fq, *bp)
-	return selVisit{b: b, f: f, init: init, fq: fq, slab: bp, walk: walk, reach: reach}
+// init, fq and b; lean is selVisit's.
+func startSelection(b *boolexpr.Builder, f *fragment.Fragment, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual, lean bool) selVisit {
+	v := selVisit{b: b, f: f, init: init, fq: fq, slab: arena.TakeSlab(4 * len(f.VirtualMask)), lean: lean}
+	v.skipReach = lean && !c.HasQualifiers() && v.symbolic()
+	v.walk, v.reach = selWalk(&f.ArenaView, c, init, fq, *v.slab, !v.skipReach)
+	return v
+}
+
+// hasCandidates reports whether the fragment holds a candidate answer.
+// Without qualifiers reach counts exactly the nodes whose answer entry is
+// not False, so a visit that skipped them has one exactly when reach > 0.
+func (v *selVisit) hasCandidates() bool {
+	return v.out.met > 0 || v.skipReach && v.reach > 0
 }
 
 // symbolic reports whether init holds a z variable. initFor's vectors are
@@ -221,10 +239,13 @@ func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, ans
 			out.answers = append(out.answers, answerOf(f, node, shipXML))
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		case !sv[last].IsFalse():
-			if symbolic && out.candidates == nil {
-				out.candidates = make([]candidate, 0, reach)
+			out.met++
+			if !v.lean {
+				if symbolic && out.candidates == nil {
+					out.candidates = make([]candidate, 0, reach)
+				}
+				out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
 			}
-			out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		}
 		ends = append(ends, int32(end))
@@ -233,9 +254,10 @@ func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, ans
 }
 
 // selWalk computes, in four masks carved from slab, the walk set: the
-// answer entry's mask and the virtual nodes, with all their ancestors —
-// elements only, as the answer entry is a step — and the number of nodes
-// in the answer entry's mask, which holds every answer and candidate. An
+// answer entry's mask (unless withReach is false) and the virtual nodes,
+// with all their ancestors — elements only, as the answer entry is a
+// step — and the number of nodes in the answer entry's mask, which holds
+// every answer and candidate. An
 // entry's mask holds the nodes where the entry may not be False, by the
 // recurrence over masks:
 //   - a root entry: empty;
@@ -246,7 +268,7 @@ func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, ans
 //     not False;
 //   - a "//" entry: every node if init's entry is not False, else the
 //     descendants-or-self of the previous mask.
-func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual, slab []uint64) (walk arena.Bitset, reach int) {
+func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual, slab []uint64, withReach bool) (walk arena.Bitset, reach int) {
 	at := av.Tree
 	nw := len(av.VirtualMask)
 	take := func() arena.Bitset {
@@ -285,6 +307,9 @@ func selWalk(av *fragment.ArenaView, c *xpath.Compiled, init []*boolexpr.Formula
 		prev, cur = cur, prev
 	}
 	reach = prev.OnesCount()
+	if !withReach {
+		prev.Zero()
+	}
 	prev.SetOr(prev, av.VirtualMask)
 	at.StrictDescendants(prev, walk)
 	walk.SetOr(walk, prev)

@@ -52,41 +52,31 @@ func closeBelow(ft *fragment.Fragmentation, below []fragment.FragID) ([]fragment
 	return out, nil
 }
 
-// finalStage runs a query's final stage: the candidate resolutions in
-// reqs (keyed by site, possibly none) and, when the query stitches, the
-// fetch of the bodies of the sub-fragments below answers and candidates,
-// each from the site hosting it. held is nil unless the query stitches;
-// then it reports the sites that keep the query's session for this stage,
-// and each gets a request, so it serves bodies from the snapshot its
-// earlier stages evaluated and then releases the session. A body site the
-// query never visited opens its session with the request. No site is
-// visited more than the algorithm's bound: the stage is the last one for
-// every site it reaches. runs holds the answers of the earlier stages, one
-// run per response, and the stage adds one per response of its own; the
-// answers then have their stubs filled in place, and res.runs keeps them
-// all for RunAs to place. Bodies no answer used — those below candidates that
-// resolved false — are counted in Result.SpeculativeBytes. It returns
-// res, completed.
-func (e *Engine) finalStage(ctx context.Context, r *run, res *Result, query string, reqs map[dist.SiteID]any, below []fragment.FragID, held func(dist.SiteID) bool, runs [][]AnswerNode) (*Result, error) {
+// finalStage runs a query's final stage: the candidate walks in reqs
+// (keyed by site, possibly none) and, when the query stitches, the fetch
+// of the bodies of the sub-fragments below answers and candidates, each
+// from the site hosting it, at the version vers names when an earlier
+// stage read it. No site is visited more than the algorithm's bound: the
+// stage is the last one for every site it reaches. runs holds the answers
+// of the earlier stages, one run per response, and the stage adds one per
+// response of its own; the answers then have their stubs filled in place,
+// and res.runs keeps them all for RunAs to place. Bodies no answer used —
+// those below candidates that resolved false — are counted in
+// Result.SpeculativeBytes. It returns res, completed.
+func (e *Engine) finalStage(ctx context.Context, r *run, res *Result, reqs map[dist.SiteID]any, below []fragment.FragID, vers versions, runs [][]AnswerNode) (*Result, error) {
 	need, err := closeBelow(e.topo.FT, below)
 	if err != nil {
 		return nil, err
-	}
-	if held != nil {
-		for _, site := range e.topo.Primaries() {
-			if reqs[site] == nil && held(site) {
-				reqs[site] = &AnsStageReq{QID: r.qid}
-			}
-		}
 	}
 	for _, k := range need {
 		site := e.topo.SiteOf[k]
 		req, _ := reqs[site].(*AnsStageReq)
 		if req == nil {
-			req = &AnsStageReq{QID: r.qid, Query: query, NumFrags: int32(e.topo.FT.Len())}
+			req = &AnsStageReq{QID: r.qid}
 			reqs[site] = req
 		}
 		req.Bodies = append(req.Bodies, k)
+		req.Versions = vers.pin(req.Versions, k)
 	}
 	if len(reqs) > 0 {
 		resps, err := r.stage(ctx, res, func(site dist.SiteID) any { return reqs[site] })

@@ -323,6 +323,27 @@ func (r *reader) fragIDs() []fragment.FragID {
 	return out
 }
 
+func appendPins(dst []byte, ps []WireVersion) []byte {
+	dst = wirefmt.AppendUvarint(dst, uint64(len(ps)))
+	for _, p := range ps {
+		dst = appendFragID(dst, p.Frag)
+		dst = wirefmt.AppendUvarint(dst, p.Version)
+	}
+	return dst
+}
+
+func (r *reader) pins() []WireVersion {
+	n := r.count()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]WireVersion, 0, eagerCap(n))
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, WireVersion{Frag: r.fragID(), Version: r.uvarint()})
+	}
+	return out
+}
+
 func appendWireVec(dst []byte, v WireVec) []byte {
 	dst = wirefmt.AppendUvarint(dst, uint64(len(v)))
 	for _, b := range v {
@@ -346,13 +367,14 @@ func (r *reader) wireVec() WireVec {
 
 func appendRootVecs(dst []byte, v WireRootVecs) []byte {
 	dst = appendFragID(dst, v.Frag)
+	dst = wirefmt.AppendUvarint(dst, v.Version)
 	dst = appendWireVec(dst, v.QV)
 	dst = appendWireVec(dst, v.QDV)
 	return appendWireVec(dst, v.RootSelQual)
 }
 
 func (r *reader) rootVecs() WireRootVecs {
-	return WireRootVecs{Frag: r.fragID(), QV: r.wireVec(), QDV: r.wireVec(), RootSelQual: r.wireVec()}
+	return WireRootVecs{Frag: r.fragID(), Version: r.uvarint(), QV: r.wireVec(), QDV: r.wireVec(), RootSelQual: r.wireVec()}
 }
 
 func appendRootVecsSlice(dst []byte, vs []WireRootVecs) []byte {
@@ -535,8 +557,7 @@ func (m *QualStageReq) WireTag() dist.MsgTag { return tagQualStageReq }
 func (m *QualStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(m.QID))
 	dst = wirefmt.AppendString(dst, m.Query)
-	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags)))
-	return wirefmt.AppendBool(dst, m.Final), nil
+	return wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags))), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -546,7 +567,6 @@ func (m *QualStageReq) decode(r reader) error {
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
-	m.Final = r.bool()
 	return r.done()
 }
 
@@ -575,6 +595,7 @@ func (m *SelStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendString(dst, m.Query)
 	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags)))
 	dst = appendFragIDs(dst, m.Frags)
+	dst = appendPins(dst, m.Versions)
 	dst = appendBoolValsSlice(dst, m.VirtualQuals)
 	dst = appendInits(dst, m.Inits)
 	return appendShipMode(dst, m.ShipXML, m.Stitch), nil
@@ -588,6 +609,7 @@ func (m *SelStageReq) decode(r reader) error {
 	m.Query = r.str()
 	m.NumFrags = r.int32()
 	m.Frags = r.fragIDs()
+	m.Versions = r.pins()
 	m.VirtualQuals = r.boolValsSlice()
 	m.Inits = r.inits()
 	m.ShipXML, m.Stitch = r.shipMode()
@@ -602,7 +624,8 @@ func (m *SelStageResp) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendContexts(dst, m.Contexts)
 	dst = appendAnswers(dst, m.Answers)
 	dst = appendFragIDs(dst, m.Candidates)
-	return appendFragIDs(dst, m.Below), nil
+	dst = appendFragIDs(dst, m.Below)
+	return appendPins(dst, m.Versions), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -613,6 +636,7 @@ func (m *SelStageResp) decode(r reader) error {
 	m.Answers = r.answers()
 	m.Candidates = r.fragIDs()
 	m.Below = r.fragIDs()
+	m.Versions = r.pins()
 	return r.done()
 }
 
@@ -676,7 +700,9 @@ func (m *AnsStageReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirefmt.AppendUvarint(dst, uint64(uint32(m.NumFrags)))
 	dst = appendInits(dst, m.Inits)
 	dst = appendBoolValsSlice(dst, m.Quals)
-	return appendFragIDs(dst, m.Bodies), nil
+	dst = wirefmt.AppendBool(dst, m.ShipXML)
+	dst = appendFragIDs(dst, m.Bodies)
+	return appendPins(dst, m.Versions), nil
 }
 
 // DecodeBinary implements dist.BinaryMessage.
@@ -688,7 +714,9 @@ func (m *AnsStageReq) decode(r reader) error {
 	m.NumFrags = r.int32()
 	m.Inits = r.inits()
 	m.Quals = r.boolValsSlice()
+	m.ShipXML = r.bool()
 	m.Bodies = r.fragIDs()
+	m.Versions = r.pins()
 	return r.done()
 }
 

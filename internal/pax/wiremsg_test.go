@@ -94,7 +94,8 @@ func messageCorpus(seed int64) []corpusCase {
 	qualReq := &QualStageReq{QID: 7, Query: "//person[age > 30]/name", NumFrags: 5}
 	qualResp := &QualStageResp{Roots: []WireRootVecs{
 		{Frag: 0, QV: randVec(r, 3), QDV: randVec(r, 3), RootSelQual: randVec(r, 2)},
-		{Frag: 3, QV: randVec(r, 1), QDV: randVec(r, 1)},
+		// A version past 127: a two-byte varint.
+		{Frag: 3, Version: 300, QV: randVec(r, 1), QDV: randVec(r, 1)},
 	}}
 	selReq := &SelStageReq{
 		QID: 8, Query: "//a/b", NumFrags: 4,
@@ -107,24 +108,33 @@ func messageCorpus(seed int64) []corpusCase {
 	}
 	return []corpusCase{
 		{"plain", qualReq},
-		{"final", &QualStageReq{QID: 9, Query: "[//a]", NumFrags: 2, Final: true}},
 		{"roots", qualResp},
 		{"shipxml", selReq},
+		{"versions", &SelStageReq{QID: 8, Query: "//a[b]", NumFrags: 4, Frags: []fragment.FragID{1, 3},
+			Versions: []WireVersion{{Frag: 1, Version: 0}, {Frag: 3, Version: 300}}, VirtualQuals: []WireBoolVals{boolVals(true)}}},
+		// Hostile requests a site must refuse with a typed error: a version
+		// no site ever held, and (below) a final stage naming a fragment its
+		// site does not host.
+		{"never-held", &SelStageReq{QID: 8, Query: "//a", NumFrags: 4, Frags: []fragment.FragID{1}, Versions: []WireVersion{{Frag: 1, Version: 1 << 40}}}},
 		{"contexts", &SelStageResp{
 			Contexts:   []WireContext{{Frag: 1, SV: randVec(r, 2)}},
 			Answers:    answers,
 			Candidates: []fragment.FragID{2},
 			Below:      []fragment.FragID{3, 4},
+			Versions:   []WireVersion{{Frag: 2, Version: 5}, {Frag: 4, Version: 0}},
 		}},
 		{"plain", &CombinedStageReq{QID: 9, Query: "//x", NumFrags: 3, Frags: []fragment.FragID{0}}},
 		{"shipxml", &CombinedStageReq{QID: 9, Query: "//x", NumFrags: 3, Frags: []fragment.FragID{0}, ShipXML: true}},
 		{"roots", &CombinedStageResp{
-			Roots:    []WireRootVecs{{Frag: 0, QV: randVec(r, 2), QDV: randVec(r, 2)}},
+			Roots:    []WireRootVecs{{Frag: 0, Version: 2, QV: randVec(r, 2), QDV: randVec(r, 2)}},
 			Contexts: []WireContext{{Frag: 2, SV: randVec(r, 1)}},
 			Below:    []fragment.FragID{2},
 		}},
-		{"quals", &AnsStageReq{QID: 10, Inits: []WireInit{{Frag: 1, SV: randBools(r, 2)}}, Quals: []WireBoolVals{boolVals(true)}, Bodies: []fragment.FragID{2, 4}}},
-		{"open", &AnsStageReq{QID: 11, Query: "//a", NumFrags: 5, Bodies: []fragment.FragID{3}}},
+		{"quals", &AnsStageReq{QID: 10, Query: "//a[b]", NumFrags: 5, Inits: []WireInit{{Frag: 1, SV: randBools(r, 2)}},
+			Quals: []WireBoolVals{boolVals(true)}, ShipXML: true, Bodies: []fragment.FragID{2, 4},
+			Versions: []WireVersion{{Frag: 1, Version: 3}, {Frag: 2, Version: 300}}}},
+		{"bodies", &AnsStageReq{QID: 11, Bodies: []fragment.FragID{3}}},
+		{"unhosted", &AnsStageReq{QID: 11, Bodies: []fragment.FragID{9}, Versions: []WireVersion{{Frag: 9, Version: 1}}}},
 		{"answers", &AnsStageResp{Answers: answers, Bodies: []WireFragment{
 			{ID: 2, XML: `<people><fragment-ref ref="4"/></people>`},
 			{ID: 4, XML: `<person id="p&#34;2"/>`},

@@ -554,8 +554,8 @@ func (c *Cluster) SaveRegistry(path string) error {
 // exposed so a deployment can rehearse failover and watch its monitoring
 // move: the site's after-th upcoming call fails, the site stays
 // unreachable for the next down calls, and it then restarts with all
-// in-memory state (query sessions, compiled queries)
-// wiped, exactly like a crashed and supervised process. On a replicated
+// in-memory state (compiled queries, Stage-1 results, previous fragment
+// versions) wiped, exactly like a crashed and supervised process. On a replicated
 // cluster, or one with a retry policy, a query that meets the outage runs
 // again, on the next replica of the dead site's group — answers
 // unchanged, the failover counters of TransportStats (and paxserve's

@@ -389,8 +389,8 @@ func mustDoc(t *testing.T) *Document {
 }
 
 func TestRetryPolicyOnUnreplicatedCluster(t *testing.T) {
-	// RetryMaxAttempts on an unreplicated cluster is valid (repairs session
-	// loss in place) and changes nothing fault-free.
+	// RetryMaxAttempts on an unreplicated cluster is valid (rides out a
+	// restart in place) and changes nothing fault-free.
 	c := demoCluster(t, ClusterOptions{Fragments: 4, Sites: 2, RetryMaxAttempts: 3, RetryBackoff: time.Millisecond})
 	ans, stats, err := c.Query(`//name`, QueryOptions{Algorithm: "pax2"})
 	if err != nil {
