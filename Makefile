@@ -85,8 +85,9 @@ codec-smoke:
 # operand temporaries from a slab pooled per visit, allocating only the
 # selection-entry masks a memoized result keeps, which no later pass
 # overwrites,
-# a fragment visit of the selection sweep (alone or in PaX2's combined
-# visit) allocates per returned item, not per node, its row and
+# a fragment's selection visit (startSelection, then the sweep, under an
+# env or after the fragment's Stage-1 pass) allocates per returned item,
+# not per node, its row and
 # subtree-end stacks living on the goroutine's stack and its masks in a
 # slab pooled per visit, which no kept outcome reads, serializing a
 # pointer subtree allocates exactly its output string, building a
@@ -146,9 +147,13 @@ batch-smoke:
 # edits landing between a query's Stage 1 and Stage 2 leave the site
 # without the version Stage 1 read: it answers ErrVersionSkew, and the
 # query runs again once, on an unreplicated engine without a retry
-# policy, over both transports (TestVersionSkewRerunsQuery).
+# policy, over both transports (TestVersionSkewRerunsQuery). A site
+# restarting while queries run on it, as paxq's outage drill does, keeps
+# answering them (TestRestartDuringQueries; `test-race` runs it under the
+# race detector, which holds Restart's swap of the compile cache to the
+# handlers reading it).
 fault-smoke:
-	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew|TestStage1MemoLaggingReplica|TestVersionSkewRerunsQuery' ./internal/harness ./internal/dist ./internal/pax
+	$(GO) test -run='TestFaultSmoke|TestTCPDialCount|TestRefusedSiteContract|TestFailoverVersionSkew|TestStage1MemoLaggingReplica|TestVersionSkewRerunsQuery|TestRestartDuringQueries' ./internal/harness ./internal/dist ./internal/pax
 
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked

@@ -34,7 +34,7 @@
 // bits it reads and sets plus a pass over the words, not the node count.
 // TakeSlab and PutSlab pool the word slabs from which both evaluators
 // carve a visit's masks.
-// See internal/parbox's vector evaluator, internal/pax's evalSelection and
+// See internal/parbox's vector evaluator, internal/pax's selection sweep and
 // ARCHITECTURE.md, "Columnar site storage & vectorized Stage 1".
 //
 // A Tree is immutable once built and safe for concurrent readers;

@@ -59,10 +59,10 @@
 //
 // Sites build every formula they ship with a Builder, one per (query,
 // fragment) visit and confined to that visit's goroutine: PaX3's Stage 1
-// builds a fragment's FragQual with one and does not keep it, its Stage 2
-// starts a fresh one per fragment, and PaX2's combined visit passes one
-// through the mask pass's spine walk, the initial vector and the selection
-// walk. Formulas then ship as built, with no pass that rebuilds them.
+// builds a fragment's FragQual with one and does not keep it, and every
+// selection visit — PaX3's Stage 2, PaX2's combined visit after its
+// Stage-1 pass, the final stage of both — starts a fresh one per fragment
+// for the initial vector and the selection walk. Formulas then ship as built, with no pass that rebuilds them.
 // Without the interning, 31 of 5 450 PaX2 and 4 of 5 450 PaX3 cases of
 // the differential corpus (seeds 1–25, 1000–1099, 2000–2019 and
 // 5000–5399, five queries each, with and without annotations) ship more

@@ -3,7 +3,6 @@ package pax
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"paxq/internal/boolexpr"
 	"paxq/internal/dist"
@@ -19,45 +18,27 @@ import (
 // unifies the returned residual vectors to a single truth value. This is
 // the one-visit guarantee ParBoX offers and PaX3/PaX2 generalize.
 //
-// Like RunContext — whose admission-control and deadline semantics it
-// shares — it is safe for concurrent use and attributes costs to its own
-// Result alone.
+// It runs through RunContext's skeleton (serve), whose admission-control,
+// deadline and retry semantics it shares: it is safe for concurrent use
+// and attributes costs to its own Result alone.
 func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Options) (truth bool, res *Result, err error) {
-	// Admit before planning, like RunContext: shed queries never compile.
-	release, aerr := e.admit(ctx)
-	if aerr != nil {
-		return false, nil, aerr
-	}
-	defer release()
-	p, perr := e.plan(query, false, false)
-	if perr != nil {
-		return false, nil, perr
-	}
-	c := p.c
-	if len(c.Sel) != 2 || c.Sel[1].Kind != xpath.SelStep || !c.Sel[1].Test.Wild {
-		return false, nil, fmt.Errorf("pax: %q is not a Boolean query; use a bare qualifier like %q", query, "[//a/b = 'x']")
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			truth, res, err = false, nil, inconsistentError(query, rec)
-		}
-	}()
-	r := e.newRun(opts.Sequential)
-	start := time.Now()
-	err = r.retry(ctx, func() (err error) {
-		truth, res, err = e.runBoolean(ctx, r, query, c)
-		return err
+	res, err = e.serve(ctx, query, Options{Sequential: opts.Sequential}, func(r *run, p *plan) (*Result, error) {
+		t, res, err := e.runBoolean(ctx, r, query, p.c)
+		truth = t
+		return res, err
 	})
 	if err != nil {
 		return false, nil, err
 	}
-	r.finish(res, start)
 	return truth, res, nil
 }
 
 // runBoolean is one run of a Boolean query: the qualifier pass over every
 // site, then unification to the root's truth value.
 func (e *Engine) runBoolean(ctx context.Context, r *run, query string, c *xpath.Compiled) (bool, *Result, error) {
+	if len(c.Sel) != 2 || c.Sel[1].Kind != xpath.SelStep || !c.Sel[1].Test.Wild {
+		return false, nil, fmt.Errorf("pax: %q is not a Boolean query; use a bare qualifier like %q", query, "[//a/b = 'x']")
+	}
 	res := &Result{RelevantFrags: e.topo.FT.Len()}
 	if !c.HasQualifiers() {
 		return true, res, nil

@@ -62,11 +62,13 @@ type Options struct {
 	ShipXML     bool // ship serialized answer subtrees, not just values
 
 	// Sequential issues each stage's site calls one at a time instead of
-	// concurrently. Per-site computation times then do not overlap, so the
-	// ParallelCompute metric (max per-site computation per stage — the
-	// paper's parallel computation cost) is measured cleanly even on a
-	// single-core host. Wall time stops being meaningful as a parallel
-	// cost in this mode; use ParallelCompute.
+	// concurrently. EvalFromDisk runs under it to hold the §1 memory
+	// bound: its sites load their fragment on each call, so one fragment
+	// is in memory at a time. Per-site computation times then do not
+	// overlap either, so the ParallelCompute metric (max per-site
+	// computation per stage — the paper's parallel computation cost) is
+	// measured cleanly even on a single-core host. Wall time stops being
+	// meaningful as a parallel cost in this mode; use ParallelCompute.
 	Sequential bool
 }
 
@@ -321,7 +323,23 @@ func RunAs[T any](ctx context.Context, e *Engine, query string, opts Options, as
 
 // evaluate runs the query to completion and returns its Result with the
 // answers unplaced, in res.runs.
-func (e *Engine) evaluate(ctx context.Context, query string, opts Options) (res *Result, err error) {
+func (e *Engine) evaluate(ctx context.Context, query string, opts Options) (*Result, error) {
+	return e.serve(ctx, query, opts, func(r *run, p *plan) (*Result, error) {
+		switch opts.Algorithm {
+		case PaX3, PaX2:
+			return e.runPaX(ctx, r, query, p, opts)
+		case Naive:
+			return e.runNaive(ctx, r, p.c, opts)
+		}
+		return nil, fmt.Errorf("pax: unknown algorithm %v", opts.Algorithm)
+	})
+}
+
+// serve is the one skeleton every query runs through, selecting or
+// Boolean: admission, then the plan, then attempt — one evaluation of the
+// query — under the failover retry loop, and the query's ledger folded
+// into the Result of the attempt that answered.
+func (e *Engine) serve(ctx context.Context, query string, opts Options, attempt func(*run, *plan) (*Result, error)) (res *Result, err error) {
 	// Admission strictly precedes planning: a query the overload controller
 	// sheds must cost nothing — no compilation, no relevance analysis, no
 	// plan-cache churn — under exactly the load admission control exists for.
@@ -346,16 +364,7 @@ func (e *Engine) evaluate(ctx context.Context, query string, opts Options) (res 
 	r := e.newRun(opts.Sequential)
 	start := time.Now()
 	err = r.retry(ctx, func() (err error) {
-		switch opts.Algorithm {
-		case PaX3:
-			res, err = e.runPaX3(ctx, r, query, p, opts)
-		case PaX2:
-			res, err = e.runPaX2(ctx, r, query, p, opts)
-		case Naive:
-			res, err = e.runNaive(ctx, r, p.c, opts)
-		default:
-			err = fmt.Errorf("pax: unknown algorithm %v", opts.Algorithm)
-		}
+		res, err = attempt(r, p)
 		return err
 	})
 	if err != nil {
@@ -592,32 +601,39 @@ func decodeRoots(wire []WireRootVecs, into map[fragment.FragID]parbox.RootVecs) 
 	return nil
 }
 
-// groundQualsFor extracts, for each fragment in frags, the ground qualifier
-// values of its sub-fragments from the unification environment. A
-// non-ground value means a site's Stage-1 report was incomplete; that is
-// the site's fault and becomes the query's error, not a coordinator panic.
-func groundQualsFor(env *boolexpr.Env, vs parbox.VarScheme, ft *fragment.Fragmentation, frags []fragment.FragID) ([]WireBoolVals, error) {
+// groundQuals extracts, for each fragment in frags, the qualifier values
+// of its sub-fragments that reported root vectors in roots, ground under
+// env. With known, an entry env leaves open is masked out in Known: under
+// PaX2 with XA pruning an entry may depend on a pruned fragment, and no
+// live formula consumes it. Without known (PaX3) Known stays nil: Stage 1
+// read every fragment and parbox.ResolveQualVars grounded every entry.
+func groundQuals(env *boolexpr.Env, vs parbox.VarScheme, ft *fragment.Fragmentation, frags []fragment.FragID, roots map[fragment.FragID]parbox.RootVecs, known bool) []WireBoolVals {
 	var out []WireBoolVals
 	seen := make(map[fragment.FragID]bool)
 	for _, fid := range frags {
 		for _, child := range ft.Frag(fid).Virtuals() {
-			if seen[child] {
+			if _, ok := roots[child]; !ok || seen[child] {
 				continue
 			}
 			seen[child] = true
 			v := WireBoolVals{Frag: child, QV: make([]bool, vs.NumPreds), QDV: make([]bool, vs.NumPreds)}
+			if known {
+				v.Known = make([]bool, vs.NumPreds)
+			}
 			for p := 0; p < vs.NumPreds; p++ {
 				qv, ok1 := env.Resolve(boolexpr.V(vs.QV(child, p))).IsConst()
 				qdv, ok2 := env.Resolve(boolexpr.V(vs.QDV(child, p))).IsConst()
-				if !ok1 || !ok2 {
-					return nil, fmt.Errorf("pax: qualifier values of fragment %d not ground after unification", child)
+				if ok1 && ok2 {
+					v.QV[p], v.QDV[p] = qv, qdv
+					if known {
+						v.Known[p] = true
+					}
 				}
-				v.QV[p], v.QDV[p] = qv, qdv
 			}
 			out = append(out, v)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // resolveContexts performs the top-down half of Procedure evalFT: walk the
@@ -711,8 +727,17 @@ func (vs versions) pin(pins []WireVersion, frags ...fragment.FragID) []WireVersi
 	return pins
 }
 
-// runPaX3 is Procedure PaX3 of Fig. 4(a).
-func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opts Options) (*Result, error) {
+// runPaX is Procedure PaX3 of Fig. 4(a) and Procedure PaX2 of Fig. 5,
+// which differ in how they reach ground qualifier values. PaX3 runs the
+// qualifier pass over every fragment first (Stage 1), unifies, and runs
+// the selection pass over the relevant fragments with the values ground
+// (Stage 2). PaX2 runs both passes in one combined visit of the relevant
+// fragments (Stage 1), leaving the values symbolic in the sub-fragment
+// variables, and unifies after it. From the selection responses on the two
+// are one procedure: ground the z variables, then walk the
+// candidate-bearing fragments again under ground values, and fetch the
+// bodies below answers and candidates, in the final stage.
+func (e *Engine) runPaX(ctx context.Context, r *run, query string, p *plan, opts Options) (*Result, error) {
 	res := &Result{}
 	c := p.c
 	ft := e.topo.FT
@@ -724,20 +749,25 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 	}
 	relBySite := e.relevantFragsBySite(rel)
 	hasQual := c.HasQualifiers()
+	pax2 := opts.Algorithm == PaX2
 	qid := r.qid
+	numFrags := int32(ft.Len())
 	vers := make(versions, ft.Len())
+	var roots map[fragment.FragID]parbox.RootVecs // no Stage 1 under PaX3 without qualifiers
+	if pax2 || hasQual {
+		roots = make(map[fragment.FragID]parbox.RootVecs, ft.Len())
+	}
 
-	// Stage 1: qualifier evaluation over ALL fragments (qualifier data may
-	// live anywhere), skipped entirely for qualifier-free queries.
+	// PaX3 Stage 1: qualifier evaluation over ALL fragments (qualifier data
+	// may live anywhere), skipped entirely for qualifier-free queries.
 	var env *boolexpr.Env
-	if hasQual {
-		resps, err := r.stage(ctx, res, func(site dist.SiteID) any {
-			return &QualStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len())}
+	if !pax2 && hasQual {
+		resps, err := r.stage(ctx, res, func(dist.SiteID) any {
+			return &QualStageReq{QID: qid, Query: query, NumFrags: numFrags}
 		})
 		if err != nil {
 			return nil, err
 		}
-		roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
 		for site, resp := range resps {
 			qr, err := respAs[*QualStageResp](site, resp, "qualifier")
 			if err != nil {
@@ -748,140 +778,15 @@ func (e *Engine) runPaX3(ctx context.Context, r *run, query string, p *plan, opt
 			}
 			vers.recordRoots(qr.Roots)
 		}
-		env, err = parbox.ResolveQualVars(roots, vs)
-		if err != nil {
+		if env, err = parbox.ResolveQualVars(roots, vs); err != nil {
 			return nil, err
 		}
-	} else {
-		env = boolexpr.NewEnv()
 	}
 
-	// Stage 2: selection-path evaluation over the relevant fragments, at
-	// the versions Stage 1 read. The requests are built up front so
-	// malformed Stage-1 data fails the query before any site is visited
-	// again.
-	var inits []WireInit
-	if rel.Exact && opts.Annotations {
-		for i, ok := range rel.Relevant {
-			if ok {
-				inits = append(inits, WireInit{Frag: fragment.FragID(i), SV: rel.Inits[i]})
-			}
-		}
-	}
-	selReqs := make(map[dist.SiteID]any)
-	for _, site := range e.topo.Sites() {
-		frags := relBySite[site]
-		if len(frags) == 0 {
-			continue
-		}
-		req := &SelStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Frags: frags, ShipXML: opts.ShipXML, Stitch: p.stitch}
-		if hasQual {
-			req.Versions = vers.pin(make([]WireVersion, 0, len(frags)), frags...)
-			vq, err := groundQualsFor(env, vs, ft, frags)
-			if err != nil {
-				return nil, err
-			}
-			req.VirtualQuals = vq
-		}
-		for _, in := range inits {
-			if e.topo.SiteOf[in.Frag] == site {
-				req.Inits = append(req.Inits, in)
-			}
-		}
-		selReqs[site] = req
-	}
-	resps, err := r.stage(ctx, res, func(site dist.SiteID) any { return selReqs[site] })
-	if err != nil {
-		return nil, err
-	}
-	var contexts []WireContext
-	var below []fragment.FragID
-	candFrags := make(map[fragment.FragID]bool)
-	// One answer run per response; finalStage leaves them in the result,
-	// for RunAs to place.
-	runs := make([][]AnswerNode, 0, 2*len(resps))
-	for site, resp := range resps {
-		sr, err := respAs[*SelStageResp](site, resp, "selection")
-		if err != nil {
-			return nil, err
-		}
-		vers.record(sr.Versions)
-		runs = append(runs, sr.Answers)
-		contexts = append(contexts, sr.Contexts...)
-		below = append(below, sr.Below...)
-		for _, fid := range sr.Candidates {
-			candFrags[fid] = true
-		}
-	}
-	ansReqs := make(map[dist.SiteID]any)
-	if len(candFrags) == 0 {
-		// No candidate to resolve (e.g. XA with no qualifiers): Stage 3
-		// only fetches the bodies below answers, if any.
-		return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
-	}
-
-	// evalFT, top-down half: ground the z variables.
-	ground, err := resolveContexts(env, vs, contexts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 3: walk the candidate-bearing fragments again under ground
-	// inits and qualifier values, and fetch the bodies below answers and
-	// candidates. A candidate can only exist in a fragment seeded with z
-	// variables, whose parent necessarily reported a context — a candidate
-	// without one is a malformed site response and fails the query up
-	// front.
-	for _, site := range e.topo.Sites() {
-		var req *AnsStageReq
-		var frags []fragment.FragID
-		for _, fid := range relBySite[site] {
-			if !candFrags[fid] {
-				continue
-			}
-			sv, ok := ground[fid]
-			if !ok {
-				return nil, fmt.Errorf("pax: site %d reported candidate fragment %d without a ground context", site, fid)
-			}
-			if req == nil {
-				req = &AnsStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), ShipXML: opts.ShipXML}
-			}
-			req.Inits = append(req.Inits, WireInit{Frag: fid, SV: sv})
-			frags = append(frags, fid)
-		}
-		if req == nil {
-			continue
-		}
-		req.Versions = vers.pin(make([]WireVersion, 0, len(frags)), frags...)
-		if hasQual {
-			vq, err := groundQualsFor(env, vs, ft, frags)
-			if err != nil {
-				return nil, err
-			}
-			req.Quals = vq
-		}
-		ansReqs[site] = req
-	}
-	return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
-}
-
-// runPaX2 is Procedure PaX2 of Fig. 5.
-func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opts Options) (*Result, error) {
-	res := &Result{}
-	c := p.c
-	ft := e.topo.FT
-	vs := parbox.NewVarScheme(c, ft.Len())
-	rel := p.rel
-	res.RelevantFrags = rel.NumRelevant()
-	if res.RelevantFrags == 0 {
-		return res, nil
-	}
-	relBySite := e.relevantFragsBySite(rel)
-	hasQual := c.HasQualifiers()
-	qid := r.qid
-
-	// Stage 1: combined traversal over the relevant fragments only (§5:
-	// PaX2 uses the annotations to decide where the combined pass runs).
+	// The selection stage over the relevant fragments: PaX3 Stage 2, at
+	// the versions Stage 1 read, or PaX2's combined Stage 1 (§5: PaX2 uses
+	// the annotations to decide where the combined pass runs). Exact
+	// annotations give each fragment a concrete init (XA).
 	var inits []WireInit
 	if rel.Exact && opts.Annotations {
 		for i, ok := range rel.Relevant {
@@ -895,78 +800,104 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 		if len(frags) == 0 {
 			return nil
 		}
-		req := &CombinedStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), Frags: frags, ShipXML: opts.ShipXML, Stitch: p.stitch}
+		var siteInits []WireInit
 		for _, in := range inits {
 			if e.topo.SiteOf[in.Frag] == site {
-				req.Inits = append(req.Inits, in)
+				siteInits = append(siteInits, in)
 			}
+		}
+		if pax2 {
+			return &CombinedStageReq{QID: qid, Query: query, NumFrags: numFrags, Frags: frags, Inits: siteInits, ShipXML: opts.ShipXML, Stitch: p.stitch}
+		}
+		req := &SelStageReq{QID: qid, Query: query, NumFrags: numFrags, Frags: frags, Inits: siteInits, ShipXML: opts.ShipXML, Stitch: p.stitch}
+		if hasQual {
+			req.Versions = vers.pin(make([]WireVersion, 0, len(frags)), frags...)
+			req.VirtualQuals = groundQuals(env, vs, ft, frags, roots, false)
 		}
 		return req
 	})
 	if err != nil {
 		return nil, err
 	}
-	roots := make(map[fragment.FragID]parbox.RootVecs, ft.Len())
-	vers := make(versions, ft.Len())
 	var contexts []WireContext
 	var below []fragment.FragID
 	candFrags := make(map[fragment.FragID]bool)
+	// One answer run per response; finalStage leaves them in the result,
+	// for RunAs to place.
 	runs := make([][]AnswerNode, 0, 2*len(resps))
 	for site, resp := range resps {
-		cr, err := respAs[*CombinedStageResp](site, resp, "combined")
-		if err != nil {
-			return nil, err
+		var sr SelStageResp
+		if pax2 {
+			cr, err := respAs[*CombinedStageResp](site, resp, "combined")
+			if err != nil {
+				return nil, err
+			}
+			if err := decodeRoots(cr.Roots, roots); err != nil {
+				return nil, err
+			}
+			vers.recordRoots(cr.Roots)
+			sr = SelStageResp{Contexts: cr.Contexts, Answers: cr.Answers, Candidates: cr.Candidates, Below: cr.Below}
+		} else {
+			got, err := respAs[*SelStageResp](site, resp, "selection")
+			if err != nil {
+				return nil, err
+			}
+			vers.record(got.Versions)
+			sr = *got
 		}
-		if err := decodeRoots(cr.Roots, roots); err != nil {
-			return nil, err
-		}
-		vers.recordRoots(cr.Roots)
-		runs = append(runs, cr.Answers)
-		contexts = append(contexts, cr.Contexts...)
-		below = append(below, cr.Below...)
-		for _, fid := range cr.Candidates {
+		runs = append(runs, sr.Answers)
+		contexts = append(contexts, sr.Contexts...)
+		below = append(below, sr.Below...)
+		for _, fid := range sr.Candidates {
 			candFrags[fid] = true
 		}
 	}
 	ansReqs := make(map[dist.SiteID]any)
 	if len(candFrags) == 0 {
-		// Stage 2 only fetches the bodies below answers, if any.
+		// No candidate to resolve (e.g. XA with no qualifiers): the final
+		// stage only fetches the bodies below answers, if any.
 		return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
 	}
 
-	// evalFT: bottom-up qualifier unification over the fragments that
-	// participated, then top-down z grounding. With pruning, absent
-	// fragments' variables may appear in non-live entries; resolution is
-	// lenient there and strict where values are consumed.
-	env := boolexpr.NewEnv()
-	for id := fragment.FragID(ft.Len() - 1); id >= 0; id-- {
-		rv, ok := roots[id]
-		if !ok {
-			continue // pruned fragment: its variables are never consumed
-		}
-		for p := 0; p < vs.NumPreds; p++ {
-			if err := env.Bind(vs.QV(id, p), env.Resolve(rv.QV[p])); err != nil {
-				return nil, fmt.Errorf("pax: unifying qualifier vector of fragment %d: %w", id, err)
+	// evalFT: under PaX2, bottom-up qualifier unification over the
+	// fragments that participated; then, under both, top-down z grounding.
+	// With pruning, absent fragments' variables may appear in non-live
+	// entries; resolution is lenient there and strict where values are
+	// consumed.
+	switch {
+	case pax2:
+		env = boolexpr.NewEnv()
+		for id := fragment.FragID(ft.Len() - 1); id >= 0; id-- {
+			rv, ok := roots[id]
+			if !ok {
+				continue // pruned fragment: its variables are never consumed
 			}
-			if err := env.Bind(vs.QDV(id, p), env.Resolve(rv.QDV[p])); err != nil {
-				return nil, fmt.Errorf("pax: unifying qualifier vector of fragment %d: %w", id, err)
+			for p := 0; p < vs.NumPreds; p++ {
+				if err := env.Bind(vs.QV(id, p), env.Resolve(rv.QV[p])); err != nil {
+					return nil, fmt.Errorf("pax: unifying qualifier vector of fragment %d: %w", id, err)
+				}
+				if err := env.Bind(vs.QDV(id, p), env.Resolve(rv.QDV[p])); err != nil {
+					return nil, fmt.Errorf("pax: unifying qualifier vector of fragment %d: %w", id, err)
+				}
 			}
 		}
+	case !hasQual:
+		env = boolexpr.NewEnv()
 	}
 	ground, err := resolveContexts(env, vs, contexts)
 	if err != nil {
 		return nil, err
 	}
 
-	// Stage 2: walk the candidate-bearing fragments again under ground
-	// inits and qualifier values, and fetch the bodies below answers and
-	// candidates; PaX2 candidates may mention both z and sub-fragment
-	// qualifier variables. The root fragment ran with the concrete
-	// document vector, so its candidates (which arise from qualifiers
-	// awaiting sub-fragment data) get that vector as their init. Any
-	// other candidate without a ground context is a malformed site
-	// response and fails the query before the stage is issued.
-	docBools := xpath.DocSelVector[bool](xpath.BoolAlg{}, c)
+	// The final stage: walk the candidate-bearing fragments again under
+	// ground inits and qualifier values, and fetch the bodies below answers
+	// and candidates. A candidate can only exist in a fragment seeded with
+	// z variables, whose parent necessarily reported a context, or, under
+	// PaX2, in the root fragment: it ran with the concrete document vector,
+	// so its candidates (which arise from qualifiers awaiting sub-fragment
+	// data) get that vector as their init. Any other candidate without a
+	// ground context is a malformed site response and fails the query
+	// before the stage is issued.
 	for _, site := range e.topo.Sites() {
 		var req *AnsStageReq
 		var frags []fragment.FragID
@@ -976,13 +907,13 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 			}
 			sv, ok := ground[fid]
 			if !ok {
-				if fid != fragment.RootFrag {
+				if !pax2 || fid != fragment.RootFrag {
 					return nil, fmt.Errorf("pax: site %d reported candidate fragment %d without a ground context", site, fid)
 				}
-				sv = docBools
+				sv = xpath.DocSelVector[bool](xpath.BoolAlg{}, c)
 			}
 			if req == nil {
-				req = &AnsStageReq{QID: qid, Query: query, NumFrags: int32(ft.Len()), ShipXML: opts.ShipXML}
+				req = &AnsStageReq{QID: qid, Query: query, NumFrags: numFrags, ShipXML: opts.ShipXML}
 			}
 			req.Inits = append(req.Inits, WireInit{Frag: fid, SV: sv})
 			frags = append(frags, fid)
@@ -992,45 +923,9 @@ func (e *Engine) runPaX2(ctx context.Context, r *run, query string, p *plan, opt
 		}
 		req.Versions = vers.pin(make([]WireVersion, 0, len(frags)), frags...)
 		if hasQual {
-			req.Quals = groundQualsForPresent(env, vs, ft, frags, roots)
+			req.Quals = groundQuals(env, vs, ft, frags, roots, pax2)
 		}
 		ansReqs[site] = req
 	}
 	return e.finalStage(ctx, r, res, ansReqs, below, vers, runs)
-}
-
-// groundQualsForPresent is groundQualsFor restricted to sub-fragments that
-// actually participated (pruned ones have no bindings and are never needed
-// by live candidate formulas).
-func groundQualsForPresent(env *boolexpr.Env, vs parbox.VarScheme, ft *fragment.Fragmentation, frags []fragment.FragID, roots map[fragment.FragID]parbox.RootVecs) []WireBoolVals {
-	var out []WireBoolVals
-	seen := make(map[fragment.FragID]bool)
-	for _, fid := range frags {
-		for _, child := range ft.Frag(fid).Virtuals() {
-			if seen[child] {
-				continue
-			}
-			seen[child] = true
-			if _, ok := roots[child]; !ok {
-				continue
-			}
-			v := WireBoolVals{
-				Frag:  child,
-				QV:    make([]bool, vs.NumPreds),
-				QDV:   make([]bool, vs.NumPreds),
-				Known: make([]bool, vs.NumPreds),
-			}
-			for p := 0; p < vs.NumPreds; p++ {
-				qv := env.Resolve(boolexpr.V(vs.QV(child, p)))
-				qdv := env.Resolve(boolexpr.V(vs.QDV(child, p)))
-				bv, ok1 := qv.IsConst()
-				bd, ok2 := qdv.IsConst()
-				if ok1 && ok2 {
-					v.QV[p], v.QDV[p], v.Known[p] = bv, bd, true
-				}
-			}
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -2,11 +2,14 @@ package pax
 
 import (
 	"errors"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"paxq/internal/dist"
 	"paxq/internal/fragment"
@@ -38,6 +41,59 @@ func TestEvalFromDisk(t *testing.T) {
 		if !testutil.EqualIDs(got, want) {
 			t.Errorf("%q: got %v want %v", query, got, want)
 		}
+	}
+}
+
+// TestEvalFromDiskOneFragmentAtATime holds EvalFromDisk to the §1 memory
+// bound: a stage's site calls run one after another, so no fragment is
+// loaded while another is. Each load sleeps to widen the window in which
+// two concurrent calls would overlap, and the loads in progress at once
+// are counted; the count must never exceed 1, over queries that need one
+// stage and queries whose candidates need a second.
+func TestEvalFromDiskOneFragmentAtATime(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := ft.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := fragment.LoadManifest(filepath.Join(dir, fragment.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	inProgress, most, loads := 0, 0, 0
+	load := func(id fragment.FragID) (*fragment.Fragment, error) {
+		mu.Lock()
+		inProgress++
+		most, loads = max(most, inProgress), loads+1
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			inProgress--
+			mu.Unlock()
+		}()
+		time.Sleep(2 * time.Millisecond)
+		return m.LoadFragment(dir, id)
+	}
+	for _, query := range fig1Queries {
+		loads = 0
+		ans, err := evalStored(m, query, load)
+		if err != nil {
+			t.Fatalf("%q: %v", query, err)
+		}
+		if got, want := origIDs(ft, ans), oracle(t, tr, query); !testutil.EqualIDs(got, want) {
+			t.Errorf("%q: got %v want %v", query, got, want)
+		}
+		if loads < ft.Len() {
+			t.Errorf("%q: %d loads, want at least one per fragment, %d", query, loads, ft.Len())
+		}
+	}
+	if most != 1 {
+		t.Fatalf("%d fragment loads were in progress at once, want 1", most)
 	}
 }
 

@@ -287,6 +287,64 @@ func TestSessionLossRerunsQuery(t *testing.T) {
 	}
 }
 
+// TestRestartDuringQueries: a site restarting while queries run on it, as
+// paxq's outage drill restarts an in-process site under live load, swaps
+// its compile cache without racing the handlers that read it (go test
+// -race), and every query answers as the centralized oracle does. Two
+// goroutines run PaX3 queries while a third restarts site 0 until they
+// are done.
+func TestRestartDuringQueries(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 4, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := `//broker[//stock/code = "GOOG"]/name`
+	want := oracleValues(t, tr, query)
+	topo := RoundRobin(ft, 2)
+	local, sites := BuildLocalCluster(topo)
+	eng := NewEngine(topo, local)
+	done := make(chan struct{})
+	restarts := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				restarts <- n
+				return
+			default:
+				siteByID(sites, 0).Restart()
+				n++
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				res, err := eng.Run(query, Options{Algorithm: PaX3})
+				if err != nil {
+					t.Errorf("query during restarts: %v", err)
+					return
+				}
+				if got := answerValues(res); got != want {
+					t.Errorf("answers %v during restarts, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	if n := <-restarts; n == 0 {
+		t.Fatal("site 0 never restarted while the queries ran")
+	}
+}
+
 // oracleValues is the centralized answer of query over tr, as the sorted
 // values of its nodes.
 func oracleValues(t *testing.T, tr *xmltree.Tree, query string) string {

@@ -86,7 +86,7 @@ func TestInconsistentSiteDataSurfacesTypedError(t *testing.T) {
 	t.Run("cyclic binding at the coordinator", func(t *testing.T) {
 		// A corrupt site reports root vectors whose entries are defined
 		// in terms of the very variables they are supposed to define.
-		// The lenient evalFT unification in runPaX2 accepts the binding
+		// PaX2's lenient evalFT unification in runPaX accepts the binding
 		// (the cycle is not visible at bind time), so detection happens
 		// inside Resolve when the value is consumed — a panic carrying
 		// an ErrInconsistent-wrapping error value that the engine's

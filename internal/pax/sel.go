@@ -11,28 +11,21 @@ import (
 	"paxq/internal/xpath"
 )
 
-// candidate is a node whose membership in the answer is still a residual
-// formula over cross-fragment variables.
-type candidate struct {
-	node xmltree.NodeID
-	f    *boolexpr.Formula
-}
-
 // selOutcome is the result of one fragment's top-down selection traversal.
 // answers is the slice the sweep appended the fragment's answers to, after
 // the ones already there. Under ShipXML, below lists the sub-fragments
 // whose virtual nodes lie in the subtree of an answer or a candidate, in
 // pre-order: the stubs in the answers' XML that the coordinator fills with
-// the sub-fragments' bodies. met counts the candidates the sweep met,
-// which a lean visit does not keep. visited counts the vectors the
-// traversal computed; only tests read it.
+// the sub-fragments' bodies. met counts the candidates the sweep met — the
+// nodes whose membership in the answer is still a residual formula over
+// cross-fragment variables — of which it keeps none. visited counts the
+// vectors the traversal computed; only tests read it.
 type selOutcome struct {
-	contexts   []fragContext
-	answers    []AnswerNode
-	candidates []candidate
-	met        int
-	below      []fragment.FragID
-	visited    int
+	contexts []fragContext
+	answers  []AnswerNode
+	met      int
+	below    []fragment.FragID
+	visited  int
 }
 
 type fragContext struct {
@@ -72,31 +65,19 @@ func answerOf(f *fragment.Fragment, id xmltree.NodeID, shipXML bool) AnswerNode 
 	return a
 }
 
-// evalSelection runs Procedure topDown (Fig. 4(b)) over one fragment: it
-// computes a node's SVect vector from its parent's (the summarizing stack
-// top), built with b. Entry e's qualifier at node id is fq.QualAt(id, e),
-// resolved under env in PaX3's Stage 2 and left symbolic in PaX2 (env
-// nil); fq may be nil for a query without qualifiers. A virtual node
-// contributes its parent's vector as its sub-fragment's context. It is
-// startSelection's walk set followed by its sweep, which makes the
-// fragment's answers a list of their own.
-func evalSelection(
-	b *boolexpr.Builder,
-	f *fragment.Fragment,
-	c *xpath.Compiled,
-	init []*boolexpr.Formula,
-	shipXML bool,
-	fq *parbox.FragQual,
-	env *boolexpr.Env,
-) *selOutcome {
-	v := startSelection(b, f, c, init, fq, false)
-	return v.sweep(c, shipXML, env, nil)
-}
-
-// selVisit is one fragment's selection traversal between its walk set and
-// its sweep. A site computes the walk sets of all the fragments of a
-// request first, so it can size the response's answers from their reach
-// before any sweep writes one.
+// selVisit is one fragment's run of Procedure topDown (Fig. 4(b)) between
+// its walk set and its sweep: the sweep computes a node's SVect vector from
+// its parent's (the summarizing stack top), built with b. Entry e's
+// qualifier at node id is fq.QualAt(id, e), resolved under the sweep's env
+// when it has one and left symbolic otherwise; fq may be nil for a query
+// without qualifiers. A virtual node contributes its parent's vector as
+// its sub-fragment's context. A site computes the walk sets of all the
+// fragments of a request first, so it can size the response's answers
+// from their reach before any sweep writes one.
+//
+// A visit ships whether the fragment holds a candidate but no candidate
+// formula: the final stage walks the fragment again under ground values
+// instead. Its sweep counts the candidates it meets and keeps none.
 type selVisit struct {
 	out   selOutcome // what the sweep found
 	b     *boolexpr.Builder
@@ -106,21 +87,17 @@ type selVisit struct {
 	slab  *[]uint64 // selWalk's masks, taken from the pool until the sweep
 	walk  arena.Bitset
 	reach int
-	// lean marks a site's visit, which ships whether the fragment holds a
-	// candidate but no candidate formula: the final stage walks the
-	// fragment again under ground values instead. Its sweep counts the
-	// candidates it meets and keeps none. skipReach marks a lean visit
-	// from a symbolic init without qualifiers, where every reach node is
-	// a candidate: its walk set leaves out the reach nodes that are not
-	// ancestors of a virtual node.
-	lean, skipReach bool
+	// skipReach marks a visit from a symbolic init without qualifiers,
+	// where every reach node is a candidate: its walk set leaves out the
+	// reach nodes that are not ancestors of a virtual node.
+	skipReach bool
 }
 
 // startSelection computes f's walk set (selWalk) for the traversal with
-// init, fq and b; lean is selVisit's.
-func startSelection(b *boolexpr.Builder, f *fragment.Fragment, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual, lean bool) selVisit {
-	v := selVisit{b: b, f: f, init: init, fq: fq, slab: arena.TakeSlab(4 * len(f.VirtualMask)), lean: lean}
-	v.skipReach = lean && !c.HasQualifiers() && v.symbolic()
+// init, fq and b.
+func startSelection(b *boolexpr.Builder, f *fragment.Fragment, c *xpath.Compiled, init []*boolexpr.Formula, fq *parbox.FragQual) selVisit {
+	v := selVisit{b: b, f: f, init: init, fq: fq, slab: arena.TakeSlab(4 * len(f.VirtualMask))}
+	v.skipReach = !c.HasQualifiers() && v.symbolic()
 	v.walk, v.reach = selWalk(&f.ArenaView, c, init, fq, *v.slab, !v.skipReach)
 	return v
 }
@@ -184,13 +161,9 @@ func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, ans
 	at := av.Tree
 	w := len(c.Sel)
 	last := c.AnswerEntry()
-	// Every answer and candidate is among the reach nodes (maxAnswers).
-	// From a ground init the first answer sizes the answers at reach,
-	// which allocates nothing when the caller sized them already; from a
-	// symbolic init there is no answer, and the first candidate sizes the
-	// candidates at reach. A ground init's candidates, which only a
-	// symbolic qualifier on the spine makes, grow by appending.
-	symbolic := v.symbolic()
+	// Every answer is among the reach nodes (maxAnswers). From a ground
+	// init the first answer sizes the answers at reach, which allocates
+	// nothing when the caller sized them already.
 	start := len(answers)
 
 	out := &v.out
@@ -240,12 +213,6 @@ func (v *selVisit) sweep(c *xpath.Compiled, shipXML bool, env *boolexpr.Env, ans
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		case !sv[last].IsFalse():
 			out.met++
-			if !v.lean {
-				if symbolic && out.candidates == nil {
-					out.candidates = make([]candidate, 0, reach)
-				}
-				out.candidates = append(out.candidates, candidate{node: node, f: sv[last]})
-			}
 			stubbed = out.addBelow(f, shipXML, max(i+1, stubbed), end)
 		}
 		ends = append(ends, int32(end))
@@ -338,30 +305,4 @@ func (o *selOutcome) addBelow(f *fragment.Fragment, shipXML bool, lo, end int) i
 		o.below = append(o.below, k)
 	}
 	return max(lo, end)
-}
-
-// combinedOutcome extends selOutcome with the qualifier root vectors that
-// PaX2's single visit also produces.
-type combinedOutcome struct {
-	*selOutcome
-	roots parbox.RootVecs
-}
-
-// evalCombined runs PaX2's single visit (Procedure evalXPath, §4) over one
-// fragment: the Stage-1 mask pass, then the selection traversal reading
-// each qualifier value from it, both built with b, which init must share.
-// A qualifier value that depends on a sub-fragment stays symbolic in that
-// sub-fragment's QV/QDV variables, so every shipped vector mentions only
-// cross-fragment variables, preserving the O(|Q|·|FT|) communication
-// bound.
-func evalCombined(
-	b *boolexpr.Builder,
-	f *fragment.Fragment,
-	c *xpath.Compiled,
-	vs parbox.VarScheme,
-	init []*boolexpr.Formula,
-	shipXML bool,
-) *combinedOutcome {
-	fq := parbox.Qualify(f, c, vs, b)
-	return &combinedOutcome{selOutcome: evalSelection(b, f, c, init, shipXML, fq, nil), roots: fq.Root}
 }

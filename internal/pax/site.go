@@ -31,8 +31,10 @@ import (
 // A malformed stage request fails that request with an error through the
 // transport; it never takes the site down.
 type Site struct {
-	id       dist.SiteID
-	compiled *lru[string, *compiledQuery]
+	id dist.SiteID
+	// compiled is the compile cache, which Restart swaps while handlers
+	// read it.
+	compiled atomic.Pointer[lru[string, *compiledQuery]]
 	// compiles counts compile-cache fills; qualPasses counts Stage-1 passes
 	// over the site's fragments that ran the qualifier sweep on at least one
 	// fragment. Test hooks for the single-compile and shared-batch
@@ -171,11 +173,9 @@ func NewSite(id dist.SiteID, frags []*fragment.Fragment) *Site {
 		fs.byID[f.ID] = f
 	}
 	fs.ids = slices.Sorted(maps.Keys(fs.byID))
-	return &Site{
-		id:       id,
-		compiled: newLRU[string, *compiledQuery](defaultSiteCompileCache),
-		frags:    fs,
-	}
+	s := &Site{id: id, frags: fs}
+	s.compiled.Store(newLRU[string, *compiledQuery](defaultSiteCompileCache))
+	return s
 }
 
 // snapshot returns the site's current fragment set.
@@ -302,7 +302,7 @@ func evalFrags(frags []*fragment.Fragment, fn func(i int, f *fragment.Fragment) 
 // every request evaluating the same query text. Concurrent first-time
 // misses of one query compile once and share the result (lru.do).
 func (s *Site) compile(query string) (*compiledQuery, error) {
-	return s.compiled.do(query, func() (*compiledQuery, error) {
+	return s.compiled.Load().do(query, func() (*compiledQuery, error) {
 		s.compiles.Add(1)
 		c, err := xpath.Compile(query)
 		if err != nil {
@@ -492,7 +492,7 @@ func (s *Site) selectFrags(q stageQuery, frags []*fragment.Fragment, inits []Wir
 				resp.Roots = append(resp.Roots, WireRootVecs{Frag: f.ID, Version: f.Version, QV: r.rv.QV, QDV: r.rv.QDV})
 			}
 		}
-		visits[i] = startSelection(b, f, q.c, init, fq, true)
+		visits[i] = startSelection(b, f, q.c, init, fq)
 		n += visits[i].maxAnswers()
 		return nil
 	})
@@ -630,7 +630,7 @@ func (s *Site) Restart() {
 	s.mu.Lock()
 	s.frags = &fragSet{byID: s.frags.byID, ids: s.frags.ids}
 	s.mu.Unlock()
-	s.compiled = newLRU[string, *compiledQuery](defaultSiteCompileCache)
+	s.compiled.Store(newLRU[string, *compiledQuery](defaultSiteCompileCache))
 }
 
 // handleFetch ships entire fragments (NaiveCentralized) from one fragment

@@ -65,7 +65,7 @@ func DocSelVector[V any](alg Algebra[V], c *Compiled) []V {
 // parent and the node passes the test and qualifier; a descendant carry
 // holds iff it held at the parent or the previous prefix holds here.
 //
-// It has three callers: the site's selection sweep (pax.evalSelection),
+// It has three callers: the site's selection sweep (pax's selVisit.sweep),
 // the centralized vector evaluator (centeval), which the distributed
 // answers are checked against, and the §5 relevance analysis (pax's
 // prune.go).
