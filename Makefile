@@ -8,7 +8,7 @@ COVER_MIN ?= 85
 # Per-target budget of the fuzz smoke in the check gate.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet bench-vet test test-race cover fuzz-smoke codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke docs-check lint lint-fixtures fmt-check
+.PHONY: check build vet bench-vet test test-race cover fuzz-smoke codec-smoke alloc-smoke fault-smoke edit-smoke docs-check lint lint-fixtures fmt-check
 
 # The tier-1 verification gate: everything must compile, vet clean, pass,
 # stay race-free under the concurrent serving load tests, hold the
@@ -17,12 +17,11 @@ FUZZTIME ?= 10s
 # and the XML parser,
 # prove the wire
 # codec still writes and reads its golden bytes, hold every allocation
-# cap of the hot paths, prove multi-query
-# batching is answer- and cost-transparent, prove failover keeps answers
+# cap of the hot paths, prove failover keeps answers
 # byte-identical to centralized evaluation on a seeded fault schedule
 # over both transports, keep the documentation honest and gofmt-clean
 # source, and hold the machine-checked invariants of tools/paxlint.
-check: build vet bench-vet test test-race cover codec-smoke alloc-smoke batch-smoke fault-smoke edit-smoke fuzz-smoke docs-check fmt-check lint
+check: build vet bench-vet test test-race cover codec-smoke alloc-smoke fault-smoke edit-smoke fuzz-smoke docs-check fmt-check lint
 
 build:
 	$(GO) build ./...
@@ -71,9 +70,11 @@ fuzz-smoke:
 # value it came from in both envelope directions, every registered tag
 # must have a golden file, and no decoded message may alias the frame it
 # came from (the transport pools incoming frames): overwriting the frame
-# after decoding must not change the message's re-encoding.
+# after decoding must not change the message's re-encoding. The retired
+# batch tags 11 and 12 must stay unregistered: a frame carrying one fails
+# with dist.ErrUnknownTag.
 codec-smoke:
-	$(GO) test -run='TestGoldenBytes|TestEveryTagHasGoldenBytes|TestCorpusRoundTrip|TestDecodedMessagesDoNotAliasFrame' ./internal/pax
+	$(GO) test -run='TestGoldenBytes|TestEveryTagHasGoldenBytes|TestCorpusRoundTrip|TestDecodedMessagesDoNotAliasFrame|TestRetiredTagsAreUnknown' ./internal/pax
 
 # Allocation smoke: every testing.AllocsPerRun cap, by name — the arena's
 # mask kernels and structural joins allocate nothing in steady state, the
@@ -94,9 +95,7 @@ codec-smoke:
 # fragment's file form allocates its text and one offsets array, a second
 # ShipXML answer from a fragment allocates nothing for its XML (a slice of
 # the file form), decoding an answers section costs the same few
-# allocations (at most 3) for 1, 100 or 1 000 answers, and inside a batch
-# envelope (at most 4: the member reuses the envelope's one copy), a
-# ShipXML query allocates as often for 1 000 answers as for 100 (±1: each
+# allocations (at most 3) for 1, 100 or 1 000 answers, a ShipXML query allocates as often for 1 000 answers as for 100 (±1: each
 # answer list is made once at its final size), a ShipXML answer is stored
 # once per side — an extra answer costs at most two answer records through
 # Engine.Run, and a site record plus one paxq.Answer through
@@ -121,13 +120,6 @@ alloc-smoke:
 	$(GO) test -run='TestShipAnswerBytesPerAnswer' .
 	$(GO) test -run='TestSerializeStringAllocs' ./internal/xmltree
 	$(GO) test -run='TestApplyEditAllocsIndependentOfSize|TestApplyEditBytesPerNode|TestFileFormAllocs|TestCutBytesPerNode' ./internal/fragment
-
-# Batching smoke: a batch of one must be byte-identical to the unbatched
-# path on the full fixed query corpus, coalesced batches must conserve
-# cost exactly (per-query ledgers sum to the transport totals), and the
-# batch envelope codec must round-trip.
-batch-smoke:
-	$(GO) test -run='TestBatchOfOneMatchesDirect|TestBatchCostConservation|TestBatchEnvelopeRoundTrip' ./internal/pax
 
 # Fault-injection smoke: a fixed-seed slice of the randomized
 # kill/restart schedules on both transports — replicated fleets injured
@@ -158,7 +150,7 @@ fault-smoke:
 # Mutation smoke: a fixed-seed slice of the mutation differential (edit
 # schedules interleaved with queries on both transports, answers checked
 # against a rebuilt centralized oracle, ledgers conserved), plus the
-# version-protocol, snapshot and batch-snapshot regressions, two concurrent
+# version-protocol and snapshot regressions, two concurrent
 # deliveries of one edit applying once and swapping the fragment set once,
 # requests sharing one fragment set exactly when no edit lies between them,
 # a later stage reading the version the first one read after one edit and
@@ -176,7 +168,7 @@ fault-smoke:
 # (TestEditDifferentialLocalCorpus / TestEditDifferentialTCPCorpus).
 edit-smoke:
 	$(GO) test -run='TestEditSmoke' ./internal/harness
-	$(GO) test -run='TestEditVersionProtocol|TestEditConcurrentDeliveriesApplyOnce|TestEditSnapshotIdentity|TestEditOneVersionAnswersAndStalePut|TestBatchQualsStraddlingEditDoNotShare' ./internal/pax
+	$(GO) test -run='TestEditVersionProtocol|TestEditConcurrentDeliveriesApplyOnce|TestEditSnapshotIdentity|TestEditOneVersionAnswersAndStalePut' ./internal/pax
 	$(GO) test -run='TestApplyEditMatchesOracleAndSplicedArena|TestEditTypedErrors' ./internal/fragment
 	$(GO) test -run='TestSpliceChains' ./internal/arena
 	$(GO) test -run='TestArenaSerializeMatchesPointer' ./internal/harness

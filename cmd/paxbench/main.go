@@ -10,8 +10,8 @@
 //	paxbench -exp queries
 //
 // The diff mode runs the differential harness — distributed against
-// centralized evaluation on randomized instances over both transports,
-// with the batching twin — and, with -json, writes the machine-readable result to a file:
+// centralized evaluation on randomized instances over both transports —
+// and, with -json, writes the machine-readable result to a file:
 //
 //	paxbench -exp diff -load 10 -json diff.json
 //
@@ -117,18 +117,14 @@ func main() {
 	}
 	runDiff := func() {
 		// Differential mode: distributed vs centralized on random (tree,
-		// query, fragmentation) instances, over both transports, with the
-		// batched-transport twins cross-checked.
+		// query, fragmentation) instances, over both transports.
 		type diffOut struct {
 			Transport string              `json:"transport"`
 			Result    *harness.DiffResult `json:"result"`
 		}
 		var out []diffOut
 		for _, tr := range []harness.DiffTransport{harness.DiffLocal, harness.DiffTCP} {
-			res, err := harness.DifferentialSweep(ctx, *seed, *load, harness.DiffOptions{
-				Transport:    tr,
-				CompareBatch: true,
-			})
+			res, err := harness.DifferentialSweep(ctx, *seed, *load, harness.DiffOptions{Transport: tr})
 			if res != nil {
 				fmt.Printf("%s %s\n", tr, res)
 				out = append(out, diffOut{Transport: tr.String(), Result: res})

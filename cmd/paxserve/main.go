@@ -28,11 +28,6 @@
 //   - -request-timeout bounds each evaluation end to end; a deadline hit
 //     returns HTTP 504. The deadline travels as a context down to the
 //     site transport, so a hung site cannot wedge an HTTP worker.
-//   - -batch-window coalesces stage requests from concurrently served
-//     queries bound for the same site into one batch envelope (at most
-//     -max-batch members): one site visit serves them all, identical
-//     qualifier stages are evaluated once, and each response's stats
-//     still cover that query alone. Off by default.
 //   - -replicas deploys each fragment group on that many replica sites;
 //     a site that dies or restarts mid-query is survived by per-stage
 //     failover to the next replica (budget and backoff via the -retry-*
@@ -78,8 +73,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: how long a query may queue for a slot before shedding (0 = shed immediately)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline (0 = none)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
-	batchWindow := flag.Duration("batch-window", 0, "coalescing window for multi-query stage batching (0 = disabled)")
-	maxBatch := flag.Int("max-batch", 0, "max queries per batch envelope (0 = default 16; needs -batch-window)")
 	replicas := flag.Int("replicas", 1, "replica sites per fragment group; >1 deploys a replicated fleet with failover")
 	registry := flag.String("registry", "", "site registry JSON mapping fragments to replica groups (overrides -sites and -replicas)")
 	retryAttempts := flag.Int("retry-attempts", 0, "max runs of one query before it aborts (0 = policy default)")
@@ -120,8 +113,6 @@ func main() {
 		Seed:             *seed,
 		MaxInFlight:      *maxInflight,
 		QueueTimeout:     *queueTimeout,
-		BatchWindow:      *batchWindow,
-		MaxBatchSize:     *maxBatch,
 		Replicas:         *replicas,
 		Registry:         *registry,
 		RetryMaxAttempts: *retryAttempts,

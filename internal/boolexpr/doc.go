@@ -18,8 +18,9 @@
 // negation. This keeps residual functions small: their size is bounded by
 // the number of distinct variables they mention, which in paxq is bounded
 // by |Q| per virtual node. Immutability is what makes formulas safe to
-// share — across concurrent queries, and across the members of one
-// batched Stage-1 sweep, which all read the formula DAGs it built.
+// share — across concurrent queries, and across the repeats of one query
+// that read a site's memoized Stage-1 result, which all read the formula
+// DAGs it built.
 //
 // # Fold before allocating
 //

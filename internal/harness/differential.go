@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,9 +22,9 @@ import (
 // guarantee: distributed evaluation computes exactly the answer a
 // centralized evaluator would, while visiting each site a bounded number
 // of times — on randomized (tree, query, fragmentation) instances, over
-// the real transports. Every case also cross-checks parallel against
-// sequential site-side fragment evaluation: parallelism may change wall
-// time only, never the answer, the visit counts or the byte totals.
+// the real transports. After its serial cases, each seed runs its PaX3
+// cases again all at once on the same engine, and the per-query ledgers
+// of every run must sum to the transport's lifetime totals.
 
 // DiffTransport selects how the differential cluster is deployed.
 type DiffTransport int
@@ -48,17 +47,6 @@ type DiffOptions struct {
 	Transport DiffTransport
 	// Queries is how many random queries to evaluate per seed (default 5).
 	Queries int
-	// CompareBatch additionally evaluates every case on a twin whose
-	// engine runs a multi-query batching window (WithBatchWindow). The
-	// serial per-case runs exercise the batch-of-one path, which must be
-	// wire-identical to the unbatched primary — answers, visit counts AND
-	// byte totals. After the per-query loop the whole batch of queries is
-	// replayed concurrently on the twin (real N-member envelopes with
-	// shared site evaluation), requiring centralized-equal answers and
-	// intact visit bounds; finally the twin's summed per-query ledgers are
-	// checked against its transport's lifetime totals — the batch
-	// cost-conservation invariant.
-	CompareBatch bool
 	// CompareEdits additionally runs the mutation differential phase: a
 	// randomized schedule of fragment edits (insert/delete/rename)
 	// interleaved with queries on a dedicated cluster, requiring every
@@ -75,11 +63,15 @@ type DiffResult struct {
 	Triples       int // distinct (tree, query, fragmentation) triples
 	Mismatches    int // distributed answer != centralized answer
 	BoundExceeded int // per-site visits above the algorithm's bound
-	BatchCases    int // batching-twin evaluations (serial and concurrent)
-	BatchDiffs    int // batch twin diverged, or its ledgers failed to conserve
-	EditCases     int // mutation-phase evaluations
-	EditDiffs     int // post-edit divergence from the rebuilt oracle, edit failure, or ledger violation
-	EditsApplied  int // fragment edits driven through the engine
+	// ConcurrentCases counts the evaluations of the concurrent phase, whose
+	// failures count as Mismatches and BoundExceeded like serial ones.
+	ConcurrentCases int
+	// Unconserved counts seeds whose per-query ledgers did not sum to their
+	// transport's lifetime totals.
+	Unconserved  int
+	EditCases    int // mutation-phase evaluations
+	EditDiffs    int // post-edit divergence from the rebuilt oracle, edit failure, or ledger violation
+	EditsApplied int // fragment edits driven through the engine
 	// EditXMLCompared counts post-edit answers whose shipped XML was
 	// compared with the edited document; EditXMLCrossing those among them
 	// whose subtree crosses a fragment boundary, stitched from
@@ -118,8 +110,8 @@ func (r *DiffResult) Merge(other *DiffResult) {
 	r.Triples += other.Triples
 	r.Mismatches += other.Mismatches
 	r.BoundExceeded += other.BoundExceeded
-	r.BatchCases += other.BatchCases
-	r.BatchDiffs += other.BatchDiffs
+	r.ConcurrentCases += other.ConcurrentCases
+	r.Unconserved += other.Unconserved
 	r.EditCases += other.EditCases
 	r.EditDiffs += other.EditDiffs
 	r.EditsApplied += other.EditsApplied
@@ -141,12 +133,12 @@ func (r *DiffResult) Merge(other *DiffResult) {
 
 // Ok reports whether every check of every merged run held.
 func (r *DiffResult) Ok() bool {
-	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.BatchDiffs == 0 && r.EditDiffs == 0
+	return r.Mismatches == 0 && r.BoundExceeded == 0 && r.Unconserved == 0 && r.EditDiffs == 0
 }
 
 func (r *DiffResult) String() string {
-	return fmt.Sprintf("differential: %d evaluations over %d triples — %d mismatches, %d visit-bound violations, %d/%d batch-twin divergences, %d/%d edit-phase divergences (%d edits applied; %d shipped XML answers compared, %d of them crossing) (max visits: PaX3 %d, PaX2 %d)",
-		r.Cases, r.Triples, r.Mismatches, r.BoundExceeded, r.BatchDiffs, r.BatchCases, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditXMLCompared, r.EditXMLCrossing, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
+	return fmt.Sprintf("differential: %d evaluations and %d concurrent ones over %d triples — %d mismatches, %d visit-bound violations, %d unconserved ledgers, %d/%d edit-phase divergences (%d edits applied; %d shipped XML answers compared, %d of them crossing) (max visits: PaX3 %d, PaX2 %d)",
+		r.Cases, r.ConcurrentCases, r.Triples, r.Mismatches, r.BoundExceeded, r.Unconserved, r.EditDiffs, r.EditCases, r.EditsApplied, r.EditXMLCompared, r.EditXMLCrossing, r.MaxVisitsPaX3, r.MaxVisitsPaX2)
 }
 
 // xmarkLabels is the vocabulary random xmark-shaped queries draw from.
@@ -246,38 +238,18 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 	numSites := 1 + r.Intn(4)
 	topo := pax.RoundRobin(ft, numSites)
 
-	// buildEngine deploys one twin of the cluster on the chosen transport,
-	// returning the transport for lifetime-ledger checks.
-	buildEngine := func(engOpts ...pax.EngineOption) (*pax.Engine, dist.Transport, func(), error) {
-		if opts.Transport == DiffTCP {
-			tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return pax.NewEngine(topo, tcp, engOpts...), tcp, shutdown, nil
-		}
-		local, _ := pax.BuildLocalCluster(topo)
-		return pax.NewEngine(topo, local, engOpts...), local, func() {}, nil
-	}
-	eng, _, shutdown, err := buildEngine()
-	if err != nil {
-		return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
-	}
-	defer shutdown()
-	// Batch twin: the same deployment plus a coalescing window on the
-	// engine. The serial per-case runs flow through the batch-of-one fast
-	// path; the concurrent phase after the loop builds real multi-member
-	// envelopes.
-	var batchEng *pax.Engine
-	var batchTr dist.Transport
-	if opts.CompareBatch {
-		e, btr, bshutdown, err := buildEngine(pax.WithBatchWindow(200*time.Microsecond), pax.WithMaxBatchSize(8))
+	var tr dist.Transport
+	if opts.Transport == DiffTCP {
+		tcp, _, shutdown, err := pax.BuildTCPCluster(topo)
 		if err != nil {
 			return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
 		}
-		defer bshutdown()
-		batchEng, batchTr = e, btr
+		defer shutdown()
+		tr = tcp
+	} else {
+		tr, _ = pax.BuildLocalCluster(topo)
 	}
+	eng := pax.NewEngine(topo, tr)
 
 	fail := func(format string, args ...any) {
 		if len(res.FailureDetails) < 10 {
@@ -285,44 +257,27 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		}
 	}
 
-	// The batch twin's ledger accumulator: every byte and nanosecond of
-	// compute its successful runs report, summed for the end-of-seed
-	// conservation check against the transport's lifetime counters.
-	var batchSent, batchRecv int64
-	var batchCompute time.Duration
-	batchFailed := false
-	// cmpBatch evaluates one case serially on the batch twin. One query in
-	// flight means every flush is a batch of one — which must be
-	// wire-identical to the unbatched primary: answers, visits, bytes.
-	cmpBatch := func(query string, alg pax.Algorithm, ann bool, want *pax.Result) {
-		got, err := batchEng.RunContext(ctx, query, pax.Options{Algorithm: alg, Annotations: ann})
-		res.BatchCases++
-		if err != nil {
-			res.BatchDiffs++
-			batchFailed = true
-			fail("seed %d %s %v(XA=%v) %q: batch twin failed: %v", seed, opts.Transport, alg, ann, query, err)
-			return
-		}
-		batchSent += got.BytesSent
-		batchRecv += got.BytesRecv
-		batchCompute += got.TotalCompute
-		if !slices.Equal(want.Answers, got.Answers) || got.MaxVisits != want.MaxVisits ||
-			got.BytesSent != want.BytesSent || got.BytesRecv != want.BytesRecv {
-			res.BatchDiffs++
-			fail("seed %d %s %v(XA=%v) %q: batch-of-one diverged from direct (visits %d vs %d, bytes %d/%d vs %d/%d, %d vs %d answers)",
-				seed, opts.Transport, alg, ann, query,
-				want.MaxVisits, got.MaxVisits, want.BytesSent, want.BytesRecv,
-				got.BytesSent, got.BytesRecv, len(want.Answers), len(got.Answers))
-		}
+	// The ledger accumulator: every byte and nanosecond of compute the
+	// runs report, serial and concurrent, summed for the end-of-seed
+	// conservation check against the transport's lifetime counters. A
+	// failed run's partial stage costs reach the transport but its Result
+	// is discarded, so after one the sums legitimately cannot match.
+	var sent, recv int64
+	var compute time.Duration
+	failed := false
+	charge := func(r *pax.Result) {
+		sent += r.BytesSent
+		recv += r.BytesRecv
+		compute += r.TotalCompute
 	}
 
-	// batchReplays remembers each query with its centralized answer for the
-	// concurrent batching phase.
-	type batchCase struct {
+	// concurrent remembers each query with its centralized answer for the
+	// concurrent phase.
+	type concurrentCase struct {
 		query string
 		want  []xmltree.NodeID
 	}
-	var batchReplays []batchCase
+	var concurrent []concurrentCase
 
 	for q := 0; q < opts.Queries; q++ {
 		var query string
@@ -340,6 +295,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 		want := append([]xmltree.NodeID(nil), centeval.EvalVector(tree, c)...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		res.Triples++
+		concurrent = append(concurrent, concurrentCase{query: query, want: want})
 
 		for _, alg := range []pax.Algorithm{pax.PaX3, pax.PaX2} {
 			for _, ann := range []bool{false, true} {
@@ -347,9 +303,11 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 				got, err := eng.RunContext(ctx, query, popts)
 				if err != nil {
 					res.Mismatches++
+					failed = true
 					fail("seed %d %s %v(XA=%v) %q: %v", seed, opts.Transport, alg, ann, query, err)
 					continue
 				}
+				charge(got)
 				res.Cases++
 				res.addWire(Variant{Alg: alg, XA: ann}, got.BytesSent, got.BytesRecv)
 				if !testutil.EqualIDs(origAnswerIDs(ft, got.Answers), want) {
@@ -370,74 +328,61 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 						res.MaxVisitsPaX2 = got.MaxVisits
 					}
 				}
-				if batchEng != nil {
-					cmpBatch(query, alg, ann, got)
-					if alg == pax.PaX3 && !ann {
-						batchReplays = append(batchReplays, batchCase{query: query, want: want})
-					}
-				}
 			}
 		}
 	}
-	if batchEng != nil {
-		// Concurrent phase: the seed's PaX3 queries all in flight at once,
-		// so the window coalesces real multi-member envelopes with shared
-		// site evaluation. Byte totals are not comparable to solo runs here
-		// (envelope bytes are split among members), but answers must equal
-		// the centralized oracle, visit bounds must hold, and every member's
-		// ledger feeds the conservation check.
-		type out struct {
-			res *pax.Result
-			err error
+
+	// Concurrent phase: the seed's PaX3 queries all in flight at once on
+	// the same engine. Answers must equal the centralized oracle, visit
+	// bounds must hold, and every run's ledger feeds the conservation
+	// check.
+	type out struct {
+		res *pax.Result
+		err error
+	}
+	outs := make([]out, len(concurrent))
+	var wg sync.WaitGroup
+	for i, cc := range concurrent {
+		wg.Add(1)
+		go func(i int, query string) {
+			defer wg.Done()
+			r, err := eng.RunContext(ctx, query, pax.Options{Algorithm: pax.PaX3})
+			outs[i] = out{res: r, err: err}
+		}(i, cc.query)
+	}
+	wg.Wait()
+	for i, o := range outs {
+		res.ConcurrentCases++
+		query := concurrent[i].query
+		if o.err != nil {
+			res.Mismatches++
+			failed = true
+			fail("seed %d %s concurrent %q: %v", seed, opts.Transport, query, o.err)
+			continue
 		}
-		outs := make([]out, len(batchReplays))
-		var wg sync.WaitGroup
-		for i, rp := range batchReplays {
-			wg.Add(1)
-			go func(i int, query string) {
-				defer wg.Done()
-				r, err := batchEng.RunContext(ctx, query, pax.Options{Algorithm: pax.PaX3})
-				outs[i] = out{res: r, err: err}
-			}(i, rp.query)
+		charge(o.res)
+		if !testutil.EqualIDs(origAnswerIDs(ft, o.res.Answers), concurrent[i].want) {
+			res.Mismatches++
+			fail("seed %d %s concurrent %q: %d answers, centralized %d",
+				seed, opts.Transport, query, len(o.res.Answers), len(concurrent[i].want))
 		}
-		wg.Wait()
-		for i, o := range outs {
-			res.BatchCases++
-			if o.err != nil {
-				res.BatchDiffs++
-				batchFailed = true
-				fail("seed %d %s batch concurrent %q: %v", seed, opts.Transport, batchReplays[i].query, o.err)
-				continue
-			}
-			batchSent += o.res.BytesSent
-			batchRecv += o.res.BytesRecv
-			batchCompute += o.res.TotalCompute
-			if !testutil.EqualIDs(origAnswerIDs(ft, o.res.Answers), batchReplays[i].want) {
-				res.BatchDiffs++
-				fail("seed %d %s batch concurrent %q: %d answers, centralized %d",
-					seed, opts.Transport, batchReplays[i].query, len(o.res.Answers), len(batchReplays[i].want))
-			}
-			if o.res.MaxVisits > visitBound(pax.PaX3) {
-				res.BatchDiffs++
-				fail("seed %d %s batch concurrent %q: %d visits > bound %d",
-					seed, opts.Transport, batchReplays[i].query, o.res.MaxVisits, visitBound(pax.PaX3))
-			}
+		if o.res.MaxVisits > visitBound(pax.PaX3) {
+			res.BoundExceeded++
+			fail("seed %d %s concurrent %q: %d visits > bound %d",
+				seed, opts.Transport, query, o.res.MaxVisits, visitBound(pax.PaX3))
 		}
-		// Cost conservation over the batch paths: the harness owns this
-		// transport's entire lifetime, so the sum of its queries' private
-		// ledgers must equal the transport's cumulative counters exactly —
-		// shared envelopes included. Skipped only if a run failed (a failed
-		// run's partial stage costs reach the transport but its Result is
-		// discarded, so the sums legitimately cannot match).
-		if !batchFailed {
-			//paxlint:allow ledger(batch cost-conservation check: the harness owns this transport's entire lifetime and compares, never resets)
-			m := batchTr.Metrics()
-			tSent, tRecv := m.Bytes()
-			if batchSent != tSent || batchRecv != tRecv || batchCompute != m.TotalCompute() {
-				res.BatchDiffs++
-				fail("seed %d %s: batch ledger conservation violated: Σ per-query %d/%d bytes, %v compute; transport %d/%d bytes, %v compute",
-					seed, opts.Transport, batchSent, batchRecv, batchCompute, tSent, tRecv, m.TotalCompute())
-			}
+	}
+	// Cost conservation: the harness owns this transport's entire
+	// lifetime, so the sum of its queries' private ledgers must equal the
+	// transport's cumulative counters exactly.
+	if !failed {
+		//paxlint:allow ledger(cost-conservation check: the harness owns this transport's entire lifetime and compares, never resets)
+		m := tr.Metrics()
+		tSent, tRecv := m.Bytes()
+		if sent != tSent || recv != tRecv || compute != m.TotalCompute() {
+			res.Unconserved++
+			fail("seed %d %s: ledger conservation violated: Σ per-query %d/%d bytes, %v compute; transport %d/%d bytes, %v compute",
+				seed, opts.Transport, sent, recv, compute, tSent, tRecv, m.TotalCompute())
 		}
 	}
 	if opts.CompareEdits {

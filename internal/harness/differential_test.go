@@ -24,28 +24,24 @@ func requireClean(t *testing.T, res *DiffResult) {
 	}
 }
 
-// requireBatchCorpus asserts the batched-vs-unbatched twin comparison ran
-// at scale: at least 500 batch-twin evaluations (serial batch-of-one
-// byte-identity checks plus concurrent coalesced runs), every one matching
-// the primary/oracle, with the per-query ledger sums conserved against the
-// batch transport's cumulative counters.
-func requireBatchCorpus(t *testing.T, res *DiffResult) {
+// requireConcurrentCorpus asserts the concurrent phase ran at scale: at
+// least 125 evaluations with every PaX3 case of a seed in flight at once
+// (requireClean holds each to the oracle and the visit bound, and each
+// seed's ledgers to its transport's totals).
+func requireConcurrentCorpus(t *testing.T, res *DiffResult) {
 	t.Helper()
-	if res.BatchCases < 500 {
-		t.Errorf("batch-twin comparison covered %d cases, want >= 500", res.BatchCases)
+	if res.ConcurrentCases < 125 {
+		t.Errorf("the concurrent phase covered %d cases, want >= 125", res.ConcurrentCases)
 	}
 }
 
 // TestDifferentialLocalSeedCorpus is the tier-1 fixed corpus: 25 seeds × 5
 // queries × {PaX3, PaX2} × {NA, XA} against the centralized evaluator on
 // the in-process transport, with the per-site visit bound asserted for
-// every single evaluation, every case replayed on a batching twin, and the
-// bytes shipped per (algorithm, annotations) variant pinned.
+// every single evaluation, every PaX3 case of a seed run again all at
+// once, and the bytes shipped per (algorithm, annotations) variant pinned.
 func TestDifferentialLocalSeedCorpus(t *testing.T) {
-	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{
-		Transport:    DiffLocal,
-		CompareBatch: true,
-	})
+	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffLocal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +49,7 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 	if res.Triples < 100 {
 		t.Errorf("corpus covered %d (tree, query, fragmentation) triples, want >= 100", res.Triples)
 	}
-	requireBatchCorpus(t, res)
+	requireConcurrentCorpus(t, res)
 	// A change to how sites build or ship formulas moves these totals, and
 	// must move them here on purpose. Every final-stage request that walks
 	// candidates carries the query text, since sites keep no per-query
@@ -71,10 +67,9 @@ func TestDifferentialLocalSeedCorpus(t *testing.T) {
 
 // TestDifferentialTCPSeedCorpus runs the same fixed corpus over real TCP
 // sites on loopback: the full wire codec, connection pooling and
-// per-frame accounting are in the loop, with the batch twin deployed as
-// its own TCP cluster.
+// per-frame accounting are in the loop.
 func TestDifferentialTCPSeedCorpus(t *testing.T) {
-	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP, CompareBatch: true})
+	res, err := DifferentialSweep(context.Background(), 1, 25, DiffOptions{Transport: DiffTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +77,7 @@ func TestDifferentialTCPSeedCorpus(t *testing.T) {
 	if res.Triples < 100 {
 		t.Errorf("corpus covered %d (tree, query, fragmentation) triples, want >= 100", res.Triples)
 	}
-	requireBatchCorpus(t, res)
+	requireConcurrentCorpus(t, res)
 }
 
 // TestDifferentialExtendedSweep is the randomized long-haul sweep: many
@@ -94,7 +89,6 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 	}
 	res, err := DifferentialSweep(context.Background(), 1000, 100, DiffOptions{
 		Transport:    DiffLocal,
-		CompareBatch: true,
 		CompareEdits: true,
 	})
 	if err != nil {
@@ -113,7 +107,7 @@ func TestDifferentialExtendedSweep(t *testing.T) {
 		t.Errorf("local shipped bytes per variant = %v, want %v", res.Wire, wantWire)
 	}
 
-	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareBatch: true, CompareEdits: true})
+	tcpRes, err := DifferentialSweep(context.Background(), 2000, 20, DiffOptions{Transport: DiffTCP, CompareEdits: true})
 	if err != nil {
 		t.Fatal(err)
 	}

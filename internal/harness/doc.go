@@ -15,11 +15,11 @@
 // differential.go mechanically checks the paper's headline guarantee on
 // randomized (tree, query, fragmentation) instances over the real
 // transports: distributed evaluation must compute exactly the centralized
-// answer while visiting each site within the algorithm's bound. Every
-// case is optionally replayed on a batching twin of the same cluster,
-// which must be observationally identical to the primary: a batch of one
-// wire-identical to the primary, concurrent batches centralized-equal
-// with ledgers conserved.
+// answer while visiting each site within the algorithm's bound. After
+// its serial cases, each seed runs its PaX3 cases again all at once on
+// the same engine, under the same answer and visit checks, and the
+// per-query ledgers of all its runs must sum to the transport's lifetime
+// totals.
 //
 // The mutation phase (editdiff.go) interleaves random edit schedules with
 // queries on its own cluster, checking every answer against a

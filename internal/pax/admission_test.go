@@ -213,3 +213,72 @@ func TestStageComputeConservedOnBothTransports(t *testing.T) {
 		}
 	}
 }
+
+// TestPreCancelledContextFailsAdmission: a query arriving with an already
+// dead context must fail with the context's error before claiming a slot —
+// in every admission configuration, including a full engine in shed mode,
+// where the bug misreported the cancellation as ErrOverloaded.
+func TestPreCancelledContextFailsAdmission(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	configs := map[string][]EngineOption{
+		"unlimited": nil,
+		"shed":      {WithMaxInFlight(1)},
+		"queue":     {WithMaxInFlight(1), WithQueueTimeout(time.Minute)},
+	}
+	for name, opts := range configs {
+		t.Run(name, func(t *testing.T) {
+			eng := gatedCluster(t, nil, opts...)
+			if _, err := eng.RunContext(ctx, `//broker/name`, Options{Algorithm: PaX2}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("idle engine: err = %v, want context.Canceled", err)
+			}
+			if eng.inflight != nil && len(eng.inflight) != 0 {
+				t.Fatalf("pre-cancelled query claimed a slot (%d in flight)", len(eng.inflight))
+			}
+		})
+	}
+
+	// The regression case: engine FULL, shed mode. The fast path used to
+	// win the select against the (never-polled) context and report
+	// overload for a query that was never going to run.
+	gate := make(chan struct{})
+	defer close(gate)
+	eng := gatedCluster(t, gate, WithMaxInFlight(1))
+	go eng.Run(`//broker/name`, Options{Algorithm: PaX2})
+	waitFor(t, func() bool { return len(eng.inflight) == 1 })
+	if _, err := eng.RunContext(ctx, `//broker/name`, Options{Algorithm: PaX2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("full engine, shed mode: err = %v, want context.Canceled (not ErrOverloaded)", err)
+	}
+}
+
+// TestShedQueryNeverCompiles: admission strictly precedes planning, so a
+// query shed by a full engine must not burn compile CPU or pollute the
+// plan cache.
+func TestShedQueryNeverCompiles(t *testing.T) {
+	gate := make(chan struct{})
+	eng := gatedCluster(t, gate, WithMaxInFlight(1))
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Run(`//broker/name`, Options{Algorithm: PaX2})
+		done <- err
+	}()
+	waitFor(t, func() bool { return len(eng.inflight) == 1 })
+	compiled := eng.planCompiles.Load()
+	cached := eng.plans.len()
+
+	// A brand-new query text against the full engine: shed, uncompiled.
+	if _, err := eng.Run(`client[country = "US"]/name`, Options{Algorithm: PaX3}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	if n := eng.planCompiles.Load(); n != compiled {
+		t.Fatalf("shed query compiled its plan (%d -> %d compiles)", compiled, n)
+	}
+	if n := eng.plans.len(); n != cached {
+		t.Fatalf("shed query polluted the plan cache (%d -> %d entries)", cached, n)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("slot holder failed: %v", err)
+	}
+}

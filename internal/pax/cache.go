@@ -87,7 +87,8 @@ func (c *lru[K, V]) putLocked(key K, val V) {
 // once no matter how many goroutines miss concurrently: the first misser
 // runs fn, later arrivals block until it finishes and share its result.
 // Without this, a thundering herd of first-time requests for one query —
-// the common case under a batching window — would compile it N times.
+// concurrent clients sending a new query at once — would compile it N
+// times.
 // Errors are shared by the waiting herd but never cached: the next miss
 // retries.
 func (c *lru[K, V]) do(key K, fn func() (V, error)) (V, error) {

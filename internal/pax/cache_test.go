@@ -109,3 +109,65 @@ func TestPlanCacheSharesCompiledPlans(t *testing.T) {
 		t.Error("distinct queries share a plan")
 	}
 }
+
+// TestPlanCacheCoalescesConcurrentMisses: N concurrent first-time misses
+// of one (query, annotations) key must compile exactly once — the herd
+// blocks on the first misser's flight instead of racing get-then-put.
+func TestPlanCacheCoalescesConcurrentMisses(t *testing.T) {
+	tr := testutil.PaperTree()
+	eng, _, err := cluster(tr, fragment.RandomCuts(tr, 3, 7), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const herd = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := eng.plan(`//broker[//stock/code = "GOOG" and not(//stock/code = "YHOO")]/name`, true, false); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := eng.planCompiles.Load(); n != 1 {
+		t.Fatalf("plan compiled %d times under a %d-goroutine herd, want 1", n, herd)
+	}
+}
+
+// TestSiteCompileCacheCoalescesConcurrentMisses is the site-side twin: one
+// compilation per query text no matter how many requests miss at once.
+func TestSiteCompileCacheCoalescesConcurrentMisses(t *testing.T) {
+	tr := testutil.PaperTree()
+	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frags []*fragment.Fragment
+	for i := 0; i < ft.Len(); i++ {
+		frags = append(frags, ft.Frag(fragment.FragID(i)))
+	}
+	site := NewSite(0, frags)
+	const herd = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := site.compile(`//broker[market/name = "NYSE"]/name`); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := site.compiles.Load(); n != 1 {
+		t.Fatalf("site compiled %d times under a %d-goroutine herd, want 1", n, herd)
+	}
+}

@@ -151,12 +151,6 @@ type Engine struct {
 	inflight     chan struct{} // admission slots; nil = unlimited
 	queueTimeout time.Duration
 
-	// batch, when non-nil, coalesces concurrent stage calls to one site
-	// into batch envelopes (WithBatchWindow). Nil = batching off.
-	batch       *batcher
-	batchWindow time.Duration
-	maxBatch    int
-
 	// retry is the failover policy (WithRetryPolicy); the lifetime
 	// counters below feed FailoverStats.
 	retry     RetryPolicy
@@ -217,10 +211,6 @@ func NewEngine(topo *Topology, tr dist.Transport, opts ...EngineOption) *Engine 
 		} else {
 			e.retry = RetryPolicy{MaxAttempts: 1}
 		}
-	}
-	// A failover engine (replicated, or retrying) does not batch.
-	if e.batchWindow > 0 && e.retry.MaxAttempts <= 1 && !topo.Replicated() {
-		e.batch = newBatcher(tr, e.batchWindow, e.maxBatch)
 	}
 	return e
 }
@@ -495,7 +485,7 @@ func (r *run) fanOut(ctx context.Context, primaries []dist.SiteID, mk func(dist.
 	if r.seq {
 		for i := range slots {
 			s := &slots[i]
-			if s.resp, s.cost, s.err = r.call(ctx, s.site, s.req); s.err != nil {
+			if s.resp, s.cost, s.err = r.e.tr.Call(ctx, s.site, s.req); s.err != nil {
 				slots = slots[:i+1]
 				break
 			}
@@ -507,7 +497,7 @@ func (r *run) fanOut(ctx context.Context, primaries []dist.SiteID, mk func(dist.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s.resp, s.cost, s.err = r.call(ctx, s.site, s.req)
+				s.resp, s.cost, s.err = r.e.tr.Call(ctx, s.site, s.req)
 			}()
 		}
 		wg.Wait()

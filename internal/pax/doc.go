@@ -31,11 +31,10 @@
 //
 // Every stage is one round of fanOut: each primary with a request gets
 // one call, to the replica the query's route names for its group,
-// concurrently or, under Options.Sequential, one at a time. The round trip
-// is chosen once per query — the batcher on a batching engine outside
-// Sequential runs, the transport's Call otherwise — so every engine kind
-// charges the same ledger entries and fails a stage the same way: a
-// *dist.BroadcastError naming the failing primaries in primary order. A
+// concurrently or, under Options.Sequential, one at a time. Each call is
+// one dist.Transport.Call, so every engine kind charges the same ledger
+// entries and fails a stage the same way: a *dist.BroadcastError naming
+// the failing primaries in primary order. A
 // replicated engine, or one with a retry policy, answers a stage failure
 // that another run could repair by running the whole query again under
 // the same QID, each failed group rotated to its next replica (run.retry):
@@ -90,9 +89,6 @@
 // it was computed from, so an edit's new version misses and replaces it
 // (site.go, compiledQuery). A text stores results from its first use on,
 // so a PaX3 query's later stages read what its qualifier stage stored.
-// Within one batch envelope, qualifier-stage members that compile to the
-// same normal form share one pass over the fragment set current at the
-// envelope's arrival (batch.go).
 //
 // # Wire messages
 //

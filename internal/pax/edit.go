@@ -24,9 +24,8 @@
 // can have read it, and the edit waits until they are done (queryGate):
 // this engine's edits never make its own queries fail with ErrVersionSkew.
 //
-// Edits never ride batch envelopes (they are not stage messages) and never
-// run through the query retry loop (an edit is one call per member);
-// each call goes straight to the transport, so its measured cost lands in
+// Edits never run through the query retry loop (an edit is one call per
+// member); each call goes straight to the transport, so its measured cost lands in
 // the transport's lifetime totals and is mirrored, call for call, in the
 // returned EditResult — the edit-side half of the cost-conservation
 // invariant (Σ per-query ledgers + Σ per-edit ledgers = transport totals).

@@ -1,7 +1,6 @@
 package pax
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -299,10 +298,9 @@ func TestEditConcurrentDeliveriesApplyOnce(t *testing.T) {
 
 // TestEditSnapshotIdentity: a request reads the site's fragment set as
 // it is when the request arrives. Two reads with no edit between them
-// share one set — which is what lets batched Stage-1 members share a
-// sweep — and an edit between them gives the later one a new set, which
-// keeps the edited-away version as the fragment's previous one, while the
-// earlier set is left as it was.
+// share one set, and an edit between them gives the later one a new set,
+// which keeps the edited-away version as the fragment's previous one,
+// while the earlier set is left as it was.
 func TestEditSnapshotIdentity(t *testing.T) {
 	tr := testutil.PaperTree()
 	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
@@ -412,79 +410,6 @@ func stockEdit(t *testing.T, ft *fragment.Fragmentation) *EditReq {
 	}
 	req.BaseVersion = ft.Frags[fragment.RootFrag].Version
 	return req
-}
-
-// TestBatchQualsStraddlingEditDoNotShare: batched Stage-1 members share
-// one sweep over the fragment set current when their envelope arrives.
-// An edit between two envelopes makes the second one's members ship the
-// post-edit roots, with the new version, equal to a solo post-edit
-// Stage 1, never the memoized pre-edit sweep.
-func TestBatchQualsStraddlingEditDoNotShare(t *testing.T) {
-	tr := testutil.PaperTree()
-	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sites := BuildLocalCluster(RoundRobin(ft, 1))
-	s := sites[0]
-	query := `//broker[//stock/code = "ZZZZ"]/name`
-	n := int32(len(ft.Frags))
-	// qualBody is a solo Stage-1 response as a batch member body.
-	qualBody := func(qid QueryID) []byte {
-		t.Helper()
-		resp, err := s.handleQual(&QualStageReq{QID: qid, Query: query, NumFrags: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := resp.AppendBinary(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	// envelope serves two Stage-1 members in one batch envelope.
-	envelope := func(qids ...QueryID) [][]byte {
-		t.Helper()
-		var subs []BatchSub
-		for _, qid := range qids {
-			b, err := (&QualStageReq{QID: qid, Query: query, NumFrags: n}).AppendBinary(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs = append(subs, BatchSub{Tag: tagQualStageReq, Body: b})
-		}
-		resp, err := s.handleBatch(&BatchStageReq{Subs: subs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out [][]byte
-		for i, sub := range resp.Subs {
-			if sub.Tag != tagQualStageResp {
-				t.Fatalf("member %d failed: %s", i+1, sub.Body)
-			}
-			out = append(out, sub.Body)
-		}
-		return out
-	}
-
-	pre := qualBody(10)
-	for i, b := range envelope(1, 2) {
-		if !bytes.Equal(b, pre) {
-			t.Errorf("pre-edit member %d shipped roots other than a solo pre-edit Stage 1", i+1)
-		}
-	}
-	if _, err := s.handleEdit(stockEdit(t, ft)); err != nil {
-		t.Fatal(err)
-	}
-	post := qualBody(11)
-	if bytes.Equal(pre, post) {
-		t.Fatal("the edit changed no shipped byte — the check below proves nothing")
-	}
-	for i, b := range envelope(3, 4) {
-		if !bytes.Equal(b, post) {
-			t.Errorf("post-edit member %d shipped roots other than a solo post-edit Stage 1 — it read the pre-edit sweep", i+1)
-		}
-	}
 }
 
 // TestEditReplicatedConvergence drives edits into a replicated group with

@@ -58,10 +58,6 @@ func (p RetryPolicy) sleep(ctx context.Context, n int) error {
 // layer). Setting MaxAttempts > 1 on an unreplicated topology is valid:
 // a re-run then goes back to the lone site after the backoff, which
 // rides out a restart but not a site that stays dead.
-//
-// A failover engine does not batch (WithBatchWindow): NewEngine builds
-// no batcher for a replicated engine or one whose policy retries, so the
-// two features are mutually exclusive per engine today.
 func WithRetryPolicy(p RetryPolicy) EngineOption {
 	return func(e *Engine) { e.retry = p }
 }
@@ -88,16 +84,13 @@ func (e *Engine) FailoverStats() FailoverStats {
 }
 
 // run is one query across its attempts: the QID every attempt keeps, the
-// cost ledger every attempt's completed calls are charged to, the round
-// trip its calls take, and its route — which replica serves each group.
+// cost ledger every attempt's completed calls are charged to, and its
+// route — which replica serves each group.
 type run struct {
 	e     *Engine
 	qid   QueryID
 	seq   bool
 	usage *dist.Metrics
-	// call is one round trip: the transport's Call, or the batcher's on a
-	// batching engine outside Sequential runs.
-	call func(context.Context, dist.SiteID, any) (any, dist.CallCost, error)
 	// cur is the route: primary -> how often the group has failed in this
 	// query, whose remainder modulo the group's size indexes the replica
 	// serving it; nil until a group fails. It changes only between
@@ -113,11 +106,7 @@ type run struct {
 // newRun starts a query: a fresh QID and ledger, every group routed to
 // its primary.
 func (e *Engine) newRun(seq bool) *run {
-	r := &run{e: e, qid: QueryID(e.qid.Add(1)), seq: seq, usage: dist.NewMetrics(), call: e.tr.Call}
-	if e.batch != nil && !seq {
-		r.call = e.batch.call
-	}
-	return r
+	return &run{e: e, qid: QueryID(e.qid.Add(1)), seq: seq, usage: dist.NewMetrics()}
 }
 
 // replica returns the physical site the route names for the primary's

@@ -41,10 +41,21 @@ func echoCall(ctx context.Context, site dist.SiteID, req any) (any, dist.CallCos
 	return site, dist.CallCost{Compute: 1}, nil
 }
 
-// testRun is a run outside any engine whose calls take the round trip
+// callTransport is a transport whose round trip is the function itself.
+type callTransport func(context.Context, dist.SiteID, any) (any, dist.CallCost, error)
+
+func (f callTransport) Call(ctx context.Context, to dist.SiteID, req any) (any, dist.CallCost, error) {
+	return f(ctx, to, req)
+}
+
+func (callTransport) Metrics() *dist.Metrics { return nil }
+
+func (callTransport) Close() error { return nil }
+
+// testRun is a run on a bare engine whose calls take the round trip
 // call, every group routed to its primary.
 func testRun(seq bool, call func(context.Context, dist.SiteID, any) (any, dist.CallCost, error)) *run {
-	return &run{seq: seq, call: call, usage: dist.NewMetrics()}
+	return &run{e: &Engine{tr: callTransport(call)}, seq: seq, usage: dist.NewMetrics()}
 }
 
 func TestFanOutRequests(t *testing.T) {
@@ -265,12 +276,6 @@ func TestStageFailureShape(t *testing.T) {
 			local, _ := BuildLocalCluster(topo)
 			kill(local, 1)
 			return NewEngine(topo, local), 1
-		}},
-		{"batching", false, func() (*Engine, dist.SiteID) {
-			topo := RoundRobin(ft, 2)
-			local, _ := BuildLocalCluster(topo)
-			kill(local, 1)
-			return NewEngine(topo, local, WithBatchWindow(time.Millisecond)), 1
 		}},
 		{"replicated", false, func() (*Engine, dist.SiteID) {
 			topo := RoundRobinReplicated(ft, 2, 2)

@@ -185,31 +185,19 @@ type AnsStageResp struct {
 	Bodies  []WireFragment
 }
 
-// BatchSub is one member of a batch envelope: a complete stage message in
-// its binary body form, prefixed by its wire tag. In a BatchStageResp a
-// zero Tag marks a failed member, with Body carrying the error text.
-type BatchSub struct {
-	Tag  dist.MsgTag
-	Body []byte
-}
-
-// BatchStageReq carries several concurrent queries' stage requests to one
-// site in a single round trip — the coordinator-side batching envelope
-// (see batch.go). Members are independent: each Sub is a stage message of
-// its own query, and member ordering is the coalescing order. Batch
-// envelopes never nest.
+// BatchStageReq and BatchSub are what is left of the retired multi-query
+// batch envelope: bare declarations with no wire tag, codec or handler. No
+// site or coordinator sends or accepts them. Only the benchmark's tracer
+// (bench/trace.go) still names them; they go with that reference (ROADMAP
+// item 2b).
 type BatchStageReq struct {
 	Subs []BatchSub
 }
 
-// BatchStageResp carries the per-member responses, index-aligned with the
-// request's Subs. SubComputeNanos[i] is the time the site spent on member
-// i — the transport measures only the whole envelope — and the coordinator
-// uses it to attribute the batch call's measured compute to its members.
-// Member bodies are byte-identical to solo responses.
-type BatchStageResp struct {
-	Subs            []BatchSub
-	SubComputeNanos []int64
+// BatchSub is a member of a BatchStageReq (see there).
+type BatchSub struct {
+	Tag  dist.MsgTag
+	Body []byte
 }
 
 // EditReq asks a site to apply one fragment edit (insert/delete/rename a

@@ -414,8 +414,8 @@ func TestUnknownAlgorithm(t *testing.T) {
 
 // TestEvalFragsPanicIsFragmentError: a panic while a site evaluates one
 // fragment fails the walk with an error naming that fragment — what lets a
-// panic fail only its request, or only its member of a batch envelope —
-// after the fragments before it ran and before any after it does.
+// panic fail only its request — after the fragments before it ran and
+// before any after it does.
 func TestEvalFragsPanicIsFragmentError(t *testing.T) {
 	var ran []fragment.FragID
 	frags := []*fragment.Fragment{{ID: 1}, {ID: 4}, {ID: 6}}

@@ -37,8 +37,8 @@ type Site struct {
 	compiled atomic.Pointer[lru[string, *compiledQuery]]
 	// compiles counts compile-cache fills; qualPasses counts Stage-1 passes
 	// over the site's fragments that ran the qualifier sweep on at least one
-	// fragment. Test hooks for the single-compile and shared-batch
-	// evaluation guarantees.
+	// fragment. Test hooks for the single-compile and Stage-1 memo
+	// guarantees.
 	compiles   atomic.Int64
 	qualPasses atomic.Int64
 	// memoHits and memoMisses count the Stage-1 memo's lookups, one per
@@ -114,10 +114,7 @@ func (fs *fragSet) pinned(fid fragment.FragID, pins []WireVersion) (*fragment.Fr
 }
 
 // compiledQuery is what a site's compile cache holds: the immutable
-// compilation plus its normal-form fingerprint, rendered once per query
-// text, and the text's Stage-1 memo. batchQuals groups batch members by
-// the fingerprint, so textual variants of one query share one Stage-1
-// sweep.
+// compilation of a query text and the text's Stage-1 memo.
 //
 // The memo holds, per hosted fragment, the Stage-1 result of the query: a
 // pure function of the compilation, the fragment count (which names the
@@ -131,7 +128,6 @@ func (fs *fragSet) pinned(fid fragment.FragID, pins []WireVersion) (*fragment.Fr
 // compile cache's 256 texts per site.
 type compiledQuery struct {
 	c    *xpath.Compiled
-	fp   string
 	mu   sync.Mutex
 	memo []stage1Result // guarded by mu; one per hosted fragment at most
 }
@@ -244,8 +240,6 @@ func (s *Site) handle(req any) (any, error) {
 		return s.handleCollect(r)
 	case *FetchReq:
 		return s.handleFetch()
-	case *BatchStageReq:
-		return s.handleBatch(r)
 	case *EditReq:
 		return s.handleEdit(r)
 	}
@@ -280,7 +274,7 @@ func (s *Site) read(frags []fragment.FragID, pins []WireVersion) ([]*fragment.Fr
 // goroutine, passing each fragment's index in frags. The first failing
 // fragment stops the walk. A panic inside fn degrades to that fragment's
 // error, exactly as a handler panic degrades to a failed call at the
-// transport, so inside a batch envelope it fails only its member.
+// transport.
 func evalFrags(frags []*fragment.Fragment, fn func(i int, f *fragment.Fragment) error) (err error) {
 	var cur fragment.FragID
 	defer func() {
@@ -298,9 +292,9 @@ func evalFrags(frags []*fragment.Fragment, fn func(i int, f *fragment.Fragment) 
 }
 
 // compile returns the site's cache entry for query — the immutable
-// Compiled, its normal-form fingerprint and its Stage-1 memo, shared by
-// every request evaluating the same query text. Concurrent first-time
-// misses of one query compile once and share the result (lru.do).
+// Compiled and its Stage-1 memo, shared by every request evaluating the
+// same query text. Concurrent first-time misses of one query compile once
+// and share the result (lru.do).
 func (s *Site) compile(query string) (*compiledQuery, error) {
 	return s.compiled.Load().do(query, func() (*compiledQuery, error) {
 		s.compiles.Add(1)
@@ -308,7 +302,7 @@ func (s *Site) compile(query string) (*compiledQuery, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &compiledQuery{c: c, fp: xpath.NormalForm(c.Query)}, nil
+		return &compiledQuery{c: c}, nil
 	})
 }
 

@@ -2,7 +2,6 @@ package pax
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"unsafe"
@@ -31,8 +30,11 @@ const (
 	tagAnsStageResp
 	tagFetchReq
 	tagFetchResp
-	tagBatchStageReq
-	tagBatchStageResp
+	// Tags 11 and 12 carried the retired multi-query batch envelope. Never
+	// reuse them: a peer that still sends one must fail with
+	// dist.ErrUnknownTag, not decode as some other message.
+	_
+	_
 	tagEditReq
 	tagEditResp
 )
@@ -48,72 +50,24 @@ func init() {
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(AnsStageResp) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(FetchReq) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(FetchResp) })
-	dist.RegisterBinary(func() dist.BinaryMessage { return new(BatchStageReq) })
-	dist.RegisterBinary(func() dist.BinaryMessage { return new(BatchStageResp) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(EditReq) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(EditResp) })
-}
-
-// stageMessage is a message that can travel as a batch member. decode
-// reads its body from r; see decodeMember for a body the message may
-// keep.
-type stageMessage interface {
-	dist.BinaryMessage
-	decode(r reader) error
-}
-
-// decodeMember decodes a batch member from its body, a slice of the
-// envelope's own copy of its frame: the member keeps that memory instead
-// of copying it again, so a batched message costs one copy, as a lone one
-// does.
-func decodeMember(m stageMessage, body []byte) error {
-	return m.decode(reader{p: body, kept: body})
-}
-
-// newStageMessage constructs the empty message for an inner batch tag. Batch
-// tags themselves are excluded — envelopes never nest — so a nested batch
-// is rejected at decode like any unknown tag.
-func newStageMessage(tag dist.MsgTag) stageMessage {
-	switch tag {
-	case tagQualStageReq:
-		return new(QualStageReq)
-	case tagQualStageResp:
-		return new(QualStageResp)
-	case tagSelStageReq:
-		return new(SelStageReq)
-	case tagSelStageResp:
-		return new(SelStageResp)
-	case tagCombinedStageReq:
-		return new(CombinedStageReq)
-	case tagCombinedStageResp:
-		return new(CombinedStageResp)
-	case tagAnsStageReq:
-		return new(AnsStageReq)
-	case tagAnsStageResp:
-		return new(AnsStageResp)
-	case tagFetchReq:
-		return new(FetchReq)
-	case tagFetchResp:
-		return new(FetchResp)
-	}
-	return nil
 }
 
 // reader is a sticky-error consumer over a message body. It keeps decode
 // code linear: check r.done() once at the end instead of after every
 // field. A decoded message never aliases its input, which the transport
 // recycles once the message is decoded: the first field whose bytes the
-// message keeps (formula bytes, batch member bodies, answer and fragment
-// strings) copies the rest of the body once, and that field and every
-// later one slice the copy. Scalar fields, bool slices and the few short
-// strings read with str are decoded into fresh values.
+// message keeps (formula bytes, answer and fragment strings) copies the
+// rest of the body once, and that field and every later one slice the
+// copy. Scalar fields, bool slices and the few short strings read with str
+// are decoded into fresh values.
 type reader struct {
 	p   []byte
 	err error
 	// kept is the message's copy of its body from the first kept field
 	// on, made by keepFrom and never written afterwards, so strings share
-	// its memory. A reader over a body that is already private starts
-	// with kept set to the whole body, so keepFrom copies nothing.
+	// its memory.
 	kept []byte
 }
 
@@ -561,9 +515,8 @@ func (m *QualStageReq) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *QualStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *QualStageReq) decode(r reader) error {
+func (m *QualStageReq) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
@@ -579,9 +532,8 @@ func (m *QualStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *QualStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *QualStageResp) decode(r reader) error {
+func (m *QualStageResp) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.Roots = r.rootVecsSlice()
 	return r.done()
 }
@@ -602,9 +554,8 @@ func (m *SelStageReq) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *SelStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *SelStageReq) decode(r reader) error {
+func (m *SelStageReq) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
@@ -629,9 +580,8 @@ func (m *SelStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *SelStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *SelStageResp) decode(r reader) error {
+func (m *SelStageResp) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.Contexts = r.contexts()
 	m.Answers = r.answers()
 	m.Candidates = r.fragIDs()
@@ -654,9 +604,8 @@ func (m *CombinedStageReq) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *CombinedStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *CombinedStageReq) decode(r reader) error {
+func (m *CombinedStageReq) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
@@ -679,9 +628,8 @@ func (m *CombinedStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *CombinedStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *CombinedStageResp) decode(r reader) error {
+func (m *CombinedStageResp) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.Roots = r.rootVecsSlice()
 	m.Contexts = r.contexts()
 	m.Answers = r.answers()
@@ -706,9 +654,8 @@ func (m *AnsStageReq) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *AnsStageReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *AnsStageReq) decode(r reader) error {
+func (m *AnsStageReq) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.QID = QueryID(r.uvarint())
 	m.Query = r.str()
 	m.NumFrags = r.int32()
@@ -730,9 +677,8 @@ func (m *AnsStageResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *AnsStageResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *AnsStageResp) decode(r reader) error {
+func (m *AnsStageResp) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.Answers = r.answers()
 	m.Bodies = r.wireFragments()
 	return r.done()
@@ -745,9 +691,8 @@ func (m *FetchReq) WireTag() dist.MsgTag { return tagFetchReq }
 func (m *FetchReq) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *FetchReq) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *FetchReq) decode(r reader) error {
+func (m *FetchReq) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	return r.done()
 }
 
@@ -760,107 +705,16 @@ func (m *FetchResp) AppendBinary(dst []byte) ([]byte, error) {
 }
 
 // DecodeBinary implements dist.BinaryMessage.
-func (m *FetchResp) DecodeBinary(p []byte) error { return m.decode(reader{p: p}) }
-
-func (m *FetchResp) decode(r reader) error {
+func (m *FetchResp) DecodeBinary(p []byte) error {
+	r := reader{p: p}
 	m.Frags = r.wireFragments()
-	return r.done()
-}
-
-// fixed64 reads an 8-byte big-endian value. SubComputeNanos travels fixed
-// width, not varint: its values change run to run (they are timings), and a
-// varint encoding would make the envelope length vary with them.
-func (r *reader) fixed64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.p) < 8 {
-		r.fail(fmt.Errorf("%w: fixed64", wirefmt.ErrTruncated))
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.p[:8])
-	r.p = r.p[8:]
-	return int64(v)
-}
-
-func appendSubs(dst []byte, subs []BatchSub) []byte {
-	dst = wirefmt.AppendUvarint(dst, uint64(len(subs)))
-	for _, sub := range subs {
-		dst = wirefmt.AppendUvarint(dst, uint64(sub.Tag))
-		dst = wirefmt.AppendBytes(dst, sub.Body)
-	}
-	return dst
-}
-
-func (r *reader) subs() []BatchSub {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	r.keepFrom()
-	out := make([]BatchSub, 0, eagerCap(n))
-	for i := 0; i < n && r.err == nil; i++ {
-		tag := r.uvarint()
-		if r.err == nil && tag > math.MaxUint32 {
-			r.fail(fmt.Errorf("%w: sub tag %d overflows uint32", wirefmt.ErrMalformed, tag))
-			break
-		}
-		out = append(out, BatchSub{Tag: dist.MsgTag(tag), Body: r.keep()})
-	}
-	return out
-}
-
-// WireTag implements dist.BinaryMessage.
-func (m *BatchStageReq) WireTag() dist.MsgTag { return tagBatchStageReq }
-
-// AppendBinary implements dist.BinaryMessage.
-func (m *BatchStageReq) AppendBinary(dst []byte) ([]byte, error) {
-	return appendSubs(dst, m.Subs), nil
-}
-
-// DecodeBinary implements dist.BinaryMessage.
-func (m *BatchStageReq) DecodeBinary(p []byte) error {
-	r := reader{p: p}
-	m.Subs = r.subs()
-	return r.done()
-}
-
-// WireTag implements dist.BinaryMessage.
-func (m *BatchStageResp) WireTag() dist.MsgTag { return tagBatchStageResp }
-
-// AppendBinary implements dist.BinaryMessage. The per-sub compute array
-// must be index-aligned with Subs; its length is implied, not encoded.
-func (m *BatchStageResp) AppendBinary(dst []byte) ([]byte, error) {
-	if len(m.SubComputeNanos) != len(m.Subs) {
-		return nil, fmt.Errorf("pax: batch response has %d compute entries for %d subs", len(m.SubComputeNanos), len(m.Subs))
-	}
-	dst = appendSubs(dst, m.Subs)
-	for _, c := range m.SubComputeNanos {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(c))
-	}
-	return dst, nil
-}
-
-// DecodeBinary implements dist.BinaryMessage.
-func (m *BatchStageResp) DecodeBinary(p []byte) error {
-	r := reader{p: p}
-	m.Subs = r.subs()
-	if len(m.Subs) > 0 {
-		m.SubComputeNanos = make([]int64, len(m.Subs))
-		for i := range m.SubComputeNanos {
-			m.SubComputeNanos[i] = r.fixed64()
-		}
-	}
 	return r.done()
 }
 
 // WireTag implements dist.BinaryMessage.
 func (m *EditReq) WireTag() dist.MsgTag { return tagEditReq }
 
-// AppendBinary implements dist.BinaryMessage. Edit messages never ride in
-// batch envelopes (Engine.ApplyEdit issues them directly, serialized), so
-// newStageMessage deliberately excludes their tags, like the batch tags
-// themselves.
+// AppendBinary implements dist.BinaryMessage.
 func (m *EditReq) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendFragID(dst, m.Frag)
 	dst = wirefmt.AppendUvarint(dst, m.BaseVersion)

@@ -58,13 +58,21 @@ type corpusCase struct {
 	msg  dist.BinaryMessage
 }
 
-// mustBody is a message's body bytes, as a batch envelope carries them.
+// mustBody is a message's body bytes.
 func mustBody(m dist.BinaryMessage) []byte {
 	b, err := m.AppendBinary(nil)
 	if err != nil {
 		panic(err)
 	}
 	return b
+}
+
+// requestPayload is a request payload carrying tag and body, as a site
+// reads it off the wire: dist.DecodeRequest decodes it through the
+// message registry.
+func requestPayload(tag dist.MsgTag, body []byte) []byte {
+	p := append([]byte{wireVersion(), 0x00}, wirefmt.AppendUvarint(nil, uint64(tag))...)
+	return append(p, body...)
 }
 
 // wireVersion is the codec's version byte, which leads every payload.
@@ -144,16 +152,6 @@ func messageCorpus(seed int64) []corpusCase {
 			{ID: 0, XML: `<site><person id="p&#34;1">Ada</person><fragment-ref ref="2"/></site>`},
 			{ID: 2, XML: `<people/>`},
 		}}},
-		{"members", &BatchStageReq{Subs: []BatchSub{
-			{Tag: tagQualStageReq, Body: mustBody(qualReq)},
-			{Tag: tagSelStageReq, Body: mustBody(selReq)},
-		}}},
-		// One member answered, one failed: a Tag-0 member carries the
-		// handler's error text.
-		{"error-member", &BatchStageResp{
-			Subs:            []BatchSub{{Tag: tagQualStageResp, Body: mustBody(qualResp)}, {Tag: 0, Body: []byte("site 3: stage out of order")}},
-			SubComputeNanos: []int64{41, 1},
-		}},
 		{"insert", &EditReq{
 			Frag: 2, BaseVersion: 7, Op: 0, Node: 14, Pos: 1,
 			SubtreeXML: `<person id="7&quot;x"><name>Ada</name></person>`,
@@ -197,7 +195,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current encoder (a wire-format change: bump dist's binVersion)")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from the current code (a wire-format change also bumps dist's binVersion)")
 
 // goldenPath names a corpus case's golden file: <tag>-<case>.bin.
 func goldenPath(c corpusCase) string {
@@ -284,6 +282,9 @@ func FuzzDecodeStageMessage(f *testing.F) {
 	// one decoded section.
 	f.Add(byte(tagAnsStageResp), mustBody(&AnsStageResp{Answers: shipXMLAnswers(3)}))
 	f.Add(byte(tagSelStageResp), mustBody(&SelStageResp{Answers: shipXMLAnswers(2), Candidates: []fragment.FragID{1}}))
+	// The retired batch tags, which must fail as unknown.
+	f.Add(byte(11), []byte{1, byte(tagQualStageReq), 0})
+	f.Add(byte(12), []byte{1, byte(tagQualStageResp), 0})
 	version := wireVersion()
 	f.Fuzz(func(t *testing.T, tag byte, body []byte) {
 		payload := append([]byte{version, 0x00, tag}, body...)
@@ -335,7 +336,7 @@ func answerResponses(answers []AnswerNode) []dist.BinaryMessage {
 }
 
 // answersOf returns a decoded response's answers.
-func answersOf(m dist.BinaryMessage) []AnswerNode {
+func answersOf(m any) []AnswerNode {
 	switch m := m.(type) {
 	case *SelStageResp:
 		return m.Answers
@@ -353,13 +354,13 @@ func answersOf(m dist.BinaryMessage) []AnswerNode {
 func TestDecodedAnswersDoNotAliasInput(t *testing.T) {
 	want := shipXMLAnswers(5)
 	for _, m := range answerResponses(want) {
-		body := mustBody(m)
-		back := newStageMessage(m.WireTag())
-		if err := back.DecodeBinary(body); err != nil {
+		payload := requestPayload(m.WireTag(), mustBody(m))
+		back, err := dist.DecodeRequest(dist.Binary, payload)
+		if err != nil {
 			t.Fatalf("%T: %v", m, err)
 		}
-		for i := range body {
-			body[i] = 0xA5
+		for i := range payload {
+			payload[i] = 0xA5
 		}
 		if got := answersOf(back); !reflect.DeepEqual(got, want) {
 			t.Errorf("%T: answers changed with the input bytes:\n got %q\nwant %q", m, got, want)
@@ -370,8 +371,8 @@ func TestDecodedAnswersDoNotAliasInput(t *testing.T) {
 // TestDecodedMessagesDoNotAliasFrame decodes every golden message from a
 // buffer, overwrites the buffer with 0xFF, as the transport's frame pool
 // reuses it, and re-encodes: the golden bytes must come back. A field that
-// aliased its frame (formula bytes, batch member bodies, answer or
-// fragment text) would re-encode the overwritten bytes.
+// aliased its frame (formula bytes, answer or fragment text) would
+// re-encode the overwritten bytes.
 func TestDecodedMessagesDoNotAliasFrame(t *testing.T) {
 	for _, c := range messageCorpus(1) {
 		path := goldenPath(c)
@@ -421,7 +422,7 @@ func TestCorruptAnswerStringLength(t *testing.T) {
 			body = wirefmt.AppendString(body, "person") // Label
 			body = wirefmt.AppendString(body, "Ada")    // Value
 			body = append(body, length...)              // XML
-			err := newStageMessage(tag).DecodeBinary(body)
+			_, err := dist.DecodeRequest(dist.Binary, requestPayload(tag, body))
 			if !errors.Is(err, wirefmt.ErrMalformed) {
 				t.Errorf("tag %d, XML length %s: err = %v, want ErrMalformed", tag, name, err)
 			}
@@ -449,32 +450,29 @@ func TestDecodeAnswersAllocs(t *testing.T) {
 	if counts[0] != counts[1] || counts[1] != counts[2] {
 		t.Errorf("allocations for 1, 100 and 1000 answers = %v, want equal", counts)
 	}
+}
 
-	// Batched: the envelope copies its body once, and the member decodes
-	// from that copy, adding its answer slice but no copy of its own — a
-	// second copy would make it 5.
-	counts = counts[:0]
-	for _, n := range []int{1, 100, 1000} {
-		env := mustBody(&BatchStageResp{
-			Subs:            []BatchSub{{Tag: tagAnsStageResp, Body: mustBody(&AnsStageResp{Answers: shipXMLAnswers(n)})}},
-			SubComputeNanos: []int64{1},
-		})
-		allocs := testing.AllocsPerRun(20, func() {
-			br := new(BatchStageResp)
-			if err := br.DecodeBinary(env); err != nil {
-				t.Fatal(err)
-			}
-			if err := decodeMember(new(AnsStageResp), br.Subs[0].Body); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 4 {
-			t.Errorf("decoding a batch of %d answers allocates %.1f times, want at most 4", n, allocs)
-		}
-		counts = append(counts, allocs)
+// TestRetiredTagsAreUnknown: tags 11 and 12 carried the retired
+// multi-query batch envelope and stay unregistered, with the tags around
+// them keeping their numbers. A request or response frame carrying one
+// fails to decode with dist.ErrUnknownTag; nothing panics.
+func TestRetiredTagsAreUnknown(t *testing.T) {
+	if tagFetchResp != 10 || tagEditReq != 13 || tagEditResp != 14 {
+		t.Fatalf("tags moved: FetchResp %d, EditReq %d, EditResp %d; want 10, 13, 14", tagFetchResp, tagEditReq, tagEditResp)
 	}
-	if counts[0] != counts[1] || counts[1] != counts[2] {
-		t.Errorf("allocations for batches of 1, 100 and 1000 answers = %v, want equal", counts)
+	for _, tag := range []dist.MsgTag{11, 12} {
+		if slices.Contains(dist.RegisteredTags(), tag) {
+			t.Errorf("retired tag %d is registered", tag)
+		}
+		body := []byte{1, 0, 0}
+		if _, err := dist.DecodeRequest(dist.Binary, requestPayload(tag, body)); !errors.Is(err, dist.ErrUnknownTag) {
+			t.Errorf("request with tag %d: err = %v, want dist.ErrUnknownTag", tag, err)
+		}
+		// Version, kind, 8 bytes of compute, status OK, then tag and body.
+		resp := append([]byte{wireVersion(), 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0x00}, wirefmt.AppendUvarint(nil, uint64(tag))...)
+		if _, _, _, err := dist.DecodeResponse(dist.Binary, append(resp, body...)); !errors.Is(err, dist.ErrUnknownTag) {
+			t.Errorf("response with tag %d: err = %v, want dist.ErrUnknownTag", tag, err)
+		}
 	}
 }
 

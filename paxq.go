@@ -194,27 +194,12 @@ type ClusterOptions struct {
 	// up to this long for a slot before failing with ErrOverloaded.
 	// Meaningful only with MaxInFlight > 0.
 	QueueTimeout time.Duration
-	// BatchWindow enables coordinator-side multi-query stage batching:
-	// stage requests from concurrent evaluations bound for the same site
-	// are held up to this long and coalesced into one batch envelope — one
-	// site visit serving every member, with identical qualifier stages
-	// evaluated once and the shared cost split deterministically across
-	// members (per-query Stats still sum exactly to TransportStats). 0
-	// (the default) disables batching; answers are identical either way,
-	// and a batch of one is sent byte-identically to the unbatched path.
-	BatchWindow time.Duration
-	// MaxBatchSize caps how many evaluations one batch envelope may carry
-	// (a full batch flushes before the window expires). 0 means a default
-	// of 16. Meaningful only with BatchWindow > 0.
-	MaxBatchSize int
 
 	// Replicas deploys every site as a replica group of this many members
 	// hosting identical fragment copies: the coordinator addresses the
 	// group's primary and, when a site dies mid-query, runs the query
 	// again on the next replica of its group, so answers survive site
 	// failures unchanged. 0 or 1 means no replication.
-	// Replication and BatchWindow are mutually exclusive per cluster: a
-	// replicated engine builds no batcher.
 	Replicas int
 	// Registry, when non-empty, is the path of a site-registry JSON file
 	// (see pax.Registry) describing which replica sites host each fragment.
@@ -319,9 +304,6 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	engOpts := []pax.EngineOption{
 		pax.WithMaxInFlight(opts.MaxInFlight),
 		pax.WithQueueTimeout(opts.QueueTimeout),
-	}
-	if opts.BatchWindow > 0 {
-		engOpts = append(engOpts, pax.WithBatchWindow(opts.BatchWindow), pax.WithMaxBatchSize(opts.MaxBatchSize))
 	}
 	if opts.RetryMaxAttempts > 0 {
 		engOpts = append(engOpts, pax.WithRetryPolicy(pax.RetryPolicy{

@@ -11,8 +11,7 @@
 //   - compute-timing code must measure with the monotonic clock:
 //     time.Now().Sub(t) and UnixNano() differences re-derive durations
 //     from wall-clock readings, which jump under clock adjustment and
-//     would let a compute ledger (a site's per-member batch times, say)
-//     drift from the transport's totals.
+//     would let a compute ledger drift from the transport's totals.
 //     time.Since(t) (and t2.Sub(t1) on Times that both carry a monotonic
 //     reading) is the accepted form.
 //

@@ -30,24 +30,6 @@ func snapshot(tr transport) *Counters {
 	return tr.Metrics()
 }
 
-// Batch aggregation path: splitting one envelope's cost across members
-// must stay in per-call arithmetic — never read the shared lifetime
-// counters to attribute batch costs to a query.
-func splitBatchCost(total int64, members int) []int64 {
-	out := make([]int64, members)
-	for i := range out {
-		out[i] = total / int64(members)
-	}
-	return out
-}
-
-func badBatchAttribution(tr transport, start time.Time) []int64 {
-	m := tr.Metrics() // want `shared transport metrics accessed outside internal/dist`
-	_ = m
-	_ = time.Now().Sub(start) // want `time\.Now\(\)\.Sub\(t\) re-derives a duration from a wall-clock reading`
-	return splitBatchCost(int64(time.Since(start)), 2)
-}
-
 func conservationCheck(tr transport, perQuerySum int64) bool {
 	//paxlint:allow ledger(cost-conservation check compares per-query sums against the lifetime totals read-only)
 	_ = tr.Metrics()
@@ -56,8 +38,7 @@ func conservationCheck(tr transport, perQuerySum int64) bool {
 
 // Failover path: the aborted-call attribution rule says a replayed or
 // failed-but-completed call's cost is charged to the query that caused
-// it, from the CallCost the call itself returned — per-call arithmetic,
-// exactly like the batch split above.
+// it, from the CallCost the call itself returned — per-call arithmetic.
 func chargeFailedAttempt(perQuery *int64, callCost int64) {
 	*perQuery += callCost
 }
@@ -71,8 +52,7 @@ func badAbortedCallAttribution(tr transport, perQuery *int64) {
 	*perQuery++
 }
 
-// Edit path: a fragment edit rides no batch envelope and no failover
-// replay, so its wire cost lands directly on the transport totals — the
+// Edit path: a fragment edit rides no failover replay, so its wire cost lands directly on the transport totals — the
 // edit's own ledger (EditResult.BytesSent/BytesRecv/Compute) must be
 // folded from the CallCosts of the per-member calls it issued, exactly
 // like a query's per-stage arithmetic.

@@ -1,6 +1,5 @@
 // Package lockheld guards against the deadlock-and-latency class that
-// replication and batching (ROADMAP items 2–3) would otherwise walk
-// into: performing a transport round trip — or any network / file I/O —
+// replication would otherwise walk into: performing a transport round trip — or any network / file I/O —
 // while holding a sync.Mutex or sync.RWMutex. A handler blocked on I/O
 // under a lock stalls every other goroutine needing that lock; if the
 // I/O completion itself needs the lock (a response handler updating the
