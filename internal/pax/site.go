@@ -35,12 +35,9 @@ type Site struct {
 	// compiled is the compile cache, which Restart swaps while handlers
 	// read it.
 	compiled atomic.Pointer[lru[string, *compiledQuery]]
-	// compiles counts compile-cache fills; qualPasses counts Stage-1 passes
-	// over the site's fragments that ran the qualifier sweep on at least one
-	// fragment. Test hooks for the single-compile and Stage-1 memo
-	// guarantees.
-	compiles   atomic.Int64
-	qualPasses atomic.Int64
+	// compiles counts compile-cache fills, a test hook for the
+	// single-compile guarantee.
+	compiles atomic.Int64
 	// memoHits and memoMisses count the Stage-1 memo's lookups, one per
 	// fragment a request reads the Stage-1 result of; memoReplaced counts
 	// the entries a miss overwrote because they held another version of
@@ -324,12 +321,11 @@ func shipRootVecs(f *fragment.Fragment, c *xpath.Compiled, fq *parbox.FragQual) 
 	return rv
 }
 
-// stage1 returns fragment f's Stage-1 result for query q, and whether it
-// ran the qualifier sweep for it: the memoized result when q's memo holds
-// one for exactly f and q's fragment count, else a fresh sweep with a
-// Builder of its own, which it memoizes. Each lookup counts as a memo hit
-// or miss.
-func (s *Site) stage1(q stageQuery, f *fragment.Fragment) (stage1Result, bool) {
+// stage1 returns fragment f's Stage-1 result for query q: the memoized
+// result when q's memo holds one for exactly f and q's fragment count,
+// else a fresh sweep with a Builder of its own, which it memoizes. Each
+// lookup counts as a memo hit or miss.
+func (s *Site) stage1(q stageQuery, f *fragment.Fragment) stage1Result {
 	var r stage1Result
 	q.mu.Lock()
 	i := q.slot(f.ID)
@@ -342,7 +338,7 @@ func (s *Site) stage1(q stageQuery, f *fragment.Fragment) (stage1Result, bool) {
 	id := weak.Make(f)
 	if i >= 0 && r.f == id && r.numFrags == q.vs.NumFrags {
 		s.memoHits.Add(1)
-		return r, false
+		return r
 	}
 	s.memoMisses.Add(1)
 	fq := parbox.Qualify(f, q.c, q.vs, &boolexpr.Builder{})
@@ -354,13 +350,13 @@ func (s *Site) stage1(q stageQuery, f *fragment.Fragment) (stage1Result, bool) {
 			s.memoReplaced.Add(1)
 		}
 		q.memo[i] = r
-		return r, true
+		return r
 	}
 	if q.memo == nil {
 		q.memo = make([]stage1Result, 0, len(s.snapshot().ids))
 	}
 	q.memo = append(q.memo, r)
-	return r, true
+	return r
 }
 
 // qualPass runs Stage 1 over the current version of every fragment of fs,
@@ -372,16 +368,10 @@ func (s *Site) qualPass(q stageQuery, fs *fragSet) ([]WireRootVecs, error) {
 		frags[i] = fs.byID[fid]
 	}
 	roots := make([]WireRootVecs, len(frags))
-	swept := false
 	err := evalFrags(frags, func(i int, f *fragment.Fragment) error {
-		r, ran := s.stage1(q, f)
-		roots[i] = r.rv
-		swept = swept || ran
+		roots[i] = s.stage1(q, f).rv
 		return nil
 	})
-	if swept {
-		s.qualPasses.Add(1)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("pax: site %d: %w", s.id, err)
 	}
@@ -478,7 +468,7 @@ func (s *Site) selectFrags(q stageQuery, frags []*fragment.Fragment, inits []Wir
 		}
 		var fq *parbox.FragQual
 		if env == nil || q.c.HasQualifiers() {
-			r, _ := s.stage1(q, f)
+			r := s.stage1(q, f)
 			fq = r.fq
 			if env == nil {
 				// PaX2 ships the root vectors alone: its coordinator never
