@@ -190,22 +190,9 @@ func runRemote(manifestPath string, siteFlags []string, query, algo string, xa, 
 	if err != nil {
 		fatal(err)
 	}
-	addrs := make(map[dist.SiteID]string)
-	siteOf := make(map[fragment.FragID]dist.SiteID)
-	for i, spec := range siteFlags {
-		parts := strings.SplitN(spec, "=", 2)
-		if len(parts) != 2 {
-			fatal(fmt.Errorf("bad -site %q, want 'fragIDs=host:port'", spec))
-		}
-		sid := dist.SiteID(i)
-		addrs[sid] = parts[1]
-		for _, fs := range strings.Split(parts[0], ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(fs))
-			if err != nil {
-				fatal(fmt.Errorf("bad fragment id %q in -site %q", fs, spec))
-			}
-			siteOf[fragment.FragID(n)] = sid
-		}
+	siteOf, addrs, err := parseSiteFlags(siteFlags, ft.Len())
+	if err != nil {
+		fatal(err)
 	}
 	topo, err := pax.NewTopology(ft, siteOf)
 	if err != nil {
@@ -233,6 +220,37 @@ func runRemote(manifestPath string, siteFlags []string, query, algo string, xa, 
 			res.Stages, res.MaxVisits, res.BytesSent, res.BytesRecv, res.Wall, res.TotalCompute,
 			res.RelevantFrags, res.TotalFrags)
 	}
+}
+
+// parseSiteFlags reads remote mode's -site 'fragIDs=host:port' flags: the
+// i-th flag is site i. Every fragment ID must lie in the manifest's
+// 0..numFrags-1 and be mapped by one flag only.
+func parseSiteFlags(specs []string, numFrags int) (map[fragment.FragID]dist.SiteID, map[dist.SiteID]string, error) {
+	siteOf := make(map[fragment.FragID]dist.SiteID)
+	addrs := make(map[dist.SiteID]string, len(specs))
+	for i, spec := range specs {
+		ids, addr, ok := strings.Cut(spec, "=")
+		if !ok || addr == "" {
+			return nil, nil, fmt.Errorf("bad -site %q, want 'fragIDs=host:port'", spec)
+		}
+		sid := dist.SiteID(i)
+		addrs[sid] = addr
+		for _, fs := range strings.Split(ids, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(fs))
+			if err != nil {
+				return nil, nil, fmt.Errorf("bad fragment id %q in -site %q", fs, spec)
+			}
+			if n < 0 || n >= numFrags {
+				return nil, nil, fmt.Errorf("-site %q: fragment %d is outside the manifest's fragments 0..%d", spec, n, numFrags-1)
+			}
+			fid := fragment.FragID(n)
+			if prev, dup := siteOf[fid]; dup {
+				return nil, nil, fmt.Errorf("-site %q: fragment %d is already mapped by -site %q", spec, n, specs[prev])
+			}
+			siteOf[fid] = sid
+		}
+	}
+	return siteOf, addrs, nil
 }
 
 func printAnswers(answers []paxq.Answer, shipXML bool) {

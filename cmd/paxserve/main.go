@@ -29,12 +29,10 @@
 //     returns HTTP 504. The deadline travels as a context down to the
 //     site transport, so a hung site cannot wedge an HTTP worker.
 //   - -replicas deploys each fragment group on that many replica sites;
-//     a site that dies or restarts mid-query is survived by per-stage
-//     failover to the next replica (budget and backoff via the -retry-*
+//     a site that dies or restarts mid-query is survived by running the
+//     query again on the next replica (budget and backoff via the -retry-*
 //     flags), with the answer still byte-identical to centralized
-//     evaluation. -registry pins the fleet layout (fragments, replica
-//     groups, addresses) from a JSON registry file instead; failover
-//     counters appear in /metrics and /statsz.
+//     evaluation. Failover counters appear in /metrics and /statsz.
 //   - SIGINT/SIGTERM trigger graceful shutdown: the listener stops, then
 //     in-flight requests get up to -shutdown-grace to finish before the
 //     cluster is torn down.
@@ -74,7 +72,6 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline (0 = none)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	replicas := flag.Int("replicas", 1, "replica sites per fragment group; >1 deploys a replicated fleet with failover")
-	registry := flag.String("registry", "", "site registry JSON mapping fragments to replica groups (overrides -sites and -replicas)")
 	retryAttempts := flag.Int("retry-attempts", 0, "max runs of one query before it aborts (0 = policy default)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff between runs of a query (needs -retry-attempts)")
 	retryMaxBackoff := flag.Duration("retry-max-backoff", 0, "cap on the exponential retry backoff (needs -retry-attempts)")
@@ -114,7 +111,6 @@ func main() {
 		MaxInFlight:      *maxInflight,
 		QueueTimeout:     *queueTimeout,
 		Replicas:         *replicas,
-		Registry:         *registry,
 		RetryMaxAttempts: *retryAttempts,
 		RetryBackoff:     *retryBackoff,
 		RetryMaxBackoff:  *retryMaxBackoff,

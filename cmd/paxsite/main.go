@@ -7,13 +7,13 @@
 //
 //	paxsite -dir frags/ -frags 1,3 -listen 127.0.0.1:7001
 //
-// As a replicated fleet member, the site takes its assignment — fragment
-// set and listen address — from a registry file written by
-// paxq.SaveRegistry, so every replica of a group serves the group's full
-// fragment set and the coordinator's failover layer can rotate between
-// them:
+// A replica group is several paxsite processes started with the same
+// -frags and their own -listen address: every member must host the
+// group's full fragment set, so the coordinator's failover layer can
+// rotate between them:
 //
-//	paxsite -dir frags/ -registry fleet.json -site 3
+//	paxsite -dir frags/ -frags 1,3 -listen 127.0.0.1:7001 -site 2
+//	paxsite -dir frags/ -frags 1,3 -listen 127.0.0.1:7002 -site 3
 package main
 
 import (
@@ -34,9 +34,8 @@ import (
 func main() {
 	dir := flag.String("dir", "", "fragment directory written by paxfrag (required)")
 	fragList := flag.String("frags", "all", "comma-separated fragment IDs to host, or 'all'")
-	registry := flag.String("registry", "", "site registry JSON: host the fragments registered for -site (overrides -frags; defaults -listen to the registered address)")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
-	siteID := flag.Int("site", 0, "site identifier: names this fleet member in the registry and in coordinator metrics")
+	siteID := flag.Int("site", 0, "site identifier: names this process in its startup line and in its error messages")
 	flag.Parse()
 
 	if *dir == "" {
@@ -49,22 +48,6 @@ func main() {
 	}
 	var ids []fragment.FragID
 	switch {
-	case *registry != "":
-		reg, err := pax.LoadRegistry(*registry)
-		if err != nil {
-			fatal(err)
-		}
-		ids = reg.FragsOf(dist.SiteID(*siteID))
-		if len(ids) == 0 {
-			fatal(fmt.Errorf("registry %s assigns no fragments to site %d", *registry, *siteID))
-		}
-		// The registered address is the fleet's contract for this site;
-		// an explicit -listen still wins (e.g. port 0 in tests).
-		listenSet := false
-		flag.Visit(func(f *flag.Flag) { listenSet = listenSet || f.Name == "listen" })
-		if addr, ok := reg.Addrs()[dist.SiteID(*siteID)]; ok && !listenSet {
-			*listen = addr
-		}
 	case *fragList == "all":
 		for i := 0; i < m.Len(); i++ {
 			ids = append(ids, fragment.FragID(i))

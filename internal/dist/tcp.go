@@ -179,15 +179,6 @@ func NewTCP(addrs map[SiteID]string) *TCP {
 // Metrics returns the transport's counters.
 func (t *TCP) Metrics() *Metrics { return t.m }
 
-// Addrs returns a copy of the site address map the transport dials.
-func (t *TCP) Addrs() map[SiteID]string {
-	out := make(map[SiteID]string, len(t.addrs))
-	for id, a := range t.addrs {
-		out[id] = a
-	}
-	return out
-}
-
 // Close drops every connection, idle and in flight; calls in flight fail
 // with a transport error.
 func (t *TCP) Close() error {

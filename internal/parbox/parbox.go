@@ -6,8 +6,9 @@
 // virtual nodes. The coordinator unifies those variables bottom-up over the
 // fragment tree (Procedure evalFT), grounding every formula.
 //
-// The package also exposes ParBoX itself — evaluation of Boolean XPath
-// queries over a fragmented tree — which the paper's Stage 1 generalizes.
+// ParBoX itself — evaluation of Boolean XPath queries over a fragmented
+// tree, which the paper's Stage 1 generalizes — runs on this machinery in
+// pax.Engine.RunBooleanContext.
 // Extensions over the VLDB'06 original, as described in §3.1: arithmetic
 // comparisons (val()) and multiple top-level qualifiers.
 //
@@ -20,7 +21,6 @@ package parbox
 
 import (
 	"fmt"
-	"sync"
 
 	"paxq/internal/arena"
 	"paxq/internal/boolexpr"
@@ -156,45 +156,4 @@ func ResolveQualVars(roots map[fragment.FragID]RootVecs, vs VarScheme) (*boolexp
 		}
 	}
 	return env, nil
-}
-
-// EvalBoolean is ParBoX proper: it evaluates a Boolean query (typically a
-// bare "[q]") over a fragmented tree, traversing every fragment once, in
-// parallel, and unifying the partial answers. The result is the truth of
-// the query at the root of the original tree.
-func EvalBoolean(ft *fragment.Fragmentation, c *xpath.Compiled) (bool, error) {
-	if len(c.Sel) != 2 || c.Sel[1].Kind != xpath.SelStep || !c.Sel[1].Test.Wild {
-		return false, fmt.Errorf("parbox: %q is not a Boolean query; use a bare qualifier like %q", c.Source, "[//a/b = 'x']")
-	}
-	vs := NewVarScheme(c, ft.Len())
-	quals := make([]*FragQual, ft.Len())
-	var wg sync.WaitGroup
-	for i, f := range ft.Frags {
-		wg.Add(1)
-		go func(i int, f *fragment.Fragment) {
-			defer wg.Done()
-			quals[i] = Qualify(f, c, vs, &boolexpr.Builder{})
-		}(i, f)
-	}
-	wg.Wait()
-	roots := make(map[fragment.FragID]RootVecs, ft.Len())
-	for i, q := range quals {
-		roots[fragment.FragID(i)] = q.Root
-	}
-	env, err := ResolveQualVars(roots, vs)
-	if err != nil {
-		return false, err
-	}
-	// The Boolean answer is the qualifier of the synthesized root step
-	// (selection entry 1) at the root of the root fragment.
-	if !c.HasQualifiers() {
-		// A qualifier-free Boolean query (e.g. "[.]") is vacuously true at
-		// the root.
-		return true, nil
-	}
-	f := quals[0].QualAt(fragment.RootNode, 1)
-	if f == nil {
-		return true, nil
-	}
-	return env.MustResolveConst(f), nil
 }

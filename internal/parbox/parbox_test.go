@@ -2,13 +2,10 @@ package parbox
 
 import (
 	"testing"
-	"testing/quick"
 
 	"paxq/internal/boolexpr"
-	"paxq/internal/centeval"
 	"paxq/internal/fragment"
 	"paxq/internal/testutil"
-	"paxq/internal/xpath"
 )
 
 func TestVarSchemeDisjoint(t *testing.T) {
@@ -34,20 +31,6 @@ func TestVarSchemeDisjoint(t *testing.T) {
 	}
 }
 
-// boolQueryCases pairs Boolean queries with the Fig. 1 tree.
-var boolQueryCases = []string{
-	`[//stock/code = "GOOG"]`,
-	`[//stock/code = "MSFT"]`,
-	`[//stock/code = "GOOG" and not(//stock/code = "YHOO")]`,
-	`[client/country = "Canada"]`,
-	`[client[country = "US"]/broker/market/name = "NASDAQ"]`,
-	`[//stock[buy/val() > 380]]`,
-	`[//stock[buy/val() > 1000]]`,
-	`[client/country = "US" or client/country = "France"]`,
-	`[not(//nonexistent)]`,
-	`[.]`,
-}
-
 func fig1Fragmentation(t testing.TB, cutsK int, seed int64) *fragment.Fragmentation {
 	t.Helper()
 	tr := testutil.PaperTree()
@@ -56,34 +39,6 @@ func fig1Fragmentation(t testing.TB, cutsK int, seed int64) *fragment.Fragmentat
 		t.Fatal(err)
 	}
 	return ft
-}
-
-func TestEvalBooleanAgainstCentralized(t *testing.T) {
-	tr := testutil.PaperTree()
-	for _, k := range []int{0, 1, 3, 6} {
-		ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, k, int64(k)+7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, src := range boolQueryCases {
-			c := xpath.MustCompile(src)
-			want := centeval.EvalBool(tr, c)
-			got, err := EvalBoolean(ft, c)
-			if err != nil {
-				t.Fatalf("k=%d %q: %v", k, src, err)
-			}
-			if got != want {
-				t.Errorf("k=%d %q: ParBoX=%v centralized=%v", k, src, got, want)
-			}
-		}
-	}
-}
-
-func TestEvalBooleanRejectsSelectingQuery(t *testing.T) {
-	ft := fig1Fragmentation(t, 2, 1)
-	if _, err := EvalBoolean(ft, xpath.MustCompile("/clientele/client")); err == nil {
-		t.Fatal("data-selecting query must be rejected")
-	}
 }
 
 func TestResolveQualVarsMissingFragment(t *testing.T) {
@@ -103,37 +58,5 @@ func TestResolveQualVarsBadArity(t *testing.T) {
 	}
 	if _, err := ResolveQualVars(roots, vs); err == nil {
 		t.Fatal("arity mismatch must be reported")
-	}
-}
-
-// Property: ParBoX agrees with centralized evaluation for random Boolean
-// queries over random trees under random fragmentations.
-func TestQuickParBoXVsCentralized(t *testing.T) {
-	f := func(treeSeed, cutSeed, querySeed int64, k uint8) bool {
-		tr := testutil.RandomTree(treeSeed, 60)
-		ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, int(k%10), cutSeed))
-		if err != nil {
-			return false
-		}
-		src := "[" + testutil.RandomQuery(querySeed) + "]"
-		// RandomQuery may produce an absolute path; qualifiers must be
-		// relative, so wrap only relative ones and fall back otherwise.
-		c, err := xpath.Compile(src)
-		if err != nil {
-			return true // skip unparseable wrappings
-		}
-		want := centeval.EvalBool(tr, c)
-		got, err := EvalBoolean(ft, c)
-		if err != nil {
-			t.Logf("%q: %v", src, err)
-			return false
-		}
-		if got != want {
-			t.Logf("%q (tree %d cuts %d k %d): ParBoX=%v want %v", src, treeSeed, cutSeed, k, got, want)
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,32 +10,43 @@ import (
 	"paxq/internal/xpath"
 )
 
+// boolQueryCases are Boolean queries over the Fig. 1 tree.
+var boolQueryCases = []string{
+	`[//stock/code = "GOOG"]`,
+	`[//stock/code = "MSFT"]`,
+	`[//stock/code = "GOOG" and not(//stock/code = "YHOO")]`,
+	`[client/country = "Canada"]`,
+	`[client[country = "US"]/broker/market/name = "NASDAQ"]`,
+	`[//stock[buy/val() > 380]]`,
+	`[//stock[buy/val() > 1000]]`,
+	`[client/country = "US" or client/country = "France"]`,
+	`[not(//nonexistent)]`,
+	`[.]`,
+}
+
 func TestRunBooleanMatchesCentralized(t *testing.T) {
 	tr := testutil.PaperTree()
-	eng, _, err := cluster(tr, fragment.RandomCuts(tr, 5, 41), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []string{
-		`[//stock/code = "GOOG"]`,
-		`[//stock/code = "MSFT"]`,
-		`[//stock/code = "GOOG" and not(//stock/code = "YHOO")]`,
-		`[client[country = "US"]/broker/market/name = "NASDAQ"]`,
-		`[//stock[buy/val() > 380]]`,
-		`[.]`,
-	}
-	for _, query := range cases {
-		want := centeval.EvalBool(tr, xpath.MustCompile(query))
-		got, res, err := eng.RunBoolean(query, Options{})
+	for _, cut := range []struct {
+		k    int
+		seed int64
+	}{{0, 7}, {1, 8}, {3, 10}, {5, 41}, {6, 13}} {
+		eng, _, err := cluster(tr, fragment.RandomCuts(tr, cut.k, cut.seed), 3)
 		if err != nil {
-			t.Fatalf("%q: %v", query, err)
+			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("%q = %v want %v", query, got, want)
-		}
-		// The ParBoX guarantee: each site is visited at most once.
-		if res.MaxVisits > 1 {
-			t.Errorf("%q: MaxVisits = %d > 1", query, res.MaxVisits)
+		for _, query := range boolQueryCases {
+			want := centeval.EvalBool(tr, xpath.MustCompile(query))
+			got, res, err := eng.RunBoolean(query, Options{})
+			if err != nil {
+				t.Fatalf("k=%d %q: %v", cut.k, query, err)
+			}
+			if got != want {
+				t.Errorf("k=%d %q = %v want %v", cut.k, query, got, want)
+			}
+			// The ParBoX guarantee: each site is visited at most once.
+			if res.MaxVisits > 1 {
+				t.Errorf("k=%d %q: MaxVisits = %d > 1", cut.k, query, res.MaxVisits)
+			}
 		}
 	}
 }
@@ -77,14 +88,14 @@ func TestRunBooleanVacuousQualifier(t *testing.T) {
 // Property: the one-visit distributed Boolean protocol agrees with the
 // centralized oracle on random inputs.
 func TestQuickRunBoolean(t *testing.T) {
-	f := func(treeSeed, cutSeed, querySeed int64, sitesRaw uint8) bool {
+	f := func(treeSeed, cutSeed, querySeed int64, sitesRaw, k uint8) bool {
 		tr := testutil.RandomTree(treeSeed, 60)
 		query := "[" + testutil.RandomQuery(querySeed) + "]"
 		c, err := xpath.Compile(query)
 		if err != nil {
 			return true // absolute path inside qualifier: not a Boolean query
 		}
-		eng, _, err := cluster(tr, fragment.RandomCuts(tr, 6, cutSeed), 1+int(sitesRaw%4))
+		eng, _, err := cluster(tr, fragment.RandomCuts(tr, int(k%10), cutSeed), 1+int(sitesRaw%4))
 		if err != nil {
 			return false
 		}
@@ -94,9 +105,12 @@ func TestQuickRunBoolean(t *testing.T) {
 			t.Logf("%q: %v", query, err)
 			return false
 		}
+		if got != want {
+			t.Logf("%q (tree %d cuts %d k %d): got %v want %v", query, treeSeed, cutSeed, k, got, want)
+		}
 		return got == want && res.MaxVisits <= 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
 	}
 }

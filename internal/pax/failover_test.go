@@ -55,7 +55,7 @@ func TestRoundRobinReplicatedTopology(t *testing.T) {
 			t.Fatalf("ReplicasOf(%d) = %v, want primary-first pair", p, group)
 		}
 		// Every member hosts the group's full fragment set.
-		if !testutil.EqualIDs(fragIDsToNodeIDs(topo.FragsAt(group[0])), fragIDsToNodeIDs(topo.FragsAt(group[1]))) {
+		if !slices.Equal(topo.FragsAt(group[0]), topo.FragsAt(group[1])) {
 			t.Fatalf("group %v members host different fragments: %v vs %v",
 				group, topo.FragsAt(group[0]), topo.FragsAt(group[1]))
 		}
@@ -80,44 +80,6 @@ func TestRoundRobinReplicatedTopology(t *testing.T) {
 			t.Fatalf("fragment %d: RoundRobinReplicated(_,3,1) site %d != RoundRobin site %d", fid, flat.SiteOf[fid], s)
 		}
 	}
-}
-
-func TestReplicateValidation(t *testing.T) {
-	tr := testutil.PaperTree()
-	ft, err := fragment.Cut(tr, fragment.RandomCuts(tr, 3, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *Topology { return RoundRobin(ft, 2) }
-	// Group not starting with the primary.
-	if err := mk().Replicate(map[dist.SiteID][]dist.SiteID{0: {2, 0}, 1: {1, 3}}); err == nil {
-		t.Error("group [2 0] for primary 0 accepted")
-	}
-	// Missing group for a primary.
-	if err := mk().Replicate(map[dist.SiteID][]dist.SiteID{0: {0, 2}}); err == nil {
-		t.Error("missing group for primary 1 accepted")
-	}
-	// Overlapping groups.
-	if err := mk().Replicate(map[dist.SiteID][]dist.SiteID{0: {0, 2}, 1: {1, 2}}); err == nil {
-		t.Error("site 2 in two groups accepted")
-	}
-	// Unknown primary named.
-	if err := mk().Replicate(map[dist.SiteID][]dist.SiteID{0: {0, 2}, 1: {1, 3}, 9: {9}}); err == nil {
-		t.Error("group for fragment-less site 9 accepted")
-	}
-	// A valid replication passes.
-	if err := mk().Replicate(map[dist.SiteID][]dist.SiteID{0: {0, 2}, 1: {1, 3}}); err != nil {
-		t.Errorf("valid replication rejected: %v", err)
-	}
-}
-
-// fragIDsToNodeIDs widens for testutil.EqualIDs.
-func fragIDsToNodeIDs(fids []fragment.FragID) []xmltree.NodeID {
-	out := make([]xmltree.NodeID, len(fids))
-	for i, f := range fids {
-		out[i] = xmltree.NodeID(f)
-	}
-	return out
 }
 
 // TestReplicatedFaultFreeMatchesOracle: with replication but no faults,

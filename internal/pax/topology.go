@@ -12,8 +12,8 @@ import (
 // to "the system". It imposes no constraints: any fragment may live at any
 // site, several fragments may share a site.
 //
-// A topology may additionally be replicated (Replicate): sites are then
-// grouped into disjoint replica groups whose members host identical
+// A topology may additionally be replicated (RoundRobinReplicated): sites
+// are then grouped into disjoint replica groups whose members host identical
 // fragment sets. SiteOf keeps mapping each fragment to its group's
 // primary; the coordinator addresses primaries and the failover layer
 // rotates to the other group members when a primary dies. Every member of
@@ -54,63 +54,9 @@ func NewTopology(ft *fragment.Fragmentation, siteOf map[fragment.FragID]dist.Sit
 	return t, nil
 }
 
-// Replicate turns the topology into a replicated one: replicasOf maps
-// each primary site to its ordered replica group. A group must start with
-// the primary, groups must be disjoint, every primary must have a group,
-// and no replica may collide with another group's member. Replica members
-// inherit the primary's full fragment set and are added to Sites(), so
-// the cluster builders instantiate them like any other site; SiteOf keeps
-// pointing at primaries, so relevance routing is unchanged.
-func (t *Topology) Replicate(replicasOf map[dist.SiteID][]dist.SiteID) error {
-	owner := make(map[dist.SiteID]dist.SiteID, len(t.primaries)) // member -> primary
-	for _, p := range t.primaries {
-		group, ok := replicasOf[p]
-		if !ok || len(group) == 0 {
-			return fmt.Errorf("pax: replica group for primary site %d is missing or empty", p)
-		}
-		if group[0] != p {
-			return fmt.Errorf("pax: replica group of primary site %d must start with it, got %v", p, group)
-		}
-		for _, m := range group {
-			if prev, dup := owner[m]; dup {
-				return fmt.Errorf("pax: site %d appears in the replica groups of both %d and %d", m, prev, p)
-			}
-			owner[m] = p
-		}
-	}
-	for p := range replicasOf {
-		if _, ok := t.fragsAt[p]; !ok {
-			return fmt.Errorf("pax: replica group names primary site %d, which hosts no fragments", p)
-		}
-	}
-	t.replicasOf = make(map[dist.SiteID][]dist.SiteID, len(replicasOf))
-	for _, p := range t.primaries {
-		group := append([]dist.SiteID(nil), replicasOf[p]...)
-		t.replicasOf[p] = group
-		for _, m := range group[1:] {
-			t.fragsAt[m] = t.fragsAt[p]
-		}
-	}
-	// Rebuild into a fresh slice: t.primaries aliases the pre-replication
-	// t.sites array, which must keep holding exactly the primaries.
-	sites := make([]dist.SiteID, 0, len(t.fragsAt))
-	for site := range t.fragsAt {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	t.sites = sites
-	return nil
-}
-
-// Replicated reports whether any fragment has more than one replica site.
-func (t *Topology) Replicated() bool {
-	for _, group := range t.replicasOf {
-		if len(group) > 1 {
-			return true
-		}
-	}
-	return false
-}
+// Replicated reports whether every fragment has more than one replica
+// site (RoundRobinReplicated groups sites only for replication > 1).
+func (t *Topology) Replicated() bool { return t.replicasOf != nil }
 
 // Primaries returns the sites the coordinator addresses, ascending — one
 // per replica group; all sites in an unreplicated topology.
@@ -129,26 +75,14 @@ func (t *Topology) ReplicasOf(primary dist.SiteID) []dist.SiteID {
 // RoundRobin assigns fragment i to site i mod numSites — the layout of
 // Experiment 1, one fragment per machine when numSites >= fragments.
 func RoundRobin(ft *fragment.Fragmentation, numSites int) *Topology {
-	if numSites < 1 {
-		numSites = 1
-	}
-	m := make(map[fragment.FragID]dist.SiteID, ft.Len())
-	for i := 0; i < ft.Len(); i++ {
-		m[fragment.FragID(i)] = dist.SiteID(i % numSites)
-	}
-	t, err := NewTopology(ft, m)
-	if err != nil {
-		//paxlint:allow nopanic(unreachable: the computed assignment is total over the fragments)
-		panic(err)
-	}
-	return t
+	return RoundRobinReplicated(ft, numSites, 1)
 }
 
 // RoundRobinReplicated is RoundRobin over numGroups replica groups of
 // `replication` members each: fragment i belongs to group i mod numGroups,
 // group g occupies sites g*replication .. g*replication+replication-1,
-// primary first. With replication = 1 the layout (and the site numbering)
-// is exactly RoundRobin's.
+// primary first. With replication = 1 it is RoundRobin: every site is a
+// group of one.
 func RoundRobinReplicated(ft *fragment.Fragmentation, numGroups, replication int) *Topology {
 	if numGroups < 1 {
 		numGroups = 1
@@ -161,21 +95,30 @@ func RoundRobinReplicated(ft *fragment.Fragmentation, numGroups, replication int
 		m[fragment.FragID(i)] = dist.SiteID((i % numGroups) * replication)
 	}
 	t, err := NewTopology(ft, m)
-	if err == nil && replication > 1 {
-		groups := make(map[dist.SiteID][]dist.SiteID, len(t.primaries))
-		for _, p := range t.primaries {
-			group := make([]dist.SiteID, replication)
-			for r := 0; r < replication; r++ {
-				group[r] = p + dist.SiteID(r)
-			}
-			groups[p] = group
-		}
-		err = t.Replicate(groups)
-	}
 	if err != nil {
-		//paxlint:allow nopanic(unreachable: the computed assignment is total and the groups are disjoint by construction)
+		//paxlint:allow nopanic(unreachable: the computed assignment is total over the fragments)
 		panic(err)
 	}
+	if replication == 1 {
+		return t
+	}
+	// Each member inherits its primary's full fragment set; SiteOf keeps
+	// pointing at primaries, so relevance routing is unchanged. Primaries
+	// ascend in steps of replication, so the groups are disjoint and sites
+	// stays ascending.
+	t.replicasOf = make(map[dist.SiteID][]dist.SiteID, len(t.primaries))
+	sites := make([]dist.SiteID, 0, len(t.primaries)*replication)
+	for _, p := range t.primaries {
+		group := make([]dist.SiteID, replication)
+		for r := range group {
+			group[r] = p + dist.SiteID(r)
+			t.fragsAt[group[r]] = t.fragsAt[p]
+		}
+		t.replicasOf[p] = group
+		sites = append(sites, group...)
+	}
+	// A fresh slice: t.primaries aliases the unreplicated t.sites.
+	t.sites = sites
 	return t
 }
 

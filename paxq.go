@@ -201,15 +201,6 @@ type ClusterOptions struct {
 	// again on the next replica of its group, so answers survive site
 	// failures unchanged. 0 or 1 means no replication.
 	Replicas int
-	// Registry, when non-empty, is the path of a site-registry JSON file
-	// (see pax.Registry) describing which replica sites host each fragment.
-	// It overrides Sites and Replicas: the topology — replica groups
-	// included — is exactly what the file says. The fragmentation options
-	// (Fragments/CutPaths/MaxFragmentNodes/Seed) must produce the fragment
-	// count the registry covers. NewCluster still instantiates every site
-	// itself (in-process or loopback TCP); the registry's address list is
-	// a deployment artifact for cmd/paxsite fleets and is not dialed here.
-	Registry string
 	// RetryMaxAttempts bounds how many times one query runs before it
 	// fails (first run included); each re-run follows a retriable stage
 	// failure and rotates the failed replica groups. 0 picks
@@ -284,22 +275,7 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	if sites <= 0 {
 		sites = ft.Len()
 	}
-	var topo *pax.Topology
-	switch {
-	case opts.Registry != "":
-		reg, rerr := pax.LoadRegistry(opts.Registry)
-		if rerr != nil {
-			return nil, fmt.Errorf("paxq: %w", rerr)
-		}
-		topo, err = reg.Topology(ft)
-		if err != nil {
-			return nil, fmt.Errorf("paxq: %w", err)
-		}
-	case opts.Replicas > 1:
-		topo = pax.RoundRobinReplicated(ft, sites, opts.Replicas)
-	default:
-		topo = pax.RoundRobin(ft, sites)
-	}
+	topo := pax.RoundRobinReplicated(ft, sites, opts.Replicas)
 	c := &Cluster{ft: ft, topo: topo}
 	engOpts := []pax.EngineOption{
 		pax.WithMaxInFlight(opts.MaxInFlight),
@@ -507,29 +483,9 @@ func (c *Cluster) TransportStats() TransportStats {
 	return out
 }
 
-// Replicas returns the cluster's replication factor: the size of the
-// largest replica group (1 when unreplicated).
-func (c *Cluster) Replicas() int {
-	max := 1
-	for _, p := range c.topo.Primaries() {
-		if n := len(c.topo.ReplicasOf(p)); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// SaveRegistry writes the cluster's fragment-to-replica-site assignment as
-// a registry file (see ClusterOptions.Registry) — a deployment artifact
-// for reconstructing the same topology, e.g. across a cmd/paxsite fleet.
-// Addresses are included only for TCP clusters.
-func (c *Cluster) SaveRegistry(path string) error {
-	addrs := map[dist.SiteID]string{}
-	if tcp, ok := c.tr.(*dist.TCP); ok {
-		addrs = tcp.Addrs()
-	}
-	return pax.NewRegistry(c.topo, addrs).Save(path)
-}
+// Replicas returns the cluster's replication factor: the size of every
+// replica group (1 when unreplicated).
+func (c *Cluster) Replicas() int { return len(c.topo.ReplicasOf(c.topo.Primaries()[0])) }
 
 // DrillSiteOutage schedules a deterministic site outage on an in-process
 // cluster — the transport-level fault injection behind the harness,

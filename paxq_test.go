@@ -342,43 +342,6 @@ func TestDrillSiteOutage(t *testing.T) {
 	}
 }
 
-func TestClusterRegistryRoundTrip(t *testing.T) {
-	c := demoCluster(t, ClusterOptions{Fragments: 4, Sites: 2, Replicas: 2, Seed: 7})
-	path := t.TempDir() + "/registry.json"
-	if err := c.SaveRegistry(path); err != nil {
-		t.Fatal(err)
-	}
-	// A cluster rebuilt from the registry (same fragmentation options) must
-	// reproduce topology and answers.
-	c2 := demoCluster(t, ClusterOptions{Fragments: 4, Seed: 7, Registry: path})
-	if c2.Replicas() != 2 || c2.Sites() != 4 {
-		t.Fatalf("registry cluster: %d replicas over %d sites, want 2 over 4", c2.Replicas(), c2.Sites())
-	}
-	want, err := c.Evaluate(`//broker[//stock/code = "GOOG"]/name`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c2.Evaluate(`//broker[//stock/code = "GOOG"]/name`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("registry cluster answered %v, original %v", values(got), values(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("answer %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	// A registry that does not cover the fragmentation is rejected.
-	if _, err := NewCluster(mustDoc(t), ClusterOptions{Fragments: 3, Seed: 7, Registry: path}); err == nil {
-		t.Error("registry with the wrong fragment count accepted")
-	}
-	if _, err := NewCluster(mustDoc(t), ClusterOptions{Fragments: 4, Registry: path + ".absent"}); err == nil {
-		t.Error("missing registry file accepted")
-	}
-}
-
 func mustDoc(t *testing.T) *Document {
 	t.Helper()
 	doc, err := ParseDocumentString(clienteleXML)

@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind `make docs-check`.
-// It enforces seven properties the repo's docs promise:
+// It enforces eight properties the repo's docs promise:
 //
 //  1. Every exported identifier of the public paxq package (the repo
 //     root) carries a doc comment — the API reference cannot silently
@@ -25,6 +25,11 @@
 //     Ident is exported, names a declaration of that package (and Member
 //     a method or field of Type) — a deleted or renamed identifier cannot
 //     silently keep its citation.
+//  8. Every field of paxq.ClusterOptions appears, backticked, in the first
+//     column of ARCHITECTURE.md's "Options and what justifies them" table,
+//     and every backticked name in that column is such a field or a
+//     "-name" flag that cmd/paxserve defines — a deleted option cannot
+//     keep its row, and a new option cannot skip the table.
 //
 // Run from the repository root:
 //
@@ -55,6 +60,7 @@ func main() {
 	problems = append(problems, checkStalePackageRows()...)
 	problems = append(problems, checkStaleMetricRows()...)
 	problems = append(problems, checkStaleIdents()...)
+	problems = append(problems, checkOptionsTable()...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck: "+p)
@@ -464,6 +470,113 @@ func checkStaleIdents() []string {
 					out = append(out, fmt.Sprintf("%s:%d cites %s.%s, but %s has no method or field %s", name, i+1, ref, mem, ref, mem))
 				}
 			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// optionsHead is the heading of ARCHITECTURE.md's options table section.
+const optionsHead = "## Options and what justifies them"
+
+// backticked captures every backticked name in a table cell.
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// clusterOptionFields lists the fields of the root package's
+// ClusterOptions struct.
+func clusterOptionFields() ([]string, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var fields []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "ClusterOptions" {
+					fields = fieldNames(ts.Type)
+				}
+				return fields == nil
+			})
+		}
+	}
+	if fields == nil {
+		return nil, fmt.Errorf("the root package declares no ClusterOptions")
+	}
+	return fields, nil
+}
+
+// optionsColumn returns the backticked names in the first column of the
+// table under optionsHead, header row excluded.
+func optionsColumn(arch string) ([]string, error) {
+	_, section, ok := strings.Cut(arch, "\n"+optionsHead+"\n")
+	if !ok {
+		return nil, fmt.Errorf("ARCHITECTURE.md has no %q section", optionsHead)
+	}
+	var names []string
+	rows := 0
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			break
+		}
+		if !strings.HasPrefix(line, "|") {
+			if rows > 0 {
+				break // the table has ended
+			}
+			continue
+		}
+		rows++
+		cell, _, _ := strings.Cut(line[1:], "|")
+		if rows == 1 || strings.Trim(cell, "- :") == "" {
+			continue // header and separator rows
+		}
+		for _, m := range backticked.FindAllStringSubmatch(cell, -1) {
+			names = append(names, m[1])
+		}
+	}
+	if rows == 0 {
+		return nil, fmt.Errorf("ARCHITECTURE.md's %q section has no table", optionsHead)
+	}
+	return names, nil
+}
+
+// checkOptionsTable requires every paxq.ClusterOptions field to have a
+// row in ARCHITECTURE.md's options table, and every name in the table's
+// first column to be such a field or a flag cmd/paxserve defines.
+func checkOptionsTable() []string {
+	fields, err := clusterOptionFields()
+	if err != nil {
+		return []string{err.Error()}
+	}
+	arch, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		return []string{fmt.Sprintf("ARCHITECTURE.md: %v", err)}
+	}
+	names, err := optionsColumn(string(arch))
+	if err != nil {
+		return []string{err.Error()}
+	}
+	flags, out := binaryFlags()
+	isField := map[string]bool{}
+	for _, f := range fields {
+		isField[f] = true
+	}
+	listed := map[string]bool{}
+	for _, n := range names {
+		listed[n] = true
+		flag, isFlag := strings.CutPrefix(n, "-")
+		switch {
+		case isFlag && !flags["paxserve"][flag]:
+			out = append(out, fmt.Sprintf("ARCHITECTURE.md's options table names %s, which cmd/paxserve does not define", n))
+		case !isFlag && !isField[n]:
+			out = append(out, fmt.Sprintf("ARCHITECTURE.md's options table names %s, which is not a paxq.ClusterOptions field", n))
+		}
+	}
+	for _, f := range fields {
+		if !listed[f] {
+			out = append(out, fmt.Sprintf("paxq.ClusterOptions field %s has no row in ARCHITECTURE.md's options table", f))
 		}
 	}
 	sort.Strings(out)

@@ -25,7 +25,7 @@ func none(t *testing.T, problems []string) {
 	}
 }
 
-// TestCleanFixturePasses: a tree that keeps all seven documentation
+// TestCleanFixturePasses: a tree that keeps all eight documentation
 // promises produces no findings from any check.
 func TestCleanFixturePasses(t *testing.T) {
 	t.Chdir("testdata/clean")
@@ -36,6 +36,7 @@ func TestCleanFixturePasses(t *testing.T) {
 	none(t, checkStalePackageRows())
 	none(t, checkStaleMetricRows())
 	none(t, checkStaleIdents())
+	none(t, checkOptionsTable())
 }
 
 // TestMissingDocCommentFails: an exported function of the public package
@@ -104,7 +105,29 @@ func TestStaleIdentFails(t *testing.T) {
 	}
 }
 
-// TestRealTreeIsClean runs all seven checks against the actual repository
+// TestOptionsTableFails: a ClusterOptions field without a row in the
+// options table's first column is flagged, even when a later column names
+// it, and so are a first-column name that is no field and a flag that
+// cmd/paxserve does not define; the fields and flags that exist are not.
+func TestOptionsTableFails(t *testing.T) {
+	t.Chdir("testdata/optionstable")
+	problems := checkOptionsTable()
+	want := []string{
+		"options table names -gone, which cmd/paxserve does not define",
+		"options table names Gone, which is not a paxq.ClusterOptions field",
+		"paxq.ClusterOptions field Extra has no row",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("got problems %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %q does not mention %q", problems[i], w)
+		}
+	}
+}
+
+// TestRealTreeIsClean runs all eight checks against the actual repository
 // root, mirroring what `make docs-check` gates.
 func TestRealTreeIsClean(t *testing.T) {
 	t.Chdir("../..")
@@ -115,4 +138,5 @@ func TestRealTreeIsClean(t *testing.T) {
 	none(t, checkStalePackageRows())
 	none(t, checkStaleMetricRows())
 	none(t, checkStaleIdents())
+	none(t, checkOptionsTable())
 }

@@ -1,0 +1,20 @@
+// Command paxserve is the fixture's serving binary: its flags set the
+// ClusterOptions fields or are paxserve-only, and all of them are
+// documented, so no check may report anything.
+package main
+
+import (
+	"flag"
+	"fmt"
+)
+
+var (
+	addr  = flag.String("addr", ":0", "fixture flag")
+	frags = flag.Int("frags", 1, "fixture flag")
+	sites = flag.Int("sites", 0, "fixture flag")
+)
+
+func main() {
+	flag.Parse()
+	fmt.Println(*addr, *frags, *sites)
+}

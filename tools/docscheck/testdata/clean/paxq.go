@@ -17,3 +17,12 @@ const (
 	ModeFast = iota
 	ModeSafe
 )
+
+// ClusterOptions is a documented exported struct whose every field has a
+// row in ARCHITECTURE.md's options table.
+type ClusterOptions struct {
+	// Fragments is a documented field.
+	Fragments int
+	// Sites is a documented field.
+	Sites int
+}
