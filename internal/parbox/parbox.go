@@ -124,6 +124,13 @@ func (q *FragQual) SelMask(e int) arena.Bitset {
 	return q.selMasks[e]
 }
 
+// IsBoolean reports whether c is a Boolean query: a bare qualifier such
+// as "[//a/b = 'x']", which compiles to the root plus one wildcard step
+// whose qualifier is the query's truth at the root of the tree.
+func IsBoolean(c *xpath.Compiled) bool {
+	return len(c.Sel) == 2 && c.Sel[1].Kind == xpath.SelStep && c.Sel[1].Test.Wild
+}
+
 // ResolveQualVars performs the bottom-up half of Procedure evalFT: given
 // the root vectors reported by every fragment, it binds each fragment's QV
 // and QDV variables to ground truth values. Fragments are processed in

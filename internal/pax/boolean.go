@@ -36,7 +36,7 @@ func (e *Engine) RunBooleanContext(ctx context.Context, query string, opts Optio
 // runBoolean is one run of a Boolean query: the qualifier pass over every
 // site, then unification to the root's truth value.
 func (e *Engine) runBoolean(ctx context.Context, r *run, query string, c *xpath.Compiled) (bool, *Result, error) {
-	if len(c.Sel) != 2 || c.Sel[1].Kind != xpath.SelStep || !c.Sel[1].Test.Wild {
+	if !parbox.IsBoolean(c) {
 		return false, nil, fmt.Errorf("pax: %q is not a Boolean query; use a bare qualifier like %q", query, "[//a/b = 'x']")
 	}
 	res := &Result{RelevantFrags: e.topo.FT.Len()}
