@@ -71,8 +71,8 @@ fuzz-smoke:
 # must have a golden file, and no decoded message may alias the frame it
 # came from (the transport pools incoming frames): overwriting the frame
 # after decoding must not change the message's re-encoding. The retired
-# batch tags 11 and 12 must stay unregistered: a frame carrying one fails
-# with dist.ErrUnknownTag.
+# tags 9–12 (the naive fetch pair and the batch envelope pair) must stay
+# unregistered: a frame carrying one fails with dist.ErrUnknownTag.
 codec-smoke:
 	$(GO) test -run='TestGoldenBytes|TestEveryTagHasGoldenBytes|TestCorpusRoundTrip|TestDecodedMessagesDoNotAliasFrame|TestRetiredTagsAreUnknown' ./internal/pax
 
@@ -106,8 +106,8 @@ codec-smoke:
 # fragment edit allocates at most 200 times, within 10 of the same edit
 # on a fragment 30 times smaller, and at most 32 bytes per node of the
 # fragment (it copies pointer-free index columns and masks only), and a
-# cut fragmentation of the XMark document holds at most 96 bytes of heap
-# per node (its columns, masks, values and origins; no pointer tree), and
+# cut fragmentation of the XMark document holds at most 90 bytes of heap
+# per node (its columns, masks and values; no pointer tree), and
 # a value with a sign inside it (a page range, a date) is rejected as a
 # number without the allocating float parse, which accepts exactly what
 # strconv.ParseFloat does.

@@ -9,19 +9,9 @@
 //	paxbench -exp 2 -scale 0.1 -runs 5 -csv
 //	paxbench -exp queries
 //
-// The diff mode runs the differential harness — distributed against
-// centralized evaluation on randomized instances over both transports —
-// and, with -json, writes the machine-readable result to a file:
-//
-//	paxbench -exp diff -load 10 -json diff.json
-//
-// The fault mode runs the fault-injection differential harness: -load
-// randomized kill/restart schedules against replicated fleets on each
-// transport (in-process hook faults; real server kills over TCP), every
-// survived query checked byte-identical to centralized evaluation, within
-// the failover visit bound, with cost ledgers conserved:
-//
-//	paxbench -exp fault -load 50
+// The differential and fault-injection harnesses run as tests:
+// go test -run 'TestDifferential|TestFaultInjection' ./internal/harness,
+// or make fault-smoke and make edit-smoke for their fixed-seed slices.
 //
 // -scale is the dataset size relative to the paper's 100 MB baseline
 // (0.05 → 5 MB cumulative).
@@ -29,7 +19,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,32 +28,17 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries, diff, fault or all")
+	exp := flag.String("exp", "all", "experiment: 1, 2, 3, traffic, t2, queries or all")
 	scale := flag.Float64("scale", 0.02, "data scale relative to the paper's 100MB baseline")
 	runs := flag.Int("runs", 3, "runs per data point (median reported)")
 	steps := flag.Int("steps", 10, "experiment 2/3 iterations")
 	frags := flag.Int("frags", 10, "experiment 1 max fragments")
 	seed := flag.Int64("seed", 1, "generator seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	jsonPath := flag.String("json", "", "write the mode's machine-readable results (JSON) to this file")
-	load := flag.Int("load", 25, "diff/fault mode: seeds")
 	flag.Parse()
 
 	ctx := context.Background()
 	cfg := harness.Config{Scale: *scale, MaxFrags: *frags, Steps: *steps, Runs: *runs, Seed: *seed}
-	writeJSON := func(v any) {
-		if *jsonPath == "" {
-			return
-		}
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
 	emit := func(f *harness.Figure) {
 		if *csv {
 			fmt.Printf("# Figure %s — %s\n%s\n", f.ID, f.Title, f.CSV())
@@ -115,60 +89,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	runDiff := func() {
-		// Differential mode: distributed vs centralized on random (tree,
-		// query, fragmentation) instances, over both transports.
-		type diffOut struct {
-			Transport string              `json:"transport"`
-			Result    *harness.DiffResult `json:"result"`
-		}
-		var out []diffOut
-		for _, tr := range []harness.DiffTransport{harness.DiffLocal, harness.DiffTCP} {
-			res, err := harness.DifferentialSweep(ctx, *seed, *load, harness.DiffOptions{Transport: tr})
-			if res != nil {
-				fmt.Printf("%s %s\n", tr, res)
-				out = append(out, diffOut{Transport: tr.String(), Result: res})
-			}
-			if err != nil {
-				fatal(err)
-			}
-			if !res.Ok() {
-				for _, d := range res.FailureDetails {
-					fmt.Println("  " + d)
-				}
-				fatal(fmt.Errorf("differential checks failed on the %s transport", tr))
-			}
-		}
-		writeJSON(out)
-	}
-	runFault := func() {
-		// Fault mode: randomized kill/restart schedules over replicated
-		// fleets on both transports — answers must stay byte-identical to
-		// centralized evaluation through every survived outage, visits
-		// within the failover bound, ledgers conserved.
-		type faultOut struct {
-			Transport string               `json:"transport"`
-			Result    *harness.FaultResult `json:"result"`
-		}
-		var out []faultOut
-		for _, tr := range []harness.DiffTransport{harness.DiffLocal, harness.DiffTCP} {
-			res, err := harness.FaultSweep(ctx, *seed, *load, harness.FaultOptions{Transport: tr})
-			if res != nil {
-				fmt.Printf("%s %s\n", tr, res)
-				out = append(out, faultOut{Transport: tr.String(), Result: res})
-			}
-			if err != nil {
-				fatal(err)
-			}
-			if !res.Ok() {
-				for _, d := range res.FailureDetails {
-					fmt.Println("  " + d)
-				}
-				fatal(fmt.Errorf("fault-injection checks failed on the %s transport", tr))
-			}
-		}
-		writeJSON(out)
-	}
 	runQueries := func() {
 		fmt.Println("Fig. 7 — experiment queries:")
 		names := make([]string, 0, len(harness.PaperQueries))
@@ -191,10 +111,6 @@ func main() {
 		run23(false, true)
 	case "traffic":
 		runTraffic()
-	case "diff":
-		runDiff()
-	case "fault":
-		runFault()
 	case "t2":
 		runT2()
 	case "queries":

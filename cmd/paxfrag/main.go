@@ -17,10 +17,8 @@ import (
 	"os"
 	"strings"
 
-	"paxq/internal/centeval"
 	"paxq/internal/fragment"
 	"paxq/internal/xmltree"
-	"paxq/internal/xpath"
 )
 
 func main() {
@@ -47,26 +45,9 @@ func main() {
 		fatal(err)
 	}
 
-	var cuts []xmltree.NodeID
-	switch {
-	case len(cutPaths) > 0:
-		seen := map[xmltree.NodeID]bool{}
-		for _, path := range cutPaths {
-			q, err := xpath.Parse(path)
-			if err != nil {
-				fatal(fmt.Errorf("cut path %q: %w", path, err))
-			}
-			for _, n := range centeval.EvalNaive(tree, q) {
-				if n.Parent != nil && !seen[n.ID] {
-					seen[n.ID] = true
-					cuts = append(cuts, n.ID)
-				}
-			}
-		}
-	case *maxNodes > 0:
-		cuts = fragment.CutsBySize(tree, *maxNodes)
-	case *frags > 1:
-		cuts = fragment.RandomCuts(tree, *frags-1, *seed)
+	cuts, err := fragment.SelectCuts(tree, cutPaths, *maxNodes, *frags, *seed)
+	if err != nil {
+		fatal(err)
 	}
 
 	ft, err := fragment.Cut(tree, cuts)

@@ -38,7 +38,7 @@ func main() {
 	var sitesFlags multiFlag
 	flag.Var(&sitesFlags, "site", "remote mode: 'fragIDs=host:port' mapping (repeatable)")
 	query := flag.String("query", "", "XPath query (required unless -repl)")
-	algo := flag.String("algo", "pax2", "algorithm: pax2, pax3 or naive")
+	algo := flag.String("algo", "pax2", "algorithm: pax2 or pax3")
 	xa := flag.Bool("xa", true, "use XPath annotations (§5 optimization)")
 	stats := flag.Bool("stats", false, "print the evaluation cost profile")
 	shipXML := flag.Bool("xml", false, "print serialized answer subtrees")
@@ -104,7 +104,7 @@ func runREPL(file string, frags int, cuts []string, maxNodes, sites int, seed in
 		case line == ":help":
 			fmt.Println("  <query>          evaluate an XPath query")
 			fmt.Println("  :bool <query>    evaluate a Boolean query ([...]) via ParBoX")
-			fmt.Println("  :algo pax2|pax3|naive")
+			fmt.Println("  :algo pax2|pax3")
 			fmt.Println("  :xa on|off       toggle XPath annotations")
 			fmt.Println("  :stats on|off    toggle cost output")
 			fmt.Println("  :quit")

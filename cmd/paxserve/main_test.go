@@ -188,16 +188,19 @@ func TestServeErrors(t *testing.T) {
 }
 
 // TestServeUnknownAlgorithmIs400: a client-input error must never be
-// classified as a cluster-side 502.
+// classified as a cluster-side 502. The NaiveCentralized baseline is not
+// a served algorithm either.
 func TestServeUnknownAlgorithmIs400(t *testing.T) {
 	ts := testServer(t, paxq.TransportLocal)
-	body, _ := json.Marshal(queryRequest{Query: "//stock/code", Algorithm: "bogus"})
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %s, want 400 for a bad algorithm", resp.Status)
+	for _, algo := range []string{"bogus", "naive"} {
+		body, _ := json.Marshal(queryRequest{Query: "//stock/code", Algorithm: algo})
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("algorithm %q: status = %s, want 400", algo, resp.Status)
+		}
 	}
 }

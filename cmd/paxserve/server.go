@@ -38,7 +38,7 @@ type server struct {
 // and takes the defaults.
 type queryRequest struct {
 	Query string `json:"query"`
-	// Algorithm: "pax2" (default), "pax3" or "naive".
+	// Algorithm: "pax2" (default) or "pax3".
 	Algorithm string `json:"algorithm,omitempty"`
 	// Annotations toggles the §5 pruning optimization; defaults to true.
 	Annotations *bool `json:"annotations,omitempty"`

@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -46,20 +47,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var ids []fragment.FragID
-	switch {
-	case *fragList == "all":
-		for i := 0; i < m.Len(); i++ {
-			ids = append(ids, fragment.FragID(i))
-		}
-	default:
-		for _, part := range strings.Split(*fragList, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fatal(fmt.Errorf("bad fragment id %q", part))
-			}
-			ids = append(ids, fragment.FragID(n))
-		}
+	ids, err := parseFrags(*fragList, m.Len())
+	if err != nil {
+		fatal(err)
 	}
 	var frags []*fragment.Fragment
 	for _, id := range ids {
@@ -80,6 +70,32 @@ func main() {
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
 	srv.Close()
+}
+
+// parseFrags parses the -frags list against a manifest of n fragments:
+// "all", or comma-separated IDs, each in 0..n-1 and named once.
+func parseFrags(list string, n int) ([]fragment.FragID, error) {
+	var ids []fragment.FragID
+	if list == "all" {
+		for i := 0; i < n; i++ {
+			ids = append(ids, fragment.FragID(i))
+		}
+		return ids, nil
+	}
+	for _, part := range strings.Split(list, ",") {
+		id, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad fragment id %q in -frags %q", part, list)
+		}
+		if id < 0 || id >= n {
+			return nil, fmt.Errorf("-frags %q: fragment %d is outside the manifest's fragments 0..%d", list, id, n-1)
+		}
+		if slices.Contains(ids, fragment.FragID(id)) {
+			return nil, fmt.Errorf("-frags %q: fragment %d is named twice", list, id)
+		}
+		ids = append(ids, fragment.FragID(id))
+	}
+	return ids, nil
 }
 
 func fatal(err error) {

@@ -1,11 +1,14 @@
 package paxq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"paxq/internal/pax"
 )
 
 // findOne returns the single answer of query, with its fragment-local
@@ -88,10 +91,23 @@ func TestApplyEditLifecycle(t *testing.T) {
 	}
 }
 
+// queryAs runs query on c's engine under opts, which may name the
+// NaiveCentralized baseline that Query does not serve, and returns the
+// answers as Query builds and orders them.
+func queryAs(t *testing.T, c *Cluster, query string, opts pax.Options) []Answer {
+	t.Helper()
+	_, ans, err := pax.RunAs(context.Background(), c.engine, query, opts, newAnswer, byNode)
+	if err != nil {
+		t.Fatalf("%v %s: %v", opts.Algorithm, query, err)
+	}
+	return ans
+}
+
 // TestApplyEditInsertKeepsAttributes inserts a subtree whose attribute
-// value needs escaping and asks for it back with ShipXML, under every
-// algorithm and over both transports: the shipped XML is the inserted
-// subtree's serialization, attribute included.
+// value needs escaping and asks for it back with ShipXML, under PaX2,
+// PaX3 and the NaiveCentralized baseline and over both transports: the
+// shipped XML is the inserted subtree's serialization, attribute
+// included.
 func TestApplyEditInsertKeepsAttributes(t *testing.T) {
 	const inserted = `<note a="x&quot;y"><v>hello</v></note>`
 	const want = `<note a="x&#34;y"><v>hello</v></note>`
@@ -101,13 +117,10 @@ func TestApplyEditInsertKeepsAttributes(t *testing.T) {
 		if _, err := c.ApplyEdit(Edit{Fragment: target.Fragment, Op: EditInsert, Node: target.Node, SubtreeXML: inserted}); err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []string{"pax2", "pax3", "naive"} {
-			ans, _, err := c.Query(`//note`, QueryOptions{Algorithm: alg, ShipXML: true})
-			if err != nil {
-				t.Fatalf("transport %d, %s: %v", tr, alg, err)
-			}
+		for _, alg := range []pax.Algorithm{pax.PaX2, pax.PaX3, pax.Naive} {
+			ans := queryAs(t, c, `//note`, pax.Options{Algorithm: alg, ShipXML: true})
 			if len(ans) != 1 || ans[0].XML != want {
-				t.Errorf("transport %d, %s: //note ships %+v, want one answer with XML %s", tr, alg, ans, want)
+				t.Errorf("transport %d, %v: //note ships %+v, want one answer with XML %s", tr, alg, ans, want)
 			}
 		}
 	}
@@ -123,22 +136,15 @@ func nodeIDs(ans []Answer) []string {
 	return out
 }
 
-// requireNaiveMatchesPax2 runs query under pax2 and naive and requires the
-// same answers, with the same (Fragment, Node) addresses, which naive takes
-// from the fragments it fetches as XML text. It returns naive's answers,
-// sorted by address, with ShipXML set.
+// requireNaiveMatchesPax2 runs query under PaX2 and the NaiveCentralized
+// baseline and requires the same answers, with the same (Fragment, Node)
+// addresses, which naive takes from the fragments it fetches as XML text.
+// It returns naive's answers, sorted by address, with ShipXML set.
 func requireNaiveMatchesPax2(t *testing.T, c *Cluster, query string) []Answer {
 	t.Helper()
 	var runs [2][]Answer
-	for i, alg := range []string{"pax2", "naive"} {
-		ans, _, err := c.Query(query, QueryOptions{Algorithm: alg, ShipXML: alg == "naive"})
-		if err != nil {
-			t.Fatalf("%s %s: %v", alg, query, err)
-		}
-		sort.Slice(ans, func(i, j int) bool {
-			return ans[i].Fragment < ans[j].Fragment || ans[i].Fragment == ans[j].Fragment && ans[i].Node < ans[j].Node
-		})
-		runs[i] = ans
+	for i, alg := range []pax.Algorithm{pax.PaX2, pax.Naive} {
+		runs[i] = queryAs(t, c, query, pax.Options{Algorithm: alg, ShipXML: alg == pax.Naive})
 	}
 	if len(runs[0]) != len(runs[1]) {
 		t.Fatalf("%s: pax2 %d answers, naive %d", query, len(runs[0]), len(runs[1]))

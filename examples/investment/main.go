@@ -87,12 +87,12 @@ func main() {
 	}
 	fmt.Printf("normal form (Example 2.1):\n  %s\n\n", nf)
 
-	// Compare the three algorithms on the same query.
+	// Compare the two algorithms on the same query.
 	fmt.Println("algorithm comparison on Q':")
 	fmt.Printf("  %-18s %-7s %-7s %-10s %-10s\n", "algorithm", "stages", "visits", "sent", "received")
-	for _, algo := range []string{"pax2", "pax3", "naive"} {
+	for _, algo := range []string{"pax2", "pax3"} {
 		_, stats, err := cluster.Query(`//broker[//stock/code/text() = "GOOG"]/name`,
-			paxq.QueryOptions{Algorithm: algo, Annotations: algo != "naive"})
+			paxq.QueryOptions{Algorithm: algo, Annotations: true})
 		if err != nil {
 			log.Fatal(err)
 		}

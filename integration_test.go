@@ -76,6 +76,7 @@ func TestSoakXMarkAllVariants(t *testing.T) {
 		topo := pax.RoundRobin(ft, 4)
 		local, _ := pax.BuildLocalCluster(topo)
 		eng := pax.NewEngine(topo, local)
+		origins := ft.Origins()
 		for _, query := range queries {
 			c := xpath.MustCompile(query)
 			want := centeval.EvalVector(tree, c)
@@ -86,7 +87,7 @@ func TestSoakXMarkAllVariants(t *testing.T) {
 				}
 				got := make([]xmltree.NodeID, 0, len(res.Answers))
 				for _, a := range res.Answers {
-					got = append(got, ft.Frag(a.Frag).Origin[a.Node])
+					got = append(got, origins[a.Frag][a.Node])
 				}
 				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 				if len(got) != len(want) {

@@ -90,14 +90,6 @@ func V(v Var) *Formula {
 // Op reports the top-level kind of f.
 func (f *Formula) Op() Op { return f.op }
 
-// Variable returns the variable of an OpVar formula and NoVar otherwise.
-func (f *Formula) Variable() Var {
-	if f.op == OpVar {
-		return f.v
-	}
-	return NoVar
-}
-
 // Kids returns the immediate children of f. Callers must not mutate the
 // returned slice.
 func (f *Formula) Kids() []*Formula { return f.kids }
@@ -266,9 +258,6 @@ func merge(op Op, fs []*Formula, out []*Formula) (*Formula, []*Formula) {
 	}
 	return nil, kept
 }
-
-// Implies returns ¬a ∨ b.
-func Implies(a, b *Formula) *Formula { return Or(Not(a), b) }
 
 // Vars appends every distinct variable occurring in f to dst and returns the
 // extended slice, sorted ascending.

@@ -100,16 +100,6 @@ func TestOrFolding(t *testing.T) {
 	}
 }
 
-func TestImplies(t *testing.T) {
-	x := V(1)
-	if !Implies(False(), x).IsTrue() {
-		t.Error("false implies anything")
-	}
-	if !Implies(x, True()).IsTrue() {
-		t.Error("anything implies true")
-	}
-}
-
 func TestVars(t *testing.T) {
 	f := And(V(3), Or(V(1), Not(V(3))), V(2))
 	vs := f.Vars(nil)
@@ -219,7 +209,7 @@ func TestEnvMerge(t *testing.T) {
 	if a.Len() != 2 {
 		t.Fatalf("merge len = %d", a.Len())
 	}
-	if !a.Lookup(2).IsFalse() {
+	if !a.Resolve(V(2)).IsFalse() {
 		t.Error("merged binding lost")
 	}
 }
@@ -298,7 +288,7 @@ func rebuild(f *Formula) *Formula {
 	case OpFalse:
 		return False()
 	case OpVar:
-		return V(f.Variable())
+		return V(f.v)
 	case OpNot:
 		return Not(rebuild(f.Kids()[0]))
 	case OpAnd:

@@ -47,9 +47,6 @@ func (e *Env) Bind(v Var, f *Formula) error {
 // BindConst binds v to the constant b, with Bind's conflict semantics.
 func (e *Env) BindConst(v Var, b bool) error { return e.Bind(v, Const(b)) }
 
-// Lookup returns the binding of v, or nil when unbound.
-func (e *Env) Lookup(v Var) *Formula { return e.m[v] }
-
 // Merge copies all bindings of other into e, returning the first conflict
 // as an error wrapping ErrInconsistent, matching Bind.
 func (e *Env) Merge(other *Env) error {

@@ -159,10 +159,3 @@ func (p *FaultPlan) Stats() FaultStats {
 	defer p.mu.Unlock()
 	return p.stats
 }
-
-// Calls returns how many calls the plan has seen for the site.
-func (p *FaultPlan) Calls(to SiteID) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.calls[to]
-}

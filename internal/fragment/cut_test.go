@@ -173,7 +173,7 @@ func valueTree(seed int64, size int) *xmltree.Tree {
 // the document, to pointerCut, a pointer clone of the same cut: per
 // fragment the columns equal FromTree of the clone, every value equals
 // the clone node's xmltree value, the masks mark the clone's virtual
-// nodes and their ancestors, Origin, the virtual map, Parent,
+// nodes and their ancestors, Origins, the virtual map, Parent,
 // ParentVirtual and Annotation are the clone's, and the fragments
 // reassemble to the document.
 func TestCutMatchesPointerCut(t *testing.T) {
@@ -206,6 +206,7 @@ func TestCutMatchesPointerCut(t *testing.T) {
 		if ft.Len() != len(want) {
 			t.Fatalf("%s: %d fragments, pointer cut %d", c.name, ft.Len(), len(want))
 		}
+		origins := ft.Origins()
 		for i, f := range ft.Frags {
 			w := want[i]
 			if !arena.Equal(f.Tree, arena.FromTree(w.tree)) {
@@ -232,7 +233,7 @@ func TestCutMatchesPointerCut(t *testing.T) {
 					t.Fatalf("%s fragment %d node %d: virtual %v spine %v, want %v %v", c.name, i, id, f.VirtualMask.Get(id), f.SpineMask.Get(id), virtual, spine)
 				}
 			}
-			if !slices.Equal(f.Origin, w.origin) || !maps.Equal(f.Virtuals(), w.virtuals) ||
+			if !slices.Equal(origins[i], w.origin) || !maps.Equal(f.Virtuals(), w.virtuals) ||
 				f.Parent != w.parent || f.ParentVirtual != w.parentVirtual || !slices.Equal(f.Annotation, w.annotation) {
 				t.Fatalf("%s fragment %d: origin, virtuals, parent or annotation differ from the pointer cut's", c.name, i)
 			}
@@ -245,9 +246,9 @@ func TestCutMatchesPointerCut(t *testing.T) {
 
 // TestCutBytesPerNode pins what a cut fragmentation holds: on the XMark
 // document the benchmark deploys (4 sites of 125 000 bytes, 8 fragments)
-// at most 96 bytes of heap per document node — the columns, masks,
-// values and origins, about 80, with the document's strings shared. A
-// pointer tree kept per fragment beside them would add over 130.
+// at most 90 bytes of heap per document node — the columns, masks and
+// values, about 75, with the document's strings shared. A pointer tree
+// kept per fragment beside them would add over 130.
 func TestCutBytesPerNode(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's shadow memory makes heap measurements meaningless")
@@ -271,8 +272,8 @@ func TestCutBytesPerNode(t *testing.T) {
 	runtime.KeepAlive(tr)
 	perNode := float64(held) / float64(tr.Size())
 	t.Logf("%d nodes in %d fragments: %d bytes held, %.1f B/node", tr.Size(), ft.Len(), held, perNode)
-	if perNode > 96 {
-		t.Errorf("a cut fragmentation holds %.1f bytes per node, want at most 96", perNode)
+	if perNode > 90 {
+		t.Errorf("a cut fragmentation holds %.1f bytes per node, want at most 90", perNode)
 	}
 }
 

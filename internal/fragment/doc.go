@@ -15,9 +15,10 @@
 //   - CutsBySize: size-balanced fragments under a node-count cap;
 //   - RandomCuts: randomized fragmentations for differential testing.
 //
-// Fragment.Origin maps each fragment-local node ID back to the original
-// tree's node ID, which is how distributed answers are compared against a
-// centralized oracle.
+// Fragments keep no map back to the original tree. Fragmentation.Origins
+// computes one from the columns on demand, mapping each fragment-local
+// node ID to its ID in the reassembled document; the oracles compare
+// distributed answers against centralized evaluation through it.
 //
 // # Representation
 //
@@ -38,7 +39,7 @@
 // and the cmd/paxq coordinator reads the fragment-tree skeleton from the
 // manifest alone (never the data). A fragment file holds the fragment's
 // file form (Fragment.XML, read back by ReadFragment), which is also what
-// a site ships to a NaiveCentralized fetch and slices ShipXML answers from
+// a site ships as a final-stage body and slices ShipXML answers from
 // (fileform.go: built once per fragment version, with every node's byte
 // range). Fragments loaded this way are never
 // mutated in place: an edit swaps in a copy-on-write successor (edit.go).

@@ -95,8 +95,7 @@ var (
 // ApplyEdit validates e against the fragment's arena columns and returns
 // a new fragment with the edit applied: spliced arena view with
 // renumbered nodes, remapped virtual-node map, Version incremented. The
-// receiver is never modified. The new fragment has no Origin;
-// RecomputeOrigins restores origins.
+// receiver is never modified.
 func (f *Fragment) ApplyEdit(e Edit) (*Fragment, error) {
 	at := f.Tree
 	id := int(e.Node)
@@ -221,11 +220,10 @@ func checkSubtree(s *xmltree.Node) error {
 // ApplyEdit applies an edit to fragment fid of the fragmentation in place:
 // the edited fragment is replaced by its copy-on-write successor and the
 // child fragments' ParentVirtual references follow the renumbered virtual
-// nodes. Origins across the fragmentation become stale; call
-// RecomputeOrigins when needed. This is the coordinator/oracle-side mirror
-// of the per-site edit a cluster performs: the successor is the one
-// Fragment.ApplyEdit splices, stored only after it has been checked
-// against the pointer-tree edit of the old version (see the file comment).
+// nodes. This is the coordinator/oracle-side mirror of the per-site edit
+// a cluster performs: the successor is the one Fragment.ApplyEdit
+// splices, stored only after it has been checked against the
+// pointer-tree edit of the old version (see the file comment).
 func (ft *Fragmentation) ApplyEdit(fid FragID, e Edit) error {
 	if int(fid) < 0 || int(fid) >= len(ft.Frags) {
 		return fmt.Errorf("fragment %d: %w", fid, ErrNoSuchNode)
@@ -280,27 +278,4 @@ func editTree(t *xmltree.Tree, e Edit) *xmltree.Tree {
 	}
 	t.Freeze()
 	return t
-}
-
-// RecomputeOrigins rebuilds every fragment's Origin map from the columns,
-// numbering the nodes in the reassembled document's preorder — the ID
-// assignment Reassemble's tree carries: a fragment's nodes in order, each
-// sub-fragment's in place of its virtual node. Virtual nodes map to the
-// original root of the sub-fragment they stand for, exactly as Cut's
-// origins do.
-func (ft *Fragmentation) RecomputeOrigins() {
-	ctr := xmltree.NodeID(0)
-	var walk func(f *Fragment)
-	walk = func(f *Fragment) {
-		f.Origin = make([]xmltree.NodeID, f.Size())
-		for i := range f.Origin {
-			f.Origin[i] = ctr // for a virtual node, the sub-fragment root's upcoming ID
-			if f.VirtualMask.Get(i) {
-				walk(ft.Frags[f.virtuals[xmltree.NodeID(i)]])
-				continue
-			}
-			ctr++
-		}
-	}
-	walk(ft.Root())
 }

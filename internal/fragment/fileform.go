@@ -11,8 +11,7 @@ import (
 )
 
 // XML returns the fragment in its file form, the one Save writes, a site
-// ships to a NaiveCentralized fetch and a coordinator stitches into
-// answers: the fragment's XML with each virtual node written as
+// ships as a final-stage body and a coordinator stitches into answers: the fragment's XML with each virtual node written as
 // <fragment-ref ref="K"/>, K the sub-fragment it stands for. The text is
 // built on first use and cached (see SubtreeXML); it reads the arena
 // columns only, so a fragment a site has edited renders too. ReadFragment

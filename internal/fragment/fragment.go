@@ -10,7 +10,9 @@ import (
 	"sync"
 
 	"paxq/internal/arena"
+	"paxq/internal/centeval"
 	"paxq/internal/xmltree"
+	"paxq/internal/xpath"
 )
 
 // FragID identifies a fragment within a Fragmentation. The root fragment
@@ -52,14 +54,6 @@ type Fragment struct {
 	// parent fragment's root (exclusive) to this fragment's root
 	// (inclusive) in the original tree. Empty for the root fragment.
 	Annotation []string
-
-	// Origin maps every node ID of this fragment's tree to the ID of the
-	// corresponding node in the original tree; a virtual node maps to the
-	// original root of the sub-fragment it stands for. Used by tests and
-	// by answer reporting; the evaluation algorithms never consult it.
-	// Set by Cut; nil on fragments read back or edited (ApplyEdit) until
-	// RecomputeOrigins runs.
-	Origin []xmltree.NodeID
 
 	// Version counts the edits applied to this fragment since it was cut
 	// (or loaded). Sites use it for optimistic concurrency: an EditReq
@@ -207,7 +201,7 @@ func (c *cutter) fragment(root *xmltree.Node) *Fragment {
 	id := FragID(c.next)
 	c.next++
 	n := c.sizes[id]
-	f := &Fragment{ID: id, Parent: NoFrag, Origin: make([]xmltree.NodeID, 0, n), virtuals: make(map[xmltree.NodeID]FragID)}
+	f := &Fragment{ID: id, Parent: NoFrag, virtuals: make(map[xmltree.NodeID]FragID)}
 	c.ft.Frags[id] = f
 	b := arena.NewBuilder(n)
 	c.walk(f, b, root)
@@ -217,7 +211,6 @@ func (c *cutter) fragment(root *xmltree.Node) *Fragment {
 
 // walk writes the subtree of n into f's columns.
 func (c *cutter) walk(f *Fragment, b *arena.Builder, n *xmltree.Node) {
-	f.Origin = append(f.Origin, n.ID)
 	if n.Kind != xmltree.Element {
 		b.Text(n.Data)
 		return
@@ -233,7 +226,6 @@ func (c *cutter) walk(f *Fragment, b *arena.Builder, n *xmltree.Node) {
 		}
 		v := xmltree.NodeID(b.Open(VirtualLabel, nil))
 		b.Close()
-		f.Origin = append(f.Origin, ch.ID)
 		cf := c.fragment(ch)
 		cf.Parent, cf.ParentVirtual = f.ID, v
 		f.virtuals[v] = cf.ID
@@ -296,6 +288,65 @@ func (ft *Fragmentation) Reassemble() *xmltree.Tree {
 		return t.Root
 	}
 	return xmltree.NewTree(build(ft.Root()))
+}
+
+// Origins maps every node of every fragment, indexed by fragment ID and
+// then by node ID, to the ID of the same node in Reassemble's tree: a
+// fragment's nodes in preorder, each sub-fragment's in place of its
+// virtual node. A virtual node maps to the root of the sub-fragment it
+// stands for. On a fragmentation Cut made, these are the IDs of the cut
+// document. The slices are fresh on every call; the evaluation
+// algorithms never need them, only the oracles that compare answers
+// against a centralized evaluation.
+func (ft *Fragmentation) Origins() [][]xmltree.NodeID {
+	out := make([][]xmltree.NodeID, len(ft.Frags))
+	ctr := xmltree.NodeID(0)
+	var walk func(f *Fragment)
+	walk = func(f *Fragment) {
+		o := make([]xmltree.NodeID, f.Size())
+		out[f.ID] = o
+		for i := range o {
+			o[i] = ctr // for a virtual node, the sub-fragment root's upcoming ID
+			if f.VirtualMask.Get(i) {
+				walk(ft.Frags[f.virtuals[xmltree.NodeID(i)]])
+				continue
+			}
+			ctr++
+		}
+	}
+	walk(ft.Root())
+	return out
+}
+
+// SelectCuts chooses the cut nodes of t by the first strategy set: the
+// elements the XPath queries in paths select (the root excluded, each
+// node once), size-balanced cuts under maxNodes (CutsBySize), or
+// frags-1 random cuts drawn from seed (RandomCuts). With none set it
+// returns no cuts: the whole tree is one fragment.
+func SelectCuts(t *xmltree.Tree, paths []string, maxNodes, frags int, seed int64) ([]xmltree.NodeID, error) {
+	switch {
+	case len(paths) > 0:
+		var cuts []xmltree.NodeID
+		seen := make(map[xmltree.NodeID]bool)
+		for _, path := range paths {
+			q, err := xpath.Parse(path)
+			if err != nil {
+				return nil, fmt.Errorf("cut path %q: %w", path, err)
+			}
+			for _, n := range centeval.EvalNaive(t, q) {
+				if n.Parent != nil && !seen[n.ID] {
+					seen[n.ID] = true
+					cuts = append(cuts, n.ID)
+				}
+			}
+		}
+		return cuts, nil
+	case maxNodes > 0:
+		return CutsBySize(t, maxNodes), nil
+	case frags > 1:
+		return RandomCuts(t, frags-1, seed), nil
+	}
+	return nil, nil
 }
 
 // RandomCuts picks up to k distinct random non-root element nodes of t,

@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -164,12 +165,13 @@ func TestOriginMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	origins := ft.Origins()
 	for _, f := range ft.Frags {
-		if len(f.Origin) != f.Size() {
-			t.Fatalf("fragment %d: origin len %d size %d", f.ID, len(f.Origin), f.Size())
+		if len(origins[f.ID]) != f.Size() {
+			t.Fatalf("fragment %d: origin len %d size %d", f.ID, len(origins[f.ID]), f.Size())
 		}
 		f.Tree.ToTree().Walk(func(n *xmltree.Node) bool {
-			orig := tr.Node(f.Origin[n.ID])
+			orig := tr.Node(origins[f.ID][n.ID])
 			if orig == nil {
 				t.Fatalf("fragment %d node %d: bad origin", f.ID, n.ID)
 			}
@@ -204,6 +206,43 @@ func TestTopLevelCuts(t *testing.T) {
 		if got := ft.Frag(id).Tree.LabelOf(0); got != "client" {
 			t.Errorf("top-level fragment root = %q", got)
 		}
+	}
+}
+
+// TestSelectCutsPrecedence: cut paths win over a size cap, which wins
+// over a fragment count, and with none set there are no cuts. Paths cut
+// each selected element once and never the root.
+func TestSelectCutsPrecedence(t *testing.T) {
+	tr := testutil.PaperTree()
+	var brokers []xmltree.NodeID
+	tr.Walk(func(n *xmltree.Node) bool {
+		if n.Label == "broker" {
+			brokers = append(brokers, n.ID)
+		}
+		return true
+	})
+	for _, tc := range []struct {
+		name     string
+		paths    []string
+		maxNodes int
+		frags    int
+		want     []xmltree.NodeID
+	}{
+		{"paths", []string{"//broker", "/*", "//broker"}, 5, 4, brokers},
+		{"size", nil, 5, 4, CutsBySize(tr, 5)},
+		{"random", nil, 0, 4, RandomCuts(tr, 3, 1)},
+		{"whole", nil, 0, 1, nil},
+	} {
+		got, err := SelectCuts(tr, tc.paths, tc.maxNodes, tc.frags, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: cuts %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if _, err := SelectCuts(tr, []string{"]["}, 0, 0, 1); err == nil || !strings.Contains(err.Error(), `cut path "]["`) {
+		t.Errorf("bad cut path: err = %v, want it named", err)
 	}
 }
 
@@ -276,13 +315,14 @@ func TestQuickAnnotationPaths(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		origins := ft.Origins()
 		for i, fr := range ft.Frags {
 			if i == 0 {
 				continue
 			}
 			ann := ft.AnnotationFromRoot(fr.ID)
 			// Reconstruct the true path of the fragment root in tr.
-			orig := tr.Node(fr.Origin[0])
+			orig := tr.Node(origins[fr.ID][0])
 			var labels []string
 			for n := orig; n.Parent != nil; n = n.Parent {
 				labels = append(labels, n.Label)

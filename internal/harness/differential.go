@@ -196,12 +196,13 @@ func diffTree(r *rand.Rand, seed int64) (*xmltree.Tree, bool) {
 	return xmark.Generate(1+r.Intn(2), spec, seed), true
 }
 
-// origAnswerIDs maps distributed answers to original-tree node IDs,
-// sorted, so they compare directly against the centralized answer.
-func origAnswerIDs(ft *fragment.Fragmentation, answers []pax.AnswerNode) []xmltree.NodeID {
+// origAnswerIDs maps distributed answers to original-tree node IDs
+// through origins (Fragmentation.Origins), sorted, so they compare
+// directly against the centralized answer.
+func origAnswerIDs(origins [][]xmltree.NodeID, answers []pax.AnswerNode) []xmltree.NodeID {
 	out := make([]xmltree.NodeID, len(answers))
 	for i, a := range answers {
-		out[i] = ft.Frag(a.Frag).Origin[a.Node]
+		out[i] = origins[a.Frag][a.Node]
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -235,6 +236,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 	if err != nil {
 		return nil, fmt.Errorf("harness: seed %d: %w", seed, err)
 	}
+	origins := ft.Origins()
 	numSites := 1 + r.Intn(4)
 	topo := pax.RoundRobin(ft, numSites)
 
@@ -310,7 +312,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 				charge(got)
 				res.Cases++
 				res.addWire(Variant{Alg: alg, XA: ann}, got.BytesSent, got.BytesRecv)
-				if !testutil.EqualIDs(origAnswerIDs(ft, got.Answers), want) {
+				if !testutil.EqualIDs(origAnswerIDs(origins, got.Answers), want) {
 					res.Mismatches++
 					fail("seed %d %s %v(XA=%v) %q: %d answers, centralized %d", seed, opts.Transport, alg, ann, query, len(got.Answers), len(want))
 				}
@@ -361,7 +363,7 @@ func RunDifferential(ctx context.Context, seed int64, opts DiffOptions) (*DiffRe
 			continue
 		}
 		charge(o.res)
-		if !testutil.EqualIDs(origAnswerIDs(ft, o.res.Answers), concurrent[i].want) {
+		if !testutil.EqualIDs(origAnswerIDs(origins, o.res.Answers), concurrent[i].want) {
 			res.Mismatches++
 			fail("seed %d %s concurrent %q: %d answers, centralized %d",
 				seed, opts.Transport, query, len(o.res.Answers), len(concurrent[i].want))

@@ -39,6 +39,9 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 	if err != nil {
 		return fmt.Errorf("harness: edit phase seed %d: %w", seed, err)
 	}
+	// origins follows the mirror: the answers of the runs since its last
+	// edit address its fragments.
+	origins := eft.Origins()
 	topo := pax.RoundRobin(eft, 1+r.Intn(3))
 
 	var eng *pax.Engine
@@ -96,7 +99,7 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		ledSent += got.BytesSent
 		ledRecv += got.BytesRecv
 		ledCompute += got.TotalCompute
-		if !testutil.EqualIDs(origAnswerIDs(eft, got.Answers), want) {
+		if !testutil.EqualIDs(origAnswerIDs(origins, got.Answers), want) {
 			res.EditDiffs++
 			fail("seed %d %s edit %s %v(XA=%v) %q: %d answers, rebuilt centralized %d",
 				seed, opts.Transport, name, alg, ann, query, len(got.Answers), len(want))
@@ -112,7 +115,7 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 				res.EditXMLCrossing++
 			}
 			res.EditXMLCompared++
-			if xml := xmltree.SerializeString(doc.Node(f.Origin[a.Node])); a.XML != xml {
+			if xml := xmltree.SerializeString(doc.Node(origins[a.Frag][a.Node])); a.XML != xml {
 				res.EditDiffs++
 				fail("seed %d %s edit %s %v(XA=%v) %q: answer %d/%d ships\n%q\nthe edited document's subtree is\n%q",
 					seed, opts.Transport, name, alg, ann, query, a.Frag, a.Node, a.XML, xml)
@@ -150,7 +153,7 @@ func runEditPhase(ctx context.Context, seed int64, opts DiffOptions, res *DiffRe
 		if err := eft.ApplyEdit(fid, ed); err != nil {
 			return fmt.Errorf("harness: edit phase seed %d: mirror edit %d on fragment %d: %w", seed, i, fid, err)
 		}
-		eft.RecomputeOrigins()
+		origins = eft.Origins()
 		res.EditsApplied++
 
 		doc := eft.Reassemble()

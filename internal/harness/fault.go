@@ -166,6 +166,7 @@ func RunFaultInjection(ctx context.Context, seed int64, opts FaultOptions) (*Fau
 	if err != nil {
 		return nil, fmt.Errorf("harness: fault seed %d: %w", seed, err)
 	}
+	origins := ft.Origins()
 	numGroups := 1 + r.Intn(3)
 	replication := 2 + r.Intn(2) // 2 or 3 replicas per group
 	topo := pax.RoundRobinReplicated(ft, numGroups, replication)
@@ -292,13 +293,13 @@ func RunFaultInjection(ctx context.Context, seed int64, opts FaultOptions) (*Fau
 		sumSent += out.BytesSent
 		sumRecv += out.BytesRecv
 		sumCompute += out.TotalCompute
-		if got := origAnswerIDs(ft, out.Answers); !testutil.EqualIDs(got, want) {
+		if got := origAnswerIDs(origins, out.Answers); !testutil.EqualIDs(got, want) {
 			res.Mismatches++
 			fail("fault seed %d %s q%d %v(XA=%v) %q: answers diverged under faults: %d vs %d nodes",
 				seed, opts.Transport, q, alg, ann, query, len(got), len(want))
 		}
 		for _, a := range out.Answers {
-			if xml := xmltree.SerializeString(tree.Node(ft.Frag(a.Frag).Origin[a.Node])); a.XML != xml {
+			if xml := xmltree.SerializeString(tree.Node(origins[a.Frag][a.Node])); a.XML != xml {
 				res.Mismatches++
 				fail("fault seed %d %s q%d %v(XA=%v) %q: answer %d/%d ships %q under faults, the document's subtree is %q",
 					seed, opts.Transport, q, alg, ann, query, a.Frag, a.Node, a.XML, xml)

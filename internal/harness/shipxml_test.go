@@ -29,7 +29,8 @@ func shipXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, 
 	if err != nil {
 		t.Fatalf("%v %q: %v", alg, query, err)
 	}
-	origIDs := origAnswerIDs(ft, res.Answers)
+	origins := ft.Origins()
+	origIDs := origAnswerIDs(origins, res.Answers)
 	if want := centralIDs(t, tree, query); !testutil.EqualIDs(origIDs, want) {
 		t.Fatalf("%v %q: %d answers, centralized %d", alg, query, len(origIDs), len(want))
 	}
@@ -41,7 +42,7 @@ func shipXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation, 
 		if f.VirtualMask.AnyInRange(int(a.Node), int(f.Tree.SubtreeEnd[a.Node])) {
 			crossing++
 		}
-		orig := tree.Node(f.Origin[a.Node])
+		orig := tree.Node(origins[a.Frag][a.Node])
 		if want := xmltree.SerializeString(orig); a.XML != want {
 			t.Fatalf("%v %q: answer %d/%d ships\n%q\nthe document's subtree is\n%q", alg, query, a.Frag, a.Node, a.XML, want)
 		}
@@ -60,11 +61,12 @@ func naiveXMLCheck(t *testing.T, tree *xmltree.Tree, ft *fragment.Fragmentation,
 	if err != nil {
 		t.Fatalf("naive %q: %v", query, err)
 	}
-	if got, want := origAnswerIDs(ft, res.Answers), centralIDs(t, tree, query); !testutil.EqualIDs(got, want) {
+	origins := ft.Origins()
+	if got, want := origAnswerIDs(origins, res.Answers), centralIDs(t, tree, query); !testutil.EqualIDs(got, want) {
 		t.Fatalf("naive %q: %d answers, centralized %d", query, len(got), len(want))
 	}
 	for _, a := range res.Answers {
-		if want := xmltree.SerializeString(tree.Node(ft.Frag(a.Frag).Origin[a.Node])); a.XML != want {
+		if want := xmltree.SerializeString(tree.Node(origins[a.Frag][a.Node])); a.XML != want {
 			t.Fatalf("naive %q: answer %d/%d ships\n%q\nthe document's subtree is\n%q", query, a.Frag, a.Node, a.XML, want)
 		}
 	}

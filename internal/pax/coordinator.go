@@ -24,7 +24,7 @@ type Algorithm int
 const (
 	PaX3 Algorithm = iota
 	PaX2
-	Naive
+	Naive // the §3 baseline, for experiments and oracles; ParseAlgorithm refuses it
 )
 
 func (a Algorithm) String() string {
@@ -40,19 +40,18 @@ func (a Algorithm) String() string {
 }
 
 // ParseAlgorithm maps an algorithm name to its Algorithm: "pax2" (also
-// the empty name, the default), "pax3" or "naive", in any case. It is the
-// one parse behind the library's QueryOptions and the binaries' flags and
-// requests.
+// the empty name, the default) or "pax3", in any case. It is the one
+// parse behind the library's QueryOptions and the binaries' flags and
+// requests, so none of them serves Naive: the §3 baseline is reachable
+// only through Options, for the experiments and the tests.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	switch strings.ToLower(name) {
 	case "", "pax2":
 		return PaX2, nil
 	case "pax3":
 		return PaX3, nil
-	case "naive":
-		return Naive, nil
 	}
-	return 0, fmt.Errorf("pax: unknown algorithm %q (want pax2, pax3 or naive)", name)
+	return 0, fmt.Errorf("pax: unknown algorithm %q (want pax2 or pax3)", name)
 }
 
 // Options tune an evaluation.

@@ -11,7 +11,9 @@
 //     traversal stacks with concrete values so the final visit is skipped.
 //   - NaiveCentralized (§3): ship every fragment to the coordinator,
 //     reassemble, evaluate centrally — the baseline whose network cost the
-//     partial-evaluation algorithms avoid.
+//     partial-evaluation algorithms avoid. It is reachable only through
+//     Options, for the experiments and the oracles: ParseAlgorithm, behind
+//     every served surface, refuses it.
 //
 // The coordinator side (Engine) talks to sites purely through
 // dist.Transport; the site side (Site) is a dist.Handler, so the same
@@ -73,8 +75,9 @@
 // form (fragment.Fragment.XML, what Save writes), built once from the
 // columns and cached: a ShipXML answer is a slice of it
 // (Fragment.SubtreeXML), with each sub-fragment below the answer as a
-// stub, and NaiveCentralized's fetch and the final stage's body fetch
-// ship it whole, at the version the query's earlier stages read. The
+// stub, and the final stage's body fetch ships it whole, at the version
+// the query's earlier stages read; NaiveCentralized's fetch is one such
+// stage naming every hosted fragment. The
 // coordinator fills the stubs with the bodies (stitch.go). An
 // edit splices the columns (fragment.Fragment.ApplyEdit); no fragment
 // carries a pointer tree, edited or not. An insert's

@@ -31,7 +31,6 @@ func applyBoth(t *testing.T, eng *Engine, ft *fragment.Fragmentation, fid fragme
 	if err := ft.ApplyEdit(fid, ed); err != nil {
 		t.Fatalf("oracle mirror of edit on fragment %d: %v", fid, err)
 	}
-	ft.RecomputeOrigins()
 	if got := ft.Frags[fid].Version; got != res.NewVersion {
 		t.Fatalf("fragment %d: oracle version %d, engine reports %d", fid, got, res.NewVersion)
 	}
@@ -451,7 +450,6 @@ func TestEditReplicatedConvergence(t *testing.T) {
 		if err := ft.ApplyEdit(fid, ed); err != nil {
 			t.Fatal(err)
 		}
-		ft.RecomputeOrigins()
 		query := "//name"
 		qres, err := eng.Run(query, Options{Algorithm: PaX3})
 		if err != nil {
@@ -557,7 +555,6 @@ func TestConcurrentEditsAndQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ft.RecomputeOrigins()
 	res, err := eng.Run(query, Options{Algorithm: PaX3})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestEvalFromDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", query, err)
 		}
-		// Loaded fragments lack Origin; map through the in-memory twin.
+		// Map through the in-memory twin the fragments were saved from.
 		got := origIDs(ft, ans)
 		if !testutil.EqualIDs(got, want) {
 			t.Errorf("%q: got %v want %v", query, got, want)
@@ -279,8 +279,9 @@ func TestAnswersIdentityStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	origins := ft.Origins()
 	for _, a := range res.Answers {
-		n := tr.Node(ft.Frag(a.Frag).Origin[a.Node])
+		n := tr.Node(origins[a.Frag][a.Node])
 		if n == nil || n.Label != a.Label || n.Value() != a.Value {
 			t.Errorf("answer %+v does not match fragment node %v", a, n)
 		}

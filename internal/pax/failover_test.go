@@ -770,7 +770,7 @@ func TestFailoverVersionSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 		const skewed = fragment.FragID(1)
-		local := ft.Frag(skewed).Origin
+		local := ft.Origins()[skewed]
 		node := xmltree.NodeID(-1)
 		for l, g := range local {
 			if g == inner {

@@ -16,8 +16,9 @@ import (
 	"paxq/internal/testutil"
 )
 
-// fetchSites builds a Local transport whose sites answer a FetchReq with
-// an empty FetchResp, or fail with the handler error named in fail.
+// fetchSites builds a Local transport whose sites answer a final-stage
+// body fetch (AnsStageReq) with an empty AnsStageResp, or fail with the
+// handler error named in fail.
 func fetchSites(fail map[dist.SiteID]string, sites ...dist.SiteID) *dist.Local {
 	l := dist.NewLocal()
 	for _, id := range sites {
@@ -26,7 +27,7 @@ func fetchSites(fail map[dist.SiteID]string, sites ...dist.SiteID) *dist.Local {
 			if bad {
 				return nil, errors.New(msg)
 			}
-			return &FetchResp{}, nil
+			return &AnsStageResp{}, nil
 		})
 	}
 	return l
@@ -183,7 +184,7 @@ func TestFanOutErrorAggregate(t *testing.T) {
 		return nil
 	}
 	r := testRun(false, l.Call)
-	_, costs, err := r.fanOut(context.Background(), []dist.SiteID{1, 2, 3}, func(dist.SiteID) any { return &FetchReq{} })
+	_, costs, err := r.fanOut(context.Background(), []dist.SiteID{1, 2, 3}, func(dist.SiteID) any { return &AnsStageReq{} })
 	var be *dist.BroadcastError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %T %v, want *dist.BroadcastError", err, err)
@@ -220,7 +221,7 @@ func TestFanOutErrorMixedRetriability(t *testing.T) {
 		}
 		return nil
 	}
-	_, _, err := testRun(false, l.Call).fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &FetchReq{} })
+	_, _, err := testRun(false, l.Call).fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &AnsStageReq{} })
 	var be *dist.BroadcastError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %T, want *dist.BroadcastError", err)
@@ -234,7 +235,7 @@ func TestFanOutSingleFailureKeepsPlainMessage(t *testing.T) {
 	l := fetchSites(map[dist.SiteID]string{2: "no such fragment"}, 1, 2)
 	defer l.Close()
 	r := testRun(false, l.Call)
-	_, costs, err := r.fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &FetchReq{} })
+	_, costs, err := r.fanOut(context.Background(), []dist.SiteID{1, 2}, func(dist.SiteID) any { return &AnsStageReq{} })
 	if err == nil || err.Error() != "no such fragment" {
 		t.Fatalf("Error() = %v, want the bare handler message", err)
 	}

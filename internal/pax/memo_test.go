@@ -238,7 +238,7 @@ func skewCut(t *testing.T) (*xmltree.Tree, *fragment.Fragmentation, xmltree.Node
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l, g := range ft.Frag(1).Origin {
+	for l, g := range ft.Origins()[1] {
 		if g == inner {
 			return tr, ft, xmltree.NodeID(l)
 		}

@@ -227,17 +227,9 @@ type EditResp struct {
 	Applied    bool
 }
 
-// FetchReq asks a site to ship its fragments wholesale (NaiveCentralized).
-type FetchReq struct{}
-
-// FetchResp carries entire fragments over the wire.
-type FetchResp struct {
-	Frags []WireFragment
-}
-
 // WireFragment is a whole fragment in its file form (fragment.Fragment.XML,
 // what Save writes), virtual nodes as <fragment-ref ref="K"/> elements: a
-// NaiveCentralized fetch, or a body for ShipXML answers.
+// body for ShipXML answers, or for the NaiveCentralized fetch.
 type WireFragment struct {
 	ID  fragment.FragID
 	XML string

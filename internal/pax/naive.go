@@ -16,21 +16,26 @@ import (
 // fragment to the coordinator, reassemble the tree, and evaluate centrally.
 // Its network traffic is proportional to |T| — the cost the partial
 // evaluation algorithms exist to avoid — and is visible directly in the
-// Result's byte counters.
+// Result's byte counters. The fetch is one final-stage round that asks
+// each primary for the bodies of all its fragments, which the site reads
+// from one fragment-set snapshot, so a concurrent edit yields either the
+// pre- or the post-edit version of every fragment — never a torn read.
 func (e *Engine) runNaive(ctx context.Context, r *run, c *xpath.Compiled, opts Options) (*Result, error) {
 	n := e.topo.FT.Len()
 	res := &Result{RelevantFrags: n}
-	resps, err := r.stage(ctx, res, func(dist.SiteID) any { return &FetchReq{} })
+	resps, err := r.stage(ctx, res, func(p dist.SiteID) any {
+		return &AnsStageReq{QID: r.qid, Bodies: e.topo.FragsAt(p)}
+	})
 	if err != nil {
 		return nil, err
 	}
 	frags := make([]*fragment.Fragment, n)
 	for site, resp := range resps {
-		fr, err := respAs[*FetchResp](site, resp, "fetch")
+		ar, err := respAs[*AnsStageResp](site, resp, "fetch")
 		if err != nil {
 			return nil, err
 		}
-		for _, wf := range fr.Frags {
+		for _, wf := range ar.Bodies {
 			if wf.ID < 0 || int(wf.ID) >= n {
 				return nil, fmt.Errorf("pax: naive fetch returned unknown fragment %d", wf.ID)
 			}
@@ -49,16 +54,16 @@ func (e *Engine) runNaive(ctx context.Context, r *run, c *xpath.Compiled, opts O
 	tree := ft.Reassemble()
 	// Answers carry the fragment and local node each document node came
 	// from, the identities PaX answers carry.
-	ft.RecomputeOrigins()
 	type origin struct {
 		frag fragment.FragID
 		node xmltree.NodeID
 	}
 	origins := make([]origin, tree.Size())
-	for _, f := range ft.Frags {
-		for local, g := range f.Origin {
-			if _, virtual := f.VirtualAt(xmltree.NodeID(local)); !virtual {
-				origins[g] = origin{f.ID, xmltree.NodeID(local)}
+	for fid, local := range ft.Origins() {
+		f := ft.Frags[fid]
+		for l, g := range local {
+			if !f.VirtualMask.Get(l) {
+				origins[g] = origin{f.ID, xmltree.NodeID(l)}
 			}
 		}
 	}

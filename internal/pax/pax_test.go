@@ -14,9 +14,10 @@ import (
 
 // origIDs maps distributed answers to original-tree node IDs, sorted.
 func origIDs(ft *fragment.Fragmentation, ans []AnswerNode) []xmltree.NodeID {
+	origins := ft.Origins()
 	out := make([]xmltree.NodeID, 0, len(ans))
 	for _, a := range ans {
-		out = append(out, ft.Frag(a.Frag).Origin[a.Node])
+		out = append(out, origins[a.Frag][a.Node])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -168,11 +168,12 @@ func TestQuickPrunedFragmentsHoldNoAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		rel := AnalyzeRelevance(ft, c)
-		// Which fragment does each original node live in? Walk fragments'
-		// Origin maps (virtual nodes excluded).
+		// Which fragment does each original node live in? Walk the
+		// fragments' origins (virtual nodes excluded).
 		fragOf := make(map[xmltree.NodeID]fragment.FragID, tr.Size())
+		origins := ft.Origins()
 		for _, fr := range ft.Frags {
-			for local, orig := range fr.Origin {
+			for local, orig := range origins[fr.ID] {
 				if _, isVirtual := fr.VirtualAt(xmltree.NodeID(local)); !isVirtual {
 					fragOf[orig] = fr.ID
 				}
@@ -208,12 +209,13 @@ func TestQuickExactInitsMatchTruth(t *testing.T) {
 		if !rel.Exact {
 			return false
 		}
+		origins := ft.Origins()
 		for _, fr := range ft.Frags[1:] {
 			if !rel.Relevant[fr.ID] {
 				continue
 			}
 			// True parent vector: evaluate along the real ancestor chain.
-			orig := tr.Node(fr.Origin[0])
+			orig := tr.Node(origins[fr.ID][0])
 			var chain []*xmltree.Node
 			for n := orig.Parent; n != nil; n = n.Parent {
 				chain = append([]*xmltree.Node{n}, chain...)
@@ -258,8 +260,9 @@ func TestQuickCrossingSound(t *testing.T) {
 		for _, id := range oracle(t, tr, query) {
 			answer[id] = true
 		}
+		origins := ft.Origins()
 		for _, fr := range ft.Frags[1:] {
-			for n := tr.Node(fr.Origin[0]).Parent; n != nil; n = n.Parent {
+			for n := tr.Node(origins[fr.ID][0]).Parent; n != nil; n = n.Parent {
 				if answer[n.ID] {
 					crossed++
 					if !AnalyzeRelevance(ft, c).Crossing {

@@ -235,8 +235,6 @@ func (s *Site) handle(req any) (any, error) {
 		return s.handleCombined(r)
 	case *AnsStageReq:
 		return s.handleCollect(r)
-	case *FetchReq:
-		return s.handleFetch()
 	case *EditReq:
 		return s.handleEdit(r)
 	}
@@ -615,18 +613,6 @@ func (s *Site) Restart() {
 	s.frags = &fragSet{byID: s.frags.byID, ids: s.frags.ids}
 	s.mu.Unlock()
 	s.compiled.Store(newLRU[string, *compiledQuery](defaultSiteCompileCache))
-}
-
-// handleFetch ships entire fragments (NaiveCentralized) from one fragment
-// set, so a concurrent edit yields either the pre- or the post-edit version
-// of every fragment — never a torn read.
-func (s *Site) handleFetch() (*FetchResp, error) {
-	fs := s.snapshot()
-	resp := &FetchResp{}
-	for _, fid := range fs.ids {
-		resp.Frags = append(resp.Frags, WireFragment{ID: fid, XML: fs.byID[fid].XML()})
-	}
-	return resp, nil
 }
 
 // handleEdit applies one fragment edit to the site's hosted copy. The new

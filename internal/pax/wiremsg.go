@@ -28,11 +28,13 @@ const (
 	tagCombinedStageResp
 	tagAnsStageReq
 	tagAnsStageResp
-	tagFetchReq
-	tagFetchResp
-	// Tags 11 and 12 carried the retired multi-query batch envelope. Never
-	// reuse them: a peer that still sends one must fail with
-	// dist.ErrUnknownTag, not decode as some other message.
+	// Tags 9 and 10 carried the retired NaiveCentralized fetch pair, whose
+	// bodies now travel in AnsStageResp, and tags 11 and 12 the retired
+	// multi-query batch envelope. Never reuse them: a peer that still sends
+	// one must fail with dist.ErrUnknownTag, not decode as some other
+	// message.
+	_
+	_
 	_
 	_
 	tagEditReq
@@ -48,8 +50,6 @@ func init() {
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(CombinedStageResp) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(AnsStageReq) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(AnsStageResp) })
-	dist.RegisterBinary(func() dist.BinaryMessage { return new(FetchReq) })
-	dist.RegisterBinary(func() dist.BinaryMessage { return new(FetchResp) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(EditReq) })
 	dist.RegisterBinary(func() dist.BinaryMessage { return new(EditResp) })
 }
@@ -681,33 +681,6 @@ func (m *AnsStageResp) DecodeBinary(p []byte) error {
 	r := reader{p: p}
 	m.Answers = r.answers()
 	m.Bodies = r.wireFragments()
-	return r.done()
-}
-
-// WireTag implements dist.BinaryMessage.
-func (m *FetchReq) WireTag() dist.MsgTag { return tagFetchReq }
-
-// AppendBinary implements dist.BinaryMessage.
-func (m *FetchReq) AppendBinary(dst []byte) ([]byte, error) { return dst, nil }
-
-// DecodeBinary implements dist.BinaryMessage.
-func (m *FetchReq) DecodeBinary(p []byte) error {
-	r := reader{p: p}
-	return r.done()
-}
-
-// WireTag implements dist.BinaryMessage.
-func (m *FetchResp) WireTag() dist.MsgTag { return tagFetchResp }
-
-// AppendBinary implements dist.BinaryMessage.
-func (m *FetchResp) AppendBinary(dst []byte) ([]byte, error) {
-	return appendWireFragments(dst, m.Frags), nil
-}
-
-// DecodeBinary implements dist.BinaryMessage.
-func (m *FetchResp) DecodeBinary(p []byte) error {
-	r := reader{p: p}
-	m.Frags = r.wireFragments()
 	return r.done()
 }
 

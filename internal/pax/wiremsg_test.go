@@ -77,7 +77,7 @@ func requestPayload(tag dist.MsgTag, body []byte) []byte {
 
 // wireVersion is the codec's version byte, which leads every payload.
 func wireVersion() byte {
-	p, err := dist.EncodeRequest(dist.Binary, &FetchReq{})
+	p, err := dist.EncodeRequest(dist.Binary, &AnsStageReq{})
 	if err != nil {
 		panic(err)
 	}
@@ -146,11 +146,6 @@ func messageCorpus(seed int64) []corpusCase {
 		{"answers", &AnsStageResp{Answers: answers, Bodies: []WireFragment{
 			{ID: 2, XML: `<people><fragment-ref ref="4"/></people>`},
 			{ID: 4, XML: `<person id="p&#34;2"/>`},
-		}}},
-		{"empty", &FetchReq{}},
-		{"tree", &FetchResp{Frags: []WireFragment{
-			{ID: 0, XML: `<site><person id="p&#34;1">Ada</person><fragment-ref ref="2"/></site>`},
-			{ID: 2, XML: `<people/>`},
 		}}},
 		{"insert", &EditReq{
 			Frag: 2, BaseVersion: 7, Op: 0, Node: 14, Pos: 1,
@@ -452,15 +447,16 @@ func TestDecodeAnswersAllocs(t *testing.T) {
 	}
 }
 
-// TestRetiredTagsAreUnknown: tags 11 and 12 carried the retired
-// multi-query batch envelope and stay unregistered, with the tags around
-// them keeping their numbers. A request or response frame carrying one
-// fails to decode with dist.ErrUnknownTag; nothing panics.
+// TestRetiredTagsAreUnknown: tags 9 and 10 carried the retired
+// NaiveCentralized fetch pair and tags 11 and 12 the retired multi-query
+// batch envelope. All four stay unregistered, with the tags around them
+// keeping their numbers. A request or response frame carrying one fails
+// to decode with dist.ErrUnknownTag; nothing panics.
 func TestRetiredTagsAreUnknown(t *testing.T) {
-	if tagFetchResp != 10 || tagEditReq != 13 || tagEditResp != 14 {
-		t.Fatalf("tags moved: FetchResp %d, EditReq %d, EditResp %d; want 10, 13, 14", tagFetchResp, tagEditReq, tagEditResp)
+	if tagAnsStageResp != 8 || tagEditReq != 13 || tagEditResp != 14 {
+		t.Fatalf("tags moved: AnsStageResp %d, EditReq %d, EditResp %d; want 8, 13, 14", tagAnsStageResp, tagEditReq, tagEditResp)
 	}
-	for _, tag := range []dist.MsgTag{11, 12} {
+	for _, tag := range []dist.MsgTag{9, 10, 11, 12} {
 		if slices.Contains(dist.RegisteredTags(), tag) {
 			t.Errorf("retired tag %d is registered", tag)
 		}

@@ -289,7 +289,3 @@ func (c Calibration) SpecForBytes(target int) SiteSpec {
 	}
 	return d.Scale(float64(target) / unit)
 }
-
-// BytesOf reports the estimated serialized size of a tree (same estimator
-// used throughout the experiments).
-func BytesOf(t *xmltree.Tree) int { return t.ComputeStats().Bytes }

@@ -91,7 +91,7 @@ func TestCalibrationTargets(t *testing.T) {
 	}
 	for _, target := range []int{50_000, 200_000, 1_000_000} {
 		spec := cal.SpecForBytes(target)
-		got := BytesOf(GenerateSites([]SiteSpec{spec}, 9))
+		got := GenerateSites([]SiteSpec{spec}, 9).ComputeStats().Bytes
 		lo, hi := target*7/10, target*13/10
 		if got < lo || got > hi {
 			t.Errorf("target %d bytes: generated %d (spec %+v)", target, got, spec)

@@ -28,9 +28,10 @@ var ErrTooDeep = errors.New("xmltree: elements nested deeper than MaxDepth")
 // between elements is dropped (it is markup formatting, not content),
 // matching how the paper's datasets are interpreted. A malformed document
 // fails with an *xml.SyntaxError, one nested past MaxDepth with
-// ErrTooDeep.
+// ErrTooDeep; an error reading r is returned wrapped.
 func Parse(r io.Reader) (*Tree, error) {
-	dec := xml.NewDecoder(r)
+	src := &sourceReader{r: r}
+	dec := xml.NewDecoder(src)
 	syntaxErr := func(msg string) error {
 		line, _ := dec.InputPos()
 		return fmt.Errorf("xmltree: parse: %w", &xml.SyntaxError{Msg: msg, Line: line})
@@ -43,6 +44,13 @@ func Parse(r io.Reader) (*Tree, error) {
 			break
 		}
 		if err != nil {
+			var syntax *xml.SyntaxError
+			if src.err == nil && !errors.As(err, &syntax) {
+				// encoding/xml refuses an XML declaration it does not
+				// support (a version other than 1.0, an encoding it cannot
+				// read) with an untyped error; the document is malformed.
+				return nil, syntaxErr(err.Error())
+			}
 			return nil, fmt.Errorf("xmltree: parse: %w", err)
 		}
 		switch t := tok.(type) {
@@ -91,6 +99,21 @@ func Parse(r io.Reader) (*Tree, error) {
 		return nil, syntaxErr("no root element")
 	}
 	return NewTree(root), nil
+}
+
+// sourceReader records the error its reader returned, other than io.EOF,
+// so Parse can tell a failed read from a malformed document.
+type sourceReader struct {
+	r   io.Reader
+	err error
+}
+
+func (s *sourceReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF {
+		s.err = err
+	}
+	return n, err
 }
 
 // localName reports whether the local part of a name is an XML name

@@ -258,16 +258,6 @@ func walkPre(n *Node, visit func(*Node) bool) bool {
 	return true
 }
 
-// WalkPost visits every node in postorder (children before parents).
-func (t *Tree) WalkPost(visit func(*Node)) { walkPost(t.Root, visit) }
-
-func walkPost(n *Node, visit func(*Node)) {
-	for _, c := range n.Children {
-		walkPost(c, visit)
-	}
-	visit(n)
-}
-
 // Stats summarizes a tree for experiment reporting.
 type Stats struct {
 	Nodes    int // total nodes

@@ -3,9 +3,11 @@ package xmltree
 import (
 	"encoding/xml"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -128,15 +130,6 @@ func TestWalkEarlyStop(t *testing.T) {
 	}
 }
 
-func TestWalkPostOrder(t *testing.T) {
-	tr := NewTree(El("a", El("b", El("c")), El("d")))
-	var order []string
-	tr.WalkPost(func(n *Node) { order = append(order, n.Label) })
-	if got := strings.Join(order, ""); got != "cbda" {
-		t.Fatalf("postorder = %q", got)
-	}
-}
-
 func TestPath(t *testing.T) {
 	tr := paperTree()
 	var goog *Node
@@ -216,11 +209,24 @@ func TestParseErrors(t *testing.T) {
 		"<:a/>",
 		"<a:b:c/>",
 		`<a :k="v"/>`,
+		`<?xml version="0"?><a/>`,
+		`<?xml version="1.0" encoding="latin9"?><a/>`,
 	} {
 		var syntax *xml.SyntaxError
 		if _, err := ParseString(bad); !errors.As(err, &syntax) {
 			t.Errorf("ParseString(%q): err %v, want an *xml.SyntaxError", bad, err)
 		}
+	}
+}
+
+// TestParseReadError: a failed read is the reader's error, not a
+// malformed document.
+func TestParseReadError(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := Parse(io.MultiReader(strings.NewReader("<a><b>"), iotest.ErrReader(boom)))
+	var syntax *xml.SyntaxError
+	if !errors.Is(err, boom) || errors.As(err, &syntax) {
+		t.Errorf("Parse over a failing reader: err %v, want the read error", err)
 	}
 }
 

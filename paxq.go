@@ -243,29 +243,9 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	if opts.RetryMaxAttempts == 0 && (opts.RetryBackoff != 0 || opts.RetryMaxBackoff != 0) {
 		return nil, errors.New("paxq: RetryBackoff and RetryMaxBackoff need RetryMaxAttempts > 0")
 	}
-	var cuts []xmltree.NodeID
-	switch {
-	case len(opts.CutPaths) > 0:
-		seen := make(map[xmltree.NodeID]bool)
-		for _, path := range opts.CutPaths {
-			q, err := xpath.Parse(path)
-			if err != nil {
-				return nil, fmt.Errorf("paxq: cut path %q: %w", path, err)
-			}
-			for _, n := range centeval.EvalNaive(doc.tree, q) {
-				if n.Parent == nil {
-					continue // cannot cut at the root
-				}
-				if !seen[n.ID] {
-					seen[n.ID] = true
-					cuts = append(cuts, n.ID)
-				}
-			}
-		}
-	case opts.MaxFragmentNodes > 0:
-		cuts = fragment.CutsBySize(doc.tree, opts.MaxFragmentNodes)
-	case opts.Fragments > 1:
-		cuts = fragment.RandomCuts(doc.tree, opts.Fragments-1, opts.Seed)
+	cuts, err := fragment.SelectCuts(doc.tree, opts.CutPaths, opts.MaxFragmentNodes, opts.Fragments, opts.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("paxq: %w", err)
 	}
 	ft, err := fragment.Cut(doc.tree, cuts)
 	if err != nil {
@@ -325,7 +305,7 @@ func (c *Cluster) Sites() int { return len(c.topo.Sites()) }
 
 // QueryOptions tune one evaluation.
 type QueryOptions struct {
-	// Algorithm: "pax2" (default), "pax3" or "naive".
+	// Algorithm: "pax2" (default) or "pax3", in any case.
 	Algorithm string
 	// Annotations enables the §5 fragment-pruning optimization
 	// (default on for Evaluate).

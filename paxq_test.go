@@ -75,7 +75,7 @@ func TestEvaluateDefault(t *testing.T) {
 
 func TestQueryAllAlgorithms(t *testing.T) {
 	c := demoCluster(t, ClusterOptions{Fragments: 3, Seed: 5})
-	for _, algo := range []string{"pax2", "pax3", "naive", "PaX2"} {
+	for _, algo := range []string{"pax2", "pax3", "PaX2"} {
 		ans, stats, err := c.Query("client/name", QueryOptions{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -87,8 +87,11 @@ func TestQueryAllAlgorithms(t *testing.T) {
 			t.Errorf("%s: stats %+v", algo, stats)
 		}
 	}
-	if _, _, err := c.Query("x", QueryOptions{Algorithm: "quantum"}); err == nil {
-		t.Error("unknown algorithm must fail")
+	// The NaiveCentralized baseline is not a served algorithm.
+	for _, algo := range []string{"quantum", "naive", "NAIVE"} {
+		if _, _, err := c.Query("x", QueryOptions{Algorithm: algo}); err == nil {
+			t.Errorf("algorithm %q must fail", algo)
+		}
 	}
 	if _, _, err := c.Query("][", QueryOptions{}); err == nil {
 		t.Error("bad query must fail")
