@@ -15,6 +15,9 @@
 //   - CutsBySize: size-balanced fragments under a node-count cap;
 //   - RandomCuts: randomized fragmentations for differential testing.
 //
+// SelectCuts is the one choice among them that paxq.NewCluster and
+// cmd/paxfrag make from their options.
+//
 // Fragments keep no map back to the original tree. Fragmentation.Origins
 // computes one from the columns on demand, mapping each fragment-local
 // node ID to its ID in the reassembled document; the oracles compare
