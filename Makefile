@@ -179,8 +179,10 @@ edit-smoke:
 # flags absent from cmd/README.md / ARCHITECTURE.md, on cmd/README.md flag
 # rows a binary no longer defines, on internal/cmd packages missing from
 # ARCHITECTURE.md's package map, on package-map rows naming packages that
-# no longer exist, and on cmd/README.md metric rows a binary does not
-# emit. Depends on the vet target (rather
+# no longer exist, on cmd/README.md metric rows a binary does not
+# emit, and on command examples in the guides or in cmd/* package
+# comments passing a flag the binary does not define (see tools/README.md
+# for all nine properties). Depends on the vet target (rather
 # than re-running go vet) so `make check` vets once.
 docs-check: vet
 	$(GO) run ./tools/docscheck

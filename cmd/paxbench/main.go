@@ -9,9 +9,10 @@
 //	paxbench -exp 2 -scale 0.1 -runs 5 -csv
 //	paxbench -exp queries
 //
-// The differential and fault-injection harnesses run as tests:
-// go test -run 'TestDifferential|TestFaultInjection' ./internal/harness,
-// or make fault-smoke and make edit-smoke for their fixed-seed slices.
+// The differential and fault-injection harnesses run as tests, and make
+// fault-smoke and make edit-smoke run their fixed-seed slices:
+//
+//	go test -run 'TestDifferential|TestFaultInjection' ./internal/harness
 //
 // -scale is the dataset size relative to the paper's 100 MB baseline
 // (0.05 → 5 MB cumulative).

@@ -11,7 +11,7 @@
 // Serve a generated XMark document over real TCP sites on loopback, with
 // admission control and per-request deadlines:
 //
-//	paxserve -xmark-mb 5 -sites 4 -tcp -max-inflight 64 -queue-timeout 100ms -request-timeout 5s
+//	paxserve -xmark-mb 5 -sites 4 -tcp -max-inflight 64 -request-timeout 5s
 //
 // Query it:
 //
@@ -24,15 +24,15 @@
 // Operational behavior:
 //
 //   - -max-inflight bounds concurrently admitted evaluations; excess load
-//     is shed with HTTP 503 (or queued up to -queue-timeout first).
+//     is shed at once with HTTP 503.
 //   - -request-timeout bounds each evaluation end to end; a deadline hit
 //     returns HTTP 504. The deadline travels as a context down to the
 //     site transport, so a hung site cannot wedge an HTTP worker.
 //   - -replicas deploys each fragment group on that many replica sites;
 //     a site that dies or restarts mid-query is survived by running the
-//     query again on the next replica (budget and backoff via the -retry-*
-//     flags), with the answer still byte-identical to centralized
-//     evaluation. Failover counters appear in /metrics and /statsz.
+//     query again on the next replica (budget via -retry-attempts), with
+//     the answer still byte-identical to centralized evaluation. Failover
+//     counters appear in /metrics and /statsz.
 //   - SIGINT/SIGTERM trigger graceful shutdown: the listener stops, then
 //     in-flight requests get up to -shutdown-grace to finish before the
 //     cluster is torn down.
@@ -68,13 +68,10 @@ func main() {
 	tcp := flag.Bool("tcp", false, "deploy sites as TCP servers on loopback instead of in-process")
 	seed := flag.Int64("seed", 1, "fragmentation / generation seed")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently evaluated queries (0 = unlimited)")
-	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: how long a query may queue for a slot before shedding (0 = shed immediately)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request evaluation deadline (0 = none)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	replicas := flag.Int("replicas", 1, "replica sites per fragment group; >1 deploys a replicated fleet with failover")
-	retryAttempts := flag.Int("retry-attempts", 0, "max runs of one query before it aborts (0 = policy default)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "initial backoff between runs of a query (needs -retry-attempts)")
-	retryMaxBackoff := flag.Duration("retry-max-backoff", 0, "cap on the exponential retry backoff (needs -retry-attempts)")
+	retryAttempts := flag.Int("retry-attempts", 0, "max runs of one query before it aborts (0 = default: 4 when replicated, 1 otherwise)")
 	flag.Parse()
 
 	var doc *paxq.Document
@@ -109,11 +106,8 @@ func main() {
 		Transport:        transport,
 		Seed:             *seed,
 		MaxInFlight:      *maxInflight,
-		QueueTimeout:     *queueTimeout,
 		Replicas:         *replicas,
 		RetryMaxAttempts: *retryAttempts,
-		RetryBackoff:     *retryBackoff,
-		RetryMaxBackoff:  *retryMaxBackoff,
 	})
 	if err != nil {
 		fatal(err)

@@ -200,20 +200,6 @@ func TestEnvCycleDetection(t *testing.T) {
 	e.Resolve(V(1))
 }
 
-func TestEnvMerge(t *testing.T) {
-	a, b := NewEnv(), NewEnv()
-	a.BindConst(1, true)
-	b.BindConst(2, false)
-	a.Merge(b)
-	a.Merge(nil)
-	if a.Len() != 2 {
-		t.Fatalf("merge len = %d", a.Len())
-	}
-	if !a.Resolve(V(2)).IsFalse() {
-		t.Error("merged binding lost")
-	}
-}
-
 func TestMustResolveConstPanicsOnOpen(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -47,20 +47,6 @@ func (e *Env) Bind(v Var, f *Formula) error {
 // BindConst binds v to the constant b, with Bind's conflict semantics.
 func (e *Env) BindConst(v Var, b bool) error { return e.Bind(v, Const(b)) }
 
-// Merge copies all bindings of other into e, returning the first conflict
-// as an error wrapping ErrInconsistent, matching Bind.
-func (e *Env) Merge(other *Env) error {
-	if other == nil {
-		return nil
-	}
-	for v, f := range other.m {
-		if err := e.Bind(v, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Resolve substitutes bindings into f, transitively following variable
 // chains (a variable may be bound to a formula that itself mentions bound
 // variables, as happens when a parent fragment's variables are expressed in

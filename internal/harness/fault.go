@@ -337,8 +337,8 @@ func RunFaultInjection(ctx context.Context, seed int64, opts FaultOptions) (*Fau
 }
 
 // buildFaultFleet deploys the replicated topology on the chosen
-// transport with a fast failover policy (full replica coverage plus one
-// extra attempt, microsecond backoff — schedules run in tests).
+// transport with full replica coverage plus two extra attempts per query,
+// on the engine's own backoff schedule.
 func buildFaultFleet(topo *pax.Topology, transport DiffTransport) (*faultFleet, error) {
 	replication := 0
 	for _, p := range topo.Primaries() {
@@ -346,11 +346,7 @@ func buildFaultFleet(topo *pax.Topology, transport DiffTransport) (*faultFleet, 
 			replication = n
 		}
 	}
-	policy := pax.WithRetryPolicy(pax.RetryPolicy{
-		MaxAttempts: replication + 2,
-		Backoff:     50 * time.Microsecond,
-		MaxBackoff:  200 * time.Microsecond,
-	})
+	attempts := pax.WithMaxAttempts(replication + 2)
 	f := &faultFleet{topo: topo, sites: make(map[dist.SiteID]*pax.Site)}
 	if transport == DiffTCP {
 		f.servers = make(map[dist.SiteID]*dist.TCPServer)
@@ -375,7 +371,7 @@ func buildFaultFleet(topo *pax.Topology, transport DiffTransport) (*faultFleet, 
 		}
 		tcp := dist.NewTCP(f.addrs)
 		f.tr = tcp
-		f.eng = pax.NewEngine(topo, tcp, policy)
+		f.eng = pax.NewEngine(topo, tcp, attempts)
 		f.shutdown = func() {
 			tcp.Close()
 			for _, s := range f.servers {
@@ -389,7 +385,7 @@ func buildFaultFleet(topo *pax.Topology, transport DiffTransport) (*faultFleet, 
 		f.sites[s.ID()] = s
 	}
 	f.tr = local
-	f.eng = pax.NewEngine(topo, local, policy)
+	f.eng = pax.NewEngine(topo, local, attempts)
 	f.shutdown = func() {}
 	return f, nil
 }

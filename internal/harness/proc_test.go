@@ -120,11 +120,7 @@ func TestProcessKillFailover(t *testing.T) {
 
 	tcp := dist.NewTCP(addrs)
 	defer tcp.Close()
-	eng := pax.NewEngine(topo, tcp, pax.WithRetryPolicy(pax.RetryPolicy{
-		MaxAttempts: 4,
-		Backoff:     time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
-	}))
+	eng := pax.NewEngine(topo, tcp, pax.WithMaxAttempts(4))
 
 	query := `//broker[//stock/code = "GOOG"]/name`
 	c, err := xpath.Compile(query)

@@ -33,8 +33,8 @@ func gatedCluster(t *testing.T, gate chan struct{}, opts ...EngineOption) *Engin
 	return NewEngine(topo, local, opts...)
 }
 
-// TestAdmissionShedsWithErrOverloaded verifies the shed mode: with
-// MaxInFlight slots occupied and no queueing, a new Run fails immediately
+// TestAdmissionShedsWithErrOverloaded verifies shedding: with
+// MaxInFlight slots occupied, a new Run fails immediately
 // and typed, and the occupants complete untouched.
 func TestAdmissionShedsWithErrOverloaded(t *testing.T) {
 	gate := make(chan struct{})
@@ -67,59 +67,6 @@ func TestAdmissionShedsWithErrOverloaded(t *testing.T) {
 	// Slots released: a new run is admitted again.
 	if _, err := eng.Run(query, Options{Algorithm: PaX2}); err != nil {
 		t.Fatalf("run after load dropped: %v", err)
-	}
-}
-
-// TestAdmissionQueueWithDeadline verifies queue mode both ways: a queued
-// run succeeds when a slot frees within the deadline, and sheds with
-// ErrOverloaded when none does.
-func TestAdmissionQueueWithDeadline(t *testing.T) {
-	gate := make(chan struct{})
-	eng := gatedCluster(t, gate, WithMaxInFlight(1), WithQueueTimeout(30*time.Millisecond))
-	query := `//broker/name`
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := eng.Run(query, Options{Algorithm: PaX2})
-		done <- err
-	}()
-	waitFor(t, func() bool { return len(eng.inflight) == 1 })
-
-	// No slot frees within the queue deadline: deterministic shed.
-	if _, err := eng.Run(query, Options{Algorithm: PaX2}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("queued past deadline: err = %v, want ErrOverloaded", err)
-	}
-
-	// A slot frees while queued: the run is admitted and completes.
-	queued := make(chan error, 1)
-	go func() {
-		_, err := eng.Run(query, Options{Algorithm: PaX2})
-		queued <- err
-	}()
-	time.Sleep(5 * time.Millisecond) // let it enter the queue
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatalf("slot holder failed: %v", err)
-	}
-	if err := <-queued; err != nil {
-		t.Fatalf("queued run failed after slot freed: %v", err)
-	}
-}
-
-// TestAdmissionQueueRespectsCallerContext: a caller whose context dies
-// while queued gets the context error, not ErrOverloaded.
-func TestAdmissionQueueRespectsCallerContext(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	eng := gatedCluster(t, gate, WithMaxInFlight(1), WithQueueTimeout(time.Minute))
-	go eng.Run(`//broker/name`, Options{Algorithm: PaX2})
-	waitFor(t, func() bool { return len(eng.inflight) == 1 })
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, err := eng.RunContext(ctx, `//broker/name`, Options{Algorithm: PaX2})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want the caller's deadline error", err)
 	}
 }
 
@@ -216,7 +163,7 @@ func TestStageComputeConservedOnBothTransports(t *testing.T) {
 
 // TestPreCancelledContextFailsAdmission: a query arriving with an already
 // dead context must fail with the context's error before claiming a slot —
-// in every admission configuration, including a full engine in shed mode,
+// with and without an admission limit, including a full engine,
 // where the bug misreported the cancellation as ErrOverloaded.
 func TestPreCancelledContextFailsAdmission(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -225,7 +172,6 @@ func TestPreCancelledContextFailsAdmission(t *testing.T) {
 	configs := map[string][]EngineOption{
 		"unlimited": nil,
 		"shed":      {WithMaxInFlight(1)},
-		"queue":     {WithMaxInFlight(1), WithQueueTimeout(time.Minute)},
 	}
 	for name, opts := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -239,7 +185,7 @@ func TestPreCancelledContextFailsAdmission(t *testing.T) {
 		})
 	}
 
-	// The regression case: engine FULL, shed mode. The fast path used to
+	// The regression case: a FULL engine. The fast path used to
 	// win the select against the (never-polled) context and report
 	// overload for a query that was never going to run.
 	gate := make(chan struct{})
@@ -248,7 +194,7 @@ func TestPreCancelledContextFailsAdmission(t *testing.T) {
 	go eng.Run(`//broker/name`, Options{Algorithm: PaX2})
 	waitFor(t, func() bool { return len(eng.inflight) == 1 })
 	if _, err := eng.RunContext(ctx, `//broker/name`, Options{Algorithm: PaX2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("full engine, shed mode: err = %v, want context.Canceled (not ErrOverloaded)", err)
+		t.Fatalf("full engine: err = %v, want context.Canceled (not ErrOverloaded)", err)
 	}
 }
 

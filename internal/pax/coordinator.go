@@ -134,10 +134,8 @@ type Result struct {
 //
 // An Engine optionally enforces admission control (WithMaxInFlight): when
 // the in-flight limit is reached, new evaluations are shed immediately
-// with ErrOverloaded, or — with WithQueueTimeout — queue for a bounded
-// time before being shed. Either way the outcome under overload is
-// deterministic and explicit; no site ever discards another query's state
-// to make room.
+// with ErrOverloaded. The outcome under overload is deterministic and
+// explicit; no site ever discards another query's state to make room.
 type Engine struct {
 	topo  *Topology
 	tr    dist.Transport
@@ -147,15 +145,14 @@ type Engine struct {
 	// single-compile-under-concurrent-miss and shed-before-plan guarantees.
 	planCompiles atomic.Int64
 
-	inflight     chan struct{} // admission slots; nil = unlimited
-	queueTimeout time.Duration
+	inflight chan struct{} // admission slots; nil = unlimited
 
-	// retry is the failover policy (WithRetryPolicy); the lifetime
-	// counters below feed FailoverStats.
-	retry     RetryPolicy
-	retries   atomic.Int64
-	failovers atomic.Int64
-	deadSites atomic.Int64
+	// maxAttempts is the failover attempt count (WithMaxAttempts); the
+	// lifetime counters below feed FailoverStats.
+	maxAttempts int
+	retries     atomic.Int64
+	failovers   atomic.Int64
+	deadSites   atomic.Int64
 
 	// editMu serializes ApplyEdit calls engine-wide — the version protocol
 	// (BaseVersion applies, BaseVersion+1 acks idempotently) is only sound
@@ -173,8 +170,8 @@ type Engine struct {
 type EngineOption func(*Engine)
 
 // WithMaxInFlight bounds the number of concurrently admitted evaluations.
-// Beyond the bound, Run sheds with ErrOverloaded (or queues, see
-// WithQueueTimeout). n <= 0 means unlimited.
+// Beyond the bound, Run sheds with ErrOverloaded at once. n <= 0 means
+// unlimited.
 func WithMaxInFlight(n int) EngineOption {
 	return func(e *Engine) {
 		if n > 0 {
@@ -185,15 +182,6 @@ func WithMaxInFlight(n int) EngineOption {
 	}
 }
 
-// WithQueueTimeout switches admission from immediate shedding to
-// queue-with-deadline: an evaluation arriving at a full engine waits up to
-// d for a slot, then fails with ErrOverloaded. The run's own context
-// deadline still applies while queued. Meaningful only together with
-// WithMaxInFlight.
-func WithQueueTimeout(d time.Duration) EngineOption {
-	return func(e *Engine) { e.queueTimeout = d }
-}
-
 // NewEngine creates a coordinator over a topology and a transport.
 func NewEngine(topo *Topology, tr dist.Transport, opts ...EngineOption) *Engine {
 	e := &Engine{topo: topo, tr: tr, plans: newLRU[planKey, *plan](defaultPlanCache)}
@@ -201,20 +189,21 @@ func NewEngine(topo *Topology, tr dist.Transport, opts ...EngineOption) *Engine 
 	for _, o := range opts {
 		o(e)
 	}
-	if e.retry.MaxAttempts == 0 {
-		// No explicit policy: replicated fleets fail over by default;
-		// unreplicated ones keep the exact single-attempt semantics they
-		// had before the failover layer existed.
+	if e.maxAttempts <= 0 {
+		// No explicit count: replicated fleets fail over by default, one
+		// attempt per replica of a doubly-replicated group plus two for
+		// transient faults; unreplicated ones keep the exact single-attempt
+		// semantics they had before the failover layer existed.
 		if topo.Replicated() {
-			e.retry = DefaultRetryPolicy
+			e.maxAttempts = 4
 		} else {
-			e.retry = RetryPolicy{MaxAttempts: 1}
+			e.maxAttempts = 1
 		}
 	}
 	return e
 }
 
-// admit claims an in-flight slot, shedding or queueing per configuration.
+// admit claims an in-flight slot, or sheds when none is free.
 // It returns the release function, or an error that already identifies
 // why admission failed (ErrOverloaded or the context's error). A context
 // that is already dead fails admission with the context's error before a
@@ -231,19 +220,7 @@ func (e *Engine) admit(ctx context.Context) (func(), error) {
 	case e.inflight <- struct{}{}:
 		return func() { <-e.inflight }, nil
 	default:
-	}
-	if e.queueTimeout <= 0 {
 		return nil, fmt.Errorf("%w: %d evaluations in flight, shedding", ErrOverloaded, cap(e.inflight))
-	}
-	timer := time.NewTimer(e.queueTimeout)
-	defer timer.Stop()
-	select {
-	case e.inflight <- struct{}{}:
-		return func() { <-e.inflight }, nil
-	case <-timer.C:
-		return nil, fmt.Errorf("%w: no slot within the %v queue deadline", ErrOverloaded, e.queueTimeout)
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
 }
 
@@ -276,13 +253,12 @@ func (e *Engine) plan(query string, annotations, shipXML bool) (*plan, error) {
 }
 
 // RunContext evaluates query under the given options, bounded by ctx: the
-// deadline (or cancellation) covers admission queueing and every site
-// round trip, and is propagated through the transport so a slow or hung
-// site fails the query instead of wedging the caller. Runs may be issued
-// concurrently; each Result's cost profile is attributed to its own query
-// alone. Malformed or inconsistent site responses surface as errors, never
-// as coordinator panics. Under admission control, a full engine sheds or
-// queues per configuration; both outcomes surface as ErrOverloaded.
+// deadline (or cancellation) covers every site round trip, and is
+// propagated through the transport so a slow or hung site fails the query
+// instead of wedging the caller. Runs may be issued concurrently; each
+// Result's cost profile is attributed to its own query alone. Malformed or
+// inconsistent site responses surface as errors, never as coordinator
+// panics. Under admission control, a full engine sheds with ErrOverloaded.
 func (e *Engine) RunContext(ctx context.Context, query string, opts Options) (*Result, error) {
 	res, answers, err := RunAs(ctx, e, query, opts, answerNode, byNode)
 	if err != nil {

@@ -27,19 +27,19 @@
 // CallCosts the transport reports, so the guarantees a Result asserts —
 // visit counts, byte totals, computation times — hold per query even under
 // concurrent load. Compiled plans (query + relevance analysis) are cached
-// per (query, annotations) and shared between runs. WithMaxInFlight and
-// WithQueueTimeout add admission control: overload sheds or queues with a
-// typed ErrOverloaded, deterministically.
+// per (query, annotations) and shared between runs. WithMaxInFlight adds
+// admission control: overload sheds at once with a typed ErrOverloaded,
+// deterministically.
 //
 // Every stage is one round of fanOut: each primary with a request gets
 // one call, to the replica the query's route names for its group,
 // concurrently or, under Options.Sequential, one at a time. Each call is
 // one dist.Transport.Call, so every engine kind charges the same ledger
 // entries and fails a stage the same way: a *dist.BroadcastError naming
-// the failing primaries in primary order. A
-// replicated engine, or one with a retry policy, answers a stage failure
-// that another run could repair by running the whole query again under
-// the same QID, each failed group rotated to its next replica (run.retry):
+// the failing primaries in primary order. A replicated engine, or one
+// given WithMaxAttempts(n > 1), answers a stage failure that another run
+// could repair by running the whole query again under the same QID, each
+// failed group rotated to its next replica (run.retry):
 // one retry loop per query. The first stage that reads a fragment reports
 // the version it read, and every later request of the query names it, so
 // every run reads one version of each fragment; a site that no longer

@@ -43,12 +43,12 @@ import (
 	"paxq/internal/xmltree"
 )
 
-// editRetryPolicy bounds ApplyEdit's per-member retry loop. Sized to
+// editMaxAttempts bounds ApplyEdit's per-member retry loop. Sized to
 // outlast a drilled restart window (the fault harness's down-windows are
-// tens of milliseconds; 24 waits of 2ms doubling capped at 50ms give the
+// tens of milliseconds; 24 waits of the shared backoff schedule give the
 // member roughly a second to come back, on either transport) while still
 // failing in bounded time when a site is genuinely gone.
-var editRetryPolicy = RetryPolicy{MaxAttempts: 25, Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
+var editMaxAttempts = 25
 
 // EditResult reports one applied edit: the fragment's new version and the
 // edit's own transport ledger (every completed call's measured cost, failed
@@ -155,9 +155,10 @@ func (e *Engine) ApplyEdit(ctx context.Context, fid fragment.FragID, ed fragment
 }
 
 // editMember delivers the edit to one physical site, retrying transport
-// failures per editRetryPolicy. Every completed call's cost is folded into
-// res — including failed attempts, whose cost the transport also recorded —
-// so the edit's ledger mirrors the transport's totals exactly.
+// failures up to editMaxAttempts times. Every completed call's cost is
+// folded into res — including failed attempts, whose cost the transport
+// also recorded — so the edit's ledger mirrors the transport's totals
+// exactly.
 func (e *Engine) editMember(ctx context.Context, member dist.SiteID, req *EditReq, res *EditResult) error {
 	for attempt := 1; ; attempt++ {
 		resp, cost, err := e.tr.Call(ctx, member, req)
@@ -180,11 +181,11 @@ func (e *Engine) editMember(ctx context.Context, member dist.SiteID, req *EditRe
 		}
 		// Only transport-level unavailability is worth retrying: a handler
 		// rejection (validation, version conflict) reproduces deterministically.
-		if !dist.Retriable(err) || ctx.Err() != nil || attempt >= editRetryPolicy.MaxAttempts {
+		if !dist.Retriable(err) || ctx.Err() != nil || attempt >= editMaxAttempts {
 			return fmt.Errorf("pax: edit of fragment %d at site %d: %w", req.Frag, member, err)
 		}
 		res.Retries++
-		if err := editRetryPolicy.sleep(ctx, attempt); err != nil {
+		if err := waitBackoff(ctx, attempt); err != nil {
 			return fmt.Errorf("pax: edit of fragment %d at site %d: %w", req.Frag, member, err)
 		}
 	}

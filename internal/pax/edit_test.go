@@ -461,9 +461,9 @@ func TestEditReplicatedConvergence(t *testing.T) {
 	})
 
 	t.Run("reissue after retry budget", func(t *testing.T) {
-		saved := editRetryPolicy
-		editRetryPolicy = RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, MaxBackoff: time.Millisecond}
-		defer func() { editRetryPolicy = saved }()
+		saved := editMaxAttempts
+		editMaxAttempts = 2
+		defer func() { editMaxAttempts = saved }()
 
 		eng, _, _, local, sites := replicatedCluster(t, 2, 2)
 		group := eng.topo.ReplicasOf(eng.topo.SiteOf[fid])

@@ -8,8 +8,7 @@ import (
 )
 
 // ErrOverloaded is returned by an Engine whose admission limit is reached:
-// the evaluation was shed (no queueing configured) or timed out waiting
-// for an in-flight slot. The query was never started — no site saw it —
+// the evaluation was shed. The query was never started — no site saw it —
 // so the caller may safely retry later.
 var ErrOverloaded = errors.New("pax: engine overloaded")
 

@@ -9,57 +9,44 @@ import (
 	"paxq/internal/dist"
 )
 
-// RetryPolicy bounds the failover layer's per-query retry loop: how many
-// attempts each replica group gets in one query, and the capped
-// exponential backoff between them. The backoff sleeps are context-aware
-// — a deadline that expires mid-wait fails the query with the context's
-// error, never oversleeps it.
-type RetryPolicy struct {
-	// MaxAttempts is the number of attempts each replica group gets in one
-	// query (first try included): the query runs again after a retriable
-	// stage failure until one group has failed MaxAttempts times. <= 1
-	// disables retrying.
-	MaxAttempts int
-	// Backoff is the wait before a group's second attempt; each further
-	// attempt of the group doubles it. Zero means no wait.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential schedule. Zero means uncapped.
-	MaxBackoff time.Duration
+// backoffCap caps the wait between retries.
+const backoffCap = 50 * time.Millisecond
+
+// backoff is the wait before attempt n+1 (n = 1 is the wait between the
+// first and second try): 2ms, doubling, capped at 50ms. Query re-runs and
+// edit deliveries share this one schedule; only attempt counts vary.
+func backoff(n int) time.Duration {
+	d := 2 * time.Millisecond
+	for ; n > 1 && d < backoffCap; n-- {
+		d *= 2
+	}
+	return min(d, backoffCap)
 }
 
-// DefaultRetryPolicy is what a replicated topology gets when no explicit
-// policy is configured: one attempt per replica of a doubly-replicated
-// group plus two more for transient faults, starting at 2ms.
-var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 4, Backoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
-
-// sleep waits the backoff before attempt n+1 (n = 1 is the wait between
-// the first and second try), or returns ctx's error if the context dies
-// first. It is the one wait between retries: the query retry loop and
-// editMember both call it, and the transports never wait.
-func (p RetryPolicy) sleep(ctx context.Context, n int) error {
-	if p.Backoff <= 0 || n < 1 {
-		return nil
-	}
-	d := p.Backoff << (n - 1)
-	if d <= 0 || (p.MaxBackoff > 0 && d > p.MaxBackoff) {
-		d = p.MaxBackoff
-	}
+// waitBackoff waits backoff(n), or returns ctx's error as soon as the
+// context dies, so a deadline that expires mid-wait fails the query with
+// the context's error and never oversleeps it. It is the one wait between
+// retries: the query retry loop and editMember both call it, and the
+// transports never wait.
+func waitBackoff(ctx context.Context, n int) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-time.After(d):
+	case <-time.After(backoff(n)):
 		return nil
 	}
 }
 
-// WithRetryPolicy sets the engine's failover retry policy. Without it, a
-// replicated topology runs DefaultRetryPolicy and an unreplicated one
-// runs single-attempt (errors surface exactly as without a failover
-// layer). Setting MaxAttempts > 1 on an unreplicated topology is valid:
-// a re-run then goes back to the lone site after the backoff, which
-// rides out a restart but not a site that stays dead.
-func WithRetryPolicy(p RetryPolicy) EngineOption {
-	return func(e *Engine) { e.retry = p }
+// WithMaxAttempts sets the number of attempts each replica group gets in
+// one query (first try included): the query runs again after a retriable
+// stage failure until one group has failed n times. n = 1 disables
+// retrying; n <= 0 keeps the default, which is 4 on a replicated topology
+// and 1 on an unreplicated one (errors then surface exactly as without a
+// failover layer). n > 1 on an unreplicated topology is valid: a re-run
+// then goes back to the lone site after the backoff, which rides out a
+// restart but not a site that stays dead.
+func WithMaxAttempts(n int) EngineOption {
+	return func(e *Engine) { e.maxAttempts = n }
 }
 
 // FailoverStats are the engine's lifetime failover counters, surfaced
@@ -146,13 +133,13 @@ const maxSkewReruns = 3
 // fails for good on an error that is not a stage failure
 // (*dist.BroadcastError), on a stage failure with a permanent member
 // (classifyStageError), once ctx is done, or when a failed group has
-// spent the policy's MaxAttempts. Otherwise every failed primary's group
-// rotates to its next replica and, after the policy's backoff, the query
-// runs again under the same QID. A stage failure that is version skew
-// alone (ErrVersionSkew at every failed group) says nothing about the
-// members' health: the query runs again at once on the same members, up
-// to maxSkewReruns times, whatever the policy. No attempt reads another's
-// results, and each visits a site at most B times:
+// spent the engine's maxAttempts. Otherwise every failed primary's group
+// rotates to its next replica and, after the backoff, the query runs
+// again under the same QID. A stage failure that is version skew alone
+// (ErrVersionSkew at every failed group) says nothing about the members'
+// health: the query runs again at once on the same members, up to
+// maxSkewReruns times, whatever the attempt count. No attempt reads
+// another's results, and each visits a site at most B times:
 // MaxVisits <= B·(1+Retries).
 func (r *run) retry(ctx context.Context, attempt func() error) error {
 	e := r.e
@@ -182,7 +169,7 @@ func (r *run) retry(ctx context.Context, attempt func() error) error {
 			e.retries.Add(1)
 			continue
 		}
-		if n >= e.retry.MaxAttempts {
+		if n >= e.maxAttempts {
 			if n > 1 {
 				r.exhausted(be)
 			}
@@ -193,7 +180,7 @@ func (r *run) retry(ctx context.Context, attempt func() error) error {
 		}
 		r.retries++
 		e.retries.Add(1)
-		if err := e.retry.sleep(ctx, n); err != nil {
+		if err := waitBackoff(ctx, n); err != nil {
 			return err
 		}
 	}
@@ -207,7 +194,7 @@ func (r *run) exhausted(be *dist.BroadcastError) {
 		f := &be.Failures[i]
 		n := r.cur[f.Site] + 1
 		switch {
-		case n < r.e.retry.MaxAttempts:
+		case n < r.e.maxAttempts:
 		case r.replica(f.Site) == f.Site:
 			f.Err = fmt.Errorf("pax: %d attempts exhausted: %w", n, f.Err)
 		default:

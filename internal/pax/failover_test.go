@@ -220,7 +220,7 @@ func TestSessionLossRerunsQuery(t *testing.T) {
 		topo := RoundRobin(ft, 2)
 		local, sites := BuildLocalCluster(topo)
 		eng := NewEngine(topo, local)
-		fid := siteByID(sites, 0).FragIDs()[0]
+		fid := topo.FragsAt(0)[0]
 		// Restart site 0 just before its second call, after an
 		// answer-neutral edit of one of its fragments when edit is set.
 		calls := 0
@@ -406,7 +406,7 @@ func TestVersionSkewRerunsQuery(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-			}}, WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+			}}, WithMaxAttempts(1))
 			res, err := eng.Run(query, Options{Algorithm: PaX3, Sequential: true})
 			if err != nil {
 				t.Fatal(err)
@@ -520,6 +520,38 @@ func TestAttemptsExhausted(t *testing.T) {
 	}
 	if !errors.Is(err, dist.ErrSiteUnavailable) {
 		t.Errorf("err chain lost dist.ErrSiteUnavailable: %v", err)
+	}
+}
+
+// TestBackoffSchedule pins the one wait schedule query re-runs and edit
+// deliveries share: 2ms, doubling, capped at 50ms.
+func TestBackoffSchedule(t *testing.T) {
+	for i, ms := range []time.Duration{2, 4, 8, 16, 32, 50, 50} {
+		if got := backoff(i + 1); got != ms*time.Millisecond {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, ms*time.Millisecond)
+		}
+	}
+	if got := backoff(1000); got != backoffCap {
+		t.Errorf("backoff(1000) = %v, want the %v cap", got, backoffCap)
+	}
+}
+
+// TestWaitBackoffStopsOnContext: a wait whose context ends part-way
+// returns the context's error at once instead of sleeping out the
+// schedule.
+func TestWaitBackoffStopsOnContext(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := waitBackoff(ctx, 7) // a 50ms wait
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited >= backoffCap {
+		t.Errorf("waited %v, the whole %v backoff, after the context ended", waited, backoffCap)
+	}
+	if err := waitBackoff(context.Background(), 1); err != nil {
+		t.Errorf("a wait on a live context: err = %v", err)
 	}
 }
 
@@ -695,7 +727,7 @@ func TestRefusedSiteContract(t *testing.T) {
 			c = newOutageCluster(t, plain, overTCP)
 			c.down(site)
 			c.revive[site] = true
-			res, err := NewEngine(plain, c, WithRetryPolicy(RetryPolicy{MaxAttempts: 3})).Run(query, opts)
+			res, err := NewEngine(plain, c, WithMaxAttempts(3)).Run(query, opts)
 			check("unreplicated with a retry policy", res, err)
 			if err == nil && (res.Retries != 1 || res.Failovers != 0) {
 				t.Errorf("unreplicated with a retry policy: %d retries / %d failovers, want 1 / 0", res.Retries, res.Failovers)

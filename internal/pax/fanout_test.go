@@ -291,7 +291,7 @@ func TestStageFailureShape(t *testing.T) {
 			local, _ := BuildLocalCluster(topo)
 			primary := topo.Primaries()[1]
 			kill(local, topo.ReplicasOf(primary)...)
-			return NewEngine(topo, local, WithRetryPolicy(RetryPolicy{MaxAttempts: 3})), primary
+			return NewEngine(topo, local, WithMaxAttempts(3)), primary
 		}},
 	}
 	for _, c := range cases {

@@ -206,11 +206,6 @@ func (s *Site) MemoStats() MemoStats {
 	return MemoStats{Hits: s.memoHits.Load(), Misses: s.memoMisses.Load(), Replaced: s.memoReplaced.Load()}
 }
 
-// FragIDs returns the IDs of the hosted fragments, ascending.
-func (s *Site) FragIDs() []fragment.FragID {
-	return slices.Clone(s.snapshot().ids)
-}
-
 // Handler returns the dist.Handler serving this site.
 func (s *Site) Handler() dist.Handler {
 	return func(req any) (any, error) {

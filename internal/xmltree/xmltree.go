@@ -159,25 +159,6 @@ func (n *Node) ElementChildren(yield func(*Node) bool) {
 	}
 }
 
-// Path returns the slash-separated label path from the tree root to n,
-// including n's own label. Useful in error messages and tests.
-func (n *Node) Path() string {
-	if n == nil {
-		return ""
-	}
-	var labels []string
-	for v := n; v != nil; v = v.Parent {
-		if v.Kind == Element {
-			labels = append(labels, v.Label)
-		}
-	}
-	// reverse
-	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
-		labels[i], labels[j] = labels[j], labels[i]
-	}
-	return "/" + strings.Join(labels, "/")
-}
-
 // String renders a short debug description of the node.
 func (n *Node) String() string {
 	if n == nil {

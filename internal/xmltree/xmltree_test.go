@@ -130,23 +130,6 @@ func TestWalkEarlyStop(t *testing.T) {
 	}
 }
 
-func TestPath(t *testing.T) {
-	tr := paperTree()
-	var goog *Node
-	tr.Walk(func(n *Node) bool {
-		if n.IsElement() && n.Label == "code" && n.Value() == "GOOG" && goog == nil {
-			goog = n
-		}
-		return true
-	})
-	if goog == nil {
-		t.Fatal("GOOG code node not found")
-	}
-	if got := goog.Path(); got != "/clientele/client/broker/market/stock/code" {
-		t.Errorf("Path = %q", got)
-	}
-}
-
 func TestStats(t *testing.T) {
 	tr := paperTree()
 	s := tr.ComputeStats()

@@ -239,16 +239,6 @@ func (q *Query) String() string {
 	return out
 }
 
-// SelectionPath returns the query's selection path — the steps with every
-// qualifier struck out (§2.2) — rendered as concrete syntax.
-func (q *Query) SelectionPath() string {
-	bare := &Query{Absolute: q.Absolute}
-	for _, s := range q.Steps {
-		bare.Steps = append(bare.Steps, &Step{Axis: s.Axis, Test: s.Test})
-	}
-	return bare.String()
-}
-
 // HasQualifiers reports whether any step of the query (not descending into
 // qualifier paths) carries a qualifier. The PaX algorithms skip the
 // qualifier stage entirely for qualifier-free queries.

@@ -55,8 +55,8 @@ func TestParseRelative(t *testing.T) {
 	if q.Absolute {
 		t.Fatal("must be relative")
 	}
-	if got := q.SelectionPath(); got != "client/broker/name" {
-		t.Errorf("SelectionPath = %q", got)
+	if got := q.String(); got != "client/broker/name" {
+		t.Errorf("String = %q", got)
 	}
 }
 
@@ -326,13 +326,6 @@ func TestHasQualifiers(t *testing.T) {
 	}
 	if !MustParse("/a[b]/c").HasQualifiers() {
 		t.Error("qualifier not detected")
-	}
-}
-
-func TestSelectionPathStripsQualifiers(t *testing.T) {
-	q := MustParse(`//broker[//stock/code = "goog"]/name`)
-	if got := q.SelectionPath(); got != "//broker/name" {
-		t.Errorf("SelectionPath = %q", got)
 	}
 }
 

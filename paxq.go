@@ -40,9 +40,9 @@
 // # Overload and deadlines
 //
 // ClusterOptions.MaxInFlight enables admission control: beyond the bound,
-// evaluations fail fast with ErrOverloaded, or first queue for up to
-// ClusterOptions.QueueTimeout. QueryContext bounds a single evaluation
-// with a context whose deadline travels down to the site transport.
+// evaluations fail fast with ErrOverloaded. QueryContext bounds a single
+// evaluation with a context whose deadline travels down to the site
+// transport.
 // TransportStats exposes the transport's lifetime cost counters for
 // monitoring (paxserve serves them at /metrics).
 package paxq
@@ -50,7 +50,6 @@ package paxq
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -67,8 +66,8 @@ import (
 
 // ErrOverloaded is returned by Query/Evaluate when the cluster's admission
 // limit (ClusterOptions.MaxInFlight) is reached and the evaluation was
-// shed, or timed out queueing for a slot (ClusterOptions.QueueTimeout).
-// The query never started; retrying later is safe. Match with errors.Is.
+// shed. The query never started; retrying later is safe. Match with
+// errors.Is.
 var ErrOverloaded = pax.ErrOverloaded
 
 // Document is a parsed XML document.
@@ -166,7 +165,9 @@ const (
 	TransportTCP
 )
 
-// ClusterOptions configures fragmentation and deployment.
+// ClusterOptions configures fragmentation and deployment. NewCluster
+// rejects a negative value of any int field, naming the field; Seed may
+// take any value.
 type ClusterOptions struct {
 	// Fragments requests a random fragmentation with this many fragments
 	// (at least 1). Ignored when CutPaths or MaxFragmentNodes is set.
@@ -186,14 +187,9 @@ type ClusterOptions struct {
 	Seed int64
 
 	// MaxInFlight bounds the number of concurrently admitted evaluations
-	// (admission control). Beyond it, Query fails fast with ErrOverloaded —
-	// or queues, see QueueTimeout. 0 means unlimited.
+	// (admission control). Beyond it, Query fails fast with ErrOverloaded.
+	// 0 means unlimited.
 	MaxInFlight int
-	// QueueTimeout switches admission from immediate shedding to
-	// queue-with-deadline: an evaluation arriving at a full cluster waits
-	// up to this long for a slot before failing with ErrOverloaded.
-	// Meaningful only with MaxInFlight > 0.
-	QueueTimeout time.Duration
 
 	// Replicas deploys every site as a replica group of this many members
 	// hosting identical fragment copies: the coordinator addresses the
@@ -203,21 +199,14 @@ type ClusterOptions struct {
 	Replicas int
 	// RetryMaxAttempts bounds how many times one query runs before it
 	// fails (first run included); each re-run follows a retriable stage
-	// failure and rotates the failed replica groups. 0 picks
-	// the default: 4 when replicated, 1 (no retrying) otherwise; negative
-	// is an error. Replication or a retry policy is how a query survives a
-	// site restart: the transport never waits to redial, so on an
-	// unreplicated cluster without RetryMaxAttempts > 1 a call to a
-	// restarting site fails at once with a retriable error.
+	// failure and rotates the failed replica groups. 0 picks the default:
+	// 4 when replicated, 1 (no retrying) otherwise. The wait before each
+	// re-run is fixed: 2ms, doubling, capped at 50ms.
+	// Replication or RetryMaxAttempts > 1 is how a query survives a site
+	// restart: the transport never waits to redial, so on an unreplicated
+	// cluster without RetryMaxAttempts > 1 a call to a restarting site
+	// fails at once with a retriable error.
 	RetryMaxAttempts int
-	// RetryBackoff is the wait before a query's second run; each further
-	// run doubles it. It needs RetryMaxAttempts > 0
-	// (NewCluster rejects it otherwise, and any negative retry option); the
-	// default policy waits 2ms.
-	RetryBackoff time.Duration
-	// RetryMaxBackoff caps the exponential backoff schedule. It needs
-	// RetryMaxAttempts > 0, like RetryBackoff; the default caps at 50ms.
-	RetryMaxBackoff time.Duration
 }
 
 // Cluster is a fragmented, distributed document plus a coordinator. It is
@@ -236,12 +225,16 @@ type Cluster struct {
 // element name fragment-ref is reserved: it marks fragment boundaries in
 // the fragments' XML form, and a document using it is rejected.
 func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
-	if opts.RetryMaxAttempts < 0 || opts.RetryBackoff < 0 || opts.RetryMaxBackoff < 0 {
-		return nil, fmt.Errorf("paxq: negative retry option (RetryMaxAttempts %d, RetryBackoff %v, RetryMaxBackoff %v)",
-			opts.RetryMaxAttempts, opts.RetryBackoff, opts.RetryMaxBackoff)
-	}
-	if opts.RetryMaxAttempts == 0 && (opts.RetryBackoff != 0 || opts.RetryMaxBackoff != 0) {
-		return nil, errors.New("paxq: RetryBackoff and RetryMaxBackoff need RetryMaxAttempts > 0")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Fragments", opts.Fragments}, {"MaxFragmentNodes", opts.MaxFragmentNodes}, {"Sites", opts.Sites},
+		{"MaxInFlight", opts.MaxInFlight}, {"Replicas", opts.Replicas}, {"RetryMaxAttempts", opts.RetryMaxAttempts},
+	} {
+		if f.v < 0 { // no count or size here means anything below zero
+			return nil, fmt.Errorf("paxq: negative %s %d", f.name, f.v)
+		}
 	}
 	cuts, err := fragment.SelectCuts(doc.tree, opts.CutPaths, opts.MaxFragmentNodes, opts.Fragments, opts.Seed)
 	if err != nil {
@@ -259,14 +252,7 @@ func NewCluster(doc *Document, opts ClusterOptions) (*Cluster, error) {
 	c := &Cluster{ft: ft, topo: topo}
 	engOpts := []pax.EngineOption{
 		pax.WithMaxInFlight(opts.MaxInFlight),
-		pax.WithQueueTimeout(opts.QueueTimeout),
-	}
-	if opts.RetryMaxAttempts > 0 {
-		engOpts = append(engOpts, pax.WithRetryPolicy(pax.RetryPolicy{
-			MaxAttempts: opts.RetryMaxAttempts,
-			Backoff:     opts.RetryBackoff,
-			MaxBackoff:  opts.RetryMaxBackoff,
-		}))
+		pax.WithMaxAttempts(opts.RetryMaxAttempts),
 	}
 	switch opts.Transport {
 	case TransportLocal:
@@ -328,12 +314,11 @@ func (c *Cluster) Query(query string, opts QueryOptions) ([]Answer, *Stats, erro
 }
 
 // QueryContext is Query bounded by a context: the deadline (or
-// cancellation) covers admission queueing and every site round trip, and
-// is propagated through the transport so a slow or unreachable site fails
-// the query instead of wedging the caller. Under admission control
-// (ClusterOptions.MaxInFlight), a full cluster sheds or queues; both
-// surface as ErrOverloaded. The answers come ordered by fragment, then by
-// node within a fragment, which is document order there.
+// cancellation) covers every site round trip, and is propagated through
+// the transport so a slow or unreachable site fails the query instead of
+// wedging the caller. Under admission control (ClusterOptions.MaxInFlight),
+// a full cluster sheds with ErrOverloaded. The answers come ordered by
+// fragment, then by node within a fragment, which is document order there.
 func (c *Cluster) QueryContext(ctx context.Context, query string, opts QueryOptions) ([]Answer, *Stats, error) {
 	po, err := opts.toPax()
 	if err != nil {
@@ -474,7 +459,7 @@ func (c *Cluster) Replicas() int { return len(c.topo.ReplicasOf(c.topo.Primaries
 // unreachable for the next down calls, and it then restarts with all
 // in-memory state (compiled queries, Stage-1 results, previous fragment
 // versions) wiped, exactly like a crashed and supervised process. On a replicated
-// cluster, or one with a retry policy, a query that meets the outage runs
+// cluster, or one with RetryMaxAttempts > 1, a query that meets the outage runs
 // again, on the next replica of the dead site's group — answers
 // unchanged, the failover counters of TransportStats (and paxserve's
 // /metrics and /statsz) advancing — while an unprotected cluster sees the

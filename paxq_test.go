@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 const clienteleXML = `<clientele>
@@ -357,7 +356,7 @@ func mustDoc(t *testing.T) *Document {
 func TestRetryPolicyOnUnreplicatedCluster(t *testing.T) {
 	// RetryMaxAttempts on an unreplicated cluster is valid (rides out a
 	// restart in place) and changes nothing fault-free.
-	c := demoCluster(t, ClusterOptions{Fragments: 4, Sites: 2, RetryMaxAttempts: 3, RetryBackoff: time.Millisecond})
+	c := demoCluster(t, ClusterOptions{Fragments: 4, Sites: 2, RetryMaxAttempts: 3})
 	ans, stats, err := c.Query(`//name`, QueryOptions{Algorithm: "pax2"})
 	if err != nil {
 		t.Fatal(err)
@@ -367,24 +366,29 @@ func TestRetryPolicyOnUnreplicatedCluster(t *testing.T) {
 	}
 }
 
-// TestRetryOptionsNeedAttempts: a retry option that would be ignored is an
-// error, not silently dropped — a backoff without RetryMaxAttempts, or a
-// negative attempt count or backoff.
+// TestRetryOptionsNeedAttempts: a negative integer option is an error
+// that names the field, not silently clamped to a default — a negative
+// attempt count, and likewise a negative MaxInFlight (which would serve
+// unlimited), Replicas (unreplicated), Sites, Fragments or
+// MaxFragmentNodes.
 func TestRetryOptionsNeedAttempts(t *testing.T) {
 	doc := mustDoc(t)
-	for _, opts := range []ClusterOptions{
-		{Fragments: 4, RetryBackoff: 5 * time.Millisecond},
-		{Fragments: 4, RetryMaxBackoff: time.Second},
-		{Fragments: 4, Replicas: 2, RetryBackoff: time.Millisecond, RetryMaxBackoff: time.Second},
-		{Fragments: 4, RetryMaxAttempts: -1},
-		{Fragments: 4, RetryMaxAttempts: 3, RetryBackoff: -time.Millisecond},
-		{Fragments: 4, RetryMaxAttempts: 3, RetryMaxBackoff: -time.Second},
+	for _, c := range []struct {
+		field string
+		opts  ClusterOptions
+	}{
+		{"RetryMaxAttempts", ClusterOptions{Fragments: 4, RetryMaxAttempts: -1}},
+		{"MaxInFlight", ClusterOptions{Fragments: 4, MaxInFlight: -1}},
+		{"Replicas", ClusterOptions{Fragments: 4, Replicas: -2}},
+		{"Sites", ClusterOptions{Fragments: 4, Sites: -1}},
+		{"Fragments", ClusterOptions{Fragments: -4}},
+		{"MaxFragmentNodes", ClusterOptions{MaxFragmentNodes: -10}},
 	} {
-		if c, err := NewCluster(doc, opts); err == nil {
-			c.Close()
-			t.Errorf("NewCluster(%+v) accepted a retry option it would ignore", opts)
-		} else if !strings.Contains(err.Error(), "RetryMaxAttempts") {
-			t.Errorf("NewCluster(%+v): err = %v, want it to name RetryMaxAttempts", opts, err)
+		if cl, err := NewCluster(doc, c.opts); err == nil {
+			cl.Close()
+			t.Errorf("NewCluster(%+v) accepted a negative %s", c.opts, c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("NewCluster(%+v): err = %v, want it to name %s", c.opts, err, c.field)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"paxq"
 )
@@ -141,35 +140,4 @@ func TestTransportStatsCountStage1Memo(t *testing.T) {
 		}
 		cluster.Close()
 	}
-}
-
-// TestClusterQueueTimeoutMode: with queueing configured, a held slot makes
-// a second query wait; it must eventually fail with ErrOverloaded rather
-// than hang, within roughly the configured deadline.
-func TestClusterQueueTimeoutMode(t *testing.T) {
-	doc := paxq.GenerateXMark(2, 0.1, 1)
-	cluster, err := paxq.NewCluster(doc, paxq.ClusterOptions{
-		Fragments:    4,
-		MaxInFlight:  1,
-		QueueTimeout: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-
-	// Saturate the single slot from many goroutines; with a 20ms queue
-	// every loser either gets served within the deadline or sheds typed.
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, err := cluster.Query("//open_auctions//annotation", paxq.QueryOptions{})
-			if err != nil && !errors.Is(err, paxq.ErrOverloaded) {
-				t.Errorf("unexpected error: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate behind `make docs-check`.
-// It enforces eight properties the repo's docs promise:
+// It enforces nine properties the repo's docs promise:
 //
 //  1. Every exported identifier of the public paxq package (the repo
 //     root) carries a doc comment — the API reference cannot silently
@@ -30,6 +30,11 @@
 //     and every backticked name in that column is such a field or a
 //     "-name" flag that cmd/paxserve defines — a deleted option cannot
 //     keep its row, and a new option cannot skip the table.
+//  9. Every "-name" passed to a cmd/* binary on a command line of a fenced
+//     block in README.md or cmd/README.md, or of a code block in a cmd/*
+//     package comment, is a flag that binary defines, and so is every
+//     "-name" in the prose of a cmd/* package comment — a deleted flag
+//     cannot silently live on in an example.
 //
 // Run from the repository root:
 //
@@ -61,6 +66,7 @@ func main() {
 	problems = append(problems, checkStaleMetricRows()...)
 	problems = append(problems, checkStaleIdents()...)
 	problems = append(problems, checkOptionsTable()...)
+	problems = append(problems, checkCommandExamples()...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docscheck: "+p)
@@ -577,6 +583,101 @@ func checkOptionsTable() []string {
 	for _, f := range fields {
 		if !listed[f] {
 			out = append(out, fmt.Sprintf("paxq.ClusterOptions field %s has no row in ARCHITECTURE.md's options table", f))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// cmdFlag matches a flag argument (-name, --name or -name=value, but not
+// "-" or a negative number), and proseFlag a "-name" mention in text.
+var (
+	cmdFlag   = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)`)
+	proseFlag = regexp.MustCompile(`(?:^|[\s(\x60])-([A-Za-z][A-Za-z0-9-]*)`)
+)
+
+// continued is lines[i] joined with the lines its trailing backslashes
+// continue it onto.
+func continued(lines []string, i int) string {
+	line := lines[i]
+	for ; strings.HasSuffix(line, "\\") && i+1 < len(lines); i++ {
+		line = strings.TrimSuffix(line, "\\") + " " + lines[i+1]
+	}
+	return line
+}
+
+// staleCommandFlags reports, for each command of a shell line that runs
+// a cmd/* binary (by any path, or through go run), every flag it passes
+// that the binary does not define. A continuation line alone starts with
+// a flag, not a binary, so it is never checked twice.
+func staleCommandFlags(where, line string, flags map[string]map[string]bool) []string {
+	if i := strings.Index(" "+line, " #"); i >= 0 {
+		line = line[:i] // a comment
+	}
+	var out []string
+	for _, cmd := range strings.FieldsFunc(line, func(r rune) bool { return r == '|' || r == '&' || r == ';' }) {
+		words := strings.Fields(cmd)
+		for len(words) > 0 && strings.Contains(words[0], "=") {
+			words = words[1:] // VAR=value prefixes
+		}
+		if len(words) > 2 && words[0] == "go" && words[1] == "run" {
+			words = words[2:]
+		}
+		if len(words) == 0 || flags[filepath.Base(words[0])] == nil {
+			continue
+		}
+		binary := filepath.Base(words[0])
+		for _, arg := range words[1:] {
+			if m := cmdFlag.FindStringSubmatch(arg); m != nil && !flags[binary][m[1]] {
+				out = append(out, fmt.Sprintf("%s runs %s with -%s, which it does not define", where, binary, m[1]))
+			}
+		}
+	}
+	return out
+}
+
+// checkCommandExamples requires the command examples of the guides and of
+// the cmd/* package comments, and the flags the package comments' prose
+// names, to use only flags the binaries define.
+func checkCommandExamples() []string {
+	flags, out := binaryFlags()
+	for _, name := range []string{"README.md", "cmd/README.md"} {
+		text, err := os.ReadFile(name)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			out = append(out, fmt.Sprintf("%s: %v", name, err))
+			continue
+		}
+		lines := strings.Split(string(text), "\n")
+		fenced := false
+		for i, line := range lines {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			} else if fenced {
+				out = append(out, staleCommandFlags(fmt.Sprintf("%s:%d", name, i+1), continued(lines, i), flags)...)
+			}
+		}
+	}
+	files, _ := filepath.Glob("cmd/*/*.go")
+	for _, f := range files {
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil || file.Doc == nil {
+			continue // a parse error is the build's to report
+		}
+		binary, where := filepath.Base(filepath.Dir(f)), f+" package comment"
+		lines := strings.Split(file.Doc.Text(), "\n")
+		for i, line := range lines {
+			if strings.HasPrefix(line, "\t") { // gofmt indents code blocks with a tab
+				out = append(out, staleCommandFlags(where, continued(lines, i), flags)...)
+				continue
+			}
+			for _, m := range proseFlag.FindAllStringSubmatch(line, -1) {
+				if !flags[binary][m[1]] {
+					out = append(out, fmt.Sprintf("%s names -%s, which %s does not define", where, m[1], binary))
+				}
+			}
 		}
 	}
 	sort.Strings(out)

@@ -25,7 +25,7 @@ func none(t *testing.T, problems []string) {
 	}
 }
 
-// TestCleanFixturePasses: a tree that keeps all eight documentation
+// TestCleanFixturePasses: a tree that keeps all nine documentation
 // promises produces no findings from any check.
 func TestCleanFixturePasses(t *testing.T) {
 	t.Chdir("testdata/clean")
@@ -127,7 +127,31 @@ func TestOptionsTableFails(t *testing.T) {
 	}
 }
 
-// TestRealTreeIsClean runs all eight checks against the actual repository
+// TestStaleCommandExampleFails: a flag a binary does not define is
+// flagged where a fenced command line of a guide passes it (reported at
+// the command's first line when it continues over several), where a code
+// block of the binary's package comment passes it, and where the comment's
+// prose names it. Defined flags in any spelling, negative values, other
+// programs' flags, commented-out text and lines outside a fence are not.
+func TestStaleCommandExampleFails(t *testing.T) {
+	t.Chdir("testdata/staleexample")
+	problems := checkCommandExamples()
+	want := []string{
+		"README.md:6 runs tool with -gone, which it does not define",
+		"cmd/tool/main.go package comment names -removed, which tool does not define",
+		"cmd/tool/main.go package comment runs tool with -old, which it does not define",
+	}
+	if len(problems) != len(want) {
+		t.Fatalf("got problems %q, want %d", problems, len(want))
+	}
+	for i, w := range want {
+		if problems[i] != w {
+			t.Errorf("problem %d = %q, want %q", i, problems[i], w)
+		}
+	}
+}
+
+// TestRealTreeIsClean runs all nine checks against the actual repository
 // root, mirroring what `make docs-check` gates.
 func TestRealTreeIsClean(t *testing.T) {
 	t.Chdir("../..")
